@@ -29,6 +29,9 @@ instead of per-call dict copies and DFS walks.  Every cache is
 invalidated by the mutators (:meth:`ConfigDAG.add_action`,
 :meth:`ConfigDAG.add_edge`, :meth:`ConfigDAG.attach_handler`), so a
 DAG that is still being built behaves exactly like an uncached one.
+A DAG shared between requests (the wire decoder interns equal
+``<dag>`` bodies) is sealed with :meth:`ConfigDAG.freeze`: the
+mutators then raise, so its caches stay warm and valid for good.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ FINISH = "__finish__"
 
 _RESERVED = frozenset({START, FINISH})
 
+_FROZEN = (
+    "DAG is frozen (shared between decoded requests);"
+    " build a new one instead of mutating it"
+)
+
 
 class ConfigDAG:
     """A directed acyclic graph of configuration actions."""
@@ -66,6 +74,8 @@ class ConfigDAG:
         self._succ: Dict[str, List[str]] = {}
         self._pred: Dict[str, List[str]] = {}
         self._handlers: Dict[str, "ConfigDAG"] = {}
+        #: Set by :meth:`freeze`; the mutators refuse a frozen DAG.
+        self._frozen = False
         #: Bumped on every mutation; guards every structural cache.
         self._version = 0
         self._invalidate()
@@ -100,8 +110,23 @@ class ConfigDAG:
         )
 
     # -- construction ----------------------------------------------------
+    def freeze(self) -> "ConfigDAG":
+        """Seal this DAG and its whole handler tree against mutation.
+
+        One frozen instance may then stand in for every request that
+        carries the same body: :meth:`add_action`, :meth:`add_edge`
+        and :meth:`attach_handler` raise :class:`DAGError` from now on.
+        Derive a changed DAG with :meth:`subdag` or build a new one.
+        """
+        self._frozen = True
+        for handler in self._handlers.values():
+            handler.freeze()
+        return self
+
     def add_action(self, action: Action) -> "ConfigDAG":
         """Add an action node.  Names must be unique and not reserved."""
+        if self._frozen:
+            raise DAGError(_FROZEN)
         if action.name in _RESERVED:
             raise DAGError(f"{action.name!r} is a reserved node name")
         if action.name in self._actions:
@@ -114,6 +139,8 @@ class ConfigDAG:
 
     def add_edge(self, before: str, after: str) -> "ConfigDAG":
         """Require ``before`` to complete before ``after`` starts."""
+        if self._frozen:
+            raise DAGError(_FROZEN)
         for node in (before, after):
             if node not in self._actions:
                 raise DAGError(f"unknown action {node!r}")
@@ -132,6 +159,8 @@ class ConfigDAG:
 
     def attach_handler(self, action: str, handler: "ConfigDAG") -> "ConfigDAG":
         """Attach an explicit error-handling sub-graph to ``action``."""
+        if self._frozen:
+            raise DAGError(_FROZEN)
         if action not in self._actions:
             raise DAGError(f"unknown action {action!r}")
         handler.validate()
@@ -295,9 +324,13 @@ class ConfigDAG:
     def fingerprint(self) -> str:
         """Stable content digest of :meth:`structure` (memo keys).
 
-        Two DAGs have equal fingerprints iff they are equal; the
-        digest is a compact string so request-level memo tables avoid
-        re-hashing deep structure tuples on every lookup.
+        Two DAGs have equal fingerprints iff they compare ``==``, i.e.
+        iff their :meth:`structure` is equal — *matching* identity,
+        not wire identity: ``outputs``, ``on_error`` and ``retries``
+        are left out, so a fingerprint must never key a cache of
+        decoded wire bodies.  The digest is a compact string so
+        request-level memo tables avoid re-hashing deep structure
+        tuples on every lookup.
         """
         token = self._state_token()
         cached = self._fingerprint_cache
@@ -436,6 +469,12 @@ class ConfigDAG:
     def structure(self) -> Tuple:
         """Canonical hashable structure (for equality and hashing).
 
+        Covers what warehouse matching identifies an operation by:
+        action names, scopes, commands and params (the action
+        signatures), the edges, and the handlers' structures.  An
+        action's ``outputs``, ``on_error`` and ``retries`` are *not*
+        part of it.
+
         Memoized against the handler-aware state token, so attached
         handlers mutated after :meth:`attach_handler` still invalidate
         the cached tuple.
@@ -459,6 +498,9 @@ class ConfigDAG:
         return tup
 
     def __eq__(self, other: object) -> bool:
+        """Equal iff same names, scopes, commands, params, edges and
+        handlers (see :meth:`structure`); outputs, error policies and
+        retry budgets are not compared."""
         if not isinstance(other, ConfigDAG):
             return NotImplemented
         return self.structure() == other.structure()

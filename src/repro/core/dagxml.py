@@ -24,15 +24,22 @@ round-trips :class:`~repro.core.dag.ConfigDAG` and
       </software>
     </vmplant-request>
 
-Parsing is strict: unknown elements, missing attributes and malformed
-structure raise :class:`~repro.core.errors.ProtocolError`.
+Parsing is strict: unknown or repeated elements, missing attributes
+and malformed structure raise :class:`~repro.core.errors.ProtocolError`.
+
+Decoded requests are read-only.  Thousands of requests share one body
+and differ only in who asks, so :func:`request_from_element` interns
+the decoded ``<dag>``: requests with the same ``<dag>`` subtree get the
+*same* frozen :class:`~repro.core.dag.ConfigDAG` (mutators raise
+:class:`~repro.core.errors.DAGError`), whose order, fingerprint and
+signature caches therefore stay warm over the whole bid fan-out.
 """
 
 from __future__ import annotations
 
 import ast
 import xml.etree.ElementTree as ET
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.core.actions import Action, ActionScope, ErrorPolicy
 from repro.core.dag import ConfigDAG
@@ -51,6 +58,8 @@ __all__ = [
     "dag_from_xml",
     "request_to_xml",
     "request_from_xml",
+    "request_from_element",
+    "envelope_from_xml",
 ]
 
 
@@ -92,16 +101,18 @@ def dag_from_element(root: ET.Element) -> ConfigDAG:
         raise ProtocolError(f"expected <dag>, got <{root.tag}>")
     dag = ConfigDAG()
     handlers = []
-    for child in root:
-        if child.tag == "action":
-            dag.add_action(_action_from_element(child))
-        elif child.tag == "edge":
-            pass  # second pass
-        elif child.tag == "handler":
-            handlers.append(child)
-        else:
-            raise ProtocolError(f"unexpected element <{child.tag}> in <dag>")
     try:
+        for child in root:
+            if child.tag == "action":
+                dag.add_action(_action_from_element(child))
+            elif child.tag == "edge":
+                pass  # second pass
+            elif child.tag == "handler":
+                handlers.append(child)
+            else:
+                raise ProtocolError(
+                    f"unexpected element <{child.tag}> in <dag>"
+                )
         for child in root:
             if child.tag == "edge":
                 u = _require(child, "from")
@@ -170,13 +181,52 @@ def dag_to_xml(dag: ConfigDAG) -> str:
     return ET.tostring(dag_to_element(dag), encoding="unicode")
 
 
-def dag_from_xml(text: str) -> ConfigDAG:
-    """Parse a DAG from an XML string."""
+def _parse(text: str) -> ET.Element:
     try:
-        root = ET.fromstring(text)
+        return ET.fromstring(text)
     except ET.ParseError as exc:
         raise ProtocolError(f"malformed XML: {exc}") from exc
-    return dag_from_element(root)
+
+
+def dag_from_xml(text: str) -> ConfigDAG:
+    """Parse a DAG from an XML string."""
+    return dag_from_element(_parse(text))
+
+
+#: Bound of the decoded-``<dag>`` intern table (entries, LRU).  An
+#: entry holds ~15 KB for a 10-action body; a stream of all-distinct
+#: bodies keeps the table full without ever hitting it.
+DAG_INTERN_MAX = 64
+_interned_dags: Dict[Tuple, ConfigDAG] = {}
+
+
+def _interned_dag(root: ET.Element) -> ConfigDAG:
+    """The shared frozen DAG for this ``<dag>`` subtree.
+
+    The key is the subtree itself — every element's tag, child count,
+    text, tail and attributes in document order, which is all the
+    serializer writes and all the parser reads — so equal keys mean
+    equal wire content.  (``ConfigDAG.fingerprint()`` would not do: it
+    ignores outputs, error policies and retry budgets.)  A body seen
+    for the first time goes through the strict parser; one that fails
+    to parse is not remembered and fails the same way again.  The table
+    is unlocked: a simulation is one thread, fan-out is by process.
+    """
+    # A list comprehension, not a generator: one frame for the whole
+    # walk instead of one resumption per element.
+    key = tuple(
+        [
+            (el.tag, len(el), el.text, el.tail, *el.attrib.items())
+            for el in root.iter()
+        ]
+    )
+    dag = _interned_dags.pop(key, None)
+    if dag is None:
+        dag = dag_from_element(root).freeze()
+        if len(_interned_dags) >= DAG_INTERN_MAX:
+            del _interned_dags[next(iter(_interned_dags))]
+    _interned_dags[key] = dag
+    return dag
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +234,15 @@ def dag_from_xml(text: str) -> ConfigDAG:
 # ---------------------------------------------------------------------------
 
 
-def request_to_xml(request: CreateRequest) -> str:
-    """Encode a Create-VM request as an XML string."""
+def request_to_xml(request: CreateRequest, service: str = "create") -> str:
+    """Encode a Create-VM request as an XML string.
+
+    ``service`` names the envelope: bidding wraps the same body in an
+    ``"estimate"`` request.
+    """
     root = ET.Element(
         "vmplant-request",
-        {"service": "create", "client": request.client_id},
+        {"service": service, "client": request.client_id},
     )
     if request.vm_type is not None:
         root.set("vm-type", request.vm_type)
@@ -221,18 +275,42 @@ def request_to_xml(request: CreateRequest) -> str:
     return ET.tostring(root, encoding="unicode")
 
 
-def request_from_xml(text: str) -> CreateRequest:
-    """Parse a Create-VM request from an XML string (strict)."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ProtocolError(f"malformed XML: {exc}") from exc
+def envelope_from_xml(text: str) -> ET.Element:
+    """Parse a service envelope; returns its ``<vmplant-request>`` root."""
+    root = _parse(text)
     if root.tag != "vmplant-request":
         raise ProtocolError(f"expected <vmplant-request>, got <{root.tag}>")
+    return root
+
+
+def request_from_xml(text: str) -> CreateRequest:
+    """Parse a Create-VM request from an XML string (strict)."""
+    root = envelope_from_xml(text)
     if root.get("service") != "create":
         raise ProtocolError("only service=\"create\" requests carry a body")
+    return request_from_element(root)
 
-    hw_el = root.find("hardware")
+
+def request_from_element(root: ET.Element) -> CreateRequest:
+    """Decode the body of a create/estimate envelope (strict).
+
+    The caller has checked the root's tag and ``service``; the tree is
+    not modified.  The returned request is read-only: its DAG is a
+    frozen instance shared with every request carrying the same
+    ``<dag>`` subtree.
+    """
+    parts: Dict[str, ET.Element] = {}
+    for child in root:
+        tag = child.tag
+        if tag not in ("hardware", "network", "software"):
+            raise ProtocolError(
+                f"unexpected element <{tag}> in <vmplant-request>"
+            )
+        if tag in parts:
+            raise ProtocolError(f"duplicate <{tag}> in <vmplant-request>")
+        parts[tag] = child
+
+    hw_el = parts.get("hardware")
     if hw_el is None:
         raise ProtocolError("missing <hardware>")
     try:
@@ -245,7 +323,7 @@ def request_from_xml(text: str) -> CreateRequest:
     except ValueError as exc:
         raise ProtocolError(f"bad hardware spec: {exc}") from exc
 
-    net_el = root.find("network")
+    net_el = parts.get("network")
     if net_el is not None:
         port = net_el.get("proxy-port")
         network = NetworkSpec(
@@ -257,7 +335,7 @@ def request_from_xml(text: str) -> CreateRequest:
     else:
         network = NetworkSpec()
 
-    sw_el = root.find("software")
+    sw_el = parts.get("software")
     if sw_el is None:
         raise ProtocolError("missing <software>")
     dag_el = sw_el.find("dag")
@@ -265,9 +343,10 @@ def request_from_xml(text: str) -> CreateRequest:
         raise ProtocolError("missing <dag> inside <software>")
     software = SoftwareSpec(
         os=sw_el.get("os", "linux-mandrake-8.1"),
-        dag=dag_from_element(dag_el),
+        dag=_interned_dag(dag_el),
     )
 
+    lease = root.get("lease-s")
     return CreateRequest(
         hardware=hardware,
         software=software,
@@ -275,9 +354,5 @@ def request_from_xml(text: str) -> CreateRequest:
         client_id=root.get("client", "anonymous"),
         vm_type=root.get("vm-type"),
         requirements=root.get("requirements"),
-        lease_s=(
-            float(root.get("lease-s"))
-            if root.get("lease-s") is not None
-            else None
-        ),
+        lease_s=float(lease) if lease is not None else None,
     )

@@ -28,6 +28,10 @@ class VMInformationSystem:
 
     def __init__(self) -> None:
         self._vms: Dict[str, VirtualMachine] = {}
+        #: Guest memory of the registered VMs, kept by store/remove
+        #: (a VM's size is its image's and never changes): every
+        #: bidding plant reads it on every estimate.
+        self._guest_memory_mb = 0
         #: Monotonic mutation counter (memo invalidation).
         self.version = 0
 
@@ -42,6 +46,7 @@ class VMInformationSystem:
         if vm.vmid in self._vms:
             raise PlantError(f"vmid {vm.vmid!r} already registered")
         self._vms[vm.vmid] = vm
+        self._guest_memory_mb += vm.memory_mb
         self.version += 1
 
     def get(self, vmid: str) -> VirtualMachine:
@@ -57,6 +62,7 @@ class VMInformationSystem:
             vm = self._vms.pop(vmid)
         except KeyError:
             raise PlantError(f"no active VM {vmid!r}") from None
+        self._guest_memory_mb -= vm.memory_mb
         self.version += 1
         return vm
 
@@ -66,8 +72,7 @@ class VMInformationSystem:
             raise PlantError(f"vmid {new!r} already registered")
         vm = self.remove(old)
         vm.vmid = new
-        self._vms[new] = vm
-        self.version += 1
+        self.store(vm)
         return vm
 
     def active(self) -> List[VirtualMachine]:
@@ -96,4 +101,4 @@ class VMInformationSystem:
 
     def total_guest_memory_mb(self) -> int:
         """Aggregate guest memory of active VMs (cost/bidding input)."""
-        return sum(vm.memory_mb for vm in self._vms.values())
+        return self._guest_memory_mb

@@ -156,6 +156,11 @@ class GoldenImage:
             root = ET.fromstring(text)
         except ET.ParseError as exc:
             raise ProtocolError(f"malformed XML: {exc}") from exc
+        return cls.from_element(root)
+
+    @classmethod
+    def from_element(cls, root: ET.Element) -> "GoldenImage":
+        """Decode a ``<golden-image>`` element (strict)."""
         if root.tag != "golden-image":
             raise ProtocolError(
                 f"expected <golden-image>, got <{root.tag}>"
@@ -335,7 +340,5 @@ class VMWarehouse:
             raise ProtocolError(f"expected <warehouse>, got <{root.tag}>")
         wh = cls()
         for child in root:
-            wh.publish(
-                GoldenImage.from_xml(ET.tostring(child, encoding="unicode"))
-            )
+            wh.publish(GoldenImage.from_element(child))
         return wh

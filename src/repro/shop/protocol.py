@@ -16,7 +16,11 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Any, Callable, Generator, Optional, Tuple, Union
 
-from repro.core.dagxml import request_from_xml, request_to_xml
+from repro.core.dagxml import (
+    envelope_from_xml,
+    request_from_element,
+    request_to_xml,
+)
 from repro.core.errors import ProtocolError
 from repro.core.spec import CreateRequest, DestroyRequest, QueryRequest
 from repro.sim.kernel import Environment
@@ -59,12 +63,7 @@ def _encode_request(
     request: ServiceRequest, service: Optional[str] = None
 ) -> str:
     if isinstance(request, CreateRequest):
-        text = request_to_xml(request)
-        if service is None or service == "create":
-            return text
-        root = ET.fromstring(text)
-        root.set("service", service)
-        return ET.tostring(root, encoding="unicode")
+        return request_to_xml(request, service or "create")
     if isinstance(request, QueryRequest):
         root = ET.Element(
             "vmplant-request", {"service": "query", "vmid": request.vmid}
@@ -88,21 +87,16 @@ def _encode_request(
 
 
 def service_request_from_xml(text: str) -> Tuple[str, ServiceRequest]:
-    """Decode an envelope; returns ``(service, request)``."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ProtocolError(f"malformed XML: {exc}") from exc
-    if root.tag != "vmplant-request":
-        raise ProtocolError(f"expected <vmplant-request>, got <{root.tag}>")
+    """Decode an envelope; returns ``(service, request)``.
+
+    A create/estimate request comes back read-only: its DAG is shared
+    with every decoded request of the same body (see
+    :func:`repro.core.dagxml.request_from_element`).
+    """
+    root = envelope_from_xml(text)
     service = root.get("service")
     if service in ("create", "estimate"):
-        # Re-parse through the strict create parser.
-        body = ET.tostring(root, encoding="unicode")
-        if service == "estimate":
-            root.set("service", "create")
-            body = ET.tostring(root, encoding="unicode")
-        return service, request_from_xml(body)
+        return service, request_from_element(root)
     if service == "query":
         vmid = root.get("vmid")
         if vmid is None:

@@ -1,17 +1,31 @@
-"""Shared test fixtures: a deterministic instant production line.
+"""Shared test fixtures: a deterministic instant production line, and
+the two-pass wire codec kept as a reference.
 
 ``InstantLine`` implements the ProductionLine interface with constant,
 configurable behaviour so PPP/plant/shop logic can be tested without
 the simulated hypervisor's stochastic timing.
+
+``oracle_*`` is the request codec as it stood before it became one
+pass each way (serialise, re-parse, set ``service``, serialise again;
+parse, serialise, parse again, ``root.find`` the parts, a fresh DAG per
+request).  ``tests/test_wire_codec.py`` holds the live codec to its
+wire bytes, decoded requests and error messages.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set
+import xml.etree.ElementTree as ET
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.actions import Action, ActionResult, ActionStatus
-from repro.core.errors import PlantError
-from repro.core.spec import CreateRequest
+from repro.core.dagxml import _require, dag_from_element, dag_to_element
+from repro.core.errors import PlantError, ProtocolError
+from repro.core.spec import (
+    CreateRequest,
+    HardwareSpec,
+    NetworkSpec,
+    SoftwareSpec,
+)
 from repro.plant.guest import fabricate_outputs
 from repro.plant.production import CloneMode, ProductionLine, VirtualMachine
 from repro.sim.kernel import Environment
@@ -91,3 +105,134 @@ def drive(env: Environment, generator):
     """Run one process to completion and return its value."""
     proc = env.process(generator)
     return env.run(until=proc)
+
+
+# ---------------------------------------------------------------------------
+# Reference wire codec (two passes each way)
+# ---------------------------------------------------------------------------
+
+
+def oracle_request_to_xml(request: CreateRequest) -> str:
+    root = ET.Element(
+        "vmplant-request",
+        {"service": "create", "client": request.client_id},
+    )
+    if request.vm_type is not None:
+        root.set("vm-type", request.vm_type)
+    if request.requirements is not None:
+        root.set("requirements", request.requirements)
+    if request.lease_s is not None:
+        root.set("lease-s", repr(request.lease_s))
+    hw = request.hardware
+    ET.SubElement(
+        root,
+        "hardware",
+        {
+            "isa": hw.isa,
+            "memory-mb": str(hw.memory_mb),
+            "disk-gb": repr(hw.disk_gb),
+            "cpus": str(hw.cpus),
+        },
+    )
+    net = request.network
+    net_attrs = {"domain": net.domain}
+    if net.proxy_host is not None:
+        net_attrs["proxy-host"] = net.proxy_host
+    if net.proxy_port is not None:
+        net_attrs["proxy-port"] = str(net.proxy_port)
+    if net.credentials:
+        net_attrs["credentials"] = net.credentials
+    ET.SubElement(root, "network", net_attrs)
+    sw = ET.SubElement(root, "software", {"os": request.software.os})
+    sw.append(dag_to_element(request.software.dag))
+    return ET.tostring(root, encoding="unicode")
+
+
+def oracle_service_request_to_xml(
+    request: CreateRequest, service: Optional[str] = None
+) -> str:
+    text = oracle_request_to_xml(request)
+    if service is None or service == "create":
+        return text
+    root = ET.fromstring(text)
+    root.set("service", service)
+    return ET.tostring(root, encoding="unicode")
+
+
+def oracle_request_from_xml(text: str) -> CreateRequest:
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise ProtocolError(f"malformed XML: {exc}") from exc
+    if root.tag != "vmplant-request":
+        raise ProtocolError(f"expected <vmplant-request>, got <{root.tag}>")
+    if root.get("service") != "create":
+        raise ProtocolError("only service=\"create\" requests carry a body")
+
+    hw_el = root.find("hardware")
+    if hw_el is None:
+        raise ProtocolError("missing <hardware>")
+    try:
+        hardware = HardwareSpec(
+            isa=hw_el.get("isa", "x86"),
+            memory_mb=int(_require(hw_el, "memory-mb")),
+            disk_gb=float(_require(hw_el, "disk-gb")),
+            cpus=int(hw_el.get("cpus", "1")),
+        )
+    except ValueError as exc:
+        raise ProtocolError(f"bad hardware spec: {exc}") from exc
+
+    net_el = root.find("network")
+    if net_el is not None:
+        port = net_el.get("proxy-port")
+        network = NetworkSpec(
+            domain=net_el.get("domain", "local"),
+            proxy_host=net_el.get("proxy-host"),
+            proxy_port=int(port) if port is not None else None,
+            credentials=net_el.get("credentials", ""),
+        )
+    else:
+        network = NetworkSpec()
+
+    sw_el = root.find("software")
+    if sw_el is None:
+        raise ProtocolError("missing <software>")
+    dag_el = sw_el.find("dag")
+    if dag_el is None:
+        raise ProtocolError("missing <dag> inside <software>")
+    software = SoftwareSpec(
+        os=sw_el.get("os", "linux-mandrake-8.1"),
+        dag=dag_from_element(dag_el),
+    )
+
+    return CreateRequest(
+        hardware=hardware,
+        software=software,
+        network=network,
+        client_id=root.get("client", "anonymous"),
+        vm_type=root.get("vm-type"),
+        requirements=root.get("requirements"),
+        lease_s=(
+            float(root.get("lease-s"))
+            if root.get("lease-s") is not None
+            else None
+        ),
+    )
+
+
+def oracle_service_request_from_xml(text: str) -> Tuple[str, CreateRequest]:
+    """The create/estimate half of the old envelope decoder."""
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise ProtocolError(f"malformed XML: {exc}") from exc
+    if root.tag != "vmplant-request":
+        raise ProtocolError(f"expected <vmplant-request>, got <{root.tag}>")
+    service = root.get("service")
+    if service not in ("create", "estimate"):
+        raise ProtocolError(f"unknown service {service!r}")
+    body = ET.tostring(root, encoding="unicode")
+    if service == "estimate":
+        root.set("service", "create")
+        body = ET.tostring(root, encoding="unicode")
+    return service, oracle_request_from_xml(body)

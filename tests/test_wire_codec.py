@@ -1,0 +1,777 @@
+"""The one-pass wire codec against the retained two-pass oracle, the
+decoded-``<dag>`` intern table, and the O(1) plant memory total.
+
+Three kinds of test:
+
+* differential — seeded random requests and a malformed corpus must
+  give the wire bytes, decoded requests and error messages of
+  ``tests.helpers.oracle_*`` (the codec before it became one pass);
+* behaviour of what is new — strict top-level children, interning,
+  frozen shared DAGs, the running memory total under every path that
+  registers or drops a VM;
+* perf-smoke guards — Python-call budgets (``cProfile`` without
+  builtins, exact and machine-independent) so neither the second pass
+  nor the per-VM sum can come back unnoticed.
+"""
+
+import cProfile
+import dataclasses
+import random
+import xml.etree.ElementTree as ET
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.core import dagxml
+from repro.core.actions import Action, ActionScope, ErrorPolicy
+from repro.core.dag import ConfigDAG
+from repro.core.dagxml import (
+    request_from_element,
+    request_from_xml,
+    request_to_xml,
+)
+from repro.core.errors import DAGError, ProtocolError, ReproError
+from repro.core.spec import (
+    CreateRequest,
+    HardwareSpec,
+    NetworkSpec,
+    SoftwareSpec,
+)
+from repro.plant.infosys import VMInformationSystem
+from repro.plant.migration import MigrationManager
+from repro.plant.production import VirtualMachine
+from repro.plant.speculative import SpeculativeClonePool
+from repro.plant.warehouse import GoldenImage
+from repro.shop.protocol import (
+    service_request_from_xml,
+    service_request_to_xml,
+)
+from repro.sim.cluster import build_testbed
+from repro.workloads.requests import experiment_request
+
+from tests.helpers import (
+    oracle_request_from_xml,
+    oracle_service_request_from_xml,
+    oracle_service_request_to_xml,
+)
+
+
+@pytest.fixture(autouse=True)
+def fresh_intern_table():
+    dagxml._interned_dags.clear()
+    yield
+    dagxml._interned_dags.clear()
+
+
+# ---------------------------------------------------------------------------
+# Generators
+# ---------------------------------------------------------------------------
+
+#: Everything the attribute escaper has a rule for, plus non-ASCII.
+NASTY = ['"', "&", "<", ">", "\n", "'", "é", "日本", " ", "&amp;", " "]
+
+
+def nasty_text(rng: random.Random, prefix: str) -> str:
+    pieces = [prefix]
+    for _ in range(rng.randrange(0, 4)):
+        pieces.append(rng.choice(NASTY))
+        pieces.append(rng.choice(["x", "rpm -i {pkg}", "a b", ""]))
+    return "".join(pieces)
+
+
+def random_param(rng: random.Random):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randrange(-5, 5000)
+    if kind == 1:
+        return rng.choice([0.5, 1e-9, 2.75, -3.0])
+    if kind == 2:
+        return nasty_text(rng, "v")
+    if kind == 3:
+        return [rng.randrange(9), nasty_text(rng, "l")]
+    if kind == 4:
+        return None
+    return rng.choice([True, False])
+
+
+def random_dag(rng: random.Random, depth: int = 0) -> ConfigDAG:
+    n = rng.randrange(1, 7)
+    names = [nasty_text(rng, f"a{depth}-{i}-") for i in range(n)]
+    dag = ConfigDAG()
+    for name in names:
+        dag.add_action(
+            Action(
+                name,
+                scope=rng.choice(list(ActionScope)),
+                command=nasty_text(rng, "cmd "),
+                params={
+                    nasty_text(rng, f"k{j}"): random_param(rng)
+                    for j in range(rng.randrange(0, 4))
+                },
+                outputs=tuple(
+                    nasty_text(rng, f"out{j}")
+                    for j in range(rng.randrange(0, 3))
+                ),
+                on_error=rng.choice(list(ErrorPolicy)),
+                retries=rng.randrange(0, 4),
+            )
+        )
+    for j in range(1, n):
+        for i in range(j):
+            if rng.random() < 0.3:
+                dag.add_edge(names[i], names[j])
+    if depth < 2:
+        for name in names:
+            if rng.random() < 0.25:
+                dag.attach_handler(name, random_dag(rng, depth + 1))
+    return dag
+
+
+def random_request(rng: random.Random) -> CreateRequest:
+    if rng.random() < 0.3:
+        network = NetworkSpec()  # "no network": the all-default spec
+    else:
+        bridged = rng.random() < 0.5
+        network = NetworkSpec(
+            domain=nasty_text(rng, "dom"),
+            proxy_host="proxy.example" if bridged else None,
+            proxy_port=rng.randrange(1, 65536) if bridged else None,
+            credentials=rng.choice(["", nasty_text(rng, "cred")]),
+        )
+    return CreateRequest(
+        hardware=HardwareSpec(
+            isa=rng.choice(["x86", "ia64"]),
+            memory_mb=rng.choice([32, 64, 256, 1024]),
+            disk_gb=rng.choice([4.0, 0.5, 12.25]),
+            cpus=rng.randrange(1, 5),
+        ),
+        software=SoftwareSpec(
+            os=nasty_text(rng, "os-"), dag=random_dag(rng)
+        ),
+        network=network,
+        client_id=nasty_text(rng, "client"),
+        vm_type=rng.choice([None, "vmware", "uml"]),  # None = untyped
+        requirements=rng.choice(
+            [None, 'other.active_vms < 8 && other.os == "linux"']
+        ),
+        lease_s=rng.choice([None, 3600.0, 0.1, 1e6]),
+    )
+
+
+def dag_detail(dag: ConfigDAG):
+    """Everything the wire carries — ``ConfigDAG.__eq__`` alone leaves
+    out outputs, error policies and retry budgets."""
+    return (
+        list(dag.actions.items()),
+        dag.edges(),
+        [(name, dag_detail(h)) for name, h in dag.handlers.items()],
+    )
+
+
+def assert_same_request(got: CreateRequest, want: CreateRequest) -> None:
+    assert got == want
+    assert dag_detail(got.dag) == dag_detail(want.dag)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the live codec against the two-pass oracle
+# ---------------------------------------------------------------------------
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("block", range(6))
+    def test_random_requests_same_bytes_same_requests(self, block):
+        rng = random.Random(20040 + block)
+        for _ in range(60):  # 6 blocks x 60 = 360 requests
+            request = random_request(rng)
+            for service in (None, "create", "estimate"):
+                wire = service_request_to_xml(request, service)
+                assert wire == oracle_service_request_to_xml(request, service)
+                got_service, got = service_request_from_xml(wire)
+                want_service, want = oracle_service_request_from_xml(wire)
+                assert got_service == want_service == (service or "create")
+                assert_same_request(got, want)
+                assert_same_request(got, request)
+            wire = request_to_xml(request)
+            assert wire == oracle_service_request_to_xml(request)
+            assert_same_request(
+                request_from_xml(wire), oracle_request_from_xml(wire)
+            )
+
+    def test_network_element_absent_on_the_wire(self):
+        wire = request_to_xml(experiment_request(32))
+        root = ET.fromstring(wire)
+        root.remove(root.find("network"))
+        text = ET.tostring(root, encoding="unicode")
+        got = request_from_xml(text)
+        assert got.network == NetworkSpec()
+        assert_same_request(got, oracle_request_from_xml(text))
+
+    #: Each entry is a request body; ``{svc}`` takes both services.
+    MALFORMED = [
+        "",
+        "not xml at all",
+        '<vmplant-request service="{svc}"',
+        '<other service="{svc}"/>',
+        '<vmplant-request service="{svc}"/>',
+        '<vmplant-request service="{svc}"><hardware disk-gb="4.0"/>'
+        "</vmplant-request>",
+        '<vmplant-request service="{svc}"><hardware memory-mb="32"/>'
+        "</vmplant-request>",
+        '<vmplant-request service="{svc}">'
+        '<hardware memory-mb="lots" disk-gb="4.0"/></vmplant-request>',
+        '<vmplant-request service="{svc}">'
+        '<hardware memory-mb="-1" disk-gb="4.0"/></vmplant-request>',
+        '<vmplant-request service="{svc}">'
+        '<hardware memory-mb="32" disk-gb="4.0" cpus="0"/>'
+        "</vmplant-request>",
+        '<vmplant-request service="{svc}">'
+        '<hardware memory-mb="32" disk-gb="4.0"/></vmplant-request>',
+        '<vmplant-request service="{svc}">'
+        '<hardware memory-mb="32" disk-gb="4.0"/>'
+        '<network proxy-port="http"/><software><dag/></software>'
+        "</vmplant-request>",
+        '<vmplant-request service="{svc}" lease-s="soon">'
+        '<hardware memory-mb="32" disk-gb="4.0"/>'
+        "<software><dag/></software></vmplant-request>",
+        '<vmplant-request service="{svc}">'
+        '<hardware memory-mb="32" disk-gb="4.0"/><software/>'
+        "</vmplant-request>",
+    ] + [
+        '<vmplant-request service="{svc}">'
+        '<hardware memory-mb="32" disk-gb="4.0"/>'
+        "<software>" + dag + "</software></vmplant-request>"
+        for dag in [
+            "<dag><bogus/></dag>",
+            "<notdag/>",
+            "<dag><action/></dag>",
+            '<dag><action name=""/></dag>',
+            '<dag><action name="a"><bogus/></action></dag>',
+            '<dag><action name="a"><param key="k"/></action></dag>',
+            '<dag><action name="a"><output/></action></dag>',
+            '<dag><action name="a" scope="moon"/></dag>',
+            '<dag><action name="a" on-error="shrug"/></dag>',
+            '<dag><action name="a" retries="-2"/></dag>',
+            '<dag><action name="a" retries="many"/></dag>',
+            '<dag><action name="a"/><action name="a"/></dag>',
+            '<dag><action name="__start__"/></dag>',
+            '<dag><action name="a"/><edge from="a"/></dag>',
+            '<dag><action name="a"/><edge from="a" to="ghost"/></dag>',
+            '<dag><action name="a"/><edge from="a" to="a"/></dag>',
+            '<dag><action name="a"/><action name="b"/>'
+            '<edge from="a" to="b"/><edge from="b" to="a"/></dag>',
+            '<dag><action name="a"/><handler for="a"/></dag>',
+            '<dag><action name="a"/><handler for="a"><dag/><dag/>'
+            "</handler></dag>",
+            '<dag><action name="a"/><handler><dag/></handler></dag>',
+            '<dag><action name="a"/><handler for="ghost"><dag/>'
+            "</handler></dag>",
+            '<dag><action name="a"/><handler for="a"><dag><bogus/></dag>'
+            "</handler></dag>",
+        ]
+    ]
+
+    @staticmethod
+    def outcome(decode, text):
+        # ValueError: a non-numeric retries / proxy-port / lease-s leaves
+        # both decoders unwrapped; compared as it is, not endorsed.
+        try:
+            return decode(text)
+        except (ProtocolError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("template", MALFORMED)
+    def test_malformed_corpus_fails_verbatim(self, template):
+        for svc in ("create", "estimate"):
+            text = template.replace("{svc}", svc)
+            want = self.outcome(oracle_service_request_from_xml, text)
+            assert isinstance(want[0], type), "corpus entry must be rejected"
+            # Twice: a body that failed is not remembered as decoded.
+            for _ in range(2):
+                assert self.outcome(service_request_from_xml, text) == want
+        text = template.replace("{svc}", "create")
+        assert self.outcome(request_from_xml, text) == self.outcome(
+            oracle_request_from_xml, text
+        )
+
+
+# ---------------------------------------------------------------------------
+# Strictness the two-pass decoder promised but did not have
+# ---------------------------------------------------------------------------
+
+
+class TestStrictEnvelope:
+    def envelope(self, service="create") -> ET.Element:
+        return ET.fromstring(
+            service_request_to_xml(experiment_request(32), service)
+        )
+
+    def test_unknown_top_level_child_rejected(self):
+        root = self.envelope()
+        ET.SubElement(root, "firmware", {"bios": "x"})
+        text = ET.tostring(root, encoding="unicode")
+        oracle_request_from_xml(text)  # the old decoder let it through
+        for decode in (request_from_xml, service_request_from_xml):
+            with pytest.raises(
+                ProtocolError, match="unexpected element <firmware>"
+            ):
+                decode(text)
+
+    @pytest.mark.parametrize("tag", ["hardware", "network", "software"])
+    def test_duplicate_top_level_child_rejected(self, tag):
+        root = self.envelope("estimate")
+        root.append(root.find(tag))
+        text = ET.tostring(root, encoding="unicode")
+        oracle_service_request_from_xml(text)
+        with pytest.raises(ProtocolError, match=f"duplicate <{tag}>"):
+            service_request_from_xml(text)
+
+    def test_request_from_xml_still_refuses_other_services(self):
+        text = service_request_to_xml(experiment_request(32), "estimate")
+        with pytest.raises(ProtocolError, match='only service="create"'):
+            request_from_xml(text)
+        service, request = service_request_from_xml(text)
+        assert service == "estimate"
+        assert_same_request(request, experiment_request(32))
+
+    def test_decoding_leaves_the_tree_alone(self):
+        root = self.envelope("estimate")
+        before = ET.tostring(root, encoding="unicode")
+        request_from_element(root)
+        assert ET.tostring(root, encoding="unicode") == before
+        assert root.get("service") == "estimate"
+
+
+# ---------------------------------------------------------------------------
+# The intern table
+# ---------------------------------------------------------------------------
+
+
+def count_top_level_decodes(monkeypatch) -> list:
+    """Route ``dagxml.dag_from_element`` through a counter of the calls
+    made for a request's own ``<dag>`` (handlers recurse through it)."""
+    calls = []
+    real = dagxml.dag_from_element
+    depth = [0]
+
+    def counting(element):
+        if not depth[0]:
+            calls.append(element)
+        depth[0] += 1
+        try:
+            return real(element)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(dagxml, "dag_from_element", counting)
+    return calls
+
+
+def chain_request(tag: str, **action_kwargs) -> CreateRequest:
+    dag = ConfigDAG.from_sequence(
+        [Action("install", command="rpm -i base"),
+         Action(f"step-{tag}", command="configure", **action_kwargs)]
+    )
+    return CreateRequest(
+        hardware=HardwareSpec(memory_mb=64),
+        software=SoftwareSpec(os="linux", dag=dag),
+    )
+
+
+class TestIntern:
+    def test_one_decode_for_200_requests_differing_in_who(self, monkeypatch):
+        calls = count_top_level_decodes(monkeypatch)
+        base = experiment_request(64)
+        decoded = []
+        for i in range(200):
+            request = dataclasses.replace(
+                base,
+                client_id=f"client-{i}",
+                network=NetworkSpec(domain=f"d{i % 7}.example"),
+            )
+            _, back = service_request_from_xml(service_request_to_xml(request))
+            assert_same_request(back, request)
+            decoded.append(back)
+        assert len(calls) == 1
+        assert all(r.dag is decoded[0].dag for r in decoded)
+        assert len({r.client_id for r in decoded}) == 200
+        # The shared instance keeps its caches: same digest object.
+        assert decoded[0].dag.fingerprint() is decoded[-1].dag.fingerprint()
+
+    def test_bounded_with_lru_eviction(self, monkeypatch):
+        calls = count_top_level_decodes(monkeypatch)
+        bound = dagxml.DAG_INTERN_MAX
+        assert bound <= 256
+        wires = [
+            service_request_to_xml(chain_request(str(i)))
+            for i in range(bound + 10)
+        ]
+        for wire in wires[:bound]:
+            service_request_from_xml(wire)
+        assert len(calls) == len(dagxml._interned_dags) == bound
+        service_request_from_xml(wires[0])  # hit: now the most recent
+        assert len(calls) == bound
+        for wire in wires[bound:]:
+            service_request_from_xml(wire)
+        assert len(dagxml._interned_dags) == bound
+        assert len(calls) == bound + 10
+        service_request_from_xml(wires[0])  # survived: recently used
+        assert len(calls) == bound + 10
+        service_request_from_xml(wires[1])  # evicted: decoded afresh
+        assert len(calls) == bound + 11
+
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            ({"on_error": "retry", "retries": 1},
+             {"on_error": "retry", "retries": 3}),
+            ({"outputs": ("ip",)}, {"outputs": ("ip", "port")}),
+            ({"on_error": "fail"}, {"on_error": "ignore"}),
+        ],
+    )
+    def test_same_fingerprint_different_wire_stays_distinct(self, one, other):
+        a, b = chain_request("x", **one), chain_request("x", **other)
+        # Matching identity cannot tell them apart ...
+        assert a.dag.fingerprint() == b.dag.fingerprint()
+        assert a.dag == b.dag
+        # ... the wire and the intern table can.
+        _, da = service_request_from_xml(service_request_to_xml(a))
+        _, db = service_request_from_xml(service_request_to_xml(b))
+        assert da.dag is not db.dag
+        assert dag_detail(da.dag) == dag_detail(a.dag)
+        assert dag_detail(db.dag) == dag_detail(b.dag)
+        assert dag_detail(da.dag) != dag_detail(db.dag)
+
+    def test_interned_dag_and_its_handlers_reject_mutation(self):
+        inner = ConfigDAG.from_sequence([Action("cleanup")])
+        inner.attach_handler(
+            "cleanup", ConfigDAG.from_sequence([Action("give-up")])
+        )
+        dag = ConfigDAG.from_sequence(
+            [Action("a"), Action("b", on_error="handler")]
+        )
+        dag.attach_handler("b", inner)
+        request = CreateRequest(
+            hardware=HardwareSpec(), software=SoftwareSpec(dag=dag)
+        )
+        _, back = service_request_from_xml(service_request_to_xml(request))
+        shared = back.dag
+        nested = shared.handler_for("b")
+        for target in (shared, nested, nested.handler_for("cleanup")):
+            first = next(iter(target))
+            with pytest.raises(DAGError, match="frozen"):
+                target.add_action(Action("late"))
+            with pytest.raises(DAGError, match="frozen"):
+                target.add_edge(first, first)
+            with pytest.raises(DAGError, match="frozen"):
+                target.attach_handler(first, ConfigDAG())
+        assert_same_request(back, request)
+        # A derived DAG is the caller's own again.
+        sub = shared.subdag(["a"])
+        sub.add_action(Action("mine"))
+        assert "mine" not in shared
+        # ... as is anything decoded outside a request.
+        dagxml.dag_from_xml(dagxml.dag_to_xml(dag)).add_action(Action("z"))
+
+    def test_failed_body_is_not_remembered(self):
+        text = (
+            '<vmplant-request service="create">'
+            '<hardware memory-mb="32" disk-gb="4.0"/>'
+            '<software><dag><action name="a"/><edge from="a" to="b"/>'
+            "</dag></software></vmplant-request>"
+        )
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="unknown action 'b'"):
+                service_request_from_xml(text)
+        assert not dagxml._interned_dags
+
+
+# ---------------------------------------------------------------------------
+# Warehouse load: elements straight in
+# ---------------------------------------------------------------------------
+
+
+class TestWarehouseLoad:
+    def test_200_image_round_trip_without_reserialising(self, monkeypatch):
+        from repro.plant.warehouse import VMWarehouse
+
+        steps = [
+            Action(f"step-{i}", command=f"do {i}", params={"n": i})
+            for i in range(10)
+        ]
+        warehouse = VMWarehouse(
+            GoldenImage(
+                image_id=f"img-{i:03d}",
+                vm_type="vmware" if i % 2 else "uml",
+                os=f"os-{i % 5}",
+                hardware=HardwareSpec(memory_mb=32 * (1 + i % 8)),
+                performed=tuple(steps[: i % 10]),
+                memory_state_mb=float(i),
+            )
+            for i in range(200)
+        )
+        text = warehouse.dump_xml()
+
+        def no_tostring(*args, **kwargs):
+            raise AssertionError("load_xml must not re-serialise elements")
+
+        monkeypatch.setattr(ET, "tostring", no_tostring)
+        back = VMWarehouse.load_xml(text)
+        monkeypatch.undo()
+        assert [i.image_id for i in back.images()] == [
+            i.image_id for i in warehouse.images()
+        ]
+        assert list(back.images()) == list(warehouse.images())
+        assert back.dump_xml() == text
+        image = warehouse.images()[7]
+        assert GoldenImage.from_xml(image.to_xml()) == image
+        assert GoldenImage.from_element(image.to_element()) == image
+        with pytest.raises(ProtocolError, match="expected <golden-image>"):
+            GoldenImage.from_element(ET.Element("warehouse"))
+
+
+# ---------------------------------------------------------------------------
+# The running guest-memory total
+# ---------------------------------------------------------------------------
+
+
+def bare_vm(vmid: str, mem: int) -> VirtualMachine:
+    image = GoldenImage(
+        image_id=f"img-{mem}", vm_type="vmware", os="os",
+        hardware=HardwareSpec(memory_mb=mem),
+    )
+    request = CreateRequest(
+        hardware=HardwareSpec(memory_mb=mem), software=SoftwareSpec(os="os")
+    )
+    return VirtualMachine(
+        vmid=vmid, image=image, request=request, vm_type="vmware"
+    )
+
+
+MEMORY = st.sampled_from([32, 64, 256])
+
+
+class MemoryAccounting(RuleBasedStateMachine):
+    """Every way a VM enters or leaves an information system — plant
+    create/destroy/kill, a host crash, migration, pool fill and pool
+    adoption (rename), and the bare store/remove/rename calls — keeps
+    the running total equal to the recomputed sum."""
+
+    def __init__(self):
+        super().__init__()
+        self.bed = build_testbed(seed=12, n_plants=2)
+        self.manager = MigrationManager(self.bed.env, link=self.bed.internode)
+        self.pool = SpeculativeClonePool(
+            self.bed.plants[0], experiment_request(32), target=2
+        )
+        self.bare = VMInformationSystem()
+        self.seq = 0
+        #: Steps since the last crash: crashes empty a plant, so too
+        #: many of them leave the other rules nothing to work on.
+        self.since_crash = 0
+
+    def fresh_id(self, stem: str) -> str:
+        self.seq += 1
+        return f"{stem}-{self.seq}"
+
+    def attempt(self, generator):
+        try:
+            return self.bed.run(generator)
+        except ReproError:
+            return None
+
+    def resident(self, plant):
+        """VMs a client owns (idle pooled clones belong to the pool)."""
+        pooled = set(self.pool._pool)
+        return [
+            vm.vmid for vm in plant.infosys.active() if vm.vmid not in pooled
+        ]
+
+    # -- the plants ------------------------------------------------------
+    @initialize()
+    def populate(self):
+        for plant in self.bed.plants:
+            self.bed.run(
+                plant.create(experiment_request(64), self.fresh_id("vm"))
+            )
+        self.bed.run(self.pool.fill())
+
+    @rule(which=st.integers(0, 1), mem=MEMORY)
+    def create(self, which, mem):
+        plant = self.bed.plants[which]
+        if not plant.down:
+            self.attempt(
+                plant.create(experiment_request(mem), self.fresh_id("vm"))
+            )
+
+    @rule(which=st.integers(0, 1), pick=st.integers(0, 99), kill=st.booleans())
+    def destroy_or_kill(self, which, pick, kill):
+        plant = self.bed.plants[which]
+        vmids = self.resident(plant)
+        if not vmids or plant.down:
+            return
+        vmid = vmids[pick % len(vmids)]
+        if kill:
+            plant.kill_vm(vmid)
+        else:
+            self.attempt(plant.destroy(vmid))
+
+    @precondition(lambda self: self.since_crash >= 6)
+    @rule(which=st.integers(0, 1))
+    def crash_and_recover(self, which):
+        self.since_crash = 0
+        plant = self.bed.plants[which]
+        before = len(plant.infosys)
+        assert plant.fail() == before
+        if which == 0:
+            self.pool.invalidate()
+        assert plant.infosys.total_guest_memory_mb() == 0
+        plant.recover()
+
+    @rule(which=st.integers(0, 1), pick=st.integers(0, 99))
+    def migrate(self, which, pick):
+        source, target = self.bed.plants[which], self.bed.plants[1 - which]
+        vmids = self.resident(source)
+        if vmids and not source.down and not target.down:
+            self.attempt(
+                self.manager.migrate(source, target, vmids[pick % len(vmids)])
+            )
+
+    @rule()
+    def pool_fill(self):
+        if not self.bed.plants[0].down:
+            self.attempt(self.pool.fill())
+
+    @rule(mem=st.sampled_from([32, 64]))
+    def pool_adopt(self, mem):
+        """A hit renames the pooled clone to the shop's id; a 64 MB
+        request misses and renames nothing."""
+        if not self.bed.plants[0].down:
+            self.attempt(
+                self.pool.acquire(
+                    experiment_request(mem), self.fresh_id("adopted")
+                )
+            )
+
+    # -- a bare information system ----------------------------------------
+    @rule(mem=MEMORY)
+    def store(self, mem):
+        self.bare.store(bare_vm(self.fresh_id("bare"), mem))
+
+    @precondition(lambda self: len(self.bare))
+    @rule(pick=st.integers(0, 99), rename=st.booleans())
+    def remove_or_rename(self, pick, rename):
+        vms = self.bare.active()
+        vm = vms[pick % len(vms)]
+        if rename:
+            assert self.bare.rename(vm.vmid, self.fresh_id("renamed")) is vm
+        else:
+            assert self.bare.remove(vm.vmid) is vm
+
+    @precondition(lambda self: len(self.bare))
+    @rule()
+    def refused_calls_change_nothing(self):
+        first = self.bare.active()[0]
+        total = self.bare.total_guest_memory_mb()
+        for call in (
+            lambda: self.bare.store(bare_vm(first.vmid, 256)),
+            lambda: self.bare.remove("ghost"),
+            lambda: self.bare.rename("ghost", "other"),
+            lambda: self.bare.rename(first.vmid, first.vmid),
+        ):
+            with pytest.raises(ReproError):
+                call()
+        assert self.bare.total_guest_memory_mb() == total
+
+    @invariant()
+    def running_total_is_the_sum(self):
+        systems = [plant.infosys for plant in self.bed.plants] + [self.bare]
+        for infosys in systems:
+            assert infosys.total_guest_memory_mb() == sum(
+                vm.memory_mb for vm in infosys.active()
+            )
+        for plant in self.bed.plants:
+            assert plant.committed_memory_mb() == (
+                plant.infosys.total_guest_memory_mb()
+            )
+        self.since_crash += 1
+
+
+TestMemoryAccounting = MemoryAccounting.TestCase
+TestMemoryAccounting.settings = settings(
+    max_examples=30, stateful_step_count=30, deadline=None
+)
+
+
+# ---------------------------------------------------------------------------
+# Perf-smoke guards: exact Python-call budgets
+# ---------------------------------------------------------------------------
+
+
+def python_calls(fn) -> int:
+    profile = cProfile.Profile(builtins=False)
+    profile.enable()
+    try:
+        fn()
+    finally:
+        profile.disable()
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+class TestCallBudgets:
+    def test_memory_total_makes_no_per_vm_call(self):
+        small, large = VMInformationSystem(), VMInformationSystem()
+        small.store(bare_vm("only", 64))
+        for i in range(500):
+            large.store(bare_vm(f"vm-{i}", 64))
+        assert large.total_guest_memory_mb() == 500 * 64
+        cost = python_calls(large.total_guest_memory_mb)
+        assert cost == python_calls(small.total_guest_memory_mb)
+        assert cost <= 3
+
+    def test_repeated_body_decodes_within_budget(self):
+        base = experiment_request(64)
+        wires = [
+            service_request_to_xml(
+                dataclasses.replace(base, client_id=f"c{i}")
+            )
+            for i in range(50)
+        ]
+        service_request_from_xml(wires[0])  # first-seen: full strict parse
+        first_seen = python_calls(
+            lambda: service_request_from_xml(
+                service_request_to_xml(experiment_request(256, os="other"))
+            )
+        )
+        repeated = python_calls(
+            lambda: [service_request_from_xml(w) for w in wires[1:]]
+        ) / len(wires[1:])
+        # 21 at the time of writing (envelope, three spec dataclasses and
+        # their checks, the intern lookup); the two-pass decoder spent
+        # ~190 on this body, a fresh DAG build alone ~100.
+        assert repeated <= 30
+        assert repeated < first_seen / 3
+
+    def test_encoding_serialises_once_per_service(self, monkeypatch):
+        calls = []
+        real = ET.tostring
+        monkeypatch.setattr(
+            ET, "tostring", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        monkeypatch.setattr(
+            ET, "fromstring",
+            lambda *a, **k: pytest.fail("encoder must not re-parse"),
+        )
+        request = experiment_request(32)
+        service_request_to_xml(request, "estimate")
+        service_request_to_xml(request, "create")
+        service_request_to_xml(request, "estimate")  # memo
+        assert len(calls) == 2

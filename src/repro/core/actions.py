@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
@@ -136,9 +137,13 @@ class Action:
         """Parameters as a plain dict (values are ``repr`` strings)."""
         return dict(self.params)
 
-    @property
+    @cached_property
     def signature(self) -> str:
-        """Content hash identifying the operation across plants."""
+        """Content hash identifying the operation across plants.
+
+        Hashed on first read and kept on the (frozen) instance; not a
+        dataclass field, so ``==``, ``hash`` and ``repr`` ignore it.
+        """
         payload = "\x1f".join(
             [
                 self.name,

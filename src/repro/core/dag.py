@@ -31,7 +31,9 @@ invalidated by the mutators (:meth:`ConfigDAG.add_action`,
 DAG that is still being built behaves exactly like an uncached one.
 A DAG shared between requests (the wire decoder interns equal
 ``<dag>`` bodies) is sealed with :meth:`ConfigDAG.freeze`: the
-mutators then raise, so its caches stay warm and valid for good.
+mutators then raise, so its caches stay warm and valid for good, and
+:meth:`ConfigDAG.fingerprint` / :meth:`ConfigDAG.validate` answer from
+a stored result without walking the handler tree.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ class ConfigDAG:
         self._handlers: Dict[str, "ConfigDAG"] = {}
         #: Set by :meth:`freeze`; the mutators refuse a frozen DAG.
         self._frozen = False
+        #: Answers kept for good once frozen (no version token needed:
+        #: neither this DAG nor its handler tree can change any more).
+        self._frozen_fingerprint: Optional[str] = None
+        self._frozen_valid = False
         #: Bumped on every mutation; guards every structural cache.
         self._version = 0
         self._invalidate()
@@ -332,16 +338,22 @@ class ConfigDAG:
         request-level memo tables avoid re-hashing deep structure
         tuples on every lookup.
         """
+        digest = self._frozen_fingerprint
+        if digest is not None:
+            return digest
         token = self._state_token()
         cached = self._fingerprint_cache
         if cached is not None and cached[0] == token:
-            return cached[1]
-        import hashlib
+            digest = cached[1]
+        else:
+            import hashlib
 
-        digest = hashlib.sha256(
-            repr(self.structure()).encode("utf-8")
-        ).hexdigest()
-        self._fingerprint_cache = (token, digest)
+            digest = hashlib.sha256(
+                repr(self.structure()).encode("utf-8")
+            ).hexdigest()
+            self._fingerprint_cache = (token, digest)
+        if self._frozen:
+            self._frozen_fingerprint = digest
         return digest
 
     # -- validation and order ------------------------------------------------
@@ -350,13 +362,17 @@ class ConfigDAG:
 
         Cycles are prevented at ``add_edge`` time, so this re-checks
         with an independent algorithm (Kahn count) as defence in depth
-        and validates attached handlers.
+        and validates attached handlers.  A frozen DAG is checked
+        once; it cannot become invalid afterwards.
         """
+        if self._frozen_valid:
+            return
         order = self.topological_sort()
         if len(order) != len(self._actions):
             raise DAGError("cycle detected")  # pragma: no cover - guarded
         for handler in self._handlers.values():
             handler.validate()
+        self._frozen_valid = self._frozen
 
     def _topo(self) -> Tuple[str, ...]:
         """Memoized deterministic topological order."""

@@ -134,7 +134,10 @@ def _action_from_element(el: ET.Element) -> Action:
     scope = el.get("scope", ActionScope.GUEST.value)
     command = el.get("command", "")
     on_error = el.get("on-error", ErrorPolicy.FAIL.value)
-    retries = int(el.get("retries", "0"))
+    try:
+        retries = int(el.get("retries", "0"))
+    except ValueError:
+        raise _not_a_number(el, "retries", "an integer") from None
     params: Dict[str, object] = {}
     outputs = []
     for child in el:
@@ -174,6 +177,13 @@ def _require(el: ET.Element, attr: str) -> str:
     if value is None:
         raise ProtocolError(f"<{el.tag}> missing required attribute {attr!r}")
     return value
+
+
+def _not_a_number(el: ET.Element, attr: str, want: str) -> ProtocolError:
+    return ProtocolError(
+        f"<{el.tag}> attribute {attr!r} must be {want},"
+        f" got {el.get(attr)!r}"
+    )
 
 
 def dag_to_xml(dag: ConfigDAG) -> str:
@@ -326,10 +336,14 @@ def request_from_element(root: ET.Element) -> CreateRequest:
     net_el = parts.get("network")
     if net_el is not None:
         port = net_el.get("proxy-port")
+        try:
+            proxy_port = int(port) if port is not None else None
+        except ValueError:
+            raise _not_a_number(net_el, "proxy-port", "an integer") from None
         network = NetworkSpec(
             domain=net_el.get("domain", "local"),
             proxy_host=net_el.get("proxy-host"),
-            proxy_port=int(port) if port is not None else None,
+            proxy_port=proxy_port,
             credentials=net_el.get("credentials", ""),
         )
     else:
@@ -347,6 +361,10 @@ def request_from_element(root: ET.Element) -> CreateRequest:
     )
 
     lease = root.get("lease-s")
+    try:
+        lease_s = float(lease) if lease is not None else None
+    except ValueError:
+        raise _not_a_number(root, "lease-s", "a number") from None
     return CreateRequest(
         hardware=hardware,
         software=software,
@@ -354,5 +372,5 @@ def request_from_element(root: ET.Element) -> CreateRequest:
         client_id=root.get("client", "anonymous"),
         vm_type=root.get("vm-type"),
         requirements=root.get("requirements"),
-        lease_s=float(lease) if lease is not None else None,
+        lease_s=lease_s,
     )

@@ -2,20 +2,54 @@
 
 The brute-force reference (:func:`repro.core.matching.select_golden`)
 re-runs the full Section 3.2 criterion against *every* image on every
-bid.  :class:`MatchIndex` makes the same selection without touching
-the request DAG for images that can never match:
+bid.  :class:`MatchIndex` makes the same selection in time that follows
+the part of the catalog the request actually matches:
 
-* images are bucketed by the exact-equality part of the hardware/
-  software criterion — ``(vm_type, os, isa, memory_mb)`` — so
-  vm-type/OS/hardware rejection is a dict lookup, not a scan;
-* within a bucket, images are grouped into *profiles* by their
-  performed sequence's ``(name, signature)`` pairs: every image in a
-  profile passes or fails the DAG-side tests identically, so the
-  Subset/Prefix/Partial Order/signature tests run once per distinct
-  profile instead of once per image;
-* the index is maintained incrementally by
-  :meth:`~repro.plant.warehouse.VMWarehouse.publish` /
-  :meth:`~repro.plant.warehouse.VMWarehouse.unpublish`.
+**Buckets.**  Images are bucketed by the exact-equality part of the
+hardware/software criterion — ``(vm_type, os, isa, memory_mb)`` — so
+vm-type/OS/hardware rejection is a dict lookup, not a scan.
+
+**Trie.**  A golden image is a prefix of a configuration chain, so
+within a bucket the performed sequences form a prefix trie: one edge
+per performed step, keyed by ``(name, signature)``; a node holds the
+images whose whole sequence ends there (one *profile*: they pass or
+fail the DAG-side tests identically).  A request can only match along
+root-to-node paths of that trie.
+
+**Per-edge predicate.**  :meth:`MatchIndex.select` walks the trie
+carrying ``seen``, the bitset of steps performed on the way down.  An
+edge ``(name, sig)`` is followed iff
+
+1. ``name`` is an action of the request DAG (Subset Test),
+2. the DAG's action of that name has signature ``sig``
+   (signature-conflict test),
+3. ``name`` is not already in ``seen`` (a duplicate fails the Partial
+   Order Test), and
+4. every DAG ancestor of ``name`` is in ``seen`` — the Prefix and
+   Partial Order tests at once.
+
+A sequence passes the four Section 3.2 tests iff each of its steps
+passes this predicate in turn: "every ancestor performed earlier, no
+step twice" is exactly "downward-closed and consistently ordered".
+
+**Pruning is exact.**  An edge that fails fails for every sequence
+extending it, so its whole subtree is skipped without being looked at:
+a foreign name, a conflicting signature or a duplicate is still there
+however the sequence continues; and an ancestor missing at this step
+is either never performed (the extension is not downward-closed — the
+Prefix Test fails) or performed later (out of order — the Partial
+Order Test fails).  Nothing below a failed edge can match, and
+everything the walk reaches does.
+
+**Complexity.**  One query costs O(matching nodes + edges tried at
+them) dict lookups and machine-word operations, all inside one
+function — no per-profile call, no hashing (:attr:`Action.signature
+<repro.core.actions.Action.signature>` is computed once per action) —
+independent of how many images or profiles the catalog holds.  The
+trie is maintained incrementally by
+:meth:`~repro.plant.warehouse.VMWarehouse.publish` /
+:meth:`~repro.plant.warehouse.VMWarehouse.unpublish` in O(sequence
+length).
 
 The selection is bit-identical to the brute-force path: the same
 image wins (deepest satisfied prefix, then lexicographically smallest
@@ -28,42 +62,52 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.dag import ConfigDAG
-from repro.core.matching import MatchResult, match_performed
+from repro.core.matching import MatchResult
 from repro.core.spec import HardwareSpec
 
 __all__ = ["MatchIndex"]
 
 #: Bucket key: the exact-equality part of the matching criterion.
 BucketKey = Tuple[str, str, str, int]
-#: Profile key: the performed sequence as (name, signature) pairs.
-ProfileKey = Tuple[Tuple[str, str], ...]
+#: Trie edge: one performed step as (name, signature).
+Step = Tuple[str, str]
 
 
-class _Profile:
-    """All images of one bucket sharing one performed sequence."""
+class _Node:
+    """One performed-sequence prefix in a bucket's trie."""
 
-    __slots__ = ("performed", "performed_names", "images")
+    __slots__ = ("parent", "step", "names", "children", "images", "size")
 
-    def __init__(self, performed):
-        self.performed = performed
-        self.performed_names: Tuple[str, ...] = tuple(
-            a.name for a in performed
+    def __init__(self, parent: Optional["_Node"], step: Optional[Step]):
+        self.parent = parent
+        #: The edge from ``parent`` (None at a bucket's root).
+        self.step = step
+        #: Step names from the root to here — the ``satisfied`` tuple
+        #: of every image held at this node.
+        self.names: Tuple[str, ...] = (
+            () if parent is None else parent.names + (step[0],)
         )
-        #: image_id → image, for deterministic winner selection.
+        self.children: Dict[Step, "_Node"] = {}
+        #: image_id → image, the images whose sequence ends here.
         self.images: Dict[str, object] = {}
-
-    @property
-    def depth(self) -> int:
-        return len(self.performed_names)
+        #: Images at or below this node; a node lives while it is > 0.
+        self.size = 0
 
 
 class MatchIndex:
-    """Incrementally maintained index over a warehouse's images."""
+    """Incrementally maintained index over a warehouse's images.
+
+    ``stats["profiles_tested"]`` counts the profiles (trie nodes
+    holding images) the walk *reached*, i.e. the ones whose sequence
+    the request matches; profiles in pruned subtrees are never tested,
+    which is the point of the trie.
+    """
 
     def __init__(self) -> None:
-        self._buckets: Dict[BucketKey, Dict[ProfileKey, _Profile]] = {}
-        #: image_id → (bucket key, profile key) for O(1) removal.
-        self._locator: Dict[str, Tuple[BucketKey, ProfileKey]] = {}
+        #: Bucket key → root of that bucket's trie.
+        self._buckets: Dict[BucketKey, _Node] = {}
+        #: image_id → (bucket key, node holding it) for O(depth) removal.
+        self._locator: Dict[str, Tuple[BucketKey, _Node]] = {}
         #: Query counters (benchmarks and the scalability experiment).
         self.stats: Dict[str, int] = {
             "queries": 0,
@@ -80,37 +124,38 @@ class MatchIndex:
         return self._n_images
 
     # -- maintenance -------------------------------------------------------
-    @staticmethod
-    def _bucket_key(image) -> BucketKey:
-        hw: HardwareSpec = image.hardware
-        return (image.vm_type, image.os, hw.isa, hw.memory_mb)
-
-    @staticmethod
-    def _profile_key(image) -> ProfileKey:
-        return tuple((a.name, a.signature) for a in image.performed)
-
     def add(self, image) -> None:
         """Index one published image."""
-        bucket_key = self._bucket_key(image)
-        profile_key = self._profile_key(image)
-        bucket = self._buckets.setdefault(bucket_key, {})
-        profile = bucket.get(profile_key)
-        if profile is None:
-            profile = bucket[profile_key] = _Profile(image.performed)
-        profile.images[image.image_id] = image
-        self._locator[image.image_id] = (bucket_key, profile_key)
+        hw: HardwareSpec = image.hardware
+        bucket_key = (image.vm_type, image.os, hw.isa, hw.memory_mb)
+        node = self._buckets.get(bucket_key)
+        if node is None:
+            node = self._buckets[bucket_key] = _Node(None, None)
+        node.size += 1
+        for action in image.performed:
+            step = (action.name, action.signature)
+            child = node.children.get(step)
+            if child is None:
+                child = node.children[step] = _Node(node, step)
+            child.size += 1
+            node = child
+        node.images[image.image_id] = image
+        self._locator[image.image_id] = (bucket_key, node)
         self._n_images += 1
 
     def remove(self, image_id: str) -> None:
-        """Drop one unpublished image (empty groups are pruned)."""
-        bucket_key, profile_key = self._locator.pop(image_id)
-        bucket = self._buckets[bucket_key]
-        profile = bucket[profile_key]
-        del profile.images[image_id]
-        if not profile.images:
-            del bucket[profile_key]
-        if not bucket:
-            del self._buckets[bucket_key]
+        """Drop one unpublished image (emptied branches are pruned)."""
+        bucket_key, node = self._locator.pop(image_id)
+        del node.images[image_id]
+        while node is not None:
+            node.size -= 1
+            parent = node.parent
+            if node.size == 0:
+                if parent is None:
+                    del self._buckets[bucket_key]
+                else:
+                    del parent.children[node.step]
+            node = parent
         self._n_images -= 1
 
     def note_select(self, image_id: str) -> None:
@@ -125,19 +170,17 @@ class MatchIndex:
         self.popularity[image_id] = self.popularity.get(image_id, 0) + 1
 
     # -- queries -----------------------------------------------------------
-    def _candidate_buckets(
+    def _candidate_roots(
         self, hardware: HardwareSpec, os: str, vm_type: Optional[str]
-    ) -> List[Dict[ProfileKey, _Profile]]:
+    ) -> List[_Node]:
         if vm_type is not None:
-            bucket = self._buckets.get(
+            root = self._buckets.get(
                 (vm_type, os, hardware.isa, hardware.memory_mb)
             )
-            return [bucket] if bucket is not None else []
+            return [root] if root is not None else []
         want = (os, hardware.isa, hardware.memory_mb)
         return [
-            bucket
-            for key, bucket in self._buckets.items()
-            if key[1:] == want
+            root for key, root in self._buckets.items() if key[1:] == want
         ]
 
     def select(
@@ -153,38 +196,56 @@ class MatchIndex:
         matches.  ``dag`` is assumed validated by the caller (the
         warehouse's memoized entry point validates once per request).
         """
-        self.stats["queries"] += 1
-        best_key: Optional[Tuple[int, str]] = None
-        best_image = None
-        best_names: Optional[Tuple[str, ...]] = None
-        considered = 0
-        for bucket in self._candidate_buckets(hardware, os, vm_type):
-            for profile in bucket.values():
-                considered += len(profile.images)
-                self.stats["profiles_tested"] += 1
-                if match_performed(profile.performed, dag) is not None:
+        stats = self.stats
+        stats["queries"] += 1
+        # Depth-first over the matching part of each candidate trie;
+        # ``seen`` is the bitset of the steps performed on the way down.
+        stack: List[Tuple[_Node, int]] = []
+        skipped = self._n_images
+        for root in self._candidate_roots(hardware, os, vm_type):
+            skipped -= root.size
+            stack.append((root, 0))
+        stats["images_skipped_by_bucket"] += skipped
+        if not stack:
+            return None, None
+        bits = dag.name_bits()
+        signatures = dag.signature_map()
+        ancestors = dag.ancestor_masks()
+        disk_gb, cpus = hardware.disk_gb, hardware.cpus
+        best_id = ""
+        best_node: Optional[_Node] = None
+        best_depth = -1
+        reached = 0
+        while stack:
+            node, seen = stack.pop()
+            if node.images:
+                reached += 1
+                depth = len(node.names)
+                if depth >= best_depth:
+                    for image_id, image in node.images.items():
+                        hw = image.hardware
+                        if hw.disk_gb < disk_gb or hw.cpus < cpus:
+                            continue
+                        if depth > best_depth or image_id < best_id:
+                            best_depth = depth
+                            best_id = image_id
+                            best_node = node
+            for (name, signature), child in node.children.items():
+                # Foreign name (None) or conflicting content.
+                if signatures.get(name) != signature:
                     continue
-                for image_id, image in profile.images.items():
-                    hw = image.hardware
-                    if (
-                        hw.disk_gb < hardware.disk_gb
-                        or hw.cpus < hardware.cpus
-                    ):
-                        continue
-                    key = (-profile.depth, image_id)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_image = image
-                        best_names = profile.performed_names
-        self.stats["images_skipped_by_bucket"] += (
-            self._n_images - considered
-        )
-        if best_image is None or best_names is None:
+                bit = 1 << bits[name]
+                # Duplicate step, or a prerequisite not performed yet.
+                if seen & bit or ancestors[name] & ~seen:
+                    continue
+                stack.append((child, seen | bit))
+        stats["profiles_tested"] += reached
+        if best_node is None:
             return None, None
         result = MatchResult(
-            best_image.image_id,
+            best_id,
             True,
-            satisfied=best_names,
-            residual=tuple(dag.residual_after(best_names)),
+            satisfied=best_node.names,
+            residual=tuple(dag.residual_after(best_node.names)),
         )
-        return best_image, result
+        return best_node.images[best_id], result

@@ -25,10 +25,15 @@ when the warehouse already holds a well-configured machine.
 
 The individual tests run on :class:`~repro.core.dag.ConfigDAG`'s
 memoized structural caches (name→bit interning, ancestor-closure
-bitsets), so each is a handful of machine-word operations per
-performed action.  :func:`select_golden` remains the brute-force
-reference: the warehouse's :class:`~repro.core.matchindex.MatchIndex`
-must stay bit-identical to it.
+bitsets) and on :attr:`Action.signature
+<repro.core.actions.Action.signature>`, which is hashed once per
+action, so each test is one pass of dict lookups and machine-word
+operations over the performed actions — four passes and four calls
+per image.  :func:`select_golden` remains the brute-force reference,
+linear in the number of images; the warehouse's
+:class:`~repro.core.matchindex.MatchIndex` folds the four tests into
+one per-edge predicate over a prefix trie and must stay bit-identical
+to it.
 """
 
 from __future__ import annotations

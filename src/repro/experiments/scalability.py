@@ -16,8 +16,9 @@ warehouse* instead of the plant count: the site's eight plants bid on
 identical creations while the warehouse is padded with distinct
 (unmatchable) image profiles.  With the indexed + memoized matching
 path the per-site DAG-test work stays flat — every plant after the
-first hits the shared memo, and the index tests each distinct profile
-at most once per warehouse generation.
+first hits the shared memo, and the index's prefix trie tests only the
+profiles on the request's matching path: each filler hangs off an edge
+the walk refuses and is never reached.
 """
 
 from __future__ import annotations
@@ -116,7 +117,10 @@ def _run_one(
 class MatchingScalabilityResult:
     """Warehouse-size sweep of the indexed/memoized matching path."""
 
-    #: extra filler images → per-run counters.
+    #: extra filler images → per-run counters.  ``profiles_tested``
+    #: (the "profiles tested" column) counts the profiles whose trie
+    #: node an index query reached, i.e. that the request matches;
+    #: profiles in pruned subtrees are not tested and not counted.
     points: Dict[int, Dict[str, float]]
     requests: int
 
@@ -142,8 +146,8 @@ class MatchingScalabilityResult:
         lines.append("-" * 68)
         lines.append(
             "every plant after the first answers from the shared memo; "
-            "the index tests each distinct profile at most once per "
-            "warehouse generation"
+            "profiles tested = profiles the index's trie walk reached "
+            "(pruned subtrees are never tested)"
         )
         return "\n".join(lines)
 
@@ -154,7 +158,7 @@ def _matching_fillers(n: int) -> List[GoldenImage]:
     Each filler shares the query's bucket (vm_type/os/isa/memory) so
     the index cannot discard it wholesale, but carries a site-local
     package action foreign to the request DAG, so the subset test
-    rejects it — a distinct profile the index must test exactly once.
+    rejects it — a distinct profile the index has to rule out.
     """
     base = install_os_action(MANDRAKE_OS)
     return [

@@ -1,5 +1,6 @@
-"""Shared test fixtures: a deterministic instant production line, and
-the two-pass wire codec kept as a reference.
+"""Shared test fixtures: a deterministic instant production line, the
+two-pass wire codec kept as a reference, and the Python-call counter
+of the call-budget tests.
 
 ``InstantLine`` implements the ProductionLine interface with constant,
 configurable behaviour so PPP/plant/shop logic can be tested without
@@ -14,6 +15,7 @@ wire bytes, decoded requests and error messages.
 
 from __future__ import annotations
 
+import cProfile
 import xml.etree.ElementTree as ET
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
@@ -107,6 +109,18 @@ def drive(env: Environment, generator):
     return env.run(until=proc)
 
 
+def python_calls(fn) -> int:
+    """Python-level calls ``fn()`` makes (``cProfile`` without builtins:
+    exact and machine-independent, like the e2e benchmark's counter)."""
+    profile = cProfile.Profile(builtins=False)
+    profile.enable()
+    try:
+        fn()
+    finally:
+        profile.disable()
+    return sum(entry.callcount for entry in profile.getstats())
+
+
 # ---------------------------------------------------------------------------
 # Reference wire codec (two passes each way)
 # ---------------------------------------------------------------------------
@@ -185,10 +199,17 @@ def oracle_request_from_xml(text: str) -> CreateRequest:
     net_el = root.find("network")
     if net_el is not None:
         port = net_el.get("proxy-port")
+        try:
+            proxy_port = int(port) if port is not None else None
+        except ValueError:
+            raise ProtocolError(
+                "<network> attribute 'proxy-port' must be an integer,"
+                f" got {port!r}"
+            ) from None
         network = NetworkSpec(
             domain=net_el.get("domain", "local"),
             proxy_host=net_el.get("proxy-host"),
-            proxy_port=int(port) if port is not None else None,
+            proxy_port=proxy_port,
             credentials=net_el.get("credentials", ""),
         )
     else:
@@ -205,6 +226,14 @@ def oracle_request_from_xml(text: str) -> CreateRequest:
         dag=dag_from_element(dag_el),
     )
 
+    lease = root.get("lease-s")
+    try:
+        lease_s = float(lease) if lease is not None else None
+    except ValueError:
+        raise ProtocolError(
+            "<vmplant-request> attribute 'lease-s' must be a number,"
+            f" got {lease!r}"
+        ) from None
     return CreateRequest(
         hardware=hardware,
         software=software,
@@ -212,11 +241,7 @@ def oracle_request_from_xml(text: str) -> CreateRequest:
         client_id=root.get("client", "anonymous"),
         vm_type=root.get("vm-type"),
         requirements=root.get("requirements"),
-        lease_s=(
-            float(root.get("lease-s"))
-            if root.get("lease-s") is not None
-            else None
-        ),
+        lease_s=lease_s,
     )
 
 

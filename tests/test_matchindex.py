@@ -7,14 +7,34 @@ image, same satisfied/residual tuples, for every randomized
 publish/unpublish.  The property suite below covers chains, diamonds,
 wide fan-outs, random DAGs, signature conflicts and every hardware/os
 rejection axis, and asserts well over 200 randomized cases.
+
+The index is a prefix trie per bucket, so a hypothesis state machine
+(:class:`TrieMachine`) also drives publish / unpublish / select with
+performed sequences chosen to attack the trie — shared prefixes,
+same-name conflicts at one depth, duplicates, late or missing
+prerequisites, foreign names, the empty sequence, twin buckets — and
+checks the trie's shape after every step.  Exact Python-call budgets
+(``cProfile`` without builtins) keep a query's cost tied to the path it
+matches, not to the catalog's size.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import pickle
 import random
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.actions import Action
 from repro.core.dag import ConfigDAG
@@ -23,6 +43,8 @@ from repro.core.matching import select_golden
 from repro.core.matchindex import MatchIndex
 from repro.core.spec import HardwareSpec
 from repro.plant.warehouse import GoldenImage, VMWarehouse
+
+from tests.helpers import python_calls
 
 OSES = ("rh8", "deb3")
 VM_TYPES = ("vmware", "uml")
@@ -313,3 +335,333 @@ class TestDagCacheInvalidation:
         assert dag.residual_after(["a0", "a1"]) == ["a2", "a3", "a4"]
         with pytest.raises(DAGError):
             dag.residual_after(["a1"])
+
+
+class TestFrozenDag:
+    def handled_dag(self) -> Tuple[ConfigDAG, ConfigDAG]:
+        dag = ConfigDAG.from_sequence([action(0), action(1)])
+        handler = ConfigDAG.from_sequence([Action("fix", command="f")])
+        dag.attach_handler("a0", handler)
+        return dag, handler
+
+    def test_freezing_keeps_the_fingerprint(self):
+        dag, _ = self.handled_dag()
+        twin, _ = self.handled_dag()
+        before = dag.fingerprint()
+        dag.freeze()
+        assert dag.fingerprint() == before  # cached before the freeze
+        assert twin.freeze().fingerprint() == before  # computed after it
+
+    def test_mutated_then_frozen_reports_the_mutation(self):
+        dag, handler = self.handled_dag()
+        stale = dag.fingerprint()
+        # The parent's memo is keyed on the handler's version, which a
+        # freeze must not mistake for current.
+        handler.add_action(Action("fix2", command="g"))
+        dag.freeze()
+        fresh, fresh_handler = self.handled_dag()
+        fresh_handler.add_action(Action("fix2", command="g"))
+        assert dag.fingerprint() == fresh.fingerprint() != stale
+        dag.validate()
+
+    def test_subdag_of_frozen_is_unfrozen_and_tracks_edits(self):
+        dag, _ = self.handled_dag()
+        dag.freeze()
+        dag.validate()
+        sub = dag.subdag(["a0", "a1"])
+        assert sub.fingerprint() == dag.fingerprint()
+        sub.add_action(action(2)).add_edge("a1", "a2")
+        assert sub.fingerprint() != dag.fingerprint()
+        sub.validate()
+        assert sub.topological_sort() == ["a0", "a1", "a2"]
+        with pytest.raises(DAGError, match="frozen"):
+            dag.add_action(action(2))
+
+    def test_memo_hit_on_frozen_dag_skips_token_and_topo(self, monkeypatch):
+        dag, _ = self.handled_dag()
+        dag.freeze()
+        hw = HardwareSpec(memory_mb=32)
+        wh = VMWarehouse(
+            [GoldenImage("img", "vmware", "rh8", hw, performed=(action(0),))]
+        )
+        first = wh.select(dag, hw, "rh8", "vmware")
+
+        def no_walk(self):
+            raise AssertionError("frozen DAG re-derived on a memo hit")
+
+        monkeypatch.setattr(ConfigDAG, "_state_token", no_walk)
+        monkeypatch.setattr(ConfigDAG, "_topo", no_walk)
+        assert wh.select(dag, hw, "rh8", "vmware") is first
+        assert wh.match_stats["memo_hits"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The trie under attack: a hypothesis state machine
+# ---------------------------------------------------------------------------
+
+def _diamond() -> ConfigDAG:
+    dag = ConfigDAG()
+    for i in range(6):
+        dag.add_action(action(i))
+    for before, after in ((0, 1), (0, 2), (1, 3), (2, 3), (4, 5)):
+        dag.add_edge(f"a{before}", f"a{after}")
+    return dag
+
+
+#: Request DAGs over a0..a5 the machine queries with.
+REQUEST_DAGS = (
+    ConfigDAG.from_sequence(action(i) for i in range(6)),
+    _diamond(),
+    fanout_dag(random.Random(0), 6),
+    ConfigDAG.from_sequence([action(0), action(1)]),
+    ConfigDAG(),
+)
+
+#: One performed step: a request action, the same name with other
+#: content (signature conflict), or a name no request has.
+STEP = st.one_of(
+    st.integers(0, 5).map(action),
+    st.integers(0, 5).map(lambda i: action(i, command="conflicting!")),
+    st.just(Action("zz-foreign", command="zzz")),
+)
+#: Any order, any repeats: late or missing prerequisites, duplicates,
+#: foreign names mid-sequence and the empty sequence all come out of
+#: this; the named corpus below makes sure each is hit.
+SEQUENCE = st.lists(STEP, max_size=6).map(tuple)
+ADVERSARIAL = {
+    "empty": (),
+    "valid-chain": (action(0), action(1), action(2)),
+    "shared-prefix-diverges": (action(0), action(2)),
+    "same-name-other-signature": (action(0), action(1, "conflicting!")),
+    "duplicate": (action(0), action(1), action(0)),
+    "prerequisite-late": (action(1), action(0)),
+    "prerequisite-never": (action(0), action(3)),
+    "foreign-mid-sequence": (
+        action(0), Action("zz-foreign", command="zzz"), action(1),
+    ),
+}
+#: (vm_type, os, memory): twin buckets differ in one component only.
+BUCKETS = st.tuples(
+    st.sampled_from(VM_TYPES),
+    st.sampled_from(OSES),
+    st.sampled_from((32, 64)),
+)
+
+
+class TrieMachine(RuleBasedStateMachine):
+    """publish / unpublish / select in any order: the warehouse keeps
+    answering like ``select_golden`` and the trie keeps its shape."""
+
+    def __init__(self):
+        super().__init__()
+        self.wh = VMWarehouse()
+        self.live = {}
+        self.serial = 0
+
+    def _publish(self, bucket, performed, disk_gb=4.0):
+        vm_type, os, memory_mb = bucket
+        self.serial += 1
+        image = GoldenImage(
+            f"img{self.serial:03d}", vm_type, os,
+            HardwareSpec(memory_mb=memory_mb, disk_gb=disk_gb),
+            performed=performed,
+        )
+        self.wh.publish(image)
+        self.live[image.image_id] = image
+
+    @rule(bucket=BUCKETS, performed=SEQUENCE,
+          disk_gb=st.sampled_from((2.0, 4.0)))
+    def publish(self, bucket, performed, disk_gb):
+        self._publish(bucket, performed, disk_gb)
+
+    @rule(bucket=BUCKETS, case=st.sampled_from(sorted(ADVERSARIAL)))
+    def publish_adversarial(self, bucket, case):
+        self._publish(bucket, ADVERSARIAL[case])
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data(), bucket=st.none() | BUCKETS, tail=SEQUENCE)
+    def publish_relative(self, data, bucket, tail):
+        """Same sequence in a twin bucket, or a sibling branching off an
+        existing one part-way."""
+        base = self.live[data.draw(st.sampled_from(sorted(self.live)))]
+        keep = data.draw(st.integers(0, len(base.performed)))
+        own = (base.vm_type, base.os, base.hardware.memory_mb)
+        self._publish(bucket or own, base.performed[:keep] + tail)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def unpublish(self, data):
+        image_id = data.draw(st.sampled_from(sorted(self.live)))
+        assert self.wh.unpublish(image_id) is self.live.pop(image_id)
+
+    @rule(
+        dag=st.sampled_from(REQUEST_DAGS),
+        bucket=BUCKETS,
+        disk_gb=st.sampled_from((2.0, 4.0)),
+        any_vm_type=st.booleans(),
+    )
+    def select(self, dag, bucket, disk_gb, any_vm_type):
+        vm_type, os, memory_mb = bucket
+        assert_equivalent(
+            self.wh, dag,
+            HardwareSpec(memory_mb=memory_mb, disk_gb=disk_gb),
+            os, None if any_vm_type else vm_type,
+        )
+
+    @invariant()
+    def trie_is_minimal(self):
+        index = self.wh._index
+        assert len(index) == len(self.live)
+        assert set(index._locator) == set(self.live)
+        assert set(index._buckets) == {
+            (i.vm_type, i.os, i.hardware.isa, i.hardware.memory_mb)
+            for i in self.live.values()
+        }
+        held = 0
+        stack = list(index._buckets.values())
+        while stack:
+            node = stack.pop()
+            # No dead wood: a node is there for an image at or below it.
+            assert node.images or node.children
+            assert node.size == len(node.images) + sum(
+                child.size for child in node.children.values()
+            )
+            held += len(node.images)
+            for step, child in node.children.items():
+                assert child.parent is node and child.step == step
+                assert child.names == node.names + (step[0],)
+                stack.append(child)
+        assert held == len(self.live)
+
+
+TestTrieMachine = TrieMachine.TestCase
+TestTrieMachine.settings = settings(
+    max_examples=200, stateful_step_count=25, deadline=None
+)
+
+
+class TestAdversarialSequences:
+    #: Which named sequences are usable prefixes of which request DAG.
+    MATCHES = {
+        0: {"empty", "valid-chain"},  # the chain a0..a5
+        # the diamond: a1 and a2 both need only a0
+        1: {"empty", "valid-chain", "shared-prefix-diverges"},
+    }
+
+    @pytest.mark.parametrize("dag_no", sorted(MATCHES))
+    def test_named_cases_match_exactly_where_they_should(self, dag_no):
+        dag = REQUEST_DAGS[dag_no]
+        hw = HardwareSpec(memory_mb=32)
+        for case, performed in ADVERSARIAL.items():
+            index = MatchIndex()
+            index.add(
+                GoldenImage(case, "vmware", "rh8", hw, performed=performed)
+            )
+            image, result = index.select(dag, hw, "rh8", "vmware")
+            assert (image is not None) == (case in self.MATCHES[dag_no]), case
+            if image is not None:
+                assert result.satisfied == tuple(a.name for a in performed)
+        wh = VMWarehouse(
+            GoldenImage(f"{case}/{vm_type}", vm_type, "rh8", hw,
+                        performed=performed)
+            for case, performed in ADVERSARIAL.items()
+            for vm_type in VM_TYPES
+        )
+        for vm_type in (None,) + VM_TYPES:
+            assert_equivalent(wh, dag, hw, "rh8", vm_type)
+
+
+# ---------------------------------------------------------------------------
+# Perf-smoke guards: exact Python-call budgets
+# ---------------------------------------------------------------------------
+
+
+def chain_step(k: int, variant: int) -> Action:
+    return Action(
+        f"step-{k:02d}", command="install {pkg}",
+        params={"pkg": f"pkg-{k}-{variant}"},
+    )
+
+
+def chain_catalog(rng: random.Random, n: int, start: int = 0):
+    """Images cut from a 12-step chain with 3 variants per step (the
+    e2e benchmark's ``site_catalog`` shape)."""
+    hw = HardwareSpec(memory_mb=64)
+    return [
+        GoldenImage(
+            f"catalog-{start + i:05d}", "vmware", "rh8", hw,
+            performed=tuple(
+                chain_step(k, rng.randrange(3))
+                for k in range(rng.randint(1, 12))
+            ),
+        )
+        for i in range(n)
+    ]
+
+
+class TestCallBudgets:
+    def test_memo_miss_cost_follows_the_path_not_the_catalog(
+        self, monkeypatch
+    ):
+        rng = random.Random(13)
+        hw = HardwareSpec(memory_mb=64)
+        dag = ConfigDAG.from_sequence(
+            [chain_step(k, 0) for k in range(12)]
+            + [Action("tail", command="useradd -m user")]
+        )
+        wh = VMWarehouse(chain_catalog(rng, 200))
+        wh.select(dag, hw, "rh8", "vmware")  # the DAG's own caches fill
+
+        def miss() -> int:
+            # A publish in another bucket voids the memo and leaves
+            # this bucket's trie alone.
+            wh.publish(
+                GoldenImage(f"other-{len(wh)}", "uml", "rh8", hw)
+            )
+            hits = wh.match_stats["memo_hits"]
+            reached = wh.index_stats["profiles_tested"]
+            cost = python_calls(lambda: wh.select(dag, hw, "rh8", "vmware"))
+            assert wh.match_stats["memo_hits"] == hits
+            return cost, wh.index_stats["profiles_tested"] - reached
+
+        def no_hashing(*args, **kwargs):
+            raise AssertionError("matching must not hash")
+
+        monkeypatch.setattr(hashlib, "sha256", no_hashing)
+        small, reached_small = miss()
+        monkeypatch.undo()
+        for image in chain_catalog(rng, 1800, start=200):
+            wh.publish(image)
+        monkeypatch.setattr(hashlib, "sha256", no_hashing)
+        large, reached_large = miss()
+        # 23 at the time of writing; the flat profile scan spent ~1,500
+        # on the small catalog and ten times that on the large one.
+        assert small == large <= 60
+        assert reached_small <= reached_large <= 12
+
+    def test_signature_hashes_once(self, monkeypatch):
+        calls = []
+        real = hashlib.sha256
+        monkeypatch.setattr(
+            hashlib, "sha256", lambda data: calls.append(1) or real(data)
+        )
+        step = chain_step(3, 1)
+        assert len({step.signature for _ in range(1000)}) == 1
+        assert len(calls) == 1
+        # A later read is an instance-dict hit: only the lambda is called.
+        assert python_calls(lambda: step.signature) == 1
+
+    def test_cached_signature_stays_out_of_identity(self):
+        unread, read = chain_step(3, 1), chain_step(3, 1)
+        signature = read.signature
+        assert unread == read and hash(unread) == hash(read)
+        assert repr(unread) == repr(read)
+        for original in (unread, read):
+            for clone in (
+                pickle.loads(pickle.dumps(original)),
+                copy.copy(original),
+                copy.deepcopy(original),
+            ):
+                assert clone == original and hash(clone) == hash(original)
+                assert clone.signature == signature
+        assert chain_step(3, 2).signature != signature

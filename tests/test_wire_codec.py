@@ -14,7 +14,6 @@ Three kinds of test:
   nor the per-VM sum can come back unnoticed.
 """
 
-import cProfile
 import dataclasses
 import random
 import xml.etree.ElementTree as ET
@@ -61,6 +60,7 @@ from tests.helpers import (
     oracle_request_from_xml,
     oracle_service_request_from_xml,
     oracle_service_request_to_xml,
+    python_calls,
 )
 
 
@@ -281,11 +281,9 @@ class TestAgainstOracle:
 
     @staticmethod
     def outcome(decode, text):
-        # ValueError: a non-numeric retries / proxy-port / lease-s leaves
-        # both decoders unwrapped; compared as it is, not endorsed.
         try:
             return decode(text)
-        except (ProtocolError, ValueError) as exc:
+        except ProtocolError as exc:
             return type(exc), str(exc)
 
     @pytest.mark.parametrize("template", MALFORMED)
@@ -301,6 +299,34 @@ class TestAgainstOracle:
         assert self.outcome(request_from_xml, text) == self.outcome(
             oracle_request_from_xml, text
         )
+
+    @pytest.mark.parametrize(
+        "fragment, message",
+        [
+            (
+                'retries="many"',
+                "<action> attribute 'retries' must be an integer,"
+                " got 'many'",
+            ),
+            (
+                'proxy-port="http"',
+                "<network> attribute 'proxy-port' must be an integer,"
+                " got 'http'",
+            ),
+            (
+                'lease-s="soon"',
+                "<vmplant-request> attribute 'lease-s' must be a number,"
+                " got 'soon'",
+            ),
+        ],
+    )
+    def test_non_numeric_attribute_names_itself(self, fragment, message):
+        (template,) = [t for t in self.MALFORMED if fragment in t]
+        for svc in ("create", "estimate"):
+            text = template.replace("{svc}", svc)
+            assert self.outcome(service_request_from_xml, text) == (
+                ProtocolError, message
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -714,16 +740,6 @@ TestMemoryAccounting.settings = settings(
 # ---------------------------------------------------------------------------
 # Perf-smoke guards: exact Python-call budgets
 # ---------------------------------------------------------------------------
-
-
-def python_calls(fn) -> int:
-    profile = cProfile.Profile(builtins=False)
-    profile.enable()
-    try:
-        fn()
-    finally:
-        profile.disable()
-    return sum(entry.callcount for entry in profile.getstats())
 
 
 class TestCallBudgets:

@@ -78,10 +78,13 @@ class ConfigDAG:
         self._handlers: Dict[str, "ConfigDAG"] = {}
         #: Set by :meth:`freeze`; the mutators refuse a frozen DAG.
         self._frozen = False
-        #: Answers kept for good once frozen (no version token needed:
-        #: neither this DAG nor its handler tree can change any more).
-        self._frozen_fingerprint: Optional[str] = None
-        self._frozen_valid = False
+        #: :meth:`fingerprint` of a frozen DAG, kept for good (neither
+        #: this DAG nor its handler tree can change any more, so no
+        #: version token is needed).  A frozen DAG is also valid for
+        #: good — :meth:`freeze` validates — so a memo that finds this
+        #: set may key on it without calling :meth:`validate` or
+        #: :meth:`fingerprint`; ``None`` until first fingerprinted.
+        self.sealed_fingerprint: Optional[str] = None
         #: Bumped on every mutation; guards every structural cache.
         self._version = 0
         self._invalidate()
@@ -123,7 +126,9 @@ class ConfigDAG:
         carries the same body: :meth:`add_action`, :meth:`add_edge`
         and :meth:`attach_handler` raise :class:`DAGError` from now on.
         Derive a changed DAG with :meth:`subdag` or build a new one.
+        The DAG is validated first: frozen implies valid from then on.
         """
+        self.validate()
         self._frozen = True
         for handler in self._handlers.values():
             handler.freeze()
@@ -338,7 +343,7 @@ class ConfigDAG:
         request-level memo tables avoid re-hashing deep structure
         tuples on every lookup.
         """
-        digest = self._frozen_fingerprint
+        digest = self.sealed_fingerprint
         if digest is not None:
             return digest
         token = self._state_token()
@@ -353,7 +358,7 @@ class ConfigDAG:
             ).hexdigest()
             self._fingerprint_cache = (token, digest)
         if self._frozen:
-            self._frozen_fingerprint = digest
+            self.sealed_fingerprint = digest
         return digest
 
     # -- validation and order ------------------------------------------------
@@ -362,17 +367,16 @@ class ConfigDAG:
 
         Cycles are prevented at ``add_edge`` time, so this re-checks
         with an independent algorithm (Kahn count) as defence in depth
-        and validates attached handlers.  A frozen DAG is checked
-        once; it cannot become invalid afterwards.
+        and validates attached handlers.  A frozen DAG was checked by
+        :meth:`freeze` and cannot become invalid afterwards.
         """
-        if self._frozen_valid:
+        if self._frozen:
             return
         order = self.topological_sort()
         if len(order) != len(self._actions):
             raise DAGError("cycle detected")  # pragma: no cover - guarded
         for handler in self._handlers.values():
             handler.validate()
-        self._frozen_valid = self._frozen
 
     def _topo(self) -> Tuple[str, ...]:
         """Memoized deterministic topological order."""

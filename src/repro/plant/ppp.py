@@ -107,15 +107,15 @@ class ProductionProcessPlanner:
             line = self.lines.get(vm_type)
             if line is None or not line.can_host(request):
                 continue
+            software = request.software
             image, result = self.warehouse.select(
-                request.dag,
-                request.hardware,
-                request.software.os,
-                vm_type,
+                software.dag, request.hardware, software.os, vm_type
             )
             if image is None or result is None:
                 continue
-            key = (-result.depth, vm_type)
+            # Deepest match first (MatchResult.depth, read inline: this
+            # runs once per plant bid).
+            key = (-len(result.satisfied), vm_type)
             if best is None or key < (best[0], best[1]):
                 best = (key[0], key[1], image, result, line)
         if best is None:

@@ -175,13 +175,8 @@ class VMPlant(PlantView):
                     return None
             if not request.to_classad().matches(description):
                 return None
-        line_ok = any(
-            line.can_host(request)
-            for vm_type, line in self.lines.items()
-            if request.vm_type in (None, vm_type)
-        )
-        if not line_ok:
-            return None
+        # "No production line can host the request" is decided inside
+        # plan(), line by line, and surfaces as its PlantError.
         try:
             self.ppp.plan(
                 ProductionOrder(vmid="__estimate__", request=request)

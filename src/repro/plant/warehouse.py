@@ -287,12 +287,28 @@ class VMWarehouse:
         which is what lets P plants bidding on one request share a
         single evaluation of the Section 3.2 tests.
         """
-        dag.validate()
+        # A frozen DAG that has been through here before carries its
+        # fingerprint as a plain attribute and is valid for good: the
+        # per-bid memo hit then makes no call to build its key.
+        fingerprint = dag.sealed_fingerprint
+        if fingerprint is None:
+            dag.validate()
+            fingerprint = dag.fingerprint()
         self.match_stats["queries"] += 1
         if self._memo_generation != self.generation:
             self._memo.clear()
             self._memo_generation = self.generation
-        key = (dag.fingerprint(), hardware, os, vm_type)
+        # The hardware spec's fields, not the spec: same equality, and
+        # hashing the key stays out of the dataclass's Python __hash__.
+        key = (
+            fingerprint,
+            hardware.isa,
+            hardware.memory_mb,
+            hardware.disk_gb,
+            hardware.cpus,
+            os,
+            vm_type,
+        )
         hit = self._memo.get(key)
         if hit is not None:
             self.match_stats["memo_hits"] += 1

@@ -11,6 +11,12 @@ Because the pool is small (4 per plant in the paper's illustration),
 it is a scarce resource: the Section 3.4 cost function charges a
 one-time "network cost" exactly when a request requires a fresh
 allocation from this pool.
+
+Every plant bid asks the pool whether a domain still fits, so the
+queries are O(1) on maintained state: a switch is assigned iff its
+domain is a key of the domain map, hence ``free_count`` is a
+difference of two lengths, and a VM's switch is found by id in a
+dict.  Only a fresh allocation scans for the first free switch.
 """
 
 from __future__ import annotations
@@ -153,6 +159,12 @@ class HostOnlyNetworkPool:
             )
             for i in range(count)
         ]
+        self._by_id: Dict[str, HostOnlyNetwork] = {
+            net.network_id: net for net in self.networks
+        }
+        #: domain -> its switch; holds exactly the assigned switches
+        #: (:meth:`check_isolation` asserts it), which is what lets
+        #: :attr:`free_count` answer without scanning them.
         self._by_domain: Dict[str, HostOnlyNetwork] = {}
         self._allocators: Dict[str, IPAllocator] = {
             net.network_id: IPAllocator(net.subnet) for net in self.networks
@@ -166,8 +178,8 @@ class HostOnlyNetworkPool:
     # -- queries ------------------------------------------------------------
     @property
     def free_count(self) -> int:
-        """Number of unassigned switches."""
-        return sum(1 for net in self.networks if net.is_free)
+        """Number of unassigned switches (O(1), no scan)."""
+        return len(self.networks) - len(self._by_domain)
 
     def network_of(self, domain: str) -> Optional[HostOnlyNetwork]:
         """The switch currently assigned to ``domain``, if any."""
@@ -175,7 +187,8 @@ class HostOnlyNetworkPool:
 
     def has_capacity_for(self, domain: str) -> bool:
         """Can a VM of ``domain`` be attached (existing or fresh)?"""
-        return domain in self._by_domain or self.free_count > 0
+        by_domain = self._by_domain
+        return domain in by_domain or len(by_domain) < len(self.networks)
 
     def would_be_fresh(self, domain: str) -> bool:
         """Would attaching a VM of ``domain`` consume a free switch?"""
@@ -222,7 +235,7 @@ class HostOnlyNetworkPool:
         network_id = self._vm_network.pop(old_vmid)
         self._vm_network[new_vmid] = network_id
         self._vm_ip[new_vmid] = self._vm_ip.pop(old_vmid)
-        net = next(n for n in self.networks if n.network_id == network_id)
+        net = self._by_id[network_id]
         net.attached.discard(old_vmid)
         net.attached.add(new_vmid)
         self.version += 1
@@ -237,7 +250,7 @@ class HostOnlyNetworkPool:
         if network_id is None:
             return False
         ip = self._vm_ip.pop(vmid)
-        net = next(n for n in self.networks if n.network_id == network_id)
+        net = self._by_id[network_id]
         net.attached.discard(vmid)
         self._allocators[network_id].release(ip)
         self.version += 1
@@ -255,7 +268,11 @@ class HostOnlyNetworkPool:
         return len(self._vm_network)
 
     def check_isolation(self) -> None:
-        """Assert the cross-domain isolation invariant (for tests)."""
+        """Assert the cross-domain isolation invariant (for tests).
+
+        Also asserts what :attr:`free_count` rests on: the domain map
+        holds exactly the assigned switches, each under its own domain.
+        """
         owners: Dict[str, str] = {}
         for domain, net in self._by_domain.items():
             if net.network_id in owners:
@@ -264,6 +281,17 @@ class HostOnlyNetworkPool:
                     f"{owners[net.network_id]!r} and {domain!r}"
                 )
             owners[net.network_id] = domain
+            if net.domain != domain:
+                raise VNetError(
+                    f"switch {net.network_id} is mapped to {domain!r} "
+                    f"but records domain {net.domain!r}"
+                )
+        for net in self.networks:
+            if not net.is_free and net.network_id not in owners:
+                raise VNetError(
+                    f"switch {net.network_id} is assigned to "
+                    f"{net.domain!r} but missing from the domain map"
+                )
 
     def __repr__(self) -> str:
         return (

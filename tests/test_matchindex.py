@@ -393,6 +393,47 @@ class TestFrozenDag:
         monkeypatch.setattr(ConfigDAG, "_topo", no_walk)
         assert wh.select(dag, hw, "rh8", "vmware") is first
         assert wh.match_stats["memo_hits"] == 1
+        # Its key is read off the DAG, not asked of it.
+        monkeypatch.setattr(ConfigDAG, "validate", no_walk)
+        monkeypatch.setattr(ConfigDAG, "fingerprint", no_walk)
+        assert wh.select(dag, hw, "rh8", "vmware") is first
+        assert wh.match_stats == {"queries": 3, "memo_hits": 2}
+
+    def test_sealed_fingerprint_is_the_fingerprint_once_frozen(self):
+        dag, handler = self.handled_dag()
+        digest = dag.fingerprint()
+        assert dag.sealed_fingerprint is None  # still mutable
+        dag.freeze()
+        assert dag.sealed_fingerprint is None  # not asked since
+        assert dag.fingerprint() == digest == dag.sealed_fingerprint
+        assert handler.fingerprint() == handler.sealed_fingerprint
+
+    def test_memo_keys_on_hardware_fields(self):
+        dag, _ = self.handled_dag()
+        dag.freeze()
+        wh = VMWarehouse(
+            [
+                GoldenImage(
+                    "img", "vmware", "rh8",
+                    HardwareSpec(memory_mb=32, disk_gb=4.0),
+                    performed=(action(0),),
+                )
+            ]
+        )
+        fits = wh.select(dag, HardwareSpec(memory_mb=32), "rh8", "vmware")
+        assert fits[0].image_id == "img"
+        # Equal specs share an entry; any differing field does not.
+        assert wh.select(
+            dag, HardwareSpec(memory_mb=32), "rh8", "vmware"
+        ) is fits
+        for other in (
+            HardwareSpec(memory_mb=64),
+            HardwareSpec(memory_mb=32, disk_gb=8.0),
+            HardwareSpec(memory_mb=32, cpus=2),
+            HardwareSpec(memory_mb=32, isa="ppc"),
+        ):
+            assert wh.select(dag, other, "rh8", "vmware") == (None, None)
+        assert wh.match_stats == {"queries": 6, "memo_hits": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,15 @@
 """Unit tests for the virtual-networking subsystem."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.errors import VNetError
 from repro.vnet.hostonly import HostOnlyNetworkPool, IPAllocator
@@ -122,6 +131,105 @@ class TestHostOnlyNetworkPool:
             HostOnlyNetworkPool("p", count=0)
         with pytest.raises(ValueError):
             HostOnlyNetworkPool("p", release_policy="whenever")
+
+
+class PoolMachine(RuleBasedStateMachine):
+    """attach / detach / rename in any order, under either release
+    policy: the O(1) ``free_count`` keeps agreeing with a count of the
+    free switches, and the isolation check keeps passing."""
+
+    DOMAINS = tuple(f"d{i}" for i in range(5))
+
+    @initialize(
+        policy=st.sampled_from(("sticky", "refcount")),
+        count=st.integers(1, 4),
+    )
+    def build(self, policy, count):
+        self.pool = HostOnlyNetworkPool(
+            "p", count=count, release_policy=policy
+        )
+        self.policy = policy
+        self.attached = {}  # vmid -> domain
+        self.serial = 0
+
+    def _fresh_vmid(self):
+        self.serial += 1
+        return f"vm{self.serial}"
+
+    @rule(domain=st.sampled_from(DOMAINS))
+    def attach(self, domain):
+        pool = self.pool
+        fits = pool.has_capacity_for(domain)
+        assert fits == (
+            pool.network_of(domain) is not None
+            or any(net.is_free for net in pool.networks)
+        )
+        vmid = self._fresh_vmid()
+        if not fits:
+            with pytest.raises(VNetError, match="no free host-only"):
+                pool.attach(domain, vmid)
+            return
+        fresh = pool.would_be_fresh(domain)
+        assert pool.attach(domain, vmid).fresh_allocation == fresh
+        self.attached[vmid] = domain
+
+    @precondition(lambda self: self.attached)
+    @rule(data=st.data())
+    def detach(self, data):
+        vmid = data.draw(st.sampled_from(sorted(self.attached)))
+        domain = self.attached.pop(vmid)
+        assert self.pool.detach(vmid)
+        assert not self.pool.detach(vmid)  # idempotent
+        last = domain not in self.attached.values()
+        released = self.policy == "refcount" and last
+        assert (self.pool.network_of(domain) is None) == released
+
+    @precondition(lambda self: self.attached)
+    @rule(data=st.data())
+    def rename(self, data):
+        old = data.draw(st.sampled_from(sorted(self.attached)))
+        new = self._fresh_vmid()
+        net = self.pool.network_of(self.attached[old])
+        self.pool.rename(old, new)
+        self.attached[new] = self.attached.pop(old)
+        assert new in net.attached and old not in net.attached
+
+    @invariant()
+    def free_count_is_a_count_of_free_switches(self):
+        pool = self.pool
+        assert pool.free_count == sum(
+            1 for net in pool.networks if net.is_free
+        )
+        assert pool.attached_count() == len(self.attached)
+        for net in pool.networks:
+            assert net.attached == {
+                vmid
+                for vmid, domain in self.attached.items()
+                if pool.network_of(domain) is net
+            }
+        pool.check_isolation()
+
+
+TestPoolMachine = PoolMachine.TestCase
+TestPoolMachine.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)
+
+
+class TestCheckIsolation:
+    def test_assigned_switch_missing_from_the_map_is_reported(self):
+        pool = HostOnlyNetworkPool("p", count=2)
+        pool.attach("d1", "vm1")
+        pool.networks[1].domain = "smuggled"
+        with pytest.raises(VNetError, match="missing from the domain map"):
+            pool.check_isolation()
+
+    def test_switch_mapped_under_another_domain_is_reported(self):
+        pool = HostOnlyNetworkPool("p", count=2)
+        pool.attach("d1", "vm1")
+        pool.networks[0].domain = "d2"
+        with pytest.raises(VNetError, match="records domain"):
+            pool.check_isolation()
 
 
 class TestVirtualNetworkService:

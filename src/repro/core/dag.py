@@ -110,6 +110,8 @@ class ConfigDAG:
         :meth:`attach_handler`; the token lets those caches detect
         handler mutations at any nesting depth.
         """
+        if not self._handlers:  # the common case, asked once per bid
+            return (self._version, ())
         return (
             self._version,
             tuple(
@@ -372,7 +374,7 @@ class ConfigDAG:
         """
         if self._frozen:
             return
-        order = self.topological_sort()
+        order = self._topo()
         if len(order) != len(self._actions):
             raise DAGError("cycle detected")  # pragma: no cover - guarded
         for handler in self._handlers.values():

@@ -92,7 +92,7 @@ def run_costfn(
             request = experiment_request(32, domain="client.example.org")
             bids = yield from bed.shop.estimate(request)
             bid_map = {b.bidder_name: b.cost for b in bids}
-            ad = yield from bed.shop.create(request)
+            ad = yield from bed.shop.create(request, bids=bids)
             plant = str(ad["plant"])
             result.decisions.append(
                 (seq, plant, bid_map.get(plant, float("nan")), bid_map)

@@ -11,6 +11,13 @@ only.  Cross-site traffic happens in exactly two cases —
   :class:`~repro.faults.recovery.RecoveryPolicy` (creation-cost bids
   grow with queue depth, so a high bid *is* the saturation signal).
 
+Each placement costs the site **one** local bid round
+(:meth:`FederationGateway.place_local`): the bids that answer "should
+this request leave the site?" are the bids the local create is
+dispatched from.  A create that follows simulated time — a remote's
+spill target, the saturated create after a failed ladder — bids
+afresh, because plant state has moved.
+
 Only then does the gateway collect bids from remote site gateways,
 bounded by ``spill_deadline_s`` so one slow WAN peer cannot stall the
 round, and walks the ranked remote bids as a **failover ladder**: a
@@ -212,6 +219,43 @@ class FederationGateway:
                     return ad, getattr(bid.bidder, "site", -1)
         return None
 
+    def place_local(
+        self,
+        request: CreateRequest,
+        clone_mode: Optional[Any] = None,
+        can_spill: bool = True,
+    ) -> Generator:
+        """The site-local half of placement, on one bid round.
+
+        Collects the site's bids once, decides from them whether the
+        request should leave the site, and otherwise creates it here
+        *from those same bids* (``VMShop.create(..., bids=)``): no time
+        has passed since they were collected, so asking every plant
+        again would only repeat the answers.  Every entry into the
+        federation goes through here — :meth:`place` and the two shard
+        scenarios, which differ only in how a spilled request travels.
+
+        Returns ``(classad, local_bids)``; the classad is ``None``
+        when the request should spill (ledgered as saturated or
+        declined), which only happens while ``can_spill`` — a caller
+        with nowhere to spill to gets the saturated local create, or
+        :class:`ShopError` when the site declined outright.
+        """
+        local_bids = yield from self.shop.estimate(request)
+        if can_spill and self.should_spill(local_bids):
+            if local_bids:
+                self.spills_saturated += 1
+            else:
+                self.spills_declined += 1
+            return None, local_bids
+        if not local_bids:
+            raise ShopError(
+                f"site {self.site}: no local plant bid for the request"
+            )
+        ad = yield from self.shop.create(request, clone_mode, bids=local_bids)
+        self.local_creates += 1
+        return ad, local_bids
+
     def place(
         self,
         request: CreateRequest,
@@ -223,21 +267,16 @@ class FederationGateway:
         and the site that hosts it.  Raises :class:`ShopError` when
         the local site declines/saturates and no remote bids either.
         """
-        local_bids = yield from self.shop.estimate(request)
-        if not self.should_spill(local_bids):
-            ad = yield from self.shop.create(request, clone_mode)
-            self.local_creates += 1
+        ad, local_bids = yield from self.place_local(request, clone_mode)
+        if ad is not None:
             return ad, self.site
-        if local_bids:
-            self.spills_saturated += 1
-        else:
-            self.spills_declined += 1
 
         placed = yield from self._spill(request, clone_mode)
         if placed is not None:
             return placed
         if local_bids:
-            # Saturated is still better than failed.
+            # Saturated is still better than failed.  The ladder took
+            # simulated time, so this create bids afresh.
             ad = yield from self.shop.create(request, clone_mode)
             self.local_creates += 1
             return ad, self.site

@@ -71,8 +71,6 @@ class _FederationHandle:
         "spills_sent",
         "spills_recv",
         "spilled_ok",
-        "spill_declined",
-        "spill_saturated",
         "spill_failed",
         "spill_timeout",
         "spill_retries",
@@ -108,8 +106,6 @@ class _FederationHandle:
         self.spills_sent = 0
         self.spills_recv = 0
         self.spilled_ok = 0
-        self.spill_declined = 0
-        self.spill_saturated = 0
         self.spill_failed = 0
         self.spill_timeout = 0
         self.spill_retries = 0
@@ -325,6 +321,7 @@ class FederationScenario(ShardScenario):
 
     def collect(self, handle: _FederationHandle) -> Dict[str, Any]:
         shop = handle.shop
+        gateway = handle.fsite.gateway
         stats = {
             "created": handle.created,
             "destroyed": handle.destroyed,
@@ -332,8 +329,8 @@ class FederationScenario(ShardScenario):
             "spills_sent": handle.spills_sent,
             "spills_recv": handle.spills_recv,
             "spilled_ok": handle.spilled_ok,
-            "spill_declined": handle.spill_declined,
-            "spill_saturated": handle.spill_saturated,
+            "spill_declined": gateway.spills_declined,
+            "spill_saturated": gateway.spills_saturated,
             "spill_failed": handle.spill_failed,
             "spill_timeout": handle.spill_timeout,
             "acks_sent": handle.acks_sent,
@@ -379,25 +376,16 @@ class FederationScenario(ShardScenario):
             handle.routes[i] and handle.spill_link is not None
         )
         if not spill:
-            # Site-local discovery first: bid only inside the site.
-            local_bids = yield from handle.shop.estimate(request)
-            if gateway.should_spill(local_bids) and (
-                handle.spill_link is not None
-            ):
-                spill = True
-                if local_bids:
-                    handle.spill_saturated += 1
-                else:
-                    handle.spill_declined += 1
-            elif not local_bids:
+            # Site-local discovery first: one bid round inside the
+            # site decides spill-or-stay and places the stayers.
+            try:
+                ad, _ = yield from gateway.place_local(
+                    request, can_spill=handle.spill_link is not None
+                )
+            except ReproError:
                 handle.failed += 1
                 return
-            else:
-                try:
-                    ad = yield from handle.shop.create(request)
-                except ReproError:
-                    handle.failed += 1
-                    return
+            if ad is not None:
                 handle.created += 1
                 handle.latencies.append(env.now - start)
                 trace(env, "federation", "created-local", req=i)

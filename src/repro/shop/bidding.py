@@ -36,6 +36,11 @@ class Bid:
     cost: float
     #: The service object that will receive the create call.
     bidder: Any
+    #: Simulated instant the collection round that gathered this bid
+    #: ended.  A bid quotes plant state as of then, so a shop only
+    #: dispatches from handed-in bids while the clock still reads
+    #: ``at`` (hand-made bids carry ``None`` and are never accepted).
+    at: Optional[float] = None
 
 
 class BidCollector:
@@ -70,7 +75,8 @@ class BidCollector:
         ``deadline_s`` set, collection stops after that many seconds
         and still-pending bidders are simply left out of the result
         (their eventual answers — or failures — are defused).  Returns
-        the list of successful bids in bidder order.
+        the list of successful bids in bidder order, each stamped with
+        the instant the round ended.
         """
         procs = []
         for bidder in bidders:
@@ -93,14 +99,13 @@ class BidCollector:
                         # must not crash the kernel once we stop caring.
                         proc.callbacks.append(_mark_defused)
         bids: List[Bid] = []
+        now = self.env.now
         for bidder, proc in zip(bidders, procs):
             if not proc.triggered:
                 continue
             cost = proc.value
             if cost is not None:
-                bids.append(
-                    Bid(bidder_name=bidder.name, cost=float(cost), bidder=bidder)
-                )
+                bids.append(Bid(bidder.name, float(cost), bidder, now))
         self.collections += 1
         self.bids_collected += len(bids)
         return bids

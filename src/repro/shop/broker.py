@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional, Sequence
 
-from repro.core.errors import ShopError
+from repro.core.errors import ReproError, ShopError
 from repro.core.spec import CreateRequest
 from repro.plant.production import CloneMode
 
@@ -65,8 +65,12 @@ class VMBroker:
         clone_mode: Optional[CloneMode] = None,
     ) -> Generator:
         """Route creation to the current best plant for the request."""
-        # Re-estimate at create time: plant state may have moved since
-        # the bid was collected.  The winner stays local to this call.
+        # Re-estimate at create time: the create reaches the broker one
+        # transport hop after its bid was collected, and plant state
+        # may have moved in between (other requests' creates landed).
+        # That is modelled behaviour, kept even when the shop reuses
+        # its caller's bid round; it is cheap because a memo-hit plant
+        # bid is O(1).  The winner stays local to this call.
         _, plant = self._best(request)
         if plant is None:
             raise ShopError(
@@ -90,11 +94,16 @@ class VMBroker:
         return released
 
     def query(self, vmid: str, attributes=()) -> Any:
-        """Route a query to whichever fronted plant knows the VM."""
+        """Route a query to whichever fronted plant knows the VM.
+
+        "Does not know the VM" is a :class:`ReproError` from the plant
+        (or nested broker); anything else is a defect in that plant and
+        propagates instead of reading as an unknown VMID.
+        """
         for plant in self.plants:
             try:
                 return plant.query(vmid, attributes)
-            except Exception:
+            except ReproError:
                 continue
         raise ShopError(f"broker {self.name}: no plant knows {vmid!r}")
 

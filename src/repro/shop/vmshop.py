@@ -7,7 +7,10 @@ reports on it, **destroy** collects it.  The shop:
 * round-trips create requests through their XML encoding (the
   prototype's service specification format);
 * collects cost bids from its registered plants/brokers and picks the
-  winner (cheapest, random among ties);
+  winner (cheapest, random among ties) — one round per placement: a
+  caller that has just run :meth:`VMShop.estimate` to decide *where* a
+  request goes hands those bids to :meth:`VMShop.create`, which
+  dispatches from them instead of asking every plant again;
 * assigns the site-unique VMID and remembers only the VMID → plant
   routing plus an optional classad *cache* — the authoritative classad
   lives in the plant's information system, which is what makes shop
@@ -17,7 +20,7 @@ reports on it, **destroy** collects it.  The shop:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterable, List, Optional
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence
 
 from repro.core.classad import ClassAd
 from repro.core.errors import DeadlineExceeded, ReproError, ShopError
@@ -124,6 +127,7 @@ class VMShop:
         self,
         request: CreateRequest,
         clone_mode: Optional[CloneMode] = None,
+        bids: Optional[Sequence[Bid]] = None,
     ) -> Generator:
         """Create a VM somewhere; returns its classad.
 
@@ -135,7 +139,26 @@ class VMShop:
         to ``max_attempts`` times, bid collection and each plant-side
         create are bounded by deadlines, and repeat offenders are
         quarantined behind per-plant circuit breakers.
+
+        ``bids`` is the result of an :meth:`estimate` round the caller
+        collected for this request *at this simulated instant*: the
+        first attempt then dispatches from it — through the same
+        breaker filter and :meth:`BidCollector.rank` as a round of its
+        own — instead of collecting again (§3.1: one bid round per
+        request).  Bids quote plant state at their instant, so bids
+        from any other instant raise :class:`ShopError`; they are
+        never silently replaced by a fresh round.  Later attempts
+        always collect fresh: the backoff moved the clock.
         """
+        if bids is not None:
+            now = self.env.now
+            for bid in bids:
+                if bid.at != now:
+                    raise ShopError(
+                        f"stale bid from {bid.bidder_name} (collected at "
+                        f"t={bid.at}, now t={now}): bids are only good "
+                        "at the instant they were collected"
+                    )
         if self.use_xml:
             # Exercise the prototype's XML service path end to end.
             wire = service_request_to_xml(request, service="create")
@@ -155,7 +178,9 @@ class VMShop:
                 if delay > 0:
                     yield self.env.timeout(delay)
             try:
-                ad = yield from self._create_attempt(request, clone_mode)
+                ad = yield from self._create_attempt(
+                    request, clone_mode, bids if attempt == 1 else None
+                )
             except ReproError as exc:
                 last_error = exc
                 continue
@@ -178,8 +203,13 @@ class VMShop:
         self,
         request: CreateRequest,
         clone_mode: Optional[CloneMode],
+        bids: Optional[Sequence[Bid]] = None,
     ) -> Generator:
-        """One bid-and-dispatch round (fresh VMID per round)."""
+        """One bid-and-dispatch round (fresh VMID per round).
+
+        The round is collected here unless the caller's ``bids`` stand
+        in for it; either way only breaker-admitted bidders take part.
+        """
         policy = self.recovery
         bidders = self.bidders
         if policy.quarantine_threshold > 0:
@@ -189,11 +219,14 @@ class VMShop:
             ]
             # An all-quarantined site still gets a desperation round
             # over everyone rather than an instant no-bid failure.
-            if admitted:
+            if admitted and len(admitted) < len(bidders):
                 bidders = admitted
-        bids = yield from self.collector.collect(
-            bidders, request, deadline_s=policy.bid_deadline_s
-        )
+                if bids is not None:
+                    bids = [bid for bid in bids if bid.bidder in admitted]
+        if bids is None:
+            bids = yield from self.collector.collect(
+                bidders, request, deadline_s=policy.bid_deadline_s
+            )
         ranked = self.collector.rank(bids)
         if not ranked:
             raise ShopError("no plant bid for the request")
@@ -290,7 +323,11 @@ class VMShop:
         )
 
     def estimate(self, request: CreateRequest) -> Generator:
-        """Collect and return all bids without creating anything."""
+        """Collect and return all bids without creating anything.
+
+        The bids may be handed to :meth:`create` (``bids=``) while the
+        simulated clock has not moved since this call returned.
+        """
         bids = yield from self.collector.collect(self.bidders, request)
         return bids
 

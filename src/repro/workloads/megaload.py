@@ -372,26 +372,15 @@ class MegaLoadScenario(FederationScenario):
         )
         spill = is_cross and handle.spill_link is not None
         if not spill:
-            local_bids = yield from handle.shop.estimate(request)
-            if gateway.should_spill(local_bids) and (
-                handle.spill_link is not None
-            ):
-                spill = True
-                if local_bids:
-                    handle.spill_saturated += 1
-                else:
-                    handle.spill_declined += 1
-            elif not local_bids:
+            try:
+                ad, _ = yield from gateway.place_local(
+                    request, can_spill=handle.spill_link is not None
+                )
+            except ReproError:
                 handle.failed += 1
                 summary.record_failed(arrival.tenant)
                 return
-            else:
-                try:
-                    ad = yield from handle.shop.create(request)
-                except ReproError:
-                    handle.failed += 1
-                    summary.record_failed(arrival.tenant)
-                    return
+            if ad is not None:
                 handle.created += 1
                 summary.record_ok(
                     arrival.tenant,
@@ -437,6 +426,7 @@ class MegaLoadScenario(FederationScenario):
 
     def collect(self, handle: _MegaLoadHandle) -> Dict[str, Any]:
         shop = handle.shop
+        gateway = handle.fsite.gateway
         summary = handle.summary
         stats = {
             "created": handle.created,
@@ -445,8 +435,8 @@ class MegaLoadScenario(FederationScenario):
             "spills_sent": handle.spills_sent,
             "spills_recv": handle.spills_recv,
             "spilled_ok": handle.spilled_ok,
-            "spill_declined": handle.spill_declined,
-            "spill_saturated": handle.spill_saturated,
+            "spill_declined": gateway.spills_declined,
+            "spill_saturated": gateway.spills_saturated,
             "spill_failed": handle.spill_failed,
             "spill_timeout": handle.spill_timeout,
             "acks_sent": handle.acks_sent,

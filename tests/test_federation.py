@@ -371,6 +371,115 @@ class TestFederatedGrid:
             gw.add_remote(gw)
 
 
+class TestOneBidRoundPerPlacement:
+    """The round that decides spill-or-stay is the round the local
+    create is dispatched from; only creates that follow simulated time
+    (a remote's spill target, the post-ladder fallback) bid afresh."""
+
+    @staticmethod
+    def counters(site):
+        shop = site.shop
+        return (
+            shop.collector.collections,
+            shop.collector.bids_collected,
+            shop.transport.calls,
+        )
+
+    def test_local_placement_runs_exactly_one_collection(self):
+        grid = build_federated_grid(2, seed=3, n_plants=4, rack_size=2)
+        home, other = grid.sites
+        ad, site = grid.run(home.gateway.place(experiment_request(32)))
+        assert site == 0 and home.gateway.local_creates == 1
+        # Two rack brokers bid once each; the create is the third call.
+        assert self.counters(home) == (1, 2, 3)
+        assert self.counters(other) == (0, 0, 0)
+
+    def test_grid_spill_collects_once_per_step_of_the_protocol(self):
+        grid = build_federated_grid(
+            2, seed=3, n_plants=1, rack_size=1, max_vms_per_plant=1
+        )
+        home, remote = grid.sites
+        grid.run(home.gateway.place(experiment_request(32)))
+        assert self.counters(home) == (1, 1, 2)
+        ad, site = grid.run(home.gateway.place(experiment_request(32)))
+        assert site == 1
+        # Home: the declined local round + the round over its remotes
+        # (one bid), and the remote create call.  Remote: its bid for
+        # the spill, then — a WAN hop later — the create's own round.
+        assert self.counters(home) == (3, 2, 5)
+        assert self.counters(remote) == (2, 2, 3)
+
+    def test_saturated_fallback_after_the_ladder_bids_afresh(self):
+        grid = build_federated_grid(
+            2, seed=3, n_plants=1, rack_size=1,
+            recovery=RecoveryPolicy(spill_threshold=0.0),
+        )
+        home, remote = grid.sites
+        remote.gateway.down_until = 1e9  # declines the spill
+        ad, site = grid.run(home.gateway.place(experiment_request(32)))
+        assert site == 0 and home.gateway.spills_saturated == 1
+        # Local round, the remote round (no bids), and — time having
+        # passed — a fresh round for the saturated local create.
+        assert home.shop.collector.collections == 3
+        assert home.gateway.local_creates == 1
+
+    def test_no_spill_route_places_a_saturated_request_locally(self):
+        grid = build_federated_grid(
+            1, seed=3, n_plants=1, rack_size=1, max_vms_per_plant=1,
+            recovery=RecoveryPolicy(spill_threshold=0.0),
+        )
+        site = grid.sites[0]
+        gateway = site.gateway
+        ad, bids = grid.run(
+            gateway.place_local(experiment_request(32), can_spill=False)
+        )
+        assert ad is not None and len(bids) == 1
+        assert gateway.spills_saturated == 0
+        assert self.counters(site) == (1, 1, 2)
+        # Site now full: nowhere to spill to is a plain failure...
+        with pytest.raises(ShopError, match="no local plant bid"):
+            grid.run(
+                gateway.place_local(
+                    experiment_request(32), can_spill=False
+                )
+            )
+        # ...and with a route, a decline handed back to the caller.
+        ad, bids = grid.run(gateway.place_local(experiment_request(32)))
+        assert ad is None and bids == []
+        assert gateway.spills_declined == 1
+
+    @pytest.mark.parametrize("scenario", ["federation", "megaload"])
+    def test_scenarios_spend_one_round_per_served_request(self, scenario):
+        base = {"plants": 4, "rack_size": 2, "requests": 12}
+
+        def site_stats(cross_fraction):
+            plan = ShardedTestbed(
+                seed=13, sites=2, shards=1, scenario=scenario
+            )
+            run = plan.run(
+                params={**base, "cross_fraction": cross_fraction},
+                collect=None,
+                deadline_s=120.0,
+            )
+            return [r["stats"] for r in run.site_results]
+
+        racks = 2
+        for stats in site_stats(0.0):  # every request stays home
+            assert stats["created"] == stats["destroyed"] == 12
+            assert stats["failed"] == stats["spills_sent"] == 0
+            assert stats["bid_rounds"] == 12
+            assert stats["bids_collected"] == 12 * racks
+            # Per request: the bids, one create, one destroy.
+            assert stats["transport_calls"] == 12 * (racks + 2)
+        for stats in site_stats(1.0):  # every request is served remotely
+            assert stats["spills_sent"] == stats["spills_recv"] == 12
+            assert stats["created"] == 12 and stats["failed"] == 0
+            # The source never bids; the serving site bids once.
+            assert stats["bid_rounds"] == 12
+            assert stats["bids_collected"] == 12 * racks
+            assert stats["transport_calls"] == 12 * (racks + 2)
+
+
 class TestGatewayFailoverLadder:
     """Regression: a failed remote create must fail over to the next
     ranked remote bid, not abandon the whole spill round."""

@@ -6,6 +6,7 @@ from repro.core.actions import Action
 from repro.core.classad import ClassAd
 from repro.core.dag import ConfigDAG
 from repro.core.errors import ProtocolError, ShopError
+from repro.core.errors import PlantError
 from repro.core.spec import (
     CreateRequest,
     DestroyRequest,
@@ -14,6 +15,7 @@ from repro.core.spec import (
     QueryRequest,
     SoftwareSpec,
 )
+from repro.faults.recovery import RecoveryPolicy
 from repro.plant.vmplant import VMPlant
 from repro.plant.warehouse import GoldenImage, VMWarehouse
 from repro.shop.bidding import Bid, BidCollector
@@ -364,6 +366,215 @@ class TestVMShop:
         assert len(bids) == 3
 
 
+class TestCreateFromBids:
+    """``create(bids=)``: the caller's estimate round stands in for the
+    shop's own, at the instant it was collected and only then."""
+
+    def make_shop(self, env, n_plants=3, seed=5, **shop_kw):
+        warehouse = VMWarehouse([make_image()])
+        shop = VMShop(env, rng=RngHub(seed), **shop_kw)
+        plants = []
+        for i in range(n_plants):
+            line = InstantLine(env, clone_time=5)
+            plants.append(VMPlant(env, f"p{i}", warehouse, {"vmware": line}))
+            shop.register_plant(plants[-1])
+        return shop, plants
+
+    @staticmethod
+    def counters(shop):
+        return (
+            shop.collector.collections,
+            shop.collector.bids_collected,
+            shop.transport.calls,
+        )
+
+    def test_one_collection_per_placement(self):
+        env = Environment()
+        shop, _ = self.make_shop(env)
+
+        def client():
+            bids = yield from shop.estimate(make_request())
+            ad = yield from shop.create(make_request(), bids=bids)
+            return ad
+
+        ad = drive(env, client())
+        assert ad["status"] == "running"
+        # One round of three bids, plus the create's own transport call
+        # (a collecting create would make it 2 rounds, 6 bids, 7 calls).
+        assert self.counters(shop) == (1, 3, 4)
+
+    def test_bids_are_stamped_with_their_instant(self):
+        env = Environment()
+        shop, _ = self.make_shop(env)
+
+        def client():
+            yield env.timeout(7.0)
+            bids = yield from shop.estimate(make_request())
+            return bids, env.now
+
+        bids, collected_at = drive(env, client())
+        assert collected_at > 7.0
+        assert [bid.at for bid in bids] == [collected_at] * 3
+
+    def test_stale_bids_are_refused_not_recollected(self):
+        env = Environment()
+        shop, _ = self.make_shop(env)
+
+        def client():
+            bids = yield from shop.estimate(make_request())
+            yield env.timeout(0.001)
+            yield from shop.create(make_request(), bids=bids)
+
+        with pytest.raises(ShopError, match="stale bid"):
+            drive(env, client())
+        # No second round, no create call, no VMID spent.
+        assert self.counters(shop) == (1, 3, 3)
+        assert shop.creation_log == [] and shop.next_vmid().endswith("1")
+
+    def test_hand_made_bids_are_refused(self):
+        env = Environment()
+        shop, plants = self.make_shop(env)
+        with pytest.raises(ShopError, match="stale bid"):
+            drive(
+                env,
+                shop.create(
+                    make_request(), bids=[Bid("p0", 1.0, plants[0])]
+                ),
+            )
+
+    def test_empty_round_is_a_no_bid_failure(self):
+        env = Environment()
+        shop, _ = self.make_shop(env)
+        with pytest.raises(ShopError, match="no plant bid"):
+            drive(env, shop.create(make_request(), bids=[]))
+        assert self.counters(shop) == (0, 0, 0)
+
+    def quarantine_shop(self, env):
+        shop, plants = self.make_shop(
+            env,
+            recovery=RecoveryPolicy(
+                quarantine_threshold=1, quarantine_s=1000.0
+            ),
+        )
+        # p0 would win every tie-free ranking: make it the cheapest.
+        for plant in plants[1:]:
+            drive(env, plant.create(make_request(), f"load-{plant.name}"))
+        return shop, plants
+
+    def test_quarantined_bidders_reused_bid_is_dropped(self):
+        env = Environment()
+        shop, plants = self.quarantine_shop(env)
+        shop._health_for("p0").record_failure(env.now)
+
+        def client():
+            bids = yield from shop.estimate(make_request())
+            assert min(bids, key=lambda b: b.cost).bidder is plants[0]
+            ad = yield from shop.create(make_request(), bids=bids)
+            return ad
+
+        assert drive(env, client())["plant"] in ("p1", "p2")
+
+    def test_all_quarantined_round_keeps_everyone(self):
+        env = Environment()
+        shop, plants = self.quarantine_shop(env)
+        for plant in plants:
+            shop._health_for(plant.name).record_failure(env.now)
+
+        def client():
+            bids = yield from shop.estimate(make_request())
+            ad = yield from shop.create(make_request(), bids=bids)
+            return ad
+
+        # The desperation round: cheapest of all, quarantined or not.
+        assert drive(env, client())["plant"] == "p0"
+
+    def test_second_attempt_collects_fresh(self):
+        env = Environment()
+        shop, plants = self.make_shop(
+            env,
+            n_plants=1,
+            recovery=RecoveryPolicy(max_attempts=2, backoff_base_s=3.0),
+        )
+        plants[0].lines["vmware"].fail_clones = 1
+
+        def client():
+            bids = yield from shop.estimate(make_request())
+            collected_at = env.now
+            ad = yield from shop.create(make_request(), bids=bids)
+            return ad, collected_at
+
+        ad, collected_at = drive(env, client())
+        assert ad["plant"] == "p0"
+        # Round 1 is the caller's; round 2 is the retry's own, after
+        # the backoff moved the clock (reusing would have been stale).
+        assert shop.collector.collections == 2
+        assert [ok for _, _, ok in shop.creation_log] == [False, True]
+        assert float(ad["created_at"]) >= collected_at + 3.0
+
+    def test_retry_other_plants_walks_the_reused_ranking(self):
+        env = Environment()
+        shop, plants = self.make_shop(env, retry_other_plants=True)
+        # Distinct loads -> a tie-free ranking p0 < p1 < p2.
+        drive(env, plants[1].create(make_request(), "load-a"))
+        for vmid in ("load-b", "load-c"):
+            drive(env, plants[2].create(make_request(), vmid))
+        for plant in plants[:2]:
+            plant.lines["vmware"].fail_clones = 99
+
+        def client():
+            bids = yield from shop.estimate(make_request())
+            ad = yield from shop.create(make_request(), bids=bids)
+            return ad
+
+        assert drive(env, client())["plant"] == "p2"
+        assert [(name, ok) for _, name, ok in shop.creation_log] == [
+            ("p0", False), ("p1", False), ("p2", True),
+        ]
+        assert shop.collector.collections == 1
+
+    def test_reused_round_picks_and_draws_like_a_fresh_one(self):
+        """Same bids, same ``bid-tie`` stream position -> same winner
+        and the same number of draws, reused or collected."""
+
+        def run(reuse: bool):
+            env = Environment()
+            # Zero latency: both variants dispatch at the instant of
+            # collection, so the plants quote identical state.
+            shop, _ = self.make_shop(env, n_plants=4, seed=11)
+            shop.transport.latency_s = 0.0
+            picks = []
+            draws = []
+            choice = shop.rng.choice
+
+            def counting_choice(name, seq):
+                draws.append((name, len(seq)))
+                return choice(name, seq)
+
+            shop.collector.rng.choice = counting_choice
+
+            def client():
+                for _ in range(6):
+                    if reuse:
+                        bids = yield from shop.estimate(make_request())
+                        ad = yield from shop.create(
+                            make_request(), bids=bids
+                        )
+                    else:
+                        ad = yield from shop.create(make_request())
+                    picks.append(str(ad["plant"]))
+
+            drive(env, client())
+            return picks, draws, shop.collector.collections
+
+        fresh_picks, fresh_draws, fresh_rounds = run(reuse=False)
+        reused_picks, reused_draws, reused_rounds = run(reuse=True)
+        assert reused_picks == fresh_picks
+        assert reused_draws == fresh_draws
+        assert {name for name, _ in fresh_draws} == {"bid-tie"}
+        assert len(fresh_draws) >= 6  # ties were really drawn
+        assert reused_rounds == fresh_rounds == 6
+
+
 class TestRegistry:
     def test_publish_discover_bind(self):
         registry = ServiceRegistry()
@@ -461,3 +672,16 @@ class TestBroker:
         broker, _ = self.make_broker_site(env)
         with pytest.raises(ShopError):
             broker.query("ghost")
+
+    def test_query_does_not_hide_a_plants_programming_error(self):
+        env = Environment()
+        broker, plants = self.make_broker_site(env)
+        drive(env, plants[2].create(make_request(), "vm-x"))
+
+        def broken_query(vmid, attributes=()):
+            raise TypeError("query() got an unexpected keyword")
+
+        plants[0].query = broken_query
+        # Not "no plant knows 'vm-x'", and not p2's answer either.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            broker.query("vm-x")

@@ -213,6 +213,8 @@ class AdaptiveSpeculativePool:
         #: Keys whose pool is unusable (no matching golden image).
         self._dead: Set[PoolKey] = set()
         self._refilling: Set[PoolKey] = set()
+        #: Set by the first :meth:`shutdown`; no refill is armed after.
+        self._shut_down = False
         self.hits = 0
         self.misses = 0
         self.refills_started = 0
@@ -293,6 +295,8 @@ class AdaptiveSpeculativePool:
         return pool
 
     def _schedule_refill(self, key: PoolKey, pool: SpeculativeClonePool) -> None:
+        if self._shut_down:
+            return
         pool.target = self._desired_target(key)
         if pool.size >= pool.target or key in self._refilling:
             return
@@ -364,7 +368,14 @@ class AdaptiveSpeculativePool:
         Shutdown keeps draining until the refill processes settle, so
         nothing idle survives it — the end-of-run leak audit relies
         on this.
+
+        Shutdown is final: a request that reaches the plant afterwards
+        (a spill served once the site's own arrivals have drained) is
+        still answered by :meth:`acquire` — with nothing pooled that
+        is a miss, and the plant creates normally — but it no longer
+        re-arms a refill whose clones nobody would collect.
         """
+        self._shut_down = True
         drained = 0
         while True:
             count = yield from self.drain()

@@ -307,6 +307,32 @@ class TestAdaptivePools:
         # Only the client's own VM remains.
         assert plant.active_vm_count() == 1
 
+    def test_shutdown_is_final_for_late_requests(self):
+        """A request served after shutdown (a spill arriving once the
+        site's own arrivals have drained) must not re-arm a refill
+        whose idle clones nobody will ever collect."""
+        bed = self._bed()
+        manager = bed.pools[0]
+        plant = bed.plants[0]
+        drive(bed.env, bed.shop.create(experiment_request(32)))
+        bed.env.run()
+        assert manager.pooled_vms > 0
+        refills = manager.refills_started
+        drive(bed.env, manager.shutdown())
+        assert manager.pooled_vms == 0 and not manager._refilling
+        # The late request is still answered: a pool miss, then an
+        # ordinary create.
+        misses = manager.misses
+        ad = drive(bed.env, bed.shop.create(experiment_request(32)))
+        bed.env.run()
+        assert ad["status"] == "running" and "speculative" not in ad
+        assert manager.misses == misses + 1
+        assert manager.refills_started == refills
+        assert manager.pooled_vms == 0 and not manager._refilling
+        assert plant.active_vm_count() == 2  # the two clients' VMs
+        # A second shutdown finds nothing to do.
+        assert drive(bed.env, manager.shutdown()) == 0
+
     def test_hit_rate(self):
         bed = self._bed()
         manager = bed.pools[0]

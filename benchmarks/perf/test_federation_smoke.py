@@ -70,6 +70,17 @@ def test_cross_site_traffic_actually_crosses(smoke_sweep):
     assert local_only.created == 4 * _SMOKE["requests_per_site"]
 
 
+def test_one_bid_round_per_successful_create(smoke_sweep):
+    """§3.1: one round per request.  Local placements dispatch from
+    the round that decided them and a spilled request is bid once, at
+    the site that serves it — so every point sits at exactly 1."""
+    for point in smoke_sweep.points:
+        assert point.failed == 0
+        assert point.bid_rounds == point.created
+        assert point.bid_rounds_per_ok == 1.0
+        assert point.agg_creates_per_sec > 0
+
+
 def test_percentile_helper():
     assert percentile([], 95.0) == 0.0
     assert percentile([3.0], 95.0) == 3.0
@@ -83,8 +94,12 @@ def test_federation_regression_vs_trajectory(smoke_sweep):
 
     Every recorded run must have passed its determinism recheck,
     paper-workload records must hold the 2x 4-site bids/sec speedup
-    from the acceptance criteria, and the same-run single-site bid
-    rate must stay within 2x of the recorded best.
+    from the acceptance criteria, and the same-run single-site
+    service rate — successful creates per shard CPU-second — must stay
+    within 2x of the recorded best.  The floor is on creates, not
+    bids: bids/sec falls when duplicate bid rounds are removed while
+    the control plane got faster.  Records from before
+    ``agg_creates_per_sec`` existed are skipped, not failed.
     """
     records = load_federation_trajectory()
     if not records:
@@ -100,16 +115,18 @@ def test_federation_regression_vs_trajectory(smoke_sweep):
         assert latest["bids_speedups"]["4x0"] >= 2.0
     best = max(
         (
-            point["agg_bids_per_sec"]
+            point["agg_creates_per_sec"]
             for rec in records
             for point in rec.get("points", [])
-            if point.get("sites") == 1 and point.get("cross_fraction") == 0.0
+            if point.get("sites") == 1
+            and point.get("cross_fraction") == 0.0
+            and "agg_creates_per_sec" in point
         ),
         default=0.0,
     )
     if best:
-        bps = smoke_sweep.point(1, 0.0).agg_bids_per_sec
-        assert bps > best / 2.0, (
-            f"single-site control plane {bps:.0f} bids/s is <half "
-            f"the recorded best ({best:.0f} bids/s)"
+        cps = smoke_sweep.point(1, 0.0).agg_creates_per_sec
+        assert cps > best / 2.0, (
+            f"single-site control plane {cps:.1f} creates/s is <half "
+            f"the recorded best ({best:.1f} creates/s)"
         )

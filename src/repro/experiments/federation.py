@@ -6,11 +6,19 @@ kernel shard — across a grid of (site count × cross-site traffic
 fraction) and reports the control-plane numbers the federation story
 hangs on:
 
-* ``agg bids/s`` — bid-collection rounds' individual bids gathered
-  per shard CPU-second, summed over shards.  Registries, brokers and
-  vnet blocks are all site-local, so this scales with the site count
-  (the sharded-control-plane claim) regardless of how many cores the
-  host happens to have free.
+* ``agg creates/s`` — successful creates per shard CPU-second, summed
+  over shards: the service the control plane delivered per unit of
+  host work.  Registries, brokers and vnet blocks are all site-local,
+  so this scales with the site count (the sharded-control-plane
+  claim) regardless of how many cores the host happens to have free.
+* ``rounds/ok`` — bid-collection rounds per successful create.  §3.1
+  spends one round per request; anything above 1 is repeated (or
+  failed) bidding.
+* ``agg bids/s`` — individual bids gathered per shard CPU-second, same
+  aggregation.  A count of *work*, not of service: a control plane
+  that bids twice per request doubles it, so it is only comparable
+  between runs with the same ``rounds/ok`` (the cross-site speedup
+  column, within one sweep).
 * ``create p95`` — 95th-percentile request completion latency
   (simulated seconds), local and spilled placements together; the
   price of crossing a WAN boundary shows up here as the cross-site
@@ -72,6 +80,11 @@ class FederationPoint:
     agg_events_per_sec: float
     bids: int
     agg_bids_per_sec: float
+    bid_rounds: int
+    #: Bid rounds per successful create (0.0 when nothing succeeded).
+    bid_rounds_per_ok: float
+    #: Successful creates per shard CPU-second, summed over shards.
+    agg_creates_per_sec: float
     created: int
     destroyed: int
     failed: int
@@ -93,6 +106,9 @@ class FederationPoint:
             "agg_events_per_sec": round(self.agg_events_per_sec, 1),
             "bids": self.bids,
             "agg_bids_per_sec": round(self.agg_bids_per_sec, 2),
+            "bid_rounds": self.bid_rounds,
+            "bid_rounds_per_ok": round(self.bid_rounds_per_ok, 3),
+            "agg_creates_per_sec": round(self.agg_creates_per_sec, 2),
             "created": self.created,
             "destroyed": self.destroyed,
             "failed": self.failed,
@@ -157,19 +173,22 @@ class FederationResult:
             f"WAN lookahead {prm['link_latency_s']:.0f}s)",
             "",
             f"{'sites':>5} {'cross':>6} {'plants':>6} {'created':>8} "
-            f"{'spilled':>8} {'bids':>8} {'agg bids/s':>11} "
+            f"{'spilled':>8} {'agg creates/s':>14} {'rounds/ok':>10} "
+            f"{'bids':>8} {'agg bids/s':>11} "
             f"{'speedup':>8} {'p95 (s)':>8}",
-            "-" * 78,
+            "-" * 103,
         ]
         for p in self.points:
             lines.append(
                 f"{p.sites:>5d} {p.cross_fraction:>6.2f} "
                 f"{p.plants:>6d} {p.created:>8d} {p.spilled_ok:>8d} "
+                f"{p.agg_creates_per_sec:>14.1f} "
+                f"{p.bid_rounds_per_ok:>10.2f} "
                 f"{p.bids:>8d} {p.agg_bids_per_sec:>11.0f} "
                 f"{self.bids_speedup(p.sites, p.cross_fraction):>7.2f}x "
                 f"{p.p95_latency_s:>8.1f}"
             )
-        lines.append("-" * 78)
+        lines.append("-" * 103)
         fps = sorted(set(self.fingerprints.values()))
         if self.deterministic:
             lines.append(
@@ -202,20 +221,15 @@ class FederationResult:
         }
 
 
-def _site_bids(run) -> Dict[int, int]:
-    return {
-        r["site"]: int(r["stats"].get("bids_collected", 0))
-        for r in run.site_results
+def _agg_per_cpu_sec(run, stat: str) -> float:
+    """Sum over shards of (its sites' ``stat`` / its CPU-seconds)."""
+    count = {
+        r["site"]: int(r["stats"].get(stat, 0)) for r in run.site_results
     }
-
-
-def _agg_bids_per_sec(run) -> float:
-    """Sum over shards of (its sites' bids / its CPU-seconds)."""
-    bids = _site_bids(run)
     total = 0.0
     for s in run.shard_results:
         if s["cpu_s"] > 0:
-            total += sum(bids[site] for site in s["sites"]) / s["cpu_s"]
+            total += sum(count[site] for site in s["sites"]) / s["cpu_s"]
     return total
 
 
@@ -232,10 +246,11 @@ def run_federation(
     """Sweep (site count × cross-site fraction); recheck determinism.
 
     Every timing run uses one shard per site (``shards = sites``) so
-    the aggregate bids/sec measures per-site control-plane rate
-    summed across shards, not core count.  Timing runs disable
-    tracing; the determinism recheck reruns the largest grid small at
-    1 shard, ``sites`` shards and a repeat with fingerprints on.
+    the aggregate creates/sec and bids/sec measure per-site
+    control-plane rate summed across shards, not core count.  Timing
+    runs disable tracing; the determinism recheck reruns the largest
+    grid small at 1 shard, ``sites`` shards and a repeat with
+    fingerprints on.
     """
     site_counts = tuple(site_counts)
     cross_fractions = tuple(cross_fractions)
@@ -271,6 +286,8 @@ def run_federation(
             latencies: List[float] = []
             for r in run.site_results:
                 latencies.extend(r["stats"].get("latencies", ()))
+            created = int(stats.get("created", 0))
+            bid_rounds = int(stats.get("bid_rounds", 0))
             result.points.append(
                 FederationPoint(
                     sites=sites,
@@ -284,8 +301,15 @@ def run_federation(
                     ),
                     agg_events_per_sec=run.agg_events_per_sec,
                     bids=int(stats.get("bids_collected", 0)),
-                    agg_bids_per_sec=_agg_bids_per_sec(run),
-                    created=int(stats.get("created", 0)),
+                    agg_bids_per_sec=_agg_per_cpu_sec(
+                        run, "bids_collected"
+                    ),
+                    bid_rounds=bid_rounds,
+                    bid_rounds_per_ok=(
+                        bid_rounds / created if created else 0.0
+                    ),
+                    agg_creates_per_sec=_agg_per_cpu_sec(run, "created"),
+                    created=created,
                     destroyed=int(stats.get("destroyed", 0)),
                     failed=int(stats.get("failed", 0)),
                     spills_sent=int(stats.get("spills_sent", 0)),

@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.e2e.workloads import usable_cores
 from repro.experiments.federation import run_federation
 
 __all__ = [
@@ -72,7 +73,7 @@ def run_federation_bench(
         ),
         "workload": "small" if small else "paper",
         "cpu_count": os.cpu_count(),
-        "usable_cores": _usable_cores(),
+        "usable_cores": usable_cores(),
         "python": platform.python_version(),
     }
     record.update(result.to_record())
@@ -87,14 +88,6 @@ def run_federation_bench(
     os.replace(tmp, path)
     print(result.render())
     return record
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def load_federation_trajectory(path: Optional[Path] = None) -> list:

@@ -11,7 +11,9 @@ two cases —
   stream), modelling clients whose work is pinned elsewhere, or
 * the local site **declines or saturates**
   (:meth:`~repro.federation.gateway.FederationGateway.should_spill`
-  over the local rack-broker bids).
+  over the local rack-broker bids) — decided inside
+  :meth:`~repro.federation.gateway.FederationGateway.place_local`,
+  whose one bid round also places every request that stays.
 
 A spilled request rides the ``spill`` boundary link to the ring
 neighbour, which provisions the VM in *its* shop and answers over the

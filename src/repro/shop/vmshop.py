@@ -219,14 +219,14 @@ class VMShop:
             ]
             # An all-quarantined site still gets a desperation round
             # over everyone rather than an instant no-bid failure.
-            if admitted and len(admitted) < len(bidders):
+            if admitted:
                 bidders = admitted
-                if bids is not None:
-                    bids = [bid for bid in bids if bid.bidder in admitted]
         if bids is None:
             bids = yield from self.collector.collect(
                 bidders, request, deadline_s=policy.bid_deadline_s
             )
+        elif bidders is not self.bidders:
+            bids = [bid for bid in bids if bid.bidder in bidders]
         ranked = self.collector.rank(bids)
         if not ranked:
             raise ShopError("no plant bid for the request")

@@ -7,9 +7,11 @@ trajectory so regressions are visible across commits:
   (fan-out only helps on multi-core hosts; both are recorded);
 * **cache cold vs. warm** wall-clock of the same suite through the
   on-disk result cache;
-* **kernel throughput** — events/sec of the DES kernel under the
-  fig4-style creation workload (event count taken from the kernel's
-  own monotonically increasing event id).
+* **kernel throughput** — creates/sec and events/sec of the DES
+  kernel under the fig4-style creation workload (event count taken
+  from the kernel's own monotonically increasing event id).  Creates
+  are the unit that compares across commits: a change that removes
+  cheap events per create lowers events/sec while the run got faster.
 
 Each invocation appends one record to
 ``benchmarks/results/BENCH_parallel_runner.json``, then runs the
@@ -36,6 +38,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from benchmarks.e2e.workloads import usable_cores
 from benchmarks.perf.classad_bench import run_classad_bench
 from benchmarks.perf.matching_bench import run_matching_bench
 from benchmarks.perf.provision_bench import run_provision_bench
@@ -101,8 +104,9 @@ def measure_cache(
 
 def measure_kernel(
     seed: int = PAPER_SEED, count: int = 64, memory_mb: int = 64
-) -> Tuple[int, float]:
-    """(events, events_per_sec) for a fig4-style creation stream."""
+) -> Tuple[int, float, float]:
+    """(events, events_per_sec, creates_per_sec) for a fig4-style
+    stream of ``count`` sequential creates."""
     bed = build_testbed(seed=seed)
 
     def client():
@@ -113,7 +117,9 @@ def measure_kernel(
     bed.run(client())
     wall = time.perf_counter() - t0
     events = bed.env._eid
-    return events, events / wall if wall > 0 else float("inf")
+    if wall <= 0:
+        return events, float("inf"), float("inf")
+    return events, events / wall, count / wall
 
 
 def run_harness(
@@ -130,11 +136,12 @@ def run_harness(
     cold_s, warm_s = measure_cache(runs)
     if kernel_count is None:
         kernel_count = 16 if small else 64
-    events, eps = measure_kernel(count=kernel_count)
+    events, eps, cps = measure_kernel(count=kernel_count)
     record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workload": "small" if small else "paper",
         "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
         "python": platform.python_version(),
         "suite_sequential_s": round(seq_s, 4),
         "suite_parallel_s": round(par_s, 4),
@@ -144,6 +151,7 @@ def run_harness(
         "cache_speedup": round(cold_s / warm_s, 1) if warm_s else None,
         "kernel_events": events,
         "kernel_events_per_sec": round(eps, 1),
+        "kernel_creates_per_sec": round(cps, 1),
     }
     path = out or BENCH_PATH
     trajectory = load_trajectory(path)

@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.e2e.workloads import usable_cores
 from repro.experiments.kernelbench import run_kernelbench
 
 __all__ = [
@@ -64,6 +65,7 @@ def run_kernel_bench(
         ),
         "workload": "small" if small else "paper",
         "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
         "python": platform.python_version(),
     }
     record.update(result.to_record())

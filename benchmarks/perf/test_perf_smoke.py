@@ -59,7 +59,10 @@ def test_small_suite_within_regression_budget():
         assert par_s < max(2.0 * seq_s, _FLOOR_S)
 
 
-def test_cache_warm_load_beats_simulation(tmp_path):
+def test_cache_warm_load_beats_simulation(tmp_path, monkeypatch):
+    # ``benchmarks/e2e/run.py`` sets this process-wide when it ran
+    # earlier in the session, and an enabled ResultCache honours it.
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     cold_s, warm_s = measure_cache(SMALL_RUNS, seed=7, root=tmp_path)
     assert warm_s < cold_s, (
         f"cache hit ({warm_s:.4f}s) not faster than fresh "
@@ -70,13 +73,19 @@ def test_cache_warm_load_beats_simulation(tmp_path):
 
 
 def test_kernel_throughput_floor():
-    events, eps = measure_kernel(seed=7, count=16)
-    assert events > 500  # the workload actually exercised the kernel
-    best = _best_recorded("kernel_events_per_sec", "small")
+    """The floor is on creates/sec, not events/sec: events/sec falls
+    when cheap events are removed from a create while the kernel got
+    faster.  Records from before ``kernel_creates_per_sec`` existed
+    are skipped, not failed."""
+    count, n_plants = 16, 8
+    events, _, cps = measure_kernel(seed=7, count=count)
+    # Every create ran its bid round: two timers per plant + the round.
+    assert events >= count * (2 * n_plants + 1)
+    best = _best_recorded("kernel_creates_per_sec", "small")
     if best:
-        assert eps > best / 2.0, (
-            f"kernel throughput {eps:.0f} ev/s is <half the recorded "
-            f"best ({best:.0f} ev/s)"
+        assert cps > best / 2.0, (
+            f"kernel throughput {cps:.0f} creates/s is <half the "
+            f"recorded best ({best:.0f} creates/s)"
         )
 
 

@@ -3,15 +3,19 @@
 VMShop selects a plant "through a communication API and a binding
 protocol that allows VMShop to request and collect bids containing
 estimated VM creation costs" (Section 3.1).  Bids are collected from
-all candidate plants in parallel over the transport; the cheapest bid
-wins, with ties broken uniformly at random (the Section 3.4
-illustration: "the VMShop picks one plant at random") from a named
-deterministic stream.
+all candidate plants in parallel over the transport — one
+:meth:`~repro.shop.protocol.Transport.gather` fan-out per round, each
+estimate run from its arrival timer's callback, so a round costs two
+timer events per bidder and one event for the round, and no process
+per bid; the cheapest bid wins, with ties broken uniformly at random
+(the Section 3.4 illustration: "the VMShop picks one plant at random")
+from a named deterministic stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.core.errors import ShopError
@@ -21,11 +25,6 @@ from repro.sim.kernel import Environment
 from repro.sim.rng import RngHub
 
 __all__ = ["Bid", "BidCollector"]
-
-
-def _mark_defused(event) -> None:
-    """Mark an abandoned bid process as observed (late failures pass)."""
-    event.defused = True
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,12 @@ class Bid:
 
 
 class BidCollector:
-    """Parallel bid collection + deterministic random tie-breaking."""
+    """Parallel bid collection + deterministic random tie-breaking.
+
+    Collection is one callback-driven transport fan-out per round
+    (:meth:`~repro.shop.protocol.Transport.gather`); the caller's
+    process is the only one involved.
+    """
 
     def __init__(
         self,
@@ -74,36 +78,21 @@ class BidCollector:
         plant *hang* the call instead of answering.  With
         ``deadline_s`` set, collection stops after that many seconds
         and still-pending bidders are simply left out of the result
-        (their eventual answers — or failures — are defused).  Returns
+        (their eventual answers — or failures — are dropped).  Returns
         the list of successful bids in bidder order, each stamped with
         the instant the round ended.
         """
-        procs = []
+        handlers = []
         for bidder in bidders:
-            proc_call = getattr(bidder, "estimate_proc", None)
-            if proc_call is not None:
-                handler = lambda c=proc_call: c(request)  # noqa: E731
-            else:
-                handler = lambda b=bidder: b.estimate(request)  # noqa: E731
-            procs.append(self.env.process(self.transport.call(handler)))
-        if procs:
-            if deadline_s is None:
-                yield self.env.all_of(procs)
-            else:
-                yield self.env.any_of(
-                    [self.env.all_of(procs), self.env.timeout(deadline_s)]
-                )
-                for proc in procs:
-                    if not proc.triggered:
-                        # A late answer (or failure) from a hung bidder
-                        # must not crash the kernel once we stop caring.
-                        proc.callbacks.append(_mark_defused)
+            call = getattr(bidder, "estimate_proc", None) or bidder.estimate
+            handlers.append(partial(call, request))
+        answers: Dict[int, Any] = {}
+        if handlers:
+            answers = yield self.transport.gather(handlers, deadline_s)
         bids: List[Bid] = []
         now = self.env.now
-        for bidder, proc in zip(bidders, procs):
-            if not proc.triggered:
-                continue
-            cost = proc.value
+        for index, bidder in enumerate(bidders):
+            cost = answers.get(index)
             if cost is not None:
                 bids.append(Bid(bidder.name, float(cost), bidder, now))
         self.collections += 1

@@ -9,12 +9,18 @@ The prototype exchanges XML service specifications over sockets
 * :class:`Transport` — the messaging substrate: every call charges a
   (jittered) round-trip latency in the simulation clock, composing
   naturally with synchronous handlers and process-generator handlers.
+  A single call (:meth:`Transport.call`) is a generator the caller's
+  process drives; a fan-out of calls answered together
+  (:meth:`Transport.gather`) is run from timer callbacks, no process
+  per call.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Any, Callable, Generator, Optional, Tuple, Union
+from functools import partial
+from math import exp
+from typing import Any, Callable, Generator, Optional, Sequence, Tuple, Union
 
 from repro.core.dagxml import (
     envelope_from_xml,
@@ -23,7 +29,7 @@ from repro.core.dagxml import (
 )
 from repro.core.errors import ProtocolError
 from repro.core.spec import CreateRequest, DestroyRequest, QueryRequest
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Event, Timeout
 from repro.sim.rng import RngHub
 
 __all__ = [
@@ -118,7 +124,11 @@ def service_request_from_xml(text: str) -> Tuple[str, ServiceRequest]:
 
 
 class Transport:
-    """Message substrate charging round-trip latency per call."""
+    """Message substrate charging round-trip latency per call.
+
+    Each direction of each call draws one jittered latency from the
+    ``transport`` stream, in the order the messages are sent.
+    """
 
     def __init__(
         self,
@@ -134,20 +144,22 @@ class Transport:
         self.latency_s = latency_s
         self.jitter_sigma = jitter_sigma
         self.calls = 0
+        self._normal = self.rng.stream("transport").normalvariate
 
     def _one_way(self) -> float:
         if self.latency_s == 0:
             return 0.0
-        return self.latency_s * self.rng.lognormal(
-            "transport", 0.0, self.jitter_sigma
-        )
+        # RngHub.lognormal("transport", 0, sigma), the stream bound once.
+        return self.latency_s * exp(self._normal(0.0, self.jitter_sigma))
 
     def call(self, handler: Callable[[], Any]) -> Generator:
         """Invoke ``handler`` remotely: latency → handler → latency.
 
         ``handler()`` may return a plain value or a process generator
         (which is then driven to completion); the transport returns
-        its result.
+        its result.  The call is part of the caller's generator chain,
+        so an interrupt thrown at the caller (a create deadline)
+        unwinds through the handler's ``except``/``finally`` blocks.
         """
         self.calls += 1
         yield self.env.timeout(self._one_way())
@@ -156,3 +168,85 @@ class Transport:
             result = yield from result
         yield self.env.timeout(self._one_way())
         return result
+
+    def gather(
+        self,
+        handlers: Sequence[Callable[[], Any]],
+        deadline_s: Optional[float] = None,
+    ) -> Event:
+        """Call every handler concurrently; one event for all answers.
+
+        The same latency → handler → latency as :meth:`call`, per
+        handler, but driven by timer callbacks: the outbound latencies
+        are drawn here, in handler order; each handler runs in its
+        arrival timer's callback, and its return latency is drawn when
+        it finishes.  A handler that returns a generator is stepped in
+        place and parks only on the pending events it yields.
+
+        The returned event fires with ``{handler index: answer}`` when
+        the last answer lands, or — given ``deadline_s`` — that many
+        seconds from now with the answers landed so far; it fails with
+        the exception of the first handler to raise before then.  Once
+        it has fired, the remaining handlers still run (and draw their
+        latencies), but their answers and failures are dropped.
+        """
+        env = self.env
+        done = Event(env)
+        answers: dict = {}
+        total = len(handlers)
+        self.calls += total
+        if not total:
+            return done.succeed(answers)
+
+        def fail(exc: Exception) -> None:
+            if done._ok is None:
+                done.fail(exc)
+
+        def land(index: int, answer: Any, _timer: Event) -> None:
+            if done._ok is None:
+                answers[index] = answer
+                if len(answers) == total:
+                    done.succeed(answers)
+
+        def reply(index: int, answer: Any) -> None:
+            Timeout(env, self._one_way()).callbacks.append(
+                partial(land, index, answer)
+            )
+
+        def advance(index: int, steps: Generator, event: Event) -> None:
+            while True:
+                try:
+                    if event._ok:
+                        event = steps.send(event._value)
+                    else:
+                        event.defused = True
+                        event = steps.throw(event._value)
+                except StopIteration as stop:
+                    return reply(index, stop.value)
+                except Exception as exc:
+                    return fail(exc)
+                if event.callbacks is not None:
+                    event.callbacks.append(partial(advance, index, steps))
+                    return
+
+        def arrive(index: int, timer: Event) -> None:
+            try:
+                result = handlers[index]()
+            except Exception as exc:
+                return fail(exc)
+            if hasattr(result, "send") and hasattr(result, "throw"):
+                advance(index, result, timer)
+            else:
+                reply(index, result)
+
+        def expire(_timer: Event) -> None:
+            if done._ok is None:
+                done.succeed(answers)
+
+        if deadline_s is not None:
+            Timeout(env, deadline_s).callbacks.append(expire)
+        for index in range(total):
+            Timeout(env, self._one_way()).callbacks.append(
+                partial(arrive, index)
+            )
+        return done

@@ -8,6 +8,15 @@ fully deterministic: ties in time are broken by priority and then by a
 monotonically increasing event id, so a given seed always produces the
 same trajectory.
 
+Dispatch costs one Python call per wake-up: a waiting process
+registers its bound ``_resume`` on the event (no closure per wait),
+a :class:`Timeout` pushes itself onto the heap, and
+:attr:`Environment.now` is a plain slot.  Work that needs no
+generator — run a function when a timer fires — hangs a callback on a
+:class:`Timeout` (or :meth:`Environment.call_later`) instead of
+starting a :class:`Process`; :meth:`repro.shop.protocol.Transport.gather`
+runs a whole bid round that way.
+
 Typical usage::
 
     env = Environment()
@@ -165,7 +174,8 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        env._eid = eid = env._eid + 1
+        _heappush(env._queue, (env.now + delay, PRIORITY_NORMAL, eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -215,68 +225,77 @@ class Process(Event):
     The process is itself an event that fires when the generator
     returns (value = the generator's return value) or raises (failure
     carrying the exception).
+
+    ``_target`` is the one event whose firing may advance the
+    generator: the :class:`Initialize` that starts it, the pending
+    event it yielded (or the urgent stand-in scheduled for an already
+    processed one), or the event carrying an :class:`Interrupt`.  It is
+    ``None`` while the generator runs and once it has terminated.
+    ``_resume`` is registered on events as the bound method itself —
+    one Python call per wake-up — and drops any call whose event is
+    not ``_target``: a wake-up an interrupt superseded while that
+    event was already firing, or one that outlived the process.
     """
 
-    __slots__ = ("_generator", "_target", "_generation")
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
-        # Each registered wait carries a generation number; interrupts
-        # bump it, so a stale resumption (e.g. from an event processed
-        # in the same time step as the interrupt) is silently dropped.
-        self._generation = 0
-        Initialize(env, self)
+        self._target: Optional[Event] = Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not terminated."""
         return self._ok is None
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process currently waits on (None if running)."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
         Interrupting a terminated process is an error; interrupting a
-        process that is waiting on an event detaches it from that event.
+        process that is waiting on an event detaches it from that
+        event.  A process that has not taken its first step yet takes
+        it, and meets the interrupt at its first ``yield``, at the same
+        simulated instant.  Of several interrupts issued before one is
+        delivered, the last wins.
         """
-        if not self.is_alive:
+        if self._ok is not None:
             raise SimulationError("cannot interrupt a terminated process")
-        if self._generator.gi_frame is not None and self._generator.gi_running:
+        if self._generator.gi_running:
             raise SimulationError("a process cannot interrupt itself")
+        target = self._target
+        if type(target) is Initialize:
+
+            def deliver(_event: Event) -> None:
+                if self._ok is None:
+                    self.interrupt(cause)
+
+            target.callbacks.append(deliver)
+            return
+        waiters = target.callbacks
+        if waiters is not None:
+            # Detach: the event's later firing must not wake us, but a
+            # failure we were the one waiting for stays observed.
+            waiters[waiters.index(self._resume)] = _defuse
         interrupt_ev = Event(self.env)
         interrupt_ev._ok = False
         interrupt_ev._value = Interrupt(cause)
         interrupt_ev.defused = True
-        # Invalidate any pending resumption registered for the event we
-        # were waiting on; its later firing is dropped by the
-        # generation check in _resume.
-        self._generation += 1
-        gen = self._generation
-        interrupt_ev.callbacks = [
-            lambda ev, gen=gen: self._resume(ev, gen)
-        ]
+        interrupt_ev.callbacks = [self._resume]
+        self._target = interrupt_ev
         self.env.schedule(interrupt_ev, priority=PRIORITY_URGENT)
 
-    def _resume(self, event: Event, generation: Optional[int] = None) -> None:
+    def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        if generation is not None and generation != self._generation:
-            # Stale wake-up superseded by an interrupt.
+        if event is not self._target:
+            # Stale wake-up: superseded by an interrupt while ``event``
+            # was firing, or the process has terminated.
             if not event._ok:
                 event.defused = True
             return
-        if not self.is_alive:
-            if not event._ok:
-                event.defused = True
-            return
-        self.env._active_proc = self
+        env = self.env
         self._target = None
         try:
             if event._ok:
@@ -285,14 +304,11 @@ class Process(Event):
                 event.defused = True
                 next_ev = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.env._active_proc = None
-            self.succeed(getattr(stop, "value", None))
+            self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env._active_proc = None
             self.fail(exc)
             return
-        self.env._active_proc = None
 
         if not isinstance(next_ev, Event):
             # Ill-typed yield: kill the process with a clear error.
@@ -304,33 +320,30 @@ class Process(Event):
             finally:
                 self.fail(err)
             return
-        if next_ev.env is not self.env:
+        if next_ev.env is not env:
             self._generator.close()
             self.fail(SimulationError("event from a different environment"))
             return
 
-        self._generation += 1
-        gen = self._generation
-        waiter = lambda ev, gen=gen: self._resume(ev, gen)  # noqa: E731
         if next_ev.callbacks is not None:
             # Pending: register for resumption when it fires.
             self._target = next_ev
-            next_ev.callbacks.append(waiter)
+            next_ev.callbacks.append(self._resume)
         else:
             # Already processed: resume immediately at the current time.
-            resume_ev = Event(self.env)
+            resume_ev = Event(env)
             resume_ev._ok = next_ev._ok
             resume_ev._value = next_ev._value
             if not next_ev._ok:
                 next_ev.defused = True
                 resume_ev.defused = True
-            resume_ev.callbacks = [waiter]
-            self._target = next_ev
-            self.env.schedule(resume_ev, priority=PRIORITY_URGENT)
+            resume_ev.callbacks = [self._resume]
+            self._target = resume_ev
+            env.schedule(resume_ev, priority=PRIORITY_URGENT)
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", "process")
-        state = "alive" if self.is_alive else "dead"
+        state = "alive" if self._ok is None else "dead"
         return f"<Process {name} {state}>"
 
 
@@ -413,22 +426,23 @@ class Environment:
     """Execution environment: clock plus the pending-event queue."""
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_eid",
         "_executed",
-        "_active_proc",
         "tracer",
         "_timeout_pool",
         "boundary_emits",
     )
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulation time.  A plain slot, read on every hot
+        #: path; only the run loops write it, and :meth:`advance_clock`
+        #: is the checked way to move it from outside.
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._executed = 0
-        self._active_proc: Optional[Process] = None
         #: Optional structured tracer (see :mod:`repro.sim.trace`).
         self.tracer = None
         #: Free list of recycled :class:`_PooledTimeout` instances.
@@ -437,16 +451,6 @@ class Environment:
         #: ``BoundaryLink._stage`` and fenced on by the shard runner
         #: (see :meth:`run_below_fenced`).
         self.boundary_emits = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being advanced, if any."""
-        return self._active_proc
 
     @property
     def executed_events(self) -> int:
@@ -473,7 +477,7 @@ class Environment:
         """Invoke ``fn`` after ``delay`` using a pooled timer event.
 
         Equivalent to appending ``fn`` to a fresh ``timeout(delay)``
-        — one ``schedule()`` call, normal priority, so the event
+        — one heap push, normal priority, so the event
         trajectory is bit-identical — but the underlying event object
         is recycled through a free list instead of allocated anew.
         The event is internal: ``fn`` receives it but must not retain
@@ -485,7 +489,8 @@ class Environment:
         ev = pool.pop() if pool else _PooledTimeout(self)
         ev.delay = delay
         ev.callbacks = [fn, ev._release]
-        self.schedule(ev, delay=delay)
+        self._eid = eid = self._eid + 1
+        _heappush(self._queue, (self.now + delay, PRIORITY_NORMAL, eid, ev))
 
     def process(self, generator: Generator) -> Process:
         """Start a new process running ``generator``."""
@@ -508,7 +513,7 @@ class Environment:
     ) -> None:
         """Enqueue ``event`` to fire ``delay`` after the current time."""
         self._eid = eid = self._eid + 1
-        _heappush(self._queue, (self._now + delay, priority, eid, event))
+        _heappush(self._queue, (self.now + delay, priority, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
@@ -521,17 +526,17 @@ class Environment:
         exact timestamp and to land precisely on a ``run(until=...)``
         horizon.  Rewinding is kernel misuse.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot rewind clock from {self._now} to {time}"
+                f"cannot rewind clock from {self.now} to {time}"
             )
-        self._now = time
+        self.now = time
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
         if not self._queue:
             raise EmptySchedule()
-        self._now, _, _, event = _heappop(self._queue)
+        self.now, _, _, event = _heappop(self._queue)
         self._executed += 1
         callbacks = event.callbacks
         event.callbacks = None
@@ -554,7 +559,7 @@ class Environment:
         queue = self._queue
         pop = _heappop
         while queue and queue[0][0] < limit:
-            self._now, _, _, event = pop(queue)
+            self.now, _, _, event = pop(queue)
             self._executed += 1
             callbacks = event.callbacks
             event.callbacks = None
@@ -584,7 +589,7 @@ class Environment:
         while queue and queue[0][0] < limit:
             t = queue[0][0]
             while queue and queue[0][0] == t:
-                self._now, _, _, event = pop(queue)
+                self.now, _, _, event = pop(queue)
                 self._executed += 1
                 callbacks = event.callbacks
                 event.callbacks = None
@@ -618,9 +623,9 @@ class Environment:
             stop_event = until
         else:
             stop_at = float(until)
-            if stop_at < self._now:
+            if stop_at < self.now:
                 raise ValueError(
-                    f"until ({stop_at}) must not be before now ({self._now})"
+                    f"until ({stop_at}) must not be before now ({self.now})"
                 )
         if stop_event is not None and stop_event.callbacks is not None:
             # run() itself is the waiter: a failure is re-raised below
@@ -638,7 +643,7 @@ class Environment:
                     raise SimulationError(
                         "run(until=event): queue empty before event fired"
                     )
-                self._now, _, _, event = pop(queue)
+                self.now, _, _, event = pop(queue)
                 self._executed += 1
                 callbacks = event.callbacks
                 event.callbacks = None
@@ -652,7 +657,7 @@ class Environment:
             return stop_event._value
         if stop_at is None:
             while queue:
-                self._now, _, _, event = pop(queue)
+                self.now, _, _, event = pop(queue)
                 self._executed += 1
                 callbacks = event.callbacks
                 event.callbacks = None
@@ -663,7 +668,7 @@ class Environment:
                     raise event._value
             return None
         while queue and queue[0][0] <= stop_at:
-            self._now, _, _, event = pop(queue)
+            self.now, _, _, event = pop(queue)
             self._executed += 1
             callbacks = event.callbacks
             event.callbacks = None
@@ -674,8 +679,8 @@ class Environment:
                 raise event._value
         # Exact at the boundary: the clock lands on ``until`` whether
         # the queue drained early or the next event lies beyond it.
-        self._now = stop_at
+        self.now = stop_at
         return None
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} pending={len(self._queue)}>"
+        return f"<Environment now={self.now} pending={len(self._queue)}>"

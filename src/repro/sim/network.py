@@ -219,14 +219,19 @@ class FairShareLink:
             self._timer_gen += 1
             self._timer_deadline = None
             return
-        min_remaining = min(f.remaining for f in self._flows.values())
+        # A plain loop, not min(genexpr): no frame per flow on a path
+        # every flow start and completion takes.
+        min_remaining = float("inf")
+        for flow in self._flows.values():
+            if flow.remaining < min_remaining:
+                min_remaining = flow.remaining
         deadline = self.env.now + max(0.0, min_remaining / self._rate())
         if self._timer_deadline is not None and self._timer_deadline == deadline:
             return  # batched: the armed timer already fires then
         self._timer_gen += 1
         gen = self._timer_gen
         self._timer_deadline = deadline
-        # Pooled timer: same single schedule() as a Timeout (so the
+        # Pooled timer: same single heap push as a Timeout (so the
         # trajectory is bit-identical) without the per-re-arm alloc.
         self.env.call_later(
             deadline - self.env.now,

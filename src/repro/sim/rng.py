@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from math import exp
 from typing import Dict
 
 __all__ = ["RngHub"]
@@ -43,8 +44,12 @@ class RngHub:
         return self.stream(name).expovariate(rate)
 
     def lognormal(self, name: str, mu: float, sigma: float) -> float:
-        """Draw a log-normal variate (natural-log parameters)."""
-        return self.stream(name).lognormvariate(mu, sigma)
+        """Draw a log-normal variate (natural-log parameters).
+
+        What ``random.lognormvariate`` computes, spelled out to save
+        its frame on a path every transport hop takes.
+        """
+        return exp(self.stream(name).normalvariate(mu, sigma))
 
     def choice(self, name: str, seq):
         """Pick a uniformly random element of ``seq``."""

@@ -1,6 +1,6 @@
 """Shared test fixtures: a deterministic instant production line, the
-two-pass wire codec kept as a reference, and the Python-call counter
-of the call-budget tests.
+two-pass wire codec and the process-per-bid kernel dispatch kept as
+references, and the Python-call counter of the call-budget tests.
 
 ``InstantLine`` implements the ProductionLine interface with constant,
 configurable behaviour so PPP/plant/shop logic can be tested without
@@ -11,13 +11,21 @@ pass each way (serialise, re-parse, set ``service``, serialise again;
 parse, serialise, parse again, ``root.find`` the parts, a fresh DAG per
 request).  ``tests/test_wire_codec.py`` holds the live codec to its
 wire bytes, decoded requests and error messages.
+
+``OracleProcess`` / ``oracle_collect`` are the kernel process (a
+``lambda`` per wait, stale wake-ups told apart by a generation number)
+and the bid round (one process per bidder, joined by ``AllOf``) as they
+stood before dispatch became one call per wake-up and the fan-out
+callback-driven.  ``tests/test_kernel.py`` and ``tests/test_shop.py``
+hold the live code to their event logs, bids and stream states.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import xml.etree.ElementTree as ET
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.actions import Action, ActionResult, ActionStatus
 from repro.core.dagxml import _require, dag_from_element, dag_to_element
@@ -30,7 +38,16 @@ from repro.core.spec import (
 )
 from repro.plant.guest import fabricate_outputs
 from repro.plant.production import CloneMode, ProductionLine, VirtualMachine
-from repro.sim.kernel import Environment
+from repro.shop.bidding import Bid, BidCollector
+from repro.sim.kernel import (
+    PRIORITY_URGENT,
+    Environment,
+    Event,
+    Initialize,
+    Interrupt,
+    SimulationError,
+    _defuse,
+)
 
 
 class InstantLine(ProductionLine):
@@ -113,11 +130,18 @@ def python_calls(fn) -> int:
     """Python-level calls ``fn()`` makes (``cProfile`` without builtins:
     exact and machine-independent, like the e2e benchmark's counter)."""
     profile = cProfile.Profile(builtins=False)
+    # A cyclic collection inside the window would run the finalizers
+    # of whatever earlier tests left behind (closing a suspended
+    # generator is a Python call) and be counted against ``fn``.
+    collecting = gc.isenabled()
+    gc.disable()
     profile.enable()
     try:
         fn()
     finally:
         profile.disable()
+        if collecting:
+            gc.enable()
     return sum(entry.callcount for entry in profile.getstats())
 
 
@@ -261,3 +285,135 @@ def oracle_service_request_from_xml(text: str) -> Tuple[str, CreateRequest]:
         root.set("service", "create")
         body = ET.tostring(root, encoding="unicode")
     return service, oracle_request_from_xml(body)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel dispatch (lambda + generation, one process per bid)
+# ---------------------------------------------------------------------------
+
+
+class OracleProcess(Event):
+    """The kernel ``Process`` before ``_resume`` became the callback."""
+
+    __slots__ = ("_generator", "_generation")
+
+    def __init__(self, env: Environment, generator: Generator):
+        super().__init__(env)
+        self._generator = generator
+        self._generation = 0
+        Initialize(env, self)
+
+    @property
+    def is_alive(self) -> bool:
+        return self._ok is None
+
+    def interrupt(self, cause: Any = None) -> None:
+        if not self.is_alive:
+            raise SimulationError("cannot interrupt a terminated process")
+        if self._generator.gi_frame is not None and self._generator.gi_running:
+            raise SimulationError("a process cannot interrupt itself")
+        interrupt_ev = Event(self.env)
+        interrupt_ev._ok = False
+        interrupt_ev._value = Interrupt(cause)
+        interrupt_ev.defused = True
+        self._generation += 1
+        gen = self._generation
+        interrupt_ev.callbacks = [
+            lambda ev, gen=gen: self._resume(ev, gen)
+        ]
+        self.env.schedule(interrupt_ev, priority=PRIORITY_URGENT)
+
+    def _resume(self, event: Event, generation: Optional[int] = None) -> None:
+        if generation is not None and generation != self._generation:
+            if not event._ok:
+                event.defused = True
+            return
+        if not self.is_alive:
+            if not event._ok:
+                event.defused = True
+            return
+        try:
+            if event._ok:
+                next_ev = self._generator.send(event._value)
+            else:
+                event.defused = True
+                next_ev = self._generator.throw(event._value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        except BaseException as exc:
+            self.fail(exc)
+            return
+
+        self._generation += 1
+        gen = self._generation
+        waiter = lambda ev, gen=gen: self._resume(ev, gen)  # noqa: E731
+        if next_ev.callbacks is not None:
+            next_ev.callbacks.append(waiter)
+        else:
+            resume_ev = Event(self.env)
+            resume_ev._ok = next_ev._ok
+            resume_ev._value = next_ev._value
+            if not next_ev._ok:
+                next_ev.defused = True
+                resume_ev.defused = True
+            resume_ev.callbacks = [waiter]
+            self.env.schedule(resume_ev, priority=PRIORITY_URGENT)
+
+
+def _oracle_one_way(transport) -> float:
+    if transport.latency_s == 0:
+        return 0.0
+    return transport.latency_s * transport.rng.stream(
+        "transport"
+    ).lognormvariate(0.0, transport.jitter_sigma)
+
+
+def _oracle_call(transport, handler) -> Generator:
+    """``Transport.call`` drawing through ``random.lognormvariate``."""
+    transport.calls += 1
+    yield transport.env.timeout(_oracle_one_way(transport))
+    result = handler()
+    if hasattr(result, "send") and hasattr(result, "throw"):
+        result = yield from result
+    yield transport.env.timeout(_oracle_one_way(transport))
+    return result
+
+
+def oracle_collect(
+    collector: BidCollector,
+    bidders: Sequence[Any],
+    request: CreateRequest,
+    deadline_s: Optional[float] = None,
+) -> Generator:
+    """``BidCollector.collect`` with one ``OracleProcess`` per bidder."""
+    env = collector.env
+    procs = []
+    for bidder in bidders:
+        proc_call = getattr(bidder, "estimate_proc", None)
+        if proc_call is not None:
+            handler = lambda c=proc_call: c(request)  # noqa: E731
+        else:
+            handler = lambda b=bidder: b.estimate(request)  # noqa: E731
+        procs.append(
+            OracleProcess(env, _oracle_call(collector.transport, handler))
+        )
+    if procs:
+        if deadline_s is None:
+            yield env.all_of(procs)
+        else:
+            yield env.any_of([env.all_of(procs), env.timeout(deadline_s)])
+            for proc in procs:
+                if not proc.triggered:
+                    proc.callbacks.append(_defuse)
+    bids: List[Bid] = []
+    now = env.now
+    for bidder, proc in zip(bidders, procs):
+        if not proc.triggered:
+            continue
+        cost = proc.value
+        if cost is not None:
+            bids.append(Bid(bidder.name, float(cost), bidder, now))
+    collector.collections += 1
+    collector.bids_collected += len(bids)
+    return bids

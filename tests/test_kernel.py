@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.kernel import (
     AllOf,
@@ -10,7 +12,10 @@ from repro.sim.kernel import (
     Interrupt,
     SimulationError,
     Timeout,
+    _defuse,
 )
+
+from tests.helpers import OracleProcess, python_calls
 
 
 class TestEvent:
@@ -276,6 +281,116 @@ class TestInterrupt:
         env.run()
         assert victim.value in (["interrupt"], ["value"])
         assert len(victim.value) == 1
+
+    def test_interrupt_before_first_step_lands_at_first_yield(self):
+        # Spawned and interrupted in one callback: the process still
+        # starts, and meets the interrupt where it first waits.
+        env = Environment()
+        log = []
+
+        def victim(env):
+            log.append(("started", env.now))
+            try:
+                yield env.timeout(10)
+                log.append(("finished", env.now))
+            except Interrupt as interrupt:
+                log.append(("interrupted", env.now, interrupt.cause))
+
+        def spawner(env):
+            yield env.timeout(3)
+            env.process(victim(env)).interrupt("early")
+
+        env.process(spawner(env))
+        env.run()
+        assert log == [("started", 3.0), ("interrupted", 3.0, "early")]
+
+    def test_last_of_two_early_interrupts_wins(self):
+        env = Environment()
+
+        def victim(env):
+            try:
+                yield env.timeout(10)
+            except Interrupt as interrupt:
+                return (env.now, interrupt.cause)
+
+        p = env.process(victim(env))
+        p.interrupt("first")
+        p.interrupt("second")
+        env.run()
+        assert p.value == (0.0, "second")
+
+    def test_early_interrupt_of_process_that_never_waits_is_dropped(self):
+        env = Environment()
+
+        def victim(env):
+            return "done"
+            yield  # pragma: no cover - makes this a generator
+
+        p = env.process(victim(env))
+        p.interrupt("early")
+        env.run()
+        assert p.value == "done"
+
+    def test_rewait_on_same_event_after_interrupt_resumes_once(self):
+        env = Environment()
+        log = []
+
+        def sleeper(env, ev):
+            try:
+                yield ev
+            except Interrupt:
+                log.append(("interrupt", env.now))
+            value = yield ev
+            log.append(("woke", env.now, value))
+            yield env.timeout(10)
+            log.append(("end", env.now))
+
+        def bystander(env, ev):
+            value = yield ev
+            log.append(("bystander", env.now, value))
+
+        def killer(env, victim, ev):
+            yield env.timeout(1)
+            victim.interrupt()
+            yield env.timeout(1)
+            ev.succeed("x")
+
+        ev = env.event()
+        victim = env.process(sleeper(env, ev))
+        env.process(bystander(env, ev))
+        env.process(killer(env, victim, ev))
+        env.run()
+        # One wake-up, in the place of the second wait: behind the
+        # bystander that registered before it.
+        assert log == [
+            ("interrupt", 1.0),
+            ("bystander", 2.0, "x"),
+            ("woke", 2.0, "x"),
+            ("end", 12.0),
+        ]
+        assert len(ev.callbacks or ()) == 0
+
+    def test_failure_of_event_abandoned_by_interrupt_stays_observed(self):
+        env = Environment()
+
+        def sleeper(env, ev):
+            try:
+                yield ev
+            except Interrupt:
+                yield env.timeout(5)
+            return env.now
+
+        def killer(env, victim, ev):
+            yield env.timeout(1)
+            victim.interrupt()
+            yield env.timeout(1)
+            ev.fail(RuntimeError("nobody waits any more"))
+
+        ev = env.event()
+        victim = env.process(sleeper(env, ev))
+        env.process(killer(env, victim, ev))
+        env.run()
+        assert victim.value == 6.0
 
 
 class TestConditions:
@@ -562,3 +677,104 @@ class TestCallLater:
         env = Environment()
         with pytest.raises(ValueError, match="negative delay"):
             env.call_later(-1.0, lambda _ev: None)
+
+
+# ---------------------------------------------------------------------------
+# The one-call resume against the lambda + generation reference
+# ---------------------------------------------------------------------------
+
+_N_EVENTS = 3
+_event_ids = st.integers(0, _N_EVENTS - 1)
+_delays = st.integers(0, 3)
+_ops = st.one_of(
+    st.tuples(st.just("sleep"), _delays),
+    st.tuples(st.just("wait"), _event_ids),
+    st.tuples(st.just("fire"), _event_ids),
+    st.tuples(st.just("fail"), _event_ids),
+    st.tuples(st.just("all"), st.lists(_event_ids, max_size=3), _delays),
+    st.tuples(st.just("any"), st.lists(_event_ids, max_size=3), _delays),
+    st.tuples(st.just("interrupt"), st.integers(0, 4)),
+    st.tuples(st.just("join"), st.integers(0, 4)),
+)
+_programs = st.lists(
+    st.tuples(_delays, st.lists(_ops, max_size=6)), min_size=1, max_size=5
+)
+
+
+def _run_program(program, spawn):
+    """Run ``program`` with processes made by ``spawn``; the event log.
+
+    Each process sleeps ``start`` first (so every process has taken
+    its first step before any is interrupted — the one case the
+    reference gets wrong, pinned on its own in ``TestInterrupt``), then
+    performs its ops, logging how each wait ended.  Every shared event
+    has an observer, so a failure nobody waits for does not end the run.
+    """
+    env = Environment()
+    log = []
+    shared = [env.event() for _ in range(_N_EVENTS)]
+    for ev in shared:
+        ev.callbacks.append(_defuse)
+    procs = []
+
+    def body(me, start, ops):
+        ops = [("sleep", start)] + ops
+        for step, op in enumerate(ops):
+            label = f"p{me}.{step}.{op[0]}"
+            kind, arg = op[0], op[1]
+            try:
+                if kind == "sleep":
+                    yield env.timeout(arg)
+                elif kind == "wait":
+                    yield shared[arg]
+                elif kind == "fire":
+                    if not shared[arg].triggered:
+                        shared[arg].succeed(label)
+                elif kind == "fail":
+                    if not shared[arg].triggered:
+                        shared[arg].fail(RuntimeError(label))
+                elif kind in ("all", "any"):
+                    parts = [shared[k] for k in arg] + [env.timeout(op[2])]
+                    cond = env.all_of if kind == "all" else env.any_of
+                    yield cond(parts)
+                elif kind == "interrupt":
+                    victim = procs[arg % len(procs)]
+                    if victim is not procs[me] and victim.is_alive:
+                        victim.interrupt(label)
+                elif kind == "join":
+                    yield procs[arg % len(procs)]
+                log.append((env.now, label, "ok"))
+            except Interrupt as interrupt:
+                log.append((env.now, label, "interrupted", interrupt.cause))
+            except RuntimeError as exc:
+                log.append((env.now, label, "failed", str(exc)))
+        log.append((env.now, f"p{me}", "end"))
+
+    for me, (start, ops) in enumerate(program):
+        procs.append(spawn(env, body(me, start, ops)))
+    env.run()
+    return log, env.now, env.executed_events
+
+
+class TestResumeMatchesOracle:
+    @given(_programs)
+    @settings(max_examples=300, deadline=None)
+    def test_random_programs_log_identically(self, program):
+        live = _run_program(program, lambda env, gen: env.process(gen))
+        assert live == _run_program(program, OracleProcess)
+
+    def test_wait_resume_cycle_is_one_kernel_call(self):
+        # Beside the generator's own frame, a wake-up costs the kernel
+        # one Python call (``_resume``): no lambda, no property.
+        def run_calls(cycles):
+            env = Environment()
+            timers = [env.timeout(i + 1) for i in range(cycles)]
+
+            def proc():
+                for timer in timers:
+                    yield timer
+
+            env.process(proc())
+            return python_calls(env.run)
+
+        assert run_calls(30) - run_calls(10) == 20 * 2

@@ -30,7 +30,10 @@ from repro.shop.vmshop import VMShop
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngHub
 
-from tests.helpers import InstantLine, drive
+from repro.sim.cluster import build_testbed
+from repro.workloads.requests import experiment_request
+
+from tests.helpers import InstantLine, drive, oracle_collect, python_calls
 
 OS = "testos"
 
@@ -685,3 +688,167 @@ class TestBroker:
         # Not "no plant knows 'vm-x'", and not p2's answer either.
         with pytest.raises(TypeError, match="unexpected keyword"):
             broker.query("vm-x")
+
+
+class TestGather:
+    """The callback-driven bid fan-out (``Transport.gather`` under
+    ``BidCollector.collect``) against one process per bid."""
+
+    @staticmethod
+    def run_rounds(collect, rounds=200, seed=2004):
+        """``rounds`` bid rounds on an 8-plant bed, the winner of every
+        fourth one given the VM so that quotes move."""
+        bed = build_testbed(seed=seed, n_plants=8)
+        collector = bed.shop.collector
+        seen = []
+
+        def client():
+            for n in range(rounds):
+                request = experiment_request((32, 64, 256)[n % 3])
+                bids = yield from collect(collector, bed.shop.bidders, request)
+                seen.append([(b.bidder_name, b.cost, b.at) for b in bids])
+                winner = collector.select(bids)
+                if n % 4 == 0:
+                    yield from winner.bidder.create(request, f"vm-{n}")
+
+        drive(bed.env, client())
+        return (
+            seen,
+            bed.env.now,
+            bed.shop.transport.calls,
+            collector.collections,
+            collector.bids_collected,
+            bed.rng.stream("transport").getstate(),
+            bed.rng.stream("bid-tie").getstate(),
+        )
+
+    def test_rounds_match_process_per_bid_oracle(self):
+        live = self.run_rounds(BidCollector.collect)
+        assert live == self.run_rounds(oracle_collect)
+        seen, _, calls, collections, bids_collected = live[:5]
+        assert calls == 8 * 200 and collections == 200
+        assert bids_collected == sum(len(bids) for bids in seen) > 0
+        assert len({cost for bids in seen for _, cost, _ in bids}) > 3
+
+    @staticmethod
+    def site(env, n_plants=3):
+        shop, plants = make_site(env, n_plants=n_plants)
+        return shop.collector, shop.bidders, plants
+
+    def test_hung_bidder_left_out_and_late_answer_dropped(self):
+        env = Environment()
+        collector, bidders, plants = self.site(env)
+        plants[0].fail()
+        env.call_later(9.0, lambda _ev: plants[0].recover())
+        bids = drive(
+            env, collector.collect(bidders, make_request(), deadline_s=5.0)
+        )
+        assert env.now == 5.0
+        assert [b.bidder_name for b in bids] == ["p1", "p2"]
+        assert {b.at for b in bids} == {5.0}
+        drawn = collector.transport.rng.stream("transport").getstate()
+        env.run()
+        # The late estimate still ran and still paid its way back.
+        assert env.now > 9.0
+        assert collector.transport.rng.stream("transport").getstate() != drawn
+        assert [b.bidder_name for b in bids] == ["p1", "p2"]
+        assert collector.bids_collected == 2
+
+    def test_late_failure_is_dropped(self):
+        env = Environment()
+        collector, bidders, plants = self.site(env)
+
+        def broken(request):
+            raise PlantError("estimate blew up")
+
+        plants[0].fail()
+        plants[0].estimate = broken
+        env.call_later(9.0, lambda _ev: plants[0].recover())
+        bids = drive(
+            env, collector.collect(bidders, make_request(), deadline_s=5.0)
+        )
+        env.run()
+        assert env.now == 9.0
+        assert [b.bidder_name for b in bids] == ["p1", "p2"]
+
+    @pytest.mark.parametrize("deadline_s", [None, 5.0])
+    def test_failing_estimate_raises_from_collect(self, deadline_s):
+        env = Environment()
+        collector, bidders, plants = self.site(env)
+
+        def broken(request):
+            raise PlantError("estimate blew up")
+
+        plants[1].estimate = broken
+        with pytest.raises(PlantError, match="blew up"):
+            drive(
+                env,
+                collector.collect(
+                    bidders, make_request(), deadline_s=deadline_s
+                ),
+            )
+        assert env.now < 1.0  # at the failing bidder's arrival
+        env.run()  # the other answers land on a decided round
+        assert collector.collections == 0
+
+    def test_plant_back_before_deadline_is_included(self):
+        env = Environment()
+        collector, bidders, plants = self.site(env)
+        plants[0].fail()
+        env.call_later(2.0, lambda _ev: plants[0].recover())
+        bids = drive(
+            env, collector.collect(bidders, make_request(), deadline_s=5.0)
+        )
+        assert [b.bidder_name for b in bids] == ["p0", "p1", "p2"]
+        assert 2.0 < env.now < 5.0
+        assert {b.at for b in bids} == {env.now}
+
+    def test_empty_bidder_list(self):
+        env = Environment()
+        collector, _, _ = self.site(env)
+        assert drive(env, collector.collect([], make_request())) == []
+        assert env.now == 0.0
+        assert collector.collections == 1
+        assert collector.transport.calls == 0
+        done = collector.transport.gather([])
+        assert env.run(until=done) == {}
+
+    def test_gather_takes_plain_and_generator_handlers(self):
+        env = Environment()
+        transport = Transport(env, latency_s=0.5, jitter_sigma=0.0)
+        fired = env.event().succeed("already")
+        env.run()
+
+        def slow():
+            got = yield fired  # processed: stepped through in place
+            yield env.timeout(3)
+            return got
+
+        done = transport.gather([lambda: "plain", slow, lambda: None])
+        assert env.run(until=done) == {0: "plain", 1: "already", 2: None}
+        assert env.now == pytest.approx(4.0)
+        assert transport.calls == 3
+
+    def test_round_event_and_call_budget(self):
+        # One memo-hit round over 8 plants: an out-timer and a
+        # back-timer per bidder and one event for the round (it was
+        # Initialize + two timers + process end per bidder, + AllOf).
+        bed = build_testbed(seed=3, n_plants=8)
+        request = experiment_request(32)
+        collector = bed.shop.collector
+        drive(bed.env, collector.collect(bed.shop.bidders, request))
+
+        def one_round():
+            bed.env.run(
+                until=bed.env.process(
+                    collector.collect(bed.shop.bidders, request)
+                )
+            )
+
+        before = bed.env.executed_events
+        calls = python_calls(one_round)
+        # Initialize and process end of the driving process itself.
+        assert bed.env.executed_events - before == 2 * 8 + 1 + 2
+        # 259 at the time of writing, 8 x 15 of it VMPlant.estimate;
+        # the process-per-bid oracle takes 478 on this kernel.
+        assert calls <= 270

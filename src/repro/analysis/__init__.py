@@ -1,51 +1,8 @@
-"""Analysis utilities for experiment results."""
+"""Analysis utilities for experiment results.
 
-from repro.analysis.export import (
-    clone_records_to_rows,
-    histograms_to_rows,
-    rows_to_csv,
-    series_to_rows,
-    summaries_to_json,
-)
-from repro.analysis.histograms import (
-    FIG4_BIN_CENTERS,
-    FIG5_BIN_CENTERS,
-    Histogram,
-    histogram,
-)
-from repro.analysis.stats import Summary, sequence_series, summarize
-from repro.analysis.streaming import (
-    ExactSum,
-    Moments,
-    QuantileSketch,
-    StreamSummary,
-    WorkloadSummary,
-)
-from repro.analysis.tables import (
-    render_histogram_table,
-    render_series,
-    render_summary_table,
-)
-
-__all__ = [
-    "ExactSum",
-    "Moments",
-    "QuantileSketch",
-    "StreamSummary",
-    "WorkloadSummary",
-    "clone_records_to_rows",
-    "histograms_to_rows",
-    "rows_to_csv",
-    "series_to_rows",
-    "summaries_to_json",
-    "FIG4_BIN_CENTERS",
-    "FIG5_BIN_CENTERS",
-    "Histogram",
-    "Summary",
-    "histogram",
-    "render_histogram_table",
-    "render_series",
-    "render_summary_table",
-    "sequence_series",
-    "summarize",
-]
+Import the leaf module you need: :mod:`repro.analysis.streaming`
+(standard library only, part of the library layer) or the numpy-backed
+report modules ``stats`` / ``histograms`` / ``tables`` / ``export``.
+This package re-exports nothing, so a run that only streams summaries
+never loads numpy (DESIGN.md, "Process footprint & import layering").
+"""

@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "ActionScope",
@@ -68,8 +68,29 @@ class ActionStatus(Enum):
     CACHED = "cached"
 
 
-def _canonical_params(params: Mapping[str, Any]) -> Tuple[Tuple[str, str], ...]:
-    """Canonical, hashable form of an action's parameter mapping."""
+def _canonical_params(
+    params: Union[Mapping[str, Any], Tuple[Tuple[str, str], ...]],
+) -> Tuple[Tuple[str, str], ...]:
+    """Canonical, hashable form of an action's parameter mapping.
+
+    A tuple is taken as the canonical form itself — what
+    ``Action.params`` stores and ``dataclasses.replace`` feeds back —
+    and must already be one: ``(key, repr)`` string pairs in strictly
+    increasing key order.
+    """
+    if isinstance(params, tuple):
+        pairs = all(
+            isinstance(pair, tuple)
+            and len(pair) == 2
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], str)
+            for pair in params
+        )
+        if not pairs or any(
+            a[0] >= b[0] for a, b in zip(params, params[1:])
+        ):
+            raise ValueError(f"params tuple is not canonical: {params!r}")
+        return params
     return tuple(sorted((str(k), repr(v)) for k, v in params.items()))
 
 
@@ -113,7 +134,9 @@ class Action:
         name: str,
         scope: ActionScope = ActionScope.GUEST,
         command: str = "",
-        params: Optional[Mapping[str, Any]] = None,
+        params: Union[
+            Mapping[str, Any], Tuple[Tuple[str, str], ...], None
+        ] = None,
         outputs: Tuple[str, ...] = (),
         on_error: ErrorPolicy = ErrorPolicy.FAIL,
         retries: int = 0,

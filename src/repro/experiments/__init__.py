@@ -10,44 +10,9 @@ parallel` fans independent runs out across a process pool with a
 deterministic merge, and :mod:`repro.experiments.cache` memoizes
 results on disk keyed by (experiment id, parameters, seed, source
 digest).
+
+Import the leaf module you need; this package re-exports nothing, so
+:mod:`repro.experiments.runner` (library layer) loads without the
+report layer's numpy and process pools (DESIGN.md, "Process footprint
+& import layering").
 """
-
-from repro.experiments.cache import (
-    ResultCache,
-    default_cache,
-    source_digest,
-)
-from repro.experiments.loadtest import (
-    LoadPoint,
-    LoadTestResult,
-    run_loadtest,
-)
-from repro.experiments.parallel import (
-    Job,
-    parallel_map,
-    run_jobs,
-    run_seed_sweep,
-)
-from repro.experiments.runner import (
-    CreationSample,
-    ExperimentRun,
-    run_creation_experiment,
-    run_creation_suite,
-)
-
-__all__ = [
-    "CreationSample",
-    "ExperimentRun",
-    "run_creation_experiment",
-    "run_creation_suite",
-    "Job",
-    "run_jobs",
-    "parallel_map",
-    "run_seed_sweep",
-    "ResultCache",
-    "default_cache",
-    "source_digest",
-    "LoadPoint",
-    "LoadTestResult",
-    "run_loadtest",
-]

@@ -1,5 +1,7 @@
 """Unit tests for the Action value object."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.actions import (
@@ -32,6 +34,39 @@ class TestAction:
         b = Action("x", params={"a": 1, "b": 2})
         assert a == b
         assert a.params == (("a", "1"), ("b", "2"))
+
+    def test_replace_round_trips_canonical_params(self):
+        # dataclasses.replace feeds the stored tuple back to __init__.
+        action = Action("x", command="echo {v}", params={"v": 1, "a": "s"})
+        same = dataclasses.replace(action)
+        assert same == action
+        assert same.signature == action.signature
+        renamed = dataclasses.replace(action, name="y")
+        assert renamed.params == action.params == (("a", "'s'"), ("v", "1"))
+        assert renamed.rendered_command() == "echo 1"
+        assert renamed.signature == Action(
+            "y", command="echo {v}", params={"v": 1, "a": "s"}
+        ).signature
+        swapped = dataclasses.replace(action, params={"v": 2})
+        assert swapped.params == (("v", "2"),)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (("b", "1"), ("a", "2")),  # not sorted
+            (("a", "1"), ("a", "2")),  # duplicate key
+            (("a", 1),),  # value is not a repr string
+            (("a", "1", "2"),),  # not a pair
+            ("a", "1"),  # a flat pair, not a tuple of pairs
+        ],
+    )
+    def test_non_canonical_params_tuple_rejected(self, params):
+        with pytest.raises(ValueError, match="not canonical"):
+            Action("x", params=params)
+
+    def test_params_neither_mapping_nor_tuple_rejected(self):
+        with pytest.raises(AttributeError):
+            Action("x", params=[("a", 1)])
 
     def test_param_dict_view(self):
         action = Action("x", params={"user": "alice"})

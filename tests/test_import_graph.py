@@ -1,0 +1,221 @@
+"""Import cost follows use: the library layer never loads the report layer.
+
+DESIGN.md, "Process footprint & import layering".  A process that
+builds testbeds and runs creates (every e2e workload, every forked
+shard worker) must not pay for numpy, process pools or the experiment
+suite; only the report layer — the experiment drivers, the numpy-backed
+analysis modules and the CLI — may import them.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+#: The library layer: standard library only, never the report layer.
+#: Whole subpackages ...
+LIBRARY_PACKAGES = (
+    "repro.core",
+    "repro.sim",
+    "repro.shop",
+    "repro.plant",
+    "repro.vnet",
+    "repro.cost",
+    "repro.faults",
+    "repro.federation",
+    "repro.distribution",
+    "repro.workloads",
+    "repro.local",
+)
+#: ... and single modules (a package name here is its ``__init__``).
+LIBRARY_MODULES = (
+    "repro",
+    "repro.provisioning",
+    "repro.profiling",
+    "repro.analysis",
+    "repro.analysis.streaming",
+    "repro.experiments",
+    "repro.experiments.runner",
+)
+#: The report layer is everything else under these; it alone may use
+#: numpy, ``concurrent.futures`` and the result cache.
+REPORT_ROOTS = (
+    "repro.cli",
+    "repro.__main__",
+    "repro.analysis",
+    "repro.experiments",
+)
+#: The one library -> report edge, function-level so that importing
+#: ``runner`` does not follow it: ``run_creation_suite`` is the suite
+#: entry point the e2e benchmark imports from ``runner``, and it fans
+#: out through ``run_jobs``.
+DEFERRED_EDGES = {
+    ("repro.experiments.runner", "repro.experiments.parallel"),
+}
+#: Modules a create-path process must not have loaded.
+REPORT_ONLY = (
+    "numpy",
+    "concurrent.futures",
+    "repro.experiments.loadtest",
+    "repro.experiments.parallel",
+    "repro.experiments.cache",
+    "repro.analysis.stats",
+    "repro.analysis.histograms",
+    "repro.analysis.tables",
+    "repro.analysis.export",
+)
+
+
+def _modules():
+    """Dotted name -> source path for every module under ``src/repro``."""
+    found = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        found[".".join(parts)] = path
+    return found
+
+
+MODULES = _modules()
+
+
+def _in_library(name: str) -> bool:
+    return name in LIBRARY_MODULES or any(
+        name == pkg or name.startswith(pkg + ".") for pkg in LIBRARY_PACKAGES
+    )
+
+
+REPORT = sorted(name for name in MODULES if not _in_library(name))
+
+
+def _imports(path: Path):
+    """Every import in ``path`` — module level or nested — as
+    ``(dotted target, is module level)``; ``from pkg import sub`` names
+    the submodule when ``sub`` is one."""
+    tree = ast.parse(path.read_text())
+    top = set(tree.body)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"{path}: relative import"
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            targets = [n if n in MODULES else node.module for n in names]
+        else:
+            continue
+        for target in targets:
+            yield target, node in top
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{ROOT}"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_every_module_sits_in_exactly_one_layer():
+    for name in REPORT:
+        assert any(
+            name == root or name.startswith(root + ".")
+            for root in REPORT_ROOTS
+        ), f"{name} is in neither layer: add it to one"
+    for name in LIBRARY_MODULES + LIBRARY_PACKAGES:
+        assert name in MODULES, f"{name} is listed but does not exist"
+
+
+def test_library_layer_imports_stdlib_and_library_only():
+    deferred = set()
+    for name, path in MODULES.items():
+        if not _in_library(name):
+            continue
+        for target, module_level in _imports(path):
+            top = target.split(".")[0]
+            if top != "repro":
+                assert top in sys.stdlib_module_names, (
+                    f"{name} imports {target}: the library layer is "
+                    "standard library only"
+                )
+            elif not _in_library(target):
+                assert not module_level and (name, target) in DEFERRED_EDGES, (
+                    f"{name} imports {target}: the library layer never "
+                    "imports the report layer"
+                )
+                deferred.add((name, target))
+    assert deferred == DEFERRED_EDGES, "drop the edge that no longer exists"
+
+
+CREATE_PATH_PROBE = """
+import json, sys
+import benchmarks.e2e.workloads  # all that the end-to-end benchmark imports
+from repro.sim.cluster import build_testbed
+from repro.sim.shard import ShardedTestbed
+from repro.workloads.megaload import merge_site_summaries
+from repro.workloads.requests import experiment_request
+
+bed = build_testbed(seed=1)
+ad = bed.run(bed.shop.create(experiment_request(memory_mb=32)))
+run = ShardedTestbed(seed=2004, sites=2, shards=1, scenario="megaload").run(
+    params={"requests": 30}, collect=None
+)
+merged = merge_site_summaries(
+    run.site_results, group_of=lambda site: run.partition[site]
+)
+print(json.dumps({
+    "vmid": str(ad["vmid"]),
+    "ok": merged.total("ok"),
+    "loaded": [name for name in %r if name in sys.modules],
+}))
+"""
+
+
+def test_create_path_process_loads_no_report_module():
+    done = _python("-c", CREATE_PATH_PROBE % (REPORT_ONLY,))
+    assert done.returncode == 0, done.stderr[-2000:]
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["vmid"] and seen["ok"] > 0
+    assert seen["loaded"] == []
+
+
+def test_cli_help_does_not_import_numpy():
+    done = _python("-X", "importtime", "-m", "repro.cli", "--help")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "megaload" in done.stdout
+    loaded = {
+        line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+    }
+    assert "repro.core.classad" in loaded  # the import log is there
+    assert not loaded & set(REPORT_ONLY)
+
+
+def test_cli_subcommands_import_report_modules_only_when_run():
+    drivers = [
+        (target, module_level)
+        for target, module_level in _imports(MODULES["repro.cli"])
+        if target.startswith("repro.experiments")
+    ]
+    assert len({target for target, _ in drivers}) >= 15
+    for target, module_level in drivers:
+        assert not module_level, f"cli.py imports {target} for every command"
+        # ... and test_report_module_imports_on_its_own covers it.
+        assert target in REPORT
+
+
+@pytest.mark.parametrize("module", REPORT)
+def test_report_module_imports_on_its_own(module):
+    # No package __init__ pre-loads a sibling any more: each report
+    # module (the numpy users among them) must name what it needs.
+    done = _python("-c", f"import {module}")
+    assert done.returncode == 0, done.stderr[-2000:]

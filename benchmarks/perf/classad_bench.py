@@ -28,14 +28,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
-import platform
 import random
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Optional
 
+from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.core.classad import (
     ClassAd,
     Expression,
@@ -56,12 +54,9 @@ __all__ = [
     "measure_bid_path",
     "measure_discover",
     "run_classad_bench",
-    "load_classad_trajectory",
 ]
 
-CLASSAD_BENCH_PATH = Path(__file__).resolve().parent.parent / "results" / (
-    "BENCH_classad.json"
-)
+CLASSAD_BENCH_PATH = RESULTS / "BENCH_classad.json"
 
 PAPER_SEED = 2004
 
@@ -294,10 +289,7 @@ def run_classad_bench(
     """Run all three sections; append the record to the trajectory."""
     clear_parse_cache()
     record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
+        **host_fields(small),
         "eval": measure_eval_throughput(
             reparse_evals=1500 if small else 4000,
             fast_evals=60_000 if small else 200_000,
@@ -309,27 +301,8 @@ def run_classad_bench(
         ),
         "parse_cache": parse_cache_info(),
     }
-    path = out or CLASSAD_BENCH_PATH
-    trajectory = load_classad_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    append_record(out or CLASSAD_BENCH_PATH, record)
     return record
-
-
-def load_classad_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded classad trajectory (empty if absent/corrupt)."""
-    path = path or CLASSAD_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
 
 
 def main() -> None:

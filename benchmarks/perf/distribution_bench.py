@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.experiments.disttree import VARIANTS, run_disttree
 
 __all__ = [
@@ -44,12 +42,9 @@ __all__ = [
     "PAPER_PARAMS",
     "SMALL_PARAMS",
     "run_distribution_bench",
-    "load_distribution_trajectory",
 ]
 
-DISTRIBUTION_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_distribution.json"
+DISTRIBUTION_BENCH_PATH = RESULTS / "BENCH_distribution.json"
 
 PAPER_SEED = 2004
 
@@ -85,10 +80,7 @@ def run_distribution_bench(
             )
 
     record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
+        **host_fields(small),
         "hosts": list(params["hosts"]),
         "fanout": params["fanout"],
         "wall_s": round(wall, 2),
@@ -101,27 +93,8 @@ def run_distribution_bench(
         "star_p95_growth": round(result.p95_growth("nfs-star"), 3),
         "determinism_ok": True,
     }
-    path = out or DISTRIBUTION_BENCH_PATH
-    trajectory = load_distribution_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    append_record(out or DISTRIBUTION_BENCH_PATH, record)
     return record
-
-
-def load_distribution_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded distribution trajectory (empty if absent/corrupt)."""
-    path = path or DISTRIBUTION_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
 
 
 def main() -> None:

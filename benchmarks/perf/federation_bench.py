@@ -23,25 +23,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import tempfile
-import time
 from pathlib import Path
 from typing import Optional
 
-from benchmarks.e2e.workloads import usable_cores
+from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.experiments.federation import run_federation
 
 __all__ = [
     "FEDERATION_BENCH_PATH",
     "run_federation_bench",
-    "load_federation_trajectory",
 ]
 
-FEDERATION_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_federation.json"
+FEDERATION_BENCH_PATH = RESULTS / "BENCH_federation.json"
 
 PAPER_SEED = 2004
 
@@ -68,37 +61,12 @@ def run_federation_bench(
             requests_per_site=160,
         )
     record = {
-        "timestamp": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "usable_cores": usable_cores(),
-        "python": platform.python_version(),
+        **host_fields(small),
     }
     record.update(result.to_record())
-    path = out or FEDERATION_BENCH_PATH
-    trajectory = load_federation_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    append_record(out or FEDERATION_BENCH_PATH, record)
     print(result.render())
     return record
-
-
-def load_federation_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded benchmark trajectory (empty if absent/corrupt)."""
-    path = path or FEDERATION_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
 
 
 def main() -> None:

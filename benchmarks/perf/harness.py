@@ -31,17 +31,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from benchmarks.e2e.workloads import usable_cores
 from benchmarks.perf.classad_bench import run_classad_bench
 from benchmarks.perf.matching_bench import run_matching_bench
 from benchmarks.perf.provision_bench import run_provision_bench
+from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import PAPER_RUNS, run_creation_suite
 from repro.sim.cluster import build_testbed
@@ -56,9 +54,7 @@ __all__ = [
     "BENCH_PATH",
 ]
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "results" / (
-    "BENCH_parallel_runner.json"
-)
+BENCH_PATH = RESULTS / "BENCH_parallel_runner.json"
 
 #: Scaled-down plan for smoke runs: same shape, ~10x less work.
 SMALL_RUNS: Dict[int, tuple] = {
@@ -138,11 +134,7 @@ def run_harness(
         kernel_count = 16 if small else 64
     events, eps, cps = measure_kernel(count=kernel_count)
     record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "usable_cores": usable_cores(),
-        "python": platform.python_version(),
+        **host_fields(small),
         "suite_sequential_s": round(seq_s, 4),
         "suite_parallel_s": round(par_s, 4),
         "parallel_speedup": round(seq_s / par_s, 2) if par_s else None,
@@ -153,15 +145,7 @@ def run_harness(
         "kernel_events_per_sec": round(eps, 1),
         "kernel_creates_per_sec": round(cps, 1),
     }
-    path = out or BENCH_PATH
-    trajectory = load_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    append_record(out or BENCH_PATH, record)
     if matching:
         # Separate trajectory file: the matching sweep has its own
         # regression check in CI (see test_perf_smoke.py).
@@ -171,17 +155,6 @@ def run_harness(
     if classad:
         record["classad"] = run_classad_bench(small=small)
     return record
-
-
-def load_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded benchmark trajectory (empty if absent/corrupt)."""
-    path = path or BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
 
 
 def main() -> None:

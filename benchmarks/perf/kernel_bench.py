@@ -18,25 +18,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import tempfile
-import time
 from pathlib import Path
 from typing import Optional
 
-from benchmarks.e2e.workloads import usable_cores
+from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.experiments.kernelbench import run_kernelbench
 
 __all__ = [
     "KERNEL_BENCH_PATH",
     "run_kernel_bench",
-    "load_kernel_trajectory",
 ]
 
-KERNEL_BENCH_PATH = Path(__file__).resolve().parent.parent / "results" / (
-    "BENCH_kernel.json"
-)
+KERNEL_BENCH_PATH = RESULTS / "BENCH_kernel.json"
 
 PAPER_SEED = 2004
 
@@ -60,37 +53,12 @@ def run_kernel_bench(
             requests_per_site=160,
         )
     record = {
-        "timestamp": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "usable_cores": usable_cores(),
-        "python": platform.python_version(),
+        **host_fields(small),
     }
     record.update(result.to_record())
-    path = out or KERNEL_BENCH_PATH
-    trajectory = load_kernel_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    append_record(out or KERNEL_BENCH_PATH, record)
     print(result.render())
     return record
-
-
-def load_kernel_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded benchmark trajectory (empty if absent/corrupt)."""
-    path = path or KERNEL_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
 
 
 def main() -> None:

@@ -33,14 +33,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import random
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.core.actions import Action
 from repro.core.dag import ConfigDAG
 from repro.core.matching import select_golden
@@ -57,12 +55,9 @@ __all__ = [
     "build_chain_catalog",
     "measure_chain_catalog",
     "run_matching_bench",
-    "load_matching_trajectory",
 ]
 
-MATCH_BENCH_PATH = Path(__file__).resolve().parent.parent / "results" / (
-    "BENCH_matching.json"
-)
+MATCH_BENCH_PATH = RESULTS / "BENCH_matching.json"
 
 #: Warehouse sizes of the full sweep (ISSUE 2 acceptance: ≥5x @ 1000).
 PAPER_SIZES: Tuple[int, ...] = (10, 100, 1000)
@@ -326,35 +321,13 @@ def run_matching_bench(
     points = [measure_matching(n) for n in sizes]
     chain_catalog = [measure_chain_catalog(n) for n in sizes]
     record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
+        **host_fields(small),
         "points": points,
         "speedup_at_max_size": points[-1]["memoized_speedup"],
         "chain_catalog_distinct_requests": chain_catalog,
     }
-    path = out or MATCH_BENCH_PATH
-    trajectory = load_matching_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    append_record(out or MATCH_BENCH_PATH, record)
     return record
-
-
-def load_matching_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded matching trajectory (empty if absent/corrupt)."""
-    path = path or MATCH_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
 
 
 def main() -> None:

@@ -19,24 +19,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.experiments.megachaos import run_megachaos
 
 __all__ = [
     "MEGACHAOS_BENCH_PATH",
     "run_megachaos_bench",
-    "load_megachaos_trajectory",
 ]
 
-MEGACHAOS_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_megachaos.json"
+MEGACHAOS_BENCH_PATH = RESULTS / "BENCH_megachaos.json"
 
 PAPER_SEED = 2004
 
@@ -64,40 +59,17 @@ def run_megachaos_bench(
     )
     wall_s = time.perf_counter() - t0
     record = {
-        "timestamp": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
+        **host_fields(workload == "small"),
         "workload": workload,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
         # Wall-clock lives only in the bench trajectory — the
         # experiment's own report stays replay-stable without it.
         "ladder_wall_s": round(wall_s, 3),
         "availability_ladder": result.availability_ladder(),
     }
     record.update(result.to_records())
-    path = out or MEGACHAOS_BENCH_PATH
-    trajectory = load_megachaos_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    append_record(out or MEGACHAOS_BENCH_PATH, record)
     print(result.render())
     return record
-
-
-def load_megachaos_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded benchmark trajectory (empty if absent/corrupt)."""
-    path = path or MEGACHAOS_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
 
 
 def main() -> None:

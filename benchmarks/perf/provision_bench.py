@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.experiments.loadtest import run_loadtest
 
 __all__ = [
@@ -35,12 +33,9 @@ __all__ = [
     "PAPER_PARAMS",
     "SMALL_PARAMS",
     "run_provision_bench",
-    "load_provision_trajectory",
 ]
 
-PROVISION_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_provisioning.json"
+PROVISION_BENCH_PATH = RESULTS / "BENCH_provisioning.json"
 
 PAPER_SEED = 2004
 
@@ -80,10 +75,7 @@ def run_provision_bench(
             )
 
     record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
+        **host_fields(small),
         "requests": params["requests"],
         "n_plants": params["n_plants"],
         "rates": list(params["rates"]),
@@ -101,27 +93,8 @@ def run_provision_bench(
         ),
         "determinism_ok": True,
     }
-    path = out or PROVISION_BENCH_PATH
-    trajectory = load_provision_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    append_record(out or PROVISION_BENCH_PATH, record)
     return record
-
-
-def load_provision_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded provisioning trajectory (empty if absent/corrupt)."""
-    path = path or PROVISION_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
 
 
 def main() -> None:

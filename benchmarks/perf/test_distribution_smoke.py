@@ -11,9 +11,10 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.perf.distribution_bench import (
+    DISTRIBUTION_BENCH_PATH,
     SMALL_PARAMS,
-    load_distribution_trajectory,
 )
+from benchmarks.perf.trajectory import load_trajectory
 from repro.experiments.disttree import run_disttree
 
 #: Small-ladder flatness ceiling: 8 -> 64 hosts adds ~3 tree levels,
@@ -57,7 +58,7 @@ def test_distribution_regression_vs_trajectory():
     """Recorded paper-scale ladder must keep meeting the acceptance bar."""
     records = [
         rec
-        for rec in load_distribution_trajectory()
+        for rec in load_trajectory(DISTRIBUTION_BENCH_PATH)
         if rec.get("workload") == "paper"
     ]
     if not records:

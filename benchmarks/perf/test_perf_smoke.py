@@ -15,21 +15,22 @@ import pytest
 
 from benchmarks.e2e.workloads import usable_cores
 from benchmarks.perf.harness import (
+    BENCH_PATH,
     SMALL_RUNS,
-    load_trajectory,
     measure_cache,
     measure_kernel,
     measure_suite,
 )
 from benchmarks.perf.classad_bench import (
-    load_classad_trajectory,
+    CLASSAD_BENCH_PATH,
     measure_eval_throughput,
 )
 from benchmarks.perf.matching_bench import (
-    load_matching_trajectory,
+    MATCH_BENCH_PATH,
     measure_matching,
 )
-from benchmarks.perf.provision_bench import load_provision_trajectory
+from benchmarks.perf.provision_bench import PROVISION_BENCH_PATH
+from benchmarks.perf.trajectory import load_trajectory
 
 #: Absolute wall-clock floor (s) below which we never flag a
 #: regression — keeps the 2x rule from flaking on noise-sized runs.
@@ -39,7 +40,7 @@ _FLOOR_S = 5.0
 def _best_recorded(metric: str, workload: str) -> float:
     values = [
         rec[metric]
-        for rec in load_trajectory()
+        for rec in load_trajectory(BENCH_PATH)
         if rec.get("workload") == workload and rec.get(metric)
     ]
     return min(values) if values else 0.0
@@ -110,7 +111,7 @@ def test_matching_index_beats_naive_at_smoke_size():
 def test_matching_throughput_regression_vs_trajectory():
     """Indexed bids/sec must stay within 2x of the recorded best."""
     best = 0.0
-    for rec in load_matching_trajectory():
+    for rec in load_trajectory(MATCH_BENCH_PATH):
         for point in rec.get("points", []):
             if point.get("images") == 200 and point.get(
                 "indexed_bids_per_sec"
@@ -147,7 +148,7 @@ def test_classad_compiled_beats_reparse_interpreter():
 def test_classad_regression_vs_trajectory():
     """Compiled evals/sec must stay within 2x of the recorded best,
     and every recorded run must have passed its equivalence checks."""
-    records = load_classad_trajectory()
+    records = load_trajectory(CLASSAD_BENCH_PATH)
     if not records:
         pytest.skip("no recorded classad trajectory")
     for rec in records:
@@ -254,7 +255,7 @@ def test_provisioning_regression_vs_trajectory():
     """Recorded paper-scale sweep must keep meeting the acceptance bar."""
     records = [
         rec
-        for rec in load_provision_trajectory()
+        for rec in load_trajectory(PROVISION_BENCH_PATH)
         if rec.get("workload") == "paper"
     ]
     if not records:

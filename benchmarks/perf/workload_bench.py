@@ -21,24 +21,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import tempfile
-import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.experiments.megaload import run_megaload
 
 __all__ = [
     "WORKLOAD_BENCH_PATH",
     "run_workload_bench",
-    "load_workload_trajectory",
 ]
 
-WORKLOAD_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_workload.json"
+WORKLOAD_BENCH_PATH = RESULTS / "BENCH_workload.json"
 
 PAPER_SEED = 2004
 
@@ -67,37 +61,11 @@ def run_workload_bench(
         deadline_s=None,
         trace_capacity=100_000,
     )
-    record = {
-        "timestamp": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "workload": workload,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-    }
+    record = {**host_fields(workload == "small"), "workload": workload}
     record.update(result.to_record())
-    path = out or WORKLOAD_BENCH_PATH
-    trajectory = load_workload_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    append_record(out or WORKLOAD_BENCH_PATH, record)
     print(result.render())
     return record
-
-
-def load_workload_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded benchmark trajectory (empty if absent/corrupt)."""
-    path = path or WORKLOAD_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ Subcommands map one-to-one to the experiment drivers::
     vmplants matching
     vmplants resilience
     vmplants replicas
-    vmplants loadtest [--requests N] [--rates R ...] [--streaming]
+    vmplants loadtest [--requests N] [--rates R ...]
     vmplants disttree [--hosts N ...] [--fanout K]
     vmplants kernelbench [--sites N] [--shards S ...]
     vmplants federation [--sites N ...] [--cross F ...] [--plants P]
@@ -132,8 +132,6 @@ def _loadtest(args) -> str:
         requests=args.requests,
         rates=tuple(args.rates),
         cache_mb=args.cache_mb,
-        streaming=args.streaming,
-        trace_capacity=args.trace_capacity,
     ).render()
 
 
@@ -448,25 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=512.0,
         help="per-host golden-state cache budget",
-    )
-    loadtest.add_argument(
-        "--streaming",
-        action="store_true",
-        help=(
-            "summarize latencies with constant-memory streaming "
-            "sketches (identical fingerprints; quantiles within the "
-            "sketch's relative error)"
-        ),
-    )
-    loadtest.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "attach a bounded N-event tracer to every run and report "
-            "dropped events (default: no tracer)"
-        ),
     )
     loadtest.set_defaults(runner=_loadtest)
 

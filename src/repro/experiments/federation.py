@@ -20,9 +20,9 @@ hangs on:
   between runs with the same ``rounds/ok`` (the cross-site speedup
   column, within one sweep).
 * ``create p95`` — 95th-percentile request completion latency
-  (simulated seconds), local and spilled placements together; the
-  price of crossing a WAN boundary shows up here as the cross-site
-  fraction grows.
+  (simulated seconds), local and spilled placements together, read
+  from the merged per-site sketches; the price of crossing a WAN
+  boundary shows up here as the cross-site fraction grows.
 
 The determinism recheck pins the merged-trace fingerprint of the
 largest swept grid at 1 shard vs one-shard-per-site vs a repeat.
@@ -45,25 +45,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.recheck import (
+    DeterminismRecheck,
+    recheck_determinism,
+)
 from repro.sim.shard import ShardedTestbed
+from repro.workloads.megaload import merged_summary
 
 __all__ = [
     "FederationPoint",
     "FederationResult",
     "run_federation",
-    "percentile",
 ]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 on empty input."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(
-        0, min(len(ordered) - 1, int(round(q / 100.0 * len(ordered))) - 1)
-    )
-    return ordered[rank]
 
 
 @dataclass(frozen=True)
@@ -129,14 +122,9 @@ class FederationResult:
     cross_fractions: Tuple[float, ...]
     params: Dict[str, Any]
     points: List[FederationPoint] = field(default_factory=list)
-    #: shard count -> merged-trace fingerprint (largest grid).
-    fingerprints: Dict[int, str] = field(default_factory=dict)
-    repeat_fingerprint: str = ""
-
-    @property
-    def deterministic(self) -> bool:
-        fps = set(self.fingerprints.values())
-        return len(fps) == 1 and self.repeat_fingerprint in fps
+    #: The largest swept grid, small, at 1 shard, one shard per site
+    #: and a repeat.
+    recheck: DeterminismRecheck = field(default_factory=DeterminismRecheck)
 
     def point(
         self, sites: int, cross_fraction: float
@@ -189,19 +177,7 @@ class FederationResult:
                 f"{p.p95_latency_s:>8.1f}"
             )
         lines.append("-" * 103)
-        fps = sorted(set(self.fingerprints.values()))
-        if self.deterministic:
-            lines.append(
-                f"determinism: merged-trace fingerprint {fps[0][:16]} "
-                f"identical at shard counts {sorted(self.fingerprints)} "
-                f"and across repeats"
-            )
-        else:
-            lines.append(
-                "determinism: FAILED — fingerprints "
-                f"{ {k: v[:16] for k, v in self.fingerprints.items()} } "
-                f"repeat {self.repeat_fingerprint[:16]}"
-            )
+        lines.append(self.recheck.line())
         return "\n".join(lines)
 
     def to_record(self) -> dict:
@@ -216,21 +192,9 @@ class FederationResult:
                 for s in self.site_counts
                 for cf in self.cross_fractions
             },
-            "deterministic": self.deterministic,
-            "fingerprint": next(iter(self.fingerprints.values()), ""),
+            "deterministic": self.recheck.ok,
+            "fingerprint": self.recheck.fingerprint,
         }
-
-
-def _agg_per_cpu_sec(run, stat: str) -> float:
-    """Sum over shards of (its sites' ``stat`` / its CPU-seconds)."""
-    count = {
-        r["site"]: int(r["stats"].get(stat, 0)) for r in run.site_results
-    }
-    total = 0.0
-    for s in run.shard_results:
-        if s["cpu_s"] > 0:
-            total += sum(count[site] for site in s["sites"]) / s["cpu_s"]
-    return total
 
 
 def run_federation(
@@ -283,9 +247,7 @@ def run_federation(
             )
             result.params = run.params
             stats = run.combined_stats()
-            latencies: List[float] = []
-            for r in run.site_results:
-                latencies.extend(r["stats"].get("latencies", ()))
+            latency = merged_summary(run).overall()
             created = int(stats.get("created", 0))
             bid_rounds = int(stats.get("bid_rounds", 0))
             result.points.append(
@@ -301,51 +263,36 @@ def run_federation(
                     ),
                     agg_events_per_sec=run.agg_events_per_sec,
                     bids=int(stats.get("bids_collected", 0)),
-                    agg_bids_per_sec=_agg_per_cpu_sec(
-                        run, "bids_collected"
+                    agg_bids_per_sec=run.agg_per_cpu_sec(
+                        "bids_collected"
                     ),
                     bid_rounds=bid_rounds,
                     bid_rounds_per_ok=(
                         bid_rounds / created if created else 0.0
                     ),
-                    agg_creates_per_sec=_agg_per_cpu_sec(run, "created"),
+                    agg_creates_per_sec=run.agg_per_cpu_sec("created"),
                     created=created,
                     destroyed=int(stats.get("destroyed", 0)),
                     failed=int(stats.get("failed", 0)),
                     spills_sent=int(stats.get("spills_sent", 0)),
                     spilled_ok=int(stats.get("spilled_ok", 0)),
                     spill_timeout=int(stats.get("spill_timeout", 0)),
-                    p50_latency_s=percentile(latencies, 50.0),
-                    p95_latency_s=percentile(latencies, 95.0),
+                    p50_latency_s=latency.quantile(0.50),
+                    p95_latency_s=latency.quantile(0.95),
                 )
             )
 
     det_sites = max(site_counts)
-    det_prm = dict(prm)
-    det_prm["requests"] = min(determinism_requests, requests_per_site)
-    det_prm["cross_fraction"] = (
-        cross_fractions[-1] if cross_fractions else 0.1
+    result.recheck = recheck_determinism(
+        seed,
+        det_sites,
+        "federation",
+        {
+            **prm,
+            "requests": min(determinism_requests, requests_per_site),
+            "cross_fraction": cross_fractions[-1] if cross_fractions else 0.1,
+        },
+        (1, det_sites),
+        deadline_s=deadline_s,
     )
-    det_counts = sorted({1, det_sites})
-    for shards in det_counts:
-        plan = ShardedTestbed(
-            seed=seed,
-            sites=det_sites,
-            shards=shards,
-            scenario="federation",
-        )
-        run = plan.run(
-            params=det_prm, collect="fingerprint", deadline_s=deadline_s
-        )
-        result.fingerprints[shards] = run.fingerprint()
-    plan = ShardedTestbed(
-        seed=seed,
-        sites=det_sites,
-        shards=det_counts[-1],
-        scenario="federation",
-    )
-    run = plan.run(
-        params=det_prm, collect="fingerprint", deadline_s=deadline_s
-    )
-    result.repeat_fingerprint = run.fingerprint()
     return result

@@ -27,6 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.recheck import (
+    DeterminismRecheck,
+    recheck_determinism,
+)
 from repro.sim.shard import ShardedTestbed
 
 __all__ = [
@@ -75,16 +79,8 @@ class KernelBenchResult:
     shard_counts: Tuple[int, ...]
     params: Dict[str, Any]
     points: List[KernelBenchPoint] = field(default_factory=list)
-    #: shard count -> merged-trace fingerprint (small determinism runs).
-    fingerprints: Dict[int, str] = field(default_factory=dict)
-    #: Fingerprint of the repeated multi-shard run (stability check).
-    repeat_fingerprint: str = ""
-
-    @property
-    def deterministic(self) -> bool:
-        """All shard counts agree and the repeat reproduced exactly."""
-        fps = set(self.fingerprints.values())
-        return len(fps) == 1 and self.repeat_fingerprint in fps
+    #: Small traced reruns at 1 shard, the highest swept count, a repeat.
+    recheck: DeterminismRecheck = field(default_factory=DeterminismRecheck)
 
     def point(self, shards: int) -> KernelBenchPoint:
         for p in self.points:
@@ -122,19 +118,7 @@ class KernelBenchResult:
                 f"{self.agg_speedup(p.shards):>11.2f}x"
             )
         lines.append("-" * 62)
-        fps = sorted(set(self.fingerprints.values()))
-        if self.deterministic:
-            lines.append(
-                f"determinism: merged-trace fingerprint {fps[0][:16]} "
-                f"identical across shard counts "
-                f"{sorted(self.fingerprints)} and across repeats"
-            )
-        else:
-            lines.append(
-                "determinism: FAILED — fingerprints "
-                f"{ {k: v[:16] for k, v in self.fingerprints.items()} } "
-                f"repeat {self.repeat_fingerprint[:16]}"
-            )
+        lines.append(self.recheck.line())
         return "\n".join(lines)
 
     def to_record(self) -> dict:
@@ -154,8 +138,8 @@ class KernelBenchResult:
                 str(s): round(self.wall_speedup(s), 2)
                 for s in self.shard_counts
             },
-            "deterministic": self.deterministic,
-            "fingerprint": next(iter(self.fingerprints.values()), ""),
+            "deterministic": self.recheck.ok,
+            "fingerprint": self.recheck.fingerprint,
         }
 
 
@@ -215,21 +199,12 @@ def run_kernelbench(
             )
         )
 
-    det_prm = dict(prm)
-    det_prm["requests"] = min(determinism_requests, requests_per_site)
-    det_counts = sorted({1, max(shard_counts)})
-    for shards in det_counts:
-        plan = ShardedTestbed(seed=seed, sites=sites, shards=shards)
-        run = plan.run(
-            params=det_prm, collect="fingerprint", deadline_s=deadline_s
-        )
-        result.fingerprints[shards] = run.fingerprint()
-    repeat_shards = det_counts[-1]
-    plan = ShardedTestbed(
-        seed=seed, sites=sites, shards=repeat_shards
+    result.recheck = recheck_determinism(
+        seed,
+        sites,
+        "kernelbench",
+        {**prm, "requests": min(determinism_requests, requests_per_site)},
+        (1, max(shard_counts)),
+        deadline_s=deadline_s,
     )
-    run = plan.run(
-        params=det_prm, collect="fingerprint", deadline_s=deadline_s
-    )
-    result.repeat_fingerprint = run.fingerprint()
     return result

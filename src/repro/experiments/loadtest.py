@@ -13,23 +13,13 @@ a hold period — and compares provisioning feature stacks:
 
 Arrival times come from one named RNG stream, so every variant faces
 bit-identical demand; only the provisioning machinery differs.
-
-``streaming=True`` (CLI ``--streaming``) records latencies into a
-constant-memory :class:`~repro.analysis.streaming.StreamSummary`
-instead of a growing list: quantiles come from the sketch — within
-its ``rel_err`` of the exact *nearest-rank* quantile (NumPy's
-interpolated percentile can sit farther away at small sample counts)
-— while the per-request ``fingerprint`` is computed incrementally
-over the *same* byte layout, so it stays byte-identical to the
-default path.  The default path — and therefore every recorded
-golden — is untouched.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,12 +107,6 @@ class LoadTestResult:
     cache_mb: float
     n_plants: int = 8
     points: Dict[str, List[LoadPoint]] = field(default_factory=dict)
-    #: True when latencies were summarized by streaming sketches.
-    streaming: bool = False
-    #: Tracer ring size attached to each run (None = no tracer).
-    trace_capacity: Optional[int] = None
-    #: Trace events dropped by bounded tracers, over all points.
-    trace_dropped: int = 0
 
     def point(self, variant: str, rate: float) -> LoadPoint:
         """The measurement for one (variant, rate) combination."""
@@ -171,56 +155,12 @@ class LoadTestResult:
             f"{self.speedup_at(top):.1f}x the baseline creates/sec at "
             f"{self.p95_improvement_at(top):.1f}x lower p95 latency"
         )
-        if self.streaming:
-            lines.append(
-                "latency summaries: streaming sketches "
-                "(constant memory; quantiles within sketch rel_err)"
-            )
-        if self.trace_capacity is not None:
-            lines.append(
-                f"tracer: bounded to {self.trace_capacity} events; "
-                f"{self.trace_dropped} dropped"
-                + (
-                    " (trace covers the tail of the run only)"
-                    if self.trace_dropped
-                    else ""
-                )
-            )
         return "\n".join(lines)
 
 
 def _fingerprint(latencies: Sequence[float]) -> str:
     payload = ",".join(f"{v:.9f}" for v in latencies)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-class _StreamingLatencies:
-    """Constant-memory stand-in for the per-point latency list.
-
-    Keeps a :class:`~repro.analysis.streaming.StreamSummary` plus an
-    incremental SHA-256 over exactly the bytes
-    ``",".join(f"{v:.9f}")`` — the :func:`_fingerprint` layout — so
-    streaming and full-list runs report identical fingerprints.
-    """
-
-    __slots__ = ("summary", "_hash", "_first")
-
-    def __init__(self) -> None:
-        from repro.analysis.streaming import StreamSummary
-
-        self.summary = StreamSummary()
-        self._hash = hashlib.sha256()
-        self._first = True
-
-    def append(self, value: float) -> None:
-        self.summary.add(value)
-        if not self._first:
-            self._hash.update(b",")
-        self._hash.update(f"{value:.9f}".encode())
-        self._first = False
-
-    def fingerprint(self) -> str:
-        return self._hash.hexdigest()[:16]
 
 
 def _run_point(
@@ -232,20 +172,14 @@ def _run_point(
     rate: float,
     hold_s: float,
     n_plants: int,
-    streaming: bool = False,
-    trace_capacity: Optional[int] = None,
-) -> Tuple[LoadPoint, int]:
+) -> LoadPoint:
     bed = build_testbed(seed=seed, n_plants=n_plants, provisioning=config)
-    if trace_capacity is not None:
-        from repro.sim.trace import Tracer
-
-        bed.env.tracer = Tracer(capacity=trace_capacity)
     stream = request_stream(memory_mb, requests)
     # One shared stream name: every variant sees identical arrivals.
     times = poisson_arrivals(
         bed.rng, rate, requests, stream=f"loadtest/{rate}"
     )
-    latencies = _StreamingLatencies() if streaming else []
+    latencies: List[float] = []
     failures = [0]
 
     def one(at: float, request) -> Generator:
@@ -270,44 +204,29 @@ def _run_point(
     start = bed.env.now
     bed.run(client())
     makespan = bed.env.now - start
-    if streaming:
-        summary = latencies.summary
-        ok = summary.count
-        p50 = summary.quantile(0.50)
-        p95 = summary.quantile(0.95)
-        mean = summary.mean
-        fingerprint = latencies.fingerprint()
-    else:
-        sample = np.asarray(latencies, dtype=float)
-        ok = int(sample.size)
-        p50 = float(np.percentile(sample, 50)) if ok else float("nan")
-        p95 = float(np.percentile(sample, 95)) if ok else float("nan")
-        mean = float(sample.mean()) if ok else float("nan")
-        fingerprint = _fingerprint(latencies)
-    dropped = (
-        bed.env.tracer.dropped if trace_capacity is not None else 0
-    )
-    return (
-        LoadPoint(
-            variant=variant,
-            rate_per_s=rate,
-            requests=requests,
-            ok=ok,
-            failed=failures[0],
-            p50_s=p50,
-            p95_s=p95,
-            mean_s=mean,
-            makespan_s=makespan,
-            creates_per_s=ok / makespan if makespan > 0 else 0.0,
-            nfs_mb=float(bed.nfs.mb_served),
-            cache_hits=sum(
-                h.state_cache.hits for h in bed.hosts if h.state_cache
-            ),
-            coalesced=bed.nfs.coalescer.requests_coalesced,
-            pool_hits=sum(p.hits for p in bed.pools),
-            fingerprint=fingerprint,
+    sample = np.asarray(latencies, dtype=float)
+    ok = int(sample.size)
+    p50 = float(np.percentile(sample, 50)) if ok else float("nan")
+    p95 = float(np.percentile(sample, 95)) if ok else float("nan")
+    mean = float(sample.mean()) if ok else float("nan")
+    return LoadPoint(
+        variant=variant,
+        rate_per_s=rate,
+        requests=requests,
+        ok=ok,
+        failed=failures[0],
+        p50_s=p50,
+        p95_s=p95,
+        mean_s=mean,
+        makespan_s=makespan,
+        creates_per_s=ok / makespan if makespan > 0 else 0.0,
+        nfs_mb=float(bed.nfs.mb_served),
+        cache_hits=sum(
+            h.state_cache.hits for h in bed.hosts if h.state_cache
         ),
-        dropped,
+        coalesced=bed.nfs.coalescer.requests_coalesced,
+        pool_hits=sum(p.hits for p in bed.pools),
+        fingerprint=_fingerprint(latencies),
     )
 
 
@@ -320,17 +239,8 @@ def run_loadtest(
     hold_s: float = 90.0,
     n_plants: int = 8,
     variants: Sequence[str] = VARIANTS,
-    streaming: bool = False,
-    trace_capacity: Optional[int] = None,
 ) -> LoadTestResult:
-    """Sweep arrival rates across provisioning feature stacks.
-
-    ``streaming`` summarizes latencies in constant memory (identical
-    fingerprints, sketch-accurate quantiles); ``trace_capacity``
-    attaches a bounded tracer to every run and reports how many
-    events it dropped.  Both default off — the recorded goldens pin
-    the default path.
-    """
+    """Sweep arrival rates across provisioning feature stacks."""
     if requests <= 0:
         raise ValueError("requests must be positive")
     configs = _variant_configs(cache_mb)
@@ -344,13 +254,10 @@ def run_loadtest(
         rates=tuple(rates),
         cache_mb=cache_mb,
         n_plants=n_plants,
-        streaming=streaming,
-        trace_capacity=trace_capacity,
     )
     for variant in variants:
-        pts = []
-        for rate in rates:
-            point, dropped = _run_point(
+        result.points[variant] = [
+            _run_point(
                 variant,
                 configs[variant],
                 seed,
@@ -359,10 +266,7 @@ def run_loadtest(
                 rate,
                 hold_s,
                 n_plants,
-                streaming,
-                trace_capacity,
             )
-            pts.append(point)
-            result.trace_dropped += dropped
-        result.points[variant] = pts
+            for rate in rates
+        ]
     return result

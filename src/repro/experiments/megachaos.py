@@ -43,8 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.recheck import (
+    DeterminismRecheck,
+    recheck_determinism,
+)
 from repro.faults.plan import FaultPlan, grid_fault_plan
 from repro.sim.shard import ShardedTestbed
+from repro.workloads.megaload import merged_summary
 
 __all__ = [
     "LADDER",
@@ -140,11 +145,9 @@ class MegaChaosResult:
     plan_records: List[dict] = field(default_factory=list)
     plan_signature: str = ""
     points: List[MegaChaosPoint] = field(default_factory=list)
-    #: shard count -> merged-trace fingerprint (full ladder rung).
-    fingerprints: Dict[int, str] = field(default_factory=dict)
-    #: shard count -> merged summary signature (full ladder rung).
-    det_signatures: Dict[int, str] = field(default_factory=dict)
-    repeat_fingerprint: str = ""
+    #: The full ladder rung — faults, failover and admission all on —
+    #: at every ``det_shard_counts`` and a repeat.
+    recheck: DeterminismRecheck = field(default_factory=DeterminismRecheck)
 
     def point(self, rung: str) -> MegaChaosPoint:
         for p in self.points:
@@ -168,16 +171,6 @@ class MegaChaosResult:
         )
 
     @property
-    def deterministic(self) -> bool:
-        fps = set(self.fingerprints.values())
-        sigs = set(self.det_signatures.values())
-        return (
-            len(fps) == 1
-            and self.repeat_fingerprint in fps
-            and len(sigs) == 1
-        )
-
-    @property
     def leaked(self) -> bool:
         return any(p.leaked for p in self.points)
 
@@ -197,15 +190,16 @@ class MegaChaosResult:
             },
             "points": [p.as_dict() for p in self.points],
             "fingerprints": {
-                str(k): v for k, v in sorted(self.fingerprints.items())
+                str(k): v
+                for k, v in sorted(self.recheck.fingerprints.items())
             },
             "det_signatures": {
                 str(k): v
-                for k, v in sorted(self.det_signatures.items())
+                for k, v in sorted(self.recheck.signatures.items())
             },
-            "repeat_fingerprint": self.repeat_fingerprint,
+            "repeat_fingerprint": self.recheck.repeat_fingerprint,
             "ladder_monotone": self.ladder_monotone,
-            "deterministic": self.deterministic,
+            "deterministic": self.recheck.ok,
             "leaked": self.leaked,
         }
 
@@ -242,23 +236,7 @@ class MegaChaosResult:
             f"({' -> '.join(p.rung for p in faulted)}): {arrow}"
             f"{'' if self.ladder_monotone else '  [NOT MONOTONE]'}"
         )
-        fps = sorted(set(self.fingerprints.values()))
-        if self.deterministic:
-            lines.append(
-                "determinism: fingerprint "
-                f"{fps[0][:16]} and summary signature "
-                f"{next(iter(self.det_signatures.values()))[:16]} "
-                f"identical at shard counts "
-                f"{sorted(self.fingerprints)} with faults + "
-                f"admission enabled"
-            )
-        else:
-            lines.append(
-                "determinism: FAILED — fingerprints "
-                f"{ {k: v[:16] for k, v in self.fingerprints.items()} } "
-                f"signatures "
-                f"{ {k: v[:16] for k, v in self.det_signatures.items()} }"
-            )
+        lines.append(self.recheck.line())
         return "\n".join(lines)
 
 
@@ -401,18 +379,12 @@ def run_megachaos(
         plan_signature=plan.signature(),
     )
 
-    from repro.workloads.megaload import merge_site_summaries
-
     for rung in LADDER:
         prm = _rung_params(rung, base, cfg, plan_records)
         run = ShardedTestbed(
             seed=seed, sites=sites, shards=shards, scenario="megaload"
         ).run(params=prm, collect=None, deadline_s=deadline_s)
-        partition = dict(enumerate(run.partition))
-        merged = merge_site_summaries(
-            run.site_results,
-            group_of=lambda site: partition[site],
-        )
+        merged = merged_summary(run)
         stats = run.combined_stats()
         arrivals = int(stats.get("arrivals", 0))
         ok = merged.total("ok")
@@ -422,11 +394,6 @@ def run_megachaos(
             float(r["stats"].get("final_time", r["now"]))
             for r in run.site_results
         )
-        leaks = {
-            k[len("leak_"):]: v
-            for k, v in stats.items()
-            if k.startswith("leak_")
-        }
         result.points.append(
             MegaChaosPoint(
                 rung=rung,
@@ -449,7 +416,7 @@ def run_megachaos(
                 ),
                 goodput_per_s=ok / makespan if makespan > 0 else 0.0,
                 makespan_s=makespan,
-                leaks=leaks,
+                leaks=run.leaks(),
                 summary_signature=merged.state_signature(),
             )
         )
@@ -457,43 +424,17 @@ def run_megachaos(
     # Determinism recheck: the full ladder rung (faults + failover +
     # admission all on) must fingerprint identically at every shard
     # count, and the merged summaries must be bit-identical.
-    det_counts = sorted(
-        {c for c in det_shard_counts if 1 <= c <= sites}
-    )
     det_base = dict(base)
     det_base["requests"] = min(
         determinism_requests, requests_per_site
     )
-    det_prm = _rung_params("admission", det_base, cfg, plan_records)
-    for det_shards in det_counts:
-        run = ShardedTestbed(
-            seed=seed,
-            sites=sites,
-            shards=det_shards,
-            scenario="megaload",
-        ).run(
-            params=det_prm,
-            collect="fingerprint",
-            deadline_s=deadline_s,
-            trace_capacity=trace_capacity,
-        )
-        result.fingerprints[det_shards] = run.fingerprint()
-        partition = dict(enumerate(run.partition))
-        result.det_signatures[det_shards] = merge_site_summaries(
-            run.site_results,
-            group_of=lambda site: partition[site],
-        ).state_signature()
-    if det_counts:
-        run = ShardedTestbed(
-            seed=seed,
-            sites=sites,
-            shards=det_counts[-1],
-            scenario="megaload",
-        ).run(
-            params=det_prm,
-            collect="fingerprint",
-            deadline_s=deadline_s,
-            trace_capacity=trace_capacity,
-        )
-        result.repeat_fingerprint = run.fingerprint()
+    result.recheck = recheck_determinism(
+        seed,
+        sites,
+        "megaload",
+        _rung_params("admission", det_base, cfg, plan_records),
+        [c for c in det_shard_counts if 1 <= c <= sites],
+        deadline_s=deadline_s,
+        trace_capacity=trace_capacity,
+    )
     return result

@@ -39,7 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.recheck import (
+    DeterminismRecheck,
+    recheck_determinism,
+)
 from repro.sim.shard import ShardedTestbed
+from repro.workloads.megaload import merged_summary
 
 __all__ = ["MegaLoadPoint", "MegaLoadResult", "run_megaload"]
 
@@ -111,11 +116,9 @@ class MegaLoadResult:
     tenant_rows: List[Tuple[str, int, int, int, float]] = field(
         default_factory=list
     )
-    #: shard count -> merged-trace fingerprint (bounded tracers).
-    fingerprints: Dict[int, str] = field(default_factory=dict)
-    repeat_fingerprint: str = ""
-    #: Trace events dropped by the bounded tracers in the recheck.
-    trace_dropped: int = 0
+    #: A shortened trace at 1 shard, ``max(shard_counts)`` and a
+    #: repeat, tracers bounded to ``trace_capacity`` events per site.
+    recheck: DeterminismRecheck = field(default_factory=DeterminismRecheck)
     trace_capacity: Optional[int] = None
 
     @property
@@ -123,15 +126,6 @@ class MegaLoadResult:
         """Merged summary state bit-identical at every shard count."""
         sigs = {p.summary_signature for p in self.points}
         return len(sigs) == 1
-
-    @property
-    def deterministic(self) -> bool:
-        fps = set(self.fingerprints.values())
-        return (
-            len(fps) == 1
-            and self.repeat_fingerprint in fps
-            and self.sketch_equal
-        )
 
     def point(self, shards: int) -> MegaLoadPoint:
         for p in self.points:
@@ -190,30 +184,7 @@ class MegaLoadResult:
                     }
                 )
             )
-        fps = sorted(set(self.fingerprints.values()))
-        if len(fps) == 1 and self.repeat_fingerprint in fps:
-            lines.append(
-                f"determinism: merged-trace fingerprint {fps[0][:16]} "
-                f"identical at shard counts "
-                f"{sorted(self.fingerprints)} and across repeats"
-            )
-        else:
-            lines.append(
-                "determinism: FAILED — fingerprints "
-                f"{ {k: v[:16] for k, v in self.fingerprints.items()} } "
-                f"repeat {self.repeat_fingerprint[:16]}"
-            )
-        if self.trace_capacity is not None:
-            lines.append(
-                f"tracer: bounded to {self.trace_capacity} "
-                f"events/site in the recheck; "
-                f"{self.trace_dropped} events dropped"
-                + (
-                    " (fingerprints cover the retained tail only)"
-                    if self.trace_dropped
-                    else ""
-                )
-            )
+        lines.append(self.recheck.line())
         return "\n".join(lines)
 
     def to_record(self) -> dict:
@@ -239,26 +210,11 @@ class MegaLoadResult:
                 (p.peak_rss_mb for p in self.points), default=0.0
             ),
             "sketch_equal": self.sketch_equal,
-            "deterministic": self.deterministic,
-            "fingerprint": next(
-                iter(self.fingerprints.values()), ""
-            ),
+            "deterministic": self.recheck.ok and self.sketch_equal,
+            "fingerprint": self.recheck.fingerprint,
             "trace_capacity": self.trace_capacity,
-            "trace_dropped": self.trace_dropped,
+            "trace_dropped": self.recheck.trace_dropped,
         }
-
-
-def _shard_requests_per_cpu(run) -> float:
-    """Sum over shards of (its sites' completed requests / CPU s)."""
-    ok_of = {
-        r["site"]: int(r["stats"].get("ok", 0))
-        for r in run.site_results
-    }
-    total = 0.0
-    for s in run.shard_results:
-        if s["cpu_s"] > 0:
-            total += sum(ok_of[site] for site in s["sites"]) / s["cpu_s"]
-    return total
 
 
 def run_megaload(
@@ -279,8 +235,6 @@ def run_megaload(
     bounded to ``trace_capacity`` events per site — at megaload scale
     an unbounded tracer would be the only unbounded memory left.
     """
-    from repro.workloads.megaload import merge_site_summaries
-
     shard_counts = tuple(shard_counts)
     if not shard_counts or min(shard_counts) < 1:
         raise ValueError("shard_counts must be positive")
@@ -304,11 +258,7 @@ def run_megaload(
             params=prm, collect=None, deadline_s=deadline_s
         )
         result.params = run.params
-        partition = dict(enumerate(run.partition))
-        merged = merge_site_summaries(
-            run.site_results,
-            group_of=lambda site: partition[site],
-        )
+        merged = merged_summary(run)
         overall = merged.overall()
         stats = run.combined_stats()
         ok = merged.total("ok")
@@ -329,7 +279,7 @@ def run_megaload(
                 wall_requests_per_sec=(
                     ok / run.wall_s if run.wall_s > 0 else 0.0
                 ),
-                agg_requests_per_sec=_shard_requests_per_cpu(run),
+                agg_requests_per_sec=run.agg_per_cpu_sec("ok"),
                 peak_rss_mb=run.peak_rss_kb / 1024.0,
                 p50_latency_s=overall.quantile(0.50),
                 p95_latency_s=overall.quantile(0.95),
@@ -340,36 +290,13 @@ def run_megaload(
         )
         result.tenant_rows = merged.tenant_rows()
 
-    det_prm = dict(prm)
-    det_prm["requests"] = min(
-        determinism_requests, requests_per_site
-    )
-    det_counts = sorted({1, max(shard_counts)})
-    for shards in det_counts:
-        plan = ShardedTestbed(
-            seed=seed, sites=sites, shards=shards, scenario="megaload"
-        )
-        run = plan.run(
-            params=det_prm,
-            collect="fingerprint",
-            deadline_s=deadline_s,
-            trace_capacity=trace_capacity,
-        )
-        result.fingerprints[shards] = run.fingerprint()
-        result.trace_dropped = max(
-            result.trace_dropped, run.trace_dropped
-        )
-    plan = ShardedTestbed(
-        seed=seed,
-        sites=sites,
-        shards=det_counts[-1],
-        scenario="megaload",
-    )
-    run = plan.run(
-        params=det_prm,
-        collect="fingerprint",
+    result.recheck = recheck_determinism(
+        seed,
+        sites,
+        "megaload",
+        {**prm, "requests": min(determinism_requests, requests_per_site)},
+        (1, max(shard_counts)),
         deadline_s=deadline_s,
         trace_capacity=trace_capacity,
     )
-    result.repeat_fingerprint = run.fingerprint()
     return result

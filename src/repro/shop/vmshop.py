@@ -12,7 +12,7 @@ reports on it, **destroy** collects it.  The shop:
   request goes hands those bids to :meth:`VMShop.create`, which
   dispatches from them instead of asking every plant again;
 * assigns the site-unique VMID and remembers only the VMID → plant
-  routing plus an optional classad *cache* — the authoritative classad
+  routing plus a classad *cache* — the authoritative classad
   lives in the plant's information system, which is what makes shop
   restarts cheap (:meth:`VMShop.recover` rebuilds the routing from the
   plants).
@@ -52,9 +52,7 @@ class VMShop:
         transport: Optional[Transport] = None,
         rng: Optional[RngHub] = None,
         registry: Optional[ServiceRegistry] = None,
-        use_xml: bool = True,
         retry_other_plants: bool = False,
-        cache_classads: bool = True,
         recovery: Optional[RecoveryPolicy] = None,
     ):
         self.env = env
@@ -62,10 +60,8 @@ class VMShop:
         self.rng = rng or RngHub(0)
         self.transport = transport or Transport(env, self.rng)
         self.registry = registry
-        self.use_xml = use_xml
         #: On plant failure, fall through to the next-best bid?
         self.retry_other_plants = retry_other_plants
-        self.cache_classads = cache_classads
         #: Deadline / backoff / quarantine knobs; the default policy
         #: has everything off and leaves create() byte-identical to
         #: the ladder's "surface" rung.
@@ -159,12 +155,11 @@ class VMShop:
                         f"t={bid.at}, now t={now}): bids are only good "
                         "at the instant they were collected"
                     )
-        if self.use_xml:
-            # Exercise the prototype's XML service path end to end.
-            wire = service_request_to_xml(request, service="create")
-            service, request = service_request_from_xml(wire)
-            if service != "create":  # pragma: no cover - defensive
-                raise ShopError(f"unexpected service {service!r}")
+        # Exercise the prototype's XML service path end to end.
+        wire = service_request_to_xml(request, service="create")
+        service, request = service_request_from_xml(wire)
+        if service != "create":  # pragma: no cover - defensive
+            raise ShopError(f"unexpected service {service!r}")
 
         policy = self.recovery
         last_error: Optional[ReproError] = None
@@ -268,8 +263,7 @@ class VMShop:
                 continue
             self._health_for(bid.bidder_name).record_success(self.env.now)
             self._route[vmid] = bid.bidder
-            if self.cache_classads:
-                self._cache[vmid] = ad.copy()
+            self._cache[vmid] = ad.copy()
             self.creation_log.append((vmid, bid.bidder_name, True))
             trace(
                 self.env, "shop", "created",
@@ -347,7 +341,7 @@ class VMShop:
         ad = yield from self.transport.call(
             lambda: plant.query(vmid, attrs)
         )
-        if self.cache_classads and not attrs:
+        if not attrs:
             self._cache[vmid] = ad.copy()
         return ad
 

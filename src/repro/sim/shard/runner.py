@@ -389,6 +389,19 @@ class ShardRunResult:
                 total += s["events"] / s["cpu_s"]
         return total
 
+    def agg_per_cpu_sec(self, stat: str) -> float:
+        """Sum over shards of (its sites' ``stat`` / its CPU-seconds):
+        the :attr:`agg_events_per_sec` aggregation for a scenario
+        counter (creates, bids, completed requests)."""
+        count = {
+            r["site"]: r["stats"].get(stat, 0) for r in self.site_results
+        }
+        total = 0.0
+        for s in self.shard_results:
+            if s["cpu_s"] > 0:
+                total += sum(count[site] for site in s["sites"]) / s["cpu_s"]
+        return total
+
     @property
     def trace_dropped(self) -> int:
         """Trace events dropped by bounded tracers, over all sites.
@@ -438,6 +451,15 @@ class ShardRunResult:
                 if isinstance(v, (int, float)):
                     total[k] = total.get(k, 0) + v
         return total
+
+    def leaks(self) -> Dict[str, float]:
+        """The grid-scope leak audit: every site's ``leak_<dimension>``
+        stat summed, keyed by dimension; all zero when clean."""
+        return {
+            k[len("leak_"):]: v
+            for k, v in self.combined_stats().items()
+            if k.startswith("leak_")
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ import random
 
 import pytest
 
+from repro.analysis.streaming import WorkloadSummary
 from repro.core.classad import ClassAd
 from repro.core.errors import ShopError, VNetError
+from repro.faults.plan import grid_fault_plan
 from repro.faults.recovery import RecoveryPolicy
 from repro.federation.addressing import (
     ADDRESSES_PER_SUBNET,
@@ -588,3 +590,126 @@ class TestFederationDeterminism:
         assert bed.shop.bidders == bed.plants
         with pytest.raises(ValueError):
             build_testbed(seed=1, n_plants=2, rack_size=0)
+
+
+# ---------------------------------------------------------------------------
+# One request path: every arrival ends in exactly one outcome
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scenario", ["federation", "megaload"])
+class TestEveryArrivalIsAccounted:
+    """``arrivals == ok + failed + shed`` per site, whatever the source.
+
+    Before the scenarios shared a request path, ``federation`` counted
+    only local declines as failed: a spill that timed out, failed
+    remotely or hit a dark neighbour moved its spill counter and no
+    outcome at all.
+    """
+
+    BASE = {"plants": 4, "requests": 40, "cross_fraction": 0.3}
+
+    @staticmethod
+    def _site_stats(scenario, params):
+        run = ShardedTestbed(
+            seed=13, sites=4, shards=2, scenario=scenario
+        ).run(params=params, collect=None, deadline_s=300.0)
+        return [r["stats"] for r in run.site_results]
+
+    @staticmethod
+    def _assert_accounted(stats):
+        summary = WorkloadSummary.from_state(stats["summary_state"])
+        ok, failed, shed = (
+            summary.total(k) for k in ("ok", "failed", "shed")
+        )
+        assert stats["arrivals"] == 40
+        assert stats["arrivals"] == ok + failed + shed
+        assert (stats["ok"], stats["failed"], stats["shed"]) == (
+            ok, failed, shed,
+        )
+
+    def test_under_a_site_blackout(self, scenario):
+        plan = grid_fault_plan(
+            13, 4, 300.0,
+            plants_per_site=4,
+            blackout_sites=(1,), blackout_at=5.0, blackout_s=60.0,
+        )
+        sites = self._site_stats(
+            scenario, {**self.BASE, "fault_plan": plan.to_records()}
+        )
+        for stats in sites:
+            self._assert_accounted(stats)
+        # Site 1's own arrivals fail fast while it is dark ...
+        assert sites[1]["failed"] > 0
+        # ... and site 0's spills into it vanish, time out at the
+        # source and fail the request there; nobody else loses any.
+        assert sites[1]["spills_dropped"] > 0
+        assert (
+            sites[0]["failed"]
+            == sites[0]["spill_timeout"]
+            == sites[1]["spills_dropped"]
+        )
+        assert sites[2]["failed"] == sites[3]["failed"] == 0
+
+    def test_when_spills_time_out(self, scenario):
+        sites = self._site_stats(
+            scenario, {**self.BASE, "spill_deadline_s": 30.0}
+        )
+        for stats in sites:
+            self._assert_accounted(stats)
+            # No fault, no local decline: every failure is a spill
+            # whose ack missed the deadline.
+            assert stats["spill_timeout"] > 0
+            assert stats["failed"] == stats["spill_timeout"]
+
+
+class TestFederationSweepLatencies:
+    """``run_federation`` reads p50/p95 from the merged sketches.
+
+    Coverage for a hole the shared request path uncovered: with the
+    per-request latency list gone and both columns silently 0.0,
+    every other test still passed.
+    """
+
+    #: p50 / p95 of the (2 sites, cross 0.3) point from the exact
+    #: per-request list, as ``run_federation`` reported them with
+    #: these arguments at commit 05bfc3d.
+    EXACT_P50_S = 126.88542307420475
+    EXACT_P95_S = 159.32184480323014
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        from repro.experiments.federation import run_federation
+
+        return run_federation(
+            seed=13,
+            site_counts=(1, 2),
+            cross_fractions=(0.0, 0.3),
+            plants_per_site=4,
+            requests_per_site=24,
+            determinism_requests=8,
+            deadline_s=120.0,
+        )
+
+    def test_every_point_reports_its_quantiles(self, sweep):
+        assert len(sweep.points) == 4
+        for p in sweep.points:
+            assert 0 < p.p50_latency_s <= p.p95_latency_s, p
+
+    def test_crossing_the_wan_shows_in_the_tail(self, sweep):
+        assert sweep.point(2, 0.3).spilled_ok > 0
+        assert (
+            sweep.point(2, 0.3).p95_latency_s
+            >= sweep.point(2, 0.0).p95_latency_s
+        )
+
+    def test_sketch_quantiles_match_the_exact_list(self, sweep):
+        point = sweep.point(2, 0.3)
+        rel_err = sweep.params["sketch_rel_err"]
+        assert point.p50_latency_s == pytest.approx(
+            self.EXACT_P50_S, rel=rel_err
+        )
+        assert point.p95_latency_s == pytest.approx(
+            self.EXACT_P95_S, rel=rel_err
+        )
+        assert sweep.recheck.ok

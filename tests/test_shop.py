@@ -352,16 +352,6 @@ class TestVMShop:
         queried = drive(env, shop.query(vmid))
         assert queried["vmid"] == vmid
 
-    def test_xml_path_can_be_disabled(self):
-        env = Environment()
-        warehouse = VMWarehouse([make_image()])
-        shop = VMShop(env, use_xml=False, rng=RngHub(5))
-        shop.register_plant(
-            VMPlant(env, "p0", warehouse, {"vmware": InstantLine(env)})
-        )
-        ad = drive(env, shop.create(make_request()))
-        assert ad["plant"] == "p0"
-
     def test_estimate_exposes_bids(self):
         env = Environment()
         shop, _ = make_site(env, n_plants=3)

@@ -232,8 +232,9 @@ class FederationGateway:
         *from those same bids* (``VMShop.create(..., bids=)``): no time
         has passed since they were collected, so asking every plant
         again would only repeat the answers.  Every entry into the
-        federation goes through here — :meth:`place` and the two shard
-        scenarios, which differ only in how a spilled request travels.
+        federation goes through here — :meth:`place` and the sharded
+        grid scenario, which differ only in how a spilled request
+        travels.
 
         Returns ``(classad, local_bids)``; the classad is ``None``
         when the request should spill (ledgered as saturated or

@@ -209,6 +209,7 @@ class _GridHandle:
     ):
         self.fsite = fsite
         self.site = fsite.site
+        # Bound once: every resume of every request reads these.
         self.env: Environment = fsite.bed.env
         self.shop = fsite.bed.shop
         self.params = params
@@ -400,14 +401,12 @@ class GridScenario(ShardScenario):
             "transport_calls": handle.shop.transport.calls,
             "preempted": handle.preempted,
             "preempt_signals": handle.admission.preempt_signals,
-            "faults_applied": (
-                sum(1 for entry in injector.applied if entry[1] == "inject")
-                if injector is not None
-                else 0
+            "faults_applied": sum(
+                1
+                for _, phase, _, _ in (injector.applied if injector else ())
+                if phase == "inject"
             ),
-            "faults_skipped": (
-                injector.skipped if injector is not None else 0
-            ),
+            "faults_skipped": injector.skipped if injector else 0,
             "final_time": handle.env.now,
             # Strings/dicts ride per-site only (combined_stats sums
             # numeric fields and skips these).
@@ -424,6 +423,9 @@ class GridScenario(ShardScenario):
         rng = handle.fsite.bed.rng
         route = f"{self.name}/route"
         cross = float(handle.params["cross_fraction"])
+        pools = handle.fsite.bed.pools
+        #: Kept only while there are pools to shut down after them: a
+        #: site's memory must not grow with its request count.
         procs = []
         for idx, arrival in enumerate(handle.stream):
             handle.trace_hash.update(_canonical_line(arrival).encode())
@@ -434,16 +436,18 @@ class GridScenario(ShardScenario):
             # Route draw here, in stream order, so the trajectory is
             # independent of how request processes interleave later.
             is_cross = rng.uniform(route, 0.0, 1.0) < cross
-            procs.append(
-                env.process(self._request(handle, idx, arrival, is_cross))
+            proc = env.process(
+                self._request(handle, idx, arrival, is_cross)
             )
-        if handle.fsite.bed.pools:
+            if pools:
+                procs.append(proc)
+        if pools:
             # Shut the speculative pools down once the workload has
             # fully drained, so idle prefilled clones are handed back
             # and the end-of-run leak audit measures true leaks (this
             # is shutdown, not pressure — ``preempted`` not touched).
             yield env.all_of(procs)
-            for pool in handle.fsite.bed.pools:
+            for pool in pools:
                 yield from pool.shutdown()
 
     def _request(

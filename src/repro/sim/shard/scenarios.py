@@ -53,8 +53,9 @@ def get_scenario(name: str) -> "ShardScenario":
     """Look up a registered scenario by name.
 
     Scenarios living outside this module self-register on import;
-    the ``federation`` and ``megaload`` scenarios are resolved lazily
-    so this module never imports the federation package (which
+    ``federation`` and ``megaload`` — the two registrations of
+    :class:`~repro.federation.scenario.GridScenario` — are resolved
+    lazily so this module never imports the federation package (which
     imports the cluster builder) at load time.
     """
     if name not in SCENARIOS and name == "federation":

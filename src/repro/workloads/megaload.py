@@ -134,27 +134,29 @@ def megaload_source(
     return megaload_trace_spec(params).arrivals(hub)
 
 
-#: The tenant-mix source's own parameters, over the site defaults.
-MEGALOAD_DEFAULTS: Dict[str, Any] = {
-    "requests": 500,
-    # Tenant mix.
-    "interactive_fraction": 0.5,
-    "batch_fraction": 0.4,
-    "deadline_s": 300.0,
-    "diurnal_amplitude": 0.6,
-    "diurnal_period_s": 1800.0,
-    "campaign_gap_s": 90.0,
-    "campaign_size": 32.0,
-    "campaign_spacing_s": 1.0,
-    "flash_at_s": 120.0,
-    "flash_duration_s": 30.0,
-    #: Replay: site i reads <trace_dir>/site<i>.jsonl instead of
-    #: generating its stream (None = generate).
-    "trace_dir": None,
-}
-
 MEGALOAD = register(
-    GridScenario("megaload", megaload_source, MEGALOAD_DEFAULTS)
+    GridScenario(
+        "megaload",
+        megaload_source,
+        # The source's own parameters, over the site defaults.
+        {
+            "requests": 500,
+            # Tenant mix.
+            "interactive_fraction": 0.5,
+            "batch_fraction": 0.4,
+            "deadline_s": 300.0,
+            "diurnal_amplitude": 0.6,
+            "diurnal_period_s": 1800.0,
+            "campaign_gap_s": 90.0,
+            "campaign_size": 32.0,
+            "campaign_spacing_s": 1.0,
+            "flash_at_s": 120.0,
+            "flash_duration_s": 30.0,
+            #: Replay: site i reads <trace_dir>/site<i>.jsonl instead
+            #: of generating its stream (None = generate).
+            "trace_dir": None,
+        },
+    )
 )
 
 

@@ -46,14 +46,7 @@ from repro.federation.admission import AdmissionController
 from repro.federation.site import build_federated_grid
 from repro.sim.cluster import build_testbed
 from repro.sim.shard import ShardedTestbed
-from repro.workloads.megaload import merge_site_summaries
-
-
-def _merged(run):
-    partition = dict(enumerate(run.partition))
-    return merge_site_summaries(
-        run.site_results, group_of=lambda site: partition[site]
-    )
+from repro.workloads.megaload import merged_summary as _merged
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ DAG that is still being built behaves exactly like an uncached one.
 A DAG shared between requests (the wire decoder interns equal
 ``<dag>`` bodies) is sealed with :meth:`ConfigDAG.freeze`: the
 mutators then raise, so its caches stay warm and valid for good, and
-:meth:`ConfigDAG.fingerprint` / :meth:`ConfigDAG.validate` answer from
-a stored result without walking the handler tree.
+:meth:`ConfigDAG.fingerprint`, :meth:`ConfigDAG.validate`,
+:meth:`ConfigDAG.structure`, ``==`` and ``hash`` answer from a stored
+result without walking the handler tree.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ class ConfigDAG:
         #: set may key on it without calling :meth:`validate` or
         #: :meth:`fingerprint`; ``None`` until first fingerprinted.
         self.sealed_fingerprint: Optional[str] = None
+        #: The ``<dag>`` wire fragment of a frozen DAG, kept for the
+        #: same reason and written by :mod:`repro.core.dagxml` the first
+        #: time a request carrying this DAG is encoded; ``None`` until
+        #: then, and always ``None`` on a DAG that can still change.
+        self.sealed_wire: Optional[str] = None
         #: Bumped on every mutation; guards every structural cache.
         self._version = 0
         self._invalidate()
@@ -98,7 +104,7 @@ class ConfigDAG:
         self._anc_mask_cache: Optional[Dict[str, int]] = None
         self._pred_mask_cache: Optional[Dict[str, int]] = None
         self._sig_cache: Optional[Dict[str, str]] = None
-        self._structure_cache: Optional[Tuple[Tuple, Tuple]] = None
+        self._structure_cache: Optional[Tuple[Optional[Tuple], Tuple]] = None
         self._hash_cache: Optional[int] = None
         self._fingerprint_cache: Optional[Tuple[Tuple, str]] = None
 
@@ -499,24 +505,29 @@ class ConfigDAG:
 
         Memoized against the handler-aware state token, so attached
         handlers mutated after :meth:`attach_handler` still invalidate
-        the cached tuple.
+        the cached tuple.  A tuple read once *after* :meth:`freeze` is
+        stored without a token (nothing can change any more) and
+        answered from then on without walking the handler tree.
         """
-        token = self._state_token()
         cached = self._structure_cache
-        if cached is not None and cached[0] == token:
+        if cached is not None and cached[0] is None:
             return cached[1]
-        tup = (
-            tuple(sorted(a.signature for a in self._actions.values())),
-            tuple(sorted(self.edges())),
-            tuple(
-                sorted(
-                    (name, handler.structure())
-                    for name, handler in self._handlers.items()
-                )
-            ),
-        )
-        self._structure_cache = (token, tup)
-        self._hash_cache = None
+        token = self._state_token()
+        if cached is not None and cached[0] == token:
+            tup = cached[1]
+        else:
+            tup = (
+                tuple(sorted(a.signature for a in self._actions.values())),
+                tuple(sorted(self.edges())),
+                tuple(
+                    sorted(
+                        (name, handler.structure())
+                        for name, handler in self._handlers.items()
+                    )
+                ),
+            )
+            self._hash_cache = None
+        self._structure_cache = (None if self._frozen else token, tup)
         return tup
 
     def __eq__(self, other: object) -> bool:

@@ -27,19 +27,34 @@ round-trips :class:`~repro.core.dag.ConfigDAG` and
 Parsing is strict: unknown or repeated elements, missing attributes
 and malformed structure raise :class:`~repro.core.errors.ProtocolError`.
 
-Decoded requests are read-only.  Thousands of requests share one body
-and differ only in who asks, so :func:`request_from_element` interns
-the decoded ``<dag>``: requests with the same ``<dag>`` subtree get the
-*same* frozen :class:`~repro.core.dag.ConfigDAG` (mutators raise
-:class:`~repro.core.errors.DAGError`), whose order, fingerprint and
-signature caches therefore stay warm over the whole bid fan-out.
+Thousands of requests share one body and differ only in who asks, so
+the body is computed once per body, not once per request, both ways:
+
+* **Encoding** is a direct string writer (:func:`_write_dag` and the
+  three-element envelope in :func:`request_to_xml`), byte for byte what
+  ``ElementTree.tostring`` gives for the same tree
+  (``tests.helpers.oracle_request_to_xml`` is the reference).  A
+  *frozen* DAG keeps its ``<dag>`` fragment
+  (:attr:`~repro.core.dag.ConfigDAG.sealed_wire`), so every later
+  request sharing it writes only its envelope; a DAG that can still
+  change is written afresh on every call.
+* **Decoding** interns.  :func:`request_from_element` gives requests
+  with the same ``<dag>`` subtree the *same* frozen
+  :class:`~repro.core.dag.ConfigDAG` (mutators raise
+  :class:`~repro.core.errors.DAGError`), whose order, fingerprint and
+  signature caches therefore stay warm over the whole bid fan-out
+  (:data:`DAG_INTERN_MAX` entries, LRU); below it, equal ``<action>``
+  elements decode to one :class:`~repro.core.actions.Action`
+  (:data:`ACTION_INTERN_MAX` entries, LRU), so a stream of all-distinct
+  DAGs built from a few shared steps parses each step once.  Decoded
+  requests are read-only.
 """
 
 from __future__ import annotations
 
 import ast
 import xml.etree.ElementTree as ET
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.actions import Action, ActionScope, ErrorPolicy
 from repro.core.dag import ConfigDAG
@@ -52,7 +67,6 @@ from repro.core.spec import (
 )
 
 __all__ = [
-    "dag_to_element",
     "dag_from_element",
     "dag_to_xml",
     "dag_from_xml",
@@ -64,35 +78,80 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# Decode-side intern tables
+# ---------------------------------------------------------------------------
+# Both are unlocked: a simulation is one thread, fan-out is by process.
+
+#: Bound of the decoded-``<dag>`` intern table (entries, LRU).  An
+#: entry holds ~15 KB for a 10-action body; a stream of all-distinct
+#: bodies keeps the table full without ever hitting it.
+DAG_INTERN_MAX = 64
+_interned_dags: Dict[Tuple, ConfigDAG] = {}
+
+#: Bound of the decoded-``<action>`` intern table (entries, LRU).  A
+#: catalog campaign re-uses a few dozen steps in thousands of distinct
+#: DAGs; this leaves room for each DAG's own one-off steps to pass
+#: through without pushing the shared ones out.
+ACTION_INTERN_MAX = 256
+_interned_actions: Dict[Tuple, Action] = {}
+
+
+# ---------------------------------------------------------------------------
 # DAG <-> element
 # ---------------------------------------------------------------------------
 
 
-def dag_to_element(dag: ConfigDAG) -> ET.Element:
-    """Encode a DAG as an ``<dag>`` element."""
-    root = ET.Element("dag")
-    for name, action in dag.actions.items():
-        el = ET.SubElement(
-            root,
-            "action",
-            {
-                "name": name,
-                "scope": action.scope.value,
-                "command": action.command,
-                "on-error": action.on_error.value,
-                "retries": str(action.retries),
-            },
+#: What ``ElementTree`` rewrites inside an attribute value.
+_ESCAPES = str.maketrans(
+    {
+        "&": "&amp;",
+        "<": "&lt;",
+        ">": "&gt;",
+        '"': "&quot;",
+        "\r": "&#13;",
+        "\n": "&#10;",
+        "\t": "&#09;",
+    }
+)
+
+
+def _write_dag(dag: ConfigDAG, parts: List[str]) -> None:
+    """Append the ``<dag>`` element of ``dag`` to ``parts``."""
+    actions = dag.actions
+    if not actions:  # so no edge and no handler either
+        parts.append("<dag />")
+        return
+    esc = _ESCAPES
+    parts.append("<dag>")
+    for name, action in actions.items():
+        parts.append(
+            f'<action name="{name.translate(esc)}"'
+            f' scope="{action.scope.value}"'
+            f' command="{action.command.translate(esc)}"'
+            f' on-error="{action.on_error.value}"'
+            f' retries="{action.retries!s}"'
         )
-        for key, value in action.params:
-            ET.SubElement(el, "param", {"key": key, "value": value})
-        for out in action.outputs:
-            ET.SubElement(el, "output", {"name": out})
+        if action.params or action.outputs:
+            parts.append(">")
+            for key, value in action.params:
+                parts.append(
+                    f'<param key="{key.translate(esc)}"'
+                    f' value="{value.translate(esc)}" />'
+                )
+            for out in action.outputs:
+                parts.append(f'<output name="{out.translate(esc)}" />')
+            parts.append("</action>")
+        else:
+            parts.append(" />")
     for u, v in dag.edges():
-        ET.SubElement(root, "edge", {"from": u, "to": v})
+        parts.append(
+            f'<edge from="{u.translate(esc)}" to="{v.translate(esc)}" />'
+        )
     for name, handler in dag.handlers.items():
-        hel = ET.SubElement(root, "handler", {"for": name})
-        hel.append(dag_to_element(handler))
-    return root
+        parts.append(f'<handler for="{name.translate(esc)}">')
+        _write_dag(handler, parts)
+        parts.append("</handler>")
+    parts.append("</dag>")
 
 
 def dag_from_element(root: ET.Element) -> ConfigDAG:
@@ -130,6 +189,27 @@ def dag_from_element(root: ET.Element) -> ConfigDAG:
 
 
 def _action_from_element(el: ET.Element) -> Action:
+    """The shared :class:`Action` for this ``<action>`` element.
+
+    The key is everything :func:`_parse_action` reads: the element's
+    attributes and each child's tag and attributes, in document order.
+    Same discipline as :func:`_interned_dag`: first-seen elements go
+    through the strict parser, a failed parse is not remembered.
+    """
+    key = (
+        tuple(el.attrib.items()),
+        *[(child.tag, *child.attrib.items()) for child in el],
+    )
+    action = _interned_actions.pop(key, None)
+    if action is None:
+        action = _parse_action(el)
+        if len(_interned_actions) >= ACTION_INTERN_MAX:
+            del _interned_actions[next(iter(_interned_actions))]
+    _interned_actions[key] = action
+    return action
+
+
+def _parse_action(el: ET.Element) -> Action:
     name = _require(el, "name")
     scope = el.get("scope", ActionScope.GUEST.value)
     command = el.get("command", "")
@@ -168,7 +248,8 @@ def _action_from_element(el: ET.Element) -> Action:
         raise ProtocolError(str(exc)) from exc
 
 
-#: Public alias: the warehouse reuses the strict action parser.
+#: Public alias: the warehouse decodes ``<action>`` through the same
+#: strict parser and the same intern table.
 action_from_element = _action_from_element
 
 
@@ -187,8 +268,15 @@ def _not_a_number(el: ET.Element, attr: str, want: str) -> ProtocolError:
 
 
 def dag_to_xml(dag: ConfigDAG) -> str:
-    """DAG as an XML string."""
-    return ET.tostring(dag_to_element(dag), encoding="unicode")
+    """DAG as an XML string (a frozen DAG's is written once and kept)."""
+    wire = dag.sealed_wire
+    if wire is None:
+        parts: List[str] = []
+        _write_dag(dag, parts)
+        wire = "".join(parts)
+        if dag._frozen:
+            dag.sealed_wire = wire
+    return wire
 
 
 def _parse(text: str) -> ET.Element:
@@ -203,13 +291,6 @@ def dag_from_xml(text: str) -> ConfigDAG:
     return dag_from_element(_parse(text))
 
 
-#: Bound of the decoded-``<dag>`` intern table (entries, LRU).  An
-#: entry holds ~15 KB for a 10-action body; a stream of all-distinct
-#: bodies keeps the table full without ever hitting it.
-DAG_INTERN_MAX = 64
-_interned_dags: Dict[Tuple, ConfigDAG] = {}
-
-
 def _interned_dag(root: ET.Element) -> ConfigDAG:
     """The shared frozen DAG for this ``<dag>`` subtree.
 
@@ -219,8 +300,7 @@ def _interned_dag(root: ET.Element) -> ConfigDAG:
     equal wire content.  (``ConfigDAG.fingerprint()`` would not do: it
     ignores outputs, error policies and retry budgets.)  A body seen
     for the first time goes through the strict parser; one that fails
-    to parse is not remembered and fails the same way again.  The table
-    is unlocked: a simulation is one thread, fan-out is by process.
+    to parse is not remembered and fails the same way again.
     """
     # A list comprehension, not a generator: one frame for the whole
     # walk instead of one resumption per element.
@@ -248,41 +328,37 @@ def request_to_xml(request: CreateRequest, service: str = "create") -> str:
     """Encode a Create-VM request as an XML string.
 
     ``service`` names the envelope: bidding wraps the same body in an
-    ``"estimate"`` request.
+    ``"estimate"`` request.  Only the envelope is per request; the
+    ``<dag>`` inside it comes from :func:`dag_to_xml`.
     """
-    root = ET.Element(
-        "vmplant-request",
-        {"service": service, "client": request.client_id},
+    esc = _ESCAPES
+    head = (
+        f'<vmplant-request service="{service.translate(esc)}"'
+        f' client="{request.client_id.translate(esc)}"'
     )
     if request.vm_type is not None:
-        root.set("vm-type", request.vm_type)
+        head += f' vm-type="{request.vm_type.translate(esc)}"'
     if request.requirements is not None:
-        root.set("requirements", request.requirements)
+        head += f' requirements="{request.requirements.translate(esc)}"'
     if request.lease_s is not None:
-        root.set("lease-s", repr(request.lease_s))
+        head += f' lease-s="{request.lease_s!r}"'
     hw = request.hardware
-    ET.SubElement(
-        root,
-        "hardware",
-        {
-            "isa": hw.isa,
-            "memory-mb": str(hw.memory_mb),
-            "disk-gb": repr(hw.disk_gb),
-            "cpus": str(hw.cpus),
-        },
-    )
     net = request.network
-    net_attrs = {"domain": net.domain}
+    network = f'<network domain="{net.domain.translate(esc)}"'
     if net.proxy_host is not None:
-        net_attrs["proxy-host"] = net.proxy_host
+        network += f' proxy-host="{net.proxy_host.translate(esc)}"'
     if net.proxy_port is not None:
-        net_attrs["proxy-port"] = str(net.proxy_port)
+        network += f' proxy-port="{net.proxy_port!s}"'
     if net.credentials:
-        net_attrs["credentials"] = net.credentials
-    ET.SubElement(root, "network", net_attrs)
-    sw = ET.SubElement(root, "software", {"os": request.software.os})
-    sw.append(dag_to_element(request.software.dag))
-    return ET.tostring(root, encoding="unicode")
+        network += f' credentials="{net.credentials.translate(esc)}"'
+    software = request.software
+    return (
+        f'{head}><hardware isa="{hw.isa.translate(esc)}"'
+        f' memory-mb="{hw.memory_mb!s}" disk-gb="{hw.disk_gb!r}"'
+        f' cpus="{hw.cpus!s}" />{network} />'
+        f'<software os="{software.os.translate(esc)}">'
+        f"{dag_to_xml(software.dag)}</software></vmplant-request>"
+    )
 
 
 def envelope_from_xml(text: str) -> ET.Element:

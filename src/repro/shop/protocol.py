@@ -49,25 +49,13 @@ def service_request_to_xml(
     ``service`` overrides the envelope's service name — used to wrap a
     :class:`CreateRequest` body in an *estimate* request for bidding.
 
-    Encodings are memoized on the (frozen) request object per service
-    name: bidding encodes one request once, not once per plant.
+    Nothing is remembered on the request: what thousands of requests
+    share is their configuration DAG, and a frozen DAG keeps its own
+    ``<dag>`` text (:func:`repro.core.dagxml.dag_to_xml`), so only the
+    envelope is written per call.  A request whose DAG can still
+    change is written in full every time — a client that extends its
+    DAG and submits the same request object again sends the new body.
     """
-    memo = getattr(request, "_xml_memo", None)
-    if memo is not None:
-        cached = memo.get(service)
-        if cached is not None:
-            return cached
-    text = _encode_request(request, service)
-    if memo is None:
-        memo = {}
-        object.__setattr__(request, "_xml_memo", memo)
-    memo[service] = text
-    return text
-
-
-def _encode_request(
-    request: ServiceRequest, service: Optional[str] = None
-) -> str:
     if isinstance(request, CreateRequest):
         return request_to_xml(request, service or "create")
     if isinstance(request, QueryRequest):

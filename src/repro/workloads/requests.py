@@ -9,6 +9,7 @@ machines, 40 for 256 MB.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from repro.core.actions import Action, ActionScope
@@ -64,18 +65,27 @@ def setup_user_action(username: str = "griduser") -> Action:
     )
 
 
+@lru_cache(maxsize=64)
 def experiment_dag(
     os: str = MANDRAKE_OS, username: str = "griduser"
 ) -> ConfigDAG:
     """Configuration DAG of the Section 4.2 creation experiments:
-    install-os (cached) → configure-network → setup-user."""
+    install-os (cached) → configure-network → setup-user.
+
+    Shared and frozen: every caller naming the same ``(os, username)``
+    holds the *same* instance (the experiments issue hundreds of
+    identical creates, Section 4.2), so its order, fingerprint and wire
+    text are computed once per configuration, not once per request.
+    Its mutators raise :class:`~repro.core.errors.DAGError`; derive a
+    changed DAG with :meth:`ConfigDAG.subdag` or build one anew.
+    """
     return ConfigDAG.from_sequence(
         [
             install_os_action(os),
             configure_network_action(),
             setup_user_action(username),
         ]
-    )
+    ).freeze()
 
 
 def golden_image(

@@ -9,8 +9,10 @@ the simulated hypervisor's stochastic timing.
 ``oracle_*`` is the request codec as it stood before it became one
 pass each way (serialise, re-parse, set ``service``, serialise again;
 parse, serialise, parse again, ``root.find`` the parts, a fresh DAG per
-request).  ``tests/test_wire_codec.py`` holds the live codec to its
-wire bytes, decoded requests and error messages.
+request) and before the encoder became a direct string writer
+(``oracle_dag_to_element`` is the ElementTree encoder that ``src/`` no
+longer holds).  ``tests/test_wire_codec.py`` holds the live codec to
+its wire bytes, decoded requests and error messages.
 
 ``OracleProcess`` / ``oracle_collect`` are the kernel process (a
 ``lambda`` per wait, stale wake-ups told apart by a generation number)
@@ -28,7 +30,8 @@ import xml.etree.ElementTree as ET
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.actions import Action, ActionResult, ActionStatus
-from repro.core.dagxml import _require, dag_from_element, dag_to_element
+from repro.core.dag import ConfigDAG
+from repro.core.dagxml import _require, dag_from_element
 from repro.core.errors import PlantError, ProtocolError
 from repro.core.spec import (
     CreateRequest,
@@ -150,6 +153,33 @@ def python_calls(fn) -> int:
 # ---------------------------------------------------------------------------
 
 
+def oracle_dag_to_element(dag: ConfigDAG) -> ET.Element:
+    """Encode a DAG as an ``<dag>`` element."""
+    root = ET.Element("dag")
+    for name, action in dag.actions.items():
+        el = ET.SubElement(
+            root,
+            "action",
+            {
+                "name": name,
+                "scope": action.scope.value,
+                "command": action.command,
+                "on-error": action.on_error.value,
+                "retries": str(action.retries),
+            },
+        )
+        for key, value in action.params:
+            ET.SubElement(el, "param", {"key": key, "value": value})
+        for out in action.outputs:
+            ET.SubElement(el, "output", {"name": out})
+    for u, v in dag.edges():
+        ET.SubElement(root, "edge", {"from": u, "to": v})
+    for name, handler in dag.handlers.items():
+        hel = ET.SubElement(root, "handler", {"for": name})
+        hel.append(oracle_dag_to_element(handler))
+    return root
+
+
 def oracle_request_to_xml(request: CreateRequest) -> str:
     root = ET.Element(
         "vmplant-request",
@@ -182,7 +212,7 @@ def oracle_request_to_xml(request: CreateRequest) -> str:
         net_attrs["credentials"] = net.credentials
     ET.SubElement(root, "network", net_attrs)
     sw = ET.SubElement(root, "software", {"os": request.software.os})
-    sw.append(dag_to_element(request.software.dag))
+    sw.append(oracle_dag_to_element(request.software.dag))
     return ET.tostring(root, encoding="unicode")
 
 

@@ -6,9 +6,19 @@ from repro.core.actions import Action
 from repro.core.dag import FINISH, START, ConfigDAG
 from repro.core.errors import DAGError
 
+from tests.helpers import python_calls
+
 
 def chain(*names):
     return ConfigDAG.from_sequence(Action(n) for n in names)
+
+
+def nested(depth):
+    """a → b with ``depth`` levels of handler hanging off b."""
+    dag = chain("a", "b")
+    if depth:
+        dag.attach_handler("b", nested(depth - 1))
+    return dag
 
 
 def diamond():
@@ -194,6 +204,39 @@ class TestEquality:
         assert chain("a", "b") != ConfigDAG().add_action(
             Action("a")
         ).add_action(Action("b"))
+
+    def test_frozen_dag_compares_and_hashes_without_walking_handlers(self):
+        plain, twin = nested(0).freeze(), nested(0).freeze()
+        deep, deep_twin = nested(3).freeze(), nested(3).freeze()
+        values = hash(deep), hash(plain), deep == deep_twin, plain == twin
+        assert values == (hash(deep_twin), hash(twin), True, True)
+        assert deep != plain and hash(deep) == hash(nested(3))
+        # Warm from the reads above: the handler tree costs nothing.
+        assert python_calls(lambda: hash(deep)) == python_calls(
+            lambda: hash(plain)
+        )
+        assert python_calls(lambda: deep == deep_twin) == python_calls(
+            lambda: plain == twin
+        )
+        # Unfrozen, every read rebuilds the version vector of the tree.
+        loose, loose_plain = nested(3), nested(0)
+        assert hash(loose) == hash(deep) and hash(loose_plain) == hash(plain)
+        assert python_calls(lambda: hash(loose)) > python_calls(
+            lambda: hash(loose_plain)
+        )
+
+    def test_structure_cached_before_a_handler_edit_is_not_sealed_in(self):
+        handler = chain("fix")
+        dag = chain("a", "b").attach_handler("b", handler)
+        stale = dag.structure()
+        stale_hash = hash(dag)
+        handler.add_action(Action("fix2"))  # dag's own version is unmoved
+        dag.freeze()
+        fresh = chain("a", "b").attach_handler("b", chain("fix"))
+        fresh.handler_for("b").add_action(Action("fix2"))
+        assert dag.structure() == fresh.structure() != stale
+        assert dag == fresh and hash(dag) == hash(fresh) != stale_hash
+        assert dag.structure() is dag.structure()
 
 
 class TestDot:

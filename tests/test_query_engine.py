@@ -109,13 +109,26 @@ class TestRequestMemos:
         assert other.to_classad() is not first
         assert other.to_classad()["client"] == "else"
 
-    def test_xml_encoding_memoized_per_service(self):
+    def test_xml_body_memoized_on_the_frozen_dag(self):
+        import dataclasses
+
         request = make_request()
+        first = service_request_to_xml(request, service="create")
+        # A DAG its client may still extend is written on every call ...
+        assert request.dag.sealed_wire is None
+        request.dag.freeze()
+        # ... a frozen one keeps its <dag> text, whoever asks for it.
         create_xml = service_request_to_xml(request, service="create")
         estimate_xml = service_request_to_xml(request, service="estimate")
-        assert service_request_to_xml(request, "create") is create_xml
-        assert service_request_to_xml(request, "estimate") is estimate_xml
+        body = request.dag.sealed_wire
+        assert body.startswith("<dag>") and body.endswith("</dag>")
+        other = dataclasses.replace(request, client_id="else")
+        assert body in service_request_to_xml(other)
+        assert request.dag.sealed_wire is body
+        assert create_xml == first
+        assert body in create_xml and body in estimate_xml
         assert 'service="estimate"' in estimate_xml
+        assert not hasattr(request, "_xml_memo")
 
 
 def _random_description(rng, name):

@@ -63,10 +63,14 @@ def test_latest_small_record_holds_the_floors():
     if latest is None:
         pytest.skip("no small kernel-bench record")
     for point in latest["points"]:
+        if "agg_creates_per_sec" not in point:
+            pytest.skip("record predates agg_creates_per_sec")
         # Generous absolute floor (a local single-shard baseline runs
-        # ~90k ev/s): catches order-of-magnitude kernel regressions
-        # without flaking on slow shared runners.
-        assert point["agg_events_per_sec"] >= 10_000, point
+        # ~1,300 creates/s): catches order-of-magnitude kernel
+        # regressions without flaking on slow shared runners.  On
+        # creates, not events: a create that comes to need fewer
+        # events lowers events/s while the run gets shorter.
+        assert point["agg_creates_per_sec"] >= 150, point
     top = max(latest["agg_speedups"], key=int)
     assert latest["agg_speedups"][top] >= 1.5, latest["agg_speedups"]
 
@@ -77,8 +81,9 @@ def test_kernel_regression_vs_trajectory(smoke_sweep):
     Every recorded run must have passed its determinism cross-check,
     paper-workload records must hold the 2.5x 4-shard aggregate
     speedup from the acceptance criteria, and the same-run smoke
-    single-shard events/sec must stay within 2x of the recorded best
-    for comparable (single-core-normalized) throughput.
+    single-shard creates/sec must stay within 2x of the recorded best
+    for comparable (single-core-normalized) throughput.  Records from
+    before ``agg_creates_per_sec`` existed do not enter the best.
     """
     records = load_trajectory(KERNEL_BENCH_PATH)
     if not records:
@@ -94,16 +99,16 @@ def test_kernel_regression_vs_trajectory(smoke_sweep):
         assert latest["agg_speedups"]["4"] >= 2.5
     best = max(
         (
-            point["agg_events_per_sec"]
+            point["agg_creates_per_sec"]
             for rec in records
             for point in rec.get("points", [])
-            if point.get("shards") == 1
+            if point.get("shards") == 1 and "agg_creates_per_sec" in point
         ),
         default=0.0,
     )
     if best:
-        eps = smoke_sweep.point(1).agg_events_per_sec
-        assert eps > best / 2.0, (
-            f"single-shard kernel {eps:.0f} ev/s is <half the "
-            f"recorded best ({best:.0f} ev/s)"
+        cps = smoke_sweep.point(1).agg_creates_per_sec
+        assert cps > best / 2.0, (
+            f"single-shard kernel {cps:.0f} creates/s is <half the "
+            f"recorded best ({best:.0f} creates/s)"
         )

@@ -170,7 +170,7 @@ class Action:
         payload = "\x1f".join(
             [
                 self.name,
-                self.scope.value,
+                self.scope._value_,
                 self.command,
                 repr(self.params),
             ]

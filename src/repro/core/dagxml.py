@@ -123,12 +123,14 @@ def _write_dag(dag: ConfigDAG, parts: List[str]) -> None:
         return
     esc = _ESCAPES
     parts.append("<dag>")
+    # ``_value_``, not ``.value``: the descriptor behind ``Enum.value``
+    # is two Python calls a read on 3.11, four per action here.
     for name, action in actions.items():
         parts.append(
             f'<action name="{name.translate(esc)}"'
-            f' scope="{action.scope.value}"'
+            f' scope="{action.scope._value_}"'
             f' command="{action.command.translate(esc)}"'
-            f' on-error="{action.on_error.value}"'
+            f' on-error="{action.on_error._value_}"'
             f' retries="{action.retries!s}"'
         )
         if action.params or action.outputs:
@@ -211,9 +213,9 @@ def _action_from_element(el: ET.Element) -> Action:
 
 def _parse_action(el: ET.Element) -> Action:
     name = _require(el, "name")
-    scope = el.get("scope", ActionScope.GUEST.value)
+    scope = el.get("scope", ActionScope.GUEST._value_)
     command = el.get("command", "")
-    on_error = el.get("on-error", ErrorPolicy.FAIL.value)
+    on_error = el.get("on-error", ErrorPolicy.FAIL._value_)
     try:
         retries = int(el.get("retries", "0"))
     except ValueError:

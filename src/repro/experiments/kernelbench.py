@@ -51,6 +51,10 @@ class KernelBenchPoint:
     cpu_s: float
     wall_events_per_sec: float
     agg_events_per_sec: float
+    #: Goodput on the same aggregation (sum over shards of creates per
+    #: CPU-second): unlike events/s it does not fall when a create
+    #: comes to need fewer events.
+    agg_creates_per_sec: float
     created: int
     spills: int
     failed: int
@@ -64,6 +68,7 @@ class KernelBenchPoint:
             "cpu_s": round(self.cpu_s, 4),
             "wall_events_per_sec": round(self.wall_events_per_sec, 1),
             "agg_events_per_sec": round(self.agg_events_per_sec, 1),
+            "agg_creates_per_sec": round(self.agg_creates_per_sec, 1),
             "created": self.created,
             "spills": self.spills,
             "failed": self.failed,
@@ -190,6 +195,7 @@ def run_kernelbench(
                 cpu_s=sum(s["cpu_s"] for s in run.shard_results),
                 wall_events_per_sec=run.wall_events_per_sec,
                 agg_events_per_sec=run.agg_events_per_sec,
+                agg_creates_per_sec=run.agg_per_cpu_sec("created"),
                 created=int(stats.get("created", 0)),
                 spills=int(stats.get("spills_recv", 0)),
                 failed=int(

@@ -156,7 +156,7 @@ class ProductionProcessPlanner:
         ad["os"] = request.software.os
         ad["memory_mb"] = request.hardware.memory_mb
         ad["created_at"] = self.env.now
-        ad["clone_mode"] = order.clone_mode.value
+        ad["clone_mode"] = order.clone_mode._value_
 
         self._inflight[order.vmid] = (vm, line)
         try:
@@ -245,7 +245,7 @@ class ProductionProcessPlanner:
         ad["actions_executed"] = len(match.residual)
 
         vm.status = VMStatus.RUNNING
-        ad["status"] = vm.status.value
+        ad["status"] = vm.status._value_
         if request.lease_s is not None:
             ad["lease_expires_at"] = self.env.now + request.lease_s
         self.infosys.store(vm)

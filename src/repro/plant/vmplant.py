@@ -362,7 +362,7 @@ class VMPlant(PlantView):
             )
         yield from line.collect(vm)
         vm.status = VMStatus.COLLECTED
-        vm.classad["status"] = vm.status.value
+        vm.classad["status"] = vm.status._value_
         vm.classad["collected_at"] = self.env.now
         self.infosys.remove(vmid)
         self.network_pool.detach(vmid)
@@ -385,7 +385,7 @@ class VMPlant(PlantView):
         line = self.lines[vm.vm_type]
         line.abort(vm)
         vm.status = VMStatus.FAILED
-        vm.classad["status"] = vm.status.value
+        vm.classad["status"] = vm.status._value_
         self.infosys.remove(vmid)
         self.network_pool.detach(vmid)
         domain = self._vm_domain.pop(vmid, None)
@@ -571,7 +571,7 @@ class VMPlant(PlantView):
         ad["plant"] = self.name
         ad["network_id"] = assignment.network_id
         ad["ip"] = assignment.ip_address
-        ad["status"] = vm.status.value
+        ad["status"] = vm.status._value_
 
     def __repr__(self) -> str:
         return (

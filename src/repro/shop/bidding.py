@@ -5,11 +5,11 @@ protocol that allows VMShop to request and collect bids containing
 estimated VM creation costs" (Section 3.1).  Bids are collected from
 all candidate plants in parallel over the transport — one
 :meth:`~repro.shop.protocol.Transport.gather` fan-out per round, each
-estimate run from its arrival timer's callback, so a round costs two
-timer events per bidder and one event for the round, and no process
-per bid; the cheapest bid wins, with ties broken uniformly at random
-(the Section 3.4 illustration: "the VMShop picks one plant at random")
-from a named deterministic stream.
+estimate run from its arrival timer's callback, so a round costs one
+timer event per bidder and one event for the round, no event per
+answer and no process per bid; the cheapest bid wins, with ties broken
+uniformly at random (the Section 3.4 illustration: "the VMShop picks
+one plant at random") from a named deterministic stream.
 """
 
 from __future__ import annotations

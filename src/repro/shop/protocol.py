@@ -12,7 +12,7 @@ The prototype exchanges XML service specifications over sockets
   A single call (:meth:`Transport.call`) is a generator the caller's
   process drives; a fan-out of calls answered together
   (:meth:`Transport.gather`) is run from timer callbacks, no process
-  per call.
+  per call and no event per answer.
 """
 
 from __future__ import annotations
@@ -165,41 +165,46 @@ class Transport:
         """Call every handler concurrently; one event for all answers.
 
         The same latency → handler → latency as :meth:`call`, per
-        handler, but driven by timer callbacks: the outbound latencies
-        are drawn here, in handler order; each handler runs in its
-        arrival timer's callback, and its return latency is drawn when
-        it finishes.  A handler that returns a generator is stepped in
-        place and parks only on the pending events it yields.
+        handler: the outbound latencies are drawn here, in handler
+        order, and each handler runs in its arrival timer's callback;
+        a handler that returns a generator is stepped in place and
+        parks only on the pending events it yields.  The return
+        latency is drawn when the handler finishes, and from then on
+        the answer and the instant it lands are fixed and nothing can
+        observe it in flight, so it is recorded, not scheduled: once
+        every handler has answered, the round's one event goes on the
+        queue at the latest landing time itself.
 
         The returned event fires with ``{handler index: answer}`` when
         the last answer lands, or — given ``deadline_s`` — that many
-        seconds from now with the answers landed so far; it fails with
-        the exception of the first handler to raise before then.  Once
-        it has fired, the remaining handlers still run (and draw their
-        latencies), but their answers and failures are dropped.
+        seconds from now with the answers that landed strictly before
+        then; it fails with the exception of the first handler to
+        raise before then.  Once it is decided, the remaining handlers
+        still run (and draw their latencies), but their answers and
+        failures are dropped.
         """
         env = self.env
         done = Event(env)
-        answers: dict = {}
+        landings: list = []  # (landing time, handler index, answer)
         total = len(handlers)
         self.calls += total
         if not total:
-            return done.succeed(answers)
+            return done.succeed({})
+        deadline = None if deadline_s is None else env.now + deadline_s
 
         def fail(exc: Exception) -> None:
             if done._ok is None:
                 done.fail(exc)
 
-        def land(index: int, answer: Any, _timer: Event) -> None:
-            if done._ok is None:
-                answers[index] = answer
-                if len(answers) == total:
-                    done.succeed(answers)
-
         def reply(index: int, answer: Any) -> None:
-            Timeout(env, self._one_way()).callbacks.append(
-                partial(land, index, answer)
-            )
+            landings.append((env.now + self._one_way(), index, answer))
+            if len(landings) == total and done._ok is None:
+                last = max(landings)[0]  # ties end at the unique index
+                # At or past the deadline, the deadline timer decides.
+                if deadline is None or last < deadline:
+                    done._ok = True
+                    done._value = {i: got for _, i, got in landings}
+                    env.schedule_at(done, last)
 
         def advance(index: int, steps: Generator, event: Event) -> None:
             while True:
@@ -229,7 +234,9 @@ class Transport:
 
         def expire(_timer: Event) -> None:
             if done._ok is None:
-                done.succeed(answers)
+                done.succeed(
+                    {i: got for at, i, got in landings if at < deadline}
+                )
 
         if deadline_s is not None:
             Timeout(env, deadline_s).callbacks.append(expire)

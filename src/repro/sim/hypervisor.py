@@ -257,7 +257,7 @@ class _SimLine(ProductionLine):
             return self.env.now - start, source
         if self.coalesce_transfers:
             source = yield from self.nfs.copy_to_host_coalesced(
-                (self.host.name, image.image_id, mode.value),
+                (self.host.name, image.image_id, mode._value_),
                 payload,
                 self.host,
                 files=files,
@@ -454,7 +454,7 @@ class VMwareLine(_SimLine):
                 vmid=vm.vmid,
                 vm_type=self.vm_type,
                 memory_mb=vm.memory_mb,
-                clone_mode=mode.value,
+                clone_mode=mode._value_,
                 started_at=started,
                 copy_time=copy_time,
                 resume_time=resume_time,
@@ -526,7 +526,7 @@ class UMLLine(_SimLine):
                 vmid=vm.vmid,
                 vm_type=self.vm_type,
                 memory_mb=vm.memory_mb,
-                clone_mode=mode.value,
+                clone_mode=mode._value_,
                 started_at=started,
                 copy_time=copy_time,
                 resume_time=boot_time,

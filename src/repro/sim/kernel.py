@@ -15,7 +15,9 @@ a :class:`Timeout` pushes itself onto the heap, and
 generator — run a function when a timer fires — hangs a callback on a
 :class:`Timeout` (or :meth:`Environment.call_later`) instead of
 starting a :class:`Process`; :meth:`repro.shop.protocol.Transport.gather`
-runs a whole bid round that way.
+runs a whole bid round that way, and puts the round's one event on the
+queue at the instant its last answer lands
+(:meth:`Environment.schedule_at`) instead of a timer per answer.
 
 Typical usage::
 
@@ -505,15 +507,24 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------
-    def schedule(
-        self,
-        event: Event,
-        priority: int = PRIORITY_NORMAL,
-        delay: float = 0.0,
-    ) -> None:
-        """Enqueue ``event`` to fire ``delay`` after the current time."""
+    def schedule(self, event: Event, priority: int = PRIORITY_NORMAL) -> None:
+        """Enqueue ``event`` to fire at the current time."""
         self._eid = eid = self._eid + 1
-        _heappush(self._queue, (self.now + delay, priority, eid, event))
+        _heappush(self._queue, (self.now, priority, eid, event))
+
+    def schedule_at(self, event: Event, time: float) -> None:
+        """Enqueue ``event`` to fire at the absolute instant ``time``.
+
+        The clock will read exactly ``time`` when it fires, which
+        ``now + (time - now)`` does not promise in floating point.
+        The caller has already given the event its outcome.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time}, before now ({self.now})"
+            )
+        self._eid = eid = self._eid + 1
+        _heappush(self._queue, (time, PRIORITY_NORMAL, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""

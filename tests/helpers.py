@@ -18,8 +18,10 @@ its wire bytes, decoded requests and error messages.
 ``lambda`` per wait, stale wake-ups told apart by a generation number)
 and the bid round (one process per bidder, joined by ``AllOf``) as they
 stood before dispatch became one call per wake-up and the fan-out
-callback-driven.  ``tests/test_kernel.py`` and ``tests/test_shop.py``
-hold the live code to their event logs, bids and stream states.
+callback-driven.  ``oracle_gather`` is that callback-driven fan-out as
+it stood while every answer still travelled back on a timer of its
+own.  ``tests/test_kernel.py`` and ``tests/test_shop.py`` hold the live
+code to their event logs, bids and stream states.
 """
 
 from __future__ import annotations
@@ -27,7 +29,18 @@ from __future__ import annotations
 import cProfile
 import gc
 import xml.etree.ElementTree as ET
-from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.actions import Action, ActionResult, ActionStatus
 from repro.core.dag import ConfigDAG
@@ -49,6 +62,7 @@ from repro.sim.kernel import (
     Initialize,
     Interrupt,
     SimulationError,
+    Timeout,
     _defuse,
 )
 
@@ -447,3 +461,76 @@ def oracle_collect(
     collector.collections += 1
     collector.bids_collected += len(bids)
     return bids
+
+
+def oracle_gather(
+    transport,
+    handlers: Sequence[Callable[[], Any]],
+    deadline_s: Optional[float] = None,
+) -> Event:
+    """``Transport.gather`` with a back-timer per answer.
+
+    Every answer rides a ``Timeout`` of its return latency and is
+    copied into the round's dictionary when that timer fires; the
+    round's event is triggered from the last of those callbacks.
+    """
+    env = transport.env
+    done = Event(env)
+    answers: dict = {}
+    total = len(handlers)
+    transport.calls += total
+    if not total:
+        return done.succeed(answers)
+
+    def fail(exc: Exception) -> None:
+        if done._ok is None:
+            done.fail(exc)
+
+    def land(index: int, answer: Any, _timer: Event) -> None:
+        if done._ok is None:
+            answers[index] = answer
+            if len(answers) == total:
+                done.succeed(answers)
+
+    def reply(index: int, answer: Any) -> None:
+        Timeout(env, transport._one_way()).callbacks.append(
+            partial(land, index, answer)
+        )
+
+    def advance(index: int, steps: Generator, event: Event) -> None:
+        while True:
+            try:
+                if event._ok:
+                    event = steps.send(event._value)
+                else:
+                    event.defused = True
+                    event = steps.throw(event._value)
+            except StopIteration as stop:
+                return reply(index, stop.value)
+            except Exception as exc:
+                return fail(exc)
+            if event.callbacks is not None:
+                event.callbacks.append(partial(advance, index, steps))
+                return
+
+    def arrive(index: int, timer: Event) -> None:
+        try:
+            result = handlers[index]()
+        except Exception as exc:
+            return fail(exc)
+        if hasattr(result, "send") and hasattr(result, "throw"):
+            advance(index, result, timer)
+        else:
+            reply(index, result)
+
+    def expire(_timer: Event) -> None:
+        if done._ok is None:
+            done.succeed(answers)
+
+    if deadline_s is not None:
+        Timeout(env, deadline_s).callbacks.append(expire)
+    for index in range(total):
+        Timeout(env, transport._one_way()).callbacks.append(
+            partial(arrive, index)
+        )
+    return done

@@ -622,6 +622,61 @@ class TestUntilBoundary:
             env.advance_clock(9.0)
 
 
+class TestScheduleAt:
+    """``Environment.schedule_at``: the absolute-time enqueue."""
+
+    @staticmethod
+    def decided(env, value=None):
+        event = env.event()
+        event._ok, event._value = True, value
+        return event
+
+    def test_fires_at_the_instant_given_bit_for_bit(self):
+        # A delay cannot name this instant from here: the round trip
+        # through a difference lands one ulp below it.
+        start, at = 0.7974042475543028, 2.8286279986015486
+        assert start + (at - start) != at
+        env = Environment(initial_time=start)
+        seen = []
+        event = self.decided(env, "v")
+        event.callbacks.append(lambda ev: seen.append((env.now, ev.value)))
+        env.schedule_at(event, at)
+        env.timeout(at - start).callbacks.append(
+            lambda ev: seen.append((env.now, "timer"))
+        )
+        env.run()
+        assert seen == [(start + (at - start), "timer"), (at, "v")]
+        assert env.now == at
+
+    def test_same_instant_fires_in_enqueue_order(self):
+        env = Environment()
+        seen = []
+        env.timeout(2.0).callbacks.append(lambda ev: seen.append("timer"))
+        event = self.decided(env)
+        event.callbacks.append(lambda ev: seen.append("event"))
+        env.schedule_at(event, 2.0)
+        env.run()
+        assert seen == ["timer", "event"]
+
+    def test_an_instant_before_now_is_refused(self):
+        env = Environment()
+        env.advance_clock(5.0)
+        with pytest.raises(SimulationError, match="before now"):
+            env.schedule_at(self.decided(env), 4.999)
+        assert env.peek() == float("inf")
+        env.schedule_at(self.decided(env), 5.0)  # now itself is fine
+        env.run()
+        assert env.now == 5.0
+
+    def test_schedule_takes_no_delay(self):
+        # ``schedule(event, delay=-1)`` used to rewind the clock on
+        # the next pop; nothing passed a delay, so the parameter went.
+        env = Environment()
+        with pytest.raises(TypeError):
+            env.schedule(self.decided(env), delay=-1.0)
+        assert env.peek() == float("inf")
+
+
 class TestCallLater:
     """Pooled timer events behind ``Environment.call_later``."""
 

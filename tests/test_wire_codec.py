@@ -1093,6 +1093,32 @@ class TestCallBudgets:
         # 108 and 594 calls an encode, every time.
         assert per_encode[3] == per_encode[30] <= 6
 
+    def test_unfrozen_body_encode_makes_no_call_per_action(self):
+        # A DAG that can still change is written in full on every
+        # encode.  ``Enum.value`` is a descriptor, two Python calls a
+        # read on 3.11, and the writer read it twice per action.
+        def encode_calls(n: int) -> int:
+            dag = ConfigDAG.from_sequence(
+                [
+                    Action(
+                        f"step-{k}", scope=("guest", "host")[k % 2],
+                        command=f"run {k}", on_error=("fail", "ignore")[k % 2],
+                    )
+                    for k in range(n)
+                ]
+            )
+            request = CreateRequest(
+                hardware=HardwareSpec(memory_mb=64),
+                software=SoftwareSpec(os="linux", dag=dag),
+            )
+            assert service_request_to_xml(request) == (
+                oracle_service_request_to_xml(request)
+            )
+            return python_calls(lambda: service_request_to_xml(request))
+
+        # 9 at the time of writing; 8 actions took 41 through ``.value``.
+        assert encode_calls(8) == encode_calls(2) <= 12
+
     def test_sequential_creates_within_budget(self):
         # What the e2e closed loop (``paper_seq``) pays per create, in
         # tier-1: 20 sequential creates on a seeded 8-plant site, the
@@ -1108,9 +1134,9 @@ class TestCallBudgets:
         for i in range(2):
             create(f"warm-{i}")
         calls = python_calls(lambda: [create(f"guard-{i}") for i in range(20)])
-        # 14,190 at the time of writing (709.5 a create); the budget is
-        # that plus 5 %.  The same test at the parent commit (a private
-        # DAG built per request, the body serialised through
-        # ElementTree on every create) reads 17,230: the 152 calls a
-        # create that the e2e loop shows (873.6 -> 721.6).
-        assert calls <= 14_900
+        # 13,750 at the time of writing (687.5 a create); the budget is
+        # that plus 5 %.  With a back-timer per bid answer and
+        # ``Enum.value`` on the create path it read 14,190; with a
+        # private DAG built per request and the body serialised through
+        # ElementTree on every create, 17,230.
+        assert calls <= 14_400

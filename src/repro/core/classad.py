@@ -1124,6 +1124,10 @@ def evaluate(
     return Expression(text).evaluate(ad, other)
 
 
+#: What an attribute, or an element of a list-valued one, may hold.
+_SCALARS = (bool, int, float, str, Undefined, Expression)
+
+
 class ClassAd:
     """Case-insensitive ordered attribute map with lazy expressions.
 
@@ -1137,36 +1141,31 @@ class ClassAd:
     def __init__(self, attrs: Optional[Dict[str, Any]] = None):
         self._attrs: Dict[str, Value] = {}
         self._names: Dict[str, str] = {}  # lower → original spelling
-        for key, value in (attrs or {}).items():
-            self[key] = value
+        if attrs:
+            self.update(attrs)
 
     # -- mapping interface -------------------------------------------------
     def __setitem__(self, key: str, value: Any) -> None:
-        if isinstance(value, Expression):
-            pass
-        elif isinstance(value, (bool, int, float, str, Undefined)):
-            pass
-        elif isinstance(value, (list, tuple)):
-            value = [self._check_element(v) for v in value]
-        else:
-            raise ClassAdError(
-                f"unsupported classad value type {type(value).__name__}"
-            )
+        if not isinstance(value, _SCALARS):
+            value = self._checked_list(value)
         low = key.lower()
         self._names[low] = key
         self._attrs[low] = value
 
     @staticmethod
-    def _check_element(value: Any) -> Value:
+    def _checked_list(value: Any) -> List[Value]:
         # Lists accept the same element types scalars do, including
         # nested unevaluated expressions.
-        if isinstance(
-            value, (bool, int, float, str, Undefined, Expression)
-        ):
-            return value
-        raise ClassAdError(
-            f"unsupported list element type {type(value).__name__}"
-        )
+        if not isinstance(value, (list, tuple)):
+            raise ClassAdError(
+                f"unsupported classad value type {type(value).__name__}"
+            )
+        for element in value:
+            if not isinstance(element, _SCALARS):
+                raise ClassAdError(
+                    f"unsupported list element type {type(element).__name__}"
+                )
+        return list(value)
 
     def set_expression(self, key: str, text: str) -> None:
         """Store ``text`` as a lazily evaluated expression."""
@@ -1205,9 +1204,16 @@ class ClassAd:
             yield name, self._attrs[low]
 
     def update(self, other: Union["ClassAd", Dict[str, Any]]) -> None:
-        source = other.items() if isinstance(other, ClassAd) else other.items()
-        for key, value in source:
-            self[key] = value
+        # ``__setitem__`` written out: an ad is built a block of
+        # attributes at a time, and a call per attribute was most of
+        # what building one cost.
+        names, attrs = self._names, self._attrs
+        for key, value in other.items():
+            if not isinstance(value, _SCALARS):
+                value = self._checked_list(value)
+            low = key.lower()
+            names[low] = key
+            attrs[low] = value
 
     def copy(self) -> "ClassAd":
         dup = ClassAd()

@@ -148,15 +148,20 @@ class ProductionProcessPlanner:
         context.setdefault("client", request.client_id)
         context.setdefault("domain", request.network.domain)
 
-        ad = vm.classad
-        ad["vmid"] = order.vmid
-        ad["client"] = request.client_id
-        ad["image_id"] = image.image_id
-        ad["vm_type"] = line.vm_type
-        ad["os"] = request.software.os
-        ad["memory_mb"] = request.hardware.memory_mb
-        ad["created_at"] = self.env.now
-        ad["clone_mode"] = order.clone_mode._value_
+        # One ``update`` per block of the ad, in the key order that
+        # ``to_string()`` and the fingerprints show.
+        vm.classad.update(
+            {
+                "vmid": order.vmid,
+                "client": request.client_id,
+                "image_id": image.image_id,
+                "vm_type": line.vm_type,
+                "os": request.software.os,
+                "memory_mb": request.hardware.memory_mb,
+                "created_at": self.env.now,
+                "clone_mode": order.clone_mode._value_,
+            }
+        )
 
         self._inflight[order.vmid] = (vm, line)
         try:
@@ -239,15 +244,18 @@ class ProductionProcessPlanner:
             vm.status = VMStatus.FAILED
             line.abort(vm)
             raise
-        ad["config_time"] = self.env.now - config_start
-        ad["total_time"] = self.env.now - clone_start
-        ad["actions_cached"] = len(match.satisfied)
-        ad["actions_executed"] = len(match.residual)
-
         vm.status = VMStatus.RUNNING
-        ad["status"] = vm.status._value_
+        now = self.env.now
+        finished = {
+            "config_time": now - config_start,
+            "total_time": now - clone_start,
+            "actions_cached": len(match.satisfied),
+            "actions_executed": len(match.residual),
+            "status": vm.status._value_,
+        }
         if request.lease_s is not None:
-            ad["lease_expires_at"] = self.env.now + request.lease_s
+            finished["lease_expires_at"] = now + request.lease_s
+        ad.update(finished)
         self.infosys.store(vm)
         trace(
             self.env, "ppp", "vm-running",

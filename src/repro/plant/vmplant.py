@@ -275,10 +275,14 @@ class VMPlant(PlantView):
         self._vm_domain[vmid] = domain
         self._vm_bridged[vmid] = bridged
         ad = vm.classad
-        ad["plant"] = self.name
-        ad["network_id"] = assignment.network_id
-        ad["ip"] = assignment.ip_address
-        ad["network_fresh"] = assignment.fresh_allocation
+        ad.update(
+            {
+                "plant": self.name,
+                "network_id": assignment.network_id,
+                "ip": assignment.ip_address,
+                "network_fresh": assignment.fresh_allocation,
+            }
+        )
         return ad.copy()
 
     def attach_speculative(self, manager) -> None:

@@ -155,9 +155,12 @@ class VMShop:
                         f"t={bid.at}, now t={now}): bids are only good "
                         "at the instant they were collected"
                     )
-        # Exercise the prototype's XML service path end to end.
-        wire = service_request_to_xml(request, service="create")
-        service, request = service_request_from_xml(wire)
+        # Exercise the prototype's XML service path end to end.  One
+        # expression: this frame lives until the VM is ready, and a
+        # name bound to the wire text would keep it alive that long.
+        service, request = service_request_from_xml(
+            service_request_to_xml(request, service="create")
+        )
         if service != "create":  # pragma: no cover - defensive
             raise ShopError(f"unexpected service {service!r}")
 

@@ -5,6 +5,16 @@ execution variation, NFS service noise) draws from its own named
 stream.  Streams are derived from a single experiment seed via SHA-256,
 so adding a new consumer never perturbs the draws seen by existing
 ones — figures regenerate bit-identically across runs and versions.
+
+What a name costs: a ``random.Random`` is ~2.9 KB, and a request whose
+DAG ends in an action nobody else's has names streams that are drawn
+from exactly once.  The hub keeps a generator only for a name that
+comes back or that :meth:`RngHub.stream` handed out: a first
+``uniform``/``lognormal`` on an unseen name seeds, draws, journals that
+one call and lets the generator go; the next access re-seeds and
+replays it.  What is stored changes, never what is drawn.  Memory stays
+O(distinct names), and nothing resident is evicted: a generator in use
+cannot be rebuilt short of its whole draw history.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from math import exp
-from typing import Dict
+from typing import Dict, Tuple
 
 __all__ = ["RngHub"]
 
@@ -22,38 +32,59 @@ class RngHub:
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
+        #: Generators of the names drawn from twice or handed out.
         self._streams: Dict[str, random.Random] = {}
+        #: ``(method, its two arguments)`` of a name's only draw so far.
+        self._drawn_once: Dict[str, Tuple[str, float, float]] = {}
+
+    def _seeded(self, name: str) -> random.Random:
+        digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
+        return random.Random(int.from_bytes(digest[:8], "big"))
 
     def stream(self, name: str) -> random.Random:
-        """Return the (cached) stream for ``name``."""
+        """Return the stream for ``name``: resident, never rebuilt."""
         rng = self._streams.get(name)
         if rng is None:
-            digest = hashlib.sha256(
-                f"{self.seed}:{name}".encode("utf-8")
-            ).digest()
-            rng = random.Random(int.from_bytes(digest[:8], "big"))
-            self._streams[name] = rng
+            rng = self._streams[name] = self._seeded(name)
+            journaled = self._drawn_once.pop(name, None)
+            if journaled is not None:
+                method, a, b = journaled
+                getattr(rng, method)(a, b)
         return rng
+
+    def _draw(self, name: str, method: str, a: float, b: float) -> float:
+        """A named draw on a name without a resident generator."""
+        if name in self._drawn_once:
+            rng = self.stream(name)
+        else:
+            self._drawn_once[name] = (method, a, b)
+            rng = self._seeded(name)
+        return getattr(rng, method)(a, b)
 
     def uniform(self, name: str, low: float, high: float) -> float:
         """Draw ``U[low, high)`` from the named stream."""
-        return self.stream(name).uniform(low, high)
+        rng = self._streams.get(name)
+        if rng is None:
+            return self._draw(name, "uniform", low, high)
+        return rng.uniform(low, high)
 
     def expovariate(self, name: str, rate: float) -> float:
         """Draw an exponential inter-arrival with the given rate."""
         return self.stream(name).expovariate(rate)
 
     def lognormal(self, name: str, mu: float, sigma: float) -> float:
-        """Draw a log-normal variate (natural-log parameters).
-
-        What ``random.lognormvariate`` computes, spelled out to save
-        its frame on a path every transport hop takes.
-        """
-        return exp(self.stream(name).normalvariate(mu, sigma))
+        """Draw a log-normal variate (natural-log parameters): what
+        ``random.lognormvariate`` computes, spelled out to save its
+        frame on every clone and script jitter draw."""
+        rng = self._streams.get(name)
+        if rng is None:
+            return exp(self._draw(name, "normalvariate", mu, sigma))
+        return exp(rng.normalvariate(mu, sigma))
 
     def choice(self, name: str, seq):
         """Pick a uniformly random element of ``seq``."""
         return self.stream(name).choice(seq)
 
     def __repr__(self) -> str:
-        return f"<RngHub seed={self.seed} streams={len(self._streams)}>"
+        seen = len(self._streams) + len(self._drawn_once)
+        return f"<RngHub seed={self.seed} streams={seen}>"

@@ -1,6 +1,7 @@
 """Shared test fixtures: a deterministic instant production line, the
-two-pass wire codec and the process-per-bid kernel dispatch kept as
-references, and the Python-call counter of the call-budget tests.
+two-pass wire codec, the process-per-bid kernel dispatch and the
+keep-every-generator random hub kept as references, and the Python-call
+and retained-byte counters of the budget tests.
 
 ``InstantLine`` implements the ProductionLine interface with constant,
 configurable behaviour so PPP/plant/shop logic can be tested without
@@ -22,14 +23,22 @@ callback-driven.  ``oracle_gather`` is that callback-driven fan-out as
 it stood while every answer still travelled back on a timer of its
 own.  ``tests/test_kernel.py`` and ``tests/test_shop.py`` hold the live
 code to their event logs, bids and stream states.
+
+``oracle_rng_hub`` is ``RngHub`` as it stood while it kept a
+``random.Random`` for every name it had ever seen;
+``tests/test_rng.py`` holds the live hub to its draws and stream states.
 """
 
 from __future__ import annotations
 
 import cProfile
 import gc
+import hashlib
+import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from functools import partial
+from math import exp
 from typing import (
     Any,
     Callable,
@@ -160,6 +169,25 @@ def python_calls(fn) -> int:
         if collecting:
             gc.enable()
     return sum(entry.callcount for entry in profile.getstats())
+
+
+def retained_bytes(fn) -> int:
+    """Bytes allocated inside ``fn()`` and still alive after it
+    returned (``tracemalloc``, cyclic garbage collected on both sides).
+    Whatever ``fn`` returns is dropped before the second reading, so
+    what counts is what the objects it *touched* now hold on to."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +562,50 @@ def oracle_gather(
             partial(arrive, index)
         )
     return done
+
+
+# ---------------------------------------------------------------------------
+# Reference random hub (a generator kept for every name ever seen)
+# ---------------------------------------------------------------------------
+
+
+class oracle_rng_hub:
+    """``RngHub`` before a name drawn from once became a journal entry."""
+
+    def __init__(self, seed: int = 0):
+        self.seed = int(seed)
+        self._streams: Dict[str, random.Random] = {}
+
+    def stream(self, name: str) -> random.Random:
+        """Return the (cached) stream for ``name``."""
+        rng = self._streams.get(name)
+        if rng is None:
+            digest = hashlib.sha256(
+                f"{self.seed}:{name}".encode("utf-8")
+            ).digest()
+            rng = random.Random(int.from_bytes(digest[:8], "big"))
+            self._streams[name] = rng
+        return rng
+
+    def uniform(self, name: str, low: float, high: float) -> float:
+        """Draw ``U[low, high)`` from the named stream."""
+        return self.stream(name).uniform(low, high)
+
+    def expovariate(self, name: str, rate: float) -> float:
+        """Draw an exponential inter-arrival with the given rate."""
+        return self.stream(name).expovariate(rate)
+
+    def lognormal(self, name: str, mu: float, sigma: float) -> float:
+        """Draw a log-normal variate (natural-log parameters).
+
+        What ``random.lognormvariate`` computes, spelled out to save
+        its frame on a path every transport hop takes.
+        """
+        return exp(self.stream(name).normalvariate(mu, sigma))
+
+    def choice(self, name: str, seq):
+        """Pick a uniformly random element of ``seq``."""
+        return self.stream(name).choice(seq)
+
+    def __repr__(self) -> str:
+        return f"<RngHub seed={self.seed} streams={len(self._streams)}>"

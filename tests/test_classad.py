@@ -1,5 +1,7 @@
 """Unit tests for the classad store and expression language."""
 
+from functools import partial
+
 import pytest
 
 from repro.core.classad import (
@@ -10,6 +12,7 @@ from repro.core.classad import (
     evaluate,
 )
 from repro.core.errors import ClassAdError
+from tests.helpers import python_calls
 
 
 class TestLiteralsAndArithmetic:
@@ -176,9 +179,52 @@ class TestClassAd:
         with pytest.raises(ClassAdError):
             ClassAd({"bad": [object()]})
 
+    @pytest.mark.parametrize("bad", [object(), [object()], {"a": 1}, None])
+    def test_unsupported_value_rejected_by_assignment_and_update(self, bad):
+        ad = ClassAd({"kept": 1})
+        with pytest.raises(ClassAdError, match="unsupported"):
+            ad["bad"] = bad
+        with pytest.raises(ClassAdError, match="unsupported"):
+            ad.update({"good": 2, "bad": bad, "never": 3})
+        # What came before the bad value went in, as with assignments.
+        assert list(ad.items()) == [("kept", 1), ("good", 2)]
+
     def test_lists_supported(self):
         ad = ClassAd({"tags": ["x", "y"]})
         assert ad["tags"] == ["x", "y"]
+
+    def test_list_values_are_copied_on_every_path(self):
+        tags = ["x", Expression("1 + 1")]
+        built, assigned, updated = ClassAd({"t": tags}), ClassAd(), ClassAd()
+        assigned["t"] = tags
+        updated.update({"t": tuple(tags)})
+        tags.append("z")
+        for ad in (built, assigned, updated):
+            assert ad["t"] == tags[:2]
+
+    def test_update_writes_like_assignments_in_order(self):
+        block = {"Vmid": "v1", "os": "linux", "memory_mb": 64, "ok": True}
+        assigned = ClassAd({"os": "none", "first": 0.5})
+        updated = assigned.copy()
+        for key, value in block.items():
+            assigned[key] = value
+        updated.update(block)
+        assert list(updated.items()) == list(assigned.items())
+        assert updated.to_string() == assigned.to_string()
+        assert updated.to_string().startswith('[os = "linux"; first = 0.5; Vm')
+        updated.update(ClassAd({"VMID": "v2"}))
+        assert [k for k, _ in updated.items()][2] == "VMID"
+
+    def test_an_ad_is_built_a_block_at_a_time(self):
+        # The VM's ad is assembled from blocks of 8, 5-6 and 4
+        # attributes on every create; a ``__setitem__`` call per
+        # attribute was 23 calls a request from constructors alone.
+        eight = {f"attr{i}": i for i in range(8)}
+        assert python_calls(partial(ClassAd, eight)) <= 2
+        ad = ClassAd()
+        six = {f"ATTR{i}": float(i) for i in range(6)}
+        assert python_calls(partial(ad.update, six)) <= 1
+        assert len(ad) == 6
 
     def test_update_and_copy_independent(self):
         ad = ClassAd({"a": 1})

@@ -368,6 +368,23 @@ class TestVMShop:
         bids = drive(env, shop.estimate(make_request()))
         assert len(bids) == 3
 
+    def test_suspended_create_does_not_hold_its_wire_text(self):
+        # The generator's frame lives until the VM is ready; a local
+        # bound to the request's wire text kept ~0.9 KB alive per
+        # in-flight create, hundreds at a time under an overload.
+        env = Environment()
+        shop, _ = make_site(env)
+        request = experiment_request(32)
+        assert len(service_request_to_xml(request)) > 256
+        create = shop.create(request)
+        create.send(None)  # suspended in the bid round
+        assert [
+            name
+            for name, value in create.gi_frame.f_locals.items()
+            if isinstance(value, str) and len(value) > 256
+        ] == []
+        create.close()
+
 
 class TestCreateFromBids:
     """``create(bids=)``: the caller's estimate round stands in for the

@@ -2,12 +2,12 @@
 
 Runs the ``federation`` sweep (see
 :mod:`repro.experiments.federation`) and appends one record to
-``benchmarks/results/BENCH_federation.json`` so aggregate creates/sec,
-bid rounds per successful create, create p95 latency and the 4-site
-speedup are tracked as a trajectory across commits.  Aggregate
-bids/sec stays in every point, but it counts work rather than service
-(a control plane that bids twice per request reports twice the rate),
-so the trajectory floor rests on ``agg_creates_per_sec``.  Each record
+``benchmarks/results/BENCH_federation.json`` so creates per summed
+CPU-second, wall-clock, bid rounds per successful create and create
+p95 latency are tracked as a trajectory across commits.  The bid
+count stays in every point, but it counts work rather than service
+(a control plane that bids twice per request reports twice as many),
+so the trajectory floor rests on ``goodput_per_cpu_s``.  Each record
 states the host (``cpu_count`` and the cores this process may use)
 and carries the determinism recheck: the largest grid's merged-trace
 fingerprint must agree between 1 shard and one-shard-per-site, and
@@ -60,10 +60,7 @@ def run_federation_bench(
             plants_per_site=8,
             requests_per_site=160,
         )
-    record = {
-        **host_fields(small),
-    }
-    record.update(result.to_record())
+    record = {**host_fields(small), **result.to_record()}
     append_record(out or FEDERATION_BENCH_PATH, record)
     print(result.render())
     return record

@@ -1,9 +1,10 @@
-"""Sharded-kernel benchmark: events/sec across shard counts.
+"""Sharded-kernel benchmark: what each shard count costs.
 
 Runs the ``kernelbench`` sweep (see
 :mod:`repro.experiments.kernelbench`) and appends one record to
-``benchmarks/results/BENCH_kernel.json`` so throughput and the
-4-shard aggregate speedup are tracked as a trajectory across commits.
+``benchmarks/results/BENCH_kernel.json`` so wall-clock, summed CPU,
+creates per CPU-second and each worker's sync counters are tracked
+as a trajectory across commits.
 The record also carries the determinism cross-check: merged-trace
 fingerprints must agree between 1 shard and the highest swept count,
 and reproduce across repeats.
@@ -52,10 +53,7 @@ def run_kernel_bench(
             shard_counts=(1, 4, 8),
             requests_per_site=160,
         )
-    record = {
-        **host_fields(small),
-    }
-    record.update(result.to_record())
+    record = {**host_fields(small), **result.to_record()}
     append_record(out or KERNEL_BENCH_PATH, record)
     print(result.render())
     return record

@@ -33,20 +33,15 @@ def smoke_sweep():
     return run_federation(**_SMOKE)
 
 
-def test_federated_bids_scale_with_sites(smoke_sweep):
-    """Aggregate bids/sec must scale with the site count.
-
-    The acceptance record (paper workload) shows >=2x at 4 sites; the
-    smoke workload is smaller so per-shard CPU measurements are
-    noisier — 1.5x is the flake-safe floor.  Bids/sec sums each
-    shard's site-local bids over its own CPU-seconds, so the bound
-    holds even on a single-core runner.
-    """
-    speedup = smoke_sweep.bids_speedup(4, 0.0)
-    assert speedup >= 1.5, (
-        f"4-site aggregate bid rate only {speedup:.2f}x the "
-        f"single-site control plane at smoke scale"
-    )
+def test_per_cpu_service_rate_holds_as_sites_are_added(smoke_sweep):
+    """Four sites on four workers deliver, per summed CPU-second, at
+    least 3/8 of what one site does: registries, brokers and address
+    blocks are site-local, so all that more sites can cost a create
+    is synchronization.  CPU-seconds, not wall-clock: the bound holds
+    on a runner with fewer cores than sites."""
+    one = smoke_sweep.point(1, 0.0).cost["goodput_per_cpu_s"]
+    four = smoke_sweep.point(4, 0.0).cost["goodput_per_cpu_s"]
+    assert four >= 0.375 * one, (one, four)
 
 
 def test_federation_run_is_deterministic(smoke_sweep):
@@ -76,18 +71,27 @@ def test_one_bid_round_per_successful_create(smoke_sweep):
         assert point.failed == 0
         assert point.bid_rounds == point.created
         assert point.bid_rounds_per_ok == 1.0
-        assert point.agg_creates_per_sec > 0
+        assert point.cost["goodput_per_cpu_s"] > 0
+
+
+def _local_rate_by_sites(record: dict) -> dict:
+    """sites -> creates per CPU-second at cross 0 (none: old record)."""
+    return {
+        p["sites"]: p["goodput_per_cpu_s"]
+        for p in record["points"]
+        if p["cross_fraction"] == 0.0 and "goodput_per_cpu_s" in p
+    }
 
 
 def test_latest_small_record_holds_the_floors():
     """What ``federation_bench --small`` just recorded (CI runs it
-    first): 4 independent per-site control planes deliver well above
-    one site's bid rate per CPU-second, cross-site spills complete,
-    and nothing fails or times out."""
+    first): 4 sites keep 3/8 of one site's creates per CPU-second,
+    cross-site spills complete, and nothing fails or times out."""
     latest = latest_record(FEDERATION_BENCH_PATH, "small")
     if latest is None:
         pytest.skip("no small federation-bench record")
-    assert latest["bids_speedups"]["4x0"] >= 1.5, latest["bids_speedups"]
+    rate = _local_rate_by_sites(latest)
+    assert rate[4] >= 0.375 * rate[1], rate
     crossing = [
         p
         for p in latest["points"]
@@ -102,13 +106,12 @@ def test_federation_regression_vs_trajectory(smoke_sweep):
     """Recorded sweeps must keep meeting the acceptance bar.
 
     Every recorded run must have passed its determinism recheck,
-    paper-workload records must hold the 2x 4-site bids/sec speedup
-    from the acceptance criteria, and the same-run single-site
-    service rate — successful creates per shard CPU-second — must stay
-    within 2x of the recorded best.  The floor is on creates, not
-    bids: bids/sec falls when duplicate bid rounds are removed while
-    the control plane got faster.  Records from before
-    ``agg_creates_per_sec`` existed are skipped, not failed.
+    the latest paper-workload record must keep half of one site's
+    creates per CPU-second at 4 sites, and the same-run single-site
+    rate must stay within 2x of the recorded best.  On creates, not
+    bids: removing duplicate bid rounds lowers a bid rate while the
+    control plane gets faster.  Records from before
+    ``goodput_per_cpu_s`` existed are skipped, not failed.
     """
     records = load_trajectory(FEDERATION_BENCH_PATH)
     if not records:
@@ -119,22 +122,22 @@ def test_federation_regression_vs_trajectory(smoke_sweep):
             f"determinism recheck"
         )
     paper = [rec for rec in records if rec.get("workload") == "paper"]
-    if paper:
-        latest = paper[-1]
-        assert latest["bids_speedups"]["4x0"] >= 2.0
+    rate = _local_rate_by_sites(paper[-1]) if paper else {}
+    if rate:
+        assert rate[4] >= 0.5 * rate[1], rate
     best = max(
         (
-            point["agg_creates_per_sec"]
+            point["goodput_per_cpu_s"]
             for rec in records
             for point in rec.get("points", [])
             if point.get("sites") == 1
             and point.get("cross_fraction") == 0.0
-            and "agg_creates_per_sec" in point
+            and "goodput_per_cpu_s" in point
         ),
         default=0.0,
     )
     if best:
-        cps = smoke_sweep.point(1, 0.0).agg_creates_per_sec
+        cps = smoke_sweep.point(1, 0.0).cost["goodput_per_cpu_s"]
         assert cps > best / 2.0, (
             f"single-site control plane {cps:.1f} creates/s is <half "
             f"the recorded best ({best:.1f} creates/s)"

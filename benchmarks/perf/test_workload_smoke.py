@@ -71,9 +71,9 @@ def test_latest_small_record_holds_the_floors():
         pytest.skip("no small workload-bench record")
     for point in latest["points"]:
         # Generous absolute floor (a local single-shard baseline
-        # sustains ~1000 req/s): catches order-of-magnitude
-        # regressions without flaking on slow shared runners.
-        assert point["agg_requests_per_sec"] >= 100, point
+        # sustains ~1,500 successful requests per CPU-second): catches
+        # order-of-magnitude regressions, no flakes on slow runners.
+        assert point["goodput_per_cpu_s"] >= 100, point
         assert point["ok"] + point["failed"] == point["arrivals"], point
 
 
@@ -83,8 +83,9 @@ def test_workload_regression_vs_trajectory(smoke_sweep):
     Every recorded run must have passed both the determinism and
     exact-merge rechecks, million-rung records must have completed
     the full 1,000,000 requests within developer-machine memory, and
-    the same-run single-shard request rate must stay within 2x of the
-    recorded best.
+    the same-run single-shard goodput — successful requests per
+    CPU-second — must stay within 2x of the recorded best.  Records
+    from before ``goodput_per_cpu_s`` existed do not enter the best.
     """
     records = load_trajectory(WORKLOAD_BENCH_PATH)
     if not records:
@@ -106,16 +107,16 @@ def test_workload_regression_vs_trajectory(smoke_sweep):
         assert rec["peak_rss_mb"] < 8192
     best = max(
         (
-            point["agg_requests_per_sec"]
+            point["goodput_per_cpu_s"]
             for rec in records
             for point in rec.get("points", [])
-            if point.get("shards") == 1
+            if point.get("shards") == 1 and "goodput_per_cpu_s" in point
         ),
         default=0.0,
     )
     if best:
-        rps = smoke_sweep.point(1).agg_requests_per_sec
+        rps = smoke_sweep.point(1).cost["goodput_per_cpu_s"]
         assert rps > best / 2.0, (
-            f"single-shard megaload {rps:.0f} req/s is <half the "
-            f"recorded best ({best:.0f} req/s)"
+            f"single-shard megaload {rps:.0f} ok per CPU-second is "
+            f"<half the recorded best ({best:.0f})"
         )

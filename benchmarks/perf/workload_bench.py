@@ -1,14 +1,14 @@
-"""Workload benchmark: trace-driven megaload requests/sec by shards.
+"""Workload benchmark: trace-driven megaload goodput and cost by shards.
 
 Runs the ``megaload`` sweep (see
 :mod:`repro.experiments.megaload`) and appends one record to
-``benchmarks/results/BENCH_workload.json`` so sustained requests/sec
-(wall and per-CPU aggregate), latency quantiles from the merged
-streaming sketches, and peak worker RSS are tracked as a trajectory
-across commits.  Each record carries both megaload invariants: the
-merged-trace fingerprint is identical across shard counts and
-repeats, and the merged per-site summary state is bit-identical at
-every shard count.
+``benchmarks/results/BENCH_workload.json`` so wall-clock, successful
+requests per summed CPU-second, the failed count, latency quantiles
+from the merged streaming sketches, and peak worker RSS are tracked
+as a trajectory across commits.  Each record carries both megaload
+invariants: the merged-trace fingerprint is identical across shard
+counts and repeats, and the merged per-site summary state is
+bit-identical at every shard count.
 
 Run::
 

@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report",
         default=None,
         metavar="PATH",
-        help="write the JSON record (points, speedups, fingerprint)",
+        help="write the JSON record (points, costs, fingerprint)",
     )
     kernelbench.set_defaults(runner=_kernelbench)
 
@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         nargs="+",
         default=[1, 4, 16],
-        help="site counts to sweep (include 1 for the speedup base)",
+        help="site counts to sweep (include 1 for the one-site base)",
     )
     federation.add_argument(
         "--cross",
@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report",
         default=None,
         metavar="PATH",
-        help="write the JSON record (points, speedups, fingerprint)",
+        help="write the JSON record (points, costs, fingerprint)",
     )
     federation.set_defaults(runner=_federation)
 
@@ -631,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.set_defaults(runner=_chaos)
 
-    # Not part of ``all``: requests/sec columns are host wall-clock /
+    # Not part of ``all``: the cost columns are host wall-clock /
     # CPU-time (see DESIGN.md, "Workload engine & streaming metrics").
     megaload = sub.add_parser(
         "megaload",

@@ -6,19 +6,17 @@ kernel shard — across a grid of (site count × cross-site traffic
 fraction) and reports the control-plane numbers the federation story
 hangs on:
 
-* ``agg creates/s`` — successful creates per shard CPU-second, summed
-  over shards: the service the control plane delivered per unit of
+* ``goodput/cpu-s`` — successful creates per CPU-second summed over
+  the workers: the service the control plane delivered per unit of
   host work.  Registries, brokers and vnet blocks are all site-local,
-  so this scales with the site count (the sharded-control-plane
-  claim) regardless of how many cores the host happens to have free.
+  so it should hold as sites are added (the sharded-control-plane
+  claim); what it loses is what synchronization costs.  Wall-clock
+  and summed CPU stand beside it (:mod:`repro.experiments.shardcost`).
 * ``rounds/ok`` — bid-collection rounds per successful create.  §3.1
   spends one round per request; anything above 1 is repeated (or
   failed) bidding.
-* ``agg bids/s`` — individual bids gathered per shard CPU-second, same
-  aggregation.  A count of *work*, not of service: a control plane
-  that bids twice per request doubles it, so it is only comparable
-  between runs with the same ``rounds/ok`` (the cross-site speedup
-  column, within one sweep).
+* ``bids`` — individual bids gathered.  A count of *work*, not of
+  service: a control plane that bids twice per request doubles it.
 * ``create p95`` — 95th-percentile request completion latency
   (simulated seconds), local and spilled placements together, read
   from the merged per-site sketches; the price of crossing a WAN
@@ -45,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments import shardcost
 from repro.experiments.recheck import (
     DeterminismRecheck,
     recheck_determinism,
@@ -68,16 +67,12 @@ class FederationPoint:
     cross_fraction: float
     plants: int
     events: int
-    wall_s: float
-    cpu_s: float
-    agg_events_per_sec: float
+    #: :func:`repro.experiments.shardcost.shard_cost` of the run.
+    cost: Dict[str, Any]
     bids: int
-    agg_bids_per_sec: float
     bid_rounds: int
     #: Bid rounds per successful create (0.0 when nothing succeeded).
     bid_rounds_per_ok: float
-    #: Successful creates per shard CPU-second, summed over shards.
-    agg_creates_per_sec: float
     created: int
     destroyed: int
     failed: int
@@ -94,14 +89,10 @@ class FederationPoint:
             "cross_fraction": self.cross_fraction,
             "plants": self.plants,
             "events": self.events,
-            "wall_s": round(self.wall_s, 4),
-            "cpu_s": round(self.cpu_s, 4),
-            "agg_events_per_sec": round(self.agg_events_per_sec, 1),
+            **self.cost,
             "bids": self.bids,
-            "agg_bids_per_sec": round(self.agg_bids_per_sec, 2),
             "bid_rounds": self.bid_rounds,
             "bid_rounds_per_ok": round(self.bid_rounds_per_ok, 3),
-            "agg_creates_per_sec": round(self.agg_creates_per_sec, 2),
             "created": self.created,
             "destroyed": self.destroyed,
             "failed": self.failed,
@@ -136,24 +127,12 @@ class FederationResult:
             f"no point for sites={sites} cross={cross_fraction}"
         )
 
-    def bids_speedup(
-        self, sites: int, cross_fraction: Optional[float] = None
-    ) -> float:
-        """Aggregate bids/sec ratio vs the 1-site run (same fraction)."""
-        cf = (
-            cross_fraction
-            if cross_fraction is not None
-            else self.cross_fractions[0]
-        )
-        base = self.point(1, cf).agg_bids_per_sec if 1 in self.site_counts \
-            else 0.0
-        return (
-            self.point(sites, cf).agg_bids_per_sec / base if base else 0.0
-        )
-
     def render(self) -> str:
         prm = self.params
-        lines = [
+        lines = shardcost.overload_banner(
+            (p.sites * prm["requests"], p.created) for p in self.points
+        )
+        lines += [
             "Extension: federated multi-site control plane "
             f"({prm['plants']} plants/site x {prm['requests']} "
             f"requests/site, rate {prm['rate_per_s']:.1f}/s, "
@@ -161,22 +140,23 @@ class FederationResult:
             f"WAN lookahead {prm['link_latency_s']:.0f}s)",
             "",
             f"{'sites':>5} {'cross':>6} {'plants':>6} {'created':>8} "
-            f"{'spilled':>8} {'agg creates/s':>14} {'rounds/ok':>10} "
-            f"{'bids':>8} {'agg bids/s':>11} "
-            f"{'speedup':>8} {'p95 (s)':>8}",
-            "-" * 103,
+            f"{'failed':>7} {'spilled':>8} {shardcost.COST_HEADER} "
+            f"{'rounds/ok':>10} {'bids':>8} {'p95 (s)':>8}",
+            "-" * 131,
         ]
         for p in self.points:
             lines.append(
                 f"{p.sites:>5d} {p.cross_fraction:>6.2f} "
-                f"{p.plants:>6d} {p.created:>8d} {p.spilled_ok:>8d} "
-                f"{p.agg_creates_per_sec:>14.1f} "
-                f"{p.bid_rounds_per_ok:>10.2f} "
-                f"{p.bids:>8d} {p.agg_bids_per_sec:>11.0f} "
-                f"{self.bids_speedup(p.sites, p.cross_fraction):>7.2f}x "
+                f"{p.plants:>6d} {p.created:>8d} {p.failed:>7d} "
+                f"{p.spilled_ok:>8d} {shardcost.cells(p.cost)} "
+                f"{p.bid_rounds_per_ok:>10.2f} {p.bids:>8d} "
                 f"{p.p95_latency_s:>8.1f}"
             )
-        lines.append("-" * 103)
+        lines.append("-" * 131)
+        lines += shardcost.cost_notes(
+            self.points,
+            [f"cross {p.cross_fraction:.2f}, " for p in self.points],
+        )
         lines.append(self.recheck.line())
         return "\n".join(lines)
 
@@ -187,11 +167,6 @@ class FederationResult:
             "cross_fractions": list(self.cross_fractions),
             "params": {k: v for k, v in sorted(self.params.items())},
             "points": [p.as_dict() for p in self.points],
-            "bids_speedups": {
-                f"{s}x{cf:g}": round(self.bids_speedup(s, cf), 2)
-                for s in self.site_counts
-                for cf in self.cross_fractions
-            },
             "deterministic": self.recheck.ok,
             "fingerprint": self.recheck.fingerprint,
         }
@@ -209,12 +184,10 @@ def run_federation(
 ) -> FederationResult:
     """Sweep (site count × cross-site fraction); recheck determinism.
 
-    Every timing run uses one shard per site (``shards = sites``) so
-    the aggregate creates/sec and bids/sec measure per-site
-    control-plane rate summed across shards, not core count.  Timing
-    runs disable tracing; the determinism recheck reruns the largest
-    grid small at 1 shard, ``sites`` shards and a repeat with
-    fingerprints on.
+    Every timing run uses one shard per site (``shards = sites``) and
+    disables tracing; the determinism recheck reruns the largest grid
+    small at 1 shard, ``sites`` shards and a repeat with fingerprints
+    on.
     """
     site_counts = tuple(site_counts)
     cross_fractions = tuple(cross_fractions)
@@ -257,20 +230,12 @@ def run_federation(
                     cross_fraction=cf,
                     plants=sites * run.params["plants"],
                     events=run.total_events,
-                    wall_s=run.wall_s,
-                    cpu_s=sum(
-                        s["cpu_s"] for s in run.shard_results
-                    ),
-                    agg_events_per_sec=run.agg_events_per_sec,
+                    cost=shardcost.shard_cost(run, created),
                     bids=int(stats.get("bids_collected", 0)),
-                    agg_bids_per_sec=run.agg_per_cpu_sec(
-                        "bids_collected"
-                    ),
                     bid_rounds=bid_rounds,
                     bid_rounds_per_ok=(
                         bid_rounds / created if created else 0.0
                     ),
-                    agg_creates_per_sec=run.agg_per_cpu_sec("created"),
                     created=created,
                     destroyed=int(stats.get("destroyed", 0)),
                     failed=int(stats.get("failed", 0)),

@@ -6,14 +6,11 @@ sweep of shard counts, and cross-checks the determinism contract:
 the merged-trace fingerprint must be identical for every shard count
 and stable across repeats of the same (seed, partition).
 
-Two throughput numbers are reported per shard count:
-
-* ``wall ev/s`` — total kernel events over coordinator wall-clock;
-  this is what speeds up on a machine with free cores.
-* ``agg ev/s`` — sum over shards of (events / shard CPU-seconds);
-  the per-core delivery rate net of synchronization overhead, which
-  is comparable across machines regardless of how many cores happen
-  to be free (on an idle N-core host the two coincide).
+Every shard count reports what was measured (see
+:mod:`repro.experiments.shardcost`): wall-clock, CPU-seconds summed
+over workers, that sum against the one-shard run's (``sync cpu``),
+the wall-clock speedup, and goodput — successful creates — per summed
+CPU-second.
 
 The same scenario scales to the million-request load-test rung::
 
@@ -27,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments import shardcost
 from repro.experiments.recheck import (
     DeterminismRecheck,
     recheck_determinism,
@@ -47,14 +45,8 @@ class KernelBenchPoint:
     shards: int
     sites: int
     events: int
-    wall_s: float
-    cpu_s: float
-    wall_events_per_sec: float
-    agg_events_per_sec: float
-    #: Goodput on the same aggregation (sum over shards of creates per
-    #: CPU-second): unlike events/s it does not fall when a create
-    #: comes to need fewer events.
-    agg_creates_per_sec: float
+    #: :func:`repro.experiments.shardcost.shard_cost` of the run.
+    cost: Dict[str, Any]
     created: int
     spills: int
     failed: int
@@ -64,11 +56,7 @@ class KernelBenchPoint:
             "shards": self.shards,
             "sites": self.sites,
             "events": self.events,
-            "wall_s": round(self.wall_s, 4),
-            "cpu_s": round(self.cpu_s, 4),
-            "wall_events_per_sec": round(self.wall_events_per_sec, 1),
-            "agg_events_per_sec": round(self.agg_events_per_sec, 1),
-            "agg_creates_per_sec": round(self.agg_creates_per_sec, 1),
+            **self.cost,
             "created": self.created,
             "spills": self.spills,
             "failed": self.failed,
@@ -93,36 +81,28 @@ class KernelBenchResult:
                 return p
         raise KeyError(f"no point for {shards} shards")
 
-    def agg_speedup(self, shards: int) -> float:
-        """Aggregate-throughput ratio vs the single-shard run."""
-        base = self.point(1).agg_events_per_sec
-        return self.point(shards).agg_events_per_sec / base if base else 0.0
-
-    def wall_speedup(self, shards: int) -> float:
-        base = self.point(1).wall_events_per_sec
-        return (
-            self.point(shards).wall_events_per_sec / base if base else 0.0
-        )
-
     def render(self) -> str:
-        lines = [
+        arrivals = self.sites * self.params["requests"]
+        lines = shardcost.overload_banner(
+            (arrivals, p.created) for p in self.points
+        )
+        lines += [
             "Extension: sharded parallel DES kernel "
             f"({self.sites} sites x {self.params['requests']} requests, "
             f"rate {self.params['rate_per_s']:.1f}/s, "
             f"lookahead {self.params['link_latency_s']:.0f}s)",
             "",
-            f"{'shards':>6} {'events':>9} {'wall (s)':>9} "
-            f"{'wall ev/s':>10} {'agg ev/s':>10} {'agg speedup':>12}",
-            "-" * 62,
+            f"{'shards':>6} {'events':>9} {'failed':>7} "
+            f"{shardcost.COST_HEADER}",
+            "-" * 82,
         ]
         for p in self.points:
             lines.append(
-                f"{p.shards:>6d} {p.events:>9d} {p.wall_s:>9.2f} "
-                f"{p.wall_events_per_sec:>10.0f} "
-                f"{p.agg_events_per_sec:>10.0f} "
-                f"{self.agg_speedup(p.shards):>11.2f}x"
+                f"{p.shards:>6d} {p.events:>9d} {p.failed:>7d} "
+                f"{shardcost.cells(p.cost)}"
             )
-        lines.append("-" * 62)
+        lines.append("-" * 82)
+        lines += shardcost.cost_notes(self.points)
         lines.append(self.recheck.line())
         return "\n".join(lines)
 
@@ -135,14 +115,6 @@ class KernelBenchResult:
                 k: v for k, v in sorted(self.params.items())
             },
             "points": [p.as_dict() for p in self.points],
-            "agg_speedups": {
-                str(s): round(self.agg_speedup(s), 2)
-                for s in self.shard_counts
-            },
-            "wall_speedups": {
-                str(s): round(self.wall_speedup(s), 2)
-                for s in self.shard_counts
-            },
             "deterministic": self.recheck.ok,
             "fingerprint": self.recheck.fingerprint,
         }
@@ -186,17 +158,14 @@ def run_kernelbench(
         run = plan.run(params=prm, collect=None, deadline_s=deadline_s)
         result.params = run.params
         stats = run.combined_stats()
+        created = int(stats.get("created", 0))
         result.points.append(
             KernelBenchPoint(
                 shards=shards,
                 sites=sites,
                 events=run.total_events,
-                wall_s=run.wall_s,
-                cpu_s=sum(s["cpu_s"] for s in run.shard_results),
-                wall_events_per_sec=run.wall_events_per_sec,
-                agg_events_per_sec=run.agg_events_per_sec,
-                agg_creates_per_sec=run.agg_per_cpu_sec("created"),
-                created=int(stats.get("created", 0)),
+                cost=shardcost.shard_cost(run, created, result.points),
+                created=created,
                 spills=int(stats.get("spills_recv", 0)),
                 failed=int(
                     stats.get("failed", 0)

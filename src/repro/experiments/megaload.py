@@ -5,9 +5,9 @@ under the lazy multi-tenant arrival streams of
 :mod:`repro.workloads.traces` — across shard counts, and measures the
 control-plane rate the million-request rung hangs on:
 
-* ``req/s (wall)`` — completed requests per coordinator wall-clock
-  second, and ``agg req/s`` — sum over shards of (its completed
-  requests / its CPU-seconds), the machine-independent number.
+* ``goodput/cpu-s`` — successful requests per CPU-second summed over
+  the workers, beside wall-clock, summed CPU, their ratios to the
+  one-shard run and the failed count (``experiments/shardcost.py``).
 * latency quantiles from the merged per-site
   :class:`~repro.analysis.streaming.WorkloadSummary` sketches — never
   from stored samples; the coordinator merges per-shard partials
@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments import shardcost
 from repro.experiments.recheck import (
     DeterminismRecheck,
     recheck_determinism,
@@ -62,11 +63,8 @@ class MegaLoadPoint:
     deadline_miss: int
     spilled_ok: int
     events: int
-    wall_s: float
-    cpu_s: float
-    agg_events_per_sec: float
-    wall_requests_per_sec: float
-    agg_requests_per_sec: float
+    #: :func:`repro.experiments.shardcost.shard_cost` of the run.
+    cost: Dict[str, Any]
     peak_rss_mb: float
     p50_latency_s: float
     p95_latency_s: float
@@ -85,15 +83,7 @@ class MegaLoadPoint:
             "deadline_miss": self.deadline_miss,
             "spilled_ok": self.spilled_ok,
             "events": self.events,
-            "wall_s": round(self.wall_s, 4),
-            "cpu_s": round(self.cpu_s, 4),
-            "agg_events_per_sec": round(self.agg_events_per_sec, 1),
-            "wall_requests_per_sec": round(
-                self.wall_requests_per_sec, 2
-            ),
-            "agg_requests_per_sec": round(
-                self.agg_requests_per_sec, 2
-            ),
+            **self.cost,
             "peak_rss_mb": round(self.peak_rss_mb, 1),
             "p50_latency_s": round(self.p50_latency_s, 3),
             "p95_latency_s": round(self.p95_latency_s, 3),
@@ -136,27 +126,30 @@ class MegaLoadResult:
     def render(self) -> str:
         prm = self.params
         total = self.sites * prm["requests"]
-        lines = [
+        lines = shardcost.overload_banner(
+            (p.arrivals, p.ok) for p in self.points
+        )
+        lines += [
             "Extension: trace-driven megaload "
             f"({self.sites} sites x {prm['requests']} requests/site "
             f"= {total} requests; {prm['plants']} plants/site, "
             f"mix {prm['interactive_fraction']:.0%} interactive / "
             f"{prm['batch_fraction']:.0%} batch / flash remainder)",
             "",
-            f"{'shards':>6} {'ok':>9} {'miss':>6} {'req/s':>8} "
-            f"{'agg req/s':>10} {'p50 (s)':>8} {'p95 (s)':>8} "
-            f"{'p99 (s)':>8} {'RSS MB':>7}",
-            "-" * 78,
+            f"{'shards':>6} {'ok':>9} {'failed':>9} {'miss':>6} "
+            f"{shardcost.COST_HEADER} {'p50 (s)':>8} "
+            f"{'p95 (s)':>8} {'p99 (s)':>8} {'RSS MB':>7}",
+            "-" * 126,
         ]
         for p in self.points:
             lines.append(
-                f"{p.shards:>6d} {p.ok:>9d} {p.deadline_miss:>6d} "
-                f"{p.wall_requests_per_sec:>8.1f} "
-                f"{p.agg_requests_per_sec:>10.1f} "
+                f"{p.shards:>6d} {p.ok:>9d} {p.failed:>9d} "
+                f"{p.deadline_miss:>6d} {shardcost.cells(p.cost)} "
                 f"{p.p50_latency_s:>8.1f} {p.p95_latency_s:>8.1f} "
                 f"{p.p99_latency_s:>8.1f} {p.peak_rss_mb:>7.0f}"
             )
-        lines.append("-" * 78)
+        lines.append("-" * 126)
+        lines += shardcost.cost_notes(self.points)
         if self.tenant_rows:
             lines.append(
                 f"{'tenant':>12} {'ok':>9} {'failed':>7} "
@@ -273,13 +266,7 @@ def run_megaload(
                 deadline_miss=merged.total("deadline_miss"),
                 spilled_ok=int(stats.get("spilled_ok", 0)),
                 events=run.total_events,
-                wall_s=run.wall_s,
-                cpu_s=sum(s["cpu_s"] for s in run.shard_results),
-                agg_events_per_sec=run.agg_events_per_sec,
-                wall_requests_per_sec=(
-                    ok / run.wall_s if run.wall_s > 0 else 0.0
-                ),
-                agg_requests_per_sec=run.agg_per_cpu_sec("ok"),
+                cost=shardcost.shard_cost(run, ok, result.points),
                 peak_rss_mb=run.peak_rss_kb / 1024.0,
                 p50_latency_s=overall.quantile(0.50),
                 p95_latency_s=overall.quantile(0.95),

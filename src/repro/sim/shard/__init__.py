@@ -21,7 +21,6 @@ from repro.sim.shard.ring import (
     KIND_NULL,
     RECORD,
     BrokenShardError,
-    LocalOutbox,
     RingOutbox,
     RingReader,
     RouterOutbox,
@@ -56,7 +55,6 @@ __all__ = [
     "KIND_NULL",
     "KIND_MSG",
     "SiteInbox",
-    "LocalOutbox",
     "RouterOutbox",
     "RingOutbox",
     "RingReader",

@@ -160,11 +160,9 @@ class ShardedTestbed:
 
     def run(
         self,
-        scenario: Optional[str] = None,
         params: Optional[Dict[str, Any]] = None,
         until: Optional[float] = None,
         collect: Optional[str] = "fingerprint",
-        profile_dir: Optional[str] = None,
         deadline_s: Optional[float] = None,
         trace_capacity: Optional[int] = None,
     ):
@@ -181,11 +179,9 @@ class ShardedTestbed:
 
         return run_sharded(
             self,
-            scenario=scenario,
             params=params,
             until=until,
             collect=collect,
-            profile_dir=profile_dir,
             deadline_s=deadline_s,
             trace_capacity=trace_capacity,
         )

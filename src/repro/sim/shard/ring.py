@@ -15,8 +15,8 @@ pickling on the hot path.  Each record carries:
   plus the channel lookahead);
 * up to four float payload fields.
 
-The same staging interface exists in-process: when source and
-destination sites run in the same worker, :class:`LocalOutbox`
+The same staging interface serves in-process delivery: when source
+and destination sites run in the same process, :class:`RouterOutbox`
 pushes records straight into the destination's :class:`SiteInbox`
 with identical (src_site, seq) ordering metadata — which is what
 makes N-shard runs trace-identical to single-shard runs.
@@ -35,7 +35,6 @@ __all__ = [
     "KIND_NULL",
     "KIND_MSG",
     "SiteInbox",
-    "LocalOutbox",
     "RouterOutbox",
     "RingOutbox",
     "RingReader",
@@ -57,6 +56,9 @@ KIND_MSG = 1
 #: Records buffered before an eager flush (batching amortizes the
 #: pipe write; a flush also always happens when the shard blocks).
 FLUSH_BATCH = 128
+
+#: Bytes asked of a ring pipe per read.
+READ_CHUNK = 1 << 16
 
 Payload = Tuple[float, ...]
 
@@ -111,45 +113,15 @@ class SiteInbox:
         return len(self._heap)
 
 
-class LocalOutbox:
-    """In-process staging: records land directly in site inboxes.
-
-    Sequence numbers are assigned per directed *site* pair in send
-    order — exactly the numbering :class:`RingOutbox` produces — so
-    delivery order is mode-independent.
-    """
-
-    __slots__ = ("inboxes", "_seq")
-
-    def __init__(self, inboxes: Dict[int, SiteInbox]):
-        self.inboxes = inboxes
-        self._seq: Dict[Tuple[int, int], int] = {}
-
-    def emit(
-        self,
-        dst_site: int,
-        deliver_time: float,
-        src_site: int,
-        endpoint: int,
-        payload: Payload,
-    ) -> None:
-        key = (src_site, dst_site)
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        self.inboxes[dst_site].push(
-            deliver_time, src_site, seq, endpoint, payload
-        )
-
-
 class RouterOutbox:
     """Splits emissions between local inboxes and a cross-shard ring.
 
-    Worker processes stage boundary sends through one of these: a
-    destination site living in the same shard is delivered in-process
-    (same as :class:`LocalOutbox`), anything else is struct-packed
-    onto the ring for its shard.  Per-site-pair sequence numbering is
-    shared across both paths, keeping it identical to the
-    single-shard ordering.
+    Every process stages boundary sends through one of these: a
+    destination site living in the same shard is delivered in-process,
+    anything else is struct-packed onto the ring for its shard (a
+    one-shard run has no such destination, and no ring).  Sequence
+    numbers are assigned per directed *site* pair in send order on
+    both paths, so delivery order is the same at every shard count.
     """
 
     __slots__ = ("inboxes", "ring", "partition", "shard", "_seq")
@@ -157,7 +129,7 @@ class RouterOutbox:
     def __init__(
         self,
         inboxes: Dict[int, SiteInbox],
-        ring: "RingOutbox",
+        ring: Optional["RingOutbox"],
         partition: Tuple[int, ...],
         shard: int,
     ):
@@ -255,20 +227,6 @@ class RingOutbox:
             # the next regular flush carries the real promise.
             self._write(dst_shard, float("-inf"))
 
-    def flush(self, promise_for: Callable[[int], float]) -> None:
-        """Write out all buffered records, stamping channel promises.
-
-        ``promise_for(dst_shard)`` supplies the current lower bound on
-        this shard's future delivery times for that channel; each
-        buffered record is stamped with the tightest promise that
-        still covers everything *after* it (see :meth:`_write`).
-        Channels with no buffered records are skipped — null messages
-        are sent separately via :meth:`send_null`.
-        """
-        for dst_shard, buf in self.bufs.items():
-            if buf:
-                self._write(dst_shard, promise_for(dst_shard))
-
     def flush_channel(self, dst_shard: int, promise: float) -> bool:
         """Flush one channel if it has buffered records; returns True if so."""
         if not self.bufs[dst_shard]:
@@ -328,7 +286,7 @@ class RingOutbox:
 class RingReader:
     """Read side: decodes records from one source shard's ring."""
 
-    __slots__ = ("src_shard", "fd", "_buf", "promise", "received", "eof")
+    __slots__ = ("src_shard", "fd", "_buf", "promise", "received")
 
     def __init__(self, src_shard: int, fd: int, initial_promise: float):
         self.src_shard = src_shard
@@ -339,7 +297,6 @@ class RingReader:
         self.promise = initial_promise
         #: Delivered message count (nulls excluded).
         self.received = 0
-        self.eof = False
 
     def drain(self, inboxes: Dict[int, SiteInbox]) -> bool:
         """Consume available bytes; route messages; update promise.
@@ -350,11 +307,10 @@ class RingReader:
         got = False
         while True:
             try:
-                chunk = os.read(self.fd, 1 << 16)
+                chunk = os.read(self.fd, READ_CHUNK)
             except BlockingIOError:
                 break
             if not chunk:
-                self.eof = True
                 raise BrokenShardError(
                     f"event ring from shard {self.src_shard} closed "
                     f"mid-run (worker died?)"

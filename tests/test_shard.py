@@ -9,9 +9,15 @@ exception and hard process death), partition plumbing, and the
 ``build_testbed(sites=, shards=)`` entry point.
 """
 
+import multiprocessing
 import os
+import signal
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cluster import build_testbed
 from repro.sim.kernel import Environment
@@ -25,12 +31,13 @@ from repro.sim.shard import (
     get_scenario,
     validate_link_specs,
 )
+from repro.sim.shard import ring
 from repro.sim.shard.ring import (
     KIND_MSG,
     RECORD,
-    LocalOutbox,
     RingOutbox,
     RingReader,
+    RouterOutbox,
     SiteInbox,
 )
 
@@ -116,7 +123,7 @@ def test_validate_link_specs_rejects_malformed_topologies():
 
 def test_boundary_link_ctor_rejects_zero_lookahead_and_self_loop():
     env = Environment()
-    outbox = LocalOutbox({1: SiteInbox()})
+    outbox = RouterOutbox({1: SiteInbox()}, None, (0, 0), 0)
     with pytest.raises(ValueError, match="zero lookahead"):
         BoundaryLink(env, "wan", 10.0, 0.0, 0, 1, 0, outbox)
     with pytest.raises(ValueError, match="itself"):
@@ -203,6 +210,78 @@ def test_merged_trace_is_time_ordered():
     assert traced.fingerprint() == run.fingerprint()
 
 
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@st.composite
+def _miniring_worlds(draw):
+    sites = draw(st.integers(2, 5))
+    shards = draw(st.integers(2, sites))
+    # Surjective onto the shards: one site each, the rest anywhere.
+    spare = st.integers(0, shards - 1)
+    labels = list(range(shards)) + [
+        draw(spare) for _ in range(sites - shards)
+    ]
+    params = {
+        "ticks": draw(st.integers(5, 40)),
+        "tick_s": draw(
+            st.sampled_from([1.0, 0.5, 0.1]) | st.floats(0.05, 2.0)
+        ),
+        "ping_every": draw(st.integers(1, 5)),
+        "ping_mb": draw(st.sampled_from([0.0, 0.25, 1.0, 8.0])),
+        "link_latency_s": draw(st.floats(0.01, 6.0)),
+        "link_bandwidth_mbps": draw(st.sampled_from([1.0, 10.0, 1000.0])),
+    }
+    until = draw(
+        st.none()
+        | st.floats(0.5, 45.0)
+        | st.integers(1, 45).map(float)
+    )
+    return sites, tuple(draw(st.permutations(labels))), params, until
+
+
+@settings(max_examples=40, deadline=None)
+@given(_miniring_worlds())
+def test_any_partition_gives_the_one_shard_trajectory(world):
+    """Forked shards under any surjective partition reproduce the
+    in-process one-shard run: fingerprint, event total and stats.
+
+    Rings flush every 2 records and are read 50 bytes at a time, so a
+    72-byte record straddles reads on every case.  The mutant
+    ``promise = lb + 2 * lookahead`` in ``_flush`` dies here; the
+    mutant "no suffix-min in ``RingOutbox._write``" survives a
+    miniring-only fuzz (its pings leave in deliver-time order) and
+    stays covered by
+    ``test_ring_batch_promise_covers_records_after_it``.
+    """
+    sites, partition, params, until = world
+
+    def run(shards, partition=None):
+        plan = ShardedTestbed(
+            seed=11,
+            sites=sites,
+            shards=shards,
+            scenario="miniring",
+            partition=partition,
+        )
+        return plan.run(params=params, until=until, deadline_s=60.0)
+
+    oracle = run(1)
+    fds = _open_fds()
+    batch, chunk = ring.FLUSH_BATCH, ring.READ_CHUNK
+    ring.FLUSH_BATCH, ring.READ_CHUNK = 2, 50  # inherited by the fork
+    try:
+        forked = run(max(partition) + 1, partition)
+    finally:
+        ring.FLUSH_BATCH, ring.READ_CHUNK = batch, chunk
+    assert forked.fingerprint() == oracle.fingerprint()
+    assert forked.total_events == oracle.total_events
+    assert forked.combined_stats() == oracle.combined_stats()
+    assert multiprocessing.active_children() == []
+    assert _open_fds() == fds
+
+
 # ---------------------------------------------------------------------------
 # ``until`` boundary semantics
 # ---------------------------------------------------------------------------
@@ -253,8 +332,62 @@ def test_worker_exception_propagates_as_shard_worker_error():
 
 
 def test_worker_hard_exit_propagates_as_shard_worker_error():
-    with pytest.raises(ShardWorkerError):
-        _miniring(sites=4, shards=2, hard_exit_site=0, hard_exit_at=5.0)
+    # Site 2 lives on shard 1; the scenario leaves with os._exit(3).
+    with pytest.raises(
+        ShardWorkerError, match=r"shard 1 worker died .*\(exit code 3\)"
+    ):
+        _miniring(sites=4, shards=2, hard_exit_site=2, hard_exit_at=5.0)
+
+
+def test_sigkilled_worker_is_named_and_nothing_is_left_behind():
+    victim = "shard-2"
+
+    def kill_the_victim():
+        for _ in range(6000):
+            for child in multiprocessing.active_children():
+                if child.name == victim:
+                    time.sleep(0.2)  # let the run get going
+                    os.kill(child.pid, signal.SIGKILL)
+                    return
+            time.sleep(0.005)
+
+    fds = _open_fds()
+    killer = threading.Thread(target=kill_the_victim)
+    killer.start()
+    try:
+        plan = ShardedTestbed(
+            seed=2004, sites=4, shards=4, scenario="megaload"
+        )
+        with pytest.raises(
+            ShardWorkerError,
+            match=r"shard 2 worker died without a result "
+            r"\(killed by signal 9\)",
+        ):
+            plan.run(
+                params={"requests": 2000}, collect=None, deadline_s=60.0
+            )
+    finally:
+        killer.join(timeout=60.0)
+    assert not killer.is_alive()
+    # No gc.collect() first: run_sharded itself gave everything back.
+    assert multiprocessing.active_children() == []
+    assert _open_fds() == fds
+
+
+def test_sync_counters_ship_with_every_shard_result():
+    forked = _miniring(sites=4, shards=2, collect=None)
+    inproc = _miniring(sites=4, shards=1, collect=None)
+    for worker in forked.shard_results:
+        sync = worker["sync"]
+        assert sync["turns"] >= sync["event_turns"] >= 1
+        assert sync["records"] == sum(worker["sent"].values()) > 0
+        assert sync["nulls"] > 0
+        spent = sync["advance_s"] + sync["flush_s"] + sync["select_s"]
+        assert 0 < spent <= worker["wall_s"]
+        assert 0 <= sync["block_s"] <= sync["advance_s"] + sync["flush_s"]
+    (only,) = inproc.shard_results
+    assert set(only["sync"]) == set(forked.shard_results[0]["sync"])
+    assert not any(only["sync"].values())
 
 
 def test_single_shard_crash_surfaces_directly():
@@ -302,7 +435,7 @@ def test_ring_batch_promise_covers_records_after_it():
         out = RingOutbox({1: wfd})
         for seq, dt in enumerate([35.0, 11.0, 40.0]):
             out.pack(1, KIND_MSG, 0, 0, 0, seq, dt, ())
-        out.flush(lambda dst: 51.0)
+        assert out.flush_channel(1, 51.0)
         data = os.read(rfd, 1 << 16)
         recs = [
             RECORD.unpack_from(data, off)
@@ -334,7 +467,7 @@ def test_ring_full_pipe_write_drains_instead_of_deadlocking():
         for i in range(n):
             out.pack(1, KIND_MSG, 1, 0, 0, i, 100.0 + i, (float(i),))
         final_promise = 100.0 + n + 0.5
-        out.flush(lambda dst: final_promise)
+        assert out.flush_channel(1, final_promise)
         reader.drain(inboxes)
         assert reader.received == n
         assert len(inboxes[0]) == n

@@ -291,6 +291,22 @@ class TestMegaLoadExperiment:
         assert result.tenant_rows
         record = result.to_record()
         assert record["deterministic"] is True
+        one, two = record["points"]
+        assert one["sync_cpu_ratio"] == one["wall_speedup"] == 1.0
+        assert two["sync_cpu_ratio"] > 0 and two["wall_speedup"] > 0
+        assert two["projected"] == (2 > two["usable_cores"])
+        assert [w["records"] > 0 for w in two["sync"]] == [True, True]
         text = result.render()
         assert "bit-identical" in text
         assert "identical at shard counts" in text
+        assert "failed" in text and "2 shards: simulated" in text
+        assert "this run measures the overload path" not in text
+
+    def test_a_run_that_mostly_fails_says_so(self):
+        from repro.experiments.shardcost import overload_banner
+
+        assert overload_banner([(400, 373), (16_000, 6_000)]) == [
+            "10,000 of 16,000 requests failed (62 %): this run measures "
+            "the overload path, not throughput"
+        ]
+        assert overload_banner([(400, 200)]) == []

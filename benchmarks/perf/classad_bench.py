@@ -9,7 +9,7 @@ Measures the three layers ISSUE 4 optimizes, appending one record to
   (c) the interned compiled closures (the default engine);
 * **end-to-end bid path** — wall-clock of a creation workload with
   matchmaking ``requirements`` on the paper testbed, compiled vs
-  interpreter (``use_interpreter``), with a determinism check that
+  interpreter (:func:`interpreted_engine`), with a determinism check that
   both engines produce the identical creation log;
 * **registry discovery** — queries/sec against a populated service
   registry with and without the attribute-index pre-filter, with an
@@ -26,23 +26,24 @@ Run::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import random
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
 from repro.core.classad import (
     ClassAd,
     Expression,
+    Undefined,
     _Parser,
     _Scope,
     _tokenize,
     clear_parse_cache,
     parse_cache_info,
-    use_interpreter,
 )
 from repro.shop.registry import ServiceRegistry
 from repro.sim.cluster import build_testbed
@@ -190,6 +191,26 @@ def _bid_workload(requests: int, seed: int, memory_mb: int = 64):
     return wall, bed.shop.creation_log, bed.env.now
 
 
+def _interpreted_matches(self: ClassAd, other: ClassAd) -> bool:
+    raw = self.lookup("requirements")
+    if isinstance(raw, Expression):
+        return raw.evaluate_interpreted(self, other) is True
+    return isinstance(raw, Undefined) or raw is True
+
+
+@contextlib.contextmanager
+def interpreted_engine() -> Iterator[None]:
+    """Route ``Expression.evaluate`` and ``ClassAd.matches`` through
+    the reference tree walk for the duration of the block."""
+    compiled = Expression.evaluate, ClassAd.matches
+    Expression.evaluate = Expression.evaluate_interpreted
+    ClassAd.matches = _interpreted_matches
+    try:
+        yield
+    finally:
+        Expression.evaluate, ClassAd.matches = compiled
+
+
 def measure_bid_path(
     requests: int = 48, seed: int = PAPER_SEED, repeats: int = 3
 ) -> Dict[str, object]:
@@ -204,11 +225,8 @@ def measure_bid_path(
     interp_log = interp_now = None
     compiled_log = compiled_now = None
     for _ in range(repeats):
-        try:
-            use_interpreter(True)
+        with interpreted_engine():
             wall, interp_log, interp_now = _bid_workload(requests, seed)
-        finally:
-            use_interpreter(False)
         interp_wall = min(interp_wall, wall)
         wall, compiled_log, compiled_now = _bid_workload(requests, seed)
         compiled_wall = min(compiled_wall, wall)

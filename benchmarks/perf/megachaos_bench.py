@@ -66,7 +66,7 @@ def run_megachaos_bench(
         "ladder_wall_s": round(wall_s, 3),
         "availability_ladder": result.availability_ladder(),
     }
-    record.update(result.to_records())
+    record.update(result.to_record())
     append_record(out or MEGACHAOS_BENCH_PATH, record)
     print(result.render())
     return record

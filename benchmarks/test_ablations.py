@@ -17,7 +17,7 @@ from repro.experiments.ablations import (
 
 def test_ablation_clone_mode(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_clone_mode_ablation(seed=PAPER_SEED, count=8),
+        lambda: run_clone_mode_ablation(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )
@@ -30,7 +30,7 @@ def test_ablation_clone_mode(benchmark, record_table):
 
 def test_ablation_partial_matching(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_matching_ablation(seed=PAPER_SEED, count=8),
+        lambda: run_matching_ablation(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )
@@ -45,7 +45,7 @@ def test_ablation_partial_matching(benchmark, record_table):
 
 def test_ablation_speculative_precreation(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_speculative_ablation(seed=PAPER_SEED, count=8),
+        lambda: run_speculative_ablation(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )
@@ -59,9 +59,7 @@ def test_ablation_speculative_precreation(benchmark, record_table):
 
 def test_ablation_cost_model(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_cost_model_ablation(
-            seed=PAPER_SEED, domains=4, vms_per_domain=8
-        ),
+        lambda: run_cost_model_ablation(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )
@@ -79,7 +77,7 @@ def test_ablation_state_cache(benchmark, record_table):
     from repro.experiments.ablations import run_state_cache_ablation
 
     result = benchmark.pedantic(
-        lambda: run_state_cache_ablation(seed=PAPER_SEED, count=8),
+        lambda: run_state_cache_ablation(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )

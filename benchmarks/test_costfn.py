@@ -11,7 +11,7 @@ from repro.experiments.costfn import run_costfn
 
 def test_cost_function_crossover(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_costfn(seed=PAPER_SEED, requests=16),
+        lambda: run_costfn(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )

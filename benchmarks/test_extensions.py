@@ -17,7 +17,7 @@ from repro.experiments.uml import run_sbuml
 
 def test_extension_sbuml(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_sbuml(seed=PAPER_SEED, count=20),
+        lambda: run_sbuml(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )
@@ -30,9 +30,7 @@ def test_extension_sbuml(benchmark, record_table):
 
 def test_extension_concurrency(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_concurrency(
-            seed=PAPER_SEED, memory_mb=64, requests=24, levels=(1, 4, 8)
-        ),
+        lambda: run_concurrency(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )
@@ -79,9 +77,7 @@ def test_extension_scalability(benchmark, record_table):
     from repro.experiments.scalability import run_scalability
 
     result = benchmark.pedantic(
-        lambda: run_scalability(
-            seed=PAPER_SEED, sizes=(4, 16, 32), requests=8
-        ),
+        lambda: run_scalability(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )
@@ -102,9 +98,7 @@ def test_extension_resilience(benchmark, record_table):
     from repro.experiments.resilience import run_resilience
 
     result = benchmark.pedantic(
-        lambda: run_resilience(
-            seed=PAPER_SEED, requests=24, failure_prob=0.25
-        ),
+        lambda: run_resilience(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )
@@ -129,9 +123,7 @@ def test_extension_warehouse_replicas(benchmark, record_table):
     from repro.experiments.concurrency import run_warehouse_replicas
 
     result = benchmark.pedantic(
-        lambda: run_warehouse_replicas(
-            seed=PAPER_SEED, requests=24, level=8
-        ),
+        lambda: run_warehouse_replicas(seed=PAPER_SEED),
         rounds=1,
         iterations=1,
     )

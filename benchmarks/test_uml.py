@@ -12,7 +12,7 @@ from repro.experiments.uml import run_uml
 
 def test_uml_boot_clone(benchmark, paper_suite, record_table):
     result = benchmark.pedantic(
-        lambda: run_uml(seed=PAPER_SEED, count=40), rounds=1, iterations=1
+        lambda: run_uml(seed=PAPER_SEED), rounds=1, iterations=1
     )
     record_table("uml_boot_clone", result.render())
 

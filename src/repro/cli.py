@@ -1,349 +1,182 @@
 """Command-line interface: ``python -m repro ...`` or ``vmplants``.
 
-Subcommands map one-to-one to the experiment drivers::
+``vmplants --help`` lists the commands; each is one row of
+:data:`COMMANDS`.  A command's flags are read off the function its row
+names, so a parameter is declared once, where it is used:
 
-    vmplants demo                 # create/query/destroy one VM
-    vmplants figure4 [--seed N]   # each paper artifact by name
-    vmplants figure5
-    vmplants figure6
-    vmplants uml [--sbuml]
-    vmplants costfn
-    vmplants textnumbers
-    vmplants ablations
-    vmplants concurrency
-    vmplants migration
-    vmplants scalability
-    vmplants matching
-    vmplants resilience
-    vmplants replicas
-    vmplants loadtest [--requests N] [--rates R ...]
-    vmplants disttree [--hosts N ...] [--fanout K]
-    vmplants kernelbench [--sites N] [--shards S ...]
-    vmplants federation [--sites N ...] [--cross F ...] [--plants P]
-    vmplants chaos [--mtbf S ...] [--report PATH] [--replay PATH]
-    vmplants megaload [--sites N] [--shards S ...]
-                      [--requests-per-site N]
-    vmplants megachaos [--report PATH] [--replay PATH]
-    vmplants all                  # everything, in order
+* ``seed``, and every parameter the function's docstring documents
+  with ``:param name:``, is the flag ``--name`` — type from the
+  annotation (``Sequence[T]`` takes one or more values, ``bool`` is a
+  switch, ``Literal`` lists the choices), default from the signature,
+  help from the ``:param`` text;
+* ``--report PATH`` exists where the result has ``to_record()``;
+* ``--replay PATH`` exists where the module has ``replay(record, ...)``,
+  which is also passed the flags the module's ``HOST_SIDE`` names.
+
+To add an experiment, write ``run_x`` with documented parameters and
+add a row.  Only the chosen command's module is imported.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
+import importlib
+import inspect
+import json
+import re
 import sys
-from typing import Callable, Dict, List, Optional
+import typing
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Literal, Mapping, Optional, Sequence
 
-__all__ = ["main", "build_parser"]
-
-
-def _figure4(args) -> str:
-    from repro.experiments.figure4 import run_figure4
-
-    return run_figure4(seed=args.seed).render()
+__all__ = ["COMMANDS", "Command", "main", "build_parser"]
 
 
-def _figure5(args) -> str:
-    from repro.experiments.figure5 import run_figure5
+@dataclass(frozen=True)
+class Command:
+    """One ``vmplants`` subcommand."""
 
-    return run_figure5(seed=args.seed).render()
-
-
-def _figure6(args) -> str:
-    from repro.experiments.figure6 import run_figure6
-
-    return run_figure6(seed=args.seed).render()
-
-
-def _uml(args) -> str:
-    if getattr(args, "sbuml", False):
-        from repro.experiments.uml import run_sbuml
-
-        return run_sbuml(seed=args.seed).render()
-    from repro.experiments.uml import run_uml
-
-    return run_uml(seed=args.seed).render()
+    #: ``module:function``, imported when the command is chosen.
+    target: str
+    help: str
+    in_all: bool = False
+    #: Public spelling -> where the value goes, for the flags not named
+    #: after their parameter: a parameter name, or ``<scenario>.<key>``
+    #: for one entry of ``params`` (typed by that scenario's default).
+    flags: Mapping[str, str] = field(default_factory=dict)
 
 
-def _costfn(args) -> str:
-    from repro.experiments.costfn import run_costfn
-
-    return run_costfn(seed=args.seed).render()
-
-
-def _textnumbers(args) -> str:
-    from repro.experiments.textnumbers import run_textnumbers
-
-    return run_textnumbers(seed=args.seed).render()
-
-
-def _ablations(args) -> str:
-    from repro.experiments.ablations import run_all_ablations
-
-    # Fan out across a process pool where the host allows; the merge
-    # is deterministic, so the rendered order below never changes.
-    results = run_all_ablations(
-        seed=args.seed,
-        names=("clone_mode", "matching", "speculative", "cost_model"),
-    )
-    return "\n\n".join(r.render() for r in results.values())
-
-
-def _concurrency(args) -> str:
-    from repro.experiments.concurrency import run_concurrency
-
-    return run_concurrency(seed=args.seed).render()
-
-
-def _migration(args) -> str:
-    from repro.experiments.migration_exp import run_migration
-
-    return run_migration(seed=args.seed).render()
-
-
-def _scalability(args) -> str:
-    from repro.experiments.scalability import run_scalability
-
-    return run_scalability(seed=args.seed).render()
-
-
-def _matching(args) -> str:
-    from repro.experiments.scalability import run_matching_scalability
-
-    return run_matching_scalability(seed=args.seed).render()
-
-
-def _resilience(args) -> str:
-    from repro.experiments.resilience import run_resilience
-
-    return run_resilience(seed=args.seed).render()
-
-
-def _replicas(args) -> str:
-    from repro.experiments.concurrency import run_warehouse_replicas
-
-    return run_warehouse_replicas(seed=args.seed).render()
-
-
-def _loadtest(args) -> str:
-    from repro.experiments.loadtest import run_loadtest
-
-    return run_loadtest(
-        seed=args.seed,
-        requests=args.requests,
-        rates=tuple(args.rates),
-        cache_mb=args.cache_mb,
-    ).render()
-
-
-def _megaload(args) -> str:
-    import json
-
-    from repro.experiments.megaload import run_megaload
-
-    result = run_megaload(
-        seed=args.seed,
-        sites=args.sites,
-        shard_counts=tuple(args.shards),
-        requests_per_site=args.requests_per_site,
-        params={
-            k: v
-            for k, v in (
-                ("plants", args.plants),
-                ("cross_fraction", args.cross),
-                ("rate_per_s", args.rate),
-                ("spill_deadline_s", args.spill_deadline),
-            )
-            if v is not None
+COMMANDS: Dict[str, Command] = {
+    "demo": Command("repro.cli:run_demo", "create/query/destroy one VM"),
+    "figure4": Command(
+        "repro.experiments.figure4:run_figure4",
+        "Figure 4: creation latency by VM memory size", in_all=True,
+    ),
+    "figure5": Command(
+        "repro.experiments.figure5:run_figure5",
+        "Figure 5: cloning latency by VM memory size", in_all=True,
+    ),
+    "figure6": Command(
+        "repro.experiments.figure6:run_figure6",
+        "Figure 6: cloning latency over the request sequence", in_all=True,
+    ),
+    "uml": Command(
+        "repro.experiments.uml:run_uml_study",
+        "Section 4.3: the boot-based UML production line", in_all=True,
+    ),
+    "costfn": Command(
+        "repro.experiments.costfn:run_costfn",
+        "Section 3.4: the two-plant cost-function crossover", in_all=True,
+    ),
+    "textnumbers": Command(
+        "repro.experiments.textnumbers:run_textnumbers",
+        "Section 4.3: every number quoted in the prose", in_all=True,
+    ),
+    "ablations": Command(
+        "repro.experiments.ablations:run_all_ablations",
+        "every design-choice ablation, one table each", in_all=True,
+    ),
+    "concurrency": Command(
+        "repro.experiments.concurrency:run_concurrency",
+        "one request batch at several in-flight limits", in_all=True,
+    ),
+    "migration": Command(
+        "repro.experiments.migration_exp:run_migration",
+        "VM migration latency and rebalancing", in_all=True,
+    ),
+    "scalability": Command(
+        "repro.experiments.scalability:run_scalability",
+        "site-size sweep, flat vs. brokered bidding", in_all=True,
+    ),
+    "resilience": Command(
+        "repro.experiments.resilience:run_resilience",
+        "plant failures surfaced vs. retried; the restart drill", in_all=True,
+    ),
+    "replicas": Command(
+        "repro.experiments.concurrency:run_warehouse_replicas",
+        "warehouse replica counts at a fixed concurrency level", in_all=True,
+    ),
+    # Not part of ``all``, which stays deterministic per seed and quick:
+    # host wall-clock / CPU-time columns, or deliberately heavy sweeps.
+    "matching": Command(
+        "repro.experiments.scalability:run_matching_scalability",
+        "warehouse-size sweep of the indexed matching path",
+    ),
+    "loadtest": Command(
+        "repro.experiments.loadtest:run_loadtest",
+        "Poisson-arrival throughput sweep: baseline vs host caches "
+        "vs coalescing vs speculative pools",
+    ),
+    "disttree": Command(
+        "repro.experiments.disttree:run_disttree",
+        "fleet-size ladder of same-image broadcast bursts: NFS star "
+        "vs peer distribution tree",
+    ),
+    "kernelbench": Command(
+        "repro.experiments.kernelbench:run_kernelbench",
+        "sharded-kernel throughput sweep with merged-trace "
+        "determinism cross-check",
+        flags={"shards": "shard_counts"},
+    ),
+    "federation": Command(
+        "repro.experiments.federation:run_federation",
+        "federated multi-site sweep: site count x cross-site traffic "
+        "fraction, one kernel shard per site",
+        flags={
+            "sites": "site_counts",
+            "cross": "cross_fractions",
+            "plants": "plants_per_site",
+            "deadline": "deadline_s",
+            "rack-size": "federation.rack_size",
+            "spill-deadline": "federation.spill_deadline_s",
         },
-        deadline_s=args.deadline,
-        trace_capacity=args.trace_capacity,
-    )
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(result.to_record(), fh, indent=2, sort_keys=True)
-    return result.render()
-
-
-def _megachaos(args) -> str:
-    import json
-
-    from repro.experiments.megachaos import run_megachaos
-
-    if args.replay:
-        with open(args.replay) as fh:
-            report = json.load(fh)
-        cfg = report["config"]
-        # Replaying a report reuses its recorded plan AND its run
-        # parameters, so the schedule meets the exact same traces.
-        result = run_megachaos(
-            seed=cfg["seed"],
-            sites=cfg["sites"],
-            shards=cfg["shards"],
-            requests_per_site=cfg["requests_per_site"],
-            params=cfg.get("extra_params") or None,
-            blackout_site=cfg["blackout_site"],
-            blackout_at=cfg["blackout_at"],
-            blackout_s=cfg["blackout_s"],
-            crash_plants_per_site=cfg["crash_plants_per_site"],
-            mtbf_s=cfg["mtbf_s"],
-            mttr_s=cfg["mttr_s"],
-            wan_site=cfg["wan_site"],
-            wan_at=cfg["wan_at"],
-            wan_s=cfg["wan_s"],
-            wan_severity=cfg["wan_severity"],
-            spill_attempts=cfg["spill_attempts"],
-            spill_backoff_s=cfg["spill_backoff_s"],
-            shed_depth=cfg["shed_depth"],
-            preempt_depth=cfg["preempt_depth"],
-            det_shard_counts=tuple(cfg["det_shard_counts"]),
-            determinism_requests=cfg["determinism_requests"],
-            deadline_s=args.deadline,
-            trace_capacity=args.trace_capacity,
-            plan_records=report["plan"]["records"],
-        )
-    else:
-        result = run_megachaos(
-            seed=args.seed,
-            sites=args.sites,
-            shards=args.shards,
-            requests_per_site=args.requests_per_site,
-            blackout_site=args.blackout_site,
-            blackout_at=args.blackout_at,
-            blackout_s=args.blackout_duration,
-            crash_plants_per_site=args.crash_plants,
-            mtbf_s=args.mtbf,
-            mttr_s=args.mttr,
-            wan_site=args.wan_site,
-            wan_severity=args.wan_severity,
-            spill_attempts=args.spill_attempts,
-            spill_backoff_s=args.spill_backoff,
-            shed_depth=args.shed_depth,
-            preempt_depth=args.preempt_depth,
-            deadline_s=args.deadline,
-            trace_capacity=args.trace_capacity,
-        )
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(result.to_records(), fh, indent=2, sort_keys=True)
-    return result.render()
-
-
-def _disttree(args) -> str:
-    import json
-
-    from repro.experiments.disttree import run_disttree
-
-    result = run_disttree(
-        seed=args.seed,
-        hosts=tuple(args.hosts),
-        fanout=args.fanout,
-    )
-    if args.report:
-        record = {
-            "seed": result.seed,
-            "memory_mb": result.memory_mb,
-            "hosts": list(result.hosts),
-            "fanout": result.fanout,
-            "points": [
-                p.as_dict()
-                for pts in result.points.values()
-                for p in pts
-            ],
-        }
-        with open(args.report, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-    return result.render()
-
-
-def _kernelbench(args) -> str:
-    import json
-
-    from repro.experiments.kernelbench import run_kernelbench
-
-    result = run_kernelbench(
-        seed=args.seed,
-        sites=args.sites,
-        shard_counts=tuple(args.shards),
-        requests_per_site=args.requests_per_site,
-    )
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(result.to_record(), fh, indent=2, sort_keys=True)
-    return result.render()
-
-
-def _federation(args) -> str:
-    import json
-
-    from repro.experiments.federation import run_federation
-
-    result = run_federation(
-        seed=args.seed,
-        site_counts=tuple(args.sites),
-        cross_fractions=tuple(args.cross),
-        plants_per_site=args.plants,
-        requests_per_site=args.requests_per_site,
-        params={
-            k: v
-            for k, v in (
-                ("rack_size", args.rack_size),
-                ("spill_deadline_s", args.spill_deadline),
-            )
-            if v is not None
+    ),
+    "chaos": Command(
+        "repro.experiments.chaos:run_chaos",
+        "deterministic fault injection: sweep MTBF over the "
+        "surface/retry/deadline/breaker recovery ladder",
+        flags={"mtbf": "mtbf_sweep", "mttr": "mttr_s"},
+    ),
+    "megaload": Command(
+        "repro.experiments.megaload:run_megaload",
+        "trace-driven multi-tenant load on federated sites with "
+        "streaming metrics; scales to a million requests",
+        flags={
+            "shards": "shard_counts",
+            "deadline": "deadline_s",
+            "plants": "megaload.plants",
+            "rate": "megaload.rate_per_s",
+            "cross": "megaload.cross_fraction",
+            "spill-deadline": "megaload.spill_deadline_s",
         },
-        deadline_s=args.deadline,
-    )
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(result.to_record(), fh, indent=2, sort_keys=True)
-    return result.render()
+    ),
+    "megachaos": Command(
+        "repro.experiments.megachaos:run_megachaos",
+        "grid resilience ladder: site blackout + flash crowd over "
+        "none/faults/failover/admission",
+        flags={
+            "blackout-duration": "blackout_s",
+            "crash-plants": "crash_plants_per_site",
+            "mtbf": "mtbf_s",
+            "mttr": "mttr_s",
+            "spill-backoff": "spill_backoff_s",
+            "deadline": "deadline_s",
+        },
+    ),
+    "all": Command("repro.cli:run_all", "regenerate every paper artifact"),
+}
 
 
-def _chaos(args) -> str:
-    import json
+def run_demo(seed: int = 2004, memory: Literal[32, 64, 256] = 32) -> str:
+    """Create, query and destroy one VM on the eight-plant testbed.
 
-    from repro.experiments.chaos import run_chaos
-
-    plans = None
-    kwargs = {}
-    if args.replay:
-        with open(args.replay) as fh:
-            report = json.load(fh)
-        plans = {
-            float(mtbf): entry["records"]
-            for mtbf, entry in report.get("plans", {}).items()
-        }
-        # Replaying a report reuses its run parameters so the recorded
-        # schedule meets the exact same workload.
-        kwargs = {
-            "seed": report["seed"],
-            "memory_mb": report["memory_mb"],
-            "requests": report["requests"],
-            "rate": report["rate_per_s"],
-            "mttr_s": report["mttr_s"],
-            "n_plants": report["n_plants"],
-            "mtbf_sweep": sorted(plans),
-        }
-    else:
-        kwargs = {
-            "seed": args.seed,
-            "requests": args.requests,
-            "rate": args.rate,
-            "mtbf_sweep": tuple(args.mtbf),
-            "mttr_s": args.mttr,
-        }
-    result = run_chaos(plans=plans, **kwargs)
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(result.to_records(), fh, indent=2, sort_keys=True)
-    return result.render()
-
-
-def _demo(args) -> str:
+    :param memory: VM memory in MB (the paper's three golden sizes)
+    """
     from repro import build_testbed, experiment_request
 
-    bed = build_testbed(seed=args.seed)
-    ad = bed.run(bed.shop.create(experiment_request(args.memory)))
+    bed = build_testbed(seed=seed)
+    ad = bed.run(bed.shop.create(experiment_request(memory)))
     lines = [
         f"created {ad['vmid']} on {ad['plant']}",
         f"  image      : {ad['image_id']}",
@@ -363,503 +196,153 @@ def _demo(args) -> str:
     return "\n".join(lines)
 
 
-_ARTIFACTS: Dict[str, Callable] = {
-    "figure4": _figure4,
-    "figure5": _figure5,
-    "figure6": _figure6,
-    "uml": _uml,
-    "costfn": _costfn,
-    "textnumbers": _textnumbers,
-    "ablations": _ablations,
-    "concurrency": _concurrency,
-    "migration": _migration,
-    "scalability": _scalability,
-    "resilience": _resilience,
-    "replicas": _replicas,
-}
-
-
-def _all(args) -> str:
+def run_all(seed: int = 2004) -> str:
+    """Every ``in_all`` row of the table, in its order."""
     return ("\n\n" + "=" * 70 + "\n\n").join(
-        runner(args) for runner in _ARTIFACTS.values()
+        _text(_load(row.target)[1](seed=seed))
+        for row in COMMANDS.values() if row.in_all
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for testing)."""
+def _load(target: str):
+    """``module:function`` -> (module, function)."""
+    module_name, _, function = target.partition(":")
+    module = importlib.import_module(module_name)
+    return module, getattr(module, function)
+
+
+def _text(result) -> str:
+    """What a command prints: a result's table(s)."""
+    if isinstance(result, str):
+        return result
+    if isinstance(result, dict):
+        return "\n\n".join(r.render() for r in result.values())
+    return result.render()
+
+
+def _param_docs(fn: Callable) -> Dict[str, str]:
+    """Help for ``seed`` plus the ``:param name: text`` fields (a field
+    runs on over indented lines) of ``fn``'s docstring."""
+    fields = re.findall(
+        r"^:param (\w+):(.*(?:\n +\S.*)*)", inspect.getdoc(fn) or "", re.M
+    )
+    docs = {"seed": "root seed of every named random stream"}
+    docs.update((name, " ".join(text.split())) for name, text in fields)
+    return docs
+
+
+def _typed(annotation) -> Dict[str, Any]:
+    """argparse keywords for a parameter annotated ``annotation``."""
+    origin, inner = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is typing.Union:  # Optional[T]: None comes from the default
+        return _typed(next(t for t in inner if t is not type(None)))
+    if origin is Literal:
+        return {"type": type(inner[0]), "choices": inner}
+    if origin is collections.abc.Sequence:
+        return {**_typed(inner[0]), "nargs": "+"}
+    if annotation is bool:
+        return {"action": "store_true"}
+    return {"type": annotation, "metavar": annotation.__name__}
+
+
+def _add_flags(parser: argparse.ArgumentParser, row: Command) -> None:
+    module, fn = _load(row.target)
+    hints = typing.get_type_hints(fn)
+    docs = _param_docs(fn)
+    spelling = {where: flag for flag, where in row.flags.items()}
+    for name, param in inspect.signature(fn).parameters.items():
+        if name in docs:
+            parser.add_argument(
+                "--" + spelling.get(name, name.replace("_", "-")),
+                dest=name,
+                default=param.default,
+                help=f"{docs[name]} (default: {param.default})",
+                **_typed(hints[name]),
+            )
+    for flag, where in row.flags.items():
+        if "." in where:
+            from repro.sim.shard.scenarios import get_scenario
+
+            scenario, key = where.split(".")
+            default = get_scenario(scenario).defaults()[key]
+            parser.add_argument(
+                "--" + flag,
+                dest=where,
+                help=f"`{scenario}` scenario parameter {key} "
+                f"(scenario default: {default})",
+                **_typed(type(default)),
+            )
+    if hasattr(hints.get("return"), "to_record"):
+        parser.add_argument(
+            "--report", metavar="PATH",
+            help="write the result's JSON record (to_record()) to PATH",
+        )
+    if hasattr(module, "replay"):
+        parser.add_argument(
+            "--replay", metavar="PATH",
+            help="re-run what a saved --report recorded, plan and run "
+            "parameters; of the other flags only the host-side ones "
+            "(--deadline, --trace-capacity) still count",
+        )
+
+
+def build_parser(
+    only: Optional[Sequence[str]] = None,
+) -> argparse.ArgumentParser:
+    """The CLI argument parser (exposed for testing).
+
+    Reading a command's flags imports its module, so ``main`` asks for
+    the flags of the chosen command ``only``; ``None`` attaches all.
+    """
     parser = argparse.ArgumentParser(
         prog="vmplants",
-        description=(
-            "VMPlants (SC 2004) reproduction: run the demo or "
-            "regenerate any paper artifact."
-        ),
+        description="VMPlants (SC 2004) reproduction: run the demo or "
+        "regenerate any paper artifact.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    demo = sub.add_parser("demo", help="create/query/destroy one VM")
-    demo.add_argument("--seed", type=int, default=2004)
-    demo.add_argument(
-        "--memory", type=int, default=32, choices=(32, 64, 256)
-    )
-    demo.set_defaults(runner=_demo)
-
-    for name, runner in _ARTIFACTS.items():
-        cmd = sub.add_parser(name, help=f"regenerate {name}")
-        cmd.add_argument("--seed", type=int, default=2004)
-        if name == "uml":
-            cmd.add_argument(
-                "--sbuml",
-                action="store_true",
-                help="compare boot vs. SBUML checkpoint-resume cloning",
-            )
-        cmd.set_defaults(runner=runner)
-
-    # Not part of ``all``: the selects/s column is host wall-clock,
-    # while ``all`` stays deterministic per seed.
-    matching = sub.add_parser(
-        "matching",
-        help="warehouse-size sweep of the indexed matching path",
-    )
-    matching.add_argument("--seed", type=int, default=2004)
-    matching.set_defaults(runner=_matching)
-
-    # Not part of ``all``: a deliberately heavy open-loop sweep of
-    # the provisioning-throughput stack (see DESIGN.md).
-    loadtest = sub.add_parser(
-        "loadtest",
-        help=(
-            "Poisson-arrival throughput sweep: baseline vs host "
-            "caches vs coalescing vs speculative pools"
-        ),
-    )
-    loadtest.add_argument("--seed", type=int, default=2004)
-    loadtest.add_argument("--requests", type=int, default=64)
-    loadtest.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        default=[0.05, 0.2, 1.2],
-        help="arrival rates to sweep (requests per simulated second)",
-    )
-    loadtest.add_argument(
-        "--cache-mb",
-        type=float,
-        default=512.0,
-        help="per-host golden-state cache budget",
-    )
-    loadtest.set_defaults(runner=_loadtest)
-
-    # Not part of ``all``: a scale-out ladder far beyond the paper's
-    # 8-node testbed (see DESIGN.md, "Image distribution").
-    disttree = sub.add_parser(
-        "disttree",
-        help=(
-            "fleet-size ladder of same-image broadcast bursts: "
-            "NFS star vs peer distribution tree"
-        ),
-    )
-    disttree.add_argument("--seed", type=int, default=2004)
-    disttree.add_argument(
-        "--hosts",
-        type=int,
-        nargs="+",
-        default=[8, 32, 128, 512],
-        help="fleet sizes to sweep (one VM per host)",
-    )
-    disttree.add_argument(
-        "--fanout",
-        type=int,
-        default=2,
-        help="concurrent peer serves per source (1=chain, 2=binary)",
-    )
-    disttree.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="write the JSON record (per-rung points + fingerprints)",
-    )
-    disttree.set_defaults(runner=_disttree)
-
-    # Not part of ``all``: throughput columns are host wall-clock /
-    # CPU-time, while ``all`` stays deterministic per seed.
-    kernelbench = sub.add_parser(
-        "kernelbench",
-        help=(
-            "sharded-kernel throughput sweep with merged-trace "
-            "determinism cross-check"
-        ),
-    )
-    kernelbench.add_argument("--seed", type=int, default=2004)
-    kernelbench.add_argument(
-        "--sites",
-        type=int,
-        default=8,
-        help="independent testbed sites on the WAN ring",
-    )
-    kernelbench.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=[1, 4, 8],
-        help="shard counts to sweep (must include 1)",
-    )
-    kernelbench.add_argument(
-        "--requests-per-site",
-        type=int,
-        default=160,
-        help="VM creation requests per site per sweep point",
-    )
-    kernelbench.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="write the JSON record (points, costs, fingerprint)",
-    )
-    kernelbench.set_defaults(runner=_kernelbench)
-
-    # Not part of ``all``: throughput columns are host wall-clock /
-    # CPU-time; one worker process per site (see DESIGN.md,
-    # "Federation & control-plane sharding").
-    federation = sub.add_parser(
-        "federation",
-        help=(
-            "federated multi-site sweep: site count x cross-site "
-            "traffic fraction, one kernel shard per site"
-        ),
-    )
-    federation.add_argument("--seed", type=int, default=2004)
-    federation.add_argument(
-        "--sites",
-        type=int,
-        nargs="+",
-        default=[1, 4, 16],
-        help="site counts to sweep (include 1 for the one-site base)",
-    )
-    federation.add_argument(
-        "--cross",
-        type=float,
-        nargs="+",
-        default=[0.0, 0.1, 0.3],
-        help="cross-site traffic fractions to sweep",
-    )
-    federation.add_argument(
-        "--plants",
-        type=int,
-        default=8,
-        help="plants per site (16 sites x 625 = the 10k-plant rung)",
-    )
-    federation.add_argument(
-        "--requests-per-site",
-        type=int,
-        default=160,
-        help="VM creation requests per site per sweep point",
-    )
-    federation.add_argument(
-        "--rack-size",
-        type=int,
-        default=None,
-        help="plants per rack broker (default: scenario default, 8)",
-    )
-    federation.add_argument(
-        "--spill-deadline",
-        type=float,
-        default=None,
-        help=(
-            "cross-site spill bid/ack deadline in simulated seconds "
-            "(default: scenario default, 400; raise it when large "
-            "sites push create latency past it)"
-        ),
-    )
-    federation.add_argument(
-        "--deadline",
-        type=float,
-        default=600.0,
-        help="wall-clock abort deadline per sharded run (seconds)",
-    )
-    federation.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="write the JSON record (points, costs, fingerprint)",
-    )
-    federation.set_defaults(runner=_federation)
-
-    # Not part of ``all``: fault-injection policy-ladder sweep (see
-    # DESIGN.md, "Fault model & recovery").
-    chaos = sub.add_parser(
-        "chaos",
-        help=(
-            "deterministic fault injection: sweep MTBF over the "
-            "surface/retry/deadline/breaker recovery ladder"
-        ),
-    )
-    chaos.add_argument("--seed", type=int, default=2004)
-    chaos.add_argument("--requests", type=int, default=48)
-    chaos.add_argument(
-        "--rate",
-        type=float,
-        default=0.1,
-        help="arrival rate (requests per simulated second)",
-    )
-    chaos.add_argument(
-        "--mtbf",
-        type=float,
-        nargs="+",
-        default=[300.0, 900.0],
-        help="mean time between faults per target (seconds) to sweep",
-    )
-    chaos.add_argument(
-        "--mttr",
-        type=float,
-        default=60.0,
-        help="mean fault duration (seconds)",
-    )
-    chaos.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="write the JSON report (metrics + recorded fault plans)",
-    )
-    chaos.add_argument(
-        "--replay",
-        default=None,
-        metavar="PATH",
-        help=(
-            "re-run the fault schedules recorded in a saved report "
-            "(ignores --seed/--requests/--rate/--mtbf/--mttr)"
-        ),
-    )
-    chaos.set_defaults(runner=_chaos)
-
-    # Not part of ``all``: the cost columns are host wall-clock /
-    # CPU-time (see DESIGN.md, "Workload engine & streaming metrics").
-    megaload = sub.add_parser(
-        "megaload",
-        help=(
-            "trace-driven multi-tenant load on federated sites with "
-            "streaming metrics; scales to a million requests"
-        ),
-    )
-    megaload.add_argument("--seed", type=int, default=2004)
-    megaload.add_argument(
-        "--sites",
-        type=int,
-        default=4,
-        help="federated sites (one kernel shard per site at the max)",
-    )
-    megaload.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="shard counts to sweep (must not exceed --sites)",
-    )
-    megaload.add_argument(
-        "--requests-per-site",
-        type=int,
-        default=250,
-        help=(
-            "requests per site (16 sites x 62500 = the 1M-request "
-            "rung)"
-        ),
-    )
-    megaload.add_argument(
-        "--plants",
-        type=int,
-        default=None,
-        help="plants per site (default: scenario default, 8)",
-    )
-    megaload.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="aggregate arrival rate per site (default: scenario, 2.0)",
-    )
-    megaload.add_argument(
-        "--cross",
-        type=float,
-        default=None,
-        help="cross-site traffic fraction (default: scenario, 0.1)",
-    )
-    megaload.add_argument(
-        "--spill-deadline",
-        type=float,
-        default=None,
-        help="cross-site spill ack deadline (default: scenario, 400)",
-    )
-    megaload.add_argument(
-        "--deadline",
-        type=float,
-        default=1800.0,
-        help="wall-clock abort deadline per sharded run (seconds)",
-    )
-    megaload.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=100_000,
-        metavar="N",
-        help=(
-            "bounded tracer size per site in the determinism recheck "
-            "(dropped events are reported)"
-        ),
-    )
-    megaload.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="write the JSON record (points, quantiles, fingerprints)",
-    )
-    megaload.set_defaults(runner=_megaload)
-
-    # Not part of ``all``: the robustness ladder composes a grid
-    # fault plan with the flash-crowd trace (see DESIGN.md,
-    # "Grid-scale chaos & admission control").
-    megachaos = sub.add_parser(
-        "megachaos",
-        help=(
-            "grid resilience ladder: site blackout + flash crowd "
-            "over none/faults/failover/admission"
-        ),
-    )
-    megachaos.add_argument("--seed", type=int, default=2004)
-    megachaos.add_argument(
-        "--sites",
-        type=int,
-        default=4,
-        help="federated sites (one kernel shard per site at the max)",
-    )
-    megachaos.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="kernel shards for the ladder runs (<= --sites)",
-    )
-    megachaos.add_argument(
-        "--requests-per-site",
-        type=int,
-        default=150,
-        help="requests per site per ladder rung",
-    )
-    megachaos.add_argument(
-        "--blackout-site",
-        type=int,
-        default=1,
-        help="which site goes dark",
-    )
-    megachaos.add_argument(
-        "--blackout-at",
-        type=float,
-        default=110.0,
-        help="blackout start (simulated seconds)",
-    )
-    megachaos.add_argument(
-        "--blackout-duration",
-        type=float,
-        default=60.0,
-        help="blackout length (simulated seconds)",
-    )
-    megachaos.add_argument(
-        "--crash-plants",
-        type=int,
-        default=0,
-        help="plants per site on a background crash/recover renewal",
-    )
-    megachaos.add_argument(
-        "--mtbf",
-        type=float,
-        default=600.0,
-        help="mean time between background crashes per plant",
-    )
-    megachaos.add_argument(
-        "--mttr",
-        type=float,
-        default=60.0,
-        help="mean background crash duration",
-    )
-    megachaos.add_argument(
-        "--wan-site",
-        type=int,
-        default=None,
-        help="also partition this site's outbound spill link",
-    )
-    megachaos.add_argument(
-        "--wan-severity",
-        type=float,
-        default=0.0,
-        help=(
-            "0 = full partition; 0<s<1 = degrade bandwidth to that "
-            "fraction"
-        ),
-    )
-    megachaos.add_argument(
-        "--spill-attempts",
-        type=int,
-        default=3,
-        help="spill rounds on the failover/admission rungs",
-    )
-    megachaos.add_argument(
-        "--spill-backoff",
-        type=float,
-        default=20.0,
-        help="base backoff between spill rounds (doubles per round)",
-    )
-    megachaos.add_argument(
-        "--shed-depth",
-        type=int,
-        default=240,
-        help="tier-0 in-flight ceiling on the admission rung",
-    )
-    megachaos.add_argument(
-        "--preempt-depth",
-        type=int,
-        default=160,
-        help="in-flight depth that triggers pool preemption",
-    )
-    megachaos.add_argument(
-        "--deadline",
-        type=float,
-        default=1800.0,
-        help="wall-clock abort deadline per sharded run (seconds)",
-    )
-    megachaos.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=100_000,
-        metavar="N",
-        help="bounded tracer size per site in the determinism recheck",
-    )
-    megachaos.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write the JSON report (ladder points, recorded plan, "
-            "fingerprints) — replay-stable, no wall-clock fields"
-        ),
-    )
-    megachaos.add_argument(
-        "--replay",
-        default=None,
-        metavar="PATH",
-        help=(
-            "re-run the plan and config recorded in a saved report "
-            "(ignores every knob except --deadline/--trace-capacity)"
-        ),
-    )
-    megachaos.set_defaults(runner=_megachaos)
-
-    everything = sub.add_parser("all", help="regenerate every artifact")
-    everything.add_argument("--seed", type=int, default=2004)
-    everything.set_defaults(runner=_all)
-
+    for name, row in COMMANDS.items():
+        cmd = sub.add_parser(name, help=row.help, description=row.help)
+        if only is None or name in only:
+            _add_flags(cmd, row)
+        cmd.set_defaults(usage_error=cmd.error)
     return parser
+
+
+def _run(name: str, values: Dict[str, Any]) -> str:
+    """Call ``name``'s function with parsed flag ``values``; its text."""
+    module, fn = _load(COMMANDS[name].target)
+    report, replay = values.pop("report", None), values.pop("replay", None)
+    kwargs: Dict[str, Any] = {}
+    for dest, value in values.items():
+        if "." not in dest:
+            kwargs[dest] = tuple(value) if isinstance(value, list) else value
+        elif value is not None:
+            kwargs.setdefault("params", {})[dest.split(".")[1]] = value
+    if replay:
+        with open(replay) as fh:
+            record = json.load(fh)
+        host_side = getattr(module, "HOST_SIDE", ())
+        result = module.replay(
+            record, **{k: v for k, v in kwargs.items() if k in host_side}
+        )
+    else:
+        result = fn(**kwargs)
+    if report:
+        with open(report, "w") as fh:
+            json.dump(result.to_record(), fh, indent=2, sort_keys=True)
+    return _text(result)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    print(args.runner(args))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    values = vars(build_parser(argv[:1]).parse_args(argv))
+    usage_error = values.pop("usage_error")
+    try:
+        print(_run(values.pop("command"), values))
+    except ValueError as exc:
+        # A run_* argument check (shards > sites, unknown params key).
+        usage_error(str(exc))
     return 0
 
 

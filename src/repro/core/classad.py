@@ -39,10 +39,10 @@ Two evaluation engines share one grammar:
   ``matches`` call allocates nothing on the fast path;
 * the **interpreter** — the original recursive ``_Node.eval`` tree
   walk over a :class:`_Scope`, kept verbatim as the reference
-  implementation.  ``REPRO_CLASSAD_INTERP=1`` (or
-  :func:`use_interpreter`) routes all evaluation through it; the
-  differential suite in ``tests/test_classad_compiled.py`` pins the
-  two engines to bit-identical behaviour.
+  implementation.  Nothing in ``src/`` runs it; the differential
+  suite in ``tests/test_classad_compiled.py`` calls it directly
+  (:meth:`Expression.evaluate_interpreted`) and pins the two engines
+  to bit-identical behaviour.
 
 ``Expression(text)`` and :func:`evaluate` go through a bounded global
 intern cache (:data:`_EXPR_CACHE_MAX` entries, LRU), so repeated
@@ -52,7 +52,6 @@ parse and compile exactly once.
 
 from __future__ import annotations
 
-import os
 import re
 from collections import OrderedDict
 from typing import (
@@ -75,7 +74,6 @@ __all__ = [
     "Expression",
     "evaluate",
     "equality_key",
-    "use_interpreter",
     "parse_cache_info",
     "clear_parse_cache",
 ]
@@ -105,18 +103,6 @@ Value = Union[bool, int, float, str, Undefined, List["Value"]]
 
 #: A compiled expression: ``(ad, other, depth) -> Value``.
 CompiledFn = Callable[[Optional["ClassAd"], Optional["ClassAd"], int], Value]
-
-#: Escape hatch: route all evaluation through the reference
-#: interpreter instead of the compiled closures.
-_INTERP = os.environ.get("REPRO_CLASSAD_INTERP", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
-
-
-def use_interpreter(enabled: bool) -> None:
-    """Switch engines at runtime (benchmarks and differential tests)."""
-    global _INTERP
-    _INTERP = bool(enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +981,6 @@ class Expression:
         other: Optional["ClassAd"] = None,
     ) -> Value:
         """Evaluate against ``ad`` (``self``/``my``) and ``other``."""
-        if _INTERP:
-            return self._ast.eval(_Scope(ad, other))
         return self._fn(ad, other, 0)
 
     def evaluate_compiled(
@@ -1240,8 +1224,6 @@ class ClassAd:
             return True
         if not isinstance(raw, Expression):
             return bool(raw is True)
-        if _INTERP:
-            return raw._ast.eval(_Scope(self, other)) is True
         return raw._fn(self, other, 0) is True
 
     def symmetric_match(self, other: "ClassAd") -> bool:

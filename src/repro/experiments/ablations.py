@@ -423,9 +423,8 @@ def run_all_ablations(
     mode: str = "auto",
     max_workers: int = None,
     cache=None,
-    names=None,
 ) -> Dict[str, object]:
-    """Run every ablation (or the ``names`` subset), fanned out.
+    """Run every ablation, fanned out.
 
     Results merge in :data:`ABLATIONS` order regardless of completion
     order.  With a :class:`~repro.experiments.cache.ResultCache`,
@@ -433,14 +432,9 @@ def run_all_ablations(
     """
     from repro.experiments.parallel import Job, run_jobs
 
-    selected = {
-        name: fn
-        for name, fn in ABLATIONS.items()
-        if names is None or name in names
-    }
     results: Dict[str, object] = {}
     pending = []
-    for name, fn in selected.items():
+    for name, fn in ABLATIONS.items():
         if cache is not None:
             hit = cache.get(f"ablation-{name}", {"seed": seed})
             if hit is not None:
@@ -452,5 +446,5 @@ def run_all_ablations(
         for name, value in fresh.items():
             if cache is not None:
                 cache.put(f"ablation-{name}", {"seed": seed}, value)
-            results[name] = fresh[name]
-    return {name: results[name] for name in selected if name in results}
+            results[name] = value
+    return {name: results[name] for name in ABLATIONS if name in results}

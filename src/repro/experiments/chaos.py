@@ -44,6 +44,7 @@ __all__ = [
     "ChaosPoint",
     "ChaosResult",
     "run_chaos",
+    "replay",
 ]
 
 #: The recovery ladder, weakest first: (name, retry_other_plants,
@@ -140,8 +141,9 @@ class ChaosResult:
     def plan_signature(self, mtbf_s: float) -> str:
         return FaultPlan.from_records(self.plans[mtbf_s]).signature()
 
-    def to_records(self) -> dict:
-        """JSON-ready report (``vmplants chaos --report``)."""
+    def to_record(self) -> dict:
+        """JSON-ready report (``vmplants chaos --report``); see
+        :func:`replay`."""
         return {
             "seed": self.seed,
             "memory_mb": self.memory_mb,
@@ -348,6 +350,12 @@ def run_chaos(
     the replay path: identical schedule, bit-identical outcome.
     ``trace_capacity`` attaches a bounded tracer to every run and
     reports dropped events (default: no tracer, as before).
+
+    :param requests: Poisson arrivals per (MTBF, policy) run
+    :param rate: arrival rate (requests per simulated second)
+    :param mtbf_sweep: mean time between faults per target (seconds)
+        to sweep
+    :param mttr_s: mean fault duration (seconds)
     """
     if requests <= 0:
         raise ValueError("requests must be positive")
@@ -414,3 +422,23 @@ def run_chaos(
             result.trace_dropped += dropped
         result.points[mtbf] = pts
     return result
+
+
+def replay(record: dict) -> ChaosResult:
+    """Re-run a saved report: its fault schedules meet the workload
+    its run parameters describe, so the outcome is bit-identical."""
+    plans = {
+        float(mtbf): entry["records"]
+        for mtbf, entry in record["plans"].items()
+    }
+    return run_chaos(
+        seed=record["seed"],
+        memory_mb=record["memory_mb"],
+        requests=record["requests"],
+        rate=record["rate_per_s"],
+        mtbf_sweep=sorted(plans),
+        mttr_s=record["mttr_s"],
+        n_plants=record["n_plants"],
+        policies=record["policies"],
+        plans=plans,
+    )

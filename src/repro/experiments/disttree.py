@@ -125,6 +125,18 @@ class DistTreeResult:
         hi = self.point(variant, max(self.hosts))
         return hi.p95_s / lo.p95_s
 
+    def to_record(self) -> dict:
+        """JSON-ready report: per-rung points and their fingerprints."""
+        return {
+            "seed": self.seed,
+            "memory_mb": self.memory_mb,
+            "hosts": list(self.hosts),
+            "fanout": self.fanout,
+            "points": [
+                p.as_dict() for pts in self.points.values() for p in pts
+            ],
+        }
+
     def render(self) -> str:
         lines = [
             "Extension: golden-image distribution at scale "
@@ -216,7 +228,11 @@ def run_disttree(
     peer_store_mb: float = 1024.0,
     variants: Sequence[str] = VARIANTS,
 ) -> DistTreeResult:
-    """Sweep fleet sizes across delivery wirings (same-image burst)."""
+    """Sweep fleet sizes across delivery wirings (same-image burst).
+
+    :param hosts: fleet sizes to sweep (one VM per host)
+    :param fanout: concurrent peer serves per source (1=chain, 2=binary)
+    """
     if not hosts or any(h <= 0 for h in hosts):
         raise ValueError("hosts must be positive")
     unknown = set(variants) - set(VARIANTS)

@@ -188,6 +188,17 @@ def run_federation(
     disables tracing; the determinism recheck reruns the largest grid
     small at 1 shard, ``sites`` shards and a repeat with fingerprints
     on.
+
+    :param site_counts: site counts to sweep (include 1 for the
+        one-site base)
+    :param cross_fractions: cross-site traffic fractions to sweep
+    :param plants_per_site: plants per site (16 sites x 625 = the
+        10k-plant rung; raise the spill deadline when large sites push
+        create latency past it)
+    :param requests_per_site: VM creation requests per site per sweep
+        point
+    :param deadline_s: wall-clock abort deadline per sharded run
+        (seconds)
     """
     site_counts = tuple(site_counts)
     cross_fractions = tuple(cross_fractions)

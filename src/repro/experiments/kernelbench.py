@@ -135,6 +135,11 @@ def run_kernelbench(
     undisturbed; the determinism cross-check uses smaller runs with
     fingerprint collection at 1 shard, the highest swept count, and a
     repeat of the latter.
+
+    :param sites: independent testbed sites on the WAN ring
+    :param shard_counts: shard counts to sweep (must include 1)
+    :param requests_per_site: VM creation requests per site per sweep
+        point
     """
     shard_counts = tuple(shard_counts)
     for s in shard_counts:

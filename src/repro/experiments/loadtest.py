@@ -240,7 +240,12 @@ def run_loadtest(
     n_plants: int = 8,
     variants: Sequence[str] = VARIANTS,
 ) -> LoadTestResult:
-    """Sweep arrival rates across provisioning feature stacks."""
+    """Sweep arrival rates across provisioning feature stacks.
+
+    :param requests: Poisson arrivals per sweep point
+    :param rates: arrival rates to sweep (requests per simulated second)
+    :param cache_mb: per-host golden-state cache budget
+    """
     if requests <= 0:
         raise ValueError("requests must be positive")
     configs = _variant_configs(cache_mb)

@@ -33,9 +33,9 @@ Each rung ends with the six-dimension leak audit at grid scope
 reruns the *full* ladder rung — faults, failover and admission all
 enabled — at 1/2/4 shards: merged-trace fingerprints and merged
 ``WorkloadSummary.state_signature()`` must be identical, extending
-the PR 6 contract to chaos.  ``to_records`` carries the recorded
-plan and full config, so ``vmplants megachaos --replay`` reproduces
-the report bit-identically.
+the PR 6 contract to chaos.  ``to_record`` carries the recorded
+plan and the call's arguments, so :func:`replay` (``vmplants
+megachaos --replay``) reproduces the report bit-identically.
 """
 
 from __future__ import annotations
@@ -56,11 +56,17 @@ __all__ = [
     "MegaChaosPoint",
     "MegaChaosResult",
     "run_megachaos",
+    "replay",
 ]
 
 #: The grid resilience ladder, weakest first.  Availability over the
 #: three faulted rungs must be non-decreasing.
 LADDER: Tuple[str, ...] = ("none", "faults", "failover", "admission")
+
+#: ``run_megachaos`` arguments that say how patient the host is and
+#: how the plan was obtained, not what was run: a report's ``config``
+#: is every other argument, and :func:`replay` takes these afresh.
+HOST_SIDE: Tuple[str, ...] = ("deadline_s", "trace_capacity", "plan_records")
 
 #: Default tenant priority tiers for the admission rung: interactive
 #: users outrank batch campaigns outrank the flash crowd.
@@ -174,7 +180,7 @@ class MegaChaosResult:
     def leaked(self) -> bool:
         return any(p.leaked for p in self.points)
 
-    def to_records(self) -> dict:
+    def to_record(self) -> dict:
         """JSON-ready report (``vmplants megachaos --report``).
 
         Deliberately excludes wall-clock and RSS numbers: a replayed
@@ -266,7 +272,7 @@ def run_megachaos(
     sites: int = 4,
     shards: int = 4,
     requests_per_site: int = 150,
-    params: Optional[Dict[str, Any]] = None,
+    extra_params: Optional[Dict[str, Any]] = None,
     blackout_site: int = 1,
     blackout_at: float = 110.0,
     blackout_s: float = 60.0,
@@ -294,38 +300,44 @@ def run_megachaos(
     single fixed-time event; background host crashes
     (``crash_plants_per_site`` per site) and the optional WAN
     partition (``wan_site``'s spill link) come from the same seeded
-    plan.  The determinism recheck runs the *admission* rung — every
-    knob on at once — across ``det_shard_counts``.
+    plan.  ``extra_params`` are ``megaload`` scenario parameters laid
+    over this experiment's own.  The determinism recheck runs the
+    *admission* rung — every knob on at once — across
+    ``det_shard_counts``.
+
+    :param sites: federated sites (one kernel shard per site at the max)
+    :param shards: kernel shards for the ladder runs (<= --sites)
+    :param requests_per_site: requests per site per ladder rung
+    :param blackout_site: which site goes dark
+    :param blackout_at: blackout start (simulated seconds)
+    :param blackout_s: blackout length (simulated seconds)
+    :param crash_plants_per_site: plants per site on a background
+        crash/recover renewal
+    :param mtbf_s: mean time between background crashes per plant
+    :param mttr_s: mean background crash duration
+    :param wan_site: also partition this site's outbound spill link
+    :param wan_severity: 0 = full partition; 0<s<1 = degrade bandwidth
+        to that fraction
+    :param spill_attempts: spill rounds on the failover/admission rungs
+    :param spill_backoff_s: base backoff between spill rounds (doubles
+        per round)
+    :param shed_depth: tier-0 in-flight ceiling on the admission rung
+    :param preempt_depth: in-flight depth that triggers pool preemption
+    :param deadline_s: wall-clock abort deadline per sharded run
+        (seconds)
+    :param trace_capacity: bounded tracer size per site in the
+        determinism recheck
     """
+    # First statement: the locals are exactly the bound arguments.
+    cfg: Dict[str, Any] = {
+        k: v for k, v in locals().items() if k not in HOST_SIDE
+    }
+    cfg["det_shard_counts"] = list(det_shard_counts)
+    cfg["extra_params"] = dict(sorted((extra_params or {}).items()))
     if not 0 <= blackout_site < sites:
         raise ValueError("blackout_site out of range")
     if shards > sites:
         raise ValueError("shards cannot exceed sites")
-    cfg: Dict[str, Any] = {
-        "seed": seed,
-        "sites": sites,
-        "shards": shards,
-        "requests_per_site": requests_per_site,
-        "blackout_site": blackout_site,
-        "blackout_at": blackout_at,
-        "blackout_s": blackout_s,
-        "crash_plants_per_site": crash_plants_per_site,
-        "mtbf_s": mtbf_s,
-        "mttr_s": mttr_s,
-        "wan_site": wan_site,
-        "wan_at": wan_at,
-        "wan_s": wan_s,
-        "wan_severity": wan_severity,
-        "spill_attempts": spill_attempts,
-        "spill_backoff_s": spill_backoff_s,
-        "shed_depth": shed_depth,
-        "preempt_depth": preempt_depth,
-        "det_shard_counts": list(det_shard_counts),
-        "determinism_requests": determinism_requests,
-        "extra_params": {
-            k: v for k, v in sorted((params or {}).items())
-        },
-    }
 
     base: Dict[str, Any] = {
         "requests": requests_per_site,
@@ -341,7 +353,7 @@ def run_megachaos(
         "interactive_fraction": 0.4,
         "batch_fraction": 0.3,
     }
-    base.update(params or {})
+    base.update(cfg["extra_params"])
 
     if plan_records is None:
         # Horizon generously past the arrivals so renewal crashes can
@@ -438,3 +450,14 @@ def run_megachaos(
         trace_capacity=trace_capacity,
     )
     return result
+
+
+def replay(record: dict, **host_side: Any) -> MegaChaosResult:
+    """Re-run a saved report: its recorded plan under its recorded
+    arguments, so the schedule meets the exact same traces.
+    ``host_side`` passes :data:`HOST_SIDE` arguments through."""
+    return run_megachaos(
+        **record["config"],
+        plan_records=record["plan"]["records"],
+        **host_side,
+    )

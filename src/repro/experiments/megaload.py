@@ -227,6 +227,15 @@ def run_megaload(
     1 shard, ``max(shard_counts)`` shards and a repeat with tracing
     bounded to ``trace_capacity`` events per site — at megaload scale
     an unbounded tracer would be the only unbounded memory left.
+
+    :param sites: federated sites (one kernel shard per site at the max)
+    :param shard_counts: shard counts to sweep (none above --sites)
+    :param requests_per_site: requests per site (16 sites x 62500 =
+        the 1M-request rung)
+    :param deadline_s: wall-clock abort deadline per sharded run
+        (seconds)
+    :param trace_capacity: bounded tracer size per site in the
+        determinism recheck (dropped events are reported)
     """
     shard_counts = tuple(shard_counts)
     if not shard_counts or min(shard_counts) < 1:

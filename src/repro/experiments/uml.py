@@ -10,12 +10,13 @@ memory size but is dominated by the boot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 from repro.analysis.stats import Summary, summarize
 from repro.analysis.tables import render_summary_table
 from repro.experiments.runner import ExperimentRun, run_creation_experiment
 
-__all__ = ["UMLResult", "run_uml"]
+__all__ = ["UMLResult", "run_uml", "run_uml_study"]
 
 #: The number reported in Section 4.3.
 PAPER_UML_MEAN_S = 76.0
@@ -108,3 +109,13 @@ def run_sbuml(
         boot=summarize(boot.clone_times),
         resume=summarize(resume.clone_times),
     )
+
+
+def run_uml_study(
+    seed: int = 2004, sbuml: bool = False
+) -> Union[UMLResult, SBUMLResult]:
+    """``vmplants uml``: the Section 4.3 table, or its SBUML extension.
+
+    :param sbuml: compare boot vs. SBUML checkpoint-resume cloning
+    """
+    return run_sbuml(seed=seed) if sbuml else run_uml(seed=seed)

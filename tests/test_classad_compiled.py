@@ -7,15 +7,11 @@ UNDEFINED propagation, and same :class:`ClassAdError` diagnostics.
 A seeded fuzzer crosses >600 randomized expressions with randomized
 ad pairs; hand-written cases pin the edges the fuzzer might only
 brush (short-circuit over erroring subtrees, constant folding, list
-freshness, recursion bounds, the intern cache, pickling, and the
-``REPRO_CLASSAD_INTERP`` escape hatch).
+freshness, recursion bounds, the intern cache and pickling).
 """
 
-import os
 import pickle
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -29,7 +25,6 @@ from repro.core.classad import (
     equality_key,
     evaluate,
     parse_cache_info,
-    use_interpreter,
 )
 from repro.core.errors import ClassAdError
 
@@ -186,17 +181,13 @@ class TestDifferentialFuzz:
                 "requirements",
                 random_expr(rng, depth=2),
             )
-            try:
-                use_interpreter(False)
-                compiled = _outcome(
-                    lambda x, y: a.matches(y), None, b
-                )
-                use_interpreter(True)
-                interpreted = _outcome(
-                    lambda x, y: a.matches(y), None, b
-                )
-            finally:
-                use_interpreter(False)
+            requirements = a.lookup("requirements")
+            compiled = _outcome(lambda x, y: a.matches(y), None, b)
+            interpreted = _outcome(
+                lambda x, y: requirements.evaluate_interpreted(a, y) is True,
+                None,
+                b,
+            )
             assert compiled == interpreted
             if compiled == ("ok", True):
                 flips += 1
@@ -328,39 +319,6 @@ class TestCompilation:
         first = expr.evaluate()
         first.append(3)
         assert expr.evaluate() == [1, 2]
-
-    def test_engine_switch_runtime_toggle(self):
-        ad = ClassAd({"x": 2})
-        ad.set_expression("requirements", "other.x == 2")
-        try:
-            use_interpreter(True)
-            assert ad.matches(ClassAd({"x": 2})) is True
-            assert evaluate("1 + 1") == 2
-        finally:
-            use_interpreter(False)
-        assert ad.matches(ClassAd({"x": 2})) is True
-
-    def test_interpreter_env_var_escape_hatch(self):
-        script = (
-            "from repro.core import classad\n"
-            "assert classad._INTERP is True\n"
-            "ad = classad.ClassAd({'x': 1})\n"
-            "ad.set_expression('requirements', 'other.x == 1')\n"
-            "assert ad.matches(classad.ClassAd({'x': 1}))\n"
-            "print('OK')\n"
-        )
-        env = dict(os.environ)
-        env["REPRO_CLASSAD_INTERP"] = "1"
-        env["PYTHONPATH"] = "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "OK" in proc.stdout
 
 
 class TestInternCache:

@@ -205,22 +205,6 @@ class TestWarehouseReplicas:
         assert result.cloning[2].mean < result.cloning[1].mean
         assert "replicated" in result.render()
 
-    def test_committed_table_is_what_the_benchmark_regenerates(self):
-        # The copy under benchmarks/results/ stayed at the v0 rows for
-        # nine PRs after the replica pick went from fewest requests to
-        # fewest in-flight MB; same arguments as
-        # benchmarks/test_extensions.py.
-        from pathlib import Path
-
-        from repro.experiments.concurrency import run_warehouse_replicas
-
-        committed = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks/results/extension_warehouse_replicas.txt"
-        )
-        result = run_warehouse_replicas(seed=2004, requests=24, level=8)
-        assert result.render() + "\n" == committed.read_text()
-
     def test_replicated_storage_balances_flows(self):
         from repro.sim.kernel import Environment
         from repro.sim.host import PhysicalHost

@@ -8,6 +8,7 @@ all-off defaults leave the golden event trajectory bit-identical.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -652,7 +653,7 @@ class TestInjectorAndChaos:
         assert injector.mean_time_to_recover() == pytest.approx(12.5)
 
     def test_chaos_ladder_monotone_replayable_leak_free(self):
-        from repro.experiments.chaos import run_chaos
+        from repro.experiments.chaos import replay, run_chaos
 
         kwargs = dict(
             seed=7, requests=12, rate=0.1,
@@ -664,10 +665,13 @@ class TestInjectorAndChaos:
         assert all(
             not p.leaked for p in result.points[150.0]
         ), [p.leaks for p in result.points[150.0]]
-        replay = run_chaos(plans=result.plans, **kwargs)
+        again = replay(json.loads(json.dumps(result.to_record())))
         assert [
-            (p.policy, p.fingerprint) for p in replay.points[150.0]
+            (p.policy, p.fingerprint) for p in again.points[150.0]
         ] == [(p.policy, p.fingerprint) for p in result.points[150.0]]
-        assert replay.plan_signature(150.0) == result.plan_signature(
+        assert again.plan_signature(150.0) == result.plan_signature(
             150.0
+        )
+        assert json.dumps(again.to_record()) == json.dumps(
+            result.to_record()
         )

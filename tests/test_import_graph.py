@@ -188,26 +188,43 @@ def test_create_path_process_loads_no_report_module():
     assert seen["loaded"] == []
 
 
-def test_cli_help_does_not_import_numpy():
-    done = _python("-X", "importtime", "-m", "repro.cli", "--help")
+def _cli_loads_no_report_module(*argv: str) -> str:
+    done = _python("-X", "importtime", "-m", "repro.cli", *argv)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert "megaload" in done.stdout
     loaded = {
         line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
     }
     assert "repro.core.classad" in loaded  # the import log is there
     assert not loaded & set(REPORT_ONLY)
+    assert not [
+        name for name in loaded if name.startswith("repro.experiments.")
+    ]
+    return done.stdout
+
+
+def test_cli_help_does_not_import_numpy():
+    assert "megaload" in _cli_loads_no_report_module("--help")
+
+
+def test_cli_demo_does_not_import_numpy():
+    assert "created" in _cli_loads_no_report_module("demo", "--seed", "3")
 
 
 def test_cli_subcommands_import_report_modules_only_when_run():
-    drivers = [
-        (target, module_level)
-        for target, module_level in _imports(MODULES["repro.cli"])
+    from repro.cli import COMMANDS
+
+    assert not [
+        target
+        for target, _ in _imports(MODULES["repro.cli"])
         if target.startswith("repro.experiments")
-    ]
-    assert len({target for target, _ in drivers}) >= 15
-    for target, module_level in drivers:
-        assert not module_level, f"cli.py imports {target} for every command"
+    ], "cli.py names its drivers in COMMANDS and imports the chosen one"
+    drivers = {
+        row.target.partition(":")[0]
+        for row in COMMANDS.values()
+        if row.target.startswith("repro.experiments")
+    }
+    assert len(drivers) >= 15
+    for target in drivers:
         # ... and test_report_module_imports_on_its_own covers it.
         assert target in REPORT
 

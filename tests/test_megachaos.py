@@ -574,28 +574,17 @@ class TestRunMegachaos:
         assert set(result.recheck.signatures) == {1, 2}
 
     def test_replay_is_bit_identical(self, result):
-        from repro.experiments.megachaos import run_megachaos
+        from repro.experiments.megachaos import HOST_SIDE, replay
 
-        rec = result.to_records()
-        again = run_megachaos(
-            sites=2,
-            shards=2,
-            requests_per_site=40,
-            blackout_at=30.0,
-            blackout_s=30.0,
-            shed_depth=48,
-            preempt_depth=32,
-            det_shard_counts=(1, 2),
-            determinism_requests=20,
-            deadline_s=300.0,
-            plan_records=rec["plan"]["records"],
-        )
+        rec = json.loads(json.dumps(result.to_record()))
+        assert not set(rec["config"]) & set(HOST_SIDE)
+        again = replay(rec, deadline_s=300.0)
         assert json.dumps(rec, sort_keys=True) == json.dumps(
-            again.to_records(), sort_keys=True
+            again.to_record(), sort_keys=True
         )
 
     def test_report_has_no_wall_clock_fields(self, result):
-        payload = json.dumps(result.to_records())
+        payload = json.dumps(result.to_record())
         assert "wall" not in payload and "rss" not in payload
 
     def test_leak_report_shape(self):

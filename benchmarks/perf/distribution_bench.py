@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Optional
 
 from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
+from repro.analysis.tables import point_record
 from repro.experiments.disttree import VARIANTS, run_disttree
 
 __all__ = [
@@ -85,7 +86,7 @@ def run_distribution_bench(
         "fanout": params["fanout"],
         "wall_s": round(wall, 2),
         "points": [
-            p.as_dict()
+            point_record(p)
             for pts in result.points.values()
             for p in pts
         ],

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
+from repro.analysis.tables import point_record
 from repro.experiments.loadtest import run_loadtest
 
 __all__ = [
@@ -81,7 +82,7 @@ def run_provision_bench(
         "rates": list(params["rates"]),
         "wall_s": round(wall, 2),
         "points": [
-            p.as_dict()
+            point_record(p)
             for pts in result.points.values()
             for p in pts
         ],

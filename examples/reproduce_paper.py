@@ -19,12 +19,7 @@ import argparse
 import sys
 import time
 
-from repro.experiments.ablations import (
-    run_clone_mode_ablation,
-    run_cost_model_ablation,
-    run_matching_ablation,
-    run_speculative_ablation,
-)
+from repro.experiments.ablations import ABLATIONS
 from repro.experiments.cache import ResultCache
 from repro.experiments.costfn import run_costfn
 from repro.experiments.figure4 import run_figure4
@@ -36,13 +31,8 @@ from repro.experiments.textnumbers import run_textnumbers
 from repro.experiments.uml import run_uml
 
 #: Sections whose drivers build their own testbeds — safe to fan out.
-INDEPENDENT_SECTIONS = [
-    ("uml", run_uml),
-    ("costfn", run_costfn),
-    ("ablation-clone-mode", run_clone_mode_ablation),
-    ("ablation-matching", run_matching_ablation),
-    ("ablation-speculative", run_speculative_ablation),
-    ("ablation-cost-model", run_cost_model_ablation),
+INDEPENDENT_SECTIONS = [("uml", run_uml), ("costfn", run_costfn)] + [
+    (f"ablation-{name}", fn) for name, fn in ABLATIONS.items()
 ]
 
 
@@ -96,10 +86,7 @@ def main() -> None:
         texts["uml"],
         texts["costfn"],
         run_textnumbers(seed=seed, suite=suite).render(),
-        texts["ablation-clone-mode"],
-        texts["ablation-matching"],
-        texts["ablation-speculative"],
-        texts["ablation-cost-model"],
+        *(texts[f"ablation-{name}"] for name in ABLATIONS),
     ]
     print(("\n\n" + "=" * 70 + "\n\n").join(sections))
 

@@ -23,19 +23,6 @@ class Summary:
     p75: float
     maximum: float
 
-    def as_dict(self) -> dict:
-        """Plain-dict form for table rendering."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "p25": self.p25,
-            "median": self.median,
-            "p75": self.p75,
-            "max": self.maximum,
-        }
-
 
 def summarize(values: Sequence[float]) -> Summary:
     """Summary statistics of ``values`` (NaNs rejected)."""

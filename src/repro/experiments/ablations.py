@@ -22,6 +22,7 @@ from typing import Dict, Generator, List
 import numpy as np
 
 from repro.analysis.stats import Summary, summarize
+from repro.analysis.tables import render_table
 from repro.core.spec import CreateRequest, HardwareSpec, NetworkSpec, SoftwareSpec
 from repro.cost.models import (
     CostModel,
@@ -74,20 +75,20 @@ class CloneModeAblation:
         return self.copy_clone.mean / self.link_clone.mean
 
     def render(self) -> str:
-        return "\n".join(
+        return render_table(
+            "Ablation: clone mode (256 MB golden machine)",
+            {
+                "mode": ">8", "clone mean (s)": ">16.1f",
+                "creation mean (s)": ">19.1f",
+            },
             [
-                "Ablation: clone mode (256 MB golden machine)",
-                "",
-                f"{'mode':>8} {'clone mean (s)':>16} {'creation mean (s)':>19}",
-                "-" * 46,
-                f"{'link':>8} {self.link_clone.mean:>16.1f} "
-                f"{self.link_creation.mean:>19.1f}",
-                f"{'copy':>8} {self.copy_clone.mean:>16.1f} "
-                f"{self.copy_creation.mean:>19.1f}",
-                "-" * 46,
+                ("link", self.link_clone.mean, self.link_creation.mean),
+                ("copy", self.copy_clone.mean, self.copy_creation.mean),
+            ],
+            [
                 f"link cloning is {self.speedup:.1f}x faster "
-                "(paper: around 4x)",
-            ]
+                "(paper: around 4x)"
+            ],
         )
 
 
@@ -124,19 +125,19 @@ class MatchingAblation:
     residual_without: int
 
     def render(self) -> str:
-        return "\n".join(
+        return render_table(
+            "Ablation: partial DAG matching (In-VIGO workspace DAG, "
+            "9 actions)",
+            {
+                "warehouse": ">22", "residual actions": ">17d",
+                "creation mean (s)": ">19.1f",
+            },
             [
-                "Ablation: partial DAG matching (In-VIGO workspace DAG, "
-                "9 actions)",
-                "",
-                f"{'warehouse':>22} {'residual actions':>17} "
-                f"{'creation mean (s)':>19}",
-                "-" * 61,
-                f"{'cached prefix (A-C)':>22} {self.residual_with:>17d} "
-                f"{self.with_matching.mean:>19.1f}",
-                f"{'bare-OS image only':>22} {self.residual_without:>17d} "
-                f"{self.without_matching.mean:>19.1f}",
-            ]
+                ("cached prefix (A-C)", self.residual_with,
+                 self.with_matching.mean),
+                ("bare-OS image only", self.residual_without,
+                 self.without_matching.mean),
+            ],
         )
 
 
@@ -217,19 +218,18 @@ class SpeculativeAblation:
         return 1.0 - self.speculative.mean / self.on_demand.mean
 
     def render(self) -> str:
-        return "\n".join(
+        return render_table(
+            "Ablation: speculative pre-creation of VM clones "
+            "(32 MB, future-work feature)",
+            {"strategy": ">14", "request latency mean (s)": ">26.1f"},
             [
-                "Ablation: speculative pre-creation of VM clones "
-                "(32 MB, future-work feature)",
-                "",
-                f"{'strategy':>14} {'request latency mean (s)':>26}",
-                "-" * 42,
-                f"{'on-demand':>14} {self.on_demand.mean:>26.1f}",
-                f"{'speculative':>14} {self.speculative.mean:>26.1f}",
-                "-" * 42,
+                ("on-demand", self.on_demand.mean),
+                ("speculative", self.speculative.mean),
+            ],
+            [
                 f"{self.latency_hidden:.0%} of client-visible latency "
-                f"hidden ({self.pool_hits} pool hits)",
-            ]
+                f"hidden ({self.pool_hits} pool hits)"
+            ],
         )
 
 
@@ -285,24 +285,23 @@ class StateCacheAblation:
         return self.nfs_every_time.mean / self.local_cache.mean
 
     def render(self) -> str:
-        return "\n".join(
+        return render_table(
+            "Ablation: golden-state caching (256 MB, two plants, "
+            "sequential clones)",
+            {
+                "strategy": ">20", "clone mean (s)": ">16.1f",
+                "clone max (s)": ">15.1f",
+            },
             [
-                "Ablation: golden-state caching (256 MB, two plants, "
-                "sequential clones)",
-                "",
-                f"{'strategy':>20} {'clone mean (s)':>16} "
-                f"{'clone max (s)':>15}",
-                "-" * 53,
-                f"{'NFS every clone':>20} "
-                f"{self.nfs_every_time.mean:>16.1f} "
-                f"{self.nfs_every_time.maximum:>15.1f}",
-                f"{'node-local replica':>20} "
-                f"{self.local_cache.mean:>16.1f} "
-                f"{self.local_cache.maximum:>15.1f}",
-                "-" * 53,
+                ("NFS every clone", self.nfs_every_time.mean,
+                 self.nfs_every_time.maximum),
+                ("node-local replica", self.local_cache.mean,
+                 self.local_cache.maximum),
+            ],
+            [
                 f"{self.steady_state_speedup:.1f}x mean speedup once "
-                "the replica is warm (first clone still pays NFS)",
-            ]
+                "the replica is warm (first clone still pays NFS)"
+            ],
         )
 
 
@@ -343,20 +342,18 @@ class CostModelAblation:
     load_imbalance: Dict[str, float]
 
     def render(self) -> str:
-        lines = [
+        return render_table(
             "Ablation: cost model vs. host-only network consumption "
             "(4 domains x 8 VMs, 4 plants)",
-            "",
-            f"{'cost model':>20} {'fresh networks':>15} "
-            f"{'load stddev':>12}",
-            "-" * 50,
-        ]
-        for label in self.fresh_networks:
-            lines.append(
-                f"{label:>20} {self.fresh_networks[label]:>15d} "
-                f"{self.load_imbalance[label]:>12.2f}"
-            )
-        return "\n".join(lines)
+            {
+                "cost model": ">20", "fresh networks": ">15d",
+                "load stddev": ">12.2f",
+            },
+            [
+                (label, fresh, self.load_imbalance[label])
+                for label, fresh in self.fresh_networks.items()
+            ],
+        )
 
 
 def run_cost_model_ablation(
@@ -404,11 +401,11 @@ def run_cost_model_ablation(
 
 
 # ---------------------------------------------------------------------------
-# Suite fan-out
+# The suite
 # ---------------------------------------------------------------------------
 
 #: Name → driver for every ablation above.  Each driver builds its own
-#: seeded testbed(s), so the set is embarrassingly parallel.
+#: seeded testbed(s).
 ABLATIONS: Dict[str, object] = {
     "clone_mode": run_clone_mode_ablation,
     "matching": run_matching_ablation,
@@ -418,33 +415,6 @@ ABLATIONS: Dict[str, object] = {
 }
 
 
-def run_all_ablations(
-    seed: int = 2004,
-    mode: str = "auto",
-    max_workers: int = None,
-    cache=None,
-) -> Dict[str, object]:
-    """Run every ablation, fanned out.
-
-    Results merge in :data:`ABLATIONS` order regardless of completion
-    order.  With a :class:`~repro.experiments.cache.ResultCache`,
-    each ablation result is memoized on disk individually.
-    """
-    from repro.experiments.parallel import Job, run_jobs
-
-    results: Dict[str, object] = {}
-    pending = []
-    for name, fn in ABLATIONS.items():
-        if cache is not None:
-            hit = cache.get(f"ablation-{name}", {"seed": seed})
-            if hit is not None:
-                results[name] = hit
-                continue
-        pending.append(Job(key=name, fn=fn, kwargs={"seed": seed}))
-    if pending:
-        fresh = run_jobs(pending, mode=mode, max_workers=max_workers)
-        for name, value in fresh.items():
-            if cache is not None:
-                cache.put(f"ablation-{name}", {"seed": seed}, value)
-            results[name] = value
-    return {name: results[name] for name in ABLATIONS if name in results}
+def run_all_ablations(seed: int = 2004) -> Dict[str, object]:
+    """Run every ablation, in :data:`ABLATIONS` order."""
+    return {name: fn(seed=seed) for name, fn in ABLATIONS.items()}

@@ -27,6 +27,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.tables import find_point, point_record, render_table
 from repro.core.errors import ReproError
 from repro.faults.audit import leak_report as _leak_report
 from repro.faults.injector import FaultInjector
@@ -86,25 +87,6 @@ class ChaosPoint:
     def leaked(self) -> bool:
         return any(v != 0 for v in self.leaks.values())
 
-    def as_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "mtbf_s": self.mtbf_s,
-            "requests": self.requests,
-            "ok": self.ok,
-            "failed": self.failed,
-            "availability": self.availability,
-            "goodput_per_s": self.goodput_per_s,
-            "mean_latency_s": self.mean_latency_s,
-            "makespan_s": self.makespan_s,
-            "faults_applied": self.faults_applied,
-            "faults_skipped": self.faults_skipped,
-            "measured_mttr_s": self.measured_mttr_s,
-            "quarantines": self.quarantines,
-            "leaks": dict(self.leaks),
-            "fingerprint": self.fingerprint,
-        }
-
 
 @dataclass
 class ChaosResult:
@@ -126,10 +108,7 @@ class ChaosResult:
     trace_dropped: int = 0
 
     def point(self, mtbf_s: float, policy: str) -> ChaosPoint:
-        for p in self.points[mtbf_s]:
-            if p.policy == policy:
-                return p
-        raise KeyError(f"no point for {policy!r} at MTBF {mtbf_s}")
+        return find_point(self.points[mtbf_s], policy=policy)
 
     def availability_ladder(self, mtbf_s: float) -> List[float]:
         """Availabilities in ladder order for one MTBF point."""
@@ -153,7 +132,7 @@ class ChaosResult:
             "n_plants": self.n_plants,
             "policies": list(self.policies),
             "points": [
-                p.as_dict()
+                point_record(p)
                 for mtbf in sorted(self.points)
                 for p in self.points[mtbf]
             ],
@@ -167,43 +146,18 @@ class ChaosResult:
         }
 
     def render(self) -> str:
-        lines = [
-            "Extension: recovery-policy ladder under injected faults "
-            f"({self.requests} x {self.memory_mb} MB VMs, "
-            f"{self.n_plants} plants, {self.rate_per_s:g} req/s, "
-            f"MTTR {self.mttr_s:.0f} s)",
-            "",
-            f"{'MTBF (s)':>9} {'policy':<10} {'ok':>4} {'avail':>7} "
-            f"{'goodput/s':>10} {'mean lat':>9} {'faults':>7} "
-            f"{'skip':>5} {'MTTR (s)':>9} {'quar':>5} {'leaks':>6}",
-            "-" * 90,
-        ]
-        for mtbf in sorted(self.points):
-            for p in self.points[mtbf]:
-                mttr = (
-                    f"{p.measured_mttr_s:>9.1f}"
-                    if p.measured_mttr_s is not None
-                    else f"{'-':>9}"
-                )
-                lines.append(
-                    f"{mtbf:>9.0f} {p.policy:<10} {p.ok:>4d} "
-                    f"{p.availability:>7.3f} {p.goodput_per_s:>10.4f} "
-                    f"{p.mean_latency_s:>9.1f} {p.faults_applied:>7d} "
-                    f"{p.faults_skipped:>5d} {mttr} {p.quarantines:>5d} "
-                    f"{'LEAK' if p.leaked else 'none':>6}"
-                )
-        lines.append("-" * 90)
+        notes = []
         for mtbf in sorted(self.points):
             ladder = self.availability_ladder(mtbf)
             arrow = " <= ".join(f"{a:.3f}" for a in ladder)
             mono = all(b >= a for a, b in zip(ladder, ladder[1:]))
-            lines.append(
+            notes.append(
                 f"MTBF {mtbf:.0f}s availability ladder "
                 f"({' -> '.join(self.policies)}): {arrow}"
                 f"{'' if mono else '  [NOT MONOTONE]'}"
             )
         if self.trace_capacity is not None:
-            lines.append(
+            notes.append(
                 f"tracer: bounded to {self.trace_capacity} events; "
                 f"{self.trace_dropped} dropped"
                 + (
@@ -212,7 +166,29 @@ class ChaosResult:
                     else ""
                 )
             )
-        return "\n".join(lines)
+        return render_table(
+            "Extension: recovery-policy ladder under injected faults "
+            f"({self.requests} x {self.memory_mb} MB VMs, "
+            f"{self.n_plants} plants, {self.rate_per_s:g} req/s, "
+            f"MTTR {self.mttr_s:.0f} s)",
+            {
+                "MTBF (s)": ">9.0f", "policy": "<10", "ok": ">4d",
+                "avail": ">7.3f", "goodput/s": ">10.4f", "mean lat": ">9.1f",
+                "faults": ">7d", "skip": ">5d", "MTTR (s)": ">9.1f",
+                "quar": ">5d", "leaks": ">6",
+            },
+            [
+                (
+                    mtbf, p.policy, p.ok, p.availability, p.goodput_per_s,
+                    p.mean_latency_s, p.faults_applied, p.faults_skipped,
+                    p.measured_mttr_s, p.quarantines,
+                    "LEAK" if p.leaked else "none",
+                )
+                for mtbf in sorted(self.points)
+                for p in self.points[mtbf]
+            ],
+            notes,
+        )
 
 
 def _policy_table(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List
 
 from repro.analysis.stats import Summary, summarize
+from repro.analysis.tables import render_table
 from repro.sim.cluster import build_testbed
 from repro.sim.resources import Resource
 from repro.workloads.requests import request_stream
@@ -47,27 +48,26 @@ class ConcurrencyResult:
     makespan: Dict[int, float]
 
     def render(self) -> str:
-        lines = [
+        return render_table(
             f"Extension: request concurrency "
             f"({self.requests} x {self.memory_mb} MB VMs, 8 plants, "
             "shared NFS path)",
-            "",
-            f"{'in-flight':>10} {'clone mean (s)':>15} "
-            f"{'creation mean (s)':>18} {'makespan (s)':>13}",
-            "-" * 60,
-        ]
-        for k in sorted(self.latency):
-            lines.append(
-                f"{k:>10d} {self.cloning[k].mean:>15.1f} "
-                f"{self.latency[k].mean:>18.1f} "
-                f"{self.makespan[k]:>13.1f}"
-            )
-        lines.append("-" * 60)
-        lines.append(
-            "concurrency slows individual clones (NFS contention) but "
-            "shrinks the makespan"
+            {
+                "in-flight": ">10d", "clone mean (s)": ">15.1f",
+                "creation mean (s)": ">18.1f", "makespan (s)": ">13.1f",
+            },
+            [
+                (
+                    k, self.cloning[k].mean, self.latency[k].mean,
+                    self.makespan[k],
+                )
+                for k in sorted(self.latency)
+            ],
+            [
+                "concurrency slows individual clones (NFS contention) but "
+                "shrinks the makespan"
+            ],
         )
-        return "\n".join(lines)
 
 
 @dataclass
@@ -83,24 +83,20 @@ class ReplicaResult:
     makespan: Dict[int, float]
 
     def render(self) -> str:
-        lines = [
+        return render_table(
             "Extension: replicated VM warehouse "
             f"({self.requests} x {self.memory_mb} MB VMs, "
             f"{self.level} in flight)",
-            "",
-            f"{'replicas':>9} {'clone mean (s)':>15} {'makespan (s)':>13}",
-            "-" * 41,
-        ]
-        for n in sorted(self.cloning):
-            lines.append(
-                f"{n:>9d} {self.cloning[n].mean:>15.1f} "
-                f"{self.makespan[n]:>13.1f}"
-            )
-        lines.append("-" * 41)
-        lines.append(
-            "replicas relieve the NFS bottleneck concurrency exposes"
+            {
+                "replicas": ">9d", "clone mean (s)": ">15.1f",
+                "makespan (s)": ">13.1f",
+            },
+            [
+                (n, self.cloning[n].mean, self.makespan[n])
+                for n in sorted(self.cloning)
+            ],
+            ["replicas relieve the NFS bottleneck concurrency exposes"],
         )
-        return "\n".join(lines)
 
 
 def run_warehouse_replicas(

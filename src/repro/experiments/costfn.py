@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Tuple
 
+from repro.analysis.tables import render_table
 from repro.cost.models import NetworkComputeCost
 from repro.sim.cluster import Testbed, build_testbed
 from repro.workloads.requests import experiment_request
@@ -49,25 +50,23 @@ class CostFnResult:
 
     def render(self) -> str:
         """Per-request decision table."""
-        lines = [
+        names = sorted(self.decisions[0][3])
+        return render_table(
             "Section 3.4 cost-function illustration "
             "(network cost 50, compute cost 4/VM)",
-            "",
-            f"{'request':>8} {'bid A':>8} {'bid B':>8} {'chosen':>8}",
-            "-" * 36,
-        ]
-        names = sorted(self.decisions[0][3])
-        for seq, plant, _, bids in self.decisions:
-            row = f"{seq:>8d} "
-            row += " ".join(f"{bids.get(n, float('nan')):>8.0f}" for n in names)
-            row += f" {plant:>8}"
-            lines.append(row)
-        lines.append("-" * 36)
-        lines.append(
-            f"crossover to the second plant at request {self.crossover} "
-            "(paper: 14th request, after 13 VMs on one plant)"
+            {
+                "request": ">8d", "bid A": ">8.0f", "bid B": ">8.0f",
+                "chosen": ">8",
+            },
+            [
+                (seq, *(bids.get(n, float("nan")) for n in names), plant)
+                for seq, plant, _, bids in self.decisions
+            ],
+            [
+                f"crossover to the second plant at request {self.crossover} "
+                "(paper: 14th request, after 13 VMs on one plant)"
+            ],
         )
-        return "\n".join(lines)
 
 
 def run_costfn(

@@ -30,6 +30,7 @@ from typing import Dict, Generator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.tables import find_point, point_record, render_table
 from repro.core.errors import ReproError
 from repro.provisioning import ProvisioningConfig
 from repro.sim.cluster import build_testbed
@@ -82,25 +83,6 @@ class DistPoint:
     #: SHA-256 over the per-host latencies (determinism checks).
     fingerprint: str
 
-    def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "hosts": self.hosts,
-            "ok": self.ok,
-            "failed": self.failed,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "mean_s": self.mean_s,
-            "max_s": self.max_s,
-            "makespan_s": self.makespan_s,
-            "nfs_mb": self.nfs_mb,
-            "peer_hops": self.peer_hops,
-            "attaches": self.attaches,
-            "fallbacks": self.fallbacks,
-            "nfs_seeds": self.nfs_seeds,
-            "fingerprint": self.fingerprint,
-        }
-
 
 @dataclass
 class DistTreeResult:
@@ -114,10 +96,7 @@ class DistTreeResult:
 
     def point(self, variant: str, hosts: int) -> DistPoint:
         """The measurement for one (variant, fleet size) rung."""
-        for p in self.points[variant]:
-            if p.hosts == hosts:
-                return p
-        raise KeyError(f"no point for {variant!r} at {hosts} hosts")
+        return find_point(self.points[variant], hosts=hosts)
 
     def p95_growth(self, variant: str) -> float:
         """p95 at the top of the ladder over p95 at the bottom."""
@@ -133,36 +112,35 @@ class DistTreeResult:
             "hosts": list(self.hosts),
             "fanout": self.fanout,
             "points": [
-                p.as_dict() for pts in self.points.values() for p in pts
+                point_record(p) for pts in self.points.values() for p in pts
             ],
         }
 
     def render(self) -> str:
-        lines = [
+        return render_table(
             "Extension: golden-image distribution at scale "
             f"(one {self.memory_mb} MB VM per host, same-image burst, "
             f"tree fan-out {self.fanout})",
-            "",
-            f"{'variant':<10} {'hosts':>5} {'ok':>4} {'p50 (s)':>8} "
-            f"{'p95 (s)':>8} {'max (s)':>8} {'NFS MB':>9} "
-            f"{'hops':>5} {'attach':>6} {'fall':>4}",
-            "-" * 76,
-        ]
-        for variant in self.points:
-            for p in self.points[variant]:
-                lines.append(
-                    f"{variant:<10} {p.hosts:>5d} {p.ok:>4d} "
-                    f"{p.p50_s:>8.1f} {p.p95_s:>8.1f} {p.max_s:>8.1f} "
-                    f"{p.nfs_mb:>9.0f} {p.peer_hops:>5d} "
-                    f"{p.attaches:>6d} {p.fallbacks:>4d}"
+            {
+                "variant": "<10", "hosts": ">5d", "ok": ">4d",
+                "p50 (s)": ">8.1f", "p95 (s)": ">8.1f", "max (s)": ">8.1f",
+                "NFS MB": ">9.0f", "hops": ">5d", "attach": ">6d",
+                "fall": ">4d",
+            },
+            [
+                (
+                    variant, p.hosts, p.ok, p.p50_s, p.p95_s, p.max_s,
+                    p.nfs_mb, p.peer_hops, p.attaches, p.fallbacks,
                 )
-        lines.append("-" * 76)
-        lines.append(
-            f"{min(self.hosts)}->{max(self.hosts)} hosts: tree p95 grows "
-            f"{self.p95_growth('tree'):.2f}x while the NFS star grows "
-            f"{self.p95_growth('nfs-star'):.1f}x"
+                for variant, pts in self.points.items()
+                for p in pts
+            ],
+            [
+                f"{min(self.hosts)}->{max(self.hosts)} hosts: tree p95 "
+                f"grows {self.p95_growth('tree'):.2f}x while the NFS star "
+                f"grows {self.p95_growth('nfs-star'):.1f}x"
+            ],
         )
-        return "\n".join(lines)
 
 
 def _fingerprint(latencies: Sequence[float]) -> str:

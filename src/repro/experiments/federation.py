@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.tables import find_point, render_table
 from repro.experiments import shardcost
 from repro.experiments.recheck import (
     DeterminismRecheck,
@@ -68,40 +69,19 @@ class FederationPoint:
     plants: int
     events: int
     #: :func:`repro.experiments.shardcost.shard_cost` of the run.
-    cost: Dict[str, Any]
+    cost: Dict[str, Any] = field(metadata={"splice": True})
     bids: int
     bid_rounds: int
     #: Bid rounds per successful create (0.0 when nothing succeeded).
-    bid_rounds_per_ok: float
+    bid_rounds_per_ok: float = field(metadata={"round": 3})
     created: int
     destroyed: int
     failed: int
     spills_sent: int
     spilled_ok: int
     spill_timeout: int
-    p50_latency_s: float
-    p95_latency_s: float
-
-    def as_dict(self) -> dict:
-        return {
-            "sites": self.sites,
-            "shards": self.shards,
-            "cross_fraction": self.cross_fraction,
-            "plants": self.plants,
-            "events": self.events,
-            **self.cost,
-            "bids": self.bids,
-            "bid_rounds": self.bid_rounds,
-            "bid_rounds_per_ok": round(self.bid_rounds_per_ok, 3),
-            "created": self.created,
-            "destroyed": self.destroyed,
-            "failed": self.failed,
-            "spills_sent": self.spills_sent,
-            "spilled_ok": self.spilled_ok,
-            "spill_timeout": self.spill_timeout,
-            "p50_latency_s": round(self.p50_latency_s, 2),
-            "p95_latency_s": round(self.p95_latency_s, 2),
-        }
+    p50_latency_s: float = field(metadata={"round": 2})
+    p95_latency_s: float = field(metadata={"round": 2})
 
 
 @dataclass
@@ -120,56 +100,49 @@ class FederationResult:
     def point(
         self, sites: int, cross_fraction: float
     ) -> FederationPoint:
-        for p in self.points:
-            if p.sites == sites and p.cross_fraction == cross_fraction:
-                return p
-        raise KeyError(
-            f"no point for sites={sites} cross={cross_fraction}"
+        return find_point(
+            self.points, sites=sites, cross_fraction=cross_fraction
         )
 
     def render(self) -> str:
         prm = self.params
-        lines = shardcost.overload_banner(
+        banner = shardcost.overload_banner(
             (p.sites * prm["requests"], p.created) for p in self.points
         )
-        lines += [
+        table = render_table(
             "Extension: federated multi-site control plane "
             f"({prm['plants']} plants/site x {prm['requests']} "
             f"requests/site, rate {prm['rate_per_s']:.1f}/s, "
             f"rack size {prm['rack_size']}, "
             f"WAN lookahead {prm['link_latency_s']:.0f}s)",
-            "",
-            f"{'sites':>5} {'cross':>6} {'plants':>6} {'created':>8} "
-            f"{'failed':>7} {'spilled':>8} {shardcost.COST_HEADER} "
-            f"{'rounds/ok':>10} {'bids':>8} {'p95 (s)':>8}",
-            "-" * 131,
-        ]
-        for p in self.points:
-            lines.append(
-                f"{p.sites:>5d} {p.cross_fraction:>6.2f} "
-                f"{p.plants:>6d} {p.created:>8d} {p.failed:>7d} "
-                f"{p.spilled_ok:>8d} {shardcost.cells(p.cost)} "
-                f"{p.bid_rounds_per_ok:>10.2f} {p.bids:>8d} "
-                f"{p.p95_latency_s:>8.1f}"
+            {
+                "sites": ">5d", "cross": ">6.2f", "plants": ">6d",
+                "created": ">8d", "failed": ">7d", "spilled": ">8d",
+                **shardcost.COST_COLUMNS,
+                "rounds/ok": ">10.2f", "bids": ">8d", "p95 (s)": ">8.1f",
+            },
+            [
+                (
+                    p.sites, p.cross_fraction, p.plants, p.created,
+                    p.failed, p.spilled_ok, *shardcost.cost_cells(p.cost),
+                    p.bid_rounds_per_ok, p.bids, p.p95_latency_s,
+                )
+                for p in self.points
+            ],
+            shardcost.cost_notes(
+                self.points,
+                [f"cross {p.cross_fraction:.2f}, " for p in self.points],
             )
-        lines.append("-" * 131)
-        lines += shardcost.cost_notes(
-            self.points,
-            [f"cross {p.cross_fraction:.2f}, " for p in self.points],
+            + [self.recheck.line()],
         )
-        lines.append(self.recheck.line())
-        return "\n".join(lines)
+        return "\n".join(banner + [table])
 
     def to_record(self) -> dict:
-        return {
-            "seed": self.seed,
-            "site_counts": list(self.site_counts),
-            "cross_fractions": list(self.cross_fractions),
-            "params": {k: v for k, v in sorted(self.params.items())},
-            "points": [p.as_dict() for p in self.points],
-            "deterministic": self.recheck.ok,
-            "fingerprint": self.recheck.fingerprint,
-        }
+        return shardcost.sweep_record(
+            self,
+            site_counts=list(self.site_counts),
+            cross_fractions=list(self.cross_fractions),
+        )
 
 
 def run_federation(

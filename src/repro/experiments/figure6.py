@@ -35,7 +35,6 @@ class Figure6Result:
             "Figure 6: cloning time vs. VM sequence number",
             self.series,
             x_label="sequence",
-            y_label="cloning time (s)",
             max_rows=max_rows,
         )
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.tables import find_point, render_table
 from repro.experiments import shardcost
 from repro.experiments.recheck import (
     DeterminismRecheck,
@@ -46,21 +47,10 @@ class KernelBenchPoint:
     sites: int
     events: int
     #: :func:`repro.experiments.shardcost.shard_cost` of the run.
-    cost: Dict[str, Any]
+    cost: Dict[str, Any] = field(metadata={"splice": True})
     created: int
     spills: int
     failed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "sites": self.sites,
-            "events": self.events,
-            **self.cost,
-            "created": self.created,
-            "spills": self.spills,
-            "failed": self.failed,
-        }
 
 
 @dataclass
@@ -76,48 +66,34 @@ class KernelBenchResult:
     recheck: DeterminismRecheck = field(default_factory=DeterminismRecheck)
 
     def point(self, shards: int) -> KernelBenchPoint:
-        for p in self.points:
-            if p.shards == shards:
-                return p
-        raise KeyError(f"no point for {shards} shards")
+        return find_point(self.points, shards=shards)
 
     def render(self) -> str:
         arrivals = self.sites * self.params["requests"]
-        lines = shardcost.overload_banner(
+        banner = shardcost.overload_banner(
             (arrivals, p.created) for p in self.points
         )
-        lines += [
+        table = render_table(
             "Extension: sharded parallel DES kernel "
             f"({self.sites} sites x {self.params['requests']} requests, "
             f"rate {self.params['rate_per_s']:.1f}/s, "
             f"lookahead {self.params['link_latency_s']:.0f}s)",
-            "",
-            f"{'shards':>6} {'events':>9} {'failed':>7} "
-            f"{shardcost.COST_HEADER}",
-            "-" * 82,
-        ]
-        for p in self.points:
-            lines.append(
-                f"{p.shards:>6d} {p.events:>9d} {p.failed:>7d} "
-                f"{shardcost.cells(p.cost)}"
-            )
-        lines.append("-" * 82)
-        lines += shardcost.cost_notes(self.points)
-        lines.append(self.recheck.line())
-        return "\n".join(lines)
+            {
+                "shards": ">6d", "events": ">9d", "failed": ">7d",
+                **shardcost.COST_COLUMNS,
+            },
+            [
+                (p.shards, p.events, p.failed, *shardcost.cost_cells(p.cost))
+                for p in self.points
+            ],
+            shardcost.cost_notes(self.points) + [self.recheck.line()],
+        )
+        return "\n".join(banner + [table])
 
     def to_record(self) -> dict:
-        return {
-            "seed": self.seed,
-            "sites": self.sites,
-            "shard_counts": list(self.shard_counts),
-            "params": {
-                k: v for k, v in sorted(self.params.items())
-            },
-            "points": [p.as_dict() for p in self.points],
-            "deterministic": self.recheck.ok,
-            "fingerprint": self.recheck.fingerprint,
-        }
+        return shardcost.sweep_record(
+            self, sites=self.sites, shard_counts=list(self.shard_counts)
+        )
 
 
 def run_kernelbench(

@@ -23,6 +23,7 @@ from typing import Dict, Generator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.tables import find_point, render_table
 from repro.core.errors import ReproError
 from repro.provisioning import ProvisioningConfig
 from repro.sim.cluster import build_testbed
@@ -76,25 +77,6 @@ class LoadPoint:
     #: SHA-256 over the per-request latencies (determinism checks).
     fingerprint: str
 
-    def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "rate_per_s": self.rate_per_s,
-            "requests": self.requests,
-            "ok": self.ok,
-            "failed": self.failed,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "mean_s": self.mean_s,
-            "makespan_s": self.makespan_s,
-            "creates_per_s": self.creates_per_s,
-            "nfs_mb": self.nfs_mb,
-            "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
-            "pool_hits": self.pool_hits,
-            "fingerprint": self.fingerprint,
-        }
-
 
 @dataclass
 class LoadTestResult:
@@ -110,10 +92,7 @@ class LoadTestResult:
 
     def point(self, variant: str, rate: float) -> LoadPoint:
         """The measurement for one (variant, rate) combination."""
-        for p in self.points[variant]:
-            if p.rate_per_s == rate:
-                return p
-        raise KeyError(f"no point for {variant!r} at rate {rate}")
+        return find_point(self.points[variant], rate_per_s=rate)
 
     def speedup_at(self, rate: float) -> float:
         """Sustained-throughput ratio, full stack over baseline."""
@@ -129,33 +108,31 @@ class LoadTestResult:
 
     def render(self) -> str:
         top = max(self.rates)
-        lines = [
+        return render_table(
             "Extension: provisioning throughput under load "
             f"({self.requests} x {self.memory_mb} MB VMs, "
             f"{self.n_plants} plants, "
             f"Poisson arrivals, cache {self.cache_mb:.0f} MB/host)",
-            "",
-            f"{'variant':<20} {'rate/s':>7} {'ok':>4} {'p50 (s)':>8} "
-            f"{'p95 (s)':>8} {'creates/s':>10} {'NFS MB':>8} "
-            f"{'hits':>5} {'coal':>5} {'pool':>5}",
-            "-" * 88,
-        ]
-        for variant, pts in self.points.items():
-            for p in pts:
-                lines.append(
-                    f"{variant:<20} {p.rate_per_s:>7.2f} {p.ok:>4d} "
-                    f"{p.p50_s:>8.1f} {p.p95_s:>8.1f} "
-                    f"{p.creates_per_s:>10.3f} {p.nfs_mb:>8.0f} "
-                    f"{p.cache_hits:>5d} {p.coalesced:>5d} "
-                    f"{p.pool_hits:>5d}"
+            {
+                "variant": "<20", "rate/s": ">7.2f", "ok": ">4d",
+                "p50 (s)": ">8.1f", "p95 (s)": ">8.1f", "creates/s": ">10.3f",
+                "NFS MB": ">8.0f", "hits": ">5d", "coal": ">5d", "pool": ">5d",
+            },
+            [
+                (
+                    variant, p.rate_per_s, p.ok, p.p50_s, p.p95_s,
+                    p.creates_per_s, p.nfs_mb, p.cache_hits, p.coalesced,
+                    p.pool_hits,
                 )
-        lines.append("-" * 88)
-        lines.append(
-            f"at {top:.2f} req/s the full stack sustains "
-            f"{self.speedup_at(top):.1f}x the baseline creates/sec at "
-            f"{self.p95_improvement_at(top):.1f}x lower p95 latency"
+                for variant, pts in self.points.items()
+                for p in pts
+            ],
+            [
+                f"at {top:.2f} req/s the full stack sustains "
+                f"{self.speedup_at(top):.1f}x the baseline creates/sec at "
+                f"{self.p95_improvement_at(top):.1f}x lower p95 latency"
+            ],
         )
-        return "\n".join(lines)
 
 
 def _fingerprint(latencies: Sequence[float]) -> str:

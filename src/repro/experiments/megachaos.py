@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.tables import find_point, point_record, render_table
 from repro.experiments.recheck import (
     DeterminismRecheck,
     recheck_determinism,
@@ -99,12 +100,14 @@ class MegaChaosPoint:
     #: (arrivals - failed) / arrivals: fraction of offered requests
     #: that did not end in failure.  A shed request is a deterministic
     #: policy decline, not a failure, and is tallied separately.
-    availability: float
-    goodput_per_s: float
-    makespan_s: float
+    availability: float = field(metadata={"round": 6})
+    goodput_per_s: float = field(metadata={"round": 6})
+    makespan_s: float = field(metadata={"round": 6})
     #: Residual grid-scope resources at drain; all zero when clean.
     leaks: Dict[str, float]
     summary_signature: str
+    #: Properties a point's record carries after its fields.
+    derived = ("accounted",)
 
     @property
     def leaked(self) -> bool:
@@ -114,31 +117,6 @@ class MegaChaosPoint:
     def accounted(self) -> bool:
         """Every arrival ended as ok, failed or shed."""
         return self.arrivals == self.ok + self.failed + self.shed
-
-    def as_dict(self) -> dict:
-        return {
-            "rung": self.rung,
-            "shards": self.shards,
-            "arrivals": self.arrivals,
-            "ok": self.ok,
-            "failed": self.failed,
-            "shed": self.shed,
-            "preempted": self.preempted,
-            "deadline_miss": self.deadline_miss,
-            "spilled_ok": self.spilled_ok,
-            "spill_retries": self.spill_retries,
-            "spill_timeout": self.spill_timeout,
-            "spills_dropped": self.spills_dropped,
-            "local_fallbacks": self.local_fallbacks,
-            "faults_applied": self.faults_applied,
-            "faults_skipped": self.faults_skipped,
-            "availability": round(self.availability, 6),
-            "goodput_per_s": round(self.goodput_per_s, 6),
-            "makespan_s": round(self.makespan_s, 6),
-            "leaks": dict(self.leaks),
-            "summary_signature": self.summary_signature,
-            "accounted": self.accounted,
-        }
 
 
 @dataclass
@@ -156,10 +134,7 @@ class MegaChaosResult:
     recheck: DeterminismRecheck = field(default_factory=DeterminismRecheck)
 
     def point(self, rung: str) -> MegaChaosPoint:
-        for p in self.points:
-            if p.rung == rung:
-                return p
-        raise KeyError(f"no point for rung {rung!r}")
+        return find_point(self.points, rung=rung)
 
     def availability_ladder(self) -> List[float]:
         return [p.availability for p in self.points]
@@ -194,7 +169,7 @@ class MegaChaosResult:
                 "signature": self.plan_signature,
                 "records": list(self.plan_records),
             },
-            "points": [p.as_dict() for p in self.points],
+            "points": [point_record(p) for p in self.points],
             "fingerprints": {
                 str(k): v
                 for k, v in sorted(self.recheck.fingerprints.items())
@@ -211,39 +186,37 @@ class MegaChaosResult:
 
     def render(self) -> str:
         cfg = self.config
-        lines = [
+        faulted = [p for p in self.points if p.rung != "none"]
+        arrow = " <= ".join(f"{p.availability:.3f}" for p in faulted)
+        return render_table(
             "Extension: grid resilience ladder under a site blackout "
             f"({cfg['sites']} sites x {cfg['requests_per_site']} "
             f"requests/site, blackout site {cfg['blackout_site']} "
             f"at t={cfg['blackout_at']:g}s for "
             f"{cfg['blackout_s']:g}s; plan "
             f"{self.plan_signature[:16]})",
-            "",
-            f"{'rung':<10} {'ok':>6} {'fail':>5} {'shed':>5} "
-            f"{'avail':>7} {'goodput/s':>10} {'retries':>8} "
-            f"{'dropped':>8} {'fallback':>9} {'faults':>7} "
-            f"{'skip':>5} {'leaks':>6}",
-            "-" * 96,
-        ]
-        for p in self.points:
-            lines.append(
-                f"{p.rung:<10} {p.ok:>6d} {p.failed:>5d} "
-                f"{p.shed:>5d} {p.availability:>7.3f} "
-                f"{p.goodput_per_s:>10.4f} {p.spill_retries:>8d} "
-                f"{p.spills_dropped:>8d} {p.local_fallbacks:>9d} "
-                f"{p.faults_applied:>7d} {p.faults_skipped:>5d} "
-                f"{'LEAK' if p.leaked else 'none':>6}"
-            )
-        lines.append("-" * 96)
-        faulted = [p for p in self.points if p.rung != "none"]
-        arrow = " <= ".join(f"{p.availability:.3f}" for p in faulted)
-        lines.append(
-            "availability ladder "
-            f"({' -> '.join(p.rung for p in faulted)}): {arrow}"
-            f"{'' if self.ladder_monotone else '  [NOT MONOTONE]'}"
+            {
+                "rung": "<10", "ok": ">6d", "fail": ">5d", "shed": ">5d",
+                "avail": ">7.3f", "goodput/s": ">10.4f", "retries": ">8d",
+                "dropped": ">8d", "fallback": ">9d", "faults": ">7d",
+                "skip": ">5d", "leaks": ">6",
+            },
+            [
+                (
+                    p.rung, p.ok, p.failed, p.shed, p.availability,
+                    p.goodput_per_s, p.spill_retries, p.spills_dropped,
+                    p.local_fallbacks, p.faults_applied, p.faults_skipped,
+                    "LEAK" if p.leaked else "none",
+                )
+                for p in self.points
+            ],
+            [
+                "availability ladder "
+                f"({' -> '.join(p.rung for p in faulted)}): {arrow}"
+                f"{'' if self.ladder_monotone else '  [NOT MONOTONE]'}",
+                self.recheck.line(),
+            ],
         )
-        lines.append(self.recheck.line())
-        return "\n".join(lines)
 
 
 def _rung_params(

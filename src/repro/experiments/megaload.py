@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.tables import find_point, render_table
 from repro.experiments import shardcost
 from repro.experiments.recheck import (
     DeterminismRecheck,
@@ -64,33 +65,13 @@ class MegaLoadPoint:
     spilled_ok: int
     events: int
     #: :func:`repro.experiments.shardcost.shard_cost` of the run.
-    cost: Dict[str, Any]
-    peak_rss_mb: float
-    p50_latency_s: float
-    p95_latency_s: float
-    p99_latency_s: float
-    mean_latency_s: float
+    cost: Dict[str, Any] = field(metadata={"splice": True})
+    peak_rss_mb: float = field(metadata={"round": 1})
+    p50_latency_s: float = field(metadata={"round": 3})
+    p95_latency_s: float = field(metadata={"round": 3})
+    p99_latency_s: float = field(metadata={"round": 3})
+    mean_latency_s: float = field(metadata={"round": 3})
     summary_signature: str
-
-    def as_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "sites": self.sites,
-            "requests": self.requests,
-            "arrivals": self.arrivals,
-            "ok": self.ok,
-            "failed": self.failed,
-            "deadline_miss": self.deadline_miss,
-            "spilled_ok": self.spilled_ok,
-            "events": self.events,
-            **self.cost,
-            "peak_rss_mb": round(self.peak_rss_mb, 1),
-            "p50_latency_s": round(self.p50_latency_s, 3),
-            "p95_latency_s": round(self.p95_latency_s, 3),
-            "p99_latency_s": round(self.p99_latency_s, 3),
-            "mean_latency_s": round(self.mean_latency_s, 3),
-            "summary_signature": self.summary_signature,
-        }
 
 
 @dataclass
@@ -118,77 +99,69 @@ class MegaLoadResult:
         return len(sigs) == 1
 
     def point(self, shards: int) -> MegaLoadPoint:
-        for p in self.points:
-            if p.shards == shards:
-                return p
-        raise KeyError(f"no point for shards={shards}")
+        return find_point(self.points, shards=shards)
 
     def render(self) -> str:
         prm = self.params
         total = self.sites * prm["requests"]
-        lines = shardcost.overload_banner(
+        banner = shardcost.overload_banner(
             (p.arrivals, p.ok) for p in self.points
         )
-        lines += [
+        if not self.points:
+            sketches = []
+        elif self.sketch_equal:
+            sketches = [
+                "sketches: merged summary state bit-identical at "
+                f"shard counts {[p.shards for p in self.points]} "
+                f"({self.points[0].summary_signature[:16]})"
+            ]
+        else:
+            signatures = {
+                p.shards: p.summary_signature[:16] for p in self.points
+            }
+            sketches = [f"sketches: MERGE MISMATCH — {signatures}"]
+        tail = sketches + [self.recheck.line()]
+        if self.tenant_rows:
+            tail = [
+                render_table(
+                    "",
+                    {
+                        "tenant": ">12", "ok": ">9d", "failed": ">7d",
+                        "miss": ">6d", "p95 (s)": ">8.1f",
+                    },
+                    self.tenant_rows,
+                    tail,
+                )
+            ]
+        table = render_table(
             "Extension: trace-driven megaload "
             f"({self.sites} sites x {prm['requests']} requests/site "
             f"= {total} requests; {prm['plants']} plants/site, "
             f"mix {prm['interactive_fraction']:.0%} interactive / "
             f"{prm['batch_fraction']:.0%} batch / flash remainder)",
-            "",
-            f"{'shards':>6} {'ok':>9} {'failed':>9} {'miss':>6} "
-            f"{shardcost.COST_HEADER} {'p50 (s)':>8} "
-            f"{'p95 (s)':>8} {'p99 (s)':>8} {'RSS MB':>7}",
-            "-" * 126,
-        ]
-        for p in self.points:
-            lines.append(
-                f"{p.shards:>6d} {p.ok:>9d} {p.failed:>9d} "
-                f"{p.deadline_miss:>6d} {shardcost.cells(p.cost)} "
-                f"{p.p50_latency_s:>8.1f} {p.p95_latency_s:>8.1f} "
-                f"{p.p99_latency_s:>8.1f} {p.peak_rss_mb:>7.0f}"
-            )
-        lines.append("-" * 126)
-        lines += shardcost.cost_notes(self.points)
-        if self.tenant_rows:
-            lines.append(
-                f"{'tenant':>12} {'ok':>9} {'failed':>7} "
-                f"{'miss':>6} {'p95 (s)':>8}"
-            )
-            for tenant, ok, failed, miss, p95 in self.tenant_rows:
-                lines.append(
-                    f"{tenant:>12} {ok:>9d} {failed:>7d} "
-                    f"{miss:>6d} {p95:>8.1f}"
+            {
+                "shards": ">6d", "ok": ">9d", "failed": ">9d", "miss": ">6d",
+                **shardcost.COST_COLUMNS,
+                "p50 (s)": ">8.1f", "p95 (s)": ">8.1f", "p99 (s)": ">8.1f",
+                "RSS MB": ">7.0f",
+            },
+            [
+                (
+                    p.shards, p.ok, p.failed, p.deadline_miss,
+                    *shardcost.cost_cells(p.cost), p.p50_latency_s,
+                    p.p95_latency_s, p.p99_latency_s, p.peak_rss_mb,
                 )
-            lines.append("-" * 78)
-        if self.sketch_equal and self.points:
-            lines.append(
-                "sketches: merged summary state bit-identical at "
-                f"shard counts {[p.shards for p in self.points]} "
-                f"({self.points[0].summary_signature[:16]})"
-            )
-        elif self.points:
-            lines.append(
-                "sketches: MERGE MISMATCH — "
-                + str(
-                    {
-                        p.shards: p.summary_signature[:16]
-                        for p in self.points
-                    }
-                )
-            )
-        lines.append(self.recheck.line())
-        return "\n".join(lines)
+                for p in self.points
+            ],
+            shardcost.cost_notes(self.points) + tail,
+        )
+        return "\n".join(banner + [table])
 
     def to_record(self) -> dict:
         return {
-            "seed": self.seed,
-            "sites": self.sites,
-            "shard_counts": list(self.shard_counts),
-            "params": {
-                k: v for k, v in sorted(self.params.items())
-            },
-            "points": [p.as_dict() for p in self.points],
+            **shardcost.sweep_record(
+                self, sites=self.sites, shard_counts=list(self.shard_counts)
+            ),
             "tenants": [
                 {
                     "tenant": t,
@@ -204,7 +177,6 @@ class MegaLoadResult:
             ),
             "sketch_equal": self.sketch_equal,
             "deterministic": self.recheck.ok and self.sketch_equal,
-            "fingerprint": self.recheck.fingerprint,
             "trace_capacity": self.trace_capacity,
             "trace_dropped": self.recheck.trace_dropped,
         }

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator
 
+from repro.analysis.tables import render_table
 from repro.plant.migration import MigrationManager
 from repro.sim.cluster import build_testbed
 from repro.workloads.requests import experiment_request
@@ -36,26 +37,18 @@ class MigrationResult:
     clone_after: float
 
     def render(self) -> str:
-        lines = [
+        return render_table(
             "Extension: migration of active VMs across plants (§6 "
             "future work)",
-            "",
-            f"{'memory (MB)':>12} {'migration time (s)':>19}",
-            "-" * 33,
-        ]
-        for memory in sorted(self.latency_by_memory):
-            lines.append(
-                f"{memory:>12d} "
-                f"{self.latency_by_memory[memory]:>19.1f}"
-            )
-        lines.append("-" * 33)
-        lines.append(
-            f"rebalancing 16 -> 8 clones: source pressure "
-            f"{self.pressure_before:.2f} -> {self.pressure_after:.2f}, "
-            f"clone time {self.clone_before:.1f}s -> "
-            f"{self.clone_after:.1f}s"
+            {"memory (MB)": ">12d", "migration time (s)": ">19.1f"},
+            sorted(self.latency_by_memory.items()),
+            [
+                f"rebalancing 16 -> 8 clones: source pressure "
+                f"{self.pressure_before:.2f} -> {self.pressure_after:.2f}, "
+                f"clone time {self.clone_before:.1f}s -> "
+                f"{self.clone_after:.1f}s"
+            ],
         )
-        return "\n".join(lines)
 
 
 def run_migration(seed: int = 2004) -> MigrationResult:

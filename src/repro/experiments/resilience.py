@@ -21,6 +21,7 @@ from typing import Dict, Generator, List
 
 import numpy as np
 
+from repro.analysis.tables import render_table
 from repro.core.errors import ReproError
 from repro.sim.cluster import build_testbed
 from repro.workloads.requests import experiment_request
@@ -40,25 +41,24 @@ class ResilienceResult:
     recovered: int
 
     def render(self) -> str:
-        lines = [
+        return render_table(
             "Extension: shop resilience "
             f"({self.requests} requests, {self.failure_prob:.0%} clone-"
             "failure injection, 4 plants)",
-            "",
-            f"{'policy':>10} {'successes':>10} {'mean latency (s)':>17}",
-            "-" * 40,
-        ]
-        for policy, (ok, latency) in self.outcomes.items():
-            lines.append(
-                f"{policy:>10} {ok:>6d}/{self.requests:<3d} "
-                f"{latency:>17.1f}"
-            )
-        lines.append("-" * 40)
-        lines.append(
-            f"shop restart drill: routing for {self.recovered} active "
-            "VMs rebuilt from plant information systems"
+            {
+                "policy": ">10", "successes": ">10",
+                "mean latency (s)": ">17.1f",
+            },
+            [
+                # The total is padded so that the slashes line up.
+                (policy, f"{ok}/{self.requests:<3d}", latency)
+                for policy, (ok, latency) in self.outcomes.items()
+            ],
+            [
+                f"shop restart drill: routing for {self.recovered} active "
+                "VMs rebuilt from plant information systems"
+            ],
         )
-        return "\n".join(lines)
 
 
 def run_resilience(

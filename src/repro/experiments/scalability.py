@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Tuple
 
+from repro.analysis.tables import render_table
 from repro.core.actions import Action
 from repro.core.spec import HardwareSpec
 from repro.plant.warehouse import GoldenImage
@@ -58,28 +59,23 @@ class ScalabilityResult:
     requests: int
 
     def render(self) -> str:
-        lines = [
+        return render_table(
             "Extension: bidding scalability — flat vs. brokered "
             f"({self.requests} x 32 MB creations per point)",
-            "",
-            f"{'plants':>8} {'flat msgs/create':>17} "
-            f"{'brokered msgs/create':>21} {'flat lat (s)':>13} "
-            f"{'brokered lat (s)':>17}",
-            "-" * 80,
-        ]
-        for n in sorted(self.calls_per_create):
-            flat_calls, brok_calls = self.calls_per_create[n]
-            flat_lat, brok_lat = self.latency[n]
-            lines.append(
-                f"{n:>8d} {flat_calls:>17.1f} {brok_calls:>21.1f} "
-                f"{flat_lat:>13.1f} {brok_lat:>17.1f}"
-            )
-        lines.append("-" * 80)
-        lines.append(
-            "shop-side message cost grows ~linearly when flat, ~sqrt(N) "
-            "when brokered"
+            {
+                "plants": ">8d", "flat msgs/create": ">17.1f",
+                "brokered msgs/create": ">21.1f", "flat lat (s)": ">13.1f",
+                "brokered lat (s)": ">17.1f",
+            },
+            [
+                (n, *self.calls_per_create[n], *self.latency[n])
+                for n in sorted(self.calls_per_create)
+            ],
+            [
+                "shop-side message cost grows ~linearly when flat, "
+                "~sqrt(N) when brokered"
+            ],
         )
-        return "\n".join(lines)
 
 
 def _run_one(
@@ -125,31 +121,28 @@ class MatchingScalabilityResult:
     requests: int
 
     def render(self) -> str:
-        lines = [
+        return render_table(
             "Extension: matching scalability — warehouse size vs. "
             f"matching work ({self.requests} x 32 MB creations per "
             "point, 8 plants bidding)",
-            "",
-            f"{'images':>8} {'selects':>9} {'memo hits':>10} "
-            f"{'hit %':>7} {'profiles tested':>16} "
-            f"{'selects/s':>11}",
-            "-" * 68,
-        ]
-        for extra in sorted(self.points):
-            p = self.points[extra]
-            lines.append(
-                f"{p['images']:>8.0f} {p['selects']:>9.0f} "
-                f"{p['memo_hits']:>10.0f} {p['hit_pct']:>7.1f} "
-                f"{p['profiles_tested']:>16.0f} "
-                f"{p['selects_per_sec']:>11.0f}"
-            )
-        lines.append("-" * 68)
-        lines.append(
-            "every plant after the first answers from the shared memo; "
-            "profiles tested = profiles the index's trie walk reached "
-            "(pruned subtrees are never tested)"
+            {
+                "images": ">8.0f", "selects": ">9.0f", "memo hits": ">10.0f",
+                "hit %": ">7.1f", "profiles tested": ">16.0f",
+                "selects/s": ">11.0f",
+            },
+            [
+                (
+                    p["images"], p["selects"], p["memo_hits"], p["hit_pct"],
+                    p["profiles_tested"], p["selects_per_sec"],
+                )
+                for _, p in sorted(self.points.items())
+            ],
+            [
+                "every plant after the first answers from the shared memo; "
+                "profiles tested = profiles the index's trie walk reached "
+                "(pruned subtrees are never tested)"
+            ],
         )
-        return "\n".join(lines)
 
 
 def _matching_fillers(n: int) -> List[GoldenImage]:

@@ -14,21 +14,24 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
+from repro.analysis.tables import point_record
 from repro.sim.shard import ShardRunResult
 
 __all__ = [
-    "COST_HEADER",
+    "COST_COLUMNS",
     "shard_cost",
-    "cells",
+    "cost_cells",
     "cost_notes",
+    "sweep_record",
     "overload_banner",
 ]
 
-#: Heads the columns of :func:`cells`.
-COST_HEADER = (
-    f"{'wall (s)':>9}  {'cpu (s)':>8} {'sync cpu':>9} {'wall speedup':>13} "
-    f"{'goodput/cpu-s':>14}"
-)
+#: The columns :func:`cost_cells` fills (the wall-clock cell ends in the
+#: star or a blank, so its header does too).
+COST_COLUMNS = {
+    "wall (s) ": ">10", "cpu (s)": ">8.2f", "sync cpu": ">9",
+    "wall speedup": ">13", "goodput/cpu-s": ">14.1f",
+}
 
 
 def shard_cost(
@@ -69,18 +72,18 @@ def shard_cost(
     return cost
 
 
-def cells(cost: Dict[str, Any]) -> str:
-    """The table cells under :data:`COST_HEADER`; a projected run's
-    wall-clock is starred."""
+def cost_cells(cost: Dict[str, Any]) -> Tuple[Any, ...]:
+    """The cells under :data:`COST_COLUMNS`; a projected run's
+    wall-clock is starred, a ratio without a one-shard run is None."""
     ratios = (
-        f"{'-':>9} {'-':>13}"
-        if cost["sync_cpu_ratio"] is None
-        else f"{cost['sync_cpu_ratio']:>8.2f}x {cost['wall_speedup']:>12.2f}x"
+        None if cost[key] is None else f"{cost[key]:.2f}x"
+        for key in ("sync_cpu_ratio", "wall_speedup")
     )
-    star = "*" if cost["projected"] else " "
     return (
-        f"{cost['wall_s']:>9.2f}{star} {cost['cpu_s']:>8.2f} {ratios} "
-        f"{cost['goodput_per_cpu_s']:>14.1f}"
+        f"{cost['wall_s']:.2f}{'*' if cost['projected'] else ' '}",
+        cost["cpu_s"],
+        *ratios,
+        cost["goodput_per_cpu_s"],
     )
 
 
@@ -109,6 +112,20 @@ def cost_notes(points: Sequence, labels: Sequence[str] = ()) -> List[str]:
                 f"{_each(sync, 'records', ',d')} messages"
             )
     return notes
+
+
+def sweep_record(result: Any, **grid: Any) -> Dict[str, Any]:
+    """What every sharded sweep's record holds: the seed, the ``grid``
+    it swept, the resolved scenario parameters, a record per point and
+    the determinism recheck."""
+    return {
+        "seed": result.seed,
+        **grid,
+        "params": dict(sorted(result.params.items())),
+        "points": [point_record(p) for p in result.points],
+        "deterministic": result.recheck.ok,
+        "fingerprint": result.recheck.fingerprint,
+    }
 
 
 def _each(sync: List[Dict[str, float]], key: str, fmt: str) -> str:

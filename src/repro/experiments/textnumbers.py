@@ -16,6 +16,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.analysis.tables import render_table
 from repro.experiments.runner import (
     ExperimentRun,
     run_creation_experiment,
@@ -40,26 +41,25 @@ class TextNumbersResult:
 
     def render(self) -> str:
         """Claim-by-claim comparison table."""
+        averages = self.mean_by_memory.values()
         means = ", ".join(
             f"{m}MB={v:.1f}s" for m, v in sorted(self.mean_by_memory.items())
         )
-        lines = [
+        return render_table(
             "In-text numbers (paper vs. measured)",
-            "",
-            f"{'claim':<44} {'paper':>12} {'measured':>12}",
-            "-" * 70,
-            f"{'creation range (s)':<44} {'17 - 85':>12} "
-            f"{f'{self.creation_min:.0f} - {self.creation_max:.0f}':>12}",
-            f"{'creation averages (s)':<44} {'25 - 48':>12} "
-            f"{f'{min(self.mean_by_memory.values()):.0f} - {max(self.mean_by_memory.values()):.0f}':>12}",
-            f"{'full 2GB disk copy (s)':<44} {'210':>12} "
-            f"{self.full_copy_clone_time:>12.0f}",
-            f"{'copy / 256MB-clone ratio':<44} {'~4x':>12} "
-            f"{f'{self.copy_over_clone_ratio:.1f}x':>12}",
-            "-" * 70,
-            f"per-size creation means: {means}",
-        ]
-        return "\n".join(lines)
+            {"claim": "<44", "paper": ">12", "measured": ">12"},
+            [
+                ("creation range (s)", "17 - 85",
+                 f"{self.creation_min:.0f} - {self.creation_max:.0f}"),
+                ("creation averages (s)", "25 - 48",
+                 f"{min(averages):.0f} - {max(averages):.0f}"),
+                ("full 2GB disk copy (s)", "210",
+                 f"{self.full_copy_clone_time:.0f}"),
+                ("copy / 256MB-clone ratio", "~4x",
+                 f"{self.copy_over_clone_ratio:.1f}x"),
+            ],
+            [f"per-size creation means: {means}"],
+        )
 
 
 def run_textnumbers(

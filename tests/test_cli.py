@@ -70,6 +70,16 @@ def test_committed_table_is_what_the_cli_regenerates(capsys, table):
     assert out == committed(table)
 
 
+@pytest.mark.parametrize(
+    "table", sorted(set(TABLES) | set(ABLATION_TABLES.values()))
+)
+def test_every_rule_is_as_wide_as_the_header_row(table):
+    lines = committed(table).splitlines()
+    rules = [i for i, line in enumerate(lines) if re.fullmatch("-+", line)]
+    header = lines[rules[0] - 1]
+    assert {len(lines[i]) for i in rules} == {len(header)}
+
+
 def test_ablations_prints_every_committed_ablation_table(capsys):
     from repro.experiments.ablations import ABLATIONS
 
@@ -157,6 +167,72 @@ def test_megachaos_report_replays_bit_identically(capsys, tmp_path):
     assert all(p["accounted"] for p in report["points"])
     final = {p["rung"]: p for p in report["points"]}["admission"]
     assert final["availability"] >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# --report records, key for key
+# ---------------------------------------------------------------------------
+
+#: Small runs whose record is pinned in ``report_goldens.json``: the
+#: four ``--report`` files without a replay, and the ``points`` the two
+#: perf benches that write point records append (``--small``).
+REPORT_RUNS = {
+    "kernelbench": [
+        "--seed", "7", "--sites", "2", "--shards", "1", "2",
+        "--requests-per-site", "12",
+    ],
+    "federation": [
+        "--seed", "7", "--sites", "1", "2", "--cross", "0.0", "0.3",
+        "--requests-per-site", "12",
+    ],
+    "megaload": [
+        "--seed", "7", "--sites", "2", "--shards", "1", "2",
+        "--requests-per-site", "30",
+    ],
+    "disttree": ["--seed", "7", "--hosts", "4", "8"],
+}
+BENCH_RUNS = ("provision_bench", "distribution_bench")
+#: Keys read off the host's clock, memory or core count: a golden keeps
+#: what is under them key for key, with every value blanked.
+HOST_CLOCK = {
+    "wall_s", "cpu_s", "goodput_per_cpu_s", "sync_cpu_ratio", "wall_speedup",
+    "sync", "peak_rss_mb", "usable_cores", "projected",
+}
+GOLDENS = json.loads(
+    (Path(__file__).parent / "report_goldens.json").read_text()
+)
+
+
+def sim_side(value, host=False):
+    """``value`` with the same keys at every level and every host-clock
+    value blanked.  The goldens are ``sim_side`` of what commit f92f9be
+    writes, dumped with ``indent=1, sort_keys=True``."""
+    if isinstance(value, dict):
+        return {
+            key: sim_side(inner, host or key in HOST_CLOCK)
+            for key, inner in value.items()
+        }
+    if isinstance(value, list):
+        return [sim_side(inner, host) for inner in value]
+    return None if host else value
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_RUNS))
+def test_report_is_the_pinned_record(capsys, tmp_path, command):
+    path = tmp_path / "report.json"
+    run_cli(capsys, command, *REPORT_RUNS[command], "--report", str(path))
+    assert sim_side(json.loads(path.read_text())) == GOLDENS[command]
+
+
+@pytest.mark.parametrize("bench", BENCH_RUNS)
+def test_bench_points_are_the_pinned_records(tmp_path, bench):
+    import importlib
+
+    module = importlib.import_module(f"benchmarks.perf.{bench}")
+    record = getattr(module, f"run_{bench}")(
+        small=True, out=tmp_path / "trajectory.json"
+    )
+    assert sim_side(record["points"]) == GOLDENS[bench]
 
 
 # ---------------------------------------------------------------------------

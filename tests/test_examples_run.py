@@ -1,10 +1,13 @@
 """Every example script must run cleanly end to end."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.experiments.ablations import ABLATIONS
 
 EXAMPLES = sorted(
     (Path(__file__).parent.parent / "examples").glob("*.py")
@@ -14,17 +17,19 @@ EXAMPLES = sorted(
 @pytest.mark.parametrize(
     "script", EXAMPLES, ids=lambda p: p.stem
 )
-def test_example_runs(script):
-    if script.stem == "reproduce_paper":
-        pytest.skip("covered by the benchmark harness (slow)")
+def test_example_runs(script, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(script)],
+        # reproduce_paper.py memoizes its runs; not under ~/.cache here.
+        env={**os.environ, "REPRO_CACHE_DIR": str(tmp_path)},
         capture_output=True,
         text=True,
         timeout=180,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip(), "examples must narrate what they do"
+    if script.stem == "reproduce_paper":
+        assert proc.stdout.count("\nAblation: ") == len(ABLATIONS)
 
 
 def test_examples_exist():

@@ -68,7 +68,6 @@ REPORT_ONLY = (
     "repro.analysis.stats",
     "repro.analysis.histograms",
     "repro.analysis.tables",
-    "repro.analysis.export",
 )
 
 

@@ -11,9 +11,12 @@ from repro.analysis.histograms import (
 )
 from repro.analysis.stats import bucket_means, sequence_series, summarize
 from repro.analysis.tables import (
+    find_point,
+    point_record,
     render_histogram_table,
     render_series,
     render_summary_table,
+    render_table,
 )
 from repro.core.matching import match_image
 from repro.core.spec import HardwareSpec
@@ -191,6 +194,59 @@ class TestTables:
         text = render_series("T", series, max_rows=10)
         assert text.count("\n") < 20
         assert "100" in text  # last point always kept
+
+
+    def test_table_reads_every_width_off_the_column_spec(self):
+        columns = {"name": "<6", "n": ">4d", "p95 (s)": ">8.1f", "ok": ">5"}
+        text = render_table(
+            "T", columns, [("a", 3, 12.34, "2/3"), ("b", 10, None, None)]
+        )
+        assert text.split("\n") == [
+            "T",
+            "",
+            "name      n  p95 (s)    ok",
+            "--------------------------",
+            "a         3     12.3   2/3",
+            "b        10        -     -",
+        ]
+
+    def test_table_rules_off_its_notes_and_aligns_a_note_that_is_a_row(self):
+        text = render_table(
+            "", {"x": ">3d", "y": ">5.1f"}, [(1, 2.0)], [("n", "7"), "done"]
+        )
+        assert text.split("\n") == [
+            "  x     y", "---------", "  1   2.0", "---------",
+            "  n     7", "done",
+        ]
+
+    def test_series_table_leaves_a_missing_point_blank(self):
+        text = render_series("T", {"a": [(1, 1.0), (2, 2.0)], "b": [(2, 3.0)]})
+        assert text.split("\n")[4:] == [
+            "         1        1.0           ",
+            "         2        2.0        3.0",
+        ]
+
+    def test_point_record_is_the_fields_as_declared(self):
+        from dataclasses import dataclass, field
+
+        @dataclass(frozen=True)
+        class Point:
+            shards: int
+            cost: dict = field(metadata={"splice": True})
+            p95_s: float = field(metadata={"round": 2})
+            derived = ("doubled",)
+
+            @property
+            def doubled(self):
+                return 2 * self.shards
+
+        points = [Point(1, {"wall_s": 0.5}, 1.23456), Point(2, {}, 2.0)]
+        assert list(point_record(points[0]).items()) == [
+            ("shards", 1), ("wall_s", 0.5), ("p95_s", 1.23), ("doubled", 2)
+        ]
+        assert find_point(points, shards=2) is points[1]
+        with pytest.raises(KeyError, match="shards=3"):
+            find_point(points, shards=3)
 
 
 class TestPoissonArrivals:

@@ -15,7 +15,9 @@ matches requests arriving at another.
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -92,6 +94,55 @@ def _canonical_params(
             raise ValueError(f"params tuple is not canonical: {params!r}")
         return params
     return tuple(sorted((str(k), repr(v)) for k, v in params.items()))
+
+
+def decode_literal(rep: str) -> Any:
+    """What ``ast.literal_eval(rep)`` returns or raises.
+
+    The ``repr`` of a string that needed no escape is read off as it
+    stands; anything else is parsed and converted by :func:`_literal`.
+    """
+    quote = rep[:1]
+    if quote in ("'", '"') and len(rep) > 1 and rep[-1] == quote:
+        inner = rep[1:-1]
+        if quote not in inner and "\\" not in inner and inner.isprintable():
+            return inner
+    return _literal(ast.parse(rep.lstrip(" \t"), mode="eval").body)
+
+
+_SEQUENCES = {ast.Tuple: tuple, ast.List: list, ast.Set: set}
+_EMPTY_SET = ast.dump(ast.parse("set()", mode="eval").body)
+
+
+def _literal(node: Optional[ast.AST]) -> Any:
+    """``ast.literal_eval``'s converter as module functions: the
+    stdlib's is a closure that refers to itself, so every call leaves
+    a reference cycle to the collector."""
+    kind = type(node)
+    if kind is ast.Constant:
+        return node.value
+    if kind in _SEQUENCES:
+        return _SEQUENCES[kind](map(_literal, node.elts))
+    if kind is ast.Dict:  # the key of a ``**`` entry is None
+        keys, values = map(_literal, node.keys), map(_literal, node.values)
+        return dict(zip(keys, values))
+    if kind is ast.Call and ast.dump(node) == _EMPTY_SET:
+        return set()
+    if kind is ast.BinOp and type(node.op) in (ast.Add, ast.Sub):
+        left, right = _number(node.left), _number(node.right, signed=False)
+        if type(left) is not complex and type(right) is complex:
+            return left - right if type(node.op) is ast.Sub else left + right
+    return _number(node)
+
+
+def _number(node: Optional[ast.AST], signed: bool = True) -> Any:
+    kind, signs = type(node), (ast.UAdd, ast.USub)
+    if signed and kind is ast.UnaryOp and type(node.op) in signs:
+        operand = _number(node.operand, signed=False)
+        return -operand if type(node.op) is ast.USub else +operand
+    if kind is ast.Constant and type(node.value) in (int, float, complex):
+        return node.value
+    raise ValueError(f"not a literal: {node!r}")
 
 
 @dataclass(frozen=True)
@@ -191,15 +242,11 @@ class Action:
         for key, rep in self.params:
             if rep.startswith(("'", '"')) and rep.endswith(("'", '"')):
                 try:
-                    import ast
-
-                    values[key] = str(ast.literal_eval(rep))
+                    values[key] = str(decode_literal(rep))
                     continue
                 except (ValueError, SyntaxError):
                     pass
             values[key] = rep
-
-        import re
 
         def substitute(match: "re.Match[str]") -> str:
             name = match.group(1)

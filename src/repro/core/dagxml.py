@@ -52,11 +52,10 @@ the body is computed once per body, not once per request, both ways:
 
 from __future__ import annotations
 
-import ast
 import xml.etree.ElementTree as ET
 from typing import Dict, List, Tuple
 
-from repro.core.actions import Action, ActionScope, ErrorPolicy
+from repro.core.actions import Action, ActionScope, ErrorPolicy, decode_literal
 from repro.core.dag import ConfigDAG
 from repro.core.errors import DAGError, ProtocolError
 from repro.core.spec import (
@@ -227,7 +226,7 @@ def _parse_action(el: ET.Element) -> Action:
             key = _require(child, "key")
             rep = _require(child, "value")
             try:
-                params[key] = ast.literal_eval(rep)
+                params[key] = decode_literal(rep)
             except (ValueError, SyntaxError):
                 params[key] = rep
         elif child.tag == "output":

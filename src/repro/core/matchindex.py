@@ -74,19 +74,15 @@ Step = Tuple[str, str]
 
 
 class _Node:
-    """One performed-sequence prefix in a bucket's trie."""
+    """One performed-sequence prefix in a bucket's trie.  It knows its
+    children only: removal walks down from the bucket's root."""
 
-    __slots__ = ("parent", "step", "names", "children", "images", "size")
+    __slots__ = ("names", "children", "images", "size")
 
-    def __init__(self, parent: Optional["_Node"], step: Optional[Step]):
-        self.parent = parent
-        #: The edge from ``parent`` (None at a bucket's root).
-        self.step = step
+    def __init__(self, names: Tuple[str, ...]):
         #: Step names from the root to here — the ``satisfied`` tuple
         #: of every image held at this node.
-        self.names: Tuple[str, ...] = (
-            () if parent is None else parent.names + (step[0],)
-        )
+        self.names = names
         self.children: Dict[Step, "_Node"] = {}
         #: image_id → image, the images whose sequence ends here.
         self.images: Dict[str, object] = {}
@@ -106,8 +102,9 @@ class MatchIndex:
     def __init__(self) -> None:
         #: Bucket key → root of that bucket's trie.
         self._buckets: Dict[BucketKey, _Node] = {}
-        #: image_id → (bucket key, node holding it) for O(depth) removal.
-        self._locator: Dict[str, Tuple[BucketKey, _Node]] = {}
+        #: image_id → image: its bucket and sequence are the way back
+        #: to the node holding it, for O(depth) removal.
+        self._locator: Dict[str, object] = {}
         #: Query counters (benchmarks and the scalability experiment).
         self.stats: Dict[str, int] = {
             "queries": 0,
@@ -124,38 +121,41 @@ class MatchIndex:
         return self._n_images
 
     # -- maintenance -------------------------------------------------------
+    @staticmethod
+    def _path(image) -> Tuple[BucketKey, List[Step]]:
+        hw: HardwareSpec = image.hardware
+        return (image.vm_type, image.os, hw.isa, hw.memory_mb), [
+            (action.name, action.signature) for action in image.performed
+        ]
+
     def add(self, image) -> None:
         """Index one published image."""
-        hw: HardwareSpec = image.hardware
-        bucket_key = (image.vm_type, image.os, hw.isa, hw.memory_mb)
+        bucket_key, steps = self._path(image)
         node = self._buckets.get(bucket_key)
         if node is None:
-            node = self._buckets[bucket_key] = _Node(None, None)
+            node = self._buckets[bucket_key] = _Node(())
         node.size += 1
-        for action in image.performed:
-            step = (action.name, action.signature)
+        for step in steps:
             child = node.children.get(step)
             if child is None:
-                child = node.children[step] = _Node(node, step)
+                child = node.children[step] = _Node(node.names + step[:1])
             child.size += 1
             node = child
         node.images[image.image_id] = image
-        self._locator[image.image_id] = (bucket_key, node)
+        self._locator[image.image_id] = image
         self._n_images += 1
 
     def remove(self, image_id: str) -> None:
         """Drop one unpublished image (emptied branches are pruned)."""
-        bucket_key, node = self._locator.pop(image_id)
-        del node.images[image_id]
-        while node is not None:
+        bucket_key, steps = self._path(self._locator.pop(image_id))
+        holder: Dict = self._buckets
+        for key in (bucket_key, *steps):
+            node = holder[key]
             node.size -= 1
-            parent = node.parent
             if node.size == 0:
-                if parent is None:
-                    del self._buckets[bucket_key]
-                else:
-                    del parent.children[node.step]
-            node = parent
+                del holder[key]  # nothing is left at or below it
+            holder = node.children
+        del node.images[image_id]
         self._n_images -= 1
 
     def note_select(self, image_id: str) -> None:

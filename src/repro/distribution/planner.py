@@ -47,7 +47,7 @@ _MAX_RETRIES = 8
 class _Flight:
     """One in-flight delivery of an image onto one host."""
 
-    __slots__ = ("image_id", "store", "kind", "seq", "done", "error", "waiters")
+    __slots__ = ("image_id", "store", "kind", "seq", "done", "waiters")
 
     def __init__(
         self,
@@ -63,7 +63,6 @@ class _Flight:
         self.kind = kind
         self.seq = seq
         self.done = done
-        self.error: Optional[BaseException] = None
         self.waiters = 0
 
 
@@ -340,9 +339,6 @@ class DistributionPlanner:
             if write_time > network_time:
                 yield self.env.timeout(write_time - network_time)
             ok = True
-        except BaseException as exc:
-            flight.error = exc
-            raise
         finally:
             source.end_serve(image_id, payload_mb, ok)
             self._retire_flight(flight)
@@ -376,9 +372,6 @@ class DistributionPlanner:
             yield from self.nfs.copy_to_host(
                 payload_mb, store.host, files=files
             )
-        except BaseException as exc:
-            flight.error = exc
-            raise
         finally:
             self._retire_flight(flight)
         self.nfs_seeds += 1

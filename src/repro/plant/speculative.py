@@ -17,6 +17,7 @@ creates normally.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
@@ -200,7 +201,9 @@ class AdaptiveSpeculativePool:
             raise ValueError("lead_time_s must be positive")
         if not 0.0 < bid_discount <= 1.0:
             raise ValueError("bid_discount must be in (0, 1]")
-        self.plant = plant
+        #: Weak (here and in every pool opened from here): the plant
+        #: owns its manager, ``VMPlant.speculative``.
+        self.plant = weakref.proxy(plant)
         self.env = plant.env
         self.target_hit_rate = target_hit_rate
         self.min_target = min_target

@@ -18,6 +18,7 @@ The prototype exchanges XML service specifications over sockets
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass, field
 from functools import partial
 from math import exp
 from typing import Any, Callable, Generator, Optional, Sequence, Tuple, Union
@@ -181,67 +182,92 @@ class Transport:
         then; it fails with the exception of the first handler to
         raise before then.  Once it is decided, the remaining handlers
         still run (and draw their latencies), but their answers and
-        failures are dropped.
+        failures are dropped.  The round's state is one
+        :class:`_Round`, held only by the timers and parked events
+        that still have a step of it to run.
         """
         env = self.env
         done = Event(env)
-        landings: list = []  # (landing time, handler index, answer)
         total = len(handlers)
         self.calls += total
         if not total:
             return done.succeed({})
         deadline = None if deadline_s is None else env.now + deadline_s
-
-        def fail(exc: Exception) -> None:
-            if done._ok is None:
-                done.fail(exc)
-
-        def reply(index: int, answer: Any) -> None:
-            landings.append((env.now + self._one_way(), index, answer))
-            if len(landings) == total and done._ok is None:
-                last = max(landings)[0]  # ties end at the unique index
-                # At or past the deadline, the deadline timer decides.
-                if deadline is None or last < deadline:
-                    done._ok = True
-                    done._value = {i: got for _, i, got in landings}
-                    env.schedule_at(done, last)
-
-        def advance(index: int, steps: Generator, event: Event) -> None:
-            while True:
-                try:
-                    if event._ok:
-                        event = steps.send(event._value)
-                    else:
-                        event.defused = True
-                        event = steps.throw(event._value)
-                except StopIteration as stop:
-                    return reply(index, stop.value)
-                except Exception as exc:
-                    return fail(exc)
-                if event.callbacks is not None:
-                    event.callbacks.append(partial(advance, index, steps))
-                    return
-
-        def arrive(index: int, timer: Event) -> None:
-            try:
-                result = handlers[index]()
-            except Exception as exc:
-                return fail(exc)
-            if hasattr(result, "send") and hasattr(result, "throw"):
-                advance(index, result, timer)
-            else:
-                reply(index, result)
-
-        def expire(_timer: Event) -> None:
-            if done._ok is None:
-                done.succeed(
-                    {i: got for at, i, got in landings if at < deadline}
-                )
-
+        this = _Round(self, handlers, done, deadline)
         if deadline_s is not None:
-            Timeout(env, deadline_s).callbacks.append(expire)
+            Timeout(env, deadline_s).callbacks.append(this.expire)
         for index in range(total):
             Timeout(env, self._one_way()).callbacks.append(
-                partial(arrive, index)
+                partial(this.arrive, index)
             )
         return done
+
+
+@dataclass(slots=True, eq=False)
+class _Round:
+    """One :meth:`Transport.gather` in flight.
+
+    Nothing it holds points back at it.  ``done`` is dropped the
+    moment the round is decided (``None`` tells the later answers):
+    a failed round's event holds the handler's exception, whose
+    traceback holds the frame that caught it, which holds the round.
+    """
+
+    transport: Transport
+    handlers: Sequence[Callable[[], Any]]
+    done: Optional[Event]
+    deadline: Optional[float]
+    #: (landing time, handler index, answer), as handlers finish.
+    landings: list = field(default_factory=list)
+
+    def fail(self, exc: Exception) -> None:
+        done, self.done = self.done, None
+        if done is not None:
+            done.fail(exc)
+
+    def reply(self, index: int, answer: Any) -> None:
+        landings, transport = self.landings, self.transport
+        env = transport.env
+        landings.append((env.now + transport._one_way(), index, answer))
+        if len(landings) == len(self.handlers) and self.done is not None:
+            last = max(landings)[0]  # ties end at the unique index
+            # At or past the deadline, the deadline timer decides.
+            if self.deadline is None or last < self.deadline:
+                done, self.done = self.done, None
+                done._ok = True
+                done._value = {i: got for _, i, got in landings}
+                env.schedule_at(done, last)
+
+    def advance(self, index: int, steps: Generator, event: Event) -> None:
+        while True:
+            try:
+                if event._ok:
+                    event = steps.send(event._value)
+                else:
+                    event.defused = True
+                    event = steps.throw(event._value)
+            except StopIteration as stop:
+                return self.reply(index, stop.value)
+            except Exception as exc:
+                return self.fail(exc)
+            if event.callbacks is not None:
+                event.callbacks.append(partial(self.advance, index, steps))
+                return
+
+    def arrive(self, index: int, timer: Event) -> None:
+        try:
+            result = self.handlers[index]()
+        except Exception as exc:
+            return self.fail(exc)
+        if hasattr(result, "send") and hasattr(result, "throw"):
+            self.advance(index, result, timer)
+        else:
+            self.reply(index, result)
+
+    def expire(self, _timer: Event) -> None:
+        done, self.done = self.done, None
+        if done is not None:
+            deadline = self.deadline
+            done.succeed(
+                {i: got for at, i, got in self.landings if at < deadline}
+            )

@@ -20,6 +20,7 @@ reports on it, **destroy** collects it.  The shop:
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence
 
 from repro.core.classad import ClassAd
@@ -76,7 +77,8 @@ class VMShop:
         #: Creation log: (vmid, plant_name, ok) for experiments.
         self.creation_log: List[tuple] = []
         if registry is not None:
-            registry.publish(name, "vmshop", self)
+            # Weak: the shop holds the registry that holds this entry.
+            registry.publish(name, "vmshop", weakref.proxy(self))
 
     # -- membership ---------------------------------------------------------
     def register_plant(self, plant: Any) -> None:
@@ -165,8 +167,8 @@ class VMShop:
             raise ShopError(f"unexpected service {service!r}")
 
         policy = self.recovery
-        last_error: Optional[ReproError] = None
-        for attempt in range(1, max(1, policy.max_attempts) + 1):
+        attempts = max(1, policy.max_attempts)
+        for attempt in range(1, attempts + 1):
             if attempt > 1:
                 delay = policy.backoff_delay(attempt)
                 trace(
@@ -179,12 +181,15 @@ class VMShop:
                 ad = yield from self._create_attempt(
                     request, clone_mode, bids if attempt == 1 else None
                 )
-            except ReproError as exc:
-                last_error = exc
+            except ReproError:
+                # The last error is the create's.  Re-raised from inside
+                # the handler so that no name here outlives it: this
+                # frame is in its traceback, and holding the error too
+                # would make a cycle of them that pins the whole site.
+                if attempt == attempts:
+                    raise
                 continue
             return ad
-        assert last_error is not None
-        raise last_error
 
     def _health_for(self, name: str) -> PlantHealth:
         breaker = self.health.get(name)
@@ -234,7 +239,6 @@ class VMShop:
             self.env, "shop", "bids-collected",
             vmid=vmid, bids=len(ranked), best=ranked[0].bidder_name,
         )
-        last_error: Optional[ReproError] = None
         candidates = ranked if self.retry_other_plants else ranked[:1]
         for bid in candidates:
             try:
@@ -243,7 +247,6 @@ class VMShop:
                 )
             except ReproError as exc:
                 self.creation_log.append((vmid, bid.bidder_name, False))
-                last_error = exc
                 trace(
                     self.env, "shop", "create-failed",
                     vmid=vmid, plant=bid.bidder_name,
@@ -263,6 +266,8 @@ class VMShop:
                 abort = getattr(bid.bidder, "abort_creation", None)
                 if abort is not None:
                     abort(vmid)
+                if bid is candidates[-1]:
+                    raise  # from inside the handler, as in create()
                 continue
             self._health_for(bid.bidder_name).record_success(self.env.now)
             self._route[vmid] = bid.bidder
@@ -273,8 +278,6 @@ class VMShop:
                 vmid=vmid, plant=bid.bidder_name,
             )
             return ad
-        assert last_error is not None
-        raise last_error
 
     def _dispatch_create(
         self,

@@ -186,24 +186,21 @@ class Timeout(Event):
 class _PooledTimeout(Event):
     """A recycled timer event for :meth:`Environment.call_later`.
 
-    Never handed to user code: after its callbacks run the instance
-    is reset and returned to the environment's free list, so hot
-    timer paths (e.g. :class:`~repro.sim.network.FairShareLink`
-    completion timers) stop allocating one event per re-arm.
+    Never handed to user code: its last callback is the ``append`` of
+    the environment's free list, so hot timer paths (e.g.
+    :class:`~repro.sim.network.FairShareLink` completion timers) stop
+    allocating one event per re-arm.  It triggers nothing, so it has
+    no ``env``: the pool points at its timers, nothing points back.
     """
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment"):
-        self.env = env
+    def __init__(self) -> None:
         self.callbacks = None
         self.defused = False
         self.delay = 0.0
         self._ok = True
         self._value = None
-
-    def _release(self, _event: Event) -> None:
-        self.env._timeout_pool.append(self)
 
     def __repr__(self) -> str:
         return f"<_PooledTimeout delay={self.delay}>"
@@ -309,7 +306,9 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.fail(exc)
+            # Minus this frame: it holds the process, which is about
+            # to hold the exception, which holds its traceback.
+            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
 
         if not isinstance(next_ev, Event):
@@ -350,7 +349,12 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Base for AllOf/AnyOf composition events."""
+    """Base for AllOf/AnyOf composition events.
+
+    Once decided, a condition takes itself off the children still
+    pending (they keep :func:`_defuse`): a decided ``AnyOf(ack,
+    deadline)`` is freed with its waiter, not when the timer pops.
+    """
 
     __slots__ = ("events", "_count")
 
@@ -368,23 +372,31 @@ class _Condition(Event):
             if ev.callbacks is None:
                 self._check(ev)
             else:
-                ev.callbacks.append(self._check)
+                ev.callbacks.append(
+                    self._check if self._ok is None else _defuse
+                )
 
     def _satisfied(self, count: int, total: int) -> bool:
         raise NotImplementedError
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._ok is not None:
             if not event._ok:
                 event.defused = True
             return
         if not event._ok:
             event.defused = True
             self.fail(event._value)
-            return
-        self._count += 1
-        if self._satisfied(self._count, len(self.events)):
+        else:
+            self._count += 1
+            if not self._satisfied(self._count, len(self.events)):
+                return
             self.succeed(self._collect())
+        check = self._check
+        for ev in self.events:
+            waiters = ev.callbacks
+            if waiters is not None and check in waiters:
+                waiters[waiters.index(check)] = _defuse
 
     def _collect(self) -> dict:
         # Only events whose callbacks already ran count as "fired":
@@ -481,16 +493,17 @@ class Environment:
         Equivalent to appending ``fn`` to a fresh ``timeout(delay)``
         — one heap push, normal priority, so the event
         trajectory is bit-identical — but the underlying event object
-        is recycled through a free list instead of allocated anew.
+        is recycled through a free list (whose ``append`` is the
+        callback after ``fn``) instead of allocated anew.
         The event is internal: ``fn`` receives it but must not retain
         it past the callback.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         pool = self._timeout_pool
-        ev = pool.pop() if pool else _PooledTimeout(self)
+        ev = pool.pop() if pool else _PooledTimeout()
         ev.delay = delay
-        ev.callbacks = [fn, ev._release]
+        ev.callbacks = [fn, pool.append]
         self._eid = eid = self._eid + 1
         _heappush(self._queue, (self.now + delay, PRIORITY_NORMAL, eid, ev))
 

@@ -109,6 +109,7 @@ class TransferCoalescer:
             # failing the event instead would blow up in the kernel if
             # a follower had already been interrupted away.
             entry.done.succeed()
+            del entry  # it holds the error, whose traceback holds us
         return "nfs"
 
 

@@ -1,7 +1,7 @@
 """Shared test fixtures: a deterministic instant production line, the
 two-pass wire codec, the process-per-bid kernel dispatch and the
-keep-every-generator random hub kept as references, and the Python-call
-and retained-byte counters of the budget tests.
+keep-every-generator random hub kept as references, and the Python-call,
+retained-byte and cyclic-garbage counters of the budget tests.
 
 ``InstantLine`` implements the ProductionLine interface with constant,
 configurable behaviour so PPP/plant/shop logic can be tested without
@@ -37,6 +37,7 @@ import hashlib
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 from functools import partial
 from math import exp
 from typing import (
@@ -188,6 +189,29 @@ def retained_bytes(fn) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def cyclic_garbage(fn) -> Tuple[int, Dict[str, int]]:
+    """Objects only the cycle collector could free after ``fn()``:
+    ``(count, {type name: count})``.  The collector is off while ``fn``
+    runs and whatever it returns is dropped first, so reference
+    counting alone has had its chance; the histogram (largest first)
+    is for the failure message."""
+    collecting = gc.isenabled()
+    flags = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        count = gc.collect()
+        kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if collecting:
+            gc.enable()
+    return count, dict(kinds.most_common())
 
 
 # ---------------------------------------------------------------------------

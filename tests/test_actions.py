@@ -1,6 +1,9 @@
 """Unit tests for the Action value object."""
 
+import ast
 import dataclasses
+import random
+import warnings
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.core.actions import (
     ActionScope,
     ActionStatus,
     ErrorPolicy,
+    decode_literal,
 )
 
 
@@ -123,6 +127,65 @@ class TestAction:
         assert hash(action) == hash(Action("x"))
         with pytest.raises(Exception):
             action.name = "y"  # type: ignore[misc]
+
+
+class TestDecodeLiteral:
+    """``decode_literal`` is ``ast.literal_eval`` minus the reference
+    cycle the stdlib's converter leaves: same value, same exception."""
+
+    #: What ``repr`` writes, what it never writes, and near misses of
+    #: the plain-string fast path.
+    REPS = [
+        "", "'", '"', "''", '""', "'a'", '"a"', "'a' 'b'", "'a', 'b'",
+        "'a'+'b'", "'''a'''", "''''", "'a'b", "u'a'", "b'x'", "f'a'",
+        "'a' # c", "'a'\n", " 'a'", "'a' ", "'\\n'", "'a\\'", "'\\x41'",
+        "'a\nb'", "'a\tb'", "'a\rb'", "'a\x00b'", "'\xa0'", "' '",
+        "'\xe9'", "'\U0001f600'", "'\ud800'", "' '", "'{x}'", "'\"'",
+        '"\'"', "0", "-0", "7", "-5", "--5", "+5", "- 5", " 5", "5 ",
+        "\t5", "\n5", "007", "00", "0x10", "1_000", "1__0", "9" * 5000,
+        "1e3", "1.5", "-1.5e-07", "1.", ".5", "-0.0", "inf", "nan",
+        "True", "False", "None", "...", "x", "a.b", "1 if 1 else 2",
+        "1+2j", "(1+2j)", "1-2j", "2j+1", "-1+2j", "1+-2j", "1+2", "1j",
+        "[1, 'a']", "(1,)", "()", "1,", "{1: 'a'}", "{1, 2}", "{}",
+        "set()", "set(1)", "set(x=1)", "frozenset()", "{**a}", "{[1]}",
+        "[[[[1]]]]", "[1, [2.5, (None, True)], {'k': {3}}]",
+    ]
+
+    @staticmethod
+    def outcome(decode, rep):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # invalid escape sequences
+            try:
+                value = decode(rep)
+            except (ValueError, SyntaxError, TypeError) as exc:
+                return type(exc)
+        return type(value), repr(value)
+
+    @pytest.mark.parametrize("rep", REPS)
+    def test_named_cases(self, rep):
+        assert self.outcome(decode_literal, rep) == self.outcome(
+            ast.literal_eval, rep
+        )
+
+    def test_random_text(self):
+        rng = random.Random(24)
+        alphabet = "'\"\\ \t\n0129-+.,()[]{}:ejxab_#TrueNonst\xe9"
+        for _ in range(4000):
+            rep = "".join(
+                rng.choice(alphabet) for _ in range(rng.randrange(9))
+            )
+            assert self.outcome(decode_literal, rep) == self.outcome(
+                ast.literal_eval, rep
+            ), repr(rep)
+
+    def test_reprs_round_trip(self):
+        for value in (
+            "alice", "it's", 'say "hi"', "a\\b", "tab\t", "", "\xe9t\xe9",
+            0, -3, 10 ** 30, 2.5, -1e-9, True, None, 3 + 4j,
+            [1, "a"], ("x", 2.0), {"k": [1]}, {1, 2}, set(), b"raw",
+        ):
+            decoded = decode_literal(repr(value))
+            assert decoded == value and type(decoded) is type(value)
 
 
 class TestActionResult:

@@ -155,6 +155,32 @@ def test_library_layer_imports_stdlib_and_library_only():
     assert deferred == DEFERRED_EDGES, "drop the edge that no longer exists"
 
 
+#: The two modules that may touch the collector: the pre-fork collect
+#: and the post-fork freeze of the sharded runner.
+GC_CALLERS = {"repro.sim.shard.runner", "repro.sim.shard.worker"}
+
+
+def test_lifetime_is_reference_counting_not_a_collector_call():
+    # DESIGN, "Ownership and lifetime": no cycle is built, so nothing
+    # under src/ has a reason to call the collector or to hang a
+    # finalizer on an object.
+    for name, path in MODULES.items():
+        gc_calls = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "__del__", f"{name} defines __del__"
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "gc", f"{name}: from gc import ..."
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+            ):
+                gc_calls.append(f"gc.{node.attr}:{node.lineno}")
+        expected = 1 if name in GC_CALLERS else 0
+        assert len(gc_calls) == expected, f"{name} uses {gc_calls}"
+
+
 CREATE_PATH_PROBE = """
 import json, sys
 import benchmarks.e2e.workloads  # all that the end-to-end benchmark imports

@@ -560,8 +560,12 @@ class TrieMachine(RuleBasedStateMachine):
         }
         held = 0
         stack = list(index._buckets.values())
+        seen = set()
         while stack:
             node = stack.pop()
+            # A tree: each node hangs off exactly one edge.
+            assert id(node) not in seen
+            seen.add(id(node))
             # No dead wood: a node is there for an image at or below it.
             assert node.images or node.children
             assert node.size == len(node.images) + sum(
@@ -569,10 +573,19 @@ class TrieMachine(RuleBasedStateMachine):
             )
             held += len(node.images)
             for step, child in node.children.items():
-                assert child.parent is node and child.step == step
                 assert child.names == node.names + (step[0],)
                 stack.append(child)
         assert held == len(self.live)
+        # Nodes know no parent: the way back to an image's node is the
+        # image's own sequence, walked down from its bucket's root.
+        for image_id, image in self.live.items():
+            assert index._locator[image_id] is image
+            bucket, steps = index._path(image)
+            node = index._buckets[bucket]
+            for step in steps:
+                node = node.children[step]
+            assert node.images[image_id] is image
+            assert not hasattr(node, "parent")
 
 
 TestTrieMachine = TrieMachine.TestCase

@@ -39,6 +39,7 @@ from repro.workloads.requests import experiment_request
 
 from tests.helpers import (
     InstantLine,
+    cyclic_garbage,
     drive,
     oracle_collect,
     oracle_gather,
@@ -1030,3 +1031,79 @@ class TestFoldedRoundMatchesTimerPerAnswer:
         # The one difference: no event for an answer on its way back.
         answers = sum(1 for entry in live[1] if entry[2:] == ("answered",))
         assert timer_events - live_events == answers
+
+    #: One round shape each: (recovery at, alarm at, rounds).
+    SHAPES = {
+        "plain": (None, 0, [(0, None, [("plain", "cost"), ("plain", None)])]),
+        "generator": (
+            2,
+            3,
+            [
+                (
+                    1,
+                    None,
+                    [
+                        ("steps", [("sleep", 2), ("alarm",)]),
+                        ("steps", [("recovery",)]),
+                        ("plain", "cost"),
+                    ],
+                )
+            ],
+        ),
+        "raising": (
+            None,
+            0,
+            [
+                (0, None, [("plain", "cost"), ("plain-raise",)]),
+                (1, None, [("steps", [("sleep", 1), ("raise",)])]),
+            ],
+        ),
+        # Decided by the first failure; the other two answer after it.
+        "late-answer": (
+            3,
+            0,
+            [
+                (
+                    0,
+                    None,
+                    [
+                        ("plain-raise",),
+                        ("steps", [("sleep", 3)]),
+                        ("steps", [("recovery",)]),
+                    ],
+                )
+            ],
+        ),
+        # A bidder down until long after the deadline has decided.
+        "deadline-expired": (
+            4,
+            0,
+            [
+                (
+                    0,
+                    2,
+                    [
+                        ("plain", "cost"),
+                        ("steps", [("sleep", 4)]),
+                        ("steps", [("recovery",)]),
+                    ],
+                )
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_a_finished_round_leaves_no_cycle(self, shape):
+        # The timer-per-answer reference ties its closures into a knot
+        # per round; the live round must be gone with its last answer.
+        recovery_at, alarm_at, rounds = self.SHAPES[shape]
+        scenario = (7, (0.05, 0.2), recovery_at, alarm_at, rounds)
+        runs = []
+        garbage = cyclic_garbage(
+            lambda: runs.append(_run_rounds(scenario, Transport.gather)[0])
+        )
+        assert runs == [_run_rounds(scenario, oracle_gather)[0]]
+        assert garbage == (0, {})
+        assert cyclic_garbage(
+            lambda: _run_rounds(scenario, oracle_gather)
+        )[0] > 0

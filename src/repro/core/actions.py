@@ -99,50 +99,23 @@ def _canonical_params(
 def decode_literal(rep: str) -> Any:
     """What ``ast.literal_eval(rep)`` returns or raises.
 
-    The ``repr`` of a string that needed no escape is read off as it
-    stands; anything else is parsed and converted by :func:`_literal`.
+    Strings and numbers, all a workload's parameters are, never reach
+    the stdlib's converter: it is a closure that refers to itself, a
+    reference cycle per call.  A container still does.
     """
     quote = rep[:1]
     if quote in ("'", '"') and len(rep) > 1 and rep[-1] == quote:
         inner = rep[1:-1]
         if quote not in inner and "\\" not in inner and inner.isprintable():
-            return inner
-    return _literal(ast.parse(rep.lstrip(" \t"), mode="eval").body)
-
-
-_SEQUENCES = {ast.Tuple: tuple, ast.List: list, ast.Set: set}
-_EMPTY_SET = ast.dump(ast.parse("set()", mode="eval").body)
-
-
-def _literal(node: Optional[ast.AST]) -> Any:
-    """``ast.literal_eval``'s converter as module functions: the
-    stdlib's is a closure that refers to itself, so every call leaves
-    a reference cycle to the collector."""
-    kind = type(node)
-    if kind is ast.Constant:
+            return inner  # a repr that needed no escape, read off unparsed
+    node = ast.parse(rep.lstrip(" \t"), mode="eval").body
+    if type(node) is ast.Constant:
         return node.value
-    if kind in _SEQUENCES:
-        return _SEQUENCES[kind](map(_literal, node.elts))
-    if kind is ast.Dict:  # the key of a ``**`` entry is None
-        keys, values = map(_literal, node.keys), map(_literal, node.values)
-        return dict(zip(keys, values))
-    if kind is ast.Call and ast.dump(node) == _EMPTY_SET:
-        return set()
-    if kind is ast.BinOp and type(node.op) in (ast.Add, ast.Sub):
-        left, right = _number(node.left), _number(node.right, signed=False)
-        if type(left) is not complex and type(right) is complex:
-            return left - right if type(node.op) is ast.Sub else left + right
-    return _number(node)
-
-
-def _number(node: Optional[ast.AST], signed: bool = True) -> Any:
-    kind, signs = type(node), (ast.UAdd, ast.USub)
-    if signed and kind is ast.UnaryOp and type(node.op) in signs:
-        operand = _number(node.operand, signed=False)
-        return -operand if type(node.op) is ast.USub else +operand
-    if kind is ast.Constant and type(node.value) in (int, float, complex):
-        return node.value
-    raise ValueError(f"not a literal: {node!r}")
+    if type(node) is ast.UnaryOp and type(node.op) is ast.USub:
+        number = node.operand
+        if type(number) is ast.Constant and type(number.value) in (int, float):
+            return -number.value
+    return ast.literal_eval(node)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ class ServiceRegistry:
     """Site-wide registry of shops, brokers and plants."""
 
     __slots__ = ("_entries", "_kind_names", "_attr_buckets", "_attr_dynamic")
+    __slots__ += ("__weakref__",)  # a published VMShop points back weakly
 
     def __init__(self) -> None:
         self._entries: Dict[str, ServiceEntry] = {}

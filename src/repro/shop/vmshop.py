@@ -44,7 +44,12 @@ __all__ = ["VMShop"]
 
 
 class VMShop:
-    """Single logical point of contact for VM services."""
+    """Single logical point of contact for VM services.
+
+    A ``registry`` keeps the shop published in it; the shop does not
+    keep the registry: ``self.registry`` is a ``weakref.proxy``, and
+    raises ``ReferenceError`` once the registry's owner has dropped it.
+    """
 
     def __init__(
         self,
@@ -60,7 +65,7 @@ class VMShop:
         self.name = name
         self.rng = rng or RngHub(0)
         self.transport = transport or Transport(env, self.rng)
-        self.registry = registry
+        self.registry = None if registry is None else weakref.proxy(registry)
         #: On plant failure, fall through to the next-best bid?
         self.retry_other_plants = retry_other_plants
         #: Deadline / backoff / quarantine knobs; the default policy
@@ -77,8 +82,7 @@ class VMShop:
         #: Creation log: (vmid, plant_name, ok) for experiments.
         self.creation_log: List[tuple] = []
         if registry is not None:
-            # Weak: the shop holds the registry that holds this entry.
-            registry.publish(name, "vmshop", weakref.proxy(self))
+            registry.publish(name, "vmshop", self)
 
     # -- membership ---------------------------------------------------------
     def register_plant(self, plant: Any) -> None:
@@ -182,10 +186,9 @@ class VMShop:
                     request, clone_mode, bids if attempt == 1 else None
                 )
             except ReproError:
-                # The last error is the create's.  Re-raised from inside
-                # the handler so that no name here outlives it: this
-                # frame is in its traceback, and holding the error too
-                # would make a cycle of them that pins the whole site.
+                # The last error is the create's, re-raised in here so
+                # no name keeps it: this frame is in its traceback, and
+                # a cycle of the two would pin the whole site.
                 if attempt == attempts:
                     raise
                 continue

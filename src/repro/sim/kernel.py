@@ -189,8 +189,7 @@ class _PooledTimeout(Event):
     Never handed to user code: its last callback is the ``append`` of
     the environment's free list, so hot timer paths (e.g.
     :class:`~repro.sim.network.FairShareLink` completion timers) stop
-    allocating one event per re-arm.  It triggers nothing, so it has
-    no ``env``: the pool points at its timers, nothing points back.
+    allocating one event per re-arm.  It has no ``env`` to point back.
     """
 
     __slots__ = ("delay",)
@@ -351,9 +350,10 @@ class Process(Event):
 class _Condition(Event):
     """Base for AllOf/AnyOf composition events.
 
-    Once decided, a condition takes itself off the children still
-    pending (they keep :func:`_defuse`): a decided ``AnyOf(ack,
-    deadline)`` is freed with its waiter, not when the timer pops.
+    Once decided, a condition swaps itself for :func:`_defuse` on the
+    children still pending (one pass over each one's waiters): a
+    decided ``AnyOf(ack, deadline)`` goes with its waiter, not when
+    the timer pops.
     """
 
     __slots__ = ("events", "_count")
@@ -395,8 +395,11 @@ class _Condition(Event):
         check = self._check
         for ev in self.events:
             waiters = ev.callbacks
-            if waiters is not None and check in waiters:
-                waiters[waiters.index(check)] = _defuse
+            if waiters is not None:
+                try:
+                    waiters[waiters.index(check)] = _defuse
+                except ValueError:
+                    pass  # decided in __init__, before this child's turn
 
     def _collect(self) -> dict:
         # Only events whose callbacks already ran count as "fired":

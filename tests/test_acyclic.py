@@ -58,8 +58,8 @@ class TestFormerCycles:
         # decoded <param> and once per rendered string parameter.
         action = Action(
             "a",
-            command="run {user} {n} {xs}",
-            params={"user": "alice", "n": 3, "xs": [1, (2.5, None)]},
+            command="run {user} {n} {share} {on}",
+            params={"user": "alice", "n": -3, "share": 2.5, "on": True},
         )
         text = dag_to_xml(ConfigDAG.from_sequence([action]))
 
@@ -67,7 +67,7 @@ class TestFormerCycles:
             decoded = dag_from_xml(text).action("a")
             assert decoded == action
             rendered = decoded.rendered_command()
-            assert rendered == "run alice 3 [1, (2.5, None)]"
+            assert rendered == "run alice -3 2.5 True"
 
         assert cyclic_garbage(decode) == NOTHING
 
@@ -102,7 +102,8 @@ class TestFormerCycles:
         def site():
             registry = ServiceRegistry()
             shop = VMShop(Environment(), registry=registry)
-            assert registry.bind("vmshop").name == shop.name
+            assert registry.bind("vmshop") is shop
+            assert shop.discover_plants() == 0
 
         assert cyclic_garbage(site) == NOTHING
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import traceback
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +184,45 @@ class TestProcess:
         env.process(failing(env))
         with pytest.raises(ValueError, match="unhandled"):
             env.run()
+
+    def test_failure_traceback_is_the_generators(self):
+        # A failed process's traceback starts at its generator, not at
+        # the kernel frame that resumed it; each process the failure
+        # passes through adds its own frame and loses only the kernel's.
+        env = Environment()
+
+        def helper():
+            raise ValueError("deep")
+
+        def inner(env):
+            yield env.timeout(1)
+            helper()
+
+        def middle(env):
+            yield env.process(inner(env))
+
+        def outer(env):
+            try:
+                yield env.process(middle(env))
+            except ValueError as exc:
+                frames = traceback.extract_tb(exc.__traceback__)
+                return [frame.name for frame in frames]
+
+        p = env.process(outer(env))
+        env.run()
+        assert p.value == ["outer", "middle", "inner", "helper"]
+
+    def test_unhandled_failure_traceback_ends_at_the_raise(self):
+        env = Environment()
+
+        def failing(env):
+            yield env.timeout(1)
+            raise ValueError("unhandled")
+
+        env.process(failing(env))
+        with pytest.raises(ValueError) as caught:
+            env.run()
+        assert caught.traceback[-1].name == "failing"
 
     def test_yielding_non_event_kills_process(self):
         env = Environment()
@@ -459,6 +500,35 @@ class TestConditions:
         p = env.process(proc(env))
         env.run()
         assert p.value == "component died"
+
+    def test_decided_condition_lets_go_of_pending_children(self):
+        env = Environment()
+
+        def failing(env):
+            yield env.timeout(1)
+            raise RuntimeError("early")
+
+        def proc(env, pending):
+            try:
+                yield env.all_of([env.process(failing(env)), *pending])
+            except RuntimeError:
+                return env.now
+
+        pending = [env.timeout(50 + i) for i in range(40)]
+        p = env.process(proc(env, pending))
+        env.run(until=2)
+        assert p.value == 1.0
+        for ev in pending:  # one early failure decided for all forty
+            assert ev.callbacks == [_defuse]
+
+    def test_condition_decided_while_being_built(self):
+        env = Environment()
+        fired = env.timeout(0, "now")
+        env.run(until=1)
+        later = env.timeout(5)
+        first = AnyOf(env, [fired, later])
+        assert first.triggered and later.callbacks == [_defuse]
+        env.run()
 
     def test_condition_rejects_foreign_events(self):
         env1, env2 = Environment(), Environment()

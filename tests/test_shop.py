@@ -643,6 +643,16 @@ class TestRegistry:
         ad = drive(env, shop.create(make_request()))
         assert ad["plant"] == "p0"
 
+    def test_a_published_shop_lives_as_long_as_its_registry(self):
+        # The binding is strong; the shop's way back is the weak side.
+        registry = ServiceRegistry()
+        VMShop(Environment(), "kept", registry=registry)
+        shop = registry.bind("kept")
+        assert shop.name == "kept" and shop.discover_plants() == 0
+        del registry
+        with pytest.raises(ReferenceError):
+            shop.discover_plants()
+
 
 class TestBroker:
     def make_broker_site(self, env):

@@ -1132,7 +1132,9 @@ class ClassAd:
     def __setitem__(self, key: str, value: Any) -> None:
         if not isinstance(value, _SCALARS):
             value = self._checked_list(value)
-        low = key.lower()
+        # An already-lower key is its own folded form: shared, not
+        # copied (``str.lower`` always builds a new string).
+        low = key if key.islower() else key.lower()
         self._names[low] = key
         self._attrs[low] = value
 
@@ -1195,7 +1197,7 @@ class ClassAd:
         for key, value in other.items():
             if not isinstance(value, _SCALARS):
                 value = self._checked_list(value)
-            low = key.lower()
+            low = key if key.islower() else key.lower()
             names[low] = key
             attrs[low] = value
 

@@ -204,9 +204,7 @@ class FederationGateway:
                 tried += 1
                 try:
                     ad = yield from self.shop.transport.call(
-                        lambda b=bid: b.bidder.create(
-                            request, None, clone_mode
-                        )
+                        bid.bidder.create, request, None, clone_mode
                     )
                 except ShopError:
                     # The remote filled up (or went dark) between bid

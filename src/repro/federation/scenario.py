@@ -424,9 +424,19 @@ class GridScenario(ShardScenario):
         route = f"{self.name}/route"
         cross = float(handle.params["cross_fraction"])
         pools = handle.fsite.bed.pools
-        #: Kept only while there are pools to shut down after them: a
-        #: site's memory must not grow with its request count.
-        procs = []
+        # With pools to shut down after the drain, count the requests
+        # still out instead of keeping their processes: a site's memory
+        # must not grow with its request count.  ``drained`` fires
+        # exactly where ``all_of`` over them would.
+        outstanding = 0
+        drained = None
+
+        def finished(_proc) -> None:
+            nonlocal outstanding
+            outstanding -= 1
+            if not outstanding and drained is not None:
+                drained.succeed()
+
         for idx, arrival in enumerate(handle.stream):
             handle.trace_hash.update(_canonical_line(arrival).encode())
             handle.trace_hash.update(b"\n")
@@ -440,13 +450,17 @@ class GridScenario(ShardScenario):
                 self._request(handle, idx, arrival, is_cross)
             )
             if pools:
-                procs.append(proc)
+                outstanding += 1
+                proc.callbacks.append(finished)
         if pools:
             # Shut the speculative pools down once the workload has
             # fully drained, so idle prefilled clones are handed back
             # and the end-of-run leak audit measures true leaks (this
             # is shutdown, not pressure — ``preempted`` not touched).
-            yield env.all_of(procs)
+            drained = env.event()
+            if not outstanding:
+                drained.succeed()
+            yield drained
             for pool in pools:
                 yield from pool.shutdown()
 

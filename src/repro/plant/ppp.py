@@ -163,14 +163,76 @@ class ProductionProcessPlanner:
             }
         )
 
+        # Registered in-flight for the clone+configure window; one
+        # frame owns both the registration and the phases.
         self._inflight[order.vmid] = (vm, line)
         try:
-            yield from self._produce_phases(
-                order, vm, image, match, line, context
+            ad = vm.classad
+            # Phase 4 of Figure 3: clone the cached sub-graph.
+            trace(
+                self.env, "ppp", "clone-start",
+                vmid=order.vmid, image=image.image_id,
+                cached=len(match.satisfied), residual=len(match.residual),
             )
+            clone_start = self.env.now
+            try:
+                yield from line.clone(vm, order.clone_mode)
+            except (ReproError, Interrupt):
+                # The line's clone wrapper already released host memory.
+                vm.status = VMStatus.FAILED
+                raise
+            ad["clone_time"] = self.env.now - clone_start
+            trace(
+                self.env, "ppp", "clone-done",
+                vmid=order.vmid, seconds=self.env.now - clone_start,
+            )
+
+            for name in match.satisfied:
+                vm.record(
+                    ActionResult(action=name, status=ActionStatus.CACHED)
+                )
+            vm.performed_actions.extend(image.performed)
+
+            # Phase 5: execute the residual sub-graph.
+            vm.status = VMStatus.CONFIGURING
+            config_start = self.env.now
+            dag = request.dag
+            try:
+                yield from self.run_actions(
+                    vm, line, dag, list(match.residual), context
+                )
+            except ConfigurationError:
+                vm.status = VMStatus.FAILED
+                yield from line.collect(vm)
+                raise
+            except (ReproError, Interrupt):
+                # Crash or deadline-interrupt mid-configuration: the clone
+                # is running and holds host memory, but a graceful collect
+                # is impossible (host down / caller gone) — release
+                # synchronously.
+                vm.status = VMStatus.FAILED
+                line.abort(vm)
+                raise
+            vm.status = VMStatus.RUNNING
+            now = self.env.now
+            finished = {
+                "config_time": now - config_start,
+                "total_time": now - clone_start,
+                "actions_cached": len(match.satisfied),
+                "actions_executed": len(match.residual),
+                "status": vm.status._value_,
+            }
+            if request.lease_s is not None:
+                finished["lease_expires_at"] = now + request.lease_s
+            ad.update(finished)
+            self.infosys.store(vm)
+            trace(
+                self.env, "ppp", "vm-running",
+                vmid=order.vmid, total=self.env.now - clone_start,
+            )
+            return vm
         finally:
             self._inflight.pop(order.vmid, None)
-        return vm
 
     def abort_inflight(self, vmid: str):
         """Release an in-flight production's partial state.
@@ -187,81 +249,6 @@ class ProductionProcessPlanner:
         vm.status = VMStatus.FAILED
         line.abort(vm)
         return vm, line
-
-    def _produce_phases(
-        self,
-        order: ProductionOrder,
-        vm: VirtualMachine,
-        image: GoldenImage,
-        match: MatchResult,
-        line: ProductionLine,
-        context: Dict[str, str],
-    ) -> Generator:
-        request = order.request
-        ad = vm.classad
-        # Phase 4 of Figure 3: clone the cached sub-graph.
-        trace(
-            self.env, "ppp", "clone-start",
-            vmid=order.vmid, image=image.image_id,
-            cached=len(match.satisfied), residual=len(match.residual),
-        )
-        clone_start = self.env.now
-        try:
-            yield from line.clone(vm, order.clone_mode)
-        except (ReproError, Interrupt):
-            # The line's clone wrapper already released host memory.
-            vm.status = VMStatus.FAILED
-            raise
-        ad["clone_time"] = self.env.now - clone_start
-        trace(
-            self.env, "ppp", "clone-done",
-            vmid=order.vmid, seconds=self.env.now - clone_start,
-        )
-
-        for name in match.satisfied:
-            vm.record(
-                ActionResult(action=name, status=ActionStatus.CACHED)
-            )
-        vm.performed_actions.extend(image.performed)
-
-        # Phase 5: execute the residual sub-graph.
-        vm.status = VMStatus.CONFIGURING
-        config_start = self.env.now
-        dag = request.dag
-        try:
-            yield from self.run_actions(
-                vm, line, dag, list(match.residual), context
-            )
-        except ConfigurationError:
-            vm.status = VMStatus.FAILED
-            yield from line.collect(vm)
-            raise
-        except (ReproError, Interrupt):
-            # Crash or deadline-interrupt mid-configuration: the clone
-            # is running and holds host memory, but a graceful collect
-            # is impossible (host down / caller gone) — release
-            # synchronously.
-            vm.status = VMStatus.FAILED
-            line.abort(vm)
-            raise
-        vm.status = VMStatus.RUNNING
-        now = self.env.now
-        finished = {
-            "config_time": now - config_start,
-            "total_time": now - clone_start,
-            "actions_cached": len(match.satisfied),
-            "actions_executed": len(match.residual),
-            "status": vm.status._value_,
-        }
-        if request.lease_s is not None:
-            finished["lease_expires_at"] = now + request.lease_s
-        ad.update(finished)
-        self.infosys.store(vm)
-        trace(
-            self.env, "ppp", "vm-running",
-            vmid=order.vmid, total=self.env.now - clone_start,
-        )
-        return vm
 
     def run_actions(
         self,

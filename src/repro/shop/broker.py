@@ -64,7 +64,12 @@ class VMBroker:
         vmid: str,
         clone_mode: Optional[CloneMode] = None,
     ) -> Generator:
-        """Route creation to the current best plant for the request."""
+        """Route creation to the current best plant for the request.
+
+        Returns that plant's create generator: the broker does nothing
+        after the plant has, so it keeps no frame of its own under the
+        create (the caller's ``yield from`` drives the plant's).
+        """
         # Re-estimate at create time: the create reaches the broker one
         # transport hop after its bid was collected, and plant state
         # may have moved in between (other requests' creates landed).
@@ -76,8 +81,7 @@ class VMBroker:
             raise ShopError(
                 f"broker {self.name}: no plant can host the request"
             )
-        result = yield from plant.create(request, vmid, clone_mode)
-        return result
+        return plant.create(request, vmid, clone_mode)
 
     def abort_creation(self, vmid: str) -> List[str]:
         """Forward an abort to every fronted plant (each is idempotent).

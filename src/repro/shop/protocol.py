@@ -141,18 +141,21 @@ class Transport:
         # RngHub.lognormal("transport", 0, sigma), the stream bound once.
         return self.latency_s * exp(self._normal(0.0, self.jitter_sigma))
 
-    def call(self, handler: Callable[[], Any]) -> Generator:
-        """Invoke ``handler`` remotely: latency → handler → latency.
+    def call(self, handler: Callable[..., Any], *args: Any) -> Generator:
+        """Invoke ``handler(*args)`` remotely: latency → handler → latency.
 
-        ``handler()`` may return a plain value or a process generator
+        The handler may return a plain value or a process generator
         (which is then driven to completion); the transport returns
         its result.  The call is part of the caller's generator chain,
         so an interrupt thrown at the caller (a create deadline)
         unwinds through the handler's ``except``/``finally`` blocks.
+        Arguments ride with the call rather than in a closure made
+        for it, and a handler that only routes (a broker) returns the
+        generator it routes to: this frame drives it directly.
         """
         self.calls += 1
         yield self.env.timeout(self._one_way())
-        result = handler()
+        result = handler(*args)
         if hasattr(result, "send") and hasattr(result, "throw"):
             result = yield from result
         yield self.env.timeout(self._one_way())

@@ -171,7 +171,12 @@ class VMShop:
             raise ShopError(f"unexpected service {service!r}")
 
         policy = self.recovery
+        deadline = policy.create_deadline_s
         attempts = max(1, policy.max_attempts)
+        # One frame for every attempt: its bid round and its dispatch
+        # are inline, so an in-flight create is this frame, the
+        # transport call and the plant's own frames (DESIGN, "Frame
+        # depth").
         for attempt in range(1, attempts + 1):
             if attempt > 1:
                 delay = policy.backoff_delay(attempt)
@@ -181,18 +186,51 @@ class VMShop:
                 )
                 if delay > 0:
                     yield self.env.timeout(delay)
+                bids = None  # the backoff moved the clock
             try:
-                ad = yield from self._create_attempt(
-                    request, clone_mode, bids if attempt == 1 else None
+                # One bid-and-dispatch round (fresh VMID per round),
+                # among breaker-admitted bidders only.
+                bidders = self._admitted_bidders()
+                if bids is None:
+                    round_bids = yield from self.collector.collect(
+                        bidders, request, deadline_s=policy.bid_deadline_s
+                    )
+                elif bidders is not self.bidders:
+                    round_bids = [b for b in bids if b.bidder in bidders]
+                else:
+                    round_bids = bids
+                ranked = self.collector.rank(round_bids)
+                if not ranked:
+                    raise ShopError("no plant bid for the request")
+                vmid = self.next_vmid()
+                trace(
+                    self.env, "shop", "bids-collected",
+                    vmid=vmid, bids=len(ranked), best=ranked[0].bidder_name,
                 )
+                candidates = ranked if self.retry_other_plants else ranked[:1]
+                for bid in candidates:
+                    try:
+                        if deadline is None:
+                            ad = yield from self.transport.call(
+                                bid.bidder.create, request, vmid, clone_mode
+                            )
+                        else:
+                            ad = yield from self._dispatch_create(
+                                bid, request, vmid, clone_mode, deadline
+                            )
+                    except ReproError as exc:
+                        self._create_failed(vmid, bid, exc)
+                        if bid is candidates[-1]:
+                            raise  # from inside the handler, as below
+                        continue
+                    self._created(vmid, bid, ad)
+                    return ad
             except ReproError:
                 # The last error is the create's, re-raised in here so
                 # no name keeps it: this frame is in its traceback, and
                 # a cycle of the two would pin the whole site.
                 if attempt == attempts:
                     raise
-                continue
-            return ad
 
     def _health_for(self, name: str) -> PlantHealth:
         breaker = self.health.get(name)
@@ -205,82 +243,45 @@ class VMShop:
             self.health[name] = breaker
         return breaker
 
-    def _create_attempt(
-        self,
-        request: CreateRequest,
-        clone_mode: Optional[CloneMode],
-        bids: Optional[Sequence[Bid]] = None,
-    ) -> Generator:
-        """One bid-and-dispatch round (fresh VMID per round).
+    def _admitted_bidders(self) -> List[Any]:
+        """The bidders a round may ask: ``self.bidders`` itself unless
+        a circuit breaker keeps some of them out."""
+        if self.recovery.quarantine_threshold <= 0:
+            return self.bidders
+        now = self.env.now
+        admitted = [
+            b for b in self.bidders if self._health_for(b.name).allows(now)
+        ]
+        # An all-quarantined site still gets a desperation round over
+        # everyone rather than an instant no-bid failure.
+        return admitted or self.bidders
 
-        The round is collected here unless the caller's ``bids`` stand
-        in for it; either way only breaker-admitted bidders take part.
-        """
-        policy = self.recovery
-        bidders = self.bidders
-        if policy.quarantine_threshold > 0:
-            now = self.env.now
-            admitted = [
-                b for b in bidders if self._health_for(b.name).allows(now)
-            ]
-            # An all-quarantined site still gets a desperation round
-            # over everyone rather than an instant no-bid failure.
-            if admitted:
-                bidders = admitted
-        if bids is None:
-            bids = yield from self.collector.collect(
-                bidders, request, deadline_s=policy.bid_deadline_s
-            )
-        elif bidders is not self.bidders:
-            bids = [bid for bid in bids if bid.bidder in bidders]
-        ranked = self.collector.rank(bids)
-        if not ranked:
-            raise ShopError("no plant bid for the request")
-
-        vmid = self.next_vmid()
+    def _create_failed(self, vmid: str, bid: Bid, exc: ReproError) -> None:
+        """Ledger, breaker and orphan release for one failed dispatch."""
+        self.creation_log.append((vmid, bid.bidder_name, False))
         trace(
-            self.env, "shop", "bids-collected",
-            vmid=vmid, bids=len(ranked), best=ranked[0].bidder_name,
+            self.env, "shop", "create-failed",
+            vmid=vmid, plant=bid.bidder_name, error=type(exc).__name__,
         )
-        candidates = ranked if self.retry_other_plants else ranked[:1]
-        for bid in candidates:
-            try:
-                ad = yield from self._dispatch_create(
-                    bid, request, vmid, clone_mode
-                )
-            except ReproError as exc:
-                self.creation_log.append((vmid, bid.bidder_name, False))
-                trace(
-                    self.env, "shop", "create-failed",
-                    vmid=vmid, plant=bid.bidder_name,
-                    error=type(exc).__name__,
-                )
-                if self._health_for(bid.bidder_name).record_failure(
-                    self.env.now
-                ):
-                    trace(
-                        self.env, "shop", "plant-quarantined",
-                        plant=bid.bidder_name,
-                        until=self.env.now + self.recovery.quarantine_s,
-                    )
-                # Synchronous orphan release: whatever partial state
-                # the failed/aborted create left behind must be gone
-                # before the next bidder (or attempt) runs.
-                abort = getattr(bid.bidder, "abort_creation", None)
-                if abort is not None:
-                    abort(vmid)
-                if bid is candidates[-1]:
-                    raise  # from inside the handler, as in create()
-                continue
-            self._health_for(bid.bidder_name).record_success(self.env.now)
-            self._route[vmid] = bid.bidder
-            self._cache[vmid] = ad.copy()
-            self.creation_log.append((vmid, bid.bidder_name, True))
+        if self._health_for(bid.bidder_name).record_failure(self.env.now):
             trace(
-                self.env, "shop", "created",
-                vmid=vmid, plant=bid.bidder_name,
+                self.env, "shop", "plant-quarantined",
+                plant=bid.bidder_name,
+                until=self.env.now + self.recovery.quarantine_s,
             )
-            return ad
+        # Synchronous orphan release: whatever partial state the
+        # failed/aborted create left behind must be gone before the
+        # next bidder (or attempt) runs.
+        abort = getattr(bid.bidder, "abort_creation", None)
+        if abort is not None:
+            abort(vmid)
+
+    def _created(self, vmid: str, bid: Bid, ad: ClassAd) -> None:
+        self._health_for(bid.bidder_name).record_success(self.env.now)
+        self._route[vmid] = bid.bidder
+        self._cache[vmid] = ad.copy()
+        self.creation_log.append((vmid, bid.bidder_name, True))
+        trace(self.env, "shop", "created", vmid=vmid, plant=bid.bidder_name)
 
     def _dispatch_create(
         self,
@@ -288,23 +289,19 @@ class VMShop:
         request: CreateRequest,
         vmid: str,
         clone_mode: Optional[CloneMode],
+        deadline: float,
     ) -> Generator:
-        """Run one plant-side create, bounded by ``create_deadline_s``.
+        """Run one plant-side create bounded by ``create_deadline_s``.
 
-        Without a deadline this is exactly the seed's direct transport
-        call.  With one, the call runs as a child process raced
-        against a timer; on expiry the child is interrupted (its
-        unwinding releases plant-side state synchronously) and
-        :class:`DeadlineExceeded` is raised.
+        The call runs as a child process raced against a timer; on
+        expiry the child is interrupted (its unwinding releases
+        plant-side state synchronously) and :class:`DeadlineExceeded`
+        is raised.  Without a deadline :meth:`create` makes the
+        transport call itself.
         """
-        deadline = self.recovery.create_deadline_s
-        handler = lambda b=bid: b.bidder.create(  # noqa: E731
-            request, vmid, clone_mode
+        proc = self.env.process(
+            self.transport.call(bid.bidder.create, request, vmid, clone_mode)
         )
-        if deadline is None:
-            ad = yield from self.transport.call(handler)
-            return ad
-        proc = self.env.process(self.transport.call(handler))
         yield self.env.any_of([proc, self.env.timeout(deadline)])
         if proc.triggered:
             if not proc.ok:
@@ -347,9 +344,7 @@ class VMShop:
         if use_cache and not attrs and vmid in self._cache:
             return self._cache[vmid].copy()
         plant = self._plant_for(vmid)
-        ad = yield from self.transport.call(
-            lambda: plant.query(vmid, attrs)
-        )
+        ad = yield from self.transport.call(plant.query, vmid, attrs)
         if not attrs:
             self._cache[vmid] = ad.copy()
         return ad
@@ -369,7 +364,7 @@ class VMShop:
         plant = self._plant_for(vmid)
         try:
             ad = yield from self.transport.call(
-                lambda: plant.destroy(vmid, commit, publish_as)
+                plant.destroy, vmid, commit, publish_as
             )
         except ReproError:
             self._route.pop(vmid, None)

@@ -215,21 +215,50 @@ class _SimLine(ProductionLine):
     def _copy_clone_state(
         self, image: GoldenImage, mode: CloneMode
     ) -> Generator:
-        """Replicate per-clone state from the warehouse.
+        """Start replicating per-clone state from the warehouse.
 
-        Returns ``(seconds, source)`` where ``source`` records which
-        path served the bytes (see :class:`CloneRecord.copy_source`).
-        LINK-mode state can come from the legacy per-line replica, the
-        host's LRU golden-state cache, or a coalesced in-flight
-        transfer; the default configuration always takes the plain
-        warehouse transfer, exactly as the paper measures.
+        Returns the generator that moves the bytes; the clone drives
+        it and hands its value to :meth:`_copied`.  LINK-mode state
+        can come from the legacy per-line replica, the host's LRU
+        golden-state cache, or a coalesced in-flight transfer
+        (:meth:`_copy_via_caches`).  The default configuration always
+        takes the plain warehouse transfer, exactly as the paper
+        measures, and that is ``NFSServer.copy_to_host`` itself: no
+        frame of this line's sits between the clone and the NFS
+        server (DESIGN, "Frame depth").
         """
-        start = self.env.now
         payload = image.clone_payload_mb
         files = 3 if image.memory_state_mb > 0 else 2
         if mode is CloneMode.COPY:
             payload += image.disk_state_mb
             files += image.disk_files
+        if self.coalesce_transfers or (
+            mode is CloneMode.LINK
+            and (
+                self.local_state_cache
+                or self.host.state_cache is not None
+                or self.distribution is not None
+            )
+        ):
+            return self._copy_via_caches(image, mode, payload, files)
+        return self.nfs.copy_to_host(payload, self.host, files=files)
+
+    def _copied(self, image: GoldenImage, source: Optional[str]) -> str:
+        """Book a landed copy; returns its ``CloneRecord.copy_source``.
+
+        ``None`` is the plain warehouse transfer, which reports no
+        source of its own.
+        """
+        if source is None:
+            self._cached_images.add(image.image_id)
+            return "nfs"
+        return source
+
+    def _copy_via_caches(
+        self, image: GoldenImage, mode: CloneMode, payload: float, files: int
+    ) -> Generator:
+        """The copy when a cache, a tree or coalescing may serve it;
+        returns the path that served the bytes."""
         cache = self.host.state_cache if mode is CloneMode.LINK else None
         if (
             self.local_state_cache
@@ -240,12 +269,12 @@ class _SimLine(ProductionLine):
             # the local disk, no NFS traffic.
             yield from self.host.disk_read(payload)
             yield from self.host.disk_write(payload)
-            return self.env.now - start, "line-cache"
+            return "line-cache"
         if cache is not None and cache.lookup(image.image_id):
             # Warm host cache: the state is already on the local disk.
             yield from self.host.disk_read(payload)
             yield from self.host.disk_write(payload)
-            return self.env.now - start, "host-cache"
+            return "host-cache"
         if self.distribution is not None and mode is CloneMode.LINK:
             # Peer broadcast tree: nearest seeded peer, else attach to
             # an in-flight delivery, else seed from the warehouse.
@@ -254,7 +283,7 @@ class _SimLine(ProductionLine):
                 self.host, image.image_id, payload, files=files
             )
             self._cached_images.add(image.image_id)
-            return self.env.now - start, source
+            return source
         if self.coalesce_transfers:
             source = yield from self.nfs.copy_to_host_coalesced(
                 (self.host.name, image.image_id, mode._value_),
@@ -271,7 +300,7 @@ class _SimLine(ProductionLine):
         if cache is not None:
             cache.insert(image.image_id, payload)
         # Soft-link creation for the shared base disk is effectively free.
-        return self.env.now - start, source
+        return source
 
     def _maybe_fail_clone(self, vm: VirtualMachine) -> None:
         # Memory release on failure happens in the clone wrapper
@@ -418,9 +447,11 @@ class VMwareLine(_SimLine):
         self._admit(vm)
 
         try:
-            copy_time, copy_source = yield from self._copy_clone_state(
-                image, mode
+            copy_start = self.env.now
+            copy_source = self._copied(
+                image, (yield from self._copy_clone_state(image, mode))
             )
+            copy_time = self.env.now - copy_start
 
             lat = self.latency
             yield self.env.timeout(
@@ -485,9 +516,11 @@ class UMLLine(_SimLine):
         self._admit(vm)
 
         try:
-            copy_time, copy_source = yield from self._copy_clone_state(
-                image, mode
+            copy_start = self.env.now
+            copy_source = self._copied(
+                image, (yield from self._copy_clone_state(image, mode))
             )
+            copy_time = self.env.now - copy_start
             lat = self.latency
             yield self.env.timeout(
                 lat.uml_cow_setup_s * self._jitter("cow-setup")

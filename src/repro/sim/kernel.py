@@ -233,6 +233,11 @@ class Process(Event):
     one Python call per wake-up — and drops any call whose event is
     not ``_target``: a wake-up an interrupt superseded while that
     event was already firing, or one that outlived the process.
+
+    ``_generator`` is dropped the moment the generator returns or
+    raises: a finished process is an event with a value, and whoever
+    still holds it (a waiter, a list of requests) does not keep the
+    generator's frame and locals alive with it.
     """
 
     __slots__ = ("_generator", "_target")
@@ -302,9 +307,11 @@ class Process(Event):
                 event.defused = True
                 next_ev = self._generator.throw(event._value)
         except StopIteration as stop:
+            self._generator = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._generator = None
             # Minus this frame: it holds the process, which is about
             # to hold the exception, which holds its traceback.
             self.fail(exc.with_traceback(exc.__traceback__.tb_next))
@@ -315,13 +322,15 @@ class Process(Event):
             err = SimulationError(
                 f"process yielded non-event {next_ev!r}"
             )
+            generator, self._generator = self._generator, None
             try:
-                self._generator.close()
+                generator.close()
             finally:
                 self.fail(err)
             return
         if next_ev.env is not env:
-            self._generator.close()
+            generator, self._generator = self._generator, None
+            generator.close()
             self.fail(SimulationError("event from a different environment"))
             return
 
@@ -342,6 +351,8 @@ class Process(Event):
             env.schedule(resume_ev, priority=PRIORITY_URGENT)
 
     def __repr__(self) -> str:
+        if self._generator is None:
+            return "<Process dead>"
         name = getattr(self._generator, "__name__", "process")
         state = "alive" if self._ok is None else "dead"
         return f"<Process {name} {state}>"

@@ -242,11 +242,13 @@ class NFSServer:
         files: int = 1,
         pressured: bool = True,
     ) -> Generator:
-        """Copy with in-flight sharing per ``key`` (host, image)."""
-        result = yield from self.coalescer.copy(
+        """Copy with in-flight sharing per ``key`` (host, image).
+
+        Returns the coalescer's generator: this method only routes.
+        """
+        return self.coalescer.copy(
             self, key, size_mb, host, files=files, pressured=pressured
         )
-        return result
 
     def __repr__(self) -> str:
         return (
@@ -353,11 +355,13 @@ class ReplicatedWarehouseStorage:
         files: int = 1,
         pressured: bool = True,
     ) -> Generator:
-        """Copy with in-flight sharing per ``key`` (host, image)."""
-        result = yield from self.coalescer.copy(
+        """Copy with in-flight sharing per ``key`` (host, image).
+
+        Returns the coalescer's generator: this method only routes.
+        """
+        return self.coalescer.copy(
             self, key, size_mb, host, files=files, pressured=pressured
         )
-        return result
 
     def __repr__(self) -> str:
         return f"<ReplicatedWarehouseStorage x{len(self.replicas)}>"

@@ -465,11 +465,11 @@ def _oracle_one_way(transport) -> float:
     ).lognormvariate(0.0, transport.jitter_sigma)
 
 
-def _oracle_call(transport, handler) -> Generator:
+def _oracle_call(transport, handler, *args) -> Generator:
     """``Transport.call`` drawing through ``random.lognormvariate``."""
     transport.calls += 1
     yield transport.env.timeout(_oracle_one_way(transport))
-    result = handler()
+    result = handler(*args)
     if hasattr(result, "send") and hasattr(result, "throw"):
         result = yield from result
     yield transport.env.timeout(_oracle_one_way(transport))
@@ -486,13 +486,11 @@ def oracle_collect(
     env = collector.env
     procs = []
     for bidder in bidders:
-        proc_call = getattr(bidder, "estimate_proc", None)
-        if proc_call is not None:
-            handler = lambda c=proc_call: c(request)  # noqa: E731
-        else:
-            handler = lambda b=bidder: b.estimate(request)  # noqa: E731
+        handler = getattr(bidder, "estimate_proc", None) or bidder.estimate
         procs.append(
-            OracleProcess(env, _oracle_call(collector.transport, handler))
+            OracleProcess(
+                env, _oracle_call(collector.transport, handler, request)
+            )
         )
     if procs:
         if deadline_s is None:

@@ -163,6 +163,25 @@ class TestClassAd:
         del ad["mEmOrY"]
         assert "memory" not in ad
 
+    @pytest.mark.parametrize("build", ["update", "assign"])
+    def test_mixed_case_keys_fold_and_keep_their_spelling(self, build):
+        block = {"VMID": "v1", "Memory_MB": 64, "os": "linux", "x_1": 1,
+                 "_2": 2, "Tür": 3}
+        ad = ClassAd()
+        if build == "update":
+            ad.update(block)
+        else:
+            for key, value in block.items():
+                ad[key] = value
+        for key, value in block.items():
+            for spelling in (key, key.lower(), key.upper(), key.swapcase()):
+                assert ad[spelling] == value
+        assert list(ad.items()) == list(block.items())
+        assert ad.to_string().startswith('[VMID = "v1"; Memory_MB = 64')
+        # An already-lower key is stored as the caller's own string.
+        (folded,) = (k for k in ad._attrs if k == "os")
+        assert folded is next(k for k in block if k == "os")
+
     def test_getitem_missing_raises_keyerror(self):
         with pytest.raises(KeyError):
             ClassAd()["ghost"]

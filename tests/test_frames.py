@@ -1,0 +1,152 @@
+"""An in-flight create is a shallow stack.
+
+Every generator frame on the create path owns something: a ``try``, a
+step after the inner call returns, or a trace target.  A layer that
+only delegates returns the inner generator instead of wrapping it
+(DESIGN, "Ownership and lifetime" → "Frame depth"), and a finished
+process lets go of its generator, so what a site holds per request is
+its live frames only.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from benchmarks.e2e.workloads import WORKLOADS
+from repro.core.errors import ReproError
+from repro.plant.speculative import AdaptiveSpeculativePool
+from repro.sim.cluster import build_testbed
+from repro.sim.kernel import Environment, Interrupt, Process, SimulationError
+from repro.workloads.requests import experiment_request
+
+from tests.helpers import drive
+
+#: A create parked at its warehouse transfer, outermost first.  Each
+#: frame's reason to exist is in DESIGN's table; a new entry here is
+#: a new layer every in-flight create pays for.
+CREATE_CHAIN = (
+    "VMShop.create",
+    "Transport.call",
+    "VMPlant.create",
+    "ProductionProcessPlanner.produce",
+    "VMwareLine.clone",
+    "NFSServer.copy_to_host",
+)
+
+
+def _frames(proc: Process):
+    names = []
+    gen = proc._generator
+    while gen is not None:
+        names.append(gen.gi_code.co_qualname)
+        gen = gen.gi_yieldfrom
+    return names
+
+
+class TestFinishedProcessReleasesItsFrame:
+    def _check_dead(self, proc: Process) -> None:
+        assert not proc.is_alive
+        assert proc._generator is None
+        assert "dead" in repr(proc)
+        with pytest.raises(SimulationError):
+            proc.interrupt("late")
+
+    def test_returned(self):
+        env = Environment()
+
+        def body():
+            yield env.timeout(1.0)
+            return "done"
+
+        proc = env.process(body())
+        env.run()
+        assert proc.value == "done"
+        self._check_dead(proc)
+
+    def test_raised(self):
+        env = Environment()
+
+        def body():
+            yield env.timeout(1.0)
+            raise ReproError("boom")
+
+        def waiter(proc):
+            with pytest.raises(ReproError):
+                yield proc
+
+        proc = env.process(body())
+        drive(env, waiter(proc))
+        self._check_dead(proc)
+
+    def test_interrupted(self):
+        env = Environment()
+
+        def body():
+            yield env.timeout(10.0)
+
+        proc = env.process(body())
+        env.call_later(1.0, lambda _ev: proc.interrupt("stop"))
+        proc.defused = True
+        env.run()
+        assert isinstance(proc.value, Interrupt)
+        self._check_dead(proc)
+
+    def test_yielded_a_non_event(self):
+        env = Environment()
+
+        def body():
+            yield "not an event"
+
+        proc = env.process(body())
+        proc.defused = True
+        env.run()
+        assert isinstance(proc.value, SimulationError)
+        self._check_dead(proc)
+
+
+@pytest.mark.parametrize("rack_size", [None, 4], ids=["direct", "broker"])
+def test_create_parked_at_its_transfer_is_the_expected_chain(rack_size):
+    # A broker routes and returns the plant's generator: the chain is
+    # the same with or without one.
+    bed = build_testbed(seed=1, n_plants=8, rack_size=rack_size)
+    env = bed.env
+    proc = env.process(bed.shop.create(experiment_request(32)))
+    chain = []
+    while proc.is_alive and (not chain or chain[-1] != CREATE_CHAIN[-1]):
+        env.step()
+        chain = _frames(proc)
+    assert tuple(chain) == CREATE_CHAIN, (
+        f"an in-flight create is {len(chain)} frames deep, "
+        f"{len(CREATE_CHAIN)} expected:\n  " + "\n  ".join(chain)
+    )
+    env.run()
+    assert proc.ok and proc._generator is None
+
+
+def test_pooled_site_keeps_no_process_per_finished_arrival(monkeypatch):
+    # With speculative pools the arrivals loop waits for its requests
+    # to drain before shutting the pools down; it must count them, not
+    # keep them.  Census taken when the pools shut down, i.e. with
+    # every arrival of that site finished.
+    workload = WORKLOADS["grid_overload"]
+    params = {**workload.scaled(0.05), **workload.inprocess_overrides}
+    census = []
+    shutdown = AdaptiveSpeculativePool.shutdown
+
+    def counted(self):
+        census.append(
+            sum(
+                1
+                for obj in gc.get_objects()
+                if type(obj) is Process and not obj.is_alive
+            )
+        )
+        return shutdown(self)
+
+    monkeypatch.setattr(AdaptiveSpeculativePool, "shutdown", counted)
+    outcome = workload.run(workload.setup(2004, params))
+    assert census and outcome.summary.total("ok") > 0
+    # Kept per request, this read 50 to 162 (50 arrivals a site).
+    assert max(census) < params["sites"], census

@@ -116,6 +116,22 @@ class TestTransport:
 
         assert drive(env, proc(env)) == ("done", 3.0)
 
+    def test_call_passes_its_arguments_to_the_handler(self):
+        env = Environment()
+        transport = Transport(env, latency_s=0.0)
+
+        def handler(delay, answer):
+            yield env.timeout(delay)
+            return answer
+
+        def proc(env):
+            plain = yield from transport.call(divmod, 17, 5)
+            driven = yield from transport.call(handler, 2.0, "late")
+            return plain, driven, env.now
+
+        assert drive(env, proc(env)) == ((3, 2), "late", 2.0)
+        assert transport.calls == 2
+
     def test_zero_latency_allowed(self):
         env = Environment()
         transport = Transport(env, latency_s=0.0)

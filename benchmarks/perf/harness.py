@@ -16,10 +16,9 @@ trajectory so regressions are visible across commits:
 Each invocation appends one record to
 ``benchmarks/results/BENCH_parallel_runner.json``, then runs the
 matching-throughput sweep (``benchmarks.perf.matching_bench``) and
-the provisioning loadtest (``benchmarks.perf.provision_bench``), and
-the classad query-engine bench (``benchmarks.perf.classad_bench``),
-which append their own records to ``BENCH_matching.json``,
-``BENCH_provisioning.json``, and ``BENCH_classad.json``.
+the provisioning loadtest (``benchmarks.perf.provision_bench``),
+which append their own records to ``BENCH_matching.json`` and
+``BENCH_provisioning.json``.
 
 Run::
 
@@ -36,7 +35,6 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from benchmarks.perf.classad_bench import run_classad_bench
 from benchmarks.perf.matching_bench import run_matching_bench
 from benchmarks.perf.provision_bench import run_provision_bench
 from benchmarks.perf.trajectory import RESULTS, append_record, host_fields
@@ -124,7 +122,6 @@ def run_harness(
     kernel_count: Optional[int] = None,
     matching: bool = True,
     provisioning: bool = True,
-    classad: bool = True,
 ) -> dict:
     """Run all measurements; append the record to the trajectory file."""
     runs = SMALL_RUNS if small else PAPER_RUNS
@@ -152,8 +149,6 @@ def run_harness(
         record["matching"] = run_matching_bench(small=small)
     if provisioning:
         record["provisioning"] = run_provision_bench(small=small)
-    if classad:
-        record["classad"] = run_classad_bench(small=small)
     return record
 
 

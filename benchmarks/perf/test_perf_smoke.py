@@ -21,10 +21,6 @@ from benchmarks.perf.harness import (
     measure_kernel,
     measure_suite,
 )
-from benchmarks.perf.classad_bench import (
-    CLASSAD_BENCH_PATH,
-    measure_eval_throughput,
-)
 from benchmarks.perf.matching_bench import (
     MATCH_BENCH_PATH,
     measure_matching,
@@ -124,71 +120,6 @@ def test_matching_throughput_regression_vs_trajectory():
         f"indexed matching {point['indexed_bids_per_sec']:.0f} bids/s "
         f"is <half the recorded best ({best:.0f} bids/s)"
     )
-
-
-def test_classad_compiled_beats_reparse_interpreter():
-    """Same-run relative guardrail for the compiled query engine.
-
-    The acceptance record (paper workload) shows >10x; the smoke
-    threshold is conservative for noisy shared runners.  The compiled
-    closures must also beat the tree-walking interpreter on the very
-    AST they were compiled from.
-    """
-    point = measure_eval_throughput(reparse_evals=800, fast_evals=30_000)
-    assert point["compiled_vs_reparse"] >= 5.0, (
-        f"compiled eval only {point['compiled_vs_reparse']}x the "
-        f"reparse-per-call interpreter"
-    )
-    assert point["compiled_vs_interp"] >= 1.2, (
-        f"compiled eval only {point['compiled_vs_interp']}x the "
-        f"interned interpreter"
-    )
-
-
-def test_classad_regression_vs_trajectory():
-    """Compiled evals/sec must stay within 2x of the recorded best,
-    and every recorded run must have passed its equivalence checks."""
-    records = load_trajectory(CLASSAD_BENCH_PATH)
-    if not records:
-        pytest.skip("no recorded classad trajectory")
-    for rec in records:
-        assert rec["bid_path"]["equivalent"] is True
-        assert rec["discover"]["equivalent"] is True
-    best = max(rec["eval"]["compiled_per_sec"] for rec in records)
-    point = measure_eval_throughput(reparse_evals=800, fast_evals=30_000)
-    assert point["compiled_per_sec"] > best / 2.0, (
-        f"compiled eval {point['compiled_per_sec']:.0f}/s is <half "
-        f"the recorded best ({best:.0f}/s)"
-    )
-
-
-def test_classad_classes_have_no_instance_dict():
-    """The matchmaking hot path must stay ``__slots__``-only.
-
-    Every ``Expression``/``ClassAd``/AST-node instance is churned
-    through on each bid; a ``__dict__`` creeping back re-enables a
-    per-instance dict alloc on the hottest path in the shop.
-    """
-    from repro.core import classad as ca
-
-    for cls in (
-        ca.ClassAd,
-        ca.Expression,
-        ca._Scope,
-        ca._Parser,
-        ca._Literal,
-        ca._Ref,
-        ca._ListNode,
-        ca._Unary,
-        ca._Binary,
-        ca._Call,
-        ca._Ternary,
-    ):
-        assert hasattr(cls, "__slots__"), f"{cls.__name__} lost __slots__"
-        instance = object.__new__(cls)
-        assert not hasattr(instance, "__dict__"), (
-            f"{cls.__name__} instances carry a __dict__"
-        )
 
 
 def test_hot_sim_classes_have_no_instance_dict():

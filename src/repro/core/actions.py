@@ -170,13 +170,18 @@ class Action:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "scope", ActionScope(scope))
+        # A member is kept as is: ``Enum(member)`` is two Python calls.
+        if type(scope) is not ActionScope:
+            scope = ActionScope(scope)
+        object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "command", command)
         object.__setattr__(
             self, "params", _canonical_params(params or {})
         )
         object.__setattr__(self, "outputs", tuple(outputs))
-        object.__setattr__(self, "on_error", ErrorPolicy(on_error))
+        if type(on_error) is not ErrorPolicy:
+            on_error = ErrorPolicy(on_error)
+        object.__setattr__(self, "on_error", on_error)
         object.__setattr__(self, "retries", int(retries))
 
     @property

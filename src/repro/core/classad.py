@@ -29,20 +29,16 @@ Grammar (precedence low → high)::
     atom     := literal | reference | '(' expr ')' | list
     reference:= IDENT ('.' IDENT)?
 
-Two evaluation engines share one grammar:
-
-* the **compiled engine** (default) — :class:`Expression` lowers its
-  AST once into nested Python closures with the operator dispatch,
-  scope selection and attribute-name lowering resolved at compile
-  time, constant subexpressions folded, and the evaluation environment
-  inlined into three positional arguments ``(ad, other, depth)`` so a
-  ``matches`` call allocates nothing on the fast path;
-* the **interpreter** — the original recursive ``_Node.eval`` tree
-  walk over a :class:`_Scope`, kept verbatim as the reference
-  implementation.  Nothing in ``src/`` runs it; the differential
-  suite in ``tests/test_classad_compiled.py`` calls it directly
-  (:meth:`Expression.evaluate_interpreted`) and pins the two engines
-  to bit-identical behaviour.
+An :class:`Expression` is compiled to one generated Python function
+``_fn(ad, other, depth)``, written from its AST and ``compile()``-d
+once per text (the technique ``dataclasses`` uses for ``__init__``).
+Attribute fetch, comparison of numbers or of a string with a string
+literal, and ``&&``/``||`` are inline; UNDEFINED, lists, type
+mismatches, arithmetic and built-in calls go to shared helpers;
+closed constant subexpressions are folded.  A ``matches`` call is
+then two Python calls.  The tree-walking
+interpreter this replaced is the reference it is held to, error text
+included (``tests/oracles/classad_interp.py``).
 
 ``Expression(text)`` and :func:`evaluate` go through a bounded global
 intern cache (:data:`_EXPR_CACHE_MAX` entries, LRU), so repeated
@@ -52,8 +48,10 @@ parse and compile exactly once.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import OrderedDict
+from math import isfinite
 from typing import (
     Any,
     Callable,
@@ -143,47 +141,28 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# AST (shared by both engines; ``eval`` is the reference interpreter,
-# ``compile`` lowers to closures)
+# AST (``emit`` writes a node as Python source, see :class:`_Codegen`)
 # ---------------------------------------------------------------------------
 
 #: Maximum nesting depth of attribute-valued expression references.
 _MAX_REF_DEPTH = 32
 _DEPTH_MSG = "expression recursion too deep"
 
+#: ``type(x)`` test of the generated numeric fast path (an ``int``
+#: subclass such as ``bool`` takes the slow path).
+_IS_NUMBER = "(type({0}) is int or type({0}) is float)"
+
 
 class _Node:
     __slots__ = ()
 
-    def eval(self, scope: "_Scope") -> Value:
-        raise NotImplementedError
-
-    def compile(self) -> CompiledFn:
+    def emit(self, gen: "_Codegen", ind: int) -> str:
+        """Append the statements computing this node to ``gen`` at
+        indent ``ind``; return the source of the computed value."""
         raise NotImplementedError
 
     def is_const(self) -> bool:
         return False
-
-
-def _compile_node(node: _Node) -> CompiledFn:
-    """Compile ``node``, folding closed constant subexpressions.
-
-    Folding evaluates the compiled closure once with empty scopes; a
-    :class:`ClassAdError` (e.g. ``1/0`` or ``5 && true``) keeps the
-    node dynamic so the error surfaces at evaluation time exactly as
-    the interpreter raises it.  List results are never folded — each
-    evaluation must return a fresh list.
-    """
-    fn = node.compile()
-    if node.is_const():
-        try:
-            value = fn(None, None, 0)
-        except ClassAdError:
-            return fn
-        if isinstance(value, list):
-            return fn
-        return lambda ad, other, depth: value
-    return fn
 
 
 class _Literal(_Node):
@@ -192,12 +171,8 @@ class _Literal(_Node):
     def __init__(self, value: Value):
         self.value = value
 
-    def eval(self, scope: "_Scope") -> Value:
-        return self.value
-
-    def compile(self) -> CompiledFn:
-        value = self.value
-        return lambda ad, other, depth: value
+    def emit(self, gen: "_Codegen", ind: int) -> str:
+        return gen.const(self.value)
 
     def is_const(self) -> bool:
         return True
@@ -219,88 +194,52 @@ class _Ref(_Node):
         else:
             self.kind = "unknown"
 
-    def eval(self, scope: "_Scope") -> Value:
-        return scope.lookup(self.scope_name, self.attr)
-
-    def compile(self) -> CompiledFn:  # noqa: C901
-        attr = self.attr_low
-        kind = self.kind
-
-        if kind == "unknown":
-            scope_name = self.scope_name
-
-            def unknown(ad, other, depth):
-                raise ClassAdError(f"unknown scope {scope_name!r}")
-
-            return unknown
-
-        if kind == "other":
-
-            def deref_other(ad, other, depth):
-                if depth > _MAX_REF_DEPTH:
-                    raise ClassAdError(_DEPTH_MSG)
-                if other is None:
-                    return UNDEFINED
-                raw = other._attrs.get(attr, UNDEFINED)
-                if isinstance(raw, Expression):
-                    # Attribute-valued expressions evaluate in their
-                    # own ad's scope, keeping the counterpart bound.
-                    return raw._fn(other, ad, depth + 1)
-                return raw
-
-            return deref_other
-
-        if kind == "self":
-
-            def deref_self(ad, other, depth):
-                if depth > _MAX_REF_DEPTH:
-                    raise ClassAdError(_DEPTH_MSG)
-                if ad is None:
-                    return UNDEFINED
-                raw = ad._attrs.get(attr, UNDEFINED)
-                if isinstance(raw, Expression):
-                    return raw._fn(ad, other, depth + 1)
-                return raw
-
-            return deref_self
-
-        def deref_bare(ad, other, depth):
-            if depth > _MAX_REF_DEPTH:
-                raise ClassAdError(_DEPTH_MSG)
-            if ad is None:
-                return UNDEFINED
-            raw = ad._attrs.get(attr, UNDEFINED)
-            if isinstance(raw, Expression):
-                return raw._fn(ad, other, depth + 1)
-            if raw is UNDEFINED and other is not None:
-                # Condor falls through to the target ad for bare names.
-                raw = other._attrs.get(attr, UNDEFINED)
-                if isinstance(raw, Expression):
-                    return raw._fn(other, ad, depth + 1)
-            return raw
-
-        return deref_bare
+    def emit(self, gen: "_Codegen", ind: int) -> str:
+        gen.line(ind, f"if depth > {_MAX_REF_DEPTH}:")
+        gen.line(ind + 1, "raise ClassAdError(_DEPTH_MSG)")
+        if self.kind == "unknown":
+            message = f"unknown scope {self.scope_name!r}"
+            gen.line(ind, f"raise ClassAdError({message!r})")
+            return "UNDEFINED"
+        if self.kind == "other":
+            own, their = "other", "ad"
+        else:
+            own, their = "ad", "other"
+        key = repr(self.attr_low)
+        out = gen.temp()
+        gen.line(ind, f"if {own} is None:")
+        gen.line(ind + 1, f"{out} = UNDEFINED")
+        gen.line(ind, "else:")
+        gen.line(ind + 1, f"{out} = {own}._attrs.get({key}, UNDEFINED)")
+        # Attribute-valued expressions evaluate in their own ad's
+        # scope, keeping the counterpart bound.
+        gen.line(ind + 1, f"if isinstance({out}, Expression):")
+        gen.line(ind + 2, f"{out} = {out}._fn({own}, {their}, depth + 1)")
+        if self.kind == "bare":
+            # Condor falls through to the target ad for bare names.
+            gen.line(
+                ind + 1, f"elif {out} is UNDEFINED and other is not None:"
+            )
+            gen.line(ind + 2, f"{out} = other._attrs.get({key}, UNDEFINED)")
+            gen.line(ind + 2, f"if isinstance({out}, Expression):")
+            gen.line(ind + 3, f"{out} = {out}._fn(other, ad, depth + 1)")
+        return out
 
 
 class _ListNode(_Node):
+    """A list literal: a mutable result, so its elements fold but the
+    node never collapses into a shared constant."""
+
     __slots__ = ("items",)
 
     def __init__(self, items: List[_Node]):
         self.items = items
 
-    def eval(self, scope: "_Scope") -> Value:
-        return [item.eval(scope) for item in self.items]
-
-    def compile(self) -> CompiledFn:
-        fns = tuple(_compile_node(item) for item in self.items)
-        return lambda ad, other, depth: [
-            fn(ad, other, depth) for fn in fns
-        ]
-
-    def is_const(self) -> bool:
-        # Lists are mutable results: compile the elements but never
-        # collapse the node itself into a shared constant.
-        return False
+    def emit(self, gen: "_Codegen", ind: int) -> str:
+        items = [gen.expr(item, ind) for item in self.items]
+        out = gen.temp()
+        gen.line(ind, f"{out} = [{', '.join(items)}]")
+        return out
 
 
 class _Unary(_Node):
@@ -310,45 +249,22 @@ class _Unary(_Node):
         self.op = op
         self.operand = operand
 
-    def eval(self, scope: "_Scope") -> Value:
-        val = self.operand.eval(scope)
-        if isinstance(val, Undefined):
-            return UNDEFINED
+    def emit(self, gen: "_Codegen", ind: int) -> str:
+        val = gen.var(gen.expr(self.operand, ind), ind)
+        out = gen.temp()
         if self.op == "!":
-            if isinstance(val, bool):
-                return not val
-            raise ClassAdError(f"! applied to non-boolean {val!r}")
-        if self.op == "-":
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ClassAdError(f"- applied to non-number {val!r}")
-            return -val
-        raise ClassAdError(f"unknown unary {self.op}")  # pragma: no cover
-
-    def compile(self) -> CompiledFn:
-        sub = _compile_node(self.operand)
-        if self.op == "!":
-
-            def negate(ad, other, depth):
-                val = sub(ad, other, depth)
-                if val is True:
-                    return False
-                if val is False:
-                    return True
-                if val is UNDEFINED:
-                    return UNDEFINED
-                raise ClassAdError(f"! applied to non-boolean {val!r}")
-
-            return negate
-
-        def minus(ad, other, depth):
-            val = sub(ad, other, depth)
-            if val is UNDEFINED:
-                return UNDEFINED
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ClassAdError(f"- applied to non-number {val!r}")
-            return -val
-
-        return minus
+            gen.line(
+                ind,
+                f"{out} = False if {val} is True else True if {val} is False"
+                f" else _unary('!', {val})",
+            )
+        else:
+            gen.line(
+                ind,
+                f"{out} = -{val} if {_IS_NUMBER.format(val)}"
+                f" else _unary('-', {val})",
+            )
+        return out
 
     def is_const(self) -> bool:
         return self.operand.is_const()
@@ -358,71 +274,78 @@ def _is_number(val: Value) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _make_comparator(op: str) -> Callable[[Value, Value], Value]:
-    """Typed comparison with Condor semantics, operator pre-bound."""
-    py = {
-        "==": lambda a, b: a == b,
-        "!=": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }[op]
-    is_equality = op in ("==", "!=")
-
-    def compare(lhs: Value, rhs: Value) -> Value:
-        if _is_number(lhs) and _is_number(rhs):
-            return py(lhs, rhs)
-        if isinstance(lhs, str) and isinstance(rhs, str):
-            # Condor string comparison is case-insensitive.
-            return py(lhs.lower(), rhs.lower())
-        if isinstance(lhs, bool) and isinstance(rhs, bool):
-            if not is_equality:
-                raise ClassAdError("ordering applied to booleans")
-            return py(lhs, rhs)
-        if op == "==":
-            return False
-        if op == "!=":
-            return True
-        raise ClassAdError(f"cannot compare {lhs!r} with {rhs!r}")
-
-    return compare
-
-
-def _make_arithmetic(op: str) -> Callable[[Value, Value], Value]:
-    """Typed arithmetic with Condor semantics, operator pre-bound."""
-
-    def arith(lhs: Value, rhs: Value) -> Value:
-        if op == "+" and isinstance(lhs, str) and isinstance(rhs, str):
-            return lhs + rhs
-        if not (_is_number(lhs) and _is_number(rhs)):
-            raise ClassAdError(
-                f"arithmetic {op} on non-numbers {lhs!r}, {rhs!r}"
-            )
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if rhs == 0:
-                raise ClassAdError("division by zero")
-            result = lhs / rhs
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                return int(lhs // rhs) if lhs % rhs == 0 else result
-            return result
-        if rhs == 0:
-            raise ClassAdError("modulo by zero")
-        return lhs % rhs
-
-    return arith
-
-
-_COMPARATORS = {
-    op: _make_comparator(op) for op in ("==", "!=", "<", "<=", ">", ">=")
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
-_ARITHMETIC = {op: _make_arithmetic(op) for op in ("+", "-", "*", "/", "%")}
+
+
+def _unary(op: str, val: Value) -> Value:
+    """``!val`` / ``-val``, every case (the generated code inlines
+    ``!`` of a boolean and ``-`` of an ``int`` or ``float``)."""
+    if val is UNDEFINED:
+        return UNDEFINED
+    if op == "!":
+        if isinstance(val, bool):
+            return not val
+        raise ClassAdError(f"! applied to non-boolean {val!r}")
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ClassAdError(f"- applied to non-number {val!r}")
+    return -val
+
+
+def _compare(op: str, lhs: Value, rhs: Value) -> Value:
+    """``lhs op rhs`` with Condor typing, every case (the generated code
+    inlines two numbers, and a string against a string literal)."""
+    if lhs is UNDEFINED or rhs is UNDEFINED:
+        return UNDEFINED
+    if _is_number(lhs) and _is_number(rhs):
+        pass
+    elif isinstance(lhs, str) and isinstance(rhs, str):
+        # Condor string comparison is case-insensitive.
+        lhs, rhs = lhs.lower(), rhs.lower()
+    elif isinstance(lhs, bool) and isinstance(rhs, bool):
+        if op != "==" and op != "!=":
+            raise ClassAdError("ordering applied to booleans")
+    elif op == "==":
+        return False
+    elif op == "!=":
+        return True
+    else:
+        raise ClassAdError(f"cannot compare {lhs!r} with {rhs!r}")
+    return _COMPARISONS[op](lhs, rhs)
+
+
+def _arith(op: str, lhs: Value, rhs: Value) -> Value:
+    """``lhs op rhs`` for an arithmetic operator with Condor typing."""
+    if lhs is UNDEFINED or rhs is UNDEFINED:
+        return UNDEFINED
+    if op == "+" and isinstance(lhs, str) and isinstance(rhs, str):
+        return lhs + rhs
+    if not (_is_number(lhs) and _is_number(rhs)):
+        raise ClassAdError(
+            f"arithmetic {op} on non-numbers {lhs!r}, {rhs!r}"
+        )
+    if op == "+":
+        return lhs + rhs
+    if op == "-":
+        return lhs - rhs
+    if op == "*":
+        return lhs * rhs
+    if op == "/":
+        if rhs == 0:
+            raise ClassAdError("division by zero")
+        result = lhs / rhs
+        if isinstance(lhs, int) and isinstance(rhs, int):
+            return int(lhs // rhs) if lhs % rhs == 0 else result
+        return result
+    if rhs == 0:
+        raise ClassAdError("modulo by zero")
+    return lhs % rhs
 
 
 class _Binary(_Node):
@@ -433,165 +356,46 @@ class _Binary(_Node):
         self.left = left
         self.right = right
 
-    def eval(self, scope: "_Scope") -> Value:  # noqa: C901
+    def emit(self, gen: "_Codegen", ind: int) -> str:
         op = self.op
-        if op == "&&":
-            lhs = self.left.eval(scope)
-            if lhs is False:
-                return False
-            rhs = self.right.eval(scope)
-            if rhs is False:
-                return False
-            if isinstance(lhs, Undefined) or isinstance(rhs, Undefined):
-                return UNDEFINED
-            if lhs is True and rhs is True:
-                return True
-            raise ClassAdError("&& applied to non-boolean")
-        if op == "||":
-            lhs = self.left.eval(scope)
-            if lhs is True:
-                return True
-            rhs = self.right.eval(scope)
-            if rhs is True:
-                return True
-            if isinstance(lhs, Undefined) or isinstance(rhs, Undefined):
-                return UNDEFINED
-            if lhs is False and rhs is False:
-                return False
-            raise ClassAdError("|| applied to non-boolean")
-
-        lhs = self.left.eval(scope)
-        rhs = self.right.eval(scope)
-
+        if op == "&&" or op == "||":
+            return self._emit_logic(gen, ind)
+        lhs = gen.expr(self.left, ind)
+        rhs = gen.expr(self.right, ind)
+        out = gen.temp()
         if op == "=?=":
-            return type(lhs) is type(rhs) and lhs == rhs
-        if op == "=!=":
-            return not (type(lhs) is type(rhs) and lhs == rhs)
+            value = f"type({lhs}) is type({rhs}) and {lhs} == {rhs}"
+        elif op == "=!=":
+            value = f"not (type({lhs}) is type({rhs}) and {lhs} == {rhs})"
+        elif op in _COMPARISONS:
+            value = gen.compare(op, lhs, rhs)
+        else:
+            value = f"_arith({op!r}, {lhs}, {rhs})"
+        gen.line(ind, f"{out} = {value}")
+        return out
 
-        if isinstance(lhs, Undefined) or isinstance(rhs, Undefined):
-            return UNDEFINED
-
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            if _is_number(lhs) and _is_number(rhs):
-                pass
-            elif isinstance(lhs, str) and isinstance(rhs, str):
-                # Condor string comparison is case-insensitive.
-                lhs, rhs = lhs.lower(), rhs.lower()
-            elif isinstance(lhs, bool) and isinstance(rhs, bool):
-                if op not in ("==", "!="):
-                    raise ClassAdError("ordering applied to booleans")
-            else:
-                if op == "==":
-                    return False
-                if op == "!=":
-                    return True
-                raise ClassAdError(
-                    f"cannot compare {lhs!r} with {rhs!r}"
-                )
-            return {
-                "==": lambda a, b: a == b,
-                "!=": lambda a, b: a != b,
-                "<": lambda a, b: a < b,
-                "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b,
-                ">=": lambda a, b: a >= b,
-            }[op](lhs, rhs)
-
-        if op in ("+", "-", "*", "/", "%"):
-            if op == "+" and isinstance(lhs, str) and isinstance(rhs, str):
-                return lhs + rhs
-            if not (_is_number(lhs) and _is_number(rhs)):
-                raise ClassAdError(
-                    f"arithmetic {op} on non-numbers {lhs!r}, {rhs!r}"
-                )
-            if op == "+":
-                return lhs + rhs
-            if op == "-":
-                return lhs - rhs
-            if op == "*":
-                return lhs * rhs
-            if op == "/":
-                if rhs == 0:
-                    raise ClassAdError("division by zero")
-                result = lhs / rhs
-                if isinstance(lhs, int) and isinstance(rhs, int):
-                    return int(lhs // rhs) if lhs % rhs == 0 else result
-                return result
-            if op == "%":
-                if rhs == 0:
-                    raise ClassAdError("modulo by zero")
-                return lhs % rhs
-        raise ClassAdError(f"unknown operator {op}")  # pragma: no cover
-
-    def compile(self) -> CompiledFn:  # noqa: C901
-        op = self.op
-        lf = _compile_node(self.left)
-        rf = _compile_node(self.right)
-
-        if op == "&&":
-
-            def logical_and(ad, other, depth):
-                lhs = lf(ad, other, depth)
-                if lhs is False:
-                    return False
-                rhs = rf(ad, other, depth)
-                if rhs is False:
-                    return False
-                if lhs is UNDEFINED or rhs is UNDEFINED:
-                    return UNDEFINED
-                if lhs is True and rhs is True:
-                    return True
-                raise ClassAdError("&& applied to non-boolean")
-
-            return logical_and
-
-        if op == "||":
-
-            def logical_or(ad, other, depth):
-                lhs = lf(ad, other, depth)
-                if lhs is True:
-                    return True
-                rhs = rf(ad, other, depth)
-                if rhs is True:
-                    return True
-                if lhs is UNDEFINED or rhs is UNDEFINED:
-                    return UNDEFINED
-                if lhs is False and rhs is False:
-                    return False
-                raise ClassAdError("|| applied to non-boolean")
-
-            return logical_or
-
-        if op == "=?=":
-
-            def meta_eq(ad, other, depth):
-                lhs = lf(ad, other, depth)
-                rhs = rf(ad, other, depth)
-                return type(lhs) is type(rhs) and lhs == rhs
-
-            return meta_eq
-
-        if op == "=!=":
-
-            def meta_ne(ad, other, depth):
-                lhs = lf(ad, other, depth)
-                rhs = rf(ad, other, depth)
-                return not (type(lhs) is type(rhs) and lhs == rhs)
-
-            return meta_ne
-
-        typed = _COMPARATORS.get(op) or _ARITHMETIC.get(op)
-        if typed is None:  # pragma: no cover - parser emits known ops
-            raise ClassAdError(f"unknown operator {op}")
-
-        def binary(ad, other, depth):
-            lhs = lf(ad, other, depth)
-            rhs = rf(ad, other, depth)
-            if lhs is UNDEFINED or rhs is UNDEFINED:
-                return UNDEFINED
-            return typed(lhs, rhs)
-
-        return binary
+    def _emit_logic(self, gen: "_Codegen", ind: int) -> str:
+        # ``decides`` settles the result alone, whichever side holds it.
+        if self.op == "&&":
+            decides, other = "False", "True"
+        else:
+            decides, other = "True", "False"
+        lhs = gen.var(gen.expr(self.left, ind), ind)
+        out = gen.temp()
+        gen.line(ind, f"if {lhs} is {decides}:")
+        gen.line(ind + 1, f"{out} = {decides}")
+        gen.line(ind, "else:")
+        rhs = gen.var(gen.expr(self.right, ind + 1), ind + 1)
+        gen.line(ind + 1, f"if {rhs} is {decides}:")
+        gen.line(ind + 2, f"{out} = {decides}")
+        gen.line(ind + 1, f"elif {lhs} is {other} and {rhs} is {other}:")
+        gen.line(ind + 2, f"{out} = {other}")
+        gen.line(ind + 1, f"elif {lhs} is UNDEFINED or {rhs} is UNDEFINED:")
+        gen.line(ind + 2, f"{out} = UNDEFINED")
+        gen.line(ind + 1, "else:")
+        message = f"{self.op} applied to non-boolean"
+        gen.line(ind + 2, f"raise ClassAdError({message!r})")
+        return out
 
     def is_const(self) -> bool:
         return self.left.is_const() and self.right.is_const()
@@ -644,6 +448,9 @@ _FUNCTIONS: Dict[str, Any] = {
     "member": _fn_member,
 }
 
+#: The name each built-in goes by in generated code.
+_FUNCTION_ALIASES = {name: f"_call{i}" for i, name in enumerate(_FUNCTIONS)}
+
 
 def _require_str(name: str, value: Value) -> str:
     if not isinstance(value, str):
@@ -660,35 +467,27 @@ class _Call(_Node):
         if self.name not in _FUNCTIONS:
             raise ClassAdError(f"unknown function {name!r}")
 
-    def eval(self, scope: "_Scope") -> Value:
-        values = [arg.eval(scope) for arg in self.args]
-        if any(isinstance(v, Undefined) for v in values):
-            return UNDEFINED
-        try:
-            return _FUNCTIONS[self.name](*values)
-        except TypeError as exc:
-            raise ClassAdError(
-                f"{self.name}(): bad arity ({len(values)} args)"
-            ) from exc
-
-    def compile(self) -> CompiledFn:
-        fns = tuple(_compile_node(arg) for arg in self.args)
-        func = _FUNCTIONS[self.name]
-        name = self.name
-
-        def call(ad, other, depth):
-            values = [fn(ad, other, depth) for fn in fns]
-            for value in values:
-                if value is UNDEFINED:
-                    return UNDEFINED
-            try:
-                return func(*values)
-            except TypeError as exc:
-                raise ClassAdError(
-                    f"{name}(): bad arity ({len(values)} args)"
-                ) from exc
-
-        return call
+    def emit(self, gen: "_Codegen", ind: int) -> str:
+        args = [gen.expr(arg, ind) for arg in self.args]
+        out = gen.temp()
+        # A constant argument other than UNDEFINED needs no test.
+        maybe_undefined = [
+            f"{arg} is UNDEFINED"
+            for arg in args
+            if gen.known.get(arg, UNDEFINED) is UNDEFINED
+        ]
+        if maybe_undefined:
+            gen.line(ind, f"if {' or '.join(maybe_undefined)}:")
+            gen.line(ind + 1, f"{out} = UNDEFINED")
+            gen.line(ind, "else:")
+            ind += 1
+        call = f"{_FUNCTION_ALIASES[self.name]}({', '.join(args)})"
+        message = f"{self.name}(): bad arity ({len(args)} args)"
+        gen.line(ind, "try:")
+        gen.line(ind + 1, f"{out} = {call}")
+        gen.line(ind, "except TypeError as exc:")
+        gen.line(ind + 1, f"raise ClassAdError({message!r}) from exc")
+        return out
 
     def is_const(self) -> bool:
         # All built-ins are pure, so a call over constants is constant.
@@ -703,30 +502,22 @@ class _Ternary(_Node):
         self.then = then
         self.orelse = orelse
 
-    def eval(self, scope: "_Scope") -> Value:
-        cond = self.cond.eval(scope)
-        if isinstance(cond, Undefined):
-            return UNDEFINED
-        if not isinstance(cond, bool):
-            raise ClassAdError("ternary condition must be boolean")
-        return self.then.eval(scope) if cond else self.orelse.eval(scope)
-
-    def compile(self) -> CompiledFn:
-        cf = _compile_node(self.cond)
-        tf = _compile_node(self.then)
-        of = _compile_node(self.orelse)
-
-        def ternary(ad, other, depth):
-            cond = cf(ad, other, depth)
-            if cond is True:
-                return tf(ad, other, depth)
-            if cond is False:
-                return of(ad, other, depth)
-            if cond is UNDEFINED:
-                return UNDEFINED
-            raise ClassAdError("ternary condition must be boolean")
-
-        return ternary
+    def emit(self, gen: "_Codegen", ind: int) -> str:
+        cond = gen.var(gen.expr(self.cond, ind), ind)
+        out = gen.temp()
+        gen.line(ind, f"if {cond} is True:")
+        value = gen.expr(self.then, ind + 1)
+        gen.line(ind + 1, f"{out} = {value}")
+        gen.line(ind, f"elif {cond} is False:")
+        value = gen.expr(self.orelse, ind + 1)
+        gen.line(ind + 1, f"{out} = {value}")
+        gen.line(ind, f"elif {cond} is UNDEFINED:")
+        gen.line(ind + 1, f"{out} = UNDEFINED")
+        gen.line(ind, "else:")
+        gen.line(
+            ind + 1, "raise ClassAdError('ternary condition must be boolean')"
+        )
+        return out
 
     def is_const(self) -> bool:
         return (
@@ -734,6 +525,117 @@ class _Ternary(_Node):
             and self.then.is_const()
             and self.orelse.is_const()
         )
+
+
+# ---------------------------------------------------------------------------
+# Code generation
+# ---------------------------------------------------------------------------
+
+_NOTHING = object()
+
+
+class _Codegen:
+    """Writes one AST as the body of ``def _f(ad, other, depth)``.
+
+    :meth:`expr` appends the statements that compute a node and
+    returns the source of its value: a literal, or a local assigned
+    once.  Request text reaches the source only through ``repr`` of a
+    literal or an attribute name; a value with no literal (``inf``,
+    ``nan``, an int too long for ``repr``) is bound in the function's
+    globals instead.  With ``fold`` set, a closed constant subtree is
+    evaluated once here and written as its value, unless it raises
+    (the error must surface when, and only if, evaluation reaches it)
+    or is a list (each evaluation returns a fresh one).
+    """
+
+    __slots__ = ("lines", "known", "bound", "fold", "temps")
+
+    def __init__(self, fold: bool = True):
+        self.lines: List[str] = []
+        #: Source of each constant written so far -> its value.
+        self.known: Dict[str, Value] = {}
+        self.bound: Dict[str, Value] = {}
+        self.fold = fold
+        self.temps = 0
+
+    def line(self, ind: int, text: str) -> None:
+        self.lines.append("    " * ind + text)
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"_{self.temps}"
+
+    def const(self, value: Value) -> str:
+        if value is UNDEFINED:
+            source = "UNDEFINED"
+        elif (isinstance(value, float) and not isfinite(value)) or (
+            isinstance(value, int) and value.bit_length() > 128
+        ):
+            source = f"_k{len(self.bound)}"
+            self.bound[source] = value
+        else:
+            source = repr(value)
+        self.known[source] = value
+        return source
+
+    def var(self, source: str, ind: int) -> str:
+        """``source`` in a form ``is`` may test (no int/str literal)."""
+        value = self.known.get(source, _NOTHING)
+        if value is _NOTHING or value is True or value is False or (
+            value is UNDEFINED
+        ):
+            return source
+        out = self.temp()
+        self.line(ind, f"{out} = {source}")
+        return out
+
+    def expr(self, node: _Node, ind: int) -> str:
+        if self.fold and not isinstance(node, _Literal) and node.is_const():
+            try:
+                value = _function(node, fold=False)(None, None, 0)
+            except ClassAdError:
+                pass
+            else:
+                if not isinstance(value, list):
+                    return self.const(value)
+        return node.emit(self, ind)
+
+    def compare(self, op: str, lhs: str, rhs: str) -> str:
+        slow = f"_compare({op!r}, {lhs}, {rhs})"
+        left = self.known.get(lhs, _NOTHING)
+        right = self.known.get(rhs, _NOTHING)
+        if left is not _NOTHING and right is not _NOTHING:
+            return slow
+        if type(left) is int or type(left) is float:
+            return f"{lhs} {op} {rhs} if {_IS_NUMBER.format(rhs)} else {slow}"
+        if type(right) is int or type(right) is float:
+            return f"{lhs} {op} {rhs} if {_IS_NUMBER.format(lhs)} else {slow}"
+        if type(left) is str:
+            low = repr(left.lower())
+            test = f"type({rhs}) is str"
+            return f"{low} {op} {rhs}.lower() if {test} else {slow}"
+        if type(right) is str:
+            low = repr(right.lower())
+            test = f"type({lhs}) is str"
+            return f"{lhs}.lower() {op} {low} if {test} else {slow}"
+        if left is _NOTHING and right is _NOTHING:
+            return (
+                f"{lhs} {op} {rhs} if {_IS_NUMBER.format(lhs)}"
+                f" and {_IS_NUMBER.format(rhs)} else {slow}"
+            )
+        return slow  # a boolean or UNDEFINED literal
+
+
+def _function(ast: _Node, fold: bool = True) -> CompiledFn:
+    """Generate and compile the evaluation function of ``ast``."""
+    gen = _Codegen(fold)
+    result = gen.expr(ast, 1)
+    gen.line(1, f"return {result}")
+    source = "def _f(ad, other, depth):\n" + "\n".join(gen.lines) + "\n"
+    namespace = {**_NAMESPACE, **gen.bound} if gen.bound else _NAMESPACE
+    scope: Dict[str, Any] = {}
+    exec(compile(source, "<classad>", "exec"), namespace, scope)
+    return scope["_f"]
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +809,7 @@ def equality_key(value: Any) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Expression: parse/intern cache + engine switch
+# Expression: parse/intern cache
 # ---------------------------------------------------------------------------
 
 #: Upper bound on the global expression intern cache (LRU).
@@ -932,17 +834,58 @@ def clear_parse_cache() -> None:
     _EXPR_CACHE.clear()
 
 
+def _parse(text: str) -> _Node:
+    parser = _Parser(_tokenize(text))
+    ast = parser.parse_expr()
+    if parser.peek()[0] != "eof":
+        raise ClassAdError(
+            f"trailing input after expression: {parser.peek()[1]!r}"
+        )
+    return ast
+
+
+def _equality_constraints(ast: _Node) -> Tuple[Tuple[str, str, tuple], ...]:
+    """Top-level equality conjuncts of ``ast`` (see :class:`Expression`)."""
+    out: List[Tuple[str, str, tuple]] = []
+    stack: List[_Node] = [ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Binary):
+            if node.op == "&&":
+                stack.append(node.left)
+                stack.append(node.right)
+            elif node.op == "==":
+                for ref, lit in (
+                    (node.left, node.right),
+                    (node.right, node.left),
+                ):
+                    if isinstance(ref, _Ref) and isinstance(lit, _Literal):
+                        key = equality_key(lit.value)
+                        if key is not None and ref.kind != "unknown":
+                            out.append((ref.attr_low, ref.kind, key))
+    return tuple(out)
+
+
 class Expression:
     """A parsed, compiled, interned, reusable classad expression.
 
     Construction is amortized O(1) for repeated texts: instances are
     interned in a bounded LRU cache keyed by the exact source text, so
     ``Expression(text) is Expression(text)`` while the cache holds the
-    entry.  Each instance carries both the AST (the reference
-    interpreter) and the compiled closure chain (the default engine).
+    entry.  An instance holds its generated function
+    ``_fn(ad, other, depth)`` and :attr:`equality_constraints`.
     """
 
-    __slots__ = ("text", "_ast", "_fn", "_constraints")
+    __slots__ = ("text", "_fn", "equality_constraints")
+
+    #: Top-level ``<ref> == <scalar literal>`` conjuncts (either side),
+    #: as ``(attribute_lower, scope_kind, equality_key)`` with
+    #: ``scope_kind`` one of ``"bare"``, ``"self"``, ``"other"``.  A
+    #: consumer may prune a candidate ``other`` ad when a constraint's
+    #: attribute holds a non-Expression value whose :func:`equality_key`
+    #: differs — that conjunct then evaluates to False or UNDEFINED, so
+    #: the whole conjunction cannot be True.
+    equality_constraints: Tuple[Tuple[str, str, tuple], ...]
 
     def __new__(cls, text: str) -> "Expression":
         global _cache_hits, _cache_misses
@@ -955,25 +898,14 @@ class Expression:
             _cache_misses += 1
         self = super().__new__(cls)
         self.text = text
-        parser = _Parser(_tokenize(text))
-        ast = parser.parse_expr()
-        if parser.peek()[0] != "eof":
-            raise ClassAdError(
-                f"trailing input after expression: {parser.peek()[1]!r}"
-            )
-        self._ast = ast
-        self._fn = _compile_node(ast)
-        self._constraints = None
+        ast = _parse(text)
+        self._fn = _function(ast)
+        self.equality_constraints = _equality_constraints(ast)
         if cls is Expression:
             _EXPR_CACHE[text] = self
             if len(_EXPR_CACHE) > _EXPR_CACHE_MAX:
                 _EXPR_CACHE.popitem(last=False)
         return self
-
-    def __init__(self, text: str):
-        # All construction happens in __new__ so interned cache hits
-        # skip re-parsing entirely.
-        pass
 
     def evaluate(
         self,
@@ -983,120 +915,25 @@ class Expression:
         """Evaluate against ``ad`` (``self``/``my``) and ``other``."""
         return self._fn(ad, other, 0)
 
-    def evaluate_compiled(
-        self,
-        ad: Optional["ClassAd"] = None,
-        other: Optional["ClassAd"] = None,
-    ) -> Value:
-        """Force the compiled engine (differential tests/benchmarks)."""
-        return self._fn(ad, other, 0)
-
-    def evaluate_interpreted(
-        self,
-        ad: Optional["ClassAd"] = None,
-        other: Optional["ClassAd"] = None,
-    ) -> Value:
-        """Force the reference interpreter (differential tests)."""
-        return self._ast.eval(_Scope(ad, other))
-
-    def equality_constraints(self) -> Tuple[Tuple[str, str, tuple], ...]:
-        """Top-level equality conjuncts, for index pre-filtering.
-
-        Walks ``&&`` conjunctions from the root and extracts every
-        ``<ref> == <scalar literal>`` (either side) as
-        ``(attribute_lower, scope_kind, equality_key)`` with
-        ``scope_kind`` one of ``"bare"``, ``"self"``, ``"other"``.
-        A consumer may prune a candidate ``other`` ad when a
-        constraint's attribute holds a non-Expression value whose
-        :func:`equality_key` differs — that conjunct then evaluates to
-        False or UNDEFINED, so the whole conjunction cannot be True.
-        """
-        cached = self._constraints
-        if cached is None:
-            out: List[Tuple[str, str, tuple]] = []
-            stack: List[_Node] = [self._ast]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, _Binary):
-                    if node.op == "&&":
-                        stack.append(node.left)
-                        stack.append(node.right)
-                    elif node.op == "==":
-                        for ref, lit in (
-                            (node.left, node.right),
-                            (node.right, node.left),
-                        ):
-                            if isinstance(ref, _Ref) and isinstance(
-                                lit, _Literal
-                            ):
-                                key = equality_key(lit.value)
-                                if key is not None and ref.kind != "unknown":
-                                    out.append((ref.attr_low, ref.kind, key))
-            cached = tuple(out)
-            self._constraints = cached
-        return cached
-
     def __reduce__(self):
-        # Closures don't pickle; re-intern from the source text.
+        # Functions don't pickle; re-intern from the source text.
         return (Expression, (self.text,))
 
     def __repr__(self) -> str:
         return f"Expression({self.text!r})"
 
 
-class _Scope:
-    """Name-resolution context: the owning ad plus the matched ad.
-
-    ``_depth`` counts the nesting of attribute-valued expression
-    references and is threaded into the child scope each hop, so a
-    reference chain deeper than :data:`_MAX_REF_DEPTH` raises
-    :class:`ClassAdError` — the same bound the compiled closures
-    enforce through their ``depth`` argument.
-    """
-
-    __slots__ = ("ad", "other", "_depth")
-
-    def __init__(
-        self,
-        ad: Optional["ClassAd"],
-        other: Optional["ClassAd"],
-        depth: int = 0,
-    ):
-        self.ad = ad
-        self.other = other
-        self._depth = depth
-
-    def lookup(self, scope_name: Optional[str], attr: str) -> Value:
-        if self._depth > _MAX_REF_DEPTH:
-            raise ClassAdError(_DEPTH_MSG)
-        if scope_name in ("other", "target"):
-            source = self.other
-        elif scope_name in ("my", "self") or scope_name is None:
-            source = self.ad
-        else:
-            raise ClassAdError(f"unknown scope {scope_name!r}")
-        if source is None:
-            return UNDEFINED
-        raw = source.lookup(attr)
-        if isinstance(raw, Expression):
-            # Attribute-valued expressions evaluate in their own
-            # ad's scope, keeping ``other`` bound.
-            return raw._ast.eval(
-                _Scope(
-                    source,
-                    self.other if source is self.ad else self.ad,
-                    self._depth + 1,
-                )
-            )
-        if scope_name is None and raw is UNDEFINED and self.other is not None:
-            # Condor falls through to the target ad for bare names.
-            raw2 = self.other.lookup(attr)
-            if isinstance(raw2, Expression):
-                return raw2._ast.eval(
-                    _Scope(self.other, self.ad, self._depth + 1)
-                )
-            return raw2
-        return raw
+#: Globals of every generated function.
+_NAMESPACE: Dict[str, Any] = {
+    "UNDEFINED": UNDEFINED,
+    "Expression": Expression,
+    "ClassAdError": ClassAdError,
+    "_DEPTH_MSG": _DEPTH_MSG,
+    "_unary": _unary,
+    "_compare": _compare,
+    "_arith": _arith,
+    **{alias: _FUNCTIONS[name] for name, alias in _FUNCTION_ALIASES.items()},
+}
 
 
 def evaluate(

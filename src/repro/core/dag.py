@@ -39,6 +39,7 @@ result without walking the handler tree.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import (
     Dict,
     FrozenSet,
@@ -47,6 +48,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -188,16 +190,62 @@ class ConfigDAG:
         return self
 
     @classmethod
-    def from_sequence(cls, actions: Iterable[Action]) -> "ConfigDAG":
-        """Build a totally ordered (chain) DAG — the common case."""
+    def from_edges(
+        cls,
+        actions: Sequence[Action],
+        edges: Sequence[Tuple[str, str]],
+    ) -> "ConfigDAG":
+        """Build a DAG in one pass: ``add_action`` for each action, then
+        ``add_edge`` for each edge, in order, with the same result and
+        the same :class:`DAGError`.
+
+        The checks run once over the whole graph (one Kahn sort, whose
+        order is kept as the topological-order cache); only when one
+        fails are the calls replayed one by one, so the error names
+        the first offending action or edge.
+        """
         dag = cls()
-        prev: Optional[str] = None
+        names, succ, pred = dag._actions, dag._succ, dag._pred
+        for action in actions:
+            name = action.name
+            if name in names or name in _RESERVED:
+                cls._replay(actions, edges)
+            names[name] = action
+            succ[name] = []
+            pred[name] = []
+        for before, after in edges:
+            out = succ.get(before)
+            if out is None or after not in names or before == after:
+                cls._replay(actions, edges)
+            if after not in out:  # a repeated edge is idempotent
+                out.append(after)
+                pred[after].append(before)
+        try:
+            dag._topo()
+        except DAGError:
+            cls._replay(actions, edges)
+        return dag
+
+    @classmethod
+    def _replay(
+        cls,
+        actions: Sequence[Action],
+        edges: Sequence[Tuple[str, str]],
+    ) -> None:
+        """Raise the error the incremental mutators raise on these parts."""
+        dag = cls()
         for action in actions:
             dag.add_action(action)
-            if prev is not None:
-                dag.add_edge(prev, action.name)
-            prev = action.name
-        return dag
+        for before, after in edges:
+            dag.add_edge(before, after)
+        raise AssertionError("replayed parts raised no DAGError")
+
+    @classmethod
+    def from_sequence(cls, actions: Iterable[Action]) -> "ConfigDAG":
+        """Build a totally ordered (chain) DAG — the common case."""
+        actions = list(actions)
+        names = [action.name for action in actions]
+        return cls.from_edges(actions, list(zip(names, names[1:])))
 
     # -- inspection --------------------------------------------------------
     def __len__(self) -> int:
@@ -373,9 +421,11 @@ class ConfigDAG:
     def validate(self) -> None:
         """Check structural invariants; raise :class:`DAGError` if violated.
 
-        Cycles are prevented at ``add_edge`` time, so this re-checks
-        with an independent algorithm (Kahn count) as defence in depth
-        and validates attached handlers.  A frozen DAG was checked by
+        Cycles are refused where edges come in: ``add_edge`` by a
+        reachability test per edge, :meth:`from_edges` by one Kahn sort
+        over the whole graph.  This re-runs the Kahn count (answered
+        from the topological-order cache while nothing changed) and
+        validates attached handlers.  A frozen DAG was checked by
         :meth:`freeze` and cannot become invalid afterwards.
         """
         if self._frozen:
@@ -391,19 +441,23 @@ class ConfigDAG:
         cached = self._topo_cache
         if cached is not None:
             return cached
-        indeg = {n: len(self._pred[n]) for n in self._actions}
-        ready = sorted(n for n, d in indeg.items() if d == 0)
+        # Loops, not comprehensions: this runs once per decoded body.
+        pred = self._pred
+        indeg: Dict[str, int] = {}
+        ready: List[str] = []
+        for name in self._actions:
+            count = indeg[name] = len(pred[name])
+            if not count:
+                ready.append(name)
+        ready.sort()  # a sorted list is a heap
         order: List[str] = []
-        import heapq
-
-        heapq.heapify(ready)
         while ready:
-            node = heapq.heappop(ready)
+            node = heappop(ready)
             order.append(node)
             for nxt in self._succ[node]:
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
-                    heapq.heappush(ready, nxt)
+                    heappush(ready, nxt)
         if len(order) != len(self._actions):
             raise DAGError("cycle detected")
         cached = self._topo_cache = tuple(order)
@@ -481,13 +535,10 @@ class ConfigDAG:
     def subdag(self, names: Iterable[str]) -> "ConfigDAG":
         """Induced sub-DAG over ``names`` (handlers carried along)."""
         chosen = set(names)
-        sub = ConfigDAG()
-        for name in self._actions:
-            if name in chosen:
-                sub.add_action(self._actions[name])
-        for u, v in self.edges():
-            if u in chosen and v in chosen:
-                sub.add_edge(u, v)
+        sub = ConfigDAG.from_edges(
+            [a for name, a in self._actions.items() if name in chosen],
+            [(u, v) for u, v in self.edges() if u in chosen and v in chosen],
+        )
         for name, handler in self._handlers.items():
             if name in chosen:
                 sub.attach_handler(name, handler)

@@ -56,7 +56,7 @@ import xml.etree.ElementTree as ET
 from typing import Dict, List, Tuple
 
 from repro.core.actions import Action, ActionScope, ErrorPolicy, decode_literal
-from repro.core.dag import ConfigDAG
+from repro.core.dag import FINISH, START, ConfigDAG
 from repro.core.errors import DAGError, ProtocolError
 from repro.core.spec import (
     CreateRequest,
@@ -156,28 +156,44 @@ def _write_dag(dag: ConfigDAG, parts: List[str]) -> None:
 
 
 def dag_from_element(root: ET.Element) -> ConfigDAG:
-    """Decode an ``<dag>`` element (strict)."""
+    """Decode an ``<dag>`` element (strict).
+
+    One pass collects the actions and edges and
+    :meth:`ConfigDAG.from_edges` builds the graph with one check over
+    all of it.  A malformed body fails as adding its parts one at a
+    time would: at the first fault among the actions and unexpected
+    elements in document order, then among the edges, then handlers.
+    """
     if root.tag != "dag":
         raise ProtocolError(f"expected <dag>, got <{root.tag}>")
-    dag = ConfigDAG()
+    actions: List[Action] = []
+    names = {START, FINISH}
+    edges: List[ET.Element] = []
     handlers = []
     try:
         for child in root:
-            if child.tag == "action":
-                dag.add_action(_action_from_element(child))
-            elif child.tag == "edge":
-                pass  # second pass
-            elif child.tag == "handler":
+            tag = child.tag
+            if tag == "action":
+                action = _action_from_element(child)
+                if action.name in names:  # duplicate or reserved
+                    ConfigDAG.from_edges([*actions, action], ())
+                names.add(action.name)
+                actions.append(action)
+            elif tag == "edge":
+                edges.append(child)
+            elif tag == "handler":
                 handlers.append(child)
             else:
-                raise ProtocolError(
-                    f"unexpected element <{child.tag}> in <dag>"
-                )
-        for child in root:
-            if child.tag == "edge":
-                u = _require(child, "from")
-                v = _require(child, "to")
-                dag.add_edge(u, v)
+                raise ProtocolError(f"unexpected element <{tag}> in <dag>")
+        pairs: List[Tuple[str, str]] = []
+        for child in edges:
+            before, after = child.get("from"), child.get("to")
+            if before is None or after is None:
+                ConfigDAG.from_edges(actions, pairs)  # an earlier fault
+                _require(child, "from")
+                _require(child, "to")
+            pairs.append((before, after))
+        dag = ConfigDAG.from_edges(actions, pairs)
         for child in handlers:
             target = _require(child, "for")
             inner = list(child)
@@ -197,10 +213,12 @@ def _action_from_element(el: ET.Element) -> Action:
     Same discipline as :func:`_interned_dag`: first-seen elements go
     through the strict parser, a failed parse is not remembered.
     """
-    key = (
-        tuple(el.attrib.items()),
-        *[(child.tag, *child.attrib.items()) for child in el],
-    )
+    # A loop, not a comprehension: a comprehension is a call of its own
+    # for every action of every decoded body.
+    parts = [tuple(el.attrib.items())]
+    for child in el:
+        parts.append((child.tag, *child.attrib.items()))
+    key = tuple(parts)
     action = _interned_actions.pop(key, None)
     if action is None:
         action = _parse_action(el)

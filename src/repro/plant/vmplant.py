@@ -158,14 +158,16 @@ class VMPlant(PlantView):
             return None
         if request.requirements is not None:
             description = self.description_ad()
+            # The request's memoized ad holds the interned expression.
+            ad = request.to_classad()
             # Fast reject: any ``other.attr == literal`` conjunct of
             # the requirements that provably fails against a concrete
             # description value means the conjunction cannot be True —
             # decline without running the full match.
             attrs = description._attrs
-            for attr, scope_kind, key in Expression(
-                request.requirements
-            ).equality_constraints():
+            for attr, scope_kind, key in ad._attrs[
+                "requirements"
+            ].equality_constraints:
                 if scope_kind != "other":
                     continue
                 raw = attrs.get(attr, UNDEFINED)
@@ -173,7 +175,7 @@ class VMPlant(PlantView):
                     equality_key(raw) != key
                 ):
                     return None
-            if not request.to_classad().matches(description):
+            if not ad.matches(description):
                 return None
         # "No production line can host the request" is decided inside
         # plan(), line by line, and surfaces as its PlantError.

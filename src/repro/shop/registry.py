@@ -11,7 +11,7 @@ equality-normalized values (:func:`repro.core.classad.equality_key`)
 to the names publishing them, with Expression-valued attributes in a
 separate always-candidate set.  A query's compiled requirements
 expression exposes its top-level ``attr == literal`` conjuncts
-(:meth:`Expression.equality_constraints`); intersecting their buckets
+(:attr:`Expression.equality_constraints`); intersecting their buckets
 prunes entries for which some conjunct provably evaluates to False or
 UNDEFINED — so the conjunction can never be True — before any full
 ``matches()`` evaluation runs.  Pruned entries are *not* evaluated,
@@ -139,7 +139,7 @@ class ServiceRegistry:
         if kind is not None:
             result = set(self._kind_names.get(kind, _EMPTY))
         if expr is not None:
-            for attr, scope_kind, key in expr.equality_constraints():
+            for attr, scope_kind, key in expr.equality_constraints:
                 if scope_kind == "self":
                     continue  # refers to the query ad, not descriptions
                 if scope_kind == "bare" and attr == "requirements":

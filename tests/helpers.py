@@ -10,10 +10,11 @@ the simulated hypervisor's stochastic timing.
 ``oracle_*`` is the request codec as it stood before it became one
 pass each way (serialise, re-parse, set ``service``, serialise again;
 parse, serialise, parse again, ``root.find`` the parts, a fresh DAG per
-request) and before the encoder became a direct string writer
-(``oracle_dag_to_element`` is the ElementTree encoder that ``src/`` no
-longer holds).  ``tests/test_wire_codec.py`` holds the live codec to
-its wire bytes, decoded requests and error messages.
+request, built one mutator call a part by
+``tests/oracles/dag_decode.py``) and before the encoder became a direct
+string writer (``oracle_dag_to_element`` is the ElementTree encoder
+that ``src/`` no longer holds).  ``tests/test_wire_codec.py`` holds the
+live codec to its wire bytes, decoded requests and error messages.
 
 ``OracleProcess`` / ``oracle_collect`` are the kernel process (a
 ``lambda`` per wait, stale wake-ups told apart by a generation number)
@@ -54,7 +55,7 @@ from typing import (
 
 from repro.core.actions import Action, ActionResult, ActionStatus
 from repro.core.dag import ConfigDAG
-from repro.core.dagxml import _require, dag_from_element
+from repro.core.dagxml import _require
 from repro.core.errors import PlantError, ProtocolError
 from repro.core.spec import (
     CreateRequest,
@@ -75,6 +76,7 @@ from repro.sim.kernel import (
     Timeout,
     _defuse,
 )
+from tests.oracles.dag_decode import oracle_dag_from_element
 
 
 class InstantLine(ProductionLine):
@@ -156,6 +158,11 @@ def drive(env: Environment, generator):
 def python_calls(fn) -> int:
     """Python-level calls ``fn()`` makes (``cProfile`` without builtins:
     exact and machine-independent, like the e2e benchmark's counter)."""
+    return sum(python_call_counts(fn).values())
+
+
+def python_call_counts(fn) -> Counter:
+    """:func:`python_calls` by function: ``{qualified name: calls}``."""
     profile = cProfile.Profile(builtins=False)
     # A cyclic collection inside the window would run the finalizers
     # of whatever earlier tests left behind (closing a suspended
@@ -169,7 +176,11 @@ def python_calls(fn) -> int:
         profile.disable()
         if collecting:
             gc.enable()
-    return sum(entry.callcount for entry in profile.getstats())
+    counts: Counter = Counter()
+    for entry in profile.getstats():
+        code = entry.code
+        counts[getattr(code, "co_qualname", code.co_name)] += entry.callcount
+    return counts
 
 
 def retained_bytes(fn) -> int:
@@ -343,7 +354,7 @@ def oracle_request_from_xml(text: str) -> CreateRequest:
         raise ProtocolError("missing <dag> inside <software>")
     software = SoftwareSpec(
         os=sw_el.get("os", "linux-mandrake-8.1"),
-        dag=dag_from_element(dag_el),
+        dag=oracle_dag_from_element(dag_el),
     )
 
     lease = root.get("lease-s")

@@ -1,19 +1,25 @@
-"""Differential tests: compiled classad engine vs the interpreter.
+"""Differential tests: generated classad functions vs the interpreter.
 
-The compiled closure engine must be observably identical to the
-reference tree-walking interpreter — same values (including exact
+The function each :class:`Expression` compiles to must be observably
+identical to the reference tree-walking interpreter
+(``tests/oracles/classad_interp.py``) — same values (including exact
 Python types, since ``1`` and ``1.0`` differ under ``=?=``), same
 UNDEFINED propagation, and same :class:`ClassAdError` diagnostics.
 A seeded fuzzer crosses >600 randomized expressions with randomized
 ad pairs; hand-written cases pin the edges the fuzzer might only
 brush (short-circuit over erroring subtrees, constant folding, list
-freshness, recursion bounds, the intern cache and pickling).
+freshness, recursion bounds, the intern cache and pickling), and
+hostile literals check that request text stays data in the generated
+source.
 """
 
 import pickle
 import random
+from functools import partial
 
 import pytest
+
+from benchmarks.e2e.workloads import _REQUIREMENTS
 
 from repro.core import classad as ca
 from repro.core.classad import (
@@ -27,6 +33,8 @@ from repro.core.classad import (
     parse_cache_info,
 )
 from repro.core.errors import ClassAdError
+from tests.helpers import python_calls
+from tests.oracles.classad_interp import evaluate_interpreted
 
 # ---------------------------------------------------------------------------
 # Differential helpers
@@ -54,8 +62,8 @@ def _assert_same_value(compiled, interpreted, context):
 
 def assert_engines_agree(text, ad=None, other=None):
     expr = Expression(text)
-    compiled = _outcome(expr.evaluate_compiled, ad, other)
-    interpreted = _outcome(expr.evaluate_interpreted, ad, other)
+    compiled = _outcome(expr.evaluate, ad, other)
+    interpreted = _outcome(partial(evaluate_interpreted, expr), ad, other)
     context = f"expr={text!r} ad={ad!r} other={other!r}"
     assert compiled[0] == interpreted[0], (
         f"{context}: compiled={compiled} interpreted={interpreted}"
@@ -152,6 +160,9 @@ def random_expr(rng, depth=0):
     return f"{name}({args})"
 
 
+# A SyntaxWarning from ``compile()`` (``is`` against a literal, say)
+# would mean the generator wrote source it never meant to.
+@pytest.mark.filterwarnings("error")
 class TestDifferentialFuzz:
     def test_fuzz_600_random_expressions(self):
         rng = random.Random(20040406)
@@ -184,7 +195,7 @@ class TestDifferentialFuzz:
             requirements = a.lookup("requirements")
             compiled = _outcome(lambda x, y: a.matches(y), None, b)
             interpreted = _outcome(
-                lambda x, y: requirements.evaluate_interpreted(a, y) is True,
+                lambda x, y: evaluate_interpreted(requirements, a, y) is True,
                 None,
                 b,
             )
@@ -194,6 +205,7 @@ class TestDifferentialFuzz:
         assert flips > 5  # some requirements actually accepted
 
 
+@pytest.mark.filterwarnings("error")
 class TestHandWrittenEdges:
     CASES = [
         # UNDEFINED propagation and three-valued logic
@@ -249,6 +261,12 @@ class TestHandWrittenEdges:
         ("member(1, 5)", None, None),
         ("min(1)", None, None),  # bad arity
         ("tolower(5)", None, None),
+        # constants with no Python literal: inf, nan, ints past 128 bits
+        ("1e999 > 5", None, None),
+        ("-1e999 < 1e999", None, None),
+        ("(1e999 - 1e999) == (1e999 - 1e999)", None, None),
+        ("1e999 * 0 =?= 1e999 * 0", None, None),
+        ("100000000000000000000 * 100000000000000000000 * 1000", None, None),
     ]
 
     def test_static_cases(self):
@@ -284,6 +302,21 @@ class TestHandWrittenEdges:
             "derived + other.back",
         ]:
             assert_engines_agree(text, mine, theirs)
+
+    def test_folded_constants_with_no_literal_inside_dynamic_code(self):
+        ad = ClassAd({"x": 5, "big": 10 ** 40, "s": "a"})
+        for text in [
+            "x < 1e999 * 2",
+            "x > -(1e999)",
+            "x == (1e999 - 1e999)",
+            "big < 100000000000000000000 * 100000000000000000000",
+            "big * 10 == 100000000000000000000 * 100000000000000000000 * 10",
+            "[x, 1e999 * 2, 100000000000000000000 * 100000000000000000000]",
+            "member(1e999 * 2, [x, 1e999])",
+            "s < 1e999 * 2",
+        ]:
+            assert_engines_agree(text, ad, None)
+            assert_engines_agree(text, None, ad)
 
     def test_recursion_bound_identical(self):
         ad = ClassAd()
@@ -359,7 +392,7 @@ class TestSlotsAndPickling:
         for cls in (
             ClassAd,
             Expression,
-            ca._Scope,
+            ca._Codegen,
             ca._Parser,
             ca._Literal,
             ca._Ref,
@@ -405,7 +438,7 @@ class TestEqualityConstraints:
         )
         constraints = dict(
             ((attr, kind), key)
-            for attr, kind, key in expr.equality_constraints()
+            for attr, kind, key in expr.equality_constraints
         )
         assert constraints[("kind", "other")] == ("s", "vmplant")
         assert constraints[("vm_type", "bare")] == ("s", "uml")
@@ -414,7 +447,7 @@ class TestEqualityConstraints:
 
     def test_disjunctions_extract_nothing(self):
         expr = Expression('other.os == "linux" || other.os == "bsd"')
-        assert expr.equality_constraints() == ()
+        assert expr.equality_constraints == ()
 
     def test_equality_key_semantics(self):
         assert equality_key(1) == equality_key(1.0)
@@ -423,3 +456,132 @@ class TestEqualityConstraints:
         assert equality_key([1]) is None
         assert equality_key(UNDEFINED) is None
         assert equality_key(Expression("1")) is None
+
+
+@pytest.mark.filterwarnings("error")
+class TestHostileText:
+    """Request text reaches the generated source only through ``repr``:
+    whatever a literal or a name holds evaluates as data, and agrees
+    with the interpreter, error text included."""
+
+    NASTY = [
+        '"',
+        "'",
+        "\\",
+        "\n",
+        "\r\n\t",
+        ")",
+        ";",
+        "'''",
+        '"""',
+        "#",
+        "\x00",
+        "{0}",
+        "__import__('os').system('x')",
+        "'); __import__('os').system('x'); ('",
+        '"; raise SystemExit; "',
+        "\\n\\'\\\"",
+    ]
+
+    #: Attribute names that collide with what the generated code uses.
+    NAMES = [
+        "ad", "other", "my", "self", "target", "depth", "_1", "_k0",
+        "_call0", "exc", "type", "isinstance", "Expression", "ClassAdError", "_compare", "_arith",
+        "_unary", "_DEPTH_MSG", "__import__", "os", "return", "lambda",
+        "None", "def", "import", "_f",
+    ]
+
+    @staticmethod
+    def literal(text):
+        return '"' + ca._escape(text) + '"'
+
+    @pytest.fixture
+    def no_system(self, monkeypatch):
+        import os
+
+        calls = []
+        monkeypatch.setattr(os, "system", lambda *a: calls.append(a))
+        yield
+        assert calls == []
+
+    def test_string_literals_evaluate_as_data(self, no_system):
+        for nasty in self.NASTY:
+            lit = self.literal(nasty)
+            mine = ClassAd({"s": nasty, "n": 1})
+            theirs = ClassAd({"s": nasty.upper() + "!", "n": 2})
+            for text in [
+                f"s == {lit}",
+                f"{lit} == s",
+                f"other.s != {lit}",
+                f"s < {lit} || {lit} >= other.s",
+                f"n < {lit}",
+                f"{lit} + {lit} =?= s + s",
+                f"strcat({lit}, s, n)",
+                f"member({lit}, [s, other.s])",
+                f"size({lit}) - size(s)",
+                f"tolower({lit}) == tolower(other.s) ? {lit} : -n",
+                f"{lit} && true",
+                f"!{lit}",
+                f"-{lit}",
+            ]:
+                result = assert_engines_agree(text, mine, theirs)
+                if text == f"s == {lit}":
+                    assert result == ("ok", True)
+                if text.startswith("strcat"):
+                    assert result == ("ok", nasty + nasty + "1")
+
+    def test_attribute_names_evaluate_as_data(self, no_system):
+        for name in self.NAMES:
+            mine = ClassAd({name: 5})
+            theirs = ClassAd({name: "x"})
+            for text in [
+                f"{name} == 5",
+                f"other.{name} == \"X\"",
+                f"my.{name} + 1",
+                f"{name} > 4 && target.{name} =?= \"x\"",
+                f"{name}.x",
+            ]:
+                assert_engines_agree(text, mine, theirs)
+                assert_engines_agree(text, None, theirs)
+        assert Expression("ad == 5").evaluate(ClassAd({"ad": 5})) is True
+
+    def test_hostile_keys_stay_out_of_reach(self, no_system):
+        keys = [f"x{nasty}" for nasty in self.NASTY]
+        ad = ClassAd({key: 1 for key in keys})
+        ad["x"] = 2
+        for key in keys:
+            assert ad.lookup(key) == 1
+            # A quoted key is a string, never a reference.
+            assert_engines_agree(f"{self.literal(key)} == x", ad, ad)
+        for text in [
+            "__import__('os').system('x')",
+            "x'); __import__('os').system('x'); ('",
+            'other.x") or __import__("os").system("x") or ("',
+        ]:
+            with pytest.raises(ClassAdError):
+                Expression(text)
+
+
+class TestCallBudgets:
+    #: What ``VMPlant.description_ad`` holds for an idle plant.
+    PLANT = {
+        "name": "plant0",
+        "kind": "vmplant",
+        "vm_types": ["vmware"],
+        "host_memory_mb": 1536,
+        "committed_mb": 0,
+        "active_vms": 0,
+        "networks_free": 4,
+        "max_vms": -1,
+    }
+
+    @pytest.mark.parametrize("text", _REQUIREMENTS)
+    def test_catalog_requirements_match_in_three_calls(self, text):
+        # 2 at the time of writing (``matches`` and the generated
+        # function), 3 with ``member``; a closure per AST node took
+        # 14 to 24.
+        plant = ClassAd(self.PLANT)
+        request = ClassAd({"os": "linux"})
+        request.set_expression("requirements", text)
+        assert request.matches(plant) is True
+        assert python_calls(partial(request.matches, plant)) <= 3

@@ -1,5 +1,7 @@
 """Unit tests for the configuration DAG."""
 
+import random
+
 import pytest
 
 from repro.core.actions import Action
@@ -77,6 +79,68 @@ class TestConstruction:
     def test_action_lookup_unknown_raises(self):
         with pytest.raises(DAGError):
             ConfigDAG().action("missing")
+
+
+class TestFromEdges:
+    """``from_edges`` is ``add_action`` per action then ``add_edge``
+    per edge, in order: same DAG, same first error."""
+
+    @staticmethod
+    def one_by_one(actions, edges):
+        dag = ConfigDAG()
+        for action in actions:
+            dag.add_action(action)
+        for before, after in edges:
+            dag.add_edge(before, after)
+        return dag
+
+    @staticmethod
+    def outcome(build, actions, edges):
+        try:
+            dag = build(actions, edges)
+        except DAGError as exc:
+            return "error", str(exc)
+        # The Kahn sort that checked the graph is kept as its order.
+        return "ok", (
+            list(dag.actions.items()),
+            dag.edges(),
+            dag.topological_sort(),
+            dag.ancestor_masks(),
+            dag.structure(),
+        )
+
+    def test_random_parts_match_the_mutators(self):
+        rng = random.Random(2604)
+        names = ["a", "b", "c", "d", "e"]
+        outcomes = set()
+        for _ in range(800):
+            chosen = rng.sample(names, rng.randrange(0, 6))
+            if rng.random() < 0.2:  # a duplicate or a reserved name
+                chosen.insert(
+                    rng.randrange(len(chosen) + 1),
+                    rng.choice(names[:len(chosen)] + [START]),
+                )
+            actions = [Action(name) for name in chosen]
+            ends = names + ["ghost"] * (rng.random() < 0.2)
+            edges = [
+                (rng.choice(ends), rng.choice(ends))
+                for _ in range(rng.randrange(0, 8))
+            ]
+            want = self.outcome(self.one_by_one, actions, edges)
+            got = self.outcome(ConfigDAG.from_edges, actions, edges)
+            assert got == want, (actions, edges)
+            outcomes.add(want[1].split()[0] if want[0] == "error" else "ok")
+        # duplicate / reserved / unknown / self-edge / cycle, and fine.
+        assert {"ok", "duplicate", "'__start__'", "unknown", "self-edge",
+                "edge"} <= outcomes
+
+    def test_built_dag_stays_mutable(self):
+        dag = ConfigDAG.from_edges([Action("a"), Action("b")], [("a", "b")])
+        assert dag.topological_sort() == ["a", "b"]
+        dag.add_action(Action("c")).add_edge("c", "a")
+        assert dag.topological_sort() == ["c", "a", "b"]
+        with pytest.raises(DAGError, match="cycle"):
+            dag.add_edge("b", "c")
 
 
 class TestOrder:

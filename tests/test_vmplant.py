@@ -1,5 +1,7 @@
 """Unit tests for the VMPlant daemon (create/query/destroy/extend)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.actions import Action
@@ -23,7 +25,12 @@ from repro.workloads.requests import experiment_request
 from repro.vnet.hostonly import HostOnlyNetworkPool
 from repro.vnet.vnetd import VirtualNetworkService
 
-from tests.helpers import InstantLine, drive, python_calls
+from tests.helpers import (
+    InstantLine,
+    drive,
+    python_call_counts,
+    python_calls,
+)
 
 OS = "testos"
 
@@ -322,3 +329,32 @@ class TestCallBudgets:
         for i in range(7):
             plant.network_pool.attach(f"d{i}", f"vm{i}")
         assert python_calls(lambda: plant.estimate(request)) == empty
+
+    def test_requirements_bid_reads_the_interned_expression(self):
+        # The request's memoized ad already holds the interned
+        # expression: a bid neither looks the text up again nor asks
+        # for its equality constraints through a call.
+        bed = build_testbed(seed=3, n_plants=1)
+        plant = bed.plants[0]
+        _, request = service_request_from_xml(
+            service_request_to_xml(
+                dataclasses.replace(
+                    experiment_request(32, domain="d1"),
+                    requirements='other.kind == "vmplant"'
+                    " && other.networks_free >= 1",
+                ),
+                service="create",
+            )
+        )
+        assert plant.estimate(request) is not None
+        counts = python_call_counts(lambda: plant.estimate(request))
+        assert counts["Expression.__new__"] == 0
+        assert counts["ClassAd.matches"] == 1
+        # One bid that fails the equality conjunct never reaches it.
+        declined = dataclasses.replace(
+            request, requirements='other.kind == "broker"'
+        )
+        assert plant.estimate(declined) is None
+        counts = python_call_counts(lambda: plant.estimate(declined))
+        assert counts["Expression.__new__"] == 0
+        assert counts["ClassAd.matches"] == 0

@@ -65,6 +65,7 @@ from tests.helpers import (
     oracle_service_request_to_xml,
     python_calls,
 )
+from tests.oracles.dag_decode import oracle_dag_from_element
 
 
 @pytest.fixture(autouse=True)
@@ -421,6 +422,114 @@ class TestAgainstOracle:
             assert self.outcome(service_request_from_xml, text) == (
                 ProtocolError, message
             )
+
+
+class TestOnePassDagDecode:
+    """``dag_from_element`` (collect the parts, ``ConfigDAG.from_edges``
+    once) against the decoder that added them one mutator call at a
+    time: same DAG, same ``ProtocolError`` text, same first fault."""
+
+    @staticmethod
+    def outcome(decode, body):
+        try:
+            dag = decode(ET.fromstring(body))
+        except ProtocolError as exc:
+            return "error", str(exc)
+        return "ok", (
+            list(dag.actions.items()),
+            dag.edges(),
+            dag.topological_sort(),
+            {name: h.structure() for name, h in dag.handlers.items()},
+        )
+
+    def assert_same(self, body):
+        want = self.outcome(oracle_dag_from_element, body)
+        assert self.outcome(dagxml.dag_from_element, body) == want, body
+        return want
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                '<dag><action name="a"/><action name="b"/><action name="a"/>'
+                "</dag>",
+                "duplicate action 'a'",
+            ),
+            (
+                '<dag><action name="a"/><action name="__finish__"/></dag>',
+                "'__finish__' is a reserved node name",
+            ),
+            (
+                '<dag><action name="a"/><action name="b"/>'
+                '<edge from="a" to="b"/><edge from="ghost" to="a"/></dag>',
+                "unknown action 'ghost'",
+            ),
+            (
+                '<dag><action name="a"/><action name="b"/>'
+                '<edge from="b" to="b"/></dag>',
+                "self-edge on 'b'",
+            ),
+            (
+                '<dag><action name="a"/><action name="b"/><action name="c"/>'
+                '<edge from="a" to="b"/><edge from="b" to="c"/>'
+                '<edge from="c" to="a"/></dag>',
+                "edge 'c'->'a' would create a cycle",
+            ),
+            (
+                '<dag><action name="a"/><handler for="a"/></dag>',
+                "<handler> must contain exactly one <dag>",
+            ),
+            (
+                '<dag><action name="a"/><handler for="a"><dag/><dag/>'
+                "</handler></dag>",
+                "<handler> must contain exactly one <dag>",
+            ),
+        ],
+    )
+    def test_malformed_body_fails_with_the_incremental_text(
+        self, body, message
+    ):
+        assert self.assert_same(body) == ("error", message)
+
+    def test_random_bodies_fail_at_the_same_first_fault(self):
+        # Faults mixed in one body: the one-pass decoder must report
+        # the fault adding the parts in order would have met first.
+        rng = random.Random(2604)
+        names = ["a", "b", "c", "d", "__start__", "ghost"]
+
+        def element():
+            roll = rng.random()
+            if roll < 0.35:
+                name = rng.choice(names[:4] + names[:5])
+                return f'<action name="{name}"/>'
+            if roll < 0.85:
+                ends = [
+                    f'{end}="{rng.choice(names)}"'
+                    for end in ("from", "to")
+                    if rng.random() < 0.95
+                ]
+                return f"<edge {' '.join(ends)}/>"
+            if roll < 0.95:
+                dags = "<dag/>" * rng.choice([0, 1, 1, 1, 2])
+                target = rng.choice(["a", "b", "ghost"])
+                return f'<handler for="{target}">{dags}</handler>'
+            return "<bogus/>"
+
+        seen = set()
+        for _ in range(600):
+            body = "".join(element() for _ in range(rng.randrange(1, 9)))
+            seen.add(self.assert_same(f"<dag>{body}</dag>")[0])
+        assert seen == {"ok", "error"}
+
+    def test_chain_keeps_insertion_order_and_wire_bytes(self):
+        request = experiment_request(64)
+        wire = service_request_to_xml(request)
+        dagxml._interned_dags.clear()
+        _, decoded = service_request_from_xml(wire)
+        assert list(decoded.dag.actions) == list(request.dag.actions)
+        assert decoded.dag.edges() == request.dag.edges()
+        assert decoded.dag.fingerprint() == request.dag.fingerprint()
+        assert service_request_to_xml(decoded) == wire
 
 
 # ---------------------------------------------------------------------------
@@ -1051,6 +1160,32 @@ class TestCallBudgets:
         # ~190 on this body, a fresh DAG build alone ~100.
         assert repeated <= 30
         assert repeated < first_seen / 3
+
+    def test_distinct_chain_decodes_within_budget(self):
+        # What a catalog request costs to decode: a DAG never seen
+        # before, cut from steps seen before plus one of its own.
+        def request(tag: str) -> CreateRequest:
+            steps = [
+                Action(f"step-{k}", command=f"rpm -i {{p}}", params={"p": k})
+                for k in range(7)
+            ]
+            steps.append(Action(f"tail-{tag}", command=f"useradd {tag}"))
+            return CreateRequest(
+                hardware=HardwareSpec(memory_mb=64),
+                software=SoftwareSpec(
+                    os="linux", dag=ConfigDAG.from_sequence(steps)
+                ),
+                requirements="other.active_vms < 8",
+            )
+
+        service_request_from_xml(service_request_to_xml(request("warm")))
+        wire = service_request_to_xml(request("guard"), "estimate")
+        calls = python_calls(lambda: service_request_from_xml(wire))
+        assert len(dagxml._interned_dags) == 2  # decoded, not looked up
+        # 42 at the time of writing (the lambda included); one mutator
+        # call and one cache drop per action and edge, a comprehension
+        # per action key and two ``_require`` per edge took 120.
+        assert calls <= 45
 
     def test_shared_body_is_written_once_per_body(self, monkeypatch):
         writes = count_calls(monkeypatch, "_write_dag")

@@ -5,13 +5,8 @@ rendered text is collected here and echoed in the terminal summary
 (and written under ``benchmarks/results/``) so ``pytest benchmarks/
 --benchmark-only`` produces the same rows/series the paper reports.
 
-The session-scoped ``paper_suite`` fixture goes through the on-disk
-result cache (see :mod:`repro.experiments.cache`): the first session
-simulates and stores the three creation runs, later sessions load
-them in milliseconds.  Set ``REPRO_NO_CACHE=1`` to force a fresh
-simulation, and ``REPRO_CACHE_DIR`` to relocate the store.  Cache
-misses fan out across a process pool on multi-core hosts; results
-are bit-identical either way.
+The session-scoped ``paper_suite`` fixture simulates the three
+creation runs once per session, in process (~0.2 s).
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.runner import run_creation_suite
 
 #: Seed used by every paper-reproduction benchmark.
@@ -33,21 +27,9 @@ _RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def result_cache():
-    """The on-disk experiment result cache (env-configurable)."""
-    return ResultCache()
-
-
-@pytest.fixture(scope="session")
-def paper_suite(result_cache):
-    """The three Section 4.2 creation runs, computed once per session.
-
-    Cache hits skip simulation entirely; misses run the three
-    independent streams in parallel where the host allows.
-    """
-    return run_creation_suite(
-        seed=PAPER_SEED, parallel=True, cache=result_cache
-    )
+def paper_suite():
+    """The three Section 4.2 creation runs, computed once per session."""
+    return run_creation_suite(seed=PAPER_SEED)
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -1,1 +1,2 @@
-"""Wall-clock and events/sec micro-harness for the performance layer."""
+"""Recorded benchmark sweeps (``*_bench.py``) and the smoke tests that
+read them back (``test_*_smoke.py``)."""

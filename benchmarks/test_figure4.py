@@ -8,7 +8,7 @@ machine size.  Shape checks: larger memory ⇒ larger latency; the
 """
 
 from benchmarks.conftest import PAPER_SEED
-from repro.experiments.figure4 import run_figure4
+from repro.experiments.histfigures import run_figure4
 from repro.experiments.runner import run_creation_suite
 
 

@@ -5,7 +5,7 @@ means ordered by memory size and the 256 MB average near the paper's
 ~52 s (210 s full copy / "around 4x").
 """
 
-from repro.experiments.figure5 import run_figure5
+from repro.experiments.histfigures import run_figure5
 
 
 def test_figure5(benchmark, paper_suite, record_table):

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Summary", "summarize", "sequence_series", "bucket_means"]
+__all__ = [
+    "Summary",
+    "summarize",
+    "sequence_series",
+    "bucket_means",
+    "latency_fingerprint",
+]
 
 
 @dataclass(frozen=True)
@@ -69,3 +76,9 @@ def bucket_means(
             (start + len(chunk), float(np.mean(chunk)))
         )
     return out
+
+
+def latency_fingerprint(latencies: Sequence[float]) -> str:
+    """SHA-256 prefix over ``latencies`` at 1 ns (determinism checks)."""
+    payload = ",".join(f"{v:.9f}" for v in latencies)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -50,11 +50,11 @@ class Command:
 COMMANDS: Dict[str, Command] = {
     "demo": Command("repro.cli:run_demo", "create/query/destroy one VM"),
     "figure4": Command(
-        "repro.experiments.figure4:run_figure4",
+        "repro.experiments.histfigures:run_figure4",
         "Figure 4: creation latency by VM memory size", in_all=True,
     ),
     "figure5": Command(
-        "repro.experiments.figure5:run_figure5",
+        "repro.experiments.histfigures:run_figure5",
         "Figure 5: cloning latency by VM memory size", in_all=True,
     ),
     "figure6": Command(

@@ -24,12 +24,12 @@ request, which at 512 hosts would swamp the thing being measured.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.stats import latency_fingerprint
 from repro.analysis.tables import find_point, point_record, render_table
 from repro.core.errors import ReproError
 from repro.provisioning import ProvisioningConfig
@@ -143,11 +143,6 @@ class DistTreeResult:
         )
 
 
-def _fingerprint(latencies: Sequence[float]) -> str:
-    payload = ",".join(f"{v:.9f}" for v in latencies)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def _run_point(
     variant: str,
     config: ProvisioningConfig,
@@ -194,7 +189,7 @@ def _run_point(
         attaches=planner.attaches if planner else 0,
         fallbacks=planner.fallbacks if planner else 0,
         nfs_seeds=planner.nfs_seeds if planner else 0,
-        fingerprint=_fingerprint(latencies),
+        fingerprint=latency_fingerprint(latencies),
     )
 
 

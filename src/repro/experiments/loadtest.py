@@ -17,12 +17,12 @@ bit-identical demand; only the provisioning machinery differs.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.stats import latency_fingerprint
 from repro.analysis.tables import find_point, render_table
 from repro.core.errors import ReproError
 from repro.provisioning import ProvisioningConfig
@@ -135,11 +135,6 @@ class LoadTestResult:
         )
 
 
-def _fingerprint(latencies: Sequence[float]) -> str:
-    payload = ",".join(f"{v:.9f}" for v in latencies)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def _run_point(
     variant: str,
     config: ProvisioningConfig,
@@ -203,7 +198,7 @@ def _run_point(
         ),
         coalesced=bed.nfs.coalescer.requests_coalesced,
         pool_hits=sum(p.hits for p in bed.pools),
-        fingerprint=_fingerprint(latencies),
+        fingerprint=latency_fingerprint(latencies),
     )
 
 

@@ -63,14 +63,9 @@ class ExperimentRun:
 
     memory_mb: int
     vm_type: str
+    testbed: Testbed
     samples: List[CreationSample] = field(default_factory=list)
     classads: List[ClassAd] = field(default_factory=list)
-    testbed: Optional[Testbed] = None
-    #: Materialized clone records for detached (testbed-free) runs, as
-    #: produced by :meth:`detach` — e.g. after crossing a process
-    #: boundary in the parallel runner or a round-trip through the
-    #: on-disk result cache.
-    frozen_clone_records: Optional[List[CloneRecord]] = None
 
     @property
     def successes(self) -> List[CreationSample]:
@@ -89,36 +84,13 @@ class ExperimentRun:
 
     def clone_records(self) -> List[CloneRecord]:
         """Clone records of successful creations, in request order."""
-        if self.frozen_clone_records is not None:
-            return list(self.frozen_clone_records)
         good = {s.vmid for s in self.successes}
-        return [
-            r
-            for r in (self.testbed.clone_records() if self.testbed else [])
-            if r.vmid in good
-        ]
+        return [r for r in self.testbed.clone_records() if r.vmid in good]
 
     @property
     def clone_times(self) -> List[float]:
         """Cloning latencies (PPP clone request → resume complete)."""
         return [r.total_time for r in self.clone_records()]
-
-    def detach(self) -> "ExperimentRun":
-        """A picklable copy with clone records materialized.
-
-        The live testbed (environment, plants, generators) cannot
-        cross process boundaries or be written to the result cache;
-        everything the analysis layer reads — samples, classads, clone
-        records — is preserved bit-for-bit.
-        """
-        return ExperimentRun(
-            memory_mb=self.memory_mb,
-            vm_type=self.vm_type,
-            samples=list(self.samples),
-            classads=list(self.classads),
-            testbed=None,
-            frozen_clone_records=self.clone_records(),
-        )
 
 
 def run_creation_experiment(
@@ -193,23 +165,21 @@ def run_creation_suite(
     max_workers: Optional[int] = None,
     cache: Optional[object] = None,
 ) -> Dict[int, ExperimentRun]:
-    """The paper's three creation experiments (32/64/256 MB).
+    """The paper's three creation experiments (32/64/256 MB), in plan
+    order, each on its own testbed seeded ``seed + memory``.
 
-    Every run owns an independent seeded testbed, so the suite is
-    embarrassingly parallel: with ``parallel=True`` the runs fan out
-    across a process pool (see :mod:`repro.experiments.parallel`) and
-    are merged back in plan order — results are bit-identical to
-    sequential execution.  Passing a :class:`~repro.experiments.cache.
-    ResultCache` as ``cache`` memoizes each run on disk keyed by
-    (experiment id, parameters, seed, source digest).
+    ``parallel``, ``max_workers`` and ``cache`` are kept for callers
+    that pass their off values (``False``, ``None``, ``None``); any
+    other value raises ``ValueError``, because the suite (~0.2 s) runs
+    in process and uncached with nothing for them to select.
     """
-    from repro.experiments.parallel import Job, run_jobs
-
-    plan = runs or PAPER_RUNS
-    results: Dict[int, ExperimentRun] = {}
-    pending: List[tuple] = []
-    for memory, (count, failure_prob) in plan.items():
-        kwargs = dict(
+    if parallel or max_workers is not None or cache is not None:
+        raise ValueError(
+            "run_creation_suite runs in process and uncached: its "
+            "process pool and result cache were removed"
+        )
+    return {
+        memory: run_creation_experiment(
             memory_mb=memory,
             count=count,
             seed=seed + memory,  # independent testbed per run
@@ -220,28 +190,5 @@ def run_creation_suite(
             clone_mode=clone_mode,
             n_plants=n_plants,
         )
-        if cache is not None:
-            hit = cache.get("creation", kwargs)
-            if hit is not None:
-                results[memory] = hit
-                continue
-        pending.append((memory, kwargs))
-
-    if pending:
-        jobs = [
-            Job(key=memory, fn=run_creation_experiment, kwargs=kwargs)
-            for memory, kwargs in pending
-        ]
-        fresh = run_jobs(
-            jobs,
-            mode="process" if parallel else "serial",
-            max_workers=max_workers,
-        )
-        for memory, kwargs in pending:
-            run = fresh[memory]
-            if cache is not None:
-                cache.put("creation", kwargs, run)
-            results[memory] = run
-
-    # Deterministic merge: plan order, independent of completion order.
-    return {memory: results[memory] for memory in plan}
+        for memory, (count, failure_prob) in (runs or PAPER_RUNS).items()
+    }

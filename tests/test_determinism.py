@@ -137,8 +137,7 @@ class TestGoldenTrajectories:
         assert fp == self.RUN_FP
 
     def test_figure_renders_match_golden(self):
-        from repro.experiments.figure4 import run_figure4
-        from repro.experiments.figure5 import run_figure5
+        from repro.experiments.histfigures import run_figure4, run_figure5
         from repro.experiments.runner import run_creation_suite
 
         suite = run_creation_suite(seed=2004)

@@ -1,6 +1,5 @@
 """Every example script must run cleanly end to end."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +16,9 @@ EXAMPLES = sorted(
 @pytest.mark.parametrize(
     "script", EXAMPLES, ids=lambda p: p.stem
 )
-def test_example_runs(script, tmp_path):
+def test_example_runs(script):
     proc = subprocess.run(
         [sys.executable, str(script)],
-        # reproduce_paper.py memoizes its runs; not under ~/.cache here.
-        env={**os.environ, "REPRO_CACHE_DIR": str(tmp_path)},
         capture_output=True,
         text=True,
         timeout=180,

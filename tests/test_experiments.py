@@ -16,15 +16,16 @@ from repro.experiments.ablations import (
     run_speculative_ablation,
 )
 from repro.experiments.costfn import run_costfn
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
+from repro.experiments.histfigures import run_figure4, run_figure5
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.runner import (
+    PAPER_RUNS,
     run_creation_experiment,
     run_creation_suite,
 )
 from repro.experiments.textnumbers import run_textnumbers
 from repro.experiments.uml import run_uml
+from repro.plant.production import CloneMode
 
 SMALL_RUNS = {32: (12, 0.0), 64: (12, 0.0), 256: (8, 0.0)}
 
@@ -65,6 +66,50 @@ class TestRunner:
             for mem, run in small_suite.items()
         }
         assert means[32] < means[64] < means[256]
+
+
+class TestRunnerSatellites:
+    def test_failures_property_partitions_samples(self):
+        run = run_creation_experiment(32, 12, seed=3, failure_prob=0.4)
+        assert run.failures, "expected injected failures at p=0.4"
+        assert len(run.failures) + len(run.successes) == len(run.samples)
+        assert all(not s.ok and s.error for s in run.failures)
+
+    def test_suite_passes_through_clone_mode_and_n_plants(self):
+        suite = run_creation_suite(
+            seed=9,
+            runs={256: (3, 0.0)},
+            n_plants=2,
+            clone_mode=CloneMode.COPY,
+        )
+        run = suite[256]
+        records = run.clone_records()
+        assert records and all(r.clone_mode == "copy" for r in records)
+        assert {s.plant for s in run.successes} <= {"plant0", "plant1"}
+
+    def test_suite_passes_through_vm_type(self):
+        suite = run_creation_suite(
+            seed=9, runs={32: (2, 0.0)}, vm_type="uml", n_plants=2
+        )
+        assert suite[32].vm_type == "uml"
+        assert all(
+            r.vm_type == "uml" for r in suite[32].clone_records()
+        )
+
+    def test_suite_takes_only_the_off_pool_and_cache_arguments(self):
+        # The end-to-end benchmark's exact call; results in plan order.
+        suite = run_creation_suite(
+            seed=9, parallel=False, max_workers=None, cache=None
+        )
+        assert list(suite) == list(PAPER_RUNS)
+        assert list(
+            run_creation_suite(seed=9, runs={256: (1, 0.0), 32: (1, 0.0)})
+        ) == [256, 32]
+        for removed in (
+            {"parallel": True}, {"cache": object()}, {"max_workers": 2}
+        ):
+            with pytest.raises(ValueError, match="removed"):
+                run_creation_suite(seed=9, runs={32: (1, 0.0)}, **removed)
 
 
 class TestFigures:

@@ -2,8 +2,8 @@
 
 DESIGN.md, "Process footprint & import layering".  A process that
 builds testbeds and runs creates (every e2e workload, every forked
-shard worker) must not pay for numpy, process pools or the experiment
-suite; only the report layer — the experiment drivers, the numpy-backed
+shard worker) must not pay for numpy or the experiment drivers; only
+the report layer — the experiment drivers, the numpy-backed
 analysis modules and the CLI — may import them.
 """
 
@@ -44,27 +44,18 @@ LIBRARY_MODULES = (
     "repro.experiments.runner",
 )
 #: The report layer is everything else under these; it alone may use
-#: numpy, ``concurrent.futures`` and the result cache.
+#: numpy.
 REPORT_ROOTS = (
     "repro.cli",
     "repro.__main__",
     "repro.analysis",
     "repro.experiments",
 )
-#: The one library -> report edge, function-level so that importing
-#: ``runner`` does not follow it: ``run_creation_suite`` is the suite
-#: entry point the e2e benchmark imports from ``runner``, and it fans
-#: out through ``run_jobs``.
-DEFERRED_EDGES = {
-    ("repro.experiments.runner", "repro.experiments.parallel"),
-}
 #: Modules a create-path process must not have loaded.
 REPORT_ONLY = (
     "numpy",
     "concurrent.futures",
     "repro.experiments.loadtest",
-    "repro.experiments.parallel",
-    "repro.experiments.cache",
     "repro.analysis.stats",
     "repro.analysis.histograms",
     "repro.analysis.tables",
@@ -95,12 +86,10 @@ REPORT = sorted(name for name in MODULES if not _in_library(name))
 
 
 def _imports(path: Path):
-    """Every import in ``path`` — module level or nested — as
-    ``(dotted target, is module level)``; ``from pkg import sub`` names
-    the submodule when ``sub`` is one."""
-    tree = ast.parse(path.read_text())
-    top = set(tree.body)
-    for node in ast.walk(tree):
+    """Every import in ``path`` — module level or nested — as a dotted
+    target; ``from pkg import sub`` names the submodule when ``sub`` is
+    one."""
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             targets = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -109,8 +98,7 @@ def _imports(path: Path):
             targets = [n if n in MODULES else node.module for n in names]
         else:
             continue
-        for target in targets:
-            yield target, node in top
+        yield from targets
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -135,24 +123,21 @@ def test_every_module_sits_in_exactly_one_layer():
 
 
 def test_library_layer_imports_stdlib_and_library_only():
-    deferred = set()
     for name, path in MODULES.items():
         if not _in_library(name):
             continue
-        for target, module_level in _imports(path):
+        for target in _imports(path):
             top = target.split(".")[0]
             if top != "repro":
                 assert top in sys.stdlib_module_names, (
                     f"{name} imports {target}: the library layer is "
                     "standard library only"
                 )
-            elif not _in_library(target):
-                assert not module_level and (name, target) in DEFERRED_EDGES, (
+            else:
+                assert _in_library(target), (
                     f"{name} imports {target}: the library layer never "
                     "imports the report layer"
                 )
-                deferred.add((name, target))
-    assert deferred == DEFERRED_EDGES, "drop the edge that no longer exists"
 
 
 #: The two modules that may touch the collector: the pre-fork collect
@@ -240,7 +225,7 @@ def test_cli_subcommands_import_report_modules_only_when_run():
 
     assert not [
         target
-        for target, _ in _imports(MODULES["repro.cli"])
+        for target in _imports(MODULES["repro.cli"])
         if target.startswith("repro.experiments")
     ], "cli.py names its drivers in COMMANDS and imports the chosen one"
     drivers = {

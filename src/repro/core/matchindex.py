@@ -111,10 +111,6 @@ class MatchIndex:
             "profiles_tested": 0,
             "images_skipped_by_bucket": 0,
         }
-        #: image_id → times it won a selection (memo hits included —
-        #: the warehouse reports those through :meth:`note_select`).
-        #: Drives the replica placer's notion of a "hot" image.
-        self.popularity: Dict[str, int] = {}
         self._n_images = 0
 
     def __len__(self) -> int:
@@ -157,17 +153,6 @@ class MatchIndex:
             holder = node.children
         del node.images[image_id]
         self._n_images -= 1
-
-    def note_select(self, image_id: str) -> None:
-        """Count one selection win for ``image_id``.
-
-        The warehouse calls this for every winning query, including
-        memo hits — which bypass :meth:`select` entirely — so the
-        popularity figures reflect demand, not index traffic.  Kept
-        separate from the index structures: an unpublished image's
-        history survives (re-publishing continues its count).
-        """
-        self.popularity[image_id] = self.popularity.get(image_id, 0) + 1
 
     # -- queries -----------------------------------------------------------
     def _candidate_roots(

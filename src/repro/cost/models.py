@@ -15,20 +15,23 @@ numbers" (Section 3.1); a plant declines a request by returning no bid
   on the amount of host memory still available for cloned VMs; the
   emptier plant bids lower, producing load balancing.
 
-Models are stateless: they read plant state through the small
-:class:`PlantView` protocol, so the same model instance can serve many
-plants.
+A model only prices.  Admission — a free VM slot, a switch for the
+request's domain — is the plant's decision, made before its model is
+asked.  Models are stateless and read a plant's load where it is kept:
+``host_memory_mb`` on the plant, the registered VMs (``vms``) and their
+``guest_memory_mb`` on its information system (``infosys``), and
+whether a domain needs a fresh switch from its ``network_pool``.  So
+the same model instance can serve many plants.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.spec import CreateRequest
 
 __all__ = [
-    "PlantView",
     "CostModel",
     "NetworkComputeCost",
     "MemoryAvailableCost",
@@ -36,56 +39,12 @@ __all__ = [
 ]
 
 
-class PlantView:
-    """What a cost model may observe about a plant.
-
-    Structural protocol implemented by
-    :class:`~repro.plant.vmplant.VMPlant`.
-    """
-
-    def active_vm_count(self) -> int:
-        """VMs currently operating on the plant."""
-        raise NotImplementedError
-
-    def committed_memory_mb(self) -> int:
-        """Aggregate guest memory of active VMs."""
-        raise NotImplementedError
-
-    def host_memory_mb(self) -> int:
-        """Physical memory available to the VMM on this host."""
-        raise NotImplementedError
-
-    def vm_capacity(self) -> Optional[int]:
-        """Maximum concurrent VMs (None = unbounded)."""
-        raise NotImplementedError
-
-    def network_would_be_fresh(self, domain: str) -> bool:
-        """Would this domain require a new host-only network?"""
-        raise NotImplementedError
-
-    def network_has_capacity(self, domain: str) -> bool:
-        """Can this domain's VM be attached to a host-only network?"""
-        raise NotImplementedError
-
-
 class CostModel(ABC):
-    """Maps (plant state, request) to a bid."""
+    """Maps (plant load, request) to a bid."""
 
     @abstractmethod
-    def estimate(
-        self, plant: PlantView, request: CreateRequest
-    ) -> Optional[float]:
-        """The plant's bid for the request; None = cannot host."""
-
-    @staticmethod
-    def _admissible(plant: PlantView, request: CreateRequest) -> bool:
-        """Common admission checks shared by the concrete models."""
-        cap = plant.vm_capacity()
-        if cap is not None and plant.active_vm_count() >= cap:
-            return False
-        if not plant.network_has_capacity(request.network.domain):
-            return False
-        return True
+    def estimate(self, plant: Any, request: CreateRequest) -> Optional[float]:
+        """The plant's price for the request; None = cannot host."""
 
 
 class NetworkComputeCost(CostModel):
@@ -99,13 +58,9 @@ class NetworkComputeCost(CostModel):
         self.network_cost = network_cost
         self.compute_cost_per_vm = compute_cost_per_vm
 
-    def estimate(
-        self, plant: PlantView, request: CreateRequest
-    ) -> Optional[float]:
-        if not self._admissible(plant, request):
-            return None
-        cost = self.compute_cost_per_vm * plant.active_vm_count()
-        if plant.network_would_be_fresh(request.network.domain):
+    def estimate(self, plant: Any, request: CreateRequest) -> Optional[float]:
+        cost = self.compute_cost_per_vm * len(plant.infosys.vms)
+        if plant.network_pool.would_be_fresh(request.network.domain):
             cost += self.network_cost
         return cost
 
@@ -138,15 +93,11 @@ class MemoryAvailableCost(CostModel):
         self.reserve_mb = reserve_mb
         self.overcommit = overcommit
 
-    def estimate(
-        self, plant: PlantView, request: CreateRequest
-    ) -> Optional[float]:
-        if not self._admissible(plant, request):
-            return None
-        usable = plant.host_memory_mb() - self.reserve_mb
+    def estimate(self, plant: Any, request: CreateRequest) -> Optional[float]:
+        usable = plant.host_memory_mb - self.reserve_mb
         if usable <= 0:
             return None
-        after = plant.committed_memory_mb() + request.hardware.memory_mb
+        after = plant.infosys.guest_memory_mb + request.hardware.memory_mb
         if after > self.overcommit * usable:
             return None
         return self.scale * after / usable
@@ -169,9 +120,7 @@ class CompositeCost(CostModel):
         if len(self.weights) != len(self.models):
             raise ValueError("weights must match models")
 
-    def estimate(
-        self, plant: PlantView, request: CreateRequest
-    ) -> Optional[float]:
+    def estimate(self, plant: Any, request: CreateRequest) -> Optional[float]:
         total = 0.0
         for model, weight in zip(self.models, self.weights):
             bid = model.estimate(plant, request)

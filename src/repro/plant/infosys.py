@@ -23,52 +23,54 @@ class VMInformationSystem:
 
     ``version`` increments on every mutation (store/remove/rename/
     update), letting consumers — the plant's ``description_ad`` memo —
-    cheaply detect staleness without hashing the VM set.
+    cheaply detect staleness without hashing the VM set.  ``vms`` and
+    ``guest_memory_mb`` are read-only outside this class: a cost model
+    reads them on every bid.
     """
 
     def __init__(self) -> None:
-        self._vms: Dict[str, VirtualMachine] = {}
+        #: vmid → registered VM, in registration order.
+        self.vms: Dict[str, VirtualMachine] = {}
         #: Guest memory of the registered VMs, kept by store/remove
-        #: (a VM's size is its image's and never changes): every
-        #: bidding plant reads it on every estimate.
-        self._guest_memory_mb = 0
+        #: (a VM's size is its image's and never changes).
+        self.guest_memory_mb = 0
         #: Monotonic mutation counter (memo invalidation).
         self.version = 0
 
     def __len__(self) -> int:
-        return len(self._vms)
+        return len(self.vms)
 
     def __contains__(self, vmid: str) -> bool:
-        return vmid in self._vms
+        return vmid in self.vms
 
     def store(self, vm: VirtualMachine) -> None:
         """Register a newly produced VM."""
-        if vm.vmid in self._vms:
+        if vm.vmid in self.vms:
             raise PlantError(f"vmid {vm.vmid!r} already registered")
-        self._vms[vm.vmid] = vm
-        self._guest_memory_mb += vm.memory_mb
+        self.vms[vm.vmid] = vm
+        self.guest_memory_mb += vm.memory_mb
         self.version += 1
 
     def get(self, vmid: str) -> VirtualMachine:
         """Look up an active VM."""
         try:
-            return self._vms[vmid]
+            return self.vms[vmid]
         except KeyError:
             raise PlantError(f"no active VM {vmid!r}") from None
 
     def remove(self, vmid: str) -> VirtualMachine:
         """Deregister a collected VM."""
         try:
-            vm = self._vms.pop(vmid)
+            vm = self.vms.pop(vmid)
         except KeyError:
             raise PlantError(f"no active VM {vmid!r}") from None
-        self._guest_memory_mb -= vm.memory_mb
+        self.guest_memory_mb -= vm.memory_mb
         self.version += 1
         return vm
 
     def rename(self, old: str, new: str) -> VirtualMachine:
         """Re-register a VM under a new vmid (pooled-VM adoption)."""
-        if new in self._vms:
+        if new in self.vms:
             raise PlantError(f"vmid {new!r} already registered")
         vm = self.remove(old)
         vm.vmid = new
@@ -77,7 +79,7 @@ class VMInformationSystem:
 
     def active(self) -> List[VirtualMachine]:
         """All active VMs, in registration order."""
-        return list(self._vms.values())
+        return list(self.vms.values())
 
     def update(self, vmid: str, attrs: Dict[str, Value]) -> None:
         """Merge monitor-gathered attributes into a VM's classad."""
@@ -98,7 +100,3 @@ class VMInformationSystem:
         for attr in wanted:
             projection[attr] = vm.classad.lookup(attr)
         return projection
-
-    def total_guest_memory_mb(self) -> int:
-        """Aggregate guest memory of active VMs (cost/bidding input)."""
-        return self._guest_memory_mb

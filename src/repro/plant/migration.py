@@ -172,12 +172,16 @@ class MigrationManager:
             best: Optional[VMPlant] = None
             best_cost: Optional[float] = None
             for target in targets:
-                cost = target.cost_model.estimate(target, vm.request)
-                if cost is None:
-                    continue
-                if not target.network_pool.has_capacity_for(
+                # The plant's admission rules, then its price.
+                if (
+                    target.max_vms is not None
+                    and target.active_vm_count() >= target.max_vms
+                ) or not target.network_pool.has_capacity_for(
                     vm.request.network.domain
                 ):
+                    continue
+                cost = target.cost_model.estimate(target, vm.request)
+                if cost is None:
                     continue
                 if best_cost is None or cost < best_cost:
                     best, best_cost = target, cost

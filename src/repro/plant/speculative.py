@@ -164,8 +164,10 @@ class SpeculativeClonePool:
         return drained
 
 
-#: Pool identity: one pool per (domain, OS, hardware, vm_type).
-PoolKey = Tuple[str, str, object, Optional[str]]
+#: Pool identity: one pool per (domain, OS, hardware, vm_type), the
+#: hardware spec as its four fields (same equality; hashing the key
+#: stays out of the dataclass's Python ``__hash__``).
+PoolKey = Tuple[str, str, str, int, float, int, Optional[str]]
 
 
 class AdaptiveSpeculativePool:
@@ -224,16 +226,16 @@ class AdaptiveSpeculativePool:
 
     @staticmethod
     def _key(request: CreateRequest) -> PoolKey:
+        hardware = request.hardware
         return (
             request.network.domain,
             request.software.os,
-            request.hardware,
+            hardware.isa,
+            hardware.memory_mb,
+            hardware.disk_gb,
+            hardware.cpus,
             request.vm_type,
         )
-
-    @staticmethod
-    def _is_fill_request(request: CreateRequest) -> bool:
-        return request.client_id.endswith("-speculative")
 
     @property
     def hit_rate(self) -> float:
@@ -277,8 +279,9 @@ class AdaptiveSpeculativePool:
         return max(self.min_target, min(self.max_target, want))
 
     # -- pool plumbing -------------------------------------------------------
-    def _pool_for(self, request: CreateRequest) -> Optional[SpeculativeClonePool]:
-        key = self._key(request)
+    def _pool_for(
+        self, key: PoolKey, request: CreateRequest
+    ) -> Optional[SpeculativeClonePool]:
         if key in self._dead:
             return None
         pool = self._pools.get(key)
@@ -317,14 +320,28 @@ class AdaptiveSpeculativePool:
 
     # -- request path --------------------------------------------------------
     def available(self, request: CreateRequest) -> bool:
-        """Could ``request`` be served from an idle pooled clone now?"""
-        if self._is_fill_request(request):
-            return False
-        # The pool key covers exactly the `_compatible` fields
-        # (domain, os, hardware, vm_type), so the lookup already
-        # implies compatibility — no per-bid recheck needed.
-        pool = self._pools.get(self._key(request))
-        return pool is not None and pool.size > 0
+        """Could ``request`` be served from an idle pooled clone now?
+
+        One call per bid: :meth:`_key` and the pool's ``size`` are
+        written out here.  The pool key covers exactly the
+        ``_compatible`` fields, so the lookup already implies
+        compatibility — no per-bid recheck needed.
+        """
+        if request.client_id.endswith("-speculative"):
+            return False  # a pool's own fill traffic
+        hardware = request.hardware
+        pool = self._pools.get(
+            (
+                request.network.domain,
+                request.software.os,
+                hardware.isa,
+                hardware.memory_mb,
+                hardware.disk_gb,
+                hardware.cpus,
+                request.vm_type,
+            )
+        )
+        return pool is not None and len(pool._pool) > 0
 
     def acquire(
         self, request: CreateRequest, vmid: Optional[str] = None
@@ -334,11 +351,11 @@ class AdaptiveSpeculativePool:
         Always observes the arrival and (re)sizes the matching pool,
         so misses teach the manager to pre-create for next time.
         """
-        if self._is_fill_request(request):
+        if request.client_id.endswith("-speculative"):
             return None  # a pool's own fill traffic is not demand
         key = self._key(request)
         self._observe(key)
-        pool = self._pool_for(request)
+        pool = self._pool_for(key, request)
         if pool is None:
             self.misses += 1
             return None

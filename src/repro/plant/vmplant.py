@@ -21,7 +21,7 @@ from repro.core.dag import ConfigDAG
 from repro.core.errors import PlantError, VNetError
 from repro.core.matching import match_performed
 from repro.core.spec import CreateRequest
-from repro.cost.models import CostModel, MemoryAvailableCost, PlantView
+from repro.cost.models import CostModel, MemoryAvailableCost
 from repro.plant.infosys import VMInformationSystem
 from repro.plant.monitor import VMMonitor
 from repro.plant.ppp import ProductionOrder, ProductionProcessPlanner
@@ -40,7 +40,7 @@ from repro.vnet.vnetd import VirtualNetworkService, VNetProxy, VNetServer
 __all__ = ["VMPlant"]
 
 
-class VMPlant(PlantView):
+class VMPlant:
     """One plant daemon."""
 
     def __init__(
@@ -62,7 +62,9 @@ class VMPlant(PlantView):
         self.warehouse = warehouse
         self.lines: Dict[str, ProductionLine] = dict(lines)
         self.cost_model = cost_model or MemoryAvailableCost()
-        self._host_memory_mb = host_memory_mb
+        #: Physical memory available to the VMM on this host.
+        self.host_memory_mb = host_memory_mb
+        #: Maximum concurrent VMs (None = unbounded).
         self.max_vms = max_vms
         self.network_pool = network_pool or HostOnlyNetworkPool(name)
         self.vnet_service = vnet_service
@@ -93,24 +95,9 @@ class VMPlant(PlantView):
                 VNetServer(plant_name=name, host=name)
             )
 
-    # -- PlantView (cost model inputs) -------------------------------------
     def active_vm_count(self) -> int:
-        return len(self.infosys)
-
-    def committed_memory_mb(self) -> int:
-        return self.infosys.total_guest_memory_mb()
-
-    def host_memory_mb(self) -> int:
-        return self._host_memory_mb
-
-    def vm_capacity(self) -> Optional[int]:
-        return self.max_vms
-
-    def network_would_be_fresh(self, domain: str) -> bool:
-        return self.network_pool.would_be_fresh(domain)
-
-    def network_has_capacity(self, domain: str) -> bool:
-        return self.network_pool.has_capacity_for(domain)
+        """VMs currently operating on the plant."""
+        return len(self.infosys.vms)
 
     # -- services ------------------------------------------------------------
     def description_ad(self) -> ClassAd:
@@ -131,9 +118,9 @@ class VMPlant(PlantView):
                 "name": self.name,
                 "kind": "vmplant",
                 "vm_types": sorted(self.lines),
-                "host_memory_mb": self._host_memory_mb,
-                "committed_mb": self.committed_memory_mb(),
-                "active_vms": self.active_vm_count(),
+                "host_memory_mb": self.host_memory_mb,
+                "committed_mb": self.infosys.guest_memory_mb,
+                "active_vms": len(self.infosys.vms),
                 "networks_free": self.network_pool.free_count,
                 "max_vms": (
                     self.max_vms if self.max_vms is not None else -1
@@ -149,7 +136,8 @@ class VMPlant(PlantView):
         A plant declines when it lacks the requested technology, no
         production line can host the request, no warehouse image
         matches it, the request's matchmaking ``requirements``
-        expression rejects this plant's description ad, or the cost
+        expression rejects this plant's description ad, it is at its
+        VM cap or has no switch for the request's domain, or the cost
         model refuses.
         """
         if self.cordoned or self.down:
@@ -185,6 +173,11 @@ class VMPlant(PlantView):
             )
         except PlantError:
             return None
+        # Admission (after plan, whose warehouse query counts demand).
+        if self.max_vms is not None and len(self.infosys.vms) >= self.max_vms:
+            return None
+        if not self.network_pool.has_capacity_for(request.network.domain):
+            return None
         cost = self.cost_model.estimate(self, request)
         if (
             cost is not None
@@ -196,14 +189,20 @@ class VMPlant(PlantView):
             cost *= self.speculative.bid_discount
         return cost
 
-    def estimate_proc(self, request: CreateRequest) -> Generator:
+    def estimate_proc(self, request: CreateRequest):
         """Transport-driven estimate: hangs while the plant is down.
 
-        A crashed plant's remote estimate call simply never returns
+        A healthy plant answers with the bid itself, as :meth:`estimate`
+        does.  A crashed plant's remote estimate call never returns
         until the host is back (the shop's ``bid_deadline_s`` is what
-        bounds the wait).  Zero-yield when healthy, so the default
-        trajectory is identical to the immediate :meth:`estimate`.
+        bounds the wait): it gets a generator that parks on the
+        plant's up-event and bids once the host has recovered.
         """
+        if self.down:
+            return self._estimate_when_up(request)
+        return self.estimate(request)
+
+    def _estimate_when_up(self, request: CreateRequest) -> Generator:
         while self.down:
             yield self._up_event
         return self.estimate(request)

@@ -224,6 +224,9 @@ class VMWarehouse:
         self._memo_generation = 0
         #: Query/hit counters for benchmarks and experiments.
         self.match_stats: Dict[str, int] = {"queries": 0, "memo_hits": 0}
+        #: image_id → selections it won, memo hits included; outlives
+        #: an unpublish (re-publishing continues the count).
+        self._popularity: Dict[str, int] = {}
         for image in images:
             self.publish(image)
 
@@ -309,18 +312,18 @@ class VMWarehouse:
             os,
             vm_type,
         )
-        hit = self._memo.get(key)
-        if hit is not None:
+        selection = self._memo.get(key)
+        if selection is not None:
             self.match_stats["memo_hits"] += 1
-            if hit[0] is not None:
-                self._index.note_select(hit[0].image_id)
-            return hit
-        selection = self._index.select(dag, hardware, os, vm_type)
-        if len(self._memo) >= _MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = selection
-        if selection[0] is not None:
-            self._index.note_select(selection[0].image_id)
+        else:
+            selection = self._index.select(dag, hardware, os, vm_type)
+            if len(self._memo) >= _MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[key] = selection
+        image = selection[0]
+        if image is not None:
+            popularity = self._popularity
+            popularity[image.image_id] = popularity.get(image.image_id, 0) + 1
         return selection
 
     @property
@@ -335,7 +338,7 @@ class VMWarehouse:
         The replica placer ranks images by this to decide which state
         to pre-push onto seed hosts; snapshot, safe to mutate.
         """
-        return dict(self._index.popularity)
+        return dict(self._popularity)
 
     # -- persistence ---------------------------------------------------------
     def dump_xml(self) -> str:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
-from repro.core.errors import ShopError
 from repro.core.spec import CreateRequest
 from repro.shop.protocol import Transport
 from repro.sim.kernel import Environment
@@ -27,9 +26,14 @@ from repro.sim.rng import RngHub
 __all__ = ["Bid", "BidCollector"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bid:
-    """One plant's (or broker's) answer to an estimate request."""
+    """One plant's (or broker's) answer to an estimate request.
+
+    Compared by identity: two bids are the same bid only if they are
+    one object (so ``list.remove`` in :meth:`BidCollector.rank` calls
+    no Python ``__eq__``).
+    """
 
     bidder_name: str
     cost: float
@@ -98,16 +102,6 @@ class BidCollector:
         self.collections += 1
         self.bids_collected += len(bids)
         return bids
-
-    def select(self, bids: Sequence[Bid]) -> Bid:
-        """The winning bid: minimum cost, random among exact ties."""
-        if not bids:
-            raise ShopError("no plant bid for the request")
-        best_cost = min(bid.cost for bid in bids)
-        winners = [bid for bid in bids if bid.cost == best_cost]
-        if len(winners) == 1:
-            return winners[0]
-        return self.rng.choice("bid-tie", winners)
 
     def rank(self, bids: Sequence[Bid]) -> List[Bid]:
         """Bids from best to worst (ties shuffled deterministically).

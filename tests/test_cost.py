@@ -1,6 +1,6 @@
 """Unit tests for the bidding cost models."""
 
-from typing import Optional
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,46 +16,49 @@ from repro.cost.models import (
     CompositeCost,
     MemoryAvailableCost,
     NetworkComputeCost,
-    PlantView,
+)
+from repro.plant.vmplant import VMPlant
+from repro.plant.warehouse import GoldenImage, VMWarehouse
+from repro.sim.kernel import Environment
+from repro.vnet.hostonly import HostOnlyNetworkPool
+
+from tests.helpers import InstantLine, drive
+
+
+def FakePlant(vms=0, committed=0, host_memory=1536, fresh_domains=()):
+    """What a cost model reads of a plant, as a plain record."""
+    return SimpleNamespace(
+        host_memory_mb=host_memory,
+        infosys=SimpleNamespace(
+            vms=dict.fromkeys(range(vms)), guest_memory_mb=committed
+        ),
+        network_pool=SimpleNamespace(
+            would_be_fresh=set(fresh_domains).__contains__
+        ),
+    )
+
+
+#: One of each model: admission is the plant's, whichever prices.
+MODELS = (
+    NetworkComputeCost(),
+    MemoryAvailableCost(),
+    CompositeCost([NetworkComputeCost(), MemoryAvailableCost()]),
 )
 
 
-class FakePlant(PlantView):
-    """Scriptable plant state for cost-model tests."""
-
-    def __init__(
-        self,
-        vms: int = 0,
-        committed: int = 0,
-        host_memory: int = 1536,
-        capacity: Optional[int] = None,
-        fresh_domains=(),
-        full_domains=(),
-    ):
-        self._vms = vms
-        self._committed = committed
-        self._host_memory = host_memory
-        self._capacity = capacity
-        self._fresh = set(fresh_domains)
-        self._full = set(full_domains)
-
-    def active_vm_count(self):
-        return self._vms
-
-    def committed_memory_mb(self):
-        return self._committed
-
-    def host_memory_mb(self):
-        return self._host_memory
-
-    def vm_capacity(self):
-        return self._capacity
-
-    def network_would_be_fresh(self, domain):
-        return domain in self._fresh
-
-    def network_has_capacity(self, domain):
-        return domain not in self._full
+def real_plant(model, **kwargs):
+    """A one-line plant that can host ``request()``, priced by ``model``."""
+    env = Environment()
+    image = GoldenImage(
+        image_id="img", vm_type="vmware", os="os",
+        hardware=HardwareSpec(memory_mb=32),
+        performed=(Action("a"),), memory_state_mb=32.0,
+    )
+    plant = VMPlant(
+        env, "p0", VMWarehouse([image]), {"vmware": InstantLine(env)},
+        cost_model=model, **kwargs,
+    )
+    return env, plant
 
 
 def request(mem=32, domain="d"):
@@ -97,14 +100,20 @@ class TestNetworkComputeCost:
         assert model.estimate(FakePlant(vms=13), request()) > 50.0
 
     def test_vm_capacity_declines(self):
-        model = NetworkComputeCost()
-        plant = FakePlant(vms=32, capacity=32)
-        assert model.estimate(plant, request()) is None
+        for model in MODELS:
+            env, plant = real_plant(model, max_vms=1)
+            assert plant.estimate(request()) is not None
+            drive(env, plant.create(request(), "vm1"))
+            assert plant.estimate(request()) is None
 
     def test_network_exhaustion_declines(self):
-        model = NetworkComputeCost()
-        plant = FakePlant(full_domains={"d"})
-        assert model.estimate(plant, request()) is None
+        for model in MODELS:
+            env, plant = real_plant(
+                model, network_pool=HostOnlyNetworkPool("p0", count=1)
+            )
+            drive(env, plant.create(request(domain="other"), "vm1"))
+            assert plant.estimate(request(domain="other")) is not None
+            assert plant.estimate(request()) is None
 
     def test_negative_costs_rejected(self):
         with pytest.raises(ValueError):

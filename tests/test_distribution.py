@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from repro.core.errors import StorageError
+from repro.core.errors import ReproError, StorageError
 from repro.distribution import DistributionPlanner, ReplicaPlacer
 from repro.provisioning import FULL_PROVISIONING, ProvisioningConfig
 from repro.sim.cluster import build_testbed
@@ -458,6 +458,29 @@ class TestReplicaPlacer:
         winner, count = max(popularity.items(), key=lambda kv: kv[1])
         assert count >= 2
         assert bed.warehouse.match_stats["memo_hits"] > 0
+
+    def test_popularity_after_a_fixed_bid_stream(self):
+        # Every bid's select counts, a bid its plant then declines at
+        # its VM cap included: 10 rounds of 3 plants plus 6 creates.
+        bed = build_testbed(
+            seed=2004, n_plants=3, max_vms_per_plant=2, networks_per_plant=2
+        )
+        failed = 0
+        for n in range(10):
+            request = experiment_request(
+                (32, 64, 256)[n % 3], domain=f"d{n % 4}"
+            )
+            try:
+                drive(bed.env, bed.shop.create(request))
+            except ReproError:
+                failed += 1
+        assert failed == 4
+        assert bed.warehouse.match_stats == {"queries": 36, "memo_hits": 33}
+        assert bed.warehouse.popularity == {
+            "vmware-mandrake81-32mb": 14,
+            "vmware-mandrake81-64mb": 11,
+            "vmware-mandrake81-256mb": 11,
+        }
 
     def test_place_once_seeds_hot_image_on_seed_hosts(self):
         bed = self._bed()

@@ -75,7 +75,7 @@ class TestInfosys:
         info = VMInformationSystem()
         info.store(make_vm("a", mem=64))
         info.store(make_vm("b", mem=256))
-        assert info.total_guest_memory_mb() == 320
+        assert info.guest_memory_mb == 320
 
     def test_active_in_registration_order(self):
         info = VMInformationSystem()

@@ -5,6 +5,7 @@ adaptive speculative pools — plus the guarantee that the whole layer
 is invisible when switched off.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -244,6 +245,24 @@ class TestAdaptivePools:
             undiscounted * plant.speculative.bid_discount
         )
         assert warm_bid < cold_bid
+
+    def test_available_answers_by_hardware_value(self):
+        bed = self._bed()
+        manager = bed.pools[0]
+        request = experiment_request(32)
+        drive(bed.env, bed.shop.create(request))
+        bed.env.run()
+        twin = dataclasses.replace(
+            request, hardware=dataclasses.replace(request.hardware)
+        )
+        assert twin.hardware == request.hardware
+        assert twin.hardware is not request.hardware
+        assert manager.available(request) and manager.available(twin)
+        bigger = dataclasses.replace(
+            request,
+            hardware=dataclasses.replace(request.hardware, memory_mb=64),
+        )
+        assert not manager.available(bigger)
 
     def test_desired_target_tracks_arrival_rate(self):
         bed = self._bed(pool_max_target=4, pool_target_hit_rate=1.0)

@@ -165,7 +165,7 @@ class ReplicaPlacer:
     ) -> Generator:
         pair = (store.host.name, image.image_id)
         try:
-            source = yield from self.planner.fetch(
+            source = yield self.planner.fetch(
                 store.host,
                 image.image_id,
                 image.clone_payload_mb,

@@ -192,13 +192,13 @@ class DistributionPlanner:
                 # Seeded while we waited (or by an earlier clone):
                 # replicate locally, off every network link.
                 self.local_hits += 1
-                yield from host.disk_read(payload_mb)
-                yield from host.disk_write(payload_mb)
+                yield host.disk_read(payload_mb)
+                yield host.disk_write(payload_mb)
                 return "coalesced" if attached else "local"
             source = self._pick_source(image_id, exclude=store)
             if source is not None:
                 try:
-                    yield from self._peer_copy(
+                    yield self._peer_copy(
                         source, store, image_id, payload_mb
                     )
                 except StorageError as exc:
@@ -230,13 +230,13 @@ class DistributionPlanner:
                 # loop resolves against whatever sources now exist and
                 # bottoms out at the warehouse rung.
                 continue
-            result = yield from self._nfs_seed(
+            result = yield self._nfs_seed(
                 store, image_id, payload_mb, files
             )
             return result
         # Pathological churn (every rung failed repeatedly): take the
         # warehouse path unconditionally rather than loop forever.
-        result = yield from self._nfs_seed(store, image_id, payload_mb, files)
+        result = yield self._nfs_seed(store, image_id, payload_mb, files)
         return result
 
     # -- source selection -----------------------------------------------------
@@ -369,7 +369,7 @@ class DistributionPlanner:
         """
         flight = self._register_flight(image_id, store, "nfs")
         try:
-            yield from self.nfs.copy_to_host(
+            yield self.nfs.copy_to_host(
                 payload_mb, store.host, files=files
             )
         finally:

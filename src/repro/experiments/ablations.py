@@ -185,7 +185,7 @@ def run_matching_ablation(
         def client() -> Generator:
             for _ in range(count):
                 start = bed.env.now
-                ad = yield from bed.shop.create(_invigo_request())
+                ad = yield bed.shop.create(_invigo_request())
                 latencies.append(bed.env.now - start)
                 residuals[label] = int(ad["actions_executed"])
 
@@ -248,13 +248,13 @@ def run_speculative_ablation(
     latencies: List[float] = []
 
     def warm_and_serve() -> Generator:
-        yield from pool.fill()
+        yield pool.fill()
         for i in range(count):
             request = experiment_request(memory_mb)
             start = bed.env.now
-            ad = yield from pool.acquire(request)
+            ad = yield pool.acquire(request)
             if ad is None:  # pool exhausted — fall back
-                ad = yield from plant.create(
+                ad = yield plant.create(
                     request, f"fallback-{i}"
                 )
             latencies.append(bed.env.now - start)
@@ -386,7 +386,7 @@ def run_cost_model_ablation(
                     request = experiment_request(
                         32, domain=f"domain{d}.example.org"
                     )
-                    ad = yield from bed.shop.create(request)
+                    ad = yield bed.shop.create(request)
                     created.append(str(ad["plant"]))
                     if ad["network_fresh"] is True:
                         fresh_count += 1

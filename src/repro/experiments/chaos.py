@@ -247,7 +247,7 @@ def _run_point(
         yield bed.env.timeout(at)
         start = bed.env.now
         try:
-            ad = yield from bed.shop.create(request)
+            ad = yield bed.shop.create(request)
         except ReproError:
             failures[0] += 1
             outcomes.append((idx, "fail", bed.env.now - start))
@@ -256,7 +256,7 @@ def _run_point(
         outcomes.append((idx, "ok", bed.env.now - start))
         yield bed.env.timeout(hold_s)
         try:
-            yield from bed.shop.destroy(str(ad["vmid"]))
+            yield bed.shop.destroy(str(ad["vmid"]))
         except ReproError:
             pass  # crash-killed underneath us; route already dropped
 

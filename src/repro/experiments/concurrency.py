@@ -119,7 +119,7 @@ def run_warehouse_replicas(
         def one(request) -> Generator:
             with gate.request() as slot:
                 yield slot
-                yield from bed.shop.create(request)
+                yield bed.shop.create(request)
 
         def client() -> Generator:
             procs = [
@@ -163,7 +163,7 @@ def run_concurrency(
             with gate.request() as slot:
                 yield slot
                 start = bed.env.now
-                yield from bed.shop.create(request)
+                yield bed.shop.create(request)
                 latencies.append(bed.env.now - start)
 
         def client() -> Generator:

@@ -89,9 +89,9 @@ def run_costfn(
     def client() -> Generator:
         for seq in range(1, requests + 1):
             request = experiment_request(32, domain="client.example.org")
-            bids = yield from bed.shop.estimate(request)
+            bids = yield bed.shop.estimate(request)
             bid_map = {b.bidder_name: b.cost for b in bids}
-            ad = yield from bed.shop.create(request, bids=bids)
+            ad = yield bed.shop.create(request, bids=bids)
             plant = str(ad["plant"])
             result.decisions.append(
                 (seq, plant, bid_map.get(plant, float("nan")), bid_map)

@@ -158,7 +158,7 @@ def _run_point(
     def one(index: int) -> Generator:
         start = bed.env.now
         try:
-            yield from bed.plants[index].create(request, f"dist-{index}")
+            yield bed.plants[index].create(request, f"dist-{index}")
         except ReproError:
             failures[0] += 1
             return

@@ -158,13 +158,13 @@ def _run_point(
         yield bed.env.timeout(at)
         start = bed.env.now
         try:
-            ad = yield from bed.shop.create(request)
+            ad = yield bed.shop.create(request)
         except ReproError:
             failures[0] += 1
             return
         latencies.append(bed.env.now - start)
         yield bed.env.timeout(hold_s)
-        yield from bed.shop.destroy(str(ad["vmid"]))
+        yield bed.shop.destroy(str(ad["vmid"]))
 
     def client() -> Generator:
         procs = [

@@ -71,7 +71,7 @@ def run_migration(seed: int = 2004) -> MigrationResult:
 
     def load() -> Generator:
         for i in range(16):
-            yield from src.create(experiment_request(64), f"vm{i}")
+            yield src.create(experiment_request(64), f"vm{i}")
 
     bed.run(load())
     pressure_before = bed.hosts[0].pressure_factor()
@@ -79,7 +79,7 @@ def run_migration(seed: int = 2004) -> MigrationResult:
 
     def rebalance() -> Generator:
         for i in range(8):
-            yield from manager.migrate(src, dst, f"vm{i}")
+            yield manager.migrate(src, dst, f"vm{i}")
 
     bed.run(rebalance())
     pressure_after = bed.hosts[0].pressure_factor()

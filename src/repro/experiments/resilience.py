@@ -84,7 +84,7 @@ def run_resilience(
             for i in range(requests):
                 start = bed.env.now
                 try:
-                    yield from bed.shop.create(experiment_request(32))
+                    yield bed.shop.create(experiment_request(32))
                 except ReproError:
                     failures += 1
                     continue

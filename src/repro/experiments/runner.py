@@ -124,7 +124,7 @@ def run_creation_experiment(
         for index, request in enumerate(requests):
             start = bed.env.now
             try:
-                ad = yield from bed.shop.create(request, clone_mode)
+                ad = yield bed.shop.create(request, clone_mode)
             except ReproError as exc:
                 run.samples.append(
                     CreationSample(

@@ -101,7 +101,7 @@ def _run_one(
     def client() -> Generator:
         for _ in range(requests):
             start = bed.env.now
-            yield from shop.create(experiment_request(32))
+            yield shop.create(experiment_request(32))
             latencies.append(bed.env.now - start)
 
     bed.run(client())
@@ -177,7 +177,7 @@ def _run_matching_one(
 
     def client() -> Generator:
         for _ in range(requests):
-            yield from bed.shop.create(experiment_request(32))
+            yield bed.shop.create(experiment_request(32))
 
     t0 = time.perf_counter()
     bed.run(client())

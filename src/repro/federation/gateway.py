@@ -93,7 +93,7 @@ class FederationGateway:
         """This site's best local bid (None = site declines)."""
         if self.down_until > self.shop.env.now:
             return None  # site dark: decline without touching plants
-        bids = yield from self.shop.estimate(request)
+        bids = yield self.shop.estimate(request)
         if not bids:
             return None
         return min(bid.cost for bid in bids)
@@ -123,7 +123,7 @@ class FederationGateway:
                 raise ShopError(
                     f"{self.name}: site went dark during gateway hang"
                 )
-        ad = yield from self.shop.create(request, clone_mode)
+        ad = yield self.shop.create(request, clone_mode)
         return ad
 
     # -- spill decision ------------------------------------------------------
@@ -191,7 +191,7 @@ class FederationGateway:
                 delay = self.policy.spill_backoff_delay(round_no)
                 if delay > 0:
                     yield self.shop.env.timeout(delay)
-            remote_bids = yield from self.shop.collector.collect(
+            remote_bids = yield self.shop.collector.collect(
                 self._open_remotes(),
                 request,
                 deadline_s=self.policy.spill_deadline_s,
@@ -203,7 +203,7 @@ class FederationGateway:
                     self.spill_retries += 1
                 tried += 1
                 try:
-                    ad = yield from self.shop.transport.call(
+                    ad = yield self.shop.transport.call(
                         bid.bidder.create, request, None, clone_mode
                     )
                 except ShopError:
@@ -240,7 +240,7 @@ class FederationGateway:
         with nowhere to spill to gets the saturated local create, or
         :class:`ShopError` when the site declined outright.
         """
-        local_bids = yield from self.shop.estimate(request)
+        local_bids = yield self.shop.estimate(request)
         if can_spill and self.should_spill(local_bids):
             if local_bids:
                 self.spills_saturated += 1
@@ -251,7 +251,7 @@ class FederationGateway:
             raise ShopError(
                 f"site {self.site}: no local plant bid for the request"
             )
-        ad = yield from self.shop.create(request, clone_mode, bids=local_bids)
+        ad = yield self.shop.create(request, clone_mode, bids=local_bids)
         self.local_creates += 1
         return ad, local_bids
 
@@ -266,17 +266,17 @@ class FederationGateway:
         and the site that hosts it.  Raises :class:`ShopError` when
         the local site declines/saturates and no remote bids either.
         """
-        ad, local_bids = yield from self.place_local(request, clone_mode)
+        ad, local_bids = yield self.place_local(request, clone_mode)
         if ad is not None:
             return ad, self.site
 
-        placed = yield from self._spill(request, clone_mode)
+        placed = yield self._spill(request, clone_mode)
         if placed is not None:
             return placed
         if local_bids:
             # Saturated is still better than failed.  The ladder took
             # simulated time, so this create bids afresh.
-            ad = yield from self.shop.create(request, clone_mode)
+            ad = yield self.shop.create(request, clone_mode)
             self.local_creates += 1
             return ad, self.site
         raise ShopError(

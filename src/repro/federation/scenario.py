@@ -462,7 +462,7 @@ class GridScenario(ShardScenario):
                 drained.succeed()
             yield drained
             for pool in pools:
-                yield from pool.shutdown()
+                yield pool.shutdown()
 
     def _request(
         self,
@@ -471,13 +471,7 @@ class GridScenario(ShardScenario):
         arrival: Arrival,
         cross: bool,
     ):
-        """One arrival, from the gateway's door to its one outcome.
-
-        The three hold-then-destroy tails (here twice, and in
-        :meth:`_remote_create`) are written out: a shared
-        sub-generator would put one more frame under every resume of
-        every request.
-        """
+        """One arrival, from the gateway's door to its one outcome."""
         env = handle.env
         params = handle.params
         gateway = handle.fsite.gateway
@@ -510,7 +504,7 @@ class GridScenario(ShardScenario):
                 # Site-local discovery first: one bid round inside the
                 # site decides spill-or-stay and places the stayers.
                 try:
-                    ad, _ = yield from gateway.place_local(
+                    ad, _ = yield gateway.place_local(
                         request, can_spill=can_spill
                     )
                 except ReproError:
@@ -524,30 +518,20 @@ class GridScenario(ShardScenario):
                         deadline_s=arrival.deadline_s,
                     )
                     trace(env, self.name, "created-local", req=idx)
-                    yield env.timeout(params["hold_s"])
-                    try:
-                        yield from handle.shop.destroy(str(ad["vmid"]))
-                    except ReproError:
-                        pass  # crash-killed underneath us mid-hold
-                    handle.destroyed += 1
+                    yield self._hold(handle, ad, params["hold_s"])
                     return
             # Cross-site: spill over the ring, bounded ack waits.
-            ok = yield from self._spill(handle, idx, arrival.memory_mb)
+            ok = yield self._spill(handle, idx, arrival.memory_mb)
             if not ok and params["local_fallback"]:
                 # Last resort: the home site once more.
                 try:
-                    ad = yield from handle.shop.create(request)
+                    ad = yield handle.shop.create(request)
                 except ReproError:
                     ad = None
                 if ad is not None:
                     handle.local_fallbacks += 1
                     handle.created += 1
-                    yield env.timeout(params["hold_s"])
-                    try:
-                        yield from handle.shop.destroy(str(ad["vmid"]))
-                    except ReproError:
-                        pass  # crash-killed underneath us mid-hold
-                    handle.destroyed += 1
+                    yield self._hold(handle, ad, params["hold_s"])
                     ok = True
             if ok:
                 summary.record_ok(
@@ -609,7 +593,7 @@ class GridScenario(ShardScenario):
         """Reclaim every idle speculative clone on this site."""
         reclaimed = 0
         for pool in handle.fsite.bed.pools:
-            count = yield from pool.drain()
+            count = yield pool.drain()
             reclaimed += count
         handle.preempted += reclaimed
         if reclaimed:
@@ -638,7 +622,7 @@ class GridScenario(ShardScenario):
         ok = 1
         ad = None
         try:
-            ad = yield from handle.shop.create(request)
+            ad = yield handle.shop.create(request)
         except ReproError:
             ok = 0
         if handle.ack_link is not None:
@@ -649,12 +633,17 @@ class GridScenario(ShardScenario):
             )
         if ad is not None:
             handle.created += 1
-            yield env.timeout(params["spill_hold_s"])
-            try:
-                yield from handle.shop.destroy(str(ad["vmid"]))
-            except ReproError:
-                pass  # crash-killed underneath us mid-hold
-            handle.destroyed += 1
+            yield self._hold(handle, ad, params["spill_hold_s"])
+
+    @staticmethod
+    def _hold(handle: _GridHandle, ad, hold_s: float):
+        """Keep a created VM for ``hold_s``, then destroy it."""
+        yield handle.env.timeout(hold_s)
+        try:
+            yield handle.shop.destroy(str(ad["vmid"]))
+        except ReproError:
+            pass  # crash-killed underneath us mid-hold
+        handle.destroyed += 1
 
 
 register(GridScenario("federation", poisson_source, {}))

@@ -107,9 +107,9 @@ class MigrationManager:
         )
 
         suspend_start = self.env.now
-        yield from line_src.suspend(vm)
+        yield line_src.suspend(vm)
         payload = line_src.migration_payload_mb(vm)
-        state = yield from line_src.export_release(vm)
+        state = yield line_src.export_release(vm)
         suspend_time = self.env.now - suspend_start
 
         transfer_start = self.env.now
@@ -118,7 +118,7 @@ class MigrationManager:
         transfer_time = self.env.now - transfer_start
 
         resume_start = self.env.now
-        yield from line_dst.receive(vm, state)
+        yield line_dst.receive(vm, state)
         resume_time = self.env.now - resume_start
 
         source.complete_migration_out(vmid)
@@ -189,6 +189,6 @@ class MigrationManager:
                 raise PlantError(
                     f"no target can take {vm.vmid!r} during drain"
                 )
-            yield from self.migrate(source, best, vm.vmid, shop=shop)
+            yield self.migrate(source, best, vm.vmid, shop=shop)
             migrated.append(vm.vmid)
         return migrated

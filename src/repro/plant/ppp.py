@@ -176,7 +176,7 @@ class ProductionProcessPlanner:
             )
             clone_start = self.env.now
             try:
-                yield from line.clone(vm, order.clone_mode)
+                yield line.clone(vm, order.clone_mode)
             except (ReproError, Interrupt):
                 # The line's clone wrapper already released host memory.
                 vm.status = VMStatus.FAILED
@@ -198,12 +198,12 @@ class ProductionProcessPlanner:
             config_start = self.env.now
             dag = request.dag
             try:
-                yield from self.run_actions(
+                yield self.run_actions(
                     vm, line, dag, list(match.residual), context
                 )
             except ConfigurationError:
                 vm.status = VMStatus.FAILED
-                yield from line.collect(vm)
+                yield line.collect(vm)
                 raise
             except (ReproError, Interrupt):
                 # Crash or deadline-interrupt mid-configuration: the clone
@@ -261,7 +261,7 @@ class ProductionProcessPlanner:
         """Execute ``names`` (already topologically ordered)."""
         for name in names:
             action = dag.action(name)
-            result = yield from self._run_one(vm, line, action, context)
+            result = yield self._run_one(vm, line, action, context)
             if result.ok:
                 vm.record(result)
                 vm.performed_actions.append(action)
@@ -280,7 +280,7 @@ class ProductionProcessPlanner:
                         vm.results,
                     )
                 vm.record(result)
-                yield from self._run_handler(vm, line, handler, name, context)
+                yield self._run_handler(vm, line, handler, name, context)
                 continue
             # FAIL (and RETRY that exhausted its budget inside _run_one).
             vm.record(result)
@@ -300,7 +300,7 @@ class ProductionProcessPlanner:
         attempts = 0
         while True:
             attempts += 1
-            result: ActionResult = yield from line.execute_action(
+            result: ActionResult = yield line.execute_action(
                 vm, action, context
             )
             if result.ok or attempts > budget:
@@ -333,7 +333,7 @@ class ProductionProcessPlanner:
         handler_context["failed_action"] = failed_action
         for name in handler.topological_sort():
             action = handler.action(name)
-            result = yield from self._run_one(
+            result = yield self._run_one(
                 vm, line, action, handler_context
             )
             vm.record(result)

@@ -7,7 +7,8 @@ one technology (VMware GSX, UML, a real directory-backed analogue …)
 behind a uniform interface the PPP drives.
 
 All operations are simulation-kernel *process generators*: they
-``yield`` events and are composed with ``yield from``.  A line doing
+``yield`` events, and a caller runs one by yielding it (a sub-call
+the kernel drives, see :class:`repro.sim.kernel.Process`).  A line doing
 real work (the local line) performs it inside the generator and yields
 zero-delay timeouts, so the same PPP code drives both simulated and
 real production.

@@ -112,7 +112,7 @@ class LeaseReaper:
         count = 0
         for vmid in self.expired_vmids():
             try:
-                yield from self.plant.destroy(vmid)
+                yield self.plant.destroy(vmid)
             except ReproError as exc:
                 self.failed.append(vmid)
                 trace(
@@ -129,7 +129,7 @@ class LeaseReaper:
             )
         for vmid in self.orphan_vmids():
             try:
-                yield from self.plant.destroy(vmid)
+                yield self.plant.destroy(vmid)
             except ReproError as exc:
                 self.failed.append(vmid)
                 trace(
@@ -150,6 +150,6 @@ class LeaseReaper:
         try:
             while True:
                 yield self.env.timeout(self.period)
-                yield from self.sweep()
+                yield self.sweep()
         except Interrupt:
             return

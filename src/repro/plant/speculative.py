@@ -92,7 +92,7 @@ class SpeculativeClonePool:
         while len(self._pool) < self.target:
             self._seq += 1
             vmid = f"{self.vmid_prefix}-{self.plant.name}-{self._seq}"
-            yield from self.plant.create(self.base_request, vmid)
+            yield self.plant.create(self.base_request, vmid)
             self._pool.append(vmid)
             created += 1
         return created
@@ -128,7 +128,7 @@ class SpeculativeClonePool:
             self.plant.rename_vm(pooled, vmid)
             serving = vmid
         try:
-            ad: ClassAd = yield from self.plant.extend(
+            ad: ClassAd = yield self.plant.extend(
                 serving, request.dag, {"client": request.client_id}
             )
         except PlantError:
@@ -159,7 +159,7 @@ class SpeculativeClonePool:
         drained = 0
         while self._pool:
             vmid = self._pool.pop()
-            yield from self.plant.destroy(vmid)
+            yield self.plant.destroy(vmid)
             drained += 1
         return drained
 
@@ -312,7 +312,7 @@ class AdaptiveSpeculativePool:
 
     def _refill(self, key: PoolKey, pool: SpeculativeClonePool) -> Generator:
         try:
-            yield from pool.fill()
+            yield pool.fill()
         except ReproError:
             pass  # plant at capacity / network exhausted: retry later
         finally:
@@ -359,7 +359,7 @@ class AdaptiveSpeculativePool:
         if pool is None:
             self.misses += 1
             return None
-        ad = yield from pool.acquire(request, vmid)
+        ad = yield pool.acquire(request, vmid)
         if ad is not None:
             self.hits += 1
         else:
@@ -376,7 +376,7 @@ class AdaptiveSpeculativePool:
         drained = 0
         for pool in self._pools.values():
             pool.target = 0
-            count = yield from pool.drain()
+            count = yield pool.drain()
             drained += count
         return drained
 
@@ -398,7 +398,7 @@ class AdaptiveSpeculativePool:
         self._shut_down = True
         drained = 0
         while True:
-            count = yield from self.drain()
+            count = yield self.drain()
             drained += count
             if not self._refilling and self.pooled_vms == 0:
                 return drained

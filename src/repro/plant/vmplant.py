@@ -225,7 +225,7 @@ class VMPlant:
         if self.down:
             raise PlantError(f"plant {self.name}: host is down")
         if self.speculative is not None:
-            ad = yield from self.speculative.acquire(request, vmid)
+            ad = yield self.speculative.acquire(request, vmid)
             if ad is not None:
                 trace(
                     self.env,
@@ -265,7 +265,7 @@ class VMPlant:
             context=context,
         )
         try:
-            vm: VirtualMachine = yield from self.ppp.produce(order)
+            vm: VirtualMachine = yield self.ppp.produce(order)
         except Exception:
             self.network_pool.detach(vmid)
             if bridged:
@@ -338,7 +338,7 @@ class VMPlant:
         }
         ctx.update(context or {})
         start = self.env.now
-        yield from self.ppp.run_actions(vm, line, dag, residual, ctx)
+        yield self.ppp.run_actions(vm, line, dag, residual, ctx)
         vm.classad["extended_at"] = self.env.now
         vm.classad["extend_time"] = self.env.now - start
         return vm.classad.copy()
@@ -365,7 +365,7 @@ class VMPlant:
             self.warehouse.publish(
                 vm.image.with_performed(executed, image_id=publish_id)
             )
-        yield from line.collect(vm)
+        yield line.collect(vm)
         vm.status = VMStatus.COLLECTED
         vm.classad["status"] = vm.status._value_
         vm.classad["collected_at"] = self.env.now
@@ -516,7 +516,7 @@ class VMPlant:
                 raise PlantError("create requires a shop-assigned vmid")
 
             def _create():
-                ad = yield from self.create(request, vmid)
+                ad = yield self.create(request, vmid)
                 return ad.to_string()
 
             return _create()
@@ -529,7 +529,7 @@ class VMPlant:
         if service == "destroy":
 
             def _destroy():
-                ad = yield from self.destroy(
+                ad = yield self.destroy(
                     request.vmid, request.commit, request.publish_as
                 )
                 return ad.to_string()

@@ -68,7 +68,7 @@ class VMBroker:
 
         Returns that plant's create generator: the broker does nothing
         after the plant has, so it keeps no frame of its own under the
-        create (the caller's ``yield from`` drives the plant's).
+        create (the caller yields the plant's as its sub-call).
         """
         # Re-estimate at create time: the create reaches the broker one
         # transport hop after its bid was collected, and plant state

@@ -21,6 +21,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import partial
 from math import exp
+from types import GeneratorType as _GeneratorType
 from typing import Any, Callable, Generator, Optional, Sequence, Tuple, Union
 
 from repro.core.dagxml import (
@@ -146,18 +147,18 @@ class Transport:
 
         The handler may return a plain value or a process generator
         (which is then driven to completion); the transport returns
-        its result.  The call is part of the caller's generator chain,
-        so an interrupt thrown at the caller (a create deadline)
-        unwinds through the handler's ``except``/``finally`` blocks.
+        its result.  The call runs on the caller's process stack, so
+        an interrupt of that process (a create deadline) unwinds
+        through the handler's ``except``/``finally`` blocks.
         Arguments ride with the call rather than in a closure made
         for it, and a handler that only routes (a broker) returns the
-        generator it routes to: this frame drives it directly.
+        generator it routes to: this frame runs it as its sub-call.
         """
         self.calls += 1
         yield self.env.timeout(self._one_way())
         result = handler(*args)
         if hasattr(result, "send") and hasattr(result, "throw"):
-            result = yield from result
+            result = yield result
         yield self.env.timeout(self._one_way())
         return result
 
@@ -171,8 +172,9 @@ class Transport:
         The same latency → handler → latency as :meth:`call`, per
         handler: the outbound latencies are drawn here, in handler
         order, and each handler runs in its arrival timer's callback;
-        a handler that returns a generator is stepped in place and
-        parks only on the pending events it yields.  The return
+        a handler that returns a generator is stepped in place (with
+        the generators it yields as sub-calls) and parks only on the
+        pending events it yields.  The return
         latency is drawn when the handler finishes, and from then on
         the answer and the instant it lands are fixed and nothing can
         observe it in flight, so it is recorded, not scheduled: once
@@ -241,21 +243,42 @@ class _Round:
                 done._value = {i: got for _, i, got in landings}
                 env.schedule_at(done, last)
 
-    def advance(self, index: int, steps: Generator, event: Event) -> None:
+    def advance(self, index: int, stack: list, event: Event) -> None:
+        # A handler's generators, outermost first: a yielded generator
+        # is a sub-call, run on top of its caller as the kernel does.
+        ok, value = event._ok, event._value
+        if not ok:
+            event.defused = True
         while True:
             try:
-                if event._ok:
-                    event = steps.send(event._value)
+                if ok:
+                    event = stack[-1].send(value)
                 else:
-                    event.defused = True
-                    event = steps.throw(event._value)
+                    event = stack[-1].throw(value)
             except StopIteration as stop:
-                return self.reply(index, stop.value)
+                stack.pop()
+                if not stack:
+                    return self.reply(index, stop.value)
+                ok, value = True, stop.value
+                continue
             except Exception as exc:
-                return self.fail(exc)
-            if event.callbacks is not None:
-                event.callbacks.append(partial(self.advance, index, steps))
+                stack.pop()
+                if not stack:
+                    return self.fail(exc)
+                # Minus this frame: it holds the stack.
+                ok = False
+                value = exc.with_traceback(exc.__traceback__.tb_next)
+                continue
+            if type(event) is _GeneratorType:
+                stack.append(event)
+                ok, value = True, None
+            elif event.callbacks is not None:
+                event.callbacks.append(partial(self.advance, index, stack))
                 return
+            else:
+                ok, value = event._ok, event._value
+                if not ok:
+                    event.defused = True
 
     def arrive(self, index: int, timer: Event) -> None:
         try:
@@ -263,7 +286,7 @@ class _Round:
         except Exception as exc:
             return self.fail(exc)
         if hasattr(result, "send") and hasattr(result, "throw"):
-            self.advance(index, result, timer)
+            self.advance(index, [result], timer)
         else:
             self.reply(index, result)
 

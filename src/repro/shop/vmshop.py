@@ -192,7 +192,7 @@ class VMShop:
                 # among breaker-admitted bidders only.
                 bidders = self._admitted_bidders()
                 if bids is None:
-                    round_bids = yield from self.collector.collect(
+                    round_bids = yield self.collector.collect(
                         bidders, request, deadline_s=policy.bid_deadline_s
                     )
                 elif bidders is not self.bidders:
@@ -211,11 +211,11 @@ class VMShop:
                 for bid in candidates:
                     try:
                         if deadline is None:
-                            ad = yield from self.transport.call(
+                            ad = yield self.transport.call(
                                 bid.bidder.create, request, vmid, clone_mode
                             )
                         else:
-                            ad = yield from self._dispatch_create(
+                            ad = yield self._dispatch_create(
                                 bid, request, vmid, clone_mode, deadline
                             )
                     except ReproError as exc:
@@ -313,7 +313,7 @@ class VMShop:
             vmid=vmid, plant=bid.bidder_name, deadline=deadline,
         )
         proc.interrupt("create deadline")
-        # Let the interrupt unwind the plant-side generator chain (it
+        # Let the interrupt unwind the plant-side generator stack (it
         # releases memory / leases in its except blocks) before the
         # caller inspects or reuses that state.
         yield self.env.timeout(0.0)
@@ -328,7 +328,7 @@ class VMShop:
         The bids may be handed to :meth:`create` (``bids=``) while the
         simulated clock has not moved since this call returned.
         """
-        bids = yield from self.collector.collect(self.bidders, request)
+        bids = yield self.collector.collect(self.bidders, request)
         return bids
 
     def query(
@@ -344,7 +344,7 @@ class VMShop:
         if use_cache and not attrs and vmid in self._cache:
             return self._cache[vmid].copy()
         plant = self._plant_for(vmid)
-        ad = yield from self.transport.call(plant.query, vmid, attrs)
+        ad = yield self.transport.call(plant.query, vmid, attrs)
         if not attrs:
             self._cache[vmid] = ad.copy()
         return ad
@@ -363,7 +363,7 @@ class VMShop:
         """
         plant = self._plant_for(vmid)
         try:
-            ad = yield from self.transport.call(
+            ad = yield self.transport.call(
                 plant.destroy, vmid, commit, publish_as
             )
         except ReproError:

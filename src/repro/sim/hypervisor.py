@@ -267,32 +267,32 @@ class _SimLine(ProductionLine):
         ):
             # Replicate from the node-local replica: a read + write on
             # the local disk, no NFS traffic.
-            yield from self.host.disk_read(payload)
-            yield from self.host.disk_write(payload)
+            yield self.host.disk_read(payload)
+            yield self.host.disk_write(payload)
             return "line-cache"
         if cache is not None and cache.lookup(image.image_id):
             # Warm host cache: the state is already on the local disk.
-            yield from self.host.disk_read(payload)
-            yield from self.host.disk_write(payload)
+            yield self.host.disk_read(payload)
+            yield self.host.disk_write(payload)
             return "host-cache"
         if self.distribution is not None and mode is CloneMode.LINK:
             # Peer broadcast tree: nearest seeded peer, else attach to
             # an in-flight delivery, else seed from the warehouse.
             # The planner seeds the host cache itself on success.
-            source = yield from self.distribution.fetch(
+            source = yield self.distribution.fetch(
                 self.host, image.image_id, payload, files=files
             )
             self._cached_images.add(image.image_id)
             return source
         if self.coalesce_transfers:
-            source = yield from self.nfs.copy_to_host_coalesced(
+            source = yield self.nfs.copy_to_host_coalesced(
                 (self.host.name, image.image_id, mode._value_),
                 payload,
                 self.host,
                 files=files,
             )
         else:
-            yield from self.nfs.copy_to_host(
+            yield self.nfs.copy_to_host(
                 payload, self.host, files=files
             )
             source = "nfs"
@@ -393,7 +393,7 @@ class _SimLine(ProductionLine):
             self.latency.migrate_suspend_fixed_s
             * self._jitter("migrate-suspend")
         )
-        yield from self.host.disk_write(backend.guest_mb)
+        yield self.host.disk_write(backend.guest_mb)
 
     def migration_payload_mb(self, vm: VirtualMachine) -> float:
         """Memory state + private redo log + configuration file."""
@@ -403,7 +403,7 @@ class _SimLine(ProductionLine):
     def export_release(self, vm: VirtualMachine) -> Generator:
         """Hand off the suspended state; free this host's memory."""
         backend: SimBackend = vm.backend
-        yield from self.host.disk_read(backend.guest_mb + backend.redo_mb)
+        yield self.host.disk_read(backend.guest_mb + backend.redo_mb)
         backend.running = False
         self.host.release_vm(backend.guest_mb)
         return {"redo_mb": backend.redo_mb}
@@ -412,7 +412,7 @@ class _SimLine(ProductionLine):
         """Adopt the transferred state and resume on this host."""
         self.host.admit_vm(vm.memory_mb)
         redo_mb = float(state.get("redo_mb", 0.0))
-        yield from self.host.disk_write(vm.memory_mb + redo_mb)
+        yield self.host.disk_write(vm.memory_mb + redo_mb)
         pressure = self.host.pressure_factor()
         resume_base = (
             self.latency.migrate_resume_fixed_s
@@ -449,7 +449,7 @@ class VMwareLine(_SimLine):
         try:
             copy_start = self.env.now
             copy_source = self._copied(
-                image, (yield from self._copy_clone_state(image, mode))
+                image, (yield self._copy_clone_state(image, mode))
             )
             copy_time = self.env.now - copy_start
 
@@ -518,7 +518,7 @@ class UMLLine(_SimLine):
         try:
             copy_start = self.env.now
             copy_source = self._copied(
-                image, (yield from self._copy_clone_state(image, mode))
+                image, (yield self._copy_clone_state(image, mode))
             )
             copy_time = self.env.now - copy_start
             lat = self.latency

@@ -18,23 +18,30 @@ starting a :class:`Process`; :meth:`repro.shop.protocol.Transport.gather`
 runs a whole bid round that way, and puts the round's one event on the
 queue at the instant its last answer lands
 (:meth:`Environment.schedule_at`) instead of a timer per answer.
+A process that yields a generator makes a sub-call: it runs on the
+process's stack, and a wake-up resumes only the innermost generator.
 
 Typical usage::
 
     env = Environment()
 
+    def nap(env, delay):
+        yield env.timeout(delay)
+        return delay
+
     def worker(env):
-        yield env.timeout(3.0)
-        return "done"
+        slept = yield nap(env, 3.0)  # sub-call: ``slept`` is its value
+        return f"done after {slept}"
 
     proc = env.process(worker(env))
     env.run()
-    assert env.now == 3.0 and proc.value == "done"
+    assert env.now == 3.0 and proc.value == "done after 3.0"
 """
 
 from __future__ import annotations
 
 import heapq
+from types import GeneratorType as _GeneratorType
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 _heappush = heapq.heappush
@@ -234,19 +241,23 @@ class Process(Event):
     not ``_target``: a wake-up an interrupt superseded while that
     event was already firing, or one that outlived the process.
 
-    ``_generator`` is dropped the moment the generator returns or
-    raises: a finished process is an event with a value, and whoever
-    still holds it (a waiter, a list of requests) does not keep the
-    generator's frame and locals alive with it.
+    ``_stack`` holds the generators, outermost first.  A yielded
+    generator is a sub-call: pushed and started, then popped with its
+    value sent (or exception thrown) into its caller.  ``x = yield
+    sub()`` means ``x = yield from sub()``, but a wake-up (or an
+    interrupt) reaches only the top generator.  ``_stack`` is dropped
+    the moment the process ends: whoever still holds a finished
+    process (a waiter, a list of requests) does not keep the
+    generators' frames and locals alive with it.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_stack", "_target")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
-        self._generator = generator
+        self._stack: Optional[List[Generator]] = [generator]
         self._target: Optional[Event] = Initialize(env, self)
 
     @property
@@ -266,9 +277,9 @@ class Process(Event):
         """
         if self._ok is not None:
             raise SimulationError("cannot interrupt a terminated process")
-        if self._generator.gi_running:
-            raise SimulationError("a process cannot interrupt itself")
         target = self._target
+        if target is None:
+            raise SimulationError("a process cannot interrupt itself")
         if type(target) is Initialize:
 
             def deliver(_event: Event) -> None:
@@ -291,7 +302,7 @@ class Process(Event):
         self.env.schedule(interrupt_ev, priority=PRIORITY_URGENT)
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
+        """Advance the top generator with the outcome of ``event``."""
         if event is not self._target:
             # Stale wake-up: superseded by an interrupt while ``event``
             # was firing, or the process has terminated.
@@ -300,39 +311,47 @@ class Process(Event):
             return
         env = self.env
         self._target = None
-        try:
-            if event._ok:
-                next_ev = self._generator.send(event._value)
-            else:
-                event.defused = True
-                next_ev = self._generator.throw(event._value)
-        except StopIteration as stop:
-            self._generator = None
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self._generator = None
-            # Minus this frame: it holds the process, which is about
-            # to hold the exception, which holds its traceback.
-            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
-            return
-
-        if not isinstance(next_ev, Event):
-            # Ill-typed yield: kill the process with a clear error.
-            err = SimulationError(
-                f"process yielded non-event {next_ev!r}"
-            )
-            generator, self._generator = self._generator, None
+        stack = self._stack
+        generator = stack[-1]
+        ok = event._ok
+        value = event._value
+        if not ok:
+            event.defused = True
+        while True:
             try:
-                generator.close()
-            finally:
-                self.fail(err)
-            return
+                if ok:
+                    next_ev = generator.send(value)
+                else:
+                    next_ev = generator.throw(value)
+            except StopIteration as stop:
+                stack.pop()
+                if stack:
+                    generator, ok, value = stack[-1], True, stop.value
+                    continue
+                self._stack = None
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                stack.pop()
+                # Minus this frame: it holds the process, which is about
+                # to hold the exception, which holds its traceback.
+                value = exc.with_traceback(exc.__traceback__.tb_next)
+                if stack:
+                    generator, ok = stack[-1], False
+                    continue
+                self._stack = None
+                self.fail(value)
+                return
+            if isinstance(next_ev, Event):
+                break
+            if type(next_ev) is not _GeneratorType:
+                # Ill-typed yield: kill the process with a clear error.
+                return self._kill(f"process yielded non-event {next_ev!r}")
+            stack.append(next_ev)
+            generator, ok, value = next_ev, True, None
+
         if next_ev.env is not env:
-            generator, self._generator = self._generator, None
-            generator.close()
-            self.fail(SimulationError("event from a different environment"))
-            return
+            return self._kill("event from a different environment")
 
         if next_ev.callbacks is not None:
             # Pending: register for resumption when it fires.
@@ -350,10 +369,19 @@ class Process(Event):
             self._target = resume_ev
             env.schedule(resume_ev, priority=PRIORITY_URGENT)
 
+    def _kill(self, message: str) -> None:
+        """Close every generator, innermost first, and fail the process."""
+        stack, self._stack = self._stack, None
+        try:
+            while stack:
+                stack.pop().close()
+        finally:
+            self.fail(SimulationError(message))
+
     def __repr__(self) -> str:
-        if self._generator is None:
+        if self._stack is None:
             return "<Process dead>"
-        name = getattr(self._generator, "__name__", "process")
+        name = getattr(self._stack[0], "__name__", "process")
         state = "alive" if self._ok is None else "dead"
         return f"<Process {name} {state}>"
 

@@ -90,10 +90,6 @@ class FairShareLink:
             self._start_flow(size_mb, done)
         return done
 
-    def transfer_proc(self, size_mb: float) -> Generator:
-        """Generator form for ``yield from`` composition."""
-        yield self.transfer(size_mb)
-
     @property
     def paused(self) -> bool:
         """True while the link is partitioned (flows frozen)."""

@@ -303,7 +303,7 @@ class KernelBenchScenario(ShardScenario):
             client_id=f"s{handle.site}-r{i}",
         )
         try:
-            ad = yield from bed.shop.create(request)
+            ad = yield bed.shop.create(request)
         except ReproError:
             handle.failed += 1
             return
@@ -319,7 +319,7 @@ class KernelBenchScenario(ShardScenario):
                 size_mb=params["spill_mb"],
             )
         yield bed.env.timeout(params["hold_s"])
-        yield from bed.shop.destroy(str(ad["vmid"]))
+        yield bed.shop.destroy(str(ad["vmid"]))
         handle.destroyed += 1
 
     def _spill_vm(self, handle: _KernelBenchHandle, payload: tuple):
@@ -334,12 +334,12 @@ class KernelBenchScenario(ShardScenario):
             client_id=f"spill-{int(payload[0])}-{int(payload[1])}",
         )
         try:
-            ad = yield from bed.shop.create(request)
+            ad = yield bed.shop.create(request)
         except ReproError:
             handle.spill_failed += 1
             return
         yield bed.env.timeout(params["spill_hold_s"])
-        yield from bed.shop.destroy(str(ad["vmid"]))
+        yield bed.shop.destroy(str(ad["vmid"]))
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,13 @@ class TransferCoalescer:
                 ) from entry.error
             # The leader's bytes are on this host's disk already:
             # replicate them locally, off the shared link.
-            yield from host.disk_read(size_mb)
-            yield from host.disk_write(size_mb)
+            yield host.disk_read(size_mb)
+            yield host.disk_write(size_mb)
             return "coalesced"
         entry = _InflightTransfer(self.env.event())
         self._inflight[key] = entry
         try:
-            yield from storage.copy_to_host(
+            yield storage.copy_to_host(
                 size_mb, host, files=files, pressured=pressured
             )
         except BaseException as exc:
@@ -181,8 +181,8 @@ class NFSServer:
     def _outage_gate(self) -> Generator:
         """Reject (abort) or park (stall) an operation during an outage.
 
-        Zero-yield when healthy, so the default trajectory is
-        untouched.
+        Entered only while an outage is active: a healthy operation
+        makes no sub-call, and the default trajectory is untouched.
         """
         while self.outage_mode is not None:
             if self.outage_mode == "abort":
@@ -198,7 +198,8 @@ class NFSServer:
 
     def read_file(self, size_mb: float) -> Generator:
         """Serve one file read: request overhead + shared transfer."""
-        yield from self._outage_gate()
+        if self.outage_mode is not None:
+            yield self._outage_gate()
         yield self.env.timeout(self._overhead())
         yield self.link.transfer(size_mb)
         self.requests_served += 1
@@ -219,7 +220,8 @@ class NFSServer:
         which is what makes memory pressure visible even though the
         NFS link is nominally the bottleneck.
         """
-        yield from self._outage_gate()
+        if self.outage_mode is not None:
+            yield self._outage_gate()
         start = self.env.now
         for _ in range(max(1, files)):
             yield self.env.timeout(self._overhead())
@@ -326,7 +328,7 @@ class ReplicatedWarehouseStorage:
         replica = self._pick()
         self._inflight_mb[id(replica)] += size_mb
         try:
-            yield from replica.read_file(size_mb)
+            yield replica.read_file(size_mb)
         finally:
             self._inflight_mb[id(replica)] -= size_mb
 
@@ -341,7 +343,7 @@ class ReplicatedWarehouseStorage:
         replica = self._pick()
         self._inflight_mb[id(replica)] += size_mb
         try:
-            yield from replica.copy_to_host(
+            yield replica.copy_to_host(
                 size_mb, host, files=files, pressured=pressured
             )
         finally:

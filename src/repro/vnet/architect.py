@@ -190,7 +190,7 @@ class VMArchitect:
             raise VNetError("domains must be non-empty and unique")
         network = VirtualNetwork(name=name)
         for domain in domains:
-            ad = yield from self.shop.create(
+            ad = yield self.shop.create(
                 self._router_request(name, domain)
             )
             network.routers[domain] = RouterVM(
@@ -216,5 +216,5 @@ class VMArchitect:
         if network is None:
             raise VNetError(f"no virtual network {name!r}")
         for router in network.routers.values():
-            yield from self.shop.destroy(router.vmid)
+            yield self.shop.destroy(router.vmid)
         return len(network.routers)

@@ -4,8 +4,9 @@ Every generator frame on the create path owns something: a ``try``, a
 step after the inner call returns, or a trace target.  A layer that
 only delegates returns the inner generator instead of wrapping it
 (DESIGN, "Ownership and lifetime" → "Frame depth"), and a finished
-process lets go of its generator, so what a site holds per request is
-its live frames only.
+process lets go of its generators, so what a site holds per request is
+its live frames only.  The frames sit on the process's stack, not in a
+``yield from`` chain, so a wake-up resumes only the top one.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from repro.core.errors import ReproError
 from repro.plant.speculative import AdaptiveSpeculativePool
 from repro.sim.cluster import build_testbed
 from repro.sim.kernel import Environment, Interrupt, Process, SimulationError
+from repro.sim.storage import NFSServer
 from repro.workloads.requests import experiment_request
 
-from tests.helpers import drive
+from tests.helpers import drive, python_call_counts
 
 #: A create parked at its warehouse transfer, outermost first.  Each
 #: frame's reason to exist is in DESIGN's table; a new entry here is
@@ -37,18 +39,16 @@ CREATE_CHAIN = (
 
 
 def _frames(proc: Process):
-    names = []
-    gen = proc._generator
-    while gen is not None:
-        names.append(gen.gi_code.co_qualname)
-        gen = gen.gi_yieldfrom
-    return names
+    # Each sub-call is its own stack entry: none delegates by
+    # ``yield from``, which would hide frames from this walk.
+    assert all(gen.gi_yieldfrom is None for gen in proc._stack)
+    return [gen.gi_code.co_qualname for gen in proc._stack]
 
 
 class TestFinishedProcessReleasesItsFrame:
     def _check_dead(self, proc: Process) -> None:
         assert not proc.is_alive
-        assert proc._generator is None
+        assert proc._stack is None
         assert "dead" in repr(proc)
         with pytest.raises(SimulationError):
             proc.interrupt("late")
@@ -122,7 +122,39 @@ def test_create_parked_at_its_transfer_is_the_expected_chain(rack_size):
         f"{len(CREATE_CHAIN)} expected:\n  " + "\n  ".join(chain)
     )
     env.run()
-    assert proc.ok and proc._generator is None
+    assert proc.ok and proc._stack is None
+
+
+def test_a_wake_of_the_parked_create_resumes_only_its_top(monkeypatch):
+    # The warehouse transfer parks on two bare events, so the step that
+    # fires one runs no model code: what it costs is the kernel's.
+    bed = build_testbed(seed=1, n_plants=8)
+    env = bed.env
+    gates = [env.event(), env.event()]
+
+    def copy_to_host(self, size_mb, host, files=1, pressured=True):
+        for gate in gates:
+            yield gate
+
+    monkeypatch.setattr(NFSServer, "copy_to_host", copy_to_host)
+    proc = env.process(bed.shop.create(experiment_request(32)))
+    while proc._target is not gates[0]:
+        env.step()
+    chain = _frames(proc)
+    assert chain[:-1] == list(CREATE_CHAIN[:-1])
+    assert chain[-1].endswith(".copy_to_host")
+    gates[0].succeed()
+    while env._queue[0][3] is not gates[0]:
+        env.step()
+    # ``_resume`` plus the top generator, as for a one-frame process:
+    # the five frames above it are not resumed.
+    counts = python_call_counts(env.step)
+    assert counts.pop("Environment.step") == 1
+    assert dict(counts) == {"Process._resume": 1, chain[-1]: 1}
+    assert proc._target is gates[1] and len(proc._stack) == len(chain)
+    gates[1].succeed()
+    env.run()
+    assert proc.ok and proc._stack is None
 
 
 def test_pooled_site_keeps_no_process_per_finished_arrival(monkeypatch):

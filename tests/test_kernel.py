@@ -822,71 +822,139 @@ _ops = st.one_of(
     st.tuples(st.just("join"), st.integers(0, 4)),
 )
 _programs = st.lists(
-    st.tuples(_delays, st.lists(_ops, max_size=6)), min_size=1, max_size=5
+    st.tuples(_delays, st.just(True), st.lists(_ops, max_size=6)),
+    min_size=1,
+    max_size=5,
 )
 
 
-def _run_program(program, spawn):
-    """Run ``program`` with processes made by ``spawn``; the event log.
+#: Nested sub-calls: ``("call", guard, ops)`` runs ``ops`` one level
+#: down, catching its own exceptions when ``guard`` holds.  The leaves
+#: add what only a stack of generators can get wrong: a raise, a yield
+#: of an already-processed event, an ill-typed yield, an interrupt of
+#: the process by itself and an early return.
+_leaf_ops = st.one_of(
+    _ops,
+    st.just(("raise",)),
+    st.just(("again",)),
+    st.just(("bad",)),
+    st.just(("self",)),
+    st.just(("return",)),
+)
 
-    Each process sleeps ``start`` first (so every process has taken
-    its first step before any is interrupted — the one case the
-    reference gets wrong, pinned on its own in ``TestInterrupt``), then
-    performs its ops, logging how each wait ended.  Every shared event
-    has an observer, so a failure nobody waits for does not end the run.
+
+def _with_calls(ops):
+    return st.one_of(
+        ops,
+        st.tuples(st.just("call"), st.booleans(), st.lists(ops, max_size=4)),
+    )
+
+
+_nested_programs = st.lists(
+    st.tuples(
+        _delays,
+        st.booleans(),
+        st.lists(_with_calls(_with_calls(_leaf_ops)), max_size=5),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _run_program(program, spawn=Environment.process, form="from"):
+    """Run ``program`` with processes made by ``spawn(env, generator)``
+    and every sub-call written as ``yield sub()`` (``form`` "yield") or
+    ``yield from sub()`` ("from"); the log, the end state of each
+    process, ``now`` and the events executed.
+
+    A program is ``(start, guard, ops)`` per process.  Each process
+    sleeps ``start`` first (so every process has taken its first step
+    before any is interrupted — the one case the reference gets wrong,
+    pinned on its own in ``TestInterrupt``), then performs its ops.  A
+    level logs each op that finishes, each exception its guard catches,
+    and its ``finally``.  Every shared event has an observer, so a
+    failure nobody waits for does not end the run.
     """
     env = Environment()
     log = []
     shared = [env.event() for _ in range(_N_EVENTS)]
     for ev in shared:
         ev.callbacks.append(_defuse)
+    processed = env.timeout(0)  # fired before any process's first sleep
     procs = []
 
-    def body(me, start, ops):
-        ops = [("sleep", start)] + ops
-        for step, op in enumerate(ops):
-            label = f"p{me}.{step}.{op[0]}"
-            kind, arg = op[0], op[1]
-            try:
-                if kind == "sleep":
-                    yield env.timeout(arg)
-                elif kind == "wait":
-                    yield shared[arg]
-                elif kind == "fire":
-                    if not shared[arg].triggered:
-                        shared[arg].succeed(label)
-                elif kind == "fail":
-                    if not shared[arg].triggered:
-                        shared[arg].fail(RuntimeError(label))
-                elif kind in ("all", "any"):
-                    parts = [shared[k] for k in arg] + [env.timeout(op[2])]
-                    cond = env.all_of if kind == "all" else env.any_of
-                    yield cond(parts)
-                elif kind == "interrupt":
-                    victim = procs[arg % len(procs)]
-                    if victim is not procs[me] and victim.is_alive:
-                        victim.interrupt(label)
-                elif kind == "join":
-                    yield procs[arg % len(procs)]
-                log.append((env.now, label, "ok"))
-            except Interrupt as interrupt:
-                log.append((env.now, label, "interrupted", interrupt.cause))
-            except RuntimeError as exc:
-                log.append((env.now, label, "failed", str(exc)))
-        log.append((env.now, f"p{me}", "end"))
+    def run(me, path, guard, ops):
+        try:
+            for k, op in enumerate(ops):
+                kind = op[0]
+                label = f"{path}.{k}.{kind}"
+                try:
+                    got = None
+                    if kind == "sleep":
+                        yield env.timeout(op[1])
+                    elif kind == "wait":
+                        yield shared[op[1]]
+                    elif kind == "fire":
+                        if not shared[op[1]].triggered:
+                            shared[op[1]].succeed(label)
+                    elif kind == "fail":
+                        if not shared[op[1]].triggered:
+                            shared[op[1]].fail(RuntimeError(label))
+                    elif kind in ("all", "any"):
+                        parts = [shared[i] for i in op[1]]
+                        parts.append(env.timeout(op[2]))
+                        cond = env.all_of if kind == "all" else env.any_of
+                        yield cond(parts)
+                    elif kind == "interrupt":
+                        victim = procs[op[1] % len(procs)]
+                        if victim is not procs[me] and victim.is_alive:
+                            victim.interrupt(label)
+                    elif kind == "join":
+                        yield procs[op[1] % len(procs)]
+                    elif kind == "call":
+                        sub = run(me, f"{path}.{k}", op[1], op[2])
+                        if form == "yield":
+                            got = yield sub
+                        else:
+                            got = yield from sub
+                    elif kind == "raise":
+                        raise RuntimeError(label)
+                    elif kind == "again":
+                        got = yield processed
+                    elif kind == "bad":
+                        yield label
+                    elif kind == "self":
+                        procs[me].interrupt(label)
+                    elif kind == "return":
+                        return label
+                    log.append((env.now, label, "ok", got))
+                except Exception as exc:
+                    if not guard:
+                        raise
+                    log.append((env.now, label, "caught", repr(exc)))
+        finally:
+            log.append((env.now, path, "finally"))
+        return path
 
-    for me, (start, ops) in enumerate(program):
-        procs.append(spawn(env, body(me, start, ops)))
+    for me, (start, guard, ops) in enumerate(program):
+        proc = spawn(env, run(me, f"p{me}", guard, [("sleep", start)] + ops))
+        proc.defused = True  # a process may die of what it does
+        procs.append(proc)
     env.run()
-    return log, env.now, env.executed_events
+    # Copied: a process parked forever logs its ``finally`` whenever
+    # its generators are collected.
+    ends = [
+        "alive" if proc.is_alive else (proc.ok, repr(proc.value))
+        for proc in procs
+    ]
+    return list(log), ends, env.now, env.executed_events
 
 
 class TestResumeMatchesOracle:
     @given(_programs)
     @settings(max_examples=300, deadline=None)
     def test_random_programs_log_identically(self, program):
-        live = _run_program(program, lambda env, gen: env.process(gen))
-        assert live == _run_program(program, OracleProcess)
+        assert _run_program(program) == _run_program(program, OracleProcess)
 
     def test_wait_resume_cycle_is_one_kernel_call(self):
         # Beside the generator's own frame, a wake-up costs the kernel
@@ -903,3 +971,73 @@ class TestResumeMatchesOracle:
             return python_calls(env.run)
 
         assert run_calls(30) - run_calls(10) == 20 * 2
+
+
+    @given(_nested_programs)
+    @settings(max_examples=300, deadline=None)
+    def test_sub_call_by_yield_matches_yield_from(self, program):
+        # ``yield sub()`` runs ``sub`` on the process's stack; it must
+        # mean exactly what ``yield from sub()`` means.
+        assert _run_program(program, form="yield") == _run_program(program)
+
+    #: One program per case the equivalence is for, the log entries
+    #: that show the case was reached, and whether ``p0`` survives it.
+    SUB_CALL_CASES = {
+        "interrupt caught inner": (
+            [(0, True, [("call", True, [("sleep", 3)])]),
+             (1, True, [("interrupt", 0)])],
+            [(1.0, "p0.1.0.sleep", "caught", "Interrupt('p1.1.interrupt')"),
+             (1.0, "p0.1.call", "ok", "p0.1")],
+            True,
+        ),
+        "interrupt caught outer": (
+            [(0, True, [("call", False, [("sleep", 3)])]),
+             (1, True, [("interrupt", 0)])],
+            [(1.0, "p0.1", "finally"),
+             (1.0, "p0.1.call", "caught", "Interrupt('p1.1.interrupt')")],
+            True,
+        ),
+        "interrupt caught nowhere": (
+            [(0, False, [("call", False, [("sleep", 3)])]),
+             (1, True, [("interrupt", 0)])],
+            [(1.0, "p0.1", "finally"), (1.0, "p0", "finally")],
+            False,
+        ),
+        "raise caught by the caller": (
+            [(0, True, [("call", False, [("raise",)])])],
+            [(0.0, "p0.1", "finally"),
+             (0.0, "p0.1.call", "caught", "RuntimeError('p0.1.0.raise')")],
+            True,
+        ),
+        "return without a yield": (
+            [(0, True, [("call", True, [("fire", 0)]), ("wait", 0)])],
+            [(0.0, "p0.1.call", "ok", "p0.1"), (0.0, "p0.2.wait", "ok", None)],
+            True,
+        ),
+        "already-processed event": (
+            [(0, True, [("call", True, [("again",)])])],
+            [(0.0, "p0.1.0.again", "ok", None)],
+            True,
+        ),
+        # Closed innermost first, each level's ``finally`` in turn.
+        "ill-typed yield": (
+            [(0, True, [("call", True, [("call", True, [("bad",)])])])],
+            [(0.0, "p0.1.0", "finally"), (0.0, "p0.1", "finally"),
+             (0.0, "p0", "finally")],
+            False,
+        ),
+        "self-interrupt": (
+            [(0, True, [("call", False, [("self",)])])],
+            [(0.0, "p0.1.call", "caught",
+              "SimulationError('a process cannot interrupt itself')")],
+            True,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SUB_CALL_CASES))
+    def test_sub_call_case(self, case):
+        program, expected, survives = self.SUB_CALL_CASES[case]
+        log, ends, _, _ = run = _run_program(program, form="yield")
+        assert run == _run_program(program)
+        assert [entry for entry in log if entry in expected] == expected
+        assert ends[0][0] is survives

@@ -959,10 +959,13 @@ _scenarios = st.tuples(
 )
 
 
-def _run_rounds(scenario, gather):
+def _run_rounds(scenario, gather, sub_call=None):
     """Play ``scenario`` with rounds made by ``gather(transport, handlers,
     deadline_s)``; what the rounds' waiters, the handlers and a
     bystander saw.
+
+    Given ``sub_call`` ("yield" or "from"), a stepped handler runs its
+    steps as a sub-generator, called with ``yield`` or ``yield from``.
 
     The bystander wakes off the grid and notes how far everything has
     come, the ``transport`` stream included: a draw made at another
@@ -1001,7 +1004,19 @@ def _run_rounds(scenario, gather):
             ran.append((env.now, label, "answered"))
             return label
 
-        return stepped if spec[0] == "steps" else plain
+        def caller():
+            try:
+                if sub_call == "yield":
+                    got = yield stepped()
+                else:
+                    got = yield from stepped()
+            finally:
+                ran.append((env.now, label, "caller"))
+            return got
+
+        if spec[0] != "steps":
+            return plain
+        return stepped if sub_call is None else caller
 
     def start(number, deadline, specs, _timer):
         def decided(done):
@@ -1036,8 +1051,10 @@ def _run_rounds(scenario, gather):
 
     env.process(bystander())
     env.run()
+    # ``ran`` copied: a handler parked forever adds its caller's
+    # ``finally`` whenever its generators are collected.
     return (
-        (outcomes, ran, watched, transport.calls, stream.getstate()),
+        (outcomes, list(ran), watched, transport.calls, stream.getstate()),
         env.executed_events,
     )
 
@@ -1074,6 +1091,13 @@ class TestFoldedRoundMatchesTimerPerAnswer:
         # The one difference: no event for an answer on its way back.
         answers = sum(1 for entry in live[1] if entry[2:] == ("answered",))
         assert timer_events - live_events == answers
+
+    @given(_scenarios)
+    @settings(max_examples=200, deadline=None)
+    def test_a_handler_sub_call_by_yield_matches_yield_from(self, scenario):
+        assert _run_rounds(scenario, Transport.gather, "yield") == (
+            _run_rounds(scenario, Transport.gather, "from")
+        )
 
     #: One round shape each: (recovery at, alarm at, rounds).
     SHAPES = {

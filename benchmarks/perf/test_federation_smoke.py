@@ -102,16 +102,19 @@ def test_latest_small_record_holds_the_floors():
         assert not p["failed"] and not p["spill_timeout"], p
 
 
-def test_federation_regression_vs_trajectory(smoke_sweep):
+def test_federation_regression_vs_trajectory():
     """Recorded sweeps must keep meeting the acceptance bar.
 
-    Every recorded run must have passed its determinism recheck,
+    Every recorded run must have passed its determinism recheck, and
     the latest paper-workload record must keep half of one site's
-    creates per CPU-second at 4 sites, and the same-run single-site
-    rate must stay within 2x of the recorded best.  On creates, not
-    bids: removing duplicate bid rounds lowers a bid rate while the
-    control plane gets faster.  Records from before
-    ``goodput_per_cpu_s`` existed are skipped, not failed.
+    creates per CPU-second at 4 sites.  On creates, not bids: removing
+    duplicate bid rounds lowers a bid rate while the control plane gets
+    faster.  Records from before ``goodput_per_cpu_s`` existed are
+    skipped, not failed.  This run's creates per CPU-second are not
+    held to a recorded best: a 24-request point on a busy runner
+    against a sweep recorded on an idle one is host noise, and what a
+    create costs is pinned by counts (``py_calls_per_request``, the
+    tier-1 call budgets).
     """
     records = load_trajectory(FEDERATION_BENCH_PATH)
     if not records:
@@ -125,20 +128,3 @@ def test_federation_regression_vs_trajectory(smoke_sweep):
     rate = _local_rate_by_sites(paper[-1]) if paper else {}
     if rate:
         assert rate[4] >= 0.5 * rate[1], rate
-    best = max(
-        (
-            point["goodput_per_cpu_s"]
-            for rec in records
-            for point in rec.get("points", [])
-            if point.get("sites") == 1
-            and point.get("cross_fraction") == 0.0
-            and "goodput_per_cpu_s" in point
-        ),
-        default=0.0,
-    )
-    if best:
-        cps = smoke_sweep.point(1, 0.0).cost["goodput_per_cpu_s"]
-        assert cps > best / 2.0, (
-            f"single-site control plane {cps:.1f} creates/s is <half "
-            f"the recorded best ({best:.1f} creates/s)"
-        )

@@ -81,7 +81,7 @@ class ReplicaPlacer:
     def _run(self) -> Generator:
         try:
             while True:
-                yield self.env.timeout(self.period_s)
+                yield self.period_s
                 self.place_once()
         except Interrupt:
             pass

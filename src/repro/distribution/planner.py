@@ -337,7 +337,7 @@ class DistributionPlanner:
                 * dest.host.pressure_factor()
             )
             if write_time > network_time:
-                yield self.env.timeout(write_time - network_time)
+                yield write_time - network_time
             ok = True
         finally:
             source.end_serve(image_id, payload_mb, ok)

@@ -244,7 +244,7 @@ def _run_point(
     failures = [0]
 
     def one(idx: int, at: float, request) -> Generator:
-        yield bed.env.timeout(at)
+        yield at
         start = bed.env.now
         try:
             ad = yield bed.shop.create(request)
@@ -254,7 +254,7 @@ def _run_point(
             return
         latencies.append(bed.env.now - start)
         outcomes.append((idx, "ok", bed.env.now - start))
-        yield bed.env.timeout(hold_s)
+        yield hold_s
         try:
             yield bed.shop.destroy(str(ad["vmid"]))
         except ReproError:

@@ -155,7 +155,7 @@ def _run_point(
     failures = [0]
 
     def one(at: float, request) -> Generator:
-        yield bed.env.timeout(at)
+        yield at
         start = bed.env.now
         try:
             ad = yield bed.shop.create(request)
@@ -163,7 +163,7 @@ def _run_point(
             failures[0] += 1
             return
         latencies.append(bed.env.now - start)
-        yield bed.env.timeout(hold_s)
+        yield hold_s
         yield bed.shop.destroy(str(ad["vmid"]))
 
     def client() -> Generator:

@@ -162,7 +162,7 @@ class FaultInjector:
 
     def _drive(self, event: FaultEvent) -> Generator:
         if event.at > self.env.now:
-            yield self.env.timeout(event.at - self.env.now)
+            yield event.at - self.env.now
         if not self._inject(event):
             self.skipped += 1
             return
@@ -174,7 +174,7 @@ class FaultInjector:
             kind=event.kind, target=event.target,
             duration=round(event.duration, 3),
         )
-        yield self.env.timeout(event.duration)
+        yield event.duration
         self._recover(event)
         self.applied.append(
             (self.env.now, "recover", event.kind, event.target)

@@ -116,9 +116,7 @@ class FederationGateway:
                 f"{self.name}: site dark until t={self.down_until:.1f}"
             )
         if self.hang_until > self.shop.env.now:
-            yield self.shop.env.timeout(
-                self.hang_until - self.shop.env.now
-            )
+            yield self.hang_until - self.shop.env.now
             if self.down_until > self.shop.env.now:
                 raise ShopError(
                     f"{self.name}: site went dark during gateway hang"
@@ -190,7 +188,7 @@ class FederationGateway:
             if round_no > 1:
                 delay = self.policy.spill_backoff_delay(round_no)
                 if delay > 0:
-                    yield self.shop.env.timeout(delay)
+                    yield delay
             remote_bids = yield self.shop.collector.collect(
                 self._open_remotes(),
                 request,

@@ -442,7 +442,7 @@ class GridScenario(ShardScenario):
             handle.trace_hash.update(b"\n")
             handle.arrivals += 1
             if arrival.time > env.now:
-                yield env.timeout(arrival.time - env.now)
+                yield arrival.time - env.now
             # Route draw here, in stream order, so the trajectory is
             # independent of how request processes interleave later.
             is_cross = rng.uniform(route, 0.0, 1.0) < cross
@@ -565,7 +565,7 @@ class GridScenario(ShardScenario):
                     2.0 ** (attempt - 1)
                 )
                 if delay > 0:
-                    yield env.timeout(delay)
+                    yield delay
                 handle.spill_retries += 1
             seq = idx if attempts == 1 else idx * attempts + attempt
             evt = env.event()
@@ -609,7 +609,7 @@ class GridScenario(ShardScenario):
             handle.spills_dropped += 1
             return
         if gateway.hang_until > env.now:
-            yield env.timeout(gateway.hang_until - env.now)
+            yield gateway.hang_until - env.now
             if gateway.down_until > env.now:
                 handle.spills_dropped += 1
                 return
@@ -638,7 +638,7 @@ class GridScenario(ShardScenario):
     @staticmethod
     def _hold(handle: _GridHandle, ad, hold_s: float):
         """Keep a created VM for ``hold_s``, then destroy it."""
-        yield handle.env.timeout(hold_s)
+        yield hold_s
         try:
             yield handle.shop.destroy(str(ad["vmid"]))
         except ReproError:

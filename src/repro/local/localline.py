@@ -111,7 +111,7 @@ class LocalProductionLine(ProductionLine):
         backend.cdrom_dir.mkdir()
         (dst / "status").write_text("running\n")
         vm.backend = backend
-        yield self.env.timeout(0.0)
+        yield 0.0
 
     # -- configuration ---------------------------------------------------------
     def execute_action(
@@ -123,7 +123,7 @@ class LocalProductionLine(ProductionLine):
         backend: LocalBackend = vm.backend
         if backend is None or not backend.running:
             raise PlantError(f"VM {vm.vmid} has no running backend")
-        yield self.env.timeout(0.0)
+        yield 0.0
         if action.scope is ActionScope.HOST:
             # Host-side operations are journalled on the clone.
             with open(backend.clone_dir / "host-ops.log", "a") as fh:
@@ -191,7 +191,7 @@ class LocalProductionLine(ProductionLine):
     # -- collection -------------------------------------------------------------
     def collect(self, vm: VirtualMachine) -> Generator:
         backend: Optional[LocalBackend] = vm.backend
-        yield self.env.timeout(0.0)
+        yield 0.0
         if backend is None:
             return
         backend.running = False
@@ -213,7 +213,7 @@ class LocalProductionLine(ProductionLine):
         if backend is None or not backend.running:
             raise PlantError(f"VM {vm.vmid} is not running on this line")
         (backend.clone_dir / "status").write_text("suspended\n")
-        yield self.env.timeout(0.0)
+        yield 0.0
 
     def migration_payload_mb(self, vm: VirtualMachine) -> float:
         backend: LocalBackend = vm.backend
@@ -228,7 +228,7 @@ class LocalProductionLine(ProductionLine):
     def export_release(self, vm: VirtualMachine) -> Generator:
         backend: LocalBackend = vm.backend
         backend.running = False
-        yield self.env.timeout(0.0)
+        yield 0.0
         return {"clone_dir": str(backend.clone_dir)}
 
     def receive(self, vm: VirtualMachine, state: Dict) -> Generator:
@@ -243,4 +243,4 @@ class LocalProductionLine(ProductionLine):
         backend = LocalBackend(clone_dir=target_dir, running=True)
         (target_dir / "status").write_text("running\n")
         vm.backend = backend
-        yield self.env.timeout(0.0)
+        yield 0.0

@@ -75,7 +75,7 @@ class VMMonitor:
     def _run(self) -> Generator:
         try:
             while True:
-                yield self.env.timeout(self.period)
+                yield self.period
                 self.sweep()
         except Interrupt:
             return

@@ -149,7 +149,7 @@ class LeaseReaper:
     def _run(self) -> Generator:
         try:
             while True:
-                yield self.env.timeout(self.period)
+                yield self.period
                 yield self.sweep()
         except Interrupt:
             return

@@ -402,7 +402,7 @@ class AdaptiveSpeculativePool:
             drained += count
             if not self._refilling and self.pooled_vms == 0:
                 return drained
-            yield self.env.timeout(1.0)
+            yield 1.0
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import partial
-from math import exp
 from types import GeneratorType as _GeneratorType
 from typing import Any, Callable, Generator, Optional, Sequence, Tuple, Union
 
@@ -134,13 +133,13 @@ class Transport:
         self.latency_s = latency_s
         self.jitter_sigma = jitter_sigma
         self.calls = 0
-        self._normal = self.rng.stream("transport").normalvariate
 
     def _one_way(self) -> float:
         if self.latency_s == 0:
             return 0.0
-        # RngHub.lognormal("transport", 0, sigma), the stream bound once.
-        return self.latency_s * exp(self._normal(0.0, self.jitter_sigma))
+        return self.latency_s * self.rng.lognormal(
+            "transport", 0.0, self.jitter_sigma
+        )
 
     def call(self, handler: Callable[..., Any], *args: Any) -> Generator:
         """Invoke ``handler(*args)`` remotely: latency → handler → latency.
@@ -155,11 +154,11 @@ class Transport:
         generator it routes to: this frame runs it as its sub-call.
         """
         self.calls += 1
-        yield self.env.timeout(self._one_way())
+        yield self._one_way()
         result = handler(*args)
         if hasattr(result, "send") and hasattr(result, "throw"):
             result = yield result
-        yield self.env.timeout(self._one_way())
+        yield self._one_way()
         return result
 
     def gather(
@@ -173,9 +172,9 @@ class Transport:
         handler: the outbound latencies are drawn here, in handler
         order, and each handler runs in its arrival timer's callback;
         a handler that returns a generator is stepped in place (with
-        the generators it yields as sub-calls) and parks only on the
-        pending events it yields.  The return
-        latency is drawn when the handler finishes, and from then on
+        the generators it yields as sub-calls), sleeps on the delays
+        it yields, and parks only on the pending events it yields.  The
+        return latency is drawn when the handler finishes, and from then on
         the answer and the instant it lands are fixed and nothing can
         observe it in flight, so it is recorded, not scheduled: once
         every handler has answered, the round's one event goes on the
@@ -269,9 +268,18 @@ class _Round:
                 ok = False
                 value = exc.with_traceback(exc.__traceback__.tb_next)
                 continue
-            if type(event) is _GeneratorType:
+            kind = type(event)
+            if kind is _GeneratorType:
                 stack.append(event)
                 ok, value = True, None
+            elif kind is float or kind is int:  # a delay, as the kernel
+                if event < 0:
+                    ok, value = False, ValueError(f"negative delay {event}")
+                    continue
+                self.transport.env.call_later(
+                    event, partial(self.advance, index, stack)
+                )
+                return
             elif event.callbacks is not None:
                 event.callbacks.append(partial(self.advance, index, stack))
                 return

@@ -185,7 +185,7 @@ class VMShop:
                     attempt=attempt, delay=delay,
                 )
                 if delay > 0:
-                    yield self.env.timeout(delay)
+                    yield delay
                 bids = None  # the backoff moved the clock
             try:
                 # One bid-and-dispatch round (fresh VMID per round),
@@ -316,7 +316,7 @@ class VMShop:
         # Let the interrupt unwind the plant-side generator stack (it
         # releases memory / leases in its except blocks) before the
         # caller inspects or reuses that state.
-        yield self.env.timeout(0.0)
+        yield 0.0
         raise DeadlineExceeded(
             f"create of {vmid} on {bid.bidder_name} exceeded "
             f"{deadline:g}s deadline"

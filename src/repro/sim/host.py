@@ -247,16 +247,12 @@ class PhysicalHost:
     def disk_write(self, size_mb: float, pressured: bool = True) -> Generator:
         """Write ``size_mb`` to the node's local disk."""
         factor = self.pressure_factor() if pressured else 1.0
-        yield self.env.timeout(
-            size_mb / self.latency.host_disk_write_mbps * factor
-        )
+        yield size_mb / self.latency.host_disk_write_mbps * factor
 
     def disk_read(self, size_mb: float, pressured: bool = True) -> Generator:
         """Read ``size_mb`` from the node's local disk."""
         factor = self.pressure_factor() if pressured else 1.0
-        yield self.env.timeout(
-            size_mb / self.latency.host_disk_read_mbps * factor
-        )
+        yield size_mb / self.latency.host_disk_read_mbps * factor
 
     def __repr__(self) -> str:
         return (

@@ -133,14 +133,12 @@ class _SimLine(ProductionLine):
         #: Guest-daemon hang fault: actions starting before this
         #: simulated time stall until it passes (0 = no hang).
         self.hang_until = 0.0
+        #: Every random-stream name of this line starts with this: a
+        #: stage draws its jitter as ``rng.lognormal(_prefix + stage, 0,
+        #: sigma)``, one Python call.
+        self._prefix = f"{host.name}/{self.vm_type}/"
 
     # -- helpers ----------------------------------------------------------
-    def _jitter(self, stream: str, sigma: Optional[float] = None) -> float:
-        sigma = self.latency.op_jitter_sigma if sigma is None else sigma
-        return self.rng.lognormal(
-            f"{self.host.name}/{self.vm_type}/{stream}", 0.0, sigma
-        )
-
     def _check_host(self) -> None:
         """Abort the current production stage if the host has crashed."""
         if self.host.down:
@@ -306,9 +304,7 @@ class _SimLine(ProductionLine):
         # Memory release on failure happens in the clone wrapper
         # (one release path for injected faults, coin-flip failures
         # and interrupts alike).
-        draw = self.rng.uniform(
-            f"{self.host.name}/{self.vm_type}/clone-fail", 0.0, 1.0
-        )
+        draw = self.rng.uniform(self._prefix + "clone-fail", 0.0, 1.0)
         if draw < self.clone_failure_prob:
             raise PlantError(
                 f"{self.vm_type} clone of {vm.vmid} failed to "
@@ -326,34 +322,33 @@ class _SimLine(ProductionLine):
         if self.hang_until > self.env.now:
             # Guest-daemon hang fault: the action stalls until the
             # hang window passes (zero events when no fault is set).
-            yield self.env.timeout(self.hang_until - self.env.now)
+            yield self.hang_until - self.env.now
         self._check_host()
         start = self.env.now
+        jitter, prefix = self.rng.lognormal, self._prefix
+        sigma = lat.op_jitter_sigma
         if action.scope is ActionScope.HOST:
             # Host-side operation (virtual device setup etc.).
-            yield self.env.timeout(0.3 * self._jitter(f"host-op/{action.name}"))
+            yield 0.3 * jitter(f"{prefix}host-op/{action.name}", 0.0, sigma)
         else:
             iso = build_iso(action, context)
-            yield self.env.timeout(lat.iso_build_s * self._jitter("iso-build"))
-            yield self.env.timeout(
-                lat.iso_connect_s * self._jitter("iso-connect")
-            )
-            yield self.env.timeout(
-                lat.guest_mount_s * self._jitter("guest-mount")
-            )
+            # Build the ISO, connect it, the guest daemon mounts it.
+            for base, stage in (
+                (lat.iso_build_s, "iso-build"),
+                (lat.iso_connect_s, "iso-connect"),
+                (lat.guest_mount_s, "guest-mount"),
+            ):
+                yield base * jitter(prefix + stage, 0.0, sigma)
             # Script execution inside the guest; writes go to the
             # private redo log.
-            script_time = lat.guest_script_mean_s * self._jitter(
-                f"script/{action.name}", lat.script_jitter_sigma
+            yield lat.guest_script_mean_s * jitter(
+                f"{prefix}script/{action.name}", 0.0, lat.script_jitter_sigma
             )
-            yield self.env.timeout(script_time)
             backend: SimBackend = vm.backend
             backend.redo_mb += iso.size_mb * 0.1 + 0.5
 
         draw = self.rng.uniform(
-            f"{self.host.name}/{self.vm_type}/action-fail/{action.name}",
-            0.0,
-            1.0,
+            f"{prefix}action-fail/{action.name}", 0.0, 1.0
         )
         duration = self.env.now - start
         if draw < self.action_failure_prob:
@@ -374,7 +369,9 @@ class _SimLine(ProductionLine):
 
     def collect(self, vm: VirtualMachine) -> Generator:
         """Power off, discard the redo log, release host memory."""
-        yield self.env.timeout(0.5 * self._jitter("collect"))
+        yield 0.5 * self.rng.lognormal(
+            self._prefix + "collect", 0.0, self.latency.op_jitter_sigma
+        )
         backend: Optional[SimBackend] = vm.backend
         if backend is not None and backend.running:
             backend.running = False
@@ -389,9 +386,9 @@ class _SimLine(ProductionLine):
         backend: SimBackend = vm.backend
         if backend is None or not backend.running:
             raise PlantError(f"VM {vm.vmid} is not running on this line")
-        yield self.env.timeout(
-            self.latency.migrate_suspend_fixed_s
-            * self._jitter("migrate-suspend")
+        lat = self.latency
+        yield lat.migrate_suspend_fixed_s * self.rng.lognormal(
+            self._prefix + "migrate-suspend", 0.0, lat.op_jitter_sigma
         )
         yield self.host.disk_write(backend.guest_mb)
 
@@ -414,12 +411,12 @@ class _SimLine(ProductionLine):
         redo_mb = float(state.get("redo_mb", 0.0))
         yield self.host.disk_write(vm.memory_mb + redo_mb)
         pressure = self.host.pressure_factor()
+        lat = self.latency
         resume_base = (
-            self.latency.migrate_resume_fixed_s
-            + vm.memory_mb / self.latency.vmware_resume_mbps
+            lat.migrate_resume_fixed_s + vm.memory_mb / lat.vmware_resume_mbps
         )
-        yield self.env.timeout(
-            resume_base * pressure * self._jitter("migrate-resume")
+        yield resume_base * pressure * self.rng.lognormal(
+            self._prefix + "migrate-resume", 0.0, lat.op_jitter_sigma
         )
         vm.backend = SimBackend(
             host=self.host,
@@ -453,9 +450,10 @@ class VMwareLine(_SimLine):
             )
             copy_time = self.env.now - copy_start
 
-            lat = self.latency
-            yield self.env.timeout(
-                lat.vmware_clone_fixed_s * self._jitter("clone-fixed")
+            lat, jitter = self.latency, self.rng.lognormal
+            sigma = lat.op_jitter_sigma
+            yield lat.vmware_clone_fixed_s * jitter(
+                self._prefix + "clone-fixed", 0.0, sigma
             )
 
             # Resume the suspended clone: GSX re-reads the memory image,
@@ -466,8 +464,8 @@ class VMwareLine(_SimLine):
                 lat.vmware_resume_fixed_s
                 + image.memory_state_mb / lat.vmware_resume_mbps
             )
-            yield self.env.timeout(
-                resume_base * pressure * self._jitter("resume")
+            yield resume_base * pressure * jitter(
+                self._prefix + "resume", 0.0, sigma
             )
             self._check_host()
             self._maybe_fail_clone(vm)
@@ -521,9 +519,10 @@ class UMLLine(_SimLine):
                 image, (yield self._copy_clone_state(image, mode))
             )
             copy_time = self.env.now - copy_start
-            lat = self.latency
-            yield self.env.timeout(
-                lat.uml_cow_setup_s * self._jitter("cow-setup")
+            lat, jitter = self.latency, self.rng.lognormal
+            sigma = lat.op_jitter_sigma
+            yield lat.uml_cow_setup_s * jitter(
+                self._prefix + "cow-setup", 0.0, sigma
             )
 
             # With an SBUML snapshot (memory state present) the clone
@@ -536,12 +535,12 @@ class UMLLine(_SimLine):
                     lat.uml_resume_fixed_s
                     + image.memory_state_mb / lat.uml_resume_mbps
                 )
-                yield self.env.timeout(
-                    resume_base * pressure * self._jitter("sbuml-resume")
+                yield resume_base * pressure * jitter(
+                    self._prefix + "sbuml-resume", 0.0, sigma
                 )
             else:
-                yield self.env.timeout(
-                    lat.uml_boot_fixed_s * pressure * self._jitter("boot")
+                yield lat.uml_boot_fixed_s * pressure * jitter(
+                    self._prefix + "boot", 0.0, sigma
                 )
             self._check_host()
             self._maybe_fail_clone(vm)

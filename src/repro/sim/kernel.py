@@ -2,35 +2,39 @@
 
 A small, self-contained process-based DES kernel in the style of SimPy,
 built from scratch for this reproduction.  Simulation *processes* are
-Python generators that ``yield`` :class:`Event` objects; the kernel
-resumes a process when the event it waits on fires.  Event ordering is
+Python generators that ``yield`` :class:`Event` objects, or a plain
+``float`` / ``int`` delay to sleep; the kernel resumes a process when
+the event it waits on fires or the sleep ends.  Event ordering is
 fully deterministic: ties in time are broken by priority and then by a
 monotonically increasing event id, so a given seed always produces the
 same trajectory.
 
 Dispatch costs one Python call per wake-up: a waiting process
-registers its bound ``_resume`` on the event (no closure per wait),
-a :class:`Timeout` pushes itself onto the heap, and
-:attr:`Environment.now` is a plain slot.  Work that needs no
-generator — run a function when a timer fires — hangs a callback on a
-:class:`Timeout` (or :meth:`Environment.call_later`) instead of
-starting a :class:`Process`; :meth:`repro.shop.protocol.Transport.gather`
-runs a whole bid round that way, and puts the round's one event on the
-queue at the instant its last answer lands
-(:meth:`Environment.schedule_at`) instead of a timer per answer.
-A process that yields a generator makes a sub-call: it runs on the
-process's stack, and a wake-up resumes only the innermost generator.
+registers its bound ``_resume`` on the event (no closure per wait), a
+yielded delay is a pooled timer that ``_resume`` pushes itself (no
+:class:`Timeout` built), and :attr:`Environment.now` is a plain slot.
+:meth:`Environment.timeout` is for a timer that is composed (an
+``any_of`` deadline), carries a value, or takes callbacks.  Work that
+needs no generator — run a function when a timer fires — hangs a
+callback on a :class:`Timeout` (or :meth:`Environment.call_later`)
+instead of starting a :class:`Process`;
+:meth:`repro.shop.protocol.Transport.gather` runs a whole bid round
+that way, and puts the round's one event on the queue at the instant
+its last answer lands (:meth:`Environment.schedule_at`) instead of a
+timer per answer.  A process that yields a generator makes a
+sub-call: it runs on the process's stack, and a wake-up resumes only
+the innermost generator.
 
 Typical usage::
 
     env = Environment()
 
-    def nap(env, delay):
-        yield env.timeout(delay)
+    def nap(delay):
+        yield delay  # sleep: a bare number, no timer object
         return delay
 
     def worker(env):
-        slept = yield nap(env, 3.0)  # sub-call: ``slept`` is its value
+        slept = yield nap(3.0)  # sub-call: ``slept`` is its value
         return f"done after {slept}"
 
     proc = env.process(worker(env))
@@ -191,12 +195,14 @@ class Timeout(Event):
 
 
 class _PooledTimeout(Event):
-    """A recycled timer event for :meth:`Environment.call_later`.
+    """A recycled timer event for :meth:`Environment.call_later` and a
+    process's yielded delay.
 
     Never handed to user code: its last callback is the ``append`` of
     the environment's free list, so hot timer paths (e.g.
-    :class:`~repro.sim.network.FairShareLink` completion timers) stop
-    allocating one event per re-arm.  It has no ``env`` to point back.
+    :class:`~repro.sim.network.FairShareLink` completion timers, every
+    hypervisor stage) stop allocating one event per re-arm.  It has no
+    ``env`` to point back.
     """
 
     __slots__ = ("delay",)
@@ -234,7 +240,8 @@ class Process(Event):
     ``_target`` is the one event whose firing may advance the
     generator: the :class:`Initialize` that starts it, the pending
     event it yielded (or the urgent stand-in scheduled for an already
-    processed one), or the event carrying an :class:`Interrupt`.  It is
+    processed one), the pooled timer of a delay it yielded, or the
+    event carrying an :class:`Interrupt`.  It is
     ``None`` while the generator runs and once it has terminated.
     ``_resume`` is registered on events as the bound method itself —
     one Python call per wake-up — and drops any call whose event is
@@ -249,6 +256,11 @@ class Process(Event):
     the moment the process ends: whoever still holds a finished
     process (a waiter, a list of requests) does not keep the
     generators' frames and locals alive with it.
+
+    A yielded ``float`` or ``int`` (exactly: not a ``bool``, not a
+    subclass) is a sleep of that many time units, keyed on the heap as
+    ``Timeout`` keys it; a negative one is thrown back into the
+    generator as :class:`ValueError`, at its ``yield``.
     """
 
     __slots__ = ("_stack", "_target")
@@ -342,9 +354,27 @@ class Process(Event):
                 self._stack = None
                 self.fail(value)
                 return
+            kind = type(next_ev)
+            if kind is float or kind is int:
+                # A delay: ``call_later`` inlined, this process the
+                # callback.  Same heap key as a ``Timeout``.
+                if next_ev < 0:
+                    ok, value = False, ValueError(f"negative delay {next_ev}")
+                    continue
+                pool = env._timeout_pool
+                timer = pool.pop() if pool else _PooledTimeout()
+                timer.delay = next_ev
+                timer.callbacks = [self._resume, pool.append]
+                self._target = timer
+                env._eid = eid = env._eid + 1
+                _heappush(
+                    env._queue,
+                    (env.now + next_ev, PRIORITY_NORMAL, eid, timer),
+                )
+                return
             if isinstance(next_ev, Event):
                 break
-            if type(next_ev) is not _GeneratorType:
+            if kind is not _GeneratorType:
                 # Ill-typed yield: kill the process with a clear error.
                 return self._kill(f"process yielded non-event {next_ev!r}")
             stack.append(next_ev)
@@ -524,7 +554,11 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing after ``delay`` time units."""
+        """Create an event firing after ``delay`` time units.
+
+        A process that only sleeps yields ``delay`` itself; a timer
+        object is for composing (``any_of``), a value or callbacks.
+        """
         return Timeout(self, delay, value)
 
     def call_later(

@@ -158,7 +158,7 @@ class FairShareLink:
 
     # -- internals -------------------------------------------------------------
     def _delayed_start(self, size_mb: float, done: Event) -> Generator:
-        yield self.env.timeout(self.latency_s)
+        yield self.latency_s
         self._start_flow(size_mb, done)
 
     def _start_flow(self, size_mb: float, done: Event) -> None:

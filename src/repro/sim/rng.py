@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from math import exp
+from math import exp, log
+from random import NV_MAGICCONST
 from typing import Dict, Tuple
 
 __all__ = ["RngHub"]
@@ -52,34 +53,47 @@ class RngHub:
                 getattr(rng, method)(a, b)
         return rng
 
-    def _draw(self, name: str, method: str, a: float, b: float) -> float:
-        """A named draw on a name without a resident generator."""
+    def _unresident(
+        self, name: str, method: str, a: float, b: float
+    ) -> random.Random:
+        """The generator for a named draw on a name that has none
+        resident: the first draw's own (journaled, then let go) or,
+        on the second, the replayed resident one."""
         if name in self._drawn_once:
-            rng = self.stream(name)
-        else:
-            self._drawn_once[name] = (method, a, b)
-            rng = self._seeded(name)
-        return getattr(rng, method)(a, b)
+            return self.stream(name)
+        self._drawn_once[name] = (method, a, b)
+        return self._seeded(name)
 
     def uniform(self, name: str, low: float, high: float) -> float:
-        """Draw ``U[low, high)`` from the named stream."""
+        """Draw ``U[low, high)`` from the named stream: what
+        ``random.uniform`` computes, without its frame."""
         rng = self._streams.get(name)
         if rng is None:
-            return self._draw(name, "uniform", low, high)
-        return rng.uniform(low, high)
+            rng = self._unresident(name, "uniform", low, high)
+        return low + (high - low) * rng.random()
 
     def expovariate(self, name: str, rate: float) -> float:
         """Draw an exponential inter-arrival with the given rate."""
         return self.stream(name).expovariate(rate)
 
     def lognormal(self, name: str, mu: float, sigma: float) -> float:
-        """Draw a log-normal variate (natural-log parameters): what
-        ``random.lognormvariate`` computes, spelled out to save its
-        frame on every clone and script jitter draw."""
+        """Draw a log-normal variate (natural-log parameters).
+
+        What ``random.lognormvariate`` computes, spelled out: the
+        stdlib's Kinderman–Monahan loop (``normalvariate``) on the
+        stream's ``random``, so a draw is one Python call and bit for
+        bit the stdlib's value (``tests/test_rng.py`` holds it to it).
+        """
         rng = self._streams.get(name)
         if rng is None:
-            return exp(self._draw(name, "normalvariate", mu, sigma))
-        return exp(rng.normalvariate(mu, sigma))
+            rng = self._unresident(name, "normalvariate", mu, sigma)
+        draw = rng.random
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                return exp(mu + z * sigma)
 
     def choice(self, name: str, seq):
         """Pick a uniformly random element of ``seq``."""

@@ -288,7 +288,7 @@ class KernelBenchScenario(ShardScenario):
         env = handle.bed.env
         for i, at in enumerate(handle.times):
             if at > env.now:
-                yield env.timeout(at - env.now)
+                yield at - env.now
             env.process(self._one_vm(handle, i))
 
     def _one_vm(self, handle: _KernelBenchHandle, i: int):
@@ -318,7 +318,7 @@ class KernelBenchScenario(ShardScenario):
                 payload=(handle.site, i),
                 size_mb=params["spill_mb"],
             )
-        yield bed.env.timeout(params["hold_s"])
+        yield params["hold_s"]
         yield bed.shop.destroy(str(ad["vmid"]))
         handle.destroyed += 1
 
@@ -338,7 +338,7 @@ class KernelBenchScenario(ShardScenario):
         except ReproError:
             handle.spill_failed += 1
             return
-        yield bed.env.timeout(params["spill_hold_s"])
+        yield params["spill_hold_s"]
         yield bed.shop.destroy(str(ad["vmid"]))
 
 
@@ -458,7 +458,7 @@ class MiniRingScenario(ShardScenario):
         env = handle.env
         params = handle.params
         for tick in range(1, params["ticks"] + 1):
-            yield env.timeout(params["tick_s"] * tick - env.now)
+            yield params["tick_s"] * tick - env.now
             handle.ticks_done += 1
             trace(env, "miniring", "tick", n=tick)
             if (
@@ -487,7 +487,7 @@ class MiniRingScenario(ShardScenario):
                 )
 
     def _pong(self, handle: _MiniRingHandle, payload: tuple):
-        yield handle.env.timeout(0.25)
+        yield 0.25
         trace(
             handle.env,
             "miniring",

@@ -200,7 +200,7 @@ class NFSServer:
         """Serve one file read: request overhead + shared transfer."""
         if self.outage_mode is not None:
             yield self._outage_gate()
-        yield self.env.timeout(self._overhead())
+        yield self._overhead()
         yield self.link.transfer(size_mb)
         self.requests_served += 1
         self.mb_served += size_mb
@@ -224,7 +224,7 @@ class NFSServer:
             yield self._outage_gate()
         start = self.env.now
         for _ in range(max(1, files)):
-            yield self.env.timeout(self._overhead())
+            yield self._overhead()
         yield self.link.transfer(size_mb)
         self.requests_served += max(1, files)
         self.mb_served += size_mb
@@ -234,7 +234,7 @@ class NFSServer:
             size_mb / self.latency.host_disk_write_mbps * factor
         )
         if write_time > network_time:
-            yield self.env.timeout(write_time - network_time)
+            yield write_time - network_time
 
     def copy_to_host_coalesced(
         self,

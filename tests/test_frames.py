@@ -18,8 +18,10 @@ import pytest
 from benchmarks.e2e.workloads import WORKLOADS
 from repro.core.errors import ReproError
 from repro.plant.speculative import AdaptiveSpeculativePool
+from repro.shop.protocol import Transport
 from repro.sim.cluster import build_testbed
 from repro.sim.kernel import Environment, Interrupt, Process, SimulationError
+from repro.sim.rng import RngHub
 from repro.sim.storage import NFSServer
 from repro.workloads.requests import experiment_request
 
@@ -157,22 +159,92 @@ def test_a_wake_of_the_parked_create_resumes_only_its_top(monkeypatch):
     assert proc.ok and proc._stack is None
 
 
+class TestWhatASleepCosts:
+    """A jittered stage is ``yield base * rng.lognormal(...)``: the draw
+    is one call, the wake one more (``_SimLine._jitter``, the stdlib's
+    ``normalvariate``, ``Environment.timeout`` and ``Timeout.__init__``
+    made it six)."""
+
+    def test_a_hypervisor_sleep_is_a_draw_and_a_wake(self):
+        # One plant, so the third create's streams are all resident.
+        bed = build_testbed(seed=1, n_plants=1)
+        env = bed.env
+        for i in range(2):
+            drive(env, bed.shop.create(experiment_request(32)))
+        proc = env.process(bed.shop.create(experiment_request(32)))
+
+        def parked_at():
+            top = proc._stack[-1]
+            stage = top.gi_frame.f_locals.get("stage")
+            return top.gi_code.co_qualname, stage
+
+        while parked_at() != ("_SimLine.execute_action", "iso-build"):
+            env.step()
+        while env._queue[0][3] is not proc._target:
+            env.step()
+        # The ISO-build timer fires: the action wakes and draws the
+        # connect stage's jitter.
+        counts = python_call_counts(env.step)
+        assert counts.pop("Environment.step") == 1
+        assert counts.pop("_SimLine.execute_action") == 1
+        assert dict(counts) == {"RngHub.lognormal": 1, "Process._resume": 1}
+        assert parked_at()[1] == "iso-connect"
+        env.run()
+        assert proc.ok
+
+    def test_a_transport_hop_is_one_way_a_draw_and_a_wake(self):
+        env = Environment()
+        transport = Transport(env, rng=RngHub(1))
+
+        def echo(x):
+            return x
+
+        def client():
+            return (yield transport.call(echo, 7))
+
+        drive(env, client())  # fills the timer free list
+        proc = env.process(client())
+        counts = python_call_counts(env.run)
+        assert proc.value == 7
+        # Two hops, each ``_one_way`` + ``lognormal`` + ``_resume``; the
+        # rest is the call's own frame (three resumes) and handler, and
+        # the client process's start, end and third ``_resume``.
+        local = client.__qualname__[: -len("client")]
+        assert dict(counts) == {
+            "Transport._one_way": 2,
+            "RngHub.lognormal": 2,
+            "Process._resume": 3,
+            "Transport.call": 3,
+            local + "echo": 1,
+            local + "client": 2,
+            "Environment.run": 1,
+            "Event.succeed": 1,
+            "Environment.schedule": 1,
+        }
+
+
 def test_pooled_site_keeps_no_process_per_finished_arrival(monkeypatch):
     # With speculative pools the arrivals loop waits for its requests
     # to drain before shutting the pools down; it must count them, not
     # keep them.  Census taken when the pools shut down, i.e. with
     # every arrival of that site finished.
+    # Only this run's processes count: whatever earlier tests left for
+    # the collector is held here, so none of its ids can be reused.
     workload = WORKLOADS["grid_overload"]
     params = {**workload.scaled(0.05), **workload.inprocess_overrides}
     census = []
     shutdown = AdaptiveSpeculativePool.shutdown
+    earlier = [obj for obj in gc.get_objects() if type(obj) is Process]
+    theirs = {id(proc) for proc in earlier}
 
     def counted(self):
         census.append(
             sum(
                 1
                 for obj in gc.get_objects()
-                if type(obj) is Process and not obj.is_alive
+                if type(obj) is Process
+                and not obj.is_alive
+                and id(obj) not in theirs
             )
         )
         return shutdown(self)

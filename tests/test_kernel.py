@@ -1,11 +1,14 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import re
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.sim.kernel import (
     AllOf,
     AnyOf,
@@ -16,8 +19,7 @@ from repro.sim.kernel import (
     Timeout,
     _defuse,
 )
-
-from tests.helpers import OracleProcess, python_calls
+from tests.helpers import OracleProcess, python_call_counts, python_calls
 
 
 class TestEvent:
@@ -225,15 +227,18 @@ class TestProcess:
         assert caught.traceback[-1].name == "failing"
 
     def test_yielding_non_event_kills_process(self):
-        env = Environment()
+        # A number is a delay, but only a plain ``float`` or ``int``:
+        # ``True`` is an ``int`` subclass and no way to spell a sleep.
+        for junk in ("soon", True, None, [1.0]):
+            env = Environment()
 
-        def bad(env):
-            yield 42
+            def bad(env):
+                yield junk
 
-        p = env.process(bad(env))
-        with pytest.raises(SimulationError):
-            env.run()
-        assert not p.is_alive
+            p = env.process(bad(env))
+            with pytest.raises(SimulationError, match="non-event"):
+                env.run()
+            assert not p.is_alive
 
     def test_non_generator_rejected(self):
         env = Environment()
@@ -432,6 +437,117 @@ class TestInterrupt:
         env.process(killer(env, victim, ev))
         env.run()
         assert victim.value == 6.0
+
+
+class TestYieldedDelay:
+    """A process sleeps by yielding a plain ``float`` or ``int``."""
+
+    @staticmethod
+    def trajectory(sleep):
+        env = Environment()
+        log = []
+
+        def worker(name, delays):
+            for delay in delays:
+                yield sleep(env, delay)
+                log.append((env.now, env._eid, name))
+
+        env.process(worker("a", [1.5, 0, 2, 0.25]))
+        env.process(worker("b", [1.5, 2.0, 0.0, 0]))
+        env.timeout(3.5)  # a bystander timer at the same instant
+        env.run()
+        return log, env.now, env.executed_events
+
+    def test_a_delay_is_a_timeout_to_the_last_event_id(self):
+        # Same heap key, so the same order, event ids and event count.
+        bare = self.trajectory(lambda env, delay: delay)
+        assert bare == self.trajectory(Environment.timeout)
+        assert bare[1] == 3.75
+
+    def test_negative_delay_raises_at_the_yield(self):
+        env = Environment()
+
+        def proc():
+            try:
+                yield -1.0
+            except ValueError as exc:
+                caught = str(exc)
+            yield 2
+            return caught, env.now
+
+        p = env.process(proc())
+        env.run()
+        assert p.value == ("negative delay -1.0", 2.0)
+
+    def test_uncaught_negative_delay_fails_the_process(self):
+        env = Environment()
+
+        def proc():
+            yield -3
+
+        p = env.process(proc())
+        with pytest.raises(ValueError, match="negative delay -3") as caught:
+            env.run()
+        assert not p.is_alive and env.now == 0.0
+        assert caught.traceback[-1].name == "proc"
+
+    def test_interrupt_during_a_delay_detaches_and_recycles_the_timer(self):
+        env = Environment()
+
+        def sleeper():
+            try:
+                yield 10.0
+            except Interrupt as interrupt:
+                return env.now, interrupt.cause
+
+        p = env.process(sleeper())
+        env.run(until=0.5)
+        timer = p._target
+        env.call_later(1.0, lambda _ev: p.interrupt("wake"))
+        env.run(until=5.0)
+        assert p.value == (1.5, "wake")
+        # Still on the heap, no longer the process's: its firing at 10
+        # wakes nobody and hands the timer back to the free list.
+        assert timer.callbacks[0] is _defuse and len(timer.callbacks) == 2
+        assert timer not in env._timeout_pool
+        env.run()
+        assert env.now == 10.0 and timer in env._timeout_pool
+
+    def test_a_sleep_costs_its_wake_alone(self):
+        # Beside the generator's own frame, ``yield d`` costs one call,
+        # the ``_resume`` that wakes it: no ``Environment.timeout``, no
+        # ``Timeout.__init__``.
+        def run_calls(sleeps):
+            env = Environment()
+
+            def proc():
+                for _ in range(sleeps):
+                    yield 1.0
+
+            env.process(proc())
+            return python_call_counts(env.run)
+
+        more = run_calls(30)
+        more.subtract(run_calls(10))
+        assert +more == {
+            "Process._resume": 20,
+            "TestYieldedDelay.test_a_sleep_costs_its_wake_alone."
+            "<locals>.run_calls.<locals>.proc": 20,
+        }
+
+
+def test_no_code_in_src_builds_a_timer_only_to_sleep_on_it():
+    # ``yield env.timeout(d)`` is ``yield d`` with two more calls; a
+    # timer object is for composing, a value or callbacks.
+    root = Path(repro.__file__).parent
+    pattern = re.compile(r"yield\s+\(?\s*[\w.]+\.timeout\(")
+    found = [
+        f"{path.relative_to(root)}:{text.count(chr(10), 0, m.start()) + 1}"
+        for path in sorted(root.rglob("*.py"))
+        for text in [path.read_text(encoding="utf-8")]
+        for m in pattern.finditer(text)
+    ]
+    assert found == []
 
 
 class TestConditions:
@@ -813,6 +929,8 @@ _event_ids = st.integers(0, _N_EVENTS - 1)
 _delays = st.integers(0, 3)
 _ops = st.one_of(
     st.tuples(st.just("sleep"), _delays),
+    # A bare number: what the reference spells ``env.timeout(d)``.
+    st.tuples(st.just("delay"), st.sampled_from([0, 0.0, 1, 1.5, 3.0])),
     st.tuples(st.just("wait"), _event_ids),
     st.tuples(st.just("fire"), _event_ids),
     st.tuples(st.just("fail"), _event_ids),
@@ -877,6 +995,7 @@ def _run_program(program, spawn=Environment.process, form="from"):
     """
     env = Environment()
     log = []
+    oracle = spawn is OracleProcess  # it takes no bare delay
     shared = [env.event() for _ in range(_N_EVENTS)]
     for ev in shared:
         ev.callbacks.append(_defuse)
@@ -892,6 +1011,8 @@ def _run_program(program, spawn=Environment.process, form="from"):
                     got = None
                     if kind == "sleep":
                         yield env.timeout(op[1])
+                    elif kind == "delay":
+                        yield env.timeout(op[1]) if oracle else op[1]
                     elif kind == "wait":
                         yield shared[op[1]]
                     elif kind == "fire":

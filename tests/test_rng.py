@@ -10,13 +10,16 @@ value and every final stream state must be equal.
 import copy
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.actions import Action
 from repro.core.dag import ConfigDAG
 from repro.core.spec import CreateRequest, HardwareSpec, SoftwareSpec
+from repro.shop.protocol import Transport
 from repro.sim.cluster import build_testbed
+from repro.sim.kernel import Environment
 from repro.sim.rng import RngHub
 from repro.workloads.requests import MANDRAKE_OS, install_os_action
 from tests.helpers import drive, oracle_rng_hub, retained_bytes
@@ -139,6 +142,59 @@ class TestSameDrawsAsAGeneratorPerName:
         hub.stream("b")
         hub.lognormal("c", 0.0, 1.0)
         assert repr(hub) == "<RngHub seed=7 streams=3>"
+
+
+class TestBitForBitWithTheStdlib:
+    """``RngHub.lognormal`` / ``uniform`` spell out the stdlib's own
+    arithmetic (the Kinderman–Monahan loop of ``normalvariate``, and
+    ``a + (b - a) * random()``) to save its frames.  This is the test
+    that fails if a Python release changes either."""
+
+    DRAWS = 10_000
+
+    @staticmethod
+    def reference(seed, name):
+        return oracle_rng_hub(seed).stream(name)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2, 0.6])
+    @pytest.mark.parametrize("how", ["resident", "drawn-once", "handed-out"])
+    def test_ten_thousand_draws_equal_random_random(self, how, sigma):
+        hub = RngHub(2004)
+        name = "node3/vmware/script/install-os"
+        ref = self.reference(2004, name)
+        held = None
+        if how == "resident":
+            hub.stream(name)
+        elif how == "handed-out":
+            held = hub.stream(name)
+        else:
+            # The first draw seeds, draws and lets go; the second
+            # replays it and keeps the generator.
+            assert hub.lognormal(name, 0.5, sigma).hex() == (
+                ref.lognormvariate(0.5, sigma).hex()
+            )
+            assert name not in hub._streams
+        live, want = [], []
+        for i in range(self.DRAWS):
+            mu, low, high = (i % 7) - 3.0, i * 0.5, i * 0.5 + 1 + i % 3
+            live.append(hub.lognormal(name, mu, sigma).hex())
+            want.append(ref.lognormvariate(mu, sigma).hex())
+            live.append(hub.uniform(name, low, high).hex())
+            want.append(ref.uniform(low, high).hex())
+            if held is not None and i % 97 == 0:  # the holder draws too
+                live.append(held.random().hex())
+                want.append(ref.random().hex())
+        assert live == want
+        assert hub.stream(name).getstate() == ref.getstate()
+
+    def test_a_zero_latency_transport_draws_nothing(self):
+        env = Environment()
+        transport = Transport(env, rng=RngHub(7), latency_s=0.0)
+        before = transport.rng.stream("transport").getstate()
+        proc = env.process(transport.call(lambda: "answer"))
+        env.run()
+        assert proc.value == "answer" and env.now == 0.0
+        assert transport.rng.stream("transport").getstate() == before
 
 
 class TestWhatANameCosts:

@@ -890,6 +890,30 @@ class TestGather:
         assert env.now == pytest.approx(4.0)
         assert transport.calls == 3
 
+    def test_a_handler_sleeps_by_yielding_a_delay(self):
+        env = Environment()
+        transport = Transport(env, latency_s=0.5, jitter_sigma=0.0)
+        seen = []
+
+        def napper():
+            yield 2
+            try:
+                yield -1.0
+            except ValueError as exc:  # thrown in at the yield
+                seen.append((env.now, str(exc)))
+            yield 0.25
+            return env.now
+
+        def bad():
+            yield -2
+
+        done = transport.gather([napper, lambda: "plain"])
+        assert env.run(until=done) == {0: 2.75, 1: "plain"}
+        assert seen == [(2.5, "negative delay -1.0")]
+        assert env.now == pytest.approx(3.25)
+        with pytest.raises(ValueError, match="negative delay -2"):
+            env.run(until=transport.gather([bad]))
+
     def test_round_event_and_call_budget(self):
         # One memo-hit round: an out-timer per bidder and one event
         # for the round, put on the queue at the last landing time (it
@@ -930,6 +954,7 @@ _ticks = st.integers(0, 4)
 _steps = st.lists(
     st.one_of(
         st.tuples(st.just("sleep"), _ticks),
+        st.tuples(st.just("delay"), _ticks),  # a bare number, see below
         st.just(("recovery",)),  # parks like estimate_proc on _up_event
         st.just(("alarm",)),  # a timer older than any round's deadline
         st.just(("raise",)),
@@ -977,6 +1002,8 @@ def _run_rounds(scenario, gather, sub_call=None):
         env, rng=RngHub(seed), latency_s=latency_s, jitter_sigma=sigma
     )
     stream = transport.rng.stream("transport")
+    # The reference steps events only: it sleeps on a ``Timeout``.
+    bare_delays = gather is not oracle_gather
     recovery = env.event()
     if recovery_at is not None:
         env.call_later(recovery_at * _TICK, lambda _ev: recovery.succeed())
@@ -996,6 +1023,9 @@ def _run_rounds(scenario, gather, sub_call=None):
             for step in spec[1]:
                 if step[0] == "sleep":
                     yield env.timeout(step[1] * _TICK)
+                elif step[0] == "delay":
+                    delay = step[1] * _TICK
+                    yield delay if bare_delays else env.timeout(delay)
                 elif step[0] == "raise":
                     raise PlantError(label)
                 else:
@@ -1110,7 +1140,7 @@ class TestFoldedRoundMatchesTimerPerAnswer:
                     1,
                     None,
                     [
-                        ("steps", [("sleep", 2), ("alarm",)]),
+                        ("steps", [("sleep", 2), ("alarm",), ("delay", 1)]),
                         ("steps", [("recovery",)]),
                         ("plain", "cost"),
                     ],

@@ -20,7 +20,6 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -70,6 +69,13 @@ class ActionStatus(Enum):
     CACHED = "cached"
 
 
+#: Bound of the canonical-parameters intern table (entries, LRU).  A
+#: catalog builds thousands of actions from a few dozen parameter sets;
+#: this keeps one tuple per set without pinning a one-off stream's.
+PARAMS_INTERN_MAX = 256
+_interned_params: Dict[Tuple, Tuple[Tuple[str, str], ...]] = {}
+
+
 def _canonical_params(
     params: Union[Mapping[str, Any], Tuple[Tuple[str, str], ...]],
 ) -> Tuple[Tuple[str, str], ...]:
@@ -78,7 +84,8 @@ def _canonical_params(
     A tuple is taken as the canonical form itself — what
     ``Action.params`` stores and ``dataclasses.replace`` feeds back —
     and must already be one: ``(key, repr)`` string pairs in strictly
-    increasing key order.
+    increasing key order.  Equal parameter sets get one shared tuple
+    while it stays among the :data:`PARAMS_INTERN_MAX` most recent.
     """
     if isinstance(params, tuple):
         pairs = all(
@@ -92,8 +99,20 @@ def _canonical_params(
             a[0] >= b[0] for a, b in zip(params, params[1:])
         ):
             raise ValueError(f"params tuple is not canonical: {params!r}")
-        return params
-    return tuple(sorted((str(k), repr(v)) for k, v in params.items()))
+        canonical = params
+    else:
+        canonical = tuple(
+            sorted((str(k), repr(v)) for k, v in params.items())
+        )
+    if not canonical:
+        return ()
+    shared = _interned_params.pop(canonical, None)
+    if shared is None:
+        shared = canonical
+        if len(_interned_params) >= PARAMS_INTERN_MAX:
+            del _interned_params[next(iter(_interned_params))]
+    _interned_params[shared] = shared
+    return shared
 
 
 def decode_literal(rep: str) -> Any:
@@ -118,9 +137,13 @@ def decode_literal(rep: str) -> Any:
     return ast.literal_eval(node)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """One configuration step.
+
+    A slotted value: no instance ``__dict__``, and equal parameter
+    mappings share one ``params`` tuple, so a catalog of thousands of
+    DAGs costs a few machine words per step.
 
     Parameters
     ----------
@@ -152,6 +175,10 @@ class Action:
     outputs: Tuple[str, ...] = ()
     on_error: ErrorPolicy = ErrorPolicy.FAIL
     retries: int = 0
+    #: Content hash identifying the operation across plants: a slot left
+    #: unset until its first read, which :meth:`__getattr__` fills.
+    #: Neither ``==``, ``hash`` nor ``repr`` reads it.
+    signature: str = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -189,13 +216,15 @@ class Action:
         """Parameters as a plain dict (values are ``repr`` strings)."""
         return dict(self.params)
 
-    @cached_property
-    def signature(self) -> str:
-        """Content hash identifying the operation across plants.
-
-        Hashed on first read and kept on the (frozen) instance; not a
-        dataclass field, so ``==``, ``hash`` and ``repr`` ignore it.
-        """
+    def __getattr__(self, name: str) -> str:
+        # Reached only when normal lookup fails, so for ``signature``
+        # just once: a read after the first is a plain slot read.
+        # Hashing in ``__init__`` instead would cost every action built,
+        # read or not.
+        if name != "signature":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
         payload = "\x1f".join(
             [
                 self.name,
@@ -204,7 +233,9 @@ class Action:
                 repr(self.params),
             ]
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        signature = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        object.__setattr__(self, "signature", signature)
+        return signature
 
     def rendered_command(self) -> str:
         """Command with ``{param}`` placeholders substituted.

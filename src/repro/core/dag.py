@@ -76,8 +76,11 @@ class ConfigDAG:
 
     def __init__(self) -> None:
         self._actions: Dict[str, Action] = {}
-        self._succ: Dict[str, List[str]] = {}
-        self._pred: Dict[str, List[str]] = {}
+        # Adjacency as tuples, replaced on every edge: a chain's node has
+        # one neighbour each way, and a 1-tuple is about half a one-item
+        # list; a node with none shares the empty tuple.
+        self._succ: Dict[str, Tuple[str, ...]] = {}
+        self._pred: Dict[str, Tuple[str, ...]] = {}
         self._handlers: Dict[str, "ConfigDAG"] = {}
         #: Set by :meth:`freeze`; the mutators refuse a frozen DAG.
         self._frozen = False
@@ -153,8 +156,8 @@ class ConfigDAG:
         if action.name in self._actions:
             raise DAGError(f"duplicate action {action.name!r}")
         self._actions[action.name] = action
-        self._succ[action.name] = []
-        self._pred[action.name] = []
+        self._succ[action.name] = ()
+        self._pred[action.name] = ()
         self._invalidate()
         return self
 
@@ -173,8 +176,8 @@ class ConfigDAG:
             raise DAGError(
                 f"edge {before!r}->{after!r} would create a cycle"
             )
-        self._succ[before].append(after)
-        self._pred[after].append(before)
+        self._succ[before] += (after,)
+        self._pred[after] += (before,)
         self._invalidate()
         return self
 
@@ -211,15 +214,15 @@ class ConfigDAG:
             if name in names or name in _RESERVED:
                 cls._replay(actions, edges)
             names[name] = action
-            succ[name] = []
-            pred[name] = []
+            succ[name] = ()
+            pred[name] = ()
         for before, after in edges:
             out = succ.get(before)
             if out is None or after not in names or before == after:
                 cls._replay(actions, edges)
             if after not in out:  # a repeated edge is idempotent
-                out.append(after)
-                pred[after].append(before)
+                succ[before] = out + (after,)
+                pred[after] += (before,)
         try:
             dag._topo()
         except DAGError:

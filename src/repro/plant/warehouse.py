@@ -38,9 +38,13 @@ from repro.core.spec import HardwareSpec
 
 __all__ = ["GoldenImage", "VMWarehouse"]
 
-#: Memo entries kept per generation before the table is reset; bounds
-#: memory when a long-lived site sees many distinct request shapes.
-_MEMO_LIMIT = 4096
+#: Memo entries kept per generation before the table is reset.  An entry
+#: serves one bid round (the P plants of a site selecting for the same
+#: request), so the bound need only cover the rounds in flight at once;
+#: a larger one fills with entries of an all-distinct stream (~0.8 KB
+#: each) that are never hit again.  Same bound as
+#: :data:`~repro.core.dagxml.DAG_INTERN_MAX`.
+_MEMO_LIMIT = 64
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,11 @@ class VMShop:
         self._route: Dict[str, Any] = {}
         self._cache: Dict[str, ClassAd] = {}
         self._seq = 0
-        #: Creation log: (vmid, plant_name, ok) for experiments.
-        self.creation_log: List[tuple] = []
+        #: Plant-side creates that succeeded / failed, retries included.
+        #: Counts, not a log: a long run keeps no per-create record here
+        #: (the ``created`` / ``create-failed`` trace events name them).
+        self.creates_ok = 0
+        self.creates_failed = 0
         if registry is not None:
             registry.publish(name, "vmshop", self)
 
@@ -258,7 +261,7 @@ class VMShop:
 
     def _create_failed(self, vmid: str, bid: Bid, exc: ReproError) -> None:
         """Ledger, breaker and orphan release for one failed dispatch."""
-        self.creation_log.append((vmid, bid.bidder_name, False))
+        self.creates_failed += 1
         trace(
             self.env, "shop", "create-failed",
             vmid=vmid, plant=bid.bidder_name, error=type(exc).__name__,
@@ -280,7 +283,7 @@ class VMShop:
         self._health_for(bid.bidder_name).record_success(self.env.now)
         self._route[vmid] = bid.bidder
         self._cache[vmid] = ad.copy()
-        self.creation_log.append((vmid, bid.bidder_name, True))
+        self.creates_ok += 1
         trace(self.env, "shop", "created", vmid=vmid, plant=bid.bidder_name)
 
     def _dispatch_create(

@@ -1,0 +1,104 @@
+"""The verdict logic of ``benchmarks/perf/ab.py`` on synthetic samples.
+
+No child process runs here: :func:`verdicts` and :func:`compare` are
+pure functions of the paired samples a comparison collects.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from benchmarks.perf.ab import (
+    MIN_PAIRS,
+    Refused,
+    compare,
+    sign_test,
+    sim_mismatch,
+    verdicts,
+)
+
+SIM = {
+    "events_per_request": 43.658, "create_p50_sim_s": 57.5952, "ok_frac": 1.0,
+}
+
+
+def samples(cpu, rss, sim=SIM):
+    return [
+        {"cpu_s": c, "peak_rss_mb": r, "sim": dict(sim)}
+        for c, r in zip(cpu, rss)
+    ]
+
+
+#: A parent whose own runs spread 0.02 s between quartiles.
+PARENT_CPU = [1.00, 1.01, 0.99, 1.02, 1.00, 0.98, 1.01, 1.00, 0.99, 1.02]
+PARENT_RSS = [38.5, 38.4, 38.5, 38.6, 38.5, 38.5, 38.4, 38.5, 38.6, 38.5]
+
+
+def test_ten_wins_with_a_gap_above_the_parent_iqr_is_claimed():
+    change_rss = [r - 2.8 for r in PARENT_RSS]
+    result = verdicts(
+        samples(PARENT_CPU, PARENT_RSS), samples(PARENT_CPU, change_rss)
+    )
+    rss = result["peak_rss_mb"]
+    assert (rss["wins"], rss["ties"], rss["losses"]) == (10, 0, 0)
+    gap = rss["a"]["median"] - rss["b"]["median"]
+    assert gap > rss["a"]["q3"] - rss["a"]["q1"]
+    assert rss["verdict"] == "claimed"
+    assert rss["sign_p"] == pytest.approx(2 / 1024)
+    assert rss["ratio"] == pytest.approx(35.7 / 38.5, rel=1e-3)
+    # Identical CPU samples: ten ties resolve nothing.
+    cpu = result["cpu_s"]
+    assert (cpu["wins"], cpu["ties"], cpu["losses"]) == (0, 10, 0)
+    assert cpu["verdict"] == "unresolved"
+
+
+def test_six_wins_of_ten_is_unresolved():
+    change = [c - 0.5 if i < 6 else c + 0.5 for i, c in enumerate(PARENT_CPU)]
+    result = compare(PARENT_CPU, change)
+    assert (result["wins"], result["losses"]) == (6, 4)
+    assert result["verdict"] == "unresolved"
+
+
+def test_ten_wins_inside_the_parent_iqr_is_unresolved():
+    # Every pair won, but by less than the parent's own spread.
+    result = compare(PARENT_CPU, [c - 0.001 for c in PARENT_CPU])
+    assert result["wins"] == 10
+    assert result["verdict"] == "unresolved"
+
+
+def test_a_planted_regression_is_worse():
+    result = compare(PARENT_CPU, [c * 1.05 for c in PARENT_CPU])
+    assert result["losses"] == 10
+    assert result["verdict"] == "worse"
+    assert result["ratio"] == pytest.approx(1.05)
+
+
+def test_fewer_than_ten_pairs_never_resolve():
+    a, b = PARENT_CPU[: MIN_PAIRS - 1], [c * 0.5 for c in PARENT_CPU]
+    assert compare(a, b[: MIN_PAIRS - 1])["verdict"] == "unresolved"
+    assert compare(PARENT_CPU[:2], PARENT_CPU[:2])["verdict"] == "unresolved"
+
+
+def test_a_sim_side_mismatch_is_refused():
+    other = {**SIM, "events_per_request": 43.659}
+    a = samples(PARENT_CPU, PARENT_RSS)
+    b = samples(PARENT_CPU, PARENT_RSS)
+    b[3]["sim"] = dict(other)
+    with pytest.raises(Refused, match="events_per_request"):
+        verdicts(a, b)
+    assert sim_mismatch([s["sim"] for s in a + b]) == ["events_per_request"]
+
+
+def test_sim_values_compare_by_repr():
+    # Two NaNs from two runs are two objects, and NaN != NaN.
+    nans = [{"p99": float("nan")}, {"p99": float("nan")}]
+    assert sim_mismatch(nans) == []
+    assert sim_mismatch([{"x": 0.1 + 0.2}, {"x": 0.3}]) == ["x"]
+    assert sim_mismatch([{"x": 1.0}, {}]) == ["x"]
+
+
+def test_sign_test():
+    assert sign_test(0, 0) == 1.0
+    assert sign_test(5, 5) == 1.0
+    assert sign_test(10, 0) == sign_test(0, 10) == pytest.approx(2 / 1024)
+    assert sign_test(9, 1) == pytest.approx(22 / 1024)

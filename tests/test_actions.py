@@ -1,7 +1,9 @@
 """Unit tests for the Action value object."""
 
 import ast
+import copy
 import dataclasses
+import pickle
 import random
 import warnings
 
@@ -127,6 +129,52 @@ class TestAction:
         assert hash(action) == hash(Action("x"))
         with pytest.raises(Exception):
             action.name = "y"  # type: ignore[misc]
+
+
+class TestFootprint:
+    """An action is a few machine words: slots, and one shared
+    parameter tuple for equal parameters."""
+
+    def test_no_instance_dict(self):
+        action = Action("x", command="c", params={"v": 1})
+        assert not hasattr(action, "__dict__")
+        action.signature  # filling the lazy slot adds no dict either
+        assert not hasattr(action, "__dict__")
+
+    def test_equal_param_dicts_share_one_tuple(self):
+        a = Action("a", params={"ver": 3, "arch": "i386"})
+        b = Action("b", params={"arch": "i386", "ver": 3})
+        assert a.params is b.params
+        assert dataclasses.replace(a, name="c").params is a.params
+        assert Action("c", params={"ver": 4}).params is not a.params
+
+    def test_param_intern_table_is_bounded(self):
+        from repro.core import actions
+
+        for i in range(actions.PARAMS_INTERN_MAX + 10):
+            Action("x", params={"i": i})
+        assert len(actions._interned_params) == actions.PARAMS_INTERN_MAX
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda a: pickle.loads(pickle.dumps(a)),
+            copy.deepcopy,
+            dataclasses.replace,
+        ],
+        ids=["pickle", "deepcopy", "replace"],
+    )
+    def test_unread_signature_survives(self, clone):
+        unread = Action("x", command="rpm -i {v}", params={"v": 1})
+        copied = clone(unread)
+        assert copied == unread
+        assert copied.signature == unread.signature == Action(
+            "x", command="rpm -i {v}", params={"v": 1}
+        ).signature
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'signatur'"):
+            Action("x").signatur
 
 
 class TestDecodeLiteral:

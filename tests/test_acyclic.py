@@ -31,6 +31,7 @@ from repro.sim.host import PhysicalHost
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngHub
 from repro.sim.storage import NFSServer
+from repro.sim.trace import Tracer
 from repro.workloads.requests import experiment_request
 
 from tests.helpers import InstantLine, cyclic_garbage, drive
@@ -154,6 +155,7 @@ class TestFormerCycles:
         # error's traceback holds (and with it the whole site).
         def site():
             env = Environment()
+            env.tracer = Tracer()
             request = experiment_request(32)
             first = request.dag.action(request.dag.topological_sort()[0])
             image = GoldenImage(
@@ -173,8 +175,12 @@ class TestFormerCycles:
                 yield from shop.create(request)
 
             drive(env, client())
-            outcomes = [ok for _, _, ok in shop.creation_log]
-            assert outcomes == [False, False, True]
+            outcomes = [
+                e.message for e in env.tracer.select("shop")
+                if e.message in ("created", "create-failed")
+            ]
+            assert outcomes == ["create-failed", "create-failed", "created"]
+            assert (shop.creates_ok, shop.creates_failed) == (1, 2)
 
         assert cyclic_garbage(site) == NOTHING
 

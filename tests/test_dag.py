@@ -8,7 +8,7 @@ from repro.core.actions import Action
 from repro.core.dag import FINISH, START, ConfigDAG
 from repro.core.errors import DAGError
 
-from tests.helpers import python_calls
+from tests.helpers import python_calls, retained_bytes
 
 
 def chain(*names):
@@ -325,3 +325,24 @@ class TestDot:
     def test_dot_empty_dag(self):
         dot = ConfigDAG().to_dot()
         assert '"__start__" -> "__finish__"' in dot
+
+
+class TestFootprint:
+    def test_a_chain_keeps_tuple_adjacency(self):
+        # 1,785 B a 7-node chain over shared actions at the time of
+        # writing (2,377 B with a list per node and direction), pinned
+        # with 15 % headroom.
+        steps = [Action(f"step-{k}", command=f"cmd {k}") for k in range(7)]
+        keep = []
+        per_dag = retained_bytes(
+            lambda: keep.extend(
+                ConfigDAG.from_sequence(steps) for _ in range(1000)
+            )
+        ) / 1000
+        assert per_dag <= 2_050
+        grown = diamond()  # built edge by edge
+        assert grown.successors("a") == ["b", "c"]
+        assert grown.predecessors("d") == ["b", "c"]
+        for dag in (keep[0], grown):
+            for adjacency in (dag._succ, dag._pred):
+                assert all(type(v) is tuple for v in adjacency.values())

@@ -507,6 +507,7 @@ class TestQuarantine:
 
     def test_repeat_offender_is_quarantined(self):
         bed = self._bed()
+        tracer = bed.attach_tracer()
 
         def scenario():
             for _ in range(4):
@@ -517,7 +518,10 @@ class TestQuarantine:
         assert breaker.times_opened == 1
         assert breaker.state is BreakerState.OPEN
         # Once open, plant0 no longer receives create dispatches.
-        dispatched = [name for _, name, _ in bed.shop.creation_log]
+        dispatched = [
+            e.data["plant"] for e in tracer.select("shop")
+            if e.message in ("created", "create-failed")
+        ]
         assert dispatched.count("plant0") == 2  # only the two strikes
 
     def test_half_open_probe_after_quarantine(self):

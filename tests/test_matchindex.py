@@ -280,6 +280,28 @@ class TestBruteForceEquivalence:
         assert wh.match_stats["memo_hits"] == 4
         assert wh.index_stats["queries"] == 1
 
+    def test_memo_holds_the_rounds_in_flight_not_the_stream(self):
+        hw = HardwareSpec(memory_mb=32)
+        images = [GoldenImage("img-a", "vmware", "rh8", hw,
+                              performed=(action(0),))]
+        dags = [
+            ConfigDAG.from_sequence([action(0), Action(f"tail-{i}")])
+            for i in range(1000)
+        ]
+        # An all-distinct stream, eight plants a round: every round keeps
+        # its seven hits and the table stays at its bound.
+        wh = VMWarehouse(images)
+        for dag in dags:
+            for _ in range(8):
+                wh.select(dag, hw, "rh8", "vmware")
+            assert len(wh._memo) <= 64
+        assert wh.match_stats == {"queries": 8000, "memo_hits": 7000}
+        # 64 rounds in flight at once still hit.
+        wh = VMWarehouse(images)
+        for dag in dags[:64] * 2:
+            wh.select(dag, hw, "rh8", "vmware")
+        assert wh.match_stats == {"queries": 128, "memo_hits": 64}
+
 
 class TestMatchIndexMaintenance:
     def test_add_remove_prunes_groups(self):

@@ -252,8 +252,10 @@ class TestWhatANameCosts:
 
         serve(0, 150)
         growth = retained_bytes(lambda: serve(150, 150)) / 150
-        # 3,638 B a request at the time of writing in a fresh process
-        # (the shop's and the lines' per-create logs, the warehouse's
-        # selection memo on its way to its bound), pinned with 25 %
-        # headroom; with a generator per name it read 9,159 B.
-        assert growth <= 4_550
+        # 2,870 B a request at the time of writing (the lines' clone
+        # records, the RNG journal, the decoders' intern tables on their
+        # way to their bounds), pinned with 25 % headroom.  It read
+        # 3,638 B with an instance dict per action, list adjacency, a
+        # per-create shop log and a 4,096-entry selection memo, and
+        # 9,159 B with a generator per random-stream name.
+        assert growth <= 3_600

@@ -33,6 +33,7 @@ from repro.shop.registry import ServiceRegistry
 from repro.shop.vmshop import VMShop
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngHub
+from repro.sim.trace import Tracer
 
 from repro.sim.cluster import build_testbed
 from repro.workloads.requests import experiment_request
@@ -331,7 +332,7 @@ class TestVMShop:
 
         with pytest.raises(PlantError):
             drive(env, shop.create(make_request()))
-        assert shop.creation_log[-1][2] is False
+        assert (shop.creates_ok, shop.creates_failed) == (0, 1)
 
     def test_retry_other_plants_falls_through(self):
         env = Environment()
@@ -481,7 +482,8 @@ class TestCreateFromBids:
             drive(env, client())
         # No second round, no create call, no VMID spent.
         assert self.counters(shop) == (1, 3, 3)
-        assert shop.creation_log == [] and shop.next_vmid().endswith("1")
+        assert (shop.creates_ok, shop.creates_failed) == (0, 0)
+        assert shop.next_vmid().endswith("1")
 
     def test_hand_made_bids_are_refused(self):
         env = Environment()
@@ -560,11 +562,12 @@ class TestCreateFromBids:
         # Round 1 is the caller's; round 2 is the retry's own, after
         # the backoff moved the clock (reusing would have been stale).
         assert shop.collector.collections == 2
-        assert [ok for _, _, ok in shop.creation_log] == [False, True]
+        assert (shop.creates_ok, shop.creates_failed) == (1, 1)
         assert float(ad["created_at"]) >= collected_at + 3.0
 
     def test_retry_other_plants_walks_the_reused_ranking(self):
         env = Environment()
+        env.tracer = Tracer()
         shop, plants = self.make_shop(env, retry_other_plants=True)
         # Distinct loads -> a tie-free ranking p0 < p1 < p2.
         drive(env, plants[1].create(make_request(), "load-a"))
@@ -579,8 +582,13 @@ class TestCreateFromBids:
             return ad
 
         assert drive(env, client())["plant"] == "p2"
-        assert [(name, ok) for _, name, ok in shop.creation_log] == [
-            ("p0", False), ("p1", False), ("p2", True),
+        assert [
+            (e.data["plant"], e.message) for e in env.tracer.select("shop")
+            if e.message in ("created", "create-failed")
+        ] == [
+            ("p0", "create-failed"),
+            ("p1", "create-failed"),
+            ("p2", "created"),
         ]
         assert shop.collector.collections == 1
 

@@ -1,2 +1,2 @@
-"""Recorded benchmark sweeps (``*_bench.py``) and the smoke tests that
-read them back (``test_*_smoke.py``)."""
+"""The recorded benches (``bench.py``), their smoke tests
+(``test_bench.py``) and the A/B tool (``ab.py``)."""

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.perf.bench import HOST_KEYS, run_bench
 from repro.cli import COMMANDS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -174,8 +175,8 @@ def test_megachaos_report_replays_bit_identically(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 #: Small runs whose record is pinned in ``report_goldens.json``: the
-#: four ``--report`` files without a replay, and the ``points`` the two
-#: perf benches that write point records append (``--small``).
+#: four ``--report`` files without a replay, and the ``points`` of the
+#: ``loadtest`` / ``disttree`` bench records (``small`` rung).
 REPORT_RUNS = {
     "kernelbench": [
         "--seed", "7", "--sites", "2", "--shards", "1", "2",
@@ -191,25 +192,23 @@ REPORT_RUNS = {
     ],
     "disttree": ["--seed", "7", "--hosts", "4", "8"],
 }
-BENCH_RUNS = ("provision_bench", "distribution_bench")
-#: Keys read off the host's clock, memory or core count: a golden keeps
-#: what is under them key for key, with every value blanked.
-HOST_CLOCK = {
-    "wall_s", "cpu_s", "goodput_per_cpu_s", "sync_cpu_ratio", "wall_speedup",
-    "sync", "peak_rss_mb", "usable_cores", "projected",
-}
+#: Golden key -> the ``benchmarks.perf.bench`` command whose ``small``
+#: record's ``points`` it pins (the keys are the names of the scripts
+#: that recorded them first).
+BENCH_RUNS = {"provision_bench": "loadtest", "distribution_bench": "disttree"}
 GOLDENS = json.loads(
     (Path(__file__).parent / "report_goldens.json").read_text()
 )
 
 
 def sim_side(value, host=False):
-    """``value`` with the same keys at every level and every host-clock
-    value blanked.  The goldens are ``sim_side`` of what commit f92f9be
+    """``value`` with the same keys at every level and every value
+    under a ``HOST_KEYS`` key (read off the host's clock, memory or core
+    count) blanked.  The goldens are ``sim_side`` of what commit f92f9be
     writes, dumped with ``indent=1, sort_keys=True``."""
     if isinstance(value, dict):
         return {
-            key: sim_side(inner, host or key in HOST_CLOCK)
+            key: sim_side(inner, host or key in HOST_KEYS)
             for key, inner in value.items()
         }
     if isinstance(value, list):
@@ -224,14 +223,9 @@ def test_report_is_the_pinned_record(capsys, tmp_path, command):
     assert sim_side(json.loads(path.read_text())) == GOLDENS[command]
 
 
-@pytest.mark.parametrize("bench", BENCH_RUNS)
+@pytest.mark.parametrize("bench", sorted(BENCH_RUNS))
 def test_bench_points_are_the_pinned_records(tmp_path, bench):
-    import importlib
-
-    module = importlib.import_module(f"benchmarks.perf.{bench}")
-    record = getattr(module, f"run_{bench}")(
-        small=True, out=tmp_path / "trajectory.json"
-    )
+    _, record = run_bench(BENCH_RUNS[bench], "small", tmp_path / "bench.json")
     assert sim_side(record["points"]) == GOLDENS[bench]
 
 

@@ -187,3 +187,13 @@ class TestUMLLine:
         with pytest.raises(PlantError, match="failed to boot"):
             produce(env, ppp, "vm1", vm_type="uml")
         assert host.committed_guest_mb == 0
+
+
+def test_clone_classes_have_no_instance_dict():
+    """One of each per clone: kept ``__slots__``-only."""
+    from repro.sim.hypervisor import CloneRecord, SimBackend
+
+    for cls in (CloneRecord, SimBackend):
+        assert hasattr(cls, "__slots__"), f"{cls.__name__} lost __slots__"
+        instance = object.__new__(cls)
+        assert not hasattr(instance, "__dict__"), cls.__name__

@@ -281,3 +281,17 @@ class TestNFSServer:
         env.run()
         # 110 MB over an 11 MB/s link can't finish before t=10.
         assert min(done) >= 10.0
+
+
+def test_hot_sim_classes_have_no_instance_dict():
+    """The per-flow, per-host and per-transfer objects the kernel
+    churns through stay ``__slots__``-only: a ``__dict__`` creeping
+    into the MRO costs a dict allocation per instance."""
+    from repro.sim.host import HostStateCache
+    from repro.sim.network import _Flow
+    from repro.sim.storage import TransferCoalescer, _InflightTransfer
+
+    for cls in (_Flow, HostStateCache, TransferCoalescer, _InflightTransfer):
+        assert hasattr(cls, "__slots__"), f"{cls.__name__} lost __slots__"
+        instance = object.__new__(cls)
+        assert not hasattr(instance, "__dict__"), cls.__name__

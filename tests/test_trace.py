@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.cluster import build_testbed
 from repro.sim.kernel import Environment
-from repro.sim.trace import Tracer, trace
+from repro.sim.trace import TraceEvent, Tracer, trace
 from repro.workloads.requests import experiment_request
 
 
@@ -30,6 +30,19 @@ class TestTracer:
         assert len(tracer) == 2
         assert tracer.dropped == 3
         assert [e.message for e in tracer.events] == ["m3", "m4"]
+
+    def test_trace_ring_buffer_allocation_bound(self):
+        """A capacity-bounded tracer does not grow past its ring."""
+        tracer = Tracer(capacity=64)
+        for i in range(1000):
+            tracer.record(float(i), "cat", "msg")
+        assert len(tracer) == 64
+        assert tracer.dropped == 1000 - 64
+        assert tracer.events[0].time == 1000 - 64
+
+    def test_trace_event_has_no_instance_dict(self):
+        assert hasattr(TraceEvent, "__slots__")
+        assert not hasattr(object.__new__(TraceEvent), "__dict__")
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):

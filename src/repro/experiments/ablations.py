@@ -33,6 +33,7 @@ from repro.experiments.runner import run_creation_experiment
 from repro.plant.production import CloneMode
 from repro.plant.speculative import SpeculativeClonePool
 from repro.plant.warehouse import GoldenImage
+from repro.provisioning import ProvisioningConfig
 from repro.sim.cluster import build_testbed
 from repro.workloads.invigo import invigo_cached_prefix, invigo_workspace_dag
 from repro.workloads.requests import experiment_request
@@ -315,9 +316,13 @@ def run_state_cache_ablation(
     """
     summaries = {}
     for cached in (False, True):
-        bed = build_testbed(seed=seed, n_plants=2)
-        for line in bed.lines["vmware"]:
-            line.local_state_cache = cached
+        bed = build_testbed(
+            seed=seed,
+            n_plants=2,
+            provisioning=(
+                ProvisioningConfig(host_cache_mb=1024.0) if cached else None
+            ),
+        )
         run = run_creation_experiment(
             memory_mb, count, seed=seed, testbed=bed
         )

@@ -38,26 +38,6 @@ class RecoveryPolicy:
     quarantine_threshold: int = 0
     #: Seconds a quarantined plant sits out before a half-open probe.
     quarantine_s: float = 300.0
-    #: Federation: a site spills a request to a remote site when its
-    #: best *local* bid exceeds this cost (None = spill only when the
-    #: local site declines outright).  Read by the federation gateway,
-    #: never by the shop itself.
-    spill_threshold: Optional[float] = None
-    #: Federation: give up on a cross-site spill-over bid after this
-    #: many simulated seconds (None = wait for the remote answer).
-    spill_deadline_s: Optional[float] = None
-    #: Federation: spill rounds per request — after every ranked
-    #: remote has been tried and failed, re-collect bids and walk the
-    #: ladder again (1 = single round, the seed behaviour).
-    spill_attempts: int = 1
-    #: Federation: first delay before a spill retry round; doubles
-    #: per ``backoff_factor`` on each further round (0 = immediate).
-    spill_backoff_s: float = 0.0
-    #: Federation: quarantine a remote gateway after this many
-    #: *consecutive* spill-create failures (0 = breaker disabled).
-    remote_quarantine_threshold: int = 0
-    #: Seconds a quarantined remote sits out before a half-open probe.
-    remote_quarantine_s: float = 300.0
 
     def __post_init__(self) -> None:
         if self.create_deadline_s is not None and self.create_deadline_s <= 0:
@@ -74,18 +54,6 @@ class RecoveryPolicy:
             raise ValueError("quarantine_threshold must be non-negative")
         if self.quarantine_s <= 0:
             raise ValueError("quarantine_s must be positive")
-        if self.spill_threshold is not None and self.spill_threshold < 0:
-            raise ValueError("spill_threshold must be non-negative")
-        if self.spill_deadline_s is not None and self.spill_deadline_s <= 0:
-            raise ValueError("spill_deadline_s must be positive")
-        if self.spill_attempts < 1:
-            raise ValueError("spill_attempts must be >= 1")
-        if self.spill_backoff_s < 0:
-            raise ValueError("spill_backoff_s must be non-negative")
-        if self.remote_quarantine_threshold < 0:
-            raise ValueError("remote_quarantine_threshold must be non-negative")
-        if self.remote_quarantine_s <= 0:
-            raise ValueError("remote_quarantine_s must be positive")
 
     @property
     def enabled(self) -> bool:
@@ -103,12 +71,6 @@ class RecoveryPolicy:
         if attempt <= 1 or self.backoff_base_s <= 0:
             return 0.0
         return self.backoff_base_s * self.backoff_factor ** (attempt - 2)
-
-    def spill_backoff_delay(self, round_no: int) -> float:
-        """Seconds before spill round ``round_no`` (1-based; 0 first)."""
-        if round_no <= 1 or self.spill_backoff_s <= 0:
-            return 0.0
-        return self.spill_backoff_s * self.backoff_factor ** (round_no - 2)
 
 
 #: Deadline + bounded exponential-backoff re-bid (no quarantine).

@@ -3,28 +3,27 @@
 The paper's §3.1 architecture scales plant selection "directly, or
 indirectly through VMBrokers"; this package builds the *indirect*
 story at grid scale: an N-site grid where every site owns its own
-VMShop, warehouse replica, cluster and vnet address block, sites are
-federated through the existing :class:`~repro.shop.broker.VMBroker`
-tree, and the control plane is sharded —
+VMShop, warehouse replica, cluster and vnet address block, each site
+bids through the existing :class:`~repro.shop.broker.VMBroker` tree,
+and a request leaves its site only over the spill ring —
 
 * :mod:`repro.federation.addressing` — hierarchical vnet allocation
   (site prefix → subnet block → host range) so guest addresses stay
   globally unique past the flat ``192.168/16`` ceiling;
-* :mod:`repro.federation.registry` — a partitioned service registry:
-  one :class:`~repro.shop.registry.ServiceRegistry` shard per site
-  behind a thin router whose equality-key prefilter skips shards that
-  provably cannot match a discover query;
 * :mod:`repro.federation.site` — one site's wiring: rack-level broker
   hierarchy in front of the site shop, the site's subnet block, and
-  the spill-over gateway; plus :func:`build_federated_grid` for
-  whole-grid single-kernel runs;
-* :mod:`repro.federation.gateway` — site-local-first placement with
-  cross-site spill-over bids (threshold + deadline from
-  :class:`~repro.faults.recovery.RecoveryPolicy`);
-* :mod:`repro.federation.scenario` — the ``federation`` shard
-  scenario: one site per kernel :class:`~repro.sim.kernel.Environment`
-  on the PR 6 shard runner, cross-site bids/creates crossing
-  :class:`~repro.sim.network.BoundaryLink`\\ s with lookahead.
+  the gateway;
+* :mod:`repro.federation.gateway` — site-local-first placement on one
+  bid round, and the decision whether a request spills (the site
+  declines, or its best bid is above the gateway's
+  ``spill_threshold``);
+* :mod:`repro.federation.admission` — overload shedding and
+  preemption at the gateway's door;
+* :mod:`repro.federation.scenario` — the grid shard scenario: one
+  site per kernel :class:`~repro.sim.kernel.Environment` on the shard
+  runner, spilled requests and their acks crossing
+  :class:`~repro.sim.network.BoundaryLink`\\ s of a ring with
+  lookahead.  The only way a request leaves a site.
 """
 
 from repro.federation.addressing import (
@@ -33,22 +32,13 @@ from repro.federation.addressing import (
 )
 from repro.federation.admission import AdmissionController
 from repro.federation.gateway import FederationGateway
-from repro.federation.registry import FederatedRegistry
-from repro.federation.site import (
-    FederatedGrid,
-    FederatedSite,
-    build_federated_grid,
-    build_federated_site,
-)
+from repro.federation.site import FederatedSite, build_federated_site
 
 __all__ = [
     "AdmissionController",
     "HierarchicalAddressPlan",
     "SubnetBlock",
-    "FederatedRegistry",
     "FederationGateway",
     "FederatedSite",
-    "FederatedGrid",
     "build_federated_site",
-    "build_federated_grid",
 ]

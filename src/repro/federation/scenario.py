@@ -25,12 +25,13 @@ everything) and leaves its site in exactly two cases —
 * the local site **declines or saturates**
   (:meth:`~repro.federation.gateway.FederationGateway.should_spill`
   over the local rack-broker bids) — decided inside
-  :meth:`~repro.federation.gateway.FederationGateway.place_local`,
-  whose one bid round also places every request that stays.
+  :meth:`~repro.federation.gateway.FederationGateway.place`, whose
+  one bid round also places every request that stays.
 
-A spilled request rides the ``spill`` boundary link to the ring
-neighbour, which provisions the VM in *its* shop and answers over the
-reverse ``ack`` link; the source waits on the ack bounded by
+The ring is the only way a request leaves its site.  A spilled
+request rides the ``spill`` boundary link to the ring neighbour,
+which provisions the VM in *its* shop and answers over the reverse
+``ack`` link; the source waits on the ack bounded by
 ``spill_deadline_s``.  Both links carry ≤4-float payloads and their
 latencies are the conservative-sync lookahead.  Every arrival ends in
 exactly one of ok / failed / shed in the site's
@@ -68,14 +69,13 @@ site one last time after the ring gives up.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.analysis.streaming import WorkloadSummary
 from repro.core.errors import ReproError
 from repro.faults.audit import leak_stats
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoveryPolicy
 from repro.federation.addressing import HierarchicalAddressPlan
 from repro.federation.admission import AdmissionController
 from repro.federation.site import FederatedSite, build_federated_site
@@ -266,6 +266,21 @@ class GridScenario(ShardScenario):
     def defaults(self) -> Dict[str, Any]:
         return {**SITE_DEFAULTS, **self.source_defaults}
 
+    def resolve(self, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        """Merged params, with the spill knobs checked here — before
+        the runner forks, so a bad value is the caller's ValueError,
+        not a worker's crash."""
+        prm = super().resolve(params)
+        if prm["spill_threshold"] is not None and prm["spill_threshold"] < 0:
+            raise ValueError("spill_threshold must be non-negative")
+        if prm["spill_deadline_s"] is None or prm["spill_deadline_s"] <= 0:
+            raise ValueError("spill_deadline_s must be positive")
+        if prm["spill_attempts"] < 1:
+            raise ValueError("spill_attempts must be >= 1")
+        if prm["spill_backoff_s"] < 0:
+            raise ValueError("spill_backoff_s must be non-negative")
+        return prm
+
     def link_specs(
         self, sites: int, params: Dict[str, Any]
     ) -> List[LinkSpec]:
@@ -311,12 +326,7 @@ class GridScenario(ShardScenario):
             rack_size=params["rack_size"],
             networks_per_plant=params["networks_per_plant"],
             plan=HierarchicalAddressPlan(sites),
-            recovery=RecoveryPolicy(
-                spill_threshold=params["spill_threshold"],
-                spill_deadline_s=params["spill_deadline_s"],
-                spill_attempts=params["spill_attempts"],
-                spill_backoff_s=params["spill_backoff_s"],
-            ),
+            spill_threshold=params["spill_threshold"],
             env=env,
             provisioning=ProvisioningConfig(
                 speculative_pools=bool(params["speculative_pools"])
@@ -504,9 +514,7 @@ class GridScenario(ShardScenario):
                 # Site-local discovery first: one bid round inside the
                 # site decides spill-or-stay and places the stayers.
                 try:
-                    ad, _ = yield gateway.place_local(
-                        request, can_spill=can_spill
-                    )
+                    ad = yield gateway.place(request, can_spill=can_spill)
                 except ReproError:
                     summary.record_failed(tenant)
                     return

@@ -1,4 +1,4 @@
-"""One federated site, and the single-kernel grid of them.
+"""One federated site.
 
 A :class:`FederatedSite` is the classic SC'04 testbed plus the three
 federation layers: a rack-level :class:`~repro.shop.broker.VMBroker`
@@ -9,38 +9,25 @@ pool globally unique subnets, and a
 :class:`~repro.federation.gateway.FederationGateway` deciding when a
 request spills to another site.
 
-Two assembly modes share :func:`build_federated_site`:
-
-* **sharded** — the ``federation`` shard scenario builds one site per
-  kernel :class:`~repro.sim.kernel.Environment` in its own worker;
-  cross-site traffic rides :class:`~repro.sim.network.BoundaryLink`\\ s
-  (see :mod:`repro.federation.scenario`).  This is the 10k-plant path.
-* **grid** — :func:`build_federated_grid` packs every site into ONE
-  environment with a :class:`~repro.federation.registry.FederatedRegistry`
-  over the per-site shards and gateways wired to each other directly;
-  small, fully synchronous, what the unit tests and the registry
-  microbench drive.
+The grid scenario (:mod:`repro.federation.scenario`) builds one site
+per kernel :class:`~repro.sim.kernel.Environment`; cross-site traffic
+rides :class:`~repro.sim.network.BoundaryLink`\\ s.  Several sites in
+one process are the same scenario at one shard,
+``ShardedTestbed(..., shards=1)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.faults.recovery import RecoveryPolicy
 from repro.federation.addressing import HierarchicalAddressPlan, SubnetBlock
 from repro.federation.gateway import FederationGateway
-from repro.federation.registry import FederatedRegistry
 from repro.sim.cluster import Testbed, build_testbed
 from repro.sim.kernel import Environment
 from repro.sim.shard.scenarios import site_seed
 
-__all__ = [
-    "FederatedSite",
-    "FederatedGrid",
-    "build_federated_site",
-    "build_federated_grid",
-]
+__all__ = ["FederatedSite", "build_federated_site"]
 
 #: Default rack-broker width: 8 plants (one paper cluster) per rack.
 DEFAULT_RACK_SIZE = 8
@@ -71,7 +58,7 @@ def build_federated_site(
     n_plants: int = 8,
     rack_size: Optional[int] = DEFAULT_RACK_SIZE,
     plan: Optional[HierarchicalAddressPlan] = None,
-    recovery: Optional[RecoveryPolicy] = None,
+    spill_threshold: Optional[float] = None,
     env: Optional[Environment] = None,
     networks_per_plant: int = 4,
     **testbed_kw,
@@ -80,8 +67,8 @@ def build_federated_site(
 
     The site seed, name prefix and subnet block are all pure
     functions of ``(seed, site, sites)`` so a forked worker rebuilds
-    exactly the site the coordinator planned.  Extra keyword
-    arguments pass through to
+    exactly the site the coordinator planned.  ``spill_threshold`` is
+    the gateway's; extra keyword arguments pass through to
     :func:`~repro.sim.cluster.build_testbed`.
     """
     plan = plan or HierarchicalAddressPlan(sites)
@@ -101,69 +88,9 @@ def build_federated_site(
         address_block=block,
         name_prefix=f"site{site}-",
         site=site,
-        recovery=recovery,
         networks_per_plant=networks_per_plant,
         **testbed_kw,
     )
-    gateway = FederationGateway(site, bed.shop, policy=recovery)
+    gateway = FederationGateway(site, bed.shop, spill_threshold)
     return FederatedSite(site=site, bed=bed, gateway=gateway, block=block)
 
-
-@dataclass
-class FederatedGrid:
-    """All sites of a grid-mode federation in one kernel."""
-
-    env: Environment
-    sites: List[FederatedSite]
-    registry: FederatedRegistry
-    plan: HierarchicalAddressPlan
-
-    def site(self, i: int) -> FederatedSite:
-        return self.sites[i]
-
-    def run(self, generator):
-        """Drive one process generator to completion on the env."""
-        proc = self.env.process(generator)
-        return self.env.run(until=proc)
-
-
-def build_federated_grid(
-    sites: int,
-    seed: int = 0,
-    n_plants: int = 8,
-    rack_size: Optional[int] = DEFAULT_RACK_SIZE,
-    recovery: Optional[RecoveryPolicy] = None,
-    **site_kw,
-) -> FederatedGrid:
-    """Build every site in one environment, fully wired.
-
-    Each site's own :class:`~repro.shop.registry.ServiceRegistry`
-    becomes one shard of the grid :class:`FederatedRegistry`, and
-    every gateway gets every *other* gateway as a spill-over remote
-    (in ascending site order — the deterministic bid order).
-    """
-    if sites <= 0:
-        raise ValueError("sites must be positive")
-    env = Environment()
-    plan = HierarchicalAddressPlan(sites)
-    fed = FederatedRegistry()
-    built: List[FederatedSite] = []
-    for s in range(sites):
-        fsite = build_federated_site(
-            s,
-            sites,
-            seed=seed,
-            n_plants=n_plants,
-            rack_size=rack_size,
-            plan=plan,
-            recovery=recovery,
-            env=env,
-            **site_kw,
-        )
-        fed.add_site(s, registry=fsite.bed.registry)
-        built.append(fsite)
-    for fsite in built:
-        for other in built:
-            if other is not fsite:
-                fsite.gateway.add_remote(other.gateway)
-    return FederatedGrid(env=env, sites=built, registry=fed, plan=plan)

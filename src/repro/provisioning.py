@@ -31,7 +31,7 @@ seed golden trajectories bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ProvisioningConfig", "FULL_PROVISIONING"]
 
@@ -121,10 +121,6 @@ class ProvisioningConfig:
             or self.speculative_pools
             or self.distribution_tree
         )
-
-    def without_pools(self) -> "ProvisioningConfig":
-        """The same configuration with speculative pools disabled."""
-        return replace(self, speculative_pools=False)
 
 
 #: Everything on, with a cache budget that comfortably holds the

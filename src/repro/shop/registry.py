@@ -157,32 +157,6 @@ class ServiceRegistry:
                     break
         return frozenset(result) if result is not None else None
 
-    def may_match(
-        self,
-        kind: Optional[str] = None,
-        requirements: Optional[Union[str, Expression]] = None,
-    ) -> bool:
-        """Cheap shard-level answer: could *any* entry match?
-
-        False only when the attribute index **proves** every entry
-        fails some equality conjunct (or no entry of ``kind`` exists)
-        — exactly the soundness condition of the ``discover``
-        prefilter, so a federated router may skip this shard entirely
-        when this returns False.  True means "must evaluate", not
-        "some entry matches".
-        """
-        if not self._entries:
-            return False
-        expr: Optional[Expression] = None
-        if requirements is not None:
-            expr = (
-                requirements
-                if isinstance(requirements, Expression)
-                else Expression(requirements)
-            )
-        candidates = self._candidates(kind, expr)
-        return candidates is None or bool(candidates)
-
     def discover(
         self,
         kind: Optional[str] = None,

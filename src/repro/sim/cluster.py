@@ -119,8 +119,6 @@ def build_testbed(
     provisioning: Optional[ProvisioningConfig] = None,
     recovery: Optional["RecoveryPolicy"] = None,
     env: Optional[Environment] = None,
-    sites: int = 1,
-    shards: int = 1,
     rack_size: Optional[int] = None,
     address_block: Optional[object] = None,
     name_prefix: str = "",
@@ -140,12 +138,8 @@ def build_testbed(
 
     ``env`` lets a caller supply the environment the site lives in —
     the shard runner uses this to place each site in its own kernel.
-    ``sites``/``shards`` switch to *sharded* mode: with either above
-    1, no testbed is built here; instead a
-    :class:`~repro.sim.shard.plan.ShardedTestbed` plan is returned
-    describing ``sites`` independent copies of this testbed, packed
-    into ``shards`` worker processes (see ``repro.sim.shard``).  The
-    classic single-site path is untouched when both are 1.
+    Several sites are a :class:`~repro.sim.shard.plan.ShardedTestbed`
+    plan, built directly (see ``repro.sim.shard``).
 
     Federation knobs (all inert by default): ``rack_size`` inserts a
     rack-level :class:`~repro.shop.broker.VMBroker` tier — plants are
@@ -155,25 +149,11 @@ def build_testbed(
     :class:`~repro.federation.addressing.SubnetBlock`) makes every
     plant pool draw its host-only subnets from the site's block of
     the grid address plan instead of the flat ``192.168/16`` default.
-    ``name_prefix`` disambiguates service/host names when several
-    sites share a federated registry; ``site`` tags the site index
+    ``name_prefix`` keeps service/host names grid-unique (a merged
+    multi-site trace names them side by side); ``site`` tags the site index
     onto site-aware components (the distribution planner's peer
     stores).
     """
-    if sites != 1 or shards != 1:
-        from repro.sim.shard.plan import ShardedTestbed
-
-        if env is not None:
-            raise ValueError(
-                "env= cannot be combined with sites/shards; the shard "
-                "runner creates one environment per site"
-            )
-        return ShardedTestbed(
-            seed=seed,
-            sites=sites,
-            shards=shards,
-            params={"plants": n_plants},
-        )
     if n_plants <= 0:
         raise ValueError("n_plants must be positive")
     if rack_size is not None and rack_size <= 0:

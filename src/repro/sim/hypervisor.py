@@ -65,8 +65,7 @@ class CloneRecord:
     host_vms_before: int
     #: Where the per-clone state came from: ``"nfs"`` (warehouse
     #: transfer), ``"coalesced"`` (shared an in-flight transfer),
-    #: ``"host-cache"`` (warm host LRU cache), ``"line-cache"``
-    #: (the legacy per-line replica ablation), ``"peer"`` (one hop of
+    #: ``"host-cache"`` (warm host LRU cache), ``"peer"`` (one hop of
     #: a distribution tree) or ``"local"`` (peer store already seeded
     #: by the placer or an earlier tree delivery).
     copy_source: str = "nfs"
@@ -98,7 +97,6 @@ class _SimLine(ProductionLine):
         clone_failure_prob: float = 0.0,
         action_failure_prob: float = 0.0,
         admission_overcommit: float = 2.0,
-        local_state_cache: bool = False,
         coalesce_transfers: bool = False,
         distribution=None,
     ):
@@ -114,10 +112,6 @@ class _SimLine(ProductionLine):
         self.clone_failure_prob = clone_failure_prob
         self.action_failure_prob = action_failure_prob
         self.admission_overcommit = admission_overcommit
-        #: Keep a local replica of each golden machine's per-clone
-        #: state after the first clone (an optimization the paper's
-        #: NFS-per-clone design invites; off for paper reproduction).
-        self.local_state_cache = local_state_cache
         #: Share in-flight warehouse transfers per (host, image)?
         self.coalesce_transfers = coalesce_transfers
         #: Optional peer-tree planner
@@ -125,7 +119,6 @@ class _SimLine(ProductionLine):
         #: LINK-mode state rides the broadcast tree instead of the
         #: star-topology warehouse pull.
         self.distribution = distribution
-        self._cached_images: set = set()
         self.clone_records: List[CloneRecord] = []
         #: vmid → guest MB admitted but not yet running (in-flight
         #: clones); lets :meth:`abort` release exactly once.
@@ -150,7 +143,6 @@ class _SimLine(ProductionLine):
     def host_crashed(self) -> None:
         """React to the host crashing: local disk state is gone."""
         self.host.crash()
-        self._cached_images.clear()
         if self.host.state_cache is not None:
             self.host.state_cache.clear()
         if self.distribution is not None:
@@ -216,14 +208,16 @@ class _SimLine(ProductionLine):
         """Start replicating per-clone state from the warehouse.
 
         Returns the generator that moves the bytes; the clone drives
-        it and hands its value to :meth:`_copied`.  LINK-mode state
-        can come from the legacy per-line replica, the host's LRU
-        golden-state cache, or a coalesced in-flight transfer
-        (:meth:`_copy_via_caches`).  The default configuration always
-        takes the plain warehouse transfer, exactly as the paper
-        measures, and that is ``NFSServer.copy_to_host`` itself: no
-        frame of this line's sits between the clone and the NFS
-        server (DESIGN, "Frame depth").
+        it, and its value is the ``CloneRecord.copy_source`` (``None``
+        for the plain warehouse transfer, which reports no source of
+        its own).  LINK-mode state can come from the host's LRU
+        golden-state cache, a peer tree, or a coalesced in-flight
+        transfer (:meth:`_copy_via_caches`).  The default
+        configuration always takes the plain warehouse transfer,
+        exactly as the paper measures, and that is
+        ``NFSServer.copy_to_host`` itself: no frame of this line's
+        sits between the clone and the NFS server (DESIGN, "Frame
+        depth").
         """
         payload = image.clone_payload_mb
         files = 3 if image.memory_state_mb > 0 else 2
@@ -233,24 +227,12 @@ class _SimLine(ProductionLine):
         if self.coalesce_transfers or (
             mode is CloneMode.LINK
             and (
-                self.local_state_cache
-                or self.host.state_cache is not None
+                self.host.state_cache is not None
                 or self.distribution is not None
             )
         ):
             return self._copy_via_caches(image, mode, payload, files)
         return self.nfs.copy_to_host(payload, self.host, files=files)
-
-    def _copied(self, image: GoldenImage, source: Optional[str]) -> str:
-        """Book a landed copy; returns its ``CloneRecord.copy_source``.
-
-        ``None`` is the plain warehouse transfer, which reports no
-        source of its own.
-        """
-        if source is None:
-            self._cached_images.add(image.image_id)
-            return "nfs"
-        return source
 
     def _copy_via_caches(
         self, image: GoldenImage, mode: CloneMode, payload: float, files: int
@@ -258,16 +240,6 @@ class _SimLine(ProductionLine):
         """The copy when a cache, a tree or coalescing may serve it;
         returns the path that served the bytes."""
         cache = self.host.state_cache if mode is CloneMode.LINK else None
-        if (
-            self.local_state_cache
-            and mode is CloneMode.LINK
-            and image.image_id in self._cached_images
-        ):
-            # Replicate from the node-local replica: a read + write on
-            # the local disk, no NFS traffic.
-            yield self.host.disk_read(payload)
-            yield self.host.disk_write(payload)
-            return "line-cache"
         if cache is not None and cache.lookup(image.image_id):
             # Warm host cache: the state is already on the local disk.
             yield self.host.disk_read(payload)
@@ -280,7 +252,6 @@ class _SimLine(ProductionLine):
             source = yield self.distribution.fetch(
                 self.host, image.image_id, payload, files=files
             )
-            self._cached_images.add(image.image_id)
             return source
         if self.coalesce_transfers:
             source = yield self.nfs.copy_to_host_coalesced(
@@ -294,7 +265,6 @@ class _SimLine(ProductionLine):
                 payload, self.host, files=files
             )
             source = "nfs"
-        self._cached_images.add(image.image_id)
         if cache is not None:
             cache.insert(image.image_id, payload)
         # Soft-link creation for the shared base disk is effectively free.
@@ -445,9 +415,9 @@ class VMwareLine(_SimLine):
 
         try:
             copy_start = self.env.now
-            copy_source = self._copied(
-                image, (yield self._copy_clone_state(image, mode))
-            )
+            copy_source = (
+                yield self._copy_clone_state(image, mode)
+            ) or "nfs"
             copy_time = self.env.now - copy_start
 
             lat, jitter = self.latency, self.rng.lognormal
@@ -515,9 +485,9 @@ class UMLLine(_SimLine):
 
         try:
             copy_start = self.env.now
-            copy_source = self._copied(
-                image, (yield self._copy_clone_state(image, mode))
-            )
+            copy_source = (
+                yield self._copy_clone_state(image, mode)
+            ) or "nfs"
             copy_time = self.env.now - copy_start
             lat, jitter = self.latency, self.rng.lognormal
             sigma = lat.op_jitter_sigma

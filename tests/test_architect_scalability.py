@@ -199,10 +199,3 @@ class TestStateCacheAblation:
         result = run_state_cache_ablation(seed=41, count=6)
         assert result.steady_state_speedup > 1.15
         assert "replica" in result.render()
-
-    def test_cache_flag_isolated_per_line(self):
-        bed = build_testbed(seed=41, n_plants=1)
-        line = bed.lines["vmware"][0]
-        assert line.local_state_cache is False
-        bed.run(bed.shop.create(experiment_request(32)))
-        assert "vmware-mandrake81-32mb" in line._cached_images

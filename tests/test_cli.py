@@ -325,6 +325,10 @@ def test_every_quoted_command_line_parses():
         (["megaload", "--sites", "2"], "cannot exceed sites"),
         (["megachaos", "--sites", "2"], "cannot exceed sites"),
         (["kernelbench", "--shards", "2", "4"], "must include 1"),
+        (
+            ["federation", "--sites", "2", "--spill-deadline", "0"],
+            "spill_deadline_s must be positive",
+        ),
     ],
 )
 def test_bad_argument_combination_is_a_usage_error(capsys, argv, message):

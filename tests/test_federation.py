@@ -1,48 +1,41 @@
-"""Federated multi-site control plane: addressing, registry, spill-over.
+"""Federated multi-site control plane: addressing, sites, spill-over.
 
-Pins the three federation contracts from the PR 8 acceptance list:
+Pins the federation contracts:
 
 * **hierarchical vnet allocation** — site blocks are disjoint pure
   functions of ``(sites, base_octet, subnets_per_site)``, exhaust with
   :class:`VNetError`, reuse released subnets FIFO, and reject foreign
   or double releases;
-* **sharded registry equivalence** — a randomized
-  :class:`FederatedRegistry` discover (with and without the
-  ``may_match`` shard prefilter) returns exactly what one merged
-  :class:`ServiceRegistry` holding every site's entries would, in the
-  same order;
 * **determinism across shard counts** — the ``federation`` scenario's
   merged-trace fingerprint is identical at 1, 2 and 4 shards, and the
-  classic single-site testbed is untouched by the federation plumbing.
+  classic single-site testbed is untouched by the federation plumbing;
+* **spill knobs are checked before the fork** — a bad value is the
+  caller's :class:`ValueError`, never a crashed worker.
 
-Plus the grid-mode wiring: rack brokers in front of the shop,
-site-prefixed names, and the gateway's local-first / spill-over
-placement ladder.
+Plus one site's wiring: rack brokers in front of the shop,
+site-prefixed names, and the gateway's one-round local placement and
+spill decision.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.analysis.streaming import WorkloadSummary
-from repro.core.classad import ClassAd
 from repro.core.errors import ShopError, VNetError
 from repro.faults.plan import grid_fault_plan
-from repro.faults.recovery import RecoveryPolicy
 from repro.federation.addressing import (
     ADDRESSES_PER_SUBNET,
     HierarchicalAddressPlan,
     SubnetBlock,
 )
 from repro.federation.gateway import FederationGateway
-from repro.federation.registry import FederatedRegistry
-from repro.federation.site import build_federated_grid
+from repro.federation.site import build_federated_site
 from repro.shop.bidding import Bid
-from repro.shop.registry import ServiceRegistry
 from repro.sim.cluster import build_testbed
+from repro.sim.kernel import Environment
 from repro.sim.shard import ShardedTestbed
+from repro.sim.shard.runner import ShardWorkerError
 from repro.workloads.requests import experiment_request
 
 
@@ -162,138 +155,7 @@ class TestHierarchicalAddressPlan:
 
 
 # ---------------------------------------------------------------------------
-# Federated registry vs one merged registry
-# ---------------------------------------------------------------------------
-
-_OSES = ("linux", "bsd", "Solaris")
-_VM_TYPES = ("vmware", "uml")
-_KINDS = ("vmplant", "vmbroker", "warehouse")
-
-_QUERIES = (
-    (None, None),
-    ("vmplant", None),
-    ("vmplant", 'other.os == "linux"'),
-    ("vmplant", 'other.os == "bsd" && other.vm_type == "uml"'),
-    (None, 'other.vm_type == "vmware" && other.slot > 2'),
-    ("vmbroker", "other.slot >= 0"),
-    ("vmplant", 'other.os == "plan9"'),  # matches nothing anywhere
-    ("warehouse", 'other.name == "svc-1-0"'),
-)
-
-
-def _random_description(rng: random.Random, name: str, kind: str) -> ClassAd:
-    ad = ClassAd({"name": name, "kind": kind})
-    if rng.random() < 0.85:
-        ad["os"] = rng.choice(_OSES)
-    if rng.random() < 0.8:
-        ad["vm_type"] = rng.choice(_VM_TYPES)
-    ad["slot"] = rng.randrange(0, 8)
-    if rng.random() < 0.1:
-        ad.set_expression("os", '"li" + "nux"')
-    return ad
-
-
-def _random_federation(rng: random.Random, sites: int):
-    """The same random entries published into a router and one merged
-    registry, in identical (site, local insertion) order."""
-    fed = FederatedRegistry()
-    merged = ServiceRegistry()
-    for site in range(sites):
-        fed.add_site(site)
-    for site in range(sites):
-        for i in range(rng.randrange(1, 9)):
-            name = f"svc-{site}-{i}"
-            kind = rng.choice(_KINDS)
-            description = _random_description(rng, name, kind)
-            fed.publish(site, name, kind, object(), description)
-            merged.publish(name, kind, object(), description)
-    return fed, merged
-
-
-class TestFederatedRegistryEquivalence:
-    def test_randomized_discover_matches_merged_registry(self):
-        rng = random.Random(2004)
-        for trial in range(25):
-            fed, merged = _random_federation(rng, rng.randrange(1, 6))
-            for kind, query in _QUERIES:
-                reference = [
-                    e.name
-                    for e in merged.discover(kind, query, prefilter=False)
-                ]
-                for prefilter in (True, False):
-                    got = [
-                        e.name
-                        for e in fed.discover(kind, query, prefilter=prefilter)
-                    ]
-                    assert got == reference, (
-                        f"trial={trial} kind={kind} query={query!r} "
-                        f"prefilter={prefilter}"
-                    )
-
-    def test_result_order_groups_by_ascending_site(self):
-        fed = FederatedRegistry()
-        for site in (2, 0, 1):  # attach out of order on purpose
-            fed.add_site(site)
-        for site in (1, 2, 0):  # publish out of order too
-            fed.publish(site, f"p{site}", "vmplant", object())
-        assert [e.name for e in fed.discover("vmplant")] == [
-            "p0", "p1", "p2"
-        ]
-
-    def test_prefilter_actually_prunes_shards(self):
-        fed = FederatedRegistry()
-        for site in range(4):
-            fed.add_site(site)
-            os = "bsd" if site == 3 else "linux"
-            fed.publish(
-                site, f"p{site}", "vmplant", object(),
-                ClassAd({"name": f"p{site}", "kind": "vmplant", "os": os}),
-            )
-        found = fed.discover("vmplant", 'other.os == "bsd"')
-        assert [e.name for e in found] == ["p3"]
-        # Three shards hold only linux plants: may_match proves no
-        # entry can satisfy the equality conjunct, so they are skipped.
-        assert fed.shards_pruned == 3
-        assert fed.shards_queried == 1
-
-    def test_cross_site_name_collision_rejected(self):
-        fed = FederatedRegistry()
-        fed.add_site(0)
-        fed.add_site(1)
-        fed.publish(0, "dup", "vmplant", object())
-        with pytest.raises(ShopError, match="already published by site 0"):
-            fed.publish(1, "dup", "vmplant", object())
-        # Same-site republish is a plain replace, as in one registry.
-        fed.publish(0, "dup", "vmshop", object())
-        assert fed.site_of("dup") == 0
-        assert len(fed) == 1
-
-    def test_router_resyncs_with_direct_shard_publishes(self):
-        """Grid-mode shops publish straight into their site shard; the
-        router must still route bind/unpublish for those names."""
-        fed = FederatedRegistry()
-        shard = fed.add_site(2)
-        binding = object()
-        shard.publish("stealth", "vmplant", binding)
-        assert "stealth" in fed
-        assert fed.site_of("stealth") == 2
-        assert fed.bind("stealth") is binding
-        fed.unpublish("stealth")
-        assert "stealth" not in shard
-        with pytest.raises(ShopError, match="not published"):
-            fed.bind("stealth")
-
-    def test_duplicate_site_rejected(self):
-        fed = FederatedRegistry()
-        fed.add_site(0)
-        with pytest.raises(ShopError, match="already federated"):
-            fed.add_site(0)
-        with pytest.raises(ShopError, match="not federated"):
-            fed.shard(9)
-
-
-# ---------------------------------------------------------------------------
-# Grid-mode wiring and the spill-over gateway
+# One site's wiring and its gateway
 # ---------------------------------------------------------------------------
 
 
@@ -301,82 +163,70 @@ def _bid(cost: float) -> Bid:
     return Bid(bidder_name=f"b{cost}", cost=cost, bidder=object())
 
 
+def _site(**kw):
+    """Site 0 of a one-site federation."""
+    return build_federated_site(0, 1, seed=3, **kw)
+
+
 class TestFederatedGrid:
     def test_sites_share_one_kernel_with_disjoint_state(self):
-        grid = build_federated_grid(2, seed=3, n_plants=2, rack_size=2)
-        assert grid.sites[0].bed.env is grid.sites[1].bed.env
-        # Site-prefixed service names route through the federated view.
-        assert grid.registry.site_of("site0-plant0") == 0
-        assert grid.registry.site_of("site1-vmshop") == 1
-        plants = grid.registry.discover("vmplant")
-        assert [e.name for e in plants] == [
-            "site0-plant0", "site0-plant1",
-            "site1-plant0", "site1-plant1",
+        env = Environment()
+        sites = [
+            build_federated_site(
+                s, 2, seed=3, n_plants=2, rack_size=2, env=env
+            )
+            for s in range(2)
         ]
+        assert sites[0].bed.env is sites[1].bed.env
+        # Site-prefixed service names, each in its own site's registry.
+        assert "site0-plant0" in sites[0].bed.registry
+        assert "site0-plant0" not in sites[1].bed.registry
+        assert "site1-vmshop" in sites[1].bed.registry
         # Each site's pools draw from its own subnet block.
-        pools0 = {
-            net.subnet
-            for p in grid.sites[0].bed.plants
-            for net in p.network_pool.networks
-        }
-        pools1 = {
-            net.subnet
-            for p in grid.sites[1].bed.plants
-            for net in p.network_pool.networks
-        }
+        pools0, pools1 = (
+            {
+                net.subnet
+                for p in site.bed.plants
+                for net in p.network_pool.networks
+            }
+            for site in sites
+        )
         assert pools0 and pools1 and not (pools0 & pools1)
 
     def test_rack_brokers_front_the_shop(self):
-        grid = build_federated_grid(1, seed=3, n_plants=4, rack_size=2)
-        site = grid.sites[0]
+        site = _site(n_plants=4, rack_size=2)
         assert [r.name for r in site.racks] == ["site0-rack0", "site0-rack1"]
         # The shop bids against the broker tier, not plants directly.
         assert site.shop.bidders == site.racks
-        ad = grid.run(site.shop.create(experiment_request(32)))
+        ad = site.bed.run(site.shop.create(experiment_request(32)))
         assert str(ad["vmid"]).startswith("site0-vmshop-vm-")
 
     def test_gateway_spills_when_local_site_declines(self):
-        grid = build_federated_grid(
-            2, seed=3, n_plants=1, rack_size=1, max_vms_per_plant=1
-        )
-        gw0 = grid.sites[0].gateway
-        # Fill site 0's single slot: the next request gets no local bid.
-        ad, site = grid.run(gw0.place(experiment_request(32)))
-        assert site == 0 and gw0.local_creates == 1
-        ad, site = grid.run(gw0.place(experiment_request(32)))
-        assert site == 1
-        assert gw0.spill_creates == 1 and gw0.spills_declined == 1
-        assert str(ad["vmid"]).startswith("site1-")
-        # Both sites full: the placement ladder runs out.
-        with pytest.raises(ShopError, match="no local or remote"):
-            grid.run(gw0.place(experiment_request(32)))
+        site = _site(n_plants=1, rack_size=1, max_vms_per_plant=1)
+        gw = site.gateway
+        ad = site.bed.run(gw.place(experiment_request(32)))
+        assert str(ad["vmid"]).startswith("site0-")
+        # Site 0's single slot is taken: no local bid, so the request
+        # is handed back to leave the site.
+        assert site.bed.run(gw.place(experiment_request(32))) is None
+        assert (gw.spills_declined, gw.spills_saturated) == (1, 0)
 
     def test_should_spill_threshold(self):
-        grid = build_federated_grid(
-            2, seed=3, n_plants=1, rack_size=1,
-            recovery=RecoveryPolicy(spill_threshold=50.0),
-        )
-        gw = grid.sites[0].gateway
+        site = _site(n_plants=1, rack_size=1, spill_threshold=50.0)
+        gw = site.gateway
         assert gw.should_spill([])  # decline: no bids at all
         assert not gw.should_spill([_bid(10.0), _bid(60.0)])
         assert gw.should_spill([_bid(51.0)])  # saturated
         # No threshold configured: never spill while the site bids.
-        gw_free = FederationGateway(0, grid.sites[0].shop, RecoveryPolicy())
+        gw_free = FederationGateway(0, site.shop)
         assert not gw_free.should_spill([_bid(1e9)])
         assert gw_free.should_spill([])
-
-    def test_gateway_rejects_self_as_remote(self):
-        grid = build_federated_grid(1, seed=3, n_plants=1, rack_size=1)
-        gw = grid.sites[0].gateway
-        assert gw.remotes == []
-        with pytest.raises(ShopError, match="own spill-over"):
-            gw.add_remote(gw)
 
 
 class TestOneBidRoundPerPlacement:
     """The round that decides spill-or-stay is the round the local
-    create is dispatched from; only creates that follow simulated time
-    (a remote's spill target, the post-ladder fallback) bid afresh."""
+    create is dispatched from; only a create that follows simulated
+    time (a spill's target site) bids afresh."""
 
     @staticmethod
     def counters(site):
@@ -388,67 +238,34 @@ class TestOneBidRoundPerPlacement:
         )
 
     def test_local_placement_runs_exactly_one_collection(self):
-        grid = build_federated_grid(2, seed=3, n_plants=4, rack_size=2)
-        home, other = grid.sites
-        ad, site = grid.run(home.gateway.place(experiment_request(32)))
-        assert site == 0 and home.gateway.local_creates == 1
+        site = _site(n_plants=4, rack_size=2)
+        ad = site.bed.run(site.gateway.place(experiment_request(32)))
+        assert str(ad["vmid"]).startswith("site0-")
         # Two rack brokers bid once each; the create is the third call.
-        assert self.counters(home) == (1, 2, 3)
-        assert self.counters(other) == (0, 0, 0)
-
-    def test_grid_spill_collects_once_per_step_of_the_protocol(self):
-        grid = build_federated_grid(
-            2, seed=3, n_plants=1, rack_size=1, max_vms_per_plant=1
-        )
-        home, remote = grid.sites
-        grid.run(home.gateway.place(experiment_request(32)))
-        assert self.counters(home) == (1, 1, 2)
-        ad, site = grid.run(home.gateway.place(experiment_request(32)))
-        assert site == 1
-        # Home: the declined local round + the round over its remotes
-        # (one bid), and the remote create call.  Remote: its bid for
-        # the spill, then — a WAN hop later — the create's own round.
-        assert self.counters(home) == (3, 2, 5)
-        assert self.counters(remote) == (2, 2, 3)
-
-    def test_saturated_fallback_after_the_ladder_bids_afresh(self):
-        grid = build_federated_grid(
-            2, seed=3, n_plants=1, rack_size=1,
-            recovery=RecoveryPolicy(spill_threshold=0.0),
-        )
-        home, remote = grid.sites
-        remote.gateway.down_until = 1e9  # declines the spill
-        ad, site = grid.run(home.gateway.place(experiment_request(32)))
-        assert site == 0 and home.gateway.spills_saturated == 1
-        # Local round, the remote round (no bids), and — time having
-        # passed — a fresh round for the saturated local create.
-        assert home.shop.collector.collections == 3
-        assert home.gateway.local_creates == 1
+        assert self.counters(site) == (1, 2, 3)
 
     def test_no_spill_route_places_a_saturated_request_locally(self):
-        grid = build_federated_grid(
-            1, seed=3, n_plants=1, rack_size=1, max_vms_per_plant=1,
-            recovery=RecoveryPolicy(spill_threshold=0.0),
+        site = _site(
+            n_plants=1, rack_size=1, max_vms_per_plant=1,
+            spill_threshold=0.0,
         )
-        site = grid.sites[0]
         gateway = site.gateway
-        ad, bids = grid.run(
-            gateway.place_local(experiment_request(32), can_spill=False)
+        # With a route, the saturated round hands the request back.
+        assert site.bed.run(gateway.place(experiment_request(32))) is None
+        assert gateway.spills_saturated == 1
+        assert self.counters(site) == (1, 1, 1)
+        # Without one, the same saturated bids place it here.
+        ad = site.bed.run(
+            gateway.place(experiment_request(32), can_spill=False)
         )
-        assert ad is not None and len(bids) == 1
-        assert gateway.spills_saturated == 0
-        assert self.counters(site) == (1, 1, 2)
-        # Site now full: nowhere to spill to is a plain failure...
+        assert ad is not None and gateway.spills_saturated == 1
+        assert self.counters(site) == (2, 2, 3)
+        # Site now full: nowhere to spill to is a plain failure.
         with pytest.raises(ShopError, match="no local plant bid"):
-            grid.run(
-                gateway.place_local(
-                    experiment_request(32), can_spill=False
-                )
+            site.bed.run(
+                gateway.place(experiment_request(32), can_spill=False)
             )
-        # ...and with a route, a decline handed back to the caller.
-        ad, bids = grid.run(gateway.place_local(experiment_request(32)))
-        assert ad is None and bids == []
-        assert gateway.spills_declined == 1
+        assert gateway.spills_declined == 0
 
     @pytest.mark.parametrize("scenario", ["federation", "megaload"])
     def test_scenarios_spend_one_round_per_served_request(self, scenario):
@@ -480,81 +297,6 @@ class TestOneBidRoundPerPlacement:
             assert stats["bid_rounds"] == 12
             assert stats["bids_collected"] == 12 * racks
             assert stats["transport_calls"] == 12 * (racks + 2)
-
-
-class TestGatewayFailoverLadder:
-    """Regression: a failed remote create must fail over to the next
-    ranked remote bid, not abandon the whole spill round."""
-
-    @staticmethod
-    def _break_first_create(grid, sites):
-        """Whichever remote is tried first raises once, then heals."""
-        state = {"broken": 0}
-
-        def wrap(gateway):
-            orig = gateway.create
-
-            def create(request, vmid=None, clone_mode=None, _orig=orig):
-                if state["broken"] == 0:
-                    state["broken"] += 1
-
-                    def boom():
-                        raise ShopError("injected remote crash")
-                        yield  # pragma: no cover
-
-                    return boom()
-                return _orig(request, vmid, clone_mode)
-
-            gateway.create = create
-
-        for s in sites:
-            wrap(grid.sites[s].gateway)
-        return state
-
-    def test_failed_remote_create_walks_to_next_rung(self):
-        grid = build_federated_grid(
-            3, seed=3, n_plants=1, rack_size=1, max_vms_per_plant=1
-        )
-        gw0 = grid.sites[0].gateway
-        # Fill site 0 so the next placement must spill.
-        grid.run(gw0.place(experiment_request(32)))
-        state = self._break_first_create(grid, (1, 2))
-        ad, site = grid.run(gw0.place(experiment_request(32)))
-        assert state["broken"] == 1
-        assert site in (1, 2)  # landed on the *other* remote
-        assert gw0.spill_creates == 1
-        assert gw0.spill_failures == 1
-        assert gw0.spill_retries == 1  # exactly one extra rung
-        assert str(ad["vmid"]).startswith(f"site{site}-")
-
-    def test_repeat_failures_trip_the_remote_breaker(self):
-        grid = build_federated_grid(
-            2, seed=3, n_plants=1, rack_size=1,
-            recovery=RecoveryPolicy(
-                remote_quarantine_threshold=2,
-                remote_quarantine_s=500.0,
-            ),
-        )
-        gw0 = grid.sites[0].gateway
-        remote = grid.sites[1].gateway
-        assert gw0._open_remotes() == [remote]
-        gw0._record_remote(remote, ok=False)
-        assert gw0._open_remotes() == [remote]  # below threshold
-        gw0._record_remote(remote, ok=False)
-        assert gw0._open_remotes() == []  # quarantined
-        # A success after the quarantine window closes the breaker.
-        health = gw0.remote_health[remote.name]
-        assert health.allows(600.0)  # HALF_OPEN probe after expiry
-        gw0._record_remote(remote, ok=True)
-        assert gw0._open_remotes() == [remote]
-
-    def test_breakers_disabled_by_default(self):
-        grid = build_federated_grid(2, seed=3, n_plants=1, rack_size=1)
-        gw0 = grid.sites[0].gateway
-        for _ in range(10):
-            gw0._record_remote(grid.sites[1].gateway, ok=False)
-        assert gw0.remote_health == {}
-        assert gw0._open_remotes() == [grid.sites[1].gateway]
 
 
 # ---------------------------------------------------------------------------
@@ -713,3 +455,27 @@ class TestFederationSweepLatencies:
             self.EXACT_P95_S, rel=rel_err
         )
         assert sweep.recheck.ok
+
+
+# ---------------------------------------------------------------------------
+# Spill knobs are outside input: checked before any worker forks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scenario", ["federation", "megaload"])
+@pytest.mark.parametrize(
+    "param, value, message",
+    [
+        ("spill_deadline_s", 0.0, "spill_deadline_s must be positive"),
+        ("spill_attempts", 0, "spill_attempts must be >= 1"),
+        ("spill_backoff_s", -1.0, "spill_backoff_s must be non-negative"),
+        ("spill_threshold", -1.0, "spill_threshold must be non-negative"),
+    ],
+)
+def test_bad_spill_param_is_a_value_error_before_the_fork(
+    scenario, param, value, message
+):
+    plan = ShardedTestbed(seed=13, sites=2, shards=2, scenario=scenario)
+    with pytest.raises(ValueError, match=message) as raised:
+        plan.run(params={param: value}, collect=None, deadline_s=60.0)
+    assert not isinstance(raised.value, ShardWorkerError)

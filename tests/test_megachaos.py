@@ -43,7 +43,7 @@ from repro.faults.plan import (
 )
 from repro.faults.recovery import RecoveryPolicy
 from repro.federation.admission import AdmissionController
-from repro.federation.site import build_federated_grid
+from repro.federation.site import build_federated_site
 from repro.sim.cluster import build_testbed
 from repro.sim.shard import ShardedTestbed
 from repro.workloads.megaload import merged_summary as _merged
@@ -209,9 +209,8 @@ def _drive(env, gen):
 
 
 class TestSiteBlackout:
-    def _grid_with_blackout(self, at=10.0, duration=20.0):
-        grid = build_federated_grid(2, seed=4, n_plants=2, rack_size=2)
-        site = grid.sites[1]
+    def _site_with_blackout(self, at=10.0, duration=20.0):
+        site = build_federated_site(1, 2, seed=4, n_plants=2, rack_size=2)
         plan = FaultPlan(
             [
                 FaultEvent(
@@ -224,10 +223,10 @@ class TestSiteBlackout:
             site.bed, plan, gateway=site.gateway, site=1
         )
         injector.start()
-        return grid, site, injector
+        return site, injector
 
     def test_blackout_downs_everything_then_heals(self):
-        grid, site, injector = self._grid_with_blackout()
+        site, injector = self._site_with_blackout()
         env = site.bed.env
 
         def probe():
@@ -251,8 +250,7 @@ class TestSiteBlackout:
         assert injector.skipped == 0
 
     def test_gateway_hang_stalls_inbound_creates(self):
-        grid = build_federated_grid(2, seed=4, n_plants=2, rack_size=2)
-        site = grid.sites[0]
+        site = build_federated_site(0, 2, seed=4, n_plants=2, rack_size=2)
         plan = FaultPlan(
             [
                 FaultEvent(
@@ -281,6 +279,79 @@ def _req():
     from repro.workloads.requests import experiment_request
 
     return experiment_request(32)
+
+
+class TestRingSpillUnderGatewayHang:
+    """The spill ring's receiving side under a hung gateway: site 0
+    sends every request to site 1, whose gateway hangs from
+    ``HANG_AT`` to ``HANG_END``."""
+
+    HANG_AT, HANG_END = 20.0, 320.0
+    PARAMS = {
+        "plants": 2,
+        "rack_size": 2,
+        "requests": 20,
+        "rate_per_s": 0.5,
+        "cross_fraction": 1.0,
+        # Long enough that no ack stalled by the hang times out.
+        "spill_deadline_s": 1000.0,
+    }
+
+    def _run(self, *extra):
+        hang = FaultEvent(
+            at=self.HANG_AT, kind=GATEWAY_HANG, target="site1-gateway",
+            duration=self.HANG_END - self.HANG_AT, site=1,
+        )
+        plan = FaultPlan([hang, *extra])
+        run = ShardedTestbed(
+            seed=2004, sites=2, shards=1, scenario="federation"
+        ).run(
+            params={**self.PARAMS, "fault_plan": plan.to_records()},
+            collect="trace",
+            deadline_s=300.0,
+        )
+        stats = [r["stats"] for r in run.site_results]
+        for site in stats:
+            assert site["arrivals"] == 20
+            assert site["arrivals"] == (
+                site["ok"] + site["failed"] + site["shed"]
+            )
+        stalled = {
+            event.data["seq"]
+            for site, event in run.merged_trace()
+            if site == 1
+            and event.message == "spill-recv"
+            and self.HANG_AT <= event.time < self.HANG_END
+        }
+        assert stalled  # the hang window catches some of the spills
+        return run, stats, stalled
+
+    def test_spills_received_during_the_hang_are_created_after_it(self):
+        run, stats, stalled = self._run()
+        latency = run.params["link_latency_s"]
+        acks = {
+            event.data["seq"]: event
+            for site, event in run.merged_trace()
+            if site == 0 and event.message == "ack-recv"
+        }
+        for seq in stalled:
+            ack = acks[seq]
+            assert ack.data["ok"] == 1
+            # Created no earlier than the hang's end, then one WAN hop.
+            assert ack.time >= self.HANG_END + latency
+        assert stats[0]["spilled_ok"] == 20
+        assert stats[1]["spills_dropped"] == 0
+
+    def test_a_blackout_during_the_hang_drops_the_stalled_spills(self):
+        blackout = FaultEvent(
+            at=100.0, kind=SITE_BLACKOUT, target="site1",
+            duration=400.0, site=1,
+        )
+        run, stats, stalled = self._run(blackout)
+        # Every spill arrived before the blackout, so each drop is one
+        # that waited out the hang and then found its site dark.
+        assert stats[1]["spills_dropped"] == len(stalled)
+        assert stats[0]["spill_timeout"] == stats[1]["spills_dropped"]
 
 
 # ---------------------------------------------------------------------------

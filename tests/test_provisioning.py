@@ -30,12 +30,6 @@ class TestProvisioningConfig:
         assert FULL_PROVISIONING.enabled
         assert FULL_PROVISIONING.speculative_pools
 
-    def test_without_pools(self):
-        trimmed = FULL_PROVISIONING.without_pools()
-        assert not trimmed.speculative_pools
-        assert trimmed.coalesce_transfers
-        assert trimmed.host_cache_mb == FULL_PROVISIONING.host_cache_mb
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -5,8 +5,8 @@ at 1/2/4 shards and across repeats, for both the miniring and the
 kernelbench scenario), exact ``until`` boundary semantics in every
 shard mode, zero-lookahead rejection at both the plan and the
 ``BoundaryLink`` constructor, worker-crash propagation (Python
-exception and hard process death), partition plumbing, and the
-``build_testbed(sites=, shards=)`` entry point.
+exception and hard process death), partition plumbing, and
+one-site plans.
 """
 
 import multiprocessing
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cluster import build_testbed
 from repro.sim.kernel import Environment
 from repro.sim.network import BoundaryLink
 from repro.sim.shard import (
@@ -398,20 +397,8 @@ def test_single_shard_crash_surfaces_directly():
 
 
 # ---------------------------------------------------------------------------
-# build_testbed integration
+# One-site plans
 # ---------------------------------------------------------------------------
-
-
-def test_build_testbed_returns_plan_for_sharded_runs():
-    plan = build_testbed(seed=5, n_plants=4, sites=4, shards=2)
-    assert isinstance(plan, ShardedTestbed)
-    assert plan.sites == 4 and plan.shards == 2
-    assert plan.params["plants"] == 4
-
-
-def test_build_testbed_rejects_env_with_sharding():
-    with pytest.raises(ValueError, match="env="):
-        build_testbed(seed=5, env=Environment(), sites=2)
 
 
 def test_single_site_single_shard_plan_runs():

@@ -29,7 +29,7 @@ from repro.cost.models import (
     MemoryAvailableCost,
     NetworkComputeCost,
 )
-from repro.experiments.runner import run_creation_experiment
+from repro.experiments.runner import run_creation_experiment, run_requests
 from repro.plant.production import CloneMode
 from repro.plant.speculative import SpeculativeClonePool
 from repro.plant.warehouse import GoldenImage
@@ -181,17 +181,9 @@ def run_matching_ablation(
         bed = build_testbed(
             seed=seed, n_plants=2, memory_sizes=(), extra_images=images
         )
-        latencies: List[float] = []
-
-        def client() -> Generator:
-            for _ in range(count):
-                start = bed.env.now
-                ad = yield bed.shop.create(_invigo_request())
-                latencies.append(bed.env.now - start)
-                residuals[label] = int(ad["actions_executed"])
-
-        bed.run(client())
-        results[label] = latencies
+        run = run_requests(bed, [_invigo_request() for _ in range(count)])
+        results[label] = run.creation_latencies
+        residuals[label] = int(run.classads[-1]["actions_executed"])
     return MatchingAblation(
         with_matching=summarize(results["with"]),
         without_matching=summarize(results["without"]),
@@ -381,23 +373,16 @@ def run_cost_model_ablation(
             cost_model=model,
             networks_per_plant=4,
         )
-        fresh_count = 0
-        created: List[str] = []
-
-        def client() -> Generator:
-            nonlocal fresh_count
-            for v in range(vms_per_domain):
-                for d in range(domains):
-                    request = experiment_request(
-                        32, domain=f"domain{d}.example.org"
-                    )
-                    ad = yield bed.shop.create(request)
-                    created.append(str(ad["plant"]))
-                    if ad["network_fresh"] is True:
-                        fresh_count += 1
-
-        bed.run(client())
-        fresh[label] = fresh_count
+        ads = run_requests(
+            bed,
+            [
+                experiment_request(32, domain=f"domain{d}.example.org")
+                for _ in range(vms_per_domain)
+                for d in range(domains)
+            ],
+        ).classads
+        fresh[label] = sum(ad["network_fresh"] is True for ad in ads)
+        created = [str(ad["plant"]) for ad in ads]
         counts = [created.count(p.name) for p in bed.plants]
         imbalance[label] = float(np.std(counts))
     return CostModelAblation(

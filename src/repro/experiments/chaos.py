@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.tables import find_point, point_record, render_table
-from repro.core.errors import ReproError
+from repro.experiments.runner import CreationSample, serve
 from repro.faults.audit import leak_report as _leak_report
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -201,9 +201,12 @@ def _policy_table(
     return [by_name[name] for name in policies]
 
 
-def _fingerprint(outcomes: Sequence[Tuple[int, str, float]]) -> str:
+def _fingerprint(samples: Sequence[CreationSample]) -> str:
+    """Hash of every request's outcome and latency (time-to-fail for a
+    failure), in request order."""
     payload = ";".join(
-        f"{idx}:{status}:{latency:.9f}" for idx, status, latency in outcomes
+        f"{s.index}:{'ok' if s.ok else 'fail'}:{s.latency:.9f}"
+        for s in sorted(samples, key=lambda s: s.index)
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -229,9 +232,7 @@ def _run_point(
         recovery=policy,
     )
     if trace_capacity is not None:
-        from repro.sim.trace import Tracer
-
-        bed.env.tracer = Tracer(capacity=trace_capacity)
+        bed.attach_tracer(trace_capacity)
     injector = FaultInjector(bed, plan)
     injector.start()
     stream = request_stream(memory_mb, requests)
@@ -239,37 +240,10 @@ def _run_point(
     times = poisson_arrivals(
         bed.rng, rate, requests, stream=f"chaos/{rate}"
     )
-    outcomes: List[Tuple[int, str, float]] = []
-    latencies: List[float] = []
-    failures = [0]
-
-    def one(idx: int, at: float, request) -> Generator:
-        yield at
-        start = bed.env.now
-        try:
-            ad = yield bed.shop.create(request)
-        except ReproError:
-            failures[0] += 1
-            outcomes.append((idx, "fail", bed.env.now - start))
-            return
-        latencies.append(bed.env.now - start)
-        outcomes.append((idx, "ok", bed.env.now - start))
-        yield hold_s
-        try:
-            yield bed.shop.destroy(str(ad["vmid"]))
-        except ReproError:
-            pass  # crash-killed underneath us; route already dropped
-
-    def client() -> Generator:
-        procs = [
-            bed.env.process(one(idx, at, request))
-            for idx, (at, request) in enumerate(zip(times, stream))
-        ]
-        yield bed.env.all_of(procs)
-
     start = bed.env.now
-    bed.run(client())
+    samples = serve(bed, stream, times=times, hold_s=hold_s)
     makespan = bed.env.now - start
+    latencies = [s.latency for s in samples if s.ok]
     ok = len(latencies)
     sample = np.asarray(latencies, dtype=float)
     quarantines = sum(
@@ -283,7 +257,7 @@ def _run_point(
         mtbf_s=mtbf_s,
         requests=requests,
         ok=ok,
-        failed=failures[0],
+        failed=requests - ok,
         availability=ok / requests if requests else 0.0,
         goodput_per_s=ok / makespan if makespan > 0 else 0.0,
         mean_latency_s=float(sample.mean()) if ok else float("nan"),
@@ -295,7 +269,7 @@ def _run_point(
         measured_mttr_s=injector.mean_time_to_recover(),
         quarantines=quarantines,
         leaks=_leak_report(bed),
-        fingerprint=_fingerprint(sorted(outcomes)),
+        fingerprint=_fingerprint(samples),
     )
     return point, dropped
 

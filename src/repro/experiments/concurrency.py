@@ -18,12 +18,12 @@ quantifies a deployment question the paper leaves open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List
+from typing import Dict, List, Tuple
 
 from repro.analysis.stats import Summary, summarize
 from repro.analysis.tables import render_table
+from repro.experiments.runner import CreationSample, serve
 from repro.sim.cluster import build_testbed
-from repro.sim.resources import Resource
 from repro.workloads.requests import request_stream
 
 __all__ = [
@@ -99,6 +99,17 @@ class ReplicaResult:
         )
 
 
+def _batch(
+    seed: int, memory_mb: int, requests: int, level: int, **bed_kw
+) -> Tuple[List[CreationSample], float, Summary]:
+    """One request batch, at most ``level`` in flight: the samples,
+    the makespan and the summary of per-VM cloning time."""
+    bed = build_testbed(seed=seed, n_plants=8, **bed_kw)
+    samples = serve(bed, request_stream(memory_mb, requests), in_flight=level)
+    cloning = summarize([r.total_time for r in bed.clone_records()])
+    return samples, bed.env.now, cloning
+
+
 def run_warehouse_replicas(
     seed: int = 2004,
     memory_mb: int = 64,
@@ -110,28 +121,8 @@ def run_warehouse_replicas(
     cloning: Dict[int, Summary] = {}
     makespan: Dict[int, float] = {}
     for replicas in replica_counts:
-        bed = build_testbed(
-            seed=seed, n_plants=8, nfs_replicas=replicas
-        )
-        stream = request_stream(memory_mb, requests)
-        gate = Resource(bed.env, capacity=level)
-
-        def one(request) -> Generator:
-            with gate.request() as slot:
-                yield slot
-                yield bed.shop.create(request)
-
-        def client() -> Generator:
-            procs = [
-                bed.env.process(one(request)) for request in stream
-            ]
-            yield bed.env.all_of(procs)
-
-        start = bed.env.now
-        bed.run(client())
-        makespan[replicas] = bed.env.now - start
-        cloning[replicas] = summarize(
-            [r.total_time for r in bed.clone_records()]
+        _, makespan[replicas], cloning[replicas] = _batch(
+            seed, memory_mb, requests, level, nfs_replicas=replicas
         )
     return ReplicaResult(
         level=level,
@@ -152,34 +143,11 @@ def run_concurrency(
     latency: Dict[int, Summary] = {}
     cloning: Dict[int, Summary] = {}
     makespan: Dict[int, float] = {}
-
     for level in levels:
-        bed = build_testbed(seed=seed, n_plants=8)
-        stream = request_stream(memory_mb, requests)
-        gate = Resource(bed.env, capacity=level)
-        latencies: List[float] = []
-
-        def one(request) -> Generator:
-            with gate.request() as slot:
-                yield slot
-                start = bed.env.now
-                yield bed.shop.create(request)
-                latencies.append(bed.env.now - start)
-
-        def client() -> Generator:
-            procs = [
-                bed.env.process(one(request)) for request in stream
-            ]
-            yield bed.env.all_of(procs)
-
-        start = bed.env.now
-        bed.run(client())
-        makespan[level] = bed.env.now - start
-        latency[level] = summarize(latencies)
-        cloning[level] = summarize(
-            [r.total_time for r in bed.clone_records()]
+        samples, makespan[level], cloning[level] = _batch(
+            seed, memory_mb, requests, level
         )
-
+        latency[level] = summarize([s.latency for s in samples if s.ok])
     return ConcurrencyResult(
         memory_mb=memory_mb,
         requests=requests,

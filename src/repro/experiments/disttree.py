@@ -25,13 +25,13 @@ request, which at 512 hosts would swamp the thing being measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.stats import latency_fingerprint
 from repro.analysis.tables import find_point, point_record, render_table
-from repro.core.errors import ReproError
+from repro.experiments.runner import serve
 from repro.provisioning import ProvisioningConfig
 from repro.sim.cluster import build_testbed
 from repro.workloads.requests import experiment_request
@@ -151,26 +151,14 @@ def _run_point(
     hosts: int,
 ) -> DistPoint:
     bed = build_testbed(seed=seed, n_plants=hosts, provisioning=config)
-    request = experiment_request(memory_mb)
-    latencies: List[float] = []
-    failures = [0]
-
-    def one(index: int) -> Generator:
-        start = bed.env.now
-        try:
-            yield bed.plants[index].create(request, f"dist-{index}")
-        except ReproError:
-            failures[0] += 1
-            return
-        latencies.append(bed.env.now - start)
-
-    def burst() -> Generator:
-        procs = [bed.env.process(one(i)) for i in range(hosts)]
-        yield bed.env.all_of(procs)
-
     start = bed.env.now
-    bed.run(burst())
+    samples = serve(
+        bed,
+        [experiment_request(memory_mb)] * hosts,
+        create=lambda i, request: bed.plants[i].create(request, f"dist-{i}"),
+    )
     makespan = bed.env.now - start
+    latencies = [s.latency for s in samples if s.ok]
     sample = np.asarray(latencies, dtype=float)
     ok = int(sample.size)
     planner = bed.distribution
@@ -178,7 +166,7 @@ def _run_point(
         variant=variant,
         hosts=hosts,
         ok=ok,
-        failed=failures[0],
+        failed=hosts - ok,
         p50_s=float(np.percentile(sample, 50)) if ok else float("nan"),
         p95_s=float(np.percentile(sample, 95)) if ok else float("nan"),
         mean_s=float(sample.mean()) if ok else float("nan"),
@@ -199,7 +187,6 @@ def run_disttree(
     hosts: Sequence[int] = (8, 32, 128, 512),
     fanout: int = 2,
     peer_store_mb: float = 1024.0,
-    variants: Sequence[str] = VARIANTS,
 ) -> DistTreeResult:
     """Sweep fleet sizes across delivery wirings (same-image burst).
 
@@ -208,16 +195,13 @@ def run_disttree(
     """
     if not hosts or any(h <= 0 for h in hosts):
         raise ValueError("hosts must be positive")
-    unknown = set(variants) - set(VARIANTS)
-    if unknown:
-        raise ValueError(f"unknown variants: {sorted(unknown)}")
     result = DistTreeResult(
         seed=seed,
         memory_mb=memory_mb,
         hosts=tuple(hosts),
         fanout=fanout,
     )
-    for variant in variants:
+    for variant in VARIANTS:
         config = _variant_config(variant, fanout, peer_store_mb)
         result.points[variant] = [
             _run_point(variant, config, seed, memory_mb, n)

@@ -18,13 +18,13 @@ bit-identical demand; only the provisioning machinery differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.stats import latency_fingerprint
 from repro.analysis.tables import find_point, render_table
-from repro.core.errors import ReproError
+from repro.experiments.runner import serve
 from repro.provisioning import ProvisioningConfig
 from repro.sim.cluster import build_testbed
 from repro.workloads.requests import poisson_arrivals, request_stream
@@ -151,31 +151,10 @@ def _run_point(
     times = poisson_arrivals(
         bed.rng, rate, requests, stream=f"loadtest/{rate}"
     )
-    latencies: List[float] = []
-    failures = [0]
-
-    def one(at: float, request) -> Generator:
-        yield at
-        start = bed.env.now
-        try:
-            ad = yield bed.shop.create(request)
-        except ReproError:
-            failures[0] += 1
-            return
-        latencies.append(bed.env.now - start)
-        yield hold_s
-        yield bed.shop.destroy(str(ad["vmid"]))
-
-    def client() -> Generator:
-        procs = [
-            bed.env.process(one(at, request))
-            for at, request in zip(times, stream)
-        ]
-        yield bed.env.all_of(procs)
-
     start = bed.env.now
-    bed.run(client())
+    samples = serve(bed, stream, times=times, hold_s=hold_s)
     makespan = bed.env.now - start
+    latencies = [s.latency for s in samples if s.ok]
     sample = np.asarray(latencies, dtype=float)
     ok = int(sample.size)
     p50 = float(np.percentile(sample, 50)) if ok else float("nan")
@@ -186,7 +165,7 @@ def _run_point(
         rate_per_s=rate,
         requests=requests,
         ok=ok,
-        failed=failures[0],
+        failed=requests - ok,
         p50_s=p50,
         p95_s=p95,
         mean_s=mean,
@@ -210,7 +189,6 @@ def run_loadtest(
     cache_mb: float = 512.0,
     hold_s: float = 90.0,
     n_plants: int = 8,
-    variants: Sequence[str] = VARIANTS,
 ) -> LoadTestResult:
     """Sweep arrival rates across provisioning feature stacks.
 
@@ -220,10 +198,6 @@ def run_loadtest(
     """
     if requests <= 0:
         raise ValueError("requests must be positive")
-    configs = _variant_configs(cache_mb)
-    unknown = set(variants) - set(configs)
-    if unknown:
-        raise ValueError(f"unknown variants: {sorted(unknown)}")
     result = LoadTestResult(
         seed=seed,
         memory_mb=memory_mb,
@@ -232,11 +206,11 @@ def run_loadtest(
         cache_mb=cache_mb,
         n_plants=n_plants,
     )
-    for variant in variants:
+    for variant, config in _variant_configs(cache_mb).items():
         result.points[variant] = [
             _run_point(
                 variant,
-                configs[variant],
+                config,
                 seed,
                 memory_mb,
                 requests,

@@ -17,12 +17,12 @@ shop loses all soft state and rebuilds routing from the plants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List
+from typing import Dict
 
 import numpy as np
 
 from repro.analysis.tables import render_table
-from repro.core.errors import ReproError
+from repro.experiments.runner import run_requests
 from repro.sim.cluster import build_testbed
 from repro.workloads.requests import experiment_request
 
@@ -76,28 +76,15 @@ def run_resilience(
             clone_failure_prob=failure_prob,
             retry_other_plants=retry,
         )
-        latencies: List[float] = []
-        failures = 0
-
-        def client() -> Generator:
-            nonlocal failures, recovered
-            for i in range(requests):
-                start = bed.env.now
-                try:
-                    yield bed.shop.create(experiment_request(32))
-                except ReproError:
-                    failures += 1
-                    continue
-                latencies.append(bed.env.now - start)
-                if retry and i == requests // 2:
-                    # Restart drill: drop all shop soft state.
-                    bed.shop._route.clear()
-                    bed.shop._cache.clear()
-                    recovered = bed.shop.recover()
-
-        bed.run(client())
+        batch = [experiment_request(32) for _ in range(requests)]
+        # The retry policy's restart drill follows the middle request.
+        split = requests // 2 + 1 if retry else requests
+        latencies = run_requests(bed, batch[:split]).creation_latencies
+        if retry:
+            recovered = bed.shop.recover()
+        latencies += run_requests(bed, batch[split:]).creation_latencies
         mean = float(np.mean(latencies)) if latencies else float("nan")
-        outcomes[policy] = (requests - failures, mean)
+        outcomes[policy] = (len(latencies), mean)
     return ResilienceResult(
         failure_prob=failure_prob,
         requests=requests,

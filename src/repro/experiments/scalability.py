@@ -26,13 +26,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.tables import render_table
 from repro.core.actions import Action
 from repro.core.spec import HardwareSpec
+from repro.experiments.runner import run_requests
 from repro.plant.warehouse import GoldenImage
-from repro.shop.broker import VMBroker
 from repro.sim.cluster import build_testbed
 from repro.workloads.requests import (
     MANDRAKE_OS,
@@ -81,31 +81,16 @@ class ScalabilityResult:
 def _run_one(
     seed: int, n_plants: int, requests: int, brokered: bool
 ) -> Tuple[float, float]:
-    bed = build_testbed(seed=seed, n_plants=n_plants)
-    shop = bed.shop
-    if brokered:
-        group = max(2, int(math.sqrt(n_plants)))
-        brokers: List[VMBroker] = []
-        for i in range(0, n_plants, group):
-            brokers.append(
-                VMBroker(
-                    f"broker{i // group}",
-                    bed.plants[i : i + group],
-                )
-            )
-        shop.bidders = list(brokers)
-
-    latencies: List[float] = []
-    calls_before = shop.transport.calls
-
-    def client() -> Generator:
-        for _ in range(requests):
-            start = bed.env.now
-            yield shop.create(experiment_request(32))
-            latencies.append(bed.env.now - start)
-
-    bed.run(client())
-    calls = (shop.transport.calls - calls_before) / requests
+    bed = build_testbed(
+        seed=seed,
+        n_plants=n_plants,
+        rack_size=max(2, int(math.sqrt(n_plants))) if brokered else None,
+    )
+    calls_before = bed.shop.transport.calls
+    latencies = run_requests(
+        bed, [experiment_request(32) for _ in range(requests)]
+    ).creation_latencies
+    calls = (bed.shop.transport.calls - calls_before) / requests
     return calls, float(sum(latencies) / len(latencies))
 
 
@@ -174,13 +159,8 @@ def _run_matching_one(
     seed: int, extra: int, requests: int
 ) -> Dict[str, float]:
     bed = build_testbed(seed=seed, extra_images=_matching_fillers(extra))
-
-    def client() -> Generator:
-        for _ in range(requests):
-            yield bed.shop.create(experiment_request(32))
-
     t0 = time.perf_counter()
-    bed.run(client())
+    run_requests(bed, [experiment_request(32) for _ in range(requests)])
     wall = time.perf_counter() - t0
     stats = bed.warehouse.match_stats
     selects = stats["queries"]

@@ -128,6 +128,36 @@ class FaultEvent:
         return self.at + self.duration
 
 
+def _renewals(
+    hub: RngHub,
+    horizon_s: float,
+    mtbf_s: float,
+    duration_mean: float,
+    kind: str,
+    target: str,
+    **fields,
+) -> List[FaultEvent]:
+    """One target's MTBF renewal process over ``[0, horizon_s)``.
+
+    Draws come from the target's own ``fault/<kind>/<target>`` stream:
+    an up-time (mean ``mtbf_s``), then a repair (mean ``duration_mean``,
+    floored at one second so every fault has a recovery), alternating.
+    ``fields`` (``severity``, ``mode``, ``site``) go onto every event.
+    """
+    stream = f"fault/{kind}/{target}"
+    events: List[FaultEvent] = []
+    t = hub.expovariate(stream, 1.0 / mtbf_s)
+    while t < horizon_s:
+        duration = max(1.0, hub.expovariate(stream, 1.0 / duration_mean))
+        events.append(
+            FaultEvent(
+                at=t, kind=kind, target=target, duration=duration, **fields
+            )
+        )
+        t += duration + hub.expovariate(stream, 1.0 / mtbf_s)
+    return events
+
+
 class FaultPlan:
     """An ordered, replayable schedule of fault events."""
 
@@ -219,67 +249,24 @@ class FaultPlan:
         if mtbf_s <= 0 or mttr_s <= 0:
             raise ValueError("mtbf_s and mttr_s must be positive")
         events: List[FaultEvent] = []
-
-        def renewal(stream: str, duration_mean: float):
-            """Yield (at, duration) pairs of one renewal process."""
-            t = hub.expovariate(stream, 1.0 / mtbf_s)
-            while t < horizon_s:
-                duration = max(
-                    1.0, hub.expovariate(stream, 1.0 / duration_mean)
-                )
-                yield t, duration
-                t += duration + hub.expovariate(stream, 1.0 / mtbf_s)
-
         for target in crash_targets:
-            for at, duration in renewal(
-                f"fault/{HOST_CRASH}/{target}", mttr_s
-            ):
-                events.append(
-                    FaultEvent(
-                        at=at,
-                        kind=HOST_CRASH,
-                        target=target,
-                        duration=duration,
-                    )
-                )
+            events += _renewals(
+                hub, horizon_s, mtbf_s, mttr_s, HOST_CRASH, target
+            )
         if warehouse:
-            for at, duration in renewal(
-                f"fault/{WAREHOUSE_OUTAGE}/warehouse", mttr_s
-            ):
-                events.append(
-                    FaultEvent(
-                        at=at,
-                        kind=WAREHOUSE_OUTAGE,
-                        target="warehouse",
-                        duration=duration,
-                        mode=warehouse_mode,
-                    )
-                )
+            events += _renewals(
+                hub, horizon_s, mtbf_s, mttr_s, WAREHOUSE_OUTAGE,
+                "warehouse", mode=warehouse_mode,
+            )
         for target in degrade_links:
-            for at, duration in renewal(
-                f"fault/{LINK_DEGRADE}/{target}", mttr_s
-            ):
-                events.append(
-                    FaultEvent(
-                        at=at,
-                        kind=LINK_DEGRADE,
-                        target=target,
-                        duration=duration,
-                        severity=degrade_severity,
-                    )
-                )
+            events += _renewals(
+                hub, horizon_s, mtbf_s, mttr_s, LINK_DEGRADE, target,
+                severity=degrade_severity,
+            )
         for target in hang_targets:
-            for at, duration in renewal(
-                f"fault/{GUEST_HANG}/{target}", hang_s
-            ):
-                events.append(
-                    FaultEvent(
-                        at=at,
-                        kind=GUEST_HANG,
-                        target=target,
-                        duration=duration,
-                    )
-                )
+            events += _renewals(
+                hub, horizon_s, mtbf_s, hang_s, GUEST_HANG, target
+            )
         return cls(events)
 
     def __repr__(self) -> str:
@@ -343,99 +330,41 @@ def grid_fault_plan(
 
     hub = RngHub(seed)
     events: List[FaultEvent] = []
-
-    def renewal(stream: str, duration_mean: float):
-        """(at, duration) pairs; same shape as FaultPlan.exponential."""
-        t = hub.expovariate(stream, 1.0 / mtbf_s)
-        while t < horizon_s:
-            duration = max(
-                1.0, hub.expovariate(stream, 1.0 / duration_mean)
-            )
-            yield t, duration
-            t += duration + hub.expovariate(stream, 1.0 / mtbf_s)
-
     for k in range(sites):
         for i in range(crash_plants_per_site):
-            target = f"site{k}-plant{i}"
-            for at, duration in renewal(
-                f"fault/{HOST_CRASH}/{target}", mttr_s
-            ):
-                events.append(
-                    FaultEvent(
-                        at=at,
-                        kind=HOST_CRASH,
-                        target=target,
-                        duration=duration,
-                        site=k,
-                    )
-                )
+            events += _renewals(
+                hub, horizon_s, mtbf_s, mttr_s, HOST_CRASH,
+                f"site{k}-plant{i}", site=k,
+            )
     for k in blackout_sites:
-        target = f"site{k}"
-        if blackout_at is not None:
-            events.append(
-                FaultEvent(
-                    at=blackout_at,
-                    kind=SITE_BLACKOUT,
-                    target=target,
-                    duration=blackout_s,
-                    mode=blackout_mode,
-                    site=k,
-                )
+        fields = dict(mode=blackout_mode, site=k)
+        if blackout_at is None:
+            events += _renewals(
+                hub, horizon_s, mtbf_s, blackout_s, SITE_BLACKOUT,
+                f"site{k}", **fields,
             )
         else:
-            for at, duration in renewal(
-                f"fault/{SITE_BLACKOUT}/{target}", blackout_s
-            ):
-                events.append(
-                    FaultEvent(
-                        at=at,
-                        kind=SITE_BLACKOUT,
-                        target=target,
-                        duration=duration,
-                        mode=blackout_mode,
-                        site=k,
-                    )
-                )
-    for k in gateway_hang_sites:
-        target = f"site{k}-gateway"
-        for at, duration in renewal(
-            f"fault/{GATEWAY_HANG}/{target}", hang_s
-        ):
             events.append(
                 FaultEvent(
-                    at=at,
-                    kind=GATEWAY_HANG,
-                    target=target,
-                    duration=duration,
-                    site=k,
+                    blackout_at, SITE_BLACKOUT, f"site{k}", blackout_s,
+                    **fields,
                 )
             )
+    for k in gateway_hang_sites:
+        events += _renewals(
+            hub, horizon_s, mtbf_s, hang_s, GATEWAY_HANG,
+            f"site{k}-gateway", site=k,
+        )
     wan_kind = WAN_PARTITION if wan_severity <= 0.0 else WAN_DEGRADE
     wan_sev = 0.0 if wan_severity <= 0.0 else wan_severity
     for link_name, owner in wan_links:
-        if wan_at is not None:
-            events.append(
-                FaultEvent(
-                    at=wan_at,
-                    kind=wan_kind,
-                    target=link_name,
-                    duration=wan_s,
-                    severity=wan_sev,
-                    site=owner,
-                )
+        fields = dict(severity=wan_sev, site=owner)
+        if wan_at is None:
+            events += _renewals(
+                hub, horizon_s, mtbf_s, wan_s, wan_kind, link_name, **fields
             )
         else:
-            for at, duration in renewal(
-                f"fault/{wan_kind}/{link_name}", wan_s
-            ):
-                events.append(
-                    FaultEvent(
-                        at=at,
-                        kind=wan_kind,
-                        target=link_name,
-                        duration=duration,
-                        severity=wan_sev,
-                        site=owner,
-                    )
-                )
+            events.append(
+                FaultEvent(wan_at, wan_kind, link_name, wan_s, **fields)
+            )
     return FaultPlan(events)

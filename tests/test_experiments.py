@@ -5,9 +5,14 @@ the drivers' mechanics and the key qualitative shapes at small n so
 the test suite stays fast.
 """
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
+
+import repro.experiments
 
 from repro.experiments.ablations import (
     run_clone_mode_ablation,
@@ -15,6 +20,7 @@ from repro.experiments.ablations import (
     run_matching_ablation,
     run_speculative_ablation,
 )
+from repro.experiments.chaos import _fingerprint as chaos_fingerprint
 from repro.experiments.costfn import run_costfn
 from repro.experiments.histfigures import run_figure4, run_figure5
 from repro.experiments.figure6 import run_figure6
@@ -22,10 +28,15 @@ from repro.experiments.runner import (
     PAPER_RUNS,
     run_creation_experiment,
     run_creation_suite,
+    run_requests,
+    serve,
 )
 from repro.experiments.textnumbers import run_textnumbers
 from repro.experiments.uml import run_uml
+from repro.faults.audit import leak_report
 from repro.plant.production import CloneMode
+from repro.sim.cluster import build_testbed
+from repro.workloads.requests import poisson_arrivals, request_stream
 
 SMALL_RUNS = {32: (12, 0.0), 64: (12, 0.0), 256: (8, 0.0)}
 
@@ -234,3 +245,97 @@ class TestAblations:
             <= result.fresh_networks["memory-headroom"]
         )
         assert result.fresh_networks["network+compute"] == 3
+
+
+class TestSiteClients:
+    """``run_requests`` (closed loop) and ``serve`` (open loop)."""
+
+    def test_serve_keeps_at_most_in_flight_creates_in_the_shop(self):
+        bed = build_testbed(seed=5)
+        tracer = bed.attach_tracer()
+        samples = serve(bed, request_stream(64, 10), in_flight=3)
+        assert len(samples) == 10 and all(s.ok for s in samples)
+        inside, peak = set(), 0
+        for event in tracer.events:
+            if event.message == "bids-collected":
+                inside.add(event.data["vmid"])
+                peak = max(peak, len(inside))
+            elif event.message == "created":
+                inside.remove(event.data["vmid"])
+        assert peak == 3
+
+    def test_no_create_starts_before_its_arrival(self):
+        bed = build_testbed(seed=5)
+        times = poisson_arrivals(bed.rng, 0.5, 8, stream="test/arrivals")
+        started = {}
+
+        def create(index, request):
+            started[index] = bed.env.now
+            return bed.shop.create(request)
+
+        serve(
+            bed, request_stream(64, 8), times=times, in_flight=2,
+            create=create,
+        )
+        assert sorted(started) == list(range(8))
+        assert all(started[i] >= at for i, at in enumerate(times))
+
+    def test_hold_then_destroy_leaves_nothing_behind(self):
+        held = build_testbed(seed=5)
+        serve(held, request_stream(64, 6), hold_s=30.0)
+        assert set(leak_report(held).values()) == {0.0}
+        kept = build_testbed(seed=5)
+        serve(kept, request_stream(64, 6))
+        assert leak_report(kept)["host_vms"] == 6.0
+
+    def test_samples_arrive_in_completion_order(self):
+        # No arrival times and no gate: every create starts at t=0, so
+        # completion order is latency order — not request order.
+        samples = serve(build_testbed(seed=5), request_stream(64, 8))
+        latencies = [s.latency for s in samples]
+        assert latencies == sorted(latencies)
+        assert [s.index for s in samples] != list(range(8))
+
+    def test_a_failed_latency_is_time_to_fail_open_and_nan_closed(self):
+        def bed():
+            return build_testbed(seed=3, clone_failure_prob=0.5)
+
+        opened = serve(bed(), request_stream(32, 12))
+        failed = [s for s in opened if not s.ok]
+        assert failed and all(s.latency > 0 for s in failed)
+        assert all("failed" in s.error for s in failed)
+        closed = run_requests(bed(), request_stream(32, 12))
+        assert closed.failures
+        assert all(math.isnan(s.latency) for s in closed.failures)
+        # The chaos fingerprint hashes a failure's time-to-fail.
+        late = [
+            s if s.ok else dataclasses.replace(s, latency=s.latency + 1)
+            for s in opened
+        ]
+        assert chaos_fingerprint(late) != chaos_fingerprint(opened)
+
+    def test_serve_on_no_requests_returns_no_samples(self):
+        assert serve(build_testbed(seed=5), []) == []
+
+    def test_an_empty_stream_is_an_empty_run(self):
+        run = run_creation_experiment(32, 0)
+        assert run.samples == [] and run.classads == []
+        assert (run.memory_mb, run.vm_type) == (32, "vmware")
+
+
+#: The modules that may drive a site themselves: the two clients, and
+#: costfn, which must read each round's bids before its create.
+SITE_CLIENTS = {"runner.py", "costfn.py"}
+
+
+def test_only_the_site_clients_define_a_create_loop():
+    root = Path(repro.experiments.__file__).parent
+    pattern = re.compile(r"env\.process\(|\.shop\.create\(")
+    found = [
+        f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}"
+        for path in sorted(root.glob("*.py"))
+        if path.name not in SITE_CLIENTS
+        for text in [path.read_text(encoding="utf-8")]
+        for m in pattern.finditer(text)
+    ]
+    assert found == []

@@ -18,6 +18,11 @@ cache and lazy import, then ``K`` more times, and reports:
 * ``cpu_s``: the least user+sys CPU (``getrusage``) of the ``K`` runs,
   set-up excluded, so every sample measures the same fixed work;
 * ``peak_rss_mb``: the child's ``ru_maxrss``;
+* ``setup_s``: host seconds from the child's first line to its first
+  ``workload.setup()`` returning — what ``run.py``'s set-up probe
+  measures.  ``benchmarks.e2e.run`` (and the standard library it
+  loads) is imported only after that, so the figure is this script's
+  own imports, the side's library and the set-up;
 * the sim side: ``benchmarks/e2e/run.py``'s ``sim_metrics`` and the
   event count of every run, which must be equal across runs.
 
@@ -40,18 +45,22 @@ a child failed.
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import math
-import os
-import resource
-import statistics
-import subprocess
-import sys
-import tempfile
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+import time
+
+_T0 = time.perf_counter()  # setup_s times a child from its first line
+
+import argparse  # noqa: E402
+import gc  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import os  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+from typing import Dict, List, Optional, Sequence  # noqa: E402
 
 __all__ = [
     "METRICS",
@@ -68,8 +77,8 @@ __all__ = [
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: The host-side metrics a sample records; lower is better for both.
-METRICS = ("cpu_s", "peak_rss_mb")
+#: The host-side metrics a sample records; lower is better for each.
+METRICS = ("cpu_s", "peak_rss_mb", "setup_s")
 #: Pairs needed before a verdict other than *unresolved* (section 8).
 MIN_PAIRS = 10
 #: Share of all pairs run that one side must win to resolve.
@@ -176,15 +185,19 @@ def child(
     """Measure one sample in this process (which must be fresh)."""
     for path in (side / "src", side):
         sys.path.insert(0, str(path))
-    from benchmarks.e2e.run import sim_metrics
     from benchmarks.e2e.workloads import WORKLOADS
 
     workload = WORKLOADS[workload_name]
     params = {**workload.scaled(scale), **workload.inprocess_overrides}
+    inputs = workload.setup(seed, params)
+    setup_s = time.perf_counter() - _T0
+    from benchmarks.e2e.run import sim_metrics
+
     cpu, sims = [], []
     for rep in range(reps + 1):  # the first one warms up
-        gc.collect()
-        inputs = workload.setup(seed, params)
+        if rep:
+            gc.collect()
+            inputs = workload.setup(seed, params)
         start = _cpu_s()
         outcome = workload.run(inputs)
         elapsed = _cpu_s() - start
@@ -197,7 +210,12 @@ def child(
     if mismatch:
         raise Refused(f"{side}: runs of one child differ in {mismatch}")
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"cpu_s": min(cpu), "peak_rss_mb": rss_kb / 1024.0, "sim": sims[0]}
+    return {
+        "cpu_s": min(cpu),
+        "peak_rss_mb": rss_kb / 1024.0,
+        "setup_s": setup_s,
+        "sim": sims[0],
+    }
 
 
 def _sample(side: Path, args, core: int) -> dict:

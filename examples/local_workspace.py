@@ -23,7 +23,8 @@ from repro import (
     SoftwareSpec,
     VMPlant,
 )
-from repro.local import LocalImageStore, LocalProductionLine
+from repro.local.image import LocalImageStore
+from repro.local.localline import LocalProductionLine
 from repro.plant.warehouse import GoldenImage
 from repro.sim.kernel import Environment
 from repro.workloads.requests import install_os_action

@@ -14,45 +14,49 @@ Quickstart::
     bed = build_testbed(seed=1)
     ad = bed.run(bed.shop.create(experiment_request(memory_mb=32)))
     print(ad["vmid"], ad["total_time"])
+
+The quickstart names below come from their leaf modules.  Of the other
+packages only :mod:`repro.sim.shard` re-exports a name (its plan);
+import the leaf module you need.
 """
 
-from repro.core import (
+from repro.core.actions import (
     Action,
     ActionResult,
     ActionScope,
     ActionStatus,
-    ClassAd,
-    ConfigDAG,
+    ErrorPolicy,
+)
+from repro.core.classad import ClassAd
+from repro.core.dag import ConfigDAG
+from repro.core.spec import (
     CreateRequest,
     DestroyRequest,
-    ErrorPolicy,
     HardwareSpec,
     NetworkSpec,
     QueryRequest,
     SoftwareSpec,
 )
-from repro.cost import (
+from repro.cost.models import (
     CompositeCost,
     CostModel,
     MemoryAvailableCost,
     NetworkComputeCost,
 )
-from repro.plant import (
-    CloneMode,
-    GoldenImage,
-    ProductionLine,
-    VMPlant,
-    VMWarehouse,
-    VirtualMachine,
-)
+from repro.plant.production import CloneMode, ProductionLine, VirtualMachine
+from repro.plant.vmplant import VMPlant
+from repro.plant.warehouse import GoldenImage, VMWarehouse
 from repro.provisioning import FULL_PROVISIONING, ProvisioningConfig
-from repro.shop import ServiceRegistry, Transport, VMBroker, VMShop
+from repro.shop.broker import VMBroker
+from repro.shop.protocol import Transport
+from repro.shop.registry import ServiceRegistry
+from repro.shop.vmshop import VMShop
 from repro.sim.cluster import Testbed, build_testbed, run_process
-from repro.workloads import (
+from repro.workloads.invigo import invigo_workspace_dag
+from repro.workloads.requests import (
     experiment_dag,
     experiment_request,
     golden_image,
-    invigo_workspace_dag,
     request_stream,
 )
 

@@ -8,88 +8,3 @@ attribute store and expression language (:mod:`repro.core.classad`),
 machine specifications (:mod:`repro.core.spec`), and the three-part
 golden-image matching criterion (:mod:`repro.core.matching`).
 """
-
-from repro.core.actions import (
-    Action,
-    ActionResult,
-    ActionScope,
-    ActionStatus,
-    ErrorPolicy,
-)
-from repro.core.classad import ClassAd, evaluate
-from repro.core.dag import ConfigDAG
-from repro.core.dagxml import (
-    dag_from_xml,
-    dag_to_xml,
-    request_from_xml,
-    request_to_xml,
-)
-from repro.core.errors import (
-    ClassAdError,
-    ConfigurationError,
-    DAGError,
-    MatchError,
-    PlantError,
-    ProtocolError,
-    ReproError,
-    ShopError,
-    VNetError,
-    WarehouseError,
-)
-from repro.core.matching import (
-    MatchResult,
-    match_image,
-    match_performed,
-    partial_order_test,
-    prefix_test,
-    select_golden,
-    subset_test,
-)
-from repro.core.matchindex import MatchIndex
-from repro.core.spec import (
-    CreateRequest,
-    DestroyRequest,
-    HardwareSpec,
-    NetworkSpec,
-    QueryRequest,
-    SoftwareSpec,
-)
-
-__all__ = [
-    "Action",
-    "ActionResult",
-    "ActionScope",
-    "ActionStatus",
-    "ClassAd",
-    "ClassAdError",
-    "ConfigDAG",
-    "ConfigurationError",
-    "CreateRequest",
-    "DAGError",
-    "DestroyRequest",
-    "ErrorPolicy",
-    "HardwareSpec",
-    "MatchError",
-    "MatchIndex",
-    "MatchResult",
-    "NetworkSpec",
-    "PlantError",
-    "ProtocolError",
-    "QueryRequest",
-    "ReproError",
-    "ShopError",
-    "SoftwareSpec",
-    "VNetError",
-    "WarehouseError",
-    "dag_from_xml",
-    "dag_to_xml",
-    "evaluate",
-    "match_image",
-    "match_performed",
-    "partial_order_test",
-    "prefix_test",
-    "request_from_xml",
-    "request_to_xml",
-    "select_golden",
-    "subset_test",
-]

@@ -1,15 +1,1 @@
 """Cost models for VMPlant bidding (Sections 3.4 and 4.1)."""
-
-from repro.cost.models import (
-    CompositeCost,
-    CostModel,
-    MemoryAvailableCost,
-    NetworkComputeCost,
-)
-
-__all__ = [
-    "CompositeCost",
-    "CostModel",
-    "MemoryAvailableCost",
-    "NetworkComputeCost",
-]

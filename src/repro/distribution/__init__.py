@@ -5,9 +5,3 @@ over per-host cluster uplinks, plus popularity-driven proactive
 replica placement.  See ``DESIGN.md`` ("Image distribution") for the
 construction and failure-fallback rules.
 """
-
-from repro.distribution.peerstore import PeerImageStore
-from repro.distribution.placer import ReplicaPlacer
-from repro.distribution.planner import DistributionPlanner
-
-__all__ = ["PeerImageStore", "DistributionPlanner", "ReplicaPlacer"]

@@ -15,7 +15,7 @@ import os
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.tables import point_record
-from repro.sim.shard import ShardRunResult
+from repro.sim.shard.runner import ShardRunResult
 
 __all__ = [
     "COST_COLUMNS",

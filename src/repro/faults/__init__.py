@@ -8,49 +8,3 @@ shop-side recovery ladder (deadlines, backoff re-bid, plant
 quarantine) that survives them.  See ``experiments/chaos.py`` for
 the policy-ladder sweep.
 """
-
-from repro.faults.audit import leak_report, leak_stats
-from repro.faults.health import BreakerState, PlantHealth
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    FAULT_KINDS,
-    GATEWAY_HANG,
-    GUEST_HANG,
-    HOST_CRASH,
-    LINK_DEGRADE,
-    SITE_BLACKOUT,
-    WAN_DEGRADE,
-    WAN_PARTITION,
-    WAREHOUSE_OUTAGE,
-    FaultEvent,
-    FaultPlan,
-    grid_fault_plan,
-)
-from repro.faults.recovery import (
-    CIRCUIT_BREAKER,
-    DEADLINE_BACKOFF,
-    RecoveryPolicy,
-)
-
-__all__ = [
-    "BreakerState",
-    "PlantHealth",
-    "FaultInjector",
-    "FaultEvent",
-    "FaultPlan",
-    "FAULT_KINDS",
-    "HOST_CRASH",
-    "WAREHOUSE_OUTAGE",
-    "LINK_DEGRADE",
-    "GUEST_HANG",
-    "SITE_BLACKOUT",
-    "WAN_PARTITION",
-    "WAN_DEGRADE",
-    "GATEWAY_HANG",
-    "grid_fault_plan",
-    "leak_report",
-    "leak_stats",
-    "RecoveryPolicy",
-    "DEADLINE_BACKOFF",
-    "CIRCUIT_BREAKER",
-]

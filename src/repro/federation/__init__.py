@@ -25,20 +25,3 @@ and a request leaves its site only over the spill ring —
   :class:`~repro.sim.network.BoundaryLink`\\ s of a ring with
   lookahead.  The only way a request leaves a site.
 """
-
-from repro.federation.addressing import (
-    HierarchicalAddressPlan,
-    SubnetBlock,
-)
-from repro.federation.admission import AdmissionController
-from repro.federation.gateway import FederationGateway
-from repro.federation.site import FederatedSite, build_federated_site
-
-__all__ = [
-    "AdmissionController",
-    "HierarchicalAddressPlan",
-    "SubnetBlock",
-    "FederationGateway",
-    "FederatedSite",
-    "build_federated_site",
-]

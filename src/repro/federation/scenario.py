@@ -10,8 +10,11 @@ parameters that source reads:
 
 * ``federation`` — :func:`poisson_source`: open-loop Poisson arrivals
   of one tenant, ``site``, from the ``federation/arrivals`` stream;
-* ``megaload`` — the tenant-mix / JSONL-replay source of
-  :mod:`repro.workloads.megaload`.
+* ``megaload`` — :func:`~repro.workloads.megaload.megaload_source`,
+  the tenant-mix / JSONL-replay source.
+
+Both are registered at the end of this module, which the scenario
+registry imports the first time either name is asked for.
 
 Everything after the arrival is :class:`GridScenario`'s, once.  An
 arrival passes the gateway's :class:`~repro.federation.admission.
@@ -85,6 +88,7 @@ from repro.sim.rng import RngHub
 from repro.sim.shard.plan import LinkSpec
 from repro.sim.shard.scenarios import ShardScenario, register
 from repro.sim.trace import trace
+from repro.workloads.megaload import megaload_source
 from repro.workloads.requests import experiment_request, poisson_arrivals
 from repro.workloads.traces import Arrival, _canonical_line
 
@@ -655,3 +659,27 @@ class GridScenario(ShardScenario):
 
 
 register(GridScenario("federation", poisson_source, {}))
+register(
+    GridScenario(
+        "megaload",
+        megaload_source,
+        # The source's own parameters, over the site defaults.
+        {
+            "requests": 500,
+            # Tenant mix.
+            "interactive_fraction": 0.5,
+            "batch_fraction": 0.4,
+            "deadline_s": 300.0,
+            "diurnal_amplitude": 0.6,
+            "diurnal_period_s": 1800.0,
+            "campaign_gap_s": 90.0,
+            "campaign_size": 32.0,
+            "campaign_spacing_s": 1.0,
+            "flash_at_s": 120.0,
+            "flash_duration_s": 30.0,
+            #: Replay: site i reads <trace_dir>/site<i>.jsonl instead
+            #: of generating its stream (None = generate).
+            "trace_dir": None,
+        },
+    )
+)

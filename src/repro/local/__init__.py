@@ -8,12 +8,3 @@ replicates small state exactly as the VMware production line does, and
 configuration scripts run as genuine ``sh`` subprocesses inside the
 clone's guest directory (:mod:`repro.local.localline`).
 """
-
-from repro.local.image import LocalImageStore, materialize_image
-from repro.local.localline import LocalProductionLine
-
-__all__ = [
-    "LocalImageStore",
-    "LocalProductionLine",
-    "materialize_image",
-]

@@ -13,34 +13,3 @@ daemon runs on every physical resource and wires together:
 * the VM Information System (:mod:`repro.plant.infosys`) and run-time
   monitor (:mod:`repro.plant.monitor`).
 """
-
-from repro.plant.infosys import VMInformationSystem
-from repro.plant.migration import MigrationManager, MigrationRecord
-from repro.plant.monitor import VMMonitor
-from repro.plant.ppp import ProductionOrder, ProductionProcessPlanner
-from repro.plant.production import (
-    CloneMode,
-    ProductionLine,
-    VirtualMachine,
-    VMStatus,
-)
-from repro.plant.speculative import SpeculativeClonePool
-from repro.plant.vmplant import VMPlant
-from repro.plant.warehouse import GoldenImage, VMWarehouse
-
-__all__ = [
-    "CloneMode",
-    "GoldenImage",
-    "MigrationManager",
-    "MigrationRecord",
-    "ProductionLine",
-    "ProductionOrder",
-    "ProductionProcessPlanner",
-    "SpeculativeClonePool",
-    "VMInformationSystem",
-    "VMMonitor",
-    "VMPlant",
-    "VMStatus",
-    "VMWarehouse",
-    "VirtualMachine",
-]

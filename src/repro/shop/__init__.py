@@ -7,24 +7,3 @@ through a registry (:mod:`repro.shop.registry`), collects cost bids
 :mod:`repro.shop.broker` aggregators), and routes service calls over a
 latency-charging transport (:mod:`repro.shop.protocol`).
 """
-
-from repro.shop.bidding import Bid, BidCollector
-from repro.shop.broker import VMBroker
-from repro.shop.protocol import (
-    Transport,
-    service_request_from_xml,
-    service_request_to_xml,
-)
-from repro.shop.registry import ServiceRegistry
-from repro.shop.vmshop import VMShop
-
-__all__ = [
-    "Bid",
-    "BidCollector",
-    "ServiceRegistry",
-    "Transport",
-    "VMBroker",
-    "VMShop",
-    "service_request_from_xml",
-    "service_request_to_xml",
-]

@@ -11,35 +11,3 @@ experimental testbed: bandwidth-shared networks
 (:mod:`repro.sim.hypervisor`), and the cluster builder
 (:mod:`repro.sim.cluster`).
 """
-
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.resources import Container, Resource, Store
-from repro.sim.rng import RngHub
-from repro.sim.trace import TraceEvent, Tracer, trace
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "RngHub",
-    "SimulationError",
-    "Store",
-    "Timeout",
-    "TraceEvent",
-    "Tracer",
-    "trace",
-]

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cost.models import CostModel, MemoryAvailableCost
 from repro.faults.recovery import RecoveryPolicy
+from repro.plant.speculative import AdaptiveSpeculativePool
 from repro.plant.vmplant import VMPlant
 from repro.provisioning import ProvisioningConfig
 from repro.plant.warehouse import GoldenImage, VMWarehouse
@@ -183,7 +184,7 @@ def build_testbed(
 
     distribution = None
     if prov.distribution_tree:
-        from repro.distribution import DistributionPlanner
+        from repro.distribution.planner import DistributionPlanner
 
         distribution = DistributionPlanner(
             env,
@@ -284,8 +285,6 @@ def build_testbed(
                 description=describe() if describe else None,
             )
         if prov.speculative_pools:
-            from repro.plant.speculative import AdaptiveSpeculativePool
-
             manager = AdaptiveSpeculativePool(
                 plant,
                 target_hit_rate=prov.pool_target_hit_rate,
@@ -311,7 +310,7 @@ def build_testbed(
 
     placer = None
     if prov.replica_placement and distribution is not None:
-        from repro.distribution import ReplicaPlacer
+        from repro.distribution.placer import ReplicaPlacer
 
         placer = ReplicaPlacer(
             env,

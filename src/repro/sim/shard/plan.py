@@ -153,6 +153,12 @@ class ShardedTestbed:
                     f"[0, {self.shards}): {sorted(used)}"
                 )
         block_partition(self.sites, self.shards)  # range validation
+        # An unknown scenario fails here, and a grid process pays for
+        # its scenario and the runner while it plans, not while it runs.
+        import repro.sim.shard.runner  # noqa: F401
+        from repro.sim.shard.scenarios import get_scenario
+
+        get_scenario(self.scenario)
 
     def shard_sites(self, shard: int) -> List[int]:
         """The sites assigned to ``shard``, in site order."""

@@ -23,6 +23,7 @@ Two scenarios ship:
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Any, Callable, Dict, List, Optional
 
@@ -32,6 +33,7 @@ from repro.sim.trace import trace
 
 __all__ = [
     "SCENARIOS",
+    "LAZY_SCENARIOS",
     "ShardScenario",
     "register",
     "get_scenario",
@@ -42,6 +44,15 @@ __all__ = [
 #: Name -> scenario instance; workers resolve scenarios from here.
 SCENARIOS: Dict[str, "ShardScenario"] = {}
 
+#: Name -> the module that registers it, for scenarios living outside
+#: this one.  Both are :class:`~repro.federation.scenario.GridScenario`;
+#: they are imported on first lookup, so loading this module never
+#: loads the federation package (which imports the cluster builder).
+LAZY_SCENARIOS: Dict[str, str] = {
+    "federation": "repro.federation.scenario",
+    "megaload": "repro.federation.scenario",
+}
+
 
 def register(scenario: "ShardScenario") -> "ShardScenario":
     """Add a scenario to the registry (keyed by its ``name``)."""
@@ -50,24 +61,16 @@ def register(scenario: "ShardScenario") -> "ShardScenario":
 
 
 def get_scenario(name: str) -> "ShardScenario":
-    """Look up a registered scenario by name.
-
-    Scenarios living outside this module self-register on import;
-    ``federation`` and ``megaload`` — the two registrations of
-    :class:`~repro.federation.scenario.GridScenario` — are resolved
-    lazily so this module never imports the federation package (which
-    imports the cluster builder) at load time.
-    """
-    if name not in SCENARIOS and name == "federation":
-        import repro.federation.scenario  # noqa: F401  (self-registers)
-    if name not in SCENARIOS and name == "megaload":
-        import repro.workloads.megaload  # noqa: F401  (self-registers)
+    """Look up a scenario by name, importing its module if it is one
+    of :data:`LAZY_SCENARIOS` not registered yet."""
+    if name not in SCENARIOS and name in LAZY_SCENARIOS:
+        importlib.import_module(LAZY_SCENARIOS[name])
     try:
         return SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"unknown shard scenario {name!r}; available: "
-            f"{sorted(SCENARIOS)}"
+            f"{sorted(SCENARIOS.keys() | LAZY_SCENARIOS.keys())}"
         ) from None
 
 

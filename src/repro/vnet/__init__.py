@@ -12,17 +12,3 @@ The central invariant — VMs from different client domains are never
 created inside the same host-only network — is enforced by the pool
 and checked by property tests.
 """
-
-from repro.vnet.hostonly import HostOnlyNetwork, HostOnlyNetworkPool
-from repro.vnet.tunnels import Gateway, SSHTunnel
-from repro.vnet.vnetd import VNetProxy, VNetServer, VirtualNetworkService
-
-__all__ = [
-    "Gateway",
-    "HostOnlyNetwork",
-    "HostOnlyNetworkPool",
-    "SSHTunnel",
-    "VNetProxy",
-    "VNetServer",
-    "VirtualNetworkService",
-]

@@ -1,46 +1,9 @@
-"""Workload builders: request streams, canonical DAGs, and lazy
-trace-driven arrival processes (:mod:`repro.workloads.traces`).
+"""Workload builders: request streams and canonical DAGs
+(:mod:`repro.workloads.requests`, :mod:`repro.workloads.invigo`), lazy
+trace-driven arrival processes (:mod:`repro.workloads.traces`) and the
+``megaload`` arrival source with its merge helpers
+(:mod:`repro.workloads.megaload`).
 
-The ``megaload`` shard scenario lives in
-:mod:`repro.workloads.megaload` and is *not* imported here — it pulls
-in the federation package, and the scenario registry resolves it
-lazily by name.
+Import the leaf module you need; like every package here this one
+re-exports nothing (DESIGN.md, "Process footprint & import layering").
 """
-
-from repro.workloads.invigo import (
-    invigo_cached_prefix,
-    invigo_workspace_dag,
-)
-from repro.workloads.requests import (
-    experiment_dag,
-    experiment_request,
-    golden_image,
-    request_stream,
-)
-from repro.workloads.traces import (
-    PROCESS_KINDS,
-    Arrival,
-    TenantSpec,
-    TraceSpec,
-    merge_arrivals,
-    read_jsonl,
-    trace_signature,
-    write_jsonl,
-)
-
-__all__ = [
-    "PROCESS_KINDS",
-    "Arrival",
-    "TenantSpec",
-    "TraceSpec",
-    "experiment_dag",
-    "experiment_request",
-    "golden_image",
-    "invigo_cached_prefix",
-    "invigo_workspace_dag",
-    "merge_arrivals",
-    "read_jsonl",
-    "request_stream",
-    "trace_signature",
-    "write_jsonl",
-]

@@ -2,12 +2,13 @@
 
 ``megaload`` is :class:`~repro.federation.scenario.GridScenario` — the
 same federated sites, spill ring, admission gate and request path as
-``federation`` — registered with a different arrival source: the lazy
-multi-tenant streams of :mod:`repro.workloads.traces` instead of one
-Poisson tenant.  Per site the stream costs a few generator frames and
-the metrics one fixed-size sketch, so memory is bounded regardless of
-how many requests flow through — what makes the million-request rung
-feasible.
+``federation`` — registered (in :mod:`repro.federation.scenario`, next
+to ``federation``) with a different arrival source,
+:func:`megaload_source`: the lazy multi-tenant streams of
+:mod:`repro.workloads.traces` instead of one Poisson tenant.  Per
+site the stream costs a few generator frames and the metrics one
+fixed-size sketch, so memory is bounded regardless of how many
+requests flow through — what makes the million-request rung feasible.
 
 Each site's tenant mix (:func:`megaload_trace_spec`, derived from the
 params) layers
@@ -29,7 +30,9 @@ generated-vs-replayed runs can be compared without storing a trace.
 The rest of this module is what a coordinator does with the per-site
 results of any grid scenario: merge the summaries exactly
 (:func:`merge_site_summaries`, :func:`merged_summary`) and hash the
-consumed traces (:func:`sites_trace_signature`).
+consumed traces (:func:`sites_trace_signature`).  Nothing here imports
+the federation package, so a process that only merges summaries or
+records traces never loads the grid stack.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ import os
 from typing import Any, Callable, Dict, Iterator
 
 from repro.analysis.streaming import WorkloadSummary
-from repro.federation.scenario import GridScenario
 from repro.sim.rng import RngHub
-from repro.sim.shard.scenarios import register, site_seed
+from repro.sim.shard.scenarios import get_scenario, site_seed
 from repro.workloads.traces import (
     Arrival,
     TenantSpec,
@@ -134,32 +136,6 @@ def megaload_source(
     return megaload_trace_spec(params).arrivals(hub)
 
 
-MEGALOAD = register(
-    GridScenario(
-        "megaload",
-        megaload_source,
-        # The source's own parameters, over the site defaults.
-        {
-            "requests": 500,
-            # Tenant mix.
-            "interactive_fraction": 0.5,
-            "batch_fraction": 0.4,
-            "deadline_s": 300.0,
-            "diurnal_amplitude": 0.6,
-            "diurnal_period_s": 1800.0,
-            "campaign_gap_s": 90.0,
-            "campaign_size": 32.0,
-            "campaign_spacing_s": 1.0,
-            "flash_at_s": 120.0,
-            "flash_duration_s": 30.0,
-            #: Replay: site i reads <trace_dir>/site<i>.jsonl instead
-            #: of generating its stream (None = generate).
-            "trace_dir": None,
-        },
-    )
-)
-
-
 def record_site_traces(
     seed: int,
     sites: int,
@@ -173,7 +149,9 @@ def record_site_traces(
     ``trace_dir=out_dir`` replays the recorded streams bit-identically.
     Returns ``site -> streaming signature``.
     """
-    spec = megaload_trace_spec(MEGALOAD.resolve(dict(params)))
+    spec = megaload_trace_spec(
+        get_scenario("megaload").resolve(dict(params))
+    )
     os.makedirs(out_dir, exist_ok=True)
     sigs: Dict[int, str] = {}
     for site in range(sites):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.perf.ab import (
+    METRICS,
     MIN_PAIRS,
     Refused,
     compare,
@@ -22,16 +23,47 @@ SIM = {
 }
 
 
-def samples(cpu, rss, sim=SIM):
-    return [
-        {"cpu_s": c, "peak_rss_mb": r, "sim": dict(sim)}
-        for c, r in zip(cpu, rss)
-    ]
-
-
 #: A parent whose own runs spread 0.02 s between quartiles.
 PARENT_CPU = [1.00, 1.01, 0.99, 1.02, 1.00, 0.98, 1.01, 1.00, 0.99, 1.02]
 PARENT_RSS = [38.5, 38.4, 38.5, 38.6, 38.5, 38.5, 38.4, 38.5, 38.6, 38.5]
+#: Fresh-interpreter set-up times, mostly import and compile.
+PARENT_SETUP = [0.28, 0.29, 0.27, 0.30, 0.28, 0.26, 0.29, 0.28, 0.31, 0.28]
+
+
+def samples(cpu, rss, sim=SIM, setup=PARENT_SETUP):
+    return [
+        {"cpu_s": c, "peak_rss_mb": r, "setup_s": s, "sim": dict(sim)}
+        for c, r, s in zip(cpu, rss, setup)
+    ]
+
+
+def test_every_host_metric_gets_a_verdict():
+    assert METRICS == ("cpu_s", "peak_rss_mb", "setup_s")
+    result = verdicts(
+        samples(PARENT_CPU, PARENT_RSS), samples(PARENT_CPU, PARENT_RSS)
+    )
+    assert sorted(result) == sorted(METRICS)
+    assert {r["verdict"] for r in result.values()} == {"unresolved"}
+
+
+def test_a_lighter_setup_is_claimed_on_setup_s_alone():
+    # A change that loads fewer modules: set-up ~20 % lower in every
+    # pair, while the timed run and its memory read the same.
+    change_setup = [s * 0.8 for s in PARENT_SETUP]
+    result = verdicts(
+        samples(PARENT_CPU, PARENT_RSS),
+        samples(PARENT_CPU, PARENT_RSS, setup=change_setup),
+    )
+    setup = result["setup_s"]
+    assert (setup["wins"], setup["losses"]) == (10, 0)
+    assert setup["ratio"] == pytest.approx(0.8)
+    assert setup["verdict"] == "claimed"
+    assert result["cpu_s"]["verdict"] == "unresolved"
+    assert result["peak_rss_mb"]["verdict"] == "unresolved"
+    # The same gain in only eight pairs of ten resolves nothing.
+    mixed = [s if i < 2 else c for i, (s, c) in
+             enumerate(zip(PARENT_SETUP, change_setup))]
+    assert compare(PARENT_SETUP, mixed)["verdict"] == "unresolved"
 
 
 def test_ten_wins_with_a_gap_above_the_parent_iqr_is_claimed():

@@ -11,7 +11,8 @@ import hashlib
 import pytest
 
 from repro.core.errors import ReproError, StorageError
-from repro.distribution import DistributionPlanner, ReplicaPlacer
+from repro.distribution.placer import ReplicaPlacer
+from repro.distribution.planner import DistributionPlanner
 from repro.provisioning import FULL_PROVISIONING, ProvisioningConfig
 from repro.sim.cluster import build_testbed
 from repro.sim.host import HostStateCache, PhysicalHost

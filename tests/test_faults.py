@@ -20,17 +20,13 @@ from repro.core.errors import (
     ShopError,
     StorageError,
 )
-from repro.faults import (
+from repro.faults.health import BreakerState, PlantHealth
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import HOST_CRASH, WAREHOUSE_OUTAGE, FaultEvent, FaultPlan
+from repro.faults.recovery import (
     CIRCUIT_BREAKER,
     DEADLINE_BACKOFF,
-    BreakerState,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    PlantHealth,
     RecoveryPolicy,
-    HOST_CRASH,
-    WAREHOUSE_OUTAGE,
 )
 from repro.plant.monitor import VMMonitor
 from repro.plant.reaper import LeaseReaper

@@ -4,10 +4,18 @@ DESIGN.md, "Process footprint & import layering".  A process that
 builds testbeds and runs creates (every e2e workload, every forked
 shard worker) must not pay for numpy or the experiment drivers; only
 the report layer — the experiment drivers, the numpy-backed
-analysis modules and the CLI — may import them.
+analysis modules and the CLI — may import them.  No package
+``__init__`` re-exports its subtree, so a single-site process does not
+load the grid stack either, and a workload loads in its set-up
+everything its run will call.
+
+Run as ``PYTHONPATH=src:. python -m tests.test_import_graph`` to print
+the ``repro`` modules and source lines each end-to-end workload's
+set-up loads.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -60,6 +68,25 @@ REPORT_ONLY = (
     "repro.analysis.histograms",
     "repro.analysis.tables",
 )
+#: Modules only a grid run needs: a single-site process (``paper_seq``'s
+#: set-up) must not have loaded them.  ``repro.federation`` means the
+#: whole package.
+GRID_ONLY = (
+    "repro.federation",
+    "repro.sim.shard.runner",
+    "repro.sim.shard.sync",
+    "repro.sim.shard.ring",
+    "repro.sim.shard.worker",
+    "repro.faults.injector",
+    "repro.faults.plan",
+    "repro.plant.migration",
+    "multiprocessing",
+)
+#: The package ``__init__``s that may import, and what: ``repro`` keeps
+#: the quickstart names (from leaf modules only) and ``repro.sim.shard``
+#: its plan, which ``benchmarks/e2e/workloads.py`` imports from there.
+#: ``None`` = any leaf module.
+REEXPORTS = {"repro": None, "repro.sim.shard": ["repro.sim.shard.plan"]}
 
 
 def _modules():
@@ -76,10 +103,12 @@ def _modules():
 MODULES = _modules()
 
 
+def _is_under(name: str, roots) -> bool:
+    return any(name == root or name.startswith(root + ".") for root in roots)
+
+
 def _in_library(name: str) -> bool:
-    return name in LIBRARY_MODULES or any(
-        name == pkg or name.startswith(pkg + ".") for pkg in LIBRARY_PACKAGES
-    )
+    return name in LIBRARY_MODULES or _is_under(name, LIBRARY_PACKAGES)
 
 
 REPORT = sorted(name for name in MODULES if not _in_library(name))
@@ -112,12 +141,33 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+PACKAGES = sorted(
+    name for name, path in MODULES.items() if path.name == "__init__.py"
+)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_init_reexports_nothing(package):
+    targets = list(_imports(MODULES[package]))
+    allowed = REEXPORTS.get(package, [])
+    if allowed is None:
+        assert targets, package
+        assert not set(targets) & set(PACKAGES), (
+            f"{package}/__init__.py imports a package: {targets}"
+        )
+    else:
+        assert targets == allowed, (
+            f"{package}/__init__.py imports {targets}: import from the "
+            "leaf module instead (DESIGN.md, 'Process footprint & import "
+            "layering')"
+        )
+
+
 def test_every_module_sits_in_exactly_one_layer():
     for name in REPORT:
-        assert any(
-            name == root or name.startswith(root + ".")
-            for root in REPORT_ROOTS
-        ), f"{name} is in neither layer: add it to one"
+        assert _is_under(name, REPORT_ROOTS), (
+            f"{name} is in neither layer: add it to one"
+        )
     for name in LIBRARY_MODULES + LIBRARY_PACKAGES:
         assert name in MODULES, f"{name} is listed but does not exist"
 
@@ -198,6 +248,63 @@ def test_create_path_process_loads_no_report_module():
     assert seen["loaded"] == []
 
 
+WORKLOAD_PROBE = """
+import json, sys
+import benchmarks.e2e.workloads as e2e  # all that the benchmark imports
+
+workload = e2e.WORKLOADS[%r]
+inputs = workload.setup(2004, workload.scaled(0.05))
+setup = set(sys.modules)
+workload.run(inputs)
+print(json.dumps({
+    "setup": sorted(setup),
+    "run": sorted(set(sys.modules) - setup),
+}))
+"""
+
+#: The five end-to-end workloads, in ``BENCHMARK.json`` order.
+E2E_WORKLOADS = (
+    "paper_seq", "site_burst", "site_catalog", "grid_steady", "grid_overload"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def workload_modules(workload: str) -> dict:
+    """What a fresh interpreter that imports ``benchmarks.e2e.workloads``
+    has loaded once ``workload``'s set-up returns (``"setup"``), and what
+    its run then added (``"run"``); scale 0.05."""
+    done = _python("-c", WORKLOAD_PROBE % (workload,))
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def setup_footprint(workload: str) -> tuple:
+    """``(repro modules, their source lines)`` ``workload``'s set-up loads."""
+    names = [
+        name for name in workload_modules(workload)["setup"]
+        if _is_under(name, ("repro",))
+    ]
+    lines = sum(
+        len(MODULES[name].read_text().splitlines()) for name in names
+    )
+    return len(names), lines
+
+
+def test_single_site_setup_loads_no_grid_module():
+    loaded = workload_modules("paper_seq")["setup"]
+    assert "repro.sim.cluster" in loaded  # the probe did load a testbed
+    assert [name for name in loaded if _is_under(name, GRID_ONLY)] == []
+
+
+@pytest.mark.parametrize("workload", E2E_WORKLOADS)
+def test_run_imports_nothing_its_setup_did_not(workload):
+    # A module first loaded inside the timed run is set-up cost moved
+    # into the measured window.  Standard-library modules multiprocessing
+    # loads when it forks are not the library's and are not checked.
+    added = workload_modules(workload)["run"]
+    assert [name for name in added if _is_under(name, ("repro",))] == []
+
+
 def _cli_loads_no_report_module(*argv: str) -> str:
     done = _python("-X", "importtime", "-m", "repro.cli", *argv)
     assert done.returncode == 0, done.stderr[-2000:]
@@ -256,3 +363,11 @@ def test_every_e2e_trace_target_resolves():
     for module, cls, attribute, *_ in TARGETS:
         owner = patch_owner(module, cls)
         assert callable(getattr(owner, attribute)), (module, cls, attribute)
+
+
+if __name__ == "__main__":
+    print("| workload | `repro` modules | source lines |")
+    print("|---|---:|---:|")
+    for name in E2E_WORKLOADS:
+        count, lines = setup_footprint(name)
+        print(f"| `{name}` | {count} | {lines:,} |")

@@ -182,7 +182,8 @@ class TestMigrateLocal:
             NetworkSpec,
             SoftwareSpec,
         )
-        from repro.local import LocalImageStore, LocalProductionLine
+        from repro.local.image import LocalImageStore
+        from repro.local.localline import LocalProductionLine
         from repro.plant.vmplant import VMPlant
         from repro.plant.warehouse import GoldenImage
         from repro.sim.kernel import Environment

@@ -12,6 +12,8 @@ one-site plans.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -21,15 +23,15 @@ from hypothesis import strategies as st
 
 from repro.sim.kernel import Environment
 from repro.sim.network import BoundaryLink
-from repro.sim.shard import (
+from repro.sim.shard.plan import (
     LinkSpec,
     ShardedTestbed,
-    ShardWorkerError,
     block_partition,
     endpoint_ids,
-    get_scenario,
     validate_link_specs,
 )
+from repro.sim.shard.runner import ShardWorkerError
+from repro.sim.shard.scenarios import get_scenario
 from repro.sim.shard import ring
 from repro.sim.shard.ring import (
     KIND_MSG,
@@ -145,6 +147,37 @@ def test_unknown_scenario_and_unknown_param_rejected():
         get_scenario("no-such-scenario")
     with pytest.raises(ValueError, match="nope"):
         _miniring(nope=1)
+
+
+UNKNOWN_SCENARIO_PROBE = """
+import sys
+from repro.sim.shard import ShardedTestbed
+try:
+    ShardedTestbed(seed=1, sites=2, shards=1, scenario="megalod")
+except KeyError as exc:
+    print(exc.args[0])
+print("repro.federation.scenario" in sys.modules)
+"""
+
+
+def test_unknown_scenario_fails_when_planned_naming_every_scenario():
+    # A fresh interpreter, where the two grid scenarios are not
+    # registered yet: the message must still name them, and a
+    # misspelt name must not load them.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-c", UNKNOWN_SCENARIO_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "unknown shard scenario 'megalod'; available: "
+        "['federation', 'kernelbench', 'megaload', 'miniring']",
+        "False",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ or last bin, matching how the paper's end bins absorb the tails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -57,15 +57,6 @@ class Histogram:
             sum(c * n for c, n in zip(self.centers, self.counts))
             / self.total
         )
-
-    def as_rows(self) -> List[Tuple[float, int, float]]:
-        """(center, count, normalized frequency) rows."""
-        return [
-            (center, count, freq)
-            for center, count, freq in zip(
-                self.centers, self.counts, self.frequencies
-            )
-        ]
 
 
 def histogram(

@@ -343,18 +343,6 @@ class QuantileSketch:
             seen += c
         return self._max  # pragma: no cover - ranks always found
 
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
     def to_state(self) -> dict:
         return {
             "lo": self.lo,
@@ -405,10 +393,6 @@ class StreamSummary:
     def merge(self, other: "StreamSummary") -> None:
         self.sketch.merge(other.sketch)
         self.moments.merge(other.moments)
-
-    @property
-    def count(self) -> int:
-        return self.moments.n
 
     def quantile(self, q: float) -> float:
         return self.sketch.quantile(q)

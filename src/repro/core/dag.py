@@ -498,32 +498,6 @@ class ConfigDAG:
                 return False
         return True
 
-    def prefixes(self) -> Iterator[FrozenSet[str]]:
-        """Enumerate all downward-closed subsets (antichains' ideals).
-
-        Exponential in the width of the DAG; intended for tests and
-        small warehouse-seeding utilities, not hot paths.
-        """
-        order = self.topological_sort()
-
-        def extend(idx: int, current: FrozenSet[str]) -> Iterator[FrozenSet[str]]:
-            if idx == len(order):
-                yield current
-                return
-            node = order[idx]
-            # Without node: none of its descendants may be chosen, but
-            # enumeration over a topological order guarantees that by
-            # the prefix check below.
-            yield from extend(idx + 1, current)
-            if set(self._pred[node]) <= current:
-                yield from extend(idx + 1, current | {node})
-
-        seen: Set[FrozenSet[str]] = set()
-        for subset in extend(0, frozenset()):
-            if self.is_prefix_set(subset) and subset not in seen:
-                seen.add(subset)
-                yield subset
-
     def residual_after(self, performed: Iterable[str]) -> List[str]:
         """Topologically ordered actions still to run after ``performed``.
 
@@ -603,37 +577,6 @@ class ConfigDAG:
             f"<ConfigDAG {len(self._actions)} actions,"
             f" {len(self.edges())} edges>"
         )
-
-    # -- rendering -------------------------------------------------------------
-    def to_dot(self, name: str = "config") -> str:
-        """Graphviz dot rendering (START/FINISH shown explicitly).
-
-        Guest actions render as ellipses, host actions as boxes;
-        actions with explicit error handlers carry a dashed border.
-        """
-        lines = [f"digraph {name} {{", "  rankdir=LR;"]
-        lines.append('  "__start__" [label="START", shape=circle];')
-        lines.append('  "__finish__" [label="FINISH", shape=doublecircle];')
-        for node, action in self._actions.items():
-            shape = (
-                "box" if action.scope is ActionScope.HOST else "ellipse"
-            )
-            style = (
-                ', style="dashed"' if node in self._handlers else ""
-            )
-            lines.append(
-                f'  "{node}" [label="{node}", shape={shape}{style}];'
-            )
-        for source in self.sources():
-            lines.append(f'  "__start__" -> "{source}";')
-        for u, v in self.edges():
-            lines.append(f'  "{u}" -> "{v}";')
-        for sink in self.sinks():
-            lines.append(f'  "{sink}" -> "__finish__";')
-        if not self._actions:
-            lines.append('  "__start__" -> "__finish__";')
-        lines.append("}")
-        return "\n".join(lines)
 
     # -- convenience -----------------------------------------------------------
     def guest_actions(self) -> List[str]:

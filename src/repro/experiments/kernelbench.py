@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.tables import find_point, render_table
+from repro.analysis.tables import render_table
 from repro.experiments import shardcost
 from repro.experiments.recheck import (
     DeterminismRecheck,
@@ -64,9 +64,6 @@ class KernelBenchResult:
     points: List[KernelBenchPoint] = field(default_factory=list)
     #: Small traced reruns at 1 shard, the highest swept count, a repeat.
     recheck: DeterminismRecheck = field(default_factory=DeterminismRecheck)
-
-    def point(self, shards: int) -> KernelBenchPoint:
-        return find_point(self.points, shards=shards)
 
     def render(self) -> str:
         arrivals = self.sites * self.params["requests"]

@@ -136,9 +136,6 @@ class MegaChaosResult:
     def point(self, rung: str) -> MegaChaosPoint:
         return find_point(self.points, rung=rung)
 
-    def availability_ladder(self) -> List[float]:
-        return [p.availability for p in self.points]
-
     @property
     def ladder_monotone(self) -> bool:
         """Availability non-decreasing over the faulted rungs."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.tables import find_point, render_table
+from repro.analysis.tables import render_table
 from repro.experiments import shardcost
 from repro.experiments.recheck import (
     DeterminismRecheck,
@@ -97,9 +97,6 @@ class MegaLoadResult:
         """Merged summary state bit-identical at every shard count."""
         sigs = {p.summary_signature for p in self.points}
         return len(sigs) == 1
-
-    def point(self, shards: int) -> MegaLoadPoint:
-        return find_point(self.points, shards=shards)
 
     def render(self) -> str:
         prm = self.params

@@ -100,11 +100,6 @@ class SubnetBlock:
         """Subnets still allocatable."""
         return self.size - self.allocated
 
-    @property
-    def capacity(self) -> int:
-        """Guest addresses this block can ever serve."""
-        return self.size * ADDRESSES_PER_SUBNET
-
     def allocate(self) -> str:
         """Next free subnet in the block (``"base.x.y"``).
 

@@ -11,7 +11,7 @@ parameters that source reads:
 * ``federation`` — :func:`poisson_source`: open-loop Poisson arrivals
   of one tenant, ``site``, from the ``federation/arrivals`` stream;
 * ``megaload`` — :func:`~repro.workloads.megaload.megaload_source`,
-  the tenant-mix / JSONL-replay source.
+  the tenant-mix source.
 
 Both are registered at the end of this module, which the scenario
 registry imports the first time either name is asked for.
@@ -90,7 +90,7 @@ from repro.sim.shard.scenarios import ShardScenario, register
 from repro.sim.trace import trace
 from repro.workloads.megaload import megaload_source
 from repro.workloads.requests import experiment_request, poisson_arrivals
-from repro.workloads.traces import Arrival, _canonical_line
+from repro.workloads.traces import Arrival, canonical_line
 
 __all__ = ["GridScenario", "Source", "poisson_source"]
 
@@ -271,9 +271,9 @@ class GridScenario(ShardScenario):
         return {**SITE_DEFAULTS, **self.source_defaults}
 
     def resolve(self, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        """Merged params, with the spill knobs checked here — before
-        the runner forks, so a bad value is the caller's ValueError,
-        not a worker's crash."""
+        """Merged params, with the spill knobs and ``trace_dir`` checked
+        here — before the runner forks, so a bad value is the caller's
+        ValueError, not a worker's crash."""
         prm = super().resolve(params)
         if prm["spill_threshold"] is not None and prm["spill_threshold"] < 0:
             raise ValueError("spill_threshold must be non-negative")
@@ -283,6 +283,11 @@ class GridScenario(ShardScenario):
             raise ValueError("spill_attempts must be >= 1")
         if prm["spill_backoff_s"] < 0:
             raise ValueError("spill_backoff_s must be non-negative")
+        if prm.get("trace_dir") is not None:
+            raise ValueError(
+                "trace_dir: JSONL trace replay was removed; only None "
+                "is accepted"
+            )
         return prm
 
     def link_specs(
@@ -452,7 +457,7 @@ class GridScenario(ShardScenario):
                 drained.succeed()
 
         for idx, arrival in enumerate(handle.stream):
-            handle.trace_hash.update(_canonical_line(arrival).encode())
+            handle.trace_hash.update(canonical_line(arrival).encode())
             handle.trace_hash.update(b"\n")
             handle.arrivals += 1
             if arrival.time > env.now:
@@ -677,8 +682,8 @@ register(
             "campaign_spacing_s": 1.0,
             "flash_at_s": 120.0,
             "flash_duration_s": 30.0,
-            #: Replay: site i reads <trace_dir>/site<i>.jsonl instead
-            #: of generating its stream (None = generate).
+            #: Must be None (every site generates its stream); the
+            #: key stays because recorded parameter sets spell it.
             "trace_dir": None,
         },
     )

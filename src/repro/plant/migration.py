@@ -149,46 +149,3 @@ class MigrationManager:
             vmid=vmid, seconds=round(self.env.now - started, 2),
         )
         return ad.copy()
-
-    def drain(
-        self,
-        source: VMPlant,
-        targets: List[VMPlant],
-        shop=None,
-    ) -> Generator:
-        """Evacuate every VM from ``source`` (maintenance mode).
-
-        Each VM's destination is chosen by cost bidding over the
-        targets' cost models — the same economics as placement — so a
-        drain naturally load-balances.  Returns the list of migrated
-        vmids; VMs no target can take raise :class:`PlantError`.
-        """
-        if not targets or any(t is source for t in targets):
-            raise PlantError(
-                "drain needs at least one target distinct from the source"
-            )
-        migrated: List[str] = []
-        for vm in list(source.infosys.active()):
-            best: Optional[VMPlant] = None
-            best_cost: Optional[float] = None
-            for target in targets:
-                # The plant's admission rules, then its price.
-                if (
-                    target.max_vms is not None
-                    and target.active_vm_count() >= target.max_vms
-                ) or not target.network_pool.has_capacity_for(
-                    vm.request.network.domain
-                ):
-                    continue
-                cost = target.cost_model.estimate(target, vm.request)
-                if cost is None:
-                    continue
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = target, cost
-            if best is None:
-                raise PlantError(
-                    f"no target can take {vm.vmid!r} during drain"
-                )
-            yield self.migrate(source, best, vm.vmid, shop=shop)
-            migrated.append(vm.vmid)
-        return migrated

@@ -228,9 +228,6 @@ class VMWarehouse:
         self._memo_generation = 0
         #: Query/hit counters for benchmarks and experiments.
         self.match_stats: Dict[str, int] = {"queries": 0, "memo_hits": 0}
-        #: image_id → selections it won, memo hits included; outlives
-        #: an unpublish (re-publishing continues the count).
-        self._popularity: Dict[str, int] = {}
         for image in images:
             self.publish(image)
 
@@ -324,25 +321,12 @@ class VMWarehouse:
             if len(self._memo) >= _MEMO_LIMIT:
                 self._memo.clear()
             self._memo[key] = selection
-        image = selection[0]
-        if image is not None:
-            popularity = self._popularity
-            popularity[image.image_id] = popularity.get(image.image_id, 0) + 1
         return selection
 
     @property
     def index_stats(self) -> Dict[str, int]:
         """The match index's query counters (read-only snapshot)."""
         return dict(self._index.stats)
-
-    @property
-    def popularity(self) -> Dict[str, int]:
-        """Selection wins per image id (memo hits included).
-
-        The replica placer ranks images by this to decide which state
-        to pre-push onto seed hosts; snapshot, safe to mutate.
-        """
-        return dict(self._popularity)
 
     # -- persistence ---------------------------------------------------------
     def dump_xml(self) -> str:

@@ -21,8 +21,7 @@ concurrent traffic:
   :class:`~repro.plant.speculative.AdaptiveSpeculativePool`);
 * **peer distribution trees** — golden-image delivery becomes a k-ary
   broadcast tree over per-host cluster uplinks instead of N pulls on
-  the one warehouse link, optionally with popularity-driven proactive
-  replica placement (see :mod:`repro.distribution`).
+  the one warehouse link (see :mod:`repro.distribution`).
 
 Everything defaults to **off**: a testbed built without an explicit
 :class:`ProvisioningConfig` (or with the default one) reproduces the
@@ -70,14 +69,9 @@ class ProvisioningConfig:
     #: Per-host serving uplink bandwidth (MB/s) — the paper's gigabit
     #: inter-node switch, minus protocol overhead.
     peer_bandwidth_mbps: float = 110.0
-    #: Run the popularity-driven replica placement daemon?
+    #: Must be ``False`` (there is no replica placer); the field stays
+    #: because recorded configurations spell it out.
     replica_placement: bool = False
-    #: Placement sweep period (s).
-    placement_period_s: float = 120.0
-    #: Hottest images pre-pushed per sweep.
-    placement_top_k: int = 2
-    #: Seed hosts (tree roots) per site, spread over the host list.
-    placement_seed_hosts: int = 2
 
     def __post_init__(self) -> None:
         if self.host_cache_mb < 0:
@@ -100,27 +94,11 @@ class ProvisioningConfig:
             raise ValueError("peer_store_mb must be positive")
         if self.peer_bandwidth_mbps <= 0:
             raise ValueError("peer_bandwidth_mbps must be positive")
-        if self.placement_period_s <= 0:
-            raise ValueError("placement_period_s must be positive")
-        if self.placement_top_k < 1:
-            raise ValueError("placement_top_k must be at least 1")
-        if self.placement_seed_hosts < 1:
-            raise ValueError("placement_seed_hosts must be at least 1")
-        if self.replica_placement and not self.distribution_tree:
+        if self.replica_placement:
             raise ValueError(
-                "replica_placement requires distribution_tree (the "
-                "placer pushes state through the tree planner)"
+                "replica_placement: the popularity-driven replica placer "
+                "(ReplicaPlacer) was removed; only False is accepted"
             )
-
-    @property
-    def enabled(self) -> bool:
-        """True when any provisioning feature is switched on."""
-        return (
-            self.host_cache_mb > 0
-            or self.coalesce_transfers
-            or self.speculative_pools
-            or self.distribution_tree
-        )
 
 
 #: Everything on, with a cache budget that comfortably holds the
@@ -130,5 +108,4 @@ FULL_PROVISIONING = ProvisioningConfig(
     coalesce_transfers=True,
     speculative_pools=True,
     distribution_tree=True,
-    replica_placement=True,
 )

@@ -109,8 +109,7 @@ class VMShop:
 
         ``requirements`` (classad text or a pre-compiled
         :class:`~repro.core.classad.Expression`) narrows adoption to
-        descriptions matching the expression, served through the
-        registry's attribute index.
+        descriptions matching the expression.
         """
         if self.registry is None:
             raise ShopError("no registry configured")

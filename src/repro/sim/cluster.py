@@ -70,9 +70,6 @@ class Testbed:
     pools: List[object] = field(default_factory=list)
     #: Peer distribution-tree planner (None unless enabled).
     distribution: Optional[object] = None
-    #: Popularity-driven replica placer (None unless enabled; not
-    #: auto-started — call ``placer.start()`` like the VM monitor).
-    placer: Optional[object] = None
     #: Rack-level :class:`~repro.shop.broker.VMBroker` tier (empty
     #: unless built with ``rack_size``); when present the shop bids
     #: against these brokers, not the plants directly.
@@ -132,7 +129,7 @@ def build_testbed(
     study) and the cost model (Section 3.4 illustration).
     ``provisioning`` switches on the throughput layer (host-side
     golden-state caches, transfer coalescing, speculative pools, peer
-    distribution trees with optional replica placement); omitted or
+    distribution trees); omitted or
     defaulted it changes nothing.  ``recovery`` configures
     the shop's fault-recovery ladder (deadlines, backoff re-bids,
     plant quarantine); omitted, every knob is off.
@@ -308,19 +305,6 @@ def build_testbed(
             shop.bidders.append(rack)
             registry.publish(rack.name, "vmbroker", rack)
 
-    placer = None
-    if prov.replica_placement and distribution is not None:
-        from repro.distribution.placer import ReplicaPlacer
-
-        placer = ReplicaPlacer(
-            env,
-            distribution,
-            warehouse,
-            period_s=prov.placement_period_s,
-            top_k=prov.placement_top_k,
-            seed_hosts=prov.placement_seed_hosts,
-        )
-
     return Testbed(
         env=env,
         rng=rng,
@@ -337,6 +321,5 @@ def build_testbed(
         provisioning=prov,
         pools=pools,
         distribution=distribution,
-        placer=placer,
         racks=racks,
     )

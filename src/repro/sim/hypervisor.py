@@ -67,7 +67,7 @@ class CloneRecord:
     #: transfer), ``"coalesced"`` (shared an in-flight transfer),
     #: ``"host-cache"`` (warm host LRU cache), ``"peer"`` (one hop of
     #: a distribution tree) or ``"local"`` (peer store already seeded
-    #: by the placer or an earlier tree delivery).
+    #: by an earlier tree delivery).
     copy_source: str = "nfs"
 
 

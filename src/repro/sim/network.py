@@ -67,18 +67,6 @@ class FairShareLink:
         """Number of in-flight transfers."""
         return len(self._flows)
 
-    @property
-    def remaining_mb(self) -> float:
-        """Undelivered megabytes across all in-flight flows, at *now*.
-
-        Load metric for replica selection and the peer-distribution
-        planner: flows are drained to the current instant first, so
-        the figure is exact, not the stale value from the last
-        population change.
-        """
-        self._drain()
-        return sum(f.remaining for f in self._flows.values())
-
     def transfer(self, size_mb: float) -> Event:
         """Start a transfer; the returned event fires at completion."""
         if size_mb < 0:

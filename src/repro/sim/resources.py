@@ -1,25 +1,18 @@
-"""Shared-resource primitives for the simulation kernel.
+"""The shared-resource primitive of the simulation kernel.
 
-Three classic DES resources, mirroring the SimPy trio:
-
-* :class:`Resource` — a pool of identical servers claimed/released by
-  processes (used for CPU slots and NFS service threads);
-* :class:`Container` — a continuous level with put/get (used for host
-  RAM accounting);
-* :class:`Store` — a FIFO queue of Python objects (used for message
-  queues between services).
-
-All waiting is strictly FIFO, which keeps runs deterministic.
+:class:`Resource` is a pool of identical servers claimed and released
+by processes (used for CPU slots and NFS service threads), after
+SimPy's.  All waiting is strictly FIFO, which keeps runs deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List
+from typing import Deque, List
 
-from repro.sim.kernel import Environment, Event, SimulationError
+from repro.sim.kernel import Environment, Event
 
-__all__ = ["Request", "Release", "Resource", "Container", "Store"]
+__all__ = ["Request", "Release", "Resource"]
 
 
 class Request(Event):
@@ -113,163 +106,3 @@ class Resource:
             f"<Resource {self.count}/{self.capacity} used,"
             f" {len(self.queue)} queued>"
         )
-
-
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-
-
-class _ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous stock between 0 and ``capacity``.
-
-    ``put`` blocks while the stock would overflow; ``get`` blocks while
-    the stock is insufficient.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._puts: Deque[_ContainerPut] = deque()
-        self._gets: Deque[_ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current stock."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount`` to the stock; fires once it fits."""
-        ev = _ContainerPut(self, amount)
-        self._puts.append(ev)
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount`` from the stock; fires once available."""
-        ev = _ContainerGet(self, amount)
-        self._gets.append(ev)
-        self._settle()
-        return ev
-
-    def cancel(self, event: Event) -> None:
-        """Withdraw a pending put/get."""
-        if isinstance(event, _ContainerPut):
-            try:
-                self._puts.remove(event)
-            except ValueError:
-                pass
-        elif isinstance(event, _ContainerGet):
-            try:
-                self._gets.remove(event)
-            except ValueError:
-                pass
-        else:
-            raise SimulationError("not a container event")
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._puts and not self._puts[0].triggered:
-                head = self._puts[0]
-                if self._level + head.amount <= self.capacity:
-                    self._level += head.amount
-                    self._puts.popleft()
-                    head.succeed()
-                    progressed = True
-            if self._gets and not self._gets[0].triggered:
-                head = self._gets[0]
-                if self._level >= head.amount:
-                    self._level -= head.amount
-                    self._gets.popleft()
-                    head.succeed()
-                    progressed = True
-
-    def __repr__(self) -> str:
-        return f"<Container level={self._level}/{self.capacity}>"
-
-
-class _StoreGet(Event):
-    __slots__ = ()
-
-
-class Store:
-    """FIFO queue of arbitrary items with blocking get."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[_StoreGet] = deque()
-        self._putters: Deque[Event] = deque()
-        self._put_items: Deque[Any] = deque()
-
-    def put(self, item: Any) -> Event:
-        """Enqueue ``item``; fires once there is room."""
-        ev = Event(self.env)
-        self._putters.append(ev)
-        self._put_items.append(item)
-        self._settle()
-        return ev
-
-    def get(self) -> _StoreGet:
-        """Dequeue the oldest item; fires with it once available."""
-        ev = _StoreGet(self.env)
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def cancel_get(self, event: _StoreGet) -> None:
-        """Withdraw a pending get."""
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self.items) < self.capacity:
-                put_ev = self._putters.popleft()
-                self.items.append(self._put_items.popleft())
-                put_ev.succeed()
-                progressed = True
-            while self._getters and self.items:
-                get_ev = self._getters.popleft()
-                get_ev.succeed(self.items.popleft())
-                progressed = True
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __repr__(self) -> str:
-        return f"<Store {len(self.items)} items>"

@@ -281,9 +281,9 @@ class ReplicatedWarehouseStorage:
             raise ValueError("at least one replica is required")
         self.replicas = list(replicas)
         self.env = self.replicas[0].env
-        # In-flight megabytes per replica: link.remaining_mb alone
-        # misses requests still in their per-file overhead phase, so
-        # each operation registers its payload here for its full span.
+        # In-flight megabytes per replica: each operation registers its
+        # payload here for its full span, per-file overhead phase
+        # included, which the link's own flows would miss.
         self._inflight_mb = {id(r): 0.0 for r in self.replicas}
         self._order = {id(r): i for i, r in enumerate(self.replicas)}
         # Replica-set-wide coalescing: the leader still load-balances

@@ -110,10 +110,6 @@ class VirtualNetwork:
         self.members[vmid] = domain
         return router
 
-    def detach_member(self, vmid: str) -> None:
-        """Remove a member VM."""
-        self.members.pop(vmid, None)
-
     def route(self, src_vmid: str, dst_vmid: str) -> List[str]:
         """Hop list (vmids) between two member VMs.
 

@@ -20,45 +20,31 @@ params) layers
 * ``crowd`` — one flash crowd partway into the run.
 
 Per-tenant draws come from the site hub's ``trace/<tenant>`` streams,
-so the trace is a pure function of ``(seed, site, params)`` and a
-recorded JSONL trace replays bit-identically (``trace_dir`` points
-site *i* at ``<trace_dir>/site<i>.jsonl``).  Each site hashes the
-stream it actually consumed (:func:`~repro.workloads.traces`'s
-canonical line encoding) and ships the signature with its stats, so
-generated-vs-replayed runs can be compared without storing a trace.
+so the trace is a pure function of ``(seed, site, params)``.  Each
+site hashes the stream it actually consumed
+(:func:`~repro.workloads.traces.canonical_line`) and ships the
+signature with its stats, so two runs' traces can be compared without
+storing either.
 
 The rest of this module is what a coordinator does with the per-site
 results of any grid scenario: merge the summaries exactly
-(:func:`merge_site_summaries`, :func:`merged_summary`) and hash the
-consumed traces (:func:`sites_trace_signature`).  Nothing here imports
-the federation package, so a process that only merges summaries or
-records traces never loads the grid stack.
+(:func:`merge_site_summaries`, :func:`merged_summary`).  Nothing here
+imports the federation package, so a process that only merges
+summaries never loads the grid stack.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from typing import Any, Callable, Dict, Iterator
 
 from repro.analysis.streaming import WorkloadSummary
 from repro.sim.rng import RngHub
-from repro.sim.shard.scenarios import get_scenario, site_seed
-from repro.workloads.traces import (
-    Arrival,
-    TenantSpec,
-    TraceSpec,
-    read_jsonl,
-    write_jsonl,
-)
+from repro.workloads.traces import Arrival, TenantSpec, TraceSpec
 
 __all__ = [
     "megaload_trace_spec",
-    "record_site_traces",
     "merge_site_summaries",
     "merged_summary",
-    "sites_trace_signature",
 ]
 
 
@@ -127,38 +113,8 @@ def megaload_trace_spec(params: Dict[str, Any]) -> TraceSpec:
 def megaload_source(
     hub: RngHub, site: int, params: Dict[str, Any]
 ) -> Iterator[Arrival]:
-    """Site ``site``'s stream: replayed from ``trace_dir`` when set,
-    else generated from the tenant mix."""
-    if params["trace_dir"] is not None:
-        return read_jsonl(
-            os.path.join(str(params["trace_dir"]), f"site{site}.jsonl")
-        )
+    """Site ``site``'s stream, generated from the tenant mix."""
     return megaload_trace_spec(params).arrivals(hub)
-
-
-def record_site_traces(
-    seed: int,
-    sites: int,
-    params: Dict[str, Any],
-    out_dir: str,
-) -> Dict[int, str]:
-    """Record every site's trace to ``<out_dir>/site<i>.jsonl``.
-
-    Uses the same per-site hubs a live run would
-    (``RngHub(site_seed(seed, site))``), so a run with
-    ``trace_dir=out_dir`` replays the recorded streams bit-identically.
-    Returns ``site -> streaming signature``.
-    """
-    spec = megaload_trace_spec(
-        get_scenario("megaload").resolve(dict(params))
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    sigs: Dict[int, str] = {}
-    for site in range(sites):
-        hub = RngHub(site_seed(seed, site))
-        path = os.path.join(out_dir, f"site{site}.jsonl")
-        sigs[site] = write_jsonl(spec.arrivals(hub), path)
-    return sigs
 
 
 def merge_site_summaries(
@@ -197,16 +153,3 @@ def merge_site_summaries(
 def merged_summary(run) -> WorkloadSummary:
     """A run's site summaries, merged per shard and then across shards."""
     return merge_site_summaries(run.site_results, run.partition.__getitem__)
-
-
-def sites_trace_signature(site_results) -> str:
-    """One hash over the per-site consumed-trace signatures."""
-    payload = json.dumps(
-        {
-            str(r["site"]): r["stats"]["trace_signature"]
-            for r in site_results
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-

@@ -1,4 +1,4 @@
-"""Lazy, composable, replayable trace-driven arrival processes.
+"""Lazy, composable, deterministic trace-driven arrival processes.
 
 The paper's experiments issue at most 128 sequential requests; real
 grid load is bursty, diurnal and multi-tenant — interactive users on
@@ -10,18 +10,11 @@ dedicated per-tenant RNG stream of the simulation's
 one deterministic time-ordered stream that is **never materialized**
 — a million-request trace costs a few generator frames, not a list.
 
-Determinism and replay mirror :class:`~repro.faults.plan.FaultPlan`'s
-contract:
-
-* generation is a pure function of ``(hub seed, spec)`` — per-tenant
-  streams are independent by stream naming, so adding a tenant never
-  perturbs another tenant's draws;
-* a stream can be recorded to JSONL (:func:`write_jsonl`) and
-  replayed from the file (:func:`read_jsonl`) with bit-identical
-  events, and :func:`trace_signature` hashes a stream incrementally
-  (SHA-256 over the canonical JSONL lines) so recorded and
-  regenerated traces can be compared without holding either in
-  memory.
+Generation is a pure function of ``(hub seed, spec)``: per-tenant
+streams are independent by stream naming, so adding a tenant never
+perturbs another tenant's draws.  A consumer that must compare streams
+without holding them hashes each arrival's canonical JSON line
+(:func:`canonical_line`) as it goes, as every grid site does.
 
 Four arrival processes ship (see :data:`PROCESS_KINDS`):
 
@@ -45,19 +38,10 @@ Four arrival processes ship (see :data:`PROCESS_KINDS`):
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 from dataclasses import dataclass
-from typing import (
-    IO,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.sim.rng import RngHub
 
@@ -67,9 +51,7 @@ __all__ = [
     "TenantSpec",
     "TraceSpec",
     "merge_arrivals",
-    "trace_signature",
-    "write_jsonl",
-    "read_jsonl",
+    "canonical_line",
 ]
 
 #: Supported ``TenantSpec.process`` kinds.
@@ -105,21 +87,6 @@ class Arrival:
         if self.deadline_s is not None:
             record["deadline_s"] = self.deadline_s
         return record
-
-    @classmethod
-    def from_record(cls, record: dict) -> "Arrival":
-        return cls(
-            time=float(record["time"]),
-            tenant=str(record["tenant"]),
-            kind=str(record["kind"]),
-            seq=int(record["seq"]),
-            memory_mb=int(record["memory_mb"]),
-            deadline_s=(
-                float(record["deadline_s"])
-                if "deadline_s" in record
-                else None
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -269,38 +236,6 @@ class TenantSpec:
                 yield t
                 emitted += 1
 
-    # -- record / replay ------------------------------------------------
-    def to_record(self) -> dict:
-        record = {
-            "name": self.name,
-            "process": self.process,
-            "count": self.count,
-            "memory_mb": self.memory_mb,
-            "start_s": self.start_s,
-            "params": [list(p) for p in self.params],
-        }
-        if self.deadline_s is not None:
-            record["deadline_s"] = self.deadline_s
-        return record
-
-    @classmethod
-    def from_record(cls, record: dict) -> "TenantSpec":
-        return cls(
-            name=str(record["name"]),
-            process=str(record["process"]),
-            count=int(record["count"]),
-            memory_mb=int(record["memory_mb"]),
-            deadline_s=(
-                float(record["deadline_s"])
-                if "deadline_s" in record
-                else None
-            ),
-            start_s=float(record.get("start_s", 0.0)),
-            params=tuple(
-                (str(k), float(v)) for k, v in record.get("params", ())
-            ),
-        )
-
 
 def merge_arrivals(
     streams: Iterable[Iterator[Arrival]],
@@ -320,11 +255,9 @@ def merge_arrivals(
 class TraceSpec:
     """A multi-tenant workload: tenants merged into one lazy stream.
 
-    Pure data, like :class:`~repro.faults.plan.FaultPlan`:
-    ``to_records``/``from_records`` round-trip it through JSON, and
-    :meth:`signature` hashes the *spec*; :func:`trace_signature`
-    hashes a generated *stream*.  Tenant names must be unique — they
-    key the RNG streams and the merge order.
+    Pure data, like :class:`~repro.faults.plan.FaultPlan`.  Tenant
+    names must be unique — they key the RNG streams and the merge
+    order.
     """
 
     tenants: Tuple[TenantSpec, ...] = ()
@@ -343,86 +276,10 @@ class TraceSpec:
         """The merged lazy stream (never materialized)."""
         return merge_arrivals(t.arrivals(hub) for t in self.tenants)
 
-    def to_records(self) -> List[dict]:
-        return [t.to_record() for t in self.tenants]
 
-    @classmethod
-    def from_records(cls, records: Iterable[dict]) -> "TraceSpec":
-        return cls(
-            tenants=tuple(
-                TenantSpec.from_record(r) for r in records
-            )
-        )
-
-    def signature(self) -> str:
-        """Content hash of the spec (not of any generated stream)."""
-        payload = json.dumps(self.to_records(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _canonical_line(arrival: Arrival) -> str:
+def canonical_line(arrival: Arrival) -> str:
+    """One arrival as one canonical JSON line (sorted keys, no
+    spaces): what a consumed-trace hash is taken over."""
     return json.dumps(
         arrival.to_record(), sort_keys=True, separators=(",", ":")
     )
-
-
-def trace_signature(arrivals: Iterable[Arrival]) -> str:
-    """Streaming SHA-256 over the canonical JSONL encoding.
-
-    Constant memory: consumes the stream one event at a time.  The
-    same events always hash to the same signature, whether they came
-    from a generator or from :func:`read_jsonl`.
-    """
-    h = hashlib.sha256()
-    for arrival in arrivals:
-        h.update(_canonical_line(arrival).encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
-def write_jsonl(
-    arrivals: Iterable[Arrival], fh_or_path: Union[str, IO[str]]
-) -> str:
-    """Record a stream to JSONL; returns its streaming signature.
-
-    One canonical JSON object per line — re-reading the file yields
-    bit-identical events and the identical signature, the replay
-    contract the deterministic-replay tests pin.
-    """
-    h = hashlib.sha256()
-
-    def pump(fh: IO[str]) -> None:
-        for arrival in arrivals:
-            line = _canonical_line(arrival)
-            fh.write(line)
-            fh.write("\n")
-            h.update(line.encode())
-            h.update(b"\n")
-
-    if isinstance(fh_or_path, str):
-        with open(fh_or_path, "w") as fh:
-            pump(fh)
-    else:
-        pump(fh_or_path)
-    return h.hexdigest()
-
-
-def read_jsonl(
-    fh_or_path: Union[str, IO[str]],
-) -> Iterator[Arrival]:
-    """Lazily replay a recorded trace (one event per line)."""
-
-    def pump(fh: IO[str]) -> Iterator[Arrival]:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield Arrival.from_record(json.loads(line))
-
-    if isinstance(fh_or_path, str):
-
-        def opened() -> Iterator[Arrival]:
-            with open(fh_or_path) as fh:
-                yield from pump(fh)
-
-        return opened()
-    return pump(fh_or_path)

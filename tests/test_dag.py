@@ -202,23 +202,6 @@ class TestPrefixMachinery:
         with pytest.raises(DAGError):
             diamond().residual_after(["b"])
 
-    def test_prefixes_enumeration_diamond(self):
-        prefixes = set(diamond().prefixes())
-        expected = {
-            frozenset(),
-            frozenset("a"),
-            frozenset("ab"),
-            frozenset("ac"),
-            frozenset("abc"),
-            frozenset("abcd"),
-        }
-        assert prefixes == expected
-
-    def test_every_enumerated_prefix_is_valid(self):
-        dag = diamond()
-        for prefix in dag.prefixes():
-            assert dag.is_prefix_set(prefix)
-
     def test_subdag_induces_edges_and_handlers(self):
         dag = diamond()
         handler = chain("fixup")
@@ -301,30 +284,6 @@ class TestEquality:
         assert dag.structure() == fresh.structure() != stale
         assert dag == fresh and hash(dag) == hash(fresh) != stale_hash
         assert dag.structure() is dag.structure()
-
-
-class TestDot:
-    def test_dot_renders_all_nodes_and_edges(self):
-        dag = diamond()
-        dot = dag.to_dot()
-        for node in "abcd":
-            assert f'"{node}"' in dot
-        assert '"a" -> "b"' in dot
-        assert '"__start__" -> "a"' in dot
-        assert '"d" -> "__finish__"' in dot
-
-    def test_dot_marks_scopes_and_handlers(self):
-        dag = ConfigDAG()
-        dag.add_action(Action("h", scope="host"))
-        dag.add_action(Action("g"))
-        dag.attach_handler("g", chain("fix"))
-        dot = dag.to_dot()
-        assert '"h" [label="h", shape=box];' in dot
-        assert "dashed" in dot
-
-    def test_dot_empty_dag(self):
-        dot = ConfigDAG().to_dot()
-        assert '"__start__" -> "__finish__"' in dot
 
 
 class TestFootprint:

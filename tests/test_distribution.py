@@ -1,17 +1,15 @@
 """Tests for the peer-to-peer image distribution layer.
 
-Peer stores, broadcast-tree planning, failure fallback, replica
-placement, the load-aware warehouse replica selection, the coalescer's
-outage semantics, and the guarantee that the whole layer is invisible
-when switched off.
+Peer stores, broadcast-tree planning, failure fallback, the load-aware
+warehouse replica selection, the coalescer's outage semantics, and the
+guarantee that the whole layer is invisible when switched off.
 """
 
 import hashlib
 
 import pytest
 
-from repro.core.errors import ReproError, StorageError
-from repro.distribution.placer import ReplicaPlacer
+from repro.core.errors import StorageError
 from repro.distribution.planner import DistributionPlanner
 from repro.provisioning import FULL_PROVISIONING, ProvisioningConfig
 from repro.sim.cluster import build_testbed
@@ -29,15 +27,17 @@ class TestDistributionConfig:
         config = ProvisioningConfig()
         assert not config.distribution_tree
         assert not config.replica_placement
-        assert not config.enabled
 
     def test_tree_alone_enables_layer(self):
-        config = ProvisioningConfig(distribution_tree=True)
-        assert config.enabled
+        bed = build_testbed(
+            seed=11, n_plants=2,
+            provisioning=ProvisioningConfig(distribution_tree=True),
+        )
+        assert bed.distribution is not None
 
     def test_full_provisioning_gains_tree(self):
         assert FULL_PROVISIONING.distribution_tree
-        assert FULL_PROVISIONING.replica_placement
+        assert not FULL_PROVISIONING.replica_placement
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,10 +45,8 @@ class TestDistributionConfig:
             {"tree_fanout": 0},
             {"peer_store_mb": 0.0},
             {"peer_bandwidth_mbps": 0.0},
-            {"placement_period_s": 0.0},
-            {"placement_top_k": 0},
-            {"placement_seed_hosts": 0},
-            {"replica_placement": True},  # requires distribution_tree
+            # The replica placer is gone: even with a tree, refused.
+            {"distribution_tree": True, "replica_placement": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -432,121 +430,6 @@ class TestLoadAwareReplicaPick:
         assert storage.replicas[1].requests_served == 3
 
 
-class TestReplicaPlacer:
-    def _bed(self, n_plants=4, **overrides):
-        params = dict(
-            distribution_tree=True,
-            replica_placement=True,
-            placement_top_k=1,
-            placement_seed_hosts=2,
-            placement_period_s=50.0,
-        )
-        params.update(overrides)
-        return build_testbed(
-            seed=9,
-            n_plants=n_plants,
-            provisioning=ProvisioningConfig(**params),
-        )
-
-    def test_popularity_counts_memo_hits(self):
-        bed = self._bed()
-        request = experiment_request(32)
-        # Two plants bidding on identical requests: the second select
-        # is a memo hit yet still counts toward popularity.
-        drive(bed.env, bed.shop.create(request))
-        drive(bed.env, bed.shop.create(experiment_request(32)))
-        popularity = bed.warehouse.popularity
-        winner, count = max(popularity.items(), key=lambda kv: kv[1])
-        assert count >= 2
-        assert bed.warehouse.match_stats["memo_hits"] > 0
-
-    def test_popularity_after_a_fixed_bid_stream(self):
-        # Every bid's select counts, a bid its plant then declines at
-        # its VM cap included: 10 rounds of 3 plants plus 6 creates.
-        bed = build_testbed(
-            seed=2004, n_plants=3, max_vms_per_plant=2, networks_per_plant=2
-        )
-        failed = 0
-        for n in range(10):
-            request = experiment_request(
-                (32, 64, 256)[n % 3], domain=f"d{n % 4}"
-            )
-            try:
-                drive(bed.env, bed.shop.create(request))
-            except ReproError:
-                failed += 1
-        assert failed == 4
-        assert bed.warehouse.match_stats == {"queries": 36, "memo_hits": 33}
-        assert bed.warehouse.popularity == {
-            "vmware-mandrake81-32mb": 14,
-            "vmware-mandrake81-64mb": 11,
-            "vmware-mandrake81-256mb": 11,
-        }
-
-    def test_place_once_seeds_hot_image_on_seed_hosts(self):
-        bed = self._bed()
-        drive(bed.env, bed.shop.create(experiment_request(32)))
-        placer = bed.placer
-        launched = placer.place_once()
-        assert launched > 0
-        bed.env.run()  # drain the background pushes
-        hot = placer.hot_images()[0]
-        seeded = [
-            s
-            for s in bed.distribution.stores.values()
-            if s.holds(hot.image_id)
-        ]
-        assert len(seeded) >= 2
-        assert placer.pushes_failed == 0
-        # Re-planning with nothing changed launches nothing.
-        assert placer.place_once() == 0
-
-    def test_clone_on_seeded_host_skips_all_network(self):
-        bed = self._bed()
-        drive(bed.env, bed.plants[0].create(experiment_request(32), "v0"))
-        bed.placer.place_once()
-        bed.env.run()
-        nfs_mb = bed.nfs.mb_served
-        hot = bed.placer.hot_images()[0]
-        seeded_host = next(
-            s.host.name
-            for s in bed.distribution.stores.values()
-            if s.holds(hot.image_id) and s.host.name != "node0"
-        )
-        index = int(seeded_host.removeprefix("node"))
-        drive(
-            bed.env,
-            bed.plants[index].create(experiment_request(32), "v1"),
-        )
-        record = bed.clone_records()[-1]
-        assert record.copy_source in ("host-cache", "local")
-        assert bed.nfs.mb_served == nfs_mb
-
-    def test_daemon_start_stop(self):
-        bed = self._bed()
-        drive(bed.env, bed.shop.create(experiment_request(32)))
-        placer = bed.placer
-        placer.start()
-
-        def wait():
-            yield bed.env.timeout(120.0)
-
-        drive(bed.env, wait())
-        assert placer.sweeps >= 2
-        placer.stop()
-        bed.env.run()
-        sweeps = placer.sweeps
-        drive(bed.env, wait())
-        assert placer.sweeps == sweeps
-
-    def test_placer_validation(self):
-        bed = self._bed()
-        with pytest.raises(ValueError):
-            ReplicaPlacer(
-                bed.env, bed.distribution, bed.warehouse, period_s=0.0
-            )
-
-
 class TestTreeTestbedIntegration:
     def test_burst_one_nfs_seed_and_faster_than_star(self):
         def burst(bed):
@@ -613,7 +496,6 @@ class TestDisabledTreeIsInvisible:
     def test_all_off_testbed_has_no_distribution_machinery(self):
         bed = build_testbed(seed=11, n_plants=2)
         assert bed.distribution is None
-        assert bed.placer is None
         for line_list in bed.lines.values():
             assert all(l.distribution is None for l in line_list)
 

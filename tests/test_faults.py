@@ -22,7 +22,13 @@ from repro.core.errors import (
 )
 from repro.faults.health import BreakerState, PlantHealth
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import HOST_CRASH, WAREHOUSE_OUTAGE, FaultEvent, FaultPlan
+from repro.faults.plan import (
+    HOST_CRASH,
+    LINK_DEGRADE,
+    WAREHOUSE_OUTAGE,
+    FaultEvent,
+    FaultPlan,
+)
 from repro.faults.recovery import (
     CIRCUIT_BREAKER,
     DEADLINE_BACKOFF,
@@ -395,6 +401,37 @@ class TestLinkFaults:
         assert n == 3
         assert results == ["dead"] * 3
         assert link.active_flows == 0
+
+    @pytest.mark.parametrize(
+        "target,replicas", [("nfs", 1), ("nfs", 2), ("internode", 1)]
+    )
+    def test_injected_link_degrade_scales_and_restores(
+        self, target, replicas
+    ):
+        bed = build_testbed(seed=5, n_plants=1, nfs_replicas=replicas)
+        if target == "internode":
+            links = [bed.internode]
+        elif replicas > 1:
+            links = [r.link for r in bed.nfs.replicas]
+        else:
+            links = [bed.nfs.link]
+        nominal = [link.bandwidth_mbps for link in links]
+        plan = FaultPlan([
+            FaultEvent(10.0, LINK_DEGRADE, target, 10.0, severity=0.25),
+            FaultEvent(30.0, LINK_DEGRADE, target, 10.0, severity=0.0),
+        ])
+        FaultInjector(bed, plan).start()
+        bed.env.run(until=15.0)
+        assert [link.bandwidth_mbps for link in links] == [
+            mbps * 0.25 for mbps in nominal
+        ]
+        bed.env.run(until=25.0)
+        assert [link.bandwidth_mbps for link in links] == nominal
+        bed.env.run(until=35.0)
+        assert all(link.paused for link in links)
+        bed.env.run(until=45.0)
+        assert not any(link.paused for link in links)
+        assert [link.bandwidth_mbps for link in links] == nominal
 
 
 class TestBidDeadline:

@@ -1,4 +1,4 @@
-"""Maintenance workflows: cordon + drain, nested brokers, scale."""
+"""Maintenance workflows: cordon + evacuate, nested brokers, scale."""
 
 import pytest
 
@@ -43,7 +43,8 @@ class TestCordon:
         bed.run(bed.shop.destroy(vmid))
 
     def test_full_maintenance_workflow(self):
-        """Cordon → drain → host empty; service keeps flowing."""
+        """Cordon → migrate every VM off → host empty; service keeps
+        flowing."""
         bed = build_testbed(seed=91, n_plants=3)
         manager = MigrationManager(bed.env, link=bed.internode)
         vmids = []
@@ -53,7 +54,9 @@ class TestCordon:
         victim = bed.plants[0]
         victim.cordon()
         others = [p for p in bed.plants if p is not victim]
-        bed.run(manager.drain(victim, others, shop=bed.shop))
+        for k, vm in enumerate(list(victim.infosys.active())):
+            target = others[k % len(others)]
+            bed.run(manager.migrate(victim, target, vm.vmid, shop=bed.shop))
         assert victim.active_vm_count() == 0
         # New requests avoid the cordoned plant ...
         ad = bed.run(bed.shop.create(experiment_request(32)))

@@ -227,51 +227,3 @@ class TestMigrateLocal:
         assert (target / "disk" / "chunk-00.vmdk").is_symlink()
         drive(env, plant_b.destroy("vm1"))
         assert not target.exists()
-
-
-class TestDrain:
-    def test_drain_evacuates_and_balances(self):
-        bed = build_testbed(seed=22, n_plants=3)
-        manager = MigrationManager(bed.env, link=bed.internode)
-        src = bed.plants[0]
-
-        def load():
-            for i in range(6):
-                yield from src.create(experiment_request(32), f"vm{i}")
-
-        bed.run(load())
-        migrated = bed.run(
-            manager.drain(src, bed.plants[1:], shop=None)
-        )
-        assert len(migrated) == 6
-        assert src.active_vm_count() == 0
-        counts = [p.active_vm_count() for p in bed.plants[1:]]
-        assert sorted(counts) == [3, 3]  # bidding balances the drain
-
-    def test_drain_reroutes_shop(self):
-        bed = build_testbed(seed=22, n_plants=2)
-        manager = MigrationManager(bed.env, link=bed.internode)
-        ad = bed.run(bed.shop.create(experiment_request(32)))
-        vmid = str(ad["vmid"])
-        src = bed.registry.bind(str(ad["plant"]))
-        target = next(p for p in bed.plants if p is not src)
-        bed.run(manager.drain(src, [target], shop=bed.shop))
-        queried = bed.run(bed.shop.query(vmid))
-        assert queried["plant"] == target.name
-
-    def test_drain_rejects_bad_targets(self):
-        bed = build_testbed(seed=22, n_plants=2)
-        manager = MigrationManager(bed.env)
-        with pytest.raises(PlantError):
-            bed.run(manager.drain(bed.plants[0], []))
-        with pytest.raises(PlantError):
-            bed.run(manager.drain(bed.plants[0], [bed.plants[0]]))
-
-    def test_drain_fails_when_no_capacity(self):
-        bed = build_testbed(seed=22, n_plants=2, max_vms_per_plant=1)
-        manager = MigrationManager(bed.env, link=bed.internode)
-        src, dst = bed.plants
-        bed.run(src.create(experiment_request(32), "vm-a"))
-        bed.run(dst.create(experiment_request(32), "vm-b"))
-        with pytest.raises(PlantError, match="no target"):
-            bed.run(manager.drain(src, [dst]))

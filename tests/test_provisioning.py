@@ -21,13 +21,13 @@ from tests.helpers import drive
 class TestProvisioningConfig:
     def test_defaults_disabled(self):
         config = ProvisioningConfig()
-        assert not config.enabled
         assert config.host_cache_mb == 0.0
         assert not config.coalesce_transfers
         assert not config.speculative_pools
 
     def test_full_enabled(self):
-        assert FULL_PROVISIONING.enabled
+        assert FULL_PROVISIONING.host_cache_mb > 0
+        assert FULL_PROVISIONING.coalesce_transfers
         assert FULL_PROVISIONING.speculative_pools
 
     @pytest.mark.parametrize(
@@ -390,7 +390,7 @@ class TestDisabledLayerIsInvisible:
 
     def test_testbed_defaults_carry_no_machinery(self):
         bed = build_testbed(seed=11, n_plants=2)
-        assert not bed.provisioning.enabled
+        assert bed.provisioning == ProvisioningConfig()
         assert bed.pools == []
         assert all(h.state_cache is None for h in bed.hosts)
         assert all(p.speculative is None for p in bed.plants)

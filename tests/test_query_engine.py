@@ -1,13 +1,11 @@
-"""Query-engine call-site tests: memos, registry index, bid prefilter.
+"""Query-engine call-site tests: memos, registry discovery, bid prefilter.
 
-Covers the matchmaking fast paths layered on the compiled classad
-engine: ``VMPlant.description_ad()`` / ``CreateRequest.to_classad()``
+Covers the matchmaking paths layered on the compiled classad engine:
+``VMPlant.description_ad()`` / ``CreateRequest.to_classad()``
 memoization with invalidation on mutation, the service registry's
-attribute-index pre-filter (equivalence against the exhaustive scan on
-randomized registries), and the estimate-path equality fast-reject.
+``discover`` over published descriptions, and the estimate-path
+equality fast-reject.
 """
-
-import random
 
 from repro.core.classad import ClassAd, Expression
 from repro.core.dag import ConfigDAG
@@ -131,50 +129,8 @@ class TestRequestMemos:
         assert not hasattr(request, "_xml_memo")
 
 
-def _random_description(rng, name):
-    ad = ClassAd({"name": name, "kind": "vmplant"})
-    if rng.random() < 0.9:
-        ad["os"] = rng.choice(["linux", "bsd", "Solaris"])
-    if rng.random() < 0.8:
-        ad["vm_type"] = rng.choice(["vmware", "uml"])
-    ad["active_vms"] = rng.randrange(0, 10)
-    ad["networks_free"] = rng.randrange(0, 5)
-    if rng.random() < 0.1:
-        ad.set_expression("os", '"li" + "nux"')
-    return ad
-
-
-_QUERIES = [
-    'other.os == "linux"',
-    'os == "LINUX" && other.vm_type == "uml"',
-    'other.vm_type == "vmware" && other.networks_free > 0',
-    'other.kind == "vmplant" && other.active_vms < 5',
-    'name == "svc-3"',
-    'other.os == "bsd" || other.os == "linux"',  # no constraints
-    "other.active_vms >= 0",
-    'other.os == "plan9"',  # matches nothing
-]
-
-
 class TestRegistryIndex:
-    def test_prefilter_equivalent_to_full_scan(self):
-        rng = random.Random(42)
-        for trial in range(20):
-            registry = ServiceRegistry()
-            for i in range(rng.randrange(3, 25)):
-                name = f"svc-{i}"
-                registry.publish(
-                    name, "vmplant", object(),
-                    description=_random_description(rng, name),
-                )
-            for query in _QUERIES:
-                fast = registry.discover("vmplant", query)
-                slow = registry.discover(
-                    "vmplant", query, prefilter=False
-                )
-                assert [e.name for e in fast] == [
-                    e.name for e in slow
-                ], f"trial={trial} query={query!r}"
+    """``ServiceRegistry.discover``: kind and requirements filtering."""
 
     def test_accepts_precompiled_expression(self):
         registry = ServiceRegistry()
@@ -197,7 +153,7 @@ class TestRegistryIndex:
             ),
         )
         assert len(registry.discover("vmplant", query)) == 1
-        # Republish with a different os: old bucket entry must go.
+        # Republish with a different os: the old description must go.
         registry.publish(
             "a", "vmplant", object(),
             description=ClassAd(
@@ -224,15 +180,8 @@ class TestRegistryIndex:
             "bare", "vmplant", object(),
             description=ClassAd({"name": "bare", "kind": "vmplant"}),
         )
-        # os missing → `other.os == "linux"` is UNDEFINED → no match,
-        # with or without the index.
+        # os missing → `other.os == "linux"` is UNDEFINED → no match.
         assert registry.discover("vmplant", 'other.os == "linux"') == []
-        assert (
-            registry.discover(
-                "vmplant", 'other.os == "linux"', prefilter=False
-            )
-            == []
-        )
 
 
 class TestEstimatePrefilter:

@@ -1,9 +1,9 @@
-"""Unit tests for Resource / Container / Store primitives."""
+"""Unit tests for the Resource primitive."""
 
 import pytest
 
 from repro.sim.kernel import Environment
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource
 
 
 class TestResource:
@@ -93,167 +93,3 @@ class TestResource:
         assert res.count == 2
         res.release(reqs[0])
         assert res.count == 1
-
-
-class TestContainer:
-    def test_init_within_bounds(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=11)
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-
-    def test_get_blocks_until_stock(self):
-        env = Environment()
-        box = Container(env, capacity=100)
-        times = []
-
-        def producer(env):
-            yield env.timeout(3)
-            yield box.put(10)
-
-        def consumer(env):
-            yield box.get(7)
-            times.append(env.now)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times == [3.0]
-        assert box.level == 3.0
-
-    def test_put_blocks_at_capacity(self):
-        env = Environment()
-        box = Container(env, capacity=10, init=8)
-        times = []
-
-        def producer(env):
-            yield box.put(5)
-            times.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(4)
-            yield box.get(6)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times == [4.0]
-        assert box.level == 7.0
-
-    def test_nonpositive_amounts_rejected(self):
-        env = Environment()
-        box = Container(env, capacity=10)
-        with pytest.raises(ValueError):
-            box.put(0)
-        with pytest.raises(ValueError):
-            box.get(-1)
-
-    def test_cancel_pending_get(self):
-        env = Environment()
-        box = Container(env, capacity=10)
-        pending = box.get(5)
-        box.cancel(pending)
-        box.put(5)
-        assert box.level == 5.0
-        assert not pending.triggered
-
-    def test_fifo_gets(self):
-        env = Environment()
-        box = Container(env, capacity=100)
-        order = []
-
-        def getter(env, name, amount):
-            yield box.get(amount)
-            order.append(name)
-
-        env.process(getter(env, "big", 10))
-        env.process(getter(env, "small", 1))
-
-        def feeder(env):
-            yield env.timeout(1)
-            yield box.put(10)
-            yield env.timeout(1)
-            yield box.put(1)
-
-        env.process(feeder(env))
-        env.run()
-        # Strict FIFO: the big get is served first even though the
-        # small one could have been satisfied earlier.
-        assert order == ["big", "small"]
-
-
-class TestStore:
-    def test_put_get_roundtrip(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            item = yield store.get()
-            got.append(item)
-
-        env.process(consumer(env))
-
-        def producer(env):
-            yield env.timeout(2)
-            yield store.put({"k": 1})
-
-        env.process(producer(env))
-        env.run()
-        assert got == [{"k": 1}]
-
-    def test_fifo_item_order(self):
-        env = Environment()
-        store = Store(env)
-        out = []
-
-        def producer(env):
-            for i in range(5):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(5):
-                item = yield store.get()
-                out.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert out == [0, 1, 2, 3, 4]
-
-    def test_capacity_blocks_put(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        events = []
-
-        def producer(env):
-            yield store.put("a")
-            events.append(("a", env.now))
-            yield store.put("b")
-            events.append(("b", env.now))
-
-        def consumer(env):
-            yield env.timeout(5)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert events == [("a", 0.0), ("b", 5.0)]
-
-    def test_cancel_get(self):
-        env = Environment()
-        store = Store(env)
-        pending = store.get()
-        store.cancel_get(pending)
-        store.put("x")
-        assert len(store) == 1
-        assert not pending.triggered
-
-    def test_len_tracks_items(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2

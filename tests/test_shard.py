@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from repro.sim.shard.ring import (
     RouterOutbox,
     SiteInbox,
 )
+from repro.sim.shard.worker import _ShardWorker
 
 
 def _miniring(sites=4, shards=1, collect="fingerprint", **params):
@@ -474,15 +476,17 @@ def test_ring_batch_promise_covers_records_after_it():
 
 def test_ring_full_pipe_write_drains_instead_of_deadlocking():
     # ~140 KB of records, far beyond any default pipe capacity: the
-    # write must invoke on_block (modelling the worker draining its
-    # own in-rings) and complete without losing or tearing a record.
+    # write must invoke the worker's on_block, which drains its own
+    # in-rings, and complete without losing or tearing a record.
     rfd, wfd = os.pipe()
     try:
         reader = RingReader(0, rfd, 0.5)
         inboxes = {0: SiteInbox()}
-        out = RingOutbox(
-            {1: wfd}, on_block=lambda fd: reader.drain(inboxes)
-        )
+        worker = object.__new__(_ShardWorker)
+        worker.readers = {0: reader}
+        worker.world = SimpleNamespace(inboxes=inboxes)
+        worker.block_s = 0.0
+        out = RingOutbox({1: wfd}, on_block=worker._ring_block)
         n = 2000
         for i in range(n):
             out.pack(1, KIND_MSG, 1, 0, 0, i, 100.0 + i, (float(i),))
@@ -492,6 +496,7 @@ def test_ring_full_pipe_write_drains_instead_of_deadlocking():
         assert reader.received == n
         assert len(inboxes[0]) == n
         assert reader.promise == final_promise
+        assert worker.block_s > 0.0
     finally:
         os.close(rfd)
         os.close(wfd)

@@ -3,10 +3,17 @@
 import pytest
 
 from repro.core.actions import Action
-from repro.core.errors import ProtocolError, WarehouseError
+from repro.core.errors import ProtocolError, ReproError, WarehouseError
 from repro.core.spec import HardwareSpec
 from repro.plant.warehouse import GoldenImage, VMWarehouse
-from repro.workloads.requests import golden_image, install_os_action
+from repro.sim.cluster import build_testbed
+from repro.workloads.requests import (
+    experiment_request,
+    golden_image,
+    install_os_action,
+)
+
+from tests.helpers import drive
 
 
 class TestGoldenImage:
@@ -153,3 +160,21 @@ class TestVMWarehouse:
         text = wh.dump_xml()
         monkeypatch.undo()
         assert len(VMWarehouse.load_xml(text)) == 2
+
+    def test_match_stats_after_a_fixed_bid_stream(self):
+        # Every bid's select is a query, a bid its plant then declines
+        # at its VM cap included: 10 rounds of 3 plants plus 6 creates.
+        bed = build_testbed(
+            seed=2004, n_plants=3, max_vms_per_plant=2, networks_per_plant=2
+        )
+        failed = 0
+        for n in range(10):
+            request = experiment_request(
+                (32, 64, 256)[n % 3], domain=f"d{n % 4}"
+            )
+            try:
+                drive(bed.env, bed.shop.create(request))
+            except ReproError:
+                failed += 1
+        assert failed == 4
+        assert bed.warehouse.match_stats == {"queries": 36, "memo_hits": 33}

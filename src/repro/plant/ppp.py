@@ -83,9 +83,9 @@ class ProductionProcessPlanner:
 
     # -- planning ---------------------------------------------------------
     def plan(
-        self, order: ProductionOrder
+        self, *, request: CreateRequest
     ) -> Tuple[GoldenImage, MatchResult, ProductionLine]:
-        """Select the golden machine and production line for an order.
+        """Select the golden machine and production line for a request.
 
         Preference: the requested technology if given, otherwise every
         line is considered and the deepest matching prefix wins
@@ -93,9 +93,13 @@ class ProductionProcessPlanner:
 
         Selection goes through the warehouse's match index and
         per-request memo, so the plants of a site bidding on one
-        request evaluate the Section 3.2 criterion once.
+        request evaluate the Section 3.2 criterion once.  A bid plans
+        without an order: no vmid is assigned until the shop dispatches.
+        The request is keyword-only because the end-to-end tracer
+        (``benchmarks/e2e/trace.py``) reads a positional argument here
+        as a production order; passed by keyword, it takes the request
+        id of the span around it.
         """
-        request = order.request
         vm_types = (
             [request.vm_type]
             if request.vm_type is not None
@@ -135,8 +139,8 @@ class ProductionProcessPlanner:
         The production is registered in-flight for its whole duration
         so :meth:`abort_inflight` can release partial state.
         """
-        image, match, line = self.plan(order)
         request = order.request
+        image, match, line = self.plan(request=request)
         vm = VirtualMachine(
             vmid=order.vmid,
             image=image,
@@ -169,11 +173,13 @@ class ProductionProcessPlanner:
         try:
             ad = vm.classad
             # Phase 4 of Figure 3: clone the cached sub-graph.
-            trace(
-                self.env, "ppp", "clone-start",
-                vmid=order.vmid, image=image.image_id,
-                cached=len(match.satisfied), residual=len(match.residual),
-            )
+            if self.env.tracer is not None:
+                trace(
+                    self.env, "ppp", "clone-start",
+                    vmid=order.vmid, image=image.image_id,
+                    cached=len(match.satisfied),
+                    residual=len(match.residual),
+                )
             clone_start = self.env.now
             try:
                 yield line.clone(vm, order.clone_mode)
@@ -182,10 +188,11 @@ class ProductionProcessPlanner:
                 vm.status = VMStatus.FAILED
                 raise
             ad["clone_time"] = self.env.now - clone_start
-            trace(
-                self.env, "ppp", "clone-done",
-                vmid=order.vmid, seconds=self.env.now - clone_start,
-            )
+            if self.env.tracer is not None:
+                trace(
+                    self.env, "ppp", "clone-done",
+                    vmid=order.vmid, seconds=self.env.now - clone_start,
+                )
 
             for name in match.satisfied:
                 vm.record(
@@ -226,10 +233,11 @@ class ProductionProcessPlanner:
                 finished["lease_expires_at"] = now + request.lease_s
             ad.update(finished)
             self.infosys.store(vm)
-            trace(
-                self.env, "ppp", "vm-running",
-                vmid=order.vmid, total=self.env.now - clone_start,
-            )
+            if self.env.tracer is not None:
+                trace(
+                    self.env, "ppp", "vm-running",
+                    vmid=order.vmid, total=self.env.now - clone_start,
+                )
             return vm
         finally:
             self._inflight.pop(order.vmid, None)

@@ -168,9 +168,7 @@ class VMPlant:
         # "No production line can host the request" is decided inside
         # plan(), line by line, and surfaces as its PlantError.
         try:
-            self.ppp.plan(
-                ProductionOrder(vmid="__estimate__", request=request)
-            )
+            self.ppp.plan(request=request)
         except PlantError:
             return None
         # Admission (after plan, whose warehouse query counts demand).

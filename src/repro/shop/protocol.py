@@ -116,7 +116,9 @@ class Transport:
     """Message substrate charging round-trip latency per call.
 
     Each direction of each call draws one jittered latency from the
-    ``transport`` stream, in the order the messages are sent.
+    ``transport`` stream, in the order the messages are sent (none at
+    zero latency).  The draw is written out at each hop: a hop is a
+    draw and a wake, with no helper frame between them.
     """
 
     def __init__(
@@ -134,13 +136,6 @@ class Transport:
         self.jitter_sigma = jitter_sigma
         self.calls = 0
 
-    def _one_way(self) -> float:
-        if self.latency_s == 0:
-            return 0.0
-        return self.latency_s * self.rng.lognormal(
-            "transport", 0.0, self.jitter_sigma
-        )
-
     def call(self, handler: Callable[..., Any], *args: Any) -> Generator:
         """Invoke ``handler(*args)`` remotely: latency → handler → latency.
 
@@ -154,11 +149,18 @@ class Transport:
         generator it routes to: this frame runs it as its sub-call.
         """
         self.calls += 1
-        yield self._one_way()
+        latency, sigma = self.latency_s, self.jitter_sigma
+        yield (
+            latency * self.rng.lognormal("transport", 0.0, sigma)
+            if latency else 0.0
+        )
         result = handler(*args)
         if hasattr(result, "send") and hasattr(result, "throw"):
             result = yield result
-        yield self._one_way()
+        yield (
+            latency * self.rng.lognormal("transport", 0.0, sigma)
+            if latency else 0.0
+        )
         return result
 
     def gather(
@@ -200,10 +202,11 @@ class Transport:
         this = _Round(self, handlers, done, deadline)
         if deadline_s is not None:
             Timeout(env, deadline_s).callbacks.append(this.expire)
+        latency, sigma = self.latency_s, self.jitter_sigma
+        draw = self.rng.lognormal
         for index in range(total):
-            Timeout(env, self._one_way()).callbacks.append(
-                partial(this.arrive, index)
-            )
+            delay = latency * draw("transport", 0.0, sigma) if latency else 0.0
+            Timeout(env, delay).callbacks.append(partial(this.arrive, index))
         return done
 
 
@@ -231,8 +234,12 @@ class _Round:
 
     def reply(self, index: int, answer: Any) -> None:
         landings, transport = self.landings, self.transport
-        env = transport.env
-        landings.append((env.now + transport._one_way(), index, answer))
+        env, latency = transport.env, transport.latency_s
+        if latency:
+            latency *= transport.rng.lognormal(
+                "transport", 0.0, transport.jitter_sigma
+            )
+        landings.append((env.now + latency, index, answer))
         if len(landings) == len(self.handlers) and self.done is not None:
             last = max(landings)[0]  # ties end at the unique index
             # At or past the deadline, the deadline timer decides.

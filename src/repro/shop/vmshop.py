@@ -205,10 +205,12 @@ class VMShop:
                 if not ranked:
                     raise ShopError("no plant bid for the request")
                 vmid = self.next_vmid()
-                trace(
-                    self.env, "shop", "bids-collected",
-                    vmid=vmid, bids=len(ranked), best=ranked[0].bidder_name,
-                )
+                if self.env.tracer is not None:
+                    trace(
+                        self.env, "shop", "bids-collected",
+                        vmid=vmid, bids=len(ranked),
+                        best=ranked[0].bidder_name,
+                    )
                 candidates = ranked if self.retry_other_plants else ranked[:1]
                 for bid in candidates:
                     try:
@@ -283,7 +285,10 @@ class VMShop:
         self._route[vmid] = bid.bidder
         self._cache[vmid] = ad.copy()
         self.creates_ok += 1
-        trace(self.env, "shop", "created", vmid=vmid, plant=bid.bidder_name)
+        if self.env.tracer is not None:
+            trace(
+                self.env, "shop", "created", vmid=vmid, plant=bid.bidder_name
+            )
 
     def _dispatch_create(
         self,

@@ -30,7 +30,7 @@ from typing import Dict, Generator, List, Optional
 from repro.core.actions import Action, ActionResult, ActionScope, ActionStatus
 from repro.core.errors import PlantError
 from repro.core.spec import CreateRequest
-from repro.plant.guest import build_iso, fabricate_outputs
+from repro.plant.guest import fabricate_outputs, iso_size_mb, script_length
 from repro.plant.production import (
     CloneMode,
     ProductionLine,
@@ -301,7 +301,7 @@ class _SimLine(ProductionLine):
             # Host-side operation (virtual device setup etc.).
             yield 0.3 * jitter(f"{prefix}host-op/{action.name}", 0.0, sigma)
         else:
-            iso = build_iso(action, context)
+            script_bytes = script_length(action, context)
             # Build the ISO, connect it, the guest daemon mounts it.
             for base, stage in (
                 (lat.iso_build_s, "iso-build"),
@@ -315,7 +315,7 @@ class _SimLine(ProductionLine):
                 f"{prefix}script/{action.name}", 0.0, lat.script_jitter_sigma
             )
             backend: SimBackend = vm.backend
-            backend.redo_mb += iso.size_mb * 0.1 + 0.5
+            backend.redo_mb += iso_size_mb(script_bytes) * 0.1 + 0.5
 
         draw = self.rng.uniform(
             f"{prefix}action-fail/{action.name}", 0.0, 1.0
@@ -328,11 +328,15 @@ class _SimLine(ProductionLine):
                 duration=duration,
                 message="guest script returned non-zero exit status",
             )
-        outputs = fabricate_outputs(action, context)
+        outputs = (
+            tuple(sorted(fabricate_outputs(action, context).items()))
+            if action.outputs
+            else ()
+        )
         return ActionResult(
             action=action.name,
             status=ActionStatus.OK,
-            outputs=tuple(sorted(outputs.items())),
+            outputs=outputs,
             stdout="",
             duration=duration,
         )
@@ -463,11 +467,12 @@ class VMwareLine(_SimLine):
                 copy_source=copy_source,
             )
         )
-        trace(
-            self.env, "line", "cloned",
-            vmid=vm.vmid, host=self.host.name,
-            pressure=round(pressure, 2),
-        )
+        if self.env.tracer is not None:
+            trace(
+                self.env, "line", "cloned",
+                vmid=vm.vmid, host=self.host.name,
+                pressure=round(pressure, 2),
+            )
 
 
 class UMLLine(_SimLine):

@@ -96,8 +96,24 @@ class RngHub:
                 return exp(mu + z * sigma)
 
     def choice(self, name: str, seq):
-        """Pick a uniformly random element of ``seq``."""
-        return self.stream(name).choice(seq)
+        """Pick a uniformly random element of ``seq``.
+
+        What ``random.choice`` computes, spelled out: the stdlib's
+        ``_randbelow_with_getrandbits`` on the stream's ``getrandbits``,
+        so a pick is one Python call and bit for bit the stdlib's.
+        """
+        rng = self._streams.get(name)
+        if rng is None:
+            rng = self.stream(name)
+        n = len(seq)
+        if not n:  # ``getrandbits(0)`` is 0, which is never below 0
+            raise IndexError("Cannot choose from an empty sequence")
+        getrandbits = rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return seq[r]
 
     def __repr__(self) -> str:
         seen = len(self._streams) + len(self._drawn_once)

@@ -4,7 +4,9 @@ A :class:`Tracer` records (time, category, message, data) events.
 Attach one to an environment (``env.tracer = Tracer()``) and every
 instrumented component — shop, PPP, production lines — emits through
 :func:`trace`; without a tracer attached the call is a cheap no-op, so
-experiments pay nothing by default.
+experiments pay nothing by default.  The trace points every create
+passes (shop, PPP, the clone's line) test ``env.tracer`` first and make
+no call at all without one.
 
 Traces are the raw material for debugging latency anomalies and for
 custom analyses beyond the canned experiments::

@@ -554,7 +554,7 @@ def oracle_gather(
                 done.succeed(answers)
 
     def reply(index: int, answer: Any) -> None:
-        Timeout(env, transport._one_way()).callbacks.append(
+        Timeout(env, _oracle_one_way(transport)).callbacks.append(
             partial(land, index, answer)
         )
 
@@ -591,7 +591,7 @@ def oracle_gather(
     if deadline_s is not None:
         Timeout(env, deadline_s).callbacks.append(expire)
     for index in range(total):
-        Timeout(env, transport._one_way()).callbacks.append(
+        Timeout(env, _oracle_one_way(transport)).callbacks.append(
             partial(arrive, index)
         )
     return done

@@ -5,7 +5,8 @@ simulation.
 A record is a measurement of one commit on one host, so what is held
 here is what the simulated clock decides: the head says where it was
 taken, the recheck passed, and the paper-scale rungs meet the
-acceptance bars their experiments were built to.
+acceptance bars their experiments were built to.  DESIGN's create-cost
+table is held to ``E2E_create_cost.json`` the same way.
 """
 
 from __future__ import annotations
@@ -70,3 +71,29 @@ def test_megaload_million_rung_is_a_million_requests():
     for point in record["points"]:
         assert point["ok"] + point["failed"] == 1_000_000
     assert record["peak_rss_mb"] < 8192
+
+
+def test_design_create_cost_table_quotes_its_record():
+    """DESIGN "What a create costs now" quotes ``E2E_create_cost.json``
+    cell by cell, at the precision it prints."""
+    recorded = json.loads((RESULTS / "E2E_create_cost.json").read_text())
+    design = (RESULTS.parent.parent / "DESIGN.md").read_text()
+    section = design.split("#### What a create costs now", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    header = next(l for l in section.splitlines() if l.startswith("| workload"))
+    keys = [cell.strip(" `") for cell in header.strip("|").split("|")[2:]]
+    quoted = set()
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        workload, seed, *cells = (c.strip(" `") for c in line.strip("|").split("|"))
+        values = recorded["records"][workload][seed]
+        for key, cell in zip(keys, cells, strict=True):
+            places = len(cell.partition(".")[2])
+            assert f"{values[key]:.{places}f}" == cell, (workload, seed, key)
+        quoted.add((workload, seed))
+    assert quoted == {
+        (workload, seed)
+        for workload, seeds in recorded["records"].items()
+        for seed in seeds
+    }

@@ -206,12 +206,12 @@ class TestWhatASleepCosts:
         proc = env.process(client())
         counts = python_call_counts(env.run)
         assert proc.value == 7
-        # Two hops, each ``_one_way`` + ``lognormal`` + ``_resume``; the
-        # rest is the call's own frame (three resumes) and handler, and
-        # the client process's start, end and third ``_resume``.
+        # Two hops, each ``lognormal`` + ``_resume`` (a ``_one_way``
+        # helper per hop made it three); the rest is the call's own
+        # frame (three resumes) and handler, and the client process's
+        # start, end and third ``_resume``.
         local = client.__qualname__[: -len("client")]
         assert dict(counts) == {
-            "Transport._one_way": 2,
             "RngHub.lognormal": 2,
             "Process._resume": 3,
             "Transport.call": 3,

@@ -1,6 +1,8 @@
 """Tests for the VM information system, monitor and guest mechanics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.actions import Action, ActionResult, ActionStatus
 from repro.core.errors import PlantError
@@ -9,8 +11,10 @@ from repro.plant.guest import (
     OUTPUT_MARKER,
     build_iso,
     fabricate_outputs,
+    iso_size_mb,
     parse_outputs,
     render_script,
+    script_length,
 )
 from repro.plant.infosys import VMInformationSystem
 from repro.plant.monitor import VMMonitor
@@ -156,7 +160,8 @@ class TestGuestMechanics:
         files = iso.file_dict()
         assert "scripts/setup-user.sh" in files
         assert "useradd x" in files["scripts/setup-user.sh"]
-        assert iso.size_mb > 0.3
+        # ISO9660 overhead on top of the payload.
+        assert iso_size_mb(len(files["scripts/setup-user.sh"])) > 0.35
 
     def test_parse_outputs_honours_declared_only(self):
         action = Action("a", outputs=("ip", "port"))
@@ -177,3 +182,64 @@ class TestGuestMechanics:
         outputs = fabricate_outputs(action, {"ip": "1.2.3.4",
                                              "vmid": "vm9"})
         assert outputs == {"ip": "1.2.3.4", "token": "token-vm9"}
+
+
+# ``ß`` and ``ﬁ`` grow under ``upper()``; the values hold every class
+# ``shlex.quote`` tells apart: empty, safe, unsafe, with single quotes.
+_KEYS = st.text("abzAZ_09ßﬁé", min_size=1, max_size=6)
+_VALUES = st.one_of(
+    st.text("aZ09_@%+=:,./- '\"$;\\\nßé", max_size=8),
+    st.integers(-5, 500),
+)
+_COMMANDS = (
+    "",
+    "plain-command --flag",
+    "useradd {user}",
+    "echo ${HOME} {user} {n}",
+    "awk '{print $1}' /etc/{user}",
+)
+
+
+@st.composite
+def _actions_and_contexts(draw):
+    context = draw(st.dictionaries(_KEYS, _VALUES, max_size=5))
+    names = sorted(context) + ["not-in-context"]
+    action = Action(
+        draw(st.sampled_from(["cfg", "install-vnc"])),
+        command=draw(st.sampled_from(_COMMANDS)),
+        params={"user": draw(st.text(max_size=6)), "n": draw(st.integers())},
+        outputs=tuple(draw(st.lists(st.sampled_from(names), max_size=4))),
+    )
+    return action, context
+
+
+class TestScriptLength:
+    """The simulated lines size an ISO by :func:`script_length`; only
+    the local line renders the script.  Both must agree to the byte:
+    the length feeds ``redo_mb`` and, through it, migration time."""
+
+    @given(_actions_and_contexts())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_rendered_length(self, case):
+        action, context = case
+        assert script_length(action, context) == len(
+            render_script(action, context)
+        )
+
+    @pytest.mark.parametrize(
+        "context",
+        [
+            {},
+            {"ip": ""},
+            {"straße": "o'brien"},
+            {"ip": "10.0.0.2", "vmid": "vm1", "name": "a b; rm -rf /"},
+        ],
+    )
+    def test_examples(self, context):
+        action = Action(
+            "cfg", command="useradd {user} ${HOME}",
+            params={"user": "x y"}, outputs=("ip", "ip", "token"),
+        )
+        assert script_length(action, context) == len(
+            render_script(action, context)
+        )

@@ -63,19 +63,15 @@ class TestPlanning:
     def test_plan_picks_matching_image(self):
         env = Environment()
         ppp, _ = make_ppp(env, InstantLine(env))
-        order = ProductionOrder("vm1", make_request(make_dag()))
-        image, match, line = ppp.plan(order)
+        image, match, line = ppp.plan(request=make_request(make_dag()))
         assert image.image_id == "img"
         assert match.matches
 
     def test_plan_no_image_raises(self):
         env = Environment()
         ppp, _ = make_ppp(env, InstantLine(env))
-        order = ProductionOrder(
-            "vm1", make_request(make_dag(), mem=9999)
-        )
         with pytest.raises(PlantError, match="no golden machine"):
-            ppp.plan(order)
+            ppp.plan(request=make_request(make_dag(), mem=9999))
 
     def test_plan_requires_lines(self):
         env = Environment()
@@ -100,7 +96,7 @@ class TestPlanning:
         )
         dag = make_dag(Action("extra"))
         request = make_request(dag, vm_type=None)
-        image, match, line = ppp.plan(ProductionOrder("vm1", request))
+        image, match, line = ppp.plan(request=request)
         assert image.image_id == "uml-deep"
         assert line is line_uml
 

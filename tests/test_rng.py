@@ -8,6 +8,7 @@ value and every final stream state must be equal.
 """
 
 import copy
+import random
 import weakref
 
 import pytest
@@ -186,6 +187,53 @@ class TestBitForBitWithTheStdlib:
                 want.append(ref.random().hex())
         assert live == want
         assert hub.stream(name).getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("how", ["resident", "drawn-once", "handed-out"])
+    def test_choice_equals_random_choice(self, how):
+        # ``choice`` spells out ``_randbelow_with_getrandbits``: every
+        # length 1-65 covers each power of two up to 64 and both its
+        # neighbours, where the rejection loop's bit count changes.
+        hub = RngHub(2004)
+        name = "shop/bid-tie"
+        ref = self.reference(2004, name)
+        held = None
+        if how == "resident":
+            hub.stream(name)
+        elif how == "handed-out":
+            held = hub.stream(name)
+        else:
+            assert hub.uniform(name, 0.0, 1.0) == ref.uniform(0.0, 1.0)
+            assert name not in hub._streams
+        live, want = [], []
+        for rounds in range(40):
+            for n in range(1, 66):
+                seq = tuple(range(n))
+                live.append(hub.choice(name, seq))
+                want.append(ref.choice(seq))
+            if held is not None:  # the holder draws too
+                live.append(held.getrandbits(7))
+                want.append(ref.getrandbits(7))
+        assert live == want
+        assert hub.stream(name).getstate() == ref.getstate()
+
+    def test_choice_from_nothing_raises(self):
+        # ``getrandbits(0)`` is 0, never below a length of 0: without
+        # the check the rejection loop would never end (here: would
+        # end in the bounded stand-in's error, not ``IndexError``).
+        hub = RngHub(2004)
+        rng = hub.stream("shop/bid-tie")
+        asked = []
+
+        def getrandbits(k):
+            asked.append(k)
+            if len(asked) > 100:
+                raise RuntimeError("the rejection loop does not end")
+            return random.Random.getrandbits(rng, k)
+
+        rng.getrandbits = getrandbits
+        with pytest.raises(IndexError):
+            hub.choice("shop/bid-tie", ())
+        assert asked == []
 
     def test_a_zero_latency_transport_draws_nothing(self):
         env = Environment()

@@ -927,7 +927,7 @@ class TestGather:
         # for the round, put on the queue at the last landing time (it
         # was a back-timer per bidder as well; before that Initialize
         # + two timers + process end per bidder, + AllOf).
-        for n_plants, calls_at_most in ((8, 155), (1, 38)):
+        for n_plants, calls_at_most in ((8, 130), (1, 35)):
             bed = build_testbed(seed=3, n_plants=n_plants)
             request = experiment_request(32)
             collector = bed.shop.collector
@@ -944,10 +944,12 @@ class TestGather:
             calls = python_calls(one_round)
             # Initialize and process end of the driving process itself.
             assert bed.env.executed_events - before == n_plants + 1 + 2
-            # 148 and 36 at the time of writing, 8 a bidder of it
-            # VMPlant.estimate and a healthy bidder a plain call; 212
-            # and 44 with a 15-call bid and a generator per bidder; with
-            # a back-timer per answer, 227 and 45.
+            # 124 and 33 at the time of writing, 7 a bidder of it
+            # VMPlant.estimate, a healthy bidder a plain call and each
+            # hop's draw inline; 148 and 36 with an 8-call bid and a
+            # ``_one_way`` frame per hop; 212 and 44 with a 15-call bid
+            # and a generator per bidder; with a back-timer per answer,
+            # 227 and 45.
             assert calls <= calls_at_most
 
 

@@ -6,6 +6,7 @@ from repro.sim.cluster import build_testbed
 from repro.sim.kernel import Environment
 from repro.sim.trace import TraceEvent, Tracer, trace
 from repro.workloads.requests import experiment_request
+from tests.helpers import python_call_counts
 
 
 class TestTracer:
@@ -91,6 +92,28 @@ class TestInstrumentation:
         bed = build_testbed(seed=13, n_plants=2)
         bed.run(bed.shop.create(experiment_request(32)))
         assert getattr(bed.env, "tracer", None) is None
+
+    def test_untraced_create_makes_no_trace_call(self):
+        # Each trace point on the create path tests ``env.tracer``
+        # itself, so without a tracer there is nothing to call.
+        bed = build_testbed(seed=13, n_plants=2)
+        bed.run(bed.shop.create(experiment_request(32)))
+        counts = python_call_counts(
+            lambda: bed.run(bed.shop.create(experiment_request(32)))
+        )
+        assert counts["VMShop._created"] == 1
+        assert counts["trace"] == 0
+
+    def test_traced_create_records_each_point_once(self):
+        bed = build_testbed(seed=13, n_plants=2)
+        bed.env.tracer = Tracer()
+        bed.run(bed.shop.create(experiment_request(32)))
+        messages = [e.message for e in bed.env.tracer.events]
+        for message in (
+            "bids-collected", "clone-start", "cloned",
+            "clone-done", "vm-running", "created",
+        ):
+            assert messages.count(message) == 1, message
 
     def test_migration_traced(self):
         from repro.plant.migration import MigrationManager

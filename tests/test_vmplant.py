@@ -340,16 +340,17 @@ class TestCallBudgets:
         return sum(self.memo_hit_bid_calls(bed).values())
 
     def test_memo_hit_bid_is_constant_work(self):
-        # 8 at the time of writing (the lambda included): estimate, the
-        # production order, plan, can_host, the warehouse select, the
-        # switch check and the cost model.  15 while the model read the
+        # 7 at the time of writing (the lambda included): estimate,
+        # plan, can_host, the warehouse select, the switch check and the
+        # cost model.  8 while the bid built a production order to plan
+        # from; 15 while the model read the
         # plant through six accessors and decided admission itself; 33
         # when the bid re-counted the free switches, tested can_host
         # twice and rebuilt the memo key through validate/fingerprint/
         # __hash__.
         few = self.bid_calls(4)
         many = self.bid_calls(64)
-        assert few == many <= 9
+        assert few == many <= 8
 
     def test_network_compute_bid_asks_the_pool_once(self):
         # The Section 3.4 model adds one call to the memory model's:

@@ -355,10 +355,14 @@ class ConfigDAG:
         cached = self._pred_mask_cache
         if cached is None:
             bits = self.name_bits()
-            cached = self._pred_mask_cache = {
-                name: sum(1 << bits[p] for p in preds)
-                for name, preds in self._pred.items()
-            }
+            # Plain loops: a generator per action is a call per
+            # predecessor on a first-seen DAG's decode.
+            cached = self._pred_mask_cache = {}
+            for name, preds in self._pred.items():
+                mask = 0
+                for pred in preds:
+                    mask |= 1 << bits[pred]
+                cached[name] = mask
         return cached
 
     def ancestor_masks(self) -> Mapping[str, int]:
@@ -544,13 +548,17 @@ class ConfigDAG:
         if cached is not None and cached[0] == token:
             tup = cached[1]
         else:
+            # Sorted lists, not generators: a generator is a call per
+            # item.
             tup = (
-                tuple(sorted(a.signature for a in self._actions.values())),
+                tuple(sorted([a.signature for a in self._actions.values()])),
                 tuple(sorted(self.edges())),
                 tuple(
                     sorted(
-                        (name, handler.structure())
-                        for name, handler in self._handlers.items()
+                        [
+                            (name, handler.structure())
+                            for name, handler in self._handlers.items()
+                        ]
                     )
                 ),
             )

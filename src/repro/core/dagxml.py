@@ -228,6 +228,12 @@ def _action_from_element(el: ET.Element) -> Action:
     return action
 
 
+#: Wire value → member: a table lookup where ``Enum(value)`` is two
+#: Python calls per action decoded.
+_SCOPES = {member._value_: member for member in ActionScope}
+_POLICIES = {member._value_: member for member in ErrorPolicy}
+
+
 def _parse_action(el: ET.Element) -> Action:
     name = _require(el, "name")
     scope = el.get("scope", ActionScope.GUEST._value_)
@@ -253,14 +259,21 @@ def _parse_action(el: ET.Element) -> Action:
             raise ProtocolError(
                 f"unexpected element <{child.tag}> in <action>"
             )
+    # The text ``Enum(value)`` raises for an unknown value.
+    scope_member = _SCOPES.get(scope)
+    if scope_member is None:
+        raise ProtocolError(f"{scope!r} is not a valid ActionScope")
+    policy = _POLICIES.get(on_error)
+    if policy is None:
+        raise ProtocolError(f"{on_error!r} is not a valid ErrorPolicy")
     try:
         return Action(
             name=name,
-            scope=ActionScope(scope),
+            scope=scope_member,
             command=command,
             params=params,
             outputs=tuple(outputs),
-            on_error=ErrorPolicy(on_error),
+            on_error=policy,
             retries=retries,
         )
     except ValueError as exc:

@@ -97,6 +97,10 @@ class ProductionLine(ABC):
 
     #: Technology name, e.g. ``"vmware"`` or ``"uml"``.
     vm_type: str = "abstract"
+    #: The host whose ``committed_guest_mb`` :meth:`can_host` reads
+    #: besides the request; ``None`` when the answer depends on the
+    #: request alone.  The plant's bid memo keys on that memory.
+    host: Any = None
 
     @abstractmethod
     def clone(
@@ -134,7 +138,12 @@ class ProductionLine(ABC):
         """Destroy the instance and release its resources."""
 
     def can_host(self, request: CreateRequest) -> bool:
-        """Quick admission check (capacity, technology support)."""
+        """Quick admission check (capacity, technology support).
+
+        A function of the request's hardware and of :attr:`host`'s
+        committed guest memory only: the plant memoises its bid on
+        those.
+        """
         return True
 
     def full_copy_time_estimate(self, image: GoldenImage) -> float:

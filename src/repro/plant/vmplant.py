@@ -90,6 +90,17 @@ class VMPlant:
         self._vm_bridged: Dict[str, bool] = {}
         #: description_ad memo: (infosys.version, pool.version) → ad.
         self._description_memo: Optional[tuple] = None
+        #: The hosts whose committed memory the lines' ``can_host``
+        #: reads, each once, and the last bid as (key, cost); see
+        #: :meth:`estimate`.
+        self._admission_hosts = tuple(
+            dict.fromkeys(
+                line.host
+                for line in self.lines.values()
+                if line.host is not None
+            )
+        )
+        self._bid_memo: tuple = (None, None)
         if vnet_service is not None:
             vnet_service.register_server(
                 VNetServer(plant_name=name, host=name)
@@ -139,12 +150,44 @@ class VMPlant:
         expression rejects this plant's description ad, it is at its
         VM cap or has no switch for the request's domain, or the cost
         model refuses.
+
+        Everything but the cordon/crash test and the pool discount is
+        a pure function of the request's shape and the plant's state,
+        so the last answer is kept under both and a repeat bid returns
+        it without planning.  A request with ``requirements`` (whose
+        expression may read any request attribute) or with a DAG not
+        yet fingerprinted is answered afresh and not kept.
         """
         if self.cordoned or self.down:
             return None
-        if request.vm_type is not None and request.vm_type not in self.lines:
+        vm_type = request.vm_type
+        if vm_type is not None and vm_type not in self.lines:
             return None
-        if request.requirements is not None:
+        key = None
+        if request.requirements is None:
+            software = request.software
+            fingerprint = software.dag.sealed_fingerprint
+            if fingerprint is not None:
+                hardware = request.hardware
+                key = (
+                    fingerprint,
+                    hardware.isa,
+                    hardware.memory_mb,
+                    hardware.disk_gb,
+                    hardware.cpus,
+                    software.os,
+                    vm_type,
+                    request.network.domain,
+                    self.infosys.version,
+                    self.network_pool.version,
+                    self.warehouse.generation,
+                    self.cost_model,
+                    self.max_vms,
+                    self.host_memory_mb,
+                )
+                for host in self._admission_hosts:
+                    key += (host.committed_guest_mb,)
+        else:
             description = self.description_ad()
             # The request's memoized ad holds the interned expression.
             ad = request.to_classad()
@@ -153,30 +196,42 @@ class VMPlant:
             # description value means the conjunction cannot be True —
             # decline without running the full match.
             attrs = description._attrs
-            for attr, scope_kind, key in ad._attrs[
+            for attr, scope_kind, wanted in ad._attrs[
                 "requirements"
             ].equality_constraints:
                 if scope_kind != "other":
                     continue
                 raw = attrs.get(attr, UNDEFINED)
                 if not isinstance(raw, Expression) and (
-                    equality_key(raw) != key
+                    equality_key(raw) != wanted
                 ):
                     return None
             if not ad.matches(description):
                 return None
-        # "No production line can host the request" is decided inside
-        # plan(), line by line, and surfaces as its PlantError.
-        try:
-            self.ppp.plan(request=request)
-        except PlantError:
-            return None
-        # Admission (after plan, whose warehouse query counts demand).
-        if self.max_vms is not None and len(self.infosys.vms) >= self.max_vms:
-            return None
-        if not self.network_pool.has_capacity_for(request.network.domain):
-            return None
-        cost = self.cost_model.estimate(self, request)
+        memo = self._bid_memo
+        if key is not None and memo[0] == key:
+            cost = memo[1]
+        else:
+            cost = None
+            # "No production line can host the request" is decided
+            # inside plan(), line by line, and surfaces as its
+            # PlantError.
+            try:
+                self.ppp.plan(request=request)
+            except PlantError:
+                pass
+            else:
+                # Admission (after plan, whose warehouse query counts
+                # demand).
+                max_vms = self.max_vms
+                if (
+                    max_vms is None or len(self.infosys.vms) < max_vms
+                ) and self.network_pool.has_capacity_for(
+                    request.network.domain
+                ):
+                    cost = self.cost_model.estimate(self, request)
+            if key is not None:
+                self._bid_memo = (key, cost)
         if (
             cost is not None
             and self.speculative is not None

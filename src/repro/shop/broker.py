@@ -74,8 +74,10 @@ class VMBroker:
         # transport hop after its bid was collected, and plant state
         # may have moved in between (other requests' creates landed).
         # That is modelled behaviour, kept even when the shop reuses
-        # its caller's bid round; it is cheap because a memo-hit plant
-        # bid is O(1).  The winner stays local to this call.
+        # its caller's bid round.  A plant whose state has not moved
+        # since its bid answers from its bid memo (``VMPlant.estimate``)
+        # in one call, so only the plants that changed plan again.
+        # The winner stays local to this call.
         _, plant = self._best(request)
         if plant is None:
             raise ShopError(

@@ -100,6 +100,23 @@ class TestDagStrictness:
         with pytest.raises(ProtocolError):
             dag_from_xml(text)
 
+    @pytest.mark.parametrize(
+        "attrs, enum, value",
+        [
+            ('scope="cloud"', ActionScope, "cloud"),
+            ('on-error="panic"', ErrorPolicy, "panic"),
+            ('scope="" on-error="fail"', ActionScope, ""),
+        ],
+    )
+    def test_bad_enum_value_reads_as_the_enum_error(self, attrs, enum, value):
+        # The decoder maps wire values through tables; an unknown one
+        # still says what ``Enum(value)`` says.
+        with pytest.raises(ValueError) as expected:
+            enum(value)
+        with pytest.raises(ProtocolError) as raised:
+            dag_from_xml(f'<dag><action name="a" {attrs}/></dag>')
+        assert str(raised.value) == str(expected.value)
+
 
 class TestRequestRoundtrip:
     def make_request(self):

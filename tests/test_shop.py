@@ -927,7 +927,7 @@ class TestGather:
         # for the round, put on the queue at the last landing time (it
         # was a back-timer per bidder as well; before that Initialize
         # + two timers + process end per bidder, + AllOf).
-        for n_plants, calls_at_most in ((8, 130), (1, 35)):
+        for n_plants, calls_at_most in ((8, 95), (1, 30)):
             bed = build_testbed(seed=3, n_plants=n_plants)
             request = experiment_request(32)
             collector = bed.shop.collector
@@ -944,9 +944,11 @@ class TestGather:
             calls = python_calls(one_round)
             # Initialize and process end of the driving process itself.
             assert bed.env.executed_events - before == n_plants + 1 + 2
-            # 124 and 33 at the time of writing, 7 a bidder of it
-            # VMPlant.estimate, a healthy bidder a plain call and each
-            # hop's draw inline; 148 and 36 with an 8-call bid and a
+            # 89 and 28 at the time of writing: every plant answers
+            # from its bid memo.  124 and 33 with each bid planned
+            # afresh, 7 a bidder of it VMPlant.estimate, a healthy
+            # bidder a plain call and each hop's draw inline; 148 and
+            # 36 with an 8-call bid and a
             # ``_one_way`` frame per hop; 212 and 44 with a 15-call bid
             # and a generator per bidder; with a back-timer per answer,
             # 227 and 45.

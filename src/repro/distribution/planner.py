@@ -33,7 +33,7 @@ from repro.core.errors import StorageError
 from repro.distribution.peerstore import PeerImageStore
 from repro.sim.host import PhysicalHost
 from repro.sim.kernel import Environment, Event
-from repro.sim.latency import DEFAULT_LATENCY, LatencyModel
+from repro.sim.latency import DEFAULT_LATENCY, INTERNODE_MBPS, LatencyModel
 from repro.sim.network import FairShareLink
 from repro.sim.trace import trace
 
@@ -90,17 +90,13 @@ class DistributionPlanner:
         nfs,
         latency: LatencyModel = DEFAULT_LATENCY,
         fanout: int = 2,
-        peer_bandwidth_mbps: float = 110.0,
     ):
         if fanout < 1:
             raise ValueError("fanout must be at least 1")
-        if peer_bandwidth_mbps <= 0:
-            raise ValueError("peer bandwidth must be positive")
         self.env = env
         self.nfs = nfs
         self.latency = latency
         self.fanout = fanout
-        self.peer_bandwidth_mbps = peer_bandwidth_mbps
         #: host name → serving store, in registration order.
         self.stores: "Dict[str, PeerImageStore]" = {}
         #: host name → lazily created serving uplink.
@@ -132,7 +128,7 @@ class DistributionPlanner:
         if host.state_cache is None:
             raise ValueError(
                 f"host {host.name} has no state cache; the distribution "
-                f"layer serves peers from it (set peer_store_mb)"
+                f"layer serves peers from it"
             )
         store = PeerImageStore(
             host, host.state_cache, len(self.stores), site
@@ -146,7 +142,7 @@ class DistributionPlanner:
             link = FairShareLink(
                 self.env,
                 f"{host.name}-peer-uplink",
-                self.peer_bandwidth_mbps,
+                INTERNODE_MBPS,
             )
             self._uplinks[host.name] = link
         return link

@@ -284,10 +284,6 @@ def run_chaos(
     hold_s: float = 45.0,
     n_plants: int = 8,
     crash_plants: Optional[int] = None,
-    warehouse_outages: bool = True,
-    warehouse_mode: str = "stall",
-    guest_hangs: bool = True,
-    hang_s: float = 30.0,
     policies: Sequence[str] = tuple(name for name, _, _ in POLICY_LADDER),
     plans: Optional[Dict[float, List[dict]]] = None,
     trace_capacity: Optional[int] = None,
@@ -342,14 +338,10 @@ def run_chaos(
                 crash_targets=[f"plant{i}" for i in range(crash_plants)],
                 mtbf_s=mtbf,
                 mttr_s=mttr_s,
-                warehouse=warehouse_outages,
-                warehouse_mode=warehouse_mode,
-                hang_targets=(
-                    [f"plant{i}" for i in range(crash_plants, n_plants)]
-                    if guest_hangs
-                    else ()
-                ),
-                hang_s=hang_s,
+                warehouse=True,
+                hang_targets=[
+                    f"plant{i}" for i in range(crash_plants, n_plants)
+                ],
             )
         result.plans[mtbf] = plan.to_records()
         pts = []

@@ -72,15 +72,13 @@ class CostFnResult:
 def run_costfn(
     seed: int = 2004,
     requests: int = 16,
-    network_cost: float = 50.0,
-    compute_cost_per_vm: float = 4.0,
 ) -> CostFnResult:
     """Run the two-plant illustration."""
     bed = build_testbed(
         seed=seed,
         n_plants=2,
         memory_sizes=(32,),
-        cost_model=NetworkComputeCost(network_cost, compute_cost_per_vm),
+        cost_model=NetworkComputeCost(),
         networks_per_plant=4,
         max_vms_per_plant=32,
     )

@@ -47,17 +47,11 @@ __all__ = [
 VARIANTS: Tuple[str, ...] = ("nfs-star", "tree")
 
 
-def _variant_config(
-    variant: str, fanout: int, peer_store_mb: float
-) -> ProvisioningConfig:
+def _variant_config(variant: str, fanout: int) -> ProvisioningConfig:
     if variant == "nfs-star":
         return ProvisioningConfig()
     if variant == "tree":
-        return ProvisioningConfig(
-            distribution_tree=True,
-            tree_fanout=fanout,
-            peer_store_mb=peer_store_mb,
-        )
+        return ProvisioningConfig(distribution_tree=True, tree_fanout=fanout)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -186,7 +180,6 @@ def run_disttree(
     memory_mb: int = 64,
     hosts: Sequence[int] = (8, 32, 128, 512),
     fanout: int = 2,
-    peer_store_mb: float = 1024.0,
 ) -> DistTreeResult:
     """Sweep fleet sizes across delivery wirings (same-image burst).
 
@@ -202,7 +195,7 @@ def run_disttree(
         fanout=fanout,
     )
     for variant in VARIANTS:
-        config = _variant_config(variant, fanout, peer_store_mb)
+        config = _variant_config(variant, fanout)
         result.points[variant] = [
             _run_point(variant, config, seed, memory_mb, n)
             for n in hosts

@@ -40,6 +40,7 @@ __all__ = [
     "WAN_PARTITION",
     "WAN_DEGRADE",
     "GATEWAY_HANG",
+    "HANG_S",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
@@ -70,6 +71,9 @@ WAN_DEGRADE = "wan-degrade"
 #: A site gateway hangs: inbound spill-over creates stall until the
 #: window passes (the WAN itself stays up).
 GATEWAY_HANG = "gateway-hang"
+
+#: Mean duration (s) of a generated guest or gateway hang.
+HANG_S = 30.0
 
 FAULT_KINDS = frozenset(
     {
@@ -231,18 +235,15 @@ class FaultPlan:
         mtbf_s: float = 600.0,
         mttr_s: float = 120.0,
         warehouse: bool = False,
-        warehouse_mode: str = "stall",
-        degrade_links: Sequence[str] = (),
-        degrade_severity: float = 0.25,
         hang_targets: Sequence[str] = (),
-        hang_s: float = 30.0,
     ) -> "FaultPlan":
         """Seeded MTBF/MTTR renewal schedule over ``[0, horizon_s)``.
 
         Each target gets its own ``fault/<kind>/<target>`` stream, so
         the schedule for one target is independent of every other —
         and of the workload.  Repairs are drawn with mean ``mttr_s``
-        (floored at one second so every fault has a recovery).
+        (floored at one second so every fault has a recovery); a hang
+        lasts :data:`HANG_S` on average.
         """
         if horizon_s <= 0:
             raise ValueError("horizon_s must be positive")
@@ -255,17 +256,11 @@ class FaultPlan:
             )
         if warehouse:
             events += _renewals(
-                hub, horizon_s, mtbf_s, mttr_s, WAREHOUSE_OUTAGE,
-                "warehouse", mode=warehouse_mode,
-            )
-        for target in degrade_links:
-            events += _renewals(
-                hub, horizon_s, mtbf_s, mttr_s, LINK_DEGRADE, target,
-                severity=degrade_severity,
+                hub, horizon_s, mtbf_s, mttr_s, WAREHOUSE_OUTAGE, "warehouse"
             )
         for target in hang_targets:
             events += _renewals(
-                hub, horizon_s, mtbf_s, hang_s, GUEST_HANG, target
+                hub, horizon_s, mtbf_s, HANG_S, GUEST_HANG, target
             )
         return cls(events)
 
@@ -285,9 +280,7 @@ def grid_fault_plan(
     blackout_sites: Sequence[int] = (),
     blackout_at: Optional[float] = None,
     blackout_s: float = 120.0,
-    blackout_mode: str = "stall",
     gateway_hang_sites: Sequence[int] = (),
-    hang_s: float = 30.0,
     wan_links: Sequence[Tuple[str, int]] = (),
     wan_severity: float = 0.0,
     wan_at: Optional[float] = None,
@@ -337,22 +330,21 @@ def grid_fault_plan(
                 f"site{k}-plant{i}", site=k,
             )
     for k in blackout_sites:
-        fields = dict(mode=blackout_mode, site=k)
         if blackout_at is None:
             events += _renewals(
                 hub, horizon_s, mtbf_s, blackout_s, SITE_BLACKOUT,
-                f"site{k}", **fields,
+                f"site{k}", site=k,
             )
         else:
             events.append(
                 FaultEvent(
                     blackout_at, SITE_BLACKOUT, f"site{k}", blackout_s,
-                    **fields,
+                    site=k,
                 )
             )
     for k in gateway_hang_sites:
         events += _renewals(
-            hub, horizon_s, mtbf_s, hang_s, GATEWAY_HANG,
+            hub, horizon_s, mtbf_s, HANG_S, GATEWAY_HANG,
             f"site{k}-gateway", site=k,
         )
     wan_kind = WAN_PARTITION if wan_severity <= 0.0 else WAN_DEGRADE

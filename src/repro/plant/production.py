@@ -146,10 +146,6 @@ class ProductionLine(ABC):
         """
         return True
 
-    def full_copy_time_estimate(self, image: GoldenImage) -> float:
-        """Estimated seconds to fully copy the image's disk (ablation)."""
-        return 0.0
-
     # -- fault hooks (repro.faults) ------------------------------------------
     def abort(self, vm: VirtualMachine) -> bool:
         """Synchronously release a VM's resources (crash/abort path).

@@ -54,8 +54,6 @@ class VMPlant:
         max_vms: Optional[int] = None,
         network_pool: Optional[HostOnlyNetworkPool] = None,
         vnet_service: Optional[VirtualNetworkService] = None,
-        default_clone_mode: CloneMode = CloneMode.LINK,
-        monitor_period: float = 30.0,
     ):
         self.env = env
         self.name = name
@@ -68,7 +66,6 @@ class VMPlant:
         self.max_vms = max_vms
         self.network_pool = network_pool or HostOnlyNetworkPool(name)
         self.vnet_service = vnet_service
-        self.default_clone_mode = default_clone_mode
         self.infosys = VMInformationSystem()
         #: Optional AdaptiveSpeculativePool serving creates from
         #: pre-warmed clones (duck-typed to avoid a circular import).
@@ -84,7 +81,7 @@ class VMPlant:
         self.ppp = ProductionProcessPlanner(
             env, warehouse, self.infosys, self.lines
         )
-        self.monitor = VMMonitor(env, self.infosys, monitor_period)
+        self.monitor = VMMonitor(env, self.infosys)
         #: (vmid → domain) for bridge teardown at collection time.
         self._vm_domain: Dict[str, str] = {}
         self._vm_bridged: Dict[str, bool] = {}
@@ -314,7 +311,7 @@ class VMPlant:
         order = ProductionOrder(
             vmid=vmid,
             request=request,
-            clone_mode=clone_mode or self.default_clone_mode,
+            clone_mode=clone_mode or CloneMode.LINK,
             context=context,
         )
         try:

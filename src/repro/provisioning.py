@@ -63,12 +63,6 @@ class ProvisioningConfig:
     distribution_tree: bool = False
     #: Concurrent peer serves per source host (1 = chained, 2 = binary).
     tree_fanout: int = 2
-    #: Floor for the host cache budget when the tree layer is on (the
-    #: peer store serves from the host cache, so it must exist).
-    peer_store_mb: float = 1024.0
-    #: Per-host serving uplink bandwidth (MB/s) — the paper's gigabit
-    #: inter-node switch, minus protocol overhead.
-    peer_bandwidth_mbps: float = 110.0
     #: Must be ``False`` (there is no replica placer); the field stays
     #: because recorded configurations spell it out.
     replica_placement: bool = False
@@ -90,10 +84,6 @@ class ProvisioningConfig:
             raise ValueError("pool_bid_discount must be in (0, 1]")
         if self.tree_fanout < 1:
             raise ValueError("tree_fanout must be at least 1")
-        if self.peer_store_mb <= 0:
-            raise ValueError("peer_store_mb must be positive")
-        if self.peer_bandwidth_mbps <= 0:
-            raise ValueError("peer_bandwidth_mbps must be positive")
         if self.replica_placement:
             raise ValueError(
                 "replica_placement: the popularity-driven replica placer "

@@ -28,7 +28,7 @@ from repro.shop.vmshop import VMShop
 from repro.sim.host import HostStateCache, PhysicalHost
 from repro.sim.hypervisor import CloneRecord, UMLLine, VMwareLine
 from repro.sim.kernel import Environment
-from repro.sim.latency import DEFAULT_LATENCY, LatencyModel
+from repro.sim.latency import DEFAULT_LATENCY, INTERNODE_MBPS, LatencyModel
 from repro.sim.network import FairShareLink
 from repro.sim.rng import RngHub
 from repro.sim.storage import NFSServer, ReplicatedWarehouseStorage
@@ -37,6 +37,12 @@ from repro.vnet.vnetd import VirtualNetworkService
 from repro.workloads.requests import golden_image
 
 __all__ = ["Testbed", "build_testbed", "run_process"]
+
+#: The production line each VM technology clones on.
+_LINE_CLASSES = {"vmware": VMwareLine, "uml": UMLLine}
+#: Host cache budget (MB) the distribution tree's peer store gets at
+#: least: it serves from the host cache, so the cache must exist.
+_PEER_STORE_MB = 1024.0
 
 
 def run_process(env: Environment, generator) -> object:
@@ -156,6 +162,11 @@ def build_testbed(
         raise ValueError("n_plants must be positive")
     if rack_size is not None and rack_size <= 0:
         raise ValueError("rack_size must be positive")
+    for vm_type in vm_types:
+        if vm_type not in _LINE_CLASSES:
+            raise ValueError(
+                f"unknown vm type {vm_type!r}: expected 'vmware' or 'uml'"
+            )
     prov = provisioning or ProvisioningConfig()
     if env is None:
         env = Environment()
@@ -177,7 +188,7 @@ def build_testbed(
         )
     # The cluster nodes are interconnected by a gigabit switch
     # (Section 4.2); migrations move VM state across it.
-    internode = FairShareLink(env, "internode", bandwidth_mbps=110.0)
+    internode = FairShareLink(env, "internode", INTERNODE_MBPS)
 
     distribution = None
     if prov.distribution_tree:
@@ -188,7 +199,6 @@ def build_testbed(
             nfs,
             latency=latency,
             fanout=prov.tree_fanout,
-            peer_bandwidth_mbps=prov.peer_bandwidth_mbps,
         )
 
     warehouse = VMWarehouse()
@@ -215,11 +225,9 @@ def build_testbed(
     plants: List[VMPlant] = []
     lines_by_type: Dict[str, List[object]] = {vt: [] for vt in vm_types}
     pools: List[object] = []
-    # The peer store serves from the host cache, so the tree layer
-    # forces one into existence even when host_cache_mb is 0.
     cache_mb = prov.host_cache_mb
     if prov.distribution_tree:
-        cache_mb = max(cache_mb, prov.peer_store_mb)
+        cache_mb = max(cache_mb, _PEER_STORE_MB)
     for i in range(n_plants):
         host = PhysicalHost(
             env,
@@ -235,8 +243,7 @@ def build_testbed(
             distribution.register_host(host, site=site)
         lines = {}
         for vm_type in vm_types:
-            line_cls = VMwareLine if vm_type == "vmware" else UMLLine
-            line = line_cls(
+            line = _LINE_CLASSES[vm_type](
                 env,
                 host,
                 nfs,

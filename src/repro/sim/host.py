@@ -224,20 +224,19 @@ class PhysicalHost:
         self.committed_guest_mb -= guest_mb
         self.vm_count -= 1
 
-    def utilization(self, extra_mb: float = 0.0) -> float:
+    def utilization(self) -> float:
         """Committed fraction of physical memory (incl. overheads)."""
         lat = self.latency
         used = (
             lat.host_os_reserve_mb
             + self.committed_guest_mb
             + lat.vmm_overhead_per_vm_mb * self.vm_count
-            + extra_mb
         )
         return used / self.memory_mb
 
-    def pressure_factor(self, extra_mb: float = 0.0) -> float:
+    def pressure_factor(self) -> float:
         """Slowdown multiplier for memory-intensive operations (≥ 1)."""
-        util = self.utilization(extra_mb)
+        util = self.utilization()
         lat = self.latency
         if util <= lat.pressure_threshold:
             return 1.0

@@ -2,7 +2,8 @@
 
 These implement the :class:`~repro.plant.production.ProductionLine`
 interface against the simulated testbed (host + NFS substrate) with
-the calibrated :class:`~repro.sim.latency.LatencyModel`:
+the calibrated :class:`~repro.sim.latency.LatencyModel`.  Both run one
+clone body and differ only in its setup and start stages:
 
 * :class:`VMwareLine` clones by replicating the VM configuration
   file, base redo log and suspended **memory state** from the NFS
@@ -25,7 +26,7 @@ models the small number of unsuccessful creations the paper reports
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.actions import Action, ActionResult, ActionScope, ActionStatus
 from repro.core.errors import PlantError
@@ -83,9 +84,23 @@ class SimBackend:
 
 
 class _SimLine(ProductionLine):
-    """Shared machinery of the simulated lines."""
+    """Shared machinery of the simulated lines.
+
+    Both lines clone the same way — admit, copy the per-clone state,
+    a setup stage, a start stage — and differ only in those two timed
+    stages, given as ``LatencyModel`` field names and the stage name
+    that ends the line's ``"{host}/{vm_type}/{stage}"`` random stream.
+    """
 
     vm_type = "sim"
+    #: (fixed seconds, stage) before the guest starts.
+    setup_stage: Tuple[str, str]
+    #: (fixed seconds, memory re-read MB/s, stage) of resuming the
+    #: clone's memory state; migration resumes at the same rate.
+    resume_stage: Tuple[str, str, str]
+    #: (fixed seconds, stage) of booting a clone without memory state;
+    #: ``None`` resumes it anyway.
+    boot_stage: Optional[Tuple[str, str]] = None
 
     def __init__(
         self,
@@ -191,15 +206,74 @@ class _SimLine(ProductionLine):
         )
         return after <= self.admission_overcommit * self.host.memory_mb
 
-    def full_copy_time_estimate(self, image: GoldenImage) -> float:
-        """Nominal seconds to copy the image's full disk (no sharing)."""
-        lat = self.latency
-        network = (
-            image.disk_state_mb / lat.nfs_link_mbps
-            + image.disk_files * lat.nfs_request_overhead_s
+    # -- clone --------------------------------------------------------------------
+    def clone(
+        self, vm: VirtualMachine, mode: CloneMode = CloneMode.LINK
+    ) -> Generator:
+        image = vm.image
+        started = self.env.now
+        before = self.host.vm_count
+        self._admit(vm)
+
+        try:
+            copy_start = self.env.now
+            copy_source = (
+                yield self._copy_clone_state(image, mode)
+            ) or "nfs"
+            copy_time = self.env.now - copy_start
+
+            lat, jitter = self.latency, self.rng.lognormal
+            sigma = lat.op_jitter_sigma
+            fixed, stage = self.setup_stage
+            yield getattr(lat, fixed) * jitter(
+                self._prefix + stage, 0.0, sigma
+            )
+
+            # Start the guest, slowed by host memory pressure: resume
+            # re-reads the memory image, a boot pays a fixed cost.
+            pressure = self.host.pressure_factor()
+            resume_start = self.env.now
+            if image.memory_state_mb > 0 or self.boot_stage is None:
+                fixed, mbps, stage = self.resume_stage
+                base = getattr(lat, fixed) + (
+                    image.memory_state_mb / getattr(lat, mbps)
+                )
+            else:
+                fixed, stage = self.boot_stage
+                base = getattr(lat, fixed)
+            yield base * pressure * jitter(self._prefix + stage, 0.0, sigma)
+            self._check_host()
+            self._maybe_fail_clone(vm)
+        except BaseException:
+            self._release_admitted(vm)
+            raise
+        resume_time = self.env.now - resume_start
+
+        self._admitted.pop(vm.vmid, None)
+        vm.backend = SimBackend(
+            host=self.host, guest_mb=vm.memory_mb, running=True
         )
-        write = image.disk_state_mb / lat.host_disk_write_mbps
-        return max(network, write)
+        self.clone_records.append(
+            CloneRecord(
+                vmid=vm.vmid,
+                vm_type=self.vm_type,
+                memory_mb=vm.memory_mb,
+                clone_mode=mode._value_,
+                started_at=started,
+                copy_time=copy_time,
+                resume_time=resume_time,
+                total_time=self.env.now - started,
+                pressure=pressure,
+                host_vms_before=before,
+                copy_source=copy_source,
+            )
+        )
+        if self.env.tracer is not None:
+            trace(
+                self.env, "line", "cloned",
+                vmid=vm.vmid, host=self.host.name,
+                pressure=round(pressure, 2),
+            )
 
     # -- common clone machinery -----------------------------------------------
     def _copy_clone_state(
@@ -254,7 +328,8 @@ class _SimLine(ProductionLine):
             )
             return source
         if self.coalesce_transfers:
-            source = yield self.nfs.copy_to_host_coalesced(
+            source = yield self.nfs.coalescer.copy(
+                self.nfs,
                 (self.host.name, image.image_id, mode._value_),
                 payload,
                 self.host,
@@ -386,9 +461,8 @@ class _SimLine(ProductionLine):
         yield self.host.disk_write(vm.memory_mb + redo_mb)
         pressure = self.host.pressure_factor()
         lat = self.latency
-        resume_base = (
-            lat.migrate_resume_fixed_s + vm.memory_mb / lat.vmware_resume_mbps
-        )
+        mbps = getattr(lat, self.resume_stage[1])
+        resume_base = lat.migrate_resume_fixed_s + vm.memory_mb / mbps
         yield resume_base * pressure * self.rng.lognormal(
             self._prefix + "migrate-resume", 0.0, lat.op_jitter_sigma
         )
@@ -408,138 +482,19 @@ class VMwareLine(_SimLine):
     """Suspended-state cloning with resume (VMware GSX model)."""
 
     vm_type = "vmware"
-
-    def clone(
-        self, vm: VirtualMachine, mode: CloneMode = CloneMode.LINK
-    ) -> Generator:
-        image = vm.image
-        started = self.env.now
-        before = self.host.vm_count
-        self._admit(vm)
-
-        try:
-            copy_start = self.env.now
-            copy_source = (
-                yield self._copy_clone_state(image, mode)
-            ) or "nfs"
-            copy_time = self.env.now - copy_start
-
-            lat, jitter = self.latency, self.rng.lognormal
-            sigma = lat.op_jitter_sigma
-            yield lat.vmware_clone_fixed_s * jitter(
-                self._prefix + "clone-fixed", 0.0, sigma
-            )
-
-            # Resume the suspended clone: GSX re-reads the memory image,
-            # slowed by host memory pressure.
-            pressure = self.host.pressure_factor()
-            resume_start = self.env.now
-            resume_base = (
-                lat.vmware_resume_fixed_s
-                + image.memory_state_mb / lat.vmware_resume_mbps
-            )
-            yield resume_base * pressure * jitter(
-                self._prefix + "resume", 0.0, sigma
-            )
-            self._check_host()
-            self._maybe_fail_clone(vm)
-        except BaseException:
-            self._release_admitted(vm)
-            raise
-        resume_time = self.env.now - resume_start
-
-        self._admitted.pop(vm.vmid, None)
-        vm.backend = SimBackend(
-            host=self.host, guest_mb=vm.memory_mb, running=True
-        )
-        self.clone_records.append(
-            CloneRecord(
-                vmid=vm.vmid,
-                vm_type=self.vm_type,
-                memory_mb=vm.memory_mb,
-                clone_mode=mode._value_,
-                started_at=started,
-                copy_time=copy_time,
-                resume_time=resume_time,
-                total_time=self.env.now - started,
-                pressure=pressure,
-                host_vms_before=before,
-                copy_source=copy_source,
-            )
-        )
-        if self.env.tracer is not None:
-            trace(
-                self.env, "line", "cloned",
-                vmid=vm.vmid, host=self.host.name,
-                pressure=round(pressure, 2),
-            )
+    setup_stage = ("vmware_clone_fixed_s", "clone-fixed")
+    resume_stage = ("vmware_resume_fixed_s", "vmware_resume_mbps", "resume")
 
 
 class UMLLine(_SimLine):
-    """Copy-on-write cloning with full guest boot (UML model)."""
+    """Copy-on-write cloning with full guest boot (UML model).
+
+    With an SBUML snapshot (memory state present) the clone resumes
+    from checkpoint; otherwise it boots from the CoW file system — the
+    dominant cost in the prototype.
+    """
 
     vm_type = "uml"
-
-    def clone(
-        self, vm: VirtualMachine, mode: CloneMode = CloneMode.LINK
-    ) -> Generator:
-        image = vm.image
-        started = self.env.now
-        before = self.host.vm_count
-        self._admit(vm)
-
-        try:
-            copy_start = self.env.now
-            copy_source = (
-                yield self._copy_clone_state(image, mode)
-            ) or "nfs"
-            copy_time = self.env.now - copy_start
-            lat, jitter = self.latency, self.rng.lognormal
-            sigma = lat.op_jitter_sigma
-            yield lat.uml_cow_setup_s * jitter(
-                self._prefix + "cow-setup", 0.0, sigma
-            )
-
-            # With an SBUML snapshot (memory state present) the clone
-            # resumes from checkpoint; otherwise it boots from the CoW
-            # file system — the dominant cost in the prototype.
-            pressure = self.host.pressure_factor()
-            boot_start = self.env.now
-            if image.memory_state_mb > 0:
-                resume_base = (
-                    lat.uml_resume_fixed_s
-                    + image.memory_state_mb / lat.uml_resume_mbps
-                )
-                yield resume_base * pressure * jitter(
-                    self._prefix + "sbuml-resume", 0.0, sigma
-                )
-            else:
-                yield lat.uml_boot_fixed_s * pressure * jitter(
-                    self._prefix + "boot", 0.0, sigma
-                )
-            self._check_host()
-            self._maybe_fail_clone(vm)
-        except BaseException:
-            self._release_admitted(vm)
-            raise
-        boot_time = self.env.now - boot_start
-
-        self._admitted.pop(vm.vmid, None)
-        vm.backend = SimBackend(
-            host=self.host, guest_mb=vm.memory_mb, running=True
-        )
-        self.clone_records.append(
-            CloneRecord(
-                vmid=vm.vmid,
-                vm_type=self.vm_type,
-                memory_mb=vm.memory_mb,
-                clone_mode=mode._value_,
-                started_at=started,
-                copy_time=copy_time,
-                resume_time=boot_time,
-                total_time=self.env.now - started,
-                pressure=pressure,
-                host_vms_before=before,
-                copy_source=copy_source,
-            )
-        )
+    setup_stage = ("uml_cow_setup_s", "cow-setup")
+    resume_stage = ("uml_resume_fixed_s", "uml_resume_mbps", "sbuml-resume")
+    boot_stage = ("uml_boot_fixed_s", "boot")

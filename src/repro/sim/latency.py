@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LatencyModel", "DEFAULT_LATENCY"]
+__all__ = ["LatencyModel", "DEFAULT_LATENCY", "INTERNODE_MBPS"]
 
 
 @dataclass(frozen=True)
@@ -90,3 +90,8 @@ class LatencyModel:
 
 #: The calibration used by all paper-reproduction experiments.
 DEFAULT_LATENCY = LatencyModel()
+
+#: The cluster's gigabit inter-node switch (Section 4.2) minus protocol
+#: overhead, MB/s: the migration link, and each host's uplink when it
+#: serves peers in a distribution tree.
+INTERNODE_MBPS = 110.0

@@ -236,22 +236,6 @@ class NFSServer:
         if write_time > network_time:
             yield write_time - network_time
 
-    def copy_to_host_coalesced(
-        self,
-        key: Hashable,
-        size_mb: float,
-        host: PhysicalHost,
-        files: int = 1,
-        pressured: bool = True,
-    ) -> Generator:
-        """Copy with in-flight sharing per ``key`` (host, image).
-
-        Returns the coalescer's generator: this method only routes.
-        """
-        return self.coalescer.copy(
-            self, key, size_mb, host, files=files, pressured=pressured
-        )
-
     def __repr__(self) -> str:
         return (
             f"<NFSServer {self.name} served={self.requests_served}req/"
@@ -348,22 +332,6 @@ class ReplicatedWarehouseStorage:
             )
         finally:
             self._inflight_mb[id(replica)] -= size_mb
-
-    def copy_to_host_coalesced(
-        self,
-        key: Hashable,
-        size_mb: float,
-        host: PhysicalHost,
-        files: int = 1,
-        pressured: bool = True,
-    ) -> Generator:
-        """Copy with in-flight sharing per ``key`` (host, image).
-
-        Returns the coalescer's generator: this method only routes.
-        """
-        return self.coalescer.copy(
-            self, key, size_mb, host, files=files, pressured=pressured
-        )
 
     def __repr__(self) -> str:
         return f"<ReplicatedWarehouseStorage x{len(self.replicas)}>"

@@ -218,8 +218,8 @@ class TestFormerCycles:
 
             def copy():
                 try:
-                    yield from nfs.copy_to_host_coalesced(
-                        ("node0", "img"), 48.1, host, files=3
+                    yield from nfs.coalescer.copy(
+                        nfs, ("node0", "img"), 48.1, host, files=3
                     )
                 except StorageError:
                     failed.append(env.now)

@@ -39,6 +39,11 @@ class TestBuildTestbed:
         ad = bed.run(bed.shop.create(experiment_request(32, vm_type="uml")))
         assert ad["vm_type"] == "uml"
 
+    def test_unknown_vm_type_rejected(self):
+        # Was: every plant got a UML line under the key "xen".
+        with pytest.raises(ValueError, match="'vmware' or 'uml'"):
+            build_testbed(seed=1, vm_types=("xen",))
+
     def test_bad_plant_count_rejected(self):
         with pytest.raises(ValueError):
             build_testbed(n_plants=0)

@@ -43,8 +43,6 @@ class TestDistributionConfig:
         "kwargs",
         [
             {"tree_fanout": 0},
-            {"peer_store_mb": 0.0},
-            {"peer_bandwidth_mbps": 0.0},
             # The replica placer is gone: even with a tree, refused.
             {"distribution_tree": True, "replica_placement": True},
         ],
@@ -302,8 +300,8 @@ class TestCoalescerOutage:
 
         def one(idx):
             try:
-                yield from nfs.copy_to_host_coalesced(
-                    ("node0", "img"), 48.1, host, files=3
+                yield from nfs.coalescer.copy(
+                    nfs, ("node0", "img"), 48.1, host, files=3
                 )
             except StorageError as exc:
                 errors.append((idx, str(exc)))
@@ -347,7 +345,7 @@ class TestCoalescerOutage:
         def both():
             procs = [
                 env.process(
-                    nfs.copy_to_host_coalesced(("n", "img"), 48.1, host)
+                    nfs.coalescer.copy(nfs, ("n", "img"), 48.1, host)
                 )
                 for _ in range(2)
             ]

@@ -35,7 +35,7 @@ CREATE_CHAIN = (
     "Transport.call",
     "VMPlant.create",
     "ProductionProcessPlanner.produce",
-    "VMwareLine.clone",
+    "_SimLine.clone",
     "NFSServer.copy_to_host",
 )
 

@@ -13,11 +13,12 @@ from repro.core.spec import (
 )
 from repro.plant.ppp import ProductionOrder, ProductionProcessPlanner
 from repro.plant.infosys import VMInformationSystem
-from repro.plant.production import CloneMode
+from repro.plant.production import CloneMode, VirtualMachine
 from repro.plant.warehouse import VMWarehouse
 from repro.sim.host import PhysicalHost
 from repro.sim.hypervisor import UMLLine, VMwareLine
 from repro.sim.kernel import Environment
+from repro.sim.latency import LatencyModel
 from repro.sim.rng import RngHub
 from repro.sim.storage import NFSServer
 from repro.workloads.requests import (
@@ -135,11 +136,6 @@ class TestVMwareLine:
         vm = produce(env, ppp, "vm1")
         assert vm.classad["ip"] == "10.0.0.9"
 
-    def test_full_copy_estimate_matches_paper_scale(self):
-        env, _, line, ppp = make_rig()
-        estimate = line.full_copy_time_estimate(golden_image(256))
-        assert 150 < estimate < 260  # paper: 210 s
-
     def test_can_host_respects_overcommit(self):
         env, host, line, ppp = make_rig(admission_overcommit=1.0)
         request = make_request(mem=1537)
@@ -179,6 +175,28 @@ class TestUMLLine:
             uml.clone_records[0].total_time
             > 2 * vmw.clone_records[0].total_time
         )
+
+    def test_migrated_vm_resumes_at_the_lines_own_rate(self):
+        # Was: every line resumed a migrated VM at vmware_resume_mbps.
+        lat = LatencyModel(op_jitter_sigma=0.0)  # every jitter is 1.0
+        for line_cls, vm_type, mbps in (
+            (VMwareLine, "vmware", lat.vmware_resume_mbps),
+            (UMLLine, "uml", lat.uml_resume_mbps),
+        ):
+            env = Environment()
+            host = PhysicalHost(env, "h0", latency=lat)
+            line = line_cls(env, host, NFSServer(env), latency=lat)
+            image = golden_image(256, vm_type=vm_type)
+            vm = VirtualMachine(
+                "vm1", image, make_request(256, vm_type), vm_type
+            )
+            drive(env, line.receive(vm, {}))
+            assert host.pressure_factor() == 1.0
+            assert env.now == pytest.approx(
+                256 / lat.host_disk_write_mbps
+                + lat.migrate_resume_fixed_s
+                + 256 / mbps
+            ), vm_type
 
     def test_uml_boot_failure(self):
         env, host, line, ppp = make_rig(

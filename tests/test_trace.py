@@ -88,6 +88,15 @@ class TestInstrumentation:
         assert messages.index("clone-start") < messages.index("cloned")
         assert messages.index("vm-running") < messages.index("created")
 
+    def test_uml_creation_emits_cloned(self):
+        # Was: the UML line's clone never traced ``cloned``.
+        bed = build_testbed(seed=13, n_plants=2, vm_types=("uml",))
+        bed.env.tracer = Tracer()
+        bed.run(bed.shop.create(experiment_request(32, vm_type="uml")))
+        messages = [e.message for e in bed.env.tracer.events]
+        assert messages.index("clone-start") < messages.index("cloned")
+        assert messages.index("cloned") < messages.index("vm-running")
+
     def test_no_tracer_no_overhead_events(self):
         bed = build_testbed(seed=13, n_plants=2)
         bed.run(bed.shop.create(experiment_request(32)))

@@ -12,7 +12,6 @@ __all__ = [
     "Summary",
     "summarize",
     "sequence_series",
-    "bucket_means",
     "latency_fingerprint",
 ]
 
@@ -56,26 +55,6 @@ def sequence_series(
 ) -> List[Tuple[int, float]]:
     """(1-based sequence number, value) pairs — Figure 6's x/y."""
     return [(i + 1, float(v)) for i, v in enumerate(values)]
-
-
-def bucket_means(
-    values: Sequence[float], bucket: int
-) -> List[Tuple[int, float]]:
-    """Mean per consecutive bucket of the sequence (trend smoothing).
-
-    Returns (last sequence number of the bucket, bucket mean) pairs;
-    a trailing partial bucket is included.
-    """
-    if bucket <= 0:
-        raise ValueError("bucket must be positive")
-    out: List[Tuple[int, float]] = []
-    data = list(values)
-    for start in range(0, len(data), bucket):
-        chunk = data[start : start + bucket]
-        out.append(
-            (start + len(chunk), float(np.mean(chunk)))
-        )
-    return out
 
 
 def latency_fingerprint(latencies: Sequence[float]) -> str:

@@ -211,11 +211,6 @@ class Action:
         object.__setattr__(self, "on_error", on_error)
         object.__setattr__(self, "retries", int(retries))
 
-    @property
-    def param_dict(self) -> Dict[str, str]:
-        """Parameters as a plain dict (values are ``repr`` strings)."""
-        return dict(self.params)
-
     def __getattr__(self, name: str) -> str:
         # Reached only when normal lookup fails, so for ``signature``
         # just once: a read after the first is a plain slot read.
@@ -275,9 +270,6 @@ class Action:
             self.command,
         )
 
-    def __str__(self) -> str:
-        return f"{self.name}[{self.scope.value}]"
-
 
 @dataclass(frozen=True)
 class ActionResult:
@@ -295,8 +287,3 @@ class ActionResult:
     def ok(self) -> bool:
         """True for OK or CACHED outcomes."""
         return self.status in (ActionStatus.OK, ActionStatus.CACHED)
-
-    @property
-    def output_dict(self) -> Dict[str, str]:
-        """Published outputs as a plain dict."""
-        return dict(self.outputs)

@@ -87,9 +87,6 @@ class Undefined:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __repr__(self) -> str:
-        return "UNDEFINED"
-
     def __bool__(self) -> bool:
         return False
 
@@ -919,9 +916,6 @@ class Expression:
         # Functions don't pickle; re-intern from the source text.
         return (Expression, (self.text,))
 
-    def __repr__(self) -> str:
-        return f"Expression({self.text!r})"
-
 
 #: Globals of every generated function.
 _NAMESPACE: Dict[str, Any] = {
@@ -1128,9 +1122,6 @@ class ClassAd:
             for k, v in other._attrs.items()
         }
         return mine == theirs
-
-    def __repr__(self) -> str:
-        return f"ClassAd({self.to_string()})"
 
 
 def _format_value(value: Value) -> str:

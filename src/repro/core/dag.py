@@ -580,12 +580,6 @@ class ConfigDAG:
             self._hash_cache = hash(structure)
         return self._hash_cache
 
-    def __repr__(self) -> str:
-        return (
-            f"<ConfigDAG {len(self._actions)} actions,"
-            f" {len(self.edges())} edges>"
-        )
-
     # -- convenience -----------------------------------------------------------
     def guest_actions(self) -> List[str]:
         """Names of guest-scoped actions in topological order."""

@@ -47,8 +47,7 @@ function — no per-profile call, no hashing (:attr:`Action.signature
 <repro.core.actions.Action.signature>` is computed once per action) —
 independent of how many images or profiles the catalog holds.  The
 trie is maintained incrementally by
-:meth:`~repro.plant.warehouse.VMWarehouse.publish` /
-:meth:`~repro.plant.warehouse.VMWarehouse.unpublish` in O(sequence
+:meth:`~repro.plant.warehouse.VMWarehouse.publish` in O(sequence
 length).
 
 The selection is bit-identical to the brute-force path: the same
@@ -74,8 +73,7 @@ Step = Tuple[str, str]
 
 
 class _Node:
-    """One performed-sequence prefix in a bucket's trie.  It knows its
-    children only: removal walks down from the bucket's root."""
+    """One performed-sequence prefix in a bucket's trie."""
 
     __slots__ = ("names", "children", "images", "size")
 
@@ -86,7 +84,7 @@ class _Node:
         self.children: Dict[Step, "_Node"] = {}
         #: image_id → image, the images whose sequence ends here.
         self.images: Dict[str, object] = {}
-        #: Images at or below this node; a node lives while it is > 0.
+        #: Images in the bucket (kept on a bucket's root only).
         self.size = 0
 
 
@@ -102,9 +100,6 @@ class MatchIndex:
     def __init__(self) -> None:
         #: Bucket key → root of that bucket's trie.
         self._buckets: Dict[BucketKey, _Node] = {}
-        #: image_id → image: its bucket and sequence are the way back
-        #: to the node holding it, for O(depth) removal.
-        self._locator: Dict[str, object] = {}
         #: Query counters (benchmarks and the scalability experiment).
         self.stats: Dict[str, int] = {
             "queries": 0,
@@ -112,9 +107,6 @@ class MatchIndex:
             "images_skipped_by_bucket": 0,
         }
         self._n_images = 0
-
-    def __len__(self) -> int:
-        return self._n_images
 
     # -- maintenance -------------------------------------------------------
     @staticmethod
@@ -135,24 +127,9 @@ class MatchIndex:
             child = node.children.get(step)
             if child is None:
                 child = node.children[step] = _Node(node.names + step[:1])
-            child.size += 1
             node = child
         node.images[image.image_id] = image
-        self._locator[image.image_id] = image
         self._n_images += 1
-
-    def remove(self, image_id: str) -> None:
-        """Drop one unpublished image (emptied branches are pruned)."""
-        bucket_key, steps = self._path(self._locator.pop(image_id))
-        holder: Dict = self._buckets
-        for key in (bucket_key, *steps):
-            node = holder[key]
-            node.size -= 1
-            if node.size == 0:
-                del holder[key]  # nothing is left at or below it
-            holder = node.children
-        del node.images[image_id]
-        self._n_images -= 1
 
     # -- queries -----------------------------------------------------------
     def _candidate_roots(

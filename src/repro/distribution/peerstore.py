@@ -82,9 +82,3 @@ class PeerImageStore:
         if ok:
             self.serves += 1
             self.mb_served += size_mb
-
-    def __repr__(self) -> str:
-        return (
-            f"<PeerImageStore {self.host.name} entries={len(self.cache)}"
-            f" serving={self.active_serves} served={self.serves}>"
-        )

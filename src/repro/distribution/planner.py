@@ -379,10 +379,3 @@ class DistributionPlanner:
             image=image_id, mb=payload_mb,
         )
         return "nfs"
-
-    def __repr__(self) -> str:
-        return (
-            f"<DistributionPlanner hosts={len(self.stores)} "
-            f"fanout={self.fanout} hops={self.peer_hops} "
-            f"attaches={self.attaches} nfs={self.nfs_seeds}>"
-        )

@@ -50,6 +50,7 @@ from repro.experiments.recheck import (
 )
 from repro.faults.plan import FaultPlan, grid_fault_plan
 from repro.sim.shard import ShardedTestbed
+from repro.sim.shard.scenarios import get_scenario
 from repro.workloads.megaload import merged_summary
 
 __all__ = [
@@ -327,9 +328,13 @@ def run_megachaos(
 
     if plan_records is None:
         # Horizon generously past the arrivals so renewal crashes can
-        # land while VMs are still held.
-        rate = float(base.get("rate_per_s", 2.0))
-        horizon_s = requests_per_site / max(rate, 1e-9) + 6.0 * mttr_s
+        # land while VMs are still held.  The rate and plant count are
+        # the ones the runs will use: ``base`` over the scenario's
+        # defaults.
+        resolved = get_scenario("megaload").resolve(base)
+        horizon_s = (
+            requests_per_site / float(resolved["rate_per_s"]) + 6.0 * mttr_s
+        )
         wan_links: List[Tuple[str, int]] = []
         if wan_site is not None:
             wan_links.append((f"spill{wan_site}", wan_site))
@@ -337,7 +342,7 @@ def run_megachaos(
             seed,
             sites,
             horizon_s,
-            plants_per_site=int(base.get("plants", 8)),
+            plants_per_site=int(resolved["plants"]),
             crash_plants_per_site=crash_plants_per_site,
             mtbf_s=mtbf_s,
             mttr_s=mttr_s,

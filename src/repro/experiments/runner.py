@@ -83,11 +83,6 @@ class ExperimentRun:
         return [s for s in self.samples if s.ok]
 
     @property
-    def failures(self) -> List[CreationSample]:
-        """Samples whose creation failed."""
-        return [s for s in self.samples if not s.ok]
-
-    @property
     def creation_latencies(self) -> List[float]:
         """End-to-end latencies of successful creations, in order."""
         return [s.latency for s in self.successes]

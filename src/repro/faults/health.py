@@ -100,9 +100,3 @@ class PlantHealth:
             self.times_opened += 1
             return True
         return False
-
-    def __repr__(self) -> str:
-        return (
-            f"<PlantHealth {self.name} {self.state.value}"
-            f" fails={self.consecutive_failures}/{self.threshold}>"
-        )

@@ -287,9 +287,3 @@ class FaultInjector:
         if not windows:
             return None
         return sum(windows) / len(windows)
-
-    def __repr__(self) -> str:
-        return (
-            f"<FaultInjector events={len(self.plan)}"
-            f" applied={len(self.applied)} skipped={self.skipped}>"
-        )

@@ -264,9 +264,6 @@ class FaultPlan:
             )
         return cls(events)
 
-    def __repr__(self) -> str:
-        return f"<FaultPlan events={len(self.events)}>"
-
 
 def grid_fault_plan(
     seed: int,

@@ -55,17 +55,6 @@ class RecoveryPolicy:
         if self.quarantine_s <= 0:
             raise ValueError("quarantine_s must be positive")
 
-    @property
-    def enabled(self) -> bool:
-        """True when any knob deviates from the all-off defaults."""
-        return (
-            self.create_deadline_s is not None
-            or self.max_attempts > 1
-            or self.backoff_base_s > 0
-            or self.bid_deadline_s is not None
-            or self.quarantine_threshold > 0
-        )
-
     def backoff_delay(self, attempt: int) -> float:
         """Seconds to wait before ``attempt`` (1-based; 0 for the first)."""
         if attempt <= 1 or self.backoff_base_s <= 0:

@@ -150,13 +150,6 @@ class SubnetBlock:
             return False
         return self.start <= index < self.end
 
-    def __repr__(self) -> str:
-        return (
-            f"<SubnetBlock site={self.site} "
-            f"{self._subnet(self.start)}..{self._subnet(self.end - 1)} "
-            f"allocated={self.allocated}/{self.size}>"
-        )
-
 
 class HierarchicalAddressPlan:
     """The grid-wide address hierarchy: one block per site.
@@ -234,10 +227,3 @@ class HierarchicalAddressPlan:
     def total_capacity(self) -> int:
         """Guest addresses across all site blocks."""
         return self.sites * self.site_capacity
-
-    def __repr__(self) -> str:
-        return (
-            f"<HierarchicalAddressPlan {self.base_octet}.0.0/8 "
-            f"sites={self.sites} subnets/site={self.subnets_per_site} "
-            f"capacity={self.total_capacity}>"
-        )

@@ -140,10 +140,6 @@ class AdmissionController:
             self.shed_by_tenant.get(tenant, 0) + 1
         )
 
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed_by_tenant.values())
-
     # -- in-flight depth tracking -------------------------------------------
     def begin(self) -> None:
         """An admitted request started being served."""
@@ -174,10 +170,3 @@ class AdmissionController:
             self.preempt_signals += 1
             return True
         return False
-
-    def __repr__(self) -> str:
-        return (
-            f"<AdmissionController depth={self.in_flight}"
-            f" shed={self.total_shed}"
-            f" preempts={self.preempt_signals}>"
-        )

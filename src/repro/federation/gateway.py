@@ -145,10 +145,3 @@ class FederationGateway:
             )
         ad = yield self.shop.create(request, clone_mode, bids=local_bids)
         return ad
-
-    def __repr__(self) -> str:
-        return (
-            f"<FederationGateway site={self.site} "
-            f"declined={self.spills_declined} "
-            f"saturated={self.spills_saturated}>"
-        )

@@ -271,10 +271,16 @@ class GridScenario(ShardScenario):
         return {**SITE_DEFAULTS, **self.source_defaults}
 
     def resolve(self, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        """Merged params, with the spill knobs and ``trace_dir`` checked
-        here — before the runner forks, so a bad value is the caller's
-        ValueError, not a worker's crash."""
+        """Merged params, with the load, the spill knobs and
+        ``trace_dir`` checked here — before the runner forks, so a bad
+        value is the caller's ValueError, not a worker's crash."""
         prm = super().resolve(params)
+        if prm["rate_per_s"] <= 0:
+            raise ValueError("rate_per_s must be positive")
+        if prm["requests"] < 0:
+            raise ValueError("requests must be non-negative")
+        if not 0.0 <= prm["cross_fraction"] <= 1.0:
+            raise ValueError("cross_fraction must be in [0, 1]")
         if prm["spill_threshold"] is not None and prm["spill_threshold"] < 0:
             raise ValueError("spill_threshold must be non-negative")
         if prm["spill_deadline_s"] is None or prm["spill_deadline_s"] <= 0:

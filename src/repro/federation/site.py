@@ -42,14 +42,6 @@ class FederatedSite:
     gateway: FederationGateway
     block: SubnetBlock
 
-    @property
-    def shop(self):
-        return self.bed.shop
-
-    @property
-    def racks(self):
-        return self.bed.racks
-
 
 def build_federated_site(
     site: int,
@@ -93,4 +85,3 @@ def build_federated_site(
     )
     gateway = FederationGateway(site, bed.shop, spill_threshold)
     return FederatedSite(site=site, bed=bed, gateway=gateway, block=block)
-

@@ -203,44 +203,3 @@ class LocalProductionLine(ProductionLine):
 
     def can_host(self, request: CreateRequest) -> bool:
         return True
-
-    # -- migration: the directory actually moves -----------------------------
-    def supports_migration(self) -> bool:
-        return True
-
-    def suspend(self, vm: VirtualMachine) -> Generator:
-        backend: LocalBackend = vm.backend
-        if backend is None or not backend.running:
-            raise PlantError(f"VM {vm.vmid} is not running on this line")
-        (backend.clone_dir / "status").write_text("suspended\n")
-        yield 0.0
-
-    def migration_payload_mb(self, vm: VirtualMachine) -> float:
-        backend: LocalBackend = vm.backend
-        total = 0
-        for root, _dirs, files in os.walk(backend.clone_dir):
-            for name in files:
-                path = Path(root) / name
-                if not path.is_symlink():
-                    total += path.stat().st_size
-        return total / (1024.0 * 1024.0)
-
-    def export_release(self, vm: VirtualMachine) -> Generator:
-        backend: LocalBackend = vm.backend
-        backend.running = False
-        yield 0.0
-        return {"clone_dir": str(backend.clone_dir)}
-
-    def receive(self, vm: VirtualMachine, state: Dict) -> Generator:
-        source_dir = Path(state["clone_dir"])
-        target_dir = self.run_dir / vm.vmid
-        if source_dir.resolve() != target_dir.resolve():
-            if target_dir.exists():
-                raise PlantError(
-                    f"clone directory {target_dir} already exists"
-                )
-            shutil.move(str(source_dir), str(target_dir))
-        backend = LocalBackend(clone_dir=target_dir, running=True)
-        (target_dir / "status").write_text("running\n")
-        vm.backend = backend
-        yield 0.0

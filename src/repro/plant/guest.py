@@ -129,10 +129,6 @@ class ISOImage:
     name: str
     files: Tuple[Tuple[str, str], ...] = field(default=())
 
-    def file_dict(self) -> Dict[str, str]:
-        """Files as a plain path → content mapping."""
-        return dict(self.files)
-
 
 def build_iso(action: Action, context: Mapping[str, str]) -> ISOImage:
     """Pack one action's script into a CD-ROM image description."""

@@ -88,9 +88,6 @@ class VirtualMachine:
         for key, value in result.outputs:
             self.classad[key] = value
 
-    def __repr__(self) -> str:
-        return f"<VM {self.vmid} {self.vm_type} {self.status.value}>"
-
 
 class ProductionLine(ABC):
     """Clone-and-configure mechanism for one VM technology."""

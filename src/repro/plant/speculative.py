@@ -238,16 +238,6 @@ class AdaptiveSpeculativePool:
         )
 
     @property
-    def hit_rate(self) -> float:
-        """Fraction of tracked requests served from a pool."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def pool_count(self) -> int:
-        return len(self._pools)
-
-    @property
     def pooled_vms(self) -> int:
         """Idle clones across all pools."""
         return sum(p.size for p in self._pools.values())
@@ -403,10 +393,3 @@ class AdaptiveSpeculativePool:
             if not self._refilling and self.pooled_vms == 0:
                 return drained
             yield 1.0
-
-    def __repr__(self) -> str:
-        return (
-            f"<AdaptiveSpeculativePool {self.plant.name}"
-            f" pools={len(self._pools)} idle={self.pooled_vms}"
-            f" hit_rate={self.hit_rate:.2f}>"
-        )

@@ -70,9 +70,6 @@ class VMPlant:
         #: Optional AdaptiveSpeculativePool serving creates from
         #: pre-warmed clones (duck-typed to avoid a circular import).
         self.speculative = None
-        #: Cordoned plants decline all new bids (maintenance mode);
-        #: existing VMs keep running and can be drained away.
-        self.cordoned = False
         #: Crash state (fault injection): a down plant's host is
         #: gone — resident VMs died, and remote calls hang until
         #: recovery (see :meth:`fail` / :meth:`recover`).
@@ -148,14 +145,14 @@ class VMPlant:
         VM cap or has no switch for the request's domain, or the cost
         model refuses.
 
-        Everything but the cordon/crash test and the pool discount is
+        Everything but the crash test and the pool discount is
         a pure function of the request's shape and the plant's state,
         so the last answer is kept under both and a repeat bid returns
         it without planning.  A request with ``requirements`` (whose
         expression may read any request attribute) or with a DAG not
         yet fingerprinted is answered afresh and not kept.
         """
-        if self.cordoned or self.down:
+        if self.down:
             return None
         vm_type = request.vm_type
         if vm_type is not None and vm_type not in self.lines:
@@ -531,20 +528,6 @@ class VMPlant:
             up.succeed()
         trace(self.env, "plant", "recovered", plant=self.name)
 
-    def cordon(self) -> None:
-        """Enter maintenance mode: decline all new bids.
-
-        Existing VMs keep running; combine with
-        :meth:`~repro.plant.migration.MigrationManager.drain` to empty
-        the plant before taking the host down — the "simplified
-        resource administration" workflow of Section 2.
-        """
-        self.cordoned = True
-
-    def uncordon(self) -> None:
-        """Leave maintenance mode and resume bidding."""
-        self.cordoned = False
-
     def handle_xml(self, request_xml: str, vmid: Optional[str] = None):
         """Dispatch one XML service request (the prototype's wire form).
 
@@ -627,9 +610,3 @@ class VMPlant:
         ad["network_id"] = assignment.network_id
         ad["ip"] = assignment.ip_address
         ad["status"] = vm.status._value_
-
-    def __repr__(self) -> str:
-        return (
-            f"<VMPlant {self.name} vms={len(self.infosys)}"
-            f" lines={sorted(self.lines)}>"
-        )

@@ -13,8 +13,8 @@ making customized application environments available for subsequent
 instantiation — the paper's application-centric workflow.
 
 Matching performance: the warehouse maintains a
-:class:`~repro.core.matchindex.MatchIndex` incrementally on publish/
-unpublish and serves :meth:`VMWarehouse.select` through it, memoizing
+:class:`~repro.core.matchindex.MatchIndex` incrementally on publish
+and serves :meth:`VMWarehouse.select` through it, memoizing
 results per ``(dag fingerprint, hardware, os, vm_type)`` for the
 current warehouse *generation* — so the plants of a site bidding on
 the same request run the Section 3.2 tests once, not once per plant
@@ -108,11 +108,7 @@ class GoldenImage:
         )
 
     def to_element(self) -> ET.Element:
-        """The warehouse XML descriptor as an Element tree.
-
-        :meth:`VMWarehouse.dump_xml` appends these directly instead of
-        round-tripping every image through string parsing.
-        """
+        """The warehouse XML descriptor as an Element tree."""
         root = ET.Element(
             "golden-image",
             {
@@ -222,7 +218,7 @@ class VMWarehouse:
     def __init__(self, images: Iterable[GoldenImage] = ()):
         self._images: Dict[str, GoldenImage] = {}
         self._index = MatchIndex()
-        #: Bumped on every publish/unpublish; keys the match memo.
+        #: Bumped on every publish; keys the match memo.
         self.generation = 0
         self._memo: Dict[tuple, Tuple[Optional[GoldenImage], Optional[MatchResult]]] = {}
         self._memo_generation = 0
@@ -246,16 +242,6 @@ class VMWarehouse:
         self._images[image.image_id] = image
         self._index.add(image)
         self.generation += 1
-
-    def unpublish(self, image_id: str) -> GoldenImage:
-        """Remove and return an image."""
-        try:
-            image = self._images.pop(image_id)
-        except KeyError:
-            raise WarehouseError(f"no image {image_id!r}") from None
-        self._index.remove(image_id)
-        self.generation += 1
-        return image
 
     def get(self, image_id: str) -> GoldenImage:
         """Look up an image by id."""
@@ -287,7 +273,7 @@ class VMWarehouse:
         :meth:`images`: same winning image, same satisfied/residual
         tuples.  Results are memoized per ``(dag fingerprint,
         hardware, os, vm_type)`` and invalidated by generation — any
-        publish/unpublish makes every memoized entry stale at once,
+        publish makes every memoized entry stale at once,
         which is what lets P plants bidding on one request share a
         single evaluation of the Section 3.2 tests.
         """
@@ -327,25 +313,3 @@ class VMWarehouse:
     def index_stats(self) -> Dict[str, int]:
         """The match index's query counters (read-only snapshot)."""
         return dict(self._index.stats)
-
-    # -- persistence ---------------------------------------------------------
-    def dump_xml(self) -> str:
-        """All descriptors as one ``<warehouse>`` document."""
-        root = ET.Element("warehouse")
-        for image in self._images.values():
-            root.append(image.to_element())
-        return ET.tostring(root, encoding="unicode")
-
-    @classmethod
-    def load_xml(cls, text: str) -> "VMWarehouse":
-        """Rebuild a warehouse from :meth:`dump_xml` output."""
-        try:
-            root = ET.fromstring(text)
-        except ET.ParseError as exc:
-            raise ProtocolError(f"malformed XML: {exc}") from exc
-        if root.tag != "warehouse":
-            raise ProtocolError(f"expected <warehouse>, got <{root.tag}>")
-        wh = cls()
-        for child in root:
-            wh.publish(GoldenImage.from_element(child))
-        return wh

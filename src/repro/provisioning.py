@@ -2,7 +2,7 @@
 
 The paper's clone-time breakdown (Section 5, Tables 2-3) shows the
 NFS transfer of the golden machine's suspended state dominating
-creation time, and warm NFS caches cutting it dramatically.  Three
+creation time, and warm NFS caches cutting it dramatically.  Four
 optional mechanisms model (and go beyond) that effect under heavy
 concurrent traffic:
 

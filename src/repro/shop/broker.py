@@ -125,6 +125,3 @@ class VMBroker:
                 except ShopError:
                     continue
         raise ShopError(f"broker {self.name}: no plant hosts {vmid!r}")
-
-    def __repr__(self) -> str:
-        return f"<VMBroker {self.name} plants={len(self.plants)}>"

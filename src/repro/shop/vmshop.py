@@ -418,9 +418,3 @@ class VMShop:
             return self._route[vmid]
         except KeyError:
             raise ShopError(f"unknown VMID {vmid!r}") from None
-
-    def __repr__(self) -> str:
-        return (
-            f"<VMShop {self.name} plants={len(self.bidders)}"
-            f" active={len(self._route)}>"
-        )

@@ -143,10 +143,6 @@ class HostStateCache:
         else:
             self._pins[image_id] = count - 1
 
-    def pinned(self, image_id: str) -> bool:
-        """Is the entry currently protected by an in-progress serve?"""
-        return bool(self._pins.get(image_id))
-
     def clear(self) -> int:
         """Drop every cached entry (host crash: local disk state is
         gone); returns how many entries were invalidated."""
@@ -155,12 +151,6 @@ class HostStateCache:
         self._pins.clear()
         self.used_mb = 0.0
         return dropped
-
-    def __repr__(self) -> str:
-        return (
-            f"<HostStateCache {self.used_mb:.0f}/{self.capacity_mb:.0f}MB"
-            f" entries={len(self._entries)} hits={self.hits}>"
-        )
 
 
 class PhysicalHost:
@@ -252,9 +242,3 @@ class PhysicalHost:
         """Read ``size_mb`` from the node's local disk."""
         factor = self.pressure_factor() if pressured else 1.0
         yield size_mb / self.latency.host_disk_read_mbps * factor
-
-    def __repr__(self) -> str:
-        return (
-            f"<PhysicalHost {self.name} vms={self.vm_count}"
-            f" util={self.utilization():.2f}>"
-        )

@@ -148,30 +148,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (triggered) event."""
-        if event._ok is None:
-            raise SimulationError("source event not triggered")
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
-    # -- composition ----------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
-    def __repr__(self) -> str:
-        state = (
-            "pending"
-            if self._ok is None
-            else ("ok" if self._ok else "failed")
-        )
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
 
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
@@ -189,9 +165,6 @@ class Timeout(Event):
         self._value = value
         env._eid = eid = env._eid + 1
         _heappush(env._queue, (env.now + delay, PRIORITY_NORMAL, eid, self))
-
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay}>"
 
 
 class _PooledTimeout(Event):
@@ -213,9 +186,6 @@ class _PooledTimeout(Event):
         self.delay = 0.0
         self._ok = True
         self._value = None
-
-    def __repr__(self) -> str:
-        return f"<_PooledTimeout delay={self.delay}>"
 
 
 class Initialize(Event):
@@ -407,13 +377,6 @@ class Process(Event):
                 stack.pop().close()
         finally:
             self.fail(SimulationError(message))
-
-    def __repr__(self) -> str:
-        if self._stack is None:
-            return "<Process dead>"
-        name = getattr(self._stack[0], "__name__", "process")
-        state = "alive" if self._ok is None else "dead"
-        return f"<Process {name} {state}>"
 
 
 class _Condition(Event):
@@ -781,6 +744,3 @@ class Environment:
         # the queue drained early or the next event lies beyond it.
         self.now = stop_at
         return None
-
-    def __repr__(self) -> str:
-        return f"<Environment now={self.now} pending={len(self._queue)}>"

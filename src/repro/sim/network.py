@@ -78,11 +78,6 @@ class FairShareLink:
             self._start_flow(size_mb, done)
         return done
 
-    @property
-    def paused(self) -> bool:
-        """True while the link is partitioned (flows frozen)."""
-        return self._paused
-
     def set_bandwidth(self, mbps: float) -> None:
         """Change the link rate; in-flight flows keep their progress.
 
@@ -230,12 +225,6 @@ class FairShareLink:
         self._complete_due()
         self._reschedule()
 
-    def __repr__(self) -> str:
-        return (
-            f"<FairShareLink {self.name} {self.bandwidth_mbps}MB/s"
-            f" flows={len(self._flows)}>"
-        )
-
 
 class BoundaryLink(FairShareLink):
     """An inter-site link whose deliveries cross a shard boundary.
@@ -313,10 +302,4 @@ class BoundaryLink(FairShareLink):
             src_site=self.src_site,
             endpoint=self.endpoint,
             payload=payload,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"<BoundaryLink {self.name} site{self.src_site}->"
-            f"site{self.dst_site} lookahead={self.latency_s}s>"
         )

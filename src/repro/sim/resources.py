@@ -18,11 +18,14 @@ __all__ = ["Request", "Release", "Resource"]
 class Request(Event):
     """Pending claim on a :class:`Resource` slot.
 
-    Usable as a context manager so the slot is always released::
+    The holder releases the slot itself, also when it fails::
 
-        with resource.request() as req:
+        req = resource.request()
+        try:
             yield req
             ... hold the slot ...
+        finally:
+            resource.release(req)
     """
 
     __slots__ = ("resource",)
@@ -31,16 +34,6 @@ class Request(Event):
         super().__init__(resource.env)
         self.resource = resource
         resource._do_request(self)
-
-    def cancel(self) -> None:
-        """Withdraw the claim (waiting or granted)."""
-        self.resource.release(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_val, exc_tb) -> None:
-        self.cancel()
 
 
 class Release(Event):
@@ -64,11 +57,6 @@ class Resource:
         self.capacity = capacity
         self.users: List[Request] = []
         self.queue: Deque[Request] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently claimed."""
-        return len(self.users)
 
     def request(self) -> Request:
         """Claim a slot; the returned event fires when granted."""
@@ -100,9 +88,3 @@ class Resource:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
-
-    def __repr__(self) -> str:
-        return (
-            f"<Resource {self.count}/{self.capacity} used,"
-            f" {len(self.queue)} queued>"
-        )

@@ -114,7 +114,3 @@ class RngHub:
         while r >= n:
             r = getrandbits(k)
         return seq[r]
-
-    def __repr__(self) -> str:
-        seen = len(self._streams) + len(self._drawn_once)
-        return f"<RngHub seed={self.seed} streams={seen}>"

@@ -109,9 +109,6 @@ class SiteInbox:
             out.append(heapq.heappop(heap))
         return out
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
 
 class RouterOutbox:
     """Splits emissions between local inboxes and a cross-shard ring.

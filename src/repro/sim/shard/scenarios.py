@@ -8,7 +8,9 @@ looked up by name from :data:`SCENARIOS` so worker processes can
 rebuild their sites from ``(scenario, seed, site, params)`` alone —
 nothing model-sized ever crosses a process boundary.
 
-Two scenarios ship:
+Two scenarios live here, and two grid scenarios register from
+:mod:`repro.federation.scenario` on first lookup (``federation`` and
+``megaload``, see :data:`LAZY_SCENARIOS`):
 
 * ``kernelbench`` — the benchmark workload: every site is a full
   SC'04 testbed (8 plants, NFS warehouse, shop) under an open-loop

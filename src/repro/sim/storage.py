@@ -56,11 +56,6 @@ class TransferCoalescer:
         self.requests_coalesced = 0
         self.mb_saved = 0.0
 
-    @property
-    def inflight(self) -> int:
-        """Distinct transfers currently being led."""
-        return len(self._inflight)
-
     def copy(
         self,
         storage,
@@ -196,15 +191,6 @@ class NFSServer:
         sigma = self.latency.op_jitter_sigma
         return base * self.rng.lognormal(f"{self.name}/overhead", 0.0, sigma)
 
-    def read_file(self, size_mb: float) -> Generator:
-        """Serve one file read: request overhead + shared transfer."""
-        if self.outage_mode is not None:
-            yield self._outage_gate()
-        yield self._overhead()
-        yield self.link.transfer(size_mb)
-        self.requests_served += 1
-        self.mb_served += size_mb
-
     def copy_to_host(
         self,
         size_mb: float,
@@ -236,12 +222,6 @@ class NFSServer:
         if write_time > network_time:
             yield write_time - network_time
 
-    def __repr__(self) -> str:
-        return (
-            f"<NFSServer {self.name} served={self.requests_served}req/"
-            f"{self.mb_served:.0f}MB>"
-        )
-
 
 class ReplicatedWarehouseStorage:
     """Warehouse state served from several replica servers.
@@ -256,8 +236,8 @@ class ReplicatedWarehouseStorage:
     replica position.  Flow *counts* alone would route a burst of
     small reads onto a replica mid-way through a multi-GB disk copy.
 
-    Drop-in for :class:`NFSServer` wherever only ``read_file`` /
-    ``copy_to_host`` are used (the production lines).
+    Drop-in for :class:`NFSServer` wherever only ``copy_to_host`` is
+    used (the production lines).
     """
 
     def __init__(self, replicas: "list[NFSServer]"):
@@ -307,15 +287,6 @@ class ReplicatedWarehouseStorage:
         """Aggregate data served across replicas."""
         return sum(r.mb_served for r in self.replicas)
 
-    def read_file(self, size_mb: float) -> Generator:
-        """Serve one file read from the least-loaded replica."""
-        replica = self._pick()
-        self._inflight_mb[id(replica)] += size_mb
-        try:
-            yield replica.read_file(size_mb)
-        finally:
-            self._inflight_mb[id(replica)] -= size_mb
-
     def copy_to_host(
         self,
         size_mb: float,
@@ -332,6 +303,3 @@ class ReplicatedWarehouseStorage:
             )
         finally:
             self._inflight_mb[id(replica)] -= size_mb
-
-    def __repr__(self) -> str:
-        return f"<ReplicatedWarehouseStorage x{len(self.replicas)}>"

@@ -39,14 +39,6 @@ class TraceEvent:
     message: str
     data: Dict[str, Any] = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        extra = (
-            " " + " ".join(f"{k}={v}" for k, v in sorted(self.data.items()))
-            if self.data
-            else ""
-        )
-        return f"[{self.time:10.3f}] {self.category:<10} {self.message}{extra}"
-
 
 class Tracer:
     """Append-only event log with simple filtering.

@@ -292,9 +292,3 @@ class HostOnlyNetworkPool:
                     f"switch {net.network_id} is assigned to "
                     f"{net.domain!r} but missing from the domain map"
                 )
-
-    def __repr__(self) -> str:
-        return (
-            f"<HostOnlyNetworkPool {self.plant_name}"
-            f" free={self.free_count}/{len(self.networks)}>"
-        )

@@ -16,10 +16,8 @@ perturbs another tenant's draws.  A consumer that must compare streams
 without holding them hashes each arrival's canonical JSON line
 (:func:`canonical_line`) as it goes, as every grid site does.
 
-Four arrival processes ship (see :data:`PROCESS_KINDS`):
+Three arrival processes ship (see :data:`PROCESS_KINDS`):
 
-``poisson``
-    Homogeneous Poisson arrivals at ``rate_per_s``.
 ``diurnal``
     Sinusoid-modulated Poisson via Lewis thinning: candidates are
     drawn at the peak rate and accepted with probability
@@ -55,7 +53,7 @@ __all__ = [
 ]
 
 #: Supported ``TenantSpec.process`` kinds.
-PROCESS_KINDS = ("poisson", "diurnal", "flash", "campaign")
+PROCESS_KINDS = ("diurnal", "flash", "campaign")
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +126,6 @@ class TenantSpec:
 
     def _known_params(self) -> Tuple[str, ...]:
         return {
-            "poisson": ("rate_per_s",),
             "diurnal": (
                 "rate_per_s",
                 "amplitude",
@@ -150,7 +147,6 @@ class TenantSpec:
                 f"{self.name!r}: {sorted(unknown)}"
             )
         times = {
-            "poisson": self._poisson,
             "diurnal": self._diurnal,
             "flash": self._flash,
             "campaign": self._campaign,
@@ -166,15 +162,6 @@ class TenantSpec:
             )
 
     # -- per-process inter-arrival generators ---------------------------
-    def _poisson(self, rng) -> Iterator[float]:
-        rate = self.param("rate_per_s", 1.0)
-        if rate <= 0:
-            raise ValueError("rate_per_s must be positive")
-        t = self.start_s
-        for _ in range(self.count):
-            t += rng.expovariate(rate)
-            yield t
-
     def _diurnal(self, rng) -> Iterator[float]:
         import math
 
@@ -267,10 +254,6 @@ class TraceSpec:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-
-    @property
-    def total_requests(self) -> int:
-        return sum(t.count for t in self.tenants)
 
     def arrivals(self, hub: RngHub) -> Iterator[Arrival]:
         """The merged lazy stream (never materialized)."""

@@ -76,7 +76,7 @@ class TestAction:
 
     def test_param_dict_view(self):
         action = Action("x", params={"user": "alice"})
-        assert action.param_dict == {"user": "'alice'"}
+        assert dict(action.params) == {"user": "'alice'"}
 
     def test_signature_stable_across_param_order(self):
         a = Action("x", command="c", params={"p": 1, "q": 2})
@@ -120,9 +120,6 @@ class TestAction:
         action = Action("x", scope="host", on_error="retry", retries=1)
         assert action.scope is ActionScope.HOST
         assert action.on_error is ErrorPolicy.RETRY
-
-    def test_str_form(self):
-        assert str(Action("setup", scope=ActionScope.HOST)) == "setup[host]"
 
     def test_hashable_and_frozen(self):
         action = Action("x")
@@ -244,4 +241,4 @@ class TestActionResult:
         result = ActionResult(
             "a", ActionStatus.OK, outputs=(("ip", "10.0.0.1"),)
         )
-        assert result.output_dict == {"ip": "10.0.0.1"}
+        assert dict(result.outputs) == {"ip": "10.0.0.1"}

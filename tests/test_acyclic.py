@@ -84,7 +84,6 @@ class TestFormerCycles:
                         f"img{n}", "vmware", "os", hw, performed=steps[:n]
                     )
                 )
-            trie.remove("img2")
 
         assert cyclic_garbage(index) == NOTHING
 
@@ -126,7 +125,7 @@ class TestFormerCycles:
                     yield from pool.shutdown()
 
             bed.run(client())
-            assert sum(pool.pool_count for pool in bed.pools) > 0
+            assert any(pool._pools for pool in bed.pools)
 
         assert cyclic_garbage(pooled) == NOTHING
 

@@ -87,9 +87,9 @@ class TestCachePinning:
         cache.pin("a")
         cache.pin("a")
         cache.unpin("a")
-        assert cache.pinned("a")  # one pin still held
+        assert cache._pins == {"a": 1}  # one pin still held
         cache.unpin("a")
-        assert not cache.pinned("a")
+        assert cache._pins == {}
         assert cache.insert("d", 50.0)
         assert "a" not in cache
 
@@ -98,7 +98,7 @@ class TestCachePinning:
         cache.insert("a", 10.0)
         cache.pin("a")
         cache.clear()
-        assert not cache.pinned("a")
+        assert cache._pins == {}
         cache.unpin("a")  # missing pins are ignored (crash unwinding)
 
     def test_unpinned_behaviour_is_plain_lru(self):
@@ -244,7 +244,7 @@ class TestDistributionPlanner:
 
         def evict_mid_serve():
             yield env.timeout(0.3)
-            assert cache.pinned("img")
+            assert cache._pins == {"img": 1}
             # A competing insert cannot push the served entry out.
             assert not cache.insert("other", 50.0)
             assert "img" in cache
@@ -255,7 +255,7 @@ class TestDistributionPlanner:
 
         drive(env, both())
         assert seen == ["peer"]
-        assert not cache.pinned("img")  # pin released with the serve
+        assert cache._pins == {}  # pin released with the serve
         assert cache.insert("other", 50.0)  # and eviction works again
 
     def test_trace_events_cover_tree_hops_and_attaches(self):
@@ -331,7 +331,7 @@ class TestCoalescerOutage:
         assert "leader" in follower_error
         assert "outage" in follower_error
         # No orphaned in-flight entries: the table fully unwound.
-        assert nfs.coalescer.inflight == 0
+        assert nfs.coalescer._inflight == {}
         assert nfs.coalescer.requests_coalesced == 1
 
     def test_leader_abort_emits_coalesce_attach_trace(self):
@@ -389,7 +389,7 @@ class TestLoadAwareReplicaPick:
             # replica0 carries ~2 GB in flight; replica1 must win even
             # though replica0 would win the index tie-break.
             assert storage._pick() is storage.replicas[1]
-            yield from storage.read_file(16.0)
+            yield from storage.copy_to_host(16.0, host)
 
         def script():
             procs = [env.process(big()), env.process(small())]
@@ -415,7 +415,7 @@ class TestLoadAwareReplicaPick:
             for _ in range(3):
                 # Sequential small reads: each sees replica0 still
                 # loaded with the big copy and goes to replica1.
-                yield from storage.read_file(8.0)
+                yield from storage.copy_to_host(8.0, host)
                 served.append(
                     tuple(r.requests_served for r in storage.replicas)
                 )

@@ -37,6 +37,7 @@ from repro.faults.recovery import (
 from repro.plant.monitor import VMMonitor
 from repro.plant.reaper import LeaseReaper
 from repro.sim.cluster import build_testbed
+from repro.sim.host import PhysicalHost
 from repro.sim.kernel import Environment
 from repro.sim.network import FairShareLink
 from repro.sim.rng import RngHub
@@ -154,7 +155,10 @@ class TestPlantHealth:
 class TestRecoveryPolicy:
     def test_defaults_disabled(self):
         policy = RecoveryPolicy()
-        assert not policy.enabled
+        assert policy.create_deadline_s is None
+        assert policy.max_attempts == 1
+        assert policy.bid_deadline_s is None
+        assert policy.quarantine_threshold == 0
         assert policy.backoff_delay(1) == 0.0
         assert policy.backoff_delay(5) == 0.0
 
@@ -162,13 +166,13 @@ class TestRecoveryPolicy:
         policy = RecoveryPolicy(
             max_attempts=4, backoff_base_s=10.0, backoff_factor=2.0
         )
-        assert policy.enabled
         assert [policy.backoff_delay(a) for a in (1, 2, 3, 4)] == [
             0.0, 10.0, 20.0, 40.0,
         ]
 
     def test_presets_enabled(self):
-        assert DEADLINE_BACKOFF.enabled
+        assert DEADLINE_BACKOFF.create_deadline_s is not None
+        assert DEADLINE_BACKOFF.max_attempts > 1
         assert CIRCUIT_BREAKER.quarantine_threshold > 0
 
     def test_validation(self):
@@ -299,8 +303,10 @@ class TestWarehouseOutage:
         assert nfs.begin_outage("stall")
         assert not nfs.begin_outage("stall")  # overlap rejected
 
+        host = PhysicalHost(env, "node0")
+
         def reader():
-            yield from nfs.read_file(10.0)
+            yield from nfs.copy_to_host(10.0, host)
             return env.now
 
         def op():
@@ -317,10 +323,11 @@ class TestWarehouseOutage:
     def test_abort_fails_inflight_and_new_transfers(self):
         env = Environment()
         nfs = NFSServer(env, "nfs")
+        host = PhysicalHost(env, "node0")
 
         def reader():
             try:
-                yield from nfs.read_file(500.0)
+                yield from nfs.copy_to_host(500.0, host)
             except StorageError:
                 return "aborted"
             return "served"
@@ -354,7 +361,7 @@ class TestLinkFaults:
             done = link.transfer(10.0)  # 10 s nominal
             yield env.timeout(2.0)
             link.pause()
-            assert link.paused
+            assert link._paused
             yield env.timeout(100.0)  # frozen: nothing completes
             assert not done.triggered
             link.resume()
@@ -428,9 +435,9 @@ class TestLinkFaults:
         bed.env.run(until=25.0)
         assert [link.bandwidth_mbps for link in links] == nominal
         bed.env.run(until=35.0)
-        assert all(link.paused for link in links)
+        assert all(link._paused for link in links)
         bed.env.run(until=45.0)
-        assert not any(link.paused for link in links)
+        assert not any(link._paused for link in links)
         assert [link.bandwidth_mbps for link in links] == nominal
 
 

@@ -195,10 +195,10 @@ class TestFederatedGrid:
 
     def test_rack_brokers_front_the_shop(self):
         site = _site(n_plants=4, rack_size=2)
-        assert [r.name for r in site.racks] == ["site0-rack0", "site0-rack1"]
+        assert [r.name for r in site.bed.racks] == ["site0-rack0", "site0-rack1"]
         # The shop bids against the broker tier, not plants directly.
-        assert site.shop.bidders == site.racks
-        ad = site.bed.run(site.shop.create(experiment_request(32)))
+        assert site.bed.shop.bidders == site.bed.racks
+        ad = site.bed.run(site.bed.shop.create(experiment_request(32)))
         assert str(ad["vmid"]).startswith("site0-vmshop-vm-")
 
     def test_gateway_spills_when_local_site_declines(self):
@@ -218,7 +218,7 @@ class TestFederatedGrid:
         assert not gw.should_spill([_bid(10.0), _bid(60.0)])
         assert gw.should_spill([_bid(51.0)])  # saturated
         # No threshold configured: never spill while the site bids.
-        gw_free = FederationGateway(0, site.shop)
+        gw_free = FederationGateway(0, site.bed.shop)
         assert not gw_free.should_spill([_bid(1e9)])
         assert gw_free.should_spill([])
 
@@ -230,7 +230,7 @@ class TestOneBidRoundPerPlacement:
 
     @staticmethod
     def counters(site):
-        shop = site.shop
+        shop = site.bed.shop
         return (
             shop.collector.collections,
             shop.collector.bids_collected,
@@ -297,6 +297,36 @@ class TestOneBidRoundPerPlacement:
             assert stats["bid_rounds"] == 12
             assert stats["bids_collected"] == 12 * racks
             assert stats["transport_calls"] == 12 * (racks + 2)
+
+
+class TestBadLoadIsTheCallersError:
+    @pytest.mark.parametrize(
+        "scenario,params,match",
+        [
+            ("megaload", {"rate_per_s": 0}, "rate_per_s"),
+            ("federation", {"rate_per_s": -1.0}, "rate_per_s"),
+            ("federation", {"cross_fraction": 1.5}, "cross_fraction"),
+            ("megaload", {"cross_fraction": -0.1}, "cross_fraction"),
+            ("federation", {"requests": -1}, "requests"),
+        ],
+    )
+    def test_rejected_before_any_fork(
+        self, monkeypatch, scenario, params, match
+    ):
+        import repro.sim.shard.runner as runner
+
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(runner, "_run_forked", started)
+        monkeypatch.setattr(runner, "_run_inprocess", started)
+        plan = ShardedTestbed(seed=13, sites=2, shards=2, scenario=scenario)
+        with pytest.raises(ValueError, match=match):
+            plan.run(params=params)
+        with pytest.raises(ValueError, match=match):
+            ShardedTestbed(
+                seed=13, sites=2, shards=2, scenario=scenario, params=params
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ class TestGuestMechanics:
     def test_build_iso_contains_script(self):
         action = Action("setup-user", command="useradd x")
         iso = build_iso(action, {})
-        files = iso.file_dict()
+        files = dict(iso.files)
         assert "scripts/setup-user.sh" in files
         assert "useradd x" in files["scripts/setup-user.sh"]
         # ISO9660 overhead on top of the payload.

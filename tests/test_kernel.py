@@ -52,13 +52,6 @@ class TestEvent:
         with pytest.raises(SimulationError):
             _ = env.event().value
 
-    def test_trigger_copies_state(self):
-        env = Environment()
-        src = env.event().succeed("payload")
-        dst = env.event()
-        dst.trigger(src)
-        assert dst.ok and dst.value == "payload"
-
 
 class TestTimeout:
     def test_timeout_fires_at_delay(self):
@@ -574,18 +567,6 @@ class TestConditions:
         p = env.process(proc(env))
         env.run()
         assert p.value == (2.0, ["fast"])
-
-    def test_operator_composition(self):
-        env = Environment()
-
-        def proc(env):
-            t1, t2 = env.timeout(1), env.timeout(2)
-            yield t1 & t2
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 2.0
 
     def test_empty_all_of_fires_immediately(self):
         env = Environment()

@@ -451,7 +451,7 @@ class TestAdmissionController:
         adm = AdmissionController()
         assert not adm.enabled
         assert all(adm.admit("anyone", t) for t in range(100))
-        assert adm.total_shed == 0
+        assert adm.shed_by_tenant == {}
 
     def test_depth_ceiling_is_tiered(self):
         adm = AdmissionController(
@@ -653,6 +653,28 @@ class TestRunMegachaos:
         assert json.dumps(rec, sort_keys=True) == json.dumps(
             again.to_record(), sort_keys=True
         )
+
+    def test_fault_horizon_follows_the_scenario_defaults(self, monkeypatch):
+        import repro.experiments.megachaos as megachaos
+        from repro.federation.scenario import SITE_DEFAULTS
+
+        class Planned(Exception):
+            pass
+
+        seen = {}
+
+        def capture(seed, sites, horizon_s, **kwargs):
+            seen.update(horizon_s=horizon_s, plants=kwargs["plants_per_site"])
+            raise Planned
+
+        monkeypatch.setitem(SITE_DEFAULTS, "rate_per_s", 4.0)
+        monkeypatch.setitem(SITE_DEFAULTS, "plants", 6)
+        monkeypatch.setattr(megachaos, "grid_fault_plan", capture)
+        with pytest.raises(Planned):
+            megachaos.run_megachaos(
+                sites=2, shards=2, requests_per_site=40, mttr_s=60.0
+            )
+        assert seen == {"horizon_s": 40 / 4.0 + 6 * 60.0, "plants": 6}
 
     def test_report_has_no_wall_clock_fields(self, result):
         payload = json.dumps(result.to_record())

@@ -9,8 +9,6 @@ from repro.sim.cluster import build_testbed
 from repro.vnet.hostonly import HostOnlyNetworkPool
 from repro.workloads.requests import experiment_request
 
-from tests.helpers import drive
-
 
 def make_site(**kwargs):
     bed = build_testbed(seed=21, n_plants=2, **kwargs)
@@ -171,59 +169,3 @@ class TestMigrateSim:
         # faster than two back to back.
         assert concurrent > solo
         assert dst.active_vm_count() == 2
-
-
-class TestMigrateLocal:
-    def test_local_directory_moves(self, tmp_path):
-        from repro.core.dag import ConfigDAG
-        from repro.core.spec import (
-            CreateRequest,
-            HardwareSpec,
-            NetworkSpec,
-            SoftwareSpec,
-        )
-        from repro.local.image import LocalImageStore
-        from repro.local.localline import LocalProductionLine
-        from repro.plant.vmplant import VMPlant
-        from repro.plant.warehouse import GoldenImage
-        from repro.sim.kernel import Environment
-        from repro.workloads.requests import install_os_action
-
-        env = Environment()
-        store = LocalImageStore(tmp_path / "warehouse")
-        store.add(
-            GoldenImage(
-                image_id="img", vm_type="vmware", os="o",
-                hardware=HardwareSpec(memory_mb=32),
-                performed=(install_os_action("o"),),
-                disk_state_mb=8, disk_files=2, memory_state_mb=32,
-            )
-        )
-        warehouse = store.to_warehouse()
-        line_a = LocalProductionLine(env, store, tmp_path / "runA")
-        line_b = LocalProductionLine(env, store, tmp_path / "runB")
-        plant_a = VMPlant(env, "A", warehouse, {"vmware": line_a})
-        plant_b = VMPlant(env, "B", warehouse, {"vmware": line_b})
-        request = CreateRequest(
-            hardware=HardwareSpec(memory_mb=32),
-            software=SoftwareSpec(
-                os="o",
-                dag=ConfigDAG.from_sequence([install_os_action("o")]),
-            ),
-            network=NetworkSpec(domain="d"),
-            vm_type="vmware",
-        )
-        drive(env, plant_a.create(request, "vm1"))
-        assert (tmp_path / "runA" / "vm1").exists()
-
-        manager = MigrationManager(env)
-        ad = drive(env, manager.migrate(plant_a, plant_b, "vm1"))
-        assert ad["plant"] == "B"
-        assert not (tmp_path / "runA" / "vm1").exists()
-        target = tmp_path / "runB" / "vm1"
-        assert target.exists()
-        assert (target / "status").read_text() == "running\n"
-        # Disk symlinks survive the move.
-        assert (target / "disk" / "chunk-00.vmdk").is_symlink()
-        drive(env, plant_b.destroy("vm1"))
-        assert not target.exists()

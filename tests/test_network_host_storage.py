@@ -213,20 +213,6 @@ class TestPhysicalHost:
 
 
 class TestNFSServer:
-    def test_read_charges_overhead_plus_transfer(self):
-        env = Environment()
-        nfs = NFSServer(env, rng=RngHub(1))
-
-        def proc(env):
-            yield from nfs.read_file(11.0)
-            return env.now
-
-        elapsed = drive(env, proc(env))
-        # ~1 s transfer at 11 MB/s plus jittered ~0.25 s overhead.
-        assert 1.0 < elapsed < 2.0
-        assert nfs.requests_served == 1
-        assert nfs.mb_served == pytest.approx(11.0)
-
     def test_copy_to_host_charges_per_file_overhead(self):
         env = Environment()
         nfs = NFSServer(env, rng=RngHub(1))

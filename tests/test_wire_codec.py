@@ -906,43 +906,23 @@ class TestSharedBody:
 
 
 # ---------------------------------------------------------------------------
-# Warehouse load: elements straight in
+# Golden-image descriptors: elements straight in
 # ---------------------------------------------------------------------------
 
 
-class TestWarehouseLoad:
-    def test_200_image_round_trip_without_reserialising(self, monkeypatch):
-        from repro.plant.warehouse import VMWarehouse
-
-        steps = [
-            Action(f"step-{i}", command=f"do {i}", params={"n": i})
-            for i in range(10)
-        ]
-        warehouse = VMWarehouse(
-            GoldenImage(
-                image_id=f"img-{i:03d}",
-                vm_type="vmware" if i % 2 else "uml",
-                os=f"os-{i % 5}",
-                hardware=HardwareSpec(memory_mb=32 * (1 + i % 8)),
-                performed=tuple(steps[: i % 10]),
-                memory_state_mb=float(i),
-            )
-            for i in range(200)
+class TestGoldenImageElement:
+    def test_element_round_trip_and_tag_check(self):
+        image = GoldenImage(
+            image_id="img-007",
+            vm_type="vmware",
+            os="os-2",
+            hardware=HardwareSpec(memory_mb=256),
+            performed=tuple(
+                Action(f"step-{i}", command=f"do {i}", params={"n": i})
+                for i in range(7)
+            ),
+            memory_state_mb=7.0,
         )
-        text = warehouse.dump_xml()
-
-        def no_tostring(*args, **kwargs):
-            raise AssertionError("load_xml must not re-serialise elements")
-
-        monkeypatch.setattr(ET, "tostring", no_tostring)
-        back = VMWarehouse.load_xml(text)
-        monkeypatch.undo()
-        assert [i.image_id for i in back.images()] == [
-            i.image_id for i in warehouse.images()
-        ]
-        assert list(back.images()) == list(warehouse.images())
-        assert back.dump_xml() == text
-        image = warehouse.images()[7]
         assert GoldenImage.from_xml(image.to_xml()) == image
         assert GoldenImage.from_element(image.to_element()) == image
         with pytest.raises(ProtocolError, match="expected <golden-image>"):

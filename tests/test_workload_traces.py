@@ -61,7 +61,7 @@ SPEC = TraceSpec(
 class TestDeterministicGeneration:
     def test_same_seed_same_stream_and_signature(self):
         first = list(SPEC.arrivals(RngHub(77)))
-        assert len(first) == SPEC.total_requests
+        assert len(first) == sum(t.count for t in SPEC.tenants)
         assert list(SPEC.arrivals(RngHub(77))) == first
         # A different seed gives a different trace.
         assert list(SPEC.arrivals(RngHub(78))) != first
@@ -77,9 +77,9 @@ class TestDeterministicGeneration:
             + (
                 TenantSpec(
                     name="extra",
-                    process="poisson",
+                    process="flash",
                     count=25,
-                    params={"rate_per_s": 2.0},
+                    params={"at_s": 10.0, "duration_s": 5.0},
                 ),
             )
         )
@@ -93,7 +93,7 @@ class TestDeterministicGeneration:
     def test_merged_stream_is_totally_ordered(self):
         keys = [a.sort_key() for a in SPEC.arrivals(RngHub(9))]
         assert keys == sorted(keys)
-        assert len(keys) == SPEC.total_requests
+        assert len(keys) == sum(t.count for t in SPEC.tenants)
         assert len(set(keys)) == len(keys)
 
     def test_merge_is_lazy(self):
@@ -102,7 +102,7 @@ class TestDeterministicGeneration:
             tenants=(
                 TenantSpec(
                     name="firehose",
-                    process="poisson",
+                    process="diurnal",
                     count=10**9,
                     params={"rate_per_s": 100.0},
                 ),
@@ -132,11 +132,11 @@ class TestDeterministicGeneration:
             TraceSpec(tenants=(SPEC.tenants[0], SPEC.tenants[0]))
         bad = TenantSpec(
             name="x",
-            process="poisson",
+            process="diurnal",
             count=1,
             params={"warp": 9.0},
         )
-        with pytest.raises(ValueError, match="unknown poisson params"):
+        with pytest.raises(ValueError, match="unknown diurnal params"):
             next(bad.arrivals(RngHub(1)))
 
     def test_canonical_line_sorts_keys_and_omits_a_missing_deadline(self):

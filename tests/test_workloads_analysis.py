@@ -9,7 +9,7 @@ from repro.analysis.histograms import (
     FIG5_BIN_CENTERS,
     histogram,
 )
-from repro.analysis.stats import bucket_means, sequence_series, summarize
+from repro.analysis.stats import sequence_series, summarize
 from repro.analysis.tables import (
     find_point,
     point_record,
@@ -159,12 +159,6 @@ class TestStats:
 
     def test_sequence_series_one_based(self):
         assert sequence_series([10.0, 20.0]) == [(1, 10.0), (2, 20.0)]
-
-    def test_bucket_means(self):
-        means = bucket_means([1, 1, 3, 3, 5], bucket=2)
-        assert means == [(2, 1.0), (4, 3.0), (5, 5.0)]
-        with pytest.raises(ValueError):
-            bucket_means([1], bucket=0)
 
 
 class TestTables:

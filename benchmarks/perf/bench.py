@@ -16,7 +16,7 @@ latency fingerprints.
 Run::
 
     PYTHONPATH=src python -m benchmarks.perf.bench NAME \
-        [--rung small|paper|million] [--out PATH]
+        [--rung small|paper|million|sync] [--out PATH]
 """
 
 from __future__ import annotations
@@ -107,6 +107,13 @@ BENCHES: Dict[str, Dict[str, Dict[str, Any]]] = {
             seed=2004, sites=16, shard_counts=(16,),
             requests_per_site=62_500, determinism_requests=40,
             deadline_s=None, trace_capacity=100_000,
+        ),
+        # The shard wall gate: 8 sites on 2 workers at a load where a
+        # lookahead window holds little work, so what the 2-shard
+        # point's wall_speedup reads is the window barrier's cost.
+        "sync": dict(
+            seed=2004, sites=8, shard_counts=(1, 2), requests_per_site=2000,
+            params={"rate_per_s": 0.1},
         ),
     },
     "megachaos": {
@@ -211,7 +218,8 @@ def main(argv=None) -> None:
     )
     parser.add_argument("name", choices=sorted(BENCHES))
     parser.add_argument(
-        "--rung", choices=("small", "paper", "million"), default="paper"
+        "--rung", choices=("small", "paper", "million", "sync"),
+        default="paper",
     )
     parser.add_argument(
         "--out", type=Path, default=None,

@@ -102,14 +102,11 @@ def cost_notes(points: Sequence, labels: Sequence[str] = ()) -> List[str]:
         if len(sync) > 1:
             notes.append(
                 f"{labels[i] if labels else ''}{len(sync)} shards: "
-                f"simulated {_each(sync, 'advance_s', '.2f')} s, "
-                f"flushing {_each(sync, 'flush_s', '.2f')} s, "
-                f"blocked {_each(sync, 'select_s', '.2f')} s "
-                f"(on full pipes {_each(sync, 'block_s', '.2f')} s); "
-                f"{_each(sync, 'turns', ',d')} turns, "
-                f"{_each(sync, 'event_turns', ',d')} with events; "
-                f"{_each(sync, 'nulls', ',d')} nulls for "
-                f"{_each(sync, 'records', ',d')} messages"
+                f"simulated {_each(sync, 'simulate_s', '.2f')} s, "
+                f"exchanging {_each(sync, 'exchange_s', '.2f')} s, "
+                f"waiting {_each(sync, 'wait_s', '.2f')} s; "
+                f"{_each(sync, 'windows', ',d')} windows, "
+                f"{_each(sync, 'records', ',d')} records"
             )
     return notes
 

@@ -63,8 +63,8 @@ GUEST_HANG = "guest-hang"
 #: drops, and the site gateway stops answering until recovery.
 SITE_BLACKOUT = "site-blackout"
 #: A WAN boundary link partitions: staged cross-site messages freeze
-#: until the link heals (conservative promises stay valid — delivery
-#: time is stamped at stage time, after the pause ends).
+#: until the link heals (the lookahead still holds — delivery time is
+#: stamped at stage time, after the pause ends).
 WAN_PARTITION = "wan-partition"
 #: A WAN boundary link runs at ``severity`` × nominal bandwidth.
 WAN_DEGRADE = "wan-degrade"

@@ -477,6 +477,8 @@ class GridScenario(ShardScenario):
             if pools:
                 outstanding += 1
                 proc.callbacks.append(finished)
+            # Not even the last request's process waits out the drain.
+            del proc
         if pools:
             # Shut the speculative pools down once the workload has
             # fully drained, so idle prefilled clones are handed back

@@ -481,7 +481,6 @@ class Environment:
         "_executed",
         "tracer",
         "_timeout_pool",
-        "boundary_emits",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -496,17 +495,13 @@ class Environment:
         self.tracer = None
         #: Free list of recycled :class:`_PooledTimeout` instances.
         self._timeout_pool: List[_PooledTimeout] = []
-        #: Boundary messages staged from this environment; bumped by
-        #: ``BoundaryLink._stage`` and fenced on by the shard runner
-        #: (see :meth:`run_below_fenced`).
-        self.boundary_emits = 0
 
     @property
     def executed_events(self) -> int:
         """Events actually processed (popped and fired) so far.
 
         Distinct from the schedule counter: events still sitting in
-        the queue — e.g. beyond a ``run(until=...)`` horizon — are
+        the queue — e.g. beyond a ``run(until=...)`` bound — are
         scheduled but never executed.
         """
         return self._executed
@@ -568,7 +563,7 @@ class Environment:
         """Enqueue ``event`` to fire at the absolute instant ``time``.
 
         The clock will read exactly ``time`` when it fires, which
-        ``now + (time - now)`` does not promise in floating point.
+        ``now + (time - now)`` does not guarantee in floating point.
         The caller has already given the event its outcome.
         """
         if time < self.now:
@@ -587,7 +582,7 @@ class Environment:
 
         Used by the shard runner to deliver boundary messages at their
         exact timestamp and to land precisely on a ``run(until=...)``
-        horizon.  Rewinding is kernel misuse.
+        bound.  Rewinding is kernel misuse.
         """
         if time < self.now:
             raise SimulationError(
@@ -613,11 +608,11 @@ class Environment:
     def run_below(self, limit: float) -> float:
         """Process every event with time *strictly below* ``limit``.
 
-        The conservative-sync primitive: a shard may only execute
-        events below its lookahead horizon, and an event *at* the
-        horizon must wait (a boundary message could still arrive
-        exactly then).  The clock is left at the last processed event;
-        returns the time of the next pending event (``inf`` if none).
+        The conservative-sync primitive: a site runs a lookahead
+        window strictly below its end, and an event *at* the end must
+        wait (a boundary delivery may be due exactly then).  The clock
+        is left at the last processed event; returns the time of the
+        next pending event (``inf`` if none).
         """
         queue = self._queue
         pop = _heappop
@@ -633,37 +628,8 @@ class Environment:
                 raise event._value
         return queue[0][0] if queue else float("inf")
 
-    def run_below_fenced(self, limit: float) -> float:
-        """:meth:`run_below`, stopping early after a boundary send.
-
-        Executes events strictly below ``limit`` but returns as soon
-        as a *timestamp* finishes during which :attr:`boundary_emits`
-        changed.  Conservative sync needs this: a horizon computed
-        from a peer's next event time is invalidated the moment this
-        site sends the peer a message (the peer may now wake earlier
-        and reply), so the site must stop and let the co-scheduler
-        recompute.  Finishing the emitting timestamp itself is safe —
-        any causal reply is at least one round-trip of (positive)
-        link latency away.
-        """
-        queue = self._queue
-        pop = _heappop
-        emits = self.boundary_emits
-        while queue and queue[0][0] < limit:
-            t = queue[0][0]
-            while queue and queue[0][0] == t:
-                self.now, _, _, event = pop(queue)
-                self._executed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                if event._ok is False and not event.defused:
-                    raise event._value
-            if self.boundary_emits != emits:
-                break
-        return queue[0][0] if queue else float("inf")
+    # Kept for the ``sim.kernel.run_below_fenced`` row of e2e TARGETS.
+    run_below_fenced = run_below
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.

@@ -239,10 +239,10 @@ class BoundaryLink(FairShareLink):
     ``latency_s`` later.
 
     ``latency_s`` is the link's propagation delay **and** the
-    conservative-sync lookahead: the destination shard may safely
-    simulate up to (source clock + latency) because no message can
-    arrive earlier.  A zero latency would force the shards into
-    lockstep, so it is rejected outright.
+    conservative-sync lookahead: a message sent at or after a window's
+    start is due at or after its end, so sites run a window without
+    hearing from each other.  A zero latency would make every window
+    empty, so it is rejected outright.
     """
 
     def __init__(
@@ -293,9 +293,6 @@ class BoundaryLink(FairShareLink):
         return done
 
     def _stage(self, payload: tuple) -> None:
-        # Fence marker for the shard runner: a boundary send makes any
-        # horizon computed from this site's pre-send state stale.
-        self.env.boundary_emits += 1
         self.outbox.emit(
             dst_site=self.dst_site,
             deliver_time=self.env.now + self.latency_s,

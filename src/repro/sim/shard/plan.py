@@ -32,10 +32,10 @@ __all__ = [
 class LinkSpec:
     """One directed inter-site boundary link.
 
-    ``latency_s`` doubles as the conservative-sync lookahead for the
-    ``src -> dst`` channel: the destination may simulate up to
-    (source clock + ``latency_s``) without waiting.  It must be
-    strictly positive — zero lookahead would serialize the shards.
+    ``latency_s`` doubles as the conservative-sync lookahead: the
+    least ``latency_s`` over all links is the length of a window in
+    which no site hears from another.  It must be strictly positive —
+    zero lookahead would make every window empty.
     """
 
     name: str

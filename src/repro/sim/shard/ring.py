@@ -2,18 +2,13 @@
 
 Cross-shard boundary messages travel as fixed-size struct-packed
 records over one unidirectional OS pipe per directed shard pair — no
-pickling on the hot path.  Each record carries:
-
-* ``kind`` — ``MSG`` (a boundary delivery) or ``NULL`` (a pure
-  lookahead promise, the conservative-sync "null message");
-* routing — source site, destination site, endpoint id, a
-  per-channel sequence number;
-* ``deliver_time`` — the simulation time the destination endpoint
-  fires;
-* ``promise`` — the sender's guarantee that no *future* record on
-  this channel will deliver earlier than this time (its clock floor
-  plus the channel lookahead);
-* up to four float payload fields.
+pickling on the hot path.  Each record carries routing (source site,
+destination site, endpoint id, a per-channel sequence number), the
+``deliver_time`` at which the destination endpoint fires, and up to
+four float payload fields.  Under the window protocol of
+:mod:`repro.sim.shard.sync` every record sent in a window is due at
+or after its end, and the receiver runs the next window only once it
+holds as many records as the senders shipped.
 
 The same staging interface serves in-process delivery: when source
 and destination sites run in the same process, :class:`RouterOutbox`
@@ -26,35 +21,25 @@ from __future__ import annotations
 
 import heapq
 import os
-import select
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "RECORD",
-    "KIND_NULL",
-    "KIND_MSG",
     "SiteInbox",
     "RouterOutbox",
     "RingOutbox",
     "RingReader",
     "BrokenShardError",
+    "SyncError",
 ]
 
-#: kind(u8)+pad, src_site, dst_site, endpoint, seq, deliver_time,
-#: promise, payload[4] — 72 bytes per record, little-endian.
-RECORD = struct.Struct("<Bxxxiiiqdddddd")
-
-#: Byte offsets of the deliver_time / promise fields within a record.
-_OFF_DELIVER = 24
-_OFF_PROMISE = 32
-_F64 = struct.Struct("<d")
-
-KIND_NULL = 0
-KIND_MSG = 1
+#: src_site, dst_site, endpoint, seq, deliver_time, payload[4] — 56
+#: bytes per record, little-endian.
+RECORD = struct.Struct("<iiiqddddd")
 
 #: Records buffered before an eager flush (batching amortizes the
-#: pipe write; a flush also always happens when the shard blocks).
+#: pipe write; a flush also always happens at a window's end).
 FLUSH_BATCH = 128
 
 #: Bytes asked of a ring pipe per read.
@@ -63,9 +48,8 @@ READ_CHUNK = 1 << 16
 Payload = Tuple[float, ...]
 
 
-def _pad4(payload: Payload) -> Tuple[float, float, float, float]:
-    vals = tuple(float(v) for v in payload)[:4]
-    return vals + (0.0,) * (4 - len(vals))
+class SyncError(RuntimeError):
+    """The window protocol's bookkeeping caught a causality violation."""
 
 
 class SiteInbox:
@@ -119,9 +103,18 @@ class RouterOutbox:
     one-shard run has no such destination, and no ring).  Sequence
     numbers are assigned per directed *site* pair in send order on
     both paths, so delivery order is the same at every shard count.
+
+    ``window_end`` is the end of the window being run: a record due
+    before it would be delivered in a window its destination may
+    already have run, so staging one raises :class:`SyncError`.
+    ``earliest`` is the earliest delivery staged since the window
+    began — part of this process's next time.
     """
 
-    __slots__ = ("inboxes", "ring", "partition", "shard", "_seq")
+    __slots__ = (
+        "inboxes", "ring", "partition", "shard", "_seq", "window_end",
+        "earliest",
+    )
 
     def __init__(
         self,
@@ -135,15 +128,21 @@ class RouterOutbox:
         self.partition = partition
         self.shard = shard
         self._seq: Dict[Tuple[int, int], int] = {}
+        self.window_end = float("-inf")
+        self.earliest = float("inf")
 
     def emit(
-        self,
-        dst_site: int,
-        deliver_time: float,
-        src_site: int,
-        endpoint: int,
-        payload: Payload,
+        self, dst_site: int, deliver_time: float, src_site: int,
+        endpoint: int, payload: Payload,
     ) -> None:
+        if deliver_time < self.window_end:
+            raise SyncError(
+                f"site {src_site} staged a record to site {dst_site} due "
+                f"at {deliver_time}, inside its window ending at "
+                f"{self.window_end}"
+            )
+        if deliver_time < self.earliest:
+            self.earliest = deliver_time
         key = (src_site, dst_site)
         seq = self._seq.get(key, 0)
         self._seq[key] = seq + 1
@@ -153,14 +152,8 @@ class RouterOutbox:
             )
         else:
             self.ring.pack(
-                self.partition[dst_site],
-                KIND_MSG,
-                src_site,
-                dst_site,
-                endpoint,
-                seq,
-                deliver_time,
-                payload,
+                self.partition[dst_site], src_site, dst_site, endpoint, seq,
+                deliver_time, payload,
             )
 
 
@@ -168,23 +161,18 @@ class RingOutbox:
     """Write side of the per-destination-shard event rings.
 
     Write fds are non-blocking: when a pipe fills, :meth:`_write`
-    invokes ``on_block`` (if set) so the owner can drain its *own*
-    in-rings — the peer may itself be blocked writing to us, and
-    draining breaks the cycle — then retries until every byte is
-    shipped.  Without a callback it simply waits for pipe space.
+    invokes ``on_block`` so the owner can drain its *own* in-rings —
+    the peer may itself be blocked writing to us, and draining breaks
+    the cycle — then retries until every byte is shipped.
     """
 
     __slots__ = ("fds", "bufs", "sent", "on_block")
 
-    def __init__(
-        self,
-        fds: Dict[int, int],
-        on_block: Optional[Callable[[int], None]] = None,
-    ):
+    def __init__(self, fds: Dict[int, int], on_block: Callable[[int], None]):
         #: dst shard -> pipe write fd
         self.fds = fds
         self.bufs: Dict[int, bytearray] = {s: bytearray() for s in fds}
-        #: dst shard -> delivered message count (nulls excluded).
+        #: dst shard -> records staged for it.
         self.sent: Dict[int, int] = {s: 0 for s in fds}
         #: Called with the blocked fd when a pipe write would block.
         self.on_block = on_block
@@ -192,72 +180,26 @@ class RingOutbox:
             os.set_blocking(fd, False)
 
     def pack(
-        self,
-        dst_shard: int,
-        kind: int,
-        src_site: int,
-        dst_site: int,
-        endpoint: int,
-        seq: int,
-        deliver_time: float,
-        payload: Payload,
+        self, dst_shard: int, src_site: int, dst_site: int, endpoint: int,
+        seq: int, deliver_time: float, payload: Payload,
     ) -> None:
-        p0, p1, p2, p3 = _pad4(payload)
-        self.bufs[dst_shard] += RECORD.pack(
-            kind,
-            src_site,
-            dst_site,
-            endpoint,
-            seq,
-            deliver_time,
-            0.0,  # promise stamped at flush time
-            p0,
-            p1,
-            p2,
-            p3,
-        )
-        if kind == KIND_MSG:
-            self.sent[dst_shard] += 1
-        if len(self.bufs[dst_shard]) >= FLUSH_BATCH * RECORD.size:
-            # Oversized batches flush eagerly with a conservative
-            # channel bound of -inf (no guarantee about later sends);
-            # the next regular flush carries the real promise.
-            self._write(dst_shard, float("-inf"))
-
-    def flush_channel(self, dst_shard: int, promise: float) -> bool:
-        """Flush one channel if it has buffered records; returns True if so."""
-        if not self.bufs[dst_shard]:
-            return False
-        self._write(dst_shard, promise)
-        return True
-
-    def send_null(self, dst_shard: int, promise: float) -> None:
-        """Send a pure lookahead promise on an idle channel."""
-        self.bufs[dst_shard] += RECORD.pack(
-            KIND_NULL, -1, -1, -1, 0, 0.0, promise, 0.0, 0.0, 0.0, 0.0
-        )
-        self._write(dst_shard, promise)
-
-    def _write(self, dst_shard: int, bound: float) -> None:
-        """Stamp per-record promises and ship the buffered batch.
-
-        ``bound`` is the channel-level lower bound on *future* sends
-        (``-inf`` for an eager mid-advance flush).  Pipe writes past
-        PIPE_BUF are not atomic, so a reader may observe any prefix
-        of this batch; a record's stamped promise must therefore also
-        cover the records *after* it in the batch.  Stamping
-        backwards, record *i* gets ``min(bound, deliver_time of
-        records i+1..n)`` — the tightest promise that cannot ratchet
-        the reader past a still-in-flight delivery.
-        """
         buf = self.bufs[dst_shard]
-        size = RECORD.size
-        for off in range(len(buf) - size, -1, -size):
-            _F64.pack_into(buf, off + _OFF_PROMISE, bound)
-            if buf[off] == KIND_MSG:
-                (dt,) = _F64.unpack_from(buf, off + _OFF_DELIVER)
-                if dt < bound:
-                    bound = dt
+        buf += RECORD.pack(
+            src_site, dst_site, endpoint, seq, deliver_time,
+            *payload, *(0.0,) * (4 - len(payload)),
+        )
+        self.sent[dst_shard] += 1
+        if len(buf) >= FLUSH_BATCH * RECORD.size:
+            self._write(dst_shard)
+
+    def flush(self) -> None:
+        """Ship every buffered record."""
+        for dst_shard, buf in self.bufs.items():
+            if buf:
+                self._write(dst_shard)
+
+    def _write(self, dst_shard: int) -> None:
+        buf = self.bufs[dst_shard]
         data = memoryview(bytes(buf))
         buf.clear()
         fd = self.fds[dst_shard]
@@ -265,12 +207,8 @@ class RingOutbox:
             try:
                 n = os.write(fd, data)
             except BlockingIOError:
-                # Pipe full.  Drain our own in-rings via on_block (the
-                # peer may be blocked writing to us) or wait for space.
-                if self.on_block is not None:
-                    self.on_block(fd)
-                else:
-                    select.select([], [fd], [])
+                # Pipe full: the peer may be blocked writing to us.
+                self.on_block(fd)
                 continue
             except BrokenPipeError as exc:
                 raise BrokenShardError(
@@ -283,25 +221,21 @@ class RingOutbox:
 class RingReader:
     """Read side: decodes records from one source shard's ring."""
 
-    __slots__ = ("src_shard", "fd", "_buf", "promise", "received")
+    __slots__ = ("src_shard", "fd", "_buf", "received")
 
-    def __init__(self, src_shard: int, fd: int, initial_promise: float):
+    def __init__(self, src_shard: int, fd: int):
         self.src_shard = src_shard
         self.fd = fd
         os.set_blocking(fd, False)
         self._buf = bytearray()
-        #: No delivery from this shard will occur before this time.
-        self.promise = initial_promise
-        #: Delivered message count (nulls excluded).
+        #: Records routed into inboxes so far.
         self.received = 0
 
-    def drain(self, inboxes: Dict[int, SiteInbox]) -> bool:
-        """Consume available bytes; route messages; update promise.
+    def drain(self, inboxes: Dict[int, SiteInbox]) -> None:
+        """Consume available bytes and route whole records.
 
-        Returns True if anything (messages or promises) arrived.
         Raises ``BrokenShardError`` on EOF — a peer died mid-run.
         """
-        got = False
         while True:
             try:
                 chunk = os.read(self.fd, READ_CHUNK)
@@ -313,34 +247,17 @@ class RingReader:
                     f"mid-run (worker died?)"
                 )
             self._buf += chunk
-            got = True
         buf = self._buf
-        size = RECORD.size
-        usable = len(buf) - (len(buf) % size)
-        for off in range(0, usable, size):
-            (
-                kind,
-                src_site,
-                dst_site,
-                endpoint,
-                seq,
-                deliver_time,
-                promise,
-                p0,
-                p1,
-                p2,
-                p3,
-            ) = RECORD.unpack_from(buf, off)
-            if promise > self.promise:
-                self.promise = promise
-            if kind == KIND_MSG:
-                inboxes[dst_site].push(
-                    deliver_time, src_site, seq, endpoint, (p0, p1, p2, p3)
-                )
-                self.received += 1
+        usable = len(buf) - (len(buf) % RECORD.size)
+        for src_site, dst_site, endpoint, seq, deliver_time, *payload in (
+            RECORD.iter_unpack(buf[:usable])
+        ):
+            inboxes[dst_site].push(
+                deliver_time, src_site, seq, endpoint, tuple(payload)
+            )
+        self.received += usable // RECORD.size
         del buf[:usable]
-        return got
 
 
 class BrokenShardError(RuntimeError):
-    """A peer shard's event ring closed unexpectedly."""
+    """A peer shard's ring or barrier pipe closed unexpectedly."""

@@ -1,18 +1,16 @@
 """Sharded kernel execution: the coordinator.
 
 The runner executes a :class:`~repro.sim.shard.plan.ShardedTestbed`
-plan under the causality rule of :mod:`repro.sim.shard.sync`.  What
+plan in the lookahead windows of :mod:`repro.sim.shard.sync`.  What
 varies with the shard count is only process placement: at one shard
-every site is co-scheduled in this process (no fork, no pipes);
-otherwise sites are packed into the forked workers of
-:mod:`repro.sim.shard.worker`.
+every site runs in this process (no fork, no pipes); otherwise sites
+are packed into the forked workers of :mod:`repro.sim.shard.worker`,
+which meet at each window's barrier among themselves.
 
-Termination is parent-coordinated: the coordinator probes workers,
-each of which drains its in-rings before replying with an idle flag
-and per-channel sent/received message counts; two consecutive
-identical all-idle, count-matched rounds prove no event or message
-remains in flight.  A worker crash (exception or hard exit) aborts
-the whole run with :class:`ShardWorkerError` instead of hanging.
+The parent gathers the workers' results.  A channel whose sent and
+received record counts then differ fails the run, and so does a
+worker crash (exception or hard exit): :class:`ShardWorkerError`
+instead of a hang.
 """
 
 from __future__ import annotations
@@ -170,7 +168,7 @@ def _run_inprocess(ctx: RunContext) -> ShardRunResult:
     # only — model construction is excluded in every mode.
     sim_wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    world.group.advance(ctx.limit, {})
+    world.run()
     cpu = time.process_time() - cpu0
     done = time.perf_counter()
     payload = world.result(done - sim_wall0, cpu)
@@ -223,8 +221,15 @@ def _run_forked(
     # worker_main) so its GC never traverses — and so never
     # copy-on-writes — objects it can't free anyway.
     gc.collect()
-    channels = ctx.channels()
-    pipes = {pair: os.pipe() for pair in sorted(channels)}
+    partition = ctx.plan.partition
+    channels = {
+        (partition[spec.src], partition[spec.dst]) for spec in ctx.specs
+    }
+    rings = {
+        pair: os.pipe() for pair in sorted(channels) if pair[0] != pair[1]
+    }
+    # One barrier pipe per worker: every peer writes its reports there.
+    reports = [os.pipe() for _ in range(shards)]
     parent_conns, child_conns = zip(*(mp.Pipe() for _ in range(shards)))
     procs: List[Any] = []
     try:
@@ -232,22 +237,24 @@ def _run_forked(
             for shard in range(shards):
                 p = mp.Process(
                     target=worker_main,
-                    args=(shard, ctx, pipes, parent_conns, child_conns),
+                    args=(
+                        shard, ctx, rings, reports, parent_conns, child_conns
+                    ),
                     name=f"shard-{shard}",
                     daemon=True,
                 )
                 p.start()
                 procs.append(p)
         finally:
-            # The parent takes no part in the rings: close its copies
-            # so a dead worker's channels actually reach EOF at the
-            # readers.
-            for rfd, wfd in pipes.values():
+            # The parent takes no part in the rings or the barrier: close
+            # its copies so a dead worker's pipes actually reach EOF at
+            # the readers.
+            for rfd, wfd in [*rings.values(), *reports]:
                 os.close(rfd)
                 os.close(wfd)
             for c in child_conns:
                 c.close()
-        coordinator = _Coordinator(channels, parent_conns, procs)
+        coordinator = _Coordinator(parent_conns, procs)
         results = coordinator.run(deadline_s)
         coordinator.send_all(("exit",))
         for p in procs:
@@ -255,7 +262,7 @@ def _run_forked(
     finally:
         _release(parent_conns, procs)
     wall = time.perf_counter() - wall0
-    return _assemble(ctx, wall, [results[s] for s in range(shards)])
+    return _assemble(ctx, wall, results)
 
 
 def _release(parent_conns, procs) -> None:
@@ -287,10 +294,9 @@ def _exit_status(proc) -> str:
 
 @dataclass
 class _Coordinator:
-    """The parent's side of a forked run: probe rounds until the
-    workers are provably quiescent, results gathered, crashes named."""
+    """The parent's side of a forked run: results gathered, the
+    channels' counts checked, crashes named."""
 
-    channels: Dict[Tuple[int, int], float]
     conns: Tuple[Any, ...]
     procs: List[Any]
     results: Dict[int, Dict[str, Any]] = field(default_factory=dict)
@@ -314,9 +320,9 @@ class _Coordinator:
         """The root cause among the collected reports.
 
         One crash usually produces a cascade: the dying worker reports
-        its exception, then peers observe its closed rings and report
+        its exception, then peers observe its closed pipes and report
         BrokenShardError.  A worker killed outright reports nothing,
-        so when every report is a closed ring the cause is whichever
+        so when every report is a closed pipe the cause is whichever
         worker is dead without a word; its peers' reports follow it.
         """
         ordered = sorted(self.errors.items())
@@ -341,8 +347,10 @@ class _Coordinator:
         r, tb = self.errors[s]
         return ShardWorkerError(f"shard {s} worker failed: {r}\n{tb}")
 
-    def run(self, deadline_s: Optional[float]) -> Dict[int, Dict[str, Any]]:
-        """Every shard's result payload, or :class:`ShardWorkerError`."""
+    def run(self, deadline_s: Optional[float]) -> List[Dict[str, Any]]:
+        """Every shard's result payload, in shard order, or
+        :class:`ShardWorkerError` — also when a channel ended with
+        records sent but not received."""
         shards = len(self.procs)
         results = self.results
         errors = self.errors
@@ -354,12 +362,6 @@ class _Coordinator:
         # Collect error reports for a short grace window and surface
         # the root cause, not whichever arrived first.
         error_grace: Optional[float] = None
-        round_id = 0
-        replies: Dict[int, tuple] = {}
-        prev_snapshot = None
-        stopping = False
-        self.send_all(("probe", round_id))
-
         while len(results) < shards:
             ready = mpconn.wait(
                 list(self.conns) + list(sentinel_of), timeout=0.5
@@ -376,13 +378,9 @@ class _Coordinator:
                     try:
                         while obj.poll():
                             msg = obj.recv()
-                            kind = msg[0]
-                            if kind == "probe_reply":
-                                if msg[1] == round_id:
-                                    replies[shard] = msg[2:]
-                            elif kind == "result":
+                            if msg[0] == "result":
                                 results[msg[1]] = msg[2]
-                            elif kind == "error":
+                            elif msg[0] == "error":
                                 errors[msg[1]] = (msg[2], msg[3])
                                 if error_grace is None:
                                     error_grace = time.monotonic() + 0.25
@@ -393,60 +391,12 @@ class _Coordinator:
                     shard = sentinel_of[obj]
                     if shard not in results and not errors:
                         raise self._died(shard)
-            if not stopping and len(replies) == shards:
-                stopping = _evaluate_probe(
-                    replies, self.channels, prev_snapshot
-                )
-                if stopping:
-                    self.send_all(("stop",))
-                else:
-                    all_idle = all(r[0] for r in replies.values())
-                    matched = _counts_match(replies, self.channels)
-                    prev_snapshot = (
-                        _snapshot(replies)
-                        if (all_idle and matched)
-                        else None
+        for a in range(shards):
+            for b, sent in results[a]["sent"].items():
+                received = results[b]["recv"].get(a, 0)
+                if received != sent:
+                    raise ShardWorkerError(
+                        f"channel {a}->{b} ended with {sent} records "
+                        f"sent and {received} received"
                     )
-                    round_id += 1
-                    replies = {}
-                    time.sleep(0.02)
-                    self.send_all(("probe", round_id))
-        return results
-
-
-def _snapshot(replies: Dict[int, tuple]):
-    return tuple(
-        (shard, idle, tuple(sorted(sent.items())), tuple(sorted(recv.items())))
-        for shard, (idle, sent, recv) in sorted(replies.items())
-    )
-
-
-def _counts_match(
-    replies: Dict[int, tuple],
-    channels: Dict[Tuple[int, int], float],
-) -> bool:
-    for (a, b) in channels:
-        sent = replies[a][1].get(b, 0)
-        recv = replies[b][2].get(a, 0)
-        if sent != recv:
-            return False
-    return True
-
-
-def _evaluate_probe(
-    replies: Dict[int, tuple],
-    channels: Dict[Tuple[int, int], float],
-    prev_snapshot,
-) -> bool:
-    """Terminate after two consecutive identical clean rounds.
-
-    A clean round: every worker idle and every channel's sent count
-    equal to the peer's received count.  Workers drain their in-rings
-    before replying, so two identical clean rounds imply nothing is
-    in flight anywhere.
-    """
-    if not all(r[0] for r in replies.values()):
-        return False
-    if not _counts_match(replies, channels):
-        return False
-    return prev_snapshot is not None and _snapshot(replies) == prev_snapshot
+        return [results[s] for s in range(shards)]

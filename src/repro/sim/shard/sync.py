@@ -1,30 +1,32 @@
-"""The conservative-sync rule and the site world both modes share.
+"""The window loop and the site world both modes share.
 
 Every *site* is its own :class:`~repro.sim.kernel.Environment` at any
 shard count; a process — the caller's at one shard, a forked worker
 otherwise — builds the sites of its shard as one :class:`SiteWorld`
-and co-schedules them with a :class:`SiteGroup` under one causality
-rule (classic Chandy–Misra–Bryant conservative synchronization): a
-site may execute events *strictly below* its horizon
+and runs them in lookahead windows (YAWNS; Nicol, JACM 40(2), 1993).
+Each round, ``T`` is the global minimum next time over every site's
+event heap and inbox, and every site runs its deliveries and events
+strictly below
 
-    ``min( limit,
-           min over local in-links (src -> site) of
-               next_time(src) + latency,
-           min over remote in-channels of their promise )``
+    ``min(T + L, limit)``
 
-where a channel's *promise* is the sending shard's guarantee that no
-future delivery will occur earlier.  Deliveries at time *t* execute
-before local events at *t*, ordered among themselves by
-``(deliver_time, src_site, channel seq)`` — so per-site trajectories,
-and therefore merged-trace fingerprints, are identical for every
-shard count.
+where ``L`` is the minimum boundary-link latency.  A message sent
+inside the window is sent at or after ``T``, so it is due at or after
+the window's end: within a window no site hears from another.  The
+run ends when ``T`` reaches the limit (``inf`` without ``until``).
+
+Deliveries at time *t* execute before local events at *t*, ordered
+among themselves by ``(deliver_time, src_site, channel seq)`` — so
+per-site trajectories, and therefore merged-trace fingerprints, are
+identical for every shard count, and so is the window count.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 try:
     import resource
@@ -34,33 +36,19 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.sim.kernel import Environment
 from repro.sim.network import BoundaryLink
 from repro.sim.shard.plan import LinkSpec, ShardedTestbed, endpoint_ids
-from repro.sim.shard.ring import RingOutbox, RouterOutbox, SiteInbox
+from repro.sim.shard.ring import RingOutbox, RouterOutbox, SiteInbox, SyncError
 from repro.sim.shard.scenarios import get_scenario
 from repro.sim.shard.tracemerge import site_trace_fingerprint
 from repro.sim.trace import Tracer
 
-__all__ = [
-    "SYNC_KEYS",
-    "RunContext",
-    "SiteRuntime",
-    "next_time",
-    "SiteGroup",
-    "SiteWorld",
-]
+__all__ = ["SYNC_KEYS", "RunContext", "SiteRuntime", "SiteWorld"]
 
-#: Keys of a shard result's ``sync`` block: what a forked worker's loop
-#: did and where its wall time went.  All zero for an in-process run,
-#: which has no loop.
-SYNC_KEYS = (
-    "turns",
-    "event_turns",
-    "nulls",
-    "records",
-    "advance_s",
-    "flush_s",
-    "select_s",
-    "block_s",
-)
+#: Keys of a shard result's ``sync`` block: windows run, records
+#: shipped to other shards, and where the loop's wall time went —
+#: running windows, shipping and collecting records, waiting at the
+#: barrier for the next window.  In process only the first and third
+#: can be non-zero.
+SYNC_KEYS = ("windows", "records", "simulate_s", "exchange_s", "wait_s")
 
 
 @dataclass(frozen=True)
@@ -85,152 +73,18 @@ class RunContext:
             return math.inf
         return math.nextafter(self.until, math.inf)
 
-    def channels(self) -> Dict[Tuple[int, int], float]:
-        """Directed cross-shard channels -> minimum lookahead on each."""
-        partition = self.plan.partition
-        channels: Dict[Tuple[int, int], float] = {}
-        for spec in self.specs:
-            a, b = partition[spec.src], partition[spec.dst]
-            if a == b:
-                continue
-            prev = channels.get((a, b))
-            if prev is None or spec.latency_s < prev:
-                channels[(a, b)] = spec.latency_s
-        return channels
 
-
-class SiteRuntime:
+class SiteRuntime(NamedTuple):
     """One site: its environment, inbox, handle and endpoint handlers."""
 
-    __slots__ = ("env", "inbox", "handle", "handlers")
-
-    def __init__(
-        self,
-        env: Environment,
-        inbox: SiteInbox,
-        handle,
-        handlers: List,
-    ):
-        self.env = env
-        self.inbox = inbox
-        self.handle = handle
-        self.handlers = handlers
-
-
-def next_time(rt: SiteRuntime) -> float:
-    """When this site would next execute something (``inf`` if idle)."""
-    t = rt.env.peek()
-    td = rt.inbox.peek_time()
-    return td if td < t else t
-
-
-class SiteGroup:
-    """Co-schedules the sites living in one process.
-
-    ``local_in[site]`` lists ``(src_site, latency)`` for boundary
-    links whose endpoints are both in this group; ``remote_in[site]``
-    lists the source *shards* of links arriving from other processes
-    (their current promises are passed into :meth:`advance`).
-    """
-
-    __slots__ = ("runtimes", "local_in", "remote_in")
-
-    def __init__(
-        self,
-        runtimes: Dict[int, SiteRuntime],
-        local_in: Dict[int, List[Tuple[int, float]]],
-        remote_in: Dict[int, List[int]],
-    ):
-        self.runtimes = runtimes
-        self.local_in = local_in
-        self.remote_in = remote_in
-
-    def horizon(
-        self, site: int, limit: float, promises: Dict[int, float]
-    ) -> float:
-        h = limit
-        for src, latency in self.local_in.get(site, ()):
-            bound = next_time(self.runtimes[src]) + latency
-            if bound < h:
-                h = bound
-        for shard in self.remote_in.get(site, ()):
-            p = promises[shard]
-            if p < h:
-                h = p
-        return h
-
-    def idle(self, limit: float) -> bool:
-        """True when no site has anything to execute below ``limit``."""
-        return all(
-            next_time(rt) >= limit for rt in self.runtimes.values()
-        )
-
-    def advance(self, limit: float, promises: Dict[int, float]) -> bool:
-        """Run sites until every one is blocked at its horizon.
-
-        Repeatedly picks the site with the earliest pending work (tie:
-        lowest site index) whose horizon lets it move, and advances it
-        in one batch.  Returns True if anything was executed.  The
-        pick order does not affect trajectories — sites only interact
-        through inboxes, and inbox pops are gated by the horizon rule
-        — it only affects batching.
-        """
-        progressed = False
-        runtimes = self.runtimes
-        while True:
-            pending = sorted(
-                (next_time(rt), site)
-                for site, rt in runtimes.items()
-            )
-            moved = False
-            for t, site in pending:
-                if t >= limit:
-                    break
-                h = self.horizon(site, limit, promises)
-                if t < h:
-                    self._advance_site(runtimes[site], h)
-                    moved = progressed = True
-                    break
-            if not moved:
-                return progressed
-
-    @staticmethod
-    def _advance_site(rt: SiteRuntime, horizon: float) -> None:
-        """Advance one site strictly below ``horizon``.
-
-        Boundary deliveries at time *t* are handed to their endpoint
-        handlers *before* local events at *t* run; deliveries at the
-        horizon itself wait (another channel could still deliver at
-        exactly that time with a lower ``(src, seq)`` rank).
-
-        The batch stops at the first boundary *send*: ``horizon`` was
-        derived from the peers' pre-send next event times, and a send
-        can wake an idle peer into replying earlier than that bound —
-        the group loop must recompute before this site runs further.
-        (Without the fence, bursty workloads with long local gaps let
-        a site overshoot and a reply lands in its past.)
-        """
-        env = rt.env
-        inbox = rt.inbox
-        handlers = rt.handlers
-        emits = env.boundary_emits
-        while True:
-            td = inbox.peek_time()
-            tn = env.peek()
-            if td < horizon and td <= tn:
-                env.advance_clock(td)
-                for _, _, _, endpoint, payload in inbox.pop_at(td):
-                    handlers[endpoint](payload)
-            elif tn < horizon:
-                env.run_below_fenced(td if td < horizon else horizon)
-            else:
-                return
-            if env.boundary_emits != emits:
-                return
+    env: Environment
+    inbox: SiteInbox
+    handle: Any
+    handlers: List
 
 
 class SiteWorld:
-    """The sites of one shard: built models, links, inboxes, the group.
+    """The sites of one shard: built models, links, inboxes, the loop.
 
     ``ring`` is the shard's cross-process write side; a one-shard run
     has none, because every destination is local.
@@ -246,10 +100,13 @@ class SiteWorld:
         eids = endpoint_ids(ctx.specs)
         self.ctx = ctx
         self.shard = shard
+        self.ring = ring
         self.scenario = scenario = get_scenario(plan.scenario)
         self.site_list = site_list = plan.shard_sites(shard)
         self.inboxes = {s: SiteInbox() for s in site_list}
-        outbox = RouterOutbox(self.inboxes, ring, plan.partition, shard)
+        self.outbox = outbox = RouterOutbox(
+            self.inboxes, ring, plan.partition, shard
+        )
         local = set(site_list)
         n_handlers: Dict[int, int] = {}
         for (dst, _name), idx in eids.items():
@@ -282,8 +139,6 @@ class SiteWorld:
         links_by_site: Dict[int, Dict[str, BoundaryLink]] = {
             site: {} for site in site_list
         }
-        local_in: Dict[int, List[Tuple[int, float]]] = {}
-        remote_in: Dict[int, set] = {}
         for spec in ctx.specs:
             if spec.src in local:
                 links_by_site[spec.src][spec.name] = BoundaryLink(
@@ -296,24 +151,87 @@ class SiteWorld:
                     eids[(spec.dst, spec.endpoint)],
                     outbox,
                 )
-            if spec.dst in local:
-                if spec.src in local:
-                    local_in.setdefault(spec.dst, []).append(
-                        (spec.src, spec.latency_s)
-                    )
-                else:
-                    remote_in.setdefault(spec.dst, set()).add(
-                        plan.partition[spec.src]
-                    )
         for site in site_list:
             scenario.start(
                 self.runtimes[site].handle, links_by_site[site]
             )
-        self.group = SiteGroup(
-            self.runtimes,
-            local_in,
-            {k: sorted(v) for k, v in remote_in.items()},
+        self.windows = 0
+        self.simulate_s = self.exchange_s = self.wait_s = 0.0
+
+    @property
+    def records(self) -> int:
+        return sum(self.ring.sent.values()) if self.ring else 0
+
+    def next_time(self) -> float:
+        """When any site of this shard next executes something."""
+        t = math.inf
+        for rt in self.runtimes.values():
+            t = min(t, rt.env.peek(), rt.inbox.peek_time())
+        return t
+
+    def run_window(self, end: float) -> float:
+        """Run every site's deliveries and events strictly below
+        ``end``; this shard's next time.
+
+        A site's deliveries at time *t* go to their endpoint handlers
+        before its local events at *t* run.  The next time is the
+        earliest pending event or delivery of any site, or of a record
+        staged in the window: a site already run may have been sent a
+        record since, and a peer shard may be due one.
+        """
+        outbox = self.outbox
+        outbox.window_end = end
+        outbox.earliest = nxt = math.inf
+        for site, rt in self.runtimes.items():
+            env = rt.env
+            inbox = rt.inbox
+            t = env.peek()
+            td = inbox.peek_time()
+            if td < end or t < end:
+                while td < end:
+                    env.run_below(td)
+                    env.advance_clock(td)
+                    for _, _, _, endpoint, payload in inbox.pop_at(td):
+                        rt.handlers[endpoint](payload)
+                    td = inbox.peek_time()
+                t = env.run_below(end)
+                # A record delivered in the window that sent it is due
+                # at or after its end, and so would leave the clock there.
+                if env.now >= end:
+                    raise SyncError(
+                        f"site {site} ran to {env.now}, not below the end "
+                        f"of its window at {end}"
+                    )
+            if td < t:
+                t = td
+            if t < nxt:
+                nxt = t
+        staged = outbox.earliest
+        return staged if staged < nxt else nxt
+
+    def run(self, barrier: Optional[Callable[[float], float]] = None) -> None:
+        """The window loop, in process and in every forked worker.
+
+        ``barrier`` turns this shard's next time into the global ``T``
+        (a forked worker's exchange with its peers); in process the
+        shard's own next time is ``T``.
+        """
+        limit = self.ctx.limit
+        # L; with no link the one window runs to the limit.
+        lookahead = min(
+            (spec.latency_s for spec in self.ctx.specs), default=math.inf
         )
+        t = self.next_time()
+        while True:
+            if barrier is not None:
+                t = barrier(t)
+            if t >= limit:
+                return
+            end = min(t + lookahead, limit)
+            t0 = time.perf_counter()
+            t = self.run_window(end)
+            self.simulate_s += time.perf_counter() - t0
+            self.windows += 1
 
     def result(self, wall_s: float, cpu_s: float) -> Dict[str, Any]:
         """This shard's entry of ``ShardRunResult.shard_results`` plus
@@ -346,10 +264,10 @@ class SiteWorld:
             "wall_s": wall_s,
             "cpu_s": cpu_s,
             "events": sum(r["events"] for r in site_results),
-            "sent": {},
+            "sent": dict(self.ring.sent) if self.ring else {},
             "recv": {},
             "maxrss_kb": _maxrss_kb(),
-            "sync": dict.fromkeys(SYNC_KEYS, 0),
+            "sync": {key: getattr(self, key) for key in SYNC_KEYS},
             "site_results": site_results,
         }
 

@@ -1,12 +1,17 @@
-"""One forked shard worker: a site world plus ring synchronization.
+"""One forked shard worker: a site world behind a window barrier.
 
 The worker builds the :class:`~repro.sim.shard.sync.SiteWorld` of its
-shard, then alternates between advancing it as far as its peers'
-promises allow, shipping staged records and fresh promises, and
-blocking until a peer or the coordinator speaks.  It counts what that
-loop did and where its wall time went (the ``sync`` block of its
-result): a run whose workers take turns instead of overlapping shows
-up as ``select_s`` close to the peers' ``advance_s``.
+shard and runs the same window loop as an in-process run.  At each
+barrier it sends every other worker one report, ``(next_time,
+sent)`` — its sites' next time, lowered to the earliest record it
+staged, and how many records it has shipped to that worker in all —
+and then ships the records.  The least next time over its own and
+every peer's report is the global ``T``; it drains its in-rings until
+the reported counts are in, then runs the window.  While it waits it
+keeps draining: one window can carry more records than a pipe holds,
+and a peer blocked on a full pipe to us would never reach the
+barrier.  Its ``sync`` counters say how many windows it ran and where
+its wall time went.
 """
 
 from __future__ import annotations
@@ -14,23 +19,28 @@ from __future__ import annotations
 import gc
 import os
 import select
-import selectors
+import struct
 import time
 import traceback
-from typing import Dict, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Tuple
 
-from repro.sim.shard.ring import RingOutbox, RingReader
-from repro.sim.shard.sync import SYNC_KEYS, RunContext, SiteWorld, next_time
+from repro.sim.shard.ring import BrokenShardError, RingOutbox, RingReader
+from repro.sim.shard.sync import RunContext, SiteWorld
 
 __all__ = ["worker_main"]
 
-_INF = float("inf")
+#: One barrier report: the sender, its next time, and the records it
+#: has shipped the reader in all.  Far below PIPE_BUF, so the reports
+#: every peer writes into one worker's barrier pipe never interleave.
+REPORT = struct.Struct("<idq")
 
 
 def worker_main(
     shard: int,
     ctx: RunContext,
     pipes: Dict[Tuple[int, int], Tuple[int, int]],
+    reports: List[Tuple[int, int]],
     parent_conns,
     child_conns,
 ) -> None:
@@ -60,8 +70,19 @@ def worker_main(
             write_fds[b] = wfd
         else:
             os.close(wfd)
+    # Our barrier pipe's read end, and every peer's write end.
+    report_out: Dict[int, int] = {}
+    for i, (rfd, wfd) in enumerate(reports):
+        if i == shard:
+            os.close(wfd)
+        else:
+            os.close(rfd)
+            report_out[i] = wfd
     try:
-        _ShardWorker(shard, ctx, read_fds, write_fds, conn).run()
+        _ShardWorker(
+            shard, ctx, read_fds, write_fds, reports[shard][0], report_out,
+            conn,
+        ).run()
     except BaseException as exc:  # noqa: BLE001 - forwarded to parent
         try:
             conn.send(
@@ -74,7 +95,7 @@ def worker_main(
 
 
 class _ShardWorker:
-    """The loop of one worker, and its counters."""
+    """The barrier side of one worker's window loop."""
 
     def __init__(
         self,
@@ -82,166 +103,96 @@ class _ShardWorker:
         ctx: RunContext,
         read_fds: Dict[int, int],
         write_fds: Dict[int, int],
+        report_in: int,
+        report_out: Dict[int, int],
         conn,
     ):
         self.conn = conn
-        self.limit = ctx.limit
         self.ring = RingOutbox(write_fds, on_block=self._ring_block)
         self.world = SiteWorld(ctx, shard, self.ring)
-        channels = ctx.channels()
-        #: Minimum lookahead of each outbound / inbound channel.
-        self.out_lookahead = {
-            b: lat for (a, b), lat in channels.items() if a == shard
-        }
-        in_lookahead = {
-            a: lat for (a, b), lat in channels.items() if b == shard
-        }
-        # At t=0 the peer's clock is >= 0, so its first delivery is
-        # >= the channel lookahead: that is the initial promise.
+        #: in-ring fd -> its reader.
         self.readers = {
-            src: RingReader(src, fd, in_lookahead[src])
-            for src, fd in read_fds.items()
+            fd: RingReader(src, fd) for src, fd in read_fds.items()
         }
-        self.sent_promise = {dst: 0.0 for dst in write_fds}
-        #: Loop turns, and those whose advance executed something.
-        self.turns = 0
-        self.event_turns = 0
-        #: Null messages sent (promises on channels with nothing staged).
-        self.nulls = 0
-        #: Wall seconds in ``group.advance``, in ``_flush`` and blocked
-        #: in the loop's ``select``; ``block_s`` is the part of the
-        #: first two spent waiting for space in a full ring pipe.
-        self.advance_s = 0.0
-        self.flush_s = 0.0
-        self.select_s = 0.0
-        self.block_s = 0.0
-
-    @property
-    def records(self) -> int:
-        """Boundary messages shipped (null messages excluded)."""
-        return sum(self.ring.sent.values())
-
-    # -- synchronization helpers ----------------------------------------
-    def _promises(self) -> Dict[int, float]:
-        return {src: r.promise for src, r in self.readers.items()}
-
-    def _received(self) -> Dict[int, int]:
-        return {src: r.received for src, r in self.readers.items()}
-
-    def _lower_bound(self) -> float:
-        """No event on this shard can execute before this time."""
-        lb = _INF
-        for rt in self.world.runtimes.values():
-            t = next_time(rt)
-            if t < lb:
-                lb = t
-        for r in self.readers.values():
-            if r.promise < lb:
-                lb = r.promise
-        return lb
-
-    def _flush(self) -> None:
-        """Ship staged records; keep peers' promises ratcheting."""
-        lb = self._lower_bound()
-        for dst, lookahead in self.out_lookahead.items():
-            promise = lb + lookahead
-            if self.ring.flush_channel(dst, promise):
-                self.sent_promise[dst] = promise
-            elif promise > self.sent_promise[dst]:
-                self.ring.send_null(dst, promise)
-                self.sent_promise[dst] = promise
-                self.nulls += 1
-
-    def _drain(self) -> None:
-        for r in self.readers.values():
-            r.drain(self.world.inboxes)
+        #: This worker's barrier pipe, and each peer's.
+        self.report_in = report_in
+        self.report_out = report_out
+        #: peer -> its reports read and not yet used, oldest first: a
+        #: peer can be one window ahead.
+        self.reports: Dict[int, Deque[Tuple[float, int]]] = {
+            src: deque() for src in report_out
+        }
 
     def _ring_block(self, fd: int) -> None:
-        """An outbound ring pipe is full; avoid a mutual-flood deadlock.
-
-        The peer may itself be blocked writing to us, so drain our own
-        in-rings (freeing its writer) before waiting for pipe space.
-        Arrivals pushed into inboxes mid-advance are safe: an ongoing
-        ``group.advance`` uses a promises snapshot that only lags the
-        ratchet, so its horizons stay conservative and every new
-        delivery time still lies at or beyond them.
-        """
-        t0 = time.perf_counter()
-        self._drain()
+        """An outbound ring pipe is full, and its reader may itself be
+        blocked writing to us: drain our in-rings (records drained
+        mid-window are due after it), then wait for pipe space."""
+        for r in self.readers.values():
+            r.drain(self.world.inboxes)
         select.select([], [fd], [], 0.05)
-        self.block_s += time.perf_counter() - t0
 
-    def _handle_control(self) -> bool:
-        """Process queued coordinator messages; True on stop."""
-        while self.conn.poll():
-            msg = self.conn.recv()
-            kind = msg[0]
-            if kind == "probe":
-                # Drain (and act on) everything already in our rings
-                # before answering, so sent/recv counts converge.
-                self._drain()
-                self.world.group.advance(self.limit, self._promises())
-                self._flush()
-                self.conn.send(
-                    (
-                        "probe_reply",
-                        msg[1],
-                        self.world.group.idle(self.limit),
-                        dict(self.ring.sent),
-                        self._received(),
-                    )
+    def _barrier(self, next_time: float) -> float:
+        """Report this shard's next time; the global ``T``, once every
+        record the peers shipped before reporting theirs is in."""
+        world = self.world
+        t0 = time.perf_counter()
+        # Report first, so the peers learn T while our records travel.
+        sent = self.ring.sent
+        for dst, fd in self.report_out.items():
+            try:
+                os.write(
+                    fd, REPORT.pack(world.shard, next_time, sent.get(dst, 0))
                 )
-            elif kind == "stop":
-                return True
-        return False
+            except BrokenPipeError as exc:
+                raise BrokenShardError(
+                    f"barrier pipe to shard {dst} closed mid-run "
+                    f"(worker died?)"
+                ) from exc
+        self.ring.flush()
+        t1 = time.perf_counter()
+        reports = self.reports
+        watched = [self.report_in, self.conn.fileno(), *self.readers]
+        while not all(reports.values()):
+            for fd in select.select(watched, [], [])[0]:
+                if fd in self.readers:
+                    self.readers[fd].drain(world.inboxes)
+                    continue
+                if fd != self.report_in:
+                    raise BrokenShardError("coordinator gone mid-run")
+                data = os.read(fd, 1 << 16)
+                if not data:
+                    raise BrokenShardError(
+                        "every peer closed its barrier pipe mid-run"
+                    )
+                for src, peer_time, count in REPORT.iter_unpack(data):
+                    reports[src].append((peer_time, count))
+        t = next_time
+        expected: Dict[int, int] = {}
+        for src, queue in reports.items():
+            peer_time, expected[src] = queue.popleft()
+            if peer_time < t:
+                t = peer_time
+        t2 = time.perf_counter()
+        for reader in self.readers.values():
+            while reader.received < expected[reader.src_shard]:
+                select.select([reader.fd], [], [])
+                reader.drain(world.inboxes)
+        world.exchange_s += (t1 - t0) + (time.perf_counter() - t2)
+        world.wait_s += t2 - t1
+        return t
 
-    # -- main loop -------------------------------------------------------
     def run(self) -> None:
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
-        self._simulate()
+        self.world.run(self._barrier)
         wall = time.perf_counter() - wall0
         cpu = time.process_time() - cpu0
         payload = self.world.result(wall, cpu)
-        payload["sent"] = dict(self.ring.sent)
-        payload["recv"] = self._received()
-        payload["sync"] = {key: getattr(self, key) for key in SYNC_KEYS}
+        payload["recv"] = {
+            r.src_shard: r.received for r in self.readers.values()
+        }
         self.conn.send(("result", self.world.shard, payload))
-        # Keep our ring write-ends open until every peer has stopped
-        # draining (the coordinator releases all workers together),
-        # so nobody mistakes our exit for a crash.
+        # Keep our write ends open until every peer has stopped
+        # reading (the coordinator releases all workers together), so
+        # nobody mistakes our exit for a crash.
         self.conn.recv()
-
-    def _simulate(self) -> None:
-        sel = selectors.DefaultSelector()
-        for reader in self.readers.values():
-            sel.register(reader.fd, selectors.EVENT_READ, reader)
-        sel.register(self.conn, selectors.EVENT_READ, None)
-        group = self.world.group
-        try:
-            while True:
-                t0 = time.perf_counter()
-                progressed = group.advance(self.limit, self._promises())
-                t1 = time.perf_counter()
-                self._flush()
-                t2 = time.perf_counter()
-                # Block until a peer ships records/promises or the
-                # coordinator speaks; drain only what actually fired
-                # (each read is a syscall, and sync wakeups are the
-                # hot loop's fixed cost).
-                ready = sel.select(timeout=0.2)
-                self.turns += 1
-                self.event_turns += progressed
-                self.advance_s += t1 - t0
-                self.flush_s += t2 - t1
-                self.select_s += time.perf_counter() - t2
-                control = False
-                for key, _ in ready:
-                    if key.data is None:
-                        control = True
-                    else:
-                        key.data.drain(self.world.inboxes)
-                if control and self._handle_control():
-                    return
-        finally:
-            sel.close()

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -32,10 +33,13 @@ from repro.sim.shard.plan import (
     validate_link_specs,
 )
 from repro.sim.shard.runner import ShardWorkerError
-from repro.sim.shard.scenarios import get_scenario
+from repro.sim.shard.scenarios import (
+    SCENARIOS,
+    MiniRingScenario,
+    get_scenario,
+)
 from repro.sim.shard import ring
 from repro.sim.shard.ring import (
-    KIND_MSG,
     RECORD,
     RingOutbox,
     RingReader,
@@ -244,6 +248,45 @@ def test_merged_trace_is_time_ordered():
     assert traced.fingerprint() == run.fingerprint()
 
 
+class _FanInScenario(MiniRingScenario):
+    """Miniring with every ring link but the last site's redirected to
+    the last site, which hears from every other site."""
+
+    name = "fanin"
+
+    def link_specs(self, sites, params):
+        return [
+            replace(spec, dst=sites - 1)
+            for spec in super().link_specs(sites, params)
+            if spec.src != sites - 1
+        ]
+
+
+def test_simultaneous_deliveries_keep_source_order_across_shards(
+    monkeypatch,
+):
+    """Sites 0 and 1 ping site 2 at every tick with zero-size pings,
+    so both pings are due at once, exactly at the end of the window
+    that sent them.  With site 0 in a shard of its own, site 2 hears
+    them in (src, seq) order only if neither is delivered inside its
+    send window."""
+    monkeypatch.setitem(SCENARIOS, "fanin", _FanInScenario())
+    params = {
+        "ticks": 12, "ping_every": 1, "ping_mb": 0.0, "link_latency_s": 1.0,
+    }
+
+    def run(shards, partition=None):
+        plan = ShardedTestbed(
+            seed=11, sites=3, shards=shards, scenario="fanin",
+            partition=partition,
+        )
+        return plan.run(params=params, deadline_s=60.0)
+
+    oracle = run(1)
+    assert oracle.combined_stats()["pings_recv"] == 24
+    assert run(2, (0, 1, 1)).fingerprint() == oracle.fingerprint()
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
@@ -282,12 +325,11 @@ def test_any_partition_gives_the_one_shard_trajectory(world):
     in-process one-shard run: fingerprint, event total and stats.
 
     Rings flush every 2 records and are read 50 bytes at a time, so a
-    72-byte record straddles reads on every case.  The mutant
-    ``promise = lb + 2 * lookahead`` in ``_flush`` dies here; the
-    mutant "no suffix-min in ``RingOutbox._write``" survives a
-    miniring-only fuzz (its pings leave in deliver-time order) and
-    stays covered by
-    ``test_ring_batch_promise_covers_records_after_it``.
+    56-byte record straddles reads on every case.  The window
+    mutants die here: a window end past ``T`` plus the minimum
+    lookahead, a record delivered inside its send window, and a
+    worker that runs its window without waiting for its peers'
+    record counts.
     """
     sites, partition, params, until = world
 
@@ -411,17 +453,61 @@ def test_sigkilled_worker_is_named_and_nothing_is_left_behind():
 def test_sync_counters_ship_with_every_shard_result():
     forked = _miniring(sites=4, shards=2, collect=None)
     inproc = _miniring(sites=4, shards=1, collect=None)
-    for worker in forked.shard_results:
-        sync = worker["sync"]
-        assert sync["turns"] >= sync["event_turns"] >= 1
-        assert sync["records"] == sum(worker["sent"].values()) > 0
-        assert sync["nulls"] > 0
-        spent = sync["advance_s"] + sync["flush_s"] + sync["select_s"]
-        assert 0 < spent <= worker["wall_s"]
-        assert 0 <= sync["block_s"] <= sync["advance_s"] + sync["flush_s"]
     (only,) = inproc.shard_results
     assert set(only["sync"]) == set(forked.shard_results[0]["sync"])
-    assert not any(only["sync"].values())
+    assert only["sync"]["windows"] > 1
+    assert only["sync"]["records"] == 0
+    for worker in forked.shard_results:
+        sync = worker["sync"]
+        # T is global: every worker runs every window, and the windows
+        # are those of the in-process run.
+        assert sync["windows"] == only["sync"]["windows"]
+        assert sync["records"] == sum(worker["sent"].values()) > 0
+        spent = sync["simulate_s"] + sync["exchange_s"] + sync["wait_s"]
+        assert 0 < spent <= worker["wall_s"]
+
+
+@pytest.mark.parametrize(
+    "scenario,params",
+    [
+        # Zero-size pings leave at their tick, so with ticks 1 s apart
+        # and a 1.5 s lookahead a ping sent at a window's start is due
+        # exactly at its end.
+        (
+            "miniring",
+            {"ping_every": 1, "ping_mb": 0.0, "link_latency_s": 1.5},
+        ),
+        ("megaload", {"requests": 60}),
+    ],
+)
+def test_window_count_is_the_in_process_count(scenario, params):
+    """T is global, so every shard count runs the same windows."""
+    counts = {}
+    for shards in (1, 2, 4):
+        plan = ShardedTestbed(
+            seed=2004, sites=4, shards=shards, scenario=scenario
+        )
+        run = plan.run(params=params, collect=None, deadline_s=120.0)
+        counts[shards] = {w["sync"]["windows"] for w in run.shard_results}
+    assert counts[1] == counts[2] == counts[4], counts
+    assert min(counts[1]) > 1
+
+
+def test_a_window_that_overfills_the_pipe_completes():
+    """Both sites ping every 10 ms for 30 s inside one 40 s window:
+    each worker ships 3,000 records (168 KB) to the other in the same
+    window, more than a pipe holds, and each must drain its own
+    in-ring while it waits for pipe space."""
+    params = {
+        "ticks": 3000, "tick_s": 0.01, "ping_every": 1, "ping_mb": 0.0,
+        "link_latency_s": 40.0,
+    }
+    oracle = _miniring(sites=2, shards=1, **params)
+    forked = _miniring(sites=2, shards=2, **params)
+    assert forked.fingerprint() == oracle.fingerprint()
+    for worker in forked.shard_results:
+        assert worker["sync"]["records"] * RECORD.size > 1 << 16
+    assert oracle.shard_results[0]["sync"]["windows"] == 2
 
 
 def test_single_shard_crash_surfaces_directly():
@@ -443,60 +529,34 @@ def test_single_site_single_shard_plan_runs():
 
 
 # ---------------------------------------------------------------------------
-# Event-ring wire safety (promise stamping, full-pipe writes)
+# Event-ring wire safety (full-pipe writes)
 # ---------------------------------------------------------------------------
 
 
-def test_ring_batch_promise_covers_records_after_it():
-    # Pipe writes past PIPE_BUF are not atomic, so a reader can see
-    # any prefix of a batch: no record's stamped promise may exceed
-    # the deliver time of any record after it, or the reader would
-    # ratchet past a still-in-flight delivery.
-    rfd, wfd = os.pipe()
-    try:
-        out = RingOutbox({1: wfd})
-        for seq, dt in enumerate([35.0, 11.0, 40.0]):
-            out.pack(1, KIND_MSG, 0, 0, 0, seq, dt, ())
-        assert out.flush_channel(1, 51.0)
-        data = os.read(rfd, 1 << 16)
-        recs = [
-            RECORD.unpack_from(data, off)
-            for off in range(0, len(data), RECORD.size)
-        ]
-        delivers = [r[5] for r in recs]
-        promises = [r[6] for r in recs]
-        assert delivers == [35.0, 11.0, 40.0]
-        assert promises == [11.0, 40.0, 51.0]
-        for i, p in enumerate(promises):
-            assert all(p <= d for d in delivers[i + 1 :])
-    finally:
-        os.close(rfd)
-        os.close(wfd)
-
-
 def test_ring_full_pipe_write_drains_instead_of_deadlocking():
-    # ~140 KB of records, far beyond any default pipe capacity: the
+    # ~112 KB of records, far beyond any default pipe capacity: the
     # write must invoke the worker's on_block, which drains its own
     # in-rings, and complete without losing or tearing a record.
     rfd, wfd = os.pipe()
     try:
-        reader = RingReader(0, rfd, 0.5)
+        reader = RingReader(0, rfd)
         inboxes = {0: SiteInbox()}
         worker = object.__new__(_ShardWorker)
-        worker.readers = {0: reader}
+        worker.readers = {rfd: reader}
         worker.world = SimpleNamespace(inboxes=inboxes)
-        worker.block_s = 0.0
         out = RingOutbox({1: wfd}, on_block=worker._ring_block)
         n = 2000
         for i in range(n):
-            out.pack(1, KIND_MSG, 1, 0, 0, i, 100.0 + i, (float(i),))
-        final_promise = 100.0 + n + 0.5
-        assert out.flush_channel(1, final_promise)
+            out.pack(1, 1, 0, 0, i, 100.0 + i, (float(i),))
+        out.flush()
+        # Blocked, the writer drained part of the batch itself.
+        assert 0 < reader.received < n
         reader.drain(inboxes)
         assert reader.received == n
         assert len(inboxes[0]._heap) == n
-        assert reader.promise == final_promise
-        assert worker.block_s > 0.0
+        assert sorted(inboxes[0]._heap)[-1] == (
+            100.0 + n - 1, 1, n - 1, 0, (float(n - 1), 0.0, 0.0, 0.0)
+        )
     finally:
         os.close(rfd)
         os.close(wfd)

@@ -23,8 +23,9 @@ cache and lazy import, then ``K`` more times, and reports:
   measures.  ``benchmarks.e2e.run`` (and the standard library it
   loads) is imported only after that, so the figure is this script's
   own imports, the side's library and the set-up;
-* the sim side: ``benchmarks/e2e/run.py``'s ``sim_metrics`` and the
-  event count of every run, which must be equal across runs.
+* the sim side: ``benchmarks/e2e/run.py``'s ``sim_metrics``, the
+  outcome's counts (arrivals, VMs created, destroyed and left live)
+  and the event count of every run, which must be equal across runs.
 
 Samples come in ``N`` pairs, one per side, with the side that goes first
 alternating.  Grid workloads run in process at one shard (their
@@ -36,8 +37,13 @@ per-pair ratios ``B / A`` and a verdict under the claim rule of the
 choosing-metrics guide (section 8): *claimed* when ``B`` wins at least
 nine tenths of at least ten pairs and the medians differ by more than
 ``A``'s interquartile range, *worse* when the same holds the other way,
-*unresolved* otherwise.  A comparison whose sim side differs between or
-within the sides is refused: the two revisions did not do the same work.
+*unresolved* otherwise.  A comparison is refused when the sim side
+differs within a side, events included, or when a sim-clock metric or
+an outcome count differs between the sides: the two revisions did not
+do the same work.  The kernel's event counts (:data:`EVENT_KEYS`) may
+differ between the sides — a kernel change that queues fewer events
+does the same simulated work — and the report prints them per side as
+a count row, not as a verdict.
 
 Exit status: 0 when compared (whatever the verdicts), 1 when refused or
 a child failed.
@@ -64,6 +70,7 @@ from typing import Dict, List, Optional, Sequence  # noqa: E402
 
 __all__ = [
     "METRICS",
+    "EVENT_KEYS",
     "MIN_PAIRS",
     "CLAIM_SHARE",
     "Refused",
@@ -71,6 +78,7 @@ __all__ = [
     "compare",
     "sim_mismatch",
     "verdicts",
+    "event_counts",
     "snapshot",
     "main",
 ]
@@ -79,6 +87,9 @@ ROOT = Path(__file__).resolve().parents[2]
 
 #: The host-side metrics a sample records; lower is better for each.
 METRICS = ("cpu_s", "peak_rss_mb", "setup_s")
+#: Sim-side keys that count kernel events: equal within a side,
+#: reported per side, free to differ between the sides.
+EVENT_KEYS = ("events", "events_per_request")
 #: Pairs needed before a verdict other than *unresolved* (section 8).
 MIN_PAIRS = 10
 #: Share of all pairs run that one side must win to resolve.
@@ -159,14 +170,28 @@ def sim_mismatch(samples: Sequence[dict]) -> List[str]:
 
 def verdicts(a: Sequence[dict], b: Sequence[dict]) -> Dict[str, dict]:
     """:func:`compare` of every metric in :data:`METRICS` over paired
-    samples; :class:`Refused` when any sim-side value differs."""
-    mismatch = sim_mismatch([sample["sim"] for sample in (*a, *b)])
+    samples; :class:`Refused` when a sim-side value differs within a
+    side, or one outside :data:`EVENT_KEYS` between the sides."""
+    for label, side in (("A", a), ("B", b)):
+        mismatch = sim_mismatch([sample["sim"] for sample in side])
+        if mismatch:
+            raise Refused(f"the sim side of {label} differs in {mismatch}")
+    mismatch = sim_mismatch([
+        {k: v for k, v in side[0]["sim"].items() if k not in EVENT_KEYS}
+        for side in (a, b)
+    ])
     if mismatch:
         raise Refused(f"the sim side differs in {mismatch}")
     return {
         metric: compare([s[metric] for s in a], [s[metric] for s in b])
         for metric in METRICS
     }
+
+
+def event_counts(a: Sequence[dict], b: Sequence[dict]) -> Dict[str, tuple]:
+    """``key -> (A's value, B's value)`` for each of :data:`EVENT_KEYS`
+    (one value a side, as :func:`verdicts` checks)."""
+    return {key: (a[0]["sim"][key], b[0]["sim"][key]) for key in EVENT_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +227,14 @@ def child(
         outcome = workload.run(inputs)
         elapsed = _cpu_s() - start
         sim = sim_metrics(outcome, workload.slo_s)
-        sims.append({**sim, "events": outcome.events})
+        sims.append({
+            **sim,
+            "events": outcome.events,
+            "arrivals": outcome.arrivals,
+            "created": outcome.created,
+            "destroyed": outcome.destroyed,
+            "live": outcome.live,
+        })
         del inputs, outcome
         if rep:
             cpu.append(elapsed)
@@ -281,7 +313,7 @@ def snapshot(rev: str, scratch: Path) -> Path:
 
 def report(
     args, labels: Sequence[str], core: int, results: Dict[str, dict],
-    sim_values: int,
+    counts: Dict[str, tuple], sim_values: int,
 ) -> None:
     pairs = next(iter(results.values()))["pairs"]
     print(
@@ -291,8 +323,11 @@ def report(
     print(f"  A = {labels[0]}\n  B = {labels[1]}")
     print(
         f"  sim side identical in all {2 * pairs} samples "
-        f"({sim_values} values)"
+        f"({sim_values} values), bar the event counts between A and B"
     )
+    for key, (a, b) in counts.items():
+        ratio = f"  B/A {b / a:.4f}" if a else ""
+        print(f"{key:12s} A {a:g}  B {b:g}{ratio}  (a count)")
     for metric, r in results.items():
         qa, qb = r["a"], r["b"]
         print(
@@ -353,13 +388,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for which in ((0, 1) if pair % 2 == 0 else (1, 0)):
                     samples[which].append(_sample(sides[which], args, core))
             results = verdicts(*samples)
+            counts = event_counts(*samples)
         except Refused as exc:
             print(f"ab: refused: {exc}", file=sys.stderr)
             return 1
         except RuntimeError as exc:
             print(f"ab: {exc}", file=sys.stderr)
             return 1
-    report(args, labels, core, results, len(samples[0][0]["sim"]))
+    report(args, labels, core, results, counts, len(samples[0][0]["sim"]))
     return 0
 
 

@@ -25,6 +25,29 @@ timer per answer.  A process that yields a generator makes a
 sub-call: it runs on the process's stack, and a wake-up resumes only
 the innermost generator.
 
+A yielded delay that nothing can overtake costs no wake-up at all: the
+process runs on in place, the clock set to its wake time, with no
+timer, heap entry or event.  That takes three conditions, each with
+what would break without it:
+
+(a) the wake is strictly earlier than the head of the heap (a tie goes
+    to the event already queued, as its lower id would) — else a
+    queued event would run after a sleep it precedes;
+(b) the wake lies inside the running loop's horizon: strictly below
+    ``run_below``'s limit, at or before ``run(until=t)``'s ``t``, always
+    under ``run()`` and ``run(until=event)``, never under :meth:`step`
+    or outside a loop — else a sleep would cross a window end (and a
+    boundary delivery due there) or a ``run`` bound;
+(c) the event that woke the process has no other callback still to
+    run: the process is its only waiter, or it is the process's own
+    pooled sleep timer (whose other callback is the pool's ``append``)
+    — else the callbacks after it would run with the clock already
+    past their instant.
+
+Under them the order of execution, every clock value and every RNG
+draw are those of a queued sleep; event ids and
+:attr:`Environment.executed_events` are lower.
+
 Typical usage::
 
     env = Environment()
@@ -45,11 +68,16 @@ Typical usage::
 from __future__ import annotations
 
 import heapq
+import math
 from types import GeneratorType as _GeneratorType
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_nextafter = math.nextafter
+_INF = math.inf
+#: ``Environment._horizon`` outside a run loop: no sleep runs on.
+_NO_HORIZON = -math.inf
 
 __all__ = [
     "SimulationError",
@@ -229,8 +257,10 @@ class Process(Event):
 
     A yielded ``float`` or ``int`` (exactly: not a ``bool``, not a
     subclass) is a sleep of that many time units, keyed on the heap as
-    ``Timeout`` keys it; a negative one is thrown back into the
-    generator as :class:`ValueError`, at its ``yield``.
+    ``Timeout`` keys it, or run on in place when nothing can overtake
+    it (the module docstring's three conditions); a negative one is
+    thrown back into the generator as :class:`ValueError`, at its
+    ``yield``.
     """
 
     __slots__ = ("_stack", "_target")
@@ -299,6 +329,10 @@ class Process(Event):
         value = event._value
         if not ok:
             event.defused = True
+        # The process is ``event``'s last callback: its only waiter, or
+        # the pooled timer of its own sleep (whose other is the pool's
+        # ``append``).
+        solo = env._fanout == 1 or type(event) is _PooledTimeout
         while True:
             try:
                 if ok:
@@ -326,21 +360,29 @@ class Process(Event):
                 return
             kind = type(next_ev)
             if kind is float or kind is int:
-                # A delay: ``call_later`` inlined, this process the
-                # callback.  Same heap key as a ``Timeout``.
                 if next_ev < 0:
                     ok, value = False, ValueError(f"negative delay {next_ev}")
                     continue
+                # A sleep nothing can overtake runs on in place: it
+                # wakes strictly before the heap's head, inside the
+                # running loop's horizon, and no other callback of
+                # ``event`` is still to run at this instant.
+                wake = env.now + next_ev
+                if solo and wake < env._horizon:
+                    queue = env._queue
+                    if not queue or wake < queue[0][0]:
+                        env.now = wake
+                        ok, value = True, None
+                        continue
+                # Otherwise ``call_later`` inlined, this process the
+                # callback.  Same heap key as a ``Timeout``.
                 pool = env._timeout_pool
                 timer = pool.pop() if pool else _PooledTimeout()
                 timer.delay = next_ev
                 timer.callbacks = [self._resume, pool.append]
                 self._target = timer
                 env._eid = eid = env._eid + 1
-                _heappush(
-                    env._queue,
-                    (env.now + next_ev, PRIORITY_NORMAL, eid, timer),
-                )
+                _heappush(env._queue, (wake, PRIORITY_NORMAL, eid, timer))
                 return
             if isinstance(next_ev, Event):
                 break
@@ -481,6 +523,8 @@ class Environment:
         "_executed",
         "tracer",
         "_timeout_pool",
+        "_horizon",
+        "_fanout",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -495,6 +539,13 @@ class Environment:
         self.tracer = None
         #: Free list of recycled :class:`_PooledTimeout` instances.
         self._timeout_pool: List[_PooledTimeout] = []
+        #: A sleep waking strictly before this runs on in place: the
+        #: running loop's bound, ``-inf`` outside a loop and in
+        #: :meth:`step`.
+        self._horizon = _NO_HORIZON
+        #: Callbacks of the event being dispatched (a count: nothing
+        #: here may keep a process reachable).
+        self._fanout = 0
 
     @property
     def executed_events(self) -> int:
@@ -610,22 +661,28 @@ class Environment:
 
         The conservative-sync primitive: a site runs a lookahead
         window strictly below its end, and an event *at* the end must
-        wait (a boundary delivery may be due exactly then).  The clock
-        is left at the last processed event; returns the time of the
-        next pending event (``inf`` if none).
+        wait (a boundary delivery may be due exactly then).  A sleep
+        that runs on in place stays below it too.  The clock is left
+        at the last processed event; returns the time of the next
+        pending event (``inf`` if none).
         """
         queue = self._queue
         pop = _heappop
-        while queue and queue[0][0] < limit:
-            self.now, _, _, event = pop(queue)
-            self._executed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-            if event._ok is False and not event.defused:
-                raise event._value
+        self._horizon = limit
+        try:
+            while queue and queue[0][0] < limit:
+                self.now, _, _, event = pop(queue)
+                self._executed += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                if callbacks:
+                    self._fanout = len(callbacks)
+                    for callback in callbacks:
+                        callback(event)
+                if event._ok is False and not event.defused:
+                    raise event._value
+        finally:
+            self._horizon = _NO_HORIZON
         return queue[0][0] if queue else float("inf")
 
     # Kept for the ``sim.kernel.run_below_fenced`` row of e2e TARGETS.
@@ -640,33 +697,53 @@ class Environment:
 
         With a numeric ``until`` the run is *exact at the boundary*:
         every event scheduled at exactly that time is processed (in
-        priority/eid order, like any other time step) and the clock
-        always ends at ``until`` — including when the queue drains
-        early.
+        priority/eid order, like any other time step), a sleep that
+        runs on in place may wake at it, and the clock always ends at
+        ``until`` — including when the queue drains early.
         """
-        stop_at: Optional[float] = None
-        stop_event: Optional[Event] = None
         if until is None:
-            pass
+            stop_event = None
         elif isinstance(until, Event):
             stop_event = until
+            if stop_event.callbacks is not None:
+                # run() itself is the waiter: a failure is re-raised
+                # below rather than at step() time.  It also keeps the
+                # event's own waiters from sleeping on in place past
+                # the instant the run stops.
+                stop_event.callbacks.append(_defuse)
         else:
             stop_at = float(until)
             if stop_at < self.now:
                 raise ValueError(
                     f"until ({stop_at}) must not be before now ({self.now})"
                 )
-        if stop_event is not None and stop_event.callbacks is not None:
-            # run() itself is the waiter: a failure is re-raised below
-            # rather than at step() time.
-            stop_event.callbacks.append(_defuse)
+            # ``t <= stop_at`` is ``t < nextafter(stop_at, inf)``.
+            self.run_below(_nextafter(stop_at, _INF))
+            # Exact at the boundary: the clock lands on ``until``
+            # whether the queue drained early or the next event lies
+            # beyond it.
+            self.now = stop_at
+            return None
 
-        # Three specialized loops keep the per-event overhead of the
-        # common cases minimal: the step body is inlined so each event
-        # costs one heap pop and one tuple unpack, no method call.
+        # The step body is inlined so each event costs one heap pop
+        # and one tuple unpack, no method call.
         queue = self._queue
         pop = _heappop
-        if stop_event is not None:
+        self._horizon = _INF
+        try:
+            if stop_event is None:
+                while queue:
+                    self.now, _, _, event = pop(queue)
+                    self._executed += 1
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if callbacks:
+                        self._fanout = len(callbacks)
+                        for callback in callbacks:
+                            callback(event)
+                    if event._ok is False and not event.defused:
+                        raise event._value
+                return None
             while stop_event.callbacks is not None:
                 if not queue:
                     raise SimulationError(
@@ -677,36 +754,13 @@ class Environment:
                 callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks:
+                    self._fanout = len(callbacks)
                     for callback in callbacks:
                         callback(event)
                 if event._ok is False and not event.defused:
                     raise event._value
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
-        if stop_at is None:
-            while queue:
-                self.now, _, _, event = pop(queue)
-                self._executed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                if event._ok is False and not event.defused:
-                    raise event._value
-            return None
-        while queue and queue[0][0] <= stop_at:
-            self.now, _, _, event = pop(queue)
-            self._executed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-            if event._ok is False and not event.defused:
-                raise event._value
-        # Exact at the boundary: the clock lands on ``until`` whether
-        # the queue drained early or the next event lies beyond it.
-        self.now = stop_at
-        return None
+        finally:
+            self._horizon = _NO_HORIZON
+        if not stop_event._ok:
+            raise stop_event._value
+        return stop_event._value

@@ -13,6 +13,7 @@ from benchmarks.perf.ab import (
     MIN_PAIRS,
     Refused,
     compare,
+    event_counts,
     sign_test,
     sim_mismatch,
     verdicts,
@@ -112,13 +113,31 @@ def test_fewer_than_ten_pairs_never_resolve():
 
 
 def test_a_sim_side_mismatch_is_refused():
-    other = {**SIM, "events_per_request": 43.659}
+    # Between the sides: a sim-clock metric.
     a = samples(PARENT_CPU, PARENT_RSS)
-    b = samples(PARENT_CPU, PARENT_RSS)
-    b[3]["sim"] = dict(other)
-    with pytest.raises(Refused, match="events_per_request"):
+    b = samples(PARENT_CPU, PARENT_RSS, sim={**SIM, "create_p50_sim_s": 57.6})
+    with pytest.raises(Refused, match="create_p50_sim_s"):
         verdicts(a, b)
-    assert sim_mismatch([s["sim"] for s in a + b]) == ["events_per_request"]
+    assert sim_mismatch([s["sim"] for s in a + b]) == ["create_p50_sim_s"]
+    # Within one side: anything, an event count included.
+    b = samples(PARENT_CPU, PARENT_RSS)
+    b[3]["sim"] = {**SIM, "events_per_request": 43.659}
+    with pytest.raises(Refused, match="of B differs in .'events_per_request'"):
+        verdicts(a, b)
+
+
+def test_an_event_count_alone_differing_between_the_sides_is_reported():
+    # A kernel that queues fewer events does the same simulated work:
+    # the counts are a row per side, and the verdicts stand.
+    a = samples(PARENT_CPU, PARENT_RSS, sim={**SIM, "events": 43658})
+    fewer = {**SIM, "events_per_request": 33.54, "events": 33540}
+    b = samples(PARENT_CPU, PARENT_RSS, sim=fewer)
+    result = verdicts(a, b)
+    assert {r["verdict"] for r in result.values()} == {"unresolved"}
+    assert event_counts(a, b) == {
+        "events": (43658, 33540),
+        "events_per_request": (43.658, 33.54),
+    }
 
 
 def test_sim_values_compare_by_repr():

@@ -205,14 +205,16 @@ class TestWhatASleepCosts:
         proc = env.process(client())
         counts = python_call_counts(env.run)
         assert proc.value == 7
-        # Two hops, each ``lognormal`` + ``_resume`` (a ``_one_way``
-        # helper per hop made it three); the rest is the call's own
+        # Two hops, each one ``lognormal``: with nothing else queued
+        # each hop's sleep is next and runs on in place, no wake (a
+        # queued one was a ``_resume`` per hop, and a ``_one_way``
+        # helper made it three calls).  The rest is the call's own
         # frame (three resumes) and handler, and the client process's
-        # start, end and third ``_resume``.
+        # start, end and one ``_resume``.
         local = client.__qualname__[: -len("client")]
         assert dict(counts) == {
             "RngHub.lognormal": 2,
-            "Process._resume": 3,
+            "Process._resume": 1,
             "Transport.call": 3,
             local + "echo": 1,
             local + "client": 2,

@@ -1,11 +1,12 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
 import re
 import traceback
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -452,10 +453,25 @@ class TestYieldedDelay:
         return log, env.now, env.executed_events
 
     def test_a_delay_is_a_timeout_to_the_last_event_id(self):
-        # Same heap key, so the same order, event ids and event count.
+        # Same heap key, so the same order and clock.  One sleep is
+        # next with nothing that can overtake it — ``b``'s last, of 0
+        # at 3.5, with ``a`` queued for 3.75 — and runs on in place:
+        # it takes no event id and executes no event.  A 0 at 1.5 is
+        # not next: a wake queued at 1.5 already goes first.
         bare = self.trajectory(lambda env, delay: delay)
-        assert bare == self.trajectory(Environment.timeout)
-        assert bare[1] == 3.75
+        timed = self.trajectory(Environment.timeout)
+        assert bare == (
+            [(1.5, 5, "a"), (1.5, 6, "b"), (1.5, 7, "a"), (3.5, 8, "b"),
+             (3.5, 9, "a"), (3.5, 10, "b"), (3.5, 10, "b"), (3.75, 11, "a")],
+            3.75,
+            12,
+        )
+        assert timed == (
+            [(1.5, 5, "a"), (1.5, 6, "b"), (1.5, 7, "a"), (3.5, 8, "b"),
+             (3.5, 9, "a"), (3.5, 10, "b"), (3.5, 11, "b"), (3.75, 12, "a")],
+            3.75,
+            13,
+        )
 
     def test_negative_delay_raises_at_the_yield(self):
         env = Environment()
@@ -507,26 +523,33 @@ class TestYieldedDelay:
         assert env.now == 10.0 and timer in env._timeout_pool
 
     def test_a_sleep_costs_its_wake_alone(self):
-        # Beside the generator's own frame, ``yield d`` costs one call,
-        # the ``_resume`` that wakes it: no ``Environment.timeout``, no
-        # ``Timeout.__init__``.
-        def run_calls(sleeps):
+        # Beside the generator's own frame, a sleep that is next costs
+        # no call: the process runs on in place.  One that is not next
+        # costs one, the ``_resume`` that wakes it: no
+        # ``Environment.timeout``, no ``Timeout.__init__``.  Two
+        # processes in lockstep: each wake ties with the other's,
+        # queued first.
+        def run_calls(sleeps, procs):
             env = Environment()
 
             def proc():
                 for _ in range(sleeps):
                     yield 1.0
 
-            env.process(proc())
+            for _ in range(procs):
+                env.process(proc())
             return python_call_counts(env.run)
 
-        more = run_calls(30)
-        more.subtract(run_calls(10))
-        assert +more == {
-            "Process._resume": 20,
+        frame = (
             "TestYieldedDelay.test_a_sleep_costs_its_wake_alone."
-            "<locals>.run_calls.<locals>.proc": 20,
-        }
+            "<locals>.run_calls.<locals>.proc"
+        )
+        alone = run_calls(30, 1)
+        alone.subtract(run_calls(10, 1))
+        assert +alone == {frame: 20}
+        pair = run_calls(30, 2)
+        pair.subtract(run_calls(10, 2))
+        assert +pair == {"Process._resume": 40, frame: 40}
 
 
 def test_no_code_in_src_builds_a_timer_only_to_sleep_on_it():
@@ -960,11 +983,14 @@ _nested_programs = st.lists(
 )
 
 
-def _run_program(program, spawn=Environment.process, form="from"):
+def _run_program(
+    program, spawn=Environment.process, form="from", drive=Environment.run
+):
     """Run ``program`` with processes made by ``spawn(env, generator)``
     and every sub-call written as ``yield sub()`` (``form`` "yield") or
-    ``yield from sub()`` ("from"); the log, the end state of each
-    process, ``now`` and the events executed.
+    ``yield from sub()`` ("from"), its events processed by
+    ``drive(env)``; the log, the end state of each process, ``now`` and
+    the events executed.
 
     A program is ``(start, guard, ops)`` per process.  Each process
     sleeps ``start`` first (so every process has taken its first step
@@ -1042,7 +1068,7 @@ def _run_program(program, spawn=Environment.process, form="from"):
         proc = spawn(env, run(me, f"p{me}", guard, [("sleep", start)] + ops))
         proc.defused = True  # a process may die of what it does
         procs.append(proc)
-    env.run()
+    drive(env)
     # Copied: a process parked forever logs its ``finally`` whenever
     # its generators are collected.
     ends = [
@@ -1056,7 +1082,12 @@ class TestResumeMatchesOracle:
     @given(_programs)
     @settings(max_examples=300, deadline=None)
     def test_random_programs_log_identically(self, program):
-        assert _run_program(program) == _run_program(program, OracleProcess)
+        # The oracle queues every sleep; the kernel runs a sleep that is
+        # next on in place, so it executes at most as many events.
+        *live, live_events = _run_program(program)
+        *oracle, oracle_events = _run_program(program, OracleProcess)
+        assert live == oracle
+        assert live_events <= oracle_events
 
     def test_wait_resume_cycle_is_one_kernel_call(self):
         # Beside the generator's own frame, a wake-up costs the kernel
@@ -1143,3 +1174,203 @@ class TestResumeMatchesOracle:
         assert run == _run_program(program)
         assert [entry for entry in log if entry in expected] == expected
         assert ends[0][0] is survives
+
+
+# ---------------------------------------------------------------------------
+# A sleep that is next runs on in place
+# ---------------------------------------------------------------------------
+
+
+def _stepped(env):
+    """Drive ``env`` by ``step`` alone, which never runs a sleep on in
+    place: every sleep is a queued event."""
+    while env._queue:
+        env.step()
+
+
+def _windowed(ends):
+    """Drive ``env`` by lookahead windows ending at ``ends``, as the
+    shard layer does, then to the end."""
+
+    def drive(env):
+        for end in ends:
+            before = env.executed_events
+            env.run_below(end)
+            assert env.executed_events == before or env.now < end
+        env.run_below(math.inf)
+
+    return drive
+
+
+#: Window ends on the programs' quarter grid, so some fall exactly on
+#: a wake.
+_window_ends = st.lists(
+    st.integers(0, 24).map(lambda k: k / 4), max_size=6
+).map(sorted)
+
+
+def _both_ways(scenario):
+    """``scenario(env, log)`` driven by ``run()`` and by ``step()``:
+    the log, the clock and the events executed, each way."""
+    out = []
+    for drive in (Environment.run, _stepped):
+        env = Environment()
+        log = []
+        scenario(env, log)
+        drive(env)
+        out.append((log, env.now, env.executed_events))
+    return out
+
+
+class TestSleepRunsOnInPlace:
+    """A yielded delay that wakes strictly before the heap's head,
+    inside the running loop's horizon, while no other callback of the
+    event that woke the process is still to run, continues in place: no
+    timer, no heap entry, no wake.  Only event ids and counts may
+    differ from queueing it."""
+
+    @given(_programs, _window_ends)
+    # A sleep that ties with a wake already queued.
+    @example([(0, True, [("delay", 1)]), (1, True, [])], [])
+    # A sleep across a window's end.
+    @example([(0, True, [("delay", 1)])], [0.25])
+    # The first of two waiters sleeps.
+    @example(
+        [
+            (0, True, [("wait", 0), ("delay", 1)]),
+            (0, True, [("wait", 0)]),
+            (1, True, [("fire", 0), ("delay", 3)]),
+        ],
+        [],
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_run_step_and_windows_agree(self, program, ends):
+        *whole, whole_events = _run_program(program)
+        *stepped, stepped_events = _run_program(program, drive=_stepped)
+        *windowed, windowed_events = _run_program(
+            program, drive=_windowed(ends)
+        )
+        assert whole == stepped == windowed
+        assert whole_events <= stepped_events
+        assert windowed_events <= stepped_events
+
+    def test_a_queued_event_at_the_wake_time_runs_first(self):
+        def scenario(env, log):
+            env.timeout(2.0).callbacks.append(
+                lambda _ev: log.append(("timer", env.now))
+            )
+
+            def sleeper():
+                yield 1.0  # next: runs on in place
+                log.append(("awake", env.now))
+                yield 1.0  # ties with the timer, queued first
+                log.append(("awake", env.now))
+
+            env.process(sleeper())
+
+        expected = [("awake", 1.0), ("timer", 2.0), ("awake", 2.0)]
+        # Timer, Initialize, second sleep, process end; + the first
+        # sleep when it is queued.
+        assert _both_ways(scenario) == [(expected, 2.0, 4), (expected, 2.0, 5)]
+
+    def test_two_waiters_of_one_event_and_the_first_sleeps(self):
+        # The first waiter's sleep is queued: the second must still
+        # wake at the instant the event fired.
+        def scenario(env, log):
+            gate = env.event()
+            env.call_later(0.5, lambda _ev: gate.succeed())
+
+            def first():
+                yield gate
+                yield 1.0
+                log.append(("first", env.now))
+
+            def second():
+                yield gate
+                log.append(("second", env.now))
+
+            env.process(first())
+            env.process(second())
+
+        expected = [("second", 0.5), ("first", 1.5)]
+        assert _both_ways(scenario) == [(expected, 1.5, 7), (expected, 1.5, 7)]
+
+    def test_an_interrupt_by_a_sibling_waiter(self):
+        # Both wait on ``gate``; the first interrupts the second, then
+        # sleeps, queued: the second's wake by the gate is still to
+        # run.  The interrupt lands at the instant the gate fired; the
+        # second is its only waiter, and its sleep, next, runs on.
+        def scenario(env, log):
+            gate = env.event()
+            env.call_later(0.5, lambda _ev: gate.succeed())
+            procs = []
+
+            def first():
+                yield gate
+                procs[1].interrupt("sibling")
+                yield 1.0
+                log.append(("first", env.now))
+
+            def second():
+                try:
+                    yield gate
+                except Interrupt as interrupt:
+                    log.append((interrupt.cause, env.now))
+                yield 0.5
+                log.append(("second", env.now))
+
+            procs.append(env.process(first()))
+            procs.append(env.process(second()))
+
+        expected = [("sibling", 0.5), ("second", 1.0), ("first", 1.5)]
+        assert _both_ways(scenario) == [(expected, 1.5, 8), (expected, 1.5, 9)]
+
+    def test_a_sleep_past_the_horizon_parks(self):
+        env = Environment()
+        log = []
+
+        def sleeper():
+            for delay in (1.0, 1.0, 1.0):
+                yield delay
+                log.append(env.now)
+
+        env.process(sleeper())
+        # Under a window, strictly below its end: the sleep to 2.0
+        # parks on the heap, and an event at the end waits for the
+        # next window.
+        assert env.run_below(2.0) == 2.0
+        assert log == [1.0] and env.now == 1.0
+        # Under ``run(until=t)``, at ``t`` itself and not past it.
+        env.run(until=2.0)
+        assert log == [1.0, 2.0] and env.peek() == 3.0
+        env.run()
+        assert log == [1.0, 2.0, 3.0]
+        # Initialize, the two parked sleeps, the process's end.
+        assert env.executed_events == 4
+
+    def test_a_waiter_of_the_stop_event_stops_with_it(self):
+        # ``run(until=gate)`` waits on the gate beside the process, so
+        # the process's sleep is queued and the run ends at the gate.
+        env = Environment()
+        gate = env.event()
+        env.call_later(1.0, lambda _ev: gate.succeed("open"))
+        log = []
+
+        def waiter():
+            yield gate
+            yield 2.0
+            log.append(env.now)
+
+        env.process(waiter())
+        assert env.run(until=gate) == "open"
+        assert env.now == 1.0 and log == [] and env.peek() == 3.0
+
+    def test_step_never_runs_a_sleep_on(self):
+        env = Environment()
+
+        def sleeper():
+            yield 1.0
+
+        env.process(sleeper())
+        env.step()
+        assert env.now == 0.0 and env.peek() == 1.0

@@ -8,7 +8,7 @@ first.  Every record opens with the same head — when, which command
 and rung, on what host, how long it took — so a number is read next
 to the machine that produced it; then comes the result's own record.
 
-Every record carries ``deterministic``.  The four sharded sweeps
+Every record carries ``deterministic``.  The three sharded sweeps
 recheck their merged-trace fingerprints themselves; ``loadtest`` and
 ``disttree`` re-run their top rung here and compare per-request
 latency fingerprints.
@@ -70,43 +70,36 @@ BENCHES: Dict[str, Dict[str, Dict[str, Any]]] = {
         "small": dict(seed=2004, hosts=(8, 64), fanout=2),
         "paper": dict(seed=2004, hosts=(8, 32, 128, 512), fanout=2),
     },
-    "kernelbench": {
-        "small": dict(
-            seed=7, sites=4, shard_counts=(1, 4), requests_per_site=24,
-            determinism_requests=12, deadline_s=120.0,
-        ),
-        "paper": dict(
-            seed=2004, sites=8, shard_counts=(1, 4, 8), requests_per_site=160
-        ),
-    },
     "federation": {
         "small": dict(
             seed=7, site_counts=(1, 4), cross_fractions=(0.0, 0.2),
             plants_per_site=4, requests_per_site=24,
-            determinism_requests=12, deadline_s=180.0,
+            params={"rate_per_s": 2.0}, determinism_requests=12,
+            deadline_s=180.0,
         ),
         "paper": dict(
             seed=2004, site_counts=(1, 4, 16),
             cross_fractions=(0.0, 0.1, 0.3), plants_per_site=8,
-            requests_per_site=160,
+            requests_per_site=160, params={"rate_per_s": 2.0},
         ),
     },
     "megaload": {
         "small": dict(
             seed=7, sites=2, shard_counts=(1, 2), requests_per_site=40,
-            determinism_requests=16, deadline_s=300.0, trace_capacity=20_000,
+            params={"rate_per_s": 2.0}, determinism_requests=16,
+            deadline_s=300.0, trace_capacity=20_000,
         ),
         "paper": dict(
             seed=2004, sites=8, shard_counts=(1, 4, 8),
-            requests_per_site=2000, determinism_requests=40,
-            deadline_s=None, trace_capacity=100_000,
+            requests_per_site=2000, params={"rate_per_s": 2.0},
+            determinism_requests=40, deadline_s=None, trace_capacity=100_000,
         ),
         # 16 x 62,500 = 1,000,000 requests, one site per shard: what
         # this rung records is that every worker's RSS stays flat.
         "million": dict(
             seed=2004, sites=16, shard_counts=(16,),
-            requests_per_site=62_500, determinism_requests=40,
-            deadline_s=None, trace_capacity=100_000,
+            requests_per_site=62_500, params={"rate_per_s": 2.0},
+            determinism_requests=40, deadline_s=None, trace_capacity=100_000,
         ),
         # The shard wall gate: 8 sites on 2 workers at a load where a
         # lookahead window holds little work, so what the 2-shard
@@ -121,12 +114,13 @@ BENCHES: Dict[str, Dict[str, Dict[str, Any]]] = {
             seed=7, sites=2, shards=2, requests_per_site=60,
             blackout_at=40.0, blackout_s=40.0, shed_depth=64,
             preempt_depth=48, det_shard_counts=(1, 2),
-            determinism_requests=24, deadline_s=300.0,
+            extra_params={"rate_per_s": 2.0}, determinism_requests=24,
+            deadline_s=300.0,
         ),
         "paper": dict(
             seed=2004, sites=4, shards=4, requests_per_site=150,
-            det_shard_counts=(1, 2, 4), determinism_requests=40,
-            deadline_s=None,
+            det_shard_counts=(1, 2, 4), extra_params={"rate_per_s": 2.0},
+            determinism_requests=40, deadline_s=None,
         ),
     },
 }

@@ -116,8 +116,8 @@ def _entry_points() -> List[Tuple[str, List[str]]]:
     ]
     for command in ("demo", "matching", "loadtest", "disttree", "chaos"):
         entries.append((f"vmplants {command}", [py, "-m", "repro", command]))
-    for bench in ("loadtest", "disttree", "kernelbench", "federation",
-                  "megaload", "megachaos"):
+    for bench in ("loadtest", "disttree", "federation", "megaload",
+                  "megachaos"):
         entries.append(
             (f"bench {bench} small", [py, "-c", _BENCH_RUNG, bench])
         )

@@ -48,13 +48,14 @@ def test_record_is_deterministic(small, name):
     assert small(name)["deterministic"] is True
 
 
-@pytest.mark.parametrize("name", ["kernelbench", "megaload"])
-def test_points_agree_at_every_shard_count(small, name):
+def test_megaload_points_agree_at_every_shard_count(small):
     """The determinism contract, point by point: more shards change
     what a run costs, never what it simulated — events, creates and
     every other sim-side count are those of the one-shard run."""
-    points = small(name)["points"]
-    assert [p["shards"] for p in points] == list(kwargs(name)["shard_counts"])
+    points = small("megaload")["points"]
+    assert [p["shards"] for p in points] == list(
+        kwargs("megaload")["shard_counts"]
+    )
     simulated = [
         {k: v for k, v in p.items() if k not in HOST_KEYS | {"shards"}}
         for p in points
@@ -85,8 +86,8 @@ def test_disttree_tree_flat_while_star_grows(small):
         assert point["failed"] == 0
 
 
-def test_kernelbench_exercises_the_kernel(small):
-    for point in small("kernelbench")["points"]:
+def test_megaload_exercises_the_kernel(small):
+    for point in small("megaload")["points"]:
         assert point["events"] > 1000
         assert point["projected"] == (point["shards"] > point["usable_cores"])
 

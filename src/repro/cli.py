@@ -113,12 +113,6 @@ COMMANDS: Dict[str, Command] = {
         "fleet-size ladder of same-image broadcast bursts: NFS star "
         "vs peer distribution tree",
     ),
-    "kernelbench": Command(
-        "repro.experiments.kernelbench:run_kernelbench",
-        "sharded-kernel throughput sweep with merged-trace "
-        "determinism cross-check",
-        flags={"shards": "shard_counts"},
-    ),
     "federation": Command(
         "repro.experiments.federation:run_federation",
         "federated multi-site sweep: site count x cross-site traffic "

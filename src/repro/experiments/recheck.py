@@ -8,9 +8,8 @@ rerun a small instance with trace collection on at each of
 ``shard_counts``, once more at the largest, and compare
 
 * the merged-trace **fingerprints** (all counts and the repeat), and
-* for scenarios whose sites ship a ``summary_state`` (the grid
-  scenarios), the merged ``WorkloadSummary`` **signatures** — the
-  exact-merge contract of :mod:`repro.analysis.streaming`.
+* the merged ``WorkloadSummary`` **signatures** — the exact-merge
+  contract of :mod:`repro.analysis.streaming`.
 
 Timing runs never trace; this is the only place the experiment
 drivers ask for ``collect="fingerprint"``.
@@ -39,8 +38,7 @@ class DeterminismRecheck:
     fingerprints: Dict[int, str] = field(default_factory=dict)
     #: Fingerprint of the repeat at the largest shard count.
     repeat_fingerprint: str = ""
-    #: shard count -> merged summary signature (empty when the
-    #: scenario's sites keep no summary).
+    #: shard count -> merged summary signature.
     signatures: Dict[int, str] = field(default_factory=dict)
     #: Most trace events any one rerun lost to bounded tracers.
     trace_dropped: int = 0
@@ -57,7 +55,7 @@ class DeterminismRecheck:
         return (
             len(fps) == 1
             and self.repeat_fingerprint in fps
-            and len(set(self.signatures.values())) <= 1
+            and len(set(self.signatures.values())) == 1
         )
 
     def line(self) -> str:
@@ -69,11 +67,10 @@ class DeterminismRecheck:
                 f"repeat {self.repeat_fingerprint[:16]} "
                 f"signatures {_short(self.signatures)}"
             )
-        text = f"determinism: merged-trace fingerprint {self.fingerprint[:16]}"
-        if self.signatures:
-            signature = next(iter(self.signatures.values()))
-            text += f" and summary signature {signature[:16]}"
-        text += (
+        signature = next(iter(self.signatures.values()))
+        text = (
+            f"determinism: merged-trace fingerprint {self.fingerprint[:16]}"
+            f" and summary signature {signature[:16]}"
             f" identical at shard counts {sorted(self.fingerprints)} "
             "and across repeats"
         )
@@ -113,10 +110,7 @@ def recheck_determinism(
     for shards in counts:
         run = traced(shards)
         result.fingerprints[shards] = run.fingerprint()
-        if "summary_state" in run.site_results[0]["stats"]:
-            result.signatures[shards] = merged_summary(
-                run
-            ).state_signature()
+        result.signatures[shards] = merged_summary(run).state_signature()
     if counts:
         result.repeat_fingerprint = traced(counts[-1]).fingerprint()
     return result

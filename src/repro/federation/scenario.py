@@ -53,11 +53,6 @@ and the trace categories — the scenario's own name for
 ``spill-recv`` / ``ack-recv`` and ``megaload`` for ``preempted``,
 whichever source is driving (``tests/test_grid_goldens.py``).
 
-``kernelbench`` (:mod:`repro.sim.shard.scenarios`) is deliberately not
-a source of this scenario: it runs plain testbeds with no gateway and
-spills fire-and-forget *after* a create, with no ack — folding it in
-would make this path branch on its caller.
-
 Chaos composes in: ``fault_plan`` (recorded
 :func:`~repro.faults.plan.grid_fault_plan` events) attaches a
 :class:`~repro.faults.injector.FaultInjector` to every site worker —

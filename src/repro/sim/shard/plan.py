@@ -124,15 +124,15 @@ def endpoint_ids(
 class ShardedTestbed:
     """Plan for a multi-site testbed run across kernel shards.
 
-    Produced by :func:`repro.sim.cluster.build_testbed` when called
-    with ``sites > 1`` or ``shards > 1``; :meth:`run` executes it —
+    Built directly, naming its scenario (``"federation"``,
+    ``"megaload"`` or ``"miniring"``); :meth:`run` executes it —
     in-process when ``shards == 1``, across forked workers otherwise.
     """
 
     seed: int = 0
     sites: int = 1
     shards: int = 1
-    scenario: str = "kernelbench"
+    scenario: str = field(kw_only=True)
     params: Dict[str, Any] = field(default_factory=dict)
     partition: Optional[Tuple[int, ...]] = None
 

@@ -8,19 +8,17 @@ looked up by name from :data:`SCENARIOS` so worker processes can
 rebuild their sites from ``(scenario, seed, site, params)`` alone —
 nothing model-sized ever crosses a process boundary.
 
-Two scenarios live here, and two grid scenarios register from
+One scenario lives here, and the two grid scenarios register from
 :mod:`repro.federation.scenario` on first lookup (``federation`` and
 ``megaload``, see :data:`LAZY_SCENARIOS`):
 
-* ``kernelbench`` — the benchmark workload: every site is a full
-  SC'04 testbed (8 plants, NFS warehouse, shop) under an open-loop
-  Poisson VM-creation stream, with a WAN ring where each site spills
-  a fraction of its work to its neighbour.  This is what
-  ``vmplants kernelbench`` sweeps across shard counts.
-* ``miniring`` — a tiny bare-kernel ring of tickers exchanging
-  pings; fast enough for the shard test-suite, with optional fault
-  injection (raise or hard-exit at a given site/time) for the
-  crash-propagation tests.
+* ``miniring`` — the kernel control: a bare-kernel ring of tickers
+  exchanging pings.  It shares the kernel and the shard runner with
+  the grid scenarios and none of their code, so its golden
+  trajectory (``tests/test_grid_goldens.py``) moves only when the
+  kernel or the runner does.  It is fast enough for the shard
+  test-suite, with optional fault injection (raise or hard-exit at a
+  given site/time) for the crash-propagation tests.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ __all__ = [
     "ShardScenario",
     "register",
     "get_scenario",
-    "KernelBenchScenario",
     "MiniRingScenario",
 ]
 
@@ -148,203 +145,6 @@ class ShardScenario:
 def site_seed(seed: int, site: int) -> int:
     """Derive one site's RNG seed from the run seed."""
     return seed + site * 100003
-
-
-# ---------------------------------------------------------------------------
-# kernelbench: full testbeds under load, spilling work around a WAN ring
-# ---------------------------------------------------------------------------
-
-
-class _KernelBenchHandle:
-    __slots__ = (
-        "bed",
-        "site",
-        "params",
-        "times",
-        "spill_link",
-        "created",
-        "destroyed",
-        "failed",
-        "spills_sent",
-        "spills_recv",
-        "spill_failed",
-    )
-
-    def __init__(self, bed, site: int, params: Dict[str, Any], times):
-        self.bed = bed
-        self.site = site
-        self.params = params
-        self.times = times
-        self.spill_link = None
-        self.created = 0
-        self.destroyed = 0
-        self.failed = 0
-        self.spills_sent = 0
-        self.spills_recv = 0
-        self.spill_failed = 0
-
-
-class KernelBenchScenario(ShardScenario):
-    """Multi-site grid under open-loop load with neighbour spillover.
-
-    Every site is an independent paper testbed; site *i* forwards
-    every ``spill_every``-th successful creation over a WAN boundary
-    link to site ``(i+1) % sites``, which provisions a spillover VM
-    of its own.  The WAN latency (default 8 simulated seconds) is the
-    conservative-sync lookahead — generous relative to the ~50 kernel
-    events a single creation costs, so shards spend their time
-    simulating, not synchronizing.
-    """
-
-    name = "kernelbench"
-
-    def defaults(self) -> Dict[str, Any]:
-        return {
-            "plants": 8,
-            "memory_mb": 32,
-            "rate_per_s": 2.0,
-            "requests": 160,
-            "hold_s": 40.0,
-            "spill_every": 5,
-            "spill_mb": 4.0,
-            "spill_hold_s": 30.0,
-            "link_latency_s": 8.0,
-            "link_bandwidth_mbps": 25.0,
-        }
-
-    def link_specs(
-        self, sites: int, params: Dict[str, Any]
-    ) -> List[LinkSpec]:
-        if sites < 2:
-            return []
-        return [
-            LinkSpec(
-                name=f"wan{i}",
-                src=i,
-                dst=(i + 1) % sites,
-                endpoint="spill",
-                bandwidth_mbps=params["link_bandwidth_mbps"],
-                latency_s=params["link_latency_s"],
-            )
-            for i in range(sites)
-        ]
-
-    def build_site(
-        self,
-        env: Environment,
-        site: int,
-        sites: int,
-        seed: int,
-        params: Dict[str, Any],
-    ) -> _KernelBenchHandle:
-        from repro.sim.cluster import build_testbed
-        from repro.workloads.requests import poisson_arrivals
-
-        bed = build_testbed(
-            seed=site_seed(seed, site),
-            n_plants=params["plants"],
-            env=env,
-        )
-        times = poisson_arrivals(
-            bed.rng,
-            params["rate_per_s"],
-            params["requests"],
-            stream="kernelbench/arrivals",
-        )
-        return _KernelBenchHandle(bed, site, params, times)
-
-    def endpoints(
-        self, handle: _KernelBenchHandle
-    ) -> Dict[str, Callable[[tuple], None]]:
-        def spill(payload: tuple) -> None:
-            handle.spills_recv += 1
-            trace(
-                handle.bed.env,
-                "kernelbench",
-                "spill-recv",
-                src_site=int(payload[0]),
-                req=int(payload[1]),
-            )
-            handle.bed.env.process(self._spill_vm(handle, payload))
-
-        return {"spill": spill}
-
-    def start(
-        self, handle: _KernelBenchHandle, links: Dict[str, Any]
-    ) -> None:
-        handle.spill_link = links.get(f"wan{handle.site}")
-        handle.bed.env.process(self._arrivals(handle))
-
-    def collect(self, handle: _KernelBenchHandle) -> Dict[str, Any]:
-        return {
-            "created": handle.created,
-            "destroyed": handle.destroyed,
-            "failed": handle.failed,
-            "spills_sent": handle.spills_sent,
-            "spills_recv": handle.spills_recv,
-            "spill_failed": handle.spill_failed,
-            "nfs_mb": float(
-                getattr(handle.bed.nfs, "mb_served", 0.0)
-            ),
-        }
-
-    # -- processes ------------------------------------------------------
-    def _arrivals(self, handle: _KernelBenchHandle):
-        env = handle.bed.env
-        for i, at in enumerate(handle.times):
-            if at > env.now:
-                yield at - env.now
-            env.process(self._one_vm(handle, i))
-
-    def _one_vm(self, handle: _KernelBenchHandle, i: int):
-        from repro.core.errors import ReproError
-        from repro.workloads.requests import experiment_request
-
-        bed = handle.bed
-        params = handle.params
-        request = experiment_request(
-            params["memory_mb"],
-            domain=f"site{handle.site}.grid",
-            client_id=f"s{handle.site}-r{i}",
-        )
-        try:
-            ad = yield bed.shop.create(request)
-        except ReproError:
-            handle.failed += 1
-            return
-        handle.created += 1
-        trace(bed.env, "kernelbench", "created", req=i)
-        if (
-            handle.spill_link is not None
-            and handle.created % params["spill_every"] == 0
-        ):
-            handle.spills_sent += 1
-            handle.spill_link.send(
-                payload=(handle.site, i),
-                size_mb=params["spill_mb"],
-            )
-        yield params["hold_s"]
-        yield bed.shop.destroy(str(ad["vmid"]))
-        handle.destroyed += 1
-
-    def _spill_vm(self, handle: _KernelBenchHandle, payload: tuple):
-        from repro.core.errors import ReproError
-        from repro.workloads.requests import experiment_request
-
-        bed = handle.bed
-        params = handle.params
-        request = experiment_request(
-            params["memory_mb"],
-            domain="spill.grid",
-            client_id=f"spill-{int(payload[0])}-{int(payload[1])}",
-        )
-        try:
-            ad = yield bed.shop.create(request)
-        except ReproError:
-            handle.spill_failed += 1
-            return
-        yield params["spill_hold_s"]
-        yield bed.shop.destroy(str(ad["vmid"]))
 
 
 # ---------------------------------------------------------------------------
@@ -502,5 +302,4 @@ class MiniRingScenario(ShardScenario):
         )
 
 
-register(KernelBenchScenario())
 register(MiniRingScenario())

@@ -8,7 +8,7 @@ data)`` — so it is invariant under how sites were packed into worker
 processes: a 1-shard and an 8-shard run of the same (seed,
 partition) produce the same fingerprint iff every site simulated the
 same trajectory.  This is the contract the shard determinism tests
-and the kernelbench determinism cross-check pin.
+and every sweep's determinism recheck pin.
 """
 
 from __future__ import annotations

@@ -175,20 +175,16 @@ def test_megachaos_report_replays_bit_identically(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 #: Small runs whose record is pinned in ``report_goldens.json``: the
-#: four ``--report`` files without a replay, and the ``points`` of the
+#: three ``--report`` files without a replay, and the ``points`` of the
 #: ``loadtest`` / ``disttree`` bench records (``small`` rung).
 REPORT_RUNS = {
-    "kernelbench": [
-        "--seed", "7", "--sites", "2", "--shards", "1", "2",
-        "--requests-per-site", "12",
-    ],
     "federation": [
         "--seed", "7", "--sites", "1", "2", "--cross", "0.0", "0.3",
         "--requests-per-site", "12",
     ],
     "megaload": [
         "--seed", "7", "--sites", "2", "--shards", "1", "2",
-        "--requests-per-site", "30",
+        "--requests-per-site", "30", "--rate", "2.0",
     ],
     "disttree": ["--seed", "7", "--hosts", "4", "8"],
 }
@@ -233,15 +229,13 @@ def test_bench_points_are_the_pinned_records(tmp_path, bench):
 # The parser itself
 # ---------------------------------------------------------------------------
 
-#: Every public flag (``--seed`` alone where a command is not listed):
-#: the 77 that the hand-written parser's 66 ``add_argument`` statements
-#: made, 12 artifacts sharing one loop.
+#: Every public flag (``--seed`` alone where a command is not listed),
+#: 72 in all, 12 artifacts sharing one loop.
 FLAGS = {
     "demo": "seed memory",
     "uml": "seed sbuml",
     "loadtest": "seed requests rates cache-mb",
     "disttree": "seed hosts fanout report",
-    "kernelbench": "seed sites shards requests-per-site report",
     "federation": (
         "seed sites cross plants requests-per-site rack-size "
         "spill-deadline deadline report"
@@ -277,7 +271,7 @@ def test_flag_spellings_are_the_ones_documented():
         }
         assert flags == set(FLAGS.get(name, "seed").split()), name
         total += len(flags)
-    assert total == 77
+    assert total == 72
 
 
 def test_defaults_are_the_signatures():
@@ -324,7 +318,7 @@ def test_every_quoted_command_line_parses():
     [
         (["megaload", "--sites", "2"], "cannot exceed sites"),
         (["megachaos", "--sites", "2"], "cannot exceed sites"),
-        (["kernelbench", "--shards", "2", "4"], "must include 1"),
+        (["megaload", "--shards", "0"], "shard_counts must be positive"),
         (
             ["federation", "--sites", "2", "--spill-deadline", "0"],
             "spill_deadline_s must be positive",

@@ -5,8 +5,9 @@ count.  This file pins the absolute trajectory — full merged-trace
 fingerprint, total kernel events and (where the scenario ships one)
 the merged ``WorkloadSummary.state_signature()`` — of small runs at 1
 and 2 shards, so a refactor of the request path is correct iff these
-constants do not move.  ``kernelbench`` is the control: it shares the
-kernel and the runner with the grid scenarios and none of their code.
+constants do not move.  ``miniring`` is the control: it shares the
+kernel and the runner with the grid scenarios and none of their code,
+so it moves only when the kernel or the runner does.
 
 The megachaos rungs run over one :func:`grid_fault_plan` holding a
 site blackout, a WAN partition and one crashing plant per site, with
@@ -42,6 +43,7 @@ _CHAOS_PLAN = grid_fault_plan(
 
 _FAULTS = {
     "requests": 60,
+    "rate_per_s": 2.0,
     "plants": 4,
     "cross_fraction": 0.2,
     "spill_deadline_s": 150.0,
@@ -69,6 +71,7 @@ RUNS = {
         4,
         {
             "requests": 30,
+            "rate_per_s": 2.0,
             "plants": 4,
             "cross_fraction": 0.3,
             "spill_threshold": 40.0,
@@ -77,17 +80,23 @@ RUNS = {
     "megaload": (
         "megaload",
         4,
-        {"requests": 60, "plants": 4, "cross_fraction": 0.2},
+        {
+            "requests": 60,
+            "rate_per_s": 2.0,
+            "plants": 4,
+            "cross_fraction": 0.2,
+        },
     ),
     "faults": ("megaload", 4, _FAULTS),
     "failover": ("megaload", 4, _FAILOVER),
     "admission": ("megaload", 4, _ADMISSION),
-    "kernelbench": ("kernelbench", 3, {"requests": 20, "plants": 4}),
+    "miniring": ("miniring", 3, {}),
 }
 
 #: name -> (merged-trace fingerprint, total events, merged summary
-#: signature), recorded at commit 05bfc3d.  ``federation`` and
-#: ``kernelbench`` shipped no summary state then, so none is pinned.
+#: signature), recorded at commit 05bfc3d (``miniring`` at c6ec289).
+#: ``federation`` shipped no summary state then and ``miniring`` ships
+#: none, so none is pinned for either.
 #: The event totals were re-recorded when ``Transport.gather`` stopped
 #: scheduling a timer per bid answer: each is lower by the number of
 #: answers its bid rounds received, and nothing else moved.  They were
@@ -121,9 +130,9 @@ GOLDEN = {
         3967,
         "7d0fd9bf5cab023adbee67c0748d293fa81df201aa24e609faee7ce585e8e769",
     ),
-    "kernelbench": (
-        "b32189adcf57e6c94b72073c39dcda2328c82acbc944871dbf51ca05b5739a55",
-        1831,
+    "miniring": (
+        "e640187763962b421d1b2c3b9aa87d95e637e5e560ff358938ace579a366c0bc",
+        288,
         None,
     ),
 }

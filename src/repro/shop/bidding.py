@@ -5,10 +5,11 @@ protocol that allows VMShop to request and collect bids containing
 estimated VM creation costs" (Section 3.1).  Bids are collected from
 all candidate plants in parallel over the transport — one
 :meth:`~repro.shop.protocol.Transport.gather` fan-out per round, each
-estimate run from its arrival timer's callback, so a round costs one
-timer event per bidder and one event for the round, no event per
-answer and no process per bid; the cheapest bid wins, with ties broken
-uniformly at random (the Section 3.4 illustration: "the VMShop picks
+estimate run from its arrival's callback, so a round costs one timer
+event for all its bidders (a later arrival is an event of its own only
+when something else falls between) and one event for the round, no
+event per answer and no process per bid; the cheapest bid wins, with
+ties broken uniformly at random (the Section 3.4 illustration: "the VMShop picks
 one plant at random") from a named deterministic stream.
 """
 

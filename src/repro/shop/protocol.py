@@ -11,8 +11,9 @@ The prototype exchanges XML service specifications over sockets
   naturally with synchronous handlers and process-generator handlers.
   A single call (:meth:`Transport.call`) is a generator the caller's
   process drives; a fan-out of calls answered together
-  (:meth:`Transport.gather`) is run from timer callbacks, no process
-  per call and no event per answer.
+  (:meth:`Transport.gather`) is run from one train of timer callbacks
+  (:meth:`~repro.sim.kernel.Environment.call_each`), no process per
+  call and no event per answer.
 """
 
 from __future__ import annotations
@@ -172,15 +173,20 @@ class Transport:
 
         The same latency → handler → latency as :meth:`call`, per
         handler: the outbound latencies are drawn here, in handler
-        order, and each handler runs in its arrival timer's callback;
-        a handler that returns a generator is stepped in place (with
-        the generators it yields as sub-calls), sleeps on the delays
-        it yields, and parks only on the pending events it yields.  The
-        return latency is drawn when the handler finishes, and from then on
-        the answer and the instant it lands are fixed and nothing can
-        observe it in flight, so it is recorded, not scheduled: once
-        every handler has answered, the round's one event goes on the
-        queue at the latest landing time itself.
+        order, and the arrivals are one
+        :meth:`~repro.sim.kernel.Environment.call_each` train: one
+        timer on the heap for the round, a later arrival run on in
+        place when nothing can overtake it and pushed under its own key
+        when something can.  Each handler runs in its arrival's
+        callback; one that returns a generator is stepped in place
+        (with the generators it yields as sub-calls), sleeps on the
+        delays it yields, and parks only on the pending events it
+        yields.  The return latency is drawn when the handler
+        finishes, and from then on the answer and the instant it lands
+        are fixed and nothing can observe it in flight, so it is
+        recorded, not scheduled: once every handler has answered, the
+        round's one event goes on the queue at the latest landing time
+        itself.
 
         The returned event fires with ``{handler index: answer}`` when
         the last answer lands, or — given ``deadline_s`` — that many
@@ -203,10 +209,12 @@ class Transport:
         if deadline_s is not None:
             Timeout(env, deadline_s).callbacks.append(this.expire)
         latency, sigma = self.latency_s, self.jitter_sigma
-        draw = self.rng.lognormal
-        for index in range(total):
-            delay = latency * draw("transport", 0.0, sigma) if latency else 0.0
-            Timeout(env, delay).callbacks.append(partial(this.arrive, index))
+        delays = [0.0] * total
+        if latency:
+            draw = self.rng.lognormal
+            for index in range(total):
+                delays[index] = latency * draw("transport", 0.0, sigma)
+        env.call_each(delays, this.arrive)
         return done
 
 

@@ -17,7 +17,8 @@ yielded delay is a pooled timer that ``_resume`` pushes itself (no
 ``any_of`` deadline), carries a value, or takes callbacks.  Work that
 needs no generator — run a function when a timer fires — hangs a
 callback on a :class:`Timeout` (or :meth:`Environment.call_later`)
-instead of starting a :class:`Process`;
+instead of starting a :class:`Process`, and many such callbacks at
+once are one train (:meth:`Environment.call_each`);
 :meth:`repro.shop.protocol.Transport.gather` runs a whole bid round
 that way, and puts the round's one event on the queue at the instant
 its last answer lands (:meth:`Environment.schedule_at`) instead of a
@@ -48,6 +49,18 @@ Under them the order of execution, every clock value and every RNG
 draw are those of a queued sleep; event ids and
 :attr:`Environment.executed_events` are lower.
 
+A train of callbacks takes the second in-place path.
+:meth:`Environment.call_each` reserves one event id per member, in
+index order, and puts only the next member on the heap, as one pooled
+timer.  When a member's callback returns, the next member runs on in
+place, the clock set to its time, under the same three conditions:
+(a) its time is strictly earlier than the heap's head; (b) it is
+strictly below the running loop's horizon; (c) holds by construction,
+for the event being dispatched is the train's own pooled timer, whose
+only other callback is the pool's ``append``.  Otherwise the next
+member goes on the heap under the id reserved for it, so it ties with
+events scheduled since as its own timer would have.
+
 Typical usage::
 
     env = Environment()
@@ -69,8 +82,20 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
+from itertools import repeat
+from operator import add as _add
 from types import GeneratorType as _GeneratorType
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -196,8 +221,8 @@ class Timeout(Event):
 
 
 class _PooledTimeout(Event):
-    """A recycled timer event for :meth:`Environment.call_later` and a
-    process's yielded delay.
+    """A recycled timer event for :meth:`Environment.call_later`, a
+    train's next member and a process's yielded delay.
 
     Never handed to user code: its last callback is the ``append`` of
     the environment's free list, so hot timer paths (e.g.
@@ -509,6 +534,43 @@ def _defuse(event: Event) -> None:
     event.defused = True
 
 
+def _train(env: "Environment", fn: Callable, members: list, timer) -> None:
+    """Run the member of a :meth:`Environment.call_each` due now, then
+    each next one that nothing can overtake, in place; park the first
+    one that something can.
+
+    ``members`` are the ones still to run, ``(time, event id, index)``,
+    the next one last; only that one is on the heap, as a pooled timer
+    whose other callback is the pool's ``append``.
+    """
+    queue = env._queue
+    while True:
+        try:
+            fn(members.pop()[2], timer)
+        except BaseException:
+            if members:
+                _park(env, fn, members)
+            raise
+        if not members:
+            return
+        # Strictly before the heap's head and inside the running loop's
+        # horizon (this timer's only other callback is the ``append``).
+        at = members[-1][0]
+        if at < env._horizon and (not queue or at < queue[0][0]):
+            env.now = at
+            continue
+        return _park(env, fn, members)
+
+
+def _park(env: "Environment", fn: Callable, members: list) -> None:
+    """Put a train's next member on the heap under its reserved key."""
+    at, eid, _ = members[-1]
+    pool = env._timeout_pool
+    timer = pool.pop() if pool else _PooledTimeout()
+    timer.callbacks = [partial(_train, env, fn, members), pool.append]
+    _heappush(env._queue, (at, PRIORITY_NORMAL, eid, timer))
+
+
 class EmptySchedule(Exception):
     """Internal: the event queue ran dry."""
 
@@ -591,6 +653,45 @@ class Environment:
         ev.callbacks = [fn, pool.append]
         self._eid = eid = self._eid + 1
         _heappush(self._queue, (self.now + delay, PRIORITY_NORMAL, eid, ev))
+
+    def call_each(
+        self, delays: Sequence[float], fn: Callable[[int, Event], None]
+    ) -> None:
+        """Invoke ``fn(i, timer)`` at ``now + delays[i]`` for every ``i``.
+
+        The calls, their instants and their order are those of one
+        ``call_later(delays[i], partial(fn, i))`` per member, made now
+        in index order: every member's event id is reserved here, so a
+        member keys the heap as its own timer would and ties with
+        events scheduled in between break the same way.  Only the next
+        member is on the heap, as one pooled timer; after a member
+        returns, the next one runs on in place when nothing can
+        overtake it (the module docstring's second path).  ``timer`` is
+        internal, as for :meth:`call_later`.
+        """
+        total = len(delays)
+        if not total:
+            return
+        if min(delays) < 0:
+            raise ValueError(f"negative delay {min(delays)}")
+        now, eid = self.now, self._eid
+        self._eid = eid + total
+        if total == 1:
+            # One member costs what one ``call_later`` costs.
+            pool = self._timeout_pool
+            timer = pool.pop() if pool else _PooledTimeout()
+            timer.callbacks = [partial(fn, 0), pool.append]
+            _heappush(
+                self._queue, (now + delays[0], PRIORITY_NORMAL, eid + 1, timer)
+            )
+            return
+        # ``(time, event id, index)``, the next member last.
+        members = zip(
+            map(_add, repeat(now), delays),
+            range(eid + 1, eid + total + 1),
+            range(total),
+        )
+        _park(self, fn, sorted(members, reverse=True))
 
     def process(self, generator: Generator) -> Process:
         """Start a new process running ``generator``."""

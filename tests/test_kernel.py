@@ -3,6 +3,7 @@
 import math
 import re
 import traceback
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -1374,3 +1375,204 @@ class TestSleepRunsOnInPlace:
         env.process(sleeper())
         env.step()
         assert env.now == 0.0 and env.peek() == 1.0
+
+
+# ---------------------------------------------------------------------------
+# A train of callbacks: one timer, the later members run on in place
+# ---------------------------------------------------------------------------
+
+
+def _timer_each(env, delays, fn):
+    """The reference ``call_each``: one ``Timeout`` per member, made in
+    index order."""
+    for index, delay in enumerate(delays):
+        Timeout(env, delay).callbacks.append(partial(fn, index))
+
+
+#: Delays on a half grid, zero and equal ones included, so members tie
+#: with each other and with everything else.
+_grid = st.sampled_from([0, 0.0, 0.5, 1, 1.0, 1.5])
+_train_delays = st.lists(_grid, max_size=4)
+#: What a member's callback does at its instant.
+_acts = st.one_of(
+    st.just(("log",)),
+    st.tuples(st.just("timer"), _grid),  # ids after the train's
+    st.just(("spawn",)),  # an urgent Initialize, at now
+    st.tuples(st.just("sleep"), _grid),  # a sleep, maybe run on in place
+    st.tuples(st.just("train"), _train_delays),
+)
+#: Set up at 0, in order: a train started then (``None``) or from a
+#: timer, a bystander timer, a sleeping process.
+_train_items = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("train"),
+            st.one_of(st.none(), _grid),
+            _train_delays,
+            st.lists(_acts, max_size=4),
+        ),
+        st.tuples(st.just("timer"), _grid),
+        st.tuples(st.just("sleep"), _grid),
+    ),
+    min_size=1,
+    max_size=5,
+)
+_train_drives = st.one_of(
+    st.just(("run",)),
+    st.just(("step",)),
+    st.tuples(st.just("until"), st.integers(0, 8).map(lambda k: k / 4)),
+    st.tuples(st.just("event"), _grid),
+    st.tuples(st.just("windows"), _window_ends),
+)
+
+
+def _run_trains(items, drive, each):
+    """Play ``items`` with trains made by ``each(env, delays, fn)``,
+    driven as ``drive`` says; the log, the clock and the events
+    executed.  A drive that stops part-way notes where, then runs on
+    to the end."""
+    env = Environment()
+    log = []
+    # The ``("event", t)`` drive's stop event, made first either way.
+    stop = env.timeout(drive[1] if drive[0] == "event" else 0)
+
+    def note(*entry):
+        return lambda _ev: log.append((env.now,) + entry)
+
+    def sleeper(name, delay):
+        yield delay
+        log.append((env.now, name, "awake"))
+        yield delay
+        log.append((env.now, name, "awake"))
+
+    def spawned(name):
+        log.append((env.now, name, "started"))
+        yield from ()
+
+    def member(name, acts, index, timer):
+        log.append((env.now, name, index, timer._ok, timer._value))
+        act = acts[index] if index < len(acts) else ("log",)
+        label = f"{name}.{index}"
+        if act[0] == "timer":
+            env.timeout(act[1]).callbacks.append(note(label, "timer"))
+        elif act[0] == "spawn":
+            env.process(spawned(label))
+        elif act[0] == "sleep":
+            env.process(sleeper(label, act[1]))
+        elif act[0] == "train":
+            each(env, act[1], partial(member, label, ()))
+
+    def start(name, delays, acts, _timer=None):
+        each(env, delays, partial(member, name, acts))
+
+    for n, item in enumerate(items):
+        name = f"i{n}"
+        if item[0] == "train":
+            _, at, delays, acts = item
+            if at is None:
+                start(name, delays, acts)
+            else:
+                env.call_later(at, partial(start, name, delays, acts))
+        elif item[0] == "timer":
+            env.timeout(item[1]).callbacks.append(note(name, "timer"))
+        else:
+            env.process(sleeper(name, item[1]))
+
+    kind = drive[0]
+    if kind == "step":
+        while env._queue:
+            env.step()
+            log.append((env.now, "step"))
+    elif kind == "windows":
+        for end in drive[1]:
+            env.run_below(end)
+            log.append((env.now, "window", end))
+        env.run_below(math.inf)
+    elif kind == "until":
+        env.run(until=drive[1])
+        log.append((env.now, "until"))
+        env.run()
+    elif kind == "event":
+        env.run(until=stop)
+        log.append((env.now, "stopped"))
+        env.run()
+    else:
+        env.run()
+    return log, env.now, env.executed_events
+
+
+class TestCallEach:
+    """``Environment.call_each`` against one ``Timeout`` per member:
+    the same calls with the same arguments, in the same order, at the
+    same clock values, under every way of driving the queue."""
+
+    @given(_train_items, _train_drives)
+    # A member that ties with a timer queued before the train.
+    @example([("timer", 1), ("train", None, [0, 1], [])], ("run",))
+    # A member that ties with a timer its predecessor queued: the
+    # member keeps the id reserved for it and goes first.
+    @example([("train", None, [0, 1], [("timer", 1)])], ("run",))
+    # Zero delays, and the first member starts a process: its urgent
+    # Initialize, at the same instant, runs before the second member.
+    @example([("train", 0, [0, 0], [("spawn",)])], ("run",))
+    # A member past a window's end, and past ``run(until=t)``'s ``t``.
+    @example([("train", None, [0, 1], [])], ("windows", [0.5]))
+    @example([("train", None, [0, 1], [])], ("until", 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_a_train_is_one_timer_per_member(self, items, drive):
+        log, now, events = _run_trains(items, drive, Environment.call_each)
+        ref_log, ref_now, ref_events = _run_trains(items, drive, _timer_each)
+        assert (log, now) == (ref_log, ref_now)
+        # ``step`` never runs a member on in place.
+        if drive[0] == "step":
+            assert events == ref_events
+        else:
+            assert events <= ref_events
+
+    def test_members_that_nothing_overtakes_cost_no_event(self):
+        env = Environment()
+        log = []
+        env.call_each([2.0, 1.0, 3.0, 1.0], lambda i, _t: log.append((env.now, i)))
+        env.run()
+        assert log == [(1.0, 1), (1.0, 3), (2.0, 0), (3.0, 2)]
+        assert env.executed_events == 1 and env._eid == 4
+
+    def test_one_member_costs_what_call_later_costs(self):
+        def calls(arm):
+            env = Environment()
+            return python_calls(lambda: (arm(env), env.run()))
+
+        fn = lambda _i, _t: None  # noqa: E731
+        assert calls(lambda env: env.call_each([1.0], fn)) == calls(
+            lambda env: env.call_later(1.0, partial(fn, 0))
+        )
+
+    def test_a_member_that_raises_leaves_the_rest_queued(self):
+        def play(each):
+            env = Environment()
+            log = []
+
+            def fn(index, _timer):
+                log.append((env.now, index))
+                if index == 0:
+                    raise RuntimeError("member 0")
+
+            each(env, [1.0, 1.0, 2.0], fn)
+            with pytest.raises(RuntimeError, match="member 0"):
+                env.run()
+            log.append(env.peek())
+            env.run()
+            return log, env.now
+
+        assert play(Environment.call_each) == play(_timer_each) == (
+            [(1.0, 0), 1.0, (1.0, 1), (2.0, 2)],
+            2.0,
+        )
+
+    def test_no_members_and_a_negative_delay(self):
+        env = Environment()
+        env.call_each([], lambda _i, _t: None)
+        assert env.peek() == math.inf and env._eid == 0
+        with pytest.raises(ValueError, match="negative delay -1"):
+            env.call_each([1.0, -1], lambda _i, _t: None)
+        assert env.peek() == math.inf

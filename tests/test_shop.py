@@ -923,11 +923,13 @@ class TestGather:
             env.run(until=transport.gather([bad]))
 
     def test_round_event_and_call_budget(self):
-        # One memo-hit round: an out-timer per bidder and one event
-        # for the round, put on the queue at the last landing time (it
-        # was a back-timer per bidder as well; before that Initialize
-        # + two timers + process end per bidder, + AllOf).
-        for n_plants, calls_at_most in ((8, 95), (1, 30)):
+        # One memo-hit round: one train timer for all the bidders (each
+        # later arrival, next on the queue, runs on in place) and one
+        # event for the round, put on the queue at the last landing
+        # time (it was an out-timer per bidder; a back-timer per bidder
+        # as well before that; before that Initialize + two timers +
+        # process end per bidder, + AllOf).
+        for n_plants, calls_at_most in ((8, 85), (1, 30)):
             bed = build_testbed(seed=3, n_plants=n_plants)
             request = experiment_request(32)
             collector = bed.shop.collector
@@ -943,9 +945,10 @@ class TestGather:
             before = bed.env.executed_events
             calls = python_calls(one_round)
             # Initialize and process end of the driving process itself.
-            assert bed.env.executed_events - before == n_plants + 1 + 2
-            # 89 and 28 at the time of writing: every plant answers
-            # from its bid memo.  124 and 33 with each bid planned
+            assert bed.env.executed_events - before == 1 + 1 + 2
+            # 84 and 28 at the time of writing: every plant answers
+            # from its bid memo.  89 and 28 with an out-timer per
+            # bidder; 124 and 33 with each bid planned
             # afresh, 7 a bidder of it VMPlant.estimate, a healthy
             # bidder a plain call and each hop's draw inline; 148 and
             # 36 with an 8-call bid and a
@@ -999,14 +1002,17 @@ _scenarios = st.tuples(
 def _run_rounds(scenario, gather, sub_call=None):
     """Play ``scenario`` with rounds made by ``gather(transport, handlers,
     deadline_s)``; what the rounds' waiters, the handlers and a
-    bystander saw.
+    bystander saw, the events executed, and how many arrivals ran on
+    in place.
 
     Given ``sub_call`` ("yield" or "from"), a stepped handler runs its
     steps as a sub-generator, called with ``yield`` or ``yield from``.
 
     The bystander wakes off the grid and notes how far everything has
     come, the ``transport`` stream included: a draw made at another
-    instant than the reference's shows up there.
+    instant than the reference's shows up there.  An arrival ran on in
+    place when no event was executed since the one before it in its
+    round: one popped off the queue is an event of its own.
     """
     seed, (latency_s, sigma), recovery_at, alarm_at, rounds = scenario
     env = Environment()
@@ -1021,17 +1027,25 @@ def _run_rounds(scenario, gather, sub_call=None):
         env.call_later(recovery_at * _TICK, lambda _ev: recovery.succeed())
     alarm = env.timeout(alarm_at * _TICK)
     ran, outcomes, watched = [], {}, []
+    #: Per round, ``executed_events`` at each arrival.
+    arrivals = {}
 
-    def handler(label, spec):
-        def plain():
+    def handler(number, index, spec):
+        label = f"r{number}h{index}"
+
+        def arrived():
             ran.append((env.now, label))
+            arrivals.setdefault(number, []).append(env.executed_events)
+
+        def plain():
+            arrived()
             if spec[0] == "plain-raise":
                 raise PlantError(label)
             ran.append((env.now, label, "answered"))
             return spec[1] and f"{label}-{spec[1]}"
 
         def stepped():
-            ran.append((env.now, label))
+            arrived()
             for step in spec[1]:
                 if step[0] == "sleep":
                     yield env.timeout(step[1] * _TICK)
@@ -1068,7 +1082,7 @@ def _run_rounds(scenario, gather, sub_call=None):
 
         gather(
             transport,
-            [handler(f"r{number}h{i}", s) for i, s in enumerate(specs)],
+            [handler(number, i, s) for i, s in enumerate(specs)],
             None if deadline is None else deadline * _TICK,
         ).callbacks.append(decided)
 
@@ -1095,9 +1109,15 @@ def _run_rounds(scenario, gather, sub_call=None):
     env.run()
     # ``ran`` copied: a handler parked forever adds its caller's
     # ``finally`` whenever its generators are collected.
+    in_place = sum(
+        before == after
+        for counts in arrivals.values()
+        for before, after in zip(counts, counts[1:])
+    )
     return (
         (outcomes, list(ran), watched, transport.calls, stream.getstate()),
         env.executed_events,
+        in_place,
     )
 
 
@@ -1127,12 +1147,13 @@ class TestFoldedRoundMatchesTimerPerAnswer:
     @example((2, (0.05, 0.2), None, 0, [(0, None, [("plain", "cost")] * 2)]))
     @settings(max_examples=400, deadline=None)
     def test_random_rounds_decide_identically(self, scenario):
-        live, live_events = _run_rounds(scenario, Transport.gather)
-        timers, timer_events = _run_rounds(scenario, oracle_gather)
+        live, live_events, in_place = _run_rounds(scenario, Transport.gather)
+        timers, timer_events, _ = _run_rounds(scenario, oracle_gather)
         assert live == timers
-        # The one difference: no event for an answer on its way back.
+        # The differences: no event for an answer on its way back, and
+        # none for an arrival that nothing could overtake.
         answers = sum(1 for entry in live[1] if entry[2:] == ("answered",))
-        assert timer_events - live_events == answers
+        assert timer_events - live_events == answers + in_place
 
     @given(_scenarios)
     @settings(max_examples=200, deadline=None)

@@ -31,8 +31,9 @@ Thousands of requests share one body and differ only in who asks, so
 the body is computed once per body, not once per request, both ways:
 
 * **Encoding** is a direct string writer (:func:`_write_dag` and the
-  three-element envelope in :func:`request_to_xml`), byte for byte what
-  ``ElementTree.tostring`` gives for the same tree
+  three-element envelope in :func:`request_to_xml`; its
+  :func:`write_actions` also writes golden-image descriptors), byte for
+  byte what ``ElementTree.tostring`` gives for the same tree
   (``tests.helpers.oracle_request_to_xml`` is the reference).  A
   *frozen* DAG keeps its ``<dag>`` fragment
   (:attr:`~repro.core.dag.ConfigDAG.sealed_wire`), so every later
@@ -53,7 +54,7 @@ the body is computed once per body, not once per request, both ways:
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.actions import Action, ActionScope, ErrorPolicy, decode_literal
 from repro.core.dag import FINISH, START, ConfigDAG
@@ -101,7 +102,7 @@ _interned_actions: Dict[Tuple, Action] = {}
 
 
 #: What ``ElementTree`` rewrites inside an attribute value.
-_ESCAPES = str.maketrans(
+ATTR_ESCAPES = str.maketrans(
     {
         "&": "&amp;",
         "<": "&lt;",
@@ -114,19 +115,15 @@ _ESCAPES = str.maketrans(
 )
 
 
-def _write_dag(dag: ConfigDAG, parts: List[str]) -> None:
-    """Append the ``<dag>`` element of ``dag`` to ``parts``."""
-    actions = dag.actions
-    if not actions:  # so no edge and no handler either
-        parts.append("<dag />")
-        return
-    esc = _ESCAPES
-    parts.append("<dag>")
+def write_actions(actions: Iterable[Action], parts: List[str]) -> None:
+    """Append one ``<action>`` element per action to ``parts``: the
+    body of a ``<dag>`` and of a golden image's ``<performed>``."""
+    esc = ATTR_ESCAPES
     # ``_value_``, not ``.value``: the descriptor behind ``Enum.value``
     # is two Python calls a read on 3.11, four per action here.
-    for name, action in actions.items():
+    for action in actions:
         parts.append(
-            f'<action name="{name.translate(esc)}"'
+            f'<action name="{action.name.translate(esc)}"'
             f' scope="{action.scope._value_}"'
             f' command="{action.command.translate(esc)}"'
             f' on-error="{action.on_error._value_}"'
@@ -144,6 +141,17 @@ def _write_dag(dag: ConfigDAG, parts: List[str]) -> None:
             parts.append("</action>")
         else:
             parts.append(" />")
+
+
+def _write_dag(dag: ConfigDAG, parts: List[str]) -> None:
+    """Append the ``<dag>`` element of ``dag`` to ``parts``."""
+    actions = dag.actions
+    if not actions:  # so no edge and no handler either
+        parts.append("<dag />")
+        return
+    esc = ATTR_ESCAPES
+    parts.append("<dag>")
+    write_actions(actions.values(), parts)
     for u, v in dag.edges():
         parts.append(
             f'<edge from="{u.translate(esc)}" to="{v.translate(esc)}" />'
@@ -363,7 +371,7 @@ def request_to_xml(request: CreateRequest, service: str = "create") -> str:
     ``"estimate"`` request.  Only the envelope is per request; the
     ``<dag>`` inside it comes from :func:`dag_to_xml`.
     """
-    esc = _ESCAPES
+    esc = ATTR_ESCAPES
     head = (
         f'<vmplant-request service="{service.translate(esc)}"'
         f' client="{request.client_id.translate(esc)}"'

@@ -220,7 +220,6 @@ def _run_point(
     memory_mb: int,
     requests: int,
     rate: float,
-    hold_s: float,
     n_plants: int,
     mtbf_s: float,
     trace_capacity: Optional[int] = None,
@@ -241,7 +240,9 @@ def _run_point(
         bed.rng, rate, requests, stream=f"chaos/{rate}"
     )
     start = bed.env.now
-    samples = serve(bed, stream, times=times, hold_s=hold_s)
+    # Each VM is held 45 s before its destroy, so faults land on
+    # running VMs as well as on creates.
+    samples = serve(bed, stream, times=times, hold_s=45.0)
     makespan = bed.env.now - start
     latencies = [s.latency for s in samples if s.ok]
     ok = len(latencies)
@@ -281,9 +282,7 @@ def run_chaos(
     rate: float = 0.1,
     mtbf_sweep: Sequence[float] = (300.0, 900.0),
     mttr_s: float = 60.0,
-    hold_s: float = 45.0,
     n_plants: int = 8,
-    crash_plants: Optional[int] = None,
     policies: Sequence[str] = tuple(name for name, _, _ in POLICY_LADDER),
     plans: Optional[Dict[float, List[dict]]] = None,
     trace_capacity: Optional[int] = None,
@@ -308,9 +307,8 @@ def run_chaos(
     if rate <= 0:
         raise ValueError("rate must be positive")
     ladder = _policy_table(policies)
-    if crash_plants is None:
-        crash_plants = max(1, n_plants // 2)
-    crash_plants = min(crash_plants, n_plants)
+    # The first half of the plants can crash; the rest can hang.
+    crash_plants = max(1, n_plants // 2)
     # Generously past the last arrival so late faults still land
     # while VMs are held, but the plan stays finite.
     horizon_s = requests / rate + 6.0 * mttr_s
@@ -355,7 +353,6 @@ def run_chaos(
                 memory_mb,
                 requests,
                 rate,
-                hold_s,
                 n_plants,
                 mtbf,
                 trace_capacity,

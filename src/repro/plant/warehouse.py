@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.actions import Action
 from repro.core.classad import ClassAd
 from repro.core.dag import ConfigDAG
-from repro.core.dagxml import action_from_element
+from repro.core.dagxml import ATTR_ESCAPES, action_from_element, write_actions
 from repro.core.errors import ProtocolError, WarehouseError
 from repro.core.matching import MatchResult
 from repro.core.matchindex import MatchIndex
@@ -107,47 +107,32 @@ class GoldenImage:
             }
         )
 
-    def to_element(self) -> ET.Element:
-        """The warehouse XML descriptor as an Element tree."""
-        root = ET.Element(
-            "golden-image",
-            {
-                "id": self.image_id,
-                "vm-type": self.vm_type,
-                "os": self.os,
-                "isa": self.hardware.isa,
-                "memory-mb": str(self.hardware.memory_mb),
-                "disk-gb": repr(self.hardware.disk_gb),
-                "cpus": str(self.hardware.cpus),
-                "disk-state-mb": repr(self.disk_state_mb),
-                "disk-files": str(self.disk_files),
-                "memory-state-mb": repr(self.memory_state_mb),
-                "base-redo-mb": repr(self.base_redo_mb),
-                "config-mb": repr(self.config_mb),
-            },
-        )
-        performed_el = ET.SubElement(root, "performed")
-        for action in self.performed:
-            el = ET.SubElement(
-                performed_el,
-                "action",
-                {
-                    "name": action.name,
-                    "scope": action.scope.value,
-                    "command": action.command,
-                    "on-error": action.on_error.value,
-                    "retries": str(action.retries),
-                },
-            )
-            for key, value in action.params:
-                ET.SubElement(el, "param", {"key": key, "value": value})
-            for out in action.outputs:
-                ET.SubElement(el, "output", {"name": out})
-        return root
-
     def to_xml(self) -> str:
-        """The warehouse XML descriptor as a string (thin wrapper)."""
-        return ET.tostring(self.to_element(), encoding="unicode")
+        """The warehouse XML descriptor, written as ``ElementTree``
+        would write it; its actions go through the ``<dag>`` writer."""
+        esc = ATTR_ESCAPES
+        hw = self.hardware
+        parts = [
+            f'<golden-image id="{self.image_id.translate(esc)}"'
+            f' vm-type="{self.vm_type.translate(esc)}"'
+            f' os="{self.os.translate(esc)}"'
+            f' isa="{hw.isa.translate(esc)}"'
+            f' memory-mb="{hw.memory_mb!s}"'
+            f' disk-gb="{hw.disk_gb!r}"'
+            f' cpus="{hw.cpus!s}"'
+            f' disk-state-mb="{self.disk_state_mb!r}"'
+            f' disk-files="{self.disk_files!s}"'
+            f' memory-state-mb="{self.memory_state_mb!r}"'
+            f' base-redo-mb="{self.base_redo_mb!r}"'
+            f' config-mb="{self.config_mb!r}">'
+        ]
+        if self.performed:
+            parts.append("<performed>")
+            write_actions(self.performed, parts)
+            parts.append("</performed></golden-image>")
+        else:
+            parts.append("<performed /></golden-image>")
+        return "".join(parts)
 
     @classmethod
     def from_xml(cls, text: str) -> "GoldenImage":

@@ -803,16 +803,9 @@ class Environment:
         ``until`` — including when the queue drains early.
         """
         if until is None:
-            stop_event = None
-        elif isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is not None:
-                # run() itself is the waiter: a failure is re-raised
-                # below rather than at step() time.  It also keeps the
-                # event's own waiters from sleeping on in place past
-                # the instant the run stops.
-                stop_event.callbacks.append(_defuse)
-        else:
+            self.run_below(_INF)
+            return None
+        if not isinstance(until, Event):
             stop_at = float(until)
             if stop_at < self.now:
                 raise ValueError(
@@ -825,6 +818,13 @@ class Environment:
             # beyond it.
             self.now = stop_at
             return None
+        stop_event = until
+        if stop_event.callbacks is not None:
+            # run() itself is the waiter: a failure is re-raised below
+            # rather than at step() time.  It also keeps the event's own
+            # waiters from sleeping on in place past the instant the run
+            # stops.
+            stop_event.callbacks.append(_defuse)
 
         # The step body is inlined so each event costs one heap pop
         # and one tuple unpack, no method call.
@@ -832,19 +832,6 @@ class Environment:
         pop = _heappop
         self._horizon = _INF
         try:
-            if stop_event is None:
-                while queue:
-                    self.now, _, _, event = pop(queue)
-                    self._executed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if callbacks:
-                        self._fanout = len(callbacks)
-                        for callback in callbacks:
-                            callback(event)
-                    if event._ok is False and not event.defused:
-                        raise event._value
-                return None
             while stop_event.callbacks is not None:
                 if not queue:
                     raise SimulationError(

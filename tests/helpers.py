@@ -12,8 +12,9 @@ pass each way (serialise, re-parse, set ``service``, serialise again;
 parse, serialise, parse again, ``root.find`` the parts, a fresh DAG per
 request, built one mutator call a part by
 ``tests/oracles/dag_decode.py``) and before the encoder became a direct
-string writer (``oracle_dag_to_element`` is the ElementTree encoder
-that ``src/`` no longer holds).  ``tests/test_wire_codec.py`` holds the
+string writer (``oracle_dag_to_element`` and
+``oracle_image_to_element`` are the ElementTree encoders that ``src/``
+no longer holds).  ``tests/test_wire_codec.py`` holds the
 live codec to its wire bytes, decoded requests and error messages.
 
 ``OracleProcess`` / ``oracle_collect`` are the kernel process (a
@@ -230,31 +231,67 @@ def cyclic_garbage(fn) -> Tuple[int, Dict[str, int]]:
 # ---------------------------------------------------------------------------
 
 
+def _oracle_action_element(parent: ET.Element, action) -> None:
+    """Append ``action`` to ``parent`` as an ``<action>`` element."""
+    el = ET.SubElement(
+        parent,
+        "action",
+        {
+            "name": action.name,
+            "scope": action.scope.value,
+            "command": action.command,
+            "on-error": action.on_error.value,
+            "retries": str(action.retries),
+        },
+    )
+    for key, value in action.params:
+        ET.SubElement(el, "param", {"key": key, "value": value})
+    for out in action.outputs:
+        ET.SubElement(el, "output", {"name": out})
+
+
 def oracle_dag_to_element(dag: ConfigDAG) -> ET.Element:
     """Encode a DAG as an ``<dag>`` element."""
     root = ET.Element("dag")
-    for name, action in dag.actions.items():
-        el = ET.SubElement(
-            root,
-            "action",
-            {
-                "name": name,
-                "scope": action.scope.value,
-                "command": action.command,
-                "on-error": action.on_error.value,
-                "retries": str(action.retries),
-            },
-        )
-        for key, value in action.params:
-            ET.SubElement(el, "param", {"key": key, "value": value})
-        for out in action.outputs:
-            ET.SubElement(el, "output", {"name": out})
+    for action in dag.actions.values():
+        _oracle_action_element(root, action)
     for u, v in dag.edges():
         ET.SubElement(root, "edge", {"from": u, "to": v})
     for name, handler in dag.handlers.items():
         hel = ET.SubElement(root, "handler", {"for": name})
         hel.append(oracle_dag_to_element(handler))
     return root
+
+
+def oracle_image_to_element(image) -> ET.Element:
+    """Encode a golden image as its ``<golden-image>`` descriptor, the
+    ElementTree builder ``GoldenImage.to_xml`` is held to."""
+    hw = image.hardware
+    root = ET.Element(
+        "golden-image",
+        {
+            "id": image.image_id,
+            "vm-type": image.vm_type,
+            "os": image.os,
+            "isa": hw.isa,
+            "memory-mb": str(hw.memory_mb),
+            "disk-gb": repr(hw.disk_gb),
+            "cpus": str(hw.cpus),
+            "disk-state-mb": repr(image.disk_state_mb),
+            "disk-files": str(image.disk_files),
+            "memory-state-mb": repr(image.memory_state_mb),
+            "base-redo-mb": repr(image.base_redo_mb),
+            "config-mb": repr(image.config_mb),
+        },
+    )
+    performed = ET.SubElement(root, "performed")
+    for action in image.performed:
+        _oracle_action_element(performed, action)
+    return root
+
+
+def oracle_image_to_xml(image) -> str:
+    return ET.tostring(oracle_image_to_element(image), encoding="unicode")
 
 
 def oracle_request_to_xml(request: CreateRequest) -> str:

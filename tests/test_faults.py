@@ -719,3 +719,16 @@ class TestInjectorAndChaos:
         assert json.dumps(again.to_record()) == json.dumps(
             result.to_record()
         )
+
+    def test_replay_of_a_non_default_site_reproduces_its_record(self):
+        """Every run parameter is in the record: a run at non-default
+        plant count and memory size replays to the same bytes."""
+        from repro.experiments.chaos import replay, run_chaos
+
+        result = run_chaos(
+            seed=11, memory_mb=32, requests=8, rate=0.1,
+            mtbf_sweep=(200.0,), mttr_s=40.0, n_plants=5,
+            policies=("surface", "breaker"),
+        )
+        record = json.dumps(result.to_record())
+        assert json.dumps(replay(json.loads(record)).to_record()) == record

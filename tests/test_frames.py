@@ -210,7 +210,7 @@ class TestWhatASleepCosts:
         # queued one was a ``_resume`` per hop, and a ``_one_way``
         # helper made it three calls).  The rest is the call's own
         # frame (three resumes) and handler, and the client process's
-        # start, end and one ``_resume``.
+        # start, end and one ``_resume``; ``run()`` is ``run_below(inf)``.
         local = client.__qualname__[: -len("client")]
         assert dict(counts) == {
             "RngHub.lognormal": 2,
@@ -219,6 +219,7 @@ class TestWhatASleepCosts:
             local + "echo": 1,
             local + "client": 2,
             "Environment.run": 1,
+            "Environment.run_below": 1,
             "Event.succeed": 1,
             "Environment.schedule": 1,
         }

@@ -303,6 +303,8 @@ from repro.core.matching import match_image, select_golden
 from repro.core.spec import HardwareSpec
 from repro.plant.warehouse import GoldenImage
 
+from tests.helpers import oracle_image_to_xml
+
 
 @st.composite
 def warehouses_for(draw, dag):
@@ -380,4 +382,5 @@ class TestWarehouseProperties:
             performed=actions,
             memory_state_mb=64.0,
         )
+        assert image.to_xml() == oracle_image_to_xml(image)
         assert GoldenImage.from_xml(image.to_xml()) == image

@@ -13,7 +13,7 @@ from repro.workloads.requests import (
     install_os_action,
 )
 
-from tests.helpers import drive
+from tests.helpers import drive, oracle_image_to_xml
 
 
 class TestGoldenImage:
@@ -116,15 +116,9 @@ class TestVMWarehouse:
         assert wh.images("uml")[0].vm_type == "uml"
 
     def test_to_element_builder_matches_string_api(self):
-        import xml.etree.ElementTree as ET
-
         image = golden_image(64)
-        element = image.to_element()
-        assert element.tag == "golden-image"
-        assert image.to_xml() == ET.tostring(element, encoding="unicode")
-        assert GoldenImage.from_xml(
-            ET.tostring(element, encoding="unicode")
-        ) == image
+        assert image.to_xml() == oracle_image_to_xml(image)
+        assert GoldenImage.from_xml(image.to_xml()) == image
 
     def test_match_stats_after_a_fixed_bid_stream(self):
         # Every bid's select is a query, a bid its plant then declines

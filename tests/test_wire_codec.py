@@ -60,6 +60,8 @@ from repro.workloads.requests import experiment_request, golden_image
 
 from tests.helpers import (
     drive,
+    oracle_image_to_element,
+    oracle_image_to_xml,
     oracle_request_from_xml,
     oracle_service_request_from_xml,
     oracle_service_request_to_xml,
@@ -795,7 +797,7 @@ class TestIntern:
             service_request_to_xml(experiment_request(64))
         )
         image = golden_image(64)
-        loaded = GoldenImage.from_element(image.to_element())
+        loaded = GoldenImage.from_element(oracle_image_to_element(image))
         assert loaded == image
         assert loaded.performed[0] is back.dag.action("install-os")
 
@@ -924,9 +926,25 @@ class TestGoldenImageElement:
             memory_state_mb=7.0,
         )
         assert GoldenImage.from_xml(image.to_xml()) == image
-        assert GoldenImage.from_element(image.to_element()) == image
+        element = oracle_image_to_element(image)
+        assert GoldenImage.from_element(element) == image
         with pytest.raises(ProtocolError, match="expected <golden-image>"):
             GoldenImage.from_element(ET.Element("warehouse"))
+
+    @given(drawn_dag(), TEXT, TEXT, TEXT)
+    @settings(max_examples=50, deadline=None)
+    def test_drawn_images_same_bytes_as_the_element_builder(
+        self, dag, image_id, os, isa
+    ):
+        image = GoldenImage(
+            image_id=image_id,
+            vm_type="vmware",
+            os=os,
+            hardware=HardwareSpec(isa=isa, memory_mb=64, disk_gb=0.5),
+            performed=tuple(dag.actions.values()),
+            memory_state_mb=7.25,
+        )
+        assert image.to_xml() == oracle_image_to_xml(image)
 
 
 # ---------------------------------------------------------------------------

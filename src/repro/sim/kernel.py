@@ -34,11 +34,14 @@ what would break without it:
 (a) the wake is strictly earlier than the head of the heap (a tie goes
     to the event already queued, as its lower id would) — else a
     queued event would run after a sleep it precedes;
-(b) the wake lies inside the running loop's horizon: strictly below
-    ``run_below``'s limit, at or before ``run(until=t)``'s ``t``, always
-    under ``run()`` and ``run(until=event)``, never under :meth:`step`
-    or outside a loop — else a sleep would cross a window end (and a
-    boundary delivery due there) or a ``run`` bound;
+(b) the wake is strictly below the horizon of the one dispatch loop,
+    :meth:`Environment.run_below`, which every ``run`` drives: the
+    window's end, the float above ``run(until=t)``'s ``t``, infinity
+    under ``run()``, and under ``run(until=event)`` infinity until the
+    event's stop callback lowers it to the event's instant; ``-inf``
+    under :meth:`step` and outside the loop — else a sleep would cross
+    a window end (and a boundary delivery due there) or a ``run``
+    bound;
 (c) the event that woke the process has no other callback still to
     run: the process is its only waiter, or it is the process's own
     pooled sleep timer (whose other callback is the pool's ``append``)
@@ -534,6 +537,13 @@ def _defuse(event: Event) -> None:
     event.defused = True
 
 
+def _stop(event: Event) -> None:
+    """``run(until=event)``'s callback: observe ``event`` and end the
+    loop at its instant."""
+    event.defused = True
+    event.env._horizon = event.env.now
+
+
 def _train(env: "Environment", fn: Callable, members: list, timer) -> None:
     """Run the member of a :meth:`Environment.call_each` due now, then
     each next one that nothing can overtake, in place; park the first
@@ -765,13 +775,15 @@ class Environment:
         wait (a boundary delivery may be due exactly then).  A sleep
         that runs on in place stays below it too.  The clock is left
         at the last processed event; returns the time of the next
-        pending event (``inf`` if none).
+        pending event (``inf`` if none).  The loop reads its bound from
+        ``_horizon`` on every event, so a callback may lower it: that
+        is how ``run(until=event)`` stops.
         """
         queue = self._queue
         pop = _heappop
         self._horizon = limit
         try:
-            while queue and queue[0][0] < limit:
+            while queue and queue[0][0] < self._horizon:
                 self.now, _, _, event = pop(queue)
                 self._executed += 1
                 callbacks = event.callbacks
@@ -818,37 +830,25 @@ class Environment:
             # beyond it.
             self.now = stop_at
             return None
-        stop_event = until
-        if stop_event.callbacks is not None:
+        if until.callbacks is not None:
             # run() itself is the waiter: a failure is re-raised below
-            # rather than at step() time.  It also keeps the event's own
-            # waiters from sleeping on in place past the instant the run
-            # stops.
-            stop_event.callbacks.append(_defuse)
-
-        # The step body is inlined so each event costs one heap pop
-        # and one tuple unpack, no method call.
-        queue = self._queue
-        pop = _heappop
-        self._horizon = _INF
-        try:
-            while stop_event.callbacks is not None:
-                if not queue:
-                    raise SimulationError(
-                        "run(until=event): queue empty before event fired"
-                    )
-                self.now, _, _, event = pop(queue)
-                self._executed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    self._fanout = len(callbacks)
-                    for callback in callbacks:
-                        callback(event)
-                if event._ok is False and not event.defused:
-                    raise event._value
-        finally:
-            self._horizon = _NO_HORIZON
-        if not stop_event._ok:
-            raise stop_event._value
-        return stop_event._value
+            # rather than at dispatch.  Its stop callback lowers the
+            # horizon to the event's instant, so the loop ends once the
+            # event's callbacks have run, and the waiters after it sleep
+            # on no further.
+            until.callbacks.append(_stop)
+            try:
+                self.run_below(_INF)
+            finally:
+                waiters = until.callbacks
+                if waiters is not None:
+                    # The run ended first: the event stays observed,
+                    # and stops no later loop.
+                    waiters[waiters.index(_stop)] = _defuse
+            if until.callbacks is not None:
+                raise SimulationError(
+                    "run(until=event): queue empty before event fired"
+                )
+        if not until._ok:
+            raise until._value
+        return until._value

@@ -18,11 +18,10 @@ __all__ = ["FairShareLink", "BoundaryLink"]
 
 
 class _Flow:
-    __slots__ = ("flow_id", "remaining", "event", "size")
+    __slots__ = ("flow_id", "remaining", "event")
 
     def __init__(self, flow_id: int, size: float, event: Event):
         self.flow_id = flow_id
-        self.size = size
         self.remaining = size
         self.event = event
 
@@ -87,18 +86,16 @@ class FairShareLink:
         """
         if mbps <= 0:
             raise ValueError("bandwidth must be positive")
-        self._drain()
+        least = self._walk(False)
         self.bandwidth_mbps = mbps
-        if self._flows and not self._paused:
-            self._timer_gen += 1
-            self._timer_deadline = None
-            self._reschedule()
+        self._timer_deadline = None  # re-arm even at the same instant
+        self._arm(least)
 
     def pause(self) -> None:
         """Partition the link: in-flight flows freeze in place."""
         if self._paused:
             return
-        self._drain()
+        self._walk(False)
         self._paused = True
         self._timer_gen += 1
         self._timer_deadline = None
@@ -109,7 +106,7 @@ class FairShareLink:
             return
         self._paused = False
         self._last_update = self.env.now
-        self._reschedule()
+        self._arm(self._walk(False))
 
     def abort_flows(
         self, exc_factory: Callable[[], BaseException]
@@ -119,7 +116,6 @@ class FairShareLink:
         Each flow's completion event fails with a fresh exception from
         ``exc_factory`` — waiters see it as an aborted transfer.
         """
-        self._drain()
         flows = list(self._flows.values())
         self._flows.clear()
         self._timer_gen += 1
@@ -145,7 +141,7 @@ class FairShareLink:
         self._start_flow(size_mb, done)
 
     def _start_flow(self, size_mb: float, done: Event) -> None:
-        self._drain()
+        least = self._walk(False)
         if size_mb <= self._EPS:
             done.succeed()
             return
@@ -155,40 +151,48 @@ class FairShareLink:
             self._busy_since = self.env.now
         self._flows[flow.flow_id] = flow
         self.total_mb += size_mb
-        self._reschedule()
+        self._arm(size_mb if size_mb < least else least)
 
-    def _rate(self) -> float:
-        return self.bandwidth_mbps / len(self._flows)
+    def _walk(self, complete: bool) -> float:
+        """Drain every flow to *now* and return the least remaining.
 
-    def _drain(self) -> None:
-        """Advance all flows to the current time."""
+        The one pass over the flows per population change.  With
+        ``complete`` (a live timer firing) a flow drained to within
+        :attr:`_EPS` finishes, in flow-id order, and the least is taken
+        over the survivors.
+        """
         now = self.env.now
         elapsed = now - self._last_update
         self._last_update = now
-        if not self._flows or elapsed <= 0 or self._paused:
-            return
-        rate = self._rate()
-        for flow in self._flows.values():
-            flow.remaining -= rate * elapsed
-
-    def _complete_due(self) -> None:
-        done = [
-            f for f in self._flows.values() if f.remaining <= self._EPS
-        ]
-        for flow in done:
-            del self._flows[flow.flow_id]
-            flow.event.succeed()
-        if not self._flows and self._busy_since is not None:
-            self.busy_time += self.env.now - self._busy_since
+        flows = self._flows
+        least = float("inf")
+        if not flows:
+            return least
+        drained = 0.0
+        if elapsed > 0 and not self._paused:
+            drained = self.bandwidth_mbps / len(flows) * elapsed
+        # Completing deletes from the dict, so it walks a snapshot; a
+        # finished flow leaves the dict before its event is scheduled.
+        for flow in list(flows.values()) if complete else flows.values():
+            remaining = flow.remaining = flow.remaining - drained
+            if complete and remaining <= self._EPS:
+                del flows[flow.flow_id]
+                flow.event.succeed()
+            elif remaining < least:
+                least = remaining
+        if not flows:
+            self.busy_time += now - self._busy_since
             self._busy_since = None
+        return least
 
-    def _reschedule(self) -> None:
-        """(Re)arm the completion timer for the earliest-finishing flow.
+    def _arm(self, least: float) -> None:
+        """(Re)arm the completion timer for the flow with ``least``
+        remaining.
 
-        The timer is a bare :class:`~repro.sim.kernel.Timeout` with a
-        direct callback — no generator/process machinery on this hot
-        path.  Population changes that leave the next completion time
-        unchanged are *batched*: the already-armed timer is kept
+        The timer is a pooled :meth:`~repro.sim.kernel.Environment.call_later`
+        with a direct callback — no generator/process machinery on this
+        hot path.  Population changes that leave the next completion
+        time unchanged are *batched*: the already-armed timer is kept
         instead of being superseded, so a burst of same-instant
         arrivals costs one timer, not one per arrival.
         """
@@ -198,32 +202,23 @@ class FairShareLink:
             self._timer_gen += 1
             self._timer_deadline = None
             return
-        # A plain loop, not min(genexpr): no frame per flow on a path
-        # every flow start and completion takes.
-        min_remaining = float("inf")
-        for flow in self._flows.values():
-            if flow.remaining < min_remaining:
-                min_remaining = flow.remaining
-        deadline = self.env.now + max(0.0, min_remaining / self._rate())
-        if self._timer_deadline is not None and self._timer_deadline == deadline:
+        now = self.env.now
+        rate = self.bandwidth_mbps / len(self._flows)
+        deadline = now + max(0.0, least / rate)
+        if deadline == self._timer_deadline:
             return  # batched: the armed timer already fires then
         self._timer_gen += 1
         gen = self._timer_gen
         self._timer_deadline = deadline
-        # Pooled timer: same single heap push as a Timeout (so the
-        # trajectory is bit-identical) without the per-re-arm alloc.
         self.env.call_later(
-            deadline - self.env.now,
-            lambda _ev, gen=gen: self._on_timer(gen),
+            deadline - now, lambda _ev, gen=gen: self._on_timer(gen)
         )
 
     def _on_timer(self, gen: int) -> None:
         if gen != self._timer_gen:
             return  # superseded by a population change
         self._timer_deadline = None
-        self._drain()
-        self._complete_due()
-        self._reschedule()
+        self._arm(self._walk(True))
 
 
 class BoundaryLink(FairShareLink):

@@ -1,18 +1,36 @@
-"""A time limit on every test: one that runs longer fails, naming where
-it was, instead of hanging the suite.
+"""A time limit on every test, and the hypothesis profiles.
 
-Stdlib only: a ``SIGALRM`` interval timer armed around each test's
-call.  Where the platform has no ``SIGALRM`` the tests run unbounded.
+A test that runs longer than the limit fails, naming where it was,
+instead of hanging the suite: a ``SIGALRM`` interval timer armed around
+each test's call.  Where the platform has no ``SIGALRM`` the tests run
+unbounded.
+
+Two hypothesis profiles.  ``tier1``, the default, draws the same
+examples on every run (derived from each test's name), keeps no example
+database and runs each test's own ``max_examples``: a red run is red
+again on rerun, wherever it runs.  ``deep`` (``--hypothesis-profile
+deep``) draws from a random seed that the end of the report prints
+(``--hypothesis-seed N`` replays it) and runs ten times each test's
+examples, with ten times the time limit.
 """
 
 from __future__ import annotations
 
+import random
 import signal
 
 import pytest
+from hypothesis import settings
 
-#: Seconds a test's call may take: the slowest tier-1 test takes ~7 s
-#: on a 2-vCPU guest.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("deep", database=None, print_blob=True)
+settings.load_profile("tier1")
+
+#: How many times its own ``max_examples`` a test runs under ``deep``.
+DEEP_EXAMPLES_FACTOR = 10
+
+#: Seconds a test's call may take under ``tier1``: the slowest tier-1
+#: test takes ~7 s on a 2-vCPU guest.
 TEST_TIME_LIMIT_S = 120
 
 
@@ -28,18 +46,65 @@ class TestTimeLimitExceeded(BaseException):
     __test__ = False  # not a test class, whatever its name
 
 
-def _time_is_up(_signum, _frame):
-    raise TestTimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
-
-
 @pytest.hookimpl(wrapper=True)
 def pytest_runtest_call(item):
     if not hasattr(signal, "SIGALRM"):
         return (yield)
-    previous = signal.signal(signal.SIGALRM, _time_is_up)
-    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    # Ten times the examples under ``deep``, ten times the time.
+    limit = TEST_TIME_LIMIT_S * (DEEP_EXAMPLES_FACTOR if _deep(item.config) else 1)
+
+    def time_is_up(_signum, _frame):
+        raise TestTimeLimitExceeded(f"test ran past {limit} s")
+
+    previous = signal.signal(signal.SIGALRM, time_is_up)
+    signal.setitimer(signal.ITIMER_REAL, limit)
     try:
         return (yield)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _deep(config) -> bool:
+    return config.getoption("hypothesis_profile") == "deep"
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    # Before hypothesis's own hook reads the option.
+    if _deep(config) and config.getoption("hypothesis_seed") is None:
+        config.option.hypothesis_seed = str(random.SystemRandom().getrandbits(32))
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if _deep(config):
+        seed = config.getoption("hypothesis_seed")
+        terminalreporter.write_line(
+            f"hypothesis deep profile, seed {seed}: --hypothesis-seed {seed} "
+            f"replays it"
+        )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under ``deep``, scale each hypothesis test's ``max_examples``."""
+    if not _deep(config):
+        return
+    scaled = set()
+    for item in items:
+        # A ``@given`` function, or a state machine's test case class.
+        owner = getattr(item, "function", None)
+        if not hasattr(owner, "_hypothesis_internal_use_settings"):
+            owner = item.cls if hasattr(item.cls, "runTest") else None
+        if owner is None or id(owner) in scaled:
+            continue
+        scaled.add(id(owner))
+        if isinstance(owner, type):
+            owner.settings = _scaled(owner.settings)
+        else:
+            owner._hypothesis_internal_use_settings = _scaled(
+                owner._hypothesis_internal_use_settings
+            )
+
+
+def _scaled(base):
+    return settings(base, max_examples=base.max_examples * DEEP_EXAMPLES_FACTOR)

@@ -288,7 +288,9 @@ def test_checker_reports_a_hand_edited_cell_and_a_missing_key():
         line for line in design.splitlines()
         if line.startswith("| `paper_seq` | 2004 |")
     )
-    edited = row.replace("| 276.2 |", "| 276.3 |")
+    cells = row.split(" | ")
+    off = cells[2] = f"{float(cells[2]) + 0.1:.1f}"  # py_calls_per_request
+    edited = " | ".join(cells)
     assert edited != row
     planted = design.replace(row, edited).replace(
         "\n## Determinism\n",
@@ -298,4 +300,4 @@ def test_checker_reports_a_hand_edited_cell_and_a_missing_key():
     assert planted.count("no_such_key") == 1
     missing, edited_cell = check_tags(planted, "DESIGN.md")
     assert "no_such_key" in missing
-    assert "276.3" in edited_cell and "py_calls_per_request" in edited_cell
+    assert off in edited_cell and "py_calls_per_request" in edited_cell

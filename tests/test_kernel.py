@@ -697,6 +697,23 @@ class TestRun:
         with pytest.raises(SimulationError):
             env.run(until=env.event())
 
+    def test_a_run_cut_short_leaves_its_event_observed_and_no_stop(self):
+        # The run ends by an error before its event fires: the event's
+        # failure stays handled, and it stops no later run at its instant.
+        def boom(_ev):
+            raise RuntimeError("boom")
+
+        env = Environment()
+        stop = env.timeout(2.0)
+        env.timeout(1.0).callbacks.append(boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(until=stop)
+        assert env._horizon == -math.inf and stop.callbacks == [_defuse]
+        stop._ok, stop._value = False, RuntimeError("stop")
+        env.timeout(2.0)  # at 3.0, past the stop event's instant
+        env.run()
+        assert env.now == 3.0 and env.peek() == math.inf
+
     def test_peek_reports_next_event_time(self):
         env = Environment()
         env.timeout(7)
@@ -1400,9 +1417,11 @@ _acts = st.one_of(
     st.just(("spawn",)),  # an urgent Initialize, at now
     st.tuples(st.just("sleep"), _grid),  # a sleep, maybe run on in place
     st.tuples(st.just("train"), _train_delays),
+    st.tuples(st.just("stopwait"), _grid),  # waits on the stop event
 )
 #: Set up at 0, in order: a train started then (``None``) or from a
-#: timer, a bystander timer, a sleeping process.
+#: timer, a bystander timer, a sleeping process, a callback on the stop
+#: event that starts a sleeping process.
 _train_items = st.lists(
     st.one_of(
         st.tuples(
@@ -1413,6 +1432,7 @@ _train_items = st.lists(
         ),
         st.tuples(st.just("timer"), _grid),
         st.tuples(st.just("sleep"), _grid),
+        st.tuples(st.just("stopwait"), _grid),
     ),
     min_size=1,
     max_size=5,
@@ -1421,7 +1441,8 @@ _train_drives = st.one_of(
     st.just(("run",)),
     st.just(("step",)),
     st.tuples(st.just("until"), st.integers(0, 8).map(lambda k: k / 4)),
-    st.tuples(st.just("event"), _grid),
+    # The stop event's instant, whether it fails, then windows.
+    st.tuples(st.just("event"), _grid, st.booleans(), _window_ends),
     st.tuples(st.just("windows"), _window_ends),
 )
 
@@ -1430,11 +1451,15 @@ def _run_trains(items, drive, each):
     """Play ``items`` with trains made by ``each(env, delays, fn)``,
     driven as ``drive`` says; the log, the clock and the events
     executed.  A drive that stops part-way notes where, then runs on
-    to the end."""
+    to the end; ``run(until=event)`` may be followed by windows, and
+    outside every loop the horizon must be ``-inf`` again."""
     env = Environment()
     log = []
-    # The ``("event", t)`` drive's stop event, made first either way.
+    # The ``("event", t, fails, ends)`` drive's stop event, made first
+    # either way.
     stop = env.timeout(drive[1] if drive[0] == "event" else 0)
+    if drive[0] == "event" and drive[2]:
+        stop._ok, stop._value = False, RuntimeError("stop")
 
     def note(*entry):
         return lambda _ev: log.append((env.now,) + entry)
@@ -1449,6 +1474,21 @@ def _run_trains(items, drive, each):
         log.append((env.now, name, "started"))
         yield from ()
 
+    def stopped(name, delay, ev):
+        # A waiter registered before ``run()`` began.
+        log.append((env.now, name, "stop", ev._ok))
+        env.process(sleeper(name, delay))
+
+    def stop_waiter(name, delay):
+        # Registered while the run goes on, after its stop callback.
+        try:
+            yield stop
+            log.append((env.now, name, "stop", True))
+        except RuntimeError:
+            log.append((env.now, name, "stop", False))
+        yield delay
+        log.append((env.now, name, "awake"))
+
     def member(name, acts, index, timer):
         log.append((env.now, name, index, timer._ok, timer._value))
         act = acts[index] if index < len(acts) else ("log",)
@@ -1461,6 +1501,8 @@ def _run_trains(items, drive, each):
             env.process(sleeper(label, act[1]))
         elif act[0] == "train":
             each(env, act[1], partial(member, label, ()))
+        elif act[0] == "stopwait":
+            env.process(stop_waiter(label, act[1]))
 
     def start(name, delays, acts, _timer=None):
         each(env, delays, partial(member, name, acts))
@@ -1475,6 +1517,8 @@ def _run_trains(items, drive, each):
                 env.call_later(at, partial(start, name, delays, acts))
         elif item[0] == "timer":
             env.timeout(item[1]).callbacks.append(note(name, "timer"))
+        elif item[0] == "stopwait":
+            stop.callbacks.append(partial(stopped, name, item[1]))
         else:
             env.process(sleeper(name, item[1]))
 
@@ -1493,8 +1537,25 @@ def _run_trains(items, drive, each):
         log.append((env.now, "until"))
         env.run()
     elif kind == "event":
-        env.run(until=stop)
-        log.append((env.now, "stopped"))
+        try:
+            if each is _timer_each:
+                # The reference stops by stepping: one event at a time
+                # until the stop event has run, observed as run() does.
+                stop.callbacks.append(_defuse)
+                while stop.callbacks is not None:
+                    env.step()
+                if not stop.ok:
+                    raise stop.value
+            else:
+                env.run(until=stop)
+            log.append((env.now, "stopped"))
+        except RuntimeError:
+            log.append((env.now, "stop failed"))
+        assert env._horizon == -math.inf
+        for end in drive[3]:
+            env.run_below(end)
+            log.append((env.now, "window", end))
+            assert env._horizon == -math.inf
         env.run()
     else:
         env.run()
@@ -1518,6 +1579,21 @@ class TestCallEach:
     # A member past a window's end, and past ``run(until=t)``'s ``t``.
     @example([("train", None, [0, 1], [])], ("windows", [0.5]))
     @example([("train", None, [0, 1], [])], ("until", 0.5))
+    # Waiters on the stop event from before the run and from during
+    # it, sleeping as it stops; then the same when the stop fails.
+    @example(
+        [("stopwait", 0), ("train", None, [0, 1], [("stopwait", 0.5)])],
+        ("event", 0.5, False, []),
+    )
+    @example(
+        [("stopwait", 0.5), ("train", None, [0, 1], [("stopwait", 0)])],
+        ("event", 0.5, True, []),
+    )
+    # Windows after a run to an event: the horizon is reset between.
+    @example(
+        [("train", None, [0, 1, 1.5], []), ("sleep", 0.5)],
+        ("event", 0.5, False, [1.0, 1.5]),
+    )
     @settings(max_examples=200, deadline=None)
     def test_a_train_is_one_timer_per_member(self, items, drive):
         log, now, events = _run_trains(items, drive, Environment.call_each)

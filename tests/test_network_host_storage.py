@@ -1,6 +1,10 @@
 """Tests for the fair-share link, physical host and NFS substrate."""
 
+from functools import partial
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.host import PhysicalHost
 from repro.sim.kernel import Environment
@@ -9,7 +13,11 @@ from repro.sim.network import FairShareLink
 from repro.sim.rng import RngHub
 from repro.sim.storage import NFSServer
 
-from tests.helpers import drive
+from tests.helpers import (
+    drive,
+    oracle_fair_share_link,
+    python_call_counts,
+)
 
 
 class TestFairShareLink:
@@ -267,6 +275,119 @@ class TestNFSServer:
         env.run()
         # 110 MB over an 11 MB/s link can't finish before t=10.
         assert min(done) >= 10.0
+
+
+class _CountingEnv(Environment):
+    """An environment that counts the timers a link arms (the link's
+    only ``call_later`` caller here)."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = 0
+
+    def call_later(self, delay, fn):
+        self.armed += 1
+        super().call_later(delay, fn)
+
+
+_at = st.integers(0, 8).map(lambda k: k / 2)
+#: Sizes on a grid, so flows tie; ``0`` and ``1e-10`` are below the
+#: link's completion slack, so they finish at their start.
+_link_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("start"),
+            _at,
+            st.sampled_from([0, 1e-10, 0.5, 1.0, 2.5, 4.0, 7.0]),
+        ),
+        st.tuples(st.just("bandwidth"), _at, st.sampled_from([0.5, 1.0, 3.0])),
+        st.tuples(st.sampled_from(["pause", "resume", "abort"]), _at, st.none()),
+    ),
+    max_size=12,
+)
+
+
+def _play_link(link_cls, bandwidth, latency, ops):
+    """Play ``ops`` (``(kind, at, arg)``, each at its instant in list
+    order) on one link; what can be seen of it, as text (bit for bit)."""
+    env = _CountingEnv()
+    link = link_cls(env, "l", bandwidth_mbps=bandwidth, latency_s=latency)
+    log = []
+
+    def finished(index, ev):
+        ev.defused = True  # an aborted flow
+        log.append((env.now, index, ev.ok))
+
+    def act(kind, arg, index, _ev):
+        if kind == "start":
+            link.transfer(arg).callbacks.append(partial(finished, index))
+        elif kind == "bandwidth":
+            link.set_bandwidth(arg)
+        elif kind == "pause":
+            link.pause()
+        elif kind == "resume":
+            link.resume()
+        else:
+            aborted = link.abort_flows(lambda: RuntimeError("outage"))
+            log.append((env.now, "abort", aborted))
+
+    for index, (kind, at, arg) in enumerate(ops):
+        env.timeout(at).callbacks.append(partial(act, kind, arg, index))
+    env.run()
+    return repr((
+        log, env.now, link.total_mb, link.busy_time, link.utilization(),
+        link.active_flows, env.armed, env.executed_events,
+    ))
+
+
+class TestOneWalkMatchesThreePasses:
+    """The one-walk link against ``oracle_fair_share_link``, which drains,
+    completes and finds the least in three passes: the same completion
+    instants in the same order, the same accounting, the same timers."""
+
+    @given(st.sampled_from([1.0, 2.0, 10.0]), st.sampled_from([0.0, 0.5]),
+           _link_ops)
+    # Two flows due at different times: the survivor drains at the rate
+    # of the population before the first one left.
+    @example(1.0, 0.0, [("start", 0, 1.0), ("start", 0, 2.0)])
+    # Same-instant starts, a zero-size one among them, then a fault.
+    @example(2.0, 0.0, [("start", 0, 1.0), ("start", 0, 0), ("start", 0, 1.0),
+                        ("pause", 0.5, None), ("bandwidth", 1.0, 1.0),
+                        ("resume", 1.5, None), ("abort", 3.0, None)])
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_schedules_play_identically(self, bandwidth, latency, ops):
+        assert _play_link(FairShareLink, bandwidth, latency, ops) == (
+            _play_link(oracle_fair_share_link, bandwidth, latency, ops)
+        )
+
+    def test_a_transfer_costs_one_walk_to_start_and_one_to_finish(self):
+        env = Environment()
+        link = FairShareLink(env, "l", bandwidth_mbps=10.0)
+        start = python_call_counts(partial(link.transfer, 5.0))
+        done = link._flows[1].event
+        finish = python_call_counts(env.run)
+        assert env.now == 0.5 and done.ok
+        assert dict(start) == {
+            "FairShareLink.transfer": 1,
+            "Environment.event": 1,
+            "Event.__init__": 1,
+            "FairShareLink._start_flow": 1,
+            "FairShareLink._walk": 1,
+            "_Flow.__init__": 1,
+            "FairShareLink._arm": 1,
+            "Environment.call_later": 1,
+            "_PooledTimeout.__init__": 1,
+        }
+        assert dict(finish) == {
+            "Environment.run": 1,
+            "Environment.run_below": 1,
+            "FairShareLink._arm.<locals>.<lambda>": 1,
+            "FairShareLink._on_timer": 1,
+            "FairShareLink._walk": 1,
+            "FairShareLink._arm": 1,
+            "Event.succeed": 1,
+            "Environment.schedule": 1,
+        }
 
 
 def test_hot_sim_classes_have_no_instance_dict():

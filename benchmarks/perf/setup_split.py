@@ -7,27 +7,23 @@ written, so every probe compiles each project module it imports from
 source.  This script times the same imports and the same ``setup()``
 call in fresh interpreters, twice: with that setting (cold), and with
 the bytecode cached under a scratch ``PYTHONPYCACHEPREFIX`` (warm).
-Per workload, medians of ``--probes`` interpreters each way:
+Per workload, medians of :data:`PROBES` interpreters each way:
 
 * ``compile_s``: cold total minus warm total;
 * ``module_exec_s``: the warm imports (module bodies, stdlib included);
 * ``setup_call_s``: the warm ``setup()`` call;
-* ``src_modules`` and ``importtime_src_self_s``: how many ``repro``
-  modules one cold ``python -X importtime`` run imports, and their
-  summed self time, cold and warm (compile shows as the difference).
+* ``src_modules``: how many ``repro`` modules the probe imports.
 
-Usage::
+Usage (the record is what it prints)::
 
-    python3 benchmarks/perf/setup_split.py [--probes 7] [--out FILE]
+    python3 benchmarks/perf/setup_split.py > benchmarks/results/E2E_setup_split.json
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -36,20 +32,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 SEED = 7919
+#: Fresh interpreters per workload, cold and warm each.
+PROBES = 5
 #: The probe, minus the interpreter's own start: imports, then set-up.
 CHILD = """
-import time
+import sys, time
 t0 = time.perf_counter()
 import benchmarks.e2e.run as run
 workload = run.WORKLOADS[{workload!r}]
 t1 = time.perf_counter()
 workload.setup({seed}, workload.scaled(1.0))
-print(t1 - t0, time.perf_counter() - t1)
+t2 = time.perf_counter()
+print(t1 - t0, t2 - t1, sum(name.split(".")[0] == "repro" for name in sys.modules))
 """
-IMPORT_LINE = re.compile(r"import time:\s+(\d+) \|\s+\d+ \| *(\S+)")
 
 
-def _child(workload: str, cache: str | None, importtime: bool = False):
+def _child(workload: str, cache: str | None):
     env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT}")
     env.pop("PYTHONPYCACHEPREFIX", None)
     if cache is None:
@@ -57,59 +55,45 @@ def _child(workload: str, cache: str | None, importtime: bool = False):
     else:
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         env["PYTHONPYCACHEPREFIX"] = cache
-    flags = ["-X", "importtime"] if importtime else []
     done = subprocess.run(
-        [sys.executable, *flags, "-c", CHILD.format(workload=workload, seed=SEED)],
+        [sys.executable, "-c", CHILD.format(workload=workload, seed=SEED)],
         cwd=ROOT, env=env, capture_output=True, text=True, check=True,
     )
-    imports_s, call_s = map(float, done.stdout.split())
-    src = [int(us) for us, name in IMPORT_LINE.findall(done.stderr)
-           if name.split(".")[0] == "repro"]
-    return imports_s, call_s, len(src), sum(src) / 1e6
+    imports_s, call_s, modules = done.stdout.split()
+    return float(imports_s), float(call_s), int(modules)
 
 
-def split(workload: str, probes: int, cache: str) -> dict:
+def split(workload: str, cache: str) -> dict:
     _child(workload, cache)  # fills the bytecode cache
-    cold = [_child(workload, None) for _ in range(probes)]
-    warm = [_child(workload, cache) for _ in range(probes)]
+    cold = [_child(workload, None) for _ in range(PROBES)]
+    warm = [_child(workload, cache) for _ in range(PROBES)]
     med = lambda rows, i: statistics.median(row[i] for row in rows)  # noqa: E731
-    total_cold = statistics.median(a + b for a, b, _, _ in cold)
-    total_warm = statistics.median(a + b for a, b, _, _ in warm)
-    _, _, modules, self_cold = _child(workload, None, importtime=True)
-    self_warm = _child(workload, cache, importtime=True)[3]
+    total_cold = statistics.median(a + b for a, b, _ in cold)
+    total_warm = statistics.median(a + b for a, b, _ in warm)
     return {
         "total_s": round(total_cold, 4),
         "compile_s": round(total_cold - total_warm, 4),
         "module_exec_s": round(med(warm, 0), 4),
         "setup_call_s": round(med(warm, 1), 4),
-        "src_modules": modules,
-        "importtime_src_self_s": {"cold": round(self_cold, 4),
-                                  "warm": round(self_warm, 4)},
+        "src_modules": cold[0][2],
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--probes", type=int, default=7)
-    parser.add_argument("--out", help="write the record here")
-    args = parser.parse_args(argv)
+def main() -> int:
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     from benchmarks.e2e.workloads import WORKLOADS
 
     with tempfile.TemporaryDirectory() as cache:
-        rows = {name: split(name, args.probes, cache) for name in sorted(WORKLOADS)}
+        rows = {name: split(name, cache) for name in sorted(WORKLOADS)}
     record = {
         "command": "python3 benchmarks/perf/setup_split.py",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "seed": SEED,
-        "probes": args.probes,
+        "probes": PROBES,
         "workloads": rows,
     }
-    text = json.dumps(record, indent=1, sort_keys=True) + "\n"
-    print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text)
+    print(json.dumps(record, indent=1, sort_keys=True))
     return 0
 
 

@@ -10,8 +10,15 @@ examples on every run (derived from each test's name), keeps no example
 database and runs each test's own ``max_examples``: a red run is red
 again on rerun, wherever it runs.  ``deep`` (``--hypothesis-profile
 deep``) draws from a random seed that the end of the report prints
-(``--hypothesis-seed N`` replays it) and runs ten times each test's
-examples, with ten times the time limit.
+and runs ten times each test's examples, with ten times the time
+limit.  ``--hypothesis-profile deep --hypothesis-seed N`` replays such
+a run (under ``tier1`` a seed is ignored: derandomizing wins).
+
+Hypothesis has no public way to scale a test's own ``max_examples``, so
+``deep`` rewrites the settings each ``@given`` test and state machine
+carries.  Before any test runs, a ``deep`` run checks on two probes that
+hypothesis runs the scaled count, and stops with a usage error if not;
+the end of the report says how many tests it scaled.
 """
 
 from __future__ import annotations
@@ -80,31 +87,78 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _deep(config):
         seed = config.getoption("hypothesis_seed")
         terminalreporter.write_line(
-            f"hypothesis deep profile, seed {seed}: --hypothesis-seed {seed} "
-            f"replays it"
+            f"hypothesis deep profile: {config.stash.get(_SCALED, 0)} tests "
+            f"ran {DEEP_EXAMPLES_FACTOR}x their examples from seed {seed}; "
+            f"--hypothesis-profile deep --hypothesis-seed {seed} replays it"
         )
+
+
+_SCALED = pytest.StashKey[int]()
 
 
 def pytest_collection_modifyitems(config, items):
     """Under ``deep``, scale each hypothesis test's ``max_examples``."""
     if not _deep(config):
         return
+    _check_scaling()
     scaled = set()
     for item in items:
         # A ``@given`` function, or a state machine's test case class.
         owner = getattr(item, "function", None)
         if not hasattr(owner, "_hypothesis_internal_use_settings"):
             owner = item.cls if hasattr(item.cls, "runTest") else None
-        if owner is None or id(owner) in scaled:
-            continue
-        scaled.add(id(owner))
-        if isinstance(owner, type):
-            owner.settings = _scaled(owner.settings)
-        else:
-            owner._hypothesis_internal_use_settings = _scaled(
-                owner._hypothesis_internal_use_settings
-            )
+        if owner is not None and id(owner) not in scaled:
+            scaled.add(id(owner))
+            _scale(owner)
+    config.stash[_SCALED] = len(scaled)
+
+
+def _scale(owner) -> None:
+    if isinstance(owner, type):
+        owner.settings = _scaled(owner.settings)
+    else:
+        owner._hypothesis_internal_use_settings = _scaled(
+            owner._hypothesis_internal_use_settings
+        )
 
 
 def _scaled(base):
     return settings(base, max_examples=base.max_examples * DEEP_EXAMPLES_FACTOR)
+
+
+def _check_scaling() -> None:
+    """Run a two-example ``@given`` probe and state machine, scaled as
+    the tests are, and fail the session unless each ran more than two
+    examples: a hypothesis that stopped reading the rewritten settings
+    would otherwise turn ``deep`` into a quiet ``tier1``."""
+    from hypothesis import given, strategies as st
+    from hypothesis.stateful import RuleBasedStateMachine, rule
+
+    runs = {"given": 0, "machine": 0}
+
+    @settings(max_examples=2, database=None, deadline=None)
+    @given(st.integers())
+    def probe(_n):
+        runs["given"] += 1
+
+    class Probe(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            runs["machine"] += 1
+
+        @rule()
+        def step(self):
+            pass
+
+    Probe.TestCase.settings = settings(
+        max_examples=2, database=None, deadline=None, stateful_step_count=1
+    )
+    _scale(probe)
+    _scale(Probe.TestCase)
+    probe()
+    Probe.TestCase("runTest").runTest()
+    if min(runs.values()) <= 2:
+        raise pytest.UsageError(
+            f"hypothesis deep profile: probes ran {runs} examples, not "
+            f"{2 * DEEP_EXAMPLES_FACTOR} each; the scaling no longer takes"
+        )

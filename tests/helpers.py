@@ -83,6 +83,7 @@ from repro.sim.kernel import (
     Timeout,
     _defuse,
 )
+from repro.sim.network import FairShareLink, _Flow
 from tests.oracles.dag_decode import oracle_dag_from_element
 
 
@@ -687,75 +688,12 @@ class oracle_rng_hub:
         return f"<RngHub seed={self.seed} streams={len(self._streams)}>"
 
 
-class _OracleFlow:
-    __slots__ = ("flow_id", "remaining", "event", "size")
-
-    def __init__(self, flow_id: int, size: float, event: Event):
-        self.flow_id = flow_id
-        self.size = size
-        self.remaining = size
-        self.event = event
-
-
-class oracle_fair_share_link:
+class oracle_fair_share_link(FairShareLink):
     """``FairShareLink`` as it stood while a population change walked
-    the flows up to three times: drain, complete, find the least."""
-
-    #: Completion slack for floating-point drain arithmetic.
-    _EPS = 1e-9
-
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        bandwidth_mbps: float,
-        latency_s: float = 0.0,
-    ):
-        if bandwidth_mbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
-        self.env = env
-        self.name = name
-        self.bandwidth_mbps = bandwidth_mbps
-        self.latency_s = latency_s
-        self._flows: Dict[int, _OracleFlow] = {}
-        self._next_id = 0
-        self._last_update = env.now
-        #: While paused (partition fault) flows make zero progress.
-        self._paused = False
-        self._timer_gen = 0
-        #: Absolute fire time of the valid pending timer (None if idle).
-        self._timer_deadline: Optional[float] = None
-        # Accounting for utilization reports.
-        self.total_mb = 0.0
-        self.busy_time = 0.0
-        self._busy_since: Optional[float] = None
-
-    # -- public API --------------------------------------------------------
-    @property
-    def active_flows(self) -> int:
-        """Number of in-flight transfers."""
-        return len(self._flows)
-
-    def transfer(self, size_mb: float) -> Event:
-        """Start a transfer; the returned event fires at completion."""
-        if size_mb < 0:
-            raise ValueError("size must be non-negative")
-        done = self.env.event()
-        if self.latency_s > 0:
-            self.env.process(self._delayed_start(size_mb, done))
-        else:
-            self._start_flow(size_mb, done)
-        return done
+    the flows up to three times: drain, complete, find the least.  Only
+    what differs is here; the rest is the live link's."""
 
     def set_bandwidth(self, mbps: float) -> None:
-        """Change the link rate; in-flight flows keep their progress.
-
-        Used by the fault injector to degrade (and later restore) the
-        link: flows are drained at the old rate up to *now*, then the
-        completion timer is re-armed at the new rate.
-        """
         if mbps <= 0:
             raise ValueError("bandwidth must be positive")
         self._drain()
@@ -766,7 +704,6 @@ class oracle_fair_share_link:
             self._reschedule()
 
     def pause(self) -> None:
-        """Partition the link: in-flight flows freeze in place."""
         if self._paused:
             return
         self._drain()
@@ -775,45 +712,15 @@ class oracle_fair_share_link:
         self._timer_deadline = None
 
     def resume(self) -> None:
-        """Heal a partition: frozen flows resume from where they were."""
         if not self._paused:
             return
         self._paused = False
         self._last_update = self.env.now
         self._reschedule()
 
-    def abort_flows(
-        self, exc_factory: Callable[[], BaseException]
-    ) -> int:
-        """Fail every in-flight flow (outage semantics); returns count.
-
-        Each flow's completion event fails with a fresh exception from
-        ``exc_factory`` — waiters see it as an aborted transfer.
-        """
+    def abort_flows(self, exc_factory: Callable[[], BaseException]) -> int:
         self._drain()
-        flows = list(self._flows.values())
-        self._flows.clear()
-        self._timer_gen += 1
-        self._timer_deadline = None
-        if self._busy_since is not None:
-            self.busy_time += self.env.now - self._busy_since
-            self._busy_since = None
-        for flow in flows:
-            flow.event.fail(exc_factory())
-        return len(flows)
-
-    def utilization(self) -> float:
-        """Fraction of elapsed time the link was busy."""
-        now = self.env.now
-        busy = self.busy_time
-        if self._busy_since is not None:
-            busy += now - self._busy_since
-        return busy / now if now > 0 else 0.0
-
-    # -- internals -------------------------------------------------------------
-    def _delayed_start(self, size_mb: float, done: Event) -> Generator:
-        yield self.latency_s
-        self._start_flow(size_mb, done)
+        return super().abort_flows(exc_factory)
 
     def _start_flow(self, size_mb: float, done: Event) -> None:
         self._drain()
@@ -821,7 +728,7 @@ class oracle_fair_share_link:
             done.succeed()
             return
         self._next_id += 1
-        flow = _OracleFlow(self._next_id, size_mb, done)
+        flow = _Flow(self._next_id, size_mb, done)
         if not self._flows:
             self._busy_since = self.env.now
         self._flows[flow.flow_id] = flow
@@ -854,35 +761,22 @@ class oracle_fair_share_link:
             self._busy_since = None
 
     def _reschedule(self) -> None:
-        """(Re)arm the completion timer for the earliest-finishing flow.
-
-        The timer is a bare :class:`~repro.sim.kernel.Timeout` with a
-        direct callback — no generator/process machinery on this hot
-        path.  Population changes that leave the next completion time
-        unchanged are *batched*: the already-armed timer is kept
-        instead of being superseded, so a burst of same-instant
-        arrivals costs one timer, not one per arrival.
-        """
+        """(Re)arm the completion timer for the earliest-finishing
+        flow, keeping an armed timer that already fires then."""
         if not self._flows or self._paused:
-            # Invalidate any pending timer; the link went idle (or is
-            # partitioned — resume() re-arms it).
             self._timer_gen += 1
             self._timer_deadline = None
             return
-        # A plain loop, not min(genexpr): no frame per flow on a path
-        # every flow start and completion takes.
         min_remaining = float("inf")
         for flow in self._flows.values():
             if flow.remaining < min_remaining:
                 min_remaining = flow.remaining
         deadline = self.env.now + max(0.0, min_remaining / self._rate())
         if self._timer_deadline is not None and self._timer_deadline == deadline:
-            return  # batched: the armed timer already fires then
+            return
         self._timer_gen += 1
         gen = self._timer_gen
         self._timer_deadline = deadline
-        # Pooled timer: same single heap push as a Timeout (so the
-        # trajectory is bit-identical) without the per-re-arm alloc.
         self.env.call_later(
             deadline - self.env.now,
             lambda _ev, gen=gen: self._on_timer(gen),

@@ -271,6 +271,22 @@ class Action:
         )
 
 
+#: Bound of the canonical-action table (entries, LRU), as for parameter
+#: tuples: a catalog cuts thousands of DAGs from a few dozen steps, each
+#: built afresh; equal steps share one instance while among the
+#: :data:`CANONICAL_ACTIONS_MAX` most recent.
+CANONICAL_ACTIONS_MAX = 256
+#: Value fields → ``(canonical action, its one-name tuple)``: the tuple
+#: is the adjacency a chain's neighbour keeps.  The key is ``(name,
+#: scope._value_, command, params, outputs, on_error._value_, retries)``,
+#: every field ``==`` compares; an enum member's ``_value_``, since
+#: hashing a member is a Python call and hashing its string is not.
+#: ``ConfigDAG.from_edges`` and the wire decoder (``repro.core.dagxml``)
+#: each write the lookup out: a call per action is what a first-seen
+#: body's decode budget leaves no room for.
+_canonical_actions: Dict[Tuple, Tuple[Action, Tuple[str]]] = {}
+
+
 @dataclass(frozen=True)
 class ActionResult:
     """Outcome of executing (or skipping) one action."""

@@ -954,8 +954,12 @@ class ClassAd:
     __slots__ = ("_attrs", "_names")
 
     def __init__(self, attrs: Optional[Dict[str, Any]] = None):
+        #: Folded name → value, in insertion order.
         self._attrs: Dict[str, Value] = {}
-        self._names: Dict[str, str] = {}  # lower → original spelling
+        #: Folded name → original spelling, for names that fold to
+        #: something else; ``None`` until one is set (most ads have
+        #: none, and a second dict was nearly half of what an ad cost).
+        self._names: Optional[Dict[str, str]] = None
         if attrs:
             self.update(attrs)
 
@@ -966,7 +970,13 @@ class ClassAd:
         # An already-lower key is its own folded form: shared, not
         # copied (``str.lower`` always builds a new string).
         low = key if key.islower() else key.lower()
-        self._names[low] = key
+        names = self._names
+        if low != key:
+            if names is None:
+                names = self._names = {}
+            names[low] = key
+        elif names is not None:
+            names.pop(low, None)  # re-spelt in lower case
         self._attrs[low] = value
 
     @staticmethod
@@ -1008,17 +1018,26 @@ class ClassAd:
     def __delitem__(self, key: str) -> None:
         low = key.lower()
         del self._attrs[low]
-        del self._names[low]
+        names = self._names
+        if names is not None:
+            names.pop(low, None)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._names.values())
+        names = self._names
+        if not names:
+            return iter(self._attrs)
+        return map(names.get, self._attrs, self._attrs)
 
     def __len__(self) -> int:
         return len(self._attrs)
 
     def items(self) -> Iterator[Tuple[str, Value]]:
-        for low, name in self._names.items():
-            yield name, self._attrs[low]
+        names = self._names
+        if not names:
+            yield from self._attrs.items()
+            return
+        for low, value in self._attrs.items():
+            yield names.get(low, low), value
 
     def update(self, other: Union["ClassAd", Dict[str, Any]]) -> None:
         # ``__setitem__`` written out: an ad is built a block of
@@ -1029,13 +1048,19 @@ class ClassAd:
             if not isinstance(value, _SCALARS):
                 value = self._checked_list(value)
             low = key if key.islower() else key.lower()
-            names[low] = key
+            if low != key:
+                if names is None:
+                    names = self._names = {}
+                names[low] = key
+            elif names is not None:
+                names.pop(low, None)
             attrs[low] = value
 
     def copy(self) -> "ClassAd":
         dup = ClassAd()
         dup._attrs = dict(self._attrs)
-        dup._names = dict(self._names)
+        if self._names:
+            dup._names = dict(self._names)
         return dup
 
     # -- evaluation ---------------------------------------------------------
@@ -1104,11 +1129,18 @@ class ClassAd:
                 parser.next()
         return ad
 
+    # The pickled state is what it was while every name had a spelling
+    # entry: ``(attrs, {folded: spelling})``.
     def __getstate__(self):
-        return (self._attrs, self._names)
+        names = self._names or {}
+        spelt = {low: names.get(low, low) for low in self._attrs}
+        return (self._attrs, spelt)
 
     def __setstate__(self, state):
-        self._attrs, self._names = state
+        self._attrs, spelt = state
+        self._names = {
+            low: name for low, name in spelt.items() if name != low
+        } or None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassAd):

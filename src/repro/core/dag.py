@@ -53,7 +53,12 @@ from typing import (
     Tuple,
 )
 
-from repro.core.actions import Action, ActionScope
+from repro.core.actions import (
+    CANONICAL_ACTIONS_MAX,
+    Action,
+    ActionScope,
+    _canonical_actions,
+)
 from repro.core.errors import DAGError
 
 __all__ = ["ConfigDAG", "START", "FINISH"]
@@ -73,6 +78,27 @@ _FROZEN = (
 
 class ConfigDAG:
     """A directed acyclic graph of configuration actions."""
+
+    # Slots, not an instance dict: a catalog holds a thousand DAGs.
+    __slots__ = (
+        "_actions",
+        "_succ",
+        "_pred",
+        "_handlers",
+        "_frozen",
+        "sealed_fingerprint",
+        "sealed_wire",
+        "_version",
+        "_topo_cache",
+        "_names_cache",
+        "_bits_cache",
+        "_anc_mask_cache",
+        "_pred_mask_cache",
+        "_sig_cache",
+        "_structure_cache",
+        "_hash_cache",
+        "_fingerprint_cache",
+    )
 
     def __init__(self) -> None:
         self._actions: Dict[str, Action] = {}
@@ -206,23 +232,48 @@ class ConfigDAG:
         order is kept as the topological-order cache); only when one
         fails are the calls replayed one by one, so the error names
         the first offending action or edge.
+
+        Each action is stored as its canonical instance, keyed by that
+        instance's name, and a node's one-neighbour adjacency is the
+        name's shared 1-tuple: DAGs cut from the same steps share them.
         """
         dag = cls()
         names, succ, pred = dag._actions, dag._succ, dag._pred
+        table = _canonical_actions
+        alone: Dict[str, Tuple[str]] = {}
         for action in actions:
+            # The canonical-action lookup (``repro.core.actions``).
+            key = (
+                action.name,
+                action.scope._value_,
+                action.command,
+                action.params,
+                action.outputs,
+                action.on_error._value_,
+                action.retries,
+            )
+            entry = table.pop(key, None)
+            if entry is None:
+                entry = (action, (action.name,))
+                if len(table) >= CANONICAL_ACTIONS_MAX:
+                    del table[next(iter(table))]
+            table[key] = entry
+            action, one = entry
             name = action.name
             if name in names or name in _RESERVED:
                 cls._replay(actions, edges)
             names[name] = action
             succ[name] = ()
             pred[name] = ()
+            alone[name] = one
         for before, after in edges:
             out = succ.get(before)
             if out is None or after not in names or before == after:
                 cls._replay(actions, edges)
             if after not in out:  # a repeated edge is idempotent
-                succ[before] = out + (after,)
-                pred[after] += (before,)
+                succ[before] = out + (after,) if out else alone[after]
+                into = pred[after]
+                pred[after] = into + (before,) if into else alone[before]
         try:
             dag._topo()
         except DAGError:

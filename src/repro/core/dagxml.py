@@ -47,8 +47,10 @@ the body is computed once per body, not once per request, both ways:
   (:data:`DAG_INTERN_MAX` entries, LRU); below it, equal ``<action>``
   elements decode to one :class:`~repro.core.actions.Action`
   (:data:`ACTION_INTERN_MAX` entries, LRU), so a stream of all-distinct
-  DAGs built from a few shared steps parses each step once.  Decoded
-  requests are read-only.
+  DAGs built from a few shared steps parses each step once.  That one
+  is the step's canonical instance (``repro.core.actions``), the same
+  object an equal action built in code is stored as.  Decoded requests
+  are read-only.
 """
 
 from __future__ import annotations
@@ -56,7 +58,14 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Dict, Iterable, List, Tuple
 
-from repro.core.actions import Action, ActionScope, ErrorPolicy, decode_literal
+from repro.core.actions import (
+    CANONICAL_ACTIONS_MAX,
+    Action,
+    ActionScope,
+    ErrorPolicy,
+    _canonical_actions,
+    decode_literal,
+)
 from repro.core.dag import FINISH, START, ConfigDAG
 from repro.core.errors import DAGError, ProtocolError
 from repro.core.spec import (
@@ -230,6 +239,24 @@ def _action_from_element(el: ET.Element) -> Action:
     action = _interned_actions.pop(key, None)
     if action is None:
         action = _parse_action(el)
+        # The canonical-action lookup (``repro.core.actions``): one
+        # object with an equal action built in code, too.
+        value = (
+            action.name,
+            action.scope._value_,
+            action.command,
+            action.params,
+            action.outputs,
+            action.on_error._value_,
+            action.retries,
+        )
+        entry = _canonical_actions.pop(value, None)
+        if entry is None:
+            entry = (action, (action.name,))
+            if len(_canonical_actions) >= CANONICAL_ACTIONS_MAX:
+                del _canonical_actions[next(iter(_canonical_actions))]
+        _canonical_actions[value] = entry
+        action = entry[0]
         if len(_interned_actions) >= ACTION_INTERN_MAX:
             del _interned_actions[next(iter(_interned_actions))]
     _interned_actions[key] = action

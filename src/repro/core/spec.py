@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HardwareSpec:
     """Hardware requirements for the virtual machine."""
 
@@ -56,7 +56,7 @@ class HardwareSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkSpec:
     """Client network identity for VNET bridging."""
 
@@ -74,7 +74,7 @@ class NetworkSpec:
         return self.proxy_host is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoftwareSpec:
     """Operating system plus configuration DAG."""
 
@@ -85,7 +85,7 @@ class SoftwareSpec:
         self.dag.validate()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateRequest:
     """A Create-VM service request."""
 
@@ -104,6 +104,10 @@ class CreateRequest:
     #: automatically once the lease expires (Grid-service lifetime
     #: management).  None = run until explicitly destroyed.
     lease_s: Optional[float] = None
+    #: What :meth:`to_classad` built, once asked; ``None`` until then.
+    _classad_memo: Optional[ClassAd] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dag(self) -> ConfigDAG:
@@ -118,7 +122,7 @@ class CreateRequest:
         Callers must treat it as read-only (``copy()`` to mutate);
         ``dataclasses.replace`` yields a new request with a fresh memo.
         """
-        memo = getattr(self, "_classad_memo", None)
+        memo = self._classad_memo
         if memo is not None:
             return memo
         ad = self.hardware.to_classad()

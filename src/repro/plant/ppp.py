@@ -45,7 +45,7 @@ from repro.sim.trace import trace
 __all__ = ["ProductionOrder", "ProductionProcessPlanner"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ProductionOrder:
     """One unit of work for the PPP."""
 

@@ -55,7 +55,7 @@ class VMStatus(Enum):
     COLLECTED = "collected"
 
 
-@dataclass
+@dataclass(slots=True)
 class VirtualMachine:
     """A plant-managed VM instance and its bookkeeping."""
 

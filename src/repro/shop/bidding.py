@@ -27,7 +27,7 @@ from repro.sim.rng import RngHub
 __all__ = ["Bid", "BidCollector"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Bid:
     """One plant's (or broker's) answer to an estimate request.
 

@@ -100,7 +100,7 @@ class IPAllocator:
         self._released_set.add(host)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkAssignment:
     """Result of attaching a VM: its switch and guest address."""
 

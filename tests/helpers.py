@@ -35,6 +35,11 @@ population change walked the flows up to three times (drain, complete
 the due ones, find the least remaining);
 ``tests/test_network_host_storage.py`` holds the live link to its
 completion instants and order, accounting and timers armed.
+
+``oracle_classad`` is ``ClassAd`` as it stood while every ad kept a
+second dict with every name's spelling; ``tests/test_classad.py`` holds
+the live ad to its iteration, items, text form, equality, lookups and
+pickled state.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from typing import (
 )
 
 from repro.core.actions import Action, ActionResult, ActionStatus
+from repro.core.classad import _SCALARS, ClassAd
 from repro.core.dag import ConfigDAG
 from repro.core.dagxml import _require
 from repro.core.errors import PlantError, ProtocolError
@@ -789,3 +795,57 @@ class oracle_fair_share_link(FairShareLink):
         self._drain()
         self._complete_due()
         self._reschedule()
+
+
+# ---------------------------------------------------------------------------
+# Reference classad (a spelling entry for every name)
+# ---------------------------------------------------------------------------
+
+
+class oracle_classad(ClassAd):
+    """``ClassAd`` while ``_names`` held every name's spelling, lower
+    case included.  Only what differs is here; the rest is the live
+    ad's."""
+
+    __slots__ = ()
+
+    def __init__(self, attrs: Optional[Dict[str, Any]] = None):
+        self._attrs = {}
+        self._names = {}  # lower → original spelling
+        if attrs:
+            self.update(attrs)
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        if not isinstance(value, _SCALARS):
+            value = self._checked_list(value)
+        low = key if key.islower() else key.lower()
+        self._names[low] = key
+        self._attrs[low] = value
+
+    def __delitem__(self, key: str) -> None:
+        low = key.lower()
+        del self._attrs[low]
+        del self._names[low]
+
+    def __iter__(self):
+        return iter(self._names.values())
+
+    def items(self):
+        for low, name in self._names.items():
+            yield name, self._attrs[low]
+
+    def update(self, other) -> None:
+        for key, value in other.items():
+            self[key] = value
+
+    def copy(self) -> "oracle_classad":
+        dup = oracle_classad()
+        dup._attrs = dict(self._attrs)
+        dup._names = dict(self._names)
+        return dup
+
+    def __getstate__(self):
+        return (self._attrs, self._names)
+
+    def __setstate__(self, state):
+        self._attrs, self._names = state

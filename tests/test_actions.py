@@ -17,6 +17,12 @@ from repro.core.actions import (
     ErrorPolicy,
     decode_literal,
 )
+from repro.core.dag import ConfigDAG
+
+
+def stored(action: Action) -> Action:
+    """The instance a DAG built from ``action`` keeps."""
+    return ConfigDAG.from_sequence([action]).action(action.name)
 
 
 class TestAction:
@@ -151,6 +157,31 @@ class TestFootprint:
         for i in range(actions.PARAMS_INTERN_MAX + 10):
             Action("x", params={"i": i})
         assert len(actions._interned_params) == actions.PARAMS_INTERN_MAX
+
+    def test_equal_actions_have_one_canonical_instance(self):
+        first = stored(Action("a", command="c", params={"v": 1}))
+        again = Action("a", command="c", params={"v": 1})
+        assert again is not first and stored(again) is first
+        # Every compared field is part of the key.
+        for other in (
+            Action("a", command="c", params={"v": 1}, retries=1),
+            Action("a", command="c", params={"v": 1}, outputs=("ip",)),
+            Action("a", command="c", params={"v": 1}, on_error="ignore"),
+            Action("a", "host", command="c", params={"v": 1}),
+        ):
+            assert other != first and stored(other) is other
+
+    def test_canonical_action_table_is_bounded(self):
+        from repro.core import actions
+
+        bound = actions.CANONICAL_ACTIONS_MAX
+        kept = stored(Action("kept"))
+        for i in range(bound + 10):
+            ConfigDAG.from_sequence([Action(f"x{i}"), Action("kept")])
+        assert len(actions._canonical_actions) == bound
+        assert stored(Action("kept")) is kept  # recently used: survived
+        first = Action("x0")
+        assert stored(first) is first  # evicted: first seen again
 
     @pytest.mark.parametrize(
         "clone",

@@ -288,9 +288,10 @@ class TestEquality:
 
 class TestFootprint:
     def test_a_chain_keeps_tuple_adjacency(self):
-        # 1,785 B a 7-node chain over shared actions at the time of
-        # writing (2,377 B with a list per node and direction), pinned
-        # with 15 % headroom.
+        # 1,155 B a 7-node chain over shared actions at the time of
+        # writing, pinned with 15 % headroom.  It read 1,785 B with an
+        # instance dict and a 1-tuple of its own per neighbour, and
+        # 2,377 B with a list per node and direction.
         steps = [Action(f"step-{k}", command=f"cmd {k}") for k in range(7)]
         keep = []
         per_dag = retained_bytes(
@@ -298,10 +299,56 @@ class TestFootprint:
                 ConfigDAG.from_sequence(steps) for _ in range(1000)
             )
         ) / 1000
-        assert per_dag <= 2_050
+        assert per_dag <= 1_330
+        # A one-neighbour adjacency is the name's shared 1-tuple.
+        assert keep[0]._succ["step-0"] is keep[-1]._succ["step-0"]
+        assert keep[0]._pred["step-1"] is keep[-1]._pred["step-1"]
         grown = diamond()  # built edge by edge
         assert grown.successors("a") == ["b", "c"]
         assert grown.predecessors("d") == ["b", "c"]
         for dag in (keep[0], grown):
             for adjacency in (dag._succ, dag._pred):
                 assert all(type(v) is tuple for v in adjacency.values())
+
+    def test_equal_steps_built_apart_are_stored_once(self):
+        # The catalog's shape: every DAG cut from steps built afresh.
+        # 1,155 B a 7-node chain at the time of writing, as over shared
+        # steps; 3,220 B while each DAG kept its own copy of each step.
+        keep = []
+
+        def build():
+            for _ in range(1000):
+                steps = [
+                    Action(f"step-{k}", command=f"cmd {k}") for k in range(7)
+                ]
+                keep.append(ConfigDAG.from_sequence(steps))
+
+        assert retained_bytes(build) / 1000 <= 1_330
+        first, last = keep[0], keep[-1]
+        assert all(first.action(n) is last.action(n) for n in first)
+        # Stored under the canonical instance's own name string.
+        assert all(
+            name is action.name for name, action in last._actions.items()
+        )
+
+
+def test_request_records_have_no_instance_dict():
+    """What each create builds and keeps is ``__slots__``-only: a
+    catalog holds one request, DAG, VM and bid set per create."""
+    from repro.core.spec import (
+        CreateRequest,
+        HardwareSpec,
+        NetworkSpec,
+        SoftwareSpec,
+    )
+    from repro.plant.ppp import ProductionOrder
+    from repro.plant.production import VirtualMachine
+    from repro.shop.bidding import Bid
+    from repro.vnet.hostonly import NetworkAssignment
+
+    for cls in (ConfigDAG, HardwareSpec, NetworkSpec, SoftwareSpec,
+                CreateRequest, VirtualMachine, ProductionOrder,
+                NetworkAssignment, Bid):
+        assert hasattr(cls, "__slots__"), f"{cls.__name__} lost __slots__"
+        instance = object.__new__(cls)
+        assert not hasattr(instance, "__dict__"), cls.__name__

@@ -304,9 +304,11 @@ class TestWhatANameCosts:
 
         serve(0, 150)
         growth = retained_bytes(lambda: serve(150, 150)) / 150
-        # 2,870 B a request at the time of writing (the lines' clone
-        # records, the RNG journal, the decoders' intern tables on their
-        # way to their bounds), pinned with 25 % headroom.  It read
+        # 3,229 B a request at the time of writing, run alone (the
+        # lines' clone records, the RNG journal, the decoders' and the
+        # canonical-action intern tables on their way to their bounds),
+        # under a bound set at 2,870 B plus 25 % headroom; the
+        # canonical-action table's share stops at its bound.  It read
         # 3,638 B with an instance dict per action, list adjacency, a
         # per-create shop log and a 4,096-entry selection memo, and
         # 9,159 B with a generator per random-stream name.

@@ -738,6 +738,21 @@ class TestIntern:
         assert all(dag.action("install") is install for dag in decoded)
         assert len(parses) == 1 + 200  # the shared step once, 200 own steps
 
+    def test_a_decoded_action_is_the_equal_one_built_in_code(self):
+        request = chain_request("x", outputs=("ip",), retries=2)
+        _, back = service_request_from_xml(service_request_to_xml(request))
+        assert back.dag is not request.dag
+        for name in request.dag:
+            assert back.dag.action(name) is request.dag.action(name)
+        element = ET.fromstring(
+            '<action name="install" scope="guest" command="rpm -i base"'
+            ' on-error="fail" retries="0" />'
+        )
+        shared = request.dag.action("install")
+        assert dagxml.action_from_element(element) is shared
+        # A one-neighbour adjacency is shared with the built DAG too.
+        assert back.dag._succ["install"] is request.dag._succ["install"]
+
     def test_action_table_bounded_with_lru_eviction(self, monkeypatch):
         parses = count_calls(monkeypatch, "_parse_action")
         bound = dagxml.ACTION_INTERN_MAX

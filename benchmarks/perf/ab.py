@@ -27,6 +27,15 @@ cache and lazy import, then ``K`` more times, and reports:
   outcome's counts (arrivals, VMs created, destroyed and left live)
   and the event count of every run, which must be equal across runs.
 
+Every sample of a side reads and writes its bytecode under that side's
+own ``PYTHONPYCACHEPREFIX`` in the scratch directory (the caller's
+``PYTHONDONTWRITEBYTECODE`` and prefix are not passed on), and one
+untimed sample a side fills it first: both sides run warm, from
+bytecode compiled for them, whatever state the checkouts' own
+``__pycache__`` directories are in.  An RSS verdict within about 1 %
+could otherwise measure the compiler's heap.  The report names this
+state.
+
 Samples come in ``N`` pairs, one per side, with the side that goes first
 alternating.  Grid workloads run in process at one shard (their
 ``inprocess_overrides``), so all the work is the child's own.
@@ -250,16 +259,32 @@ def child(
     }
 
 
-def _sample(side: Path, args, core: int) -> dict:
+#: Environment variables a sample does not inherit: the child imports
+#: nothing but its side's code, and sets its own bytecode state.
+_NOT_INHERITED = (
+    "PYTHONPATH", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"
+)
+
+#: The bytecode state every sample runs under, as the report states it.
+BYTECODE_STATE = (
+    "warm: each side's own PYTHONPYCACHEPREFIX, written by one untimed "
+    "sample of that side"
+)
+
+
+def _sample(side: Path, args, core: int, pycache: Path) -> dict:
     """One child's sample of ``side``; the child imports nothing but
-    ``side``'s code (``PYTHONPATH`` is not passed on)."""
+    ``side``'s code (``PYTHONPATH`` is not passed on) and reads and
+    writes its bytecode under ``pycache``, that side's own prefix,
+    whatever the caller's environment says about bytecode."""
     command = [
         sys.executable, str(Path(__file__).resolve()), "--child", str(side),
         "--core", str(core), "--workload", args.workload,
         "--seed", str(args.seed), "--reps", str(args.reps),
         "--scale", repr(args.scale),
     ]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env = {k: v for k, v in os.environ.items() if k not in _NOT_INHERITED}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     done = subprocess.run(
         command, capture_output=True, text=True, env=env, cwd=side
     )
@@ -321,6 +346,7 @@ def report(
         f"{pairs} pairs, min of {args.reps} runs a sample, core {core}"
     )
     print(f"  A = {labels[0]}\n  B = {labels[1]}")
+    print(f"  bytecode {BYTECODE_STATE}")
     print(
         f"  sim side identical in all {2 * pairs} samples "
         f"({sim_values} values), bar the event counts between A and B"
@@ -381,12 +407,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
             return 1
         try:
-            for side in sides:  # compiles bytecode, fills the file cache
-                _sample(side, args, core)
+            # One untimed sample a side compiles its bytecode into its
+            # own prefix (the standard library's too) and fills the file
+            # cache: every timed sample of both sides then starts warm.
+            caches = [Path(scratch) / f"pycache-{i}" for i in (0, 1)]
+            for side, cache in zip(sides, caches):
+                _sample(side, args, core, cache)
             samples: List[List[dict]] = [[], []]
             for pair in range(args.pairs):
                 for which in ((0, 1) if pair % 2 == 0 else (1, 0)):
-                    samples[which].append(_sample(sides[which], args, core))
+                    samples[which].append(
+                        _sample(sides[which], args, core, caches[which])
+                    )
             results = verdicts(*samples)
             counts = event_counts(*samples)
         except Refused as exc:

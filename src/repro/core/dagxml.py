@@ -49,8 +49,12 @@ the body is computed once per body, not once per request, both ways:
   (:data:`ACTION_INTERN_MAX` entries, LRU), so a stream of all-distinct
   DAGs built from a few shared steps parses each step once.  That one
   is the step's canonical instance (``repro.core.actions``), the same
-  object an equal action built in code is stored as.  Decoded requests
-  are read-only.
+  object an equal action built in code is stored as.  A request's
+  ``<hardware>`` and ``<network>`` elements decode the same way, to
+  one :class:`~repro.core.spec.HardwareSpec` / :class:`NetworkSpec`
+  per element (:data:`SPEC_INTERN_MAX` entries each, LRU), which keeps
+  the first decode's attribute strings.  Decoded requests are
+  read-only.
 """
 
 from __future__ import annotations
@@ -103,6 +107,15 @@ _interned_dags: Dict[Tuple, ConfigDAG] = {}
 #: through without pushing the shared ones out.
 ACTION_INTERN_MAX = 256
 _interned_actions: Dict[Tuple, Action] = {}
+
+#: Bound of each decoded-record table (entries, LRU): ``<hardware>``
+#: and ``<network>`` elements, keyed on their attributes, which is
+#: everything the decoder reads from them.  Every create of a site
+#: decodes one of each and a burst repeats a handful of sizes and
+#: client domains, so an in-flight create shares both records.
+SPEC_INTERN_MAX = 64
+_interned_hardware: Dict[Tuple, HardwareSpec] = {}
+_interned_networks: Dict[Tuple, NetworkSpec] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -463,34 +476,51 @@ def request_from_element(root: ET.Element) -> CreateRequest:
             raise ProtocolError(f"duplicate <{tag}> in <vmplant-request>")
         parts[tag] = child
 
+    # ``<hardware>`` and ``<network>`` decode to shared records, the
+    # LRU discipline of :func:`_interned_dag`: a first-seen element
+    # goes through the strict parser, a failed parse is not remembered.
     hw_el = parts.get("hardware")
     if hw_el is None:
         raise ProtocolError("missing <hardware>")
-    try:
-        hardware = HardwareSpec(
-            isa=hw_el.get("isa", "x86"),
-            memory_mb=int(_require(hw_el, "memory-mb")),
-            disk_gb=float(_require(hw_el, "disk-gb")),
-            cpus=int(hw_el.get("cpus", "1")),
-        )
-    except ValueError as exc:
-        raise ProtocolError(f"bad hardware spec: {exc}") from exc
+    key = tuple(hw_el.attrib.items())
+    hardware = _interned_hardware.pop(key, None)
+    if hardware is None:
+        try:
+            hardware = HardwareSpec(
+                isa=hw_el.get("isa", "x86"),
+                memory_mb=int(_require(hw_el, "memory-mb")),
+                disk_gb=float(_require(hw_el, "disk-gb")),
+                cpus=int(hw_el.get("cpus", "1")),
+            )
+        except ValueError as exc:
+            raise ProtocolError(f"bad hardware spec: {exc}") from exc
+        if len(_interned_hardware) >= SPEC_INTERN_MAX:
+            del _interned_hardware[next(iter(_interned_hardware))]
+    _interned_hardware[key] = hardware
 
     net_el = parts.get("network")
-    if net_el is not None:
-        port = net_el.get("proxy-port")
-        try:
-            proxy_port = int(port) if port is not None else None
-        except ValueError:
-            raise _not_a_number(net_el, "proxy-port", "an integer") from None
-        network = NetworkSpec(
-            domain=net_el.get("domain", "local"),
-            proxy_host=net_el.get("proxy-host"),
-            proxy_port=proxy_port,
-            credentials=net_el.get("credentials", ""),
-        )
-    else:
-        network = NetworkSpec()
+    key = () if net_el is None else tuple(net_el.attrib.items())
+    network = _interned_networks.pop(key, None)
+    if network is None:
+        if net_el is not None:
+            port = net_el.get("proxy-port")
+            try:
+                proxy_port = int(port) if port is not None else None
+            except ValueError:
+                raise _not_a_number(
+                    net_el, "proxy-port", "an integer"
+                ) from None
+            network = NetworkSpec(
+                domain=net_el.get("domain", "local"),
+                proxy_host=net_el.get("proxy-host"),
+                proxy_port=proxy_port,
+                credentials=net_el.get("credentials", ""),
+            )
+        else:
+            network = NetworkSpec()
+        if len(_interned_networks) >= SPEC_INTERN_MAX:
+            del _interned_networks[next(iter(_interned_networks))]
+    _interned_networks[key] = network
 
     sw_el = parts.get("software")
     if sw_el is None:

@@ -143,5 +143,6 @@ class FederationGateway:
             raise ShopError(
                 f"site {self.site}: no local plant bid for the request"
             )
-        ad = yield self.shop.create(request, clone_mode, bids=local_bids)
-        return ad
+        # A tail call: the create takes this frame's place on the
+        # caller's stack, so a parked create keeps no gateway frame.
+        return self.shop.create(request, clone_mode, bids=local_bids)

@@ -517,16 +517,20 @@ class GridScenario(ShardScenario):
             adm.begin()
         try:
             start = env.now
-            request = experiment_request(
-                arrival.memory_mb,
-                domain=f"site{handle.site}.grid",
-                client_id=f"s{handle.site}-{tenant}-{arrival.seq}",
-            )
             if not (cross and can_spill):
                 # Site-local discovery first: one bid round inside the
                 # site decides spill-or-stay and places the stayers.
+                # The request is built in the call: the shop decodes
+                # its own copy, so this frame keeps none across it.
                 try:
-                    ad = yield gateway.place(request, can_spill=can_spill)
+                    ad = yield gateway.place(
+                        experiment_request(
+                            arrival.memory_mb,
+                            domain=f"site{handle.site}.grid",
+                            client_id=f"s{handle.site}-{tenant}-{arrival.seq}",
+                        ),
+                        can_spill=can_spill,
+                    )
                 except ReproError:
                     summary.record_failed(tenant)
                     return
@@ -543,9 +547,16 @@ class GridScenario(ShardScenario):
             # Cross-site: spill over the ring, bounded ack waits.
             ok = yield self._spill(handle, idx, arrival.memory_mb)
             if not ok and params["local_fallback"]:
-                # Last resort: the home site once more.
+                # Last resort: the home site once more, with the same
+                # request built again.
                 try:
-                    ad = yield handle.shop.create(request)
+                    ad = yield handle.shop.create(
+                        experiment_request(
+                            arrival.memory_mb,
+                            domain=f"site{handle.site}.grid",
+                            client_id=f"s{handle.site}-{tenant}-{arrival.seq}",
+                        )
+                    )
                 except ReproError:
                     ad = None
                 if ad is not None:
@@ -634,15 +645,16 @@ class GridScenario(ShardScenario):
                 handle.spills_dropped += 1
                 return
         src, seq = int(payload[0]), int(payload[1])
-        request = experiment_request(
-            int(payload[2]),
-            domain=f"fed{src}.grid",
-            client_id=f"fed-{src}-{seq}",
-        )
         ok = 1
         ad = None
         try:
-            ad = yield handle.shop.create(request)
+            ad = yield handle.shop.create(
+                experiment_request(
+                    int(payload[2]),
+                    domain=f"fed{src}.grid",
+                    client_id=f"fed-{src}-{seq}",
+                )
+            )
         except ReproError:
             ok = 0
         if handle.ack_link is not None:

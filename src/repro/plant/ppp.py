@@ -147,11 +147,6 @@ class ProductionProcessPlanner:
             request=request,
             vm_type=line.vm_type,
         )
-        context = dict(order.context)
-        context.setdefault("vmid", order.vmid)
-        context.setdefault("client", request.client_id)
-        context.setdefault("domain", request.network.domain)
-
         # One ``update`` per block of the ad, in the key order that
         # ``to_string()`` and the fingerprints show.
         vm.classad.update(
@@ -200,13 +195,18 @@ class ProductionProcessPlanner:
                 )
             vm.performed_actions.extend(image.performed)
 
-            # Phase 5: execute the residual sub-graph.
+            # Phase 5: execute the residual sub-graph, with the
+            # context built here, where it is first read: a create
+            # parked at its clone holds none.
             vm.status = VMStatus.CONFIGURING
             config_start = self.env.now
-            dag = request.dag
+            context = dict(order.context)
+            context.setdefault("vmid", order.vmid)
+            context.setdefault("client", request.client_id)
+            context.setdefault("domain", request.network.domain)
             try:
                 yield self.run_actions(
-                    vm, line, dag, list(match.residual), context
+                    vm, line, request.dag, list(match.residual), context
                 )
             except ConfigurationError:
                 vm.status = VMStatus.FAILED

@@ -259,7 +259,8 @@ class _Round:
 
     def advance(self, index: int, stack: list, event: Event) -> None:
         # A handler's generators, outermost first: a yielded generator
-        # is a sub-call, run on top of its caller as the kernel does.
+        # is a sub-call, run on top of its caller, and a returned one a
+        # tail call, run in its place, as the kernel does.
         ok, value = event._ok, event._value
         if not ok:
             event.defused = True
@@ -270,10 +271,13 @@ class _Round:
                 else:
                     event = stack[-1].throw(value)
             except StopIteration as stop:
+                ok, value = True, stop.value
+                if type(value) is _GeneratorType:  # a tail call
+                    stack[-1], value = value, None
+                    continue
                 stack.pop()
                 if not stack:
-                    return self.reply(index, stop.value)
-                ok, value = True, stop.value
+                    return self.reply(index, value)
                 continue
             except Exception as exc:
                 stack.pop()

@@ -198,7 +198,12 @@ class VMShop:
                         bidders, request, deadline_s=policy.bid_deadline_s
                     )
                 elif bidders is not self.bidders:
-                    round_bids = [b for b in bids if b.bidder in bidders]
+                    # A loop, not a comprehension: one would make
+                    # ``bidders`` a cell of every create's frame.
+                    round_bids = []
+                    for bid in bids:
+                        if bid.bidder in bidders:
+                            round_bids.append(bid)
                 else:
                     round_bids = bids
                 ranked = self.collector.rank(round_bids)
@@ -212,6 +217,9 @@ class VMShop:
                         best=ranked[0].bidder_name,
                     )
                 candidates = ranked if self.retry_other_plants else ranked[:1]
+                # The round is decided: drop it before the dispatch
+                # parks this frame for the whole create.
+                bids = round_bids = ranked = bidders = None
                 for bid in candidates:
                     try:
                         if deadline is None:

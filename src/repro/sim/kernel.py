@@ -24,7 +24,10 @@ that way, and puts the round's one event on the queue at the instant
 its last answer lands (:meth:`Environment.schedule_at`) instead of a
 timer per answer.  A process that yields a generator makes a
 sub-call: it runs on the process's stack, and a wake-up resumes only
-the innermost generator.
+the innermost generator.  A generator that *returns* a generator makes
+a tail call: the returned one takes over its slot on the stack, so a
+layer that delegates after its first step keeps no frame, and the
+caller receives the returned generator's value.
 
 A yielded delay that nothing can overtake costs no wake-up at all: the
 process runs on in place, the clock set to its wake time, with no
@@ -278,7 +281,10 @@ class Process(Event):
     generator is a sub-call: pushed and started, then popped with its
     value sent (or exception thrown) into its caller.  ``x = yield
     sub()`` means ``x = yield from sub()``, but a wake-up (or an
-    interrupt) reaches only the top generator.  ``_stack`` is dropped
+    interrupt) reaches only the top generator.  A generator that
+    returns a generator is replaced by it in its slot (a tail call):
+    the returned one is started at once, and its value or exception
+    is what the caller receives.  ``_stack`` is dropped
     the moment the process ends: whoever still holds a finished
     process (a waiter, a list of requests) does not keep the
     generators' frames and locals alive with it.
@@ -368,12 +374,19 @@ class Process(Event):
                 else:
                     next_ev = generator.throw(value)
             except StopIteration as stop:
+                ok, value = True, stop.value
+                if type(value) is _GeneratorType:
+                    # A tail call: the returned generator takes over
+                    # the finished one's slot.
+                    stack[-1] = generator = value
+                    value = None
+                    continue
                 stack.pop()
                 if stack:
-                    generator, ok, value = stack[-1], True, stop.value
+                    generator = stack[-1]
                     continue
                 self._stack = None
-                self.succeed(stop.value)
+                self.succeed(value)
                 return
             except BaseException as exc:
                 stack.pop()

@@ -1,7 +1,9 @@
 """Shared test fixtures: a deterministic instant production line, the
 two-pass wire codec, the process-per-bid kernel dispatch and the
 keep-every-generator random hub kept as references, and the Python-call,
-retained-byte and cyclic-garbage counters of the budget tests.
+retained-byte and cyclic-garbage counters of the budget tests (a
+retained-byte figure is taken in a child interpreter traced from its
+start, :mod:`tests.footprints`).
 
 ``InstantLine`` implements the ProductionLine interface with constant,
 configurable behaviour so PPP/plant/shop logic can be tested without
@@ -45,13 +47,19 @@ pickled state.
 from __future__ import annotations
 
 import cProfile
+import functools
 import gc
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 from functools import partial
+from pathlib import Path
 from math import exp
 from typing import (
     Any,
@@ -197,23 +205,61 @@ def python_call_counts(fn) -> Counter:
     return counts
 
 
+def traced_since_start() -> bool:
+    """True in an interpreter that has traced every allocation since it
+    started (``-X tracemalloc`` or ``PYTHONTRACEMALLOC``)."""
+    return tracemalloc.is_tracing() and bool(
+        sys._xoptions.get("tracemalloc") or os.environ.get("PYTHONTRACEMALLOC")
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def traced_footprints() -> Dict[str, Any]:
+    """The figures of :mod:`tests.footprints`, by function name, from
+    one child interpreter started with ``-X tracemalloc`` (run once
+    per session), where :func:`retained_bytes` counts net growth."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-X", "tracemalloc", "-m", "tests.footprints"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"tests.footprints exited {done.returncode}:\n"
+            f"{done.stderr[-4000:]}"
+        )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def retained_bytes(fn) -> int:
-    """Bytes allocated inside ``fn()`` and still alive after it
-    returned (``tracemalloc``, cyclic garbage collected on both sides).
-    Whatever ``fn`` returns is dropped before the second reading, so
-    what counts is what the objects it *touched* now hold on to."""
+    """Net bytes ``fn()`` left behind: traced memory after it returned
+    less traced memory before (``tracemalloc``, cyclic garbage
+    collected on both sides).  Whatever ``fn`` returns is dropped
+    before the second reading, so what counts is what the objects it
+    *touched* now hold on to.
+
+    Net only when every live block is traced: a block made before
+    tracing started and freed inside the window would never be
+    subtracted, and an LRU table at its bound, which frees an old entry
+    for each new one, would read as growing.  So it runs only in an
+    interpreter traced from its start: a budget test reads its figure
+    from :func:`traced_footprints`."""
+    if not traced_since_start():
+        raise RuntimeError(
+            "retained_bytes needs an interpreter traced from its start "
+            "(python -X tracemalloc); see tests.footprints"
+        )
     gc.collect()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    before = tracemalloc.get_traced_memory()[0]
+    fn()
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - before
 
 
 def cyclic_garbage(fn) -> Tuple[int, Dict[str, int]]:

@@ -1,4 +1,5 @@
-"""The verdict logic of ``benchmarks/perf/ab.py`` on synthetic samples.
+"""The verdict logic of ``benchmarks/perf/ab.py`` on synthetic samples,
+and the environment a sample's child gets.
 
 No child process runs here: :func:`verdicts` and :func:`compare` are
 pure functions of the paired samples a comparison collects.
@@ -6,8 +7,14 @@ pure functions of the paired samples a comparison collects.
 
 from __future__ import annotations
 
+import json
+import subprocess
+from argparse import Namespace
+from pathlib import Path
+
 import pytest
 
+from benchmarks.perf import ab
 from benchmarks.perf.ab import (
     METRICS,
     MIN_PAIRS,
@@ -153,3 +160,25 @@ def test_sign_test():
     assert sign_test(5, 5) == 1.0
     assert sign_test(10, 0) == sign_test(0, 10) == pytest.approx(2 / 1024)
     assert sign_test(9, 1) == pytest.approx(22 / 1024)
+
+
+def test_a_sample_sets_its_own_bytecode_state(monkeypatch, tmp_path):
+    # Whatever the caller's environment says about bytecode, a side's
+    # samples read and write it under that side's own prefix.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/elsewhere")
+    monkeypatch.setenv("PYTHONPATH", "/elsewhere")
+    seen = []
+
+    def run(command, **kwargs):
+        seen.append(kwargs["env"])
+        return subprocess.CompletedProcess(command, 0, json.dumps({}), "")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    args = Namespace(workload="paper_seq", seed=1, reps=1, scale=0.1)
+    ab._sample(Path("side"), args, 0, tmp_path / "pycache-0")
+    (env,) = seen
+    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "pycache-0")
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert "PYTHONPATH" not in env
+    assert "PYTHONPYCACHEPREFIX" in ab.BYTECODE_STATE

@@ -15,7 +15,7 @@ from repro.core.classad import (
     evaluate,
 )
 from repro.core.errors import ClassAdError
-from tests.helpers import oracle_classad, python_calls, retained_bytes
+from tests.helpers import oracle_classad, python_calls, traced_footprints
 
 
 class TestLiteralsAndArithmetic:
@@ -482,11 +482,7 @@ class TestOneDictMatchesTwo:
                 assert live == oracle and oracle == live
 
     def test_twelve_lower_case_attributes(self):
-        # 521 B an ad at the time of writing, pinned with 15 %
-        # headroom; 985 B with a spelling dict beside every ad.
-        block = {f"attr{i:02d}": i for i in range(12)}
-        keep = []
-        per_ad = retained_bytes(
-            lambda: keep.extend(ClassAd(block) for _ in range(1000))
-        ) / 1000
-        assert per_ad <= 600
+        # 521 B an ad at the time of writing (``tests.footprints``),
+        # pinned with 15 % headroom; 985 B with a spelling dict beside
+        # every ad.
+        assert traced_footprints()["twelve_attribute_ads"] <= 600

@@ -8,7 +8,7 @@ from repro.core.actions import Action
 from repro.core.dag import FINISH, START, ConfigDAG
 from repro.core.errors import DAGError
 
-from tests.helpers import python_calls, retained_bytes
+from tests.helpers import python_calls, traced_footprints
 
 
 def chain(*names):
@@ -289,17 +289,12 @@ class TestEquality:
 class TestFootprint:
     def test_a_chain_keeps_tuple_adjacency(self):
         # 1,155 B a 7-node chain over shared actions at the time of
-        # writing, pinned with 15 % headroom.  It read 1,785 B with an
-        # instance dict and a 1-tuple of its own per neighbour, and
-        # 2,377 B with a list per node and direction.
+        # writing (``tests.footprints``), pinned with 15 % headroom.  It
+        # read 1,785 B with an instance dict and a 1-tuple of its own
+        # per neighbour, and 2,377 B with a list per node and direction.
+        assert traced_footprints()["chain_over_shared_steps"] <= 1_330
         steps = [Action(f"step-{k}", command=f"cmd {k}") for k in range(7)]
-        keep = []
-        per_dag = retained_bytes(
-            lambda: keep.extend(
-                ConfigDAG.from_sequence(steps) for _ in range(1000)
-            )
-        ) / 1000
-        assert per_dag <= 1_330
+        keep = [ConfigDAG.from_sequence(steps) for _ in range(2)]
         # A one-neighbour adjacency is the name's shared 1-tuple.
         assert keep[0]._succ["step-0"] is keep[-1]._succ["step-0"]
         assert keep[0]._pred["step-1"] is keep[-1]._pred["step-1"]
@@ -314,16 +309,11 @@ class TestFootprint:
         # The catalog's shape: every DAG cut from steps built afresh.
         # 1,155 B a 7-node chain at the time of writing, as over shared
         # steps; 3,220 B while each DAG kept its own copy of each step.
+        assert traced_footprints()["chain_over_equal_steps"] <= 1_330
         keep = []
-
-        def build():
-            for _ in range(1000):
-                steps = [
-                    Action(f"step-{k}", command=f"cmd {k}") for k in range(7)
-                ]
-                keep.append(ConfigDAG.from_sequence(steps))
-
-        assert retained_bytes(build) / 1000 <= 1_330
+        for _ in range(2):
+            steps = [Action(f"step-{k}", command=f"cmd {k}") for k in range(7)]
+            keep.append(ConfigDAG.from_sequence(steps))
         first, last = keep[0], keep[-1]
         assert all(first.action(n) is last.action(n) for n in first)
         # Stored under the canonical instance's own name string.

@@ -11,11 +11,18 @@ its live frames only.  The frames sit on the process's stack, not in a
 
 from __future__ import annotations
 
+import ast
+import dis
 import gc
+import inspect
+import sys
+from pathlib import Path
+from types import GeneratorType
 
 import pytest
 
 from benchmarks.e2e.workloads import WORKLOADS
+from benchmarks.perf.parked import REQUEST_FRAME, park_grid_creates
 from repro.core.errors import ReproError
 from repro.plant.speculative import AdaptiveSpeculativePool
 from repro.shop.protocol import Transport
@@ -25,7 +32,7 @@ from repro.sim.rng import RngHub
 from repro.sim.storage import NFSServer
 from repro.workloads.requests import experiment_request
 
-from tests.helpers import drive, python_call_counts
+from tests.helpers import drive, python_call_counts, traced_footprints
 
 #: A create parked at its warehouse transfer, outermost first.  Each
 #: frame's reason to exist is in DESIGN's table; a new entry here is
@@ -38,6 +45,29 @@ CREATE_CHAIN = (
     "_SimLine.clone",
     "NFSServer.copy_to_host",
 )
+
+#: The same create on a grid site, under the scenario's request frame.
+#: ``FederationGateway.place`` returns the shop's create (a tail call),
+#: so it keeps no frame while the create runs.
+GRID_CREATE_CHAIN = (REQUEST_FRAME,) + CREATE_CHAIN
+
+#: Every generator in ``src/`` that returns a generator, each a tail
+#: call the kernel runs in its place; a generator that returns one as
+#: data would have it run instead.
+TAIL_CALLS = {("FederationGateway.place", "create")}
+
+#: ``return ad.copy()`` in a generator: a classad's copy, which is data,
+#: read from the source as a call of a name the coalescer's ``copy``
+#: generator also has.
+RETURNS_A_COPY = {
+    ("MigrationManager.migrate", "copy"),
+    ("VMPlant.create", "copy"),
+    ("VMPlant.destroy", "copy"),
+    ("VMPlant.extend", "copy"),
+    ("VMShop.query", "copy"),
+}
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def _frames(proc: Process):
@@ -256,3 +286,128 @@ def test_pooled_site_keeps_no_process_per_finished_arrival(monkeypatch):
     assert census and outcome.summary.total("ok") > 0
     # Kept per request, this read 50 to 162 (50 arrivals a site).
     assert max(census) < params["sites"], census
+
+
+class TestParkedGridCreate:
+    def test_is_the_request_frame_then_the_create_chain(self):
+        _, parked = park_grid_creates(20)
+        chains = {tuple(_frames(proc)) for proc in parked}
+        assert chains == {GRID_CREATE_CHAIN}, chains
+
+    def test_holds_a_bounded_number_of_bytes(self):
+        # What the parked creates hold is what goes when they go
+        # (``tests.footprints.parked_grid_create``).  4,451 B a create
+        # at the time of writing (2,480 B of it the seven frames),
+        # pinned with 8 % headroom; 5,846 B with a gateway frame, the
+        # bid round, the client's request, a cell and the configuration
+        # context held across the transfer.  Under a profiler (the e2e
+        # benchmark's call counter), which gives each generator a frame
+        # object too, it reads 6,706 B (``E2E_parked_create.json``).
+        per_create = traced_footprints()["parked_grid_create"]
+        assert 3_000 <= per_create <= 4_800, per_create
+
+
+def _tail_call_sites():
+    """``(qualname, callee)`` of every ``return f(...)`` in a generator
+    function of ``src/`` whose callee may be a generator function of
+    ``src/``: ``self.f`` is the enclosing class's own ``f`` where it
+    has one, any other ``f`` is every function of that name."""
+    trees = [ast.parse(path.read_text()) for path in SRC.rglob("*.py")]
+
+    def own_nodes(fn):
+        # The function's body without nested functions and classes.
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            yield node
+            if not isinstance(
+                node,
+                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                 ast.ClassDef),
+            ):
+                todo.extend(ast.iter_child_nodes(node))
+
+    functions = []  # (qualname, def node), with every enclosing class
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                functions.append((prefix + child.name, child))
+                walk(child, prefix + child.name + ".<locals>.")
+            else:
+                walk(child, prefix)
+
+    for tree in trees:
+        walk(tree, "")
+    generators = {
+        name: fn
+        for name, fn in functions
+        if any(
+            isinstance(node, (ast.Yield, ast.YieldFrom))
+            for node in own_nodes(fn)
+        )
+    }
+    generator_names = {name.rsplit(".", 1)[-1] for name in generators}
+    defined = {name for name, _ in functions}
+    sites = set()
+    for name, fn in generators.items():
+        owner = name.rsplit(".", 1)[0] + "."
+        for node in own_nodes(fn):
+            if isinstance(node, ast.Return) and isinstance(
+                node.value, ast.Call
+            ):
+                func = node.value.func
+                callee = getattr(func, "attr", getattr(func, "id", None))
+                if (
+                    isinstance(func, ast.Attribute)
+                    and getattr(func.value, "id", None) == "self"
+                    and owner + callee in defined
+                ):
+                    if owner + callee in generators:
+                        sites.add((name, callee))
+                elif callee in generator_names:
+                    sites.add((name, callee))
+    return sites
+
+
+def test_every_generator_returning_a_generator_is_a_tail_call():
+    # Read from the source: a new ``return f(...)`` in a generator,
+    # ``f`` possibly a generator function, is either a tail call or
+    # data that needs a reason here.
+    assert _tail_call_sites() == TAIL_CALLS | RETURNS_A_COPY
+
+
+def test_the_workloads_return_no_generator_as_data():
+    # Watched as they run: every generator of ``src/`` whose frame
+    # returns (not yields) a generator, over the five end-to-end
+    # workloads at a small scale, in process.  A plain function that
+    # returns one (a broker routing a create) is not a tail call and
+    # is not watched.
+    returning = set()
+    src = str(SRC)
+    return_op = dis.opmap["RETURN_VALUE"]
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if (
+            event == "return"
+            and type(arg) is GeneratorType
+            and code.co_flags & inspect.CO_GENERATOR
+            and code.co_code[frame.f_lasti] == return_op
+            and code.co_filename.startswith(src)
+        ):
+            returning.add(code.co_qualname)
+
+    for workload in WORKLOADS.values():
+        params = {
+            **workload.scaled(0.02), **workload.inprocess_overrides
+        }
+        inputs = workload.setup(2004, params)
+        sys.setprofile(watch)
+        try:
+            workload.run(inputs)
+        finally:
+            sys.setprofile(None)
+    assert returning == {name for name, _ in TAIL_CALLS}

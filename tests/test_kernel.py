@@ -241,6 +241,202 @@ class TestProcess:
             env.process(lambda: None)
 
 
+
+class TestTailCall:
+    """A generator that returns a generator hands its slot on the
+    process's stack (or a bid round's) to it: the caller gets the
+    returned generator's value or exception, and the delegating frame
+    is gone while the returned one runs."""
+
+    @staticmethod
+    def program(env, log):
+        """One handler exercising every way a tail call ends."""
+
+        def leaf(tag, delay):
+            yield delay
+            log.append((env.now, tag))
+            return tag
+
+        def failing(delay):
+            yield delay
+            raise ValueError("raised by the tail")
+
+        def link(depth):
+            # Sleeps, then tail-calls: a chain of links is one slot.
+            yield 0.5
+            log.append((env.now, "link", depth))
+            return link(depth - 1) if depth else leaf("leaf", 1.0)
+
+        def hands_off_a_failure():
+            yield 0.25
+            return failing(0.5)
+
+        def at_once():
+            return leaf("no first yield", 0.0)
+            yield  # pragma: no cover - makes this a generator
+
+        def data():
+            yield 0.0
+            return [1, 2]  # an iterable, not a generator: a value
+
+        def top():
+            got = yield link(2)
+            log.append((env.now, "got", got))
+            try:
+                yield hands_off_a_failure()
+            except ValueError as exc:
+                log.append((env.now, "caught", str(exc)))
+            log.append((env.now, "at once", (yield at_once())))
+            log.append((env.now, "data", (yield data())))
+            return leaf("last", 0.25)
+
+        return top()
+
+    EXPECTED = [
+        (0.5, "link", 2),
+        (1.0, "link", 1),
+        (1.5, "link", 0),
+        (2.5, "leaf"),
+        (2.5, "got", "leaf"),
+        (3.25, "caught", "raised by the tail"),
+        (3.25, "no first yield"),
+        (3.25, "at once", "no first yield"),
+        (3.25, "data", [1, 2]),
+        (3.5, "last"),
+    ]
+
+    def test_a_tail_call_returns_its_value(self):
+        env = Environment()
+        log = []
+        proc = env.process(self.program(env, log))
+        env.run()
+        assert log == self.EXPECTED
+        assert proc.value == "last" and env.now == 3.5
+        assert proc._stack is None
+
+    def test_stepping_and_a_bid_round_run_it_alike(self):
+        from repro.shop.protocol import Transport
+
+        stepped_env = Environment()
+        stepped = []
+        proc = stepped_env.process(self.program(stepped_env, stepped))
+        while stepped_env._queue:
+            stepped_env.step()
+        env = Environment()
+        gathered = []
+        done = Transport(env, latency_s=0.0).gather(
+            [partial(self.program, env, gathered)]
+        )
+        env.run()
+        assert stepped == gathered == self.EXPECTED
+        assert proc.value == "last" and done.value == {0: "last"}
+        assert stepped_env.now == env.now == 3.5
+
+    def test_a_failing_tail_fails_the_round(self):
+        from repro.shop.protocol import Transport
+
+        env = Environment()
+
+        def fails_later():
+            yield 1.0
+            raise ValueError("tail")
+
+        def hands_off():
+            yield 0.5
+            return fails_later()
+
+        done = Transport(env, latency_s=0.0).gather([hands_off])
+        with pytest.raises(ValueError, match="tail"):
+            env.run(until=done)
+        assert env.now == 1.5
+
+    def test_the_delegating_frame_is_gone_while_the_tail_runs(self):
+        env = Environment()
+
+        def tail():
+            yield env.event()  # parks for good
+            return "never"  # pragma: no cover
+
+        def delegate():
+            yield 1.0
+            return tail()
+
+        def caller():
+            return (yield delegate())
+
+        proc = env.process(caller())
+        env.run()
+        names = [gen.gi_code.co_name for gen in proc._stack]
+        assert names == ["caller", "tail"]
+
+    def test_a_process_whose_generator_tail_calls_ends_with_the_tail(self):
+        env = Environment()
+
+        def tail():
+            yield 2.0
+            return "tail"
+
+        def head():
+            yield 1.0
+            return tail()
+
+        proc = env.process(head())
+        env.run(until=1.5)
+        assert [g.gi_code.co_name for g in proc._stack] == ["tail"]
+        env.run()
+        assert proc.value == "tail" and env.now == 3.0
+
+    def test_an_interrupt_reaches_the_tail(self):
+        env = Environment()
+        log = []
+
+        def tail():
+            try:
+                yield 10.0
+            except Interrupt as exc:
+                log.append((env.now, "tail", exc.cause))
+                return "interrupted"
+            return "slept"  # pragma: no cover
+
+        def delegate():
+            try:
+                yield 1.0
+            except Interrupt:  # pragma: no cover - not on the stack
+                log.append("delegate")
+            return tail()
+
+        def caller():
+            got = yield delegate()
+            log.append((env.now, "caller", got))
+
+        proc = env.process(caller())
+        env.call_later(2.0, lambda _ev: proc.interrupt("stop"))
+        env.run()
+        assert log == [(2.0, "tail", "stop"), (2.0, "caller", "interrupted")]
+        assert proc.ok and env.now == 11.0  # the tail's timer still fires
+
+    def test_an_interrupt_uncaught_by_the_tail_reaches_the_caller(self):
+        env = Environment()
+
+        def tail():
+            yield 10.0
+
+        def delegate():
+            yield 1.0
+            return tail()
+
+        def caller():
+            try:
+                yield delegate()
+            except Interrupt as exc:
+                return ("caller", exc.cause, env.now)
+
+        proc = env.process(caller())
+        env.call_later(2.0, lambda _ev: proc.interrupt("stop"))
+        env.run()
+        assert proc.value == ("caller", "stop", 2.0)
+
+
 class TestInterrupt:
     def test_interrupt_delivers_cause(self):
         env = Environment()

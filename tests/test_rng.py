@@ -15,15 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actions import Action
-from repro.core.dag import ConfigDAG
-from repro.core.spec import CreateRequest, HardwareSpec, SoftwareSpec
 from repro.shop.protocol import Transport
-from repro.sim.cluster import build_testbed
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngHub
-from repro.workloads.requests import MANDRAKE_OS, install_os_action
-from tests.helpers import drive, oracle_rng_hub, retained_bytes
+from tests.helpers import oracle_rng_hub, traced_footprints
 
 _NAMES = ("a", "b", "node0/vmware/script/tail-00001", "transport", "é", "")
 
@@ -251,65 +246,25 @@ class TestBitForBitWithTheStdlib:
 
 class TestWhatANameCosts:
     def test_single_draw_names_are_journal_entries(self):
-        hub = RngHub(2004)
-        names = [
-            f"node{i % 8}/vmware/script/tail-{i:05d}" for i in range(10_000)
-        ]
-
-        def draw_each_once():
-            for i, name in enumerate(names):
-                if i % 2:
-                    hub.uniform(name, 0.0, 1.0)
-                else:
-                    hub.lognormal(name, 0.0, 0.35)
-
-        per_name = retained_bytes(draw_each_once) / len(names)
-        # 85 B at the time of writing (a tuple and a dictionary slot;
-        # 164 B with the name itself, which here is the caller's); a
+        # 10,000 names drawn from once each (``tests.footprints``): 85 B
+        # a name at the time of writing (a tuple and a dictionary slot;
+        # 164 B with the name itself, which there is the caller's); a
         # generator per name was 2,917 B.
-        assert per_name <= 400
+        figures = traced_footprints()["single_draw_names"]
+        assert figures["once"] <= 400
         # A name that comes back pays for its generator, once.
-        again = names[:100]
-        second = retained_bytes(
-            lambda: [hub.uniform(name, 0.0, 1.0) for name in again]
-        )
-        assert 2000 <= second / len(again) <= 3100
-        third = retained_bytes(
-            lambda: [hub.uniform(name, 0.0, 1.0) for name in again]
-        )
-        assert third < second / 100
+        assert 2000 <= figures["second"] <= 3100
+        assert figures["third"] < figures["second"] / 100
 
     def test_distinct_requests_grow_a_site_by_a_bounded_amount(self):
-        # A site_catalog-shaped stream in tier-1: every DAG ends in an
-        # action nobody else's has, so every request names two streams
-        # (``…/script/tail-NNNNN``, ``…/action-fail/tail-NNNNN``) that
-        # are never drawn from again.
-        bed = build_testbed(seed=2004, n_plants=8)
-
-        def serve(first: int, count: int) -> None:
-            for i in range(first, first + count):
-                dag = ConfigDAG.from_sequence(
-                    [
-                        install_os_action(MANDRAKE_OS),
-                        Action(f"tail-{i:05d}", command=f"useradd u{i:05d}"),
-                    ]
-                )
-                request = CreateRequest(
-                    hardware=HardwareSpec(memory_mb=32),
-                    software=SoftwareSpec(os=MANDRAKE_OS, dag=dag),
-                    client_id=f"catalog-{i}",
-                )
-                ad = drive(bed.env, bed.shop.create(request))
-                drive(bed.env, bed.shop.destroy(str(ad["vmid"])))
-
-        serve(0, 150)
-        growth = retained_bytes(lambda: serve(150, 150)) / 150
-        # 3,229 B a request at the time of writing, run alone (the
-        # lines' clone records, the RNG journal, the decoders' and the
-        # canonical-action intern tables on their way to their bounds),
-        # under a bound set at 2,870 B plus 25 % headroom; the
-        # canonical-action table's share stops at its bound.  It read
-        # 3,638 B with an instance dict per action, list adjacency, a
-        # per-create shop log and a 4,096-entry selection memo, and
-        # 9,159 B with a generator per random-stream name.
-        assert growth <= 3_600
+        # A site_catalog-shaped stream in tier-1
+        # (``tests.footprints.distinct_requests``): 1,869 B a request at
+        # the time of writing, net (the lines' clone records, the RNG
+        # journal), pinned with 25 % headroom; the intern tables are at
+        # their bounds and turn over.  Traced only from inside the
+        # window, which counts a freed entry made before it as never
+        # freed, it read 3,229 B under a 3,600 B bound.  It read 3,638 B
+        # (window-traced) with an instance dict per action, list
+        # adjacency, a per-create shop log and a 4,096-entry selection
+        # memo, and 9,159 B with a generator per random-stream name.
+        assert traced_footprints()["distinct_requests"] <= 2_350

@@ -70,13 +70,17 @@ from tests.helpers import (
 from tests.oracles.dag_decode import oracle_dag_from_element
 
 
+_TABLES = ("_interned_dags", "_interned_actions", "_interned_hardware",
+           "_interned_networks")
+
+
 @pytest.fixture(autouse=True)
 def fresh_intern_tables():
-    dagxml._interned_dags.clear()
-    dagxml._interned_actions.clear()
+    for table in _TABLES:
+        getattr(dagxml, table).clear()
     yield
-    dagxml._interned_dags.clear()
-    dagxml._interned_actions.clear()
+    for table in _TABLES:
+        getattr(dagxml, table).clear()
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +675,60 @@ class TestIntern:
         assert len(calls) == bound + 10
         service_request_from_xml(wires[1])  # evicted: decoded afresh
         assert len(calls) == bound + 11
+
+    def test_equal_hardware_and_network_decode_to_one_record(self):
+        decoded = []
+        for who in ("a", "b"):
+            request = experiment_request(64, domain="d.example", client_id=who)
+            _, back = service_request_from_xml(service_request_to_xml(request))
+            assert_same_request(back, request)
+            decoded.append(back)
+        first, second = decoded
+        assert second.hardware is first.hardware
+        assert second.network is first.network
+        # The first decode's strings: the later parse's copies are gone.
+        assert second.network.domain is first.network.domain
+        other = experiment_request(128, domain="e.example")
+        _, back = service_request_from_xml(service_request_to_xml(other))
+        assert_same_request(back, other)
+        assert back.hardware is not first.hardware
+        assert back.network is not first.network
+
+    def test_a_missing_network_element_decodes_to_one_default(self):
+        wire = service_request_to_xml(experiment_request(64))
+        start = wire.index("<network")
+        bare = wire[:start] + wire[wire.index("/>", start) + 2:]
+        _, one = service_request_from_xml(bare)
+        _, two = service_request_from_xml(bare)
+        assert one.network == NetworkSpec() and two.network is one.network
+
+    def test_record_tables_are_bounded_lru(self):
+        bound = dagxml.SPEC_INTERN_MAX
+        wires = [
+            service_request_to_xml(
+                experiment_request(i + 1, domain=f"d{i}.example")
+            )
+            for i in range(bound + 1)
+        ]
+        _, first = service_request_from_xml(wires[0])
+        for wire in wires[1:bound]:
+            service_request_from_xml(wire)
+        _, again = service_request_from_xml(wires[0])  # now most recent
+        assert again.hardware is first.hardware
+        service_request_from_xml(wires[bound])  # evicts wires[1]'s
+        for table in (dagxml._interned_hardware, dagxml._interned_networks):
+            assert len(table) == bound
+        _, back = service_request_from_xml(wires[0])
+        assert back.hardware is first.hardware
+        assert back.network is first.network
+
+    def test_a_bad_hardware_element_is_not_remembered(self):
+        wire = service_request_to_xml(experiment_request(64))
+        bad = wire.replace('memory-mb="64"', 'memory-mb="lots"')
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="bad hardware spec"):
+                service_request_from_xml(bad)
+        assert not dagxml._interned_hardware
 
     @pytest.mark.parametrize(
         "one, other",

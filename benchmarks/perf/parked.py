@@ -2,14 +2,14 @@
 
 Run::
 
-    python3 benchmarks/perf/parked.py [--seed S] [--count N] [--out F]
+    python3 benchmarks/perf/parked.py [--out F]
 
 It steps site 0 of a ``grid_overload`` grid on its own (the workload's
-parameters, no spill links, so every arrival is placed at home) until
-``N`` of its creates are parked at their warehouse transfer, and
-measures what goes when they go: each parked generator is closed,
-innermost first, the collector runs, and the traced bytes freed are
-divided by ``N``.  The generators themselves are counted with
+parameters at seed :data:`SEED`, no spill links, so every arrival is
+placed at home) until :data:`PARKED` of its creates are parked at
+their warehouse transfer, and measures what goes when they go: each
+parked generator is closed, innermost first, the collector runs, and
+the traced bytes freed are divided by their number.  The generators themselves are counted with
 ``sys.getsizeof``; the rest of the freed bytes are grouped by the file
 that allocated them.  A second site repeats it with ``cProfile``
 enabled while it steps, as ``benchmarks/e2e/run.py``'s call-counting
@@ -44,10 +44,21 @@ from repro.sim.kernel import Environment, Process  # noqa: E402
 from repro.sim.shard.scenarios import get_scenario, site_seed  # noqa: E402
 from repro.sim.storage import NFSServer  # noqa: E402
 
-__all__ = ["REQUEST_FRAME", "park_grid_creates", "held_bytes", "measure"]
+__all__ = [
+    "REQUEST_FRAME",
+    "SEED",
+    "PARKED",
+    "park_grid_creates",
+    "held_bytes",
+    "measure",
+]
 
 #: The outermost frame of a grid site's create.
 REQUEST_FRAME = "GridScenario._request"
+
+#: The grid's seed and how many creates the record parks.
+SEED = 7919
+PARKED = 100
 
 
 class _NotingEnvironment(Environment):
@@ -65,7 +76,7 @@ class _NotingEnvironment(Environment):
         return proc
 
 
-def park_grid_creates(count: int, seed: int = 7919):
+def park_grid_creates(count: int):
     """Step site 0 of a ``grid_overload`` grid until at least ``count``
     of its creates are parked at their warehouse transfer; return the
     site's handle and the parked processes."""
@@ -80,7 +91,7 @@ def park_grid_creates(count: int, seed: int = 7919):
     )
     env = _NotingEnvironment()
     handle = scenario.build_site(
-        env, 0, workload.params["sites"], site_seed(seed, 0), params
+        env, 0, workload.params["sites"], site_seed(SEED, 0), params
     )
     scenario.start(handle, {})
     transfer = NFSServer.copy_to_host.__code__
@@ -146,13 +157,13 @@ def held_bytes(parked: Sequence[Process]) -> Dict[str, float]:
 OTHER_BELOW_B = 50.0
 
 
-def measure(count: int = 100, seed: int = 7919) -> dict:
-    """One record: a plain site and a profiled one, each at ``count``
-    parked creates, and the records each holds by allocating file (a
+def measure() -> dict:
+    """One record: a plain site and a profiled one, each at
+    :data:`PARKED` parked creates, and the records each holds by allocating file (a
     file under :data:`OTHER_BELOW_B` in the plain run is ``other``;
     under the profiler each generator's frame object is counted in the
     file of its code)."""
-    site, parked = park_grid_creates(count, seed)
+    site, parked = park_grid_creates(PARKED)
     chain = [gen.gi_code.co_qualname for gen in parked[0]._stack]
     at = site.env.now
     runs = {"plain": held_bytes(parked)}
@@ -160,7 +171,7 @@ def measure(count: int = 100, seed: int = 7919) -> dict:
     profile = cProfile.Profile(builtins=False)
     profile.enable()
     try:
-        site, parked = park_grid_creates(count, seed)
+        site, parked = park_grid_creates(PARKED)
     finally:
         profile.disable()
     runs["profiled"] = held_bytes(parked)
@@ -182,8 +193,8 @@ def measure(count: int = 100, seed: int = 7919) -> dict:
     return {
         "command": "python3 benchmarks/perf/parked.py",
         "python": platform.python_version(),
-        "seed": seed,
-        "parked": count,
+        "seed": SEED,
+        "parked": PARKED,
         "sim_t": round(at, 3),
         "chain": chain,
         "runs": runs,
@@ -193,18 +204,14 @@ def measure(count: int = 100, seed: int = 7919) -> dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=7919)
-    parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--out", help="also write the record here")
     args = parser.parse_args(argv)
-    if args.count < 1:
-        parser.error("--count must be at least 1")
     if not (tracemalloc.is_tracing() and sys._xoptions.get("tracemalloc")):
         os.execv(
             sys.executable,
             [sys.executable, "-X", "tracemalloc", __file__, *sys.argv[1:]],
         )
-    record = measure(args.count, args.seed)
+    record = measure()
     text = json.dumps(record, indent=1)
     print(text)
     if args.out:

@@ -126,11 +126,16 @@ class FederationGateway:
         has passed since they were collected, so asking every plant
         again would only repeat the answers.
 
-        Returns the created VM's classad, or ``None`` when the request
-        should spill (ledgered as saturated or declined), which only
-        happens while ``can_spill`` — a caller with nowhere to spill
-        to gets the saturated local create, or :class:`ShopError`
-        when the site declined outright.
+        Its value is ``None`` when the request should spill (ledgered
+        as saturated or declined), which only happens while
+        ``can_spill`` — a caller with nowhere to spill to gets the
+        saturated local create, or :class:`ShopError` when the site
+        declined outright.  Otherwise it *returns* the shop's create
+        generator, a tail call: yielded to the kernel (``ad = yield
+        gateway.place(...)``, or from a bid round's handler), the
+        create runs in this frame's place and the caller receives the
+        created VM's classad.  Do not drive it with ``yield from``,
+        which hands the caller the create generator itself.
         """
         local_bids = yield self.shop.estimate(request)
         if can_spill and self.should_spill(local_bids):

@@ -284,9 +284,12 @@ class Process(Event):
     interrupt) reaches only the top generator.  A generator that
     returns a generator is replaced by it in its slot (a tail call):
     the returned one is started at once, and its value or exception
-    is what the caller receives.  ``_stack`` is dropped
-    the moment the process ends: whoever still holds a finished
-    process (a waiter, a list of requests) does not keep the
+    is what the caller receives.  For such a ``sub`` the two differ:
+    ``yield from sub()`` gives the caller the returned generator
+    itself, so a generator that tail-calls is only ever yielded to the
+    kernel (or to a bid round, which steps the same way).  ``_stack``
+    is dropped the moment the process ends: whoever still holds a
+    finished process (a waiter, a list of requests) does not keep the
     generators' frames and locals alive with it.
 
     A yielded ``float`` or ``int`` (exactly: not a ``bool``, not a

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from benchmarks.perf.parked import held_bytes, park_grid_creates
+from benchmarks.perf.parked import PARKED, held_bytes, park_grid_creates
 from repro.core.actions import Action
 from repro.core.classad import ClassAd
 from repro.core.dag import ConfigDAG
@@ -116,7 +116,7 @@ def parked_grid_create() -> float:
     """What one create parked at its warehouse transfer holds on a
     ``grid_overload`` site: the traced bytes that go when 100 parked
     creates go, per create (``benchmarks/perf/parked.py``)."""
-    site, parked = park_grid_creates(100)  # the site outlives them
+    site, parked = park_grid_creates(PARKED)  # the site outlives them
     return held_bytes(parked)["held_b"]
 
 

@@ -11,12 +11,18 @@ source itself.  With a fan-out bound of *k* the population of sources
 multiplies by (k+1) per transfer round, so total delivery time grows
 with tree depth — O(log N) — instead of fleet size.
 
-The planner also generalizes PR 3's :class:`TransferCoalescer`:
-instead of only attaching to an in-flight *warehouse* copy, a caller
-may attach to **any** in-flight transfer of the image — peer or NFS —
-wait for it to land, and then resolve against the newly enlarged
-source set.  Followers therefore never duplicate bytes on any link,
-and the attach/retry loop is what threads new arrivals into the tree.
+The planner also generalizes the :class:`TransferCoalescer`: instead
+of only attaching to an in-flight *warehouse* copy, a caller may attach
+to **any** in-flight transfer of the image — peer or NFS — wait for it
+to land, and then resolve against the newly enlarged source set.  A
+delivery landing on the caller's own host comes first, so further
+clones on a host that is still seeding copy off its local disk
+instead of opening another pull.  The attach/retry loop is what
+threads new arrivals into the tree.
+
+A host serves peers straight from its
+:class:`~repro.sim.host.HostStateCache`: the cache entry is the seeded
+image, and it is pinned while a peer reads it.
 
 Failure model: a source host crashing mid-serve aborts the flows on
 its uplink (:meth:`on_host_crashed`), the receiving fetch observes a
@@ -30,7 +36,6 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from repro.core.errors import StorageError
-from repro.distribution.peerstore import PeerImageStore
 from repro.sim.host import PhysicalHost
 from repro.sim.kernel import Environment, Event
 from repro.sim.latency import DEFAULT_LATENCY, INTERNODE_MBPS, LatencyModel
@@ -47,18 +52,18 @@ _MAX_RETRIES = 8
 class _Flight:
     """One in-flight delivery of an image onto one host."""
 
-    __slots__ = ("image_id", "store", "kind", "seq", "done", "waiters")
+    __slots__ = ("image_id", "host", "kind", "seq", "done", "waiters")
 
     def __init__(
         self,
         image_id: str,
-        store: PeerImageStore,
+        host: PhysicalHost,
         kind: str,
         seq: int,
         done: Event,
     ):
         self.image_id = image_id
-        self.store = store
+        self.host = host
         #: ``"peer"`` or ``"nfs"`` — where the bytes are coming from.
         self.kind = kind
         self.seq = seq
@@ -74,8 +79,9 @@ class DistributionPlanner:
 
     1. prefer the least-busy seeded peer whose fan-out budget
        (``fanout`` concurrent serves) is not exhausted;
-    2. otherwise attach to the least-subscribed in-flight delivery of
-       the image (peer or NFS) and retry once it lands;
+    2. otherwise attach to an in-flight delivery of the image (peer
+       or NFS) and retry once it lands: the one landing on the
+       caller's own host first, then the least-subscribed;
     3. otherwise seed from the warehouse.
 
     Rule 2 is the generalized coalescer; rule 1 + the fan-out bound
@@ -97,8 +103,12 @@ class DistributionPlanner:
         self.nfs = nfs
         self.latency = latency
         self.fanout = fanout
-        #: host name → serving store, in registration order.
-        self.stores: "Dict[str, PeerImageStore]" = {}
+        #: host name → host, in registration order (the tie-break).
+        self.hosts: Dict[str, PhysicalHost] = {}
+        #: host name → peer transfers reading from it right now.
+        self.active_serves: Dict[str, int] = {}
+        #: host name → peer transfers it completed.
+        self.serves: Dict[str, int] = {}
         #: host name → lazily created serving uplink.
         self._uplinks: Dict[str, FairShareLink] = {}
         self._flights: Dict[str, List[_Flight]] = {}
@@ -112,29 +122,18 @@ class DistributionPlanner:
         self.mb_peered = 0.0
 
     # -- membership ----------------------------------------------------------
-    def register_host(
-        self, host: PhysicalHost, site: int = 0
-    ) -> PeerImageStore:
-        """Enroll a host (idempotent); requires a state cache to serve.
-
-        ``site`` tags the host with its grid site: source picking
-        prefers same-site seeded peers over peers that would pull the
-        bytes across an inter-site boundary (all hosts default to
-        site 0, which leaves single-site behaviour unchanged).
-        """
-        store = self.stores.get(host.name)
-        if store is not None:
-            return store
+    def register_host(self, host: PhysicalHost) -> None:
+        """Enroll a host (idempotent); requires a state cache to serve."""
+        if host.name in self.hosts:
+            return
         if host.state_cache is None:
             raise ValueError(
                 f"host {host.name} has no state cache; the distribution "
                 f"layer serves peers from it"
             )
-        store = PeerImageStore(
-            host, host.state_cache, len(self.stores), site
-        )
-        self.stores[host.name] = store
-        return store
+        self.hosts[host.name] = host
+        self.active_serves[host.name] = 0
+        self.serves[host.name] = 0
 
     def _uplink(self, host: PhysicalHost) -> FairShareLink:
         link = self._uplinks.get(host.name)
@@ -152,11 +151,11 @@ class DistributionPlanner:
 
         The receivers' fetches observe a :class:`StorageError` and fall
         back down the recovery ladder (another peer, then NFS).  The
-        host's own cache has been cleared by the crash, so ``holds``
-        already answers False.  Idempotent; returns aborted flows.
+        host is down and its cache cleared, so no fetch picks it as a
+        source again.  Idempotent; returns aborted flows.
         """
         link = self._uplinks.get(host.name)
-        if link is None or link.active_flows == 0:
+        if link is None:
             return 0
         return link.abort_flows(
             lambda: StorageError(
@@ -179,23 +178,21 @@ class DistributionPlanner:
         in-flight delivery, then resolved locally/from a peer) or
         ``"nfs"`` (seeded from the warehouse).
         """
-        store = self.stores.get(host.name)
-        if store is None:
-            store = self.register_host(host)
+        self.register_host(host)
         attached = False
         for _ in range(_MAX_RETRIES):
-            if store.holds(image_id):
+            if not host.down and image_id in host.state_cache:
                 # Seeded while we waited (or by an earlier clone):
                 # replicate locally, off every network link.
                 self.local_hits += 1
                 yield host.disk_read(payload_mb)
                 yield host.disk_write(payload_mb)
                 return "coalesced" if attached else "local"
-            source = self._pick_source(image_id, exclude=store)
+            source = self._pick_source(image_id, host)
             if source is not None:
                 try:
                     yield self._peer_copy(
-                        source, store, image_id, payload_mb
+                        source, host, image_id, payload_mb
                     )
                 except StorageError as exc:
                     # Source died (or its uplink was aborted) mid-hop:
@@ -203,19 +200,19 @@ class DistributionPlanner:
                     self.fallbacks += 1
                     trace(
                         self.env, "storage", "tree-fallback",
-                        host=host.name, source=source.host.name,
+                        host=host.name, source=source.name,
                         image=image_id, error=str(exc),
                     )
                     continue
                 return "peer"
-            flight = self._pick_flight(image_id, store)
+            flight = self._pick_flight(image_id, host)
             if flight is not None:
                 attached = True
                 self.attaches += 1
                 flight.waiters += 1
                 trace(
                     self.env, "storage", "tree-attach",
-                    follower=host.name, leader=flight.store.host.name,
+                    follower=host.name, leader=flight.host.name,
                     image=image_id, kind=flight.kind,
                 )
                 try:
@@ -227,71 +224,52 @@ class DistributionPlanner:
                 # bottoms out at the warehouse rung.
                 continue
             result = yield self._nfs_seed(
-                store, image_id, payload_mb, files
+                host, image_id, payload_mb, files
             )
             return result
         # Pathological churn (every rung failed repeatedly): take the
         # warehouse path unconditionally rather than loop forever.
-        result = yield self._nfs_seed(store, image_id, payload_mb, files)
+        result = yield self._nfs_seed(host, image_id, payload_mb, files)
         return result
 
     # -- source selection -----------------------------------------------------
     def _pick_source(
-        self, image_id: str, exclude: PeerImageStore
-    ) -> Optional[PeerImageStore]:
-        """Least-busy seeded peer under the fan-out budget.
-
-        Site-aware: a seeded peer on the requester's own site always
-        outranks one whose bytes would cross an inter-site boundary
-        link, however idle the remote peer is; within a site class the
-        (active_serves, registration index) order is unchanged.  The
-        cross-site rung still exists — it is simply last before NFS —
-        and all rungs stay deterministic.
-        """
+        self, image_id: str, dest: PhysicalHost
+    ) -> Optional[PhysicalHost]:
+        """Least-busy seeded peer under the fan-out budget; ties go to
+        the earliest registered."""
         best = None
-        best_key = None
-        for store in self.stores.values():
-            if store is exclude or not store.holds(image_id):
-                continue
-            if store.active_serves >= self.fanout:
-                continue
-            key = (
-                0 if store.site == exclude.site else 1,
-                store.active_serves,
-                store.index,
-            )
-            if best_key is None or key < best_key:
-                best, best_key = store, key
+        least = self.fanout
+        for name, host in self.hosts.items():
+            serving = self.active_serves[name]
+            if (
+                serving < least
+                and host is not dest
+                and not host.down
+                and image_id in host.state_cache
+            ):
+                best, least = host, serving
         return best
 
     def _pick_flight(
-        self, image_id: str, exclude: PeerImageStore
+        self, image_id: str, host: PhysicalHost
     ) -> Optional[_Flight]:
+        """The delivery landing on ``host`` itself, else the
+        least-subscribed one; ties go to the oldest."""
         flights = self._flights.get(image_id)
         if not flights:
             return None
-        candidates = [f for f in flights if f.store is not exclude]
-        if not candidates:
-            return None
-        # Same-site in-flight deliveries win for the same reason as
-        # same-site sources: the follower's eventual re-resolve then
-        # finds a local peer instead of crossing a boundary link.
         return min(
-            candidates,
-            key=lambda f: (
-                0 if f.store.site == exclude.site else 1,
-                f.waiters,
-                f.seq,
-            ),
+            flights, key=lambda f: (f.host is not host, f.waiters, f.seq)
         )
 
     # -- transfer legs --------------------------------------------------------
     def _register_flight(
-        self, image_id: str, store: PeerImageStore, kind: str
+        self, image_id: str, host: PhysicalHost, kind: str
     ) -> _Flight:
         self._seq += 1
         flight = _Flight(
-            image_id, store, kind, self._seq, self.env.event()
+            image_id, host, kind, self._seq, self.env.event()
         )
         self._flights.setdefault(image_id, []).append(flight)
         return flight
@@ -308,49 +286,52 @@ class DistributionPlanner:
 
     def _peer_copy(
         self,
-        source: PeerImageStore,
-        dest: PeerImageStore,
+        source: PhysicalHost,
+        dest: PhysicalHost,
         image_id: str,
         payload_mb: float,
     ) -> Generator:
         """One tree hop: stream state from a seeded peer's disk.
 
-        The network stage is pipelined with the destination's local
-        write (same charging rule as ``NFSServer.copy_to_host``): the
-        uplink transfer is paid in full, plus only the *excess* write
-        time beyond it under memory pressure.
+        The source's cache entry is pinned for the hop, so eviction
+        passes over it.  The network stage is pipelined with the
+        destination's local write (same charging rule as
+        ``NFSServer.copy_to_host``): the uplink transfer is paid in
+        full, plus only the *excess* write time beyond it under memory
+        pressure.
         """
         flight = self._register_flight(image_id, dest, "peer")
-        source.begin_serve(image_id)
-        ok = False
+        source.state_cache.pin(image_id)
+        self.active_serves[source.name] += 1
         start = self.env.now
         try:
-            yield self._uplink(source.host).transfer(payload_mb)
+            yield self._uplink(source).transfer(payload_mb)
             network_time = self.env.now - start
             write_time = (
                 payload_mb
                 / self.latency.host_disk_write_mbps
-                * dest.host.pressure_factor()
+                * dest.pressure_factor()
             )
             if write_time > network_time:
                 yield write_time - network_time
-            ok = True
         finally:
-            source.end_serve(image_id, payload_mb, ok)
+            source.state_cache.unpin(image_id)
+            self.active_serves[source.name] -= 1
             self._retire_flight(flight)
+        self.serves[source.name] += 1
         self.peer_hops += 1
         self.mb_peered += payload_mb
-        if not dest.host.down:
-            dest.seed(image_id, payload_mb)
+        if not dest.down:
+            dest.state_cache.insert(image_id, payload_mb)
         trace(
             self.env, "storage", "tree-hop",
-            source=source.host.name, dest=dest.host.name,
+            source=source.name, dest=dest.name,
             image=image_id, mb=payload_mb,
         )
 
     def _nfs_seed(
         self,
-        store: PeerImageStore,
+        host: PhysicalHost,
         image_id: str,
         payload_mb: float,
         files: int,
@@ -363,19 +344,17 @@ class DistributionPlanner:
         Warehouse outage errors propagate to the caller exactly as the
         baseline star topology would surface them.
         """
-        flight = self._register_flight(image_id, store, "nfs")
+        flight = self._register_flight(image_id, host, "nfs")
         try:
-            yield self.nfs.copy_to_host(
-                payload_mb, store.host, files=files
-            )
+            yield self.nfs.copy_to_host(payload_mb, host, files=files)
         finally:
             self._retire_flight(flight)
         self.nfs_seeds += 1
-        if not store.host.down:
-            store.seed(image_id, payload_mb)
+        if not host.down:
+            host.state_cache.insert(image_id, payload_mb)
         trace(
             self.env, "storage", "tree-hop",
-            source="nfs", dest=store.host.name,
+            source="nfs", dest=host.name,
             image=image_id, mb=payload_mb,
         )
         return "nfs"

@@ -79,7 +79,6 @@ def build_federated_site(
         rack_size=rack_size,
         address_block=block,
         name_prefix=f"site{site}-",
-        site=site,
         networks_per_plant=networks_per_plant,
         **testbed_kw,
     )

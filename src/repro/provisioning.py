@@ -21,7 +21,9 @@ concurrent traffic:
   :class:`~repro.plant.speculative.AdaptiveSpeculativePool`);
 * **peer distribution trees** — golden-image delivery becomes a k-ary
   broadcast tree over per-host cluster uplinks instead of N pulls on
-  the one warehouse link (see :mod:`repro.distribution`).
+  the one warehouse link; each host serves peers from its golden-state
+  cache, and further clones on a host attach to the delivery already
+  landing there (see :mod:`repro.distribution`).
 
 Everything defaults to **off**: a testbed built without an explicit
 :class:`ProvisioningConfig` (or with the default one) reproduces the

@@ -40,9 +40,9 @@ __all__ = ["Testbed", "build_testbed", "run_process"]
 
 #: The production line each VM technology clones on.
 _LINE_CLASSES = {"vmware": VMwareLine, "uml": UMLLine}
-#: Host cache budget (MB) the distribution tree's peer store gets at
-#: least: it serves from the host cache, so the cache must exist.
-_PEER_STORE_MB = 1024.0
+#: Host cache budget (MB) a distribution tree gets at least: hosts
+#: serve peers from the host cache, so the cache must exist.
+_TREE_CACHE_MB = 1024.0
 
 
 def run_process(env: Environment, generator) -> object:
@@ -126,7 +126,6 @@ def build_testbed(
     rack_size: Optional[int] = None,
     address_block: Optional[object] = None,
     name_prefix: str = "",
-    site: int = 0,
 ):
     """Assemble the simulated site.
 
@@ -154,9 +153,7 @@ def build_testbed(
     plant pool draw its host-only subnets from the site's block of
     the grid address plan instead of the flat ``192.168/16`` default.
     ``name_prefix`` keeps service/host names grid-unique (a merged
-    multi-site trace names them side by side); ``site`` tags the site index
-    onto site-aware components (the distribution planner's peer
-    stores).
+    multi-site trace names them side by side).
     """
     if n_plants <= 0:
         raise ValueError("n_plants must be positive")
@@ -227,7 +224,7 @@ def build_testbed(
     pools: List[object] = []
     cache_mb = prov.host_cache_mb
     if prov.distribution_tree:
-        cache_mb = max(cache_mb, _PEER_STORE_MB)
+        cache_mb = max(cache_mb, _TREE_CACHE_MB)
     for i in range(n_plants):
         host = PhysicalHost(
             env,
@@ -240,7 +237,7 @@ def build_testbed(
         )
         hosts.append(host)
         if distribution is not None:
-            distribution.register_host(host, site=site)
+            distribution.register_host(host)
         lines = {}
         for vm_type in vm_types:
             line = _LINE_CLASSES[vm_type](

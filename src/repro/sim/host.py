@@ -35,12 +35,12 @@ class HostStateCache:
     the shared NFS link.  The cache is bounded by ``capacity_mb`` and
     evicts least-recently-cloned images first.
 
-    The peer-distribution layer (``repro.distribution``) serves cached
-    state to other hosts straight off this disk, so an entry may be
-    :meth:`pin`-ned while a peer transfer reads it: pinned entries are
-    skipped by the eviction scan (the next-least-recent unpinned entry
-    goes instead), and an insert that cannot make room without
-    touching a pinned entry is refused.  With no pins outstanding —
+    A distribution tree (``repro.distribution``) seeds this cache and
+    serves its entries to other hosts straight off this disk, so an
+    entry may be :meth:`pin`-ned while a peer transfer reads it: pinned
+    entries are skipped by the eviction scan (the next-least-recent
+    unpinned entry goes instead), and an insert that cannot make room
+    without touching a pinned entry is refused.  With no pins outstanding —
     every configuration without the distribution layer — behaviour is
     bit-identical to the plain LRU.
     """

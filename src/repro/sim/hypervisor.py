@@ -67,8 +67,8 @@ class CloneRecord:
     #: Where the per-clone state came from: ``"nfs"`` (warehouse
     #: transfer), ``"coalesced"`` (shared an in-flight transfer),
     #: ``"host-cache"`` (warm host LRU cache), ``"peer"`` (one hop of
-    #: a distribution tree) or ``"local"`` (peer store already seeded
-    #: by an earlier tree delivery).
+    #: a distribution tree) or ``"local"`` (a tree delivery already
+    #: seeded this host's cache).
     copy_source: str = "nfs"
 
 

@@ -1,6 +1,6 @@
 """Tests for the peer-to-peer image distribution layer.
 
-Peer stores, broadcast-tree planning, failure fallback, the load-aware
+Broadcast-tree planning over the host caches, failure fallback, the load-aware
 warehouse replica selection, the coalescer's outage semantics, and the
 guarantee that the whole layer is invisible when switched off.
 """
@@ -143,7 +143,26 @@ class TestDistributionPlanner:
         ) == "peer"
         assert nfs.mb_served == nfs_mb  # no further warehouse bytes
         assert planner.peer_hops == 2
-        assert planner.stores["node0"].serves >= 1
+        assert planner.serves["node0"] >= 1
+
+    def test_second_clone_on_seeding_host_attaches_to_its_delivery(self):
+        # Bytes already landing on a host serve every further clone
+        # there: one warehouse pull, not one per clone.
+        env, nfs, planner, hosts = _site(2)
+        payload = 40.0
+        results = []
+
+        def one():
+            source = yield from planner.fetch(hosts[0], "img", payload)
+            results.append(source)
+
+        def both():
+            yield env.all_of([env.process(one()), env.process(one())])
+
+        drive(env, both())
+        assert planner.nfs_seeds == 1
+        assert nfs.mb_served == pytest.approx(payload)
+        assert results == ["nfs", "coalesced"]
 
     def test_refetch_on_seeded_host_is_local(self):
         env, nfs, planner, hosts = _site(2)
@@ -184,8 +203,8 @@ class TestDistributionPlanner:
             peak[0] = max(
                 peak[0],
                 max(
-                    s.active_serves + (1 if s is source else 0)
-                    for s in planner.stores.values()
+                    serving + (1 if name == source.name else 0)
+                    for name, serving in planner.active_serves.items()
                 ),
             )
             return orig(source, dest, image_id, payload_mb)
@@ -230,7 +249,7 @@ class TestDistributionPlanner:
         assert nfs.mb_served > nfs_before  # fell back to the warehouse
         assert planner._flights == {}
         # The dead host serves nothing and holds no pins.
-        assert planner.stores["node0"].active_serves == 0
+        assert planner.active_serves["node0"] == 0
 
     def test_serve_pins_entry_against_eviction(self):
         env, nfs, planner, hosts = _site(2, cache_mb=100.0)

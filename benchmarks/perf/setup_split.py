@@ -12,7 +12,10 @@ Per workload, medians of :data:`PROBES` interpreters each way:
 * ``compile_s``: cold total minus warm total;
 * ``module_exec_s``: the warm imports (module bodies, stdlib included);
 * ``setup_call_s``: the warm ``setup()`` call;
-* ``src_modules``: how many ``repro`` modules the probe imports.
+* ``src_modules``: how many ``repro`` modules the probe imports;
+* ``records``: how many of their classes ``@dataclass`` built, each
+  of which ``exec``\ s its generated methods in every interpreter,
+  cached bytecode or not.
 
 Usage (the record is what it prints)::
 
@@ -43,7 +46,12 @@ workload = run.WORKLOADS[{workload!r}]
 t1 = time.perf_counter()
 workload.setup({seed}, workload.scaled(1.0))
 t2 = time.perf_counter()
-print(t1 - t0, t2 - t1, sum(name.split(".")[0] == "repro" for name in sys.modules))
+repro = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "repro"]
+records = {{
+    v for m in repro for v in vars(m).values()
+    if isinstance(v, type) and "__dataclass_fields__" in vars(v)
+}}
+print(t1 - t0, t2 - t1, len(repro), len(records))
 """
 
 
@@ -59,8 +67,8 @@ def _child(workload: str, cache: str | None):
         [sys.executable, "-c", CHILD.format(workload=workload, seed=SEED)],
         cwd=ROOT, env=env, capture_output=True, text=True, check=True,
     )
-    imports_s, call_s, modules = done.stdout.split()
-    return float(imports_s), float(call_s), int(modules)
+    imports_s, call_s, modules, records = done.stdout.split()
+    return float(imports_s), float(call_s), int(modules), int(records)
 
 
 def split(workload: str, cache: str) -> dict:
@@ -68,14 +76,15 @@ def split(workload: str, cache: str) -> dict:
     cold = [_child(workload, None) for _ in range(PROBES)]
     warm = [_child(workload, cache) for _ in range(PROBES)]
     med = lambda rows, i: statistics.median(row[i] for row in rows)  # noqa: E731
-    total_cold = statistics.median(a + b for a, b, _ in cold)
-    total_warm = statistics.median(a + b for a, b, _ in warm)
+    total_cold = statistics.median(row[0] + row[1] for row in cold)
+    total_warm = statistics.median(row[0] + row[1] for row in warm)
     return {
         "total_s": round(total_cold, 4),
         "compile_s": round(total_cold - total_warm, 4),
         "module_exec_s": round(med(warm, 0), 4),
         "setup_call_s": round(med(warm, 1), 4),
         "src_modules": cold[0][2],
+        "records": cold[0][3],
     }
 
 

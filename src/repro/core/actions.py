@@ -20,7 +20,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "ActionScope",
@@ -287,8 +287,7 @@ CANONICAL_ACTIONS_MAX = 256
 _canonical_actions: Dict[Tuple, Tuple[Action, Tuple[str]]] = {}
 
 
-@dataclass(frozen=True)
-class ActionResult:
+class ActionResult(NamedTuple):
     """Outcome of executing (or skipping) one action."""
 
     action: str

@@ -53,14 +53,16 @@ the body is computed once per body, not once per request, both ways:
   ``<hardware>`` and ``<network>`` elements decode the same way, to
   one :class:`~repro.core.spec.HardwareSpec` / :class:`NetworkSpec`
   per element (:data:`SPEC_INTERN_MAX` entries each, LRU), which keeps
-  the first decode's attribute strings.  Decoded requests are
-  read-only.
+  the first decode's attribute strings; the ``<software>`` element's
+  ``os`` with its interned DAG, and the envelope's ``vm-type``, share
+  one :class:`~repro.core.spec.SoftwareSpec` and one string the same
+  way.  Decoded requests are read-only.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.actions import (
     CANONICAL_ACTIONS_MAX,
@@ -110,12 +112,17 @@ _interned_actions: Dict[Tuple, Action] = {}
 
 #: Bound of each decoded-record table (entries, LRU): ``<hardware>``
 #: and ``<network>`` elements, keyed on their attributes, which is
-#: everything the decoder reads from them.  Every create of a site
-#: decodes one of each and a burst repeats a handful of sizes and
-#: client domains, so an in-flight create shares both records.
+#: everything the decoder reads from them, and ``(os, DAG, vm-type)``.
+#: Every create of a site decodes one of each and a burst repeats a
+#: handful of sizes, client domains and DAGs, so an in-flight create
+#: shares all three.  The software key holds the DAG's ``id``: the
+#: entry's spec keeps that DAG alive, so the id is not reused while
+#: the entry exists.
 SPEC_INTERN_MAX = 64
 _interned_hardware: Dict[Tuple, HardwareSpec] = {}
 _interned_networks: Dict[Tuple, NetworkSpec] = {}
+#: ``(os, id(dag), vm-type)`` -> ``(SoftwareSpec, vm-type)``.
+_interned_software: Dict[Tuple, Tuple[SoftwareSpec, Optional[str]]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +535,16 @@ def request_from_element(root: ET.Element) -> CreateRequest:
     dag_el = sw_el.find("dag")
     if dag_el is None:
         raise ProtocolError("missing <dag> inside <software>")
-    software = SoftwareSpec(
-        os=sw_el.get("os", "linux-mandrake-8.1"),
-        dag=_interned_dag(dag_el),
-    )
+    dag = _interned_dag(dag_el)
+    os_name = sw_el.get("os", "linux-mandrake-8.1")
+    key = (os_name, id(dag), root.get("vm-type"))
+    shared = _interned_software.pop(key, None)
+    if shared is None:
+        shared = (SoftwareSpec(os=os_name, dag=dag), key[2])
+        if len(_interned_software) >= SPEC_INTERN_MAX:
+            del _interned_software[next(iter(_interned_software))]
+    _interned_software[key] = shared
+    software, vm_type = shared
 
     lease = root.get("lease-s")
     try:
@@ -543,7 +556,7 @@ def request_from_element(root: ET.Element) -> CreateRequest:
         software=software,
         network=network,
         client_id=root.get("client", "anonymous"),
-        vm_type=root.get("vm-type"),
+        vm_type=vm_type,
         requirements=root.get("requirements"),
         lease_s=lease_s,
     )

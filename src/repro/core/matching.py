@@ -38,8 +38,7 @@ to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.actions import Action
 from repro.core.dag import ConfigDAG
@@ -156,8 +155,7 @@ def hardware_test(image_hw: HardwareSpec, requested: HardwareSpec) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Outcome of matching one golden image against a request."""
 
     image_id: str

@@ -12,7 +12,7 @@ A VM creation request (Section 3.1) carries three specifications:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.core.classad import ClassAd
 from repro.core.dag import ConfigDAG
@@ -137,8 +137,7 @@ class CreateRequest:
         return ad
 
 
-@dataclass(frozen=True)
-class QueryRequest:
+class QueryRequest(NamedTuple):
     """Query the classad of an active VM."""
 
     vmid: str
@@ -146,8 +145,7 @@ class QueryRequest:
     attributes: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class DestroyRequest:
+class DestroyRequest(NamedTuple):
     """Destroy (collect) an active VM."""
 
     vmid: str

@@ -16,8 +16,15 @@ rates chosen to land in that regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import (
+    Callable,
+    Dict,
+    Generator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from repro.core.classad import ClassAd
 from repro.core.errors import ReproError
@@ -50,8 +57,7 @@ PAPER_RUNS: Dict[int, tuple] = {
 }
 
 
-@dataclass(frozen=True)
-class CreationSample:
+class CreationSample(NamedTuple):
     """One client-observed creation attempt."""
 
     index: int
@@ -67,15 +73,15 @@ class CreationSample:
     error: str = ""
 
 
-@dataclass
 class ExperimentRun:
     """Results of one sequential creation stream."""
 
-    memory_mb: int
-    vm_type: str
-    testbed: Testbed
-    samples: List[CreationSample] = field(default_factory=list)
-    classads: List[ClassAd] = field(default_factory=list)
+    def __init__(self, memory_mb: int, vm_type: str, testbed: Testbed):
+        self.memory_mb = memory_mb
+        self.vm_type = vm_type
+        self.testbed = testbed
+        self.samples: List[CreationSample] = []
+        self.classads: List[ClassAd] = []
 
     @property
     def successes(self) -> List[CreationSample]:

@@ -72,8 +72,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from repro.analysis.streaming import WorkloadSummary
 from repro.core.errors import ReproError
 from repro.faults.audit import leak_stats
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.federation.addressing import HierarchicalAddressPlan
 from repro.federation.admission import AdmissionController
 from repro.federation.site import FederatedSite, build_federated_site
@@ -289,6 +287,11 @@ class GridScenario(ShardScenario):
                 "trace_dir: JSONL trace replay was removed; only None "
                 "is accepted"
             )
+        if prm["fault_plan"]:
+            # Only a chaos run pays for the fault machinery, and it pays
+            # here, before any site is built or any worker forks.
+            import repro.faults.injector  # noqa: F401
+            import repro.faults.plan  # noqa: F401
         return prm
 
     def link_specs(
@@ -381,6 +384,10 @@ class GridScenario(ShardScenario):
         handle.ack_link = links.get(f"ack{handle.site}")
         records = handle.params["fault_plan"]
         if records:
+            # Loaded by resolve(): a dictionary lookup here.
+            from repro.faults.injector import FaultInjector
+            from repro.faults.plan import FaultPlan
+
             # This site's slice of the grid fault plan.
             handle.injector = FaultInjector(
                 handle.fsite.bed,

@@ -18,7 +18,6 @@ one process are the same scenario at one shard,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.federation.addressing import HierarchicalAddressPlan, SubnetBlock
@@ -33,14 +32,20 @@ __all__ = ["FederatedSite", "build_federated_site"]
 DEFAULT_RACK_SIZE = 8
 
 
-@dataclass
 class FederatedSite:
     """Handle to one assembled site of the federation."""
 
-    site: int
-    bed: Testbed
-    gateway: FederationGateway
-    block: SubnetBlock
+    def __init__(
+        self,
+        site: int,
+        bed: Testbed,
+        gateway: FederationGateway,
+        block: SubnetBlock,
+    ):
+        self.site = site
+        self.bed = bed
+        self.gateway = gateway
+        self.block = block
 
 
 def build_federated_site(

@@ -20,8 +20,7 @@ with ``sh``.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from repro.core.actions import Action
 
@@ -122,12 +121,11 @@ def iso_size_mb(payload_bytes: int) -> float:
     return 0.35 + payload_bytes / (1024.0 * 1024.0)
 
 
-@dataclass(frozen=True)
-class ISOImage:
+class ISOImage(NamedTuple):
     """A virtual CD-ROM image carrying configuration scripts."""
 
     name: str
-    files: Tuple[Tuple[str, str], ...] = field(default=())
+    files: Tuple[Tuple[str, str], ...] = ()
 
 
 def build_iso(action: Action, context: Mapping[str, str]) -> ISOImage:

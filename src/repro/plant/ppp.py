@@ -18,7 +18,6 @@ All orchestration methods are simulation-kernel process generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Mapping, Optional, Tuple
 
 from repro.core.actions import (
@@ -45,16 +44,24 @@ from repro.sim.trace import trace
 __all__ = ["ProductionOrder", "ProductionProcessPlanner"]
 
 
-@dataclass(slots=True)
 class ProductionOrder:
     """One unit of work for the PPP."""
 
-    vmid: str
-    request: CreateRequest
-    clone_mode: CloneMode = CloneMode.LINK
-    #: Request-scoped values available to configuration scripts
-    #: (client id, VNET-assigned IP, ...); the PPP adds ``vmid``.
-    context: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ("vmid", "request", "clone_mode", "context")
+
+    def __init__(
+        self,
+        vmid: str,
+        request: CreateRequest,
+        clone_mode: CloneMode = CloneMode.LINK,
+        context: Optional[Dict[str, str]] = None,
+    ):
+        self.vmid = vmid
+        self.request = request
+        self.clone_mode = clone_mode
+        #: Request-scoped values available to configuration scripts
+        #: (client id, VNET-assigned IP, ...); the PPP adds ``vmid``.
+        self.context = {} if context is None else context
 
 
 class ProductionProcessPlanner:

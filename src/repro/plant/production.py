@@ -17,7 +17,6 @@ real production.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Generator, List, Optional
 
@@ -55,27 +54,46 @@ class VMStatus(Enum):
     COLLECTED = "collected"
 
 
-@dataclass(slots=True)
 class VirtualMachine:
     """A plant-managed VM instance and its bookkeeping."""
 
-    vmid: str
-    image: GoldenImage
-    request: CreateRequest
-    vm_type: str
-    status: VMStatus = VMStatus.CLONING
-    classad: ClassAd = field(default_factory=ClassAd)
-    #: Results of configuration actions, in execution order.
-    results: List[ActionResult] = field(default_factory=list)
-    #: Actions effectively performed on this instance (cached from the
-    #: golden image + executed successfully), in order — the state the
-    #: matching criterion sees if this VM is later published as an
-    #: image or extended with a larger DAG.
-    performed_actions: List[Action] = field(default_factory=list)
-    #: Line-specific state (sim VM handle, clone directory, ...).
-    backend: Any = None
-    #: Host-only network id assigned by VNET support, if any.
-    network_id: Optional[str] = None
+    __slots__ = (
+        "vmid",
+        "image",
+        "request",
+        "vm_type",
+        "status",
+        "classad",
+        "results",
+        "performed_actions",
+        "backend",
+        "network_id",
+    )
+
+    def __init__(
+        self,
+        vmid: str,
+        image: GoldenImage,
+        request: CreateRequest,
+        vm_type: str,
+    ):
+        self.vmid = vmid
+        self.image = image
+        self.request = request
+        self.vm_type = vm_type
+        self.status = VMStatus.CLONING
+        self.classad = ClassAd()
+        #: Results of configuration actions, in execution order.
+        self.results: List[ActionResult] = []
+        #: Actions effectively performed on this instance (cached from
+        #: the golden image + executed successfully), in order — the
+        #: state the matching criterion sees if this VM is later
+        #: published as an image or extended with a larger DAG.
+        self.performed_actions: List[Action] = []
+        #: Line-specific state (sim VM handle, clone directory, ...).
+        self.backend: Any = None
+        #: Host-only network id assigned by VNET support, if any.
+        self.network_id: Optional[str] = None
 
     @property
     def memory_mb(self) -> int:

@@ -24,8 +24,7 @@ per image.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.actions import Action
 from repro.core.classad import ClassAd
@@ -47,9 +46,9 @@ __all__ = ["GoldenImage", "VMWarehouse"]
 _MEMO_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class GoldenImage:
-    """Descriptor of one cached golden machine."""
+class _ImageFields(NamedTuple):
+    """:class:`GoldenImage`'s fields: a ``NamedTuple`` class body may
+    not define the ``__new__`` that checks them."""
 
     image_id: str
     vm_type: str
@@ -67,11 +66,19 @@ class GoldenImage:
     #: VM configuration file (MB).
     config_mb: float = 0.1
 
-    def __post_init__(self) -> None:
+
+class GoldenImage(_ImageFields):
+    """Descriptor of one cached golden machine."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GoldenImage":
+        self = super().__new__(cls, *args, **kwargs)
         if self.disk_state_mb < 0 or self.memory_state_mb < 0:
             raise ValueError("state sizes must be non-negative")
         if self.disk_files <= 0:
             raise ValueError("disk_files must be positive")
+        return self
 
     @property
     def performed_names(self) -> Tuple[str, ...]:
@@ -87,8 +94,7 @@ class GoldenImage:
         self, extra: Iterable[Action], image_id: Optional[str] = None
     ) -> "GoldenImage":
         """Derived image with more operations performed (publishing)."""
-        return replace(
-            self,
+        return self._replace(
             image_id=image_id or self.image_id,
             performed=self.performed + tuple(extra),
         )

@@ -15,7 +15,6 @@ one plant at random") from a named deterministic stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
@@ -27,24 +26,33 @@ from repro.sim.rng import RngHub
 __all__ = ["Bid", "BidCollector"]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Bid:
     """One plant's (or broker's) answer to an estimate request.
 
     Compared by identity: two bids are the same bid only if they are
     one object (so ``list.remove`` in :meth:`BidCollector.rank` calls
-    no Python ``__eq__``).
+    no Python ``__eq__``).  Nothing writes a bid after it is made.
     """
 
-    bidder_name: str
-    cost: float
-    #: The service object that will receive the create call.
-    bidder: Any
-    #: Simulated instant the collection round that gathered this bid
-    #: ended.  A bid quotes plant state as of then, so a shop only
-    #: dispatches from handed-in bids while the clock still reads
-    #: ``at`` (hand-made bids carry ``None`` and are never accepted).
-    at: Optional[float] = None
+    __slots__ = ("bidder_name", "cost", "bidder", "at")
+
+    def __init__(
+        self,
+        bidder_name: str,
+        cost: float,
+        bidder: Any,
+        at: Optional[float] = None,
+    ):
+        self.bidder_name = bidder_name
+        self.cost = cost
+        #: The service object that will receive the create call.
+        self.bidder = bidder
+        #: Simulated instant the collection round that gathered this
+        #: bid ended.  A bid quotes plant state as of then, so a shop
+        #: only dispatches from handed-in bids while the clock still
+        #: reads ``at`` (hand-made bids carry ``None`` and are never
+        #: accepted).
+        self.at = at
 
 
 class BidCollector:

@@ -19,7 +19,6 @@ The prototype exchanges XML service specifications over sockets
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from functools import partial
 from types import GeneratorType as _GeneratorType
 from typing import Any, Callable, Generator, Optional, Sequence, Tuple, Union
@@ -218,7 +217,6 @@ class Transport:
         return done
 
 
-@dataclass(slots=True, eq=False)
 class _Round:
     """One :meth:`Transport.gather` in flight.
 
@@ -228,12 +226,21 @@ class _Round:
     traceback holds the frame that caught it, which holds the round.
     """
 
-    transport: Transport
-    handlers: Sequence[Callable[[], Any]]
-    done: Optional[Event]
-    deadline: Optional[float]
-    #: (landing time, handler index, answer), as handlers finish.
-    landings: list = field(default_factory=list)
+    __slots__ = ("transport", "handlers", "done", "deadline", "landings")
+
+    def __init__(
+        self,
+        transport: Transport,
+        handlers: Sequence[Callable[[], Any]],
+        done: Optional[Event],
+        deadline: Optional[float],
+    ):
+        self.transport = transport
+        self.handlers = handlers
+        self.done = done
+        self.deadline = deadline
+        #: (landing time, handler index, answer), as handlers finish.
+        self.landings: list = []
 
     def fail(self, exc: Exception) -> None:
         done, self.done = self.done, None

@@ -10,8 +10,7 @@ published description, in publication order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Union
 
 from repro.core.classad import ClassAd, Expression
 from repro.core.errors import ShopError
@@ -19,8 +18,7 @@ from repro.core.errors import ShopError
 __all__ = ["ServiceEntry", "ServiceRegistry"]
 
 
-@dataclass(frozen=True)
-class ServiceEntry:
+class ServiceEntry(NamedTuple):
     """One published service."""
 
     name: str

@@ -12,7 +12,6 @@ returns a :class:`Testbed` handle the experiments drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cost.models import CostModel, MemoryAvailableCost
@@ -51,35 +50,53 @@ def run_process(env: Environment, generator) -> object:
     return env.run(until=proc)
 
 
-@dataclass
 class Testbed:
-    """Handle to an assembled simulated site."""
+    """Handle to an assembled simulated site (built by
+    :func:`build_testbed`, which names every part)."""
 
-    env: Environment
-    rng: RngHub
-    latency: LatencyModel
-    shop: VMShop
-    plants: List[VMPlant]
-    hosts: List[PhysicalHost]
-    nfs: NFSServer
-    warehouse: VMWarehouse
-    registry: ServiceRegistry
-    vnet: VirtualNetworkService
-    #: Gigabit inter-node network (used by VM migration).
-    internode: FairShareLink = None
-    lines: Dict[str, List[object]] = field(default_factory=dict)
-    #: Provisioning-throughput switches this site was built with.
-    provisioning: ProvisioningConfig = field(
-        default_factory=ProvisioningConfig
-    )
-    #: Per-plant adaptive speculative pool managers (when enabled).
-    pools: List[object] = field(default_factory=list)
-    #: Peer distribution-tree planner (None unless enabled).
-    distribution: Optional[object] = None
-    #: Rack-level :class:`~repro.shop.broker.VMBroker` tier (empty
-    #: unless built with ``rack_size``); when present the shop bids
-    #: against these brokers, not the plants directly.
-    racks: List[VMBroker] = field(default_factory=list)
+    def __init__(
+        self,
+        *,
+        env: Environment,
+        rng: RngHub,
+        latency: LatencyModel,
+        shop: VMShop,
+        plants: List[VMPlant],
+        hosts: List[PhysicalHost],
+        nfs: NFSServer,
+        warehouse: VMWarehouse,
+        registry: ServiceRegistry,
+        vnet: VirtualNetworkService,
+        internode: FairShareLink,
+        lines: Dict[str, List[object]],
+        provisioning: ProvisioningConfig,
+        pools: List[object],
+        distribution: Optional[object],
+        racks: List[VMBroker],
+    ):
+        self.env = env
+        self.rng = rng
+        self.latency = latency
+        self.shop = shop
+        self.plants = plants
+        self.hosts = hosts
+        self.nfs = nfs
+        self.warehouse = warehouse
+        self.registry = registry
+        self.vnet = vnet
+        #: Gigabit inter-node network (used by VM migration).
+        self.internode = internode
+        self.lines = lines
+        #: Provisioning-throughput switches this site was built with.
+        self.provisioning = provisioning
+        #: Per-plant adaptive speculative pool managers (when enabled).
+        self.pools = pools
+        #: Peer distribution-tree planner (None unless enabled).
+        self.distribution = distribution
+        #: Rack-level :class:`~repro.shop.broker.VMBroker` tier (empty
+        #: unless built with ``rack_size``); when present the shop bids
+        #: against these brokers, not the plants directly.
+        self.racks = racks
 
     def run(self, generator) -> object:
         """Drive one process generator to completion on this env."""

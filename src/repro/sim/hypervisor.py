@@ -25,8 +25,7 @@ models the small number of unsuccessful creations the paper reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.core.actions import Action, ActionResult, ActionScope, ActionStatus
 from repro.core.errors import PlantError
@@ -48,8 +47,7 @@ from repro.sim.trace import trace
 __all__ = ["CloneRecord", "SimBackend", "VMwareLine", "UMLLine"]
 
 
-@dataclass(frozen=True, slots=True)
-class CloneRecord:
+class CloneRecord(NamedTuple):
     """Per-clone timing breakdown harvested by the experiments."""
 
     vmid: str
@@ -72,15 +70,23 @@ class CloneRecord:
     copy_source: str = "nfs"
 
 
-@dataclass(slots=True)
 class SimBackend:
     """Line-private state of a simulated VM instance."""
 
-    host: PhysicalHost
-    guest_mb: float
-    #: Private redo-log growth (MB), fed by guest actions.
-    redo_mb: float = 0.0
-    running: bool = False
+    __slots__ = ("host", "guest_mb", "redo_mb", "running")
+
+    def __init__(
+        self,
+        host: PhysicalHost,
+        guest_mb: float,
+        redo_mb: float = 0.0,
+        running: bool = False,
+    ):
+        self.host = host
+        self.guest_mb = guest_mb
+        #: Private redo-log growth (MB), fed by guest actions.
+        self.redo_mb = redo_mb
+        self.running = running
 
 
 class _SimLine(ProductionLine):

@@ -19,13 +19,12 @@ variant :class:`LatencyModel` instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["LatencyModel", "DEFAULT_LATENCY", "INTERNODE_MBPS"]
 
 
-@dataclass(frozen=True)
-class LatencyModel:
+class LatencyModel(NamedTuple):
     """Tunable constants of the simulated substrate (seconds, MB/s)."""
 
     # -- NFS warehouse path ------------------------------------------------

@@ -17,7 +17,7 @@ one canonical order regardless of process placement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "LinkSpec",
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(NamedTuple):
     """One directed inter-site boundary link.
 
     ``latency_s`` doubles as the conservative-sync lookahead: the
@@ -155,8 +154,13 @@ class ShardedTestbed:
         block_partition(self.sites, self.shards)  # range validation
         # An unknown scenario or a bad parameter fails here, and a grid
         # process pays for its scenario and the runner while it plans,
-        # not while it runs.
+        # not while it runs; only a forked plan pays for the fork.
         import repro.sim.shard.runner  # noqa: F401
+
+        if self.shards > 1:
+            import multiprocessing.connection  # noqa: F401
+
+            import repro.sim.shard.worker  # noqa: F401
         from repro.sim.shard.scenarios import get_scenario
 
         get_scenario(self.scenario).resolve(self.params)

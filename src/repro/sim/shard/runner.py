@@ -16,18 +16,14 @@ instead of a hang.
 from __future__ import annotations
 
 import gc
-import multiprocessing
-import multiprocessing.connection as mpconn
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.shard.plan import ShardedTestbed, validate_link_specs
 from repro.sim.shard.scenarios import get_scenario
 from repro.sim.shard.sync import RunContext, SiteWorld
 from repro.sim.shard.tracemerge import merge_traces, merged_fingerprint
-from repro.sim.shard.worker import worker_main
 
 __all__ = ["ShardRunResult", "ShardWorkerError", "run_sharded"]
 
@@ -36,23 +32,35 @@ class ShardWorkerError(RuntimeError):
     """A shard worker crashed or disappeared; the run was aborted."""
 
 
-@dataclass
 class ShardRunResult:
     """Outcome of one sharded run (any shard count)."""
 
-    sites: int
-    shards: int
-    partition: Tuple[int, ...]
-    scenario: str
-    params: Dict[str, Any]
-    until: Optional[float]
-    collect: Optional[str]
-    #: Coordinator wall-clock for the whole run (build + sim + sync).
-    wall_s: float
-    #: Per-site outcomes, in site order.
-    site_results: List[Dict[str, Any]]
-    #: Per-worker outcomes, in shard order.
-    shard_results: List[Dict[str, Any]]
+    def __init__(
+        self,
+        sites: int,
+        shards: int,
+        partition: Tuple[int, ...],
+        scenario: str,
+        params: Dict[str, Any],
+        until: Optional[float],
+        collect: Optional[str],
+        wall_s: float,
+        site_results: List[Dict[str, Any]],
+        shard_results: List[Dict[str, Any]],
+    ):
+        self.sites = sites
+        self.shards = shards
+        self.partition = partition
+        self.scenario = scenario
+        self.params = params
+        self.until = until
+        self.collect = collect
+        #: Coordinator wall-clock for the whole run (build + sim + sync).
+        self.wall_s = wall_s
+        #: Per-site outcomes, in site order.
+        self.site_results = site_results
+        #: Per-worker outcomes, in shard order.
+        self.shard_results = shard_results
 
     @property
     def total_events(self) -> int:
@@ -208,6 +216,11 @@ def _assemble(
 def _run_forked(
     ctx: RunContext, deadline_s: Optional[float]
 ) -> ShardRunResult:
+    # A forked plan preloaded these while it planned (ShardedTestbed).
+    import multiprocessing
+
+    from repro.sim.shard.worker import worker_main
+
     try:
         mp = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -292,16 +305,16 @@ def _exit_status(proc) -> str:
     return f"exit code {code}"
 
 
-@dataclass
 class _Coordinator:
     """The parent's side of a forked run: results gathered, the
     channels' counts checked, crashes named."""
 
-    conns: Tuple[Any, ...]
-    procs: List[Any]
-    results: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    #: shard -> (repr of its exception, traceback text).
-    errors: Dict[int, Tuple[str, str]] = field(default_factory=dict)
+    def __init__(self, conns: Tuple[Any, ...], procs: List[Any]):
+        self.conns = conns
+        self.procs = procs
+        self.results: Dict[int, Dict[str, Any]] = {}
+        #: shard -> (repr of its exception, traceback text).
+        self.errors: Dict[int, Tuple[str, str]] = {}
 
     def send_all(self, msg: tuple) -> None:
         for c in self.conns:
@@ -351,6 +364,8 @@ class _Coordinator:
         """Every shard's result payload, in shard order, or
         :class:`ShardWorkerError` — also when a channel ended with
         records sent but not received."""
+        from multiprocessing.connection import wait
+
         shards = len(self.procs)
         results = self.results
         errors = self.errors
@@ -363,7 +378,7 @@ class _Coordinator:
         # the root cause, not whichever arrived first.
         error_grace: Optional[float] = None
         while len(results) < shards:
-            ready = mpconn.wait(
+            ready = wait(
                 list(self.conns) + list(sentinel_of), timeout=0.5
             )
             if deadline is not None and time.monotonic() > deadline:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 try:
@@ -51,8 +50,7 @@ __all__ = ["SYNC_KEYS", "RunContext", "SiteRuntime", "SiteWorld"]
 SYNC_KEYS = ("windows", "records", "simulate_s", "exchange_s", "wait_s")
 
 
-@dataclass(frozen=True)
-class RunContext:
+class RunContext(NamedTuple):
     """What every process of one run agrees on, resolved once by
     :func:`~repro.sim.shard.runner.run_sharded` and inherited by fork."""
 

@@ -22,22 +22,20 @@ custom analyses beyond the canned experiments::
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional
 
 from repro.sim.kernel import Environment
 
 __all__ = ["TraceEvent", "Tracer", "trace"]
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One recorded event."""
 
     time: float
     category: str
     message: str
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any]
 
 
 class Tracer:

@@ -22,24 +22,23 @@ dict.  Only a fresh allocation scans for the first free switch.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set
 
 from repro.core.errors import VNetError
 
 __all__ = ["HostOnlyNetwork", "IPAllocator", "HostOnlyNetworkPool"]
 
 
-@dataclass
 class HostOnlyNetwork:
     """One vmnet/tap switch and its current assignment."""
 
-    network_id: str
-    subnet: str
-    #: Client domain currently owning the switch (None = free).
-    domain: Optional[str] = None
-    #: vmids of VMs attached to the switch.
-    attached: Set[str] = field(default_factory=set)
+    def __init__(self, network_id: str, subnet: str):
+        self.network_id = network_id
+        self.subnet = subnet
+        #: Client domain currently owning the switch (None = free).
+        self.domain: Optional[str] = None
+        #: vmids of VMs attached to the switch.
+        self.attached: Set[str] = set()
 
     @property
     def is_free(self) -> bool:
@@ -100,8 +99,7 @@ class IPAllocator:
         self._released_set.add(host)
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkAssignment:
+class NetworkAssignment(NamedTuple):
     """Result of attaching a VM: its switch and guest address."""
 
     network_id: str

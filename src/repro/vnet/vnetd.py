@@ -16,16 +16,14 @@ setup/teardown ordering, per-domain isolation and the one-handler-per-
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.errors import VNetError
 
 __all__ = ["VNetProxy", "VNetServer", "Bridge", "VirtualNetworkService"]
 
 
-@dataclass(frozen=True)
-class VNetProxy:
+class VNetProxy(NamedTuple):
     """VNET endpoint inside a client domain."""
 
     domain: str
@@ -34,17 +32,16 @@ class VNetProxy:
     credentials: str = ""
 
 
-@dataclass
 class VNetServer:
     """VNET endpoint on one VMPlant host."""
 
-    plant_name: str
-    host: str
-    port: int = 1087
+    def __init__(self, plant_name: str, host: str, port: int = 1087):
+        self.plant_name = plant_name
+        self.host = host
+        self.port = port
 
 
-@dataclass(frozen=True)
-class Bridge:
+class Bridge(NamedTuple):
     """An active Ethernet-layer bridge plant ↔ client proxy."""
 
     bridge_id: str

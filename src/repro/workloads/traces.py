@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from repro.sim.rng import RngHub
 
@@ -56,8 +56,7 @@ __all__ = [
 PROCESS_KINDS = ("diurnal", "flash", "campaign")
 
 
-@dataclass(frozen=True, slots=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One request arrival in a workload trace."""
 
     time: float

@@ -5,7 +5,6 @@ the drivers' mechanics and the key qualitative shapes at small n so
 the test suite stays fast.
 """
 
-import dataclasses
 import math
 import re
 from pathlib import Path
@@ -311,7 +310,7 @@ class TestSiteClients:
         assert all(math.isnan(s.latency) for s in closed_failed)
         # The chaos fingerprint hashes a failure's time-to-fail.
         late = [
-            s if s.ok else dataclasses.replace(s, latency=s.latency + 1)
+            s if s.ok else s._replace(latency=s.latency + 1)
             for s in opened
         ]
         assert chaos_fingerprint(late) != chaos_fingerprint(opened)

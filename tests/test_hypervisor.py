@@ -213,5 +213,7 @@ def test_clone_classes_have_no_instance_dict():
 
     for cls in (CloneRecord, SimBackend):
         assert hasattr(cls, "__slots__"), f"{cls.__name__} lost __slots__"
-        instance = object.__new__(cls)
+        # A NamedTuple record is a tuple: built the way tuples are.
+        new = tuple.__new__ if issubclass(cls, tuple) else object.__new__
+        instance = new(cls)
         assert not hasattr(instance, "__dict__"), cls.__name__

@@ -10,8 +10,8 @@ load the grid stack either, and a workload loads in its set-up
 everything its run will call.
 
 Run as ``PYTHONPATH=src:. python -m tests.test_import_graph`` to print
-the ``repro`` modules and source lines each end-to-end workload's
-set-up loads.
+the ``repro`` modules, source lines and dataclass-built classes each
+end-to-end workload's set-up loads, and which fork or fault machinery.
 """
 
 import ast
@@ -82,6 +82,10 @@ GRID_ONLY = (
     "repro.plant.migration",
     "multiprocessing",
 )
+#: What only a forked plan needs (``ShardedTestbed`` loads it when
+#: ``shards > 1``) and what only a plan with a ``fault_plan`` needs.
+FORK_ONLY = ("multiprocessing", "repro.sim.shard.worker")
+FAULT_ONLY = ("repro.faults.injector", "repro.faults.plan")
 #: The package ``__init__``s that may import, and what: ``repro`` keeps
 #: the quickstart names (from leaf modules only) and ``repro.sim.shard``
 #: its plan, which ``benchmarks/e2e/workloads.py`` imports from there.
@@ -248,16 +252,40 @@ def test_create_path_process_loads_no_report_module():
     assert seen["loaded"] == []
 
 
+#: Prints the ``repro`` classes whose ``@dataclass`` decorator ran,
+#: by qualified name (class bodies searched too).
+RECORDS_SNIPPET = """
+def dataclass_records():
+    seen, found = set(), []
+    def visit(owner, name):
+        for value in vars(owner).values():
+            if (
+                isinstance(value, type)
+                and value.__module__ == name
+                and value not in seen
+            ):
+                seen.add(value)
+                if "__dataclass_fields__" in vars(value):
+                    found.append(f"{name}.{value.__qualname__}")
+                visit(value, name)
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "repro":
+            visit(module, name)
+    return sorted(found)
+"""
+
 WORKLOAD_PROBE = """
 import json, sys
 import benchmarks.e2e.workloads as e2e  # all that the benchmark imports
-
+%s
 workload = e2e.WORKLOADS[%r]
 inputs = workload.setup(2004, workload.scaled(0.05))
 setup = set(sys.modules)
+records = dataclass_records()
 workload.run(inputs)
 print(json.dumps({
     "setup": sorted(setup),
+    "records": records,
     "run": sorted(set(sys.modules) - setup),
 }))
 """
@@ -272,8 +300,9 @@ E2E_WORKLOADS = (
 def workload_modules(workload: str) -> dict:
     """What a fresh interpreter that imports ``benchmarks.e2e.workloads``
     has loaded once ``workload``'s set-up returns (``"setup"``), and what
-    its run then added (``"run"``); scale 0.05."""
-    done = _python("-c", WORKLOAD_PROBE % (workload,))
+    its run then added (``"run"``), and the dataclass-built ``repro``
+    classes its set-up holds (``"records"``); scale 0.05."""
+    done = _python("-c", WORKLOAD_PROBE % (RECORDS_SNIPPET, workload))
     assert done.returncode == 0, done.stderr[-2000:]
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -294,6 +323,107 @@ def test_single_site_setup_loads_no_grid_module():
     loaded = workload_modules("paper_seq")["setup"]
     assert "repro.sim.cluster" in loaded  # the probe did load a testbed
     assert [name for name in loaded if _is_under(name, GRID_ONLY)] == []
+
+
+#: Every dataclass-built ``repro`` class a workload's set-up holds, the
+#: same five times: the wire specs that ``dataclasses.replace`` or a
+#: ``__post_init__`` serves and the validated configs.  Any other record
+#: is a ``NamedTuple`` or a plain class.
+SETUP_RECORDS = [
+    "repro.core.actions.Action",
+    "repro.core.spec.CreateRequest",
+    "repro.core.spec.HardwareSpec",
+    "repro.core.spec.NetworkSpec",
+    "repro.core.spec.SoftwareSpec",
+    "repro.faults.recovery.RecoveryPolicy",
+    "repro.provisioning.ProvisioningConfig",
+    "repro.sim.shard.plan.ShardedTestbed",
+    "repro.workloads.traces.TenantSpec",
+    "repro.workloads.traces.TraceSpec",
+]
+
+
+@pytest.mark.parametrize("workload", E2E_WORKLOADS)
+def test_setup_builds_only_the_pinned_dataclasses(workload):
+    # ``@dataclass`` generates its methods with ``exec`` in every fresh
+    # interpreter: no bytecode cache ever holds them.
+    records = workload_modules(workload)["records"]
+    assert records == SETUP_RECORDS, (
+        f"{workload}'s set-up builds the dataclasses {records}: a frozen "
+        "internal record is a NamedTuple and a mutable service object a "
+        "plain class (DESIGN.md, 'Process footprint & import layering', "
+        "the record rule); pin a dataclass here only for a wire spec or "
+        "a validated config"
+    )
+
+
+def test_in_process_grid_setup_loads_no_fork_or_fault_machinery():
+    loaded = workload_modules("grid_overload")["setup"]
+    assert "repro.sim.shard.runner" in loaded  # the probe did plan a grid
+    assert [
+        name for name in loaded if _is_under(name, FORK_ONLY + FAULT_ONLY)
+    ] == []
+
+
+PLAN_PROBE = """
+import json, sys
+from repro.sim.shard import ShardedTestbed
+
+before = set(sys.modules)
+plan = ShardedTestbed(seed=3, sites=2, shards=%d, scenario="megaload",
+                      params=%r)
+planned = set(sys.modules)
+if %r:
+    run = plan.run(params={"requests": 6, "plants": 2}, collect=None)
+    assert run.shards == plan.shards and run.total_events > 0
+print(json.dumps({
+    "planned": sorted(planned - before),
+    "run": sorted(set(sys.modules) - planned),
+}))
+"""
+
+#: One grid fault-plan record (``FaultPlan.to_records()``'s shape).
+FAULT_RECORDS = [
+    {"at": 5.0, "kind": "guest-hang", "target": "s0-p0", "duration": 1.0,
+     "severity": 0.0, "mode": "stall", "site": 0},
+]
+
+
+def _plan_modules(shards: int, params: dict, run: bool = False) -> dict:
+    """What a fresh interpreter loads while it builds a two-site
+    ``ShardedTestbed`` (``"planned"``), and what running it then adds."""
+    done = _python("-c", PLAN_PROBE % (shards, params, run))
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _machinery(names) -> dict:
+    return {
+        "fork": [n for n in FORK_ONLY if n in names],
+        "fault": [n for n in FAULT_ONLY if n in names],
+    }
+
+
+def test_an_in_process_plan_loads_no_fork_or_fault_machinery():
+    planned = _plan_modules(1, {})["planned"]
+    assert "repro.sim.shard.runner" in planned
+    assert _machinery(planned) == {"fork": [], "fault": []}
+
+
+def test_a_forked_plan_loads_the_fork_machinery_while_it_plans():
+    planned = _plan_modules(2, {})["planned"]
+    assert _machinery(planned) == {"fork": list(FORK_ONLY), "fault": []}
+
+
+def test_a_fault_plan_loads_the_fault_machinery_while_it_plans():
+    planned = _plan_modules(1, {"fault_plan": FAULT_RECORDS})["planned"]
+    assert _machinery(planned) == {"fork": [], "fault": list(FAULT_ONLY)}
+
+
+def test_a_forked_run_imports_no_repro_module_after_planning():
+    loaded = _plan_modules(2, {}, run=True)
+    assert _machinery(loaded["planned"])["fork"] == list(FORK_ONLY)
+    assert [name for name in loaded["run"] if _is_under(name, ("repro",))] == []
 
 
 @pytest.mark.parametrize("workload", E2E_WORKLOADS)
@@ -366,8 +496,19 @@ def test_every_e2e_trace_target_resolves():
 
 
 if __name__ == "__main__":
-    print("| workload | `repro` modules | source lines |")
-    print("|---|---:|---:|")
+    print(
+        "| workload | `repro` modules | source lines | dataclass records "
+        "| fork / fault machinery |"
+    )
+    print("|---|---:|---:|---:|---|")
     for name in E2E_WORKLOADS:
         count, lines = setup_footprint(name)
-        print(f"| `{name}` | {count} | {lines:,} |")
+        seen = workload_modules(name)
+        loaded = _machinery(seen["setup"])
+        machinery = ", ".join(
+            kind for kind in ("fork", "fault") if loaded[kind]
+        )
+        print(
+            f"| `{name}` | {count} | {lines:,} | {len(seen['records'])} "
+            f"| {machinery or 'none'} |"
+        )

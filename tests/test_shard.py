@@ -16,7 +16,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -247,7 +246,7 @@ class _FanInScenario(MiniRingScenario):
 
     def link_specs(self, sites, params):
         return [
-            replace(spec, dst=sites - 1)
+            spec._replace(dst=sites - 1)
             for spec in super().link_specs(sites, params)
             if spec.src != sites - 1
         ]

@@ -43,7 +43,7 @@ class TestTracer:
 
     def test_trace_event_has_no_instance_dict(self):
         assert hasattr(TraceEvent, "__slots__")
-        assert not hasattr(object.__new__(TraceEvent), "__dict__")
+        assert not hasattr(tuple.__new__(TraceEvent), "__dict__")
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):

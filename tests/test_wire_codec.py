@@ -71,7 +71,7 @@ from tests.oracles.dag_decode import oracle_dag_from_element
 
 
 _TABLES = ("_interned_dags", "_interned_actions", "_interned_hardware",
-           "_interned_networks")
+           "_interned_networks", "_interned_software")
 
 
 @pytest.fixture(autouse=True)
@@ -693,6 +693,40 @@ class TestIntern:
         assert_same_request(back, other)
         assert back.hardware is not first.hardware
         assert back.network is not first.network
+
+    def test_equal_software_and_vm_type_decode_to_one_record(self):
+        decoded = []
+        for who in ("a", "b"):
+            request = experiment_request(64, client_id=who)
+            _, back = service_request_from_xml(service_request_to_xml(request))
+            assert_same_request(back, request)
+            decoded.append(back)
+        first, second = decoded
+        assert second.software is first.software
+        assert second.software.os is first.software.os
+        assert second.vm_type is first.vm_type
+        for other in (
+            experiment_request(64, os="linux-redhat-7.3"),
+            experiment_request(64, vm_type="uml"),
+            experiment_request(64, vm_type=None),
+        ):
+            _, back = service_request_from_xml(service_request_to_xml(other))
+            assert_same_request(back, other)
+            assert back.software is not first.software
+
+    def test_software_table_is_bounded_lru(self):
+        bound = dagxml.SPEC_INTERN_MAX
+        wires = [
+            service_request_to_xml(experiment_request(64, os=f"os-{i}"))
+            for i in range(bound + 1)
+        ]
+        _, first = service_request_from_xml(wires[0])
+        for wire in wires[1:]:
+            service_request_from_xml(wire)
+        assert len(dagxml._interned_software) == bound
+        _, back = service_request_from_xml(wires[0])  # evicted: afresh
+        assert back.software is not first.software
+        assert back.software == first.software
 
     def test_a_missing_network_element_decodes_to_one_default(self):
         wire = service_request_to_xml(experiment_request(64))

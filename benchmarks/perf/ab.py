@@ -54,6 +54,11 @@ differ between the sides — a kernel change that queues fewer events
 does the same simulated work — and the report prints them per side as
 a count row, not as a verdict.
 
+The report also prints the host's load average (``os.getloadavg``) at
+the start and at the end of the run.  A busy neighbour can flip a
+``setup_s`` verdict without moving either median, and these two lines
+show it; no verdict reads them.
+
 Exit status: 0 when compared (whatever the verdicts), 1 when refused or
 a child failed.
 """
@@ -338,7 +343,7 @@ def snapshot(rev: str, scratch: Path) -> Path:
 
 def report(
     args, labels: Sequence[str], core: int, results: Dict[str, dict],
-    counts: Dict[str, tuple], sim_values: int,
+    counts: Dict[str, tuple], sim_values: int, load: Sequence[tuple],
 ) -> None:
     pairs = next(iter(results.values()))["pairs"]
     print(
@@ -347,6 +352,11 @@ def report(
     )
     print(f"  A = {labels[0]}\n  B = {labels[1]}")
     print(f"  bytecode {BYTECODE_STATE}")
+    for when, avg in zip(("start", "end"), load):
+        print(
+            f"  load average at the {when} (1, 5, 15 min): "
+            + " ".join(f"{x:.2f}" for x in avg)
+        )
     print(
         f"  sim side identical in all {2 * pairs} samples "
         f"({sim_values} values), bar the event counts between A and B"
@@ -398,6 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     revs = (args.rev_a, args.rev_b)
     core = max(os.sched_getaffinity(0))
+    load = [os.getloadavg()]
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         try:
             labels = [_describe(rev) for rev in revs]
@@ -419,6 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     samples[which].append(
                         _sample(sides[which], args, core, caches[which])
                     )
+            load.append(os.getloadavg())
             results = verdicts(*samples)
             counts = event_counts(*samples)
         except Refused as exc:
@@ -427,7 +439,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except RuntimeError as exc:
             print(f"ab: {exc}", file=sys.stderr)
             return 1
-    report(args, labels, core, results, counts, len(samples[0][0]["sim"]))
+    report(
+        args, labels, core, results, counts, len(samples[0][0]["sim"]), load
+    )
     return 0
 
 

@@ -9,16 +9,19 @@ parameters at seed :data:`SEED`, no spill links, so every arrival is
 placed at home) until :data:`PARKED` of its creates are parked at
 their warehouse transfer, and measures what goes when they go: each
 parked generator is closed, innermost first, the collector runs, and
-the traced bytes freed are divided by their number.  The generators themselves are counted with
-``sys.getsizeof``; the rest of the freed bytes are grouped by the file
-that allocated them.  A second site repeats it with ``cProfile``
-enabled while it steps, as ``benchmarks/e2e/run.py``'s call-counting
-repetition does: a profiler gives every live generator a frame object
-of its own.
+the traced bytes freed are divided by their number.  The generators
+themselves are counted with ``sys.getsizeof``; the rest of the freed
+bytes are grouped by the file that allocated them, where a block
+allocated in generated code (``<string>``: a ``NamedTuple``'s
+``__new__``) counts in the nearest ``src/repro/`` file that called it.
+A second site repeats it with ``cProfile`` enabled while it steps, as
+``benchmarks/e2e/run.py``'s call-counting repetition does: a profiler
+gives every live generator a frame object of its own.
 
 Every figure is ``tracemalloc`` net of what was freed, so the script
-runs in an interpreter traced from its start (it re-executes itself
-under ``-X tracemalloc`` when it is not).  It prints one JSON record.
+runs in an interpreter traced from its start, :data:`FRAMES` frames
+deep (it re-executes itself under ``-X tracemalloc=FRAMES`` when it is
+not).  It prints one JSON record.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ REQUEST_FRAME = "GridScenario._request"
 #: The grid's seed and how many creates the record parks.
 SEED = 7919
 PARKED = 100
+#: Frames a traced block keeps: the allocating one and its caller, the
+#: ``src/repro/`` frame that calls a ``NamedTuple``'s ``__new__``.
+FRAMES = 2
 
 
 class _NotingEnvironment(Environment):
@@ -114,6 +120,18 @@ def _where(filename: str) -> str:
     return filename
 
 
+def _booked(traceback: tracemalloc.Traceback) -> str:
+    """The file a traced block counts in: the one that allocated it,
+    or for generated code the nearest ``src/repro/`` caller (a
+    traceback lists its frames oldest first)."""
+    frames = list(reversed(traceback))
+    if frames[0].filename == "<string>":
+        for frame in frames[1:]:
+            if "/src/repro/" in frame.filename:
+                return _where(frame.filename)
+    return _where(frames[0].filename)
+
+
 def held_bytes(parked: Sequence[Process]) -> Dict[str, float]:
     """What ``parked`` hold, per create: the traced bytes freed when
     they go, split into their generators (each with its frame) and the
@@ -126,8 +144,7 @@ def held_bytes(parked: Sequence[Process]) -> Dict[str, float]:
         for gen in proc._stack:
             size = sys.getsizeof(gen)
             frames += size
-            where = tracemalloc.get_object_traceback(gen)
-            by_file[_where(where[0].filename)] -= size
+            by_file[_booked(tracemalloc.get_object_traceback(gen))] -= size
     gc.collect()
     before = tracemalloc.take_snapshot()
     total = tracemalloc.get_traced_memory()[0]
@@ -139,8 +156,8 @@ def held_bytes(parked: Sequence[Process]) -> Dict[str, float]:
     gc.collect()
     freed = total - tracemalloc.get_traced_memory()[0]
     after = tracemalloc.take_snapshot()
-    for stat in after.compare_to(before, "filename"):
-        by_file[_where(stat.traceback[0].filename)] -= stat.size_diff
+    for stat in after.compare_to(before, "traceback"):
+        by_file[_booked(stat.traceback)] -= stat.size_diff
     return {
         "held_b": round(freed / count, 1),
         "frames_b": round(frames / count, 1),
@@ -206,10 +223,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="also write the record here")
     args = parser.parse_args(argv)
-    if not (tracemalloc.is_tracing() and sys._xoptions.get("tracemalloc")):
+    if not (
+        tracemalloc.is_tracing()
+        and sys._xoptions.get("tracemalloc")
+        and tracemalloc.get_traceback_limit() >= FRAMES
+    ):
         os.execv(
             sys.executable,
-            [sys.executable, "-X", "tracemalloc", __file__, *sys.argv[1:]],
+            [sys.executable, "-X", f"tracemalloc={FRAMES}", __file__,
+             *sys.argv[1:]],
         )
     record = measure()
     text = json.dumps(record, indent=1)

@@ -52,7 +52,6 @@ from repro.shop.protocol import Transport
 from repro.shop.registry import ServiceRegistry
 from repro.shop.vmshop import VMShop
 from repro.sim.cluster import Testbed, build_testbed, run_process
-from repro.workloads.invigo import invigo_workspace_dag
 from repro.workloads.requests import (
     experiment_dag,
     experiment_request,
@@ -97,7 +96,6 @@ __all__ = [
     "experiment_dag",
     "experiment_request",
     "golden_image",
-    "invigo_workspace_dag",
     "request_stream",
     "run_process",
     "__version__",

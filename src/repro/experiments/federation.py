@@ -64,7 +64,6 @@ class FederationPoint:
     """One timed run at a given (sites, cross_fraction)."""
 
     sites: int
-    shards: int
     cross_fraction: float
     plants: int
     events: int
@@ -205,27 +204,26 @@ def run_federation(
             result.params = run.params
             stats = run.combined_stats()
             latency = merged_summary(run).overall()
-            created = int(stats.get("created", 0))
-            bid_rounds = int(stats.get("bid_rounds", 0))
+            created = stats["created"]
+            bid_rounds = stats["bid_rounds"]
             result.points.append(
                 FederationPoint(
                     sites=sites,
-                    shards=sites,
                     cross_fraction=cf,
                     plants=sites * run.params["plants"],
                     events=run.total_events,
                     cost=shardcost.shard_cost(run, created),
-                    bids=int(stats.get("bids_collected", 0)),
+                    bids=stats["bids_collected"],
                     bid_rounds=bid_rounds,
                     bid_rounds_per_ok=(
                         bid_rounds / created if created else 0.0
                     ),
                     created=created,
-                    destroyed=int(stats.get("destroyed", 0)),
-                    failed=int(stats.get("failed", 0)),
-                    spills_sent=int(stats.get("spills_sent", 0)),
-                    spilled_ok=int(stats.get("spilled_ok", 0)),
-                    spill_timeout=int(stats.get("spill_timeout", 0)),
+                    destroyed=stats["destroyed"],
+                    failed=stats["failed"],
+                    spills_sent=stats["spills_sent"],
+                    spilled_ok=stats["spilled_ok"],
+                    spill_timeout=stats["spill_timeout"],
                     p50_latency_s=latency.quantile(0.50),
                     p95_latency_s=latency.quantile(0.95),
                 )

@@ -373,7 +373,7 @@ def run_megachaos(
         ).run(params=prm, collect=None, deadline_s=deadline_s)
         merged = merged_summary(run)
         stats = run.combined_stats()
-        arrivals = int(stats.get("arrivals", 0))
+        arrivals = stats["arrivals"]
         ok = merged.total("ok")
         shed = merged.total("shed")
         failed = merged.total("failed")
@@ -389,15 +389,15 @@ def run_megachaos(
                 ok=ok,
                 failed=failed,
                 shed=shed,
-                preempted=int(stats.get("preempted", 0)),
+                preempted=stats["preempted"],
                 deadline_miss=merged.total("deadline_miss"),
-                spilled_ok=int(stats.get("spilled_ok", 0)),
-                spill_retries=int(stats.get("spill_retries", 0)),
-                spill_timeout=int(stats.get("spill_timeout", 0)),
-                spills_dropped=int(stats.get("spills_dropped", 0)),
-                local_fallbacks=int(stats.get("local_fallbacks", 0)),
-                faults_applied=int(stats.get("faults_applied", 0)),
-                faults_skipped=int(stats.get("faults_skipped", 0)),
+                spilled_ok=stats["spilled_ok"],
+                spill_retries=stats["spill_retries"],
+                spill_timeout=stats["spill_timeout"],
+                spills_dropped=stats["spills_dropped"],
+                local_fallbacks=stats["local_fallbacks"],
+                faults_applied=stats["faults_applied"],
+                faults_skipped=stats["faults_skipped"],
                 availability=(
                     (arrivals - failed) / arrivals if arrivals else 0.0
                 ),

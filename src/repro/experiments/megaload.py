@@ -238,11 +238,11 @@ def run_megaload(
                 shards=shards,
                 sites=sites,
                 requests=sites * run.params["requests"],
-                arrivals=int(stats.get("arrivals", 0)),
+                arrivals=stats["arrivals"],
                 ok=ok,
                 failed=merged.total("failed"),
                 deadline_miss=merged.total("deadline_miss"),
-                spilled_ok=int(stats.get("spilled_ok", 0)),
+                spilled_ok=stats["spilled_ok"],
                 events=run.total_events,
                 cost=shardcost.shard_cost(run, ok, result.points),
                 peak_rss_mb=run.peak_rss_kb / 1024.0,

@@ -66,7 +66,6 @@ site one last time after the ring gives up.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.analysis.streaming import WorkloadSummary
@@ -83,7 +82,7 @@ from repro.sim.shard.scenarios import ShardScenario, register
 from repro.sim.trace import trace
 from repro.workloads.megaload import megaload_source
 from repro.workloads.requests import experiment_request, poisson_arrivals
-from repro.workloads.traces import Arrival, canonical_line
+from repro.workloads.traces import Arrival
 
 __all__ = ["GridScenario", "Source", "poisson_source"]
 
@@ -162,10 +161,28 @@ def poisson_source(
         yield Arrival(
             time=at,
             tenant="site",
-            kind="poisson",
             seq=seq,
             memory_mb=params["memory_mb"],
         )
+
+
+#: The counts a grid site keeps itself, by their keys in its stats;
+#: ``preempted`` counts speculative clones reclaimed under pressure.
+COUNTS = (
+    "created",
+    "destroyed",
+    "arrivals",
+    "spills_sent",
+    "spills_recv",
+    "spilled_ok",
+    "spill_failed",
+    "spill_timeout",
+    "spill_retries",
+    "spills_dropped",
+    "local_fallbacks",
+    "acks_sent",
+    "preempted",
+)
 
 
 class _GridHandle:
@@ -178,23 +195,10 @@ class _GridHandle:
         "stream",
         "summary",
         "admission",
-        "trace_hash",
-        "arrivals",
+        "counts",
         "spill_link",
         "ack_link",
         "pending",
-        "created",
-        "destroyed",
-        "spills_sent",
-        "spills_recv",
-        "spilled_ok",
-        "spill_failed",
-        "spill_timeout",
-        "spill_retries",
-        "spills_dropped",
-        "local_fallbacks",
-        "acks_sent",
-        "preempted",
         "injector",
     )
 
@@ -225,26 +229,11 @@ class _GridHandle:
             preempt_depth=params["preempt_depth"],
             priorities=params["priorities"],
         )
-        #: Incremental hash of the stream actually consumed.
-        self.trace_hash = hashlib.sha256()
-        self.arrivals = 0
+        self.counts: Dict[str, int] = dict.fromkeys(COUNTS, 0)
         self.spill_link = None
         self.ack_link = None
         #: seq -> ack Event for spills in flight.
         self.pending: Dict[int, Any] = {}
-        self.created = 0
-        self.destroyed = 0
-        self.spills_sent = 0
-        self.spills_recv = 0
-        self.spilled_ok = 0
-        self.spill_failed = 0
-        self.spill_timeout = 0
-        self.spill_retries = 0
-        self.spills_dropped = 0
-        self.local_fallbacks = 0
-        self.acks_sent = 0
-        #: Speculative/pooled clones reclaimed under pressure.
-        self.preempted = 0
         #: Attached fault injector (None when ``fault_plan`` is off).
         self.injector = None
 
@@ -353,7 +342,7 @@ class GridScenario(ShardScenario):
         self, handle: _GridHandle
     ) -> Dict[str, Callable[[tuple], None]]:
         def spill(payload: tuple) -> None:
-            handle.spills_recv += 1
+            handle.counts["spills_recv"] += 1
             trace(
                 handle.env,
                 "federation",
@@ -404,29 +393,17 @@ class GridScenario(ShardScenario):
         gateway = handle.fsite.gateway
         summary = handle.summary
         injector = handle.injector
-        stats = {
-            "created": handle.created,
-            "destroyed": handle.destroyed,
-            "arrivals": handle.arrivals,
+        return {
+            **handle.counts,
             "ok": summary.total("ok"),
             "failed": summary.total("failed"),
             "shed": summary.total("shed"),
             "deadline_miss": summary.total("deadline_miss"),
-            "spills_sent": handle.spills_sent,
-            "spills_recv": handle.spills_recv,
-            "spilled_ok": handle.spilled_ok,
             "spill_declined": gateway.spills_declined,
             "spill_saturated": gateway.spills_saturated,
-            "spill_failed": handle.spill_failed,
-            "spill_timeout": handle.spill_timeout,
-            "spill_retries": handle.spill_retries,
-            "spills_dropped": handle.spills_dropped,
-            "local_fallbacks": handle.local_fallbacks,
-            "acks_sent": handle.acks_sent,
             "bid_rounds": collector.collections,
             "bids_collected": collector.bids_collected,
             "transport_calls": handle.shop.transport.calls,
-            "preempted": handle.preempted,
             "preempt_signals": handle.admission.preempt_signals,
             "faults_applied": sum(
                 1
@@ -435,14 +412,13 @@ class GridScenario(ShardScenario):
             ),
             "faults_skipped": injector.skipped if injector else 0,
             "final_time": handle.env.now,
-            # Strings/dicts ride per-site only (combined_stats sums
-            # numeric fields and skips these).
-            "trace_signature": handle.trace_hash.hexdigest(),
+            # A dict rides per-site only (combined_stats sums numeric
+            # fields and skips it).
             "summary_state": summary.to_state(),
+            # The grid-scope leak audit: combined_stats sums it over
+            # sites.
+            **leak_stats(handle.fsite.bed),
         }
-        # The grid-scope leak audit: combined_stats sums it over sites.
-        stats.update(leak_stats(handle.fsite.bed))
-        return stats
 
     # -- processes ------------------------------------------------------
     def _arrivals(self, handle: _GridHandle):
@@ -465,9 +441,7 @@ class GridScenario(ShardScenario):
                 drained.succeed()
 
         for idx, arrival in enumerate(handle.stream):
-            handle.trace_hash.update(canonical_line(arrival).encode())
-            handle.trace_hash.update(b"\n")
-            handle.arrivals += 1
+            handle.counts["arrivals"] += 1
             if arrival.time > env.now:
                 yield arrival.time - env.now
             # Route draw here, in stream order, so the trajectory is
@@ -542,7 +516,7 @@ class GridScenario(ShardScenario):
                     summary.record_failed(tenant)
                     return
                 if ad is not None:
-                    handle.created += 1
+                    handle.counts["created"] += 1
                     summary.record_ok(
                         tenant,
                         env.now - start,
@@ -567,8 +541,8 @@ class GridScenario(ShardScenario):
                 except ReproError:
                     ad = None
                 if ad is not None:
-                    handle.local_fallbacks += 1
-                    handle.created += 1
+                    handle.counts["local_fallbacks"] += 1
+                    handle.counts["created"] += 1
                     yield self._hold(handle, ad, params["hold_s"])
                     ok = True
             if ok:
@@ -604,11 +578,11 @@ class GridScenario(ShardScenario):
                 )
                 if delay > 0:
                     yield delay
-                handle.spill_retries += 1
+                handle.counts["spill_retries"] += 1
             seq = idx if attempts == 1 else idx * attempts + attempt
             evt = env.event()
             handle.pending[seq] = evt
-            handle.spills_sent += 1
+            handle.counts["spills_sent"] += 1
             trace(env, "federation", "spill-sent", req=seq)
             handle.spill_link.send(
                 payload=(handle.site, seq, memory_mb, 0.0),
@@ -619,12 +593,12 @@ class GridScenario(ShardScenario):
             )
             if not evt.triggered:
                 handle.pending.pop(seq, None)
-                handle.spill_timeout += 1
+                handle.counts["spill_timeout"] += 1
             elif evt.value:
-                handle.spilled_ok += 1
+                handle.counts["spilled_ok"] += 1
                 return True
             else:
-                handle.spill_failed += 1
+                handle.counts["spill_failed"] += 1
         return False
 
     def _preempt_pools(self, handle: _GridHandle):
@@ -633,7 +607,7 @@ class GridScenario(ShardScenario):
         for pool in handle.fsite.bed.pools:
             count = yield pool.drain()
             reclaimed += count
-        handle.preempted += reclaimed
+        handle.counts["preempted"] += reclaimed
         if reclaimed:
             trace(handle.env, "megaload", "preempted", count=reclaimed)
 
@@ -644,12 +618,12 @@ class GridScenario(ShardScenario):
         if gateway.down_until > env.now:
             # Site dark: the spill vanishes (no ack), the source's
             # bounded wait times out — exactly a dead WAN peer.
-            handle.spills_dropped += 1
+            handle.counts["spills_dropped"] += 1
             return
         if gateway.hang_until > env.now:
             yield gateway.hang_until - env.now
             if gateway.down_until > env.now:
-                handle.spills_dropped += 1
+                handle.counts["spills_dropped"] += 1
                 return
         src, seq = int(payload[0]), int(payload[1])
         ok = 1
@@ -665,13 +639,13 @@ class GridScenario(ShardScenario):
         except ReproError:
             ok = 0
         if handle.ack_link is not None:
-            handle.acks_sent += 1
+            handle.counts["acks_sent"] += 1
             handle.ack_link.send(
                 payload=(handle.site, seq, ok, 0.0),
                 size_mb=params["ack_mb"],
             )
         if ad is not None:
-            handle.created += 1
+            handle.counts["created"] += 1
             yield self._hold(handle, ad, params["spill_hold_s"])
 
     @staticmethod
@@ -682,7 +656,7 @@ class GridScenario(ShardScenario):
             yield handle.shop.destroy(str(ad["vmid"]))
         except ReproError:
             pass  # crash-killed underneath us mid-hold
-        handle.destroyed += 1
+        handle.counts["destroyed"] += 1
 
 
 register(GridScenario("federation", poisson_source, {}))

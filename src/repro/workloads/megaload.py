@@ -20,11 +20,7 @@ params) layers
 * ``crowd`` — one flash crowd partway into the run.
 
 Per-tenant draws come from the site hub's ``trace/<tenant>`` streams,
-so the trace is a pure function of ``(seed, site, params)``.  Each
-site hashes the stream it actually consumed
-(:func:`~repro.workloads.traces.canonical_line`) and ships the
-signature with its stats, so two runs' traces can be compared without
-storing either.
+so the trace is a pure function of ``(seed, site, params)``.
 
 The rest of this module is what a coordinator does with the per-site
 results of any grid scenario: merge the summaries exactly

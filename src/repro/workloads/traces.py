@@ -12,9 +12,7 @@ one deterministic time-ordered stream that is **never materialized**
 
 Generation is a pure function of ``(hub seed, spec)``: per-tenant
 streams are independent by stream naming, so adding a tenant never
-perturbs another tenant's draws.  A consumer that must compare streams
-without holding them hashes each arrival's canonical JSON line
-(:func:`canonical_line`) as it goes, as every grid site does.
+perturbs another tenant's draws.
 
 Three arrival processes ship (see :data:`PROCESS_KINDS`):
 
@@ -37,7 +35,6 @@ Three arrival processes ship (see :data:`PROCESS_KINDS`):
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
@@ -49,7 +46,6 @@ __all__ = [
     "TenantSpec",
     "TraceSpec",
     "merge_arrivals",
-    "canonical_line",
 ]
 
 #: Supported ``TenantSpec.process`` kinds.
@@ -57,33 +53,21 @@ PROCESS_KINDS = ("diurnal", "flash", "campaign")
 
 
 class Arrival(NamedTuple):
-    """One request arrival in a workload trace."""
+    """One request arrival in a workload trace.
+
+    Its first three fields are the merged stream's total order: tenant
+    names are unique within a :class:`TraceSpec` and ``seq`` counts
+    within one tenant, so no two arrivals tie on ``(time, tenant,
+    seq)`` and tuple comparison never reaches the later fields.
+    """
 
     time: float
     tenant: str
-    #: Tenant class (the generating process kind).
-    kind: str
     #: Per-tenant sequence number, 0-based.
     seq: int
     memory_mb: int
     #: Soft completion deadline (simulated s); None = best-effort.
     deadline_s: Optional[float] = None
-
-    def sort_key(self) -> Tuple[float, str, int]:
-        """Total order of the merged stream: (time, tenant, seq)."""
-        return (self.time, self.tenant, self.seq)
-
-    def to_record(self) -> dict:
-        record = {
-            "time": self.time,
-            "tenant": self.tenant,
-            "kind": self.kind,
-            "seq": self.seq,
-            "memory_mb": self.memory_mb,
-        }
-        if self.deadline_s is not None:
-            record["deadline_s"] = self.deadline_s
-        return record
 
 
 @dataclass(frozen=True)
@@ -154,7 +138,6 @@ class TenantSpec:
             yield Arrival(
                 time=t,
                 tenant=self.name,
-                kind=self.process,
                 seq=seq,
                 memory_mb=self.memory_mb,
                 deadline_s=self.deadline_s,
@@ -229,12 +212,13 @@ def merge_arrivals(
     """Heap-merge lazy per-tenant streams into one ordered stream.
 
     Each input must be non-decreasing in time (every shipped process
-    is); the merge is total-ordered by ``(time, tenant, seq)`` so
-    simultaneous arrivals across tenants have one canonical order —
-    the same property :func:`repro.sim.shard.tracemerge.merge_traces`
-    gives shard-tagged kernel traces.
+    is); an :class:`Arrival` compares as its ``(time, tenant, seq)``
+    prefix, so simultaneous arrivals across tenants have one canonical
+    order — the same property
+    :func:`repro.sim.shard.tracemerge.merge_traces` gives shard-tagged
+    kernel traces.
     """
-    return heapq.merge(*streams, key=Arrival.sort_key)
+    return heapq.merge(*streams)
 
 
 @dataclass(frozen=True)
@@ -258,10 +242,3 @@ class TraceSpec:
         """The merged lazy stream (never materialized)."""
         return merge_arrivals(t.arrivals(hub) for t in self.tenants)
 
-
-def canonical_line(arrival: Arrival) -> str:
-    """One arrival as one canonical JSON line (sorted keys, no
-    spaces): what a consumed-trace hash is taken over."""
-    return json.dumps(
-        arrival.to_record(), sort_keys=True, separators=(",", ":")
-    )

@@ -182,3 +182,28 @@ def test_a_sample_sets_its_own_bytecode_state(monkeypatch, tmp_path):
     assert "PYTHONDONTWRITEBYTECODE" not in env
     assert "PYTHONPATH" not in env
     assert "PYTHONPYCACHEPREFIX" in ab.BYTECODE_STATE
+
+
+def test_the_report_prints_the_load_average_at_both_ends(
+    monkeypatch, capsys
+):
+    # A neighbour busy during the run shows as a load average that
+    # moved; the verdicts are those of the samples alone.
+    readings = iter([(0.5, 0.25, 0.75), (2.0, 1.5, 1.0)])
+    monkeypatch.setattr(ab.os, "getloadavg", lambda: next(readings))
+    monkeypatch.setattr(ab, "_describe", lambda rev: rev)
+    monkeypatch.setattr(ab, "snapshot", lambda rev, scratch: Path(rev))
+    sim = {**SIM, "events": 43658}
+    drawn = {side: iter(samples(PARENT_CPU, PARENT_RSS, sim=sim))
+             for side in ("a", "b")}
+
+    def sample(side, args, core, pycache):
+        # The first sample a side draws is the untimed warm-up.
+        return next(drawn[str(side)])
+
+    monkeypatch.setattr(ab, "_sample", sample)
+    assert ab.main(["a", "b", "--workload", "paper_seq", "--pairs", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "load average at the start (1, 5, 15 min): 0.50 0.25 0.75" in out
+    assert "load average at the end (1, 5, 15 min): 2.00 1.50 1.00" in out
+    assert out.count("verdict ") == len(METRICS)

@@ -296,7 +296,7 @@ class TestParkedGridCreate:
 
     def test_holds_a_bounded_number_of_bytes(self):
         # What the parked creates hold is what goes when they go
-        # (``tests.footprints.parked_grid_create``).  4,316 B a create
+        # (``tests.footprints.parked_grid_create``).  4,308 B a create
         # at the time of writing (2,480 B of it the seven frames; it
         # moves by about a byte between runs), pinned with 1 % headroom;
         # 4,451 B with a decoded ``SoftwareSpec`` and ``os`` / ``vm-type``
@@ -304,7 +304,7 @@ class TestParkedGridCreate:
         # round, the client's request, a cell and the configuration
         # context held across the transfer.  Under a profiler (the e2e
         # benchmark's call counter), which gives each generator a frame
-        # object too, it reads 6,572 B (``E2E_parked_create.json``).
+        # object too, it reads 6,564 B (``E2E_parked_create.json``).
         per_create = traced_footprints()["parked_grid_create"]
         assert 3_000 <= per_create <= 4_360, per_create
 

@@ -357,6 +357,14 @@ def test_setup_builds_only_the_pinned_dataclasses(workload):
     )
 
 
+@pytest.mark.parametrize("workload", E2E_WORKLOADS)
+def test_setup_loads_no_invigo_workspace(workload):
+    # ``repro`` re-exports the quickstart names only; the Figure 3
+    # workspace DAG is loaded from its leaf module by the two callers
+    # that draw it (the ablations and an example).
+    assert "repro.workloads.invigo" not in workload_modules(workload)["setup"]
+
+
 def test_in_process_grid_setup_loads_no_fork_or_fault_machinery():
     loaded = workload_modules("grid_overload")["setup"]
     assert "repro.sim.shard.runner" in loaded  # the probe did plan a grid

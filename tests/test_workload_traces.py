@@ -14,18 +14,21 @@ integration in the ``megaload`` shard scenario:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+from collections import Counter
 
 import pytest
 
 from repro.sim.rng import RngHub
 from repro.sim.shard import ShardedTestbed
-from repro.sim.shard.scenarios import site_seed
+from repro.sim.shard.scenarios import get_scenario, site_seed
+from repro.workloads.megaload import megaload_source
 from repro.workloads.traces import (
     Arrival,
     TenantSpec,
     TraceSpec,
-    canonical_line,
     merge_arrivals,
 )
 
@@ -91,7 +94,7 @@ class TestDeterministicGeneration:
         assert solo == with_extra
 
     def test_merged_stream_is_totally_ordered(self):
-        keys = [a.sort_key() for a in SPEC.arrivals(RngHub(9))]
+        keys = [(a.time, a.tenant, a.seq) for a in SPEC.arrivals(RngHub(9))]
         assert keys == sorted(keys)
         assert len(keys) == sum(t.count for t in SPEC.tenants)
         assert len(set(keys)) == len(keys)
@@ -139,31 +142,9 @@ class TestDeterministicGeneration:
         with pytest.raises(ValueError, match="unknown diurnal params"):
             next(bad.arrivals(RngHub(1)))
 
-    def test_canonical_line_sorts_keys_and_omits_a_missing_deadline(self):
-        best_effort = Arrival(
-            time=1.5, tenant="t", kind="poisson", seq=3, memory_mb=64
-        )
-        assert canonical_line(best_effort) == (
-            '{"kind":"poisson","memory_mb":64,"seq":3,"tenant":"t",'
-            '"time":1.5}'
-        )
-        assert canonical_line(
-            Arrival(
-                time=1.5, tenant="t", kind="poisson", seq=3, memory_mb=64,
-                deadline_s=120.0,
-            )
-        ) == (
-            '{"deadline_s":120.0,"kind":"poisson","memory_mb":64,"seq":3,'
-            '"tenant":"t","time":1.5}'
-        )
-
     def test_merge_arrivals_orders_ties_by_tenant(self):
-        a = Arrival(
-            time=5.0, tenant="a", kind="flash", seq=0, memory_mb=32
-        )
-        b = Arrival(
-            time=5.0, tenant="b", kind="flash", seq=0, memory_mb=32
-        )
+        a = Arrival(time=5.0, tenant="a", seq=0, memory_mb=32)
+        b = Arrival(time=5.0, tenant="b", seq=0, memory_mb=32)
         assert list(merge_arrivals([iter([b]), iter([a])])) == [a, b]
 
 
@@ -206,13 +187,45 @@ class TestMegaLoadScenario:
             bed.run(params={**MEGA_PRM, "trace_dir": "traces"})
 
     def test_site_streams_differ_by_site_seed(self):
-        run = self._run(1)
-        sigs = {
-            r["site"]: r["stats"]["trace_signature"]
-            for r in run.site_results
+        # A site draws its stream from a hub seeded with its site seed.
+        params = get_scenario("megaload").resolve(dict(MEGA_PRM))
+        first = {
+            site: next(
+                megaload_source(RngHub(site_seed(2004, site)), site, params)
+            )
+            for site in (0, 1)
         }
-        assert sigs[0] != sigs[1]
+        assert first[0] != first[1]
         assert site_seed(2004, 0) != site_seed(2004, 1)
+
+    def test_an_arrival_is_neither_encoded_nor_hashed(self, monkeypatch):
+        # What a site does per arrival is the request's work: twice the
+        # arrivals make not one more JSON encoding or SHA-256 hash.  A
+        # hash seeds each RNG stream a plant first draws from, so each
+        # site has one plant, busy at both sizes; the warm-up run fills
+        # the process-wide codec tables, whose first fill hashes too.
+        prm = {"plants": 1}
+        self._run(1, prm={**prm, "requests": 10}, collect=None)
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(json, "dumps")
+        count(hashlib, "sha256")
+        seen = {}
+        for requests in (20, 40):
+            calls.clear()
+            run = self._run(1, prm={**prm, "requests": requests}, collect=None)
+            assert run.combined_stats()["arrivals"] == 2 * requests
+            seen[requests] = dict(calls)
+        assert seen[20] == seen[40]
 
     def test_bounded_tracer_surfaces_drops(self):
         full = self._run(1)
@@ -229,7 +242,6 @@ class TestMegaLoadScenario:
         assert stats["arrivals"] == 2 * MEGA_PRM["requests"]
         assert stats["ok"] + stats["failed"] == stats["arrivals"]
         # Non-numeric fields ride per-site, not in the combined sum.
-        assert "trace_signature" not in stats
         assert "summary_state" not in stats
 
 

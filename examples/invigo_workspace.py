@@ -17,6 +17,7 @@ Run:  python examples/invigo_workspace.py
 
 from repro import (
     Action,
+    ConfigDAG,
     CreateRequest,
     HardwareSpec,
     NetworkSpec,
@@ -68,15 +69,15 @@ def main() -> None:
           f"{ad['config_time']:.1f}s")
 
     # The user installs an application into the live workspace ...
-    extended = dag.subdag(dag.actions)  # copy of the full DAG
-    extended.add_action(
-        Action(
-            "install-matlab",
-            command="rpm -i {pkg}",
-            params={"pkg": "matlab-6.5.rpm"},
-        )
+    matlab = Action(
+        "install-matlab",
+        command="rpm -i {pkg}",
+        params={"pkg": "matlab-6.5.rpm"},
     )
-    extended.add_edge("start-vnc-server", "install-matlab")
+    extended = ConfigDAG.from_edges(
+        [*dag.actions.values(), matlab],
+        [*dag.edges(), ("start-vnc-server", "install-matlab")],
+    )
     plant = bed.registry.bind(str(ad["plant"]))
     bed.run(plant.extend(ad["vmid"], extended))
     print("\nExtended the live workspace with install-matlab.")

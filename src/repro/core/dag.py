@@ -10,8 +10,14 @@ downward-closed ("prefix") subsets of a DAG's actions.
 
 Each action node carries an implicit error node realized by its
 :class:`~repro.core.actions.ErrorPolicy`; clients may additionally
-attach an explicit error-handling sub-graph (itself a ``ConfigDAG``)
-to any action node.
+give any action node an explicit error-handling sub-graph (itself a
+``ConfigDAG``).
+
+A DAG is a value, as the request that carries it is: it is built whole
+by :meth:`ConfigDAG.from_edges` (which :meth:`ConfigDAG.from_sequence`,
+:meth:`ConfigDAG.subdag` and the wire decoder all go through), checked
+once there, and never changed, so one instance may stand in for every
+request that carries the same body.
 
 All iteration orders are deterministic (insertion order, with
 lexicographic tie-breaking in the topological sort) so runs are
@@ -22,19 +28,11 @@ Matching performance
 Warehouse matching (Section 3.2) runs the Subset/Prefix/Partial Order
 tests against every candidate image on every bid, so the structural
 queries they need — the action-name set, per-node ancestor closures,
-the topological order, ``structure()`` — are memoized here.  Node
-names are interned into a name→bit table and closures are stored as
-int bitsets, making each test a few machine-word AND/OR operations
-instead of per-call dict copies and DFS walks.  Every cache is
-invalidated by the mutators (:meth:`ConfigDAG.add_action`,
-:meth:`ConfigDAG.add_edge`, :meth:`ConfigDAG.attach_handler`), so a
-DAG that is still being built behaves exactly like an uncached one.
-A DAG shared between requests (the wire decoder interns equal
-``<dag>`` bodies) is sealed with :meth:`ConfigDAG.freeze`: the
-mutators then raise, so its caches stay warm and valid for good, and
-:meth:`ConfigDAG.fingerprint`, :meth:`ConfigDAG.validate`,
-:meth:`ConfigDAG.structure`, ``==`` and ``hash`` answer from a stored
-result without walking the handler tree.
+the topological order, ``structure()``, ``hash`` and the fingerprint —
+are memoized here, each on first use and for good.  Node names are
+interned into a name→bit table and closures are stored as int bitsets,
+making each test a few machine-word AND/OR operations instead of
+per-call dict copies and DFS walks.
 """
 
 from __future__ import annotations
@@ -70,14 +68,13 @@ FINISH = "__finish__"
 
 _RESERVED = frozenset({START, FINISH})
 
-_FROZEN = (
-    "DAG is frozen (shared between decoded requests);"
-    " build a new one instead of mutating it"
-)
-
 
 class ConfigDAG:
-    """A directed acyclic graph of configuration actions."""
+    """A directed acyclic graph of configuration actions.
+
+    A value: :meth:`from_edges` builds it whole and nothing changes it
+    afterwards.  ``ConfigDAG()`` is the empty DAG.
+    """
 
     # Slots, not an instance dict: a catalog holds a thousand DAGs.
     __slots__ = (
@@ -85,10 +82,7 @@ class ConfigDAG:
         "_succ",
         "_pred",
         "_handlers",
-        "_frozen",
         "sealed_fingerprint",
-        "sealed_wire",
-        "_version",
         "_topo_cache",
         "_names_cache",
         "_bits_cache",
@@ -97,141 +91,50 @@ class ConfigDAG:
         "_sig_cache",
         "_structure_cache",
         "_hash_cache",
-        "_fingerprint_cache",
     )
 
     def __init__(self) -> None:
         self._actions: Dict[str, Action] = {}
-        # Adjacency as tuples, replaced on every edge: a chain's node has
-        # one neighbour each way, and a 1-tuple is about half a one-item
-        # list; a node with none shares the empty tuple.
+        # Adjacency as tuples: a chain's node has one neighbour each
+        # way, and a 1-tuple is about half a one-item list; a node with
+        # none shares the empty tuple.
         self._succ: Dict[str, Tuple[str, ...]] = {}
         self._pred: Dict[str, Tuple[str, ...]] = {}
         self._handlers: Dict[str, "ConfigDAG"] = {}
-        #: Set by :meth:`freeze`; the mutators refuse a frozen DAG.
-        self._frozen = False
-        #: :meth:`fingerprint` of a frozen DAG, kept for good (neither
-        #: this DAG nor its handler tree can change any more, so no
-        #: version token is needed).  A frozen DAG is also valid for
-        #: good — :meth:`freeze` validates — so a memo that finds this
-        #: set may key on it without calling :meth:`validate` or
+        #: :meth:`fingerprint`, kept from its first call on.  A memo
+        #: that finds it set keys on it without calling
         #: :meth:`fingerprint`; ``None`` until first fingerprinted.
         self.sealed_fingerprint: Optional[str] = None
-        #: The ``<dag>`` wire fragment of a frozen DAG, kept for the
-        #: same reason and written by :mod:`repro.core.dagxml` the first
-        #: time a request carrying this DAG is encoded; ``None`` until
-        #: then, and always ``None`` on a DAG that can still change.
-        self.sealed_wire: Optional[str] = None
-        #: Bumped on every mutation; guards every structural cache.
-        self._version = 0
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        """Drop all memoized structure (called by every mutator)."""
-        self._version += 1
         self._topo_cache: Optional[Tuple[str, ...]] = None
         self._names_cache: Optional[FrozenSet[str]] = None
         self._bits_cache: Optional[Dict[str, int]] = None
         self._anc_mask_cache: Optional[Dict[str, int]] = None
         self._pred_mask_cache: Optional[Dict[str, int]] = None
         self._sig_cache: Optional[Dict[str, str]] = None
-        self._structure_cache: Optional[Tuple[Optional[Tuple], Tuple]] = None
+        self._structure_cache: Optional[Tuple] = None
         self._hash_cache: Optional[int] = None
-        self._fingerprint_cache: Optional[Tuple[Tuple, str]] = None
-
-    def _state_token(self) -> Tuple:
-        """Version vector covering this DAG and its handler tree.
-
-        ``structure()`` (and everything derived from it) depends on
-        attached handlers, which remain externally mutable after
-        :meth:`attach_handler`; the token lets those caches detect
-        handler mutations at any nesting depth.
-        """
-        if not self._handlers:  # the common case, asked once per bid
-            return (self._version, ())
-        return (
-            self._version,
-            tuple(
-                (name, handler._state_token())
-                for name, handler in self._handlers.items()
-            ),
-        )
 
     # -- construction ----------------------------------------------------
-    def freeze(self) -> "ConfigDAG":
-        """Seal this DAG and its whole handler tree against mutation.
-
-        One frozen instance may then stand in for every request that
-        carries the same body: :meth:`add_action`, :meth:`add_edge`
-        and :meth:`attach_handler` raise :class:`DAGError` from now on.
-        Derive a changed DAG with :meth:`subdag` or build a new one.
-        The DAG is validated first: frozen implies valid from then on.
-        """
-        self.validate()
-        self._frozen = True
-        for handler in self._handlers.values():
-            handler.freeze()
-        return self
-
-    def add_action(self, action: Action) -> "ConfigDAG":
-        """Add an action node.  Names must be unique and not reserved."""
-        if self._frozen:
-            raise DAGError(_FROZEN)
-        if action.name in _RESERVED:
-            raise DAGError(f"{action.name!r} is a reserved node name")
-        if action.name in self._actions:
-            raise DAGError(f"duplicate action {action.name!r}")
-        self._actions[action.name] = action
-        self._succ[action.name] = ()
-        self._pred[action.name] = ()
-        self._invalidate()
-        return self
-
-    def add_edge(self, before: str, after: str) -> "ConfigDAG":
-        """Require ``before`` to complete before ``after`` starts."""
-        if self._frozen:
-            raise DAGError(_FROZEN)
-        for node in (before, after):
-            if node not in self._actions:
-                raise DAGError(f"unknown action {node!r}")
-        if before == after:
-            raise DAGError(f"self-edge on {before!r}")
-        if after in self._succ[before]:
-            return self  # idempotent
-        if self.is_before(after, before):
-            raise DAGError(
-                f"edge {before!r}->{after!r} would create a cycle"
-            )
-        self._succ[before] += (after,)
-        self._pred[after] += (before,)
-        self._invalidate()
-        return self
-
-    def attach_handler(self, action: str, handler: "ConfigDAG") -> "ConfigDAG":
-        """Attach an explicit error-handling sub-graph to ``action``."""
-        if self._frozen:
-            raise DAGError(_FROZEN)
-        if action not in self._actions:
-            raise DAGError(f"unknown action {action!r}")
-        handler.validate()
-        self._handlers[action] = handler
-        self._invalidate()
-        return self
-
     @classmethod
     def from_edges(
         cls,
         actions: Sequence[Action],
         edges: Sequence[Tuple[str, str]],
+        handlers: Iterable[Tuple[str, "ConfigDAG"]] = (),
     ) -> "ConfigDAG":
-        """Build a DAG in one pass: ``add_action`` for each action, then
-        ``add_edge`` for each edge, in order, with the same result and
-        the same :class:`DAGError`.
+        """Build a DAG from its parts: the actions, then the edges, then
+        the ``(action name, handler DAG)`` pairs, each in order.
 
+        Names must be unique and not reserved; an edge ``(before,
+        after)`` joins two distinct actions and must not close a cycle;
+        a repeated edge counts once; a handler names an action, and a
+        later handler for the same action replaces an earlier one.
         The checks run once over the whole graph (one Kahn sort, whose
         order is kept as the topological-order cache); only when one
-        fails are the calls replayed one by one, so the error names
-        the first offending action or edge.
+        fails does :func:`_first_fault` walk the parts one by one, so
+        the :class:`DAGError` names the first offending action or edge.
+        Handler targets are checked as ``handlers`` is consumed, after
+        the actions and edges.
 
         Each action is stored as its canonical instance, keyed by that
         instance's name, and a node's one-neighbour adjacency is the
@@ -261,7 +164,7 @@ class ConfigDAG:
             action, one = entry
             name = action.name
             if name in names or name in _RESERVED:
-                cls._replay(actions, edges)
+                _first_fault(actions, edges)
             names[name] = action
             succ[name] = ()
             pred[name] = ()
@@ -269,30 +172,20 @@ class ConfigDAG:
         for before, after in edges:
             out = succ.get(before)
             if out is None or after not in names or before == after:
-                cls._replay(actions, edges)
-            if after not in out:  # a repeated edge is idempotent
+                _first_fault(actions, edges)
+            if after not in out:  # a repeated edge counts once
                 succ[before] = out + (after,) if out else alone[after]
                 into = pred[after]
                 pred[after] = into + (before,) if into else alone[before]
         try:
             dag._topo()
         except DAGError:
-            cls._replay(actions, edges)
+            _first_fault(actions, edges)
+        for target, handler in handlers:
+            if target not in names:
+                raise DAGError(f"unknown action {target!r}")
+            dag._handlers[target] = handler
         return dag
-
-    @classmethod
-    def _replay(
-        cls,
-        actions: Sequence[Action],
-        edges: Sequence[Tuple[str, str]],
-    ) -> None:
-        """Raise the error the incremental mutators raise on these parts."""
-        dag = cls()
-        for action in actions:
-            dag.add_action(action)
-        for before, after in edges:
-            dag.add_edge(before, after)
-        raise AssertionError("replayed parts raised no DAGError")
 
     @classmethod
     def from_sequence(cls, actions: Iterable[Action]) -> "ConfigDAG":
@@ -458,42 +351,15 @@ class ConfigDAG:
         tuples on every lookup.
         """
         digest = self.sealed_fingerprint
-        if digest is not None:
-            return digest
-        token = self._state_token()
-        cached = self._fingerprint_cache
-        if cached is not None and cached[0] == token:
-            digest = cached[1]
-        else:
+        if digest is None:
             import hashlib
 
-            digest = hashlib.sha256(
+            digest = self.sealed_fingerprint = hashlib.sha256(
                 repr(self.structure()).encode("utf-8")
             ).hexdigest()
-            self._fingerprint_cache = (token, digest)
-        if self._frozen:
-            self.sealed_fingerprint = digest
         return digest
 
-    # -- validation and order ------------------------------------------------
-    def validate(self) -> None:
-        """Check structural invariants; raise :class:`DAGError` if violated.
-
-        Cycles are refused where edges come in: ``add_edge`` by a
-        reachability test per edge, :meth:`from_edges` by one Kahn sort
-        over the whole graph.  This re-runs the Kahn count (answered
-        from the topological-order cache while nothing changed) and
-        validates attached handlers.  A frozen DAG was checked by
-        :meth:`freeze` and cannot become invalid afterwards.
-        """
-        if self._frozen:
-            return
-        order = self._topo()
-        if len(order) != len(self._actions):
-            raise DAGError("cycle detected")  # pragma: no cover - guarded
-        for handler in self._handlers.values():
-            handler.validate()
-
+    # -- order ---------------------------------------------------------------
     def _topo(self) -> Tuple[str, ...]:
         """Memoized deterministic topological order."""
         cached = self._topo_cache
@@ -567,14 +433,11 @@ class ConfigDAG:
     def subdag(self, names: Iterable[str]) -> "ConfigDAG":
         """Induced sub-DAG over ``names`` (handlers carried along)."""
         chosen = set(names)
-        sub = ConfigDAG.from_edges(
+        return ConfigDAG.from_edges(
             [a for name, a in self._actions.items() if name in chosen],
             [(u, v) for u, v in self.edges() if u in chosen and v in chosen],
+            [(n, h) for n, h in self._handlers.items() if n in chosen],
         )
-        for name, handler in self._handlers.items():
-            if name in chosen:
-                sub.attach_handler(name, handler)
-        return sub
 
     # -- structural equality --------------------------------------------------
     def structure(self) -> Tuple:
@@ -585,23 +448,12 @@ class ConfigDAG:
         signatures), the edges, and the handlers' structures.  An
         action's ``outputs``, ``on_error`` and ``retries`` are *not*
         part of it.
-
-        Memoized against the handler-aware state token, so attached
-        handlers mutated after :meth:`attach_handler` still invalidate
-        the cached tuple.  A tuple read once *after* :meth:`freeze` is
-        stored without a token (nothing can change any more) and
-        answered from then on without walking the handler tree.
         """
         cached = self._structure_cache
-        if cached is not None and cached[0] is None:
-            return cached[1]
-        token = self._state_token()
-        if cached is not None and cached[0] == token:
-            tup = cached[1]
-        else:
+        if cached is None:
             # Sorted lists, not generators: a generator is a call per
             # item.
-            tup = (
+            cached = self._structure_cache = (
                 tuple(sorted([a.signature for a in self._actions.values()])),
                 tuple(sorted(self.edges())),
                 tuple(
@@ -613,9 +465,7 @@ class ConfigDAG:
                     )
                 ),
             )
-            self._hash_cache = None
-        self._structure_cache = (None if self._frozen else token, tup)
-        return tup
+        return cached
 
     def __eq__(self, other: object) -> bool:
         """Equal iff same names, scopes, commands, params, edges and
@@ -626,10 +476,10 @@ class ConfigDAG:
         return self.structure() == other.structure()
 
     def __hash__(self) -> int:
-        structure = self.structure()  # refreshes _hash_cache validity
-        if self._hash_cache is None:
-            self._hash_cache = hash(structure)
-        return self._hash_cache
+        cached = self._hash_cache
+        if cached is None:
+            cached = self._hash_cache = hash(self.structure())
+        return cached
 
     # -- convenience -----------------------------------------------------------
     def guest_actions(self) -> List[str]:
@@ -647,3 +497,38 @@ class ConfigDAG:
             for n in self.topological_sort()
             if self._actions[n].scope is ActionScope.HOST
         ]
+
+
+def _first_fault(
+    actions: Sequence[Action], edges: Sequence[Tuple[str, str]]
+) -> None:
+    """Raise the :class:`DAGError` of the first bad part, adding the
+    actions and then the edges one at a time (a bad
+    :meth:`ConfigDAG.from_edges` input)."""
+    succ: Dict[str, List[str]] = {}
+    for action in actions:
+        if action.name in _RESERVED:
+            raise DAGError(f"{action.name!r} is a reserved node name")
+        if action.name in succ:
+            raise DAGError(f"duplicate action {action.name!r}")
+        succ[action.name] = []
+    for before, after in edges:
+        for node in (before, after):
+            if node not in succ:
+                raise DAGError(f"unknown action {node!r}")
+        if before == after:
+            raise DAGError(f"self-edge on {before!r}")
+        if after in succ[before]:
+            continue
+        stack, seen = [after], set()
+        while stack:  # is ``before`` already reachable from ``after``?
+            node = stack.pop()
+            if node == before:
+                raise DAGError(
+                    f"edge {before!r}->{after!r} would create a cycle"
+                )
+            if node not in seen:
+                seen.add(node)
+                stack.extend(succ[node])
+        succ[before].append(after)
+    raise AssertionError("no part of this DAG is at fault")

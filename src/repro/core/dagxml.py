@@ -34,15 +34,13 @@ the body is computed once per body, not once per request, both ways:
   three-element envelope in :func:`request_to_xml`; its
   :func:`write_actions` also writes golden-image descriptors), byte for
   byte what ``ElementTree.tostring`` gives for the same tree
-  (``tests.helpers.oracle_request_to_xml`` is the reference).  A
-  *frozen* DAG keeps its ``<dag>`` fragment
-  (:attr:`~repro.core.dag.ConfigDAG.sealed_wire`), so every later
-  request sharing it writes only its envelope; a DAG that can still
-  change is written afresh on every call.
+  (``tests.helpers.oracle_request_to_xml`` is the reference).  A DAG
+  never changes, so its ``<dag>`` fragment is kept by DAG
+  (:data:`_dag_wires`, :data:`DAG_INTERN_MAX` entries, LRU) and every
+  later request sharing it writes only its envelope.
 * **Decoding** interns.  :func:`request_from_element` gives requests
-  with the same ``<dag>`` subtree the *same* frozen
-  :class:`~repro.core.dag.ConfigDAG` (mutators raise
-  :class:`~repro.core.errors.DAGError`), whose order, fingerprint and
+  with the same ``<dag>`` subtree the *same*
+  :class:`~repro.core.dag.ConfigDAG`, whose order, fingerprint and
   signature caches therefore stay warm over the whole bid fan-out
   (:data:`DAG_INTERN_MAX` entries, LRU); below it, equal ``<action>``
   elements decode to one :class:`~repro.core.actions.Action`
@@ -102,6 +100,12 @@ __all__ = [
 #: bodies keeps the table full without ever hitting it.
 DAG_INTERN_MAX = 64
 _interned_dags: Dict[Tuple, ConfigDAG] = {}
+
+#: ``id(dag)`` -> ``(dag, its <dag> text)``, written by
+#: :func:`dag_to_xml` (LRU, :data:`DAG_INTERN_MAX` entries).  The entry
+#: keeps its DAG alive, so the id is not reused while the entry exists;
+#: a DAG never changes, so its text never goes stale.
+_dag_wires: Dict[int, Tuple[ConfigDAG, str]] = {}
 
 #: Bound of the decoded-``<action>`` intern table (entries, LRU).  A
 #: catalog campaign re-uses a few dozen steps in thousands of distinct
@@ -230,16 +234,25 @@ def dag_from_element(root: ET.Element) -> ConfigDAG:
                 _require(child, "from")
                 _require(child, "to")
             pairs.append((before, after))
-        dag = ConfigDAG.from_edges(actions, pairs)
-        for child in handlers:
-            target = _require(child, "for")
-            inner = list(child)
-            if len(inner) != 1:
-                raise ProtocolError("<handler> must contain exactly one <dag>")
-            dag.attach_handler(target, dag_from_element(inner[0]))
+        # A generator: each handler is decoded when ``from_edges``
+        # reaches it, after the actions and edges are checked.  A body
+        # without handlers passes none: a generator's frame is a call.
+        return ConfigDAG.from_edges(
+            actions,
+            pairs,
+            (_handler_from_element(h) for h in handlers) if handlers else (),
+        )
     except DAGError as exc:
         raise ProtocolError(str(exc)) from exc
-    return dag
+
+
+def _handler_from_element(el: ET.Element) -> Tuple[str, ConfigDAG]:
+    """The ``(action name, handler DAG)`` pair of a ``<handler>``."""
+    target = _require(el, "for")
+    inner = list(el)
+    if len(inner) != 1:
+        raise ProtocolError("<handler> must contain exactly one <dag>")
+    return target, dag_from_element(inner[0])
 
 
 def _action_from_element(el: ET.Element) -> Action:
@@ -355,15 +368,17 @@ def _not_a_number(el: ET.Element, attr: str, want: str) -> ProtocolError:
 
 
 def dag_to_xml(dag: ConfigDAG) -> str:
-    """DAG as an XML string (a frozen DAG's is written once and kept)."""
-    wire = dag.sealed_wire
-    if wire is None:
+    """DAG as an XML string, written once per DAG while it is in
+    :data:`_dag_wires`."""
+    entry = _dag_wires.pop(id(dag), None)
+    if entry is None:
         parts: List[str] = []
         _write_dag(dag, parts)
-        wire = "".join(parts)
-        if dag._frozen:
-            dag.sealed_wire = wire
-    return wire
+        entry = (dag, "".join(parts))
+        if len(_dag_wires) >= DAG_INTERN_MAX:
+            del _dag_wires[next(iter(_dag_wires))]
+    _dag_wires[id(dag)] = entry
+    return entry[1]
 
 
 def _parse(text: str) -> ET.Element:
@@ -379,7 +394,7 @@ def dag_from_xml(text: str) -> ConfigDAG:
 
 
 def _interned_dag(root: ET.Element) -> ConfigDAG:
-    """The shared frozen DAG for this ``<dag>`` subtree.
+    """The shared DAG for this ``<dag>`` subtree.
 
     The key is the subtree itself — every element's tag, child count,
     text, tail and attributes in document order, which is all the
@@ -399,7 +414,7 @@ def _interned_dag(root: ET.Element) -> ConfigDAG:
     )
     dag = _interned_dags.pop(key, None)
     if dag is None:
-        dag = dag_from_element(root).freeze()
+        dag = dag_from_element(root)
         if len(_interned_dags) >= DAG_INTERN_MAX:
             del _interned_dags[next(iter(_interned_dags))]
     _interned_dags[key] = dag
@@ -468,9 +483,8 @@ def request_from_element(root: ET.Element) -> CreateRequest:
     """Decode the body of a create/estimate envelope (strict).
 
     The caller has checked the root's tag and ``service``; the tree is
-    not modified.  The returned request is read-only: its DAG is a
-    frozen instance shared with every request carrying the same
-    ``<dag>`` subtree.
+    not modified.  The returned request's DAG is the instance shared
+    with every request carrying the same ``<dag>`` subtree.
     """
     parts: Dict[str, ET.Element] = {}
     for child in root:

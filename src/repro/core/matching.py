@@ -228,7 +228,6 @@ def select_golden(
     nothing matches.  Preference order: deepest satisfied prefix, then
     lexicographically smallest image id (deterministic).
     """
-    dag.validate()
     all_results: List[MatchResult] = []
     best: Optional[Tuple[int, str]] = None
     best_image: Optional[ImageLike] = None

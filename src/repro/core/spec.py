@@ -81,9 +81,6 @@ class SoftwareSpec:
     os: str = "linux-mandrake-8.1"
     dag: ConfigDAG = field(default_factory=ConfigDAG)
 
-    def __post_init__(self) -> None:
-        self.dag.validate()
-
 
 @dataclass(frozen=True, slots=True)
 class CreateRequest:

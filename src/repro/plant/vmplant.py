@@ -368,7 +368,6 @@ class VMPlant:
         into a live workspace and later publish it via
         ``destroy(commit=True)``.
         """
-        dag.validate()
         vm = self.infosys.get(vmid)
         line = self.lines[vm.vm_type]
         if match_performed(vm.performed_actions, dag) is not None:

@@ -268,12 +268,11 @@ class VMWarehouse:
         which is what lets P plants bidding on one request share a
         single evaluation of the Section 3.2 tests.
         """
-        # A frozen DAG that has been through here before carries its
-        # fingerprint as a plain attribute and is valid for good: the
-        # per-bid memo hit then makes no call to build its key.
+        # A DAG fingerprinted before carries its fingerprint as a plain
+        # attribute: the per-bid memo hit then makes no call to build
+        # its key.
         fingerprint = dag.sealed_fingerprint
         if fingerprint is None:
-            dag.validate()
             fingerprint = dag.fingerprint()
         self.match_stats["queries"] += 1
         if self._memo_generation != self.generation:

@@ -43,7 +43,7 @@ ROUTER_OS = "linux-mandrake-8.1"
 
 def router_dag(network_name: str, os: str = ROUTER_OS) -> ConfigDAG:
     """The configuration DAG for a router VM."""
-    dag = ConfigDAG.from_sequence(
+    return ConfigDAG.from_sequence(
         [
             install_os_action(os),
             Action(
@@ -63,8 +63,6 @@ def router_dag(network_name: str, os: str = ROUTER_OS) -> ConfigDAG:
             ),
         ]
     )
-    dag.validate()
-    return dag
 
 
 @dataclass(frozen=True)

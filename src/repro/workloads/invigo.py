@@ -103,13 +103,10 @@ _EDGES: Tuple[Tuple[str, str], ...] = (
 def invigo_workspace_dag(username: str = "arijit") -> ConfigDAG:
     """The client-specified virtual-workspace DAG of Figure 3 (step 1)."""
     actions = _actions(username)
-    dag = ConfigDAG()
-    for label in "ABCDEFGHI":
-        dag.add_action(actions[label])
-    for before, after in _EDGES:
-        dag.add_edge(actions[before].name, actions[after].name)
-    dag.validate()
-    return dag
+    return ConfigDAG.from_edges(
+        [actions[label] for label in "ABCDEFGHI"],
+        [(actions[u].name, actions[v].name) for u, v in _EDGES],
+    )
 
 
 def invigo_cached_prefix(username: str = "arijit") -> List[Action]:

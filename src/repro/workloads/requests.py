@@ -72,12 +72,10 @@ def experiment_dag(
     """Configuration DAG of the Section 4.2 creation experiments:
     install-os (cached) → configure-network → setup-user.
 
-    Shared and frozen: every caller naming the same ``(os, username)``
-    holds the *same* instance (the experiments issue hundreds of
-    identical creates, Section 4.2), so its order, fingerprint and wire
-    text are computed once per configuration, not once per request.
-    Its mutators raise :class:`~repro.core.errors.DAGError`; derive a
-    changed DAG with :meth:`ConfigDAG.subdag` or build one anew.
+    Shared: every caller naming the same ``(os, username)`` holds the
+    *same* instance (the experiments issue hundreds of identical
+    creates, Section 4.2), so its order and fingerprint are computed
+    once per configuration, not once per request.
     """
     return ConfigDAG.from_sequence(
         [
@@ -85,7 +83,7 @@ def experiment_dag(
             configure_network_action(),
             setup_user_action(username),
         ]
-    ).freeze()
+    )
 
 
 def golden_image(

@@ -12,7 +12,7 @@ the simulated hypervisor's stochastic timing.
 ``oracle_*`` is the request codec as it stood before it became one
 pass each way (serialise, re-parse, set ``service``, serialise again;
 parse, serialise, parse again, ``root.find`` the parts, a fresh DAG per
-request, built one mutator call a part by
+request, built one checked call a part by
 ``tests/oracles/dag_decode.py``) and before the encoder became a direct
 string writer (``oracle_dag_to_element`` and
 ``oracle_image_to_element`` are the ElementTree encoders that ``src/``

@@ -3,9 +3,9 @@
 ``repro.core.dagxml.dag_from_element`` collects a body's actions and
 edges and builds the graph with one check over all of it
 (``ConfigDAG.from_edges``).  This is the decoder as it stood before:
-two passes over the children and one ``add_action`` / ``add_edge`` /
-``attach_handler`` call per part, each checking as it goes.  Decoded
-DAGs and ``ProtocolError`` text must be the same.
+two passes over the children and one call per part on the incremental
+reference builder (``tests.oracles.dag_build``), each checking as it
+goes.  Decoded DAGs and ``ProtocolError`` text must be the same.
 """
 
 from __future__ import annotations
@@ -16,14 +16,16 @@ from repro.core.dag import ConfigDAG
 from repro.core.dagxml import _parse_action, _require
 from repro.core.errors import DAGError, ProtocolError
 
+from tests.oracles.dag_build import IncrementalDAG
+
 __all__ = ["oracle_dag_from_element"]
 
 
 def oracle_dag_from_element(root: ET.Element) -> ConfigDAG:
-    """Decode an ``<dag>`` element (strict), one mutator call a part."""
+    """Decode an ``<dag>`` element (strict), one checked call a part."""
     if root.tag != "dag":
         raise ProtocolError(f"expected <dag>, got <{root.tag}>")
-    dag = ConfigDAG()
+    dag = IncrementalDAG()
     handlers = []
     try:
         for child in root:
@@ -50,4 +52,4 @@ def oracle_dag_from_element(root: ET.Element) -> ConfigDAG:
             dag.attach_handler(target, oracle_dag_from_element(inner[0]))
     except DAGError as exc:
         raise ProtocolError(str(exc)) from exc
-    return dag
+    return dag.build()

@@ -8,7 +8,8 @@ from repro.core.actions import Action
 from repro.core.dag import FINISH, START, ConfigDAG
 from repro.core.errors import DAGError
 
-from tests.helpers import python_calls, traced_footprints
+from tests.helpers import python_call_counts, python_calls, traced_footprints
+from tests.oracles.dag_build import IncrementalDAG
 
 
 def chain(*names):
@@ -17,53 +18,43 @@ def chain(*names):
 
 def nested(depth):
     """a → b with ``depth`` levels of handler hanging off b."""
-    dag = chain("a", "b")
-    if depth:
-        dag.attach_handler("b", nested(depth - 1))
-    return dag
+    handlers = [("b", nested(depth - 1))] if depth else ()
+    return build("ab", [("a", "b")], handlers)
+
+
+def build(names, edges=(), handlers=()):
+    return ConfigDAG.from_edges([Action(n) for n in names], edges, handlers)
 
 
 def diamond():
     """a → {b, c} → d."""
-    dag = ConfigDAG()
-    for n in "abcd":
-        dag.add_action(Action(n))
-    dag.add_edge("a", "b")
-    dag.add_edge("a", "c")
-    dag.add_edge("b", "d")
-    dag.add_edge("c", "d")
-    return dag
+    return build("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 
 
 class TestConstruction:
     def test_duplicate_action_rejected(self):
-        dag = ConfigDAG().add_action(Action("a"))
-        with pytest.raises(DAGError):
-            dag.add_action(Action("a"))
+        with pytest.raises(DAGError, match="duplicate action 'a'"):
+            build("aa")
 
     def test_reserved_names_rejected(self):
         for name in (START, FINISH):
-            with pytest.raises(DAGError):
-                ConfigDAG().add_action(Action(name))
+            with pytest.raises(DAGError, match="reserved"):
+                build([name])
 
     def test_edge_to_unknown_node_rejected(self):
-        dag = ConfigDAG().add_action(Action("a"))
-        with pytest.raises(DAGError):
-            dag.add_edge("a", "ghost")
+        with pytest.raises(DAGError, match="unknown action 'ghost'"):
+            build("a", [("a", "ghost")])
 
     def test_self_edge_rejected(self):
-        dag = ConfigDAG().add_action(Action("a"))
-        with pytest.raises(DAGError):
-            dag.add_edge("a", "a")
+        with pytest.raises(DAGError, match="self-edge"):
+            build("a", [("a", "a")])
 
     def test_cycle_rejected_at_add_edge(self):
-        dag = chain("a", "b", "c")
-        with pytest.raises(DAGError, match="cycle"):
-            dag.add_edge("c", "a")
+        with pytest.raises(DAGError, match="'c'->'a' would create a cycle"):
+            build("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
     def test_duplicate_edge_idempotent(self):
-        dag = chain("a", "b")
-        dag.add_edge("a", "b")
+        dag = build("ab", [("a", "b"), ("a", "b")])
         assert dag.edges() == [("a", "b")]
 
     def test_from_sequence_builds_chain(self):
@@ -82,36 +73,55 @@ class TestConstruction:
 
 
 class TestFromEdges:
-    """``from_edges`` is ``add_action`` per action then ``add_edge``
-    per edge, in order: same DAG, same first error."""
+    """``from_edges`` is adding each action, then each edge, then each
+    handler, in order, one checked call a part (the incremental
+    reference in ``tests.oracles.dag_build``): same DAG, same first
+    error."""
 
     @staticmethod
-    def one_by_one(actions, edges):
-        dag = ConfigDAG()
+    def one_by_one(actions, edges, handlers):
+        dag = IncrementalDAG()
         for action in actions:
             dag.add_action(action)
         for before, after in edges:
             dag.add_edge(before, after)
-        return dag
-
-    @staticmethod
-    def outcome(build, actions, edges):
-        try:
-            dag = build(actions, edges)
-        except DAGError as exc:
-            return "error", str(exc)
-        # The Kahn sort that checked the graph is kept as its order.
+        for target, handler in handlers:
+            dag.attach_handler(target, handler)
         return "ok", (
             list(dag.actions.items()),
             dag.edges(),
             dag.topological_sort(),
-            dag.ancestor_masks(),
+            {name: dag.ancestors(name) for name in dag.actions},
             dag.structure(),
         )
+
+    @staticmethod
+    def built(actions, edges, handlers):
+        dag = ConfigDAG.from_edges(actions, edges, handlers)
+        # The Kahn sort that checked the graph is kept as its order.
+        bits = dag.name_bits()
+        return "ok", (
+            list(dag.actions.items()),
+            dag.edges(),
+            dag.topological_sort(),
+            {
+                name: {n for n, bit in bits.items() if mask >> bit & 1}
+                for name, mask in dag.ancestor_masks().items()
+            },
+            dag.structure(),
+        )
+
+    @staticmethod
+    def outcome(build, *parts):
+        try:
+            return build(*parts)
+        except DAGError as exc:
+            return "error", str(exc)
 
     def test_random_parts_match_the_mutators(self):
         rng = random.Random(2604)
         names = ["a", "b", "c", "d", "e"]
+        fix = chain("fix")
         outcomes = set()
         for _ in range(800):
             chosen = rng.sample(names, rng.randrange(0, 6))
@@ -126,21 +136,35 @@ class TestFromEdges:
                 (rng.choice(ends), rng.choice(ends))
                 for _ in range(rng.randrange(0, 8))
             ]
-            want = self.outcome(self.one_by_one, actions, edges)
-            got = self.outcome(ConfigDAG.from_edges, actions, edges)
-            assert got == want, (actions, edges)
+            handlers = [
+                (rng.choice(names + ["ghost"]), fix)
+                for _ in range(rng.choice([0, 0, 1, 2]))
+            ]
+            want = self.outcome(self.one_by_one, actions, edges, handlers)
+            got = self.outcome(self.built, actions, edges, handlers)
+            assert got == want, (actions, edges, handlers)
             outcomes.add(want[1].split()[0] if want[0] == "error" else "ok")
         # duplicate / reserved / unknown / self-edge / cycle, and fine.
         assert {"ok", "duplicate", "'__start__'", "unknown", "self-edge",
                 "edge"} <= outcomes
 
-    def test_built_dag_stays_mutable(self):
-        dag = ConfigDAG.from_edges([Action("a"), Action("b")], [("a", "b")])
-        assert dag.topological_sort() == ["a", "b"]
-        dag.add_action(Action("c")).add_edge("c", "a")
-        assert dag.topological_sort() == ["c", "a", "b"]
-        with pytest.raises(DAGError, match="cycle"):
-            dag.add_edge("b", "c")
+    def test_handlers_are_checked_after_the_graph_as_they_come(self):
+        seen = []
+
+        def handlers():
+            seen.append("first")
+            yield "ghost", chain("fix")
+            seen.append("second")  # pragma: no cover - not reached
+            yield "a", chain("fix")
+
+        with pytest.raises(DAGError, match="unknown action 'a'"):
+            ConfigDAG.from_edges([Action("b")], [("b", "a")], handlers())
+        assert seen == []  # the bad edge is met before any handler
+        with pytest.raises(DAGError, match="unknown action 'ghost'"):
+            ConfigDAG.from_edges([Action("a")], (), handlers())
+        assert seen == ["first"]
+        later = build("a", (), [("a", chain("x")), ("a", chain("y"))])
+        assert later.handler_for("a") == chain("y")
 
 
 class TestOrder:
@@ -151,9 +175,7 @@ class TestOrder:
             assert order.index(u) < order.index(v)
 
     def test_topological_sort_lexicographic_ties(self):
-        dag = ConfigDAG()
-        for n in ("zeta", "alpha", "mid"):
-            dag.add_action(Action(n))
+        dag = build(["zeta", "alpha", "mid"])
         assert dag.topological_sort() == ["alpha", "mid", "zeta"]
 
     def test_ancestors_descendants(self):
@@ -174,9 +196,9 @@ class TestOrder:
         assert dag.sinks() == ["d"]
 
     def test_guest_host_partition(self):
-        dag = ConfigDAG()
-        dag.add_action(Action("h", scope="host"))
-        dag.add_action(Action("g", scope="guest"))
+        dag = ConfigDAG.from_edges(
+            [Action("h", scope="host"), Action("g", scope="guest")], ()
+        )
         assert dag.host_actions() == ["h"]
         assert dag.guest_actions() == ["g"]
 
@@ -203,9 +225,8 @@ class TestPrefixMachinery:
             diamond().residual_after(["b"])
 
     def test_subdag_induces_edges_and_handlers(self):
-        dag = diamond()
         handler = chain("fixup")
-        dag.attach_handler("b", handler)
+        dag = build("abcd", diamond().edges(), [("b", handler)])
         sub = dag.subdag(["a", "b"])
         assert set(sub.actions) == {"a", "b"}
         assert sub.edges() == [("a", "b")]
@@ -214,47 +235,49 @@ class TestPrefixMachinery:
 
 class TestHandlers:
     def test_attach_handler_to_unknown_action_rejected(self):
-        dag = chain("a")
-        with pytest.raises(DAGError):
-            dag.attach_handler("ghost", chain("h"))
+        with pytest.raises(DAGError, match="unknown action 'ghost'"):
+            build("a", (), [("ghost", chain("h"))])
 
     def test_handler_validated_on_attach(self):
-        dag = chain("a")
         handler = chain("h1", "h2")
-        dag.attach_handler("a", handler)
+        dag = build("a", (), [("a", handler)])
         assert dag.handler_for("a") is handler
-        assert dag.handler_for("ghost") is None if "ghost" in dag else True
+        assert dag.handler_for("ghost") is None
+        assert dag.handlers == {"a": handler}
 
     def test_validate_recurses_into_handlers(self):
-        dag = chain("a")
-        dag.attach_handler("a", chain("h"))
-        dag.validate()  # must not raise
+        # A handler is a DAG built whole, so a fault inside one fails
+        # where it is built: in code, or by the decoder at any depth.
+        from repro.core.dagxml import dag_from_xml
+        from repro.core.errors import ProtocolError
+
+        with pytest.raises(ProtocolError, match="self-edge on 'h'"):
+            dag_from_xml(
+                '<dag><action name="a"/><handler for="a"><dag>'
+                '<action name="h"/><handler for="h"><dag>'
+                '<action name="h"/><edge from="h" to="h"/>'
+                "</dag></handler></dag></handler></dag>"
+            )
 
 
 class TestEquality:
     def test_structural_equality_ignores_insertion_order(self):
-        d1 = ConfigDAG()
-        d1.add_action(Action("a")).add_action(Action("b"))
-        d1.add_edge("a", "b")
-        d2 = ConfigDAG()
-        d2.add_action(Action("b")).add_action(Action("a"))
-        d2.add_edge("a", "b")
+        d1 = build("ab", [("a", "b")])
+        d2 = build("ba", [("a", "b")])
         assert d1 == d2
         assert hash(d1) == hash(d2)
 
     def test_content_difference_breaks_equality(self):
-        d1 = ConfigDAG().add_action(Action("a", command="x"))
-        d2 = ConfigDAG().add_action(Action("a", command="y"))
+        d1 = ConfigDAG.from_edges([Action("a", command="x")], ())
+        d2 = ConfigDAG.from_edges([Action("a", command="y")], ())
         assert d1 != d2
 
     def test_edge_difference_breaks_equality(self):
-        assert chain("a", "b") != ConfigDAG().add_action(
-            Action("a")
-        ).add_action(Action("b"))
+        assert chain("a", "b") != build("ab")
 
     def test_frozen_dag_compares_and_hashes_without_walking_handlers(self):
-        plain, twin = nested(0).freeze(), nested(0).freeze()
-        deep, deep_twin = nested(3).freeze(), nested(3).freeze()
+        plain, twin = nested(0), nested(0)
+        deep, deep_twin = nested(3), nested(3)
         values = hash(deep), hash(plain), deep == deep_twin, plain == twin
         assert values == (hash(deep_twin), hash(twin), True, True)
         assert deep != plain and hash(deep) == hash(nested(3))
@@ -265,40 +288,23 @@ class TestEquality:
         assert python_calls(lambda: deep == deep_twin) == python_calls(
             lambda: plain == twin
         )
-        # Unfrozen, every read rebuilds the version vector of the tree.
-        loose, loose_plain = nested(3), nested(0)
-        assert hash(loose) == hash(deep) and hash(loose_plain) == hash(plain)
-        assert python_calls(lambda: hash(loose)) > python_calls(
-            lambda: hash(loose_plain)
-        )
-
-    def test_structure_cached_before_a_handler_edit_is_not_sealed_in(self):
-        handler = chain("fix")
-        dag = chain("a", "b").attach_handler("b", handler)
-        stale = dag.structure()
-        stale_hash = hash(dag)
-        handler.add_action(Action("fix2"))  # dag's own version is unmoved
-        dag.freeze()
-        fresh = chain("a", "b").attach_handler("b", chain("fix"))
-        fresh.handler_for("b").add_action(Action("fix2"))
-        assert dag.structure() == fresh.structure() != stale
-        assert dag == fresh and hash(dag) == hash(fresh) != stale_hash
-        assert dag.structure() is dag.structure()
+        assert deep.structure() is deep.structure()
 
 
 class TestFootprint:
     def test_a_chain_keeps_tuple_adjacency(self):
-        # 1,155 B a 7-node chain over shared actions at the time of
-        # writing (``tests.footprints``), pinned with 15 % headroom.  It
-        # read 1,785 B with an instance dict and a 1-tuple of its own
-        # per neighbour, and 2,377 B with a list per node and direction.
-        assert traced_footprints()["chain_over_shared_steps"] <= 1_330
+        # 1,123 B a 7-node chain over shared actions at the time of
+        # writing (``tests.footprints``), pinned with 2 % headroom.  It
+        # read 1,155 B with a mutation version and seal slots, 1,785 B
+        # with an instance dict and a 1-tuple of its own per neighbour,
+        # and 2,377 B with a list per node and direction.
+        assert traced_footprints()["chain_over_shared_steps"] <= 1_145
         steps = [Action(f"step-{k}", command=f"cmd {k}") for k in range(7)]
         keep = [ConfigDAG.from_sequence(steps) for _ in range(2)]
         # A one-neighbour adjacency is the name's shared 1-tuple.
         assert keep[0]._succ["step-0"] is keep[-1]._succ["step-0"]
         assert keep[0]._pred["step-1"] is keep[-1]._pred["step-1"]
-        grown = diamond()  # built edge by edge
+        grown = diamond()  # two neighbours a node
         assert grown.successors("a") == ["b", "c"]
         assert grown.predecessors("d") == ["b", "c"]
         for dag in (keep[0], grown):
@@ -307,9 +313,9 @@ class TestFootprint:
 
     def test_equal_steps_built_apart_are_stored_once(self):
         # The catalog's shape: every DAG cut from steps built afresh.
-        # 1,155 B a 7-node chain at the time of writing, as over shared
+        # 1,122 B a 7-node chain at the time of writing, as over shared
         # steps; 3,220 B while each DAG kept its own copy of each step.
-        assert traced_footprints()["chain_over_equal_steps"] <= 1_330
+        assert traced_footprints()["chain_over_equal_steps"] <= 1_145
         keep = []
         for _ in range(2):
             steps = [Action(f"step-{k}", command=f"cmd {k}") for k in range(7)]
@@ -344,3 +350,16 @@ def test_request_records_have_no_instance_dict():
         new = tuple.__new__ if issubclass(cls, tuple) else object.__new__
         instance = new(cls)
         assert not hasattr(instance, "__dict__"), cls.__name__
+
+
+def test_a_software_spec_is_built_by_its_init_alone():
+    """A DAG is checked where it is built, so the record carrying it
+    checks nothing more: one Python call, the dataclass ``__init__``."""
+    from repro.core.spec import SoftwareSpec
+
+    dag = chain("a", "b")
+    counts = python_call_counts(lambda: SoftwareSpec(os="linux", dag=dag))
+    calls = sorted(
+        (name.rsplit(".", 1)[-1], n) for name, n in counts.items()
+    )
+    assert calls == [("<lambda>", 1), ("__init__", 1)]

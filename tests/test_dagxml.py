@@ -20,23 +20,22 @@ from repro.core.spec import (
 
 
 def rich_dag():
-    dag = ConfigDAG()
-    dag.add_action(
-        Action(
-            "install",
-            scope=ActionScope.HOST,
-            command="install {pkg} v{ver}",
-            params={"pkg": "vnc", "ver": 3},
-            outputs=("path",),
-            on_error=ErrorPolicy.RETRY,
-            retries=2,
-        )
+    install = Action(
+        "install",
+        scope=ActionScope.HOST,
+        command="install {pkg} v{ver}",
+        params={"pkg": "vnc", "ver": 3},
+        outputs=("path",),
+        on_error=ErrorPolicy.RETRY,
+        retries=2,
     )
-    dag.add_action(Action("configure", command="cfg"))
-    dag.add_edge("install", "configure")
-    handler = ConfigDAG().add_action(Action("cleanup", command="rm -rf tmp"))
-    dag.attach_handler("configure", handler)
-    return dag
+    cleanup = Action("cleanup", command="rm -rf tmp")
+    handler = ConfigDAG.from_sequence([cleanup])
+    return ConfigDAG.from_edges(
+        [install, Action("configure", command="cfg")],
+        [("install", "configure")],
+        [("configure", handler)],
+    )
 
 
 class TestDagRoundtrip:

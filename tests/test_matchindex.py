@@ -62,34 +62,27 @@ def chain_dag(rng: random.Random, n: int) -> ConfigDAG:
 def diamond_dag(rng: random.Random, n: int) -> ConfigDAG:
     """Source → middle layer → sink (classic diamond, width n-2)."""
     n = max(n, 3)
-    dag = ConfigDAG()
-    for i in range(n):
-        dag.add_action(action(i))
+    edges = []
     for i in range(1, n - 1):
-        dag.add_edge("a0", f"a{i}")
-        dag.add_edge(f"a{i}", f"a{n - 1}")
-    return dag
+        edges += [("a0", f"a{i}"), (f"a{i}", f"a{n - 1}")]
+    return ConfigDAG.from_edges([action(i) for i in range(n)], edges)
 
 
 def fanout_dag(rng: random.Random, n: int) -> ConfigDAG:
     """One root with n-1 independent children (maximal width)."""
-    dag = ConfigDAG()
-    for i in range(n):
-        dag.add_action(action(i))
-    for i in range(1, n):
-        dag.add_edge("a0", f"a{i}")
-    return dag
+    return ConfigDAG.from_edges(
+        [action(i) for i in range(n)], [("a0", f"a{i}") for i in range(1, n)]
+    )
 
 
 def random_dag(rng: random.Random, n: int) -> ConfigDAG:
-    dag = ConfigDAG()
-    for i in range(n):
-        dag.add_action(action(i))
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < 0.3:
-                dag.add_edge(f"a{i}", f"a{j}")
-    return dag
+    edges = [
+        (f"a{i}", f"a{j}")
+        for j in range(1, n)
+        for i in range(j)
+        if rng.random() < 0.3
+    ]
+    return ConfigDAG.from_edges([action(i) for i in range(n)], edges)
 
 
 DAG_SHAPES = (chain_dag, diamond_dag, fanout_dag, random_dag)
@@ -311,27 +304,6 @@ class TestMatchIndexMaintenance:
 
 
 class TestDagCacheInvalidation:
-    def test_mutation_refreshes_structural_caches(self):
-        dag = ConfigDAG.from_sequence([action(0), action(1)])
-        assert dag.action_name_set() == {"a0", "a1"}
-        fp = dag.fingerprint()
-        assert dag.is_prefix_set(["a0"])
-        dag.add_action(action(2)).add_edge("a1", "a2")
-        assert dag.action_name_set() == {"a0", "a1", "a2"}
-        assert dag.fingerprint() != fp
-        assert dag.topological_sort() == ["a0", "a1", "a2"]
-        assert dag.ancestor_masks()["a2"] == 0b011
-
-    def test_handler_mutation_invalidates_structure(self):
-        dag = ConfigDAG.from_sequence([action(0)])
-        handler = ConfigDAG.from_sequence([Action("fix", command="f")])
-        dag.attach_handler("a0", handler)
-        before = dag.structure()
-        fp = dag.fingerprint()
-        handler.add_action(Action("fix2", command="g"))
-        assert dag.structure() != before
-        assert dag.fingerprint() != fp
-
     def test_residual_and_validate_use_cached_topo(self):
         dag = ConfigDAG.from_sequence(action(i) for i in range(5))
         assert dag.residual_after(["a0", "a1"]) == ["a2", "a3", "a4"]
@@ -341,47 +313,14 @@ class TestDagCacheInvalidation:
 
 class TestFrozenDag:
     def handled_dag(self) -> Tuple[ConfigDAG, ConfigDAG]:
-        dag = ConfigDAG.from_sequence([action(0), action(1)])
         handler = ConfigDAG.from_sequence([Action("fix", command="f")])
-        dag.attach_handler("a0", handler)
+        dag = ConfigDAG.from_edges(
+            [action(0), action(1)], [("a0", "a1")], [("a0", handler)]
+        )
         return dag, handler
-
-    def test_freezing_keeps_the_fingerprint(self):
-        dag, _ = self.handled_dag()
-        twin, _ = self.handled_dag()
-        before = dag.fingerprint()
-        dag.freeze()
-        assert dag.fingerprint() == before  # cached before the freeze
-        assert twin.freeze().fingerprint() == before  # computed after it
-
-    def test_mutated_then_frozen_reports_the_mutation(self):
-        dag, handler = self.handled_dag()
-        stale = dag.fingerprint()
-        # The parent's memo is keyed on the handler's version, which a
-        # freeze must not mistake for current.
-        handler.add_action(Action("fix2", command="g"))
-        dag.freeze()
-        fresh, fresh_handler = self.handled_dag()
-        fresh_handler.add_action(Action("fix2", command="g"))
-        assert dag.fingerprint() == fresh.fingerprint() != stale
-        dag.validate()
-
-    def test_subdag_of_frozen_is_unfrozen_and_tracks_edits(self):
-        dag, _ = self.handled_dag()
-        dag.freeze()
-        dag.validate()
-        sub = dag.subdag(["a0", "a1"])
-        assert sub.fingerprint() == dag.fingerprint()
-        sub.add_action(action(2)).add_edge("a1", "a2")
-        assert sub.fingerprint() != dag.fingerprint()
-        sub.validate()
-        assert sub.topological_sort() == ["a0", "a1", "a2"]
-        with pytest.raises(DAGError, match="frozen"):
-            dag.add_action(action(2))
 
     def test_memo_hit_on_frozen_dag_skips_token_and_topo(self, monkeypatch):
         dag, _ = self.handled_dag()
-        dag.freeze()
         hw = HardwareSpec(memory_mb=32)
         wh = VMWarehouse(
             [GoldenImage("img", "vmware", "rh8", hw, performed=(action(0),))]
@@ -389,30 +328,28 @@ class TestFrozenDag:
         first = wh.select(dag, hw, "rh8", "vmware")
 
         def no_walk(self):
-            raise AssertionError("frozen DAG re-derived on a memo hit")
+            raise AssertionError("DAG re-derived on a memo hit")
 
-        monkeypatch.setattr(ConfigDAG, "_state_token", no_walk)
+        monkeypatch.setattr(ConfigDAG, "structure", no_walk)
         monkeypatch.setattr(ConfigDAG, "_topo", no_walk)
         assert wh.select(dag, hw, "rh8", "vmware") is first
         assert wh.match_stats["memo_hits"] == 1
         # Its key is read off the DAG, not asked of it.
-        monkeypatch.setattr(ConfigDAG, "validate", no_walk)
         monkeypatch.setattr(ConfigDAG, "fingerprint", no_walk)
         assert wh.select(dag, hw, "rh8", "vmware") is first
         assert wh.match_stats == {"queries": 3, "memo_hits": 2}
 
     def test_sealed_fingerprint_is_the_fingerprint_once_frozen(self):
         dag, handler = self.handled_dag()
+        assert dag.sealed_fingerprint is None  # not asked yet
         digest = dag.fingerprint()
-        assert dag.sealed_fingerprint is None  # still mutable
-        dag.freeze()
-        assert dag.sealed_fingerprint is None  # not asked since
-        assert dag.fingerprint() == digest == dag.sealed_fingerprint
+        assert dag.sealed_fingerprint == digest
+        assert digest == self.handled_dag()[0].fingerprint()
+        assert handler.sealed_fingerprint is None  # asked of dag only
         assert handler.fingerprint() == handler.sealed_fingerprint
 
     def test_memo_keys_on_hardware_fields(self):
         dag, _ = self.handled_dag()
-        dag.freeze()
         wh = VMWarehouse(
             [
                 GoldenImage(
@@ -443,12 +380,13 @@ class TestFrozenDag:
 # ---------------------------------------------------------------------------
 
 def _diamond() -> ConfigDAG:
-    dag = ConfigDAG()
-    for i in range(6):
-        dag.add_action(action(i))
-    for before, after in ((0, 1), (0, 2), (1, 3), (2, 3), (4, 5)):
-        dag.add_edge(f"a{before}", f"a{after}")
-    return dag
+    return ConfigDAG.from_edges(
+        [action(i) for i in range(6)],
+        [
+            (f"a{before}", f"a{after}")
+            for before, after in ((0, 1), (0, 2), (1, 3), (2, 3), (4, 5))
+        ],
+    )
 
 
 #: Request DAGs over a0..a5 the machine queries with.

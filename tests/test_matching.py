@@ -19,15 +19,14 @@ from repro.plant.warehouse import GoldenImage
 
 def fig3_dag():
     """The Figure 3 workspace DAG: A→B→C→D→E→F, F→{G→H, I}."""
-    dag = ConfigDAG()
     actions = {n: Action(n, command=f"do-{n}") for n in "ABCDEFGHI"}
-    for action in actions.values():
-        dag.add_action(action)
-    for u, v in [
-        ("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"),
-        ("E", "F"), ("F", "G"), ("G", "H"), ("F", "I"),
-    ]:
-        dag.add_edge(u, v)
+    dag = ConfigDAG.from_edges(
+        list(actions.values()),
+        [
+            ("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"),
+            ("E", "F"), ("F", "G"), ("G", "H"), ("F", "I"),
+        ],
+    )
     return dag, actions
 
 

@@ -25,8 +25,13 @@ def base_action():
     return Action("install-os", scope="host", command="install")
 
 
-def make_dag(*extra_actions):
-    return ConfigDAG.from_sequence([base_action(), *extra_actions])
+def make_dag(*extra_actions, handlers=()):
+    """A chain from the base action through ``extra_actions``."""
+    actions = [base_action(), *extra_actions]
+    names = [action.name for action in actions]
+    return ConfigDAG.from_edges(
+        actions, list(zip(names, names[1:])), handlers
+    )
 
 
 def make_image(performed=None, image_id="img", mem=32):
@@ -135,13 +140,14 @@ class TestProduce:
         env = Environment()
         line = InstantLine(env)
         ppp, _ = make_ppp(env, line)
-        dag = ConfigDAG()
-        dag.add_action(base_action())
-        for n in ("z-last", "a-first"):
-            dag.add_action(Action(n))
-        dag.add_edge("install-os", "z-last")
-        dag.add_edge("install-os", "a-first")
-        dag.add_edge("a-first", "z-last")
+        dag = ConfigDAG.from_edges(
+            [base_action(), Action("z-last"), Action("a-first")],
+            [
+                ("install-os", "z-last"),
+                ("install-os", "a-first"),
+                ("a-first", "z-last"),
+            ],
+        )
         drive(env, ppp.produce(ProductionOrder("vm1", make_request(dag))))
         assert line.executed == ["a-first", "z-last"]
 
@@ -225,14 +231,14 @@ class TestProduce:
         env = Environment()
         line = InstantLine(env, fail_actions={"fragile"})
         ppp, _ = make_ppp(env, line)
-        dag = make_dag(
-            Action("fragile", on_error=ErrorPolicy.HANDLER),
-            Action("after"),
-        )
         handler = ConfigDAG.from_sequence(
             [Action("diagnose"), Action("repair")]
         )
-        dag.attach_handler("fragile", handler)
+        dag = make_dag(
+            Action("fragile", on_error=ErrorPolicy.HANDLER),
+            Action("after"),
+            handlers=[("fragile", handler)],
+        )
         vm = drive(
             env, ppp.produce(ProductionOrder("vm1", make_request(dag)))
         )
@@ -254,9 +260,10 @@ class TestProduce:
         env = Environment()
         line = InstantLine(env, fail_actions={"fragile", "repair"})
         ppp, _ = make_ppp(env, line)
-        dag = make_dag(Action("fragile", on_error=ErrorPolicy.HANDLER))
-        dag.attach_handler(
-            "fragile", ConfigDAG.from_sequence([Action("repair")])
+        handler = ConfigDAG.from_sequence([Action("repair")])
+        dag = make_dag(
+            Action("fragile", on_error=ErrorPolicy.HANDLER),
+            handlers=[("fragile", handler)],
         )
         with pytest.raises(ConfigurationError, match="error handler"):
             drive(

@@ -33,10 +33,8 @@ def dags(draw, max_nodes=8):
     """Random DAGs built by only adding forward edges."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     node_names = [f"n{i}" for i in range(n)]
-    dag = ConfigDAG()
-    for name in node_names:
-        dag.add_action(Action(name, command=f"cmd-{name}"))
     # Edges only from lower to higher index → acyclic by construction.
+    edges = []
     for j in range(1, n):
         preds = draw(
             st.lists(
@@ -45,9 +43,10 @@ def dags(draw, max_nodes=8):
                 max_size=3,
             )
         )
-        for i in preds:
-            dag.add_edge(node_names[i], node_names[j])
-    return dag
+        edges += [(node_names[i], node_names[j]) for i in preds]
+    return ConfigDAG.from_edges(
+        [Action(name, command=f"cmd-{name}") for name in node_names], edges
+    )
 
 
 @st.composite

@@ -110,19 +110,18 @@ class TestRequestMemos:
     def test_xml_body_memoized_on_the_frozen_dag(self):
         import dataclasses
 
+        from repro.core.dagxml import dag_to_xml
+
         request = make_request()
         first = service_request_to_xml(request, service="create")
-        # A DAG its client may still extend is written on every call ...
-        assert request.dag.sealed_wire is None
-        request.dag.freeze()
-        # ... a frozen one keeps its <dag> text, whoever asks for it.
+        # The DAG's <dag> text is kept, whoever asks for it.
+        body = dag_to_xml(request.dag)
         create_xml = service_request_to_xml(request, service="create")
         estimate_xml = service_request_to_xml(request, service="estimate")
-        body = request.dag.sealed_wire
         assert body.startswith("<dag>") and body.endswith("</dag>")
         other = dataclasses.replace(request, client_id="else")
         assert body in service_request_to_xml(other)
-        assert request.dag.sealed_wire is body
+        assert dag_to_xml(request.dag) is body
         assert create_xml == first
         assert body in create_xml and body in estimate_xml
         assert 'service="estimate"' in estimate_xml

@@ -320,7 +320,7 @@ class TestCallBudgets:
     @staticmethod
     def decoded_request():
         """What a plant is handed: the shop's decoded request, whose DAG
-        is the frozen interned one."""
+        is the interned one."""
         _, request = service_request_from_xml(
             service_request_to_xml(
                 experiment_request(32, domain="d1"), service="create"
@@ -472,12 +472,13 @@ class TestCallBudgets:
 
 #: The fields of a request that a bid may read, each with its choices.
 #: 1024 MB has no golden image until one is published; ``xen`` is no
-#: line of the plant; the third DAG is never frozen, so never keyed.
+#: line of the plant; the third DAG is a new one each bid, never
+#: fingerprinted before it, so never keyed.
 _SHAPE_FIELDS = {
     "memory_mb": (32, 256, 1024),
     "domain": ("d0", "d1", "d2"),
     "vm_type": ("vmware", None, "uml", "xen"),
-    "dag": ("sealed", "extended", "unfrozen"),
+    "dag": ("sealed", "extended", "fresh"),
     "requirements": (None, "other.active_vms < 2"),
 }
 
@@ -488,7 +489,7 @@ _BASE_ACTIONS = [
 ]
 _EXTENDED_DAG = ConfigDAG.from_sequence(
     _BASE_ACTIONS + [Action("install-vnc", command="rpm -i vnc.rpm")]
-).freeze()
+)
 _EXTENDED_DAG.fingerprint()  # sealed: a bid may key on it
 
 

@@ -8,8 +8,8 @@ Three kinds of test:
   and error messages of ``tests.helpers.oracle_*`` (the ElementTree
   codec before it became one pass, then a direct string writer);
 * behaviour of what is new — strict top-level children, the ``<dag>``
-  and ``<action>`` intern tables, frozen shared DAGs and the wire
-  fragment they keep, the running memory total under every path that
+  and ``<action>`` intern tables, shared DAGs and the wire fragment
+  kept for each, the running memory total under every path that
   registers or drops a VM;
 * perf-smoke guards — Python-call budgets (``cProfile`` without
   builtins, exact and machine-independent) so neither the second pass,
@@ -39,7 +39,7 @@ from repro.core.dagxml import (
     request_from_xml,
     request_to_xml,
 )
-from repro.core.errors import DAGError, ProtocolError, ReproError
+from repro.core.errors import ProtocolError, ReproError
 from repro.core.spec import (
     CreateRequest,
     HardwareSpec,
@@ -117,34 +117,36 @@ def random_param(rng: random.Random):
 def random_dag(rng: random.Random, depth: int = 0) -> ConfigDAG:
     n = rng.randrange(1, 7)
     names = [nasty_text(rng, f"a{depth}-{i}-") for i in range(n)]
-    dag = ConfigDAG()
-    for name in names:
-        dag.add_action(
-            Action(
-                name,
-                scope=rng.choice(list(ActionScope)),
-                command=nasty_text(rng, "cmd "),
-                params={
-                    nasty_text(rng, f"k{j}"): random_param(rng)
-                    for j in range(rng.randrange(0, 4))
-                },
-                outputs=tuple(
-                    nasty_text(rng, f"out{j}")
-                    for j in range(rng.randrange(0, 3))
-                ),
-                on_error=rng.choice(list(ErrorPolicy)),
-                retries=rng.randrange(0, 4),
-            )
+    actions = [
+        Action(
+            name,
+            scope=rng.choice(list(ActionScope)),
+            command=nasty_text(rng, "cmd "),
+            params={
+                nasty_text(rng, f"k{j}"): random_param(rng)
+                for j in range(rng.randrange(0, 4))
+            },
+            outputs=tuple(
+                nasty_text(rng, f"out{j}")
+                for j in range(rng.randrange(0, 3))
+            ),
+            on_error=rng.choice(list(ErrorPolicy)),
+            retries=rng.randrange(0, 4),
         )
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < 0.3:
-                dag.add_edge(names[i], names[j])
-    if depth < 2:
-        for name in names:
-            if rng.random() < 0.25:
-                dag.attach_handler(name, random_dag(rng, depth + 1))
-    return dag
+        for name in names
+    ]
+    edges = [
+        (names[i], names[j])
+        for j in range(1, n)
+        for i in range(j)
+        if rng.random() < 0.3
+    ]
+    handlers = [
+        (name, random_dag(rng, depth + 1))
+        for name in (names if depth < 2 else ())
+        if rng.random() < 0.25
+    ]
+    return ConfigDAG.from_edges(actions, edges, handlers)
 
 
 def random_request(rng: random.Random) -> CreateRequest:
@@ -226,22 +228,21 @@ def drawn_action(draw, name: str) -> Action:
 @st.composite
 def drawn_dag(draw, depth: int = 0) -> ConfigDAG:
     """Zero (the empty DAG) to four actions, random forward edges,
-    handlers nested two deep; the request's own DAG frozen or not."""
+    handlers nested two deep."""
     names = draw(st.lists(TEXT.filter(bool), unique=True, max_size=4))
-    dag = ConfigDAG()
-    for name in names:
-        dag.add_action(draw(drawn_action(name)))
-    for j in range(1, len(names)):
-        for i in range(j):
-            if draw(st.booleans()):
-                dag.add_edge(names[i], names[j])
-    if depth < 2:
-        for name in names:
-            if draw(st.integers(0, 3)) == 0:
-                dag.attach_handler(name, draw(drawn_dag(depth + 1)))
-    if depth == 0 and draw(st.booleans()):
-        dag.freeze()
-    return dag
+    actions = [draw(drawn_action(name)) for name in names]
+    edges = [
+        (names[i], names[j])
+        for j in range(1, len(names))
+        for i in range(j)
+        if draw(st.booleans())
+    ]
+    handlers = [
+        (name, draw(drawn_dag(depth + 1)))
+        for name in (names if depth < 2 else ())
+        if draw(st.integers(0, 3)) == 0
+    ]
+    return ConfigDAG.from_edges(actions, edges, handlers)
 
 
 @st.composite
@@ -432,7 +433,7 @@ class TestAgainstOracle:
 
 class TestOnePassDagDecode:
     """``dag_from_element`` (collect the parts, ``ConfigDAG.from_edges``
-    once) against the decoder that added them one mutator call at a
+    once) against the decoder that added them one checked call at a
     time: same DAG, same ``ProtocolError`` text, same first fault."""
 
     @staticmethod
@@ -787,14 +788,16 @@ class TestIntern:
         assert dag_detail(da.dag) != dag_detail(db.dag)
 
     def test_interned_dag_and_its_handlers_reject_mutation(self):
-        inner = ConfigDAG.from_sequence([Action("cleanup")])
-        inner.attach_handler(
-            "cleanup", ConfigDAG.from_sequence([Action("give-up")])
+        inner = ConfigDAG.from_edges(
+            [Action("cleanup")],
+            (),
+            [("cleanup", ConfigDAG.from_sequence([Action("give-up")]))],
         )
-        dag = ConfigDAG.from_sequence(
-            [Action("a"), Action("b", on_error="handler")]
+        dag = ConfigDAG.from_edges(
+            [Action("a"), Action("b", on_error="handler")],
+            [("a", "b")],
+            [("b", inner)],
         )
-        dag.attach_handler("b", inner)
         request = CreateRequest(
             hardware=HardwareSpec(), software=SoftwareSpec(dag=dag)
         )
@@ -802,20 +805,17 @@ class TestIntern:
         shared = back.dag
         nested = shared.handler_for("b")
         for target in (shared, nested, nested.handler_for("cleanup")):
+            # Its views are copies: an edit of one stays there.
+            views = target.actions, target.edges(), target.handlers
             first = next(iter(target))
-            with pytest.raises(DAGError, match="frozen"):
-                target.add_action(Action("late"))
-            with pytest.raises(DAGError, match="frozen"):
-                target.add_edge(first, first)
-            with pytest.raises(DAGError, match="frozen"):
-                target.attach_handler(first, ConfigDAG())
+            target.actions[first] = Action("late")
+            target.edges().append((first, first))
+            target.handlers[first] = ConfigDAG()
+            assert (target.actions, target.edges(), target.handlers) == views
         assert_same_request(back, request)
-        # A derived DAG is the caller's own again.
-        sub = shared.subdag(["a"])
-        sub.add_action(Action("mine"))
-        assert "mine" not in shared
-        # ... as is anything decoded outside a request.
-        dagxml.dag_from_xml(dagxml.dag_to_xml(dag)).add_action(Action("z"))
+        wire = service_request_to_xml(back)
+        assert wire == oracle_service_request_to_xml(back)
+        assert service_request_to_xml(request) == wire
 
     def test_one_action_object_for_200_distinct_dags(self, monkeypatch):
         parses = count_calls(monkeypatch, "_parse_action")
@@ -954,64 +954,39 @@ class TestIntern:
 
 
 class TestSharedBody:
-    def test_mutation_between_encodes_reaches_the_wire(self):
-        # With encodings memoised on the request object, the second
-        # encode returned the first text and the plant was sent ['a'].
+    def test_frozen_dag_refuses_the_same_mutation(self):
+        # Growing a DAG builds another: the first request still sends
+        # its own body, kept by DAG, and the grown one sends its own.
         dag = ConfigDAG.from_sequence([Action("a", command="first")])
         request = CreateRequest(
             hardware=HardwareSpec(memory_mb=64),
             software=SoftwareSpec(os="linux", dag=dag),
         )
         before = service_request_to_xml(request)
-        dag.add_action(Action("b", command="second"))
-        dag.add_edge("a", "b")
-        after = service_request_to_xml(request)
-        assert after != before
-        assert after == oracle_service_request_to_xml(request)
-        _, back = service_request_from_xml(after)
-        assert list(back.dag) == ["a", "b"]
-        assert_same_request(back, request)
-        assert dag.sealed_wire is None  # still the client's to change
-
-    def test_frozen_dag_refuses_the_same_mutation(self):
-        dag = ConfigDAG.from_sequence([Action("a", command="first")]).freeze()
-        request = CreateRequest(
-            hardware=HardwareSpec(memory_mb=64),
-            software=SoftwareSpec(os="linux", dag=dag),
+        grown = dataclasses.replace(
+            request,
+            software=SoftwareSpec(
+                os="linux",
+                dag=ConfigDAG.from_edges(
+                    [*dag.actions.values(), Action("b", command="second")],
+                    [("a", "b")],
+                ),
+            ),
         )
-        before = service_request_to_xml(request)
-        with pytest.raises(DAGError, match="frozen"):
-            dag.add_action(Action("b", command="second"))
+        after = service_request_to_xml(grown)
+        assert after != before
+        assert after == oracle_service_request_to_xml(grown)
         assert service_request_to_xml(request) == before
-        assert dag.sealed_wire is not None and dag.sealed_wire in before
+        assert dagxml._dag_wires[id(dag)] == (dag, dagxml.dag_to_xml(dag))
+        assert dagxml.dag_to_xml(dag) in before
 
     def test_experiment_requests_share_one_frozen_dag(self):
         small, large = experiment_request(64), experiment_request(256)
         assert small.software.dag is large.software.dag
         assert small.dag is experiment_request(32, client_id="else").dag
-        with pytest.raises(DAGError, match="frozen"):
-            small.dag.add_action(Action("late"))
         other = experiment_request(64, username="someone")
         assert other.dag is not small.dag
         assert other.dag is experiment_request(32, username="someone").dag
-        # Deriving gives the caller a DAG of their own again.
-        mine = small.dag.subdag(list(small.dag))
-        mine.add_action(Action("late"))
-        assert "late" not in small.dag
-
-    def test_handler_mutated_before_the_freeze_is_on_the_wire(self):
-        handler = ConfigDAG.from_sequence([Action("cleanup")])
-        dag = ConfigDAG.from_sequence([Action("a", on_error="handler")])
-        dag.attach_handler("a", handler)
-        request = CreateRequest(
-            hardware=HardwareSpec(), software=SoftwareSpec(dag=dag)
-        )
-        service_request_to_xml(request)
-        handler.add_action(Action("give-up"))  # dag itself is untouched
-        dag.freeze()
-        wire = service_request_to_xml(request)
-        assert wire == oracle_service_request_to_xml(request)
-        assert 'name="give-up"' in wire
 
 
 # ---------------------------------------------------------------------------
@@ -1305,7 +1280,7 @@ class TestCallBudgets:
                     )
                     for i in range(n)
                 ]
-            ).freeze()
+            )
             base = CreateRequest(
                 hardware=HardwareSpec(memory_mb=64),
                 software=SoftwareSpec(os="linux", dag=dag),
@@ -1335,9 +1310,9 @@ class TestCallBudgets:
         assert per_encode[3] == per_encode[30] <= 6
 
     def test_unfrozen_body_encode_makes_no_call_per_action(self):
-        # A DAG that can still change is written in full on every
-        # encode.  ``Enum.value`` is a descriptor, two Python calls a
-        # read on 3.11, and the writer read it twice per action.
+        # A DAG's first encode writes it in full.  ``Enum.value`` is a
+        # descriptor, two Python calls a read on 3.11, and the writer
+        # read it twice per action.
         def encode_calls(n: int) -> int:
             dag = ConfigDAG.from_sequence(
                 [
@@ -1352,13 +1327,41 @@ class TestCallBudgets:
                 hardware=HardwareSpec(memory_mb=64),
                 software=SoftwareSpec(os="linux", dag=dag),
             )
+            calls = python_calls(lambda: service_request_to_xml(request))
             assert service_request_to_xml(request) == (
                 oracle_service_request_to_xml(request)
             )
-            return python_calls(lambda: service_request_to_xml(request))
+            return calls
 
         # 9 at the time of writing; 8 actions took 41 through ``.value``.
         assert encode_calls(8) == encode_calls(2) <= 12
+
+    def test_a_dag_built_in_code_is_written_once(self, monkeypatch):
+        writes = count_calls(monkeypatch, "_write_dag")
+        dag = ConfigDAG.from_sequence(
+            [Action("a", command="first"), Action("b", command="second")]
+        )
+        request = CreateRequest(
+            hardware=HardwareSpec(memory_mb=64),
+            software=SoftwareSpec(os="linux", dag=dag),
+        )
+        first = dagxml.request_to_xml(request)
+        assert writes == [dag]
+        assert dagxml.request_to_xml(request) == first
+        assert writes == [dag]
+
+    def test_wire_table_is_bounded(self):
+        dagxml._dag_wires.clear()
+        dags = [
+            ConfigDAG.from_sequence([Action(f"step-{k}")]) for k in range(1000)
+        ]
+        for dag in dags:
+            dagxml.dag_to_xml(dag)
+        assert len(dagxml._dag_wires) <= dagxml.DAG_INTERN_MAX
+        # The newest texts are the ones kept, each with its own DAG.
+        assert [entry[0] for entry in dagxml._dag_wires.values()] == dags[
+            -len(dagxml._dag_wires):
+        ]
 
     def test_sequential_creates_within_budget(self):
         # What the e2e closed loop (``paper_seq``) pays per create, in

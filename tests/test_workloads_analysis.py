@@ -38,7 +38,7 @@ class TestInvigo:
     def test_dag_has_nine_actions(self):
         dag = invigo_workspace_dag()
         assert len(dag) == 9
-        dag.validate()
+        assert len(dag.edges()) == 8
 
     def test_partial_order_matches_figure3(self):
         dag = invigo_workspace_dag()

@@ -25,10 +25,9 @@ class RecoveryPolicy:
     #: Total creation attempts per request; each attempt re-bids with
     #: a *fresh* vmid (1 = seed behaviour, no re-bid).
     max_attempts: int = 1
-    #: First re-bid delay in seconds (0 = retry immediately).
+    #: First re-bid delay in seconds (0 = retry immediately); it
+    #: doubles on each further attempt.
     backoff_base_s: float = 0.0
-    #: Multiplier applied to the delay on each further attempt.
-    backoff_factor: float = 2.0
     #: Give up on bidders that have not answered an estimate after
     #: this many seconds; their late bids are dropped (None = wait
     #: for every bidder, the seed behaviour).
@@ -46,8 +45,6 @@ class RecoveryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if self.bid_deadline_s is not None and self.bid_deadline_s <= 0:
             raise ValueError("bid_deadline_s must be positive")
         if self.quarantine_threshold < 0:
@@ -59,7 +56,7 @@ class RecoveryPolicy:
         """Seconds to wait before ``attempt`` (1-based; 0 for the first)."""
         if attempt <= 1 or self.backoff_base_s <= 0:
             return 0.0
-        return self.backoff_base_s * self.backoff_factor ** (attempt - 2)
+        return self.backoff_base_s * 2.0 ** (attempt - 2)
 
 
 #: Deadline + bounded exponential-backoff re-bid (no quarantine).
@@ -67,7 +64,6 @@ DEADLINE_BACKOFF = RecoveryPolicy(
     create_deadline_s=240.0,
     max_attempts=4,
     backoff_base_s=10.0,
-    backoff_factor=2.0,
     bid_deadline_s=10.0,
 )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List
 
 from repro.core.actions import Action, ActionResult
 from repro.core.classad import ClassAd
@@ -67,7 +67,7 @@ class VirtualMachine:
         "results",
         "performed_actions",
         "backend",
-        "network_id",
+        "bridged",
     )
 
     def __init__(
@@ -92,8 +92,9 @@ class VirtualMachine:
         self.performed_actions: List[Action] = []
         #: Line-specific state (sim VM handle, clone directory, ...).
         self.backend: Any = None
-        #: Host-only network id assigned by VNET support, if any.
-        self.network_id: Optional[str] = None
+        #: True while the VM holds a reference on its domain's VNET
+        #: bridge on its plant.
+        self.bridged = False
 
     @property
     def memory_mb(self) -> int:

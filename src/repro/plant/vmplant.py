@@ -79,9 +79,6 @@ class VMPlant:
             env, warehouse, self.infosys, self.lines
         )
         self.monitor = VMMonitor(env, self.infosys)
-        #: (vmid → domain) for bridge teardown at collection time.
-        self._vm_domain: Dict[str, str] = {}
-        self._vm_bridged: Dict[str, bool] = {}
         #: description_ad memo: (infosys.version, pool.version) → ad.
         self._description_memo: Optional[tuple] = None
         #: The hosts whose committed memory the lines' ``can_host``
@@ -314,14 +311,10 @@ class VMPlant:
         try:
             vm: VirtualMachine = yield self.ppp.produce(order)
         except Exception:
-            self.network_pool.detach(vmid)
-            if bridged:
-                self.vnet_service.teardown_bridge(self.name, domain)
+            self._unplug(vmid, domain, bridged)
             raise
 
-        vm.network_id = assignment.network_id
-        self._vm_domain[vmid] = domain
-        self._vm_bridged[vmid] = bridged
+        vm.bridged = bridged
         ad = vm.classad
         ad.update(
             {
@@ -342,10 +335,6 @@ class VMPlant:
         vm = self.infosys.rename(old, new)
         vm.classad["vmid"] = new
         self.network_pool.rename(old, new)
-        if old in self._vm_domain:
-            self._vm_domain[new] = self._vm_domain.pop(old)
-        if old in self._vm_bridged:
-            self._vm_bridged[new] = self._vm_bridged.pop(old)
         return vm
 
     def query(self, vmid: str, attributes: Iterable[str] = ()) -> ClassAd:
@@ -416,14 +405,21 @@ class VMPlant:
         vm.classad["status"] = vm.status._value_
         vm.classad["collected_at"] = self.env.now
         self.infosys.remove(vmid)
+        self._unplug(vmid, vm.request.network.domain, vm.bridged)
+        return vm.classad.copy()
+
+    def _unplug(self, vmid: str, domain: str, bridged: bool) -> None:
+        """Detach ``vmid``'s lease and drop its bridge reference.
+
+        Every way off the plant ends here: collection, a kill,
+        migration out, and a create that unwinds.
+        """
         self.network_pool.detach(vmid)
-        domain = self._vm_domain.pop(vmid, None)
-        if self._vm_bridged.pop(vmid, False) and domain is not None:
+        if bridged:
             try:
                 self.vnet_service.teardown_bridge(self.name, domain)
             except VNetError:
                 pass  # bridge already gone (shared teardown)
-        return vm.classad.copy()
 
     def kill_vm(self, vmid: str) -> VirtualMachine:
         """Synchronously destroy a VM without the graceful collect.
@@ -438,13 +434,7 @@ class VMPlant:
         vm.status = VMStatus.FAILED
         vm.classad["status"] = vm.status._value_
         self.infosys.remove(vmid)
-        self.network_pool.detach(vmid)
-        domain = self._vm_domain.pop(vmid, None)
-        if self._vm_bridged.pop(vmid, False) and domain is not None:
-            try:
-                self.vnet_service.teardown_bridge(self.name, domain)
-            except VNetError:
-                pass
+        self._unplug(vmid, vm.request.network.domain, vm.bridged)
         trace(
             self.env, "plant", "vm-killed",
             plant=self.name, vmid=vmid,
@@ -471,14 +461,10 @@ class VMPlant:
             # lost (deadline fired mid-reply): kill the orphan.
             self.kill_vm(vmid)
             released.append("vm")
+        # An in-flight create's own unwinding dropped its bridge; only
+        # a lease can be left here.
         if self.network_pool.detach(vmid):
             released.append("network")
-        domain = self._vm_domain.pop(vmid, None)
-        if self._vm_bridged.pop(vmid, False) and domain is not None:
-            try:
-                self.vnet_service.teardown_bridge(self.name, domain)
-            except VNetError:
-                pass
         if released:
             trace(
                 self.env, "plant", "abort-creation",
@@ -587,23 +573,14 @@ class VMPlant:
 
     def complete_migration_out(self, vmid: str) -> None:
         """Drop all local state for a VM that migrated away."""
-        self.infosys.remove(vmid)
-        self.network_pool.detach(vmid)
-        domain = self._vm_domain.pop(vmid, None)
-        if self._vm_bridged.pop(vmid, False) and domain is not None:
-            try:
-                self.vnet_service.teardown_bridge(self.name, domain)
-            except VNetError:
-                pass
+        vm = self.infosys.remove(vmid)
+        self._unplug(vmid, vm.request.network.domain, vm.bridged)
 
     def adopt_migrated(self, vm: VirtualMachine, assignment) -> None:
-        """Register a VM that migrated onto this plant."""
-        domain = vm.request.network.domain
+        """Register a VM that migrated onto this plant (unbridged)."""
         vm.status = VMStatus.RUNNING
-        vm.network_id = assignment.network_id
+        vm.bridged = False
         self.infosys.store(vm)
-        self._vm_domain[vm.vmid] = domain
-        self._vm_bridged[vm.vmid] = False
         ad = vm.classad
         ad["plant"] = self.name
         ad["network_id"] = assignment.network_id

@@ -12,10 +12,9 @@ reports on it, **destroy** collects it.  The shop:
   request goes hands those bids to :meth:`VMShop.create`, which
   dispatches from them instead of asking every plant again;
 * assigns the site-unique VMID and remembers only the VMID → plant
-  routing plus a classad *cache* — the authoritative classad
-  lives in the plant's information system, which is what makes shop
-  restarts cheap (:meth:`VMShop.recover` rebuilds the routing from the
-  plants).
+  routing: a VM's classad lives in its plant's information system,
+  which every query asks, and that is what makes shop restarts cheap
+  (:meth:`VMShop.recover` rebuilds the routing from the plants).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import weakref
 from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence
 
-from repro.core.classad import ClassAd
 from repro.core.errors import DeadlineExceeded, ReproError, ShopError
 from repro.core.spec import CreateRequest
 from repro.faults.health import PlantHealth
@@ -77,7 +75,6 @@ class VMShop:
         self.collector = BidCollector(env, self.transport, self.rng)
         self.bidders: List[Any] = []
         self._route: Dict[str, Any] = {}
-        self._cache: Dict[str, ClassAd] = {}
         self._seq = 0
         #: Plant-side creates that succeeded / failed, retries included.
         #: Counts, not a log: a long run keeps no per-create record here
@@ -235,7 +232,7 @@ class VMShop:
                         if bid is candidates[-1]:
                             raise  # from inside the handler, as below
                         continue
-                    self._created(vmid, bid, ad)
+                    self._created(vmid, bid)
                     return ad
             except ReproError:
                 # The last error is the create's, re-raised in here so
@@ -288,10 +285,9 @@ class VMShop:
         if abort is not None:
             abort(vmid)
 
-    def _created(self, vmid: str, bid: Bid, ad: ClassAd) -> None:
+    def _created(self, vmid: str, bid: Bid) -> None:
         self._health_for(bid.bidder_name).record_success(self.env.now)
         self._route[vmid] = bid.bidder
-        self._cache[vmid] = ad.copy()
         self.creates_ok += 1
         if self.env.tracer is not None:
             trace(
@@ -346,22 +342,10 @@ class VMShop:
         bids = yield self.collector.collect(self.bidders, request)
         return bids
 
-    def query(
-        self,
-        vmid: str,
-        attributes: Iterable[str] = (),
-        use_cache: bool = False,
-    ) -> Generator:
-        """Fetch a VM's classad (optionally served from the cache)."""
-        # Bind once: a generator argument would be exhausted by the
-        # first tuple() call and silently corrupt cache behaviour.
-        attrs = tuple(attributes)
-        if use_cache and not attrs and vmid in self._cache:
-            return self._cache[vmid].copy()
+    def query(self, vmid: str, attributes: Iterable[str] = ()) -> Generator:
+        """Fetch a VM's classad (or a projection) from its plant."""
         plant = self._plant_for(vmid)
-        ad = yield self.transport.call(plant.query, vmid, attrs)
-        if not attrs:
-            self._cache[vmid] = ad.copy()
+        ad = yield self.transport.call(plant.query, vmid, tuple(attributes))
         return ad
 
     def destroy(
@@ -383,10 +367,8 @@ class VMShop:
             )
         except ReproError:
             self._route.pop(vmid, None)
-            self._cache.pop(vmid, None)
             raise
         del self._route[vmid]
-        self._cache.pop(vmid, None)
         return ad
 
     # -- resilience ---------------------------------------------------------------
@@ -395,11 +377,9 @@ class VMShop:
 
         The shop holds no authoritative VM state (Section 3.1): each
         plant's information system does.  Re-interrogating the plants
-        restores routing for every active VM; the classad cache
-        repopulates lazily.
+        restores routing for every active VM.
         """
         self._route.clear()
-        self._cache.clear()
         recovered = 0
         for bidder in self.bidders:
             infosys = getattr(bidder, "infosys", None)
@@ -419,7 +399,6 @@ class VMShop:
         if vmid not in self._route:
             raise ShopError(f"unknown VMID {vmid!r}")
         self._route[vmid] = plant
-        self._cache.pop(vmid, None)
 
     def _plant_for(self, vmid: str) -> Any:
         try:

@@ -199,12 +199,6 @@ class _SimLine(ProductionLine):
         self.host.admit_vm(vm.memory_mb)
         self._admitted[vm.vmid] = vm.memory_mb
 
-    def _release_admitted(self, vm: VirtualMachine) -> None:
-        """Release a failed in-flight clone's memory (exactly once)."""
-        admitted = self._admitted.pop(vm.vmid, None)
-        if admitted is not None:
-            self.host.release_vm(admitted)
-
     def can_host(self, request: CreateRequest) -> bool:
         """Admit while committed memory stays under the overcommit cap."""
         after = (
@@ -251,7 +245,7 @@ class _SimLine(ProductionLine):
             self._check_host()
             self._maybe_fail_clone(vm)
         except BaseException:
-            self._release_admitted(vm)
+            self.abort(vm)  # no backend yet: releases the admission
             raise
         resume_time = self.env.now - resume_start
 

@@ -15,30 +15,36 @@ allocation from this pool.
 Every plant bid asks the pool whether a domain still fits, so the
 queries are O(1) on maintained state: a switch is assigned iff its
 domain is a key of the domain map, hence ``free_count`` is a
-difference of two lengths, and a VM's switch is found by id in a
-dict.  Only a fresh allocation scans for the first free switch.
+difference of two lengths.  Only a fresh allocation scans for the
+first free switch.  A switch, once assigned, stays with its domain
+(the paper's one-time network charge), so what a VM holds is one
+lease — its switch and guest address — in one ``vmid`` table.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import VNetError
 
 __all__ = ["HostOnlyNetwork", "IPAllocator", "HostOnlyNetworkPool"]
 
+#: The flat ``{SUBNET_BASE}.{100+i}`` subnets of a pool given no
+#: explicit ``subnets``.
+SUBNET_BASE = "192.168"
+
 
 class HostOnlyNetwork:
-    """One vmnet/tap switch and its current assignment."""
+    """One vmnet/tap switch, its assignment and its guest addresses."""
 
     def __init__(self, network_id: str, subnet: str):
         self.network_id = network_id
         self.subnet = subnet
         #: Client domain currently owning the switch (None = free).
         self.domain: Optional[str] = None
-        #: vmids of VMs attached to the switch.
-        self.attached: Set[str] = set()
+        #: Guest addresses of the subnet, handed out to its leases.
+        self.addresses = IPAllocator(subnet)
 
     @property
     def is_free(self) -> bool:
@@ -112,13 +118,12 @@ class NetworkAssignment(NamedTuple):
 class HostOnlyNetworkPool:
     """The plant's pool of host-only networks.
 
-    ``release_policy`` controls when a domain's switch returns to the
-    free list: ``"sticky"`` keeps it assigned forever (the paper's
-    one-time-charge illustration), ``"refcount"`` frees it once the
-    domain's last VM is collected.
+    A domain's switch stays assigned once allocated (the paper's
+    one-time-charge illustration): collecting a domain's last VM
+    returns its address, not its switch.
 
     ``subnets`` assigns the switches *explicit* subnets instead of the
-    flat ``{subnet_base}.{100+i}`` scheme — this is how a federated
+    flat ``{SUBNET_BASE}.{100+i}`` scheme — this is how a federated
     site's :class:`~repro.federation.addressing.SubnetBlock` hands
     each plant globally unique address space (site prefix → subnet
     block → host range) instead of every plant in the grid reusing
@@ -129,8 +134,6 @@ class HostOnlyNetworkPool:
         self,
         plant_name: str,
         count: int = 4,
-        release_policy: str = "sticky",
-        subnet_base: str = "192.168",
         subnets: Optional[Sequence[str]] = None,
     ):
         if subnets is not None:
@@ -142,33 +145,25 @@ class HostOnlyNetworkPool:
             count = len(subnets)
         if count <= 0:
             raise ValueError("count must be positive")
-        if release_policy not in ("sticky", "refcount"):
-            raise ValueError(f"unknown release policy {release_policy!r}")
         self.plant_name = plant_name
-        self.release_policy = release_policy
         self.networks: List[HostOnlyNetwork] = [
             HostOnlyNetwork(
                 network_id=f"{plant_name}/vmnet{i}",
                 subnet=(
                     subnets[i]
                     if subnets is not None
-                    else f"{subnet_base}.{100 + i}"
+                    else f"{SUBNET_BASE}.{100 + i}"
                 ),
             )
             for i in range(count)
         ]
-        self._by_id: Dict[str, HostOnlyNetwork] = {
-            net.network_id: net for net in self.networks
-        }
         #: domain -> its switch; holds exactly the assigned switches
         #: (:meth:`check_isolation` asserts it), which is what lets
         #: :attr:`free_count` answer without scanning them.
         self._by_domain: Dict[str, HostOnlyNetwork] = {}
-        self._allocators: Dict[str, IPAllocator] = {
-            net.network_id: IPAllocator(net.subnet) for net in self.networks
-        }
-        self._vm_network: Dict[str, str] = {}
-        self._vm_ip: Dict[str, str] = {}
+        #: vmid -> (switch, guest address): the one record of a VM's
+        #: attachment; read-only outside this class.
+        self.leases: Dict[str, Tuple[HostOnlyNetwork, str]] = {}
         #: Monotonic mutation counter (memo invalidation in the plant's
         #: ``description_ad``, which publishes ``free_count``).
         self.version = 0
@@ -200,7 +195,8 @@ class HostOnlyNetworkPool:
         domain.  The isolation invariant holds by construction: a
         switch is only ever handed to its assigned domain.
         """
-        if vmid in self._vm_network:
+        leases = self.leases
+        if vmid in leases:
             raise VNetError(f"vm {vmid!r} already attached")
         net = self._by_domain.get(domain)
         fresh = net is None
@@ -213,10 +209,8 @@ class HostOnlyNetworkPool:
                 )
             net.domain = domain
             self._by_domain[domain] = net
-        ip = self._allocators[net.network_id].allocate()
-        net.attached.add(vmid)
-        self._vm_network[vmid] = net.network_id
-        self._vm_ip[vmid] = ip
+        ip = net.addresses.allocate()
+        leases[vmid] = (net, ip)
         self.version += 1
         return NetworkAssignment(
             network_id=net.network_id,
@@ -226,50 +220,39 @@ class HostOnlyNetworkPool:
 
     def rename(self, old_vmid: str, new_vmid: str) -> None:
         """Rekey an attached VM (pooled-VM adoption keeps its IP)."""
-        if old_vmid not in self._vm_network:
+        leases = self.leases
+        if old_vmid not in leases:
             raise VNetError(f"vm {old_vmid!r} not attached")
-        if new_vmid in self._vm_network:
+        if new_vmid in leases:
             raise VNetError(f"vm {new_vmid!r} already attached")
-        network_id = self._vm_network.pop(old_vmid)
-        self._vm_network[new_vmid] = network_id
-        self._vm_ip[new_vmid] = self._vm_ip.pop(old_vmid)
-        net = self._by_id[network_id]
-        net.attached.discard(old_vmid)
-        net.attached.add(new_vmid)
+        leases[new_vmid] = leases.pop(old_vmid)
         self.version += 1
 
     def detach(self, vmid: str) -> bool:
-        """Detach a collected VM, possibly freeing the switch.
+        """Detach a collected VM, returning its address to its switch.
 
         Returns True when a lease was actually released (idempotent:
         unknown vmids are a no-op returning False).
         """
-        network_id = self._vm_network.pop(vmid, None)
-        if network_id is None:
+        lease = self.leases.pop(vmid, None)
+        if lease is None:
             return False
-        ip = self._vm_ip.pop(vmid)
-        net = self._by_id[network_id]
-        net.attached.discard(vmid)
-        self._allocators[network_id].release(ip)
+        net, ip = lease
+        net.addresses.release(ip)
         self.version += 1
-        if (
-            self.release_policy == "refcount"
-            and not net.attached
-            and net.domain is not None
-        ):
-            del self._by_domain[net.domain]
-            net.domain = None
         return True
 
     def attached_count(self) -> int:
         """VMs currently holding a lease (leak auditing)."""
-        return len(self._vm_network)
+        return len(self.leases)
 
     def check_isolation(self) -> None:
         """Assert the cross-domain isolation invariant (for tests).
 
         Also asserts what :attr:`free_count` rests on: the domain map
-        holds exactly the assigned switches, each under its own domain.
+        holds exactly the assigned switches, each under its own domain;
+        and that every lease is on an assigned switch, with an address
+        of that switch's subnet that no other lease holds.
         """
         owners: Dict[str, str] = {}
         for domain, net in self._by_domain.items():
@@ -290,3 +273,15 @@ class HostOnlyNetworkPool:
                     f"switch {net.network_id} is assigned to "
                     f"{net.domain!r} but missing from the domain map"
                 )
+        held: Set[str] = set()
+        for vmid, (net, ip) in self.leases.items():
+            if net.network_id not in owners:
+                raise VNetError(
+                    f"vm {vmid!r} leases unassigned switch {net.network_id}"
+                )
+            if ip in held or ip.rpartition(".")[0] != net.subnet:
+                raise VNetError(
+                    f"vm {vmid!r} leases {ip} on {net.network_id}, "
+                    "outside its subnet or held twice"
+                )
+            held.add(ip)

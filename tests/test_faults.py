@@ -163,9 +163,7 @@ class TestRecoveryPolicy:
         assert policy.backoff_delay(5) == 0.0
 
     def test_backoff_sequence(self):
-        policy = RecoveryPolicy(
-            max_attempts=4, backoff_base_s=10.0, backoff_factor=2.0
-        )
+        policy = RecoveryPolicy(max_attempts=4, backoff_base_s=10.0)
         assert [policy.backoff_delay(a) for a in (1, 2, 3, 4)] == [
             0.0, 10.0, 20.0, 40.0,
         ]
@@ -180,8 +178,6 @@ class TestRecoveryPolicy:
             RecoveryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RecoveryPolicy(create_deadline_s=0.0)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             RecoveryPolicy(quarantine_s=0.0)
 

@@ -64,7 +64,6 @@ RETURNS_A_COPY = {
     ("VMPlant.create", "copy"),
     ("VMPlant.destroy", "copy"),
     ("VMPlant.extend", "copy"),
-    ("VMShop.query", "copy"),
 }
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"

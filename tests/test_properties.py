@@ -266,11 +266,10 @@ class TestVNetProperties:
             ),
             max_size=40,
         ),
-        st.sampled_from(["sticky", "refcount"]),
     )
     @settings(max_examples=60)
-    def test_isolation_holds_under_any_sequence(self, ops, policy):
-        pool = HostOnlyNetworkPool("p", count=3, release_policy=policy)
+    def test_isolation_holds_under_any_sequence(self, ops):
+        pool = HostOnlyNetworkPool("p", count=3)
         attached = []
         counter = 0
         for domain, is_attach in ops:

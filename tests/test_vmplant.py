@@ -128,7 +128,8 @@ class TestCreate:
             drive(env, plant.create(make_request(), "vm1"))
         # The VM was detached (the sticky policy keeps the domain's
         # switch assigned) and the vmid is reusable.
-        assert plant.network_pool.network_of("d1").attached == set()
+        assert plant.network_pool.network_of("d1") is not None
+        assert plant.network_pool.leases == {}
         ad = drive(env, plant.create(make_request(), "vm1"))
         assert ad["vmid"] == "vm1"
 
@@ -190,18 +191,20 @@ class TestQueryDestroy:
         with pytest.raises(PlantError):
             plant.query("vm1")
 
-    def test_destroy_with_refcount_pool_frees_network(self):
+    def test_destroy_keeps_the_domains_switch(self):
         env = Environment()
         plant = make_plant(
-            env,
-            network_pool=HostOnlyNetworkPool(
-                "p0", count=1, release_policy="refcount"
-            ),
+            env, network_pool=HostOnlyNetworkPool("p0", count=1)
         )
         drive(env, plant.create(make_request(domain="d1"), "vm1"))
         drive(env, plant.destroy("vm1"))
-        # Network freed: another domain can use it now.
-        drive(env, plant.create(make_request(domain="d2"), "vm2"))
+        # The lease is gone, the switch stays d1's: another domain
+        # still finds no network, d1 is not charged a fresh one.
+        assert plant.network_pool.leases == {}
+        with pytest.raises(VNetError):
+            drive(env, plant.create(make_request(domain="d2"), "vm2"))
+        ad = drive(env, plant.create(make_request(domain="d1"), "vm3"))
+        assert ad["network_fresh"] is False
 
     def test_destroy_commit_publishes_derived_image(self):
         env = Environment()
@@ -224,6 +227,100 @@ class TestQueryDestroy:
         ad = drive(env, plant.create(make_request(extra=(extra,)), "vm2"))
         assert ad["image_id"] == "deep"
         assert ad["actions_executed"] == 0
+
+
+def bridged_request(mem=32):
+    """A Section 4.2 request that asks for a VNET bridge."""
+    base = experiment_request(mem)
+    return dataclasses.replace(
+        base,
+        network=NetworkSpec(
+            domain=base.network.domain, proxy_host="proxy", proxy_port=4000
+        ),
+    )
+
+
+class TestExitPaths:
+    """However a VNET-bridged VM leaves its plant, the bridge
+    reference, the lease and the infosys entry it took go with it,
+    while a second VM of its domain keeps the shared bridge."""
+
+    @staticmethod
+    def _state(bed, plant):
+        vnet = bed.vnet
+        return (
+            {b.domain: vnet._refcount[b.bridge_id]
+             for b in vnet.bridges(plant.name)},
+            plant.network_pool.attached_count(),
+            sorted(plant.infosys.vms),
+        )
+
+    @staticmethod
+    def _check_leases(plant):
+        """The pool leases exactly the live and in-flight vmids."""
+        assert plant.ppp._inflight  # a create is under way
+        assert plant.network_pool.leases.keys() == (
+            plant.infosys.vms.keys() | plant.ppp._inflight.keys()
+        )
+
+    @pytest.mark.parametrize(
+        "how", ["destroy", "crash", "deadline", "migrate", "adopt"]
+    )
+    def test_every_exit_releases_what_the_create_took(self, how):
+        from repro.core.errors import DeadlineExceeded
+        from repro.faults.recovery import RecoveryPolicy
+        from repro.plant.migration import MigrationManager
+        from repro.plant.speculative import SpeculativeClonePool
+
+        bed = build_testbed(seed=13, n_plants=2)
+        env, plant, other = bed.env, bed.plants[0], bed.plants[1]
+        empty = self._state(bed, plant)
+        bed.run(plant.create(bridged_request(), "neighbour"))
+        before = self._state(bed, plant)
+        assert before[0] == {"acis.ufl.edu": 1}
+
+        if how == "deadline":
+            bed.shop.recovery = RecoveryPolicy(create_deadline_s=5.0)
+            bed.shop.bidders.remove(other)
+            proc = env.process(bed.shop.create(bridged_request()))
+            env.run(until=env.now + 1.0)
+            self._check_leases(plant)
+            with pytest.raises(DeadlineExceeded):
+                env.run(until=proc)
+            assert self._state(bed, plant) == before
+            return
+
+        pool = None
+        if how == "adopt":
+            pool = SpeculativeClonePool(plant, bridged_request(), target=1)
+            proc = env.process(pool.fill())
+        else:
+            proc = env.process(plant.create(bridged_request(), "vm"))
+        env.run(until=env.now + 1.0)
+        self._check_leases(plant)
+        env.run(until=proc)
+        assert self._state(bed, plant)[0] == {"acis.ufl.edu": 2}
+
+        if how == "destroy":
+            bed.run(plant.destroy("vm"))
+        elif how == "crash":
+            plant.fail()
+            # The crash takes the neighbour too.
+            assert self._state(bed, plant) == empty
+            return
+        elif how == "migrate":
+            manager = MigrationManager(env, link=bed.internode)
+            bed.run(manager.migrate(plant, other, "vm"))
+            # The source dropped its bridge reference; the target
+            # adopted the VM unbridged.
+            assert other.infosys.get("vm").bridged is False
+            assert bed.vnet.bridges(other.name) == []
+        else:
+            assert bed.run(pool.acquire(bridged_request(), "vm")) is not None
+            assert plant.infosys.get("vm").bridged
+            bed.run(plant.destroy("vm"))
+        assert self._state(bed, plant) == before
+        plant.network_pool.check_isolation()
 
 
 class TestExtend:
@@ -586,7 +683,7 @@ class TestBidMemo:
             except VNetError:
                 pass
         elif kind == "detach":
-            attached = sorted(pool._vm_network)
+            attached = sorted(pool.leases)
             if attached:
                 pool.detach(attached[arg % len(attached)])
         elif kind == "publish":

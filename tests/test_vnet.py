@@ -87,24 +87,12 @@ class TestHostOnlyNetworkPool:
             pool.attach("d1", "vm1")
 
     def test_sticky_policy_keeps_assignment(self):
-        pool = HostOnlyNetworkPool("p", count=1, release_policy="sticky")
+        pool = HostOnlyNetworkPool("p", count=1)
         pool.attach("d1", "vm1")
         pool.detach("vm1")
         assert pool.network_of("d1") is not None
         with pytest.raises(VNetError):
             pool.attach("d2", "vm2")
-
-    def test_refcount_policy_frees_on_last_detach(self):
-        pool = HostOnlyNetworkPool(
-            "p", count=1, release_policy="refcount"
-        )
-        pool.attach("d1", "vm1")
-        pool.attach("d1", "vm2")
-        pool.detach("vm1")
-        assert pool.network_of("d1") is not None
-        pool.detach("vm2")
-        assert pool.network_of("d1") is None
-        pool.attach("d2", "vm3")  # now allowed
 
     def test_detach_unknown_vm_is_noop(self):
         pool = HostOnlyNetworkPool("p")
@@ -130,26 +118,23 @@ class TestHostOnlyNetworkPool:
         with pytest.raises(ValueError):
             HostOnlyNetworkPool("p", count=0)
         with pytest.raises(ValueError):
-            HostOnlyNetworkPool("p", release_policy="whenever")
+            HostOnlyNetworkPool("p", subnets=["10.0.0", "10.0.0"])
 
 
 class PoolMachine(RuleBasedStateMachine):
-    """attach / detach / rename in any order, under either release
-    policy: the O(1) ``free_count`` keeps agreeing with a count of the
-    free switches, and the isolation check keeps passing."""
+    """attach / detach / rename in any order: the lease table holds
+    exactly the attached vmids, each on its domain's switch; the O(1)
+    ``free_count`` keeps agreeing with a count of the free switches,
+    a switch once assigned stays assigned, and the isolation check
+    keeps passing."""
 
     DOMAINS = tuple(f"d{i}" for i in range(5))
 
-    @initialize(
-        policy=st.sampled_from(("sticky", "refcount")),
-        count=st.integers(1, 4),
-    )
-    def build(self, policy, count):
-        self.pool = HostOnlyNetworkPool(
-            "p", count=count, release_policy=policy
-        )
-        self.policy = policy
+    @initialize(count=st.integers(1, 4))
+    def build(self, count):
+        self.pool = HostOnlyNetworkPool("p", count=count)
         self.attached = {}  # vmid -> domain
+        self.assigned = set()  # domains that ever got a switch
         self.serial = 0
 
     def _fresh_vmid(self):
@@ -170,8 +155,14 @@ class PoolMachine(RuleBasedStateMachine):
                 pool.attach(domain, vmid)
             return
         fresh = pool.would_be_fresh(domain)
-        assert pool.attach(domain, vmid).fresh_allocation == fresh
+        assert fresh == (domain not in self.assigned)
+        assignment = pool.attach(domain, vmid)
+        assert assignment.fresh_allocation == fresh
+        assert pool.leases[vmid] == (
+            pool.network_of(domain), assignment.ip_address
+        )
         self.attached[vmid] = domain
+        self.assigned.add(domain)
 
     @precondition(lambda self: self.attached)
     @rule(data=st.data())
@@ -180,19 +171,19 @@ class PoolMachine(RuleBasedStateMachine):
         domain = self.attached.pop(vmid)
         assert self.pool.detach(vmid)
         assert not self.pool.detach(vmid)  # idempotent
-        last = domain not in self.attached.values()
-        released = self.policy == "refcount" and last
-        assert (self.pool.network_of(domain) is None) == released
+        assert vmid not in self.pool.leases
+        assert self.pool.network_of(domain) is not None  # sticky
 
     @precondition(lambda self: self.attached)
     @rule(data=st.data())
     def rename(self, data):
         old = data.draw(st.sampled_from(sorted(self.attached)))
         new = self._fresh_vmid()
-        net = self.pool.network_of(self.attached[old])
+        lease = self.pool.leases[old]
         self.pool.rename(old, new)
         self.attached[new] = self.attached.pop(old)
-        assert new in net.attached and old not in net.attached
+        assert self.pool.leases[new] == lease  # same switch, same IP
+        assert old not in self.pool.leases
 
     @invariant()
     def free_count_is_a_count_of_free_switches(self):
@@ -201,12 +192,10 @@ class PoolMachine(RuleBasedStateMachine):
             1 for net in pool.networks if net.is_free
         )
         assert pool.attached_count() == len(self.attached)
-        for net in pool.networks:
-            assert net.attached == {
-                vmid
-                for vmid, domain in self.attached.items()
-                if pool.network_of(domain) is net
-            }
+        assert pool.leases.keys() == self.attached.keys()
+        for vmid, (net, _ip) in pool.leases.items():
+            assert net is pool.network_of(self.attached[vmid])
+        assert pool.free_count == len(pool.networks) - len(self.assigned)
         pool.check_isolation()
 
 
@@ -229,6 +218,20 @@ class TestCheckIsolation:
         pool.attach("d1", "vm1")
         pool.networks[0].domain = "d2"
         with pytest.raises(VNetError, match="records domain"):
+            pool.check_isolation()
+
+    def test_lease_on_an_unassigned_switch_is_reported(self):
+        pool = HostOnlyNetworkPool("p", count=2)
+        pool.attach("d1", "vm1")
+        pool.leases["vm2"] = (pool.networks[1], "192.168.101.2")
+        with pytest.raises(VNetError, match="unassigned switch"):
+            pool.check_isolation()
+
+    def test_address_held_twice_is_reported(self):
+        pool = HostOnlyNetworkPool("p", count=2)
+        pool.attach("d1", "vm1")
+        pool.leases["vm2"] = pool.leases["vm1"]
+        with pytest.raises(VNetError, match="held twice"):
             pool.check_isolation()
 
 

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from benchmarks.perf.bench import BENCHES, HEAD, HOST_KEYS, run_bench
+from repro.sim.shard import ShardedTestbed
 
 
 @pytest.fixture(scope="module")
@@ -102,15 +103,37 @@ def federation_point(record, sites, cross):
 
 def test_federation_more_sites_cost_a_create_nothing_but_sync(small):
     """Registries, brokers and address blocks are site-local, so with
-    no cross-site traffic a create costs the same events at every site
-    count and no worker sends another a message."""
+    no cross-site traffic a site runs exactly what it runs alone: site
+    0 of the four-site run reads the one-site run's stats, latency
+    summary and final clock, and no worker sends another a message.
+
+    Its kernel event count is no such invariant: the four-site run
+    advances in lookahead windows, and a sleep that would run on in
+    place past a window's end is queued instead (site 0 reads a few
+    events more than alone), while sites 1-3 draw their own arrivals.
+    """
     record = small("federation")
     local = [p for p in record["points"] if p["cross_fraction"] == 0.0]
     assert sorted(p["sites"] for p in local) == [1, 4]
-    per_create = {p["sites"]: p["events"] / p["created"] for p in local}
-    assert len(set(per_create.values())) == 1, per_create
+    per_site = kwargs("federation")["requests_per_site"]
     for point in local:
+        assert point["created"] == point["sites"] * per_site
         assert all(w["records"] == 0 for w in point["sync"]), point["sync"]
+    bench = kwargs("federation")
+    params = {
+        "plants": bench["plants_per_site"],
+        "requests": per_site,
+        **bench["params"],
+        "cross_fraction": 0.0,
+    }
+    alone, grid = (
+        ShardedTestbed(
+            seed=bench["seed"], sites=sites, shards=1, scenario="federation"
+        ).run(params=params, collect=None).site_results[0]
+        for sites in (1, 4)
+    )
+    assert grid["stats"] == alone["stats"]
+    assert grid["now"] == alone["now"]
 
 
 def test_federation_spills_cross(small):

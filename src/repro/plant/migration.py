@@ -15,6 +15,9 @@ production-line interfaces:
    memory pressure; bookkeeping moves and the shop is re-routed.
 
 A failure in steps 1–2 leaves the VM running untouched at the source.
+A failure after step 2 gives the target's lease back; a source host
+that crashes under the migration kills the VM (its memory is released
+once, by the crash) and the migration fails.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Generator, List, Optional
 
 from repro.core.classad import ClassAd
 from repro.core.errors import PlantError
+from repro.plant.production import VMStatus
 from repro.plant.vmplant import VMPlant
 from repro.sim.kernel import Environment
 from repro.sim.network import FairShareLink
@@ -95,8 +99,6 @@ class MigrationManager:
                 vm.request.network.domain, vmid
             )
         except Exception:
-            from repro.plant.production import VMStatus
-
             vm.status = VMStatus.RUNNING
             raise
 
@@ -106,20 +108,31 @@ class MigrationManager:
             vmid=vmid, source=source.name, target=target.name,
         )
 
-        suspend_start = self.env.now
-        yield line_src.suspend(vm)
-        payload = line_src.migration_payload_mb(vm)
-        state = yield line_src.export_release(vm)
-        suspend_time = self.env.now - suspend_start
+        try:
+            suspend_start = self.env.now
+            yield line_src.suspend(vm)
+            payload = line_src.migration_payload_mb(vm)
+            state = yield line_src.export_release(vm)
+            suspend_time = self.env.now - suspend_start
 
-        transfer_start = self.env.now
-        if self.link is not None:
-            yield self.link.transfer(payload)
-        transfer_time = self.env.now - transfer_start
+            transfer_start = self.env.now
+            if self.link is not None:
+                yield self.link.transfer(payload)
+            transfer_time = self.env.now - transfer_start
 
-        resume_start = self.env.now
-        yield line_dst.receive(vm, state)
-        resume_time = self.env.now - resume_start
+            resume_start = self.env.now
+            yield line_dst.receive(vm, state)
+            resume_time = self.env.now - resume_start
+            if vm.status is not VMStatus.MIGRATING:
+                # The source crashed while the state was in flight and
+                # killed the VM: the copy resumed here dies with it.
+                line_dst.abort(vm)
+                raise PlantError(
+                    f"VM {vmid!r} died with {source.name} while migrating"
+                )
+        except BaseException:
+            target.network_pool.detach(vmid)
+            raise
 
         source.complete_migration_out(vmid)
         target.adopt_migrated(vm, assignment)

@@ -284,19 +284,7 @@ class VMPlant:
         domain = request.network.domain
         assignment = self.network_pool.attach(domain, vmid)
 
-        bridged = False
-        if self.vnet_service is not None and request.network.wants_vnet:
-            proxy = VNetProxy(
-                domain=domain,
-                host=request.network.proxy_host or "",
-                port=request.network.proxy_port or 0,
-                credentials=request.network.credentials,
-            )
-            self.vnet_service.setup_bridge(
-                self.name, assignment.network_id, proxy
-            )
-            bridged = True
-
+        bridged = self._bridge(request, assignment)
         context = {
             "ip": assignment.ip_address,
             "network_id": assignment.network_id,
@@ -407,6 +395,23 @@ class VMPlant:
         self.infosys.remove(vmid)
         self._unplug(vmid, vm.request.network.domain, vm.bridged)
         return vm.classad.copy()
+
+    def _bridge(self, request: CreateRequest, assignment) -> bool:
+        """Bridge ``assignment``'s network to the client's domain when
+        the request asks for VNET; returns whether it did."""
+        network = request.network
+        if self.vnet_service is None or not network.wants_vnet:
+            return False
+        proxy = VNetProxy(
+            domain=network.domain,
+            host=network.proxy_host or "",
+            port=network.proxy_port or 0,
+            credentials=network.credentials,
+        )
+        self.vnet_service.setup_bridge(
+            self.name, assignment.network_id, proxy
+        )
+        return True
 
     def _unplug(self, vmid: str, domain: str, bridged: bool) -> None:
         """Detach ``vmid``'s lease and drop its bridge reference.
@@ -577,9 +582,10 @@ class VMPlant:
         self._unplug(vmid, vm.request.network.domain, vm.bridged)
 
     def adopt_migrated(self, vm: VirtualMachine, assignment) -> None:
-        """Register a VM that migrated onto this plant (unbridged)."""
+        """Register a VM that migrated onto this plant, bridged back to
+        its client's domain as a create here would be (Section 3.3)."""
         vm.status = VMStatus.RUNNING
-        vm.bridged = False
+        vm.bridged = self._bridge(vm.request, assignment)
         self.infosys.store(vm)
         ad = vm.classad
         ad["plant"] = self.name

@@ -377,18 +377,26 @@ class _SimLine(ProductionLine):
             yield 0.3 * jitter(f"{prefix}host-op/{action.name}", 0.0, sigma)
         else:
             script_bytes = script_length(action, context)
-            # Build the ISO, connect it, the guest daemon mounts it.
-            for base, stage in (
-                (lat.iso_build_s, "iso-build"),
-                (lat.iso_connect_s, "iso-connect"),
-                (lat.guest_mount_s, "guest-mount"),
-            ):
-                yield base * jitter(prefix + stage, 0.0, sigma)
-            # Script execution inside the guest; writes go to the
-            # private redo log.
-            yield lat.guest_script_mean_s * jitter(
+            # Build the ISO, connect it, the guest daemon mounts it,
+            # then the script runs (its writes go to the private redo
+            # log): four draws and one wake.  The wake is chained with
+            # the additions four sleeps would make, and the kernel's
+            # ``start + (wake - start)`` is exactly ``wake`` while the
+            # span is no longer than ``start`` (Sterbenz); every action
+            # follows a clone of several seconds.
+            wake = start + lat.iso_build_s * jitter(
+                prefix + "iso-build", 0.0, sigma
+            )
+            wake += lat.iso_connect_s * jitter(
+                prefix + "iso-connect", 0.0, sigma
+            )
+            wake += lat.guest_mount_s * jitter(
+                prefix + "guest-mount", 0.0, sigma
+            )
+            wake += lat.guest_script_mean_s * jitter(
                 f"{prefix}script/{action.name}", 0.0, lat.script_jitter_sigma
             )
+            yield wake - start
             backend: SimBackend = vm.backend
             backend.redo_mb += iso_size_mb(script_bytes) * 0.1 + 0.5
 
@@ -450,6 +458,10 @@ class _SimLine(ProductionLine):
         """Hand off the suspended state; free this host's memory."""
         backend: SimBackend = vm.backend
         yield self.host.disk_read(backend.guest_mb + backend.redo_mb)
+        if not backend.running:
+            # The host crashed under the export; the crash's kill
+            # already released the memory.
+            raise PlantError(f"VM {vm.vmid} died on {self.host.name}")
         backend.running = False
         self.host.release_vm(backend.guest_mb)
         return {"redo_mb": backend.redo_mb}

@@ -191,32 +191,87 @@ class TestWhatASleepCosts:
     """A jittered stage is ``yield base * rng.lognormal(...)``: the draw
     is one call, the wake one more (``_SimLine._jitter``, the stdlib's
     ``normalvariate``, ``Environment.timeout`` and ``Timeout.__init__``
-    made it six)."""
+    made it six).  A guest action's four stages draw up front and
+    share one wake."""
 
-    def test_a_hypervisor_sleep_is_a_draw_and_a_wake(self):
+    @staticmethod
+    def _third_create():
         # One plant, so the third create's streams are all resident.
         bed = build_testbed(seed=1, n_plants=1)
         env = bed.env
         for i in range(2):
             drive(env, bed.shop.create(experiment_request(32)))
-        proc = env.process(bed.shop.create(experiment_request(32)))
+        return bed, env.process(bed.shop.create(experiment_request(32)))
+
+    def test_a_clone_stage_is_a_draw_and_a_wake(self):
+        bed, proc = self._third_create()
+        env = bed.env
 
         def parked_at():
             top = proc._stack[-1]
             stage = top.gi_frame.f_locals.get("stage")
             return top.gi_code.co_qualname, stage
 
-        while parked_at() != ("_SimLine.execute_action", "iso-build"):
+        while parked_at() != ("_SimLine.clone", "clone-fixed"):
             env.step()
         while env._queue[0][3] is not proc._target:
             env.step()
-        # The ISO-build timer fires: the action wakes and draws the
-        # connect stage's jitter.
+        # The clone's setup timer fires: the clone wakes, reads the
+        # host's memory pressure and draws the resume stage's jitter.
         counts = python_call_counts(env.step)
         assert counts.pop("Environment.step") == 1
-        assert counts.pop("_SimLine.execute_action") == 1
+        assert counts.pop("_SimLine.clone") == 1
+        assert counts.pop("PhysicalHost.pressure_factor") == 1
+        assert counts.pop("PhysicalHost.utilization") == 1
         assert dict(counts) == {"RngHub.lognormal": 1, "Process._resume": 1}
-        assert parked_at()[1] == "iso-connect"
+        assert parked_at()[1] == "resume"
+        env.run()
+        assert proc.ok
+
+    def test_an_actions_guest_stages_are_four_draws_and_one_wake(
+        self, monkeypatch
+    ):
+        bed, proc = self._third_create()
+        env = bed.env
+        prefix = bed.plants[0].lines["vmware"]._prefix
+        drawn = []
+        lognormal = RngHub.lognormal
+
+        def recorded(hub, name, mu, sigma):
+            drawn.append(name)
+            return lognormal(hub, name, mu, sigma)
+
+        monkeypatch.setattr(RngHub, "lognormal", recorded)
+
+        def parked_wake():
+            top = proc._stack[-1]
+            if top.gi_code.co_qualname != "_SimLine.execute_action":
+                return None
+            return top.gi_frame.f_locals.get("wake")
+
+        while parked_wake() is None:
+            drawn.clear()
+            env.step()
+        # The ISO is built, connected and mounted and the script run
+        # in one step: four draws, in the order the stages run ...
+        assert drawn[-4:] == [
+            prefix + "iso-build",
+            prefix + "iso-connect",
+            prefix + "guest-mount",
+            prefix + "script/configure-network",
+        ]
+        # ... and one timer, keyed at the chained wake itself.
+        wake = parked_wake()
+        action = proc._stack[-1]
+        assert [
+            key for key, _, _, ev in env._queue if ev is proc._target
+        ] == [wake]
+        while env._queue[0][3] is not proc._target:
+            env.step()
+        env.step()
+        # That one wake ends the action.
+        assert env.now == wake
+        assert action.gi_frame is None
         env.run()
         assert proc.ok
 

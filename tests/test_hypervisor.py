@@ -1,8 +1,10 @@
 """Tests for the simulated VMware/UML production lines."""
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
-from repro.core.actions import Action, ActionScope
+from repro.core.actions import Action, ActionScope, ActionStatus
 from repro.core.dag import ConfigDAG
 from repro.core.errors import PlantError
 from repro.core.spec import (
@@ -11,24 +13,32 @@ from repro.core.spec import (
     NetworkSpec,
     SoftwareSpec,
 )
+from repro.experiments.runner import run_requests
 from repro.plant.ppp import ProductionOrder, ProductionProcessPlanner
 from repro.plant.infosys import VMInformationSystem
 from repro.plant.production import CloneMode, VirtualMachine
-from repro.plant.warehouse import VMWarehouse
+from repro.plant.warehouse import GoldenImage, VMWarehouse
+from repro.sim.cluster import _LINE_CLASSES, build_testbed
 from repro.sim.host import PhysicalHost
 from repro.sim.hypervisor import UMLLine, VMwareLine
 from repro.sim.kernel import Environment
 from repro.sim.latency import LatencyModel
 from repro.sim.rng import RngHub
 from repro.sim.storage import NFSServer
+from repro.workloads.invigo import invigo_workspace_dag
 from repro.workloads.requests import (
     MANDRAKE_OS,
     experiment_dag,
+    experiment_request,
     golden_image,
     install_os_action,
 )
 
 from tests.helpers import drive
+from tests.oracles.four_sleep_line import (
+    FourSleepUMLLine,
+    FourSleepVMwareLine,
+)
 
 
 def make_rig(line_cls=VMwareLine, vm_type="vmware", seed=1, **line_kwargs):
@@ -217,3 +227,95 @@ def test_clone_classes_have_no_instance_dict():
         new = tuple.__new__ if issubclass(cls, tuple) else object.__new__
         instance = new(cls)
         assert not hasattr(instance, "__dict__"), cls.__name__
+
+
+class TestOneWakeMatchesFourSleeps:
+    """An action's guest stages are four draws and one wake; the lines
+    that slept once per stage (``tests/oracles/four_sleep_line.py``)
+    are its reference.  With one create at a time on one plant no
+    other VM of the host draws between the stages, so the two agree
+    bit for bit."""
+
+    @staticmethod
+    def _trajectory(seed):
+        redhat = "linux-redhat-8.0"
+        bare = GoldenImage(
+            image_id="bare-os",
+            vm_type="vmware",
+            os=redhat,
+            hardware=HardwareSpec(memory_mb=32, disk_gb=4.0),
+            memory_state_mb=32.0,
+        )
+        bed = build_testbed(
+            seed=seed,
+            n_plants=1,
+            vm_types=("vmware", "uml"),
+            action_failure_prob=0.15,
+            extra_images=[bare],
+        )
+        # The In-VIGO DAG adds a HOST-scope action and RETRY budgets.
+        invigo = CreateRequest(
+            hardware=HardwareSpec(memory_mb=32),
+            software=SoftwareSpec(os=redhat, dag=invigo_workspace_dag()),
+            network=NetworkSpec(domain="acis.ufl.edu"),
+            vm_type="vmware",
+        )
+        requests = [
+            experiment_request(mem, vm_type=vm_type)
+            for vm_type in ("vmware", "uml")
+            for mem in (32, 64, 256)
+        ] + [invigo] * 4
+        run = run_requests(bed, requests)
+        results = [
+            (
+                vm.vmid,
+                [
+                    (r.action, r.status, r.duration.hex(), r.attempts)
+                    for r in vm.results
+                ],
+            )
+            for vm in bed.plants[0].infosys.active()
+        ]
+        clocks = [
+            (r.started_at.hex(), r.total_time.hex())
+            for line in bed.plants[0].lines.values()
+            for r in line.clone_records
+        ]
+        return bed.env.now.hex(), repr(run.samples), results, clocks
+
+    def test_a_sequential_run_is_bit_identical(self, monkeypatch):
+        seeds = (2004, 7)
+        one_wake = [self._trajectory(seed) for seed in seeds]
+        monkeypatch.setitem(_LINE_CLASSES, "vmware", FourSleepVMwareLine)
+        monkeypatch.setitem(_LINE_CLASSES, "uml", FourSleepUMLLine)
+        assert one_wake == [self._trajectory(seed) for seed in seeds]
+        results = [
+            r for _, _, vms, _ in one_wake for _, rs in vms for r in rs
+        ]
+        # A retried action (seed 2004) and a failed one its DAG lets
+        # pass (seed 7) ran too, so every branch was compared.
+        assert {s for _, s, _, _ in results} == {
+            ActionStatus.OK, ActionStatus.CACHED, ActionStatus.FAILED
+        }
+        assert any(attempts > 1 for *_, attempts in results)
+
+    @given(
+        st.floats(min_value=0.0, max_value=1e12),
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6), min_size=4, max_size=4
+        ),
+    )
+    @example(1.0, [0.25, 0.25, 0.25, 0.25])
+    @example(9.5, [0.6, 0.4, 0.5, 2.3])
+    def test_the_chained_wake_is_exact_when_start_covers_the_span(
+        self, start, stages
+    ):
+        # Four sleeps land the clock on ``(((start + a) + b) + c) + d``;
+        # one sleep of ``wake - start`` lands it on ``start + (wake -
+        # start)``.  Sterbenz: ``wake - start`` is exact while ``start
+        # <= wake <= 2 * start``, so the sum is ``wake`` itself.
+        wake = start
+        for stage in stages:
+            wake += stage
+        assume(wake <= 2 * start)
+        assert start + (wake - start) == wake

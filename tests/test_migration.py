@@ -169,3 +169,48 @@ class TestMigrateSim:
         # faster than two back to back.
         assert concurrent > solo
         assert dst.active_vm_count() == 2
+
+
+class TestMigrationUnwinds:
+    def test_source_crash_mid_migration_leaks_nothing(self):
+        # Plant0's host crashes one second into moving a 256 MB VM:
+        # the crash kills the VM and releases its memory, so the
+        # export must not release it again, and the target must give
+        # back the lease it reserved.
+        bed, manager = make_site()
+        src, dst = bed.plants
+        create_on(bed, src, mem=256)
+        env = bed.env
+        migration = env.process(manager.migrate(src, dst, "mig-vm"))
+        env.run(until=env.now + 1.0)
+        assert dst.network_pool.leases.keys() == {"mig-vm"}
+        src.fail()
+        with pytest.raises(PlantError, match="died"):
+            env.run(until=migration)
+        assert dst.network_pool.leases == {}
+        assert src.network_pool.leases == {}
+        assert [(h.committed_guest_mb, h.vm_count) for h in bed.hosts] == [
+            (0, 0), (0, 0)
+        ]
+        assert "mig-vm" not in src.infosys.vms
+        assert "mig-vm" not in dst.infosys.vms
+        assert manager.records == []
+
+    def test_source_crash_while_state_is_in_flight_leaks_nothing(self):
+        # Past the export the source memory is already free; the copy
+        # the target resumes dies with the VM.
+        bed, manager = make_site()
+        src, dst = bed.plants
+        create_on(bed, src, mem=256)
+        env = bed.env
+        migration = env.process(manager.migrate(src, dst, "mig-vm"))
+        while bed.hosts[0].committed_guest_mb:
+            env.step()
+        src.fail()
+        with pytest.raises(PlantError, match="died with plant0"):
+            env.run(until=migration)
+        assert dst.network_pool.leases == {}
+        assert [(h.committed_guest_mb, h.vm_count) for h in bed.hosts] == [
+            (0, 0), (0, 0)
+        ]
+        assert "mig-vm" not in dst.infosys.vms

@@ -312,9 +312,12 @@ class TestExitPaths:
             manager = MigrationManager(env, link=bed.internode)
             bed.run(manager.migrate(plant, other, "vm"))
             # The source dropped its bridge reference; the target
-            # adopted the VM unbridged.
-            assert other.infosys.get("vm").bridged is False
-            assert bed.vnet.bridges(other.name) == []
+            # bridged the VM back to its domain (Section 3.3), and
+            # collecting it there drops that bridge again.
+            assert other.infosys.get("vm").bridged is True
+            assert self._state(bed, other)[0] == {"acis.ufl.edu": 1}
+            bed.run(other.destroy("vm"))
+            assert self._state(bed, other) == ({}, 0, [])
         else:
             assert bed.run(pool.acquire(bridged_request(), "vm")) is not None
             assert plant.infosys.get("vm").bridged

@@ -17,7 +17,9 @@ production-line interfaces:
 A failure in steps 1–2 leaves the VM running untouched at the source.
 A failure after step 2 gives the target's lease back; a source host
 that crashes under the migration kills the VM (its memory is released
-once, by the crash) and the migration fails.
+once, by the crash) and the migration fails.  So does a target host
+that crashes before the VM resumes there: the target releases what it
+admitted, and the source drops the exported VM and its lease.
 """
 
 from __future__ import annotations
@@ -132,6 +134,11 @@ class MigrationManager:
                 )
         except BaseException:
             target.network_pool.detach(vmid)
+            if vm.status is VMStatus.MIGRATING and not vm.backend.running:
+                # The state left the source and never resumed: the
+                # target crashed under it, and the VM dies as it does
+                # with a source crash.
+                source.kill_vm(vmid)
             raise
 
         source.complete_migration_out(vmid)

@@ -184,8 +184,9 @@ class Transport:
         finishes, and from then on the answer and the instant it lands
         are fixed and nothing can observe it in flight, so it is
         recorded, not scheduled: once every handler has answered, the
-        round's one event goes on the queue at the latest landing time
-        itself.
+        round's one event is decided at the latest landing time itself,
+        and fires there in place when nothing can overtake it (the
+        kernel's third in-place path), else goes on the queue.
 
         The returned event fires with ``{handler index: answer}`` when
         the last answer lands, or — given ``deadline_s`` — that many
@@ -247,7 +248,8 @@ class _Round:
         if done is not None:
             done.fail(exc)
 
-    def reply(self, index: int, answer: Any) -> None:
+    def reply(self, index: int, answer: Any, woke: Event) -> None:
+        # Called in tail position from a callback of ``woke``.
         landings, transport = self.landings, self.transport
         env, latency = transport.env, transport.latency_s
         if latency:
@@ -262,12 +264,13 @@ class _Round:
                 done, self.done = self.done, None
                 done._ok = True
                 done._value = {i: got for _, i, got in landings}
-                env.schedule_at(done, last)
+                env.schedule_at(done, last, woke)
 
     def advance(self, index: int, stack: list, event: Event) -> None:
         # A handler's generators, outermost first: a yielded generator
         # is a sub-call, run on top of its caller, and a returned one a
         # tail call, run in its place, as the kernel does.
+        woke = event
         ok, value = event._ok, event._value
         if not ok:
             event.defused = True
@@ -284,7 +287,7 @@ class _Round:
                     continue
                 stack.pop()
                 if not stack:
-                    return self.reply(index, value)
+                    break  # answered: replied below, out of this block
                 continue
             except Exception as exc:
                 stack.pop()
@@ -313,6 +316,7 @@ class _Round:
                 ok, value = event._ok, event._value
                 if not ok:
                     event.defused = True
+        self.reply(index, value, woke)
 
     def arrive(self, index: int, timer: Event) -> None:
         try:
@@ -322,7 +326,7 @@ class _Round:
         if hasattr(result, "send") and hasattr(result, "throw"):
             self.advance(index, [result], timer)
         else:
-            self.reply(index, result)
+            self.reply(index, result, timer)
 
     def expire(self, _timer: Event) -> None:
         done, self.done = self.done, None

@@ -467,17 +467,27 @@ class _SimLine(ProductionLine):
         return {"redo_mb": backend.redo_mb}
 
     def receive(self, vm: VirtualMachine, state: Dict) -> Generator:
-        """Adopt the transferred state and resume on this host."""
-        self.host.admit_vm(vm.memory_mb)
+        """Adopt the transferred state and resume on this host.
+
+        A host that is down, or crashes before the resume ends, fails
+        the receive as it fails a clone: what was admitted is released.
+        """
+        self._admit(vm)
         redo_mb = float(state.get("redo_mb", 0.0))
-        yield self.host.disk_write(vm.memory_mb + redo_mb)
-        pressure = self.host.pressure_factor()
-        lat = self.latency
-        mbps = getattr(lat, self.resume_stage[1])
-        resume_base = lat.migrate_resume_fixed_s + vm.memory_mb / mbps
-        yield resume_base * pressure * self.rng.lognormal(
-            self._prefix + "migrate-resume", 0.0, lat.op_jitter_sigma
-        )
+        try:
+            yield self.host.disk_write(vm.memory_mb + redo_mb)
+            pressure = self.host.pressure_factor()
+            lat = self.latency
+            mbps = getattr(lat, self.resume_stage[1])
+            resume_base = lat.migrate_resume_fixed_s + vm.memory_mb / mbps
+            yield resume_base * pressure * self.rng.lognormal(
+                self._prefix + "migrate-resume", 0.0, lat.op_jitter_sigma
+            )
+            self._check_host()
+        except BaseException:
+            self.abort(vm)  # no backend here yet: releases the admission
+            raise
+        self._admitted.pop(vm.vmid, None)
         vm.backend = SimBackend(
             host=self.host,
             guest_mb=vm.memory_mb,

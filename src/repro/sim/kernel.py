@@ -20,9 +20,9 @@ callback on a :class:`Timeout` (or :meth:`Environment.call_later`)
 instead of starting a :class:`Process`, and many such callbacks at
 once are one train (:meth:`Environment.call_each`);
 :meth:`repro.shop.protocol.Transport.gather` runs a whole bid round
-that way, and puts the round's one event on the queue at the instant
-its last answer lands (:meth:`Environment.schedule_at`) instead of a
-timer per answer.  A process that yields a generator makes a
+that way, and decides the round's one event at the instant its last
+answer lands (:meth:`Environment.schedule_at`) instead of a timer per
+answer.  A process that yields a generator makes a
 sub-call: it runs on the process's stack, and a wake-up resumes only
 the innermost generator.  A generator that *returns* a generator makes
 a tail call: the returned one takes over its slot on the stack, so a
@@ -66,6 +66,40 @@ for the event being dispatched is the train's own pooled timer, whose
 only other callback is the pool's ``append``.  Otherwise the next
 member goes on the heap under the id reserved for it, so it ties with
 events scheduled since as its own timer would have.
+
+A decided event takes the third in-place path.  An event is decided
+when its outcome and instant are fixed as it is made, and nothing can
+observe it before it fires: a process that ends successfully
+(:meth:`Process._resume`), the flow a
+:class:`~repro.sim.network.FairShareLink` completion timer finishes,
+and a bid round's one event at its last landing
+(:meth:`schedule_at`).  Each caller is in tail position of a callback
+of the event being dispatched.  :meth:`Environment._fire` reserves the
+event's id, as queueing it would, and runs its callbacks in place, the
+clock set to its instant, when all four conditions hold:
+
+(a) the instant is strictly earlier than the heap's head — else an
+    event queued at that instant, whose lower id sorts first, would
+    run after it;
+(b) the instant is strictly below the running loop's horizon — else a
+    round landing past a window end or a ``run(until=t)`` bound would
+    fire inside that run, and :meth:`step` would hide an event;
+(c) the event being dispatched has no callback left to run, as for
+    (E)'s sleeps — else that callback would run after the decided
+    event's waiters, with the clock possibly moved on by a sleep of
+    theirs; a link that finishes several flows at one instant queues
+    them all, in flow order, for the same reason;
+(d) no decided event is already firing in place — else a chain of
+    processes each waiting on the one before would unwind on the
+    Python stack, one level per process; one level suffices.
+
+Otherwise the event goes on the heap under its reserved id.  Under
+them, too, the order of execution, every clock value, every RNG draw
+and every event id are those of queueing it; only
+:attr:`Environment.executed_events` is lower.  A process that fails is
+always queued, so a failure nobody waits for still raises from the
+loop, and the firing happens after ``_resume`` has left its ``except
+StopIteration`` block, so a waiter's exception is not chained to it.
 
 Typical usage::
 
@@ -297,7 +331,8 @@ class Process(Event):
     ``Timeout`` keys it, or run on in place when nothing can overtake
     it (the module docstring's three conditions); a negative one is
     thrown back into the generator as :class:`ValueError`, at its
-    ``yield``.
+    ``yield``.  A process that returns is a decided event: its end
+    fires in place when nothing can overtake it (the third path).
     """
 
     __slots__ = ("_stack", "_target")
@@ -388,9 +423,8 @@ class Process(Event):
                 if stack:
                     generator = stack[-1]
                     continue
-                self._stack = None
-                self.succeed(value)
-                return
+                next_ev = None  # ended: fired below, out of this block
+                break
             except BaseException as exc:
                 stack.pop()
                 # Minus this frame: it holds the process, which is about
@@ -436,6 +470,14 @@ class Process(Event):
             stack.append(next_ev)
             generator, ok, value = next_ev, True, None
 
+        if next_ev is None:
+            # The process succeeded: decided now, and its waiters run
+            # in place when nothing can overtake them.
+            self._stack = None
+            self._ok = True
+            self._value = value
+            env._eid = eid = env._eid + 1
+            return env._fire(self, env.now, eid, event)
         if next_ev.env is not env:
             return self._kill("event from a different environment")
 
@@ -613,6 +655,7 @@ class Environment:
         "_timeout_pool",
         "_horizon",
         "_fanout",
+        "_firing",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -634,6 +677,9 @@ class Environment:
         #: Callbacks of the event being dispatched (a count: nothing
         #: here may keep a process reachable).
         self._fanout = 0
+        #: True while a decided event's callbacks run in place: one
+        #: fired inside them goes on the heap (nesting stays one deep).
+        self._firing = False
 
     @property
     def executed_events(self) -> int:
@@ -737,19 +783,55 @@ class Environment:
         self._eid = eid = self._eid + 1
         _heappush(self._queue, (self.now, priority, eid, event))
 
-    def schedule_at(self, event: Event, time: float) -> None:
+    def schedule_at(
+        self, event: Event, time: float, woke: Optional[Event] = None
+    ) -> None:
         """Enqueue ``event`` to fire at the absolute instant ``time``.
 
         The clock will read exactly ``time`` when it fires, which
         ``now + (time - now)`` does not guarantee in floating point.
-        The caller has already given the event its outcome.
+        The caller has already given the event its outcome.  Called
+        in tail position from a callback of ``woke``, the event being
+        dispatched, it fires in place when nothing can overtake it
+        (the module docstring's third path).
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time}, before now ({self.now})"
             )
         self._eid = eid = self._eid + 1
-        _heappush(self._queue, (time, PRIORITY_NORMAL, eid, event))
+        self._fire(event, time, eid, woke)
+
+    def _fire(
+        self, event: Event, at: float, eid: int, woke: Optional[Event]
+    ) -> None:
+        """Run decided ``event``'s callbacks at ``at``, in place when
+        nothing can overtake it, else queue it under its reserved
+        ``eid``.
+
+        ``woke`` is the event whose callback calls this, in tail
+        position (``None``: another callback is still due at this
+        instant, so ``event`` is queued).  In place takes the module
+        docstring's four conditions of the third path.
+        """
+        queue = self._queue
+        if (
+            at < self._horizon
+            and (not queue or at < queue[0][0])
+            and woke is not None
+            and (self._fanout == 1 or type(woke) is _PooledTimeout)
+            and not self._firing
+        ):
+            self.now = at
+            callbacks = event.callbacks
+            event.callbacks = None
+            self._fanout = len(callbacks)
+            self._firing = True
+            for callback in callbacks:
+                callback(event)
+            self._firing = False
+            return
+        _heappush(queue, (at, PRIORITY_NORMAL, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
@@ -812,6 +894,7 @@ class Environment:
                     raise event._value
         finally:
             self._horizon = _NO_HORIZON
+            self._firing = False
         return queue[0][0] if queue else float("inf")
 
     # Kept for the ``sim.kernel.run_below_fenced`` row of e2e TARGETS.

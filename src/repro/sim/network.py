@@ -86,7 +86,7 @@ class FairShareLink:
         """
         if mbps <= 0:
             raise ValueError("bandwidth must be positive")
-        least = self._walk(False)
+        least = self._walk(None)
         self.bandwidth_mbps = mbps
         self._timer_deadline = None  # re-arm even at the same instant
         self._arm(least)
@@ -95,7 +95,7 @@ class FairShareLink:
         """Partition the link: in-flight flows freeze in place."""
         if self._paused:
             return
-        self._walk(False)
+        self._walk(None)
         self._paused = True
         self._timer_gen += 1
         self._timer_deadline = None
@@ -106,7 +106,7 @@ class FairShareLink:
             return
         self._paused = False
         self._last_update = self.env.now
-        self._arm(self._walk(False))
+        self._arm(self._walk(None))
 
     def abort_flows(
         self, exc_factory: Callable[[], BaseException]
@@ -141,7 +141,7 @@ class FairShareLink:
         self._start_flow(size_mb, done)
 
     def _start_flow(self, size_mb: float, done: Event) -> None:
-        least = self._walk(False)
+        least = self._walk(None)
         if size_mb <= self._EPS:
             done.succeed()
             return
@@ -153,15 +153,18 @@ class FairShareLink:
         self.total_mb += size_mb
         self._arm(size_mb if size_mb < least else least)
 
-    def _walk(self, complete: bool) -> float:
+    def _walk(self, finished: Optional[list]) -> float:
         """Drain every flow to *now* and return the least remaining.
 
-        The one pass over the flows per population change.  With
-        ``complete`` (a live timer firing) a flow drained to within
-        :attr:`_EPS` finishes, in flow-id order, and the least is taken
-        over the survivors.
+        The one pass over the flows per population change.  Given
+        ``finished`` (a live timer firing), a flow drained to within
+        :attr:`_EPS` finishes, in flow-id order: its event succeeds
+        under the event id ``succeed`` would have given it, and goes
+        onto ``finished`` as ``(event id, event)`` to fire once the
+        link is re-armed.  The least is taken over the survivors.
         """
-        now = self.env.now
+        env = self.env
+        now = env.now
         elapsed = now - self._last_update
         self._last_update = now
         flows = self._flows
@@ -171,13 +174,16 @@ class FairShareLink:
         drained = 0.0
         if elapsed > 0 and not self._paused:
             drained = self.bandwidth_mbps / len(flows) * elapsed
-        # Completing deletes from the dict, so it walks a snapshot; a
-        # finished flow leaves the dict before its event is scheduled.
+        complete = finished is not None
+        # Completing deletes from the dict, so it walks a snapshot.
         for flow in list(flows.values()) if complete else flows.values():
             remaining = flow.remaining = flow.remaining - drained
             if complete and remaining <= self._EPS:
                 del flows[flow.flow_id]
-                flow.event.succeed()
+                event = flow.event
+                event._ok = True
+                env._eid = eid = env._eid + 1
+                finished.append((eid, event))
             elif remaining < least:
                 least = remaining
         if not flows:
@@ -211,14 +217,22 @@ class FairShareLink:
         gen = self._timer_gen
         self._timer_deadline = deadline
         self.env.call_later(
-            deadline - now, lambda _ev, gen=gen: self._on_timer(gen)
+            deadline - now, lambda timer, gen=gen: self._on_timer(gen, timer)
         )
 
-    def _on_timer(self, gen: int) -> None:
+    def _on_timer(self, gen: int, timer: Event) -> None:
         if gen != self._timer_gen:
             return  # superseded by a population change
         self._timer_deadline = None
-        self._arm(self._walk(True))
+        finished: list = []
+        self._arm(self._walk(finished))
+        # The timer is the link's own: one finished flow fires in place
+        # when nothing can overtake it; of several, each but the first
+        # would still be due at this instant, so all go on the heap.
+        env = self.env
+        now, woke = env.now, timer if len(finished) == 1 else None
+        for eid, event in finished:
+            env._fire(event, now, eid, woke)
 
 
 class BoundaryLink(FairShareLink):

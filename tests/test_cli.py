@@ -202,7 +202,9 @@ def sim_side(value, host=False):
     """``value`` with the same keys at every level and every value
     under a ``HOST_KEYS`` key (read off the host's clock, memory or core
     count) blanked.  The goldens are ``sim_side`` of what commit f92f9be
-    writes, dumped with ``indent=1, sort_keys=True``."""
+    writes, dumped with ``indent=1, sort_keys=True``; the kernel
+    ``events`` keys were re-taken when decided events began to fire in
+    place, and nothing else moved."""
     if isinstance(value, dict):
         return {
             key: sim_side(inner, host or key in HOST_KEYS)

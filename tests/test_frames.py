@@ -287,6 +287,7 @@ class TestWhatASleepCosts:
 
         drive(env, client())  # fills the timer free list
         proc = env.process(client())
+        before = env.executed_events
         counts = python_call_counts(env.run)
         assert proc.value == 7
         # Two hops, each one ``lognormal``: with nothing else queued
@@ -295,6 +296,8 @@ class TestWhatASleepCosts:
         # helper made it three calls).  The rest is the call's own
         # frame (three resumes) and handler, and the client process's
         # start, end and one ``_resume``; ``run()`` is ``run_below(inf)``.
+        # The end is one call: decided, it fires in place (it was
+        # ``succeed`` and ``schedule``, and a queued event).
         local = client.__qualname__[: -len("client")]
         assert dict(counts) == {
             "RngHub.lognormal": 2,
@@ -304,9 +307,9 @@ class TestWhatASleepCosts:
             local + "client": 2,
             "Environment.run": 1,
             "Environment.run_below": 1,
-            "Event.succeed": 1,
-            "Environment.schedule": 1,
+            "Environment._fire": 1,
         }
+        assert env.executed_events - before == 1  # the start, Initialize
 
 
 def test_pooled_site_keeps_no_process_per_finished_arrival(monkeypatch):

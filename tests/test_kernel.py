@@ -22,6 +22,7 @@ from repro.sim.kernel import (
     _defuse,
 )
 from tests.helpers import OracleProcess, python_call_counts, python_calls
+from tests.oracles.queued_decided import every_decided_event_queued
 
 
 class TestEvent:
@@ -654,20 +655,23 @@ class TestYieldedDelay:
         # next with nothing that can overtake it — ``b``'s last, of 0
         # at 3.5, with ``a`` queued for 3.75 — and runs on in place:
         # it takes no event id and executes no event.  A 0 at 1.5 is
-        # not next: a wake queued at 1.5 already goes first.
+        # not next: a wake queued at 1.5 already goes first.  Each
+        # process's end has no waiter and nothing queued at or before
+        # its instant, so it fires in place: it keeps its event id and
+        # executes no event, both ways.
         bare = self.trajectory(lambda env, delay: delay)
         timed = self.trajectory(Environment.timeout)
         assert bare == (
             [(1.5, 5, "a"), (1.5, 6, "b"), (1.5, 7, "a"), (3.5, 8, "b"),
              (3.5, 9, "a"), (3.5, 10, "b"), (3.5, 10, "b"), (3.75, 11, "a")],
             3.75,
-            12,
+            10,
         )
         assert timed == (
             [(1.5, 5, "a"), (1.5, 6, "b"), (1.5, 7, "a"), (3.5, 8, "b"),
              (3.5, 9, "a"), (3.5, 10, "b"), (3.5, 11, "b"), (3.75, 12, "a")],
             3.75,
-            13,
+            11,
         )
 
     def test_negative_delay_raises_at_the_yield(self):
@@ -1483,9 +1487,9 @@ class TestSleepRunsOnInPlace:
             env.process(sleeper())
 
         expected = [("awake", 1.0), ("timer", 2.0), ("awake", 2.0)]
-        # Timer, Initialize, second sleep, process end; + the first
-        # sleep when it is queued.
-        assert _both_ways(scenario) == [(expected, 2.0, 4), (expected, 2.0, 5)]
+        # Timer, Initialize, second sleep; + the first sleep and the
+        # process's end when they are queued (``step`` runs nothing on).
+        assert _both_ways(scenario) == [(expected, 2.0, 3), (expected, 2.0, 5)]
 
     def test_two_waiters_of_one_event_and_the_first_sleeps(self):
         # The first waiter's sleep is queued: the second must still
@@ -1507,7 +1511,10 @@ class TestSleepRunsOnInPlace:
             env.process(second())
 
         expected = [("second", 0.5), ("first", 1.5)]
-        assert _both_ways(scenario) == [(expected, 1.5, 7), (expected, 1.5, 7)]
+        # The second's end is queued (another waiter of ``gate`` may
+        # still run at 0.5); the first's, woken by its own sleep timer
+        # with nothing queued, fires in place under ``run``.
+        assert _both_ways(scenario) == [(expected, 1.5, 6), (expected, 1.5, 7)]
 
     def test_an_interrupt_by_a_sibling_waiter(self):
         # Both wait on ``gate``; the first interrupts the second, then
@@ -1537,7 +1544,9 @@ class TestSleepRunsOnInPlace:
             procs.append(env.process(second()))
 
         expected = [("sibling", 0.5), ("second", 1.0), ("first", 1.5)]
-        assert _both_ways(scenario) == [(expected, 1.5, 8), (expected, 1.5, 9)]
+        # Both ends fire in place under ``run``: nothing is queued at
+        # or before either's instant.
+        assert _both_ways(scenario) == [(expected, 1.5, 6), (expected, 1.5, 9)]
 
     def test_a_sleep_past_the_horizon_parks(self):
         env = Environment()
@@ -1559,8 +1568,9 @@ class TestSleepRunsOnInPlace:
         assert log == [1.0, 2.0] and env.peek() == 3.0
         env.run()
         assert log == [1.0, 2.0, 3.0]
-        # Initialize, the two parked sleeps, the process's end.
-        assert env.executed_events == 4
+        # Initialize and the two parked sleeps; the process's end, with
+        # nothing queued, fires in place.
+        assert env.executed_events == 3
 
     def test_a_waiter_of_the_stop_event_stops_with_it(self):
         # ``run(until=gate)`` waits on the gate beside the process, so
@@ -1588,6 +1598,24 @@ class TestSleepRunsOnInPlace:
         env.process(sleeper())
         env.step()
         assert env.now == 0.0 and env.peek() == 1.0
+
+
+class TestDecidedEndsMatchQueued:
+    """A process that ends successfully fires its end in place when
+    nothing can overtake it (``tests/test_decided_in_place.py`` pins
+    each condition); with every such end queued, as ``succeed`` queued
+    it, the programs of ``TestResumeMatchesOracle`` log the same, under
+    ``run()`` and under windows, and execute at least as many events."""
+
+    @given(_programs, _window_ends)
+    @settings(max_examples=200, deadline=None)
+    def test_random_programs_log_identically(self, program, ends):
+        for drive in (Environment.run, _windowed(ends)):
+            *live, live_events = _run_program(program, drive=drive)
+            with every_decided_event_queued():
+                *queued, queued_events = _run_program(program, drive=drive)
+            assert live == queued
+            assert live_events <= queued_events
 
 
 # ---------------------------------------------------------------------------

@@ -214,3 +214,26 @@ class TestMigrationUnwinds:
             (0, 0), (0, 0)
         ]
         assert "mig-vm" not in dst.infosys.vms
+
+    @pytest.mark.parametrize("crash_at", [0.5, 5.0, 20.0])
+    def test_target_crash_mid_migration_leaks_nothing(self, crash_at):
+        # Plant1's host crashes under the move (suspend, transfer or
+        # resume): the VM must not complete onto the down plant, and
+        # neither side may keep its lease or memory.
+        bed, manager = make_site()
+        src, dst = bed.plants
+        create_on(bed, src, mem=256)
+        env = bed.env
+        migration = env.process(manager.migrate(src, dst, "mig-vm"))
+        env.run(until=env.now + crash_at)
+        dst.fail()
+        with pytest.raises(PlantError, match="node1 is down"):
+            env.run(until=migration)
+        assert dst.network_pool.leases == {}
+        assert src.network_pool.leases == {}
+        assert [(h.committed_guest_mb, h.vm_count) for h in bed.hosts] == [
+            (0, 0), (0, 0)
+        ]
+        assert "mig-vm" not in src.infosys.vms
+        assert "mig-vm" not in dst.infosys.vms
+        assert manager.records == []

@@ -38,6 +38,7 @@ from repro.sim.trace import Tracer
 from repro.sim.cluster import build_testbed
 from repro.workloads.requests import experiment_request
 
+from tests.oracles.queued_decided import every_decided_event_queued
 from tests.helpers import (
     InstantLine,
     cyclic_garbage,
@@ -921,11 +922,13 @@ class TestGather:
 
     def test_round_event_and_call_budget(self):
         # One memo-hit round: one train timer for all the bidders (each
-        # later arrival, next on the queue, runs on in place) and one
-        # event for the round, put on the queue at the last landing
-        # time (it was an out-timer per bidder; a back-timer per bidder
-        # as well before that; before that Initialize + two timers +
-        # process end per bidder, + AllOf).
+        # later arrival, next on the queue, runs on in place), and the
+        # round's event, decided at the last landing with nothing that
+        # can overtake it, fires in place from that timer (it was
+        # queued at the last landing time; an out-timer per bidder
+        # before that; a back-timer per bidder as well before that;
+        # before that Initialize + two timers + process end per bidder,
+        # + AllOf).
         for n_plants, calls_at_most in ((8, 85), (1, 30)):
             bed = build_testbed(seed=3, n_plants=n_plants)
             request = experiment_request(32)
@@ -941,8 +944,10 @@ class TestGather:
 
             before = bed.env.executed_events
             calls = python_calls(one_round)
-            # Initialize and process end of the driving process itself.
-            assert bed.env.executed_events - before == 1 + 1 + 2
+            # Initialize and end of the driving process itself: it ends
+            # inside the round event's in-place firing, one level deep,
+            # so its end is queued.
+            assert bed.env.executed_events - before == 1 + 1 + 1
             # 84 and 28 at the time of writing: every plant answers
             # from its bid memo.  89 and 28 with an out-timer per
             # bidder; 124 and 33 with each bid planned
@@ -1115,6 +1120,7 @@ def _run_rounds(scenario, gather, sub_call=None):
         (outcomes, list(ran), watched, transport.calls, stream.getstate()),
         env.executed_events,
         in_place,
+        env._eid,
     )
 
 
@@ -1144,13 +1150,23 @@ class TestFoldedRoundMatchesTimerPerAnswer:
     @example((2, (0.05, 0.2), None, 0, [(0, None, [("plain", "cost")] * 2)]))
     @settings(max_examples=400, deadline=None)
     def test_random_rounds_decide_identically(self, scenario):
-        live, live_events, in_place = _run_rounds(scenario, Transport.gather)
-        timers, timer_events, _ = _run_rounds(scenario, oracle_gather)
-        assert live == timers
-        # The differences: no event for an answer on its way back, and
-        # none for an arrival that nothing could overtake.
+        live, live_events, _, live_ids = _run_rounds(
+            scenario, Transport.gather
+        )
+        with every_decided_event_queued():
+            queued, queued_events, in_place, queued_ids = _run_rounds(
+                scenario, Transport.gather
+            )
+            timers, timer_events, _, _ = _run_rounds(scenario, oracle_gather)
+        assert live == queued == timers
+        # With every decided event queued, the differences: no event
+        # for an answer on its way back, and none for an arrival that
+        # nothing could overtake.
         answers = sum(1 for entry in live[1] if entry[2:] == ("answered",))
-        assert timer_events - live_events == answers + in_place
+        assert timer_events - queued_events == answers + in_place
+        # Live, a round event (or a process's end) that nothing can
+        # overtake fires in place under the id it reserved.
+        assert live_ids == queued_ids and live_events <= queued_events
 
     @given(_scenarios)
     @settings(max_examples=200, deadline=None)

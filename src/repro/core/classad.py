@@ -34,9 +34,8 @@ An :class:`Expression` is compiled to one generated Python function
 once per text (the technique ``dataclasses`` uses for ``__init__``).
 Attribute fetch, comparison of numbers or of a string with a string
 literal, and ``&&``/``||`` are inline; UNDEFINED, lists, type
-mismatches, arithmetic and built-in calls go to shared helpers;
-closed constant subexpressions are folded.  A ``matches`` call is
-then two Python calls.  The tree-walking
+mismatches, arithmetic and built-in calls go to shared helpers.  A
+``matches`` call is then two Python calls.  The tree-walking
 interpreter this replaced is the reference it is held to, error text
 included (``tests/oracles/classad_interp.py``).
 
@@ -158,9 +157,6 @@ class _Node:
         indent ``ind``; return the source of the computed value."""
         raise NotImplementedError
 
-    def is_const(self) -> bool:
-        return False
-
 
 class _Literal(_Node):
     __slots__ = ("value",)
@@ -170,9 +166,6 @@ class _Literal(_Node):
 
     def emit(self, gen: "_Codegen", ind: int) -> str:
         return gen.const(self.value)
-
-    def is_const(self) -> bool:
-        return True
 
 
 class _Ref(_Node):
@@ -224,8 +217,7 @@ class _Ref(_Node):
 
 
 class _ListNode(_Node):
-    """A list literal: a mutable result, so its elements fold but the
-    node never collapses into a shared constant."""
+    """A list literal: each evaluation builds a fresh list."""
 
     __slots__ = ("items",)
 
@@ -233,7 +225,7 @@ class _ListNode(_Node):
         self.items = items
 
     def emit(self, gen: "_Codegen", ind: int) -> str:
-        items = [gen.expr(item, ind) for item in self.items]
+        items = [item.emit(gen, ind) for item in self.items]
         out = gen.temp()
         gen.line(ind, f"{out} = [{', '.join(items)}]")
         return out
@@ -247,7 +239,7 @@ class _Unary(_Node):
         self.operand = operand
 
     def emit(self, gen: "_Codegen", ind: int) -> str:
-        val = gen.var(gen.expr(self.operand, ind), ind)
+        val = gen.var(self.operand.emit(gen, ind), ind)
         out = gen.temp()
         if self.op == "!":
             gen.line(
@@ -262,9 +254,6 @@ class _Unary(_Node):
                 f" else _unary('-', {val})",
             )
         return out
-
-    def is_const(self) -> bool:
-        return self.operand.is_const()
 
 
 def _is_number(val: Value) -> bool:
@@ -357,8 +346,8 @@ class _Binary(_Node):
         op = self.op
         if op == "&&" or op == "||":
             return self._emit_logic(gen, ind)
-        lhs = gen.expr(self.left, ind)
-        rhs = gen.expr(self.right, ind)
+        lhs = self.left.emit(gen, ind)
+        rhs = self.right.emit(gen, ind)
         out = gen.temp()
         if op == "=?=":
             value = f"type({lhs}) is type({rhs}) and {lhs} == {rhs}"
@@ -377,12 +366,12 @@ class _Binary(_Node):
             decides, other = "False", "True"
         else:
             decides, other = "True", "False"
-        lhs = gen.var(gen.expr(self.left, ind), ind)
+        lhs = gen.var(self.left.emit(gen, ind), ind)
         out = gen.temp()
         gen.line(ind, f"if {lhs} is {decides}:")
         gen.line(ind + 1, f"{out} = {decides}")
         gen.line(ind, "else:")
-        rhs = gen.var(gen.expr(self.right, ind + 1), ind + 1)
+        rhs = gen.var(self.right.emit(gen, ind + 1), ind + 1)
         gen.line(ind + 1, f"if {rhs} is {decides}:")
         gen.line(ind + 2, f"{out} = {decides}")
         gen.line(ind + 1, f"elif {lhs} is {other} and {rhs} is {other}:")
@@ -393,9 +382,6 @@ class _Binary(_Node):
         message = f"{self.op} applied to non-boolean"
         gen.line(ind + 2, f"raise ClassAdError({message!r})")
         return out
-
-    def is_const(self) -> bool:
-        return self.left.is_const() and self.right.is_const()
 
 
 def _fn_size(value: Value) -> Value:
@@ -465,7 +451,7 @@ class _Call(_Node):
             raise ClassAdError(f"unknown function {name!r}")
 
     def emit(self, gen: "_Codegen", ind: int) -> str:
-        args = [gen.expr(arg, ind) for arg in self.args]
+        args = [arg.emit(gen, ind) for arg in self.args]
         out = gen.temp()
         # A constant argument other than UNDEFINED needs no test.
         maybe_undefined = [
@@ -486,10 +472,6 @@ class _Call(_Node):
         gen.line(ind + 1, f"raise ClassAdError({message!r}) from exc")
         return out
 
-    def is_const(self) -> bool:
-        # All built-ins are pure, so a call over constants is constant.
-        return all(arg.is_const() for arg in self.args)
-
 
 class _Ternary(_Node):
     __slots__ = ("cond", "then", "orelse")
@@ -500,13 +482,13 @@ class _Ternary(_Node):
         self.orelse = orelse
 
     def emit(self, gen: "_Codegen", ind: int) -> str:
-        cond = gen.var(gen.expr(self.cond, ind), ind)
+        cond = gen.var(self.cond.emit(gen, ind), ind)
         out = gen.temp()
         gen.line(ind, f"if {cond} is True:")
-        value = gen.expr(self.then, ind + 1)
+        value = self.then.emit(gen, ind + 1)
         gen.line(ind + 1, f"{out} = {value}")
         gen.line(ind, f"elif {cond} is False:")
-        value = gen.expr(self.orelse, ind + 1)
+        value = self.orelse.emit(gen, ind + 1)
         gen.line(ind + 1, f"{out} = {value}")
         gen.line(ind, f"elif {cond} is UNDEFINED:")
         gen.line(ind + 1, f"{out} = UNDEFINED")
@@ -515,13 +497,6 @@ class _Ternary(_Node):
             ind + 1, "raise ClassAdError('ternary condition must be boolean')"
         )
         return out
-
-    def is_const(self) -> bool:
-        return (
-            self.cond.is_const()
-            and self.then.is_const()
-            and self.orelse.is_const()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -534,25 +509,21 @@ _NOTHING = object()
 class _Codegen:
     """Writes one AST as the body of ``def _f(ad, other, depth)``.
 
-    :meth:`expr` appends the statements that compute a node and
-    returns the source of its value: a literal, or a local assigned
+    A node's ``emit(gen, ind)`` appends the statements that compute it
+    and returns the source of its value: a literal, or a local assigned
     once.  Request text reaches the source only through ``repr`` of a
     literal or an attribute name; a value with no literal (``inf``,
     ``nan``, an int too long for ``repr``) is bound in the function's
-    globals instead.  With ``fold`` set, a closed constant subtree is
-    evaluated once here and written as its value, unless it raises
-    (the error must surface when, and only if, evaluation reaches it)
-    or is a list (each evaluation returns a fresh one).
+    globals instead.
     """
 
-    __slots__ = ("lines", "known", "bound", "fold", "temps")
+    __slots__ = ("lines", "known", "bound", "temps")
 
-    def __init__(self, fold: bool = True):
+    def __init__(self):
         self.lines: List[str] = []
         #: Source of each constant written so far -> its value.
         self.known: Dict[str, Value] = {}
         self.bound: Dict[str, Value] = {}
-        self.fold = fold
         self.temps = 0
 
     def line(self, ind: int, text: str) -> None:
@@ -586,17 +557,6 @@ class _Codegen:
         self.line(ind, f"{out} = {source}")
         return out
 
-    def expr(self, node: _Node, ind: int) -> str:
-        if self.fold and not isinstance(node, _Literal) and node.is_const():
-            try:
-                value = _function(node, fold=False)(None, None, 0)
-            except ClassAdError:
-                pass
-            else:
-                if not isinstance(value, list):
-                    return self.const(value)
-        return node.emit(self, ind)
-
     def compare(self, op: str, lhs: str, rhs: str) -> str:
         slow = f"_compare({op!r}, {lhs}, {rhs})"
         left = self.known.get(lhs, _NOTHING)
@@ -623,10 +583,10 @@ class _Codegen:
         return slow  # a boolean or UNDEFINED literal
 
 
-def _function(ast: _Node, fold: bool = True) -> CompiledFn:
+def _function(ast: _Node) -> CompiledFn:
     """Generate and compile the evaluation function of ``ast``."""
-    gen = _Codegen(fold)
-    result = gen.expr(ast, 1)
+    gen = _Codegen()
+    result = ast.emit(gen, 1)
     gen.line(1, f"return {result}")
     source = "def _f(ad, other, depth):\n" + "\n".join(gen.lines) + "\n"
     namespace = {**_NAMESPACE, **gen.bound} if gen.bound else _NAMESPACE

@@ -17,10 +17,12 @@ from.  How a request that leaves travels — the spill ring, its ack
 deadline and retries — is the grid scenario's
 (:mod:`repro.federation.scenario`); the gateway only decides.
 
-Towards the rest of the grid the gateway is a bidder like a plant or
-a broker (:meth:`~FederationGateway.estimate` /
-:meth:`~FederationGateway.create`), and it carries the site's two
-fault windows, a blackout (``down_until``) and a gateway hang
+Towards the rest of the grid the gateway offers a plant's services
+(:meth:`~FederationGateway.estimate` /
+:meth:`~FederationGateway.create`), each a generator its caller's
+process drives (its estimate runs a whole local bid round, so it is
+never itself a round's handler), and it carries the site's two fault
+windows, a blackout (``down_until``) and a gateway hang
 (``hang_until``).  Keeping discovery site-local first is what makes
 the control plane shard: the common-case request never leaves its
 site's kernel shard, and only spill-overs cross
@@ -132,10 +134,10 @@ class FederationGateway:
         saturated local create, or :class:`ShopError` when the site
         declined outright.  Otherwise it *returns* the shop's create
         generator, a tail call: yielded to the kernel (``ad = yield
-        gateway.place(...)``, or from a bid round's handler), the
-        create runs in this frame's place and the caller receives the
-        created VM's classad.  Do not drive it with ``yield from``,
-        which hands the caller the create generator itself.
+        gateway.place(...)``), the create runs in this frame's place
+        and the caller receives the created VM's classad.  Do not drive
+        it with ``yield from``, which hands the caller the create
+        generator itself.
         """
         local_bids = yield self.shop.estimate(request)
         if can_spill and self.should_spill(local_bids):

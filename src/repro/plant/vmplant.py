@@ -239,16 +239,11 @@ class VMPlant:
         A healthy plant answers with the bid itself, as :meth:`estimate`
         does.  A crashed plant's remote estimate call never returns
         until the host is back (the shop's ``bid_deadline_s`` is what
-        bounds the wait): it gets a generator that parks on the
-        plant's up-event and bids once the host has recovered.
+        bounds the wait): it returns the plant's pending up-event, and
+        the bid round asks again when that fires.
         """
         if self.down:
-            return self._estimate_when_up(request)
-        return self.estimate(request)
-
-    def _estimate_when_up(self, request: CreateRequest) -> Generator:
-        while self.down:
-            yield self._up_event
+            return self._up_event
         return self.estimate(request)
 
     def create(

@@ -87,8 +87,9 @@ class BidCollector:
 
         Bidders expose ``name`` and ``estimate(request) -> float|None``
         (plants and brokers both do); a bidder additionally exposing
-        ``estimate_proc`` is driven through it, which lets a crashed
-        plant *hang* the call instead of answering.  With
+        ``estimate_proc`` is asked through it, which returns either the
+        answer or a pending event to ask again at — how a crashed
+        plant *hangs* the call instead of answering.  With
         ``deadline_s`` set, collection stops after that many seconds
         and still-pending bidders are simply left out of the result
         (their eventual answers — or failures — are dropped).  Returns

@@ -7,20 +7,20 @@ The prototype exchanges XML service specifications over sockets
   one envelope for all four services (create carries the full request
   body of :mod:`repro.core.dagxml`; query/destroy/estimate are small);
 * :class:`Transport` — the messaging substrate: every call charges a
-  (jittered) round-trip latency in the simulation clock, composing
-  naturally with synchronous handlers and process-generator handlers.
-  A single call (:meth:`Transport.call`) is a generator the caller's
-  process drives; a fan-out of calls answered together
-  (:meth:`Transport.gather`) is run from one train of timer callbacks
+  (jittered) round-trip latency in the simulation clock.  A single
+  call (:meth:`Transport.call`) is a generator the caller's process
+  drives, so its handler may return a process generator; a fan-out of
+  calls answered together (:meth:`Transport.gather`) is run from one
+  train of timer callbacks
   (:meth:`~repro.sim.kernel.Environment.call_each`), no process per
-  call and no event per answer.
+  call and no event per answer, and each of its handlers returns an
+  answer or a pending event to be asked again at.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from functools import partial
-from types import GeneratorType as _GeneratorType
 from typing import Any, Callable, Generator, Optional, Sequence, Tuple, Union
 
 from repro.core.dagxml import (
@@ -177,11 +177,11 @@ class Transport:
         timer on the heap for the round, a later arrival run on in
         place when nothing can overtake it and pushed under its own key
         when something can.  Each handler runs in its arrival's
-        callback; one that returns a generator is stepped in place
-        (with the generators it yields as sub-calls), sleeps on the
-        delays it yields, and parks only on the pending events it
-        yields.  The return latency is drawn when the handler
-        finishes, and from then on the answer and the instant it lands
+        callback and returns its answer, or a pending event (a down
+        plant's up-event): then it is called again, with no argument,
+        from a callback of that event when it fires, as often as it
+        returns one.  The return latency is drawn when the handler
+        answers, and from then on the answer and the instant it lands
         are fixed and nothing can observe it in flight, so it is
         recorded, not scheduled: once every handler has answered, the
         round's one event is decided at the latest landing time itself,
@@ -195,8 +195,8 @@ class Transport:
         raise before then.  Once it is decided, the remaining handlers
         still run (and draw their latencies), but their answers and
         failures are dropped.  The round's state is one
-        :class:`_Round`, held only by the timers and parked events
-        that still have a step of it to run.
+        :class:`_Round`, held only by the timers and pending events
+        that still have a handler of it to call.
         """
         env = self.env
         done = Event(env)
@@ -266,67 +266,15 @@ class _Round:
                 done._value = {i: got for _, i, got in landings}
                 env.schedule_at(done, last, woke)
 
-    def advance(self, index: int, stack: list, event: Event) -> None:
-        # A handler's generators, outermost first: a yielded generator
-        # is a sub-call, run on top of its caller, and a returned one a
-        # tail call, run in its place, as the kernel does.
-        woke = event
-        ok, value = event._ok, event._value
-        if not ok:
-            event.defused = True
-        while True:
-            try:
-                if ok:
-                    event = stack[-1].send(value)
-                else:
-                    event = stack[-1].throw(value)
-            except StopIteration as stop:
-                ok, value = True, stop.value
-                if type(value) is _GeneratorType:  # a tail call
-                    stack[-1], value = value, None
-                    continue
-                stack.pop()
-                if not stack:
-                    break  # answered: replied below, out of this block
-                continue
-            except Exception as exc:
-                stack.pop()
-                if not stack:
-                    return self.fail(exc)
-                # Minus this frame: it holds the stack.
-                ok = False
-                value = exc.with_traceback(exc.__traceback__.tb_next)
-                continue
-            kind = type(event)
-            if kind is _GeneratorType:
-                stack.append(event)
-                ok, value = True, None
-            elif kind is float or kind is int:  # a delay, as the kernel
-                if event < 0:
-                    ok, value = False, ValueError(f"negative delay {event}")
-                    continue
-                self.transport.env.call_later(
-                    event, partial(self.advance, index, stack)
-                )
-                return
-            elif event.callbacks is not None:
-                event.callbacks.append(partial(self.advance, index, stack))
-                return
-            else:
-                ok, value = event._ok, event._value
-                if not ok:
-                    event.defused = True
-        self.reply(index, value, woke)
-
-    def arrive(self, index: int, timer: Event) -> None:
+    def arrive(self, index: int, woke: Event) -> None:
         try:
-            result = self.handlers[index]()
+            answer = self.handlers[index]()
         except Exception as exc:
             return self.fail(exc)
-        if hasattr(result, "send") and hasattr(result, "throw"):
-            self.advance(index, [result], timer)
+        if isinstance(answer, Event):  # pending: ask again when it fires
+            answer.callbacks.append(partial(self.arrive, index))
         else:
-            self.reply(index, result, timer)
+            self.reply(index, answer, woke)
 
     def expire(self, _timer: Event) -> None:
         done, self.done = self.done, None

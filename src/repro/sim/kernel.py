@@ -22,7 +22,9 @@ once are one train (:meth:`Environment.call_each`);
 :meth:`repro.shop.protocol.Transport.gather` runs a whole bid round
 that way, and decides the round's one event at the instant its last
 answer lands (:meth:`Environment.schedule_at`) instead of a timer per
-answer.  A process that yields a generator makes a
+answer; a round's handler returns its answer or a pending event to be
+asked again at, so :class:`Process` is the one place a generator is
+stepped.  A process that yields a generator makes a
 sub-call: it runs on the process's stack, and a wake-up resumes only
 the innermost generator.  A generator that *returns* a generator makes
 a tail call: the returned one takes over its slot on the stack, so a
@@ -321,7 +323,8 @@ class Process(Event):
     is what the caller receives.  For such a ``sub`` the two differ:
     ``yield from sub()`` gives the caller the returned generator
     itself, so a generator that tail-calls is only ever yielded to the
-    kernel (or to a bid round, which steps the same way).  ``_stack``
+    kernel, the one stepper of generators (a bid round's handler
+    returns an answer or a pending event instead).  ``_stack``
     is dropped the moment the process ends: whoever still holds a
     finished process (a waiter, a list of requests) does not keep the
     generators' frames and locals alive with it.

@@ -10,7 +10,7 @@ is exact for piecewise-constant populations.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Optional
 
 from repro.sim.kernel import Environment, Event
 
@@ -37,16 +37,12 @@ class FairShareLink:
         env: Environment,
         name: str,
         bandwidth_mbps: float,
-        latency_s: float = 0.0,
     ):
         if bandwidth_mbps <= 0:
             raise ValueError("bandwidth must be positive")
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
         self.env = env
         self.name = name
         self.bandwidth_mbps = bandwidth_mbps
-        self.latency_s = latency_s
         self._flows: Dict[int, _Flow] = {}
         self._next_id = 0
         self._last_update = env.now
@@ -71,10 +67,7 @@ class FairShareLink:
         if size_mb < 0:
             raise ValueError("size must be non-negative")
         done = self.env.event()
-        if self.latency_s > 0:
-            self.env.process(self._delayed_start(size_mb, done))
-        else:
-            self._start_flow(size_mb, done)
+        self._start_flow(size_mb, done)
         return done
 
     def set_bandwidth(self, mbps: float) -> None:
@@ -136,10 +129,6 @@ class FairShareLink:
         return busy / now if now > 0 else 0.0
 
     # -- internals -------------------------------------------------------------
-    def _delayed_start(self, size_mb: float, done: Event) -> Generator:
-        yield self.latency_s
-        self._start_flow(size_mb, done)
-
     def _start_flow(self, size_mb: float, done: Event) -> None:
         least = self._walk(None)
         if size_mb <= self._EPS:
@@ -157,8 +146,12 @@ class FairShareLink:
         """Drain every flow to *now* and return the least remaining.
 
         The one pass over the flows per population change.  Given
-        ``finished`` (a live timer firing), a flow drained to within
-        :attr:`_EPS` finishes, in flow-id order: its event succeeds
+        ``finished`` (a live timer firing), a flow finishes, in flow-id
+        order, when it is drained to within :attr:`_EPS` or when what
+        it has left, at the walk's per-flow rate, is too little to move
+        the clock (far out in time, a residue above :attr:`_EPS` can
+        be, and a timer armed for it would fire at ``now`` again and
+        again with nothing drained): its event succeeds
         under the event id ``succeed`` would have given it, and goes
         onto ``finished`` as ``(event id, event)`` to fire once the
         link is re-armed.  The least is taken over the survivors.
@@ -171,14 +164,17 @@ class FairShareLink:
         least = float("inf")
         if not flows:
             return least
+        rate = self.bandwidth_mbps / len(flows)
         drained = 0.0
         if elapsed > 0 and not self._paused:
-            drained = self.bandwidth_mbps / len(flows) * elapsed
+            drained = rate * elapsed
         complete = finished is not None
         # Completing deletes from the dict, so it walks a snapshot.
         for flow in list(flows.values()) if complete else flows.values():
             remaining = flow.remaining = flow.remaining - drained
-            if complete and remaining <= self._EPS:
+            if complete and (
+                remaining <= self._EPS or now + remaining / rate == now
+            ):
                 del flows[flow.flow_id]
                 event = flow.event
                 event._ok = True
@@ -276,7 +272,7 @@ class BoundaryLink(FairShareLink):
                 f"zero lookahead: conservative parallel sync requires "
                 f"a positive inter-site latency_s (got {latency_s})"
             )
-        super().__init__(env, name, bandwidth_mbps, latency_s=0.0)
+        super().__init__(env, name, bandwidth_mbps)
         self.latency_s = latency_s
         self.src_site = src_site
         self.dst_site = dst_site

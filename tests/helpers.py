@@ -573,12 +573,15 @@ def _oracle_one_way(transport) -> float:
 
 
 def _oracle_call(transport, handler, *args) -> Generator:
-    """``Transport.call`` drawing through ``random.lognormvariate``."""
+    """One bid's ``Transport.call`` drawing through
+    ``random.lognormvariate``: a handler that returns a pending event
+    is asked again when it fires."""
     transport.calls += 1
     yield transport.env.timeout(_oracle_one_way(transport))
     result = handler(*args)
-    if hasattr(result, "send") and hasattr(result, "throw"):
-        result = yield from result
+    while isinstance(result, Event):
+        yield result
+        result = handler(*args)
     yield transport.env.timeout(_oracle_one_way(transport))
     return result
 
@@ -629,7 +632,8 @@ def oracle_gather(
 
     Every answer rides a ``Timeout`` of its return latency and is
     copied into the round's dictionary when that timer fires; the
-    round's event is triggered from the last of those callbacks.
+    round's event is triggered from the last of those callbacks.  A
+    handler that returns a pending event is asked again when it fires.
     """
     env = transport.env
     done = Event(env)
@@ -654,29 +658,13 @@ def oracle_gather(
             partial(land, index, answer)
         )
 
-    def advance(index: int, steps: Generator, event: Event) -> None:
-        while True:
-            try:
-                if event._ok:
-                    event = steps.send(event._value)
-                else:
-                    event.defused = True
-                    event = steps.throw(event._value)
-            except StopIteration as stop:
-                return reply(index, stop.value)
-            except Exception as exc:
-                return fail(exc)
-            if event.callbacks is not None:
-                event.callbacks.append(partial(advance, index, steps))
-                return
-
-    def arrive(index: int, timer: Event) -> None:
+    def arrive(index: int, _woke: Event) -> None:
         try:
             result = handlers[index]()
         except Exception as exc:
             return fail(exc)
-        if hasattr(result, "send") and hasattr(result, "throw"):
-            advance(index, result, timer)
+        if isinstance(result, Event):
+            result.callbacks.append(partial(arrive, index))
         else:
             reply(index, result)
 
@@ -802,8 +790,14 @@ class oracle_fair_share_link(FairShareLink):
             flow.remaining -= rate * elapsed
 
     def _complete_due(self) -> None:
+        # Due: drained, or too little left to move the clock at the
+        # rate the flows shared before any of them left.
+        now = self.env.now
+        rate = self._rate() if self._flows else 0.0
         done = [
-            f for f in self._flows.values() if f.remaining <= self._EPS
+            f
+            for f in self._flows.values()
+            if f.remaining <= self._EPS or now + f.remaining / rate == now
         ]
         for flow in done:
             del self._flows[flow.flow_id]

@@ -470,3 +470,47 @@ def test_the_workloads_return_no_generator_as_data():
         finally:
             sys.setprofile(None)
     assert returning == {name for name, _ in TAIL_CALLS}
+
+
+#: ``(file, receiver)`` of every ``.send(`` in ``src/`` outside the
+#: kernel: a boundary link's message and a worker pipe's, none of them
+#: a generator.
+NOT_A_GENERATOR_SEND = {
+    ("federation/scenario.py", "handle.ack_link"),
+    ("federation/scenario.py", "handle.spill_link"),
+    ("sim/shard/runner.py", "c"),
+    ("sim/shard/scenarios.py", "handle.ping_link"),
+    ("sim/shard/worker.py", "conn"),
+    ("sim/shard/worker.py", "self.conn"),
+}
+
+
+def test_only_the_kernel_steps_a_generator():
+    # Read from the source: a ``.send(`` or ``.throw(`` outside
+    # ``sim/kernel.py`` is a second generator interpreter unless its
+    # receiver is listed above.  A bid round's handler returns an
+    # answer or a pending event, so the round steps none.
+    calls = {}
+    for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("send", "throw")
+            ):
+                calls.setdefault(rel, set()).add(
+                    (node.func.attr, ast.unparse(node.func.value))
+                )
+    assert calls.pop("sim/kernel.py") == {
+        ("send", "generator"), ("throw", "generator")
+    }
+    assert {
+        (rel, receiver)
+        for rel, found in calls.items()
+        for method, receiver in found
+        if method == "send"
+    } == NOT_A_GENERATOR_SEND
+    assert not any(
+        method == "throw" for found in calls.values() for method, _ in found
+    )

@@ -245,7 +245,7 @@ class TestProcess:
 
 class TestTailCall:
     """A generator that returns a generator hands its slot on the
-    process's stack (or a bid round's) to it: the caller gets the
+    process's stack to it: the caller gets the
     returned generator's value or exception, and the delegating frame
     is gone while the returned one runs."""
 
@@ -314,42 +314,6 @@ class TestTailCall:
         assert log == self.EXPECTED
         assert proc.value == "last" and env.now == 3.5
         assert proc._stack is None
-
-    def test_stepping_and_a_bid_round_run_it_alike(self):
-        from repro.shop.protocol import Transport
-
-        stepped_env = Environment()
-        stepped = []
-        proc = stepped_env.process(self.program(stepped_env, stepped))
-        while stepped_env._queue:
-            stepped_env.step()
-        env = Environment()
-        gathered = []
-        done = Transport(env, latency_s=0.0).gather(
-            [partial(self.program, env, gathered)]
-        )
-        env.run()
-        assert stepped == gathered == self.EXPECTED
-        assert proc.value == "last" and done.value == {0: "last"}
-        assert stepped_env.now == env.now == 3.5
-
-    def test_a_failing_tail_fails_the_round(self):
-        from repro.shop.protocol import Transport
-
-        env = Environment()
-
-        def fails_later():
-            yield 1.0
-            raise ValueError("tail")
-
-        def hands_off():
-            yield 0.5
-            return fails_later()
-
-        done = Transport(env, latency_s=0.0).gather([hands_off])
-        with pytest.raises(ValueError, match="tail"):
-            env.run(until=done)
-        assert env.now == 1.5
 
     def test_the_delegating_frame_is_gone_while_the_tail_runs(self):
         env = Environment()

@@ -32,14 +32,13 @@ _CLOSE_S = 1e-7
 PENDING = ("pending",)
 
 
-def ps_oracle(bandwidth, latency, ops):
+def ps_oracle(bandwidth, ops):
     """Each flow's fate under egalitarian processor sharing.
 
     ``ops`` is ``(time, kind, arg)``: ``("start", size)`` offers a flow
-    that joins ``latency`` later; ``("bw", mbps)``, ``("pause", None)``,
+    that joins at once; ``("bw", mbps)``, ``("pause", None)``,
     ``("resume", None)`` and ``("abort", None)`` act on the link.  At one
-    instant the operations go in list order, then the flows that join
-    after a latency.  Returns ``(fates, close)``: per flow, in list order,
+    instant the operations go in list order.  Returns ``(fates, close)``: per flow, in list order,
     ``("done", t)``, ``("aborted", t)`` or ``PENDING``; and whether a
     flow drained within ``_TIE_S`` of an operation or a join.
     """
@@ -47,12 +46,10 @@ def ps_oracle(bandwidth, latency, ops):
     flows = 0
     for seq, (time, kind, arg) in enumerate(ops):
         if kind == "start":
-            # Without a latency the flow joins at once, in list order.
-            after = 1 if latency else 0
-            timeline.append((time + latency, after, seq, "join", (flows, arg)))
+            timeline.append((time, seq, "join", (flows, arg)))
             flows += 1
         else:
-            timeline.append((time, 0, seq, kind, arg))
+            timeline.append((time, seq, kind, arg))
     timeline.sort()
     fates = [PENDING] * flows
     active = {}  # flow -> MB still to send
@@ -79,7 +76,7 @@ def ps_oracle(bandwidth, latency, ops):
                 active[flow] -= rate * (to - now)
         now = to
 
-    for time, _, _, kind, arg in timeline:
+    for time, _, kind, arg in timeline:
         advance(time)
         if kind == "join":
             flow, size = arg
@@ -104,10 +101,10 @@ def ps_oracle(bandwidth, latency, ops):
     return fates, close
 
 
-def run_link(bandwidth, latency, ops):
+def run_link(bandwidth, ops):
     """Each flow's fate on a :class:`FairShareLink` driven by ``ops``."""
     env = Environment()
-    link = FairShareLink(env, "nfs", bandwidth, latency)
+    link = FairShareLink(env, "nfs", bandwidth)
     fates = [PENDING] * sum(1 for op in ops if op[1] == "start")
 
     def note(flow):
@@ -169,29 +166,28 @@ _ops = st.lists(
 
 
 class TestFairShareLinkIsProcessorSharing:
-    @given(_bandwidths, st.sampled_from([0.0, 0.5]), _ops)
+    @given(_bandwidths, _ops)
     # Two flows: the second finishes only if the link re-arms its timer
     # when the first leaves.
-    @example(10.0, 0.0, [(0, "start", 10.0), (0, "start", 30.0)])
+    @example(10.0, [(0, "start", 10.0), (0, "start", 30.0)])
     # A partition, a slower rate while frozen, an outage after healing.
     @example(
         100.0,
-        0.5,
-        [(0, "start", 40.0), (0.25, "start", 7.0), (0.5, "pause", None),
+        [(0, "start", 40.0), (0.25, "start", 70.0), (0.5, "pause", None),
          (1.0, "bw", 12.5), (1.5, "resume", None), (2.5, "start", 9.0),
          (3.0, "abort", None), (3.0, "start", 1.0)],
     )
     @settings(max_examples=200, deadline=None)
-    def test_every_flow_ends_as_the_model_says(self, bandwidth, latency, ops):
-        want, close = ps_oracle(bandwidth, latency, ops)
+    def test_every_flow_ends_as_the_model_says(self, bandwidth, ops):
+        want, close = ps_oracle(bandwidth, ops)
         assume(not close)
-        agree(run_link(bandwidth, latency, ops), want)
+        agree(run_link(bandwidth, ops), want)
 
     def test_two_flows_share_then_the_second_runs_alone(self):
         # 5 MB/s each until the first leaves at 2 s; then 10 MB/s.
         ops = [(0, "start", 10.0), (0, "start", 30.0)]
-        assert run_link(10.0, 0.0, ops) == [("done", 2.0), ("done", 4.0)]
-        assert ps_oracle(10.0, 0.0, ops)[0] == [("done", 2.0), ("done", 4.0)]
+        assert run_link(10.0, ops) == [("done", 2.0), ("done", 4.0)]
+        assert ps_oracle(10.0, ops)[0] == [("done", 2.0), ("done", 4.0)]
 
     def test_a_partition_freezes_and_an_outage_fails(self):
         ops = [(0, "start", 10.0), (0.5, "pause", None),
@@ -199,5 +195,5 @@ class TestFairShareLinkIsProcessorSharing:
                (3.0, "start", 4.0), (3.0, "pause", None)]
         # 10 MB at 10 MB/s: 5 MB by the partition, 2.5 MB more after
         # it heals, then the outage; the last flow never moves.
-        assert run_link(10.0, 0.0, ops) == [("aborted", 2.25), PENDING]
-        agree(run_link(10.0, 0.0, ops), ps_oracle(10.0, 0.0, ops)[0])
+        assert run_link(10.0, ops) == [("aborted", 2.25), PENDING]
+        agree(run_link(10.0, ops), ps_oracle(10.0, ops)[0])

@@ -858,6 +858,47 @@ class TestGather:
         env.run()  # the other answers land on a decided round
         assert collector.collections == 0
 
+    @pytest.mark.parametrize("deadline_s", [None, 5.0, 3.0])
+    def test_a_plant_back_and_down_again_at_one_instant_still_hangs(
+        self, deadline_s
+    ):
+        # p0 recovers and crashes again at 2 s, mid-round: the round,
+        # asked again at the first up-event, waits on the second, as a
+        # process per bid does, and p0 answers after it is back at 4 s.
+        def play(collect):
+            env = Environment()
+            collector, bidders, plants = self.site(env)
+            plants[0].fail()
+
+            def bounce(_ev):
+                plants[0].recover()
+                plants[0].fail()
+
+            env.call_later(2.0, bounce)
+            env.call_later(4.0, lambda _ev: plants[0].recover())
+            bids = drive(
+                env, collect(collector, bidders, make_request(), deadline_s)
+            )
+            ended = env.now
+            # A late answer still draws its way back (the oracle's on a
+            # timer of its own, which the live round does not set).
+            env.run()
+            return (
+                [(b.bidder_name, b.cost, b.at) for b in bids],
+                ended,
+                collector.collections,
+                collector.bids_collected,
+                collector.transport.rng.stream("transport").getstate(),
+            )
+
+        live = play(BidCollector.collect)
+        assert live == play(oracle_collect)
+        names = [name for name, _, _ in live[0]]
+        if deadline_s == 3.0:
+            assert names == ["p1", "p2"] and live[1] == 3.0
+        else:
+            assert names == ["p0", "p1", "p2"] and 4.0 < live[1] < 5.0
+
     def test_plant_back_before_deadline_is_included(self):
         env = Environment()
         collector, bidders, plants = self.site(env)
@@ -879,46 +920,6 @@ class TestGather:
         assert collector.transport.calls == 0
         done = collector.transport.gather([])
         assert env.run(until=done) == {}
-
-    def test_gather_takes_plain_and_generator_handlers(self):
-        env = Environment()
-        transport = Transport(env, latency_s=0.5, jitter_sigma=0.0)
-        fired = env.event().succeed("already")
-        env.run()
-
-        def slow():
-            got = yield fired  # processed: stepped through in place
-            yield env.timeout(3)
-            return got
-
-        done = transport.gather([lambda: "plain", slow, lambda: None])
-        assert env.run(until=done) == {0: "plain", 1: "already", 2: None}
-        assert env.now == pytest.approx(4.0)
-        assert transport.calls == 3
-
-    def test_a_handler_sleeps_by_yielding_a_delay(self):
-        env = Environment()
-        transport = Transport(env, latency_s=0.5, jitter_sigma=0.0)
-        seen = []
-
-        def napper():
-            yield 2
-            try:
-                yield -1.0
-            except ValueError as exc:  # thrown in at the yield
-                seen.append((env.now, str(exc)))
-            yield 0.25
-            return env.now
-
-        def bad():
-            yield -2
-
-        done = transport.gather([napper, lambda: "plain"])
-        assert env.run(until=done) == {0: 2.75, 1: "plain"}
-        assert seen == [(2.5, "negative delay -1.0")]
-        assert env.now == pytest.approx(3.25)
-        with pytest.raises(ValueError, match="negative delay -2"):
-            env.run(until=transport.gather([bad]))
 
     def test_round_event_and_call_budget(self):
         # One memo-hit round: one train timer for all the bidders (each
@@ -968,11 +969,12 @@ class TestGather:
 #: landings, deadlines and handler wake-ups tie to the last bit.
 _TICK = 0.5
 _ticks = st.integers(0, 4)
+#: A "steps" handler returns each step's event while it is pending
+#: and is asked again when it fires; it answers after its last step.
 _steps = st.lists(
     st.one_of(
-        st.tuples(st.just("sleep"), _ticks),
-        st.tuples(st.just("delay"), _ticks),  # a bare number, see below
-        st.just(("recovery",)),  # parks like estimate_proc on _up_event
+        st.tuples(st.just("timeout"), _ticks),
+        st.just(("recovery",)),  # like estimate_proc's _up_event
         st.just(("alarm",)),  # a timer older than any round's deadline
         st.just(("raise",)),
     ),
@@ -1001,14 +1003,11 @@ _scenarios = st.tuples(
 )
 
 
-def _run_rounds(scenario, gather, sub_call=None):
+def _run_rounds(scenario, gather):
     """Play ``scenario`` with rounds made by ``gather(transport, handlers,
     deadline_s)``; what the rounds' waiters, the handlers and a
     bystander saw, the events executed, and how many arrivals ran on
     in place.
-
-    Given ``sub_call`` ("yield" or "from"), a stepped handler runs its
-    steps as a sub-generator, called with ``yield`` or ``yield from``.
 
     The bystander wakes off the grid and notes how far everything has
     come, the ``transport`` stream included: a draw made at another
@@ -1022,8 +1021,6 @@ def _run_rounds(scenario, gather, sub_call=None):
         env, rng=RngHub(seed), latency_s=latency_s, jitter_sigma=sigma
     )
     stream = transport.rng.stream("transport")
-    # The reference steps events only: it sleeps on a ``Timeout``.
-    bare_delays = gather is not oracle_gather
     recovery = env.event()
     if recovery_at is not None:
         env.call_later(recovery_at * _TICK, lambda _ev: recovery.succeed())
@@ -1046,35 +1043,31 @@ def _run_rounds(scenario, gather, sub_call=None):
             ran.append((env.now, label, "answered"))
             return spec[1] and f"{label}-{spec[1]}"
 
+        if spec[0] != "steps":
+            return plain
+        steps = iter(spec[1])
+        waiting = []  # the step whose event the last call returned
+
         def stepped():
-            arrived()
-            for step in spec[1]:
-                if step[0] == "sleep":
-                    yield env.timeout(step[1] * _TICK)
-                elif step[0] == "delay":
-                    delay = step[1] * _TICK
-                    yield delay if bare_delays else env.timeout(delay)
-                elif step[0] == "raise":
+            if waiting:
+                ran.append((env.now, label, waiting.pop()))
+            else:
+                arrived()
+            for step in steps:
+                if step[0] == "raise":
                     raise PlantError(label)
+                if step[0] == "timeout":
+                    event = env.timeout(step[1] * _TICK)
                 else:
-                    yield recovery if step[0] == "recovery" else alarm
+                    event = recovery if step[0] == "recovery" else alarm
+                if not event.processed:
+                    waiting.append(step[0])
+                    return event
                 ran.append((env.now, label, step[0]))
             ran.append((env.now, label, "answered"))
             return label
 
-        def caller():
-            try:
-                if sub_call == "yield":
-                    got = yield stepped()
-                else:
-                    got = yield from stepped()
-            finally:
-                ran.append((env.now, label, "caller"))
-            return got
-
-        if spec[0] != "steps":
-            return plain
-        return stepped if sub_call is None else caller
+        return stepped
 
     def start(number, deadline, specs, _timer):
         def decided(done):
@@ -1109,15 +1102,13 @@ def _run_rounds(scenario, gather, sub_call=None):
 
     env.process(bystander())
     env.run()
-    # ``ran`` copied: a handler parked forever adds its caller's
-    # ``finally`` whenever its generators are collected.
     in_place = sum(
         before == after
         for counts in arrivals.values()
         for before, after in zip(counts, counts[1:])
     )
     return (
-        (outcomes, list(ran), watched, transport.calls, stream.getstate()),
+        (outcomes, ran, watched, transport.calls, stream.getstate()),
         env.executed_events,
         in_place,
         env._eid,
@@ -1168,13 +1159,6 @@ class TestFoldedRoundMatchesTimerPerAnswer:
         # overtake fires in place under the id it reserved.
         assert live_ids == queued_ids and live_events <= queued_events
 
-    @given(_scenarios)
-    @settings(max_examples=200, deadline=None)
-    def test_a_handler_sub_call_by_yield_matches_yield_from(self, scenario):
-        assert _run_rounds(scenario, Transport.gather, "yield") == (
-            _run_rounds(scenario, Transport.gather, "from")
-        )
-
     #: One round shape each: (recovery at, alarm at, rounds).
     SHAPES = {
         "plain": (None, 0, [(0, None, [("plain", "cost"), ("plain", None)])]),
@@ -1186,7 +1170,7 @@ class TestFoldedRoundMatchesTimerPerAnswer:
                     1,
                     None,
                     [
-                        ("steps", [("sleep", 2), ("alarm",), ("delay", 1)]),
+                        ("steps", [("timeout", 2), ("alarm",), ("timeout", 1)]),
                         ("steps", [("recovery",)]),
                         ("plain", "cost"),
                     ],
@@ -1198,7 +1182,7 @@ class TestFoldedRoundMatchesTimerPerAnswer:
             0,
             [
                 (0, None, [("plain", "cost"), ("plain-raise",)]),
-                (1, None, [("steps", [("sleep", 1), ("raise",)])]),
+                (1, None, [("steps", [("timeout", 1), ("raise",)])]),
             ],
         ),
         # Decided by the first failure; the other two answer after it.
@@ -1211,7 +1195,7 @@ class TestFoldedRoundMatchesTimerPerAnswer:
                     None,
                     [
                         ("plain-raise",),
-                        ("steps", [("sleep", 3)]),
+                        ("steps", [("timeout", 3)]),
                         ("steps", [("recovery",)]),
                     ],
                 )
@@ -1227,7 +1211,7 @@ class TestFoldedRoundMatchesTimerPerAnswer:
                     2,
                     [
                         ("plain", "cost"),
-                        ("steps", [("sleep", 4)]),
+                        ("steps", [("timeout", 4)]),
                         ("steps", [("recovery",)]),
                     ],
                 )

@@ -1,7 +1,6 @@
 """Unit tests for the VMPlant daemon (create/query/destroy/extend)."""
 
 import dataclasses
-import inspect
 from collections import Counter
 from functools import partial
 
@@ -406,11 +405,13 @@ class TestEstimate:
         plant = make_plant(env)
         healthy = plant.estimate(make_request())
         plant.fail()
+        # A pending event to be asked again at: the plant's up-event.
         answer = plant.estimate_proc(make_request())
-        assert inspect.isgenerator(answer)
+        assert answer is plant._up_event and not answer.triggered
         env.call_later(7.0, lambda _ev: plant.recover())
-        assert drive(env, answer) == healthy
+        env.run(until=answer)
         assert env.now == 7.0
+        assert plant.estimate_proc(make_request()) == healthy
 
 
 class TestCallBudgets:
